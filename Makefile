@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check check sweep-smoke test test-race loadtest bench bench-json bench-mem bench-incr report report-csv experiments-md examples clean
+.PHONY: all build vet fmt-check check sweep-smoke test test-race loadtest bench bench-json bench-mem bench-incr bench-record bench-compare report report-csv experiments-md examples clean
 
 all: build vet test test-race
 
@@ -95,6 +95,20 @@ bench-incr:
 # regresses beyond the limit vs $(BENCH_BASE).
 bench-mem:
 	for i in 1 2 3; do $(GO) test -run '^$$' -bench 'RSS|NaiveReplayStream|NaiveReplayInMemory' -benchmem . || exit 1; done | $(GO) run ./cmd/benchjson -out $(BENCH_OUT) -baseline $(BENCH_BASE) -maxregress $(BENCH_TOLERANCE)
+
+# The benchmark of record (BENCHMARK.json, bench/README.md): record one result
+# set per commit, then judge set B against set A by the bounds. A performance
+# claim is made on paired sets — `make bench-record OUT=parent.json` in a
+# checkout of the parent commit, `make bench-record OUT=change.json` in the
+# change, `make bench-compare A=parent.json B=change.json` — never on one run:
+# the host drifts by more than most changes gain.
+RUNS ?= 10
+OUT ?= bench/out/results.json
+bench-record:
+	$(GO) run ./bench -runs $(RUNS) -o $(OUT)
+
+bench-compare:
+	$(GO) run ./bench -compare $(A) $(B)
 
 # Regenerate the full evaluation (R1–R20) at paper scale.
 report:

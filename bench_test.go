@@ -95,6 +95,7 @@ func benchFabricTick(b *testing.B, kind onocsim.NetworkKind) {
 		}
 	}
 	inject()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i%16 == 0 {

@@ -2,6 +2,7 @@ package enoc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"onocsim/internal/config"
 	"onocsim/internal/noc"
@@ -30,11 +31,15 @@ type Network struct {
 	// self-messages) for Busy.
 	inflight int
 
-	// pktFree/flitFree recycle the per-message wormhole state: a packet
-	// and its flits die at ejection and are reborn at the next Inject,
-	// so a steady-state run allocates almost nothing per message.
-	pktFree  []*packet
-	flitFree []*flit
+	// bufBusy, linkBusy and niBusy are the routers holding buffered flits,
+	// the routers with flits on their outgoing links and the NIs with
+	// packets to send: the only elements a Tick has to visit.
+	bufBusy, linkBusy, niBusy nodeSet
+
+	// pktFree recycles the per-message wormhole state: a packet dies at
+	// ejection and is reborn at the next Inject, so a steady-state run
+	// allocates nothing per message. Flits are values and need no pool.
+	pktFree []*packet
 }
 
 // newPacket returns a recycled or fresh packet wrapping m.
@@ -49,16 +54,23 @@ func (n *Network) newPacket(m *noc.Message) *packet {
 	return &packet{msg: m, nflits: flitsFor(m.Bytes, n.cfg.FlitBytes)}
 }
 
-// newFlit returns a recycled or fresh flit.
-func (n *Network) newFlit() *flit {
-	if l := len(n.flitFree); l > 0 {
-		f := n.flitFree[l-1]
-		n.flitFree[l-1] = nil
-		n.flitFree = n.flitFree[:l-1]
-		*f = flit{}
-		return f
+// nodeSet is a set of node ids. Walking it with next visits members in
+// ascending id order — the order Tick has always served routers and NIs in,
+// which credit return between routers within a cycle depends on.
+type nodeSet []uint64
+
+func (s nodeSet) add(id int)    { s[id>>6] |= 1 << (id & 63) }
+func (s nodeSet) remove(id int) { s[id>>6] &^= 1 << (id & 63) }
+
+// next returns the smallest member ≥ id, or -1.
+func (s nodeSet) next(id int) int {
+	for w := id >> 6; w < len(s); w++ {
+		if m := s[w] >> (id & 63); m != 0 {
+			return id + bits.TrailingZeros64(m)
+		}
+		id = (w + 1) << 6
 	}
-	return &flit{}
+	return -1
 }
 
 type selfMsg struct {
@@ -77,6 +89,8 @@ func New(nodes int, cfg config.Mesh) *Network {
 		panic(fmt.Sprintf("enoc: %d nodes is not a perfect square", nodes))
 	}
 	n := &Network{cfg: cfg, width: width, nodes: nodes, torus: cfg.Topology == "torus", stats: noc.NewStats()}
+	words := (nodes + 63) / 64
+	n.bufBusy, n.linkBusy, n.niBusy = make(nodeSet, words), make(nodeSet, words), make(nodeSet, words)
 	n.routers = make([]*router, nodes)
 	for id := 0; id < nodes; id++ {
 		n.routers[id] = newRouter(id, id%width, id/width, n)
@@ -84,7 +98,7 @@ func New(nodes int, cfg config.Mesh) *Network {
 	// Wire neighbor links and the upstream credit paths.
 	connect := func(from *router, outPort int, to *router, inPort int, wrap bool) {
 		from.outLink[outPort] = &link{delay: sim.Tick(cfg.LinkCycles), dst: to, dstPort: inPort, wrap: wrap}
-		to.upstream[inPort] = &upstreamRef{r: from, port: outPort}
+		to.upstream[inPort] = upstreamRef{r: from, port: outPort}
 	}
 	for id := 0; id < nodes; id++ {
 		r := n.routers[id]
@@ -168,26 +182,24 @@ func (n *Network) Tick() {
 		}
 		n.selfQ = keep
 	}
-	for _, r := range n.routers {
-		r.drainLinks()
+	for id := n.linkBusy.next(0); id >= 0; id = n.linkBusy.next(id + 1) {
+		n.routers[id].drainLinks()
 	}
-	for _, r := range n.routers {
-		r.allocate()
+	for id := n.bufBusy.next(0); id >= 0; id = n.bufBusy.next(id + 1) {
+		n.routers[id].allocate()
 	}
-	for _, ni := range n.nis {
-		ni.tryInject()
+	for id := n.niBusy.next(0); id >= 0; id = n.niBusy.next(id + 1) {
+		n.nis[id].tryInject()
 	}
 }
 
-// eject is called by a router's local port as flits complete. Ejected flits
-// (and, on tail, the packet) return to the fabric free lists.
-func (n *Network) eject(node int, f *flit) {
+// eject is called by a router's local port as flits complete; the tail flit
+// delivers the message and returns its packet to the free list.
+func (n *Network) eject(node int, f flit) {
 	if !f.isTail {
-		n.flitFree = append(n.flitFree, f)
 		return
 	}
 	p := f.pkt
-	n.flitFree = append(n.flitFree, f)
 	m := p.msg
 	if node != m.Dst {
 		panic(fmt.Sprintf("enoc: message %d ejected at %d, expected %d", m.ID, node, m.Dst))
@@ -251,42 +263,61 @@ func (n *Network) SkipTo(t sim.Tick) {
 
 // Reset implements noc.Resettable: clocks, statistics, power counters,
 // queues, buffers, credits and arbitration pointers all return to their
-// constructor values. The packet/flit free lists survive — they hold only
-// dead state and are the point of reusing the fabric.
+// constructor values. Packets still in the fabric go back to the free list —
+// a Reset need not wait for a drain — and the list, the VC rings and the
+// queue arrays survive: they hold only dead state and are the point of
+// reusing the fabric.
 func (n *Network) Reset() {
 	n.now = 0
 	n.stats = noc.NewStats()
 	n.power = powerCounters{}
 	n.selfQ = n.selfQ[:0]
 	n.inflight = 0
+	clear(n.bufBusy)
+	clear(n.linkBusy)
+	clear(n.niBusy)
+	// A packet in flight is freed where its tail flit is; one whose tail
+	// has not left the NI yet, at the NI.
+	freeTail := func(f flit) {
+		if f.isTail {
+			n.pktFree = append(n.pktFree, f.pkt)
+		}
+	}
 	depth := n.cfg.BufDepth
 	for _, r := range n.routers {
 		for p := 0; p < numPorts; p++ {
 			for v := range r.in[p] {
 				b := &r.in[p][v]
-				b.q = b.q[:0]
-				b.owner = nil
-				b.routed = false
-				b.granted = false
-			}
-			for v := range r.outCredit[p] {
+				for i := 0; i < b.n; i++ {
+					freeTail(*b.at(i))
+				}
+				*b = vcBuf{q: b.q, outPort: portUnrouted}
 				r.outCredit[p][v] = depth
 				r.outBusy[p][v] = false
 			}
 			if l := r.outLink[p]; l != nil {
+				for _, lf := range l.inflight {
+					freeTail(lf.f)
+				}
 				l.inflight = l.inflight[:0]
 			}
-			r.rr[p] = 0
 		}
-		r.occupancy = 0
-		r.linkLoad = 0
+		r.rr = [numPorts]int{}
+		r.clearDerived()
 	}
 	for _, ni := range n.nis {
 		for c := range ni.classQ {
-			ni.classQ[c] = ni.classQ[c][:0]
+			q := &ni.classQ[c]
+			for q.len() > 0 {
+				n.pktFree = append(n.pktFree, q.pop())
+			}
+			if p := ni.sending[c].pkt; p != nil {
+				n.pktFree = append(n.pktFree, p)
+			}
 			ni.sending[c] = sendState{}
 		}
 		ni.rr = 0
+		ni.pending = 0
 	}
 }
 
@@ -324,9 +355,40 @@ func abs(x int) int {
 type netIface struct {
 	node    int
 	net     *Network
-	classQ  [noc.NumClasses][]*packet
+	classQ  [noc.NumClasses]pktQueue
 	sending [noc.NumClasses]sendState
 	rr      int
+	// pending counts the packets queued or being sent; the interface is
+	// in Network.niBusy exactly while it is non-zero.
+	pending int
+}
+
+// pktQueue is a FIFO of packets popped by advancing a head index, so the
+// backing array is reused rather than resliced away pop by pop.
+type pktQueue struct {
+	q    []*packet
+	head int
+}
+
+func (q *pktQueue) len() int { return len(q.q) - q.head }
+
+func (q *pktQueue) push(p *packet) {
+	if q.head > 0 && len(q.q) == cap(q.q) {
+		// Full with dead slots in front: slide down instead of growing.
+		live := copy(q.q, q.q[q.head:])
+		clear(q.q[live:])
+		q.q, q.head = q.q[:live], 0
+	}
+	q.q = append(q.q, p)
+}
+
+func (q *pktQueue) pop() *packet {
+	p := q.q[q.head]
+	q.q[q.head] = nil
+	if q.head++; q.head == len(q.q) {
+		q.q, q.head = q.q[:0], 0
+	}
+	return p
 }
 
 // sendState tracks an in-progress packet injection; pkt == nil means idle.
@@ -343,7 +405,9 @@ func (ni *netIface) enqueue(p *packet) {
 	if c >= noc.NumClasses {
 		panic(fmt.Sprintf("enoc: message %d has invalid class %d", p.msg.ID, c))
 	}
-	ni.classQ[c] = append(ni.classQ[c], p)
+	ni.classQ[c].push(p)
+	ni.pending++
+	ni.net.niBusy.add(ni.node)
 }
 
 // tryInject pushes at most one flit into the local router this cycle,
@@ -363,14 +427,14 @@ func (ni *netIface) tryInject() {
 func (ni *netIface) injectClass(r *router, c noc.Class) bool {
 	st := &ni.sending[c]
 	if st.pkt == nil {
-		if len(ni.classQ[c]) == 0 {
+		if ni.classQ[c].len() == 0 {
 			return false
 		}
 		// Find a free local-input VC in this class's partition.
 		lo, hi := r.vcRange(c)
 		vc := -1
 		for v := lo; v < hi; v++ {
-			if r.in[portLocal][v].owner == nil && len(r.in[portLocal][v].q) < ni.net.cfg.BufDepth {
+			if r.in[portLocal][v].owner == nil && r.in[portLocal][v].n < ni.net.cfg.BufDepth {
 				vc = v
 				break
 			}
@@ -378,25 +442,20 @@ func (ni *netIface) injectClass(r *router, c noc.Class) bool {
 		if vc < 0 {
 			return false
 		}
-		p := ni.classQ[c][0]
-		ni.classQ[c][0] = nil
-		ni.classQ[c] = ni.classQ[c][1:]
+		p := ni.classQ[c].pop()
 		p.enterNI = ni.net.now
 		*st = sendState{pkt: p, vc: vc}
 	}
-	b := &r.in[portLocal][st.vc]
-	if len(b.q) >= ni.net.cfg.BufDepth {
+	if r.in[portLocal][st.vc].n >= ni.net.cfg.BufDepth {
 		return false
 	}
-	f := ni.net.newFlit()
-	f.pkt = st.pkt
-	f.idx = st.next
-	f.isHead = st.next == 0
-	f.isTail = st.next == st.pkt.nflits-1
-	r.acceptFlit(portLocal, st.vc, f)
+	r.acceptFlit(portLocal, st.vc, flit{pkt: st.pkt, isHead: st.next == 0, isTail: st.next == st.pkt.nflits-1})
 	st.next++
 	if st.next == st.pkt.nflits {
 		st.pkt = nil
+		if ni.pending--; ni.pending == 0 {
+			ni.net.niBusy.remove(ni.node)
+		}
 	}
 	return true
 }

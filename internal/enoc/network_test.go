@@ -114,7 +114,7 @@ func TestHeavyLoadDrains(t *testing.T) {
 			n.Inject(&noc.Message{ID: id, Src: src, Dst: rng.Intn(16), Bytes: 64, Class: noc.Class(rng.Intn(3))})
 		}
 	}
-	if !drain(n, 200_000) {
+	if !drainChecked(t, n, 200_000) {
 		t.Fatal("saturating burst did not drain — likely deadlock")
 	}
 	if n.Stats().Delivered != 800 {
@@ -152,7 +152,7 @@ func TestCreditsRestoredAfterDrain(t *testing.T) {
 		}
 		for p := 0; p < numPorts; p++ {
 			for v := 0; v < cfg.VCs; v++ {
-				if len(r.in[p][v].q) != 0 || r.in[p][v].owner != nil {
+				if r.in[p][v].n != 0 || r.in[p][v].owner != nil {
 					t.Fatalf("router %d input %d/%d not empty after drain", r.id, p, v)
 				}
 			}
@@ -348,7 +348,7 @@ func TestTorusHeavyLoadNoDeadlock(t *testing.T) {
 			n.Inject(&noc.Message{ID: id, Src: s, Dst: dst, Bytes: 64, Class: noc.Class(rng.Intn(3))})
 		}
 	}
-	if !drain(n, 500_000) {
+	if !drainChecked(t, n, 500_000) {
 		t.Fatal("torus wedged under wrap-heavy load — dateline scheme broken")
 	}
 	if n.Stats().Delivered != 64*40 {

@@ -27,20 +27,14 @@ type packet struct {
 	lastDim     int8
 }
 
-// flit is the unit of switching and buffering.
+// flit is the unit of switching and buffering. Flits are held by value in
+// the VC rings and on the links: where a flit sits (router, input port, VC)
+// is the ring that holds it, so it carries only what travels with it.
 type flit struct {
 	pkt     *packet
-	idx     int
+	readyAt sim.Tick // earliest cycle the current router may forward it
 	isHead  bool
 	isTail  bool
-	readyAt sim.Tick // earliest cycle the current router may forward it
-
-	// Location bookkeeping, rewritten at every hop: the input port and VC
-	// holding the flit at its current router, and the downstream VC it
-	// was granted when it last crossed a link.
-	inPort     int
-	vcAtRouter int
-	vcOnWire   int
 }
 
 // flitsFor computes the flit count for a payload size given the link width.

@@ -22,29 +22,28 @@ func TestAcceptFlitOverflowPanics(t *testing.T) {
 	n := mkNet(4, nil)
 	r := n.routers[0]
 	for i := 0; i < n.cfg.BufDepth; i++ {
-		f := &flit{pkt: &packet{msg: &noc.Message{ID: 1}, nflits: 10}, idx: i + 1}
-		r.acceptFlit(portNorth, 0, f)
+		r.acceptFlit(portNorth, 0, flit{pkt: &packet{msg: &noc.Message{ID: 1}, nflits: 10}})
 	}
 	defer func() {
 		if recover() == nil {
 			t.Error("buffer overflow accepted")
 		}
 	}()
-	r.acceptFlit(portNorth, 0, &flit{pkt: &packet{msg: &noc.Message{ID: 2}, nflits: 10}, idx: 99})
+	r.acceptFlit(portNorth, 0, flit{pkt: &packet{msg: &noc.Message{ID: 2}, nflits: 10}})
 }
 
 func TestAcceptHeadOnBusyVCPanics(t *testing.T) {
 	n := mkNet(4, nil)
 	r := n.routers[0]
 	p1 := &packet{msg: &noc.Message{ID: 1}, nflits: 4}
-	r.acceptFlit(portNorth, 0, &flit{pkt: p1, isHead: true})
+	r.acceptFlit(portNorth, 0, flit{pkt: p1, isHead: true})
 	defer func() {
 		if recover() == nil {
 			t.Error("second head on busy VC accepted")
 		}
 	}()
 	p2 := &packet{msg: &noc.Message{ID: 2}, nflits: 4}
-	r.acceptFlit(portNorth, 0, &flit{pkt: p2, isHead: true})
+	r.acceptFlit(portNorth, 0, flit{pkt: p2, isHead: true})
 }
 
 func TestRouteXYAllQuadrants(t *testing.T) {

@@ -46,16 +46,7 @@ func (r *router) routeTorus(p *packet, dx, dy int) int {
 		p.crossedWrap = false
 		p.lastDim = dim
 	}
-	switch {
-	case dx > 0:
-		return portEast
-	case dx < 0:
-		return portWest
-	case dy > 0:
-		return portSouth
-	default:
-		return portNorth
-	}
+	return routeXY(dx, dy)
 }
 
 // routeXY is dimension-ordered: X before Y.
@@ -78,19 +69,18 @@ func (r *router) routeWestFirst(p *packet, dx, dy int) int {
 	if dx < 0 {
 		return portWest
 	}
-	// Candidate productive ports, in a fixed tie-break order.
-	var candidates []int
-	if dx > 0 {
-		candidates = append(candidates, portEast)
+	vertical := portSouth
+	if dy < 0 {
+		vertical = portNorth
 	}
-	if dy > 0 {
-		candidates = append(candidates, portSouth)
-	} else if dy < 0 {
-		candidates = append(candidates, portNorth)
+	switch {
+	case dy == 0:
+		return portEast
+	case dx == 0:
+		return vertical
 	}
-	if len(candidates) == 1 {
-		return candidates[0]
-	}
+	// Two productive ports, in a fixed tie-break order.
+	candidates := [2]int{portEast, vertical}
 	lo, hi := r.vcRange(p.msg.Class)
 	best, bestCredits := candidates[0], -1
 	for _, port := range candidates {

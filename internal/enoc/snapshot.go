@@ -11,13 +11,16 @@ import (
 // places at once (every flit of it, the VC owner field, the NI send state).
 // Snapshot and Restore therefore clone through a memoizing graphCloner so the
 // sharing structure — which the allocator and the protocol both rely on — is
-// reproduced exactly. The packet/flit free lists are deliberately left out on
-// both sides: they hold only dead state, and restored traffic uses fresh
-// clones, so a stale free-list entry can never alias a live flit.
+// reproduced exactly. The packet free list is deliberately left out on both
+// sides: it holds only dead state, and restored traffic uses fresh clones, so
+// a stale free-list entry can never alias a live packet. State derived from
+// the queues — occupancy and link-load counts, request masks, NI pending
+// counts, the busy sets — is not captured either: Restore rebuilds it from
+// the queues it restores.
 
 // graphCloner deep-copies the packet/message graph while preserving aliasing:
-// every distinct source pointer maps to exactly one clone. Flits are never
-// shared between containers, so they clone without memoization.
+// every distinct source pointer maps to exactly one clone. Flits are values;
+// copying one only needs its packet pointer remapped.
 type graphCloner struct {
 	msgs map[*noc.Message]*noc.Message
 	pkts map[*packet]*packet
@@ -57,19 +60,9 @@ func (c *graphCloner) pkt(p *packet) *packet {
 	return d
 }
 
-func (c *graphCloner) flit(f *flit) *flit {
-	d := &flit{}
-	*d = *f
-	d.pkt = c.pkt(f.pkt)
-	return d
-}
-
-func (c *graphCloner) flits(dst []*flit, src []*flit) []*flit {
-	dst = dst[:0]
-	for _, f := range src {
-		dst = append(dst, c.flit(f))
-	}
-	return dst
+func (c *graphCloner) flit(f flit) flit {
+	f.pkt = c.pkt(f.pkt)
+	return f
 }
 
 func (c *graphCloner) pktSlice(dst []*packet, src []*packet) []*packet {
@@ -80,13 +73,13 @@ func (c *graphCloner) pktSlice(dst []*packet, src []*packet) []*packet {
 	return dst
 }
 
-// vcBufSnap mirrors vcBuf with cloned contents.
+// vcBufSnap mirrors vcBuf with cloned contents; flits lists the ring oldest
+// first.
 type vcBufSnap struct {
-	q       []*flit
+	flits   []flit
 	owner   *packet
 	outPort int
 	outVC   int
-	routed  bool
 	granted bool
 }
 
@@ -97,8 +90,6 @@ type routerSnap struct {
 	outBusy   [numPorts][]bool
 	link      [numPorts][]linkFlit
 	rr        [numPorts]int
-	occupancy int
-	linkLoad  int
 }
 
 // niSnap captures one network interface's queues and send state.
@@ -139,26 +130,25 @@ func (n *Network) Snapshot() noc.Snapshot {
 	for ri, r := range n.routers {
 		rs := &s.routers[ri]
 		rs.rr = r.rr
-		rs.occupancy = r.occupancy
-		rs.linkLoad = r.linkLoad
 		for p := 0; p < numPorts; p++ {
 			rs.in[p] = make([]vcBufSnap, len(r.in[p]))
 			for v := range r.in[p] {
 				b := &r.in[p][v]
-				rs.in[p][v] = vcBufSnap{
-					q:       cl.flits(nil, b.q),
-					owner:   cl.pkt(b.owner),
-					outPort: b.outPort,
-					outVC:   b.outVC,
-					routed:  b.routed,
-					granted: b.granted,
+				bs := &rs.in[p][v]
+				*bs = vcBufSnap{owner: cl.pkt(b.owner), outPort: b.outPort, outVC: b.outVC, granted: b.granted}
+				if b.n > 0 {
+					bs.flits = make([]flit, 0, b.n)
+				}
+				for i := 0; i < b.n; i++ {
+					bs.flits = append(bs.flits, cl.flit(*b.at(i)))
 				}
 			}
 			rs.outCredit[p] = append([]int(nil), r.outCredit[p]...)
 			rs.outBusy[p] = append([]bool(nil), r.outBusy[p]...)
 			if l := r.outLink[p]; l != nil {
 				for _, lf := range l.inflight {
-					rs.link[p] = append(rs.link[p], linkFlit{at: lf.at, f: cl.flit(lf.f)})
+					lf.f = cl.flit(lf.f)
+					rs.link[p] = append(rs.link[p], lf)
 				}
 			}
 		}
@@ -167,7 +157,8 @@ func (n *Network) Snapshot() noc.Snapshot {
 		ns := &s.nis[ni]
 		ns.rr = iface.rr
 		for c := range iface.classQ {
-			ns.classQ[c] = cl.pktSlice(nil, iface.classQ[c])
+			q := &iface.classQ[c]
+			ns.classQ[c] = cl.pktSlice(nil, q.q[q.head:])
 			ns.sending[c] = iface.sending[c]
 			ns.sending[c].pkt = cl.pkt(iface.sending[c].pkt)
 		}
@@ -189,28 +180,29 @@ func (n *Network) Restore(s noc.Snapshot) {
 	for _, sm := range snap.selfQ {
 		n.selfQ = append(n.selfQ, selfMsg{at: sm.at, msg: cl.msg(sm.msg)})
 	}
+	clear(n.bufBusy)
+	clear(n.linkBusy)
+	clear(n.niBusy)
 	for ri, r := range n.routers {
 		rs := &snap.routers[ri]
 		r.rr = rs.rr
-		r.occupancy = rs.occupancy
-		r.linkLoad = rs.linkLoad
+		r.clearDerived()
 		for p := 0; p < numPorts; p++ {
 			for v := range r.in[p] {
 				b := &r.in[p][v]
 				bs := &rs.in[p][v]
-				b.q = cl.flits(b.q, bs.q)
-				b.owner = cl.pkt(bs.owner)
-				b.outPort = bs.outPort
-				b.outVC = bs.outVC
-				b.routed = bs.routed
-				b.granted = bs.granted
+				*b = vcBuf{q: b.q, owner: cl.pkt(bs.owner), outPort: bs.outPort, outVC: bs.outVC, granted: bs.granted}
+				for _, f := range bs.flits {
+					r.push(p, v, cl.flit(f))
+				}
 			}
 			copy(r.outCredit[p], rs.outCredit[p])
 			copy(r.outBusy[p], rs.outBusy[p])
 			if l := r.outLink[p]; l != nil {
 				l.inflight = l.inflight[:0]
 				for _, lf := range rs.link[p] {
-					l.inflight = append(l.inflight, linkFlit{at: lf.at, f: cl.flit(lf.f)})
+					lf.f = cl.flit(lf.f)
+					r.send(l, lf)
 				}
 			}
 		}
@@ -218,10 +210,18 @@ func (n *Network) Restore(s noc.Snapshot) {
 	for ni, iface := range n.nis {
 		ns := &snap.nis[ni]
 		iface.rr = ns.rr
+		iface.pending = 0
 		for c := range iface.classQ {
-			iface.classQ[c] = cl.pktSlice(iface.classQ[c], ns.classQ[c])
+			iface.classQ[c] = pktQueue{q: iface.classQ[c].q[:0]}
+			for _, p := range ns.classQ[c] {
+				iface.enqueue(cl.pkt(p))
+			}
 			iface.sending[c] = ns.sending[c]
-			iface.sending[c].pkt = cl.pkt(ns.sending[c].pkt)
+			if p := cl.pkt(ns.sending[c].pkt); p != nil {
+				iface.sending[c].pkt = p
+				iface.pending++
+				n.niBusy.add(ni)
+			}
 		}
 	}
 }
