@@ -18,9 +18,13 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # Static checks plus the golden-file rendering gate: the ASCII output of the
-# pinned experiments must stay byte-identical (cmd/expreport/testdata).
+# pinned experiments must stay byte-identical (cmd/expreport/testdata). The
+# two differential tests — event-driven crossbar against the hop-by-hop
+# reference, whole-record trace decode against the byte-wise decoder — run in
+# their -short form (under 5 s together; plain `go test` runs the full ones).
 check: vet fmt-check sweep-smoke
 	$(GO) test ./cmd/expreport/ -run TestGolden -count=1
+	$(GO) test -short ./internal/onoc/ ./internal/trace/ -run 'DifferentialAgainstReference|BufferedDecodeMatchesBytewise' -count=1
 
 # End-to-end sweep smoke: a committed micro-grid through the CLI pipeline
 # (expand -> analytic prefilter -> prune -> simulate -> Pareto front). The

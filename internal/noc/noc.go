@@ -85,7 +85,11 @@ type Network interface {
 	// Inject enqueues m at its source at the current cycle. Injection
 	// never fails: fabrics apply backpressure internally by queueing at
 	// the network interface. Self-messages (Src == Dst) are delivered on
-	// the next Tick without touching the fabric.
+	// the next Tick without touching the fabric. An Inject made from inside
+	// a DeliverFunc happens at the cycle being ticked and is visible to
+	// that cycle's arbitration (fabrics deliver before they arbitrate): the
+	// message may win its channel or enter the mesh in the same Tick. One
+	// made between Ticks competes from the next cycle on.
 	Inject(m *Message)
 	// Tick advances the fabric by one system clock cycle.
 	Tick()

@@ -13,6 +13,7 @@ package onoc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"onocsim/internal/config"
 	"onocsim/internal/fault"
@@ -77,14 +78,17 @@ type Network struct {
 	derate   []sim.Tick
 	regens   uint64
 
-	channels []*channel
-	// active lists the channels with queued senders in ascending dst order,
-	// so Tick steps exactly the channels a full scan would have, in the same
-	// order, without touching the (mostly idle) rest.
-	active   []*channel
+	channels []channel
+	// wake holds the channels with queued senders, earliest tokenReady first,
+	// so Tick steps exactly the channels whose token is actionable this cycle
+	// and NextWake reads the root.
+	wake     wakeHeap
 	arrivals arrivalHeap
 	seq      uint64
 	inflight int
+	// delivering is set while Tick runs delivery callbacks: an Inject from
+	// one is still ahead of this cycle's arbitration (see retarget).
+	delivering bool
 
 	// Power accounting.
 	devices  photonics.DeviceParams
@@ -133,6 +137,8 @@ type channel struct {
 	// queues[src] holds messages from src awaiting the token.
 	queues []srcQueue
 	queued int
+	// waiting marks the sources whose queue is non-empty.
+	waiting bitset
 	// tokenPos is the node currently able to grab the token.
 	tokenPos int
 	// tokenReady is the cycle at which the token becomes actionable at
@@ -141,6 +147,84 @@ type channel struct {
 	// holdCount counts consecutive transmissions by tokenPos, bounded by
 	// MaxTokenHold for fairness.
 	holdCount int
+	// flying is set while the token is hopping towards tokenPos after a jump
+	// (not while the channel transmits, regenerates a lost token, or replays
+	// idle circulation): only then may an Inject retarget it.
+	flying bool
+	// heapIdx is the channel's slot in Network.wake while queued > 0.
+	heapIdx int
+}
+
+// bitset marks the non-empty sender FIFOs of one MWSR channel or of the SWMR
+// fabric, so arbitration visits waiting senders only.
+type bitset []uint64
+
+func (b bitset) set(i int)   { b[i>>6] |= 1 << (i & 63) }
+func (b bitset) clear(i int) { b[i>>6] &^= 1 << (i & 63) }
+
+// next returns the ring distance in [1, nodes] from pos to the next set bit,
+// a set bit at pos itself counting as the full circle. Some bit must be set.
+func (b bitset) next(pos, nodes int) int {
+	from := pos + 1
+	if from == nodes {
+		from = 0
+	}
+	i := from >> 6
+	w := b[i] &^ (1<<(from&63) - 1)
+	for w == 0 { // comes back to the first word, unmasked, at the latest
+		if i++; i == len(b) {
+			i = 0
+		}
+		w = b[i]
+	}
+	d := i<<6 + bits.TrailingZeros64(w) - pos
+	if d <= 0 {
+		d += nodes
+	}
+	return d
+}
+
+// wakeHeap is an indexed binary min-heap of the channels with queued senders,
+// keyed (tokenReady, dst): channels due the same cycle pop in ascending dst,
+// the order a scan over all channels would step them in.
+type wakeHeap []*channel
+
+func (h wakeHeap) less(i, j int) bool {
+	if h[i].tokenReady != h[j].tokenReady {
+		return h[i].tokenReady < h[j].tokenReady
+	}
+	return h[i].dst < h[j].dst
+}
+
+func (h wakeHeap) swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].heapIdx, h[j].heapIdx = i, j
+}
+
+func (h wakeHeap) up(i int) {
+	for p := (i - 1) / 2; i > 0 && h.less(i, p); i, p = p, (p-1)/2 {
+		h.swap(i, p)
+	}
+}
+
+func (h wakeHeap) down(i int) {
+	for {
+		c := 2*i + 1
+		if c+1 < len(h) && h.less(c+1, c) {
+			c++
+		}
+		if c >= len(h) || !h.less(c, i) {
+			return
+		}
+		h.swap(i, c)
+		i = c
+	}
+}
+
+func (h *wakeHeap) push(ch *channel) {
+	ch.heapIdx = len(*h)
+	*h = append(*h, ch)
+	h.up(ch.heapIdx)
 }
 
 type arrival struct {
@@ -214,6 +298,9 @@ func NewWithFaults(nodes int, cfg config.Optical, faults config.Faults, seed uin
 	if nodes < 2 {
 		panic(fmt.Sprintf("onoc: need ≥2 nodes, got %d", nodes))
 	}
+	if cfg.TokenHopCycles < 1 || cfg.MaxTokenHold < 1 {
+		panic(fmt.Sprintf("onoc: token_hop_cycles=%d and max_token_hold=%d must be ≥1", cfg.TokenHopCycles, cfg.MaxTokenHold))
+	}
 	bpc := float64(cfg.WavelengthsPerChannel) * cfg.GbpsPerWavelength / cfg.ClockGHz
 	if bpc <= 0 {
 		panic("onoc: non-positive channel capacity")
@@ -246,11 +333,18 @@ func NewWithFaults(nodes int, cfg config.Optical, faults config.Faults, seed uin
 		n.serDrift = serTable{bitsPerCycle: bpc * float64(avail) / float64(cfg.WavelengthsPerChannel)}
 	}
 	n.derate = derateTable(n.devices, geom, budget, faults.LaserDroopDB)
-	n.channels = make([]*channel, nodes)
-	for d := 0; d < nodes; d++ {
-		ch := &channel{dst: d, tokenPos: (d + 1) % nodes}
-		ch.queues = make([]srcQueue, nodes)
-		n.channels[d] = ch
+	// Three slabs, not 2·nodes+ small objects: a sweep builds many fabrics.
+	words := (nodes + 63) / 64
+	n.channels = make([]channel, nodes)
+	queues := make([]srcQueue, nodes*nodes)
+	waiting := make(bitset, nodes*words)
+	for d := range n.channels {
+		n.channels[d] = channel{
+			dst:      d,
+			queues:   queues[d*nodes : (d+1)*nodes : (d+1)*nodes],
+			waiting:  waiting[d*words : (d+1)*words : (d+1)*words],
+			tokenPos: (d + 1) % nodes,
+		}
 	}
 	return n
 }
@@ -338,48 +432,31 @@ func (n *Network) propagation(src, dst int) sim.Tick {
 }
 
 // catchUp replays an idle channel's token circulation since it last carried
-// queued traffic, in closed form. Channels with no queued senders are
-// skipped by Tick entirely; their hop trajectory — one hop every
-// max(TokenHopCycles, 1) cycles starting at max(tokenReady, 1) — is
-// reconstructed here the moment the channel matters again.
+// queued traffic, in closed form, leaving tokenReady strictly beyond now.
+// Channels with no queued senders are not stepped at all; their trajectory —
+// one hop every TokenHopCycles starting at max(tokenReady, 1) — is rebuilt
+// here the moment the channel matters again. Without token faults one
+// division suffices; with them the trajectory is piecewise — closed-form
+// hopping between outage windows, each actionable moment inside a window
+// losing the token until the timeout regenerates it at the home node.
+// stepChannel checks the same schedule at the same actionable moments (a jump
+// never crosses a window start), so full ticking, idle skipping and this
+// catch-up produce the identical trajectory — the skip-equivalence invariant.
 func (n *Network) catchUp(ch *channel) {
-	n.advanceToken(ch, n.now)
-}
-
-// advanceToken replays the token's hop trajectory on a channel with no
-// queued senders through instant to, leaving tokenReady strictly beyond it.
-// Without token faults one closed-form division suffices; with them the
-// trajectory is piecewise — closed-form hopping between outage windows, with
-// each actionable moment that lands inside a window losing the token until
-// the timeout regenerates it at the home node. Because ticked execution
-// (stepChannel) checks the same schedule at the same actionable moments,
-// full ticking, idle skipping, and this catch-up all produce the identical
-// (tokenPos, tokenReady) trajectory — the skip-equivalence invariant.
-func (n *Network) advanceToken(ch *channel, to sim.Tick) {
-	first := ch.tokenReady
-	if first < 1 {
-		first = 1
-	}
-	if first > to {
+	first := max(ch.tokenReady, 1)
+	if first > n.now {
 		return
-	}
-	period := sim.Tick(n.cfg.TokenHopCycles)
-	if period < 1 {
-		period = 1
 	}
 	hop := sim.Tick(n.cfg.TokenHopCycles)
+	ch.holdCount = 0
 	if !n.faults.TokenFaults() {
-		steps := (to-first)/period + 1
+		steps := (n.now-first)/hop + 1
 		ch.tokenPos = (ch.tokenPos + int(steps%sim.Tick(n.nodes))) % n.nodes
-		ch.holdCount = 0
-		ch.tokenReady = first + (steps-1)*period + hop
+		ch.tokenReady = first + steps*hop
 		return
 	}
-	if hop < 1 {
-		hop = period // degenerate configs: keep the loop advancing
-	}
 	m, pos := first, ch.tokenPos
-	for m <= to {
+	for m <= n.now {
 		if end, ok := n.faults.TokenOutage(ch.dst, m); ok {
 			n.stats.Faults.TokenLosses++
 			n.regens++
@@ -387,16 +464,12 @@ func (n *Network) advanceToken(ch *channel, to sim.Tick) {
 			m = end
 			continue
 		}
-		limit := to
-		if next := n.faults.NextTokenOutage(ch.dst, m); next-1 < limit {
-			limit = next - 1
-		}
-		steps := (limit-m)/period + 1
+		limit := min(n.now, n.faults.NextTokenOutage(ch.dst, m)-1)
+		steps := (limit-m)/hop + 1
 		pos = (pos + int(steps%sim.Tick(n.nodes))) % n.nodes
-		m += (steps-1)*period + hop
+		m += steps * hop
 	}
 	ch.tokenPos = pos
-	ch.holdCount = 0
 	ch.tokenReady = m
 }
 
@@ -413,32 +486,40 @@ func (n *Network) Inject(m *noc.Message) {
 		n.arrivals.push(arrival{at: n.now + 1, seq: n.seq, msg: m})
 		return
 	}
-	ch := n.channels[m.Dst]
-	if ch.queued == 0 {
-		n.catchUp(ch)
-		n.insertActive(ch)
+	ch := &n.channels[m.Dst]
+	q := &ch.queues[m.Src]
+	if q.empty() {
+		ch.waiting.set(m.Src)
+		if ch.queued == 0 {
+			n.catchUp(ch)
+			n.wake.push(ch)
+		} else if ch.flying {
+			n.retarget(ch, m.Src)
+		}
 	}
-	ch.queues[m.Src].push(m)
+	q.push(m)
 	ch.queued++
 }
 
-// insertActive adds a newly-queued channel to the active list, keeping it
-// sorted by dst. The list is short under realistic load, so a linear shift
-// beats any cleverer structure.
-func (n *Network) insertActive(ch *channel) {
-	i := len(n.active)
-	for i > 0 && n.active[i-1].dst > ch.dst {
-		i--
+// retarget lands a token in flight at a source that just started waiting,
+// if the token has not passed it yet: hop by hop it would have become
+// actionable there at tokenReady − back·hop, found the queue non-empty and
+// stopped. An Inject between Ticks is too late for the moment at now (that
+// Tick's arbitration is over); one from a delivery callback precedes it.
+func (n *Network) retarget(ch *channel, src int) {
+	back := (ch.tokenPos - src + n.nodes) % n.nodes
+	at := ch.tokenReady - sim.Tick(back)*sim.Tick(n.cfg.TokenHopCycles)
+	if at > n.now || (at == n.now && n.delivering) {
+		ch.tokenPos, ch.tokenReady = src, at
+		n.wake.up(ch.heapIdx)
 	}
-	n.active = append(n.active, nil)
-	copy(n.active[i+1:], n.active[i:])
-	n.active[i] = ch
 }
 
-// Tick implements noc.Network: deliver due arrivals, then advance every
-// channel's token/transmission state by one cycle.
+// Tick implements noc.Network: deliver due arrivals, then step every channel
+// whose token is actionable this cycle.
 func (n *Network) Tick() {
 	n.now++
+	n.delivering = true
 	for len(n.arrivals) > 0 && n.arrivals[0].at <= n.now {
 		a := n.arrivals.pop()
 		a.msg.Arrive = n.now
@@ -448,45 +529,45 @@ func (n *Network) Tick() {
 			n.deliver(a.msg)
 		}
 	}
-	// Idle channels circulate their token lazily (see catchUp); only the
-	// active list does per-cycle work. Channels drained by stepChannel are
-	// compacted out in place.
-	if len(n.active) > 0 {
-		w := 0
-		for _, ch := range n.active {
-			n.stepChannel(ch)
-			if ch.queued > 0 {
-				n.active[w] = ch
-				w++
-			}
+	n.delivering = false
+	// Idle channels circulate their token lazily (see catchUp) and channels
+	// in mid-flight or mid-transmission sit deeper in the heap; every step
+	// moves tokenReady into the future, so each due channel steps once.
+	for len(n.wake) > 0 && n.wake[0].tokenReady <= n.now {
+		ch := n.wake[0]
+		n.stepChannel(ch)
+		if ch.queued == 0 { // drained: the last entry takes the root's place
+			last := len(n.wake) - 1
+			n.wake.swap(0, last)
+			n.wake[last] = nil
+			n.wake = n.wake[:last]
 		}
-		for i := w; i < len(n.active); i++ {
-			n.active[i] = nil
-		}
-		n.active = n.active[:w]
+		n.wake.down(0)
 	}
 }
 
-// stepChannel advances one channel: either start a transmission at the
-// token's current position, or circulate the token.
+// stepChannel acts on a channel whose token is actionable (tokenReady ==
+// now): start a transmission at the token's position, or send the token on
+// to the next waiting sender.
 func (n *Network) stepChannel(ch *channel) {
-	if ch.tokenReady > n.now {
-		return // token in flight or channel transmitting
-	}
 	// A lost token stalls the whole channel until the timeout regenerates
-	// it at the home node. The check runs at actionable moments only
-	// (now == tokenReady), matching advanceToken's idle-path replay.
+	// it at the home node. The check runs at actionable moments only,
+	// matching catchUp's idle-path replay.
 	if end, ok := n.faults.TokenOutage(ch.dst, n.now); ok {
 		n.stats.Faults.TokenLosses++
 		n.regens++
 		ch.tokenPos = (ch.dst + 1) % n.nodes
 		ch.holdCount = 0
 		ch.tokenReady = end
+		ch.flying = false
 		return
 	}
 	q := &ch.queues[ch.tokenPos]
 	if !q.empty() && ch.holdCount < n.cfg.MaxTokenHold {
 		m := q.pop()
+		if q.empty() {
+			ch.waiting.clear(ch.tokenPos)
+		}
 		ch.queued--
 		ch.holdCount++
 		ser := n.sendSer(m)
@@ -505,12 +586,22 @@ func (n *Network) stepChannel(ch *channel) {
 		// The channel is occupied for the serialization period; the
 		// token resumes circulating from here afterwards.
 		ch.tokenReady = n.now + ser
+		ch.flying = false
 		return
 	}
-	// Advance the token to the next node.
+	// Jump the token to the next waiting sender: d hops past queues that are
+	// empty now (retarget handles one filling up mid-flight). A jump never
+	// crosses the start of a token outage — every jumped-over moment lies
+	// before it, and the landing moment takes the check above as usual.
+	d := sim.Tick(ch.waiting.next(ch.tokenPos, n.nodes))
+	hop := sim.Tick(n.cfg.TokenHopCycles)
+	if n.faults.TokenFaults() {
+		d = min(d, (n.faults.NextTokenOutage(ch.dst, n.now)-1-n.now)/hop+1)
+	}
 	ch.holdCount = 0
-	ch.tokenPos = (ch.tokenPos + 1) % n.nodes
-	ch.tokenReady = n.now + sim.Tick(n.cfg.TokenHopCycles)
+	ch.tokenPos = (ch.tokenPos + int(d)) % n.nodes
+	ch.tokenReady = n.now + d*hop
+	ch.flying = true
 }
 
 // Busy implements noc.Network.
@@ -538,56 +629,34 @@ func (n *Network) SetShardObs(fn noc.ShardObsFunc) { n.shardObs = fn }
 
 // SeqOrder implements noc.ScheduleShardable: the arrival heap's tie-break seq
 // is assigned when a transmission starts (or, for self-messages, at Inject),
-// and Tick scans active channels in ascending dst order — so same-cycle
+// and Tick steps same-cycle channels in ascending dst order — so same-cycle
 // deliveries complete in transmit-start order, tie-broken by dst.
 func (n *Network) SeqOrder() noc.SeqOrder { return noc.SeqByService }
 
-// NextWake implements noc.Network. An active channel next acts (transmits or
-// hops) at tokenReady — which every state transition leaves strictly in the
-// future — so the fabric's next event is the earliest of that and the first
-// pending arrival. Cycles in between are spent on light propagation, channel
-// serialization, or token flight: provably unobservable. Idle token
-// circulation is also unobservable — catchUp and SkipTo reproduce it
-// analytically.
+// NextWake implements noc.Network. A channel with queued senders next acts
+// (transmits, jumps or recovers its token) at tokenReady — which every state
+// transition leaves strictly in the future — so the fabric's next event is
+// the earliest of the wake heap's root and the first pending arrival. Cycles
+// in between are spent on light propagation, channel serialization, or token
+// flight: provably unobservable. Idle token circulation is unobservable too —
+// catchUp reproduces it analytically.
 func (n *Network) NextWake() sim.Tick {
 	wake := noc.Never
 	if len(n.arrivals) > 0 {
 		wake = n.arrivals[0].at
 	}
-	next := n.now + 1
-	for _, ch := range n.active {
-		if ch.tokenReady <= next {
-			return next
-		}
-		if ch.tokenReady < wake {
-			wake = ch.tokenReady
-		}
+	if len(n.wake) > 0 && n.wake[0].tokenReady < wake {
+		wake = n.wake[0].tokenReady
 	}
 	return wake
 }
 
-// SkipTo implements noc.Network: jump the clock and advance every active
-// channel's arbitration token exactly as the skipped Ticks would have, in
-// closed form. t is below NextWake, so no transmission starts in the skipped
-// stretch and any channel action is a hop: one every max(TokenHopCycles, 1)
-// cycles starting at max(tokenReady, now+1), holdCount reset by the first.
-// (With NextWake bounding t below every active tokenReady the loop body is
-// all continues; it is kept general so SkipTo is safe for any t < NextWake
-// an implementation revision might permit.) Idle channels are untouched —
-// they circulate lazily via catchUp.
+// SkipTo implements noc.Network. tokenReady and arrival times are absolute
+// and t is below every one of them, so the skip is a pure clock jump.
 func (n *Network) SkipTo(t sim.Tick) {
-	if t <= n.now {
-		return
+	if t > n.now {
+		n.now = t
 	}
-	// Every state transition leaves tokenReady strictly beyond now, so
-	// advanceToken's max(tokenReady, 1) start equals the max(tokenReady,
-	// now+1) this loop historically used; sharing the helper keeps the
-	// skipped trajectory — including any token losses discovered inside the
-	// stretch — byte-identical to catchUp's and to ticked execution's.
-	for _, ch := range n.active {
-		n.advanceToken(ch, t)
-	}
-	n.now = t
 }
 
 // Reset implements noc.Resettable: clock, statistics, queues, arrivals,
@@ -597,10 +666,8 @@ func (n *Network) Reset() {
 	n.now = 0
 	n.stats = noc.NewStats()
 	n.arrivals = n.arrivals[:0]
-	for i := range n.active {
-		n.active[i] = nil
-	}
-	n.active = n.active[:0]
+	clear(n.wake)
+	n.wake = n.wake[:0]
 	n.seq = 0
 	n.inflight = 0
 	n.bitsSent = 0
@@ -609,14 +676,19 @@ func (n *Network) Reset() {
 	// Fault timelines are pure functions of (seed, faults, channel): their
 	// lazily-materialized windows persist across Reset and replay
 	// identically in the next round.
-	for d, ch := range n.channels {
-		for s := range ch.queues {
-			ch.queues[s].reset()
+	for d := range n.channels {
+		ch := &n.channels[d]
+		if ch.queued > 0 { // an empty FIFO is already in its reset state
+			for s := range ch.queues {
+				ch.queues[s].reset()
+			}
+			clear(ch.waiting)
 		}
 		ch.queued = 0
 		ch.tokenPos = (d + 1) % n.nodes
 		ch.tokenReady = 0
 		ch.holdCount = 0
+		ch.flying = false
 	}
 }
 

@@ -83,9 +83,11 @@ type mwsrChannelSnap struct {
 	tokenPos   int
 	tokenReady sim.Tick
 	holdCount  int
+	flying     bool
 }
 
-// mwsrSnapshot is the MWSR crossbar's full mutable state.
+// mwsrSnapshot is the MWSR crossbar's full mutable state. The waiting bitsets
+// and the wake heap are derived from the queues and are rebuilt by Restore.
 type mwsrSnapshot struct {
 	now      sim.Tick
 	stats    *noc.Stats
@@ -96,9 +98,6 @@ type mwsrSnapshot struct {
 	grabs    uint64
 	arrivals arrivalHeap
 	channels []mwsrChannelSnap
-	// active lists the dsts of channels on the active list, in list order,
-	// so Restore can rebuild the aliases against the target's own channels.
-	active []int
 }
 
 // SnapshotAt implements noc.Snapshot.
@@ -116,17 +115,15 @@ func (n *Network) Snapshot() noc.Snapshot {
 		grabs:    n.grabs,
 		arrivals: cloneArrivals(n.arrivals),
 		channels: make([]mwsrChannelSnap, len(n.channels)),
-		active:   make([]int, len(n.active)),
 	}
-	for i, ch := range n.active {
-		s.active[i] = ch.dst
-	}
-	for d, ch := range n.channels {
+	for d := range n.channels {
+		ch := &n.channels[d]
 		cs := mwsrChannelSnap{
 			queued:     ch.queued,
 			tokenPos:   ch.tokenPos,
 			tokenReady: ch.tokenReady,
 			holdCount:  ch.holdCount,
+			flying:     ch.flying,
 		}
 		if ch.queued > 0 {
 			cs.queues = make([]srcQueueSnap, len(ch.queues))
@@ -150,11 +147,15 @@ func (n *Network) Restore(s noc.Snapshot) {
 	n.bitsSent = snap.bitsSent
 	n.grabs = snap.grabs
 	restoreArrivals(&n.arrivals, snap.arrivals)
-	for d, ch := range n.channels {
-		cs := &snap.channels[d]
+	clear(n.wake)
+	n.wake = n.wake[:0]
+	for d := range n.channels {
+		ch, cs := &n.channels[d], &snap.channels[d]
+		clear(ch.waiting)
 		for src := range ch.queues {
 			if cs.queues != nil && cs.queues[src] != nil {
 				restoreQueue(&ch.queues[src], cs.queues[src])
+				ch.waiting.set(src)
 			} else {
 				ch.queues[src].reset()
 			}
@@ -163,13 +164,10 @@ func (n *Network) Restore(s noc.Snapshot) {
 		ch.tokenPos = cs.tokenPos
 		ch.tokenReady = cs.tokenReady
 		ch.holdCount = cs.holdCount
-	}
-	for i := range n.active {
-		n.active[i] = nil
-	}
-	n.active = n.active[:0]
-	for _, d := range snap.active {
-		n.active = append(n.active, n.channels[d])
+		ch.flying = cs.flying
+		if ch.queued > 0 {
+			n.wake.push(ch)
+		}
 	}
 }
 
@@ -219,8 +217,12 @@ func (n *SWMR) Restore(s noc.Snapshot) {
 	n.bitsSent = snap.bitsSent
 	n.sends = snap.sends
 	copy(n.chanFree, snap.chanFree)
+	clear(n.waiting)
 	for src := range n.queues {
 		restoreQueue(&n.queues[src], snap.queues[src])
+		if snap.queues[src] != nil {
+			n.waiting.set(src)
+		}
 	}
 	restoreArrivals(&n.arrivals, snap.arrivals)
 }

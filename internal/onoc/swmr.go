@@ -2,6 +2,7 @@ package onoc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"onocsim/internal/config"
 	"onocsim/internal/fault"
@@ -38,8 +39,11 @@ type SWMR struct {
 
 	// chanFree[s] is the first cycle node s's send channel is free.
 	chanFree []sim.Tick
-	// queues[s] holds messages awaiting the channel, FIFO.
+	// queues[s] holds messages awaiting the channel, FIFO; waiting marks the
+	// non-empty ones, so Tick and NextWake visit backlogged senders only (in
+	// ascending source order, as a scan over all senders would).
 	queues   []srcQueue
+	waiting  bitset
 	arrivals arrivalHeap
 	seq      uint64
 	inflight int
@@ -78,6 +82,7 @@ func NewSWMRWithFaults(nodes int, cfg config.Optical, faults config.Faults, seed
 		faults:   fault.New(nodes, faults, seed),
 		chanFree: make([]sim.Tick, nodes),
 		queues:   make([]srcQueue, nodes),
+		waiting:  make(bitset, (nodes+63)/64),
 	}
 	geom := photonics.CrossbarGeometry{
 		Nodes:                 nodes,
@@ -180,6 +185,7 @@ func (n *SWMR) Inject(m *noc.Message) {
 		return
 	}
 	n.queues[m.Src].push(m)
+	n.waiting.set(m.Src)
 }
 
 // Tick implements noc.Network.
@@ -194,24 +200,30 @@ func (n *SWMR) Tick() {
 			n.deliver(a.msg)
 		}
 	}
-	for s := 0; s < n.nodes; s++ {
-		if n.queues[s].empty() || n.chanFree[s] > n.now {
-			continue
+	for i, w := range n.waiting {
+		for ; w != 0; w &= w - 1 {
+			s := i<<6 + bits.TrailingZeros64(w)
+			if n.chanFree[s] > n.now {
+				continue
+			}
+			m := n.queues[s].pop()
+			if n.queues[s].empty() {
+				n.waiting.clear(s)
+			}
+			ser := n.swmrSendSer(m)
+			oe := sim.Tick(n.cfg.OEOverheadCycles)
+			wait := n.now - m.Inject
+			n.stats.HopCount.Add(float64(wait))
+			n.stats.QueueDelay.Add(float64(wait))
+			if n.shardObs != nil {
+				n.shardObs(m.ID, noc.ShardObs{Start: n.now, Queue: float64(wait)})
+			}
+			n.seq++
+			n.arrivals.push(arrival{at: n.now + oe + ser + n.propagation(m.Src, m.Dst), seq: n.seq, msg: m})
+			n.chanFree[s] = n.now + ser
+			n.bitsSent += uint64(m.Bytes) * 8
+			n.sends++
 		}
-		m := n.queues[s].pop()
-		ser := n.swmrSendSer(m)
-		oe := sim.Tick(n.cfg.OEOverheadCycles)
-		wait := n.now - m.Inject
-		n.stats.HopCount.Add(float64(wait))
-		n.stats.QueueDelay.Add(float64(wait))
-		if n.shardObs != nil {
-			n.shardObs(m.ID, noc.ShardObs{Start: n.now, Queue: float64(wait)})
-		}
-		n.seq++
-		n.arrivals.push(arrival{at: n.now + oe + ser + n.propagation(m.Src, m.Dst), seq: n.seq, msg: m})
-		n.chanFree[s] = n.now + ser
-		n.bitsSent += uint64(m.Bytes) * 8
-		n.sends++
 	}
 }
 
@@ -251,16 +263,9 @@ func (n *SWMR) NextWake() sim.Tick {
 	if len(n.arrivals) > 0 {
 		wake = n.arrivals[0].at
 	}
-	for s := 0; s < n.nodes; s++ {
-		if n.queues[s].empty() {
-			continue
-		}
-		next := n.chanFree[s]
-		if next < n.now+1 {
-			next = n.now + 1
-		}
-		if next < wake {
-			wake = next
+	for i, w := range n.waiting {
+		for ; w != 0; w &= w - 1 {
+			wake = min(wake, max(n.chanFree[i<<6+bits.TrailingZeros64(w)], n.now+1))
 		}
 	}
 	return wake
@@ -287,6 +292,7 @@ func (n *SWMR) Reset() {
 		n.queues[s].reset()
 		n.chanFree[s] = 0
 	}
+	clear(n.waiting)
 }
 
 // ZeroLoadLatency implements noc.Network: no arbitration wait at all.

@@ -73,12 +73,15 @@ func FuzzReadBinary(f *testing.F) {
 }
 
 // FuzzReaderStream asserts the incremental Reader matches ReadBinary
-// decision-for-decision: same acceptance, same events.
+// decision-for-decision: same acceptance, same events — and that its
+// whole-record fast path matches the byte-wise decoder down to the error
+// strings (decode_diff_test.go).
 func FuzzReaderStream(f *testing.F) {
 	for _, seed := range fuzzSeedCorpus() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		compareDecoders(t, data, nil)
 		whole, wholeErr := ReadBinary(bytes.NewReader(data))
 
 		sr, err := NewReader(bytes.NewReader(data))

@@ -3,6 +3,7 @@ package trace
 import (
 	"bufio"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"io"
@@ -140,6 +141,10 @@ type Reader struct {
 	next int   // events decoded so far
 	deps []Dep // reusable dependency buffer handed out via Event.Deps
 	err  error // sticky first error
+	// readErr is the read error (io.EOF included) nextBuffered met while
+	// topping up the buffer. bufio forgets an error once it has reported it,
+	// so readByte hands it out when the buffered bytes run out.
+	readErr error
 }
 
 // NewReader consumes and validates the header of a binary trace stream.
@@ -172,6 +177,9 @@ func (r *Reader) recordErrf(format string, args ...any) error {
 
 // readByte reads one byte, counting it toward the offset.
 func (r *Reader) readByte() (byte, error) {
+	if r.readErr != nil && r.br.Buffered() == 0 {
+		return 0, r.readErr
+	}
 	b, err := r.br.ReadByte()
 	if err == nil {
 		r.off++
@@ -280,6 +288,98 @@ func (r *Reader) Next(e *Event) (bool, error) {
 		// trace can be embedded in a larger stream.
 		return false, nil
 	}
+	if r.nextBuffered(e) {
+		return true, nil
+	}
+	return r.nextBytewise(e)
+}
+
+// minPeek is how many bytes nextBuffered asks bufio to hold before it tries a
+// record: several typical records, far below the buffer size.
+const minPeek = 256
+
+// uvarintAt decodes the uvarint at buf[pos:], returning the position after
+// it, or -1 when buf ends inside it or it overflows 64 bits.
+func uvarintAt(buf []byte, pos int) (uint64, int) {
+	if pos < len(buf) && buf[pos] < 0x80 {
+		return uint64(buf[pos]), pos + 1
+	}
+	v, w := binary.Uvarint(buf[pos:])
+	if w <= 0 {
+		return 0, -1
+	}
+	return v, pos + w
+}
+
+// nextBuffered is Next's fast path: it decodes one whole record out of the
+// bytes bufio already holds and consumes them with a single Discard. It
+// applies exactly nextBytewise's checks, but on any irregularity — the
+// buffer ends inside the record, an over-long varint, a failed check — it
+// consumes nothing and reports false, so nextBytewise re-decodes the record
+// and stays the sole owner of error text, record numbers and byte offsets.
+func (r *Reader) nextBuffered(e *Event) bool {
+	n := r.br.Buffered()
+	if n < minPeek && r.readErr == nil {
+		n = minPeek // top up, so that a record rarely straddles the refill
+	}
+	buf, err := r.br.Peek(n)
+	if err != nil {
+		r.readErr = err
+	}
+	id := EventID(r.next + 1)
+	var fields [9]uint64
+	pos := 0
+	for j := range fields {
+		if fields[j], pos = uvarintAt(buf, pos); pos < 0 {
+			return false
+		}
+	}
+	ndeps := fields[8]
+	if fields[2] > maxTick || fields[5] > maxTick || fields[6] > maxTick || fields[7] > maxTick || ndeps > uint64(r.next)+1 {
+		return false
+	}
+	r.deps = r.deps[:0]
+	for k := uint64(0); k < ndeps; k++ {
+		var delta, cls uint64
+		if delta, pos = uvarintAt(buf, pos); pos < 0 || delta == 0 || delta >= uint64(id) {
+			return false
+		}
+		if cls, pos = uvarintAt(buf, pos); pos < 0 {
+			return false
+		}
+		r.deps = append(r.deps, Dep{On: id - EventID(delta), Class: DepClass(cls)})
+	}
+	r.fill(e, id, &fields)
+	if validateEvent(r.meta.Nodes, e) != nil {
+		return false
+	}
+	r.br.Discard(pos)
+	r.off += int64(pos)
+	r.next++
+	return true
+}
+
+// fill assembles the event from its decoded fixed fields and r.deps.
+func (r *Reader) fill(e *Event, id EventID, fields *[9]uint64) {
+	*e = Event{
+		ID:        id,
+		Src:       int(fields[0]),
+		Dst:       int(fields[1]),
+		Bytes:     int(fields[2]),
+		Class:     noc.Class(fields[3]),
+		Kind:      Kind(fields[4]),
+		Gap:       sim.Tick(fields[5]),
+		RefInject: sim.Tick(fields[6]),
+		RefArrive: sim.Tick(fields[7]),
+	}
+	if len(r.deps) > 0 {
+		e.Deps = r.deps
+	}
+}
+
+// nextBytewise decodes one record a byte at a time, tracking the offset of
+// every byte so that a failure names the record and where decoding stood.
+func (r *Reader) nextBytewise(e *Event) (bool, error) {
 	id := EventID(r.next + 1)
 	var fields [9]uint64
 	names := &eventFieldNames
@@ -294,17 +394,6 @@ func (r *Reader) Next(e *Event) (bool, error) {
 		if fields[j] > maxTick {
 			return false, r.recordErrf("implausible %s %d", names[j], fields[j])
 		}
-	}
-	*e = Event{
-		ID:        id,
-		Src:       int(fields[0]),
-		Dst:       int(fields[1]),
-		Bytes:     int(fields[2]),
-		Class:     noc.Class(fields[3]),
-		Kind:      Kind(fields[4]),
-		Gap:       sim.Tick(fields[5]),
-		RefInject: sim.Tick(fields[6]),
-		RefArrive: sim.Tick(fields[7]),
 	}
 	ndeps := fields[8]
 	if ndeps > uint64(r.next)+1 {
@@ -325,9 +414,7 @@ func (r *Reader) Next(e *Event) (bool, error) {
 		}
 		r.deps = append(r.deps, Dep{On: id - EventID(delta), Class: DepClass(cls)})
 	}
-	if len(r.deps) > 0 {
-		e.Deps = r.deps
-	}
+	r.fill(e, id, &fields)
 	if err := validateEvent(r.meta.Nodes, e); err != nil {
 		return false, r.recordErrf("%v", err)
 	}
