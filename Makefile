@@ -19,12 +19,13 @@ fmt-check:
 
 # Static checks plus the golden-file rendering gate: the ASCII output of the
 # pinned experiments must stay byte-identical (cmd/expreport/testdata). The
-# two differential tests — event-driven crossbar against the hop-by-hop
-# reference, whole-record trace decode against the byte-wise decoder — run in
-# their -short form (under 5 s together; plain `go test` runs the full ones).
+# three differential tests — event-driven crossbar against the hop-by-hop
+# reference, whole-record trace decode against the byte-wise decoder, the
+# replay engine against the sorted-order serial reference — run in their
+# -short form (under 5 s together; plain `go test` runs the full ones).
 check: vet fmt-check sweep-smoke
 	$(GO) test ./cmd/expreport/ -run TestGolden -count=1
-	$(GO) test -short ./internal/onoc/ ./internal/trace/ -run 'DifferentialAgainstReference|BufferedDecodeMatchesBytewise' -count=1
+	$(GO) test -short ./internal/onoc/ ./internal/trace/ ./internal/core/ -run 'DifferentialAgainstReference|BufferedDecodeMatchesBytewise|EngineAgainstReference' -count=1
 
 # End-to-end sweep smoke: a committed micro-grid through the CLI pipeline
 # (expand -> analytic prefilter -> prune -> simulate -> Pareto front). The
@@ -38,20 +39,21 @@ sweep-smoke:
 test: vet
 	$(GO) test ./...
 
-# The serial simulators are single-goroutine by design; the race detector
-# guards the experiment harness's concurrent study fan-out, the sharded
-# conservative-lookahead engine (barrier protocol in internal/sim, shard
-# partition/merge in internal/core), the incremental correction loop's
-# per-shard checkpoint ladders (capture and restore run inside the shard
-# goroutines; internal/core's incremental tests cover every fabric ×
-# preset × shard count), the streaming decoders feeding per-shard runners
-# (internal/trace sources hand out concurrent passes), the fault
-# injector's lazily extended per-channel timelines under sharded replay,
-# and the analytic estimator's shared probe cache. The service packages run
-# here too: the daemon's whole job is concurrent clients sharing one session
-# (single-flight dedup, the admission scheduler, the SSE hub), and the job
-# and sweep packages fan hundreds of admission-scheduled arms out of one
-# session.
+# The simulators are single-goroutine by design; the race detector guards the
+# few places that are not. In the replay engine (internal/core) a K > 1 replay
+# runs K goroutines that never synchronize until they finish: what must hold
+# is that they write disjoint indices of the shared result and observation
+# vectors, append to their own checkpoint ladder only (capture and restore
+# run inside the shard goroutine), and each decode their own pass of the
+# source (internal/trace sources hand out concurrent passes) — the reference,
+# incremental and park/resume tests cover every fabric x preset x shard
+# count. Also here: the experiment harness's concurrent study fan-out, the
+# fault injector's lazily extended per-channel timelines under sharded
+# replay, and the analytic estimator's shared probe cache. The service
+# packages run here too: the daemon's whole job is concurrent clients sharing
+# one session (single-flight dedup, the admission scheduler, the SSE hub),
+# and the job and sweep packages fan hundreds of admission-scheduled arms out
+# of one session.
 test-race:
 	$(GO) test -race ./internal/analytic/ ./internal/experiments/ ./internal/sim/ ./internal/core/ ./internal/fault/ ./internal/trace/ ./internal/service/ ./internal/job/ ./internal/sweep/ ./cmd/onocsimd/ .
 

@@ -267,11 +267,9 @@ func CaptureTraceContext(ctx context.Context, cfg Config, captureOn NetworkKind)
 	return tr, elapsed, nil
 }
 
-// RunNaiveReplay replays the trace at recorded timestamps on a fresh fabric
-// of the given kind. With cfg.Parallelism.Shards > 1 the replay runs on the
-// sharded conservative-lookahead engine; with cfg.Parallelism.Stream it runs
-// on the streaming decoder (window per cfg.Parallelism.WindowEvents).
-// Results are byte-identical across all three engines.
+// RunNaiveReplay replays the trace at recorded timestamps on fresh fabrics of
+// the given kind, split across cfg.Parallelism.Shards replicas where the
+// fabric allows it. Results are byte-identical for any shard count.
 func RunNaiveReplay(cfg Config, tr *Trace, kind NetworkKind) (ReplayResult, time.Duration, error) {
 	return RunNaiveReplayContext(context.Background(), cfg, tr, kind)
 }
@@ -279,33 +277,7 @@ func RunNaiveReplay(cfg Config, tr *Trace, kind NetworkKind) (ReplayResult, time
 // RunNaiveReplayContext is RunNaiveReplay with cancellable slot admission;
 // see RunExecutionDrivenContext for the contract.
 func RunNaiveReplayContext(ctx context.Context, cfg Config, tr *Trace, kind NetworkKind) (ReplayResult, time.Duration, error) {
-	if cfg.Parallelism.Stream {
-		return RunNaiveReplayStreamContext(ctx, cfg, MemTraceSource(tr), kind)
-	}
-	if shards := cfg.Parallelism.Shards; shards > 1 {
-		factory, err := NetworkFactory(cfg, kind)
-		if err != nil {
-			return ReplayResult{}, 0, err
-		}
-		if err := acquireSimSlotCtx(ctx); err != nil {
-			return ReplayResult{}, 0, err
-		}
-		defer releaseSimSlot()
-		start := time.Now()
-		res, err := core.NaiveReplaySharded(factory, tr, shards)
-		return res, time.Since(start), err
-	}
-	net, err := BuildNetwork(cfg, kind)
-	if err != nil {
-		return ReplayResult{}, 0, err
-	}
-	if err := acquireSimSlotCtx(ctx); err != nil {
-		return ReplayResult{}, 0, err
-	}
-	defer releaseSimSlot()
-	start := time.Now()
-	res, err := core.NaiveReplay(net, tr)
-	return res, time.Since(start), err
+	return RunNaiveReplayStreamContext(ctx, cfg, MemTraceSource(tr), kind)
 }
 
 // RunCoupledReplay runs the tightly coupled dependency-driven replay.
@@ -334,11 +306,9 @@ func RunCoupledReplayContext(ctx context.Context, cfg Config, tr *Trace, kind Ne
 }
 
 // RunSelfCorrection runs the Self-Correction Trace Model against a fresh
-// fabric per iteration. With cfg.Parallelism.Shards > 1 every round's replay
-// runs on the sharded conservative-lookahead engine; with
-// cfg.Parallelism.Stream every round streams the trace through the
-// incremental decoder instead of indexing the materialized events. The
-// trajectory and result are byte-identical across all engines. With cfg.SCTM.Seed =
+// fabric per iteration, every round's replay split across
+// cfg.Parallelism.Shards replicas where the fabric allows it; the trajectory
+// and result are byte-identical for any shard count. With cfg.SCTM.Seed =
 // "analytic" the round-0 latencies come from the closed-form contention
 // estimate instead of the zero-load probe, typically saving replay rounds
 // on contended fabrics; when the estimator declines, the loop falls back to
@@ -347,9 +317,7 @@ func RunCoupledReplayContext(ctx context.Context, cfg Config, tr *Trace, kind Ne
 // With cfg.SCTM.Incremental each round after the first resumes from a
 // frozen-prefix checkpoint of the previous round instead of replaying from
 // cycle zero; results stay byte-identical, and
-// CorrectionResult.ReplayedEvents/SavedCycles report the work skipped. The
-// streaming path (cfg.Parallelism.Stream) keeps no fabric checkpoints —
-// resident memory is its whole point — and ignores the flag.
+// CorrectionResult.ReplayedEvents/SavedCycles report the work skipped.
 func RunSelfCorrection(cfg Config, tr *Trace, kind NetworkKind) (CorrectionResult, time.Duration, error) {
 	return RunSelfCorrectionContext(context.Background(), cfg, tr, kind)
 }
@@ -365,9 +333,7 @@ var ErrParked = core.ErrParked
 // RunSelfCorrectionContext is RunSelfCorrection with a cancellable lifecycle:
 // admission queueing aborts if ctx ends first, and a context that ends
 // mid-loop parks the correction at the next round boundary — the call
-// returns the partial trajectory plus an error wrapping ErrParked. The
-// streaming path (cfg.Parallelism.Stream) only honors ctx during admission;
-// once admitted it runs to completion.
+// returns the partial trajectory plus an error wrapping ErrParked.
 func RunSelfCorrectionContext(ctx context.Context, cfg Config, tr *Trace, kind NetworkKind) (CorrectionResult, time.Duration, error) {
 	res, _, wall, err := RunSelfCorrectionParkableContext(ctx, cfg, tr, kind, nil)
 	return res, wall, err
@@ -385,8 +351,7 @@ type CorrectionPark = core.ParkState
 // ErrParked error, and passing that state back — with the same config, trace
 // and kind — resumes the loop at the parked round boundary instead of
 // re-running the completed rounds. The completed result is byte-identical to
-// an uninterrupted run's. The streaming path (cfg.Parallelism.Stream) never
-// parks and ignores resume.
+// an uninterrupted run's.
 func RunSelfCorrectionParkableContext(ctx context.Context, cfg Config, tr *Trace, kind NetworkKind, resume *CorrectionPark) (CorrectionResult, *CorrectionPark, time.Duration, error) {
 	factory, err := NetworkFactory(cfg, kind)
 	if err != nil {
@@ -402,14 +367,6 @@ func RunSelfCorrectionParkableContext(ctx context.Context, cfg Config, tr *Trace
 		// A resumed loop starts from the state's blended latencies; seeding
 		// would be discarded, so skip computing it.
 		seed = analytic.Seed(cfg, kind, tr)
-	}
-	if cfg.Parallelism.Stream {
-		// The trace is materialized here anyway, so streaming execution still
-		// gets the analytic seed; only the pure-source entry point
-		// (RunSelfCorrectionStream) lacks it.
-		res, err := core.SelfCorrectStream(factory, trace.NewMemSource(tr), cfg.SCTM,
-			cfg.Parallelism.Shards, cfg.Parallelism.WindowEvents, seed)
-		return res, nil, time.Since(start), err
 	}
 	res, state, err := core.SelfCorrectParkableCtx(ctx, factory, tr, cfg.SCTM, cfg.Parallelism.Shards, seed, resume)
 	return res, state, time.Since(start), err
@@ -528,15 +485,16 @@ func LoadTrace(path string) (*Trace, error) { return trace.LoadFile(path) }
 // length.
 func OpenTraceFile(path string) (TraceSource, error) { return trace.NewFileSource(path) }
 
-// MemTraceSource adapts an in-memory trace to the TraceSource contract, so
-// streaming and materialized execution share one code path in callers.
+// MemTraceSource adapts an in-memory trace to the TraceSource contract. A
+// source built here is resident: the replay window has nothing to bound and
+// is ignored.
 func MemTraceSource(tr *Trace) TraceSource { return trace.NewMemSource(tr) }
 
-// RunNaiveReplayStream is RunNaiveReplay over a TraceSource: the trace is
-// decoded incrementally (window per cfg.Parallelism.WindowEvents) instead of
-// materialized, with cfg.Parallelism.Shards honored exactly as in the
-// in-memory path. Results are byte-identical to RunNaiveReplay on the same
-// trace for any shard count and any sufficient window.
+// RunNaiveReplayStream is RunNaiveReplay over a TraceSource: a file-backed
+// trace is decoded incrementally (each shard's read-ahead bounded by
+// cfg.Parallelism.WindowEvents) instead of materialized. Results are
+// byte-identical to RunNaiveReplay on the same trace for any shard count and
+// any sufficient window.
 //
 // Deprecated: this wrapper cannot be cancelled while it queues for a
 // simulation slot; use RunNaiveReplayStreamContext.
@@ -562,12 +520,13 @@ func RunNaiveReplayStreamContext(ctx context.Context, cfg Config, src TraceSourc
 
 // RunSelfCorrectionStream is RunSelfCorrection over a TraceSource: every
 // trace-touching step of the loop (zero-load probe, schedule derivation,
-// replay rounds) streams from the source, and cfg.Parallelism.Shards selects
-// sharded replay rounds exactly as in the in-memory path. Trajectories and
-// results are byte-identical to RunSelfCorrection with the same shard count
-// — except that cfg.SCTM.Seed = "analytic" is a materialized-path feature
-// (the closed-form estimator wants the whole trace); streaming always seeds
-// from zero-load latencies or InitialLatencyCycles.
+// replay rounds) reads the source, so a file-backed trace is never
+// materialized. Trajectories and results are byte-identical to
+// RunSelfCorrection's — except that cfg.SCTM.Seed = "analytic" needs a *Trace
+// (the closed-form estimator wants the whole trace); this entry point always
+// seeds from zero-load latencies or InitialLatencyCycles. A file-backed
+// source runs every round in full whatever cfg.SCTM.Incremental says:
+// bounded residency is its point.
 //
 // Deprecated: this wrapper cannot be cancelled while it queues for a
 // simulation slot; use RunSelfCorrectionStreamContext.
@@ -575,9 +534,11 @@ func RunSelfCorrectionStream(cfg Config, src TraceSource, kind NetworkKind) (Cor
 	return RunSelfCorrectionStreamContext(context.Background(), cfg, src, kind)
 }
 
-// RunSelfCorrectionStreamContext is RunSelfCorrectionStream with cancellable
-// slot admission. Once admitted the streaming loop runs to completion: it
-// keeps no fabric checkpoints to park at.
+// RunSelfCorrectionStreamContext is RunSelfCorrectionStream with a
+// cancellable lifecycle, exactly as RunSelfCorrectionContext: admission
+// queueing aborts if ctx ends first, and a context that ends mid-loop parks
+// the correction at the next round boundary with the partial trajectory and
+// an error wrapping ErrParked.
 func RunSelfCorrectionStreamContext(ctx context.Context, cfg Config, src TraceSource, kind NetworkKind) (CorrectionResult, time.Duration, error) {
 	factory, err := NetworkFactory(cfg, kind)
 	if err != nil {
@@ -588,7 +549,7 @@ func RunSelfCorrectionStreamContext(ctx context.Context, cfg Config, src TraceSo
 	}
 	defer releaseSimSlot()
 	start := time.Now()
-	res, err := core.SelfCorrectStream(factory, src, cfg.SCTM, cfg.Parallelism.Shards, cfg.Parallelism.WindowEvents, nil)
+	res, _, err := core.Correct(ctx, factory, src, cfg.SCTM, cfg.Parallelism.Shards, cfg.Parallelism.WindowEvents, nil, nil)
 	return res, time.Since(start), err
 }
 

@@ -9,6 +9,7 @@
 package onocsim_test
 
 import (
+	"context"
 	"io"
 	"sync"
 	"testing"
@@ -259,10 +260,10 @@ func shardBenchTrace(b *testing.B) (onocsim.Config, *trace.Trace) {
 }
 
 // benchReplayShards measures a naive trace replay on the optical crossbar
-// split across K shards of the conservative-lookahead engine. Results are
-// byte-identical across K (the shard-invariance tests assert it); only
-// wall-clock moves, and only on hosts with spare cores. The replayer is
-// built outside the loop so fabric reuse matches the serial engine's.
+// split across K replica fabrics. Results are byte-identical across K (the
+// shard-invariance tests assert it); only wall-clock moves, and only on
+// hosts with spare cores. The replicas are built once and handed out reset
+// every iteration, as a correction loop reuses them from round to round.
 func benchReplayShards(b *testing.B, shards int) {
 	cfg, tr := shardBenchTrace(b)
 	factory, err := onocsim.NetworkFactory(cfg, onocsim.Optical)
@@ -273,10 +274,22 @@ func benchReplayShards(b *testing.B, shards int) {
 	for i := range tr.Events {
 		inject[i] = tr.Events[i].RefInject
 	}
-	r := core.NewShardedReplayer(factory, shards)
+	var nets []noc.Network
+	next := 0
+	reuse := func() noc.Network {
+		if next == len(nets) {
+			nets = append(nets, factory())
+		}
+		next++
+		return nets[next-1]
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := r.Replay(tr, inject); err != nil {
+		for _, n := range nets {
+			n.(noc.Resettable).Reset()
+		}
+		next = 0
+		if _, err := core.ReplayScheduleSharded(reuse, tr, inject, shards); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -299,7 +312,7 @@ func BenchmarkSelfCorrectionShards8(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.SelfCorrectSharded(factory, tr, cfg.SCTM, 8); err != nil {
+		if _, _, err := core.SelfCorrectParkableCtx(context.Background(), factory, tr, cfg.SCTM, 8, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

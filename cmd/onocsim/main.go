@@ -54,7 +54,6 @@ type options struct {
 	seedMode   string
 	dumpConfig bool
 	shards     int
-	stream     bool
 	incr       bool
 	window     int
 	sweepPath  string
@@ -70,9 +69,8 @@ func main() {
 	flag.StringVar(&o.faults, "faults", "", "optical fault-injection preset: off | light | heavy (default: keep the config file's faults section)")
 	flag.BoolVar(&o.dumpConfig, "dump-config", false, "print the effective config as JSON and exit")
 	flag.IntVar(&o.shards, "shards", 0, "shard count for replay-family simulations (0: one per CPU, capped at the core count; results are identical for any count)")
-	flag.BoolVar(&o.stream, "stream", false, "run replay-family simulations on the streaming out-of-core decoder (results are identical)")
-	flag.BoolVar(&o.incr, "incremental", false, "resume self-correction rounds from frozen-prefix checkpoints instead of replaying from cycle zero (results are identical; ignored by -stream)")
-	flag.IntVar(&o.window, "window", 0, "streaming read-ahead window in events (0: default 64Ki, -1: unbounded)")
+	flag.BoolVar(&o.incr, "incremental", false, "resume self-correction rounds from frozen-prefix checkpoints instead of replaying from cycle zero (results are identical)")
+	flag.IntVar(&o.window, "window", 0, "per-shard read-ahead window in events for traces replayed from a file (0: default 64Ki, -1: unbounded)")
 	flag.StringVar(&o.seedMode, "seed", "", "self-correction round-0 seeding: zeroload | analytic | fixed (default: keep the config file's sctm.seed)")
 	flag.StringVar(&o.sweepPath, "sweep", "", "JSON sweep spec for -mode sweep (default: built-in quick grid)")
 	flag.BoolVar(&o.quick, "quick", false, "shrink every sweep arm to the quick problem size (-mode sweep only)")
@@ -135,16 +133,11 @@ func run(o options) error {
 		o.shards = runtime.NumCPU()
 	}
 	cfg.Parallelism.Shards = o.shards
-	// Streaming, like sharding, is an execution detail: it changes resident
-	// memory, never results, so the flags only select the engine.
-	if o.stream {
-		cfg.Parallelism.Stream = true
-	}
 	if o.window != 0 {
 		cfg.Parallelism.WindowEvents = o.window
 	}
-	// Incremental correction, like sharding and streaming, never changes
-	// results — it only skips re-simulating each round's frozen prefix.
+	// Incremental correction, like sharding, never changes results — it only
+	// skips re-simulating each round's frozen prefix.
 	if o.incr {
 		cfg.SCTM.Incremental = true
 	}

@@ -16,7 +16,41 @@ import (
 // deliver the shutdown signal mid-loop (the test cancels the same context
 // signal.NotifyContext would), and verify the client still receives a valid
 // parked partial result and run() exits cleanly.
+//
+// The signal goes out on the capture's progress event, the last one before
+// the correction loop. It can still land before the loop's first round
+// boundary — while the correction queues for its slot, or before round 0
+// completes — and a request cancelled with no round done is by design an
+// error reply, not a "parked" envelope: there is no trajectory to report.
+// That reply says nothing about draining, so the scenario is run again.
 func TestDaemonSIGTERMDrainsAndParks(t *testing.T) {
+	for attempt := 1; ; attempt++ {
+		result := drainMidCorrection(t)
+		early := strings.Contains(string(result), "after 0 of 500 rounds") || string(result) == `{"error":"context canceled"}`
+		if early && attempt < 10 {
+			t.Logf("attempt %d: signal landed before the first round boundary (%s), retrying", attempt, result)
+			continue
+		}
+		var env struct {
+			Version int             `json:"version"`
+			Status  string          `json:"status"`
+			Table   json.RawMessage `json:"table"`
+		}
+		if err := json.Unmarshal(result, &env); err != nil {
+			t.Fatalf("bad result payload %s: %v", result, err)
+		}
+		if env.Status != "parked" || len(env.Table) == 0 {
+			t.Fatalf("expected parked partial result, got %s", result)
+		}
+		return
+	}
+}
+
+// drainMidCorrection boots a daemon, signals it while a long correction is in
+// flight, checks that it shuts down cleanly, and returns the payload of the
+// request's final result or error event.
+func drainMidCorrection(t *testing.T) []byte {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	ready := make(chan net.Addr, 1)
@@ -51,7 +85,7 @@ func TestDaemonSIGTERMDrainsAndParks(t *testing.T) {
 
 	// Read the SSE stream; after the first computed progress event (the
 	// capture finishing means the correction loop is next), deliver the
-	// "signal". The final result event must report a parked run.
+	// "signal".
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	var event string
@@ -83,17 +117,6 @@ func TestDaemonSIGTERMDrainsAndParks(t *testing.T) {
 	if result == nil {
 		t.Fatal("stream ended without a result event")
 	}
-	var env struct {
-		Version int             `json:"version"`
-		Status  string          `json:"status"`
-		Table   json.RawMessage `json:"table"`
-	}
-	if err := json.Unmarshal(result, &env); err != nil {
-		t.Fatalf("bad result payload %s: %v", result, err)
-	}
-	if env.Status != "parked" || len(env.Table) == 0 {
-		t.Fatalf("expected parked partial result, got %s", result)
-	}
 
 	select {
 	case err := <-done:
@@ -108,6 +131,7 @@ func TestDaemonSIGTERMDrainsAndParks(t *testing.T) {
 	if _, err := http.Get(base + "/healthz"); err == nil {
 		t.Fatal("daemon still serving after shutdown")
 	}
+	return result
 }
 
 // A daemon with nothing in flight shuts down promptly on signal.

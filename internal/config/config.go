@@ -124,27 +124,24 @@ func FaultPreset(name string) (Faults, error) {
 }
 
 // Parallelism configures deterministic intra-run parallel execution. It is a
-// pure wall-clock knob: the sharded engine is byte-identical to the serial
-// one for any shard count, which is why this section is excluded from
-// Fingerprint — cached results remain valid whatever the setting.
+// pure wall-clock knob: a replay split across K replica fabrics is
+// byte-identical to the serial one for any K, which is why this section is
+// excluded from Fingerprint — cached results remain valid whatever the
+// setting.
 type Parallelism struct {
-	// Shards is the number of conservative-lookahead shards replay-style
-	// simulations run across. 0 and 1 both mean serial; the effective
-	// count is clamped to the node count, and fabrics whose traffic does
-	// not factorize per node (the wormhole mesh, the hybrid fabric) fall
-	// back to serial regardless.
+	// Shards is the number of replica fabrics replay-style simulations
+	// split their events across, each drained in its own goroutine. 0 and
+	// 1 both mean serial; the effective count is clamped to the node count,
+	// and fabrics whose traffic does not factorize per node (the wormhole
+	// mesh, the hybrid fabric) run serially regardless.
 	Shards int `json:"shards"`
-	// Stream replays traces through the streaming decoder instead of
-	// materializing them in memory. Like Shards, it is an execution
-	// detail: streaming replay is byte-identical to in-memory replay, so
-	// the flag (and WindowEvents) stays out of Fingerprint and cached
-	// results remain valid whichever path produced them.
-	Stream bool `json:"stream,omitempty"`
-	// WindowEvents bounds how many decoded-but-not-yet-injectable events a
-	// streaming replay keeps resident. 0 selects the default window
-	// (trace.DefaultWindow); -1 lifts the bound. A schedule needing more
-	// residency than the window fails with an error naming the required
-	// size — never a deadlock, never a silently wrong result.
+	// WindowEvents bounds how many decoded-but-not-yet-injectable events
+	// each shard of a replay keeps resident when the trace is read from a
+	// file; a trace already in memory has nothing to bound. 0 selects the
+	// default window (trace.DefaultWindow); -1 lifts the bound. A schedule
+	// needing more residency than the window fails with an error naming
+	// the required size — never a deadlock, never a silently wrong result.
+	// Like Shards it cannot change results and stays out of Fingerprint.
 	WindowEvents int `json:"window_events,omitempty"`
 }
 

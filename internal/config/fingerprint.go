@@ -25,12 +25,11 @@ const fingerprintVersion = 1
 // cache key.
 //
 // Name is deliberately excluded: it labels reports and does not influence
-// simulation results. Parallelism is excluded for the same reason — the
-// sharded engine is byte-identical to the serial one for any shard count,
-// and the streaming replay path (Stream, WindowEvents) is byte-identical to
-// the in-memory one, so folding any of them in would only split the cache
-// for equal results (and excluding them keeps fingerprints, hence persisted
-// disk caches, stable across the settings). Everything else — seed, system
+// simulation results. Parallelism is excluded for the same reason — a
+// replay is byte-identical for any shard count and any sufficient read-ahead
+// window, so folding either in would only split the cache for equal results
+// (and excluding them keeps fingerprints, hence persisted disk caches,
+// stable across the settings). Everything else — seed, system
 // geometry, all fabric parameters, workload, and SCTM knobs — is included.
 func (c *Config) Fingerprint() (string, error) {
 	if err := c.Validate(); err != nil {

@@ -22,31 +22,6 @@ import (
 // fabrics fall back to one build per round.
 type NetworkFactory func() noc.Network
 
-// netSource hands out clean fabrics for correction rounds, reusing a single
-// Resettable instance when the fabric supports it.
-type netSource struct {
-	factory NetworkFactory
-	reused  noc.Network
-	used    bool
-}
-
-// acquire returns a fabric at time zero with no prior traffic.
-func (s *netSource) acquire() noc.Network {
-	if s.reused != nil {
-		if s.used {
-			s.reused.(noc.Resettable).Reset()
-		}
-		s.used = true
-		return s.reused
-	}
-	n := s.factory()
-	if _, ok := n.(noc.Resettable); ok {
-		s.reused = n
-		s.used = true
-	}
-	return n
-}
-
 // Iteration records the state of the correction loop after one round.
 type Iteration struct {
 	// Round is 0-based.
@@ -85,71 +60,28 @@ type CorrectionResult struct {
 	SavedCycles sim.Tick
 }
 
-// roundRunner abstracts how one correction round's replay is executed: the
-// serial engine on a reused fabric, or the sharded engine on K replicas. The
-// probe hands out a fresh fabric for zero-load latency seeding; it never
-// ticks, so implementations may recycle it into later rounds.
-type roundRunner interface {
-	probe() noc.Network
-	run(tr *trace.Trace, inject []sim.Tick) (ReplayResult, error)
-}
-
-// serialRounds is the classic single-fabric execution of the loop.
-type serialRounds struct {
-	src netSource
-}
-
-func (s *serialRounds) probe() noc.Network {
-	p := s.src.factory()
-	if _, ok := p.(noc.Resettable); ok {
-		s.src.reused = p
-	}
-	return p
-}
-
-func (s *serialRounds) run(tr *trace.Trace, inject []sim.Tick) (ReplayResult, error) {
-	return ReplaySchedule(s.src.acquire(), tr, inject)
-}
-
 // SelfCorrect runs the Self-Correction Trace Model: starting from zero-load
 // latency estimates, it alternates (a) re-deriving the injection schedule
 // from the dependency DAG and (b) measuring realized latencies by replaying
 // that schedule on a fresh fabric, until the schedule reaches a fixpoint.
 func SelfCorrect(factory NetworkFactory, tr *trace.Trace, cfg config.SCTM) (CorrectionResult, error) {
-	return SelfCorrectSeeded(factory, tr, cfg, nil)
+	res, _, err := SelfCorrectParkableCtx(context.Background(), factory, tr, cfg, 1, nil, nil)
+	return res, err
 }
 
-// SelfCorrectSeeded is SelfCorrect with an externally supplied round-0
-// latency seed, one entry per trace event (the analytical fast path computes
-// one from the trace's byte histogram). A nil seed reproduces SelfCorrect
-// exactly; a non-nil seed takes precedence over both InitialLatencyCycles
-// and the zero-load probe. The seed slice is copied, never mutated.
-//
-// cfg.Incremental selects frozen-prefix checkpointing between rounds:
-// results stay byte-identical (only ReplayedEvents/SavedCycles differ), the
-// later rounds just skip re-simulating the schedule prefix that did not
-// change.
-func SelfCorrectSeeded(factory NetworkFactory, tr *trace.Trace, cfg config.SCTM, seed []sim.Tick) (CorrectionResult, error) {
-	var runner roundRunner = &serialRounds{src: netSource{factory: factory}}
-	if cfg.Incremental {
-		runner = newIncrSerial(factory)
+// SelfCorrectParkableCtx is Correct on a materialized trace, which it
+// validates first.
+func SelfCorrectParkableCtx(ctx context.Context, factory NetworkFactory, tr *trace.Trace, cfg config.SCTM, shards int, seed []sim.Tick, resume *ParkState) (CorrectionResult, *ParkState, error) {
+	if err := tr.Validate(); err != nil {
+		return CorrectionResult{}, nil, fmt.Errorf("core: invalid trace: %w", err)
 	}
-	return selfCorrect(runner, tr, cfg, seed)
+	return Correct(ctx, factory, trace.NewMemSource(tr), cfg, shards, 0, seed, resume)
 }
 
-// SelfCorrectSharded is SelfCorrect with each round's replay executed across
-// the given number of shards. Results are byte-identical to SelfCorrect for
-// any shard count — the schedule derivation is untouched and the sharded
-// replay reproduces the serial replay exactly — so the shard count is purely
-// a wall-clock knob.
-func SelfCorrectSharded(factory NetworkFactory, tr *trace.Trace, cfg config.SCTM, shards int) (CorrectionResult, error) {
-	return SelfCorrectShardedSeeded(factory, tr, cfg, shards, nil)
-}
-
-// SelfCorrectShardedSeeded combines SelfCorrectSharded's parallel replay
-// rounds with SelfCorrectSeeded's external round-0 seed.
-func SelfCorrectShardedSeeded(factory NetworkFactory, tr *trace.Trace, cfg config.SCTM, shards int, seed []sim.Tick) (CorrectionResult, error) {
-	return SelfCorrectShardedSeededCtx(context.Background(), factory, tr, cfg, shards, seed)
+// SelfCorrectStream is Correct without cancellation.
+func SelfCorrectStream(factory NetworkFactory, src trace.Source, cfg config.SCTM, shards, window int, seed []sim.Tick) (CorrectionResult, error) {
+	res, _, err := Correct(context.Background(), factory, src, cfg, shards, window, seed, nil)
+	return res, err
 }
 
 // ErrParked reports a correction loop stopped cooperatively at a round
@@ -160,35 +92,22 @@ func SelfCorrectShardedSeeded(factory NetworkFactory, tr *trace.Trace, cfg confi
 // what the configuration converges to.
 var ErrParked = errors.New("core: self-correction parked before convergence")
 
-// SelfCorrectShardedSeededCtx is SelfCorrectShardedSeeded with cooperative
-// cancellation: the loop checks ctx at every round boundary — the same
-// boundaries the incremental engine checkpoints at — and, once ctx is done,
-// parks instead of starting another round. A parked run returns the partial
-// CorrectionResult together with an error wrapping ErrParked and ctx's
-// error. Replay rounds themselves are never interrupted mid-flight, so a
-// park costs at most one round of latency and the partial trajectory is
-// byte-identical to a prefix of the uncancelled run's.
-func SelfCorrectShardedSeededCtx(ctx context.Context, factory NetworkFactory, tr *trace.Trace, cfg config.SCTM, shards int, seed []sim.Tick) (CorrectionResult, error) {
-	res, _, err := SelfCorrectParkableCtx(ctx, factory, tr, cfg, shards, seed, nil)
-	return res, err
-}
-
 // ParkState snapshots a parked correction loop at the round boundary it
 // stopped at: the blended latency estimates, the derived schedule the next
 // round would have replayed, the trajectory so far, and — crucially — the
-// live round runner, whose fabric checkpoints (the incremental engine's
-// noc.Checkpointer ladders) survive the park intact. Resuming through
-// SelfCorrectParkableCtx continues the loop exactly where it stopped: the
-// completed run is byte-identical to one that never parked, and an
-// incremental resume replays only the dirty suffix of its first resumed
-// round instead of starting the whole fixpoint from scratch.
+// live replayer, whose fabric checkpoints (the noc.Checkpointer ladders of
+// incremental.go) survive the park intact. Resuming through Correct
+// continues the loop exactly where it stopped: the completed run is
+// byte-identical to one that never parked, and an incremental resume replays
+// only the dirty suffix of its first resumed round instead of starting the
+// whole fixpoint from scratch.
 //
 // A ParkState is bound to the (trace, SCTM config, fabric) triple that
-// produced it and is single-use: the runner inside is not safe for
+// produced it and is single-use: the replayer inside is not safe for
 // concurrent resumes. Callers that stash states must hand each one to at
 // most one resume.
 type ParkState struct {
-	runner     roundRunner
+	runner     *replayer
 	lat        []sim.Tick
 	prev       []sim.Tick
 	iterations []Iteration
@@ -204,112 +123,45 @@ func (p *ParkState) Rounds() int {
 	return len(p.iterations)
 }
 
-// SelfCorrectParkableCtx is SelfCorrectShardedSeededCtx with explicit park
-// state: a parked run returns a non-nil *ParkState alongside the ErrParked
-// error, and passing that state back (same trace, config and fabric kind)
-// resumes the loop at the parked round boundary instead of restarting. With
-// a nil resume the call is identical to SelfCorrectShardedSeededCtx. seed is
-// ignored on resume — the state's blended latencies take precedence.
-func SelfCorrectParkableCtx(ctx context.Context, factory NetworkFactory, tr *trace.Trace, cfg config.SCTM, shards int, seed []sim.Tick, resume *ParkState) (CorrectionResult, *ParkState, error) {
-	var runner roundRunner
-	switch {
-	case resume != nil && resume.runner != nil:
-		// The parked runner carries the fabric checkpoints the resumed
-		// rounds restore from; a fresh runner would be correct but would
-		// replay its first round in full.
-		runner = resume.runner
-	case shards <= 1 && cfg.Incremental:
-		runner = newIncrSerial(factory)
-	case shards <= 1:
-		runner = &serialRounds{src: netSource{factory: factory}}
-	case cfg.Incremental:
-		runner = newIncrSharded(factory, shards)
-	default:
-		runner = NewShardedReplayer(factory, shards)
-	}
-	return selfCorrectParkable(ctx, runner, tr, cfg, seed, resume)
-}
-
-func selfCorrect(runner roundRunner, tr *trace.Trace, cfg config.SCTM, seed []sim.Tick) (CorrectionResult, error) {
-	return selfCorrectCtx(context.Background(), runner, tr, cfg, seed)
-}
-
-func selfCorrectCtx(ctx context.Context, runner roundRunner, tr *trace.Trace, cfg config.SCTM, seed []sim.Tick) (CorrectionResult, error) {
-	res, _, err := selfCorrectParkable(ctx, runner, tr, cfg, seed, nil)
-	return res, err
-}
-
-func selfCorrectParkable(ctx context.Context, runner roundRunner, tr *trace.Trace, cfg config.SCTM, seed []sim.Tick, resume *ParkState) (CorrectionResult, *ParkState, error) {
-	if err := tr.Validate(); err != nil {
-		return CorrectionResult{}, nil, fmt.Errorf("core: invalid trace: %w", err)
-	}
+// Correct runs the self-correction fixpoint over a trace.Source — seeding,
+// schedule derivation and every replay round read the source, so a
+// file-backed trace is never materialized — with each round's replay split
+// across the given number of shards. Results are byte-identical for any
+// shard count, any sufficient window (semantics as ReplayScheduleStream) and
+// either setting of cfg.Incremental; those choose how rounds execute, never
+// what they compute.
+//
+// seed, when non-nil, supplies the round-0 latency estimates, one per event
+// (the analytical fast path computes them from the trace's byte histogram);
+// it takes precedence over both InitialLatencyCycles and the zero-load probe
+// and is copied, never mutated.
+//
+// cfg.Incremental keeps frozen-prefix checkpoint ladders between rounds, so
+// later rounds skip re-simulating the schedule prefix that did not change
+// (only ReplayedEvents/SavedCycles differ). It takes effect on a resident
+// trace; a file-backed source keeps its rounds full — bounded residency is
+// its point.
+//
+// Cancellation is cooperative: the loop checks ctx at every round boundary —
+// the same boundaries the ladder checkpoints at — and, once ctx is done,
+// parks instead of starting another round. A parked run returns the partial
+// CorrectionResult, a non-nil *ParkState, and an error wrapping ErrParked
+// and ctx's error. Replay rounds themselves are never interrupted
+// mid-flight, so a park costs at most one round of latency and the partial
+// trajectory is byte-identical to a prefix of the uncancelled run's. Passing
+// the state back as resume (same source, config and fabric kind) re-enters
+// the loop at the parked round boundary instead of restarting — skipping
+// seeding and the initial schedule derivation, with the trajectory so far
+// already in place; seed is then ignored.
+func Correct(ctx context.Context, factory NetworkFactory, src trace.Source, cfg config.SCTM, shards, window int, seed []sim.Tick, resume *ParkState) (CorrectionResult, *ParkState, error) {
+	n := src.Meta().NumEvents
 	opts := ScheduleOptions{
 		DisableSyncDeps:   cfg.DisableSyncDeps,
 		DisableCausalDeps: cfg.DisableCausalDeps,
 	}
-	hooks := correctionHooks{
-		n: len(tr.Events),
-		zeroSeed: func(lat []sim.Tick) error {
-			probe := runner.probe()
-			for i := range tr.Events {
-				e := &tr.Events[i]
-				lat[i] = probe.ZeroLoadLatency(e.Src, e.Dst, e.Bytes)
-			}
-			return nil
-		},
-		schedule: func(lat []sim.Tick) ([]sim.Tick, error) {
-			return Schedule(tr, lat, opts), nil
-		},
-		run: func(inject []sim.Tick) (ReplayResult, error) {
-			return runner.run(tr, inject)
-		},
-	}
-	if w, ok := runner.(interface{ work() (int, sim.Tick) }); ok {
-		hooks.work = w.work
-	}
-	hooks.stop = ctx.Err
-	res, state, err := correctionLoopResume(hooks, cfg, seed, resume)
-	if state != nil {
-		state.runner = runner
-	}
-	return res, state, err
-}
-
-// correctionHooks abstracts the three trace-touching operations of one
-// correction loop — zero-load seeding, schedule derivation, and the replay
-// itself — so the in-memory and streaming executions share a single loop
-// body (damping, convergence criteria, iteration records) and can never
-// drift apart.
-type correctionHooks struct {
-	n        int
-	zeroSeed func(lat []sim.Tick) error
-	schedule func(lat []sim.Tick) ([]sim.Tick, error)
-	run      func(inject []sim.Tick) (ReplayResult, error)
-	// work, when non-nil, reports the runner's (replayed events, saved
-	// cycles) counters for CorrectionResult. Runners without it (full
-	// replay) default to events×rounds replayed, zero saved.
-	work func() (int, sim.Tick)
-	// stop, when non-nil, is polled at every round boundary; a non-nil
-	// return parks the loop there (see ErrParked). Typically ctx.Err.
-	stop func() error
-}
-
-// correctionLoop is the fixpoint iteration shared by SelfCorrect and its
-// streaming counterpart.
-func correctionLoop(h correctionHooks, cfg config.SCTM, seed []sim.Tick) (CorrectionResult, error) {
-	res, _, err := correctionLoopResume(h, cfg, seed, nil)
-	return res, err
-}
-
-// correctionLoopResume is correctionLoop with park-state plumbing: a parked
-// exit returns the state the loop can later be re-entered with, and a
-// non-nil resume re-enters at the parked round boundary — skipping seeding
-// and the initial schedule derivation, with the trajectory so far already in
-// place.
-func correctionLoopResume(h correctionHooks, cfg config.SCTM, seed []sim.Tick, resume *ParkState) (CorrectionResult, *ParkState, error) {
-	n := h.n
 
 	var out CorrectionResult
+	var runner *replayer
 	var lat, prev []sim.Tick
 	if resume != nil {
 		if len(resume.lat) != n || len(resume.prev) != n {
@@ -318,12 +170,17 @@ func correctionLoopResume(h correctionHooks, cfg config.SCTM, seed []sim.Tick, r
 		if len(resume.iterations) >= cfg.MaxIterations {
 			return CorrectionResult{}, nil, fmt.Errorf("core: resume state has %d rounds, budget is %d", len(resume.iterations), cfg.MaxIterations)
 		}
+		// The parked replayer carries the fabric checkpoints the resumed
+		// rounds restore from, and the work counters so far.
+		runner = resume.runner
 		lat = append([]sim.Tick(nil), resume.lat...)
 		prev = append([]sim.Tick(nil), resume.prev...)
 		out.Iterations = append([]Iteration(nil), resume.iterations...)
 		out.Final = resume.final
 		out.TotalCycles = resume.cycles
 	} else {
+		runner = newReplayer(factory, src, shards, window)
+		runner.ladder = cfg.Incremental && resident(src)
 		// Seed latencies: an externally supplied per-event estimate wins (the
 		// damping blend mutates lat in place, so the caller's slice is copied),
 		// then a fixed constant if configured, else the target fabric's
@@ -338,18 +195,20 @@ func correctionLoopResume(h correctionHooks, cfg config.SCTM, seed []sim.Tick, r
 			for i := range lat {
 				lat[i] = sim.Tick(cfg.InitialLatencyCycles)
 			}
-		} else if err := h.zeroSeed(lat); err != nil {
-			return CorrectionResult{}, nil, fmt.Errorf("core: zero-load seeding: %w", err)
+		} else {
+			probe := runner.fabric(0)
+			if err := eachEvent(src, func(i int, e *trace.Event) {
+				lat[i] = probe.ZeroLoadLatency(e.Src, e.Dst, e.Bytes)
+			}); err != nil {
+				return CorrectionResult{}, nil, fmt.Errorf("core: zero-load seeding: %w", err)
+			}
 		}
 	}
-	// finish fills the work counters at every successful exit; full-replay
-	// runners charge the whole trace to every round.
+	// finish fills the work counters at every successful exit. Full rounds
+	// charge the whole trace; a round resumed from a checkpoint only the
+	// dirty suffix it injected.
 	finish := func() {
-		if h.work != nil {
-			out.ReplayedEvents, out.SavedCycles = h.work()
-		} else {
-			out.ReplayedEvents = n * len(out.Iterations)
-		}
+		out.ReplayedEvents, out.SavedCycles = runner.replayed, runner.saved
 	}
 	// Profiler labels tag every sample with the round and phase so a pprof
 	// capture of a correction run decomposes into schedule derivation versus
@@ -372,36 +231,34 @@ func correctionLoopResume(h correctionHooks, cfg config.SCTM, seed []sim.Tick, r
 	}
 	if resume == nil {
 		if err := labeled(-1, "schedule", func() (err error) {
-			prev, err = h.schedule(lat)
+			prev, err = ScheduleStream(src, lat, opts)
 			return err
 		}); err != nil {
 			return CorrectionResult{}, nil, fmt.Errorf("core: deriving schedule: %w", err)
 		}
 	}
 	for round := len(out.Iterations); round < cfg.MaxIterations; round++ {
-		// Park point: the round boundary is where the incremental engine
-		// checkpoints, so stopping here loses at most the round that was
-		// about to start, never work already done. The partial result is
-		// returned alongside the error — callers decide whether the
-		// trajectory so far is worth reporting — together with the state a
-		// later call can resume from.
-		if h.stop != nil {
-			if cause := h.stop(); cause != nil {
-				finish()
-				state := &ParkState{
-					lat:        append([]sim.Tick(nil), lat...),
-					prev:       append([]sim.Tick(nil), prev...),
-					iterations: append([]Iteration(nil), out.Iterations...),
-					final:      out.Final,
-					cycles:     out.TotalCycles,
-				}
-				return out, state, fmt.Errorf("%w after %d of %d rounds: %v",
-					ErrParked, len(out.Iterations), cfg.MaxIterations, cause)
+		// Park point: the round boundary is where the ladder checkpoints, so
+		// stopping here loses at most the round that was about to start,
+		// never work already done. The partial result is returned alongside
+		// the error — callers decide whether the trajectory so far is worth
+		// reporting — together with the state a later call can resume from.
+		if cause := ctx.Err(); cause != nil {
+			finish()
+			state := &ParkState{
+				runner:     runner,
+				lat:        append([]sim.Tick(nil), lat...),
+				prev:       append([]sim.Tick(nil), prev...),
+				iterations: append([]Iteration(nil), out.Iterations...),
+				final:      out.Final,
+				cycles:     out.TotalCycles,
 			}
+			return out, state, fmt.Errorf("%w after %d of %d rounds: %v",
+				ErrParked, len(out.Iterations), cfg.MaxIterations, cause)
 		}
 		var res ReplayResult
 		if err := labeled(round, "replay", func() (err error) {
-			res, err = h.run(prev)
+			res, err = runner.run(prev)
 			return err
 		}); err != nil {
 			return CorrectionResult{}, nil, fmt.Errorf("core: correction round %d: %w", round, err)
@@ -421,7 +278,7 @@ func correctionLoopResume(h correctionHooks, cfg config.SCTM, seed []sim.Tick, r
 		}
 		var next []sim.Tick
 		if err := labeled(round, "schedule", func() (err error) {
-			next, err = h.schedule(lat)
+			next, err = ScheduleStream(src, lat, opts)
 			return err
 		}); err != nil {
 			return CorrectionResult{}, nil, fmt.Errorf("core: correction round %d: %w", round, err)

@@ -59,7 +59,7 @@ func TestIncrementalMatchesFull(t *testing.T) {
 				t.Fatalf("%s/%s full: %v", name, preset, err)
 			}
 			for _, k := range []int{1, 2, 8} {
-				got, err := SelfCorrectSharded(mk, tr, incr, k)
+				got, err := selfCorrectShards(mk, tr, incr, k)
 				if err != nil {
 					t.Fatalf("%s/%s shards=%d incremental: %v", name, preset, k, err)
 				}
@@ -84,36 +84,50 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	for _, preset := range []string{"off", "light", "heavy"} {
 		for name, mk := range checkpointFabrics(t, nodes, preset) {
 			tr := randomTrace(7, 80, nodes)
+			src := trace.NewMemSource(tr)
 			inject := make([]sim.Tick, len(tr.Events))
 			for i := range tr.Events {
 				inject[i] = tr.Events[i].RefInject
 			}
 			n := len(tr.Events)
-			order := injectionOrder(inject)
+			// replay drains net from its current state; floor, injected and
+			// done describe what a restored snapshot already holds.
+			replay := func(net noc.Network, res *ReplayResult, floor sim.Tick, injected, done int, capture func(int)) error {
+				it, err := src.Pass()
+				if err != nil {
+					return err
+				}
+				defer it.Close()
+				var pool noc.MsgPool
+				net.SetDeliver(func(m *noc.Message) {
+					idx := int(m.ID) - 1
+					res.Arrive[idx] = m.Arrive
+					res.Inject[idx] = m.Inject
+					done++
+					pool.Put(m)
+				})
+				dec := &streamDecoder{it: it, inject: inject, sm: suffixMinInject(inject), floor: floor}
+				if err := drain(net, dec, &pool, injected, &done, n, capture); err != nil {
+					return err
+				}
+				finalize(res, tr.RefMakespan, dec.maxRef)
+				res.Cycles, res.NetStats = net.Now(), net.Stats()
+				return nil
+			}
 
 			// Uninterrupted replay, capturing one snapshot halfway through.
 			net := mk()
 			ck := net.(noc.Checkpointer)
 			full := ReplayResult{Inject: make([]sim.Tick, n), Arrive: make([]sim.Tick, n)}
-			var pool noc.MsgPool
-			delivered := 0
-			net.SetDeliver(func(m *noc.Message) {
-				idx := int(m.ID) - 1
-				full.Arrive[idx] = m.Arrive
-				full.Inject[idx] = m.Inject
-				delivered++
-				pool.Put(m)
-			})
 			var snap noc.Snapshot
 			capture := func(injected int) {
 				if snap == nil && injected >= n/2 {
 					snap = ck.Snapshot()
 				}
 			}
-			if err := replayDrain(net, tr, inject, order, 0, &delivered, n, &pool, capture); err != nil {
+			if err := replay(net, &full, noFloor, 0, 0, capture); err != nil {
 				t.Fatalf("%s/%s full replay: %v", name, preset, err)
 			}
-			finalizeResult(&full, tr, net)
 			if snap == nil {
 				t.Fatalf("%s/%s: no snapshot captured", name, preset)
 			}
@@ -123,30 +137,19 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 				target.(noc.Checkpointer).Restore(snap)
 				res := ReplayResult{Inject: make([]sim.Tick, n), Arrive: make([]sim.Tick, n)}
 				next, done := 0, 0
-				for _, i := range order {
+				for i := 0; i < n; i++ {
 					if inject[i] <= t0 {
 						next++
 					}
-				}
-				for i := 0; i < n; i++ {
 					if full.Arrive[i] <= t0 {
 						res.Inject[i] = full.Inject[i]
 						res.Arrive[i] = full.Arrive[i]
 						done++
 					}
 				}
-				var rpool noc.MsgPool
-				target.SetDeliver(func(m *noc.Message) {
-					idx := int(m.ID) - 1
-					res.Arrive[idx] = m.Arrive
-					res.Inject[idx] = m.Inject
-					done++
-					rpool.Put(m)
-				})
-				if err := replayDrain(target, tr, inject, order, next, &done, n, &rpool, nil); err != nil {
+				if err := replay(target, &res, t0, next, done, nil); err != nil {
 					t.Fatalf("%s/%s %s: %v", name, preset, label, err)
 				}
-				finalizeResult(&res, tr, target)
 				if !reflect.DeepEqual(full, res) {
 					t.Fatalf("%s/%s %s: resumed replay drifted from uninterrupted replay", name, preset, label)
 				}
@@ -185,15 +188,16 @@ func TestIncrementalEmptyFrozenPrefix(t *testing.T) {
 	copy(injB, injA)
 	injB[first] += 5
 
-	r := newIncrSerial(mk)
-	resA, err := r.run(tr, injA)
+	r := newReplayer(mk, trace.NewMemSource(tr), 1, 0)
+	r.ladder = true
+	resA, err := r.run(injA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.ladder) == 0 {
+	if len(r.last.ladders[0]) == 0 {
 		t.Fatal("round A captured no checkpoints")
 	}
-	resB, err := r.run(tr, injB)
+	resB, err := r.run(injB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,12 +235,13 @@ func TestIncrementalIdenticalScheduleResumesDeep(t *testing.T) {
 	for i := range tr.Events {
 		inject[i] = tr.Events[i].RefInject
 	}
-	r := newIncrSerial(func() noc.Network { return onoc.New(nodes, cfg.Optical) })
-	resA, err := r.run(tr, inject)
+	r := newReplayer(func() noc.Network { return onoc.New(nodes, cfg.Optical) }, trace.NewMemSource(tr), 1, 0)
+	r.ladder = true
+	resA, err := r.run(inject)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resB, err := r.run(tr, inject)
+	resB, err := r.run(inject)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"errors"
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	"onocsim/internal/config"
+	"onocsim/internal/trace"
 )
 
 // countdownCtx reports Canceled after a fixed number of Err polls, letting a
@@ -37,7 +39,7 @@ func TestSelfCorrectParksOnDeadContext(t *testing.T) {
 	cfg := config.Default().SCTM
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := SelfCorrectShardedSeededCtx(ctx, idealFactory(4, 20), tr, cfg, 1, nil)
+	res, _, err := SelfCorrectParkableCtx(ctx, idealFactory(4, 20), tr, cfg, 1, nil, nil)
 	if !errors.Is(err, ErrParked) {
 		t.Fatalf("err = %v, want ErrParked", err)
 	}
@@ -47,65 +49,79 @@ func TestSelfCorrectParksOnDeadContext(t *testing.T) {
 }
 
 // Parking returns the valid partial trajectory: the parked run's iterations
-// are byte-identical to a prefix of the uncancelled run's.
+// are byte-identical to a prefix of the uncancelled run's, whether the trace
+// is resident or decoded from a file.
 func TestSelfCorrectParkedPrefixMatchesFullRun(t *testing.T) {
 	tr := chainTrace()
 	cfg := neverConverge(config.Default().SCTM)
 	cfg.MaxIterations = 8
 	cfg.InitialLatencyCycles = 3
 
-	full, err := SelfCorrectShardedSeededCtx(context.Background(), idealFactory(4, 20), tr, cfg, 1, nil)
+	path := filepath.Join(t.TempDir(), "chain.sctm")
+	if err := trace.SaveFile(path, tr); err != nil {
+		t.Fatal(err)
+	}
+	file, err := trace.NewFileSource(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full.Converged || len(full.Iterations) != 8 {
-		t.Fatalf("reference run unexpectedly converged: %+v", full)
-	}
+	for name, src := range map[string]trace.Source{"mem": trace.NewMemSource(tr), "file": file} {
+		full, _, err := Correct(context.Background(), idealFactory(4, 20), src, cfg, 1, 0, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full.Converged || len(full.Iterations) != 8 {
+			t.Fatalf("%s: reference run unexpectedly converged: %+v", name, full)
+		}
 
-	const parkAfter = 3
-	ctx := &countdownCtx{Context: context.Background(), remaining: parkAfter}
-	parked, err := SelfCorrectShardedSeededCtx(ctx, idealFactory(4, 20), tr, cfg, 1, nil)
-	if !errors.Is(err, ErrParked) {
-		t.Fatalf("err = %v, want ErrParked", err)
-	}
-	if parked.Converged {
-		t.Fatal("parked run claims convergence")
-	}
-	if len(parked.Iterations) != parkAfter {
-		t.Fatalf("parked after %d rounds, want %d", len(parked.Iterations), parkAfter)
-	}
-	if !reflect.DeepEqual(parked.Iterations, full.Iterations[:parkAfter]) {
-		t.Fatalf("parked trajectory diverged:\n got %+v\nwant %+v", parked.Iterations, full.Iterations[:parkAfter])
-	}
-	if parked.Final.Makespan != full.Iterations[parkAfter-1].Makespan {
-		t.Fatalf("parked Final.Makespan = %d, want round %d's %d",
-			parked.Final.Makespan, parkAfter-1, full.Iterations[parkAfter-1].Makespan)
-	}
-	// Work counters account for exactly the rounds performed.
-	if parked.ReplayedEvents != len(tr.Events)*parkAfter {
-		t.Fatalf("ReplayedEvents = %d, want %d", parked.ReplayedEvents, len(tr.Events)*parkAfter)
+		const parkAfter = 3
+		ctx := &countdownCtx{Context: context.Background(), remaining: parkAfter}
+		parked, state, err := Correct(ctx, idealFactory(4, 20), src, cfg, 1, 0, nil, nil)
+		if !errors.Is(err, ErrParked) {
+			t.Fatalf("%s: err = %v, want ErrParked", name, err)
+		}
+		if parked.Converged {
+			t.Fatalf("%s: parked run claims convergence", name)
+		}
+		if len(parked.Iterations) != parkAfter || state.Rounds() != parkAfter {
+			t.Fatalf("%s: parked after %d rounds (state: %d), want %d", name, len(parked.Iterations), state.Rounds(), parkAfter)
+		}
+		if !reflect.DeepEqual(parked.Iterations, full.Iterations[:parkAfter]) {
+			t.Fatalf("%s: parked trajectory diverged:\n got %+v\nwant %+v", name, parked.Iterations, full.Iterations[:parkAfter])
+		}
+		if parked.Final.Makespan != full.Iterations[parkAfter-1].Makespan {
+			t.Fatalf("%s: parked Final.Makespan = %d, want round %d's %d",
+				name, parked.Final.Makespan, parkAfter-1, full.Iterations[parkAfter-1].Makespan)
+		}
+		// Work counters account for exactly the rounds performed.
+		if parked.ReplayedEvents != len(tr.Events)*parkAfter {
+			t.Fatalf("%s: ReplayedEvents = %d, want %d", name, parked.ReplayedEvents, len(tr.Events)*parkAfter)
+		}
 	}
 }
 
-// A Background context can never park: the ctx path is byte-identical to
-// the classic entry points for every runner configuration.
+// Polling a context that never ends changes nothing: a cancellable but live
+// context yields the Background result, and no park state, for every runner
+// configuration.
 func TestSelfCorrectCtxBackgroundIdentical(t *testing.T) {
 	tr := chainTrace()
 	cfg := config.Default().SCTM
 	cfg.MakespanTolerance = 0
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	for _, shards := range []int{1, 2} {
 		for _, incr := range []bool{false, true} {
 			cfg.Incremental = incr
-			want, err := SelfCorrectShardedSeeded(idealFactory(4, 20), tr, cfg, shards, nil)
+			want, _, err := SelfCorrectParkableCtx(context.Background(), idealFactory(4, 20), tr, cfg, shards, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := SelfCorrectShardedSeededCtx(context.Background(), idealFactory(4, 20), tr, cfg, shards, nil)
+			got, state, err := SelfCorrectParkableCtx(live, idealFactory(4, 20), tr, cfg, shards, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("shards=%d incr=%v: ctx path diverged:\n got %+v\nwant %+v", shards, incr, got, want)
+			if state != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("shards=%d incr=%v: live-context path diverged (state %v):\n got %+v\nwant %+v", shards, incr, state, got, want)
 			}
 		}
 	}

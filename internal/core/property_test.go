@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -65,6 +66,15 @@ func TestSchedulePropertyRespectsDeps(t *testing.T) {
 				}
 			}
 			if len(e.Deps) == 0 && inj[i] != e.Gap {
+				return false
+			}
+		}
+		// The correction loop derives its schedules from a source; analytic
+		// seeding from the materialized trace. Same recurrence, same answer,
+		// under every ablation.
+		for _, opts := range []ScheduleOptions{{}, {DisableSyncDeps: true}, {DisableCausalDeps: true}} {
+			streamed, err := ScheduleStream(trace.NewMemSource(tr), lat, opts)
+			if err != nil || !reflect.DeepEqual(streamed, Schedule(tr, lat, opts)) {
 				return false
 			}
 		}

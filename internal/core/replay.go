@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"sync"
 
 	"onocsim/internal/noc"
 	"onocsim/internal/sim"
@@ -37,114 +37,53 @@ func (r *ReplayResult) Latencies() []sim.Tick {
 	return out
 }
 
-// checkEventIDs verifies the dense 1-based ID invariant the replay engines
-// rely on to map a delivered message back to its trace event without
-// carrying a boxed payload. Traces produced by the recorder always satisfy
-// it; hand-built traces are caught here.
-func checkEventIDs(tr *trace.Trace) error {
-	for i := range tr.Events {
-		if tr.Events[i].ID != trace.EventID(i+1) {
-			return fmt.Errorf("core: trace event %d has id %d, want dense 1-based ids", i, tr.Events[i].ID)
-		}
+// checkFabric verifies a fabric handed to a replay is fresh (at time zero,
+// no prior traffic) and sized for the trace.
+func checkFabric(net noc.Network, nodes int) error {
+	if net.Now() != 0 {
+		return fmt.Errorf("core: replay fabric is not fresh (now=%d)", net.Now())
+	}
+	if net.Nodes() != nodes {
+		return fmt.Errorf("core: fabric has %d nodes, trace has %d", net.Nodes(), nodes)
 	}
 	return nil
 }
 
-// ReplaySchedule injects every trace event into net at the given absolute
-// times and runs the fabric until all are delivered. The fabric must be
-// fresh (at time zero, no prior traffic).
-func ReplaySchedule(net noc.Network, tr *trace.Trace, inject []sim.Tick) (ReplayResult, error) {
-	if net.Now() != 0 {
-		return ReplayResult{}, fmt.Errorf("core: replay fabric is not fresh (now=%d)", net.Now())
-	}
-	if net.Nodes() != tr.Nodes {
-		return ReplayResult{}, fmt.Errorf("core: fabric has %d nodes, trace has %d", net.Nodes(), tr.Nodes)
-	}
-	if len(inject) != len(tr.Events) {
-		return ReplayResult{}, fmt.Errorf("core: %d injection times for %d events", len(inject), len(tr.Events))
-	}
-	if err := checkEventIDs(tr); err != nil {
-		return ReplayResult{}, err
-	}
-	n := len(tr.Events)
-	res := ReplayResult{
-		Inject: make([]sim.Tick, n),
-		Arrive: make([]sim.Tick, n),
-	}
-	// Injection order: by time, then ID, mirroring capture determinism.
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ia, ib := order[a], order[b]
-		if inject[ia] != inject[ib] {
-			return inject[ia] < inject[ib]
-		}
-		return ia < ib // explicit ID tiebreak: stable order without the stable-sort cost
-	})
-
-	var pool noc.MsgPool
-	delivered := 0
-	net.SetDeliver(func(m *noc.Message) {
-		idx := int(m.ID) - 1
-		res.Arrive[idx] = m.Arrive
-		res.Inject[idx] = m.Inject
-		delivered++
-		pool.Put(m)
-	})
-
-	if err := replayDrain(net, tr, inject, order, 0, &delivered, n, &pool, nil); err != nil {
-		return ReplayResult{}, fmt.Errorf("core: %w", err)
-	}
-	finalizeResult(&res, tr, net)
-	return res, nil
-}
-
-// replayDrain is the schedule-driven drain loop shared by ReplaySchedule, the
-// incremental correction rounds, and the per-shard incremental replicas. It
-// injects the events listed in order (positions [next, len(order))) at their
-// absolute schedule times and ticks/skips the fabric until want deliveries
-// have been recorded through the fabric's delivery callback, which must
-// increment *delivered.
+// drain is the schedule-driven replay loop, the only one: it injects what
+// the feed says is due, fast-forwards to the next injection or fabric event,
+// and ticks, until want deliveries have been recorded through the fabric's
+// delivery callback, which must increment *delivered.
 //
-// The loop is resumable: callers restoring a checkpoint pass the fabric at
-// its restored clock, next set to the count of order positions whose
-// injection time lies at or before it, and *delivered prefilled with the
+// The loop is resumable: a caller restoring a checkpoint passes the fabric
+// at its restored clock, a feed that withholds the events injected at or
+// before it, their count as injected, and *delivered prefilled with the
 // arrivals that completed by then.
 //
 // capture, when non-nil, is invoked at the top of every iteration — after
 // the injection burst, when the fabric state is exactly "every injection and
-// delivery ≤ Now() applied" — with the current injected count; it is the
-// hook the incremental loop uses to snapshot checkpoints at a consistent,
+// delivery ≤ Now() applied" — with the running injected count; it is the
+// hook the checkpoint ladder uses to snapshot at a consistent,
 // trajectory-independent point.
-func replayDrain(net noc.Network, tr *trace.Trace, inject []sim.Tick, order []int, next int, delivered *int, want int, pool *noc.MsgPool, capture func(injected int)) error {
+func drain(net noc.Network, f feed, pool *noc.MsgPool, injected int, delivered *int, want int, capture func(injected int)) error {
 	var lastInj sim.Tick
-	if len(order) > 0 {
-		lastInj = inject[order[len(order)-1]]
-	}
 	for *delivered < want {
 		now := net.Now()
-		for next < len(order) && inject[order[next]] <= now {
-			i := order[next]
-			e := &tr.Events[i]
-			m := pool.Get()
-			m.ID = uint64(e.ID)
-			m.Src = e.Src
-			m.Dst = e.Dst
-			m.Bytes = e.Bytes
-			m.Class = e.Class
-			net.Inject(m)
-			next++
+		k, err := f.injectDue(now, net, pool)
+		if err != nil {
+			return err
 		}
+		injected += k
 		if capture != nil {
-			capture(next)
+			capture(injected)
 		}
 		// Fast-forward to the next injection or fabric event; the cycles
 		// in between are provably idle.
 		wake := net.NextWake()
-		if next < len(order) && inject[order[next]] < wake {
-			wake = inject[order[next]]
+		if t := f.nextInject(); t < sim.Never {
+			lastInj = t
+			if t < wake {
+				wake = t
+			}
 		}
 		if wake == noc.Never {
 			// Nothing pending and nothing left to inject: the fabric
@@ -155,7 +94,8 @@ func replayDrain(net noc.Network, tr *trace.Trace, inject []sim.Tick, order []in
 			net.SkipTo(wake - 1)
 		}
 		net.Tick()
-		// Guard against fabric bugs swallowing messages.
+		// Guard against fabric bugs swallowing messages: lastInj is the
+		// last injection once the feed has run dry.
 		if net.Now() > lastInj+sim.Tick(1_000_000_000) {
 			return fmt.Errorf("replay did not drain (%d/%d delivered)", *delivered, want)
 		}
@@ -163,57 +103,336 @@ func replayDrain(net noc.Network, tr *trace.Trace, inject []sim.Tick, order []in
 	return nil
 }
 
-// injectionOrder returns event indices sorted by (injection time, ID) — the
-// serial injection order every replay engine follows.
-func injectionOrder(inject []sim.Tick) []int {
-	order := make([]int, len(inject))
-	for i := range order {
-		order[i] = i
+// refTail is the capture run's trailing computation: what its makespan adds
+// after its own last arrival.
+func refTail(refMakespan, maxRef sim.Tick) sim.Tick {
+	if tail := refMakespan - maxRef; tail > 0 {
+		return tail
 	}
-	sort.Slice(order, func(a, b int) bool {
-		ia, ib := order[a], order[b]
-		if inject[ia] != inject[ib] {
-			return inject[ia] < inject[ib]
-		}
-		return ia < ib
-	})
-	return order
+	return 0
 }
 
-// finalizeResult computes makespan and summary statistics.
-func finalizeResult(res *ReplayResult, tr *trace.Trace, net noc.Network) {
-	var maxArr, maxRef sim.Tick
+// finalize computes makespan and mean latency from the realized times and
+// returns the last arrival; maxRef is the capture run's last arrival. The
+// caller installs Cycles and NetStats.
+func finalize(res *ReplayResult, refMakespan, maxRef sim.Tick) sim.Tick {
+	var maxArr sim.Tick
 	var sum float64
 	for i := range res.Arrive {
 		if res.Arrive[i] > maxArr {
 			maxArr = res.Arrive[i]
 		}
-		if tr.Events[i].RefArrive > maxRef {
-			maxRef = tr.Events[i].RefArrive
-		}
 		sum += float64(res.Arrive[i] - res.Inject[i])
 	}
-	tail := tr.RefMakespan - maxRef
-	if tail < 0 {
-		tail = 0
-	}
-	res.Makespan = maxArr + tail
+	res.Makespan = maxArr + refTail(refMakespan, maxRef)
 	if len(res.Arrive) > 0 {
 		res.MeanLatency = sum / float64(len(res.Arrive))
 	}
-	res.Cycles = net.Now()
-	res.NetStats = net.Stats()
+	return maxArr
+}
+
+// replayer is the replay engine: it replays injection schedules of one
+// trace.Source on fabrics from one factory, a call to run per schedule. It
+// has three pluggable parts around the one drain loop:
+//
+//   - the feed (stream.go) decodes the source inside a bounded read-ahead
+//     window; a resident trace is the unbounded case;
+//   - K > 1 on a noc.ScheduleShardable fabric splits the events over K
+//     replica fabrics, drains each to completion in its own goroutine and
+//     merges the statistics (sharded.go); K = 1 is the serial case, run in
+//     the caller's goroutine with the fabric's own statistics block;
+//   - the checkpoint ladder (incremental.go) lets a run resume from the
+//     deepest fabric snapshot of the previous run that the new schedule
+//     leaves valid.
+//
+// Results are byte-identical whichever parts are in play.
+//
+// Why K independent drains are exact: schedule-driven replay fixes every
+// injection time up front — deliveries never feed back into injections — so
+// the only coupling between messages is contention for fabric resources. On a
+// noc.ScheduleShardable fabric every resource a src→dst message touches is
+// owned by the single node ShardNode(src, dst): the MWSR crossbar arbitrates
+// per destination channel, SWMR serializes per source channel, the ideal
+// fabric caps bandwidth per source port. Partitioning nodes across K replica
+// fabrics and handing each replica only the messages of the nodes it owns
+// therefore evolves every owned resource exactly as the serial run does. The
+// partition has zero cross-shard channels, so no replica ever waits for
+// another: each runs to completion on its own, with no window and no
+// barrier.
+//
+// Per-message times then match the serial run by the skip-equivalence
+// invariant (every Tick strictly before NextWake is a no-op), and the serial
+// statistics — order-sensitive Welford accumulators included — are
+// reconstructed by replaying every statistics mutation in the serial run's
+// exact order, recovered from (cycle, phase, fabric scan position); see
+// mergeStats.
+//
+// Fabrics that do not implement noc.ScheduleShardable (the wormhole mesh,
+// whose flits contend for shared links every cycle, and the hybrid fabric
+// that embeds it) run serially whatever K says.
+//
+// A replayer is not safe for concurrent use.
+type replayer struct {
+	factory NetworkFactory
+	src     trace.Source
+	meta    trace.Meta
+	shards  int  // requested K, clamped to [1, nodes] per run
+	window  int  // cap on each drain's pending events; 0 = unbounded
+	ladder  bool // keep checkpoint ladders between runs
+
+	slots []slot     // what each shard keeps from run to run
+	part  *partition // K > 1 only; see sharded.go
+	last  lastRun    // ladder only; see incremental.go
+
+	// replayed counts injections actually performed and saved the fabric
+	// cycles checkpoint restores skipped, summed over every run.
+	replayed int
+	saved    sim.Tick
+}
+
+// slot is the long-lived state of one shard: its fabric — a Resettable
+// instance is reset between runs instead of rebuilt, and checkpoints restore
+// onto it — and the storage of its decoder's pending heap.
+type slot struct {
+	net  noc.Network
+	used bool
+	heap pendingHeap
+}
+
+func newReplayer(factory NetworkFactory, src trace.Source, shards, window int) *replayer {
+	return &replayer{factory: factory, src: src, meta: src.Meta(), shards: shards, window: readAhead(src, window)}
+}
+
+// fabric returns the long-lived instance of shard slot i, as it was left.
+// Slot 0 doubles as the zero-load probe: a probe never ticks, so the
+// instance is still fresh for the first run.
+func (r *replayer) fabric(i int) noc.Network {
+	for len(r.slots) <= i {
+		r.slots = append(r.slots, slot{})
+	}
+	if r.slots[i].net == nil {
+		r.slots[i].net = r.factory()
+	}
+	return r.slots[i].net
+}
+
+// fresh returns slot i at time zero with no prior traffic.
+func (r *replayer) fresh(i int) noc.Network {
+	net := r.fabric(i)
+	if r.slots[i].used {
+		if rs, ok := net.(noc.Resettable); ok {
+			rs.Reset()
+		} else {
+			net = r.factory()
+			r.slots[i].net = net
+		}
+	}
+	return net
+}
+
+// lane is one fabric's share of a run: the drain of the events it owns. It
+// holds no reference to the run's feed: the fabric outlives the run and,
+// through its delivery callback, so does the lane.
+type lane struct {
+	net  noc.Network
+	pool noc.MsgPool
+	// floor, injected and delivered describe what a restored checkpoint
+	// already holds (noFloor, 0, 0 from cycle zero); want is the lane's
+	// owned event count.
+	floor                     sim.Tick
+	injected, delivered, want int
+	capture                   func(injected int)
+	maxRef                    sim.Tick // the decoder's, once drained
+	err                       error
+}
+
+// drain opens the lane's own pass over src and runs the drain loop on it.
+// heap is the pending-event storage kept from the slot's previous run.
+func (l *lane) drain(src trace.Source, dec streamDecoder, heap *pendingHeap) {
+	it, err := src.Pass()
+	if err != nil {
+		l.err = err
+		return
+	}
+	defer it.Close()
+	dec.it, dec.floor, dec.pending = it, l.floor, (*heap)[:0]
+	l.err = drain(l.net, &dec, &l.pool, l.injected, &l.delivered, l.want, l.capture)
+	l.maxRef, *heap = dec.maxRef, dec.pending
+}
+
+// run injects every event of the source at the given absolute times and runs
+// the fabric(s) until all are delivered.
+func (r *replayer) run(inject []sim.Tick) (ReplayResult, error) {
+	res, err := r.replay(inject)
+	if err != nil {
+		r.last = lastRun{} // a failed run leaves nothing to resume from
+	}
+	return res, err
+}
+
+func (r *replayer) replay(inject []sim.Tick) (ReplayResult, error) {
+	n := r.meta.NumEvents
+	net0 := r.fabric(0)
+	if net0.Nodes() != r.meta.Nodes {
+		return ReplayResult{}, fmt.Errorf("core: fabric has %d nodes, trace has %d", net0.Nodes(), r.meta.Nodes)
+	}
+	if len(inject) != n {
+		return ReplayResult{}, fmt.Errorf("core: %d injection times for %d events", len(inject), n)
+	}
+	k := 1
+	if sh, ok := net0.(noc.ScheduleShardable); ok {
+		if k = min(r.shards, net0.Nodes()); k <= 1 {
+			k = 1
+			sh.SetShardObs(nil)
+		}
+	}
+	res := ReplayResult{Inject: make([]sim.Tick, n), Arrive: make([]sim.Tick, n)}
+	lanes := make([]lane, k)
+	lanes[0].want = n
+	// Per-message fabric observations, written at disjoint indices by the
+	// owning shard (each message is observed only by its own replica).
+	var obs []noc.ShardObs
+	var hasObs []bool
+	if k > 1 {
+		if err := r.split(net0.(noc.ScheduleShardable), k); err != nil {
+			return ReplayResult{}, err
+		}
+		for s := range lanes {
+			lanes[s].want = r.part.want[s]
+		}
+		obs, hasObs = make([]noc.ShardObs, n), make([]bool, n)
+	}
+	_, keep := net0.(noc.Checkpointer)
+	if keep = keep && r.ladder; keep {
+		r.resume(lanes, inject, &res, obs, hasObs)
+	}
+
+	for s := range lanes {
+		l := &lanes[s]
+		if l.net == nil { // not resumed from a checkpoint
+			l.net = r.fresh(s)
+			if l.net.Now() != 0 {
+				return ReplayResult{}, fmt.Errorf("core: replay fabric is not fresh (now=%d)", l.net.Now())
+			}
+			l.floor = noFloor
+		}
+		r.slots[s].used = true
+		r.replayed += l.want - l.injected
+		l.net.SetDeliver(func(m *noc.Message) {
+			idx := int(m.ID) - 1
+			res.Arrive[idx] = m.Arrive
+			res.Inject[idx] = m.Inject
+			l.delivered++
+			l.pool.Put(m)
+		})
+		if k > 1 {
+			l.net.(noc.ScheduleShardable).SetShardObs(func(id uint64, o noc.ShardObs) {
+				obs[id-1] = o
+				hasObs[id-1] = true
+			})
+		}
+		if keep {
+			l.capture = ladderCapture(l.net, &r.last.ladders[s], captureThresholds(l.want, l.injected))
+		}
+	}
+
+	// Replicas are fully independent, and every shared-slice write (res,
+	// obs, a ladder) lands at indices owned by exactly one lane.
+	dec := streamDecoder{inject: inject, sm: suffixMinInject(inject), window: r.window}
+	if k == 1 {
+		lanes[0].drain(r.src, dec, &r.slots[0].heap)
+	} else {
+		var wg sync.WaitGroup
+		for s := range lanes {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				dec := dec
+				dec.own = func(idx int) bool { return r.part.owner(idx) == s }
+				lanes[s].drain(r.src, dec, &r.slots[s].heap)
+			}()
+		}
+		wg.Wait()
+	}
+	for s := range lanes {
+		if err := lanes[s].err; err != nil {
+			if k > 1 {
+				return ReplayResult{}, fmt.Errorf("core: shard %d/%d: %w", s, k, err)
+			}
+			return ReplayResult{}, fmt.Errorf("core: %w", err)
+		}
+	}
+
+	if k == 1 {
+		// Every event passed through the one decoder, which folded in the
+		// capture run's last arrival on the way.
+		finalize(&res, r.meta.RefMakespan, lanes[0].maxRef)
+		res.Cycles, res.NetStats = lanes[0].net.Now(), lanes[0].net.Stats()
+	} else {
+		stats, err := r.mergeStats(&res, inject, obs, hasObs, net0.(noc.ScheduleShardable).SeqOrder())
+		if err != nil {
+			return ReplayResult{}, err
+		}
+		// Fault events are per-channel, and every channel is owned by
+		// exactly one shard, so each replica's counters reproduce the
+		// serial run's tallies for its owned channels and zero elsewhere;
+		// summation is order-insensitive, hence equal to the serial totals.
+		for s := range lanes {
+			stats.Faults.Add(lanes[s].net.Stats().Faults)
+		}
+		// The serial loop exits on the Tick that delivers the last message,
+		// so its final clock equals the last arrival.
+		res.Cycles = finalize(&res, r.meta.RefMakespan, r.part.maxRef)
+		res.NetStats = stats
+	}
+	if keep {
+		r.last.remember(inject, &res, obs, hasObs)
+	}
+	return res, nil
+}
+
+// ReplaySchedule injects every trace event into net at the given absolute
+// times and runs the fabric until all are delivered. The fabric must be
+// fresh (at time zero, no prior traffic).
+func ReplaySchedule(net noc.Network, tr *trace.Trace, inject []sim.Tick) (ReplayResult, error) {
+	return ReplayScheduleStream(net, trace.NewMemSource(tr), inject, 0)
+}
+
+// ReplayScheduleStream is ReplaySchedule over a trace.Source, holding at
+// most `window` decoded-but-not-yet-due events resident (0 selects
+// trace.DefaultWindow, trace.Unbounded lifts the cap; a resident source is
+// never capped).
+func ReplayScheduleStream(net noc.Network, src trace.Source, inject []sim.Tick, window int) (ReplayResult, error) {
+	return newReplayer(func() noc.Network { return net }, src, 1, window).run(inject)
+}
+
+// ReplayScheduleSharded replays a schedule across the given number of shards;
+// the result is byte-identical to ReplaySchedule's for any count.
+func ReplayScheduleSharded(factory NetworkFactory, tr *trace.Trace, inject []sim.Tick, shards int) (ReplayResult, error) {
+	return newReplayer(factory, trace.NewMemSource(tr), shards, 0).run(inject)
 }
 
 // NaiveReplay replays the trace at its recorded capture-network timestamps —
 // the conventional trace-driven methodology the paper shows to be wrong on a
 // fabric with different timing.
 func NaiveReplay(net noc.Network, tr *trace.Trace) (ReplayResult, error) {
-	inject := make([]sim.Tick, len(tr.Events))
-	for i := range tr.Events {
-		inject[i] = tr.Events[i].RefInject
+	return NaiveReplayStream(func() noc.Network { return net }, trace.NewMemSource(tr), 1, 0)
+}
+
+// NaiveReplaySharded is NaiveReplay across the given number of shards.
+func NaiveReplaySharded(factory NetworkFactory, tr *trace.Trace, shards int) (ReplayResult, error) {
+	return NaiveReplayStream(factory, trace.NewMemSource(tr), shards, 0)
+}
+
+// NaiveReplayStream is NaiveReplaySharded over a trace.Source: one pass
+// collects the recorded injection times, a second replays them. Window
+// semantics match ReplayScheduleStream.
+func NaiveReplayStream(factory NetworkFactory, src trace.Source, shards, window int) (ReplayResult, error) {
+	inject := make([]sim.Tick, src.Meta().NumEvents)
+	if err := eachEvent(src, func(i int, e *trace.Event) { inject[i] = e.RefInject }); err != nil {
+		return ReplayResult{}, err
 	}
-	return ReplaySchedule(net, tr, inject)
+	return newReplayer(factory, src, shards, window).run(inject)
 }
 
 // CoupledReplay resolves dependencies *inside* the network simulation: an
@@ -221,13 +440,7 @@ func NaiveReplay(net noc.Network, tr *trace.Trace) (ReplayResult, error) {
 // the target fabric. One pass, no estimates — the expensive upper-accuracy
 // reference the self-correction loop approaches.
 func CoupledReplay(net noc.Network, tr *trace.Trace, opts ScheduleOptions) (ReplayResult, error) {
-	if net.Now() != 0 {
-		return ReplayResult{}, fmt.Errorf("core: replay fabric is not fresh (now=%d)", net.Now())
-	}
-	if net.Nodes() != tr.Nodes {
-		return ReplayResult{}, fmt.Errorf("core: fabric has %d nodes, trace has %d", net.Nodes(), tr.Nodes)
-	}
-	if err := checkEventIDs(tr); err != nil {
+	if err := checkFabric(net, tr.Nodes); err != nil {
 		return ReplayResult{}, err
 	}
 	n := len(tr.Events)
@@ -239,7 +452,15 @@ func CoupledReplay(net noc.Network, tr *trace.Trace, opts ScheduleOptions) (Repl
 	remaining := make([]int, n)
 	lastDep := make([]sim.Tick, n)
 	children := make([][]int, n)
+	var maxRef sim.Tick
 	for i := range tr.Events {
+		// The delivery callback maps a message back to its event by ID.
+		if tr.Events[i].ID != trace.EventID(i+1) {
+			return ReplayResult{}, fmt.Errorf("core: trace event %d has id %d, want dense 1-based ids", i, tr.Events[i].ID)
+		}
+		if tr.Events[i].RefArrive > maxRef {
+			maxRef = tr.Events[i].RefArrive
+		}
 		for _, d := range tr.Events[i].Deps {
 			if !opts.keepDep(d.Class) {
 				continue
@@ -291,15 +512,8 @@ func CoupledReplay(net noc.Network, tr *trace.Trace, opts ScheduleOptions) (Repl
 		// list stays short because injected entries are removed.
 		for i := 0; i < len(ready); {
 			if ready[i].at <= now {
-				idx := ready[i].idx
-				e := &tr.Events[idx]
-				m := pool.Get()
-				m.ID = uint64(e.ID)
-				m.Src = e.Src
-				m.Dst = e.Dst
-				m.Bytes = e.Bytes
-				m.Class = e.Class
-				net.Inject(m)
+				e := &tr.Events[ready[i].idx]
+				inject(net, &pool, uint64(e.ID), e.Src, e.Dst, e.Bytes, e.Class)
 				ready[i] = ready[len(ready)-1]
 				ready = ready[:len(ready)-1]
 			} else {
@@ -324,6 +538,7 @@ func CoupledReplay(net noc.Network, tr *trace.Trace, opts ScheduleOptions) (Repl
 		}
 		net.Tick()
 	}
-	finalizeResult(&res, tr, net)
+	finalize(&res, tr.RefMakespan, maxRef)
+	res.Cycles, res.NetStats = net.Now(), net.Stats()
 	return res, nil
 }

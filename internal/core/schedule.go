@@ -1,5 +1,5 @@
 // Package core implements the paper's contribution: the Self-Correction
-// Trace Model. It contains three replay engines over dependency-annotated
+// Trace Model. It contains three replay methods over dependency-annotated
 // traces —
 //
 //   - NaiveReplay: inject at the timestamps recorded on the capture network
@@ -13,7 +13,8 @@
 //     per-message latencies, until the schedule stops moving.
 //
 // plus the error metrics that compare them against execution-driven ground
-// truth.
+// truth. NaiveReplay and every SelfCorrect round are schedule-driven and run
+// on the one replay engine of replay.go.
 package core
 
 import (
@@ -71,6 +72,72 @@ func Schedule(tr *trace.Trace, latency []sim.Tick, opts ScheduleOptions) []sim.T
 		inject[i] = ready + e.Gap
 	}
 	return inject
+}
+
+// nextEvent decodes event number pos (0-based) of n from it, checking the
+// dense 1-based ID invariant the replay engine relies on to map a delivered
+// message back to its event without carrying a boxed payload.
+func nextEvent(it trace.Iterator, e *trace.Event, pos, n int) error {
+	ok, err := it.Next(e)
+	if err != nil {
+		return err
+	}
+	if !ok {
+		return fmt.Errorf("trace stream ended after %d of %d events", pos, n)
+	}
+	if int(e.ID) != pos+1 {
+		return fmt.Errorf("trace event %d has id %d, want dense 1-based ids", pos, e.ID)
+	}
+	return nil
+}
+
+// eachEvent calls fn on every event of one pass over src, in ID order. The
+// event (and its Deps) is only valid during the call.
+func eachEvent(src trace.Source, fn func(i int, e *trace.Event)) error {
+	n := src.Meta().NumEvents
+	it, err := src.Pass()
+	if err != nil {
+		return err
+	}
+	defer it.Close()
+	var e trace.Event
+	for i := 0; i < n; i++ {
+		if err := nextEvent(it, &e, i, n); err != nil {
+			return fmt.Errorf("core: %w", err)
+		}
+		fn(i, &e)
+	}
+	return nil
+}
+
+// ScheduleStream is Schedule over a trace.Source: one pass in ID order —
+// a topological order by construction — evaluating the identical recurrence.
+// Dependency edges are consulted only while the event streams past, so no
+// event or edge outlives its decode.
+func ScheduleStream(src trace.Source, latency []sim.Tick, opts ScheduleOptions) ([]sim.Tick, error) {
+	n := src.Meta().NumEvents
+	if len(latency) != n {
+		return nil, fmt.Errorf("core: %d latency estimates for %d events", len(latency), n)
+	}
+	inject := make([]sim.Tick, n)
+	err := eachEvent(src, func(i int, e *trace.Event) {
+		var ready sim.Tick
+		for _, d := range e.Deps {
+			if !opts.keepDep(d.Class) {
+				continue
+			}
+			di := int(d.On) - 1
+			arr := inject[di] + latency[di]
+			if arr > ready {
+				ready = arr
+			}
+		}
+		inject[i] = ready + e.Gap
+	})
+	if err != nil {
+		return nil, err
+	}
+	return inject, nil
 }
 
 // MaxScheduleDelta returns the largest absolute difference between two

@@ -9,110 +9,56 @@ import (
 	"onocsim/internal/trace"
 )
 
-// ShardedReplayer replays injection schedules on K replica fabrics in
-// parallel, producing results byte-identical to ReplaySchedule for any shard
-// count.
-//
-// Why this is possible: schedule-driven replay fixes every injection time up
-// front — deliveries never feed back into injections — so the only coupling
-// between messages is contention for fabric resources. On a
-// noc.ScheduleShardable fabric every resource a src→dst message touches is
-// owned by the single node ShardNode(src, dst): the MWSR crossbar arbitrates
-// per destination channel, SWMR serializes per source channel, the ideal
-// fabric caps bandwidth per source port. Partitioning nodes across K replica
-// fabrics and handing each replica only the messages of the nodes it owns
-// therefore evolves every owned resource exactly as the serial run does —
-// the partition has zero cross-shard channels, which makes it the degenerate
-// optimum of conservative-lookahead partitioning: the safe window is
-// unbounded, and the engine's window size only tunes barrier overhead.
-//
-// Per-message times then match the serial run by the skip-equivalence
-// invariant (every Tick strictly before NextWake is a no-op), and the serial
-// statistics — order-sensitive Welford accumulators included — are
-// reconstructed by replaying every statistics mutation in the serial engine's
-// exact order, recovered from (cycle, phase, fabric scan position); see
-// mergeStats.
-//
-// Fabrics that do not implement noc.ScheduleShardable (the wormhole mesh,
-// whose flits contend for shared links every cycle, and the hybrid fabric
-// that embeds it) fall back to the serial engine, as does K ≤ 1.
-type ShardedReplayer struct {
-	factory NetworkFactory
-	shards  int
-	// nets caches Resettable fabric instances across Replay calls, one per
-	// shard slot, mirroring netSource reuse in the serial loop.
-	nets []noc.Network
+// partition is the per-trace half of a K > 1 replay: which replica owns each
+// event, and the compact per-event scalars the statistics merge needs —
+// O(n) small arrays, like the schedule itself, while event payloads and
+// dependency edges stay windowed. ShardNode depends only on endpoints, so
+// one pass over the source settles it for every run of the replayer.
+type partition struct {
+	k, nodes int
+	sn       []int // ShardNode(src, dst) per event
+	bytes    []int32
+	class    []noc.Class
+	self     []bool   // node-local message
+	want     []int    // owned events per shard
+	maxRef   sim.Tick // the capture run's last arrival
 }
 
-// NewShardedReplayer builds a replayer that targets the given shard count.
-// The count is clamped to [1, nodes] per replay; 1 (or a fabric that is not
-// ScheduleShardable) selects the serial engine.
-func NewShardedReplayer(factory NetworkFactory, shards int) *ShardedReplayer {
-	if shards < 1 {
-		shards = 1
-	}
-	return &ShardedReplayer{factory: factory, shards: shards}
-}
+// owner returns the shard that owns event i.
+func (p *partition) owner(i int) int { return p.sn[i] * p.k / p.nodes }
 
-// fabric returns a fresh-state network for shard slot i, reusing a cached
-// Resettable instance when possible.
-func (p *ShardedReplayer) fabric(i int) noc.Network {
-	for len(p.nets) <= i {
-		p.nets = append(p.nets, nil)
+// split builds r.part on first use.
+func (r *replayer) split(sh noc.ScheduleShardable, k int) error {
+	if r.part != nil {
+		return nil
 	}
-	if n := p.nets[i]; n != nil {
-		n.(noc.Resettable).Reset()
-		return n
+	n := r.meta.NumEvents
+	p := &partition{
+		k: k, nodes: sh.Nodes(),
+		sn: make([]int, n), bytes: make([]int32, n), class: make([]noc.Class, n), self: make([]bool, n),
+		want: make([]int, k),
 	}
-	n := p.factory()
-	if _, ok := n.(noc.Resettable); ok {
-		p.nets[i] = n
-	}
-	return n
-}
-
-// probe implements roundRunner: a fabric for zero-load latency seeding.
-func (p *ShardedReplayer) probe() noc.Network { return p.fabric(0) }
-
-// run implements roundRunner.
-func (p *ShardedReplayer) run(tr *trace.Trace, inject []sim.Tick) (ReplayResult, error) {
-	return p.Replay(tr, inject)
-}
-
-// Replay is the sharded counterpart of ReplaySchedule.
-func (p *ShardedReplayer) Replay(tr *trace.Trace, inject []sim.Tick) (ReplayResult, error) {
-	net := p.fabric(0)
-	if net.Nodes() != tr.Nodes {
-		return ReplayResult{}, fmt.Errorf("core: fabric has %d nodes, trace has %d", net.Nodes(), tr.Nodes)
-	}
-	if len(inject) != len(tr.Events) {
-		return ReplayResult{}, fmt.Errorf("core: %d injection times for %d events", len(inject), len(tr.Events))
-	}
-	if err := checkEventIDs(tr); err != nil {
-		return ReplayResult{}, err
-	}
-	nodes := net.Nodes()
-	k := p.shards
-	if k > nodes {
-		k = nodes
-	}
-	sh0, shardable := net.(noc.ScheduleShardable)
-	if k <= 1 || !shardable {
-		if shardable {
-			sh0.SetShardObs(nil)
+	err := eachEvent(r.src, func(i int, e *trace.Event) {
+		p.sn[i] = sh.ShardNode(e.Src, e.Dst)
+		p.bytes[i] = int32(e.Bytes)
+		p.class[i] = e.Class
+		p.self[i] = e.Src == e.Dst
+		if e.RefArrive > p.maxRef {
+			p.maxRef = e.RefArrive
 		}
-		return ReplaySchedule(net, tr, inject)
+		p.want[p.owner(i)]++
+	})
+	if err != nil {
+		return err
 	}
+	r.part = p
+	return nil
+}
 
-	n := len(tr.Events)
-	res := ReplayResult{
-		Inject: make([]sim.Tick, n),
-		Arrive: make([]sim.Tick, n),
-	}
-	// Global injection order and each event's rank in it: the serial engine
-	// injects by (time, ID), and the rank doubles as the serial tie-break
-	// for injection-ordered statistics.
-	order := make([]int, n)
+// injectionRank returns each event's position in the serial (injection time,
+// ID) order — the serial tie-break for injection-ordered statistics.
+func injectionRank(inject []sim.Tick) []int {
+	order := make([]int, len(inject))
 	for i := range order {
 		order[i] = i
 	}
@@ -121,213 +67,23 @@ func (p *ShardedReplayer) Replay(tr *trace.Trace, inject []sim.Tick) (ReplayResu
 		if inject[ia] != inject[ib] {
 			return inject[ia] < inject[ib]
 		}
-		return ia < ib
+		return ia < ib // explicit ID tiebreak: stable order without the stable-sort cost
 	})
-	rank := make([]int, n)
+	rank := make([]int, len(order))
 	for pos, i := range order {
 		rank[i] = pos
 	}
-
-	// Partition events by the owner shard of their ShardNode. Iterating the
-	// global order keeps every shard's subsequence in serial injection
-	// order, so each replica sees its messages exactly as the serial run
-	// interleaved them.
-	sn := make([]int, n)
-	shardOrder := make([][]int, k)
-	for _, i := range order {
-		e := &tr.Events[i]
-		s := sh0.ShardNode(e.Src, e.Dst) * k / nodes
-		sn[i] = sh0.ShardNode(e.Src, e.Dst)
-		shardOrder[s] = append(shardOrder[s], i)
-	}
-
-	// Per-message fabric observations, written at disjoint indices by the
-	// owning shard (each message is observed only by its own replica).
-	obs := make([]noc.ShardObs, n)
-	hasObs := make([]bool, n)
-
-	runners := make([]sim.ShardRunner, k)
-	shardsState := make([]*replayShard, k)
-	for s := 0; s < k; s++ {
-		fnet := net
-		if s > 0 {
-			fnet = p.fabric(s)
-		}
-		fsh := fnet.(noc.ScheduleShardable)
-		rs := &replayShard{
-			net:    fsh,
-			tr:     tr,
-			inject: inject,
-			order:  shardOrder[s],
-			want:   len(shardOrder[s]),
-		}
-		if rs.want > 0 {
-			rs.lastInj = inject[rs.order[rs.want-1]]
-		}
-		fsh.SetDeliver(func(m *noc.Message) {
-			idx := int(m.ID) - 1
-			res.Arrive[idx] = m.Arrive
-			res.Inject[idx] = m.Inject
-			rs.done++
-			rs.pool.Put(m)
-		})
-		fsh.SetShardObs(func(id uint64, o noc.ShardObs) {
-			obs[id-1] = o
-			hasObs[id-1] = true
-		})
-		runners[s] = rs
-		shardsState[s] = rs
-	}
-
-	// Window size: with zero cross-shard channels any window is safe, so it
-	// is sized as a generous multiple of the fabric lookahead purely to
-	// amortize barrier overhead.
-	window := net.Lookahead() * 64
-	if window < 1024 {
-		window = 1024
-	}
-	sim.NewShardedEngine(runners, window).Run()
-
-	for s, rs := range shardsState {
-		if rs.err != nil {
-			return ReplayResult{}, fmt.Errorf("core: shard %d/%d: %w", s, k, rs.err)
-		}
-		if rs.done != rs.want {
-			return ReplayResult{}, fmt.Errorf("core: shard %d/%d delivered %d/%d", s, k, rs.done, rs.want)
-		}
-	}
-
-	stats, err := mergeStats(n, func(i int) (int, noc.Class, bool) {
-		e := &tr.Events[i]
-		return e.Bytes, e.Class, e.Src == e.Dst
-	}, &res, inject, obs, hasObs, rank, sn, sh0.SeqOrder())
-	if err != nil {
-		return ReplayResult{}, err
-	}
-
-	// Fault events are per-channel, and every channel is owned by exactly
-	// one shard, so each replica's counters reproduce the serial run's
-	// tallies for its owned channels and zero elsewhere; summation is
-	// order-insensitive, hence equal to the serial totals.
-	for _, rs := range shardsState {
-		stats.Faults.Add(rs.net.Stats().Faults)
-	}
-
-	finalizeShardedResult(&res, tr)
-	res.NetStats = stats
-	return res, nil
+	return rank
 }
 
-// finalizeShardedResult computes makespan and summary statistics exactly as
-// finalizeResult does, with the serial engine's final clock reconstructed:
-// the serial loop exits on the Tick that delivers the last message, so Now()
-// there equals the last arrival. Shared by the sharded and the incremental
-// sharded replayers; the caller installs NetStats from mergeStats.
-func finalizeShardedResult(res *ReplayResult, tr *trace.Trace) {
-	var maxArr, maxRef sim.Tick
-	var sum float64
-	for i := range res.Arrive {
-		if res.Arrive[i] > maxArr {
-			maxArr = res.Arrive[i]
-		}
-		if tr.Events[i].RefArrive > maxRef {
-			maxRef = tr.Events[i].RefArrive
-		}
-		sum += float64(res.Arrive[i] - res.Inject[i])
-	}
-	tail := tr.RefMakespan - maxRef
-	if tail < 0 {
-		tail = 0
-	}
-	res.Makespan = maxArr + tail
-	if len(res.Arrive) > 0 {
-		res.MeanLatency = sum / float64(len(res.Arrive))
-	}
-	res.Cycles = maxArr
-}
-
-// replayShard drives one replica fabric over its owned injection
-// subsequence. It is the serial ReplaySchedule loop, windowed: AdvanceTo
-// processes injections, skips and ticks exactly as the serial engine would,
-// but yields at the horizon so the sharded engine can barrier.
-type replayShard struct {
-	net     noc.ScheduleShardable
-	tr      *trace.Trace
-	inject  []sim.Tick
-	order   []int
-	next    int
-	want    int
-	done    int
-	lastInj sim.Tick
-	pool    noc.MsgPool
-	err     error
-}
-
-// NextAt implements sim.ShardRunner.
-func (r *replayShard) NextAt() sim.Tick {
-	if r.err != nil || r.done >= r.want {
-		return sim.Never
-	}
-	wake := r.net.NextWake()
-	if r.next < len(r.order) {
-		if t := r.inject[r.order[r.next]]; t < wake {
-			wake = t
-		}
-	}
-	return wake
-}
-
-// AdvanceTo implements sim.ShardRunner.
-func (r *replayShard) AdvanceTo(horizon sim.Tick) {
-	if r.err != nil {
-		return
-	}
-	for r.done < r.want {
-		now := r.net.Now()
-		for r.next < len(r.order) && r.inject[r.order[r.next]] <= now {
-			i := r.order[r.next]
-			e := &r.tr.Events[i]
-			m := r.pool.Get()
-			m.ID = uint64(e.ID)
-			m.Src = e.Src
-			m.Dst = e.Dst
-			m.Bytes = e.Bytes
-			m.Class = e.Class
-			r.net.Inject(m)
-			r.next++
-		}
-		wake := r.net.NextWake()
-		if r.next < len(r.order) {
-			if t := r.inject[r.order[r.next]]; t < wake {
-				wake = t
-			}
-		}
-		if wake >= sim.Never {
-			r.err = fmt.Errorf("replay did not drain (%d/%d delivered)", r.done, r.want)
-			return
-		}
-		if wake > horizon {
-			return
-		}
-		if wake > now+1 {
-			r.net.SkipTo(wake - 1)
-		}
-		r.net.Tick()
-		if r.net.Now() > r.lastInj+sim.Tick(1_000_000_000) {
-			r.err = fmt.Errorf("replay did not drain (%d/%d delivered)", r.done, r.want)
-			return
-		}
-	}
-}
-
-// mergeStats rebuilds the serial engine's statistics block from per-shard
+// mergeStats rebuilds the serial run's statistics block from per-shard
 // observations by replaying every mutation in the serial order. This matters
 // because metrics.Summary is a Welford accumulator — its mean/m2 floats
 // depend on Add order, and Summary.Merge is *not* byte-identical to
 // sequential Adds — so the only way to match the serial block bit-for-bit is
 // to re-run the Adds in the exact serial sequence.
 //
-// The serial replay loop visits each clock value c in three phases:
+// The serial drain loop visits each clock value c in three phases:
 //
 //	phase 0 — deliveries: messages with Arrive == c pop from the arrival
 //	  heap in (at, seq) order. SeqByInjection fabrics assign seq at Inject,
@@ -345,12 +101,9 @@ func (r *replayShard) AdvanceTo(horizon sim.Tick) {
 //
 // Sorting all mutation records by (cycle, phase, tie-break) therefore
 // reproduces the serial mutation sequence exactly.
-//
-// The per-event trace data it needs is tiny — payload bytes, traffic class,
-// and whether the message is node-local — so it takes an accessor instead of
-// the materialized trace: the in-memory path closes over tr.Events, the
-// streaming path over the compact arrays its pre-pass collected.
-func mergeStats(n int, ev func(i int) (bytes int, class noc.Class, self bool), res *ReplayResult, inject []sim.Tick, obs []noc.ShardObs, hasObs []bool, rank, sn []int, seqOrder noc.SeqOrder) (*noc.Stats, error) {
+func (r *replayer) mergeStats(res *ReplayResult, inject []sim.Tick, obs []noc.ShardObs, hasObs []bool, seqOrder noc.SeqOrder) (*noc.Stats, error) {
+	p := r.part
+	rank := injectionRank(inject)
 	type mutOp struct {
 		cycle sim.Tick
 		phase uint8
@@ -363,9 +116,9 @@ func mergeStats(n int, ev func(i int) (bytes int, class noc.Class, self bool), r
 		c   int64
 		idx int
 	}
+	n := len(inject)
 	ops := make([]mutOp, 0, 3*n)
 	for i := 0; i < n; i++ {
-		_, _, self := ev(i)
 		switch seqOrder {
 		case noc.SeqByInjection:
 			if !hasObs[i] {
@@ -373,14 +126,14 @@ func mergeStats(n int, ev func(i int) (bytes int, class noc.Class, self bool), r
 			}
 			ops = append(ops, mutOp{cycle: res.Arrive[i], phase: 0, c: int64(rank[i]), idx: i})
 		case noc.SeqByService:
-			if self {
+			if p.self[i] {
 				ops = append(ops, mutOp{cycle: res.Arrive[i], phase: 0, a: inject[i], b: 2, c: int64(rank[i]), idx: i})
 			} else {
 				if !hasObs[i] {
 					return nil, fmt.Errorf("core: fabric recorded no shard observation for event %d", i+1)
 				}
-				ops = append(ops, mutOp{cycle: res.Arrive[i], phase: 0, a: obs[i].Start, b: 1, c: int64(sn[i]), idx: i})
-				ops = append(ops, mutOp{cycle: obs[i].Start, phase: 1, c: int64(sn[i]), idx: i})
+				ops = append(ops, mutOp{cycle: res.Arrive[i], phase: 0, a: obs[i].Start, b: 1, c: int64(p.sn[i]), idx: i})
+				ops = append(ops, mutOp{cycle: obs[i].Start, phase: 1, c: int64(p.sn[i]), idx: i})
 			}
 		default:
 			return nil, fmt.Errorf("core: unknown fabric seq order %d", seqOrder)
@@ -406,14 +159,13 @@ func mergeStats(n int, ev func(i int) (bytes int, class noc.Class, self bool), r
 
 	stats := noc.NewStats()
 	for _, op := range ops {
-		bytes, class, _ := ev(op.idx)
 		switch op.phase {
 		case 0:
 			lat := float64(res.Arrive[op.idx] - res.Inject[op.idx])
 			stats.Delivered++
-			stats.BytesDelivered += uint64(bytes)
+			stats.BytesDelivered += uint64(p.bytes[op.idx])
 			stats.Latency.Add(lat)
-			if class < noc.NumClasses {
+			if class := p.class[op.idx]; class < noc.NumClasses {
 				stats.PerClass[class].Add(lat)
 			}
 			if seqOrder == noc.SeqByInjection {
@@ -431,19 +183,4 @@ func mergeStats(n int, ev func(i int) (bytes int, class noc.Class, self bool), r
 		}
 	}
 	return stats, nil
-}
-
-// ReplayScheduleSharded replays a schedule across the given number of shards;
-// it is ReplaySchedule's drop-in parallel form.
-func ReplayScheduleSharded(factory NetworkFactory, tr *trace.Trace, inject []sim.Tick, shards int) (ReplayResult, error) {
-	return NewShardedReplayer(factory, shards).Replay(tr, inject)
-}
-
-// NaiveReplaySharded is NaiveReplay across the given number of shards.
-func NaiveReplaySharded(factory NetworkFactory, tr *trace.Trace, shards int) (ReplayResult, error) {
-	inject := make([]sim.Tick, len(tr.Events))
-	for i := range tr.Events {
-		inject[i] = tr.Events[i].RefInject
-	}
-	return ReplayScheduleSharded(factory, tr, inject, shards)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -28,6 +29,13 @@ func shardFabrics(nodes int) map[string]NetworkFactory {
 		},
 		"mesh": func() noc.Network { return enoc.New(nodes, cfg.Mesh) },
 	}
+}
+
+// selfCorrectShards runs the correction loop with every round's replay split
+// across the given number of shards.
+func selfCorrectShards(factory NetworkFactory, tr *trace.Trace, cfg config.SCTM, shards int) (CorrectionResult, error) {
+	res, _, err := SelfCorrectParkableCtx(context.Background(), factory, tr, cfg, shards, nil, nil)
+	return res, err
 }
 
 // TestShardedReplayMatchesSerial: for random traces, the sharded replay is
@@ -111,22 +119,22 @@ func TestShardedReplayHotspot(t *testing.T) {
 }
 
 // TestShardedReplayerReuse: one replayer instance must stay byte-exact
-// across consecutive Replay calls (SelfCorrect reuses it every round).
+// across consecutive runs (the correction loop reuses it every round).
 func TestShardedReplayerReuse(t *testing.T) {
 	const nodes = 16
 	cfg := config.Default()
-	rep := NewShardedReplayer(func() noc.Network { return onoc.New(nodes, cfg.Optical) }, 4)
+	tr := randomTrace(77, 40, nodes)
+	rep := newReplayer(func() noc.Network { return onoc.New(nodes, cfg.Optical) }, trace.NewMemSource(tr), 4, 0)
+	inject := make([]sim.Tick, len(tr.Events))
 	for trial := 0; trial < 3; trial++ {
-		tr := randomTrace(uint64(77+trial), 40, nodes)
-		want, err := NaiveReplay(onoc.New(nodes, cfg.Optical), tr)
+		for i := range tr.Events {
+			inject[i] = tr.Events[i].RefInject + sim.Tick(trial*(i%7))
+		}
+		want, err := ReplaySchedule(onoc.New(nodes, cfg.Optical), tr, inject)
 		if err != nil {
 			t.Fatal(err)
 		}
-		inject := make([]sim.Tick, len(tr.Events))
-		for i := range tr.Events {
-			inject[i] = tr.Events[i].RefInject
-		}
-		got, err := rep.Replay(tr, inject)
+		got, err := rep.run(inject)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +157,7 @@ func TestSelfCorrectShardedMatchesSerial(t *testing.T) {
 			t.Fatalf("%s serial: %v", name, err)
 		}
 		for _, k := range []int{1, 2, 3, 8} {
-			got, err := SelfCorrectSharded(mk, tr, sctm, k)
+			got, err := selfCorrectShards(mk, tr, sctm, k)
 			if err != nil {
 				t.Fatalf("%s shards=%d: %v", name, k, err)
 			}

@@ -2,52 +2,71 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
-	"onocsim/internal/config"
 	"onocsim/internal/noc"
 	"onocsim/internal/sim"
 	"onocsim/internal/trace"
 )
 
-// Streaming replay: the schedule-driven engines of replay.go and sharded.go,
-// re-expressed over a trace.Source so events decode incrementally instead of
-// being materialized.
+// The feed: how the replay engine's drain loop (replay.go) is handed its
+// injections. Every replay reads its events from a trace.Source, so event
+// payloads and dependency edges live only inside a bounded read-ahead window;
+// a resident trace is the same feed with nothing to bound. Per-event *scalar*
+// bookkeeping (injection times, latencies, result vectors) remains O(n) — the
+// schedule itself is the correction loop's state. NaiveReplaySummaryStream
+// below is the fully out-of-core tier: O(window + nodes) resident,
+// summary-only results.
 //
-// The equivalence contract: every streaming engine here produces results
-// byte-identical to its in-memory counterpart — same per-event times, same
-// NetStats down to Welford accumulator bits, same correction trajectories —
-// because it drives the fabric through the exact same Inject/SkipTo/Tick
-// sequence. What changes is residency: event payloads and dependency edges
-// live only inside a bounded read-ahead window. Per-event *scalar*
-// bookkeeping (injection times, latencies, result vectors) remains O(n) —
-// the schedule itself is the correction loop's state — so the equivalence
-// tier trades the dominant event/dependency storage for the window, not the
-// tick vectors. NaiveReplaySummaryStream below is the fully out-of-core
-// tier: O(window + nodes) resident, summary-only results.
-//
-// How byte-identity survives out-of-order schedules: the serial engine
-// injects by (time, ID) over a fully sorted order. The streaming engine
-// instead keeps suffixMin[i] = min injection time over events ≥ i. Decoding
-// while suffixMin[pos] ≤ now guarantees every event due at `now` has been
-// decoded, and a min-heap keyed (time, index) releases them in exactly the
-// serial (time, ID) order. The heap is the read-ahead window: it holds
-// events the stream has passed but the schedule has not yet made due, and
-// its size is the trace's schedule inversion width. A window cap turns an
-// undersized window into a deterministic error — never a deadlock and never
-// a silently wrong result.
+// How (time, ID) injection order survives out-of-order schedules without a
+// sort: the decoder keeps suffixMin[i] = min injection time over events ≥ i.
+// Decoding while suffixMin[pos] ≤ now guarantees every event due at `now` has
+// been decoded, and a min-heap keyed (time, index) releases them in exactly
+// (time, ID) order — the order a full sort of the schedule would give. The
+// heap is the read-ahead window: it holds events the stream has passed but
+// the schedule has not yet made due, and its size is the trace's schedule
+// inversion width. A window cap turns an undersized window into a
+// deterministic error — never a deadlock and never a silently wrong result.
 
-// streamWindow resolves a window request: 0 selects trace.DefaultWindow,
-// negative (trace.Unbounded) disables the cap.
-func streamWindow(w int) int {
-	switch {
-	case w == 0:
-		return trace.DefaultWindow
-	case w < 0:
+// feed hands the drain loop its injections.
+type feed interface {
+	// injectDue injects every event due at or before now, in (time, ID)
+	// order, and returns how many.
+	injectDue(now sim.Tick, net noc.Network, pool *noc.MsgPool) (int, error)
+	// nextInject returns a lower bound on the injection time of every event
+	// not yet injected, sim.Never once none is left. A bound below the true
+	// earliest time costs an idle Tick, never correctness.
+	nextInject() sim.Tick
+}
+
+// inject hands one trace event to the fabric as a pooled message.
+func inject(net noc.Network, pool *noc.MsgPool, id uint64, src, dst, bytes int, class noc.Class) {
+	m := pool.Get()
+	m.ID = id
+	m.Src = src
+	m.Dst = dst
+	m.Bytes = bytes
+	m.Class = class
+	net.Inject(m)
+}
+
+// readAhead resolves a window request into the decoder's cap on pending
+// events (0 = no cap). A resident trace has nothing to bound; for any other
+// source 0 selects trace.DefaultWindow and a negative value
+// (trace.Unbounded) lifts the cap.
+func readAhead(src trace.Source, w int) int {
+	if resident(src) || w < 0 {
 		return 0
-	default:
-		return w
 	}
+	if w == 0 {
+		return trace.DefaultWindow
+	}
+	return w
+}
+
+// resident reports whether src is a materialized trace.
+func resident(src trace.Source) bool {
+	_, ok := src.(*trace.MemSource)
+	return ok
 }
 
 // suffixMinInject returns sm with sm[i] = min(inject[i:]) and sm[n] =
@@ -77,60 +96,69 @@ type pendingMsg struct {
 	class noc.Class
 }
 
-// pendingHeap is a binary min-heap ordered by (at, idx) — exactly the serial
-// engine's (time, ID) injection order.
+// pendingHeap is a binary min-heap ordered by (at, idx) — the (time, ID)
+// injection order.
 type pendingHeap []pendingMsg
 
-func (h pendingHeap) less(a, b int) bool {
-	if h[a].at != h[b].at {
-		return h[a].at < h[b].at
+// before reports whether a is released ahead of b.
+func (a *pendingMsg) before(b *pendingMsg) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[a].idx < h[b].idx
+	return a.idx < b.idx
 }
 
+// push and pop move a hole through the tree instead of swapping entries:
+// one 48-byte copy per level, not three.
 func (h *pendingHeap) push(m pendingMsg) {
 	*h = append(*h, m)
 	s := *h
 	i := len(s) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !s.less(i, p) {
+		if !m.before(&s[p]) {
 			break
 		}
-		s[i], s[p] = s[p], s[i]
+		s[i] = s[p]
 		i = p
 	}
+	s[i] = m
 }
 
 func (h *pendingHeap) pop() pendingMsg {
 	s := *h
 	top := s[0]
 	last := len(s) - 1
-	s[0] = s[last]
+	m := s[last]
 	s = s[:last]
 	*h = s
+	if last == 0 {
+		return top
+	}
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < last && s.less(l, m) {
-			m = l
-		}
-		if r < last && s.less(r, m) {
-			m = r
-		}
-		if m == i {
+		c := 2*i + 1
+		if c >= last {
 			break
 		}
-		s[i], s[m] = s[m], s[i]
-		i = m
+		if c+1 < last && s[c+1].before(&s[c]) {
+			c++
+		}
+		if !s[c].before(&m) {
+			break
+		}
+		s[i] = s[c]
+		i = c
 	}
+	s[i] = m
 	return top
 }
 
-// streamDecoder advances an iterator in lockstep with a suffix-min bound,
-// pushing owned events onto a pending heap. Shared by the serial and sharded
-// streaming engines so the decode discipline cannot diverge.
+// noFloor is the streamDecoder.floor of a drain that starts at cycle zero.
+const noFloor = -sim.Never
+
+// streamDecoder is the schedule feed: it advances an iterator in lockstep
+// with a suffix-min bound, pushing the events it keeps onto a pending heap.
 type streamDecoder struct {
 	it      trace.Iterator
 	inject  []sim.Tick
@@ -138,9 +166,16 @@ type streamDecoder struct {
 	pos     int
 	pending pendingHeap
 	window  int // max pending entries; 0 = unbounded
-	// own filters which events this consumer keeps; nil keeps all.
+	// own filters which events this consumer keeps; nil keeps all. With a
+	// filter the suffix-min bound may belong to another consumer's event,
+	// which costs this one an idle Tick, never correctness: every Tick
+	// strictly before NextWake is a no-op.
 	own func(idx int) bool
-	// maxRef folds in every decoded event's RefArrive: the trace is gone by
+	// floor drops events injecting at or before it: a drain resuming from a
+	// fabric checkpoint taken at cycle floor finds them already inside the
+	// restored fabric (or delivered).
+	floor sim.Tick
+	// maxRef folds in every decoded event's RefArrive: the event is gone by
 	// finalize time, so the makespan tail term accumulates during decode.
 	maxRef sim.Tick
 	ev     trace.Event
@@ -151,20 +186,13 @@ type streamDecoder struct {
 func (d *streamDecoder) decodeTo(t sim.Tick) error {
 	n := len(d.inject)
 	for d.pos < n && d.sm[d.pos] <= t {
-		ok, err := d.it.Next(&d.ev)
-		if err != nil {
+		if err := nextEvent(d.it, &d.ev, d.pos, n); err != nil {
 			return err
-		}
-		if !ok {
-			return fmt.Errorf("trace stream ended after %d of %d events", d.pos, n)
-		}
-		if int(d.ev.ID) != d.pos+1 {
-			return fmt.Errorf("trace event %d has id %d, want dense 1-based ids", d.pos, d.ev.ID)
 		}
 		if d.ev.RefArrive > d.maxRef {
 			d.maxRef = d.ev.RefArrive
 		}
-		if d.own == nil || d.own(d.pos) {
+		if d.inject[d.pos] > d.floor && (d.own == nil || d.own(d.pos)) {
 			d.pending.push(pendingMsg{
 				at:    d.inject[d.pos],
 				idx:   d.pos,
@@ -182,8 +210,8 @@ func (d *streamDecoder) decodeTo(t sim.Tick) error {
 	return nil
 }
 
-// nextInject is the earliest injection among events not yet injected: the
-// heap top among decoded ones, the suffix-min bound among undecoded ones.
+// nextInject implements feed: the heap top among decoded events, the
+// suffix-min bound among undecoded ones.
 func (d *streamDecoder) nextInject() sim.Tick {
 	t := d.sm[d.pos]
 	if len(d.pending) > 0 && d.pending[0].at < t {
@@ -192,200 +220,18 @@ func (d *streamDecoder) nextInject() sim.Tick {
 	return t
 }
 
-// injectDue injects every pending event due at or before now, in (time, ID)
-// order, and returns the count.
-func (d *streamDecoder) injectDue(now sim.Tick, net noc.Network, pool *noc.MsgPool) int {
+// injectDue implements feed.
+func (d *streamDecoder) injectDue(now sim.Tick, net noc.Network, pool *noc.MsgPool) (int, error) {
+	if err := d.decodeTo(now); err != nil {
+		return 0, err
+	}
 	injected := 0
 	for len(d.pending) > 0 && d.pending[0].at <= now {
 		pm := d.pending.pop()
-		m := pool.Get()
-		m.ID = uint64(pm.idx + 1)
-		m.Src = pm.src
-		m.Dst = pm.dst
-		m.Bytes = pm.bytes
-		m.Class = pm.class
-		net.Inject(m)
+		inject(net, pool, uint64(pm.idx+1), pm.src, pm.dst, pm.bytes, pm.class)
 		injected++
 	}
-	return injected
-}
-
-// ReplayScheduleStream is ReplaySchedule over a trace.Source: it injects
-// every event at the given absolute time and runs the fabric until all are
-// delivered, holding at most `window` undecoded-schedule events resident
-// (0 selects trace.DefaultWindow, trace.Unbounded lifts the cap). Results
-// are byte-identical to ReplaySchedule on the materialized trace.
-func ReplayScheduleStream(net noc.Network, src trace.Source, inject []sim.Tick, window int) (ReplayResult, error) {
-	m := src.Meta()
-	if net.Now() != 0 {
-		return ReplayResult{}, fmt.Errorf("core: replay fabric is not fresh (now=%d)", net.Now())
-	}
-	if net.Nodes() != m.Nodes {
-		return ReplayResult{}, fmt.Errorf("core: fabric has %d nodes, trace has %d", net.Nodes(), m.Nodes)
-	}
-	if len(inject) != m.NumEvents {
-		return ReplayResult{}, fmt.Errorf("core: %d injection times for %d events", len(inject), m.NumEvents)
-	}
-	n := m.NumEvents
-	var maxInj sim.Tick
-	for _, t := range inject {
-		if t > maxInj {
-			maxInj = t
-		}
-	}
-	it, err := src.Pass()
-	if err != nil {
-		return ReplayResult{}, err
-	}
-	defer it.Close()
-
-	res := ReplayResult{
-		Inject: make([]sim.Tick, n),
-		Arrive: make([]sim.Tick, n),
-	}
-	var pool noc.MsgPool
-	delivered := 0
-	net.SetDeliver(func(msg *noc.Message) {
-		idx := int(msg.ID) - 1
-		res.Arrive[idx] = msg.Arrive
-		res.Inject[idx] = msg.Inject
-		delivered++
-		pool.Put(msg)
-	})
-
-	dec := &streamDecoder{it: it, inject: inject, sm: suffixMinInject(inject), window: streamWindow(window)}
-	for delivered < n {
-		now := net.Now()
-		if err := dec.decodeTo(now); err != nil {
-			return ReplayResult{}, fmt.Errorf("core: %w", err)
-		}
-		dec.injectDue(now, net, &pool)
-		wake := net.NextWake()
-		if t := dec.nextInject(); t < wake {
-			wake = t
-		}
-		if wake == noc.Never {
-			return ReplayResult{}, fmt.Errorf("core: replay did not drain (%d/%d delivered)", delivered, n)
-		}
-		if wake > now+1 {
-			net.SkipTo(wake - 1)
-		}
-		net.Tick()
-		if net.Now() > maxInj+sim.Tick(1_000_000_000) {
-			return ReplayResult{}, fmt.Errorf("core: replay did not drain (%d/%d delivered)", delivered, n)
-		}
-	}
-	finalizeStream(&res, m.RefMakespan, dec.maxRef, net)
-	return res, nil
-}
-
-// finalizeStream is finalizeResult with the reference-arrival maximum
-// supplied by the caller (the stream folds it in during decode; the trace is
-// no longer resident to rescan).
-func finalizeStream(res *ReplayResult, refMakespan, maxRef sim.Tick, net noc.Network) {
-	var maxArr sim.Tick
-	var sum float64
-	for i := range res.Arrive {
-		if res.Arrive[i] > maxArr {
-			maxArr = res.Arrive[i]
-		}
-		sum += float64(res.Arrive[i] - res.Inject[i])
-	}
-	tail := refMakespan - maxRef
-	if tail < 0 {
-		tail = 0
-	}
-	res.Makespan = maxArr + tail
-	if len(res.Arrive) > 0 {
-		res.MeanLatency = sum / float64(len(res.Arrive))
-	}
-	res.Cycles = net.Now()
-	res.NetStats = net.Stats()
-}
-
-// ScheduleStream is Schedule over a trace.Source: one pass in ID order —
-// a topological order by construction — evaluating the identical recurrence.
-// Dependency edges are consulted only while the event streams past, so no
-// event or edge outlives its decode.
-func ScheduleStream(src trace.Source, latency []sim.Tick, opts ScheduleOptions) ([]sim.Tick, error) {
-	m := src.Meta()
-	n := m.NumEvents
-	if len(latency) != n {
-		return nil, fmt.Errorf("core: %d latency estimates for %d events", len(latency), n)
-	}
-	it, err := src.Pass()
-	if err != nil {
-		return nil, err
-	}
-	defer it.Close()
-	inject := make([]sim.Tick, n)
-	var e trace.Event
-	for i := 0; i < n; i++ {
-		ok, err := it.Next(&e)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return nil, fmt.Errorf("core: trace stream ended after %d of %d events", i, n)
-		}
-		if int(e.ID) != i+1 {
-			return nil, fmt.Errorf("core: trace event %d has id %d, want dense 1-based ids", i, e.ID)
-		}
-		var ready sim.Tick
-		for _, d := range e.Deps {
-			if !opts.keepDep(d.Class) {
-				continue
-			}
-			di := int(d.On) - 1
-			arr := inject[di] + latency[di]
-			if arr > ready {
-				ready = arr
-			}
-		}
-		inject[i] = ready + e.Gap
-	}
-	return inject, nil
-}
-
-// refInjectTimes collects the capture-network injection times — the naive
-// replay schedule — in one pass.
-func refInjectTimes(src trace.Source) ([]sim.Tick, error) {
-	n := src.Meta().NumEvents
-	it, err := src.Pass()
-	if err != nil {
-		return nil, err
-	}
-	defer it.Close()
-	inject := make([]sim.Tick, n)
-	var e trace.Event
-	for i := 0; i < n; i++ {
-		ok, err := it.Next(&e)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return nil, fmt.Errorf("core: trace stream ended after %d of %d events", i, n)
-		}
-		if int(e.ID) != i+1 {
-			return nil, fmt.Errorf("core: trace event %d has id %d, want dense 1-based ids", i, e.ID)
-		}
-		inject[i] = e.RefInject
-	}
-	return inject, nil
-}
-
-// NaiveReplayStream is NaiveReplay(Sharded) over a trace.Source: one pass
-// collects the recorded injection times, a second replays them. Byte-identical
-// to the in-memory naive replay for any shard count.
-func NaiveReplayStream(factory NetworkFactory, src trace.Source, shards, window int) (ReplayResult, error) {
-	inject, err := refInjectTimes(src)
-	if err != nil {
-		return ReplayResult{}, err
-	}
-	if shards > 1 {
-		return NewShardedReplayer(factory, shards).ReplayStream(src, inject, window)
-	}
-	return ReplayScheduleStream(factory(), src, inject, window)
+	return injected, nil
 }
 
 // ReplaySummary is the O(window)-resident replay result: everything
@@ -402,6 +248,59 @@ type ReplaySummary struct {
 	NetStats    *noc.Stats
 }
 
+// captureFeed injects a trace at its recorded times straight off the stream,
+// one event resident. It leans on the capture-order property that RefInject
+// is nondecreasing in ID, which makes stream order the injection order; the
+// property is checked on every event, not assumed.
+type captureFeed struct {
+	it       trace.Iterator
+	cur      trace.Event
+	have     bool
+	injected int
+	total    int
+	maxRef   sim.Tick
+}
+
+// advance reads the next event, if there is one, into cur.
+func (f *captureFeed) advance() error {
+	if f.have = f.injected < f.total; !f.have {
+		return nil
+	}
+	prev := f.cur.RefInject
+	if err := nextEvent(f.it, &f.cur, f.injected, f.total); err != nil {
+		return err
+	}
+	if f.injected > 0 && f.cur.RefInject < prev {
+		return fmt.Errorf("summary replay requires capture order, but event %d injects at %d after event %d at %d; use NaiveReplayStream", f.cur.ID, f.cur.RefInject, f.cur.ID-1, prev)
+	}
+	return nil
+}
+
+// injectDue implements feed.
+func (f *captureFeed) injectDue(now sim.Tick, net noc.Network, pool *noc.MsgPool) (int, error) {
+	injected := 0
+	for f.have && f.cur.RefInject <= now {
+		inject(net, pool, uint64(f.cur.ID), f.cur.Src, f.cur.Dst, f.cur.Bytes, f.cur.Class)
+		f.injected++
+		injected++
+		if f.cur.RefArrive > f.maxRef {
+			f.maxRef = f.cur.RefArrive
+		}
+		if err := f.advance(); err != nil {
+			return injected, err
+		}
+	}
+	return injected, nil
+}
+
+// nextInject implements feed.
+func (f *captureFeed) nextInject() sim.Tick {
+	if !f.have {
+		return sim.Never
+	}
+	return f.cur.RefInject
+}
+
 // NaiveReplaySummaryStream replays the trace at its recorded capture
 // timestamps with truly constant residency: one event in flight from the
 // decoder, O(nodes) fabric state, no per-event vectors. It requires the
@@ -411,23 +310,8 @@ type ReplaySummary struct {
 // event. The summary fields equal NaiveReplay's on the same fabric.
 func NaiveReplaySummaryStream(net noc.Network, src trace.Source) (ReplaySummary, error) {
 	m := src.Meta()
-	if net.Now() != 0 {
-		return ReplaySummary{}, fmt.Errorf("core: replay fabric is not fresh (now=%d)", net.Now())
-	}
-	if net.Nodes() != m.Nodes {
-		return ReplaySummary{}, fmt.Errorf("core: fabric has %d nodes, trace has %d", net.Nodes(), m.Nodes)
-	}
-	total := m.NumEvents
-	sum := ReplaySummary{Events: total}
-	if total == 0 {
-		tail := m.RefMakespan
-		if tail < 0 {
-			tail = 0
-		}
-		sum.Makespan = tail
-		sum.Cycles = net.Now()
-		sum.NetStats = net.Stats()
-		return sum, nil
+	if err := checkFabric(net, m.Nodes); err != nil {
+		return ReplaySummary{}, err
 	}
 	it, err := src.Pass()
 	if err != nil {
@@ -437,7 +321,7 @@ func NaiveReplaySummaryStream(net noc.Network, src trace.Source) (ReplaySummary,
 
 	var pool noc.MsgPool
 	var latSum float64
-	var maxArr, maxRef sim.Tick
+	var maxArr sim.Tick
 	delivered := 0
 	net.SetDeliver(func(msg *noc.Message) {
 		latSum += float64(msg.Arrive - msg.Inject)
@@ -447,417 +331,22 @@ func NaiveReplaySummaryStream(net noc.Network, src trace.Source) (ReplaySummary,
 		delivered++
 		pool.Put(msg)
 	})
-
-	var cur trace.Event
-	advance := func(injected int) (bool, error) {
-		ok, err := it.Next(&cur)
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			if injected < total {
-				return false, fmt.Errorf("core: trace stream ended after %d of %d events", injected, total)
-			}
-			return false, nil
-		}
-		if int(cur.ID) != injected+1 {
-			return false, fmt.Errorf("core: trace event %d has id %d, want dense 1-based ids", injected, cur.ID)
-		}
-		return true, nil
+	f := &captureFeed{it: it, total: m.NumEvents}
+	err = f.advance()
+	if err == nil {
+		err = drain(net, f, &pool, 0, &delivered, m.NumEvents, nil)
 	}
-	have, err := advance(0)
 	if err != nil {
-		return ReplaySummary{}, err
+		return ReplaySummary{}, fmt.Errorf("core: %w", err)
 	}
-	injected := 0
-	lastInj := cur.RefInject
-	for delivered < total {
-		now := net.Now()
-		for have && cur.RefInject <= now {
-			msg := pool.Get()
-			msg.ID = uint64(cur.ID)
-			msg.Src = cur.Src
-			msg.Dst = cur.Dst
-			msg.Bytes = cur.Bytes
-			msg.Class = cur.Class
-			net.Inject(msg)
-			injected++
-			if cur.RefArrive > maxRef {
-				maxRef = cur.RefArrive
-			}
-			prev := cur.RefInject
-			have, err = advance(injected)
-			if err != nil {
-				return ReplaySummary{}, err
-			}
-			if have {
-				if cur.RefInject < prev {
-					return ReplaySummary{}, fmt.Errorf("core: summary replay requires capture order, but event %d injects at %d after event %d at %d; use NaiveReplayStream", cur.ID, cur.RefInject, prev, prev)
-				}
-				lastInj = cur.RefInject
-			}
-		}
-		wake := net.NextWake()
-		if have && cur.RefInject < wake {
-			wake = cur.RefInject
-		}
-		if wake == noc.Never {
-			return ReplaySummary{}, fmt.Errorf("core: replay did not drain (%d/%d delivered)", delivered, total)
-		}
-		if wake > now+1 {
-			net.SkipTo(wake - 1)
-		}
-		net.Tick()
-		if net.Now() > lastInj+sim.Tick(1_000_000_000) {
-			return ReplaySummary{}, fmt.Errorf("core: replay did not drain (%d/%d delivered)", delivered, total)
-		}
+	sum := ReplaySummary{
+		Events:   m.NumEvents,
+		Makespan: maxArr + refTail(m.RefMakespan, f.maxRef),
+		Cycles:   net.Now(),
+		NetStats: net.Stats(),
 	}
-	tail := m.RefMakespan - maxRef
-	if tail < 0 {
-		tail = 0
+	if m.NumEvents > 0 {
+		sum.MeanLatency = latSum / float64(m.NumEvents)
 	}
-	sum.Makespan = maxArr + tail
-	sum.MeanLatency = latSum / float64(total)
-	sum.Cycles = net.Now()
-	sum.NetStats = net.Stats()
 	return sum, nil
-}
-
-// ReplayStream is the streaming counterpart of Replay: the same sharded
-// conservative-lookahead composition, with each replica decoding its own
-// pass of the source instead of indexing a materialized trace. A pre-pass
-// collects the compact per-event scalars the statistics merge needs (payload
-// size, class, shard node) — O(n) small arrays, like the schedule itself —
-// while event payloads and dependency edges stay windowed. Results are
-// byte-identical to Replay, hence to ReplaySchedule, for any shard count.
-func (p *ShardedReplayer) ReplayStream(src trace.Source, inject []sim.Tick, window int) (ReplayResult, error) {
-	net := p.fabric(0)
-	m := src.Meta()
-	if net.Nodes() != m.Nodes {
-		return ReplayResult{}, fmt.Errorf("core: fabric has %d nodes, trace has %d", net.Nodes(), m.Nodes)
-	}
-	if len(inject) != m.NumEvents {
-		return ReplayResult{}, fmt.Errorf("core: %d injection times for %d events", len(inject), m.NumEvents)
-	}
-	nodes := net.Nodes()
-	k := p.shards
-	if k > nodes {
-		k = nodes
-	}
-	sh0, shardable := net.(noc.ScheduleShardable)
-	if k <= 1 || !shardable {
-		if shardable {
-			sh0.SetShardObs(nil)
-		}
-		return ReplayScheduleStream(net, src, inject, window)
-	}
-
-	n := m.NumEvents
-	// Pre-pass: ownership and statistics scalars. ShardNode depends only on
-	// endpoints, so one scan settles which replica owns each event.
-	sn := make([]int, n)
-	ebytes := make([]int32, n)
-	eclass := make([]noc.Class, n)
-	eself := make([]bool, n)
-	shardWant := make([]int, k)
-	shardLast := make([]sim.Tick, k)
-	var maxRef sim.Tick
-	{
-		it, err := src.Pass()
-		if err != nil {
-			return ReplayResult{}, err
-		}
-		var e trace.Event
-		i := 0
-		for ; i < n; i++ {
-			ok, err := it.Next(&e)
-			if err != nil {
-				it.Close()
-				return ReplayResult{}, err
-			}
-			if !ok {
-				break
-			}
-			if int(e.ID) != i+1 {
-				it.Close()
-				return ReplayResult{}, fmt.Errorf("core: trace event %d has id %d, want dense 1-based ids", i, e.ID)
-			}
-			sn[i] = sh0.ShardNode(e.Src, e.Dst)
-			ebytes[i] = int32(e.Bytes)
-			eclass[i] = e.Class
-			eself[i] = e.Src == e.Dst
-			if e.RefArrive > maxRef {
-				maxRef = e.RefArrive
-			}
-			s := sn[i] * k / nodes
-			shardWant[s]++
-			if inject[i] > shardLast[s] {
-				shardLast[s] = inject[i]
-			}
-		}
-		it.Close()
-		if i != n {
-			return ReplayResult{}, fmt.Errorf("core: trace stream ended after %d of %d events", i, n)
-		}
-	}
-
-	// Global injection rank: the serial tie-break the statistics merge needs.
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ia, ib := order[a], order[b]
-		if inject[ia] != inject[ib] {
-			return inject[ia] < inject[ib]
-		}
-		return ia < ib
-	})
-	rank := make([]int, n)
-	for pos, i := range order {
-		rank[i] = pos
-	}
-	sm := suffixMinInject(inject)
-
-	res := ReplayResult{
-		Inject: make([]sim.Tick, n),
-		Arrive: make([]sim.Tick, n),
-	}
-	obs := make([]noc.ShardObs, n)
-	hasObs := make([]bool, n)
-
-	runners := make([]sim.ShardRunner, k)
-	states := make([]*streamShard, k)
-	var iters []trace.Iterator
-	defer func() {
-		for _, c := range iters {
-			c.Close()
-		}
-	}()
-	capWin := streamWindow(window)
-	for s := 0; s < k; s++ {
-		fnet := net
-		if s > 0 {
-			fnet = p.fabric(s)
-		}
-		fsh := fnet.(noc.ScheduleShardable)
-		it, err := src.Pass()
-		if err != nil {
-			return ReplayResult{}, err
-		}
-		iters = append(iters, it)
-		shard := s
-		rs := &streamShard{
-			net: fsh,
-			dec: streamDecoder{
-				it:     it,
-				inject: inject,
-				sm:     sm,
-				window: capWin,
-				own:    func(idx int) bool { return sn[idx]*k/nodes == shard },
-			},
-			want:    shardWant[s],
-			lastInj: shardLast[s],
-		}
-		fsh.SetDeliver(func(msg *noc.Message) {
-			idx := int(msg.ID) - 1
-			res.Arrive[idx] = msg.Arrive
-			res.Inject[idx] = msg.Inject
-			rs.done++
-			rs.pool.Put(msg)
-		})
-		fsh.SetShardObs(func(id uint64, o noc.ShardObs) {
-			obs[id-1] = o
-			hasObs[id-1] = true
-		})
-		runners[s] = rs
-		states[s] = rs
-	}
-
-	engineWin := net.Lookahead() * 64
-	if engineWin < 1024 {
-		engineWin = 1024
-	}
-	sim.NewShardedEngine(runners, engineWin).Run()
-
-	for s, rs := range states {
-		if rs.err != nil {
-			return ReplayResult{}, fmt.Errorf("core: shard %d/%d: %w", s, k, rs.err)
-		}
-		if rs.done != rs.want {
-			return ReplayResult{}, fmt.Errorf("core: shard %d/%d delivered %d/%d", s, k, rs.done, rs.want)
-		}
-	}
-
-	stats, err := mergeStats(n, func(i int) (int, noc.Class, bool) {
-		return int(ebytes[i]), eclass[i], eself[i]
-	}, &res, inject, obs, hasObs, rank, sn, sh0.SeqOrder())
-	if err != nil {
-		return ReplayResult{}, err
-	}
-	for _, rs := range states {
-		stats.Faults.Add(rs.net.Stats().Faults)
-	}
-
-	var maxArr sim.Tick
-	var lsum float64
-	for i := range res.Arrive {
-		if res.Arrive[i] > maxArr {
-			maxArr = res.Arrive[i]
-		}
-		lsum += float64(res.Arrive[i] - res.Inject[i])
-	}
-	tail := m.RefMakespan - maxRef
-	if tail < 0 {
-		tail = 0
-	}
-	res.Makespan = maxArr + tail
-	if n > 0 {
-		res.MeanLatency = lsum / float64(n)
-	}
-	res.Cycles = maxArr
-	res.NetStats = stats
-	return res, nil
-}
-
-// streamShard drives one replica fabric over its owned subsequence, decoding
-// from its own pass of the source. It mirrors replayShard exactly: within a
-// window, decoding through the horizon first makes every potentially due
-// event resident, after which the tick/skip decisions reduce to replayShard's
-// — the suffix-min bound only ever matters beyond the horizon, where both
-// implementations yield.
-type streamShard struct {
-	net     noc.ScheduleShardable
-	dec     streamDecoder
-	want    int
-	done    int
-	lastInj sim.Tick
-	pool    noc.MsgPool
-	err     error
-}
-
-// NextAt implements sim.ShardRunner. The suffix-min term makes it a
-// conservative lower bound when the next owned event is still undecoded; a
-// too-early horizon costs a barrier round, never correctness.
-func (r *streamShard) NextAt() sim.Tick {
-	if r.err != nil || r.done >= r.want {
-		return sim.Never
-	}
-	wake := r.net.NextWake()
-	if t := r.dec.nextInject(); t < wake {
-		wake = t
-	}
-	return wake
-}
-
-// AdvanceTo implements sim.ShardRunner.
-func (r *streamShard) AdvanceTo(horizon sim.Tick) {
-	if r.err != nil {
-		return
-	}
-	// Decode through the horizon up front: decoding never advances fabric
-	// time, and it guarantees every owned event injectable inside this
-	// window is pending before any tick decision is made.
-	if err := r.dec.decodeTo(horizon); err != nil {
-		r.err = err
-		return
-	}
-	for r.done < r.want {
-		now := r.net.Now()
-		r.dec.injectDue(now, r.net, &r.pool)
-		wake := r.net.NextWake()
-		if t := r.dec.nextInject(); t < wake {
-			wake = t
-		}
-		if wake >= sim.Never {
-			r.err = fmt.Errorf("replay did not drain (%d/%d delivered)", r.done, r.want)
-			return
-		}
-		if wake > horizon {
-			return
-		}
-		if wake > now+1 {
-			r.net.SkipTo(wake - 1)
-		}
-		r.net.Tick()
-		if r.net.Now() > r.lastInj+sim.Tick(1_000_000_000) {
-			r.err = fmt.Errorf("replay did not drain (%d/%d delivered)", r.done, r.want)
-			return
-		}
-	}
-}
-
-// streamRounds executes correction rounds with streaming replays: serial on
-// a reused fabric when shards ≤ 1, sharded otherwise. It mirrors
-// serialRounds/ShardedReplayer round handling exactly.
-type streamRounds struct {
-	src    netSource
-	p      *ShardedReplayer // nil for serial rounds
-	window int
-}
-
-func (s *streamRounds) probe() noc.Network {
-	if s.p != nil {
-		return s.p.fabric(0)
-	}
-	pr := s.src.factory()
-	if _, ok := pr.(noc.Resettable); ok {
-		s.src.reused = pr
-	}
-	return pr
-}
-
-func (s *streamRounds) run(src trace.Source, inject []sim.Tick) (ReplayResult, error) {
-	if s.p != nil {
-		return s.p.ReplayStream(src, inject, s.window)
-	}
-	return ReplayScheduleStream(s.src.acquire(), src, inject, s.window)
-}
-
-// SelfCorrectStream runs the self-correction fixpoint over a trace.Source:
-// the same correctionLoop as SelfCorrect — seeding, damping, convergence
-// criteria — with every trace-touching step (zero-load probe, schedule
-// derivation, replay) streamed. Trajectories and the final result are
-// byte-identical to SelfCorrectShardedSeeded with the same shard count and
-// seed. Window semantics match ReplayScheduleStream.
-func SelfCorrectStream(factory NetworkFactory, src trace.Source, cfg config.SCTM, shards, window int, seed []sim.Tick) (CorrectionResult, error) {
-	runner := &streamRounds{src: netSource{factory: factory}, window: window}
-	if shards > 1 {
-		runner = &streamRounds{p: NewShardedReplayer(factory, shards), window: window}
-	}
-	opts := ScheduleOptions{
-		DisableSyncDeps:   cfg.DisableSyncDeps,
-		DisableCausalDeps: cfg.DisableCausalDeps,
-	}
-	m := src.Meta()
-	hooks := correctionHooks{
-		n: m.NumEvents,
-		zeroSeed: func(lat []sim.Tick) error {
-			probe := runner.probe()
-			it, err := src.Pass()
-			if err != nil {
-				return err
-			}
-			defer it.Close()
-			var e trace.Event
-			for i := 0; i < m.NumEvents; i++ {
-				ok, err := it.Next(&e)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					return fmt.Errorf("trace stream ended after %d of %d events", i, m.NumEvents)
-				}
-				lat[i] = probe.ZeroLoadLatency(e.Src, e.Dst, e.Bytes)
-			}
-			return nil
-		},
-		schedule: func(lat []sim.Tick) ([]sim.Tick, error) {
-			return ScheduleStream(src, lat, opts)
-		},
-		run: func(inject []sim.Tick) (ReplayResult, error) {
-			return runner.run(src, inject)
-		},
-	}
-	return correctionLoop(hooks, cfg, seed)
 }

@@ -241,28 +241,18 @@ func (r *Runner) runOnce(ctx context.Context, j Job) (Result, error) {
 				return Result{}, err
 			}
 			res, wall, err := r.Session.RunSelfCorrectionStreamContext(ctx, j.Config, src, j.Kind)
-			if err != nil {
-				return Result{}, err
-			}
-			return Result{Table: report.Correction(j.Config, j.Kind, res, wall, false), Correction: &res}, nil
+			return correctionResult(j, res, wall, err)
 		}
 		tr, _, err := r.Session.CaptureTraceContext(ctx, j.Config, onocsim.IdealNet)
 		if err != nil {
 			return Result{}, err
 		}
 		res, wall, err := r.Session.RunSelfCorrectionContext(ctx, j.Config, tr, j.Kind)
-		if err != nil {
-			if errors.Is(err, onocsim.ErrParked) && len(res.Iterations) > 0 {
-				// The partial trajectory came back with the park: render it.
-				out := Result{Table: report.Correction(j.Config, j.Kind, res, wall, true), Correction: &res}
-				out.TraceEvents, out.TraceBytes = traceSize(tr)
-				return out, err
-			}
-			return Result{}, err
+		out, err := correctionResult(j, res, wall, err)
+		if out.Table != nil {
+			out.TraceEvents, out.TraceBytes = traceSize(tr)
 		}
-		out := Result{Table: report.Correction(j.Config, j.Kind, res, wall, false), Correction: &res}
-		out.TraceEvents, out.TraceBytes = traceSize(tr)
-		return out, nil
+		return out, err
 
 	case OpEstimate:
 		tr, _, err := r.Session.CaptureTraceContext(ctx, j.Config, onocsim.IdealNet)
@@ -290,6 +280,16 @@ func (r *Runner) runOnce(ctx context.Context, j Job) (Result, error) {
 	default:
 		return Result{}, fmt.Errorf("job: unknown op %q", j.Op)
 	}
+}
+
+// correctionResult renders one correction attempt. A park that carried its
+// partial trajectory out is rendered as such and returned with the error.
+func correctionResult(j Job, res onocsim.CorrectionResult, wall time.Duration, err error) (Result, error) {
+	parked := errors.Is(err, onocsim.ErrParked) && len(res.Iterations) > 0
+	if err != nil && !parked {
+		return Result{}, err
+	}
+	return Result{Table: report.Correction(j.Config, j.Kind, res, wall, parked), Correction: &res}, err
 }
 
 // traceSize sums a materialized trace: event count and payload bytes.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -178,6 +179,40 @@ func TestRunnerReportsOwnPark(t *testing.T) {
 	cancel()
 	if _, err := r.Run(dead, j); !errors.Is(err, context.Canceled) && !errors.Is(err, onocsim.ErrParked) {
 		t.Fatalf("cancelled run returned %v", err)
+	}
+}
+
+// A correction streamed from a trace file parks and is reported exactly as
+// one on a captured trace: its context ending mid-loop yields status
+// "parked" with the partial trajectory, not a finished run and not an error.
+func TestRunnerReportsOwnParkStreamed(t *testing.T) {
+	j := smallJob(OpCorrect)
+	j.Config.SCTM.MaxIterations = 50
+	j.Config.SCTM.ToleranceCycles = 0
+	j.Config.SCTM.MakespanTolerance = 0
+	j.Config.SCTM.Damping = 0.9
+	j.Config.SCTM.Seed = "fixed"
+	j.Config.SCTM.InitialLatencyCycles = 5000
+
+	tr, _, err := onocsim.CaptureTrace(j.Config, onocsim.IdealNet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.TracePath = filepath.Join(t.TempDir(), "trace.sctm")
+	if err := onocsim.SaveTrace(j.TracePath, tr); err != nil {
+		t.Fatal(err)
+	}
+
+	r := &Runner{Session: onocsim.NewSession("")}
+	res, err := r.Run(&pollCtx{Context: context.Background(), remaining: 10}, j)
+	if err != nil {
+		t.Fatalf("parked run surfaced an error: %v", err)
+	}
+	if res.Status != "parked" || res.Table == nil || res.Correction == nil {
+		t.Fatalf("park not reported: status %q, table %v, correction %v", res.Status, res.Table != nil, res.Correction != nil)
+	}
+	if n := len(res.Correction.Iterations); res.Correction.Converged || n == 0 || n >= 10 {
+		t.Fatalf("parked trajectory implausible: %d rounds, converged %v", n, res.Correction.Converged)
 	}
 }
 

@@ -528,7 +528,9 @@ func (s *Session) RunSelfCorrectionStream(cfg Config, src TraceSource, kind Netw
 // function, keyed like RunNaiveReplayStreamContext. This is how the service
 // runs big tenant trace files: the digest-keyed cache means two clients
 // posting the same trace path (or byte-identical traces under different
-// paths) share one streaming computation.
+// paths) share one streaming computation. A context that ends mid-loop parks
+// the run exactly as in RunSelfCorrectionContext: the computing caller gets
+// the partial trajectory with the ErrParked error, and nothing is cached.
 func (s *Session) RunSelfCorrectionStreamContext(ctx context.Context, cfg Config, src TraceSource, kind NetworkKind) (CorrectionResult, time.Duration, error) {
 	if s == nil {
 		return RunSelfCorrectionStreamContext(ctx, cfg, src, kind)
@@ -540,14 +542,25 @@ func (s *Session) RunSelfCorrectionStreamContext(ctx context.Context, cfg Config
 	if !ok {
 		return RunSelfCorrectionStreamContext(ctx, cfg, src, kind)
 	}
+	// As in RunSelfCorrectionContext, a parked partial result travels past
+	// the cache, which drops the value of any failed flight. No resume
+	// state is stashed: a retried file-backed correction starts over.
+	var parked *CorrectionResult
+	var parkedWall time.Duration
 	cv, err := simcache.DoValue(s.cache, key, func() (corrVal, error) {
 		res, wall, err := RunSelfCorrectionStreamContext(ctx, cfg, src, kind)
 		if err != nil {
+			if errors.Is(err, ErrParked) {
+				parked, parkedWall = &res, wall
+			}
 			return corrVal{}, err
 		}
 		return corrVal{Res: res, Wall: wall}, nil
 	})
 	if err != nil {
+		if parked != nil {
+			return *parked, parkedWall, err
+		}
 		return CorrectionResult{}, 0, err
 	}
 	return cv.Res, cv.Wall, nil

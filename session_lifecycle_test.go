@@ -208,3 +208,62 @@ func TestSessionResumesParkedCorrection(t *testing.T) {
 		t.Fatalf("resumed result not cached: hits %d -> %d", hits, got)
 	}
 }
+
+// A correction streamed from a trace file honours its context like one on a
+// materialized trace: once the context reports cancellation the loop parks
+// at the next round boundary with ErrParked, and the rounds it completed are
+// a byte-identical prefix of the uncancelled run's. The poll budget pins the
+// boundary: one poll at slot admission, then one per round.
+func TestStreamedCorrectionParksAtRoundBoundary(t *testing.T) {
+	cfg := smallConfig()
+	cfg.SCTM.MaxIterations = 10
+	cfg.SCTM.ToleranceCycles = 0
+	cfg.SCTM.MakespanTolerance = 0
+	cfg.SCTM.Damping = 0.9
+	cfg.SCTM.Seed = "fixed"
+	cfg.SCTM.InitialLatencyCycles = 5000
+	tr, _, err := CaptureTrace(cfg, IdealNet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := traceOnDisk(t, tr)
+	for _, shards := range []int{1, 4} {
+		cfg.Parallelism.Shards = shards
+		full, _, err := RunSelfCorrectionStream(cfg, file, Optical)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full.Converged || len(full.Iterations) != cfg.SCTM.MaxIterations {
+			t.Fatalf("shards=%d: reference run converged early: %+v", shards, full)
+		}
+		const rounds = 4
+		ctx := &resumePollCtx{Context: context.Background(), remaining: 1 + rounds}
+		parked, _, err := RunSelfCorrectionStreamContext(ctx, cfg, file, Optical)
+		if !errors.Is(err, ErrParked) {
+			t.Fatalf("shards=%d: err = %v, want ErrParked", shards, err)
+		}
+		if parked.Converged || len(parked.Iterations) != rounds {
+			t.Fatalf("shards=%d: parked after %d rounds, want %d", shards, len(parked.Iterations), rounds)
+		}
+		if !reflect.DeepEqual(parked.Iterations, full.Iterations[:rounds]) {
+			t.Fatalf("shards=%d: parked trajectory is not a prefix of the full run's:\n got %+v\nwant %+v",
+				shards, parked.Iterations, full.Iterations[:rounds])
+		}
+		if parked.ReplayedEvents != rounds*len(tr.Events) {
+			t.Fatalf("shards=%d: replayed %d events in %d rounds of %d", shards, parked.ReplayedEvents, rounds, len(tr.Events))
+		}
+
+		// Through a session the partial trajectory still reaches the caller,
+		// and is not cached: the next, uncancelled request runs to the end.
+		s := NewSession("")
+		ctx = &resumePollCtx{Context: context.Background(), remaining: 1 + rounds}
+		viaSession, _, err := s.RunSelfCorrectionStreamContext(ctx, cfg, file, Optical)
+		if !errors.Is(err, ErrParked) || !reflect.DeepEqual(viaSession.Iterations, parked.Iterations) {
+			t.Fatalf("shards=%d: session park: err = %v, %d rounds", shards, err, len(viaSession.Iterations))
+		}
+		again, _, err := s.RunSelfCorrectionStreamContext(context.Background(), cfg, file, Optical)
+		if err != nil || !reflect.DeepEqual(again, full) {
+			t.Fatalf("shards=%d: run after a park: err = %v, %d rounds", shards, err, len(again.Iterations))
+		}
+	}
+}

@@ -26,9 +26,10 @@ func traceOnDisk(t *testing.T, tr *Trace) TraceSource {
 	return src
 }
 
-// TestStreamInvarianceNaiveReplay locks in the tentpole contract: streaming
-// replay — from memory or from disk, serial or sharded — returns results
-// byte-identical to the in-memory engine for every fabric family.
+// TestStreamInvarianceNaiveReplay locks in the file-versus-memory contract: a
+// replay decoded from disk — serial or sharded — returns results
+// byte-identical to the replay of the materialized trace for every fabric
+// family.
 func TestStreamInvarianceNaiveReplay(t *testing.T) {
 	for _, tc := range shardCases() {
 		tc := tc
@@ -46,20 +47,14 @@ func TestStreamInvarianceNaiveReplay(t *testing.T) {
 			for _, k := range []int{1, 2, 8} {
 				cfg := tc.cfg
 				cfg.Parallelism.Shards = k
-				cfg.Parallelism.Stream = true
-				for _, src := range []struct {
-					name string
-					src  TraceSource
-				}{{"mem", MemTraceSource(tr)}, {"file", file}} {
-					got, _, err := RunNaiveReplayStream(cfg, src.src, tc.kind)
-					if err != nil {
-						t.Fatalf("shards=%d %s: %v", k, src.name, err)
-					}
-					replaysEqual(t, tc.name+"/"+src.name, got, serial)
-					if !reflect.DeepEqual(got.NetStats, serial.NetStats) {
-						t.Errorf("shards=%d %s: fabric statistics diverge\n got: %+v\nwant: %+v",
-							k, src.name, got.NetStats, serial.NetStats)
-					}
+				got, _, err := RunNaiveReplayStream(cfg, file, tc.kind)
+				if err != nil {
+					t.Fatalf("shards=%d: %v", k, err)
+				}
+				replaysEqual(t, tc.name, got, serial)
+				if !reflect.DeepEqual(got.NetStats, serial.NetStats) {
+					t.Errorf("shards=%d: fabric statistics diverge\n got: %+v\nwant: %+v",
+						k, got.NetStats, serial.NetStats)
 				}
 			}
 		})
@@ -86,7 +81,6 @@ func TestStreamInvarianceSelfCorrection(t *testing.T) {
 			for _, k := range []int{1, 8} {
 				cfg := tc.cfg
 				cfg.Parallelism.Shards = k
-				cfg.Parallelism.Stream = true
 				got, _, err := RunSelfCorrectionStream(cfg, file, tc.kind)
 				if err != nil {
 					t.Fatalf("shards=%d: %v", k, err)
@@ -138,6 +132,12 @@ func TestStreamSummaryMatchesReplay(t *testing.T) {
 	if !reflect.DeepEqual(sum.NetStats, full.NetStats) {
 		t.Errorf("fabric statistics diverge\n got: %+v\nwant: %+v", sum.NetStats, full.NetStats)
 	}
+	// The tier leans on capture order and checks it: a trace whose recorded
+	// injection times go backwards is refused, not replayed out of order.
+	cfg.System.Cores = 4
+	if _, _, err := RunNaiveReplaySummary(cfg, MemTraceSource(holdoutTrace(10)), IdealNet); err == nil {
+		t.Error("summary replay accepted a trace that is not in capture order")
+	}
 }
 
 // holdoutTrace needs more than n/2 events resident at once: the first half of
@@ -161,33 +161,35 @@ func holdoutTrace(n int) *Trace {
 
 // TestStreamWindowTooSmallErrors pins the window-cap contract: a schedule that
 // needs more resident events than the window fails loudly and immediately —
-// no deadlock, no silent reorder.
+// no deadlock, no silent reorder. The cap bounds what is read ahead from a
+// file; a trace already in memory has nothing to bound.
 func TestStreamWindowTooSmallErrors(t *testing.T) {
 	tr := holdoutTrace(10)
+	file := traceOnDisk(t, tr)
 	cfg := smallConfig()
 	cfg.System.Cores = 4
-	cfg.Parallelism.Stream = true
 	cfg.Parallelism.WindowEvents = 4
 
-	if _, _, err := RunNaiveReplayStream(cfg, MemTraceSource(tr), IdealNet); err == nil {
+	if _, _, err := RunNaiveReplayStream(cfg, file, IdealNet); err == nil {
 		t.Fatal("undersized window accepted")
-	}
-
-	// The same trace replays fine once the window covers the holdout span.
-	cfg.Parallelism.WindowEvents = 10
-	got, _, err := RunNaiveReplayStream(cfg, MemTraceSource(tr), IdealNet)
-	if err != nil {
-		t.Fatalf("sufficient window: %v", err)
 	}
 	want, _, err := RunNaiveReplay(cfg, tr, IdealNet)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("resident trace under a small window: %v", err)
+	}
+
+	// The same file replays fine once the window covers the holdout span.
+	cfg.Parallelism.WindowEvents = 10
+	got, _, err := RunNaiveReplayStream(cfg, file, IdealNet)
+	if err != nil {
+		t.Fatalf("sufficient window: %v", err)
 	}
 	replaysEqual(t, "holdout", got, want)
 }
 
 // TestStreamDegenerateTraces pins the edge cases: an empty trace and a
-// single-source chain replay identically through every engine tier.
+// single-source chain replay identically from memory, from a file at every
+// shard count, and through the summary tier.
 func TestStreamDegenerateTraces(t *testing.T) {
 	cfg := smallConfig()
 	cfg.System.Cores = 4
@@ -204,11 +206,11 @@ func TestStreamDegenerateTraces(t *testing.T) {
 			if err != nil {
 				t.Fatalf("in-memory: %v", err)
 			}
+			file := traceOnDisk(t, tc.tr)
 			for _, k := range []int{1, 2, 8} {
 				c := cfg
 				c.Parallelism.Shards = k
-				c.Parallelism.Stream = true
-				got, _, err := RunNaiveReplayStream(c, MemTraceSource(tc.tr), IdealNet)
+				got, _, err := RunNaiveReplayStream(c, file, IdealNet)
 				if err != nil {
 					t.Fatalf("shards=%d: %v", k, err)
 				}
@@ -245,27 +247,23 @@ func singleSourceChain(n int) *Trace {
 }
 
 // TestStreamExcludedFromFingerprint extends the cache-compatibility contract
-// to the streaming knobs: an execution detail that cannot change results must
-// not split the result-memo or disk-cache key space.
+// to the read-ahead window: an execution detail that cannot change results
+// must not split the result-memo or disk-cache key space.
 func TestStreamExcludedFromFingerprint(t *testing.T) {
 	base := smallConfig()
 	fp0, err := base.Fingerprint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []struct {
-		stream bool
-		window int
-	}{{true, 0}, {true, 1 << 12}, {false, 1 << 20}, {true, -1}} {
+	for _, window := range []int{1 << 12, 1 << 20, -1} {
 		cfg := base
-		cfg.Parallelism.Stream = p.stream
-		cfg.Parallelism.WindowEvents = p.window
+		cfg.Parallelism.WindowEvents = window
 		fp, err := cfg.Fingerprint()
 		if err != nil {
-			t.Fatalf("%+v: %v", p, err)
+			t.Fatalf("window %d: %v", window, err)
 		}
 		if fp != fp0 {
-			t.Errorf("%+v changes fingerprint: %s vs %s", p, fp, fp0)
+			t.Errorf("window %d changes fingerprint: %s vs %s", window, fp, fp0)
 		}
 	}
 }
@@ -335,7 +333,6 @@ func TestTraceDigestAgreesAcrossRepresentations(t *testing.T) {
 // and a MemSource of the same trace hits the entry the file computed.
 func TestSessionStreamReplayCache(t *testing.T) {
 	cfg := smallConfig()
-	cfg.Parallelism.Stream = true
 	tr, _, err := CaptureTrace(cfg, IdealNet)
 	if err != nil {
 		t.Fatalf("capture: %v", err)
