@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check check sweep-smoke test test-race loadtest bench bench-json bench-mem bench-incr bench-record bench-compare report report-csv experiments-md examples clean
+.PHONY: all build vet fmt-check check sweep-smoke test test-race loadtest bench bench-record bench-compare report report-csv experiments-md examples clean
 
 all: build vet test test-race
 
@@ -64,43 +64,11 @@ test-race:
 loadtest:
 	ONOCSIMD_LOAD_CLIENTS=$${ONOCSIMD_LOAD_CLIENTS:-64} $(GO) test -race ./internal/service/ -run TestLoadBurst -count=1 -v
 
+# Micro-benchmarks (bench_test.go, rss_bench_test.go, internal/*): a look at
+# one layer on one host. No gate hangs off them — performance claims are made
+# with bench-record/bench-compare below.
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Machine-readable benchmark snapshot: runs the root-package benchmarks plus
-# the engine micro-benchmarks, folds the results into $(BENCH_OUT) against
-# the committed $(BENCH_BASE) reference, and fails on a >25% regression so
-# earlier PRs' performance wins stay locked in. The suite runs three full
-# passes and benchjson collapses repeated lines to each benchmark's fastest
-# run: the shared CI host drifts between fast and slow phases lasting
-# minutes (±40% swings observed on untouched microbenchmarks), so the
-# passes — spread over the whole wall-clock of the run — give every
-# benchmark a shot at a fast phase, where `-count=N` repeats land
-# back-to-back inside a single phase. Override the variables to
-# re-baseline, e.g. `make bench-json BENCH_OUT=tmp.json BENCH_BASE=BENCH_PR6.json`.
-# BENCH_TOLERANCE loosens the timing threshold on a noisy host
-# (`BENCH_TOLERANCE=40 make bench-json`); the counter gates stay strict.
-BENCH_OUT ?= BENCH_PR10.json
-BENCH_BASE ?= BENCH_PR9.json
-BENCH_TOLERANCE ?= 25
-bench-json:
-	for i in 1 2 3; do $(GO) test -run '^$$' -bench=. -benchmem . ./internal/sim/ || exit 1; done | $(GO) run ./cmd/benchjson -out $(BENCH_OUT) -baseline $(BENCH_BASE) -maxregress $(BENCH_TOLERANCE)
-
-# Incremental-correction snapshot: just the full-vs-incremental benchmark
-# family, folded into $(BENCH_OUT) against $(BENCH_BASE). The gate leans on
-# the deterministic counters — the replayed-events metric and allocs/op don't
-# move with host load — while the timing threshold stays overridable via
-# BENCH_TOLERANCE for noisy hosts.
-bench-incr:
-	for i in 1 2 3; do $(GO) test -run '^$$' -bench 'SelfCorrectIncremental|SelfCorrection$$' -benchmem . || exit 1; done | $(GO) run ./cmd/benchjson -out $(BENCH_OUT) -baseline $(BENCH_BASE) -maxregress $(BENCH_TOLERANCE)
-
-# Memory-focused snapshot: just the RSS/overhead benchmark family, folded
-# into the same $(BENCH_OUT) gate. The max-rss-bytes rows are what pin the
-# streaming engines' O(window) residency contract — benchjson collapses the
-# three passes to each row's minimum and fails if residency (or time)
-# regresses beyond the limit vs $(BENCH_BASE).
-bench-mem:
-	for i in 1 2 3; do $(GO) test -run '^$$' -bench 'RSS|NaiveReplayStream|NaiveReplayInMemory' -benchmem . || exit 1; done | $(GO) run ./cmd/benchjson -out $(BENCH_OUT) -baseline $(BENCH_BASE) -maxregress $(BENCH_TOLERANCE)
 
 # The benchmark of record (BENCHMARK.json, bench/README.md): record one result
 # set per commit, then judge set B against set A by the bounds. A performance

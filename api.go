@@ -2,17 +2,26 @@
 // research, reproducing "Self-Correction Trace Model: A Full-System
 // Simulator for Optical Network-on-Chip" (Zhang, He, Fan — IPDPSW 2012).
 //
-// The package offers four ways to evaluate a workload on a fabric:
+// The package offers four ways to evaluate a workload on a fabric, each a
+// context-first method of *Session (a nil *Session runs uncached):
 //
-//   - RunExecutionDriven: the slow, accurate reference — cores, caches and
-//     coherence co-simulated with the network.
-//   - CaptureTrace + RunNaiveReplay: conventional trace-driven simulation,
-//     fast but wrong when the target fabric differs from the capture fabric.
-//   - CaptureTrace + RunSelfCorrection: the paper's Self-Correction Trace
-//     Model — iterated dependency-driven replay converging to near
-//     execution-driven accuracy at trace-driven cost.
-//   - CaptureTrace + RunCoupledReplay: a tightly coupled dependency replay,
-//     the upper-accuracy single-pass reference.
+//   - RunExecutionDrivenContext: the slow, accurate reference — cores, caches
+//     and coherence co-simulated with the network.
+//   - CaptureTraceContext + RunNaiveReplayContext: conventional trace-driven
+//     simulation, fast but wrong when the target fabric differs from the
+//     capture fabric.
+//   - CaptureTraceContext + RunSelfCorrectionContext: the paper's
+//     Self-Correction Trace Model — iterated dependency-driven replay
+//     converging to near execution-driven accuracy at trace-driven cost.
+//   - CaptureTraceContext + RunCoupledReplayContext: a tightly coupled
+//     dependency replay, the upper-accuracy single-pass reference.
+//
+// RunStudyContext runs all four against each other; Estimate prices a replay
+// in closed form. The usual shape:
+//
+//	s := onocsim.NewSession("")
+//	tr, _, err := s.CaptureTraceContext(ctx, cfg, onocsim.IdealNet)
+//	res, _, err := s.RunSelfCorrectionContext(ctx, cfg, tr, onocsim.Optical)
 //
 // Fabrics: an electrical wormhole mesh (baseline), a Corona-class optical
 // crossbar (the ONOC under study), and an ideal fixed-latency capture
@@ -169,16 +178,14 @@ type GroundTruth struct {
 	Faults noc.FaultCounts
 }
 
-// RunExecutionDriven runs the configured kernel workload execution-driven on
-// a fabric of the given kind and returns ground-truth metrics.
-func RunExecutionDriven(cfg Config, kind NetworkKind) (GroundTruth, error) {
-	return RunExecutionDrivenContext(context.Background(), cfg, kind)
-}
-
-// RunExecutionDrivenContext is RunExecutionDriven with cancellable admission:
-// if ctx ends while the call queues for a simulation slot, it returns the
-// context error without running. Once admitted, the run proceeds to
-// completion (execution-driven runs have no checkpoint to park at).
+// RunExecutionDrivenContext runs the configured kernel workload
+// execution-driven on a fabric of the given kind and returns ground-truth
+// metrics. It is the uncached leaf of Session.RunExecutionDrivenContext.
+//
+// The context governs admission only: if ctx ends while the call queues for
+// a simulation slot, it returns the context error without running. Once
+// admitted, the run proceeds to completion (execution-driven runs have no
+// checkpoint to park at). Every leaf operation follows this contract.
 func RunExecutionDrivenContext(ctx context.Context, cfg Config, kind NetworkKind) (GroundTruth, error) {
 	progs, err := workload.Generate(cfg)
 	if err != nil {
@@ -192,21 +199,17 @@ func RunExecutionDrivenContext(ctx context.Context, cfg Config, kind NetworkKind
 	if err != nil {
 		return GroundTruth{}, err
 	}
-	if err := acquireSimSlotCtx(ctx); err != nil {
-		return GroundTruth{}, err
-	}
-	defer releaseSimSlot()
-	start := time.Now()
-	res, err := sys.Run(cfg.MaxCyclesOrDefault())
+	run, err := inSimSlot(ctx, func() (cpu.RunResult, error) { return sys.Run(cfg.MaxCyclesOrDefault()) })
 	if err != nil {
 		return GroundTruth{}, err
 	}
+	res := run.Res
 	gt := GroundTruth{
 		Makespan:    res.Makespan,
 		MeanLatency: net.Stats().MeanLatency(),
 		Cycles:      res.Cycles,
 		Messages:    res.Messages,
-		WallTime:    time.Since(start),
+		WallTime:    run.Wall,
 		Power:       net.PowerReport(res.Cycles, clockGHz(cfg, kind)),
 		Faults:      net.Stats().Faults,
 	}
@@ -227,15 +230,11 @@ func clockGHz(cfg Config, kind NetworkKind) float64 {
 	return cfg.Optical.ClockGHz
 }
 
-// CaptureTrace runs the configured kernel workload execution-driven on the
-// capture fabric (by default the cheap ideal network) with recording enabled
-// and returns the dependency-annotated trace.
-func CaptureTrace(cfg Config, captureOn NetworkKind) (*Trace, time.Duration, error) {
-	return CaptureTraceContext(context.Background(), cfg, captureOn)
-}
-
-// CaptureTraceContext is CaptureTrace with cancellable slot admission; see
-// RunExecutionDrivenContext for the contract.
+// CaptureTraceContext runs the configured kernel workload execution-driven on
+// the capture fabric (by default the cheap ideal network) with recording
+// enabled and returns the dependency-annotated trace. It is the uncached leaf
+// of Session.CaptureTraceContext; see RunExecutionDrivenContext for the
+// context contract.
 func CaptureTraceContext(ctx context.Context, cfg Config, captureOn NetworkKind) (*Trace, time.Duration, error) {
 	progs, err := workload.Generate(cfg)
 	if err != nil {
@@ -250,76 +249,41 @@ func CaptureTraceContext(ctx context.Context, cfg Config, captureOn NetworkKind)
 	if err != nil {
 		return nil, 0, err
 	}
-	if err := acquireSimSlotCtx(ctx); err != nil {
-		return nil, 0, err
-	}
-	defer releaseSimSlot()
-	start := time.Now()
-	res, err := sys.Run(cfg.MaxCyclesOrDefault())
+	run, err := inSimSlot(ctx, func() (cpu.RunResult, error) { return sys.Run(cfg.MaxCyclesOrDefault()) })
 	if err != nil {
 		return nil, 0, err
 	}
-	elapsed := time.Since(start)
-	tr, err := rec.Finish(cfg.Workload.Kernel, res.Makespan)
+	tr, err := rec.Finish(cfg.Workload.Kernel, run.Res.Makespan)
 	if err != nil {
 		return nil, 0, err
 	}
-	return tr, elapsed, nil
+	return tr, run.Wall, nil
 }
 
-// RunNaiveReplay replays the trace at recorded timestamps on fresh fabrics of
+// naiveReplay replays the trace at recorded timestamps on fresh fabrics of
 // the given kind, split across cfg.Parallelism.Shards replicas where the
 // fabric allows it. Results are byte-identical for any shard count.
-func RunNaiveReplay(cfg Config, tr *Trace, kind NetworkKind) (ReplayResult, time.Duration, error) {
-	return RunNaiveReplayContext(context.Background(), cfg, tr, kind)
+func naiveReplay(ctx context.Context, cfg Config, tr *Trace, kind NetworkKind) (timed[ReplayResult], error) {
+	factory, err := NetworkFactory(cfg, kind)
+	if err != nil {
+		return timed[ReplayResult]{}, err
+	}
+	return inSimSlot(ctx, func() (ReplayResult, error) {
+		return core.NaiveReplayStream(factory, trace.NewMemSource(tr), cfg.Parallelism.Shards, cfg.Parallelism.WindowEvents)
+	})
 }
 
-// RunNaiveReplayContext is RunNaiveReplay with cancellable slot admission;
-// see RunExecutionDrivenContext for the contract.
-func RunNaiveReplayContext(ctx context.Context, cfg Config, tr *Trace, kind NetworkKind) (ReplayResult, time.Duration, error) {
-	return RunNaiveReplayStreamContext(ctx, cfg, MemTraceSource(tr), kind)
-}
-
-// RunCoupledReplay runs the tightly coupled dependency-driven replay.
-func RunCoupledReplay(cfg Config, tr *Trace, kind NetworkKind) (ReplayResult, time.Duration, error) {
-	return RunCoupledReplayContext(context.Background(), cfg, tr, kind)
-}
-
-// RunCoupledReplayContext is RunCoupledReplay with cancellable slot
-// admission; see RunExecutionDrivenContext for the contract.
-func RunCoupledReplayContext(ctx context.Context, cfg Config, tr *Trace, kind NetworkKind) (ReplayResult, time.Duration, error) {
+// coupledReplay runs the tightly coupled dependency-driven replay.
+func coupledReplay(ctx context.Context, cfg Config, tr *Trace, kind NetworkKind) (timed[ReplayResult], error) {
 	net, err := BuildNetwork(cfg, kind)
 	if err != nil {
-		return ReplayResult{}, 0, err
+		return timed[ReplayResult]{}, err
 	}
 	opts := core.ScheduleOptions{
 		DisableSyncDeps:   cfg.SCTM.DisableSyncDeps,
 		DisableCausalDeps: cfg.SCTM.DisableCausalDeps,
 	}
-	if err := acquireSimSlotCtx(ctx); err != nil {
-		return ReplayResult{}, 0, err
-	}
-	defer releaseSimSlot()
-	start := time.Now()
-	res, err := core.CoupledReplay(net, tr, opts)
-	return res, time.Since(start), err
-}
-
-// RunSelfCorrection runs the Self-Correction Trace Model against a fresh
-// fabric per iteration, every round's replay split across
-// cfg.Parallelism.Shards replicas where the fabric allows it; the trajectory
-// and result are byte-identical for any shard count. With cfg.SCTM.Seed =
-// "analytic" the round-0 latencies come from the closed-form contention
-// estimate instead of the zero-load probe, typically saving replay rounds
-// on contended fabrics; when the estimator declines, the loop falls back to
-// zero-load seeding.
-//
-// With cfg.SCTM.Incremental each round after the first resumes from a
-// frozen-prefix checkpoint of the previous round instead of replaying from
-// cycle zero; results stay byte-identical, and
-// CorrectionResult.ReplayedEvents/SavedCycles report the work skipped.
-func RunSelfCorrection(cfg Config, tr *Trace, kind NetworkKind) (CorrectionResult, time.Duration, error) {
-	return RunSelfCorrectionContext(context.Background(), cfg, tr, kind)
+	return inSimSlot(ctx, func() (ReplayResult, error) { return core.CoupledReplay(net, tr, opts) })
 }
 
 // ErrParked reports a self-correction run that stopped at a round boundary
@@ -330,56 +294,58 @@ func RunSelfCorrection(cfg Config, tr *Trace, kind NetworkKind) (CorrectionResul
 // errors.Is(err, ErrParked).
 var ErrParked = core.ErrParked
 
-// RunSelfCorrectionContext is RunSelfCorrection with a cancellable lifecycle:
-// admission queueing aborts if ctx ends first, and a context that ends
-// mid-loop parks the correction at the next round boundary — the call
-// returns the partial trajectory plus an error wrapping ErrParked.
-func RunSelfCorrectionContext(ctx context.Context, cfg Config, tr *Trace, kind NetworkKind) (CorrectionResult, time.Duration, error) {
-	res, _, wall, err := RunSelfCorrectionParkableContext(ctx, cfg, tr, kind, nil)
-	return res, wall, err
-}
-
-// CorrectionPark is the opaque resume state of a parked self-correction run:
-// the blended latency estimates, the next schedule, the trajectory so far,
-// and the live round runner whose fabric checkpoints survive the park. It is
-// bound to the exact (config, trace, kind) triple that produced it,
-// single-use, and in-process only (fabric snapshots do not serialize).
-type CorrectionPark = core.ParkState
-
-// RunSelfCorrectionParkableContext is RunSelfCorrectionContext with explicit
-// park state: a parked run returns a non-nil *CorrectionPark alongside the
-// ErrParked error, and passing that state back — with the same config, trace
-// and kind — resumes the loop at the parked round boundary instead of
-// re-running the completed rounds. The completed result is byte-identical to
-// an uninterrupted run's.
-func RunSelfCorrectionParkableContext(ctx context.Context, cfg Config, tr *Trace, kind NetworkKind, resume *CorrectionPark) (CorrectionResult, *CorrectionPark, time.Duration, error) {
+// selfCorrect runs the Self-Correction Trace Model against a fresh fabric per
+// iteration, every round's replay split across cfg.Parallelism.Shards
+// replicas where the fabric allows it; the trajectory and result are
+// byte-identical for any shard count. Admission queueing aborts if ctx ends
+// first, and a context that ends mid-loop parks the correction at the next
+// round boundary: the call returns the partial trajectory, the resume state,
+// and an error wrapping ErrParked.
+//
+// The input is a resident trace (tr non-nil) or a file-backed source (tr nil):
+// every trace-touching step of the loop reads the source, so a file is never
+// materialized, and the two produce byte-identical trajectories — with two
+// differences that follow from residency. cfg.SCTM.Seed = "analytic" needs
+// the whole trace (the closed-form estimator prices it in one pass), so a
+// file always seeds from zero-load latencies or InitialLatencyCycles; and a
+// file runs every round in full whatever cfg.SCTM.Incremental says, so it has
+// no checkpoints worth resuming from and resume must be nil.
+//
+// Resume state is opaque, bound to the exact (config, trace, kind) triple that
+// parked, single-use, and in-process only (fabric snapshots do not
+// serialize); passing it back re-enters the loop at the parked round boundary
+// and completes to the result an uninterrupted run produces.
+func selfCorrect(ctx context.Context, cfg Config, tr *Trace, src TraceSource, kind NetworkKind, resume *core.ParkState) (timed[CorrectionResult], *core.ParkState, error) {
 	factory, err := NetworkFactory(cfg, kind)
 	if err != nil {
-		return CorrectionResult{}, nil, 0, err
+		return timed[CorrectionResult]{}, nil, err
 	}
-	if err := acquireSimSlotCtx(ctx); err != nil {
-		return CorrectionResult{}, nil, 0, err
-	}
-	defer releaseSimSlot()
-	start := time.Now()
-	var seed []sim.Tick
-	if resume == nil && cfg.SCTM.SeedMode() == "analytic" {
-		// A resumed loop starts from the state's blended latencies; seeding
-		// would be discarded, so skip computing it.
-		seed = analytic.Seed(cfg, kind, tr)
-	}
-	res, state, err := core.SelfCorrectParkableCtx(ctx, factory, tr, cfg.SCTM, cfg.Parallelism.Shards, seed, resume)
-	return res, state, time.Since(start), err
+	var state *core.ParkState
+	res, err := inSimSlot(ctx, func() (res CorrectionResult, err error) {
+		if tr == nil {
+			res, _, err = core.Correct(ctx, factory, src, cfg.SCTM, cfg.Parallelism.Shards, cfg.Parallelism.WindowEvents, nil, nil)
+			return res, err
+		}
+		var seed []sim.Tick
+		if resume == nil && cfg.SCTM.SeedMode() == "analytic" {
+			// A resumed loop starts from the state's blended latencies; seeding
+			// would be discarded, so skip computing it.
+			seed = analytic.Seed(cfg, kind, tr)
+		}
+		res, state, err = core.SelfCorrectParkableCtx(ctx, factory, tr, cfg.SCTM, cfg.Parallelism.Shards, seed, resume)
+		return res, err
+	})
+	return res, state, err
 }
 
-// EstimateAnalytic prices replaying tr on the given fabric kind with the
-// closed-form contention model — no event loop, microseconds instead of
-// replay rounds. The estimate is the "analytic" seed's view of the run;
-// Session.Estimate is the memoized form.
-func EstimateAnalytic(cfg Config, tr *Trace, kind NetworkKind) (AnalyticEstimate, time.Duration, error) {
+// estimate prices replaying tr on the given fabric kind with the closed-form
+// contention model — no event loop, microseconds instead of replay rounds, so
+// it takes no simulation slot and no context. The estimate is the "analytic"
+// seed's view of the run.
+func estimate(cfg Config, tr *Trace, kind NetworkKind) (timed[AnalyticEstimate], error) {
 	start := time.Now()
 	res, err := analytic.Estimate(cfg, kind, tr)
-	return res, time.Since(start), err
+	return timed[AnalyticEstimate]{res, time.Since(start)}, err
 }
 
 // Compare computes the accuracy of a replay against ground truth.
@@ -415,62 +381,46 @@ type Study struct {
 // per-phase wall clocks stay honest even when studies pipeline — or the
 // experiment scheduler fans whole experiments out — on an oversubscribed
 // host. Leaf operations never nest, so a goroutine holds at most one slot
-// and the scheduler cannot deadlock. What used to be a plain channel
-// semaphore is now a SlotScheduler so the context-aware entry points can
-// abandon a queued claim when their client disconnects; uncancellable
-// callers pass context.Background() and behave exactly as before. Leaf
-// slots are all one class and one unit — the weighted classes exist for
-// request-level admission (internal/service), which runs its own scheduler
-// instance over its own budget.
+// and the scheduler cannot deadlock. Leaf slots are all one class and one
+// unit — the weighted classes exist for request-level admission
+// (internal/service), which runs its own scheduler instance over its own
+// budget.
 var simSched = NewSlotScheduler(runtime.NumCPU())
 
-// acquireSimSlotCtx is the cancellable acquire: a caller whose context ends
-// while it queues releases its admission claim and returns the context
-// error instead of running an orphaned simulation. Every entry point routes
-// through it — uncancellable wrappers pass context.Background().
-func acquireSimSlotCtx(ctx context.Context) error {
-	return simSched.Acquire(ctx, SlotMedium, 1)
+// timed pairs a result with the host wall clock of the computation that
+// produced it, so a cached hit — memory or disk — reports the original
+// timing. The field names are the disk layer's JSON format.
+type timed[T any] struct {
+	Res  T
+	Wall time.Duration
 }
 
-func releaseSimSlot() { simSched.Release(1) }
-
-// RunStudy executes the complete methodology comparison: capture the trace
-// on the cheap reference fabric, measure execution-driven ground truth on
-// the target, and evaluate every replay engine against it. It is the
-// uncached form of Session.RunStudy; see there for the pipeline shape.
-func RunStudy(cfg Config, target NetworkKind) (*Study, error) {
-	return (*Session)(nil).RunStudy(cfg, target)
+// inSimSlot runs one leaf simulation inside a simulation slot and times it.
+// A caller whose context ends while it queues releases its admission claim
+// and gets the context error instead of running an orphaned simulation.
+func inSimSlot[T any](ctx context.Context, run func() (T, error)) (timed[T], error) {
+	if err := simSched.Acquire(ctx, SlotMedium, 1); err != nil {
+		return timed[T]{}, err
+	}
+	defer simSched.Release(1)
+	start := time.Now()
+	res, err := run()
+	return timed[T]{res, time.Since(start)}, err
 }
 
-// RunStudyContext is RunStudy with a cancellable lifecycle; see
-// Session.RunStudyContext for the contract.
-func RunStudyContext(ctx context.Context, cfg Config, target NetworkKind) (*Study, error) {
-	return (*Session)(nil).RunStudyContext(ctx, cfg, target)
-}
-
-// RunSyntheticLoad drives a fresh fabric of the given kind open-loop with
-// the config's synthetic workload and reports latency/throughput. The
-// electrical flit granularity prices offered load on both fabrics so the
-// numbers stay comparable.
-//
-// Deprecated: this wrapper cannot be cancelled while it queues for a
-// simulation slot; use RunSyntheticLoadContext.
-func RunSyntheticLoad(cfg Config, kind NetworkKind) (SyntheticResult, error) {
-	return RunSyntheticLoadContext(context.Background(), cfg, kind)
-}
-
-// RunSyntheticLoadContext is RunSyntheticLoad with cancellable slot
-// admission; see RunExecutionDrivenContext for the contract.
-func RunSyntheticLoadContext(ctx context.Context, cfg Config, kind NetworkKind) (SyntheticResult, error) {
+// syntheticLoad drives a fresh fabric of the given kind open-loop with the
+// config's synthetic workload and reports latency/throughput. The electrical
+// flit granularity prices offered load on both fabrics so the numbers stay
+// comparable.
+func syntheticLoad(ctx context.Context, cfg Config, kind NetworkKind) (SyntheticResult, error) {
 	net, err := BuildNetwork(cfg, kind)
 	if err != nil {
 		return SyntheticResult{}, err
 	}
-	if err := acquireSimSlotCtx(ctx); err != nil {
-		return SyntheticResult{}, err
-	}
-	defer releaseSimSlot()
-	return workload.RunSynthetic(net, cfg.Workload, cfg.Mesh.FlitBytes, cfg.Seed)
+	run, err := inSimSlot(ctx, func() (SyntheticResult, error) {
+		return workload.RunSynthetic(net, cfg.Workload, cfg.Mesh.FlitBytes, cfg.Seed)
+	})
+	return run.Res, err
 }
 
 // SaveTrace / LoadTrace round-trip the binary trace format.
@@ -490,95 +440,20 @@ func OpenTraceFile(path string) (TraceSource, error) { return trace.NewFileSourc
 // is ignored.
 func MemTraceSource(tr *Trace) TraceSource { return trace.NewMemSource(tr) }
 
-// RunNaiveReplayStream is RunNaiveReplay over a TraceSource: a file-backed
-// trace is decoded incrementally (each shard's read-ahead bounded by
-// cfg.Parallelism.WindowEvents) instead of materialized. Results are
-// byte-identical to RunNaiveReplay on the same trace for any shard count and
-// any sufficient window.
-//
-// Deprecated: this wrapper cannot be cancelled while it queues for a
-// simulation slot; use RunNaiveReplayStreamContext.
-func RunNaiveReplayStream(cfg Config, src TraceSource, kind NetworkKind) (ReplayResult, time.Duration, error) {
-	return RunNaiveReplayStreamContext(context.Background(), cfg, src, kind)
-}
-
-// RunNaiveReplayStreamContext is RunNaiveReplayStream with cancellable slot
-// admission; see RunExecutionDrivenContext for the contract.
-func RunNaiveReplayStreamContext(ctx context.Context, cfg Config, src TraceSource, kind NetworkKind) (ReplayResult, time.Duration, error) {
-	factory, err := NetworkFactory(cfg, kind)
-	if err != nil {
-		return ReplayResult{}, 0, err
-	}
-	if err := acquireSimSlotCtx(ctx); err != nil {
-		return ReplayResult{}, 0, err
-	}
-	defer releaseSimSlot()
-	start := time.Now()
-	res, err := core.NaiveReplayStream(factory, src, cfg.Parallelism.Shards, cfg.Parallelism.WindowEvents)
-	return res, time.Since(start), err
-}
-
-// RunSelfCorrectionStream is RunSelfCorrection over a TraceSource: every
-// trace-touching step of the loop (zero-load probe, schedule derivation,
-// replay rounds) reads the source, so a file-backed trace is never
-// materialized. Trajectories and results are byte-identical to
-// RunSelfCorrection's — except that cfg.SCTM.Seed = "analytic" needs a *Trace
-// (the closed-form estimator wants the whole trace); this entry point always
-// seeds from zero-load latencies or InitialLatencyCycles. A file-backed
-// source runs every round in full whatever cfg.SCTM.Incremental says:
-// bounded residency is its point.
-//
-// Deprecated: this wrapper cannot be cancelled while it queues for a
-// simulation slot; use RunSelfCorrectionStreamContext.
-func RunSelfCorrectionStream(cfg Config, src TraceSource, kind NetworkKind) (CorrectionResult, time.Duration, error) {
-	return RunSelfCorrectionStreamContext(context.Background(), cfg, src, kind)
-}
-
-// RunSelfCorrectionStreamContext is RunSelfCorrectionStream with a
-// cancellable lifecycle, exactly as RunSelfCorrectionContext: admission
-// queueing aborts if ctx ends first, and a context that ends mid-loop parks
-// the correction at the next round boundary with the partial trajectory and
-// an error wrapping ErrParked.
-func RunSelfCorrectionStreamContext(ctx context.Context, cfg Config, src TraceSource, kind NetworkKind) (CorrectionResult, time.Duration, error) {
-	factory, err := NetworkFactory(cfg, kind)
-	if err != nil {
-		return CorrectionResult{}, 0, err
-	}
-	if err := acquireSimSlotCtx(ctx); err != nil {
-		return CorrectionResult{}, 0, err
-	}
-	defer releaseSimSlot()
-	start := time.Now()
-	res, _, err := core.Correct(ctx, factory, src, cfg.SCTM, cfg.Parallelism.Shards, cfg.Parallelism.WindowEvents, nil, nil)
-	return res, time.Since(start), err
-}
-
-// RunNaiveReplaySummary replays the trace at recorded timestamps with truly
-// constant residency — O(window + nodes), no per-event vectors — returning
-// summary metrics only. This is the fully out-of-core tier: traces far
-// larger than memory replay at flat RSS. The summary fields equal the
-// corresponding RunNaiveReplay fields (serial path) on the same fabric.
-//
-// Deprecated: this wrapper cannot be cancelled while it queues for a
-// simulation slot; use RunNaiveReplaySummaryContext.
-func RunNaiveReplaySummary(cfg Config, src TraceSource, kind NetworkKind) (ReplaySummary, time.Duration, error) {
-	return RunNaiveReplaySummaryContext(context.Background(), cfg, src, kind)
-}
-
-// RunNaiveReplaySummaryContext is RunNaiveReplaySummary with cancellable slot
-// admission; see RunExecutionDrivenContext for the contract.
+// RunNaiveReplaySummaryContext replays the trace at recorded timestamps with
+// truly constant residency — O(window + nodes), no per-event vectors —
+// returning summary metrics only. This is the fully out-of-core tier: traces
+// far larger than memory replay at flat RSS. The summary fields equal the
+// corresponding Session.RunNaiveReplayContext fields on the same fabric. It
+// is never cached (a summary costs one pass either way); see
+// RunExecutionDrivenContext for the context contract.
 func RunNaiveReplaySummaryContext(ctx context.Context, cfg Config, src TraceSource, kind NetworkKind) (ReplaySummary, time.Duration, error) {
 	net, err := BuildNetwork(cfg, kind)
 	if err != nil {
 		return ReplaySummary{}, 0, err
 	}
-	if err := acquireSimSlotCtx(ctx); err != nil {
-		return ReplaySummary{}, 0, err
-	}
-	defer releaseSimSlot()
-	start := time.Now()
-	res, err := core.NaiveReplaySummaryStream(net, src)
-	return res, time.Since(start), err
+	run, err := inSimSlot(ctx, func() (ReplaySummary, error) { return core.NaiveReplaySummaryStream(net, src) })
+	return run.Res, run.Wall, err
 }
 
 // StaticPowerMW reports the load-independent power floor of a fabric built

@@ -51,7 +51,7 @@ func TestNetworkFactoryFreshInstances(t *testing.T) {
 
 func TestCaptureTraceCompleteAndValid(t *testing.T) {
 	cfg := smallConfig()
-	tr, wall, err := CaptureTrace(cfg, IdealNet)
+	tr, wall, err := uncached.CaptureTraceContext(bg, cfg, IdealNet)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestCaptureTraceCompleteAndValid(t *testing.T) {
 
 func TestCaptureOnElectricalFabricToo(t *testing.T) {
 	cfg := smallConfig()
-	tr, _, err := CaptureTrace(cfg, Electrical)
+	tr, _, err := uncached.CaptureTraceContext(bg, cfg, Electrical)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,11 +82,11 @@ func TestCaptureOnElectricalFabricToo(t *testing.T) {
 
 func TestExecutionDrivenDeterminism(t *testing.T) {
 	cfg := smallConfig()
-	a, err := RunExecutionDriven(cfg, Optical)
+	a, err := uncached.RunExecutionDrivenContext(bg, cfg, Optical)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunExecutionDriven(cfg, Optical)
+	b, err := uncached.RunExecutionDrivenContext(bg, cfg, Optical)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestExecutionDrivenDeterminism(t *testing.T) {
 
 func TestTraceSaveLoadAPI(t *testing.T) {
 	cfg := smallConfig()
-	tr, _, err := CaptureTrace(cfg, IdealNet)
+	tr, _, err := uncached.CaptureTraceContext(bg, cfg, IdealNet)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,11 +113,11 @@ func TestTraceSaveLoadAPI(t *testing.T) {
 		t.Fatal("API round trip mismatch")
 	}
 	// A reloaded trace must drive the correction loop identically.
-	r1, _, err := RunSelfCorrection(cfg, tr, Optical)
+	r1, _, err := uncached.RunSelfCorrectionContext(bg, cfg, tr, Optical)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, _, err := RunSelfCorrection(cfg, got, Optical)
+	r2, _, err := uncached.RunSelfCorrectionContext(bg, cfg, got, Optical)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,11 +132,11 @@ func TestNaiveReplayOnCaptureFabricIsExact(t *testing.T) {
 	// were captured on must reproduce the recorded arrivals exactly —
 	// capture and replay see the same deterministic network.
 	cfg := smallConfig()
-	tr, _, err := CaptureTrace(cfg, IdealNet)
+	tr, _, err := uncached.CaptureTraceContext(bg, cfg, IdealNet)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := RunNaiveReplay(cfg, tr, IdealNet)
+	res, _, err := uncached.RunNaiveReplayContext(bg, cfg, tr, IdealNet)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,11 +162,11 @@ func TestExecutionDrivenOnTorus(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Mesh.Topology = "torus"
 	cfg.Mesh.VCs = 6
-	torus, err := RunExecutionDriven(cfg, Electrical)
+	torus, err := uncached.RunExecutionDrivenContext(bg, cfg, Electrical)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mesh, err := RunExecutionDriven(smallConfig(), Electrical)
+	mesh, err := uncached.RunExecutionDrivenContext(bg, smallConfig(), Electrical)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestExecutionDrivenOnTorus(t *testing.T) {
 
 func TestStudyOnElectricalTarget(t *testing.T) {
 	// The methodology is fabric-agnostic: target the electrical mesh too.
-	study, err := RunStudy(smallConfig(), Electrical)
+	study, err := uncached.RunStudyContext(bg, smallConfig(), Electrical)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestStudyOnHybridTarget(t *testing.T) {
 	// capture on ideal, correct against the two-sub-fabric target.
 	cfg := smallConfig()
 	cfg.Hybrid.Threshold = 3
-	study, err := RunStudy(cfg, Hybrid)
+	study, err := uncached.RunStudyContext(bg, cfg, Hybrid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestStudyAllKernels(t *testing.T) {
 		t.Run(k, func(t *testing.T) {
 			cfg := smallConfig()
 			cfg.Workload.Kernel = k
-			study, err := RunStudy(cfg, Optical)
+			study, err := uncached.RunStudyContext(bg, cfg, Optical)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -232,14 +232,14 @@ func TestStudyAllKernels(t *testing.T) {
 
 func TestSelfCorrectionUsesConfigKnobs(t *testing.T) {
 	cfg := smallConfig()
-	tr, _, err := CaptureTrace(cfg, IdealNet)
+	tr, _, err := uncached.CaptureTraceContext(bg, cfg, IdealNet)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.SCTM.MaxIterations = 1
 	cfg.SCTM.ToleranceCycles = 0
 	cfg.SCTM.MakespanTolerance = 0
-	res, _, err := RunSelfCorrection(cfg, tr, Optical)
+	res, _, err := uncached.RunSelfCorrectionContext(bg, cfg, tr, Optical)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestCompareAPI(t *testing.T) {
 func TestPowerReportedOnBothFabrics(t *testing.T) {
 	cfg := smallConfig()
 	for _, kind := range []NetworkKind{Electrical, Optical} {
-		res, err := RunExecutionDriven(cfg, kind)
+		res, err := uncached.RunExecutionDrivenContext(bg, cfg, kind)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,23 +293,23 @@ func TestAPIErrorPaths(t *testing.T) {
 	bad := smallConfig()
 	bad.Workload.Kernel = "fft"
 	bad.System.Cores = 144 // square but not a power of two: fft rejects it
-	if _, err := RunExecutionDriven(bad, Optical); err == nil {
+	if _, err := uncached.RunExecutionDrivenContext(bg, bad, Optical); err == nil {
 		t.Fatal("RunExecutionDriven accepted invalid kernel/core combination")
 	}
-	if _, _, err := CaptureTrace(bad, IdealNet); err == nil {
+	if _, _, err := uncached.CaptureTraceContext(bg, bad, IdealNet); err == nil {
 		t.Fatal("CaptureTrace accepted invalid kernel/core combination")
 	}
-	if _, err := RunStudy(bad, Optical); err == nil {
+	if _, err := uncached.RunStudyContext(bg, bad, Optical); err == nil {
 		t.Fatal("RunStudy accepted invalid kernel/core combination")
 	}
 	invalid := smallConfig()
 	invalid.Mesh.VCs = 0
-	if _, err := RunStudy(invalid, Electrical); err == nil {
+	if _, err := uncached.RunStudyContext(bg, invalid, Electrical); err == nil {
 		t.Fatal("RunStudy accepted invalid config")
 	}
 	tiny := smallConfig()
 	tiny.MaxCycles = 10 // guaranteed timeout
-	if _, err := RunExecutionDriven(tiny, Optical); err == nil {
+	if _, err := uncached.RunExecutionDrivenContext(bg, tiny, Optical); err == nil {
 		t.Fatal("cycle bound not enforced")
 	}
 }

@@ -25,13 +25,20 @@ import (
 
 var benchOpts = experiments.Options{Seed: 42, Cores: 16, Quick: true}
 
+// The micro-benchmarks time computations, not cache hits, so they run on the
+// nil session; bg is the context of a caller that never cancels.
+var (
+	uncached *onocsim.Session
+	bg       = context.Background()
+)
+
 // benchTable runs one experiment per iteration, failing the benchmark on
 // error and reporting the row count so regressions in coverage are visible.
 func benchTable(b *testing.B, name string) {
 	b.Helper()
 	rows := 0
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.ByName(name, benchOpts)
+		t, err := experiments.ByName(bg, name, benchOpts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -117,7 +124,7 @@ func BenchmarkExecutionDriven(b *testing.B) {
 	cfg.Workload.Scale = 4
 	cfg.Workload.Iterations = 2
 	for i := 0; i < b.N; i++ {
-		if _, err := onocsim.RunExecutionDriven(cfg, onocsim.Optical); err != nil {
+		if _, err := uncached.RunExecutionDrivenContext(bg, cfg, onocsim.Optical); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -130,13 +137,13 @@ func BenchmarkSelfCorrection(b *testing.B) {
 	cfg.System.Cores = 16
 	cfg.Workload.Scale = 4
 	cfg.Workload.Iterations = 2
-	tr, _, err := onocsim.CaptureTrace(cfg, onocsim.IdealNet)
+	tr, _, err := uncached.CaptureTraceContext(bg, cfg, onocsim.IdealNet)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := onocsim.RunSelfCorrection(cfg, tr, onocsim.Optical); err != nil {
+		if _, _, err := uncached.RunSelfCorrectionContext(bg, cfg, tr, onocsim.Optical); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -148,7 +155,7 @@ func BenchmarkSelfCorrection(b *testing.B) {
 func BenchmarkSchedulePass(b *testing.B) {
 	cfg := onocsim.DefaultConfig()
 	cfg.System.Cores = 16
-	tr, _, err := onocsim.CaptureTrace(cfg, onocsim.IdealNet)
+	tr, _, err := uncached.CaptureTraceContext(bg, cfg, onocsim.IdealNet)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -167,7 +174,7 @@ func BenchmarkSchedulePass(b *testing.B) {
 func BenchmarkTraceCodec(b *testing.B) {
 	cfg := onocsim.DefaultConfig()
 	cfg.System.Cores = 16
-	tr, _, err := onocsim.CaptureTrace(cfg, onocsim.IdealNet)
+	tr, _, err := uncached.CaptureTraceContext(bg, cfg, onocsim.IdealNet)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -251,7 +258,7 @@ func shardBenchTrace(b *testing.B) (onocsim.Config, *trace.Trace) {
 		cfg.Workload.Scale = 8
 		cfg.Workload.Iterations = 2
 		s.cfg = cfg
-		s.tr, _, s.err = onocsim.CaptureTrace(cfg, onocsim.IdealNet)
+		s.tr, _, s.err = uncached.CaptureTraceContext(bg, cfg, onocsim.IdealNet)
 	})
 	if s.err != nil {
 		b.Fatal(s.err)
@@ -358,7 +365,7 @@ func seedBenchCases(b *testing.B) []struct {
 	mesh.Workload.Kernel = "fft"
 	mesh.Workload.Scale = 4
 	mesh.Workload.Iterations = 2
-	meshTr, _, err := onocsim.CaptureTrace(mesh, onocsim.IdealNet)
+	meshTr, _, err := uncached.CaptureTraceContext(bg, mesh, onocsim.IdealNet)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -417,7 +424,7 @@ func benchSelfCorrectSeed(b *testing.B, mode string) {
 			var rounds int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, _, err := onocsim.RunSelfCorrection(cfg, tc.tr, tc.kind)
+				res, _, err := uncached.RunSelfCorrectionContext(bg, cfg, tc.tr, tc.kind)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -456,7 +463,7 @@ func benchSelfCorrectIncr(b *testing.B, kind onocsim.NetworkKind, cfg onocsim.Co
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, _, err := onocsim.RunSelfCorrection(c, tr, kind)
+				res, _, err := uncached.RunSelfCorrectionContext(bg, c, tr, kind)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -528,16 +535,16 @@ func benchEstimateVsCorrect(b *testing.B, kind onocsim.NetworkKind, estimate boo
 	cfg.System.Cores = 16
 	cfg.Workload.Scale = 4
 	cfg.Workload.Iterations = 2
-	tr, _, err := onocsim.CaptureTrace(cfg, onocsim.IdealNet)
+	tr, _, err := uncached.CaptureTraceContext(bg, cfg, onocsim.IdealNet)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if estimate {
-			_, _, err = onocsim.EstimateAnalytic(cfg, tr, kind)
+			_, _, err = uncached.Estimate(cfg, tr, kind)
 		} else {
-			_, _, err = onocsim.RunSelfCorrection(cfg, tr, kind)
+			_, _, err = uncached.RunSelfCorrectionContext(bg, cfg, tr, kind)
 		}
 		if err != nil {
 			b.Fatal(err)

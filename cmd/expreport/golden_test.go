@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -39,7 +40,7 @@ func TestGoldenASCII(t *testing.T) {
 	for _, id := range []string{"r1", "r4", "r18", "r19", "r20"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
-			tb, err := experiments.ByName(id, opts)
+			tb, err := experiments.ByName(context.Background(), id, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -284,13 +284,13 @@ func run(w io.Writer, exp string, opts experiments.Options, format, outdir strin
 		tables []*metrics.Table
 	)
 	if exp == "all" {
-		all, err := experiments.All(opts)
+		all, err := experiments.All(context.Background(), opts)
 		if err != nil {
 			return err
 		}
 		ids, tables = experiments.Names(), all
 	} else {
-		t, err := experiments.ByName(exp, opts)
+		t, err := experiments.ByName(context.Background(), exp, opts)
 		if err != nil {
 			return err
 		}

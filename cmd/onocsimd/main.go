@@ -48,6 +48,18 @@ func main() {
 	os.Exit(cliutil.ExitCode(err))
 }
 
+// The daemon's connection timeouts. A client gets readHeaderTimeout to send
+// its request head — one that opens a connection and trickles (or never
+// finishes) a request line does not hold a goroutine and a descriptor
+// forever — and a keep-alive connection may sit idle for idleTimeout between
+// requests. There is deliberately no WriteTimeout: an SSE stream and a long
+// simulation are both legitimate slow responses, and their lifetime is
+// governed by the request context and the drain instead.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 type options struct {
 	addr     string
 	cacheDir string
@@ -68,7 +80,11 @@ func run(ctx context.Context, o options, onReady func(addr net.Addr)) error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	fmt.Fprintf(os.Stderr, "onocsimd: listening on %s\n", ln.Addr())

@@ -4,9 +4,12 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -167,5 +170,56 @@ func TestDaemonIdleShutdown(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("idle daemon did not exit")
+	}
+}
+
+// A client that opens a connection and never finishes its request line is
+// cut off after readHeaderTimeout, and costs the other clients nothing while
+// it dawdles.
+func TestDaemonClosesStalledRequestHead(t *testing.T) {
+	t.Parallel()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ready := make(chan net.Addr, 1)
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, options{addr: "127.0.0.1:0", drain: 10 * time.Second},
+			func(addr net.Addr) { ready <- addr })
+	}()
+	var addr net.Addr
+	select {
+	case addr = <-ready:
+	case <-time.After(10 * time.Second):
+		t.Fatal("daemon never became ready")
+	}
+	conn, err := net.Dial("tcp", addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := conn.Write([]byte("POST /v1/simu")); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(fmt.Sprintf("http://%s/healthz", addr))
+	if err != nil {
+		t.Fatalf("healthz beside a stalled connection: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz beside a stalled connection: %d", resp.StatusCode)
+	}
+	// The server hangs up: the read drains whatever error reply it sent and
+	// ends in EOF (a reset, on some stacks), not in our own deadline.
+	conn.SetReadDeadline(start.Add(readHeaderTimeout + 5*time.Second))
+	if _, err := io.Copy(io.Discard, conn); errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("stalled connection still open %v after its first byte", time.Since(start))
+	}
+	if held := time.Since(start); held < readHeaderTimeout-time.Second {
+		t.Fatalf("connection closed after %v, before the %v header timeout", held, readHeaderTimeout)
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("shutdown: %v", err)
 	}
 }

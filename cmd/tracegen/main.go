@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -79,7 +80,7 @@ func run(cfgPath, kernel string, cores int, captureOn, out, jsonOut string) erro
 		return err
 	}
 
-	tr, wall, err := onocsim.CaptureTrace(cfg, onocsim.NetworkKind(captureOn))
+	tr, wall, err := onocsim.NewSession("").CaptureTraceContext(context.Background(), cfg, onocsim.NetworkKind(captureOn))
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"path/filepath"
 	"testing"
 
@@ -15,7 +16,7 @@ func captureToFile(t *testing.T) string {
 	cfg.System.Cores = 16
 	cfg.Workload.Scale = 4
 	cfg.Workload.Iterations = 2
-	tr, _, err := onocsim.CaptureTrace(cfg, onocsim.IdealNet)
+	tr, _, err := onocsim.CaptureTraceContext(context.Background(), cfg, onocsim.IdealNet)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,19 +18,19 @@ type freshOnly struct{ noc.Network }
 // fresh fabric for every round.
 func sequentialStudy(t *testing.T, cfg Config, target NetworkKind) *Study {
 	t.Helper()
-	tr, _, err := CaptureTrace(cfg, IdealNet)
+	tr, _, err := uncached.CaptureTraceContext(bg, cfg, IdealNet)
 	if err != nil {
 		t.Fatalf("capture: %v", err)
 	}
-	truth, err := RunExecutionDriven(cfg, target)
+	truth, err := uncached.RunExecutionDrivenContext(bg, cfg, target)
 	if err != nil {
 		t.Fatalf("ground truth: %v", err)
 	}
-	naive, _, err := RunNaiveReplay(cfg, tr, target)
+	naive, _, err := uncached.RunNaiveReplayContext(bg, cfg, tr, target)
 	if err != nil {
 		t.Fatalf("naive: %v", err)
 	}
-	coupled, _, err := RunCoupledReplay(cfg, tr, target)
+	coupled, _, err := uncached.RunCoupledReplayContext(bg, cfg, tr, target)
 	if err != nil {
 		t.Fatalf("coupled: %v", err)
 	}
@@ -88,7 +88,7 @@ func TestStudyDeterminism(t *testing.T) {
 		t.Run(string(kind), func(t *testing.T) {
 			t.Parallel()
 			cfg := smallConfig()
-			got, err := RunStudy(cfg, kind)
+			got, err := uncached.RunStudyContext(bg, cfg, kind)
 			if err != nil {
 				t.Fatal(err)
 			}

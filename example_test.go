@@ -1,6 +1,7 @@
 package onocsim_test
 
 import (
+	"context"
 	"fmt"
 
 	"onocsim"
@@ -18,17 +19,19 @@ func ExampleCompare() {
 	// makespan error 5.0%, latency error 5.0%
 }
 
-// ExampleRunStudy runs the complete methodology comparison on a small chip.
-// The simulators are deterministic, so the resulting relationship — the
-// self-correction model beating naive replay — is reproducible.
-func ExampleRunStudy() {
+// ExampleSession_RunStudyContext runs the complete methodology comparison on
+// a small chip. The simulators are deterministic, so the resulting
+// relationship — the self-correction model beating naive replay — is
+// reproducible.
+func ExampleSession_RunStudyContext() {
 	cfg := onocsim.DefaultConfig()
 	cfg.System.Cores = 16
 	cfg.Workload.Kernel = "stencil"
 	cfg.Workload.Scale = 4
 	cfg.Workload.Iterations = 2
 
-	study, err := onocsim.RunStudy(cfg, onocsim.Optical)
+	s := onocsim.NewSession("")
+	study, err := s.RunStudyContext(context.Background(), cfg, onocsim.Optical)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -41,21 +44,33 @@ func ExampleRunStudy() {
 	// converged: true
 }
 
-// ExampleCaptureTrace demonstrates the trace capture + save/load round trip.
-func ExampleCaptureTrace() {
+// ExampleSession_CaptureTraceContext captures a trace once and replays it
+// with self-correction; asking the session for the same capture again is a
+// cache hit that returns the same trace.
+func ExampleSession_CaptureTraceContext() {
 	cfg := onocsim.DefaultConfig()
 	cfg.System.Cores = 16
 	cfg.Workload.Kernel = "lu"
 	cfg.Workload.Scale = 4
 
-	tr, _, err := onocsim.CaptureTrace(cfg, onocsim.IdealNet)
+	ctx := context.Background()
+	s := onocsim.NewSession("")
+	tr, _, err := s.CaptureTraceContext(ctx, cfg, onocsim.IdealNet)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
-	fmt.Printf("captured a valid trace: %v\n", tr.Validate() == nil)
-	fmt.Printf("events > 0: %v\n", tr.NumEvents() > 0)
+	fmt.Printf("captured a valid trace: %v\n", tr.Validate() == nil && tr.NumEvents() > 0)
+	res, _, err := s.RunSelfCorrectionContext(ctx, cfg, tr, onocsim.Optical)
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	fmt.Printf("converged: %v\n", res.Converged)
+	again, _, _ := s.CaptureTraceContext(ctx, cfg, onocsim.IdealNet)
+	fmt.Printf("second capture is the first: %v\n", again == tr)
 	// Output:
 	// captured a valid trace: true
-	// events > 0: true
+	// converged: true
+	// second capture is the first: true
 }

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -29,16 +30,18 @@ func main() {
 		"kernel", "elec makespan", "opt makespan", "speedup",
 		"elec power (mW)", "opt power (mW)")
 	var speedups []float64
+	ctx := context.Background()
+	s := onocsim.NewSession("")
 	for _, k := range workload.KernelNames() {
 		cfg := onocsim.DefaultConfig()
 		cfg.System.Cores = *cores
 		cfg.Workload.Kernel = k
 
-		elec, err := onocsim.RunExecutionDriven(cfg, onocsim.Electrical)
+		elec, err := s.RunExecutionDrivenContext(ctx, cfg, onocsim.Electrical)
 		if err != nil {
 			log.Fatalf("%s electrical: %v", k, err)
 		}
-		opt, err := onocsim.RunExecutionDriven(cfg, onocsim.Optical)
+		opt, err := s.RunExecutionDrivenContext(ctx, cfg, onocsim.Optical)
 		if err != nil {
 			log.Fatalf("%s optical: %v", k, err)
 		}

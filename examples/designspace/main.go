@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -47,12 +48,14 @@ func main() {
 	t := metrics.NewTable(
 		fmt.Sprintf("design space — %s kernel, %d cores, execution-driven", *kernel, *cores),
 		"design", "makespan", "mean lat", "static mW", "dynamic mW")
+	ctx := context.Background()
+	s := onocsim.NewSession("")
 	for _, d := range designs {
 		cfg := base
 		if d.mutate != nil {
 			d.mutate(&cfg)
 		}
-		res, err := onocsim.RunExecutionDriven(cfg, d.kind)
+		res, err := s.RunExecutionDrivenContext(ctx, cfg, d.kind)
 		if err != nil {
 			log.Fatalf("%s: %v", d.name, err)
 		}

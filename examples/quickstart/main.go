@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -23,8 +24,13 @@ func main() {
 	cfg.Workload.Scale = 4
 	cfg.Workload.Iterations = 3
 
+	// Operations are methods of a session, which memoizes their results; the
+	// context bounds how long each may queue for a simulation slot.
+	ctx := context.Background()
+	s := onocsim.NewSession("")
+
 	// 1. Capture once on the cheap reference fabric.
-	tr, _, err := onocsim.CaptureTrace(cfg, onocsim.IdealNet)
+	tr, _, err := s.CaptureTraceContext(ctx, cfg, onocsim.IdealNet)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -32,14 +38,14 @@ func main() {
 		tr.NumEvents(), tr.RefMakespan)
 
 	// 2. Ground truth: execution-driven simulation of the optical fabric.
-	truth, err := onocsim.RunExecutionDriven(cfg, onocsim.Optical)
+	truth, err := s.RunExecutionDrivenContext(ctx, cfg, onocsim.Optical)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("execution-driven ONOC makespan: %d cycles (truth)\n", truth.Makespan)
 
 	// 3. Conventional trace-driven replay: fast but wrong.
-	naive, _, err := onocsim.RunNaiveReplay(cfg, tr, onocsim.Optical)
+	naive, _, err := s.RunNaiveReplayContext(ctx, cfg, tr, onocsim.Optical)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,7 +54,7 @@ func main() {
 		naive.Makespan, na.MakespanErr*100)
 
 	// 4. The Self-Correction Trace Model.
-	sctm, _, err := onocsim.RunSelfCorrection(cfg, tr, onocsim.Optical)
+	sctm, _, err := s.RunSelfCorrectionContext(ctx, cfg, tr, onocsim.Optical)
 	if err != nil {
 		log.Fatal(err)
 	}

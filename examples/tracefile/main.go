@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -29,8 +30,11 @@ func main() {
 	cfg.Workload.Kernel = "fft"
 	cfg.Workload.Scale = 4
 
+	ctx := context.Background()
+	s := onocsim.NewSession("")
+
 	// Capture and persist.
-	tr, _, err := onocsim.CaptureTrace(cfg, onocsim.IdealNet)
+	tr, _, err := s.CaptureTraceContext(ctx, cfg, onocsim.IdealNet)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,7 +65,7 @@ func main() {
 	for _, wl := range []int{4, 8, 16, 32, 64} {
 		c := cfg
 		c.Optical.WavelengthsPerChannel = wl
-		res, _, err := onocsim.RunSelfCorrection(c, tr2, onocsim.Optical)
+		res, _, err := s.RunSelfCorrectionContext(ctx, c, tr2, onocsim.Optical)
 		if err != nil {
 			log.Fatal(err)
 		}

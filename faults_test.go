@@ -72,11 +72,11 @@ func TestFaultedRunsDeterministic(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			a, err := RunExecutionDriven(tc.cfg, tc.kind)
+			a, err := uncached.RunExecutionDrivenContext(bg, tc.cfg, tc.kind)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := RunExecutionDriven(tc.cfg, tc.kind)
+			b, err := uncached.RunExecutionDrivenContext(bg, tc.cfg, tc.kind)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,7 +96,7 @@ func TestFaultedRunsDeterministic(t *testing.T) {
 func TestFaultedCountsEvents(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Faults = intenseFaults()
-	truth, err := RunExecutionDriven(cfg, Optical)
+	truth, err := uncached.RunExecutionDrivenContext(bg, cfg, Optical)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestFaultedCountsEvents(t *testing.T) {
 	if truth.Faults.DriftedSends == 0 {
 		t.Error("no drifted sends under the intense section")
 	}
-	clean, err := RunExecutionDriven(smallConfig(), Optical)
+	clean, err := uncached.RunExecutionDrivenContext(bg, smallConfig(), Optical)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,22 +130,22 @@ func TestFaultedShardInvariance(t *testing.T) {
 			t.Parallel()
 			cfg := smallConfig()
 			cfg.Faults = fc.faults
-			tr, _, err := CaptureTrace(cfg, IdealNet)
+			tr, _, err := uncached.CaptureTraceContext(bg, cfg, IdealNet)
 			if err != nil {
 				t.Fatal(err)
 			}
-			serial, _, err := RunNaiveReplay(cfg, tr, Optical)
+			serial, _, err := uncached.RunNaiveReplayContext(bg, cfg, tr, Optical)
 			if err != nil {
 				t.Fatal(err)
 			}
-			serialSC, _, err := RunSelfCorrection(cfg, tr, Optical)
+			serialSC, _, err := uncached.RunSelfCorrectionContext(bg, cfg, tr, Optical)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, k := range []int{1, 8} {
 				sharded := cfg
 				sharded.Parallelism.Shards = k
-				got, _, err := RunNaiveReplay(sharded, tr, Optical)
+				got, _, err := uncached.RunNaiveReplayContext(bg, sharded, tr, Optical)
 				if err != nil {
 					t.Fatalf("shards=%d: %v", k, err)
 				}
@@ -154,7 +154,7 @@ func TestFaultedShardInvariance(t *testing.T) {
 					t.Errorf("shards=%d: fabric statistics (incl. fault counters) diverge\n got: %+v\nwant: %+v",
 						k, got.NetStats, serial.NetStats)
 				}
-				sc, _, err := RunSelfCorrection(sharded, tr, Optical)
+				sc, _, err := uncached.RunSelfCorrectionContext(bg, sharded, tr, Optical)
 				if err != nil {
 					t.Fatalf("shards=%d self-correction: %v", k, err)
 				}
@@ -178,11 +178,11 @@ func TestFaultSeedChangesSchedule(t *testing.T) {
 	a.Faults = intenseFaults()
 	b := a
 	b.Seed = a.Seed + 1
-	ra, err := RunExecutionDriven(a, Optical)
+	ra, err := uncached.RunExecutionDrivenContext(bg, a, Optical)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := RunExecutionDriven(b, Optical)
+	rb, err := uncached.RunExecutionDrivenContext(bg, b, Optical)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestFaultSeedChangesSchedule(t *testing.T) {
 func TestHybridReroutesUnderDroop(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Faults = config.Faults{LaserDroopDB: 25}
-	truth, err := RunExecutionDriven(cfg, Hybrid)
+	truth, err := uncached.RunExecutionDrivenContext(bg, cfg, Hybrid)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,12 +14,12 @@ import (
 // simulated, reduced to the latency/throughput/power Pareto front. The table
 // is the front; the notes carry the grid accounting — how much of the design
 // space the analytic model screened out before any fabric was ticked.
-func R20DesignSpace(o Options) (*metrics.Table, error) {
+func R20DesignSpace(ctx context.Context, o Options) (*metrics.Table, error) {
 	spec := config.DefaultSweep()
 	spec.Normalize()
 	spec.Seed = o.seed()
 	spec.Quick = o.Quick
-	res, err := sweep.Run(context.Background(), spec, sweep.Options{
+	res, err := sweep.Run(ctx, spec, sweep.Options{
 		Session:  o.Session,
 		Progress: o.Progress,
 	})

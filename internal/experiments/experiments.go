@@ -8,6 +8,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -120,7 +121,7 @@ type studySet struct {
 	studies map[string]*onocsim.Study
 }
 
-func newStudySet(o Options) (*studySet, error) {
+func newStudySet(ctx context.Context, o Options) (*studySet, error) {
 	s := &studySet{kernels: workload.KernelNames(), studies: map[string]*onocsim.Study{}}
 	// Studies are independent simulations with per-study state, so they
 	// parallelize trivially; each remains internally deterministic. The
@@ -141,7 +142,7 @@ func newStudySet(o Options) (*studySet, error) {
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			st, err := o.Session.RunStudy(kernelConfig(o, k), onocsim.Optical)
+			st, err := o.Session.RunStudyContext(ctx, kernelConfig(o, k), onocsim.Optical)
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil && firstErr == nil {
@@ -162,8 +163,8 @@ func newStudySet(o Options) (*studySet, error) {
 // execution time estimated by naive replay, coupled replay, and the
 // Self-Correction Trace Model, each against execution-driven ground truth on
 // the optical fabric.
-func R1Accuracy(o Options) (*metrics.Table, error) {
-	set, err := newStudySet(o)
+func R1Accuracy(ctx context.Context, o Options) (*metrics.Table, error) {
+	set, err := newStudySet(ctx, o)
 	if err != nil {
 		return nil, err
 	}
@@ -196,8 +197,8 @@ func r1FromSet(set *studySet) (*metrics.Table, error) {
 
 // R2SimTime reconstructs the simulation-cost table: host wall-clock of each
 // methodology, and the speedup of SCTM over execution-driven simulation.
-func R2SimTime(o Options) (*metrics.Table, error) {
-	set, err := newStudySet(o)
+func R2SimTime(ctx context.Context, o Options) (*metrics.Table, error) {
+	set, err := newStudySet(ctx, o)
 	if err != nil {
 		return nil, err
 	}
@@ -230,8 +231,8 @@ func r2FromSet(set *studySet) (*metrics.Table, error) {
 }
 
 // R1R2 runs the shared study set once and returns both tables.
-func R1R2(o Options) (*metrics.Table, *metrics.Table, error) {
-	set, err := newStudySet(o)
+func R1R2(ctx context.Context, o Options) (*metrics.Table, *metrics.Table, error) {
+	set, err := newStudySet(ctx, o)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -248,21 +249,21 @@ func R1R2(o Options) (*metrics.Table, *metrics.Table, error) {
 
 // R3Convergence reconstructs the convergence figure: per-round schedule
 // delta and makespan error of the self-correction loop.
-func R3Convergence(o Options) (*metrics.Table, error) {
+func R3Convergence(ctx context.Context, o Options) (*metrics.Table, error) {
 	t := metrics.NewTable(
 		"R3 — Self-correction convergence (one series per kernel)",
 		"kernel", "round", "schedule delta", "makespan est", "err vs truth")
 	for _, k := range workload.KernelNames() {
 		cfg := kernelConfig(o, k)
-		tr, _, err := o.Session.CaptureTrace(cfg, onocsim.IdealNet)
+		tr, _, err := o.Session.CaptureTraceContext(ctx, cfg, onocsim.IdealNet)
 		if err != nil {
 			return nil, err
 		}
-		truth, err := o.Session.RunExecutionDriven(cfg, onocsim.Optical)
+		truth, err := o.Session.RunExecutionDrivenContext(ctx, cfg, onocsim.Optical)
 		if err != nil {
 			return nil, err
 		}
-		res, _, err := o.Session.RunSelfCorrection(cfg, tr, onocsim.Optical)
+		res, _, err := o.Session.RunSelfCorrectionContext(ctx, cfg, tr, onocsim.Optical)
 		if err != nil {
 			return nil, err
 		}
@@ -281,7 +282,7 @@ func R3Convergence(o Options) (*metrics.Table, error) {
 
 // R4LoadLatency reconstructs the load–latency case-study figure: synthetic
 // traffic sweeps on both fabrics.
-func R4LoadLatency(o Options) (*metrics.Table, error) {
+func R4LoadLatency(ctx context.Context, o Options) (*metrics.Table, error) {
 	t := metrics.NewTable(
 		"R4 — Load vs latency, electrical mesh vs optical crossbar",
 		"pattern", "offered (flits/node/cyc)", "fabric", "mean lat", "p99 lat", "throughput", "saturated")
@@ -310,7 +311,7 @@ func R4LoadLatency(o Options) (*metrics.Table, error) {
 					Iterations:    1,
 					ComputeScale:  1,
 				}
-				res, err := o.Session.RunSyntheticLoad(cfg, kind)
+				res, err := o.Session.RunSyntheticLoadContext(ctx, cfg, kind)
 				if err != nil {
 					return nil, err
 				}
@@ -331,7 +332,7 @@ func R4LoadLatency(o Options) (*metrics.Table, error) {
 
 // R5CaseStudy reconstructs the application case study: kernel completion
 // time execution-driven on the baseline electrical NoC vs the ONOC.
-func R5CaseStudy(o Options) (*metrics.Table, error) {
+func R5CaseStudy(ctx context.Context, o Options) (*metrics.Table, error) {
 	t := metrics.NewTable(
 		"R5 — Case study: application completion time, electrical vs optical",
 		"kernel", "electrical makespan", "optical makespan", "optical speedup",
@@ -339,11 +340,11 @@ func R5CaseStudy(o Options) (*metrics.Table, error) {
 	var speedups []float64
 	for _, k := range workload.KernelNames() {
 		cfg := kernelConfig(o, k)
-		e, err := o.Session.RunExecutionDriven(cfg, onocsim.Electrical)
+		e, err := o.Session.RunExecutionDrivenContext(ctx, cfg, onocsim.Electrical)
 		if err != nil {
 			return nil, err
 		}
-		op, err := o.Session.RunExecutionDriven(cfg, onocsim.Optical)
+		op, err := o.Session.RunExecutionDrivenContext(ctx, cfg, onocsim.Optical)
 		if err != nil {
 			return nil, err
 		}
@@ -363,14 +364,14 @@ func R5CaseStudy(o Options) (*metrics.Table, error) {
 }
 
 // R6Power reconstructs the power-breakdown table over the kernel workloads.
-func R6Power(o Options) (*metrics.Table, error) {
+func R6Power(ctx context.Context, o Options) (*metrics.Table, error) {
 	t := metrics.NewTable(
 		"R6 — Network power (mW) over kernel workloads",
 		"kernel", "fabric", "static", "dynamic", "total", "dominant components")
 	for _, k := range workload.KernelNames() {
 		cfg := kernelConfig(o, k)
 		for _, kind := range []onocsim.NetworkKind{onocsim.Electrical, onocsim.Optical} {
-			res, err := o.Session.RunExecutionDriven(cfg, kind)
+			res, err := o.Session.RunExecutionDrivenContext(ctx, cfg, kind)
 			if err != nil {
 				return nil, err
 			}
@@ -390,7 +391,7 @@ func R6Power(o Options) (*metrics.Table, error) {
 
 // R7Scaling reconstructs the methodology-scalability figure: SCTM error and
 // cost versus core count.
-func R7Scaling(o Options) (*metrics.Table, error) {
+func R7Scaling(ctx context.Context, o Options) (*metrics.Table, error) {
 	t := metrics.NewTable(
 		"R7 — SCTM scalability with core count (stencil kernel)",
 		"cores", "truth makespan", "sctm err", "naive err", "exec ms", "sctm ms", "trace events")
@@ -402,7 +403,7 @@ func R7Scaling(o Options) (*metrics.Table, error) {
 		opts := o
 		opts.Cores = n
 		cfg := kernelConfig(opts, "stencil")
-		st, err := o.Session.RunStudy(cfg, onocsim.Optical)
+		st, err := o.Session.RunStudyContext(ctx, cfg, onocsim.Optical)
 		if err != nil {
 			return nil, err
 		}
@@ -421,17 +422,17 @@ func R7Scaling(o Options) (*metrics.Table, error) {
 
 // R8Ablation reconstructs the dependency-class ablation: the error of the
 // self-correction model with synchronization or causal edges disabled.
-func R8Ablation(o Options) (*metrics.Table, error) {
+func R8Ablation(ctx context.Context, o Options) (*metrics.Table, error) {
 	t := metrics.NewTable(
 		"R8 — Why dependencies matter: SCTM error with dependency classes ablated",
 		"kernel", "full model", "no sync deps", "no causal deps")
 	for _, k := range workload.KernelNames() {
 		cfg := kernelConfig(o, k)
-		tr, _, err := o.Session.CaptureTrace(cfg, onocsim.IdealNet)
+		tr, _, err := o.Session.CaptureTraceContext(ctx, cfg, onocsim.IdealNet)
 		if err != nil {
 			return nil, err
 		}
-		truth, err := o.Session.RunExecutionDriven(cfg, onocsim.Optical)
+		truth, err := o.Session.RunExecutionDrivenContext(ctx, cfg, onocsim.Optical)
 		if err != nil {
 			return nil, err
 		}
@@ -439,7 +440,7 @@ func R8Ablation(o Options) (*metrics.Table, error) {
 			c := cfg
 			c.SCTM.DisableSyncDeps = noSync
 			c.SCTM.DisableCausalDeps = noCausal
-			res, _, err := o.Session.RunSelfCorrection(c, tr, onocsim.Optical)
+			res, _, err := o.Session.RunSelfCorrectionContext(ctx, c, tr, onocsim.Optical)
 			if err != nil {
 				return 0, err
 			}

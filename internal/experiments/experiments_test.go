@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -8,6 +9,9 @@ import (
 
 // quickOpts keeps experiment tests CI-sized.
 var quickOpts = Options{Seed: 42, Cores: 16, Quick: true}
+
+// bg is the context of a caller that never cancels.
+var bg = context.Background()
 
 func TestOptionsDefaults(t *testing.T) {
 	var o Options
@@ -24,7 +28,7 @@ func TestOptionsDefaults(t *testing.T) {
 }
 
 func TestR1R2ShareStudySet(t *testing.T) {
-	t1, t2, err := R1R2(quickOpts)
+	t1, t2, err := R1R2(bg, quickOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +42,7 @@ func TestR1R2ShareStudySet(t *testing.T) {
 }
 
 func TestR3ConvergenceRows(t *testing.T) {
-	tb, err := R3Convergence(quickOpts)
+	tb, err := R3Convergence(bg, quickOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +56,7 @@ func TestR3ConvergenceRows(t *testing.T) {
 }
 
 func TestR4QuickSweep(t *testing.T) {
-	tb, err := R4LoadLatency(quickOpts)
+	tb, err := R4LoadLatency(bg, quickOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +70,7 @@ func TestR4QuickSweep(t *testing.T) {
 }
 
 func TestR5CaseStudyRows(t *testing.T) {
-	tb, err := R5CaseStudy(quickOpts)
+	tb, err := R5CaseStudy(bg, quickOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +83,7 @@ func TestR5CaseStudyRows(t *testing.T) {
 }
 
 func TestR6PowerRows(t *testing.T) {
-	tb, err := R6Power(quickOpts)
+	tb, err := R6Power(bg, quickOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +96,7 @@ func TestR6PowerRows(t *testing.T) {
 }
 
 func TestR7ScalingQuick(t *testing.T) {
-	tb, err := R7Scaling(quickOpts)
+	tb, err := R7Scaling(bg, quickOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +109,7 @@ func TestR7ScalingQuick(t *testing.T) {
 }
 
 func TestR8AblationShowsDegradation(t *testing.T) {
-	tb, err := R8Ablation(quickOpts)
+	tb, err := R8Ablation(bg, quickOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +137,7 @@ func parsePct(t *testing.T, s string) float64 {
 }
 
 func TestByNameUnknown(t *testing.T) {
-	if _, err := ByName("r99", quickOpts); err == nil {
+	if _, err := ByName(bg, "r99", quickOpts); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 	if len(Names()) != 20 {
@@ -146,7 +150,7 @@ func TestByNameUnknown(t *testing.T) {
 
 func TestByNameDispatch(t *testing.T) {
 	for _, name := range []string{"r1", "r5"} {
-		tb, err := ByName(name, quickOpts)
+		tb, err := ByName(bg, name, quickOpts)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

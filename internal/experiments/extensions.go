@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"onocsim"
@@ -17,7 +18,7 @@ import (
 // token-arbitrated MWSR (Corona-class) and the broadcast SWMR
 // (Firefly-class) — on application completion time and power, the classic
 // arbitration-latency-versus-static-power trade-off.
-func R9Architectures(o Options) (*metrics.Table, error) {
+func R9Architectures(ctx context.Context, o Options) (*metrics.Table, error) {
 	t := metrics.NewTable(
 		"R9 (extension) — MWSR vs SWMR optical crossbar",
 		"kernel", "mwsr makespan", "swmr makespan", "swmr speedup",
@@ -25,12 +26,12 @@ func R9Architectures(o Options) (*metrics.Table, error) {
 	for _, k := range workload.KernelNames() {
 		cfg := kernelConfig(o, k)
 		cfg.Optical.Architecture = "mwsr"
-		mwsr, err := o.Session.RunExecutionDriven(cfg, onocsim.Optical)
+		mwsr, err := o.Session.RunExecutionDrivenContext(ctx, cfg, onocsim.Optical)
 		if err != nil {
 			return nil, err
 		}
 		cfg.Optical.Architecture = "swmr"
-		swmr, err := o.Session.RunExecutionDriven(cfg, onocsim.Optical)
+		swmr, err := o.Session.RunExecutionDrivenContext(ctx, cfg, onocsim.Optical)
 		if err != nil {
 			return nil, err
 		}
@@ -50,7 +51,7 @@ func R9Architectures(o Options) (*metrics.Table, error) {
 // R10CaptureFabric measures how sensitive the Self-Correction Trace Model is
 // to the fabric the trace was captured on: the method's promise is that a
 // cheap reference capture suffices.
-func R10CaptureFabric(o Options) (*metrics.Table, error) {
+func R10CaptureFabric(ctx context.Context, o Options) (*metrics.Table, error) {
 	t := metrics.NewTable(
 		"R10 (extension) — SCTM accuracy vs capture fabric (target: optical)",
 		"kernel", "capture=ideal", "capture=electrical", "capture=optical", "naive (ideal capture)")
@@ -60,24 +61,24 @@ func R10CaptureFabric(o Options) (*metrics.Table, error) {
 	}
 	for _, k := range kernels {
 		cfg := kernelConfig(o, k)
-		truth, err := o.Session.RunExecutionDriven(cfg, onocsim.Optical)
+		truth, err := o.Session.RunExecutionDrivenContext(ctx, cfg, onocsim.Optical)
 		if err != nil {
 			return nil, err
 		}
 		row := []metrics.Cell{metrics.String(k)}
 		var naiveIdeal float64
 		for i, capOn := range []onocsim.NetworkKind{onocsim.IdealNet, onocsim.Electrical, onocsim.Optical} {
-			tr, _, err := o.Session.CaptureTrace(cfg, capOn)
+			tr, _, err := o.Session.CaptureTraceContext(ctx, cfg, capOn)
 			if err != nil {
 				return nil, err
 			}
-			res, _, err := o.Session.RunSelfCorrection(cfg, tr, onocsim.Optical)
+			res, _, err := o.Session.RunSelfCorrectionContext(ctx, cfg, tr, onocsim.Optical)
 			if err != nil {
 				return nil, err
 			}
 			row = append(row, metrics.Percent(metrics.RelErr(float64(res.Final.Makespan), float64(truth.Makespan))))
 			if i == 0 {
-				nv, _, err := o.Session.RunNaiveReplay(cfg, tr, onocsim.Optical)
+				nv, _, err := o.Session.RunNaiveReplayContext(ctx, cfg, tr, onocsim.Optical)
 				if err != nil {
 					return nil, err
 				}
@@ -95,7 +96,7 @@ func R10CaptureFabric(o Options) (*metrics.Table, error) {
 // direction the paper's authors took next, ISPA 2013): kernel completion
 // time versus the distance threshold that splits traffic between the
 // electrical mesh and the optical crossbar.
-func R12Hybrid(o Options) (*metrics.Table, error) {
+func R12Hybrid(ctx context.Context, o Options) (*metrics.Table, error) {
 	t := metrics.NewTable(
 		"R12 (extension) — path-adaptive hybrid NoC: makespan vs optical-distance threshold",
 		"kernel", "mesh only", "optical only", "hybrid t=2", "hybrid t=4", "hybrid t=6", "best")
@@ -105,11 +106,11 @@ func R12Hybrid(o Options) (*metrics.Table, error) {
 	}
 	for _, k := range kernels {
 		cfg := kernelConfig(o, k)
-		mesh, err := o.Session.RunExecutionDriven(cfg, onocsim.Electrical)
+		mesh, err := o.Session.RunExecutionDrivenContext(ctx, cfg, onocsim.Electrical)
 		if err != nil {
 			return nil, err
 		}
-		opt, err := o.Session.RunExecutionDriven(cfg, onocsim.Optical)
+		opt, err := o.Session.RunExecutionDrivenContext(ctx, cfg, onocsim.Optical)
 		if err != nil {
 			return nil, err
 		}
@@ -122,7 +123,7 @@ func R12Hybrid(o Options) (*metrics.Table, error) {
 		for _, th := range []int{2, 4, 6} {
 			c := cfg
 			c.Hybrid.Threshold = th
-			h, err := o.Session.RunExecutionDriven(c, onocsim.Hybrid)
+			h, err := o.Session.RunExecutionDrivenContext(ctx, c, onocsim.Hybrid)
 			if err != nil {
 				return nil, err
 			}
@@ -141,16 +142,16 @@ func R12Hybrid(o Options) (*metrics.Table, error) {
 // R11Damping sweeps the correction loop's damping factor: rounds to
 // convergence and final error. It ablates the loop-stability design choice
 // DESIGN.md calls out.
-func R11Damping(o Options) (*metrics.Table, error) {
+func R11Damping(ctx context.Context, o Options) (*metrics.Table, error) {
 	t := metrics.NewTable(
 		"R11 (extension) — correction-loop damping sweep (stencil kernel)",
 		"damping", "rounds", "converged", "makespan est", "err vs truth")
 	cfg := kernelConfig(o, "stencil")
-	tr, _, err := o.Session.CaptureTrace(cfg, onocsim.IdealNet)
+	tr, _, err := o.Session.CaptureTraceContext(ctx, cfg, onocsim.IdealNet)
 	if err != nil {
 		return nil, err
 	}
-	truth, err := o.Session.RunExecutionDriven(cfg, onocsim.Optical)
+	truth, err := o.Session.RunExecutionDrivenContext(ctx, cfg, onocsim.Optical)
 	if err != nil {
 		return nil, err
 	}
@@ -159,7 +160,7 @@ func R11Damping(o Options) (*metrics.Table, error) {
 		c := cfg
 		c.SCTM.Damping = d
 		c.SCTM.MaxIterations = 15
-		res, _, err := o.Session.RunSelfCorrection(c, tr, onocsim.Optical)
+		res, _, err := o.Session.RunSelfCorrectionContext(ctx, c, tr, onocsim.Optical)
 		if err != nil {
 			return nil, err
 		}

@@ -7,7 +7,7 @@ import (
 )
 
 func TestR9ArchitecturesRows(t *testing.T) {
-	tb, err := R9Architectures(quickOpts)
+	tb, err := R9Architectures(bg, quickOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func TestR9ArchitecturesRows(t *testing.T) {
 }
 
 func TestR10CaptureFabricQuick(t *testing.T) {
-	tb, err := R10CaptureFabric(quickOpts)
+	tb, err := R10CaptureFabric(bg, quickOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestR10CaptureFabricQuick(t *testing.T) {
 }
 
 func TestR11DampingRows(t *testing.T) {
-	tb, err := R11Damping(quickOpts)
+	tb, err := R11Damping(bg, quickOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestR11DampingRows(t *testing.T) {
 }
 
 func TestR12HybridQuick(t *testing.T) {
-	tb, err := R12Hybrid(quickOpts)
+	tb, err := R12Hybrid(bg, quickOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestR12HybridQuick(t *testing.T) {
 
 func TestExtensionsViaByName(t *testing.T) {
 	for _, name := range []string{"r9", "r11", "r12"} {
-		tb, err := ByName(name, quickOpts)
+		tb, err := ByName(bg, name, quickOpts)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -91,7 +91,7 @@ func parseF(t *testing.T, s string) float64 {
 }
 
 func TestR13PhotonicsQuick(t *testing.T) {
-	tb, err := R13Photonics(quickOpts)
+	tb, err := R13Photonics(bg, quickOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestR13PhotonicsQuick(t *testing.T) {
 }
 
 func TestR14WhatIfQuick(t *testing.T) {
-	tb, err := R14WhatIf(quickOpts)
+	tb, err := R14WhatIf(bg, quickOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestR14WhatIfQuick(t *testing.T) {
 }
 
 func TestR15LeagueQuick(t *testing.T) {
-	tb, err := R15League(quickOpts)
+	tb, err := R15League(bg, quickOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestR15LeagueQuick(t *testing.T) {
 }
 
 func TestR16SeedsQuick(t *testing.T) {
-	tb, err := R16Seeds(quickOpts)
+	tb, err := R16Seeds(bg, quickOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestR16SeedsQuick(t *testing.T) {
 }
 
 func TestR17MemoryQuick(t *testing.T) {
-	tb, err := R17Memory(quickOpts)
+	tb, err := R17Memory(bg, quickOpts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"onocsim"
 	"onocsim/internal/config"
 	"onocsim/internal/metrics"
@@ -14,14 +15,14 @@ import (
 // is shared across every row (faults never touch the capture fabric), so the
 // sweep adds no capture work on a warm session. Options.Faults is ignored:
 // this experiment owns its fault sections.
-func R18Faults(o Options) (*metrics.Table, error) {
+func R18Faults(ctx context.Context, o Options) (*metrics.Table, error) {
 	t := metrics.NewTable(
 		"R18 (extension) — fault injection: degraded throughput and self-correction accuracy (stencil kernel)",
 		"faults", "fabric", "truth makespan", "slowdown", "naive err", "sctm err",
 		"token losses", "drifted", "derated", "rerouted")
 	base := kernelConfig(o, "stencil")
 	base.Faults = config.Faults{}
-	tr, _, err := o.Session.CaptureTrace(base, onocsim.IdealNet)
+	tr, _, err := o.Session.CaptureTraceContext(ctx, base, onocsim.IdealNet)
 	if err != nil {
 		return nil, err
 	}
@@ -42,15 +43,15 @@ func R18Faults(o Options) (*metrics.Table, error) {
 		for _, fb := range fabrics {
 			cfg := base
 			cfg.Faults = f
-			truth, err := o.Session.RunExecutionDriven(cfg, fb.kind)
+			truth, err := o.Session.RunExecutionDrivenContext(ctx, cfg, fb.kind)
 			if err != nil {
 				return nil, err
 			}
-			nv, _, err := o.Session.RunNaiveReplay(cfg, tr, fb.kind)
+			nv, _, err := o.Session.RunNaiveReplayContext(ctx, cfg, tr, fb.kind)
 			if err != nil {
 				return nil, err
 			}
-			sc, _, err := o.Session.RunSelfCorrection(cfg, tr, fb.kind)
+			sc, _, err := o.Session.RunSelfCorrectionContext(ctx, cfg, tr, fb.kind)
 			if err != nil {
 				return nil, err
 			}

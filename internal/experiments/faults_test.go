@@ -6,7 +6,7 @@ import (
 )
 
 func TestR18FaultsQuick(t *testing.T) {
-	tb, err := R18Faults(quickOpts)
+	tb, err := R18Faults(bg, quickOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,11 +34,11 @@ func TestR18FaultsQuick(t *testing.T) {
 // TestR18Deterministic pins the tentpole guarantee at the experiment level:
 // the same options replay the same fault schedules, cell for cell.
 func TestR18Deterministic(t *testing.T) {
-	a, err := R18Faults(quickOpts)
+	a, err := R18Faults(bg, quickOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := R18Faults(quickOpts)
+	b, err := R18Faults(bg, quickOpts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"onocsim"
@@ -30,7 +31,7 @@ func leagueDesigns() []fabricDesign {
 // R15League runs every kernel on every fabric and reports the completion
 // time league table — the consolidated design-space view that the
 // per-pair experiments (R5, R9, R12) sample.
-func R15League(o Options) (*metrics.Table, error) {
+func R15League(ctx context.Context, o Options) (*metrics.Table, error) {
 	designs := leagueDesigns()
 	cols := []string{"kernel"}
 	for _, d := range designs {
@@ -50,7 +51,7 @@ func R15League(o Options) (*metrics.Table, error) {
 			if d.mutate != nil {
 				d.mutate(&cfg)
 			}
-			res, err := o.Session.RunExecutionDriven(cfg, d.kind)
+			res, err := o.Session.RunExecutionDrivenContext(ctx, cfg, d.kind)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: league %s/%s: %w", k, d.name, err)
 			}

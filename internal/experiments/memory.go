@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"onocsim"
 	"onocsim/internal/metrics"
 	"onocsim/internal/workload"
@@ -12,7 +13,7 @@ import (
 // memory-bound regime (4 corner memory controllers, small L2, so every L2
 // miss crosses the chip as real traffic), on both fabrics. The metric is
 // the optical:electrical makespan ratio in each regime.
-func R17Memory(o Options) (*metrics.Table, error) {
+func R17Memory(ctx context.Context, o Options) (*metrics.Table, error) {
 	t := metrics.NewTable(
 		"R17 (extension) — memory-bound traffic and the optical advantage",
 		"kernel", "regime", "electrical", "optical", "optical/electrical")
@@ -28,11 +29,11 @@ func R17Memory(o Options) (*metrics.Table, error) {
 				cfg.System.L2SetsPerBank = 4
 				cfg.System.L2Ways = 1
 			}
-			elec, err := o.Session.RunExecutionDriven(cfg, onocsim.Electrical)
+			elec, err := o.Session.RunExecutionDrivenContext(ctx, cfg, onocsim.Electrical)
 			if err != nil {
 				return nil, err
 			}
-			opt, err := o.Session.RunExecutionDriven(cfg, onocsim.Optical)
+			opt, err := o.Session.RunExecutionDrivenContext(ctx, cfg, onocsim.Optical)
 			if err != nil {
 				return nil, err
 			}

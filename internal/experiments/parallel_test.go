@@ -36,7 +36,7 @@ func renderMasked(t *testing.T, tables []*metrics.Table) string {
 // the sequential uncached one — cold through the disk layer, and again warm
 // from it.
 func TestParallelCachedOutputMatchesSequential(t *testing.T) {
-	sequential, err := All(quickOpts)
+	sequential, err := All(bg, quickOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestParallelCachedOutputMatchesSequential(t *testing.T) {
 		opts := quickOpts
 		opts.Parallel = true
 		opts.Session = onocsim.NewSession(dir)
-		tables, err := All(opts)
+		tables, err := All(bg, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -67,7 +68,7 @@ type Descriptor struct {
 	// Needs lists the shared simulation families the experiment consumes.
 	Needs []Need
 	// Run produces the experiment's table.
-	Run func(Options) (*metrics.Table, error)
+	Run func(context.Context, Options) (*metrics.Table, error)
 }
 
 // registry is the canonical experiment list, in report order. R1–R8
@@ -267,25 +268,25 @@ func Known(id string) bool {
 }
 
 // ByName runs one experiment by its identifier.
-func ByName(id string, o Options) (*metrics.Table, error) {
+func ByName(ctx context.Context, id string, o Options) (*metrics.Table, error) {
 	d, ok := Lookup(id)
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, Names())
 	}
-	return runDescriptor(d, o)
+	return runDescriptor(ctx, d, o)
 }
 
 // runDescriptor runs one experiment, reporting start/finish to the progress
 // observer when one is configured.
-func runDescriptor(d Descriptor, o Options) (*metrics.Table, error) {
+func runDescriptor(ctx context.Context, d Descriptor, o Options) (*metrics.Table, error) {
 	if o.Progress == nil {
-		return d.Run(o)
+		return d.Run(ctx, o)
 	}
 	o.Progress.Event(onocsim.ProgressEvent{
 		Kind: onocsim.ProgressExperimentStart, Experiment: d.ID, Title: d.Title,
 	})
 	start := time.Now()
-	t, err := d.Run(o)
+	t, err := d.Run(ctx, o)
 	o.Progress.Event(onocsim.ProgressEvent{
 		Kind: onocsim.ProgressExperimentDone, Experiment: d.ID, Err: err, Elapsed: time.Since(start),
 	})
@@ -300,7 +301,7 @@ func runDescriptor(d Descriptor, o Options) (*metrics.Table, error) {
 // experiment declares in Needs are computed once and reused (tables are
 // byte-identical with or without the session, except that cached wall-clock
 // cells report the one computation that actually ran).
-func All(o Options) ([]*metrics.Table, error) {
+func All(ctx context.Context, o Options) ([]*metrics.Table, error) {
 	if o.Session == nil {
 		o.Session = onocsim.NewSession("")
 		if o.Progress != nil {
@@ -308,11 +309,11 @@ func All(o Options) ([]*metrics.Table, error) {
 		}
 	}
 	if o.Parallel {
-		return allParallel(o)
+		return allParallel(ctx, o)
 	}
 	out := make([]*metrics.Table, 0, len(registry))
 	for _, d := range registry {
-		t, err := runDescriptor(d, o)
+		t, err := runDescriptor(ctx, d, o)
 		if err != nil {
 			return out, fmt.Errorf("experiments: %s: %w", d.ID, err)
 		}
@@ -365,7 +366,7 @@ func scheduleOrder() []int {
 // (concurrent requests for one result single-flight through the session).
 // The first error wins, in canonical experiment order so failures are
 // deterministic.
-func allParallel(o Options) ([]*metrics.Table, error) {
+func allParallel(ctx context.Context, o Options) ([]*metrics.Table, error) {
 	tables := make([]*metrics.Table, len(registry))
 	errs := make([]error, len(registry))
 	var wg sync.WaitGroup
@@ -375,7 +376,7 @@ func allParallel(o Options) ([]*metrics.Table, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tables[i], errs[i] = runDescriptor(d, o)
+			tables[i], errs[i] = runDescriptor(ctx, d, o)
 		}()
 	}
 	wg.Wait()

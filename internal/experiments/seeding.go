@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"onocsim"
 	"onocsim/internal/metrics"
 	"onocsim/internal/workload"
@@ -18,7 +19,7 @@ import (
 // owns both seeding arms. The zero-load arm runs with the legacy empty seed
 // mode, so on a warm session it shares its self-correction results with the
 // other experiments.
-func R19Seeding(o Options) (*metrics.Table, error) {
+func R19Seeding(ctx context.Context, o Options) (*metrics.Table, error) {
 	t := metrics.NewTable(
 		"R19 (extension) — analytical fast path: seeding savings and screening error",
 		"kernel", "fabric", "rounds (zero-load)", "rounds (analytic)", "rounds saved",
@@ -29,18 +30,18 @@ func R19Seeding(o Options) (*metrics.Table, error) {
 	for _, k := range workload.KernelNames() {
 		cfg := kernelConfig(o, k)
 		cfg.SCTM.Seed = ""
-		tr, _, err := o.Session.CaptureTrace(cfg, onocsim.IdealNet)
+		tr, _, err := o.Session.CaptureTraceContext(ctx, cfg, onocsim.IdealNet)
 		if err != nil {
 			return nil, err
 		}
 		for _, kind := range fabrics {
-			zl, zlWall, err := o.Session.RunSelfCorrection(cfg, tr, kind)
+			zl, zlWall, err := o.Session.RunSelfCorrectionContext(ctx, cfg, tr, kind)
 			if err != nil {
 				return nil, err
 			}
 			acfg := cfg
 			acfg.SCTM.Seed = "analytic"
-			an, anWall, err := o.Session.RunSelfCorrection(acfg, tr, kind)
+			an, anWall, err := o.Session.RunSelfCorrectionContext(ctx, acfg, tr, kind)
 			if err != nil {
 				return nil, err
 			}

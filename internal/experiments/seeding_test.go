@@ -6,7 +6,7 @@ import (
 )
 
 func TestR19SeedingQuick(t *testing.T) {
-	tb, err := R19Seeding(quickOpts)
+	tb, err := R19Seeding(bg, quickOpts)
 	if err != nil {
 		t.Fatal(err)
 	}

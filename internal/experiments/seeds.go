@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"onocsim"
 	"onocsim/internal/metrics"
 	"onocsim/internal/workload"
@@ -10,7 +11,7 @@ import (
 // seeds and reports mean ± 95% CI — the statistical-rigor check single-seed
 // tables (R1) cannot give. Seeds perturb the synthetic kernels' RNG-driven
 // choices and, through them, every timing interleaving downstream.
-func R16Seeds(o Options) (*metrics.Table, error) {
+func R16Seeds(ctx context.Context, o Options) (*metrics.Table, error) {
 	t := metrics.NewTable(
 		"R16 (extension) — seed sensitivity of methodology accuracy (makespan error, mean ± 95% CI)",
 		"kernel", "seeds", "naive err", "naive ±", "sctm err", "sctm ±")
@@ -27,19 +28,19 @@ func R16Seeds(o Options) (*metrics.Table, error) {
 			opts.Seed = seed
 			cfg := kernelConfig(opts, k)
 			cfg.Workload.Jitter = 0.15 // seed-driven compute variation
-			tr, _, err := o.Session.CaptureTrace(cfg, onocsim.IdealNet)
+			tr, _, err := o.Session.CaptureTraceContext(ctx, cfg, onocsim.IdealNet)
 			if err != nil {
 				return nil, err
 			}
-			truth, err := o.Session.RunExecutionDriven(cfg, onocsim.Optical)
+			truth, err := o.Session.RunExecutionDrivenContext(ctx, cfg, onocsim.Optical)
 			if err != nil {
 				return nil, err
 			}
-			nv, _, err := o.Session.RunNaiveReplay(cfg, tr, onocsim.Optical)
+			nv, _, err := o.Session.RunNaiveReplayContext(ctx, cfg, tr, onocsim.Optical)
 			if err != nil {
 				return nil, err
 			}
-			sc, _, err := o.Session.RunSelfCorrection(cfg, tr, onocsim.Optical)
+			sc, _, err := o.Session.RunSelfCorrectionContext(ctx, cfg, tr, onocsim.Optical)
 			if err != nil {
 				return nil, err
 			}

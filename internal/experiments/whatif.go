@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"onocsim"
 	"onocsim/internal/metrics"
 	"onocsim/internal/photonics"
@@ -11,7 +12,7 @@ import (
 // crossbar's loss budget and reports the resulting laser power — the
 // loss-budget table every ONOC paper carries, here regenerated from the
 // device model.
-func R13Photonics(o Options) (*metrics.Table, error) {
+func R13Photonics(_ context.Context, o Options) (*metrics.Table, error) {
 	t := metrics.NewTable(
 		"R13 (extension) — photonic loss-budget sensitivity (laser wall-plug power)",
 		"nodes", "waveguide dB/cm", "ring-through dB", "worst loss dB", "laser W", "tuning W", "rings")
@@ -58,7 +59,7 @@ func R13Photonics(o Options) (*metrics.Table, error) {
 // the target fabric), and compare against ground-truth re-simulation at the
 // scaled speed. This is the capture-once-predict-many workflow the trace
 // model exists to enable, quantified.
-func R14WhatIf(o Options) (*metrics.Table, error) {
+func R14WhatIf(ctx context.Context, o Options) (*metrics.Table, error) {
 	t := metrics.NewTable(
 		"R14 (extension) — core-speed what-if from one trace (target: optical)",
 		"kernel", "compute scale", "predicted makespan", "true makespan", "error")
@@ -71,7 +72,7 @@ func R14WhatIf(o Options) (*metrics.Table, error) {
 	isCompute := func(e *trace.Event) bool { return e.Kind == trace.KindRequest }
 	for _, k := range kernels {
 		base := kernelConfig(o, k)
-		tr, _, err := o.Session.CaptureTrace(base, onocsim.IdealNet)
+		tr, _, err := o.Session.CaptureTraceContext(ctx, base, onocsim.IdealNet)
 		if err != nil {
 			return nil, err
 		}
@@ -80,13 +81,13 @@ func R14WhatIf(o Options) (*metrics.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			pred, _, err := o.Session.RunSelfCorrection(base, scaled, onocsim.Optical)
+			pred, _, err := o.Session.RunSelfCorrectionContext(ctx, base, scaled, onocsim.Optical)
 			if err != nil {
 				return nil, err
 			}
 			truthCfg := base
 			truthCfg.Workload.ComputeScale = s
-			truth, err := o.Session.RunExecutionDriven(truthCfg, onocsim.Optical)
+			truth, err := o.Session.RunExecutionDrivenContext(ctx, truthCfg, onocsim.Optical)
 			if err != nil {
 				return nil, err
 			}

@@ -194,7 +194,7 @@ func TestRunnerReportsOwnParkStreamed(t *testing.T) {
 	j.Config.SCTM.Seed = "fixed"
 	j.Config.SCTM.InitialLatencyCycles = 5000
 
-	tr, _, err := onocsim.CaptureTrace(j.Config, onocsim.IdealNet)
+	tr, _, err := onocsim.CaptureTraceContext(context.Background(), j.Config, onocsim.IdealNet)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,9 +16,9 @@ var cpuActive atomic.Bool
 
 // CPUActive reports whether a CPU profile started through Start is currently
 // collecting samples. Hot loops consult it before attaching pprof labels:
-// label bookkeeping allocates per call, and the allocation gate
-// (`benchjson -counterregress`) holds unprofiled runs to a strict budget, so
-// the labels are applied only when a profile is there to read them.
+// label bookkeeping allocates per call, and the benchmark of record holds
+// unprofiled runs to an allocation bound (allocs_per_work), so the labels are
+// applied only when a profile is there to read them.
 func CPUActive() bool { return cpuActive.Load() }
 
 // Start begins CPU profiling (when cpuPath is non-empty) and arranges a heap

@@ -128,8 +128,8 @@ func New(cfg Config) *Server {
 		// The job pipeline must not depend on the registry (experiments
 		// build on jobs, not the reverse), so the dispatch is injected
 		// here, where both sides are visible.
-		Experiment: func(_ context.Context, id string) (*metrics.Table, error) {
-			return experiments.ByName(id, experiments.Options{
+		Experiment: func(ctx context.Context, id string) (*metrics.Table, error) {
+			return experiments.ByName(ctx, id, experiments.Options{
 				Session:  s.session,
 				Quick:    s.quick,
 				Progress: s.hub,
@@ -321,7 +321,8 @@ func (s *Server) handleExperimentRun(w http.ResponseWriter, r *http.Request) {
 	s.respond(w, r, func() (any, error) {
 		// Experiments are cancellable at admission and between their leaf
 		// simulations (each queues on the process-wide slot scheduler under
-		// the session), but a leaf that is already running completes.
+		// ctx, and a correction parks at its next round boundary), but any
+		// other leaf that is already running completes.
 		res, err := s.runner.Run(ctx, j)
 		if err != nil {
 			return nil, err

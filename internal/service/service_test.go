@@ -3,7 +3,9 @@ package service
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"onocsim"
 )
 
 // smallSim is a fast /v1/simulate body for op on the optical fabric.
@@ -271,6 +275,54 @@ func TestExperimentEndpoints(t *testing.T) {
 	}
 	if code, body := postJSON(t, ts.URL+"/v1/experiments/r999", ""); code != http.StatusNotFound {
 		t.Fatalf("unknown experiment: status %d: %s", code, body)
+	}
+}
+
+// An experiment request runs its leaf simulations under the request's
+// context: once the client is gone, the next leaf refuses to queue, the
+// experiment fails with the context's error, and the handler returns its
+// admission units — it does not keep simulating for nobody. r5 is ten
+// sequential execution-driven leaves; the client leaves as soon as the first
+// one is computed.
+func TestExperimentStopsWhenClientLeaves(t *testing.T) {
+	full, _ := newTestServer(t)
+	rec := httptest.NewRecorder()
+	full.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/experiments/r5", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("uncancelled r5: status %d: %s", rec.Code, rec.Body)
+	}
+	leaves := full.session.CacheStats().Misses
+
+	srv, _ := newTestServer(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	srv.session.SetProgress(onocsim.ProgressFunc(func(ev onocsim.ProgressEvent) {
+		if ev.Kind == onocsim.ProgressSimComputed {
+			cancel()
+		}
+	}))
+	rec = httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/experiments/r5", nil).WithContext(ctx))
+	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), context.Canceled.Error()) {
+		t.Fatalf("cancelled r5: status %d: %s", rec.Code, rec.Body)
+	}
+	// The leaf in flight when the client left was computed; the one after it
+	// was refused a slot; nothing else was started, then or later.
+	misses := srv.session.CacheStats().Misses
+	if misses >= leaves {
+		t.Fatalf("experiment simulated on after its client left: %d of %d leaves started", misses, leaves)
+	}
+	time.Sleep(20 * time.Millisecond)
+	if got := srv.session.CacheStats().Misses; got != misses {
+		t.Fatalf("leaves still starting after the handler returned: %d -> %d", misses, got)
+	}
+	if st := srv.sched.Stats(); st.InUse != 0 || st.Admitted != 1 {
+		t.Fatalf("admission units not returned: %+v", st)
+	}
+
+	// The same holds one level down, where the error is still a value.
+	if _, err := srv.runner.Experiment(ctx, "r6"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("experiment under a cancelled context returned %v", err)
 	}
 }
 

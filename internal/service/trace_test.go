@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -18,7 +19,7 @@ func TestSimulateStreamsStoredTrace(t *testing.T) {
 	cfg.System.Cores = 16
 	cfg.Workload.Scale = 4
 	cfg.Workload.Iterations = 2
-	tr, _, err := onocsim.CaptureTrace(cfg, onocsim.IdealNet)
+	tr, _, err := onocsim.CaptureTraceContext(context.Background(), cfg, onocsim.IdealNet)
 	if err != nil {
 		t.Fatal(err)
 	}

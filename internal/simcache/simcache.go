@@ -107,6 +107,9 @@ type Stats struct {
 	// persisting nothing, so the count (plus a once-per-process stderr
 	// warning) surfaces the degradation.
 	DiskErrors uint64
+	// Panics is the number of computations that panicked. Each was turned
+	// into an error for its flight and never cached.
+	Panics uint64
 }
 
 // Outcome names how a cache request was resolved, for observers.
@@ -195,17 +198,35 @@ func (c *Cache) Do(key Key, compute func() (any, error)) (any, error) {
 	c.stats.Misses++
 	c.mu.Unlock()
 
-	e.val, e.err = compute()
-	if e.err != nil {
-		// Failed flights are evicted before waiters are released: a
-		// request arriving after the eviction retries the computation,
-		// one arriving before it shares the error.
-		c.mu.Lock()
-		delete(c.entries, key)
-		c.mu.Unlock()
-	}
-	close(e.done)
+	c.fly(key, e, compute)
 	return e.val, e.err
+}
+
+// fly runs a miss's computation and settles its entry (the hit path never
+// comes here, so it pays for no defer). A panicking computation is turned
+// into a failed flight: left alone, its entry would stay in the map with
+// done open, and every later request for the key — and every waiter already
+// deduplicated onto it — would block for the life of the process. Failed
+// flights are evicted before waiters are released: a request arriving after
+// the eviction retries the computation, one arriving before it shares the
+// error.
+func (c *Cache) fly(key Key, e *entry, compute func() (any, error)) {
+	defer func() {
+		r := recover()
+		if r != nil {
+			e.val, e.err = nil, fmt.Errorf("simcache: computation panicked: %v", r)
+		}
+		if e.err != nil {
+			c.mu.Lock()
+			delete(c.entries, key)
+			if r != nil {
+				c.stats.Panics++
+			}
+			c.mu.Unlock()
+		}
+		close(e.done)
+	}()
+	e.val, e.err = compute()
 }
 
 // tracePath places a persisted trace under the disk layer's directory. The

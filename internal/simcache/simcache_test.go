@@ -126,6 +126,57 @@ func TestDoErrorPropagatesAndIsNotCached(t *testing.T) {
 	}
 }
 
+// A computation that panics must not poison its key: the flight's entry is
+// stored before compute runs, so left alone it would stay in the map with its
+// done channel open, and the waiter here — and every later request for the
+// key — would block forever.
+func TestDoPanicFailsTheFlightAndFreesTheKey(t *testing.T) {
+	c := New("")
+	key := testKey(7)
+	started, release := make(chan struct{}), make(chan struct{})
+	errs := make(chan error, 2)
+	go func() {
+		// As net/http does around a handler: the process outlives the panic.
+		defer func() {
+			if r := recover(); r != nil {
+				errs <- fmt.Errorf("panic escaped Do: %v", r)
+			}
+		}()
+		_, err := c.Do(key, func() (any, error) {
+			close(started)
+			<-release
+			panic("boom")
+		})
+		errs <- err
+	}()
+	<-started
+	go func() {
+		_, err := c.Do(key, func() (any, error) { return "a second flight", nil })
+		errs <- err
+	}()
+	for c.Stats().Waits == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-errs:
+			if err == nil || err.Error() != "simcache: computation panicked: boom" {
+				t.Fatalf("panicked flight returned %v", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("a request for the panicked key never returned")
+		}
+	}
+	v, err := DoValue(c, key, func() (string, error) { return "healthy", nil })
+	if err != nil || v != "healthy" {
+		t.Fatalf("retry after a panic: %q, %v", v, err)
+	}
+	if st := c.Stats(); st.Panics != 1 || st.Misses != 2 || st.Waits != 1 {
+		t.Fatalf("stats after one panic, one waiter and a retry: %+v", st)
+	}
+}
+
 func TestDoDistinctKeysDoNotShare(t *testing.T) {
 	c := New("")
 	for i := 0; i < 4; i++ {

@@ -2,8 +2,7 @@
 // contract: resident memory stays O(window + nodes) while the trace grows
 // 10–100x, so traces far larger than RAM replay at flat RSS. Peak residency
 // is sampled as live heap after GC at points during the decode stream and
-// reported as the custom unit "max-rss-bytes", which cmd/benchjson folds
-// into the snapshot (min across -count repeats) and gates alongside ns/op.
+// reported as the custom unit "max-rss-bytes" beside ns/op.
 package onocsim_test
 
 import (
@@ -91,7 +90,7 @@ func streamPeakResidency(tb testing.TB, path string) uint64 {
 	}
 	sampler := &peakSampler{src: src, every: 4096}
 	sampler.sample()
-	if _, _, err := onocsim.RunNaiveReplaySummary(rssConfig(), sampler, onocsim.IdealNet); err != nil {
+	if _, _, err := onocsim.RunNaiveReplaySummaryContext(bg, rssConfig(), sampler, onocsim.IdealNet); err != nil {
 		tb.Fatal(err)
 	}
 	sampler.sample()
@@ -154,7 +153,7 @@ func BenchmarkStreamReplaySummaryRSS(b *testing.B) {
 	startMallocs := ms.Mallocs
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := onocsim.RunNaiveReplaySummary(cfg, sampler, onocsim.IdealNet); err != nil {
+		if _, _, err := onocsim.RunNaiveReplaySummaryContext(bg, cfg, sampler, onocsim.IdealNet); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -178,7 +177,7 @@ func BenchmarkInMemoryReplayRSS(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := onocsim.RunNaiveReplay(cfg, tr, onocsim.IdealNet); err != nil {
+		if _, _, err := uncached.RunNaiveReplayContext(bg, cfg, tr, onocsim.IdealNet); err != nil {
 			b.Fatal(err)
 		}
 		runtime.GC()
@@ -193,29 +192,15 @@ func BenchmarkInMemoryReplayRSS(b *testing.B) {
 	b.ReportMetric(float64(peak), "max-rss-bytes")
 }
 
-// BenchmarkNaiveReplayStream and BenchmarkNaiveReplayInMemory are the
-// wall-clock overhead pair: same captured trace, identical results, one
-// streaming decode per replay vs direct slice indexing. The streaming row
-// staying within a few percent of the in-memory row is the perf acceptance
-// for the decoder.
-func BenchmarkNaiveReplayStream(b *testing.B) {
-	tr := captureBenchTrace(b)
-	cfg := rssConfig()
-	src := onocsim.MemTraceSource(tr)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := onocsim.RunNaiveReplayStream(cfg, src, onocsim.Optical); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
+// BenchmarkNaiveReplayInMemory is the wall-clock row of the resident replay
+// on a real captured trace — the engine reads it through the same decoder
+// feed a file goes through, so this row is the decoder's overhead gate too.
 func BenchmarkNaiveReplayInMemory(b *testing.B) {
 	tr := captureBenchTrace(b)
 	cfg := rssConfig()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := onocsim.RunNaiveReplay(cfg, tr, onocsim.Optical); err != nil {
+		if _, _, err := uncached.RunNaiveReplayContext(bg, cfg, tr, onocsim.Optical); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -231,7 +216,7 @@ func captureBenchTrace(b *testing.B) *onocsim.Trace {
 		cfg.Workload.Scale = 8
 		cfg.Workload.Iterations = 4
 		benchTrace, benchTraceErr = func() (*onocsim.Trace, error) {
-			tr, _, err := onocsim.CaptureTrace(cfg, onocsim.IdealNet)
+			tr, _, err := uncached.CaptureTraceContext(bg, cfg, onocsim.IdealNet)
 			return tr, err
 		}()
 	})

@@ -24,7 +24,7 @@ func TestSeedModesConvergeIdentically(t *testing.T) {
 	// since a damped loop can stop with seed-dependent latency residue
 	// still blending away.
 	base.SCTM.MaxIterations = 200
-	tr, _, err := CaptureTrace(base, IdealNet)
+	tr, _, err := uncached.CaptureTraceContext(bg, base, IdealNet)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestSeedModesConvergeIdentically(t *testing.T) {
 				if mutate != nil {
 					mutate(&cfg)
 				}
-				res, _, err := RunSelfCorrection(cfg, tr, kind)
+				res, _, err := uncached.RunSelfCorrectionContext(bg, cfg, tr, kind)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -72,17 +72,17 @@ func TestAnalyticSeedNeverSlower(t *testing.T) {
 			t.Run(kernel+"/"+string(kind), func(t *testing.T) {
 				cfg := smallConfig()
 				cfg.Workload.Kernel = kernel
-				tr, _, err := CaptureTrace(cfg, IdealNet)
+				tr, _, err := uncached.CaptureTraceContext(bg, cfg, IdealNet)
 				if err != nil {
 					t.Fatal(err)
 				}
-				zl, _, err := RunSelfCorrection(cfg, tr, kind)
+				zl, _, err := uncached.RunSelfCorrectionContext(bg, cfg, tr, kind)
 				if err != nil {
 					t.Fatal(err)
 				}
 				an := cfg
 				an.SCTM.Seed = "analytic"
-				seeded, _, err := RunSelfCorrection(an, tr, kind)
+				seeded, _, err := uncached.RunSelfCorrectionContext(bg, an, tr, kind)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -99,19 +99,19 @@ func TestAnalyticSeedNeverSlower(t *testing.T) {
 // must land within a loose band of the simulated result it approximates.
 func TestEstimateAgainstSimulation(t *testing.T) {
 	cfg := smallConfig()
-	tr, _, err := CaptureTrace(cfg, IdealNet)
+	tr, _, err := uncached.CaptureTraceContext(bg, cfg, IdealNet)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, kind := range []NetworkKind{Electrical, Optical, Hybrid} {
-		est, wall, err := EstimateAnalytic(cfg, tr, kind)
+		est, wall, err := uncached.Estimate(cfg, tr, kind)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
 		if wall <= 0 {
 			t.Fatalf("%s: no wall time measured", kind)
 		}
-		sim, _, err := RunSelfCorrection(cfg, tr, kind)
+		sim, _, err := uncached.RunSelfCorrectionContext(bg, cfg, tr, kind)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
@@ -128,7 +128,7 @@ func TestEstimateAgainstSimulation(t *testing.T) {
 func TestSessionEstimateCached(t *testing.T) {
 	s := NewSession("")
 	cfg := smallConfig()
-	tr, _, err := s.CaptureTrace(cfg, IdealNet)
+	tr, _, err := s.CaptureTraceContext(bg, cfg, IdealNet)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"onocsim/internal/config"
+	"onocsim/internal/core"
 	"onocsim/internal/simcache"
 	"onocsim/internal/trace"
 )
@@ -17,9 +18,9 @@ import (
 // deterministic — the same validated config produces bit-identical results —
 // so a (config fingerprint, fabric kind, operation) triple fully identifies
 // a result and never needs computing twice. A Session carries that cache as
-// an explicit handle: library users opt in by routing calls through one, and
-// code holding no Session (or a nil *Session — every method is nil-safe)
-// gets the plain uncached functions.
+// an explicit handle, and its methods are the one way to run an operation:
+// every method is nil-safe, and a nil *Session runs the same operation
+// uncached.
 //
 // Concurrent requests for the same result are single-flighted: the first
 // computes, duplicates block and share. Cached wall-clock fields (e.g.
@@ -55,7 +56,7 @@ type Session struct {
 
 // parkEntry is one stashed resume state plus a recency stamp.
 type parkEntry struct {
-	state *CorrectionPark
+	state *core.ParkState
 	gen   uint64
 }
 
@@ -67,7 +68,7 @@ const maxParkStash = 16
 
 // stashPark remembers a parked run's resume state, evicting the
 // least-recently-stashed entry when full.
-func (s *Session) stashPark(key simcache.Key, st *CorrectionPark) {
+func (s *Session) stashPark(key simcache.Key, st *core.ParkState) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.gen++
@@ -89,7 +90,7 @@ func (s *Session) stashPark(key simcache.Key, st *CorrectionPark) {
 // takePark removes and returns the stashed resume state for key. Take
 // semantics keep the single-use contract: a ParkState's runner must never
 // serve two resumes, so whoever takes it owns it.
-func (s *Session) takePark(key simcache.Key) *CorrectionPark {
+func (s *Session) takePark(key simcache.Key) *core.ParkState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.parked[key]
@@ -297,80 +298,124 @@ func normalizeFor(cfg Config, kind NetworkKind, op simcache.Op) Config {
 // grid arms that differ only in parameters the operation cannot observe
 // (e.g. electrical arms swept across wavelengths) before running anything.
 func SelfCorrectionKey(cfg Config, kind NetworkKind) (string, error) {
-	capKey, err := sessionKey(cfg, IdealNet, simcache.OpCapture)
+	capKey, err := sessionKey(cfg, IdealNet, simcache.OpCapture, "")
 	if err != nil {
 		return "", err
 	}
-	runKey, err := sessionKey(cfg, kind, simcache.OpSCTM)
+	runKey, err := sessionKey(cfg, kind, simcache.OpSCTM, "")
 	if err != nil {
 		return "", err
 	}
 	return runKey.Fingerprint + "@" + string(kind) + "+" + capKey.Fingerprint, nil
 }
 
-// sessionKey builds the cache key for an operation on a validated config.
-func sessionKey(cfg Config, kind NetworkKind, op simcache.Op) (simcache.Key, error) {
+// sessionKey builds the cache key for an operation on a validated config: a
+// function of the config as the operation observes it (normalizeFor), the
+// fabric kind, the operation, and — for the operations that read a trace —
+// the identity of that trace, so replays of traces captured on different
+// fabrics (or under different configs) never collide. capture is empty for
+// the operations that read none.
+func sessionKey(cfg Config, kind NetworkKind, op simcache.Op, capture string) (simcache.Key, error) {
 	norm := normalizeFor(cfg, kind, op)
 	fp, err := norm.Fingerprint()
 	if err != nil {
 		return simcache.Key{}, err
 	}
-	return simcache.Key{Fingerprint: fp, Kind: string(kind), Op: op}, nil
+	return simcache.Key{Fingerprint: fp, Kind: string(kind), Capture: capture, Op: op}, nil
 }
 
-// replayVal and corrVal wrap replay results with their timings so cached
-// hits — memory or disk — report the original computation's wall clock.
-// Fields are exported for the disk layer's JSON envelope.
-type (
-	replayVal struct {
-		Res  ReplayResult
-		Wall time.Duration
-	}
-	corrVal struct {
-		Res  CorrectionResult
-		Wall time.Duration
-	}
-)
+// traceID is the identity of an operation's input trace as a cache key sees
+// it (simcache.Key.Capture). An operation whose trace has no known identity
+// runs uncached: correct, just not memoized.
+type traceID struct {
+	capture string
+	known   bool
+}
 
-// RunExecutionDriven is the memoized form of the package function.
-func (s *Session) RunExecutionDriven(cfg Config, kind NetworkKind) (GroundTruth, error) {
-	return s.RunExecutionDrivenContext(context.Background(), cfg, kind)
+// noTrace is the identity of the operations that read no trace.
+var noTrace = traceID{known: true}
+
+// captureID is the identity of a resident trace: the key of the capture that
+// produced it, if this session did — a registry lookup, which is what keeps a
+// warm request at lookup → fingerprint → cache hit with no pass over the
+// trace. There is none for a nil session, or for a trace that was
+// transformed, hand-built, loaded, or evicted from the registry.
+func (s *Session) captureID(tr *Trace) traceID {
+	if s == nil {
+		return traceID{}
+	}
+	capKey, ok := s.lookupTrace(tr)
+	return traceID{capKey.Fingerprint + "@" + capKey.Kind, ok}
+}
+
+// sourceID is the identity of a TraceSource: the digest of its content, not
+// session bookkeeping, so results for a trace file persist across invocations
+// and are shared by byte-identical files under different paths. There is
+// none for a nil session, a source without a digest, or one whose digest
+// fails (e.g. an unreadable file: the replay will surface the real error).
+func (s *Session) sourceID(src TraceSource) traceID {
+	d, ok := src.(trace.Digester)
+	if s == nil || !ok {
+		return traceID{}
+	}
+	digest, err := d.Digest()
+	return traceID{digest, err == nil}
+}
+
+// memoKey is where one result lives in a session's cache, resolved before the
+// result is known to be needed. The zero cache means "run uncached"; err
+// carries a fingerprinting failure to memo, so resolving and memoizing
+// compose as memo(s.key(…), run).
+type memoKey struct {
+	cache *simcache.Cache
+	key   simcache.Key
+	err   error
+}
+
+// key resolves the cache slot of op on (cfg, kind) reading the trace in.
+func (s *Session) key(cfg Config, kind NetworkKind, op simcache.Op, in traceID) memoKey {
+	if s == nil || !in.known {
+		return memoKey{}
+	}
+	key, err := sessionKey(cfg, kind, op, in.capture)
+	return memoKey{cache: s.cache, key: key, err: err}
+}
+
+// memo is the one memoization body behind every cached operation: run
+// uncached without a slot, otherwise single-flight through the cache. A
+// failed flight's value is dropped (never cached, never shared).
+func memo[T any](k memoKey, run func() (T, error)) (T, error) {
+	switch {
+	case k.err != nil:
+		var zero T
+		return zero, k.err
+	case k.cache == nil:
+		return run()
+	}
+	return simcache.DoValue(k.cache, k.key, run)
 }
 
 // RunExecutionDrivenContext is the memoized form of the package function.
 // The context governs the caller's own computation; a caller deduplicated
 // onto another request's in-flight computation shares that computation's
 // lifecycle (errors from a cancelled flight propagate to its waiters and are
-// never cached).
+// never cached). Every Session operation follows this contract.
 func (s *Session) RunExecutionDrivenContext(ctx context.Context, cfg Config, kind NetworkKind) (GroundTruth, error) {
-	if s == nil {
-		return RunExecutionDrivenContext(ctx, cfg, kind)
-	}
-	key, err := sessionKey(cfg, kind, simcache.OpTruth)
-	if err != nil {
-		return GroundTruth{}, err
-	}
-	return simcache.DoValue(s.cache, key, func() (GroundTruth, error) {
+	return memo(s.key(cfg, kind, simcache.OpTruth, noTrace), func() (GroundTruth, error) {
 		return RunExecutionDrivenContext(ctx, cfg, kind)
 	})
 }
 
-// CaptureTrace is the memoized form of the package function. The returned
-// trace is shared: replay engines treat traces as read-only, so one capture
-// serves any number of concurrent replays. With a disk-layer session, the
-// capture may be satisfied by a trace persisted by an earlier invocation, in
-// which case the reported wall time is the (much smaller) load time.
-func (s *Session) CaptureTrace(cfg Config, captureOn NetworkKind) (*Trace, time.Duration, error) {
-	return s.CaptureTraceContext(context.Background(), cfg, captureOn)
-}
-
-// CaptureTraceContext is the memoized form of the package function; see
-// RunExecutionDrivenContext for the context contract.
+// CaptureTraceContext is the memoized form of the package function. The
+// returned trace is shared: replay engines treat traces as read-only, so one
+// capture serves any number of concurrent replays. With a disk-layer session,
+// the capture may be satisfied by a trace persisted by an earlier invocation,
+// in which case the reported wall time is the (much smaller) load time.
 func (s *Session) CaptureTraceContext(ctx context.Context, cfg Config, captureOn NetworkKind) (*Trace, time.Duration, error) {
 	if s == nil {
 		return CaptureTraceContext(ctx, cfg, captureOn)
 	}
-	key, err := sessionKey(cfg, captureOn, simcache.OpCapture)
+	key, err := sessionKey(cfg, captureOn, simcache.OpCapture, "")
 	if err != nil {
 		return nil, 0, err
 	}
@@ -384,197 +429,40 @@ func (s *Session) CaptureTraceContext(ctx context.Context, cfg Config, captureOn
 	return tr, wall, nil
 }
 
-// replayKey keys a replay of tr targeting kind under the replay config. The
-// trace's own capture key is folded in, so replays of traces captured on
-// different fabrics (or under different configs) never collide. ok is false
-// when the trace is unknown to the session and the replay must run uncached.
-func (s *Session) replayKey(cfg Config, tr *Trace, kind NetworkKind, op simcache.Op) (simcache.Key, bool, error) {
-	capKey, ok := s.lookupTrace(tr)
-	if !ok {
-		return simcache.Key{}, false, nil
-	}
-	key, err := sessionKey(cfg, kind, op)
-	if err != nil {
-		return simcache.Key{}, false, err
-	}
-	key.Capture = capKey.Fingerprint + "@" + capKey.Kind
-	return key, true, nil
-}
-
-// RunNaiveReplay is the memoized form of the package function. Replays of
-// traces not produced by this session's CaptureTrace run uncached.
-func (s *Session) RunNaiveReplay(cfg Config, tr *Trace, kind NetworkKind) (ReplayResult, time.Duration, error) {
-	return s.RunNaiveReplayContext(context.Background(), cfg, tr, kind)
-}
-
-// RunNaiveReplayContext is the memoized form of the package function; see
-// RunExecutionDrivenContext for the context contract.
-func (s *Session) RunNaiveReplayContext(ctx context.Context, cfg Config, tr *Trace, kind NetworkKind) (ReplayResult, time.Duration, error) {
-	if s == nil {
-		return RunNaiveReplayContext(ctx, cfg, tr, kind)
-	}
-	return s.memoReplay(ctx, cfg, tr, kind, simcache.OpNaive, RunNaiveReplayContext)
-}
-
-// RunCoupledReplay is the memoized form of the package function.
-func (s *Session) RunCoupledReplay(cfg Config, tr *Trace, kind NetworkKind) (ReplayResult, time.Duration, error) {
-	return s.RunCoupledReplayContext(context.Background(), cfg, tr, kind)
-}
-
-// RunCoupledReplayContext is the memoized form of the package function; see
-// RunExecutionDrivenContext for the context contract.
-func (s *Session) RunCoupledReplayContext(ctx context.Context, cfg Config, tr *Trace, kind NetworkKind) (ReplayResult, time.Duration, error) {
-	if s == nil {
-		return RunCoupledReplayContext(ctx, cfg, tr, kind)
-	}
-	return s.memoReplay(ctx, cfg, tr, kind, simcache.OpCoupled, RunCoupledReplayContext)
-}
-
-// memoReplay implements the shared memoization shape of the two replays.
-func (s *Session) memoReplay(ctx context.Context, cfg Config, tr *Trace, kind NetworkKind, op simcache.Op,
-	run func(context.Context, Config, *Trace, NetworkKind) (ReplayResult, time.Duration, error)) (ReplayResult, time.Duration, error) {
-	key, ok, err := s.replayKey(cfg, tr, kind, op)
-	if err != nil {
-		return ReplayResult{}, 0, err
-	}
-	if !ok {
-		return run(ctx, cfg, tr, kind)
-	}
-	rv, err := simcache.DoValue(s.cache, key, func() (replayVal, error) {
-		res, wall, err := run(ctx, cfg, tr, kind)
-		if err != nil {
-			return replayVal{}, err
-		}
-		return replayVal{Res: res, Wall: wall}, nil
-	})
-	if err != nil {
-		return ReplayResult{}, 0, err
-	}
-	return rv.Res, rv.Wall, nil
-}
-
-// sourceKey keys a replay of a TraceSource targeting kind. Source identity
-// comes from the trace *content* digest (trace.Digester), not from session
-// bookkeeping, so results persist across invocations and across sources —
-// replaying a trace file hits the entry a MemSource of the same trace
-// computed, and vice versa. Sources without a digest (or whose digest fails,
-// e.g. an unreadable file — the replay will surface the real error) run
+// RunNaiveReplayContext replays the trace at recorded timestamps on fresh
+// fabrics of the given kind, split across cfg.Parallelism.Shards replicas
+// where the fabric allows it; results are byte-identical for any shard count.
+// Replays of traces not produced by this session's CaptureTraceContext run
 // uncached.
-func (s *Session) sourceKey(cfg Config, src TraceSource, kind NetworkKind, op simcache.Op) (simcache.Key, bool, error) {
-	d, ok := src.(trace.Digester)
-	if !ok {
-		return simcache.Key{}, false, nil
-	}
-	digest, err := d.Digest()
-	if err != nil {
-		return simcache.Key{}, false, nil
-	}
-	key, err := sessionKey(cfg, kind, op)
-	if err != nil {
-		return simcache.Key{}, false, err
-	}
-	key.Capture = digest
-	return key, true, nil
-}
-
-// RunNaiveReplayStream is the memoized form of the package function: cached
-// replay results for out-of-core traces, keyed by the source's content
-// digest. On a hit the trace file is not even decoded.
-//
-// Deprecated: this wrapper cannot be cancelled while it queues for a
-// simulation slot; use RunNaiveReplayStreamContext.
-func (s *Session) RunNaiveReplayStream(cfg Config, src TraceSource, kind NetworkKind) (ReplayResult, time.Duration, error) {
-	return s.RunNaiveReplayStreamContext(context.Background(), cfg, src, kind)
-}
-
-// RunNaiveReplayStreamContext is the memoized form of the package function:
-// cached replay results for out-of-core traces, keyed by the source's
-// content digest. On a hit the trace file is not even decoded. See
-// RunExecutionDrivenContext for the context contract.
-func (s *Session) RunNaiveReplayStreamContext(ctx context.Context, cfg Config, src TraceSource, kind NetworkKind) (ReplayResult, time.Duration, error) {
-	if s == nil {
-		return RunNaiveReplayStreamContext(ctx, cfg, src, kind)
-	}
-	key, ok, err := s.sourceKey(cfg, src, kind, simcache.OpNaive)
-	if err != nil {
-		return ReplayResult{}, 0, err
-	}
-	if !ok {
-		return RunNaiveReplayStreamContext(ctx, cfg, src, kind)
-	}
-	rv, err := simcache.DoValue(s.cache, key, func() (replayVal, error) {
-		res, wall, err := RunNaiveReplayStreamContext(ctx, cfg, src, kind)
-		if err != nil {
-			return replayVal{}, err
-		}
-		return replayVal{Res: res, Wall: wall}, nil
+func (s *Session) RunNaiveReplayContext(ctx context.Context, cfg Config, tr *Trace, kind NetworkKind) (ReplayResult, time.Duration, error) {
+	v, err := memo(s.key(cfg, kind, simcache.OpNaive, s.captureID(tr)), func() (timed[ReplayResult], error) {
+		return naiveReplay(ctx, cfg, tr, kind)
 	})
-	if err != nil {
-		return ReplayResult{}, 0, err
-	}
-	return rv.Res, rv.Wall, nil
+	return v.Res, v.Wall, err
 }
 
-// RunSelfCorrectionStream is the memoized form of the package function,
-// keyed like RunNaiveReplayStream.
-//
-// Deprecated: this wrapper cannot be cancelled while it queues for a
-// simulation slot; use RunSelfCorrectionStreamContext.
-func (s *Session) RunSelfCorrectionStream(cfg Config, src TraceSource, kind NetworkKind) (CorrectionResult, time.Duration, error) {
-	return s.RunSelfCorrectionStreamContext(context.Background(), cfg, src, kind)
-}
-
-// RunSelfCorrectionStreamContext is the memoized form of the package
-// function, keyed like RunNaiveReplayStreamContext. This is how the service
-// runs big tenant trace files: the digest-keyed cache means two clients
-// posting the same trace path (or byte-identical traces under different
-// paths) share one streaming computation. A context that ends mid-loop parks
-// the run exactly as in RunSelfCorrectionContext: the computing caller gets
-// the partial trajectory with the ErrParked error, and nothing is cached.
-func (s *Session) RunSelfCorrectionStreamContext(ctx context.Context, cfg Config, src TraceSource, kind NetworkKind) (CorrectionResult, time.Duration, error) {
-	if s == nil {
-		return RunSelfCorrectionStreamContext(ctx, cfg, src, kind)
-	}
-	key, ok, err := s.sourceKey(cfg, src, kind, simcache.OpSCTM)
-	if err != nil {
-		return CorrectionResult{}, 0, err
-	}
-	if !ok {
-		return RunSelfCorrectionStreamContext(ctx, cfg, src, kind)
-	}
-	// As in RunSelfCorrectionContext, a parked partial result travels past
-	// the cache, which drops the value of any failed flight. No resume
-	// state is stashed: a retried file-backed correction starts over.
-	var parked *CorrectionResult
-	var parkedWall time.Duration
-	cv, err := simcache.DoValue(s.cache, key, func() (corrVal, error) {
-		res, wall, err := RunSelfCorrectionStreamContext(ctx, cfg, src, kind)
-		if err != nil {
-			if errors.Is(err, ErrParked) {
-				parked, parkedWall = &res, wall
-			}
-			return corrVal{}, err
-		}
-		return corrVal{Res: res, Wall: wall}, nil
+// RunCoupledReplayContext runs the tightly coupled dependency-driven replay,
+// memoized like RunNaiveReplayContext.
+func (s *Session) RunCoupledReplayContext(ctx context.Context, cfg Config, tr *Trace, kind NetworkKind) (ReplayResult, time.Duration, error) {
+	v, err := memo(s.key(cfg, kind, simcache.OpCoupled, s.captureID(tr)), func() (timed[ReplayResult], error) {
+		return coupledReplay(ctx, cfg, tr, kind)
 	})
-	if err != nil {
-		if parked != nil {
-			return *parked, parkedWall, err
-		}
-		return CorrectionResult{}, 0, err
-	}
-	return cv.Res, cv.Wall, nil
+	return v.Res, v.Wall, err
 }
 
-// RunSelfCorrection is the memoized form of the package function.
-func (s *Session) RunSelfCorrection(cfg Config, tr *Trace, kind NetworkKind) (CorrectionResult, time.Duration, error) {
-	return s.RunSelfCorrectionContext(context.Background(), cfg, tr, kind)
-}
-
-// RunSelfCorrectionContext is the memoized form of the package function. A
-// context that ends mid-loop parks the correction at the next round boundary
-// (see ErrParked): the computing caller gets the partial trajectory back
-// alongside the error, and the parked result is never cached — callers
+// RunSelfCorrectionContext runs the Self-Correction Trace Model on a resident
+// trace, memoized like RunNaiveReplayContext. With cfg.SCTM.Seed = "analytic"
+// the round-0 latencies come from the closed-form contention estimate instead
+// of the zero-load probe, typically saving replay rounds on contended
+// fabrics; when the estimator declines, the loop falls back to zero-load
+// seeding. With cfg.SCTM.Incremental each round after the first resumes from
+// a frozen-prefix checkpoint of the previous round instead of replaying from
+// cycle zero; results stay byte-identical, and
+// CorrectionResult.ReplayedEvents/SavedCycles report the work skipped.
+//
+// A context that ends mid-loop parks the correction at the next round
+// boundary (see ErrParked): the computing caller gets the partial trajectory
+// back alongside the error, and the parked result is never cached — callers
 // deduplicated onto the parked flight receive only the error, since a
 // partial result must not masquerade as the converged one.
 //
@@ -586,124 +474,96 @@ func (s *Session) RunSelfCorrection(cfg Config, tr *Trace, kind NetworkKind) (Co
 // service traffic after a client disconnect or a cancelled drain — the
 // retry pays only the remaining rounds.
 func (s *Session) RunSelfCorrectionContext(ctx context.Context, cfg Config, tr *Trace, kind NetworkKind) (CorrectionResult, time.Duration, error) {
-	if s == nil {
-		return RunSelfCorrectionContext(ctx, cfg, tr, kind)
-	}
-	key, ok, err := s.replayKey(cfg, tr, kind, simcache.OpSCTM)
-	if err != nil {
-		return CorrectionResult{}, 0, err
-	}
-	if !ok {
-		return RunSelfCorrectionContext(ctx, cfg, tr, kind)
-	}
-	// The stash carries a parked partial result past the cache, which
-	// (correctly) drops the value of any failed flight.
-	var parked *CorrectionResult
-	var parkedWall time.Duration
-	cv, err := simcache.DoValue(s.cache, key, func() (corrVal, error) {
+	return s.correct(ctx, cfg, tr, nil, kind, s.captureID(tr))
+}
+
+// RunSelfCorrectionStreamContext is RunSelfCorrectionContext over a
+// TraceSource, keyed by the source's content digest: this is how the service
+// runs big tenant trace files, and two clients posting the same trace path
+// (or byte-identical traces under different paths) share one streaming
+// computation; on a hit the file is not even decoded. Trajectories are
+// byte-identical to the resident form's, except that a source always seeds
+// from zero-load latencies and runs every round in full (see selfCorrect). A
+// parked run returns its partial trajectory the same way, but stashes no
+// resume state: a retried file-backed correction starts over.
+func (s *Session) RunSelfCorrectionStreamContext(ctx context.Context, cfg Config, src TraceSource, kind NetworkKind) (CorrectionResult, time.Duration, error) {
+	return s.correct(ctx, cfg, nil, src, kind, s.sourceID(src))
+}
+
+// correct is the body the two correction entry points share: tr is the
+// resident input, or nil for the file-backed src.
+func (s *Session) correct(ctx context.Context, cfg Config, tr *Trace, src TraceSource, kind NetworkKind, in traceID) (CorrectionResult, time.Duration, error) {
+	k := s.key(cfg, kind, simcache.OpSCTM, in)
+	// Resume state is worth keeping for a cached run on a resident trace: the
+	// stash lives under the cache key, and a file's rounds leave no checkpoints.
+	stash := k.cache != nil && tr != nil
+	// A parked partial result travels past the cache, which (correctly)
+	// drops the value of any failed flight.
+	var parked *timed[CorrectionResult]
+	v, err := memo(k, func() (timed[CorrectionResult], error) {
 		// Take (not peek) inside the closure: only the goroutine that
 		// actually computes may consume the single-use resume state —
 		// deduplicated waiters never reach here.
-		resume := s.takePark(key)
-		res, state, wall, err := RunSelfCorrectionParkableContext(ctx, cfg, tr, kind, resume)
-		if err != nil {
-			if errors.Is(err, ErrParked) {
-				parked, parkedWall = &res, wall
-				if state != nil {
-					s.stashPark(key, state)
-				}
+		var resume *core.ParkState
+		if stash {
+			resume = s.takePark(k.key)
+		}
+		res, state, err := selfCorrect(ctx, cfg, tr, src, kind, resume)
+		if errors.Is(err, ErrParked) {
+			parked = &res
+			if stash && state != nil {
+				s.stashPark(k.key, state)
 			}
-			return corrVal{}, err
 		}
-		return corrVal{Res: res, Wall: wall}, nil
+		return res, err
 	})
-	if err != nil {
-		if parked != nil {
-			return *parked, parkedWall, err
-		}
-		return CorrectionResult{}, 0, err
+	if err != nil && parked != nil {
+		v = *parked
 	}
-	return cv.Res, cv.Wall, nil
+	return v.Res, v.Wall, err
 }
 
-// estVal wraps an analytic estimate with its timing for the disk layer.
-type estVal struct {
-	Res  AnalyticEstimate
-	Wall time.Duration
-}
-
-// Estimate is the memoized form of EstimateAnalytic: the closed-form
-// contention-aware latency estimate of replaying tr on the given fabric
-// kind. Cheap enough to screen whole design spaces, cached anyway so
-// repeated sweeps over a persisted session cost a map lookup.
+// Estimate prices replaying tr on the given fabric kind with the closed-form
+// contention model — the "analytic" seed's view of the run, in microseconds
+// instead of replay rounds. Cheap enough to screen whole design spaces (it
+// queues for no simulation slot, hence no context), memoized like
+// RunNaiveReplayContext anyway so repeated sweeps over a persisted session
+// cost a map lookup.
 func (s *Session) Estimate(cfg Config, tr *Trace, kind NetworkKind) (AnalyticEstimate, time.Duration, error) {
-	if s == nil {
-		return EstimateAnalytic(cfg, tr, kind)
-	}
-	key, ok, err := s.replayKey(cfg, tr, kind, simcache.OpEstimate)
-	if err != nil {
-		return AnalyticEstimate{}, 0, err
-	}
-	if !ok {
-		return EstimateAnalytic(cfg, tr, kind)
-	}
-	ev, err := simcache.DoValue(s.cache, key, func() (estVal, error) {
-		res, wall, err := EstimateAnalytic(cfg, tr, kind)
-		if err != nil {
-			return estVal{}, err
-		}
-		return estVal{Res: res, Wall: wall}, nil
+	v, err := memo(s.key(cfg, kind, simcache.OpEstimate, s.captureID(tr)), func() (timed[AnalyticEstimate], error) {
+		return estimate(cfg, tr, kind)
 	})
-	if err != nil {
-		return AnalyticEstimate{}, 0, err
-	}
-	return ev.Res, ev.Wall, nil
+	return v.Res, v.Wall, err
 }
 
-// RunSyntheticLoad is the memoized form of the package function.
-func (s *Session) RunSyntheticLoad(cfg Config, kind NetworkKind) (SyntheticResult, error) {
-	return s.RunSyntheticLoadContext(context.Background(), cfg, kind)
-}
-
-// RunSyntheticLoadContext is the memoized form of the package function; see
-// RunExecutionDrivenContext for the context contract.
+// RunSyntheticLoadContext drives a fresh fabric of the given kind open-loop
+// with the config's synthetic workload and reports latency/throughput.
 func (s *Session) RunSyntheticLoadContext(ctx context.Context, cfg Config, kind NetworkKind) (SyntheticResult, error) {
-	if s == nil {
-		return RunSyntheticLoadContext(ctx, cfg, kind)
-	}
-	key, err := sessionKey(cfg, kind, simcache.OpSynthetic)
-	if err != nil {
-		return SyntheticResult{}, err
-	}
-	return simcache.DoValue(s.cache, key, func() (SyntheticResult, error) {
-		return RunSyntheticLoadContext(ctx, cfg, kind)
+	return memo(s.key(cfg, kind, simcache.OpSynthetic, noTrace), func() (SyntheticResult, error) {
+		return syntheticLoad(ctx, cfg, kind)
 	})
 }
 
-// RunStudy executes the complete methodology comparison through the
-// session: capture the trace on the cheap reference fabric, measure
-// execution-driven ground truth on the target, and evaluate every replay
-// engine against it.
+// RunStudyContext executes the complete methodology comparison: capture the
+// trace on the cheap reference fabric, measure execution-driven ground truth
+// on the target, and evaluate every replay engine against it.
 //
 // The phases form a two-stage pipeline. Trace capture and execution-driven
 // ground truth are independent, so they run in parallel; the three replay
 // engines need only the captured trace, so they start as soon as capture
 // finishes — typically while the (much slower) ground-truth run is still
 // going. Concurrency is bounded by the process-wide simulation-slot
-// semaphore held inside each leaf operation. Every simulation is
+// scheduler held inside each leaf operation. Every simulation is
 // self-contained (own fabric, own RNG streams, own message pools), so the
 // results are bit-identical to the sequential schedule; with a non-nil
 // session, any phase whose result is already cached (or concurrently being
 // computed by another study) is deduplicated instead of re-run.
-func (s *Session) RunStudy(cfg Config, target NetworkKind) (*Study, error) {
-	return s.RunStudyContext(context.Background(), cfg, target)
-}
-
-// RunStudyContext is RunStudy with a cancellable lifecycle: every phase
-// queues for its simulation slot under ctx, and the self-correction phase
-// parks at a round boundary if ctx ends mid-loop. A cancelled study returns
-// the first phase error; partial phase results are discarded (use
-// RunSelfCorrectionContext directly to keep a parked trajectory).
+//
+// Every phase queues for its simulation slot under ctx, and the
+// self-correction phase parks at a round boundary if ctx ends mid-loop. A
+// cancelled study returns the first phase error; partial phase results are
+// discarded (use RunSelfCorrectionContext directly to keep a parked
+// trajectory).
 func (s *Session) RunStudyContext(ctx context.Context, cfg Config, target NetworkKind) (*Study, error) {
 	if err := ValidateNetworkKind(cfg, target); err != nil {
 		return nil, err

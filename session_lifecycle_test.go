@@ -61,21 +61,21 @@ func TestSessionTraceRegistryEvictsOldestKeepsTouched(t *testing.T) {
 func TestSessionEvictedTraceReplaysUncached(t *testing.T) {
 	s := NewSession("")
 	cfg := smallConfig()
-	tr, _, err := s.CaptureTrace(cfg, IdealNet)
+	tr, _, err := s.CaptureTraceContext(bg, cfg, IdealNet)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := s.replayKey(cfg, tr, Optical, simcache.OpNaive); err != nil || !ok {
-		t.Fatalf("fresh capture not keyed: ok=%v err=%v", ok, err)
+	if !s.captureID(tr).known {
+		t.Fatal("fresh capture not keyed")
 	}
 	for i := 0; i < maxTraceRegistry+1; i++ {
 		s.rememberTrace(&Trace{}, simcache.Key{Fingerprint: fmt.Sprintf("churn-%04d", i)})
 	}
-	if _, ok, err := s.replayKey(cfg, tr, Optical, simcache.OpNaive); err != nil || ok {
-		t.Fatalf("evicted trace still keyed: ok=%v err=%v", ok, err)
+	if s.captureID(tr).known {
+		t.Fatal("evicted trace still keyed")
 	}
 	// The replay still works, just uncached.
-	res, _, err := s.RunNaiveReplay(cfg, tr, Optical)
+	res, _, err := s.RunNaiveReplayContext(bg, cfg, tr, Optical)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestSessionEvictedTraceReplaysUncached(t *testing.T) {
 func TestSessionSelfCorrectionParksAndNeverCachesPartial(t *testing.T) {
 	s := NewSession("")
 	cfg := smallConfig()
-	tr, _, err := s.CaptureTrace(cfg, IdealNet)
+	tr, _, err := s.CaptureTraceContext(bg, cfg, IdealNet)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestSessionSelfCorrectionParksAndNeverCachesPartial(t *testing.T) {
 		t.Fatal("parked result claims convergence")
 	}
 	misses := s.CacheStats().Misses
-	full, _, err := s.RunSelfCorrection(cfg, tr, Optical)
+	full, _, err := s.RunSelfCorrectionContext(bg, cfg, tr, Optical)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestSessionSelfCorrectionParksAndNeverCachesPartial(t *testing.T) {
 	}
 	// And the converged result is cached now.
 	hits := s.CacheStats().Hits
-	if _, _, err := s.RunSelfCorrection(cfg, tr, Optical); err != nil {
+	if _, _, err := s.RunSelfCorrectionContext(bg, cfg, tr, Optical); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.CacheStats().Hits; got != hits+1 {
@@ -157,11 +157,11 @@ func TestSessionResumesParkedCorrection(t *testing.T) {
 	cfg.SCTM.InitialLatencyCycles = 5000
 
 	ref := NewSession("")
-	tr, _, err := ref.CaptureTrace(cfg, IdealNet)
+	tr, _, err := ref.CaptureTraceContext(bg, cfg, IdealNet)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, _, err := ref.RunSelfCorrection(cfg, tr, Optical)
+	full, _, err := ref.RunSelfCorrectionContext(bg, cfg, tr, Optical)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestSessionResumesParkedCorrection(t *testing.T) {
 	}
 
 	s := NewSession("")
-	tr2, _, err := s.CaptureTrace(cfg, IdealNet)
+	tr2, _, err := s.CaptureTraceContext(bg, cfg, IdealNet)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestSessionResumesParkedCorrection(t *testing.T) {
 
 	// The completed resume is cached like any converged-or-exhausted run.
 	hits := s.CacheStats().Hits
-	if _, _, err := s.RunSelfCorrection(cfg, tr2, Optical); err != nil {
+	if _, _, err := s.RunSelfCorrectionContext(bg, cfg, tr2, Optical); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.CacheStats().Hits; got != hits+1 {
@@ -222,14 +222,14 @@ func TestStreamedCorrectionParksAtRoundBoundary(t *testing.T) {
 	cfg.SCTM.Damping = 0.9
 	cfg.SCTM.Seed = "fixed"
 	cfg.SCTM.InitialLatencyCycles = 5000
-	tr, _, err := CaptureTrace(cfg, IdealNet)
+	tr, _, err := uncached.CaptureTraceContext(bg, cfg, IdealNet)
 	if err != nil {
 		t.Fatal(err)
 	}
 	file := traceOnDisk(t, tr)
 	for _, shards := range []int{1, 4} {
 		cfg.Parallelism.Shards = shards
-		full, _, err := RunSelfCorrectionStream(cfg, file, Optical)
+		full, _, err := uncached.RunSelfCorrectionStreamContext(bg, cfg, file, Optical)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +238,7 @@ func TestStreamedCorrectionParksAtRoundBoundary(t *testing.T) {
 		}
 		const rounds = 4
 		ctx := &resumePollCtx{Context: context.Background(), remaining: 1 + rounds}
-		parked, _, err := RunSelfCorrectionStreamContext(ctx, cfg, file, Optical)
+		parked, _, err := uncached.RunSelfCorrectionStreamContext(ctx, cfg, file, Optical)
 		if !errors.Is(err, ErrParked) {
 			t.Fatalf("shards=%d: err = %v, want ErrParked", shards, err)
 		}

@@ -38,18 +38,18 @@ func TestShardInvarianceNaiveReplay(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			tr, _, err := CaptureTrace(tc.cfg, IdealNet)
+			tr, _, err := uncached.CaptureTraceContext(bg, tc.cfg, IdealNet)
 			if err != nil {
 				t.Fatalf("capture: %v", err)
 			}
-			serial, _, err := RunNaiveReplay(tc.cfg, tr, tc.kind)
+			serial, _, err := uncached.RunNaiveReplayContext(bg, tc.cfg, tr, tc.kind)
 			if err != nil {
 				t.Fatalf("serial replay: %v", err)
 			}
 			for _, k := range []int{1, 2, 3, 8} {
 				cfg := tc.cfg
 				cfg.Parallelism.Shards = k
-				got, _, err := RunNaiveReplay(cfg, tr, tc.kind)
+				got, _, err := uncached.RunNaiveReplayContext(bg, cfg, tr, tc.kind)
 				if err != nil {
 					t.Fatalf("shards=%d: %v", k, err)
 				}
@@ -71,17 +71,17 @@ func TestShardInvarianceSelfCorrection(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			tr, _, err := CaptureTrace(tc.cfg, IdealNet)
+			tr, _, err := uncached.CaptureTraceContext(bg, tc.cfg, IdealNet)
 			if err != nil {
 				t.Fatalf("capture: %v", err)
 			}
-			serial, _, err := RunSelfCorrection(tc.cfg, tr, tc.kind)
+			serial, _, err := uncached.RunSelfCorrectionContext(bg, tc.cfg, tr, tc.kind)
 			if err != nil {
 				t.Fatalf("serial: %v", err)
 			}
 			cfg := tc.cfg
 			cfg.Parallelism.Shards = 8
-			got, _, err := RunSelfCorrection(cfg, tr, tc.kind)
+			got, _, err := uncached.RunSelfCorrectionContext(bg, cfg, tr, tc.kind)
 			if err != nil {
 				t.Fatalf("sharded: %v", err)
 			}

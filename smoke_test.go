@@ -1,6 +1,17 @@
 package onocsim
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
+
+// The tests run every operation through a session, as callers do: uncached is
+// the nil session (each call simulates afresh), bg the context of a caller
+// that never cancels.
+var (
+	uncached *Session
+	bg       = context.Background()
+)
 
 // smallConfig returns a fast configuration for smoke/integration tests.
 func smallConfig() Config {
@@ -17,7 +28,7 @@ func TestSmokeExecutionDrivenAllFabrics(t *testing.T) {
 	for _, kind := range []NetworkKind{IdealNet, Electrical, Optical} {
 		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
-			truth, err := RunExecutionDriven(smallConfig(), kind)
+			truth, err := uncached.RunExecutionDrivenContext(bg, smallConfig(), kind)
 			if err != nil {
 				t.Fatalf("execution-driven on %s: %v", kind, err)
 			}
@@ -33,7 +44,7 @@ func TestSmokeExecutionDrivenAllFabrics(t *testing.T) {
 }
 
 func TestSmokeFullStudy(t *testing.T) {
-	study, err := RunStudy(smallConfig(), Optical)
+	study, err := uncached.RunStudyContext(bg, smallConfig(), Optical)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,36 +26,33 @@ func traceOnDisk(t *testing.T, tr *Trace) TraceSource {
 	return src
 }
 
-// TestStreamInvarianceNaiveReplay locks in the file-versus-memory contract: a
-// replay decoded from disk — serial or sharded — returns results
-// byte-identical to the replay of the materialized trace for every fabric
-// family.
+// TestStreamInvarianceNaiveReplay locks in the file-versus-memory contract of
+// the naive replay for every fabric family: the constant-residency summary
+// pass decoded from disk reports the figures of the resident replay, whole
+// statistics block included. (The full replay of a file at K replicas has no
+// entry point of its own any more; core.TestEngineAgainstReference holds it —
+// "<trace>/<fabric>/<preset> file K={1,2,3,8}", schedule 0 being capture
+// order — to the serial reference with DeepEqual on the whole result.)
 func TestStreamInvarianceNaiveReplay(t *testing.T) {
 	for _, tc := range shardCases() {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			tr, _, err := CaptureTrace(tc.cfg, IdealNet)
+			tr, _, err := uncached.CaptureTraceContext(bg, tc.cfg, IdealNet)
 			if err != nil {
 				t.Fatalf("capture: %v", err)
 			}
-			serial, _, err := RunNaiveReplay(tc.cfg, tr, tc.kind)
+			full, _, err := uncached.RunNaiveReplayContext(bg, tc.cfg, tr, tc.kind)
 			if err != nil {
-				t.Fatalf("serial replay: %v", err)
+				t.Fatalf("resident replay: %v", err)
 			}
-			file := traceOnDisk(t, tr)
-			for _, k := range []int{1, 2, 8} {
-				cfg := tc.cfg
-				cfg.Parallelism.Shards = k
-				got, _, err := RunNaiveReplayStream(cfg, file, tc.kind)
-				if err != nil {
-					t.Fatalf("shards=%d: %v", k, err)
-				}
-				replaysEqual(t, tc.name, got, serial)
-				if !reflect.DeepEqual(got.NetStats, serial.NetStats) {
-					t.Errorf("shards=%d: fabric statistics diverge\n got: %+v\nwant: %+v",
-						k, got.NetStats, serial.NetStats)
-				}
+			sum, _, err := RunNaiveReplaySummaryContext(bg, tc.cfg, traceOnDisk(t, tr), tc.kind)
+			if err != nil {
+				t.Fatalf("summary: %v", err)
+			}
+			want := ReplaySummary{Events: len(tr.Events), Makespan: full.Makespan, MeanLatency: full.MeanLatency, Cycles: full.Cycles, NetStats: full.NetStats}
+			if !reflect.DeepEqual(sum, want) {
+				t.Errorf("summary from disk diverges from the resident replay\n got: %+v\nwant: %+v", sum, want)
 			}
 		})
 	}
@@ -69,11 +66,11 @@ func TestStreamInvarianceSelfCorrection(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			tr, _, err := CaptureTrace(tc.cfg, IdealNet)
+			tr, _, err := uncached.CaptureTraceContext(bg, tc.cfg, IdealNet)
 			if err != nil {
 				t.Fatalf("capture: %v", err)
 			}
-			serial, _, err := RunSelfCorrection(tc.cfg, tr, tc.kind)
+			serial, _, err := uncached.RunSelfCorrectionContext(bg, tc.cfg, tr, tc.kind)
 			if err != nil {
 				t.Fatalf("serial: %v", err)
 			}
@@ -81,7 +78,7 @@ func TestStreamInvarianceSelfCorrection(t *testing.T) {
 			for _, k := range []int{1, 8} {
 				cfg := tc.cfg
 				cfg.Parallelism.Shards = k
-				got, _, err := RunSelfCorrectionStream(cfg, file, tc.kind)
+				got, _, err := uncached.RunSelfCorrectionStreamContext(bg, cfg, file, tc.kind)
 				if err != nil {
 					t.Fatalf("shards=%d: %v", k, err)
 				}
@@ -105,15 +102,15 @@ func TestStreamInvarianceSelfCorrection(t *testing.T) {
 // fields equal the full replay's on the same fabric.
 func TestStreamSummaryMatchesReplay(t *testing.T) {
 	cfg := smallConfig()
-	tr, _, err := CaptureTrace(cfg, IdealNet)
+	tr, _, err := uncached.CaptureTraceContext(bg, cfg, IdealNet)
 	if err != nil {
 		t.Fatalf("capture: %v", err)
 	}
-	full, _, err := RunNaiveReplay(cfg, tr, IdealNet)
+	full, _, err := uncached.RunNaiveReplayContext(bg, cfg, tr, IdealNet)
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	sum, _, err := RunNaiveReplaySummary(cfg, traceOnDisk(t, tr), IdealNet)
+	sum, _, err := RunNaiveReplaySummaryContext(bg, cfg, traceOnDisk(t, tr), IdealNet)
 	if err != nil {
 		t.Fatalf("summary: %v", err)
 	}
@@ -135,14 +132,16 @@ func TestStreamSummaryMatchesReplay(t *testing.T) {
 	// The tier leans on capture order and checks it: a trace whose recorded
 	// injection times go backwards is refused, not replayed out of order.
 	cfg.System.Cores = 4
-	if _, _, err := RunNaiveReplaySummary(cfg, MemTraceSource(holdoutTrace(10)), IdealNet); err == nil {
+	if _, _, err := RunNaiveReplaySummaryContext(bg, cfg, MemTraceSource(holdoutTrace(10)), IdealNet); err == nil {
 		t.Error("summary replay accepted a trace that is not in capture order")
 	}
 }
 
 // holdoutTrace needs more than n/2 events resident at once: the first half of
 // the stream injects late (t=500+), the second half early (t=0+), so reaching
-// the first due event forces the decoder to hold the entire late block.
+// the first due event forces the decoder to hold the entire late block. The
+// events are dependency-free and their gaps repeat the recorded times, so the
+// schedules a correction derives have the same shape as capture order.
 func holdoutTrace(n int) *Trace {
 	tr := &Trace{Nodes: 4, Workload: "holdout", RefMakespan: sim.Tick(1000 + 10*n)}
 	for i := 0; i < n; i++ {
@@ -153,7 +152,7 @@ func holdoutTrace(n int) *Trace {
 		tr.Events = append(tr.Events, trace.Event{
 			ID: trace.EventID(i + 1), Src: 0, Dst: 1, Bytes: 8,
 			Class: noc.ClassRequest, Kind: trace.KindData,
-			Gap: 1, RefInject: at, RefArrive: at + 5,
+			Gap: at, RefInject: at, RefArrive: at + 5,
 		})
 	}
 	return tr
@@ -170,26 +169,31 @@ func TestStreamWindowTooSmallErrors(t *testing.T) {
 	cfg.System.Cores = 4
 	cfg.Parallelism.WindowEvents = 4
 
-	if _, _, err := RunNaiveReplayStream(cfg, file, IdealNet); err == nil {
+	if _, _, err := uncached.RunSelfCorrectionStreamContext(bg, cfg, file, IdealNet); err == nil {
 		t.Fatal("undersized window accepted")
 	}
-	want, _, err := RunNaiveReplay(cfg, tr, IdealNet)
+	want, _, err := uncached.RunSelfCorrectionContext(bg, cfg, tr, IdealNet)
 	if err != nil {
 		t.Fatalf("resident trace under a small window: %v", err)
 	}
 
 	// The same file replays fine once the window covers the holdout span.
 	cfg.Parallelism.WindowEvents = 10
-	got, _, err := RunNaiveReplayStream(cfg, file, IdealNet)
+	got, _, err := uncached.RunSelfCorrectionStreamContext(bg, cfg, file, IdealNet)
 	if err != nil {
 		t.Fatalf("sufficient window: %v", err)
 	}
-	replaysEqual(t, "holdout", got, want)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("correction from disk diverges from the resident one\n got: %+v\nwant: %+v", got, want)
+	}
 }
 
 // TestStreamDegenerateTraces pins the edge cases: an empty trace and a
-// single-source chain replay identically from memory, from a file at every
-// shard count, and through the summary tier.
+// single-source chain replay identically at every shard count, through the
+// summary tier from memory and from a file, and through a correction streamed
+// from a file. (Their full replay from a file is held to the reference by
+// core.TestEngineAgainstReference's "empty", "one", "same-cycle" and "self"
+// traces, file K={1,2,3,8}.)
 func TestStreamDegenerateTraces(t *testing.T) {
 	cfg := smallConfig()
 	cfg.System.Cores = 4
@@ -202,27 +206,40 @@ func TestStreamDegenerateTraces(t *testing.T) {
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			want, _, err := RunNaiveReplay(cfg, tc.tr, IdealNet)
+			want, _, err := uncached.RunNaiveReplayContext(bg, cfg, tc.tr, IdealNet)
 			if err != nil {
 				t.Fatalf("in-memory: %v", err)
+			}
+			wantSC, _, err := uncached.RunSelfCorrectionContext(bg, cfg, tc.tr, IdealNet)
+			if err != nil {
+				t.Fatalf("in-memory correction: %v", err)
 			}
 			file := traceOnDisk(t, tc.tr)
 			for _, k := range []int{1, 2, 8} {
 				c := cfg
 				c.Parallelism.Shards = k
-				got, _, err := RunNaiveReplayStream(c, file, IdealNet)
+				got, _, err := uncached.RunNaiveReplayContext(bg, c, tc.tr, IdealNet)
 				if err != nil {
 					t.Fatalf("shards=%d: %v", k, err)
 				}
 				replaysEqual(t, tc.name, got, want)
+				gotSC, _, err := uncached.RunSelfCorrectionStreamContext(bg, c, file, IdealNet)
+				if err != nil {
+					t.Fatalf("shards=%d: streamed correction: %v", k, err)
+				}
+				if !reflect.DeepEqual(gotSC, wantSC) {
+					t.Errorf("shards=%d: streamed correction diverges\n got: %+v\nwant: %+v", k, gotSC, wantSC)
+				}
 			}
-			sum, _, err := RunNaiveReplaySummary(cfg, MemTraceSource(tc.tr), IdealNet)
-			if err != nil {
-				t.Fatalf("summary: %v", err)
-			}
-			if sum.Makespan != want.Makespan || sum.Cycles != want.Cycles || sum.MeanLatency != want.MeanLatency {
-				t.Errorf("summary (%d, %d, %g), want (%d, %d, %g)",
-					sum.Makespan, sum.Cycles, sum.MeanLatency, want.Makespan, want.Cycles, want.MeanLatency)
+			for name, src := range map[string]TraceSource{"memory": MemTraceSource(tc.tr), "file": file} {
+				sum, _, err := RunNaiveReplaySummaryContext(bg, cfg, src, IdealNet)
+				if err != nil {
+					t.Fatalf("summary from %s: %v", name, err)
+				}
+				if sum.Makespan != want.Makespan || sum.Cycles != want.Cycles || sum.MeanLatency != want.MeanLatency {
+					t.Errorf("summary from %s (%d, %d, %g), want (%d, %d, %g)",
+						name, sum.Makespan, sum.Cycles, sum.MeanLatency, want.Makespan, want.Cycles, want.MeanLatency)
+				}
 			}
 		})
 	}
@@ -293,7 +310,7 @@ func TestStreamWindowValidation(t *testing.T) {
 // digests.
 func TestTraceDigestAgreesAcrossRepresentations(t *testing.T) {
 	cfg := smallConfig()
-	tr, _, err := CaptureTrace(cfg, IdealNet)
+	tr, _, err := uncached.CaptureTraceContext(bg, cfg, IdealNet)
 	if err != nil {
 		t.Fatalf("capture: %v", err)
 	}
@@ -315,7 +332,7 @@ func TestTraceDigestAgreesAcrossRepresentations(t *testing.T) {
 	}
 	other := cfg
 	other.Workload.Scale = 8
-	tr2, _, err := CaptureTrace(other, IdealNet)
+	tr2, _, err := uncached.CaptureTraceContext(bg, other, IdealNet)
 	if err != nil {
 		t.Fatalf("capture 2: %v", err)
 	}
@@ -333,21 +350,21 @@ func TestTraceDigestAgreesAcrossRepresentations(t *testing.T) {
 // and a MemSource of the same trace hits the entry the file computed.
 func TestSessionStreamReplayCache(t *testing.T) {
 	cfg := smallConfig()
-	tr, _, err := CaptureTrace(cfg, IdealNet)
+	tr, _, err := uncached.CaptureTraceContext(bg, cfg, IdealNet)
 	if err != nil {
 		t.Fatalf("capture: %v", err)
 	}
 	file := traceOnDisk(t, tr)
 	s := NewSession("")
 
-	first, _, err := s.RunSelfCorrectionStream(cfg, file, Optical)
+	first, _, err := s.RunSelfCorrectionStreamContext(bg, cfg, file, Optical)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hits := s.CacheStats().Hits; hits != 0 {
 		t.Fatalf("unexpected hits before re-run: %d", hits)
 	}
-	again, _, err := s.RunSelfCorrectionStream(cfg, file, Optical)
+	again, _, err := s.RunSelfCorrectionStreamContext(bg, cfg, file, Optical)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +374,7 @@ func TestSessionStreamReplayCache(t *testing.T) {
 	if hits := s.CacheStats().Hits; hits != 1 {
 		t.Errorf("re-run hits = %d, want 1", hits)
 	}
-	fromMem, _, err := s.RunSelfCorrectionStream(cfg, MemTraceSource(tr), Optical)
+	fromMem, _, err := s.RunSelfCorrectionStreamContext(bg, cfg, MemTraceSource(tr), Optical)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,20 +383,5 @@ func TestSessionStreamReplayCache(t *testing.T) {
 	}
 	if hits := s.CacheStats().Hits; hits != 2 {
 		t.Errorf("cross-representation hits = %d, want 2", hits)
-	}
-
-	nv, _, err := s.RunNaiveReplayStream(cfg, file, Optical)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nv2, _, err := s.RunNaiveReplayStream(cfg, file, Optical)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(nv, nv2) {
-		t.Error("cached streaming naive replay differs")
-	}
-	if hits := s.CacheStats().Hits; hits != 3 {
-		t.Errorf("naive replay re-run hits = %d, want 3", hits)
 	}
 }
