@@ -41,7 +41,6 @@ import (
 	"onocsim/internal/cpu"
 	"onocsim/internal/enoc"
 	"onocsim/internal/hybrid"
-	"onocsim/internal/metrics"
 	"onocsim/internal/noc"
 	"onocsim/internal/onoc"
 	"onocsim/internal/sim"
@@ -73,15 +72,11 @@ type (
 	// TraceSource yields repeated decode passes over a stored trace; the
 	// streaming replay engines consume one instead of a materialized Trace.
 	TraceSource = trace.Source
-	// TraceMeta is the trace header a TraceSource knows without decoding.
-	TraceMeta = trace.Meta
 	// ReplaySummary is the constant-residency replay result (no per-event
 	// time vectors).
 	ReplaySummary = core.ReplaySummary
 	// Tick is simulated time in cycles.
 	Tick = sim.Tick
-	// Table renders experiment results as ASCII or CSV.
-	Table = metrics.Table
 	// SyntheticResult summarizes one open-loop synthetic traffic run.
 	SyntheticResult = workload.SyntheticResult
 )

@@ -11,18 +11,26 @@ import (
 	"onocsim/internal/metrics"
 )
 
-// maskWallClock replaces host-time cells, the only nondeterministic content a
-// table can carry, so the remaining bytes are pinnable. R19 carries two
-// wall-clock columns; the other golden tables contain none today, and the
-// mask keeps those tests honest if one is ever added.
-func maskWallClock(t *metrics.Table) {
+// maskWallClock returns a copy of t with host-time cells replaced, the only
+// nondeterministic content a table can carry, so the remaining bytes are
+// pinnable. R19 carries two wall-clock columns; the other golden tables
+// contain none today, and the mask keeps those tests honest if one is ever
+// added.
+func maskWallClock(t *metrics.Table) *metrics.Table {
+	out := metrics.NewTable(t.Title, t.Columns...)
 	for r := 0; r < t.NumRows(); r++ {
-		for c := range t.Columns {
-			if t.At(r, c).Kind == metrics.KindDuration {
-				t.SetCell(r, c, metrics.String("MASKED"))
+		row := make([]metrics.Cell, len(t.Columns))
+		for c := range row {
+			if row[c] = t.At(r, c); row[c].Kind == metrics.KindDuration {
+				row[c] = metrics.String("MASKED")
 			}
 		}
+		out.AddCells(row...)
 	}
+	for _, n := range t.Notes() {
+		out.Note("%s", n)
+	}
+	return out
 }
 
 // TestGoldenASCII pins the ASCII rendering of representative experiments to
@@ -44,7 +52,7 @@ func TestGoldenASCII(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			maskWallClock(tb)
+			tb = maskWallClock(tb)
 			var got bytes.Buffer
 			if err := tb.WriteASCII(&got); err != nil {
 				t.Fatal(err)

@@ -1,5 +1,5 @@
 // Command expreport regenerates the reconstructed paper evaluation: every
-// table and figure R1–R18 registered in the experiment registry (DESIGN.md
+// table and figure R1–R20 registered in the experiment registry (DESIGN.md
 // §3 and §9), rendered as aligned ASCII, CSV, or versioned JSON. The tool
 // itself is a thin renderer: experiment identity, cost and wiring live in
 // internal/experiments, and every output format is a view of the same typed
@@ -26,7 +26,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -47,12 +46,11 @@ func main() {
 		seed       = flag.Uint64("seed", 42, "experiment seed")
 		quick      = flag.Bool("quick", false, "shrink sweeps (CI-sized)")
 		format     = flag.String("format", "ascii", "output format: ascii | csv | json")
-		csv        = flag.Bool("csv", false, "emit CSV instead of ASCII (deprecated: use -format csv)")
 		list       = flag.Bool("list", false, "list the registered experiments (id, cost, needs, summary) and exit")
 		outdir     = flag.String("outdir", "", "also write one CSV file per experiment into this directory")
 		parallel   = flag.Bool("parallel", false, "fan experiments out concurrently, deduplicating shared simulations (tables are byte-identical apart from wall-clock cells)")
 		cachedir   = flag.String("cachedir", "", "persist captured traces here and reload them across invocations (implies result memoization)")
-		shards     = flag.Int("shards", 0, "shard count for replay-family simulations (0: one per CPU; tables are identical for any count)")
+		shards     = flag.Int("shards", 0, "shard count for replay-family simulations (0: the configs' own, 1 = serial; tables are identical for any count, but K > 1 runs slower today, ≈2.5× at K = 2: the statistics merge costs more than the split saves)")
 		incr       = flag.Bool("incremental", false, "resume self-correction rounds from frozen-prefix checkpoints (tables are identical apart from wall-clock and replayed-events cells)")
 		faults     = flag.String("faults", "", "run the kernel experiments under this fault preset: off | light | heavy (R18 sweeps all presets regardless)")
 		seedMode   = flag.String("seedmode", "", "self-correction round-0 seeding for the kernel experiments: zeroload | analytic | fixed (R19 compares the modes regardless); -seed stays the RNG seed")
@@ -63,14 +61,6 @@ func main() {
 		verbose    = flag.Bool("v", false, "report cache statistics on stderr")
 	)
 	flag.Parse()
-	if *csv && *format == "ascii" {
-		*format = "csv"
-	}
-	// Sharded replay is byte-identical to serial for any count, so the
-	// default exploits whatever the host offers.
-	if *shards == 0 {
-		*shards = runtime.NumCPU()
-	}
 	opts := experiments.Options{Seed: *seed, Cores: *cores, Quick: *quick, Parallel: *parallel, Shards: *shards, SeedMode: *seedMode, Incremental: *incr}
 	if *progress {
 		opts.Progress = &progressLogger{w: os.Stderr}

@@ -33,7 +33,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"onocsim"
 	"onocsim/internal/cliutil"
@@ -68,7 +67,7 @@ func main() {
 	flag.StringVar(&o.format, "format", "ascii", "output format: ascii | json")
 	flag.StringVar(&o.faults, "faults", "", "optical fault-injection preset: off | light | heavy (default: keep the config file's faults section)")
 	flag.BoolVar(&o.dumpConfig, "dump-config", false, "print the effective config as JSON and exit")
-	flag.IntVar(&o.shards, "shards", 0, "shard count for replay-family simulations (0: one per CPU, capped at the core count; results are identical for any count)")
+	flag.IntVar(&o.shards, "shards", 0, "shard count for replay-family simulations (0: keep the config's, which is 1 = serial unless a -config file says otherwise; results are identical for any count, but K > 1 runs slower today, ≈2.5× at K = 2: the statistics merge costs more than the split saves)")
 	flag.BoolVar(&o.incr, "incremental", false, "resume self-correction rounds from frozen-prefix checkpoints instead of replaying from cycle zero (results are identical)")
 	flag.IntVar(&o.window, "window", 0, "per-shard read-ahead window in events for traces replayed from a file (0: default 64Ki, -1: unbounded)")
 	flag.StringVar(&o.seedMode, "seed", "", "self-correction round-0 seeding: zeroload | analytic | fixed (default: keep the config file's sctm.seed)")
@@ -101,47 +100,10 @@ func run(o options) error {
 	default:
 		return cliutil.Usagef("unknown mode %q (want exec, study, correct, estimate or sweep)", o.mode)
 	}
-	switch config.NetworkKind(o.network) {
-	case config.NetElectrical, config.NetOptical, config.NetIdeal, config.NetHybrid:
-	default:
-		return cliutil.Usagef("unknown network %q (want electrical, optical, hybrid, or ideal)", o.network)
+	cfg, err := effectiveConfig(o)
+	if err != nil {
+		return err
 	}
-	cfg := onocsim.DefaultConfig()
-	if o.cfgPath != "" {
-		var err error
-		cfg, err = onocsim.LoadConfig(o.cfgPath)
-		if err != nil {
-			return err
-		}
-	}
-	if o.faults != "" {
-		f, err := config.FaultPreset(o.faults)
-		if err != nil {
-			return cliutil.UsageError{Err: err}
-		}
-		cfg.Faults = f
-	}
-	if o.seedMode != "" {
-		cfg.SCTM.Seed = o.seedMode
-	}
-	kind := onocsim.NetworkKind(o.network)
-	cfg.Network = kind
-	// Sharding is byte-identical to serial execution for any count, so the
-	// default exploits whatever the host offers; the replayer itself caps
-	// the count at the chip's node count.
-	if o.shards == 0 {
-		o.shards = runtime.NumCPU()
-	}
-	cfg.Parallelism.Shards = o.shards
-	if o.window != 0 {
-		cfg.Parallelism.WindowEvents = o.window
-	}
-	// Incremental correction, like sharding, never changes results — it only
-	// skips re-simulating each round's frozen prefix.
-	if o.incr {
-		cfg.SCTM.Incremental = true
-	}
-
 	if o.dumpConfig {
 		return cfg.Save("/dev/stdout")
 	}
@@ -154,7 +116,7 @@ func run(o options) error {
 	// job's table, so the JSON carries the same values (with kinds and
 	// units) that the terminal shows.
 	runner := &job.Runner{Session: onocsim.NewSession("")}
-	res, err := runner.Run(context.Background(), job.Job{Op: job.Op(o.mode), Config: cfg, Kind: kind})
+	res, err := runner.Run(context.Background(), job.Job{Op: job.Op(o.mode), Config: cfg, Kind: cfg.Network})
 	if err != nil {
 		return err
 	}
@@ -162,6 +124,49 @@ func run(o options) error {
 		return res.Table.WriteJSON(os.Stdout)
 	}
 	return res.Table.WriteASCII(os.Stdout)
+}
+
+// effectiveConfig is the config a single-run mode executes (and -dump-config
+// prints): the baseline or -config file, with every flag that was given laid
+// over it. A flag left unset leaves the config's own value alone.
+func effectiveConfig(o options) (onocsim.Config, error) {
+	cfg := onocsim.DefaultConfig()
+	switch config.NetworkKind(o.network) {
+	case config.NetElectrical, config.NetOptical, config.NetIdeal, config.NetHybrid:
+	default:
+		return cfg, cliutil.Usagef("unknown network %q (want electrical, optical, hybrid, or ideal)", o.network)
+	}
+	if o.cfgPath != "" {
+		var err error
+		cfg, err = onocsim.LoadConfig(o.cfgPath)
+		if err != nil {
+			return cfg, err
+		}
+	}
+	if o.faults != "" {
+		f, err := config.FaultPreset(o.faults)
+		if err != nil {
+			return cfg, cliutil.UsageError{Err: err}
+		}
+		cfg.Faults = f
+	}
+	if o.seedMode != "" {
+		cfg.SCTM.Seed = o.seedMode
+	}
+	cfg.Network = onocsim.NetworkKind(o.network)
+	// Sharding and incremental correction never change results, only how
+	// long they take — and K > 1 shards take longer today, so the serial
+	// default stays unless asked otherwise.
+	if o.shards != 0 {
+		cfg.Parallelism.Shards = o.shards
+	}
+	if o.window != 0 {
+		cfg.Parallelism.WindowEvents = o.window
+	}
+	if o.incr {
+		cfg.SCTM.Incremental = true
+	}
+	return cfg, nil
 }
 
 // runSweep expands, prunes and simulates a design grid, printing per-arm

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -51,6 +52,32 @@ func TestRunExecModeFaulted(t *testing.T) {
 func TestRunStudyMode(t *testing.T) {
 	if err := run(opts(smallCfgFile(t), "optical", "study", "ascii")); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// An unset -shards must leave the config's own count alone — serial in the
+// baseline, which is what `onocsim -dump-config` then prints: K > 1 is the
+// measured-slow path and may not be anybody's default.
+func TestUnsetShardsKeepsTheConfigs(t *testing.T) {
+	cfg, err := effectiveConfig(opts("", "optical", "correct", "ascii"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data, _ := json.MarshalIndent(cfg, "", "  "); cfg.Parallelism.Shards != 1 || !bytes.Contains(data, []byte(`"shards": 1`)) {
+		t.Fatalf("no -shards on the baseline: %d shards, want 1 and `\"shards\": 1` in the dump", cfg.Parallelism.Shards)
+	}
+	file := onocsim.DefaultConfig()
+	file.Parallelism.Shards = 3
+	path := filepath.Join(t.TempDir(), "cfg.json")
+	if err := file.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	for flag, want := range map[int]int{0: 3, 2: 2} {
+		o := opts(path, "optical", "correct", "ascii")
+		o.shards = flag
+		if cfg, err := effectiveConfig(o); err != nil || cfg.Parallelism.Shards != want {
+			t.Fatalf("-shards %d over a file saying 3: %d shards (%v), want %d", flag, cfg.Parallelism.Shards, err, want)
+		}
 	}
 }
 

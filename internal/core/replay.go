@@ -49,10 +49,13 @@ func checkFabric(net noc.Network, nodes int) error {
 	return nil
 }
 
-// drain is the schedule-driven replay loop, the only one: it injects what
-// the feed says is due, fast-forwards to the next injection or fabric event,
-// and ticks, until want deliveries have been recorded through the fabric's
-// delivery callback, which must increment *delivered.
+// drain is the replay loop, the only one in the package that ticks a fabric:
+// it injects what the feed says is due, fast-forwards to the next injection
+// or fabric event, and ticks, until want deliveries have been recorded
+// through the fabric's delivery callback, which must increment *delivered.
+// The feed decides what kind of replay this is: a fixed schedule decoded from
+// a trace.Source (streamDecoder, captureFeed) or dependencies resolved on the
+// fabric as deliveries complete (coupledFeed).
 //
 // The loop is resumable: a caller restoring a checkpoint passes the fabric
 // at its restored clock, a feed that withholds the events injected at or
@@ -470,20 +473,10 @@ func CoupledReplay(net noc.Network, tr *trace.Trace, opts ScheduleOptions) (Repl
 			remaining[i]++
 		}
 	}
-	// ready is a time-ordered queue of events whose dependencies are all
-	// arrived; we keep it as a simple sorted insertion since fan-out per
-	// tick is small.
-	type readyEv struct {
-		at  sim.Tick
-		idx int
-	}
-	var ready []readyEv
-	pushReady := func(idx int, at sim.Tick) {
-		ready = append(ready, readyEv{at: at, idx: idx})
-	}
+	feed := coupledFeed{events: tr.Events}
 	for i := range tr.Events {
 		if remaining[i] == 0 {
-			pushReady(i, tr.Events[i].Gap)
+			feed.push(i, tr.Events[i].Gap)
 		}
 	}
 
@@ -501,44 +494,61 @@ func CoupledReplay(net noc.Network, tr *trace.Trace, opts ScheduleOptions) (Repl
 			}
 			remaining[ch]--
 			if remaining[ch] == 0 {
-				pushReady(ch, lastDep[ch])
+				feed.push(ch, lastDep[ch])
 			}
 		}
 	})
-
-	for delivered < n {
-		now := net.Now()
-		// Inject everything ready at or before now. Linear scan; the
-		// list stays short because injected entries are removed.
-		for i := 0; i < len(ready); {
-			if ready[i].at <= now {
-				e := &tr.Events[ready[i].idx]
-				inject(net, &pool, uint64(e.ID), e.Src, e.Dst, e.Bytes, e.Class)
-				ready[i] = ready[len(ready)-1]
-				ready = ready[:len(ready)-1]
-			} else {
-				i++
-			}
-		}
-		// Fast-forward: the next observable cycle is the earliest of a
-		// pending ready event and the fabric's own wake-up. If neither
-		// exists while deliveries are outstanding, the dependency graph
-		// (or the fabric) has deadlocked.
-		wake := net.NextWake()
-		for i := range ready {
-			if ready[i].at < wake {
-				wake = ready[i].at
-			}
-		}
-		if wake == noc.Never {
-			return ReplayResult{}, fmt.Errorf("core: coupled replay stalled (%d/%d delivered)", delivered, n)
-		}
-		if wake > now+1 {
-			net.SkipTo(wake - 1)
-		}
-		net.Tick()
+	// A drain that runs out of wake-ups with deliveries outstanding means the
+	// dependency graph (or the fabric) has deadlocked.
+	if err := drain(net, &feed, &pool, 0, &delivered, n, nil); err != nil {
+		return ReplayResult{}, fmt.Errorf("core: coupled %w", err)
 	}
 	finalize(&res, tr.RefMakespan, maxRef)
 	res.Cycles, res.NetStats = net.Now(), net.Stats()
 	return res, nil
+}
+
+// coupledFeed is the feed of a coupled replay: the events whose dependencies
+// have all arrived on the target fabric, each with the cycle its gap ends.
+// The delivery callback pushes; the list stays short because injected entries
+// are removed, so a linear scan serves both methods. Swap-removal inside that
+// scan is what fixes the injection order of events due the same cycle.
+type coupledFeed struct {
+	events []trace.Event
+	ready  []readyEv
+}
+
+type readyEv struct {
+	at  sim.Tick
+	idx int
+}
+
+func (f *coupledFeed) push(idx int, at sim.Tick) {
+	f.ready = append(f.ready, readyEv{at: at, idx: idx})
+}
+
+func (f *coupledFeed) injectDue(now sim.Tick, net noc.Network, pool *noc.MsgPool) (int, error) {
+	k := 0
+	for i := 0; i < len(f.ready); {
+		if f.ready[i].at <= now {
+			e := &f.events[f.ready[i].idx]
+			inject(net, pool, uint64(e.ID), e.Src, e.Dst, e.Bytes, e.Class)
+			f.ready[i] = f.ready[len(f.ready)-1]
+			f.ready = f.ready[:len(f.ready)-1]
+			k++
+		} else {
+			i++
+		}
+	}
+	return k, nil
+}
+
+// nextInject bounds only the events already ready; the rest become ready
+// inside a Tick, and drain asks again after every one.
+func (f *coupledFeed) nextInject() sim.Tick {
+	next := sim.Never
+	for i := range f.ready {
+		next = min(next, f.ready[i].at)
+	}
+	return next
 }

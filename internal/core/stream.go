@@ -33,8 +33,10 @@ type feed interface {
 	// order, and returns how many.
 	injectDue(now sim.Tick, net noc.Network, pool *noc.MsgPool) (int, error)
 	// nextInject returns a lower bound on the injection time of every event
-	// not yet injected, sim.Never once none is left. A bound below the true
-	// earliest time costs an idle Tick, never correctness.
+	// the feed has yet to inject and could name now — all of them for a
+	// fixed schedule, the ready ones for a coupled replay, where a Tick's
+	// deliveries can add more — and sim.Never when there is none. A bound
+	// below the true earliest time costs an idle Tick, never correctness.
 	nextInject() sim.Tick
 }
 

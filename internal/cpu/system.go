@@ -366,9 +366,6 @@ func (s *System) coreStates() string {
 		counts[coreRunning], counts[coreWaitMem], counts[coreWaitLock], counts[coreWaitBarrier], counts[coreDone])
 }
 
-// Network returns the fabric the system drives.
-func (s *System) Network() noc.Network { return s.net }
-
 // Now returns the current system cycle.
 func (s *System) Now() sim.Tick { return s.now }
 

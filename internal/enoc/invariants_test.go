@@ -17,7 +17,7 @@ func checkInvariants(t testing.TB, n *Network) {
 	depth := n.cfg.BufDepth
 	// Every packet in flight is in exactly one place: the loopback queue,
 	// an NI, or wherever its tail flit is.
-	inflight := len(n.selfQ)
+	inflight := n.selfQ.Len()
 	for _, r := range n.routers {
 		occupancy, linkLoad := 0, 0
 		var req [numPorts + 1][numPorts]uint16

@@ -26,7 +26,7 @@ type Network struct {
 	nis     []*netIface
 
 	// selfQ holds Src==Dst messages pending their next-cycle delivery.
-	selfQ []selfMsg
+	selfQ noc.DeliveryQueue
 	// inflight counts injected-but-undelivered packets (including
 	// self-messages) for Busy.
 	inflight int
@@ -71,11 +71,6 @@ func (s nodeSet) next(id int) int {
 		id = (w + 1) << 6
 	}
 	return -1
-}
-
-type selfMsg struct {
-	at  sim.Tick
-	msg *noc.Message
 }
 
 // New builds a width×width mesh where width² equals nodes. It panics on a
@@ -133,9 +128,6 @@ func New(nodes int, cfg config.Mesh) *Network {
 // Nodes implements noc.Network.
 func (n *Network) Nodes() int { return n.nodes }
 
-// Width returns the mesh edge length.
-func (n *Network) Width() int { return n.width }
-
 // Now implements noc.Network.
 func (n *Network) Now() sim.Tick { return n.now }
 
@@ -154,7 +146,7 @@ func (n *Network) Inject(m *noc.Message) {
 	n.stats.Injected++
 	n.inflight++
 	if m.Src == m.Dst {
-		n.selfQ = append(n.selfQ, selfMsg{at: n.now + 1, msg: m})
+		n.selfQ.Push(n.now+1, m)
 		return
 	}
 	n.nis[m.Src].enqueue(n.newPacket(m))
@@ -165,22 +157,15 @@ func (n *Network) Inject(m *noc.Message) {
 func (n *Network) Tick() {
 	n.now++
 	// Self-messages bypass the fabric with a one-cycle loopback latency.
-	if len(n.selfQ) > 0 {
-		keep := n.selfQ[:0]
-		for _, s := range n.selfQ {
-			if s.at <= n.now {
-				s.msg.Arrive = n.now
-				n.stats.RecordDelivery(s.msg)
-				n.stats.HopCount.Add(0)
-				n.inflight--
-				if n.deliver != nil {
-					n.deliver(s.msg)
-				}
-			} else {
-				keep = append(keep, s)
-			}
+	for n.selfQ.NextAt() <= n.now {
+		m := n.selfQ.Pop()
+		m.Arrive = n.now
+		n.stats.RecordDelivery(m)
+		n.stats.HopCount.Add(0)
+		n.inflight--
+		if n.deliver != nil {
+			n.deliver(m)
 		}
-		n.selfQ = keep
 	}
 	for id := n.linkBusy.next(0); id >= 0; id = n.linkBusy.next(id + 1) {
 		n.routers[id].drainLinks()
@@ -218,35 +203,13 @@ func (n *Network) eject(node int, f flit) {
 // Busy implements noc.Network.
 func (n *Network) Busy() bool { return n.inflight > 0 }
 
-// Lookahead implements noc.Network: the fastest cross-node interaction is a
-// single-hop packet — one router pipeline traversal plus one link flight.
-// The mesh is not ScheduleShardable (wormhole flits from different sources
-// contend for shared links every cycle), so this bound serves only the
-// generic conservative-window machinery.
-func (n *Network) Lookahead() sim.Tick {
-	la := sim.Tick(n.cfg.RouterStages + n.cfg.LinkCycles)
-	if la < 1 {
-		la = 1
-	}
-	return la
-}
-
 // NextWake implements noc.Network. With flits in routers or NIs the mesh
 // does observable work every cycle, so the only skippable states are a
 // fully drained fabric and one where the sole survivors are self-messages
 // awaiting their fixed loopback delivery.
 func (n *Network) NextWake() sim.Tick {
-	if n.inflight == 0 {
-		return noc.Never
-	}
-	if n.inflight == len(n.selfQ) {
-		wake := noc.Never
-		for _, s := range n.selfQ {
-			if s.at < wake {
-				wake = s.at
-			}
-		}
-		return wake
+	if n.inflight == n.selfQ.Len() {
+		return n.selfQ.NextAt()
 	}
 	return n.now + 1
 }
@@ -271,7 +234,7 @@ func (n *Network) Reset() {
 	n.now = 0
 	n.stats = noc.NewStats()
 	n.power = powerCounters{}
-	n.selfQ = n.selfQ[:0]
+	n.selfQ.Reset()
 	n.inflight = 0
 	clear(n.bufBusy)
 	clear(n.linkBusy)

@@ -70,6 +70,13 @@ type refRouter struct {
 	linkLoad  int
 }
 
+// selfMsg is a loopback message in the reference's own self-queue: the slice
+// the production mesh kept before it moved onto noc.DeliveryQueue.
+type selfMsg struct {
+	at  sim.Tick
+	msg *noc.Message
+}
+
 type refNetwork struct {
 	cfg   config.Mesh
 	width int

@@ -104,7 +104,7 @@ type meshSnapshot struct {
 	now      sim.Tick
 	stats    *noc.Stats
 	power    powerCounters
-	selfQ    []selfMsg
+	selfQ    noc.DeliveryQueue
 	inflight int
 	routers  []routerSnap
 	nis      []niSnap
@@ -120,12 +120,10 @@ func (n *Network) Snapshot() noc.Snapshot {
 		now:      n.now,
 		stats:    n.stats.Clone(),
 		power:    n.power,
+		selfQ:    n.selfQ.Clone(),
 		inflight: n.inflight,
 		routers:  make([]routerSnap, len(n.routers)),
 		nis:      make([]niSnap, len(n.nis)),
-	}
-	for _, sm := range n.selfQ {
-		s.selfQ = append(s.selfQ, selfMsg{at: sm.at, msg: cl.msg(sm.msg)})
 	}
 	for ri, r := range n.routers {
 		rs := &s.routers[ri]
@@ -176,10 +174,7 @@ func (n *Network) Restore(s noc.Snapshot) {
 	n.stats = snap.stats.Clone()
 	n.power = snap.power
 	n.inflight = snap.inflight
-	n.selfQ = n.selfQ[:0]
-	for _, sm := range snap.selfQ {
-		n.selfQ = append(n.selfQ, selfMsg{at: sm.at, msg: cl.msg(sm.msg)})
-	}
+	n.selfQ.Restore(&snap.selfQ)
 	clear(n.bufBusy)
 	clear(n.linkBusy)
 	clear(n.niBusy)

@@ -1,5 +1,5 @@
 // Package experiments regenerates every table and figure of the
-// reconstructed evaluation (R1–R18, see DESIGN.md §3). Each experiment is
+// reconstructed evaluation (R1–R20, see DESIGN.md §3). Each experiment is
 // declared as a Descriptor in the registry (registry.go) — identity, cost
 // class, the shared simulations it consumes, and a Run function returning a
 // typed metrics.Table; cmd/expreport renders them as ASCII, CSV or
@@ -44,9 +44,11 @@ type Options struct {
 	// the study-set fan-out.
 	Parallel bool
 	// Shards sets Config.Parallelism.Shards on every experiment config:
-	// replay-family runs split their fabric across this many shards of the
-	// conservative-lookahead engine. Results are byte-identical for any
-	// value (0 and 1 both mean serial); only wall-clock cells can differ.
+	// replay-family runs on a crossbar or the ideal fabric split their
+	// events across this many replica fabrics, each drained in its own
+	// goroutine, and merge the statistics afterwards. 0 leaves the configs'
+	// own value (1, serial). Results are byte-identical for any value; only
+	// wall-clock cells can differ — and K > 1 has not been faster yet.
 	Shards int
 	// Faults applies an optical fault-injection section to every kernel
 	// experiment config. The zero value leaves all experiments fault-free.
@@ -228,23 +230,6 @@ func r2FromSet(set *studySet) (*metrics.Table, error) {
 	t.Note("the paper claims the method does 'not substantially extend the total simulation time' vs trace-driven")
 	t.Note("events replayed counts per-round replay work; under sctm.incremental the frozen prefix is skipped and 'cycles saved' sums the checkpoint resume times")
 	return t, nil
-}
-
-// R1R2 runs the shared study set once and returns both tables.
-func R1R2(ctx context.Context, o Options) (*metrics.Table, *metrics.Table, error) {
-	set, err := newStudySet(ctx, o)
-	if err != nil {
-		return nil, nil, err
-	}
-	t1, err := r1FromSet(set)
-	if err != nil {
-		return nil, nil, err
-	}
-	t2, err := r2FromSet(set)
-	if err != nil {
-		return nil, nil, err
-	}
-	return t1, t2, nil
 }
 
 // R3Convergence reconstructs the convergence figure: per-round schedule

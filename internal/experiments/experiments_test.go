@@ -27,8 +27,17 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 }
 
+// R1 and R2 are two tables over one study set.
 func TestR1R2ShareStudySet(t *testing.T) {
-	t1, t2, err := R1R2(bg, quickOpts)
+	set, err := newStudySet(bg, quickOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t1, err := r1FromSet(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t2, err := r2FromSet(set)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,9 +99,8 @@ func (n *Network) Nodes() int { return n.nodes }
 // Now implements noc.Network.
 func (n *Network) Now() sim.Tick { return n.mesh.Now() }
 
-// Stats implements noc.Network; it aggregates both sub-fabrics'
-// deliveries (sub-fabric stats remain accessible via Mesh/Optical). Fault
-// counters are folded in from the optical sub-fabric on each call — the
+// Stats implements noc.Network; it aggregates both sub-fabrics' deliveries.
+// Fault counters are folded in from the optical sub-fabric on each call — the
 // refresh is idempotent, so calling Stats repeatedly is safe.
 func (n *Network) Stats() *noc.Stats {
 	f := n.optical.Stats().Faults
@@ -109,9 +108,6 @@ func (n *Network) Stats() *noc.Stats {
 	n.stats.Faults = f
 	return n.stats
 }
-
-// Mesh exposes the electrical sub-fabric (for power and diagnostics).
-func (n *Network) Mesh() *enoc.Network { return n.mesh }
 
 // Optical exposes the photonic sub-fabric.
 func (n *Network) Optical() noc.Network { return n.optical }
@@ -158,16 +154,6 @@ func (n *Network) Tick() {
 
 // Busy implements noc.Network.
 func (n *Network) Busy() bool { return n.mesh.Busy() || n.optical.Busy() }
-
-// Lookahead implements noc.Network: a cross-node message may ride either
-// sub-fabric, so the safe bound is the smaller of the two.
-func (n *Network) Lookahead() sim.Tick {
-	la := n.mesh.Lookahead()
-	if o := n.optical.Lookahead(); o < la {
-		la = o
-	}
-	return la
-}
 
 // NextWake implements noc.Network: the earlier of the two sub-fabrics'
 // wake-ups, since Tick advances both in lockstep.

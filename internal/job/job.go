@@ -45,16 +45,6 @@ const (
 	OpExperiment Op = "experiment"
 )
 
-// ParseOp validates an operation name from the wire.
-func ParseOp(s string) (Op, error) {
-	switch op := Op(s); op {
-	case OpExec, OpStudy, OpCorrect, OpEstimate, OpExperiment:
-		return op, nil
-	default:
-		return "", fmt.Errorf("job: unknown op %q (want exec, study, correct, estimate or experiment)", s)
-	}
-}
-
 // Job is one typed simulation request: the single shape CLI flags, service
 // request bodies and sweep grid arms all reduce to.
 type Job struct {

@@ -112,19 +112,3 @@ func TestTableLongRowPanicNamesTable(t *testing.T) {
 	}()
 	tb.AddCells(String("1"), String("2"))
 }
-
-// stringerVal exercises the fmt.Stringer branch of AddRowf.
-type stringerVal struct{}
-
-func (stringerVal) String() string { return "stringered" }
-
-func TestAddRowfConversions(t *testing.T) {
-	tb := NewTable("", "cell", "str", "f", "i", "i64", "b", "stringer", "other")
-	tb.AddRowf(Percent(0.5), "s", 1.5, 7, int64(8), true, stringerVal{}, struct{ X int }{3})
-	wants := []string{"50.0%", "s", "1.500", "7", "8", "true", "stringered", "{3}"}
-	for i, want := range wants {
-		if got := tb.Cell(0, i); got != want {
-			t.Errorf("col %d = %q, want %q", i, got, want)
-		}
-	}
-}

@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Summary accumulates a stream of float64 observations with O(1) memory
@@ -181,34 +180,6 @@ func RelErr(measured, reference float64) float64 {
 		return math.Inf(1)
 	}
 	return math.Abs(measured-reference) / math.Abs(reference)
-}
-
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) of the sample using
-// linear interpolation between order statistics. The input is not modified.
-func Percentile(sample []float64, p float64) float64 {
-	if len(sample) == 0 {
-		return 0
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 100 {
-		p = 100
-	}
-	sorted := make([]float64, len(sample))
-	copy(sorted, sample)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
 // GeoMean returns the geometric mean of strictly positive values; any

@@ -127,37 +127,6 @@ func TestRelErr(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	data := []float64{15, 20, 35, 40, 50}
-	if got := Percentile(data, 0); got != 15 {
-		t.Fatalf("p0 = %g", got)
-	}
-	if got := Percentile(data, 100); got != 50 {
-		t.Fatalf("p100 = %g", got)
-	}
-	if got := Percentile(data, 50); got != 35 {
-		t.Fatalf("p50 = %g", got)
-	}
-	// Interpolated: p25 over 5 values sits at rank 1 exactly.
-	if got := Percentile(data, 25); got != 20 {
-		t.Fatalf("p25 = %g", got)
-	}
-	// Out-of-range p clamps.
-	if Percentile(data, -5) != 15 || Percentile(data, 200) != 50 {
-		t.Fatal("percentile clamping failed")
-	}
-	// Input must not be reordered.
-	if data[0] != 15 || data[4] != 50 {
-		t.Fatal("Percentile mutated its input")
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Fatal("empty percentile should be 0")
-	}
-	if Percentile([]float64{42}, 99) != 42 {
-		t.Fatal("singleton percentile")
-	}
-}
-
 func TestGeoMean(t *testing.T) {
 	if got := GeoMean([]float64{1, 4, 16}); !almostEq(got, 4, 1e-12) {
 		t.Fatalf("GeoMean = %g, want 4", got)

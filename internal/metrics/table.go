@@ -49,36 +49,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.AddCells(row...)
 }
 
-// AddRowf appends a row of heterogeneous values, each converted to a typed
-// cell: Cell values pass through, strings become string cells, float64
-// renders with three fractional digits, int/int64 become integer cells,
-// bool a boolean cell, time.Duration a millisecond cell, fmt.Stringer its
-// String() form, and anything else falls back to a "%v" string cell.
-func (t *Table) AddRowf(cells ...interface{}) {
-	row := make([]Cell, 0, len(cells))
-	for _, c := range cells {
-		switch v := c.(type) {
-		case Cell:
-			row = append(row, v)
-		case string:
-			row = append(row, String(v))
-		case float64:
-			row = append(row, Float(v, 3, ""))
-		case int:
-			row = append(row, Int(int64(v), ""))
-		case int64:
-			row = append(row, Int(v, ""))
-		case bool:
-			row = append(row, Bool(v))
-		case fmt.Stringer:
-			row = append(row, String(v.String()))
-		default:
-			row = append(row, Stringf("%v", v))
-		}
-	}
-	t.AddCells(row...)
-}
-
 // Note attaches a footnote rendered under the table.
 func (t *Table) Note(format string, args ...interface{}) {
 	t.notes = append(t.notes, fmt.Sprintf(format, args...))
@@ -94,11 +64,6 @@ func (t *Table) Cell(row, col int) string { return t.rows[row][col].Render() }
 // At returns the typed cell at (row, col); it panics on out-of-range
 // indices.
 func (t *Table) At(row, col int) Cell { return t.rows[row][col] }
-
-// SetCell replaces the cell at (row, col); it panics on out-of-range
-// indices. Renderers that must suppress nondeterministic cells (golden
-// tests masking wall clocks) rewrite them through this.
-func (t *Table) SetCell(row, col int, c Cell) { t.rows[row][col] = c }
 
 // Notes returns the attached footnotes.
 func (t *Table) Notes() []string { return append([]string(nil), t.notes...) }

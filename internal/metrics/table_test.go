@@ -64,11 +64,3 @@ func TestTableCSVEscaping(t *testing.T) {
 		t.Fatalf("csv = %q, want %q", b.String(), want)
 	}
 }
-
-func TestTableAddRowf(t *testing.T) {
-	tb := NewTable("", "s", "f", "i")
-	tb.AddRowf("x", 1.23456, 42)
-	if tb.Cell(0, 0) != "x" || tb.Cell(0, 1) != "1.235" || tb.Cell(0, 2) != "42" {
-		t.Fatalf("AddRowf cells: %q %q %q", tb.Cell(0, 0), tb.Cell(0, 1), tb.Cell(0, 2))
-	}
-}

@@ -23,63 +23,7 @@ type Ideal struct {
 	// nextFree[n] is the first cycle node n's injection port is free,
 	// implementing the bandwidth cap as a serialization delay.
 	nextFree []sim.Tick
-	inflight deliveryHeap
-}
-
-type pendingDelivery struct {
-	at  sim.Tick
-	seq uint64
-	msg *Message
-}
-
-// deliveryHeap is a value-based 4-ary min-heap ordered by (at, seq); like
-// the sim engine it avoids container/heap's per-operation interface boxing.
-type deliveryHeap []pendingDelivery
-
-func (h deliveryHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *deliveryHeap) push(d pendingDelivery) {
-	q := append(*h, d)
-	i := len(q) - 1
-	for i > 0 {
-		p := (i - 1) / 4
-		if !q.less(i, p) {
-			break
-		}
-		q[i], q[p] = q[p], q[i]
-		i = p
-	}
-	*h = q
-}
-
-func (h *deliveryHeap) pop() pendingDelivery {
-	q := *h
-	top := q[0]
-	n := len(q) - 1
-	q[0] = q[n]
-	q[n] = pendingDelivery{} // release the message reference
-	q = q[:n]
-	i := 0
-	for {
-		best := i
-		for k := 4*i + 1; k <= 4*i+4 && k < n; k++ {
-			if q.less(k, best) {
-				best = k
-			}
-		}
-		if best == i {
-			break
-		}
-		q[i], q[best] = q[best], q[i]
-		i = best
-	}
-	*h = q
-	return top
+	inflight DeliveryQueue
 }
 
 // NewIdeal builds an ideal network over the given number of nodes with the
@@ -140,34 +84,29 @@ func (n *Ideal) Inject(m *Message) {
 	if m.Src == m.Dst {
 		at = n.now + 1
 	}
-	n.inflight.push(pendingDelivery{at: at, seq: uint64(n.stats.Injected), msg: m})
+	n.inflight.Push(at, m)
 }
 
 // Tick implements Network.
 func (n *Ideal) Tick() {
 	n.now++
-	for len(n.inflight) > 0 && n.inflight[0].at <= n.now {
-		d := n.inflight.pop()
-		d.msg.Arrive = n.now
-		n.stats.RecordDelivery(d.msg)
+	for n.inflight.NextAt() <= n.now {
+		m := n.inflight.Pop()
+		m.Arrive = n.now
+		n.stats.RecordDelivery(m)
 		n.stats.HopCount.Add(1)
 		if n.deliver != nil {
-			n.deliver(d.msg)
+			n.deliver(m)
 		}
 	}
 }
 
 // Busy implements Network.
-func (n *Ideal) Busy() bool { return len(n.inflight) > 0 }
+func (n *Ideal) Busy() bool { return n.inflight.Len() > 0 }
 
 // NextWake implements Network: the earliest pending delivery, or Never when
 // drained. The fixed-latency model does no other per-cycle work.
-func (n *Ideal) NextWake() sim.Tick {
-	if len(n.inflight) == 0 {
-		return Never
-	}
-	return n.inflight[0].at
-}
+func (n *Ideal) NextWake() sim.Tick { return n.inflight.NextAt() }
 
 // SkipTo implements Network. All internal state (nextFree, delivery times)
 // is kept in absolute cycles, so skipping is a pure clock jump.
@@ -184,48 +123,29 @@ func (n *Ideal) Reset() {
 	for i := range n.nextFree {
 		n.nextFree[i] = 0
 	}
-	n.inflight = n.inflight[:0]
+	n.inflight.Reset()
 }
 
 // idealSnapshot captures the ideal fabric's mutable state: clock, statistics,
-// per-node port reservations and the pending-delivery heap. The heap is stored
-// as-is (copying the slice preserves the heap shape) with every message cloned
-// so the snapshot survives pool recycling of the originals.
+// per-node port reservations and the in-flight messages.
 type idealSnapshot struct {
 	now      sim.Tick
 	stats    *Stats
 	nextFree []sim.Tick
-	inflight deliveryHeap
+	inflight DeliveryQueue
 }
 
 // SnapshotAt implements Snapshot.
 func (s *idealSnapshot) SnapshotAt() sim.Tick { return s.now }
 
-// cloneDeliveries deep-copies a delivery heap, giving every entry a fresh
-// Message so neither side can observe the other's mutations.
-func cloneDeliveries(src deliveryHeap) deliveryHeap {
-	if len(src) == 0 {
-		return nil
-	}
-	dst := make(deliveryHeap, len(src))
-	copy(dst, src)
-	for i := range dst {
-		m := *dst[i].msg
-		dst[i].msg = &m
-	}
-	return dst
-}
-
 // Snapshot implements Checkpointer.
 func (n *Ideal) Snapshot() Snapshot {
-	s := &idealSnapshot{
+	return &idealSnapshot{
 		now:      n.now,
 		stats:    n.stats.Clone(),
-		nextFree: make([]sim.Tick, len(n.nextFree)),
-		inflight: cloneDeliveries(n.inflight),
+		nextFree: append([]sim.Tick(nil), n.nextFree...),
+		inflight: n.inflight.Clone(),
 	}
-	copy(s.nextFree, n.nextFree)
-	return s
 }
 
 // Restore implements Checkpointer. It deep-copies from the snapshot, so the
@@ -235,15 +155,8 @@ func (n *Ideal) Restore(s Snapshot) {
 	n.now = snap.now
 	n.stats = snap.stats.Clone()
 	copy(n.nextFree, snap.nextFree)
-	for i := range n.inflight {
-		n.inflight[i] = pendingDelivery{}
-	}
-	n.inflight = append(n.inflight[:0], cloneDeliveries(snap.inflight)...)
+	n.inflight.Restore(&snap.inflight)
 }
-
-// Lookahead implements Network: the fixed delivery latency is the minimum
-// delay between an injection and its effect at another node.
-func (n *Ideal) Lookahead() sim.Tick { return n.latency }
 
 // ShardNode implements ScheduleShardable. The only stateful resource is the
 // per-source injection port (nextFree), so a message's whole lifetime is
@@ -254,8 +167,8 @@ func (n *Ideal) ShardNode(src, dst int) int { return src }
 // sink survives Reset.
 func (n *Ideal) SetShardObs(fn ShardObsFunc) { n.shardObs = fn }
 
-// SeqOrder implements ScheduleShardable: the delivery heap's tie-break seq is
-// assigned at Inject, so same-cycle deliveries complete in injection order.
+// SeqOrder implements ScheduleShardable: messages enter the delivery queue at
+// Inject, so same-cycle deliveries complete in injection order.
 func (n *Ideal) SeqOrder() SeqOrder { return SeqByInjection }
 
 // ZeroLoadLatency implements Network.

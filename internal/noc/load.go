@@ -9,25 +9,15 @@ type PairLoad struct {
 	Bytes    int64
 }
 
-// add folds another aggregate in.
-func (p *PairLoad) add(o PairLoad) {
-	p.Messages += o.Messages
-	p.Bytes += o.Bytes
-}
-
 // LoadMatrix is the per-(src, dst) offered-load histogram of a traffic
-// source, built in one O(messages) pass. Analytical latency models consume
-// it through the per-destination, per-source and per-pair accessors: the
-// MWSR crossbar's token wait is driven by destination-channel load, the SWMR
-// crossbar's serialization by source-channel load, and the mesh's link
-// utilization by per-pair routes. Self-traffic (src == dst) bypasses every
+// source, built in one O(messages) pass. Analytical latency models walk it
+// pair by pair and fold the pairs into whatever their fabric contends on: the
+// MWSR crossbar's destination channels, the SWMR crossbar's source channels,
+// the mesh's per-pair routes. Self-traffic (src == dst) bypasses every
 // fabric, so callers conventionally exclude it.
 type LoadMatrix struct {
-	nodes  int
-	pairs  []PairLoad // row-major [src*nodes+dst], zero value = no traffic
-	perSrc []PairLoad
-	perDst []PairLoad
-	total  PairLoad
+	nodes int
+	pairs []PairLoad // row-major [src*nodes+dst], zero value = no traffic
 }
 
 // NewLoadMatrix returns an empty histogram over the given endpoint count.
@@ -35,12 +25,7 @@ func NewLoadMatrix(nodes int) *LoadMatrix {
 	if nodes < 1 {
 		panic(fmt.Sprintf("noc: load matrix needs ≥1 node, got %d", nodes))
 	}
-	return &LoadMatrix{
-		nodes:  nodes,
-		pairs:  make([]PairLoad, nodes*nodes),
-		perSrc: make([]PairLoad, nodes),
-		perDst: make([]PairLoad, nodes),
-	}
+	return &LoadMatrix{nodes: nodes, pairs: make([]PairLoad, nodes*nodes)}
 }
 
 // Nodes returns the endpoint count.
@@ -51,24 +36,10 @@ func (l *LoadMatrix) Add(src, dst, bytes int) {
 	if src < 0 || src >= l.nodes || dst < 0 || dst >= l.nodes {
 		panic(fmt.Sprintf("noc: load matrix endpoints (%d->%d) out of [0,%d)", src, dst, l.nodes))
 	}
-	one := PairLoad{Messages: 1, Bytes: int64(bytes)}
-	l.pairs[src*l.nodes+dst].add(one)
-	l.perSrc[src].add(one)
-	l.perDst[dst].add(one)
-	l.total.add(one)
+	p := &l.pairs[src*l.nodes+dst]
+	p.Messages++
+	p.Bytes += int64(bytes)
 }
-
-// Pair returns the aggregate load offered from src to dst.
-func (l *LoadMatrix) Pair(src, dst int) PairLoad { return l.pairs[src*l.nodes+dst] }
-
-// FromSrc returns the aggregate load offered by one source.
-func (l *LoadMatrix) FromSrc(src int) PairLoad { return l.perSrc[src] }
-
-// ToDst returns the aggregate load offered to one destination.
-func (l *LoadMatrix) ToDst(dst int) PairLoad { return l.perDst[dst] }
-
-// Total returns the whole-matrix aggregate.
-func (l *LoadMatrix) Total() PairLoad { return l.total }
 
 // ForEachPair visits every pair with traffic, in ascending (src, dst) order.
 func (l *LoadMatrix) ForEachPair(fn func(src, dst int, load PairLoad)) {

@@ -1,7 +1,8 @@
 // Package noc defines the interconnect abstraction shared by every fabric in
-// onocsim — the electrical mesh, the optical crossbar, and the ideal
-// reference network — together with the message type, delivery statistics,
-// and power reporting common to all of them.
+// onocsim — the electrical mesh, the MWSR and SWMR optical crossbars, the
+// mesh/crossbar hybrid and the ideal reference network — together with what
+// they all have in common: the message type, the due-delivery queue, delivery
+// statistics and power reporting.
 //
 // All fabrics are synchronous cycle-level models: the owner calls Tick once
 // per system clock cycle, injects messages at the current cycle, and receives
@@ -75,7 +76,7 @@ type DeliverFunc func(m *Message)
 
 // Never is the NextWake sentinel meaning "no observable work pending": the
 // fabric will stay silent forever unless something new is injected. It is
-// the same sentinel the sharded engine uses for drained shard runners.
+// sim.Never, so it compares above every reachable cycle in a min-reduction.
 const Never = sim.Never
 
 // Network is the fabric contract.
@@ -122,14 +123,6 @@ type Network interface {
 	// (e.g. arbitration token positions) analytically so that subsequent
 	// Ticks behave exactly as if each skipped cycle had been ticked.
 	SkipTo(t sim.Tick)
-	// Lookahead returns the minimum number of cycles between an injection
-	// at one node and its earliest possible observable effect at a
-	// *different* node: serialization + hop latency for the mesh, circuit
-	// setup + flight time for the crossbars, the fixed delivery latency
-	// for the ideal fabric. It is a static property of the configuration
-	// (never smaller than 1) and is the safe window the conservative
-	// parallel engine may let shards advance without synchronizing.
-	Lookahead() sim.Tick
 }
 
 // ShardObs is the fabric-side observation the sharded replay engine needs to
@@ -366,9 +359,3 @@ type PowerReport struct {
 
 // TotalMW returns static plus dynamic power.
 func (p PowerReport) TotalMW() float64 { return p.StaticMW + p.DynamicMW }
-
-// EnergyMJ returns the window energy in millijoules given the elapsed
-// simulated seconds.
-func (p PowerReport) EnergyMJ(seconds float64) float64 {
-	return p.TotalMW() * seconds
-}

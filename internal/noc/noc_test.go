@@ -54,9 +54,6 @@ func TestPowerReport(t *testing.T) {
 	if p.TotalMW() != 150 {
 		t.Fatalf("total = %g", p.TotalMW())
 	}
-	if got := p.EnergyMJ(2); got != 300 {
-		t.Fatalf("energy = %g mJ, want 300", got)
-	}
 }
 
 func TestIdealFixedLatency(t *testing.T) {

@@ -1,8 +1,6 @@
 package onoc
 
 import (
-	"fmt"
-
 	"onocsim/internal/config"
 	"onocsim/internal/noc"
 	"onocsim/internal/sim"
@@ -12,10 +10,11 @@ import (
 // event-driven rewrite — the MWSR token stepping hop by hop over a dst-sorted
 // active list that Tick, NextWake and SkipTo walk in full, the SWMR scan over
 // all senders — verbatim, as a test-only reference. The reference embeds the
-// production fabric for everything that is not arbitration (clock, statistics,
-// arrival heap, serialization, propagation, fault schedule, energy counters)
-// and replaces Inject, Tick, NextWake and SkipTo wholesale; the production
-// channels, bitsets and wake heap of the embedded fabric stay unused.
+// production fabric for everything that is not arbitration — the physical
+// layer of phys.go: admit, launch, deliverDue, the arrival queue, the fault
+// schedule — and replaces Inject, Tick, NextWake and SkipTo wholesale; the
+// production channels, bitsets and wake heap of the embedded fabric stay
+// unused.
 // differential_test.go drives both with the same traffic.
 
 // refChannel is the pre-rewrite channel: no waiting bitset, no flight flag.
@@ -110,15 +109,7 @@ func (n *refNetwork) advanceToken(ch *refChannel, to sim.Tick) {
 
 // Inject implements noc.Network.
 func (n *refNetwork) Inject(m *noc.Message) {
-	if m.Src < 0 || m.Src >= n.nodes || m.Dst < 0 || m.Dst >= n.nodes {
-		panic(fmt.Sprintf("onoc: message %d endpoints (%d->%d) out of range [0,%d)", m.ID, m.Src, m.Dst, n.nodes))
-	}
-	m.Inject = n.now
-	n.stats.Injected++
-	n.inflight++
-	if m.Src == m.Dst {
-		n.seq++
-		n.arrivals.push(arrival{at: n.now + 1, seq: n.seq, msg: m})
+	if !n.admit(m) {
 		return
 	}
 	ch := n.channels[m.Dst]
@@ -147,15 +138,7 @@ func (n *refNetwork) insertActive(ch *refChannel) {
 // channel's token/transmission state by one cycle.
 func (n *refNetwork) Tick() {
 	n.now++
-	for len(n.arrivals) > 0 && n.arrivals[0].at <= n.now {
-		a := n.arrivals.pop()
-		a.msg.Arrive = n.now
-		n.stats.RecordDelivery(a.msg)
-		n.inflight--
-		if n.deliver != nil {
-			n.deliver(a.msg)
-		}
-	}
+	n.deliverDue()
 	// Idle channels circulate their token lazily (see catchUp); only the
 	// active list does per-cycle work. Channels drained by stepChannel are
 	// compacted out in place.
@@ -197,22 +180,10 @@ func (n *refNetwork) stepChannel(ch *refChannel) {
 		m := q.pop()
 		ch.queued--
 		ch.holdCount++
-		ser := n.sendSer(m)
-		oe := sim.Tick(n.cfg.OEOverheadCycles)
-		prop := n.propagation(m.Src, m.Dst)
-		n.stats.HopCount.Add(float64(n.now - m.Inject)) // token wait
-		n.stats.QueueDelay.Add(float64(n.now - m.Inject))
-		if n.shardObs != nil {
-			n.shardObs(m.ID, noc.ShardObs{Start: n.now, Queue: float64(n.now - m.Inject)})
-		}
-		arriveAt := n.now + oe + ser + prop
-		n.seq++
-		n.arrivals.push(arrival{at: arriveAt, seq: n.seq, msg: m})
-		n.bitsSent += uint64(m.Bytes) * 8
 		n.grabs++
 		// The channel is occupied for the serialization period; the
 		// token resumes circulating from here afterwards.
-		ch.tokenReady = n.now + ser
+		ch.tokenReady = n.now + n.launch(m, ch.dst)
 		return
 	}
 	// Advance the token to the next node.
@@ -229,10 +200,7 @@ func (n *refNetwork) stepChannel(ch *refChannel) {
 // circulation is also unobservable — catchUp and SkipTo reproduce it
 // analytically.
 func (n *refNetwork) NextWake() sim.Tick {
-	wake := noc.Never
-	if len(n.arrivals) > 0 {
-		wake = n.arrivals[0].at
-	}
+	wake := n.arrivals.NextAt()
 	next := n.now + 1
 	for _, ch := range n.active {
 		if ch.tokenReady <= next {
@@ -276,33 +244,13 @@ type refSWMR struct{ *SWMR }
 // Tick implements noc.Network.
 func (n *refSWMR) Tick() {
 	n.now++
-	for len(n.arrivals) > 0 && n.arrivals[0].at <= n.now {
-		a := n.arrivals.pop()
-		a.msg.Arrive = n.now
-		n.stats.RecordDelivery(a.msg)
-		n.inflight--
-		if n.deliver != nil {
-			n.deliver(a.msg)
-		}
-	}
+	n.deliverDue()
 	for s := 0; s < n.nodes; s++ {
 		if n.queues[s].empty() || n.chanFree[s] > n.now {
 			continue
 		}
 		m := n.queues[s].pop()
-		ser := n.swmrSendSer(m)
-		oe := sim.Tick(n.cfg.OEOverheadCycles)
-		wait := n.now - m.Inject
-		n.stats.HopCount.Add(float64(wait))
-		n.stats.QueueDelay.Add(float64(wait))
-		if n.shardObs != nil {
-			n.shardObs(m.ID, noc.ShardObs{Start: n.now, Queue: float64(wait)})
-		}
-		n.seq++
-		n.arrivals.push(arrival{at: n.now + oe + ser + n.propagation(m.Src, m.Dst), seq: n.seq, msg: m})
-		n.chanFree[s] = n.now + ser
-		n.bitsSent += uint64(m.Bytes) * 8
-		n.sends++
+		n.chanFree[s] = n.now + n.launch(m, s)
 	}
 }
 
@@ -311,10 +259,7 @@ func (n *refSWMR) Tick() {
 // arrival or the first cycle a backlogged sender's channel frees up, both
 // known exactly.
 func (n *refSWMR) NextWake() sim.Tick {
-	wake := noc.Never
-	if len(n.arrivals) > 0 {
-		wake = n.arrivals[0].at
-	}
+	wake := n.arrivals.NextAt()
 	for s := 0; s < n.nodes; s++ {
 		if n.queues[s].empty() {
 			continue

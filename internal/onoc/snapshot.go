@@ -5,12 +5,10 @@ import (
 	"onocsim/internal/sim"
 )
 
-// This file implements noc.Checkpointer for both crossbars. A snapshot deep-
-// copies every piece of round-trip-mutable state — clock, statistics, sender
-// FIFOs, the arrival heap, token/arbitration cursors, energy counters — and
-// nothing that is immutable or a pure function of the configuration: the
-// photonic budget, serialization memo tables, and the lazily materialized
-// fault timelines (which persist across Reset for the same reason). Messages
+// This file implements noc.Checkpointer for both crossbars: the physical
+// layer's share (physSnap: clock, statistics, arrival queue, energy counters)
+// plus each arbitration rule's sender FIFOs and cursors. Nothing immutable or
+// a pure function of the configuration is captured (see physSnap). Messages
 // are cloned on capture *and* on restore, so one snapshot can seed any number
 // of replays without aliasing the pool-recycled live copies.
 
@@ -19,35 +17,6 @@ import (
 func cloneMsg(m *noc.Message) *noc.Message {
 	c := *m
 	return &c
-}
-
-// cloneArrivals deep-copies an arrival heap; copying the slice preserves the
-// heap shape.
-func cloneArrivals(src arrivalHeap) arrivalHeap {
-	if len(src) == 0 {
-		return nil
-	}
-	dst := make(arrivalHeap, len(src))
-	copy(dst, src)
-	for i := range dst {
-		dst[i].msg = cloneMsg(dst[i].msg)
-	}
-	return dst
-}
-
-// restoreArrivals replaces h's contents with a deep copy of src, reusing h's
-// backing array when possible.
-func restoreArrivals(h *arrivalHeap, src arrivalHeap) {
-	q := *h
-	for i := range q {
-		q[i] = arrival{}
-	}
-	q = q[:0]
-	for _, a := range src {
-		a.msg = cloneMsg(a.msg)
-		q = append(q, a)
-	}
-	*h = q
 }
 
 // srcQueueSnap is the live region of one sender FIFO, head-normalized.
@@ -89,31 +58,17 @@ type mwsrChannelSnap struct {
 // mwsrSnapshot is the MWSR crossbar's full mutable state. The waiting bitsets
 // and the wake heap are derived from the queues and are rebuilt by Restore.
 type mwsrSnapshot struct {
-	now      sim.Tick
-	stats    *noc.Stats
-	regens   uint64
-	seq      uint64
-	inflight int
-	bitsSent uint64
-	grabs    uint64
-	arrivals arrivalHeap
-	channels []mwsrChannelSnap
+	physSnap
+	grabs, regens uint64
+	channels      []mwsrChannelSnap
 }
-
-// SnapshotAt implements noc.Snapshot.
-func (s *mwsrSnapshot) SnapshotAt() sim.Tick { return s.now }
 
 // Snapshot implements noc.Checkpointer.
 func (n *Network) Snapshot() noc.Snapshot {
 	s := &mwsrSnapshot{
-		now:      n.now,
-		stats:    n.stats.Clone(),
-		regens:   n.regens,
-		seq:      n.seq,
-		inflight: n.inflight,
-		bitsSent: n.bitsSent,
+		physSnap: n.snapshot(),
 		grabs:    n.grabs,
-		arrivals: cloneArrivals(n.arrivals),
+		regens:   n.regens,
 		channels: make([]mwsrChannelSnap, len(n.channels)),
 	}
 	for d := range n.channels {
@@ -139,14 +94,8 @@ func (n *Network) Snapshot() noc.Snapshot {
 // Restore implements noc.Checkpointer.
 func (n *Network) Restore(s noc.Snapshot) {
 	snap := s.(*mwsrSnapshot)
-	n.now = snap.now
-	n.stats = snap.stats.Clone()
-	n.regens = snap.regens
-	n.seq = snap.seq
-	n.inflight = snap.inflight
-	n.bitsSent = snap.bitsSent
-	n.grabs = snap.grabs
-	restoreArrivals(&n.arrivals, snap.arrivals)
+	n.restore(&snap.physSnap)
+	n.grabs, n.regens = snap.grabs, snap.regens
 	clear(n.wake)
 	n.wake = n.wake[:0]
 	for d := range n.channels {
@@ -173,34 +122,18 @@ func (n *Network) Restore(s noc.Snapshot) {
 
 // swmrSnapshot is the SWMR crossbar's full mutable state.
 type swmrSnapshot struct {
-	now      sim.Tick
-	stats    *noc.Stats
-	seq      uint64
-	inflight int
-	bitsSent uint64
-	sends    uint64
+	physSnap
 	chanFree []sim.Tick
 	queues   []srcQueueSnap
-	arrivals arrivalHeap
 }
-
-// SnapshotAt implements noc.Snapshot.
-func (s *swmrSnapshot) SnapshotAt() sim.Tick { return s.now }
 
 // Snapshot implements noc.Checkpointer.
 func (n *SWMR) Snapshot() noc.Snapshot {
 	s := &swmrSnapshot{
-		now:      n.now,
-		stats:    n.stats.Clone(),
-		seq:      n.seq,
-		inflight: n.inflight,
-		bitsSent: n.bitsSent,
-		sends:    n.sends,
-		chanFree: make([]sim.Tick, len(n.chanFree)),
+		physSnap: n.snapshot(),
+		chanFree: append([]sim.Tick(nil), n.chanFree...),
 		queues:   make([]srcQueueSnap, len(n.queues)),
-		arrivals: cloneArrivals(n.arrivals),
 	}
-	copy(s.chanFree, n.chanFree)
 	for src := range n.queues {
 		s.queues[src] = captureQueue(&n.queues[src])
 	}
@@ -210,12 +143,7 @@ func (n *SWMR) Snapshot() noc.Snapshot {
 // Restore implements noc.Checkpointer.
 func (n *SWMR) Restore(s noc.Snapshot) {
 	snap := s.(*swmrSnapshot)
-	n.now = snap.now
-	n.stats = snap.stats.Clone()
-	n.seq = snap.seq
-	n.inflight = snap.inflight
-	n.bitsSent = snap.bitsSent
-	n.sends = snap.sends
+	n.restore(&snap.physSnap)
 	copy(n.chanFree, snap.chanFree)
 	clear(n.waiting)
 	for src := range n.queues {
@@ -224,5 +152,4 @@ func (n *SWMR) Restore(s noc.Snapshot) {
 			n.waiting.set(src)
 		}
 	}
-	restoreArrivals(&n.arrivals, snap.arrivals)
 }

@@ -138,14 +138,6 @@ func (p DeviceParams) LossDB(path PathProfile) float64 {
 // DBmToMW converts dBm to milliwatts.
 func DBmToMW(dbm float64) float64 { return math.Pow(10, dbm/10) }
 
-// MWToDBm converts milliwatts to dBm; zero or negative power yields -Inf.
-func MWToDBm(mw float64) float64 {
-	if mw <= 0 {
-		return math.Inf(-1)
-	}
-	return 10 * math.Log10(mw)
-}
-
 // LaserPowerPerWavelengthMW returns the *electrical* wall-plug power one
 // wavelength needs so the detector still sees its sensitivity floor after
 // the worst-case path loss.

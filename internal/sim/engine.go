@@ -17,9 +17,6 @@ type Event struct {
 	fn  func()
 }
 
-// At returns the simulated time at which the event fires.
-func (e *Event) At() Tick { return e.at }
-
 // eventHeap is a hand-rolled 4-ary min-heap over Event values ordered by
 // (time, seq). A 4-ary heap halves the tree depth of the binary heap the
 // standard library would give us, and storing values instead of *Event
@@ -89,10 +86,9 @@ func (h *eventHeap) pop() Event {
 // ready to use. Engine is not safe for concurrent use; each simulation owns
 // exactly one goroutine-confined engine.
 type Engine struct {
-	now     Tick
-	seq     uint64
-	queue   eventHeap
-	stopped bool
+	now   Tick
+	seq   uint64
+	queue eventHeap
 
 	// Executed counts events that have fired; it is the canonical measure
 	// of simulation effort used by the R2 cost experiment.
@@ -129,18 +125,6 @@ func (e *Engine) Schedule(at Tick, fn func()) {
 	e.seq++
 }
 
-// After enqueues fn to run delay ticks from now.
-func (e *Engine) After(delay Tick, fn func()) {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %d", delay))
-	}
-	e.Schedule(e.now+delay, fn)
-}
-
-// Stop makes the currently running Run call return after the in-flight
-// event completes.
-func (e *Engine) Stop() { e.stopped = true }
-
 // Step executes the single next event, advancing time to it. It reports
 // whether an event was executed.
 func (e *Engine) Step() bool {
@@ -154,24 +138,11 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Run executes events until the queue is empty or Stop is called. It
-// returns the final simulated time.
-func (e *Engine) Run() Tick {
-	e.stopped = false
-	for !e.stopped && e.Step() {
-	}
-	return e.now
-}
-
 // RunUntil executes events with time ≤ deadline. Events scheduled beyond the
 // deadline remain queued; time advances to the deadline if the queue runs
 // dry earlier, mirroring how a synchronous co-simulation window behaves.
 func (e *Engine) RunUntil(deadline Tick) Tick {
-	e.stopped = false
-	for !e.stopped {
-		if len(e.queue) == 0 || e.queue[0].at > deadline {
-			break
-		}
+	for len(e.queue) > 0 && e.queue[0].at <= deadline {
 		e.Step()
 	}
 	if e.now < deadline {

@@ -1,9 +1,13 @@
 package sim
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
+
+// runAll steps the engine until its queue is empty and returns the final time.
+func runAll(e *Engine) Tick {
+	for e.Step() {
+	}
+	return e.Now()
+}
 
 func TestEngineOrdersByTime(t *testing.T) {
 	e := NewEngine()
@@ -11,7 +15,7 @@ func TestEngineOrdersByTime(t *testing.T) {
 	e.Schedule(30, func() { got = append(got, 3) })
 	e.Schedule(10, func() { got = append(got, 1) })
 	e.Schedule(20, func() { got = append(got, 2) })
-	end := e.Run()
+	end := runAll(e)
 	if end != 30 {
 		t.Fatalf("final time = %d, want 30", end)
 	}
@@ -27,7 +31,7 @@ func TestEngineTiesBreakBySchedulingOrder(t *testing.T) {
 		i := i
 		e.Schedule(5, func() { got = append(got, i) })
 	}
-	e.Run()
+	runAll(e)
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("tie-break order %v, want ascending scheduling order", got)
@@ -42,11 +46,11 @@ func TestEngineEventsScheduleMoreEvents(t *testing.T) {
 	chain = func() {
 		count++
 		if count < 100 {
-			e.After(2, chain)
+			e.Schedule(e.Now()+2, chain)
 		}
 	}
 	e.Schedule(0, chain)
-	end := e.Run()
+	end := runAll(e)
 	if count != 100 {
 		t.Fatalf("count = %d, want 100", count)
 	}
@@ -68,35 +72,7 @@ func TestEngineSchedulePastPanics(t *testing.T) {
 		}()
 		e.Schedule(5, func() {})
 	})
-	e.Run()
-}
-
-func TestEngineNegativeDelayPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("negative delay did not panic")
-		}
-	}()
-	NewEngine().After(-1, func() {})
-}
-
-func TestEngineStop(t *testing.T) {
-	e := NewEngine()
-	ran := 0
-	e.Schedule(1, func() { ran++; e.Stop() })
-	e.Schedule(2, func() { ran++ })
-	e.Run()
-	if ran != 1 {
-		t.Fatalf("ran %d events after Stop, want 1", ran)
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", e.Pending())
-	}
-	// Run again resumes.
-	e.Run()
-	if ran != 2 {
-		t.Fatalf("resume ran %d total, want 2", ran)
-	}
+	runAll(e)
 }
 
 func TestEngineRunUntil(t *testing.T) {
@@ -159,7 +135,7 @@ func TestEngineHeapOrderRandomized(t *testing.T) {
 		at := Tick(rng.Intn(1000))
 		e.Schedule(at, func() { got = append(got, fired{at: at, seq: i}) })
 	}
-	e.Run()
+	runAll(e)
 	if len(got) != n {
 		t.Fatalf("fired %d events, want %d", len(got), n)
 	}
@@ -209,30 +185,4 @@ func BenchmarkEngineRunUntil(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e.RunUntil(Tick(i))
 	}
-}
-
-func TestClockConversions(t *testing.T) {
-	c := NewClock(2e9) // 2 GHz
-	if got := c.Seconds(2e9); got != 1.0 {
-		t.Fatalf("Seconds(2e9) = %g, want 1", got)
-	}
-	if got := c.Picoseconds(1); math.Abs(got-500) > 1e-9 {
-		t.Fatalf("Picoseconds(1) = %g, want 500", got)
-	}
-	if got := c.TicksFromSeconds(1.0); got != 2_000_000_000 {
-		t.Fatalf("TicksFromSeconds(1) = %d", got)
-	}
-	// Rounds up.
-	if got := c.TicksFromSeconds(1.0000000001); got != 2_000_000_001 {
-		t.Fatalf("TicksFromSeconds rounding = %d, want 2000000001", got)
-	}
-}
-
-func TestClockInvalidPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("zero-frequency clock did not panic")
-		}
-	}()
-	NewClock(0)
 }

@@ -1,7 +1,5 @@
 package sim
 
-import "math"
-
 // RNG is a small, fast, reproducible pseudo-random generator
 // (xoshiro256** seeded through SplitMix64). Every stochastic component in
 // onocsim owns its own RNG stream derived from the experiment seed and a
@@ -93,17 +91,6 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Exp returns an exponentially distributed value with the given rate
-// (mean 1/rate). It panics if rate ≤ 0.
-func (r *RNG) Exp(rate float64) float64 {
-	if rate <= 0 {
-		panic("sim: Exp with non-positive rate")
-	}
-	u := r.Float64()
-	// 1-u is in (0,1], so the log is finite.
-	return -math.Log(1-u) / rate
-}
-
 // Bernoulli reports true with probability p (clamped to [0,1]).
 func (r *RNG) Bernoulli(p float64) bool {
 	if p <= 0 {
@@ -113,29 +100,4 @@ func (r *RNG) Bernoulli(p float64) bool {
 		return true
 	}
 	return r.Float64() < p
-}
-
-// Geometric returns the number of failures before the first success in a
-// Bernoulli(p) process; it is used for bursty traffic interarrival times.
-func (r *RNG) Geometric(p float64) int {
-	if p <= 0 || p > 1 {
-		panic("sim: Geometric requires p in (0,1]")
-	}
-	if p == 1 {
-		return 0
-	}
-	return int(math.Floor(math.Log(1-r.Float64()) / math.Log(1-p)))
-}
-
-// Perm returns a deterministic pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }

@@ -103,24 +103,6 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
-func TestExpMean(t *testing.T) {
-	r := NewRNG(13)
-	const rate = 0.25
-	var sum float64
-	const n = 50000
-	for i := 0; i < n; i++ {
-		v := r.Exp(rate)
-		if v < 0 {
-			t.Fatalf("Exp produced negative %g", v)
-		}
-		sum += v
-	}
-	mean := sum / n
-	if math.Abs(mean-1/rate) > 0.15*(1/rate) {
-		t.Fatalf("Exp mean = %g, want ≈%g", mean, 1/rate)
-	}
-}
-
 func TestBernoulliEdges(t *testing.T) {
 	r := NewRNG(17)
 	for i := 0; i < 100; i++ {
@@ -141,49 +123,6 @@ func TestBernoulliEdges(t *testing.T) {
 	p := float64(hits) / n
 	if math.Abs(p-0.3) > 0.02 {
 		t.Fatalf("Bernoulli(0.3) frequency = %g", p)
-	}
-}
-
-func TestGeometricMean(t *testing.T) {
-	r := NewRNG(19)
-	const p = 0.2
-	var sum float64
-	const n = 30000
-	for i := 0; i < n; i++ {
-		v := r.Geometric(p)
-		if v < 0 {
-			t.Fatalf("Geometric produced negative %d", v)
-		}
-		sum += float64(v)
-	}
-	want := (1 - p) / p
-	mean := sum / n
-	if math.Abs(mean-want) > 0.15*want {
-		t.Fatalf("Geometric mean = %g, want ≈%g", mean, want)
-	}
-	if NewRNG(1).Geometric(1) != 0 {
-		t.Fatal("Geometric(1) should be 0")
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRNG(23)
-	if err := quick.Check(func(nRaw uint8) bool {
-		n := int(nRaw%64) + 1
-		p := r.Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 

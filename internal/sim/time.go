@@ -1,6 +1,6 @@
 // Package sim provides the discrete-event simulation kernel shared by every
-// model in onocsim: a deterministic event scheduler, a simulated clock, and
-// reproducible pseudo-random number streams.
+// model in onocsim: a deterministic event scheduler, the simulated time unit,
+// and reproducible pseudo-random number streams.
 //
 // All simulators in this repository are deterministic by construction: given
 // the same configuration and seed, two runs produce bit-identical event
@@ -10,8 +10,6 @@
 // or global randomness.
 package sim
 
-import "fmt"
-
 // Tick is a point in simulated time, measured in clock cycles of the global
 // system clock. All component clocks in onocsim are expressed as rational
 // multiples of this base clock; sub-cycle phenomena (e.g. optical
@@ -19,51 +17,8 @@ import "fmt"
 // capacities rather than fractional ticks.
 type Tick int64
 
-// Infinity is a Tick value larger than any reachable simulation time. It is
-// used as the "never" sentinel for unresolved dependency times.
-const Infinity Tick = 1<<62 - 1
-
 // Never is the "no pending work" sentinel shared by the fabric contract and
-// the sharded engine: a component reporting Never from its next-event query
+// the replay feeds: a component reporting Never from its next-event query
 // stays silent forever unless something new is handed to it. It sits above
-// Infinity so that min-reductions over mixed sources still terminate.
+// every reachable simulation time, so min-reductions over mixed sources work.
 const Never Tick = 1 << 62
-
-// Cycles converts a non-negative integer cycle count to a Tick duration.
-func Cycles(n int64) Tick { return Tick(n) }
-
-// Clock converts between simulated ticks and physical time for reporting.
-// The zero value is unusable; construct with NewClock.
-type Clock struct {
-	freqHz float64 // base clock frequency
-}
-
-// NewClock returns a Clock for a base frequency in hertz. It panics if the
-// frequency is not positive, because every downstream conversion would be
-// meaningless.
-func NewClock(freqHz float64) Clock {
-	if freqHz <= 0 {
-		panic(fmt.Sprintf("sim: non-positive clock frequency %g", freqHz))
-	}
-	return Clock{freqHz: freqHz}
-}
-
-// FreqHz returns the clock frequency in hertz.
-func (c Clock) FreqHz() float64 { return c.freqHz }
-
-// Seconds converts a tick count to seconds of simulated time.
-func (c Clock) Seconds(t Tick) float64 { return float64(t) / c.freqHz }
-
-// Picoseconds converts a tick count to picoseconds of simulated time.
-func (c Clock) Picoseconds(t Tick) float64 { return float64(t) / c.freqHz * 1e12 }
-
-// TicksFromSeconds converts a duration in seconds to whole ticks, rounding
-// up so that latencies are never under-reported.
-func (c Clock) TicksFromSeconds(s float64) Tick {
-	t := s * c.freqHz
-	n := Tick(t)
-	if float64(n) < t {
-		n++
-	}
-	return n
-}

@@ -1,6 +1,6 @@
 // Package simcache memoizes simulation results across an experiment session.
 //
-// The reconstructed evaluation (R1–R17) asks for the same byte-identical
+// The reconstructed evaluation (R1–R20) asks for the same byte-identical
 // simulations many times over: the execution-driven optical ground truth of
 // a kernel config is needed by the accuracy table, the convergence figure,
 // the case study, the power table, the league table, … Because every

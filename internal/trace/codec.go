@@ -132,15 +132,3 @@ func WriteJSON(w io.Writer, t *Trace) error {
 	enc.SetIndent("", " ")
 	return enc.Encode(t)
 }
-
-// ReadJSON deserializes and validates a JSON trace.
-func ReadJSON(r io.Reader) (*Trace, error) {
-	t := &Trace{}
-	if err := json.NewDecoder(r).Decode(t); err != nil {
-		return nil, fmt.Errorf("trace: json decode: %w", err)
-	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}

@@ -110,7 +110,7 @@ func FuzzReaderStream(f *testing.F) {
 			}
 			events = append(events, c)
 		}
-		if sr.Decoded() < sr.Meta().NumEvents {
+		if len(events) < sr.Meta().NumEvents {
 			// Clean EOF before the declared count: ReadBinary reports this
 			// as a truncation error.
 			if wholeErr == nil {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -175,18 +176,13 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err := WriteJSON(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadJSON(&buf)
-	if err != nil {
+	// The document is for other tools: plain encoding/json must read it back.
+	got := &Trace{}
+	if err := json.Unmarshal(buf.Bytes(), got); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(tr, got) {
 		t.Fatal("json round trip mismatch")
-	}
-	if _, err := ReadJSON(bytes.NewReader([]byte("{"))); err == nil {
-		t.Fatal("malformed json accepted")
-	}
-	if _, err := ReadJSON(bytes.NewReader([]byte(`{"nodes":0}`))); err == nil {
-		t.Fatal("invalid json trace accepted")
 	}
 }
 

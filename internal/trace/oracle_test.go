@@ -6,18 +6,9 @@ import (
 	"onocsim/internal/sim"
 )
 
-// CriticalPath computes the longest weighted path through the dependency
-// DAG, where each event contributes its gap plus a latency given by lat (per
-// event index). The result is the trace's intrinsic lower bound on makespan
-// for any fabric achieving those latencies, and the path itself names the
-// messages that gate the application — the first thing an architect asks of
-// a trace.
-type CriticalPath struct {
-	// Length is the total weight in cycles.
-	Length sim.Tick
-	// Events are the IDs along the path, in dependency order.
-	Events []EventID
-}
+// The in-memory analyses StreamAnalyze is held to: each walks a materialized
+// trace in the obvious way. They are the oracle of window_test.go and have no
+// other caller.
 
 // CriticalPathWith computes the critical path under a per-event latency
 // estimate. lat must have one entry per event.

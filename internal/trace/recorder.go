@@ -28,9 +28,6 @@ func NewRecorder(nodes int) *Recorder {
 	return &Recorder{nodes: nodes}
 }
 
-// NumEvents returns the number of sends recorded so far.
-func (r *Recorder) NumEvents() int { return len(r.events) }
-
 // SendInfo describes one injected message to the recorder.
 type SendInfo struct {
 	Src, Dst int

@@ -159,9 +159,6 @@ func NewReader(r io.Reader) (*Reader, error) {
 // Meta returns the decoded header.
 func (r *Reader) Meta() Meta { return r.meta }
 
-// Decoded returns how many events Next has yielded so far.
-func (r *Reader) Decoded() int { return r.next }
-
 // headerErrf wraps a header-stage decode failure with the byte offset.
 func (r *Reader) headerErrf(format string, args ...any) error {
 	return fmt.Errorf("trace: header (byte offset %d): %s", r.off, fmt.Sprintf(format, args...))
@@ -685,40 +682,4 @@ func (w *Writer) Close() error {
 		return fmt.Errorf("trace: writer closed after %d of %d declared events", w.next, w.meta.NumEvents)
 	}
 	return w.bw.Flush()
-}
-
-// StreamStats computes the same summary ComputeStats does, in one pass with
-// O(1) resident memory.
-func StreamStats(src Source) (Stats, error) {
-	m := src.Meta()
-	it, err := src.Pass()
-	if err != nil {
-		return Stats{}, err
-	}
-	defer it.Close()
-	s := Stats{RefMakespan: m.RefMakespan}
-	var e Event
-	for {
-		ok, err := it.Next(&e)
-		if err != nil {
-			return Stats{}, err
-		}
-		if !ok {
-			break
-		}
-		s.Events++
-		s.Bytes += uint64(e.Bytes)
-		if int(e.Kind) < len(s.ByKind) {
-			s.ByKind[e.Kind]++
-		}
-		for _, d := range e.Deps {
-			if int(d.Class) < len(s.DepEdges) {
-				s.DepEdges[d.Class]++
-			}
-		}
-	}
-	if s.Events != m.NumEvents {
-		return Stats{}, fmt.Errorf("trace: stream yielded %d events, header declared %d", s.Events, m.NumEvents)
-	}
-	return s, nil
 }

@@ -111,25 +111,18 @@ func TestConcurrentPasses(t *testing.T) {
 
 func TestStreamStatsMatchesComputeStats(t *testing.T) {
 	tr := tinyTrace()
-	for _, src := range []Source{NewMemSource(tr)} {
-		got, err := StreamStats(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := tr.ComputeStats(); got != want {
-			t.Fatalf("StreamStats %+v, want %+v", got, want)
-		}
-	}
 	fsrc, err := NewFileSource(writeTempTrace(t, tr))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := StreamStats(fsrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := tr.ComputeStats(); got != want {
-		t.Fatalf("file StreamStats %+v, want %+v", got, want)
+	for _, src := range []Source{NewMemSource(tr), fsrc} {
+		an, err := StreamAnalyze(src, StreamOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := tr.ComputeStats(); an.Stats != want {
+			t.Fatalf("%T: streamed stats %+v, want %+v", src, an.Stats, want)
+		}
 	}
 }
 
@@ -430,12 +423,12 @@ func TestFileSourceMatchesTraceProperty(t *testing.T) {
 		if got := collect(t, src); !reflect.DeepEqual(got, tr.Events) {
 			t.Fatalf("seed %d: streamed events diverge from materialized trace", seed)
 		}
-		gotStats, err := StreamStats(src)
+		an, err := StreamAnalyze(src, StreamOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := tr.ComputeStats(); gotStats != want {
-			t.Fatalf("seed %d: StreamStats %+v, want %+v", seed, gotStats, want)
+		if want := tr.ComputeStats(); an.Stats != want {
+			t.Fatalf("seed %d: streamed stats %+v, want %+v", seed, an.Stats, want)
 		}
 	}
 }

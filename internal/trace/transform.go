@@ -6,25 +6,20 @@ import (
 	"onocsim/internal/sim"
 )
 
-// This file provides what-if transformations over captured traces. They are
+// This file provides the what-if transformation over captured traces. It is
 // the reason trace-based methodologies pay for themselves: one expensive
-// capture supports a family of derived studies (faster cores, partial
-// chips, phase slicing) with no front-end re-run. Every transform returns a
-// fresh validated trace and never mutates its input.
+// capture supports a family of derived studies (faster or slower cores) with
+// no front-end re-run. The transform returns a fresh validated trace and
+// never mutates its input.
 
-// ScaleGaps returns a copy of the trace with every compute/service gap
-// multiplied by factor (rounded to cycles, floored at zero). factor < 1
-// models faster cores relative to the network; factor > 1 slower ones. The
+// ScaleGapsWhere returns a copy of the trace with the compute/service gap of
+// every event matching pred multiplied by factor (rounded to cycles, floored
+// at zero), leaving the rest untouched. factor < 1 models faster cores
+// relative to the network; factor > 1 slower ones. The canonical use scales
+// core-compute gaps (request-kind events) while preserving memory/directory
+// service times, which is what a core-frequency what-if physically means; the
 // R14 experiment validates predictions from scaled traces against real
 // re-captures.
-func (t *Trace) ScaleGaps(factor float64) (*Trace, error) {
-	return t.ScaleGapsWhere(factor, func(*Event) bool { return true })
-}
-
-// ScaleGapsWhere scales only the gaps of events matching pred, leaving the
-// rest untouched. The canonical use scales core-compute gaps (request-kind
-// events) while preserving memory/directory service times, which is what a
-// core-frequency what-if physically means.
 func (t *Trace) ScaleGapsWhere(factor float64, pred func(*Event) bool) (*Trace, error) {
 	if factor < 0 {
 		return nil, fmt.Errorf("trace: negative gap scale %g", factor)
@@ -86,95 +81,6 @@ func (t *Trace) rebuildReferenceTimes(orig *Trace) {
 		tail = 0
 	}
 	t.RefMakespan = maxArr + tail
-}
-
-// FilterNodes returns the sub-trace of events whose source AND destination
-// both lie in keep (a node predicate), with dependencies on dropped events
-// transitively re-attached to the dropped events' own kept dependencies so
-// the DAG stays meaningful. Event IDs are renumbered densely.
-func (t *Trace) FilterNodes(keep func(node int) bool) (*Trace, error) {
-	if keep == nil {
-		return nil, fmt.Errorf("trace: nil node predicate")
-	}
-	// newID[old-1] = new EventID or None if dropped.
-	newID := make([]EventID, len(t.Events))
-	// liftedDeps[old-1] = for dropped events, the kept dependencies they
-	// forward to their dependents.
-	liftedDeps := make([][]Dep, len(t.Events))
-	out := &Trace{Nodes: t.Nodes, Workload: t.Workload + "(filtered)", RefMakespan: t.RefMakespan}
-
-	resolve := func(d Dep) []Dep {
-		if newID[int(d.On)-1] != None {
-			return []Dep{{On: newID[int(d.On)-1], Class: d.Class}}
-		}
-		return liftedDeps[int(d.On)-1]
-	}
-	for i := range t.Events {
-		e := &t.Events[i]
-		var resolved []Dep
-		for _, d := range e.Deps {
-			resolved = append(resolved, resolve(d)...)
-		}
-		if !keep(e.Src) || !keep(e.Dst) {
-			liftedDeps[i] = resolved
-			continue
-		}
-		id := EventID(len(out.Events) + 1)
-		newID[i] = id
-		ne := *e
-		ne.ID = id
-		ne.Deps = dedupeDeps(resolved, id)
-		out.Events = append(out.Events, ne)
-	}
-	if err := out.Validate(); err != nil {
-		return nil, fmt.Errorf("trace: node filter produced invalid trace: %w", err)
-	}
-	return out, nil
-}
-
-// SliceTime returns the sub-trace of events injected (on the reference
-// fabric) within [from, to), with cross-boundary dependencies dropped and
-// gaps of now-dependency-free events re-anchored to the window start. It
-// extracts a phase of a long run for focused study.
-func (t *Trace) SliceTime(from, to sim.Tick) (*Trace, error) {
-	if to <= from {
-		return nil, fmt.Errorf("trace: empty time window [%d,%d)", from, to)
-	}
-	newID := make([]EventID, len(t.Events))
-	out := &Trace{Nodes: t.Nodes, Workload: fmt.Sprintf("%s[%d:%d]", t.Workload, from, to)}
-	var maxArr sim.Tick
-	for i := range t.Events {
-		e := &t.Events[i]
-		if e.RefInject < from || e.RefInject >= to {
-			continue
-		}
-		id := EventID(len(out.Events) + 1)
-		newID[i] = id
-		ne := *e
-		ne.ID = id
-		ne.Deps = nil
-		for _, d := range e.Deps {
-			if nid := newID[int(d.On)-1]; nid != None {
-				ne.Deps = append(ne.Deps, Dep{On: nid, Class: d.Class})
-			}
-		}
-		if len(ne.Deps) == 0 {
-			// Re-anchor to the window: the gap becomes the offset from
-			// the window start, keeping relative timing.
-			ne.Gap = e.RefInject - from
-		}
-		ne.RefInject = e.RefInject - from
-		ne.RefArrive = e.RefArrive - from
-		if ne.RefArrive > maxArr {
-			maxArr = ne.RefArrive
-		}
-		out.Events = append(out.Events, ne)
-	}
-	out.RefMakespan = maxArr
-	if err := out.Validate(); err != nil {
-		return nil, fmt.Errorf("trace: time slice produced invalid trace: %w", err)
-	}
-	return out, nil
 }
 
 // clone deep-copies the trace.

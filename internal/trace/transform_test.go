@@ -6,9 +6,14 @@ import (
 	"onocsim/internal/sim"
 )
 
+// scaleAll scales every event's gap.
+func scaleAll(tr *Trace, factor float64) (*Trace, error) {
+	return tr.ScaleGapsWhere(factor, func(*Event) bool { return true })
+}
+
 func TestScaleGapsDoublesGaps(t *testing.T) {
 	tr := tinyTrace()
-	scaled, err := tr.ScaleGaps(2)
+	scaled, err := scaleAll(tr, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +46,7 @@ func TestScaleGapsDoublesGaps(t *testing.T) {
 
 func TestScaleGapsZeroAndNegative(t *testing.T) {
 	tr := tinyTrace()
-	z, err := tr.ScaleGaps(0)
+	z, err := scaleAll(tr, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,111 +55,15 @@ func TestScaleGapsZeroAndNegative(t *testing.T) {
 			t.Fatal("zero scaling left a gap")
 		}
 	}
-	if _, err := tr.ScaleGaps(-1); err == nil {
+	if _, err := scaleAll(tr, -1); err == nil {
 		t.Fatal("negative factor accepted")
-	}
-}
-
-func TestFilterNodesLiftsDependencies(t *testing.T) {
-	// e1: 0→1, e2: 1→2 (dep e1), e3: 0→2 (deps e1,e2). Dropping node 1
-	// removes e1 and e2; e3's deps lift transitively to... e1 and e2 are
-	// both dropped, and e1 has no deps, so e3 ends dependency-free.
-	tr := tinyTrace()
-	f, err := tr.FilterNodes(func(n int) bool { return n != 1 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.NumEvents() != 1 {
-		t.Fatalf("kept %d events, want 1", f.NumEvents())
-	}
-	if f.Events[0].Src != 0 || f.Events[0].Dst != 2 {
-		t.Fatal("wrong event kept")
-	}
-	if len(f.Events[0].Deps) != 0 {
-		t.Fatalf("deps = %v, want none after lifting through dropped events", f.Events[0].Deps)
-	}
-}
-
-func TestFilterNodesKeepAll(t *testing.T) {
-	tr := tinyTrace()
-	f, err := tr.FilterNodes(func(int) bool { return true })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.NumEvents() != tr.NumEvents() {
-		t.Fatal("keep-all filter dropped events")
-	}
-	for i := range f.Events {
-		if len(f.Events[i].Deps) != len(tr.Events[i].Deps) {
-			t.Fatal("keep-all filter changed deps")
-		}
-	}
-	if _, err := tr.FilterNodes(nil); err == nil {
-		t.Fatal("nil predicate accepted")
-	}
-}
-
-func TestFilterNodesChainLifting(t *testing.T) {
-	// Chain 0→1→0 where the middle event is dropped: the tail must lift
-	// its dependency to the head.
-	tr := &Trace{
-		Nodes: 3, RefMakespan: 100,
-		Events: []Event{
-			{ID: 1, Src: 0, Dst: 2, Bytes: 8, Gap: 1, RefInject: 1, RefArrive: 10},
-			{ID: 2, Src: 2, Dst: 1, Bytes: 8, Gap: 1, Deps: []Dep{{On: 1, Class: DepCausal}},
-				RefInject: 11, RefArrive: 20},
-			{ID: 3, Src: 2, Dst: 0, Bytes: 8, Gap: 1, Deps: []Dep{{On: 2, Class: DepSync}},
-				RefInject: 21, RefArrive: 30},
-		},
-	}
-	f, err := tr.FilterNodes(func(n int) bool { return n != 1 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.NumEvents() != 2 {
-		t.Fatalf("kept %d", f.NumEvents())
-	}
-	e3 := f.Events[1]
-	if len(e3.Deps) != 1 || e3.Deps[0].On != 1 {
-		t.Fatalf("lifted deps = %v, want [{1 causal}]", e3.Deps)
-	}
-}
-
-func TestSliceTimeWindow(t *testing.T) {
-	tr := tinyTrace() // injects at 5, 31, 53
-	s, err := tr.SliceTime(30, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.NumEvents() != 2 {
-		t.Fatalf("kept %d events, want 2", s.NumEvents())
-	}
-	// First kept event (old e2) re-anchors: dep on e1 dropped, gap = 31-30.
-	if s.Events[0].Gap != 1 || len(s.Events[0].Deps) != 0 {
-		t.Fatalf("re-anchoring wrong: gap=%d deps=%v", s.Events[0].Gap, s.Events[0].Deps)
-	}
-	// Second kept event retains its intra-window dep on the first.
-	found := false
-	for _, d := range s.Events[1].Deps {
-		if d.On == 1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("intra-window dep lost: %v", s.Events[1].Deps)
-	}
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.SliceTime(50, 50); err == nil {
-		t.Fatal("empty window accepted")
 	}
 }
 
 func TestTransformsComposeWithSchedulePipeline(t *testing.T) {
 	// A scaled trace must still be consumable end to end.
 	tr := tinyTrace()
-	scaled, err := tr.ScaleGaps(3)
+	scaled, err := scaleAll(tr, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,21 +45,34 @@ type StreamOptions struct {
 	Paths bool
 }
 
+// CriticalPath is the longest weighted path through the dependency DAG, where
+// each event contributes its gap plus its latency. It is the trace's
+// intrinsic lower bound on makespan for any fabric achieving those latencies,
+// and the path itself names the messages that gate the application — the
+// first thing an architect asks of a trace.
+type CriticalPath struct {
+	// Length is the total weight in cycles.
+	Length sim.Tick
+	// Events are the IDs along the path, in dependency order.
+	Events []EventID
+}
+
 // Analysis is everything one streaming pass computes about a trace.
 type Analysis struct {
 	// Meta is the trace header.
 	Meta Meta
 	// Stats matches Trace.ComputeStats exactly.
 	Stats Stats
-	// CriticalPath matches Trace.CriticalPathReference: Length always,
-	// Events only when Options.Paths was set.
+	// CriticalPath is the critical path under the latencies observed on the
+	// capture fabric: Length always, Events only when Options.Paths was set.
 	CriticalPath CriticalPath
 	// CriticalPathEvents is the number of events on the critical path,
 	// available even without Options.Paths.
 	CriticalPathEvents int
-	// DepthHist matches Trace.DepthHistogram.
+	// DepthHist is, per dependency-chain depth, the number of events at that
+	// depth (depth 0 = no dependencies): how serial the communication is.
 	DepthHist []int
-	// Sends and Recvs match Trace.NodeActivity.
+	// Sends and Recvs are per-node message counts, exposing hotspots.
 	Sends, Recvs []int
 	// MaxDepSpan is the longest dependency edge observed, in events — the
 	// minimum window a streaming consumer of this trace needs.
@@ -139,10 +152,9 @@ func (w *spanWindow) grow() {
 // source. With opts.Paths false, resident memory is O(window + nodes +
 // depth-histogram), independent of trace length.
 //
-// For any trace both paths accept, the results are identical to the
-// in-memory ComputeStats / CriticalPathReference / DepthHistogram /
-// NodeActivity quartet: the recurrences are the same, evaluated in the same
-// ID order.
+// The results are identical to Trace.ComputeStats and to the straightforward
+// in-memory analyses kept as the test oracle (oracle_test.go): the
+// recurrences are the same, evaluated in the same ID order.
 func StreamAnalyze(src Source, opts StreamOptions) (*Analysis, error) {
 	m := src.Meta()
 	it, err := src.Pass()
