@@ -55,15 +55,16 @@ test: vet
 # run inside the shard goroutine), and each decode their own pass of the
 # source (internal/trace sources hand out concurrent passes) — the reference,
 # incremental and park/resume tests cover every fabric x preset x shard
-# count. Also here: the experiment harness's concurrent study fan-out, the
-# fault injector's lazily extended per-channel timelines under sharded
-# replay, and the analytic estimator's shared probe cache. The service
+# count. Also here: the one fan-out helper every study, study set, report and
+# sweep runs on (internal/fanout) and its heaviest user, the experiment
+# harness; the fault injector's lazily extended per-channel timelines under
+# sharded replay; and the analytic estimator's shared probe cache. The service
 # packages run here too: the daemon's whole job is concurrent clients sharing
 # one session (single-flight dedup, the admission scheduler, the SSE hub),
 # and the job and sweep packages fan hundreds of admission-scheduled arms out
 # of one session.
 test-race:
-	$(GO) test -race ./internal/analytic/ ./internal/experiments/ ./internal/sim/ ./internal/core/ ./internal/fault/ ./internal/trace/ ./internal/service/ ./internal/job/ ./internal/sweep/ ./cmd/onocsimd/ .
+	$(GO) test -race ./internal/fanout/ ./internal/analytic/ ./internal/experiments/ ./internal/sim/ ./internal/core/ ./internal/fault/ ./internal/trace/ ./internal/service/ ./internal/job/ ./internal/sweep/ ./cmd/onocsimd/ .
 
 # Service load harness: a burst of mixed cost-class requests against an
 # in-process daemon, asserting the cache absorbs the burst (flight count,

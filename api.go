@@ -373,10 +373,11 @@ type Study struct {
 // simSched bounds the simulation phases running concurrently across the
 // whole process: every timed leaf operation (execution-driven run, capture,
 // replay, synthetic drive) holds one slot for its entire timed region, so
-// per-phase wall clocks stay honest even when studies pipeline — or the
-// experiment scheduler fans whole experiments out — on an oversubscribed
-// host. Leaf operations never nest, so a goroutine holds at most one slot
-// and the scheduler cannot deadlock. Leaf slots are all one class and one
+// per-phase wall clocks stay honest even when studies pipeline — or
+// experiments.All fans whole experiments out — on an oversubscribed host. It
+// is the only bound those fan-outs have: internal/fanout takes no limit. Leaf
+// operations never nest, so a goroutine holds at most one slot and the
+// scheduler cannot deadlock. Leaf slots are all one class and one
 // unit — the weighted classes exist for request-level admission
 // (internal/service), which runs its own scheduler instance over its own
 // budget.

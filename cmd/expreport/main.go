@@ -13,8 +13,8 @@
 //	expreport -exp r4 -format csv > r4.csv
 //	expreport -exp r1 -format json | jq '.results[0].table'
 //	expreport -exp all -quick              # CI-sized sweeps
-//	expreport -exp all -parallel -progress # scheduler + live stderr progress
-//	expreport -exp all -parallel -cachedir ~/.cache/onocsim
+//	expreport -exp all -progress           # live stderr progress
+//	expreport -exp all -cachedir ~/.cache/onocsim
 //	expreport -sweep grid.json -quick      # custom design-space sweep
 package main
 
@@ -46,10 +46,9 @@ func main() {
 		seed       = flag.Uint64("seed", 42, "experiment seed")
 		quick      = flag.Bool("quick", false, "shrink sweeps (CI-sized)")
 		format     = flag.String("format", "ascii", "output format: ascii | csv | json")
-		list       = flag.Bool("list", false, "list the registered experiments (id, cost, needs, summary) and exit")
+		list       = flag.Bool("list", false, "list the registered experiments (id, cost, summary) and exit")
 		outdir     = flag.String("outdir", "", "also write one CSV file per experiment into this directory")
-		parallel   = flag.Bool("parallel", false, "fan experiments out concurrently, deduplicating shared simulations (tables are byte-identical apart from wall-clock cells)")
-		cachedir   = flag.String("cachedir", "", "persist captured traces here and reload them across invocations (implies result memoization)")
+		cachedir   = flag.String("cachedir", "", "persist captured traces and results here and reload them across invocations")
 		shards     = flag.Int("shards", 0, "shard count for replay-family simulations (0: the configs' own, 1 = serial; tables are identical for any count, but K > 1 runs slower today, ≈2.5× at K = 2: the statistics merge costs more than the split saves)")
 		incr       = flag.Bool("incremental", false, "resume self-correction rounds from frozen-prefix checkpoints (tables are identical apart from wall-clock and replayed-events cells)")
 		faults     = flag.String("faults", "", "run the kernel experiments under this fault preset: off | light | heavy (R18 sweeps all presets regardless)")
@@ -61,20 +60,17 @@ func main() {
 		verbose    = flag.Bool("v", false, "report cache statistics on stderr")
 	)
 	flag.Parse()
-	opts := experiments.Options{Seed: *seed, Cores: *cores, Quick: *quick, Parallel: *parallel, Shards: *shards, SeedMode: *seedMode, Incremental: *incr}
+	opts := experiments.Options{Seed: *seed, Cores: *cores, Quick: *quick, Shards: *shards, SeedMode: *seedMode, Incremental: *incr}
 	if *progress {
 		opts.Progress = &progressLogger{w: os.Stderr}
 	}
-	// One session serves the whole invocation, so every experiment —
-	// whether run via -exp all or singly — shares one memo table. The
-	// scheduler would create its own; making it here too lets a plain
-	// -cachedir (without -parallel) still reuse disk-persisted captures,
-	// and gives -v something to report.
-	if *parallel || *cachedir != "" {
-		opts.Session = onocsim.NewSession(*cachedir)
-		if opts.Progress != nil {
-			opts.Session.SetProgress(opts.Progress)
-		}
+	// One session serves the whole invocation, so every experiment — whether
+	// run via -exp all or singly — and every sweep arm shares one memo table,
+	// -cachedir reuses what earlier invocations persisted, and -v has
+	// something to report.
+	opts.Session = onocsim.NewSession(*cachedir)
+	if opts.Progress != nil {
+		opts.Session.SetProgress(opts.Progress)
 	}
 	var err error
 	opts.Faults, err = config.FaultPreset(*faults)
@@ -96,7 +92,7 @@ func main() {
 			err = perr
 		}
 	}
-	if *verbose && opts.Session != nil {
+	if *verbose {
 		st := opts.Session.CacheStats()
 		fmt.Fprintf(os.Stderr, "expreport: cache: %d computed, %d hits, %d single-flight waits, %d disk hits, %d disk errors\n",
 			st.Misses, st.Hits, st.Waits, st.DiskHits, st.DiskErrors)
@@ -108,7 +104,7 @@ func main() {
 }
 
 // progressLogger streams progress events as stderr lines. Events arrive from
-// many goroutines under -parallel, so each line is written under a mutex.
+// many goroutines, so each line is written under a mutex.
 type progressLogger struct {
 	mu sync.Mutex
 	w  io.Writer
@@ -179,18 +175,9 @@ func runList(w io.Writer, format string) error {
 	if err := checkFormat(format); err != nil {
 		return err
 	}
-	t := metrics.NewTable("Registered experiments", "id", "cost", "needs", "summary")
+	t := metrics.NewTable("Registered experiments", "id", "cost", "summary")
 	for _, d := range experiments.Registry() {
-		needs := make([]string, len(d.Needs))
-		for i, n := range d.Needs {
-			needs[i] = string(n)
-		}
-		t.AddCells(
-			metrics.String(d.ID),
-			metrics.String(string(d.CostClass)),
-			metrics.String(strings.Join(needs, ", ")),
-			metrics.String(d.Summary),
-		)
+		t.AddCells(metrics.String(d.ID), metrics.String(string(d.CostClass)), metrics.String(d.Summary))
 	}
 	if format == "json" {
 		return writeJSONDoc(w, []string{"registry"}, []*metrics.Table{t})
@@ -202,7 +189,7 @@ func runList(w io.Writer, format string) error {
 // spec file — the batch counterpart of a single -exp run. The experiment
 // options that make sense for a sweep carry over: -seed and -quick shape the
 // spec, -progress streams per-arm phases through the shared progressLogger,
-// and -parallel/-cachedir's session (if any) memoizes the arms.
+// and the invocation's session memoizes the arms.
 func runSweep(w io.Writer, path string, opts experiments.Options, format string) error {
 	if err := checkFormat(format); err != nil {
 		return err
@@ -222,12 +209,8 @@ func runSweep(w io.Writer, path string, opts experiments.Options, format string)
 	if opts.Quick {
 		spec.Quick = true
 	}
-	session := opts.Session
-	if session == nil {
-		session = onocsim.NewSession("")
-	}
 	res, err := sweep.Run(context.Background(), spec, sweep.Options{
-		Session:  session,
+		Session:  opts.Session,
 		Progress: opts.Progress,
 	})
 	if err != nil {

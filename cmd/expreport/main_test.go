@@ -73,7 +73,7 @@ func TestRunList(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"r1", "r18", "heavy", "light", "kernel-studies"} {
+	for _, want := range []string{"r1", "r18", "heavy", "light", "headline accuracy"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("list output missing %q:\n%s", want, out)
 		}

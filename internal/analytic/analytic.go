@@ -62,6 +62,9 @@ type Result struct {
 	// ZeroLoadMakespan is the same schedule under pure zero-load latencies —
 	// the contention-free lower bound, reported for error banding.
 	ZeroLoadMakespan sim.Tick `json:"zero_load_makespan"`
+	// Bytes totals the priced events' payloads — with len(Latency), the size
+	// of the trace the estimate read.
+	Bytes uint64 `json:"bytes"`
 }
 
 // Estimate computes the closed-form latency estimate of replaying tr on a
@@ -89,9 +92,11 @@ func Estimate(cfg config.Config, kind config.NetworkKind, tr *trace.Trace) (Resu
 	}
 	n := len(tr.Events)
 	lat0 := make([]sim.Tick, n)
+	var bytes uint64
 	for i := range tr.Events {
 		e := &tr.Events[i]
 		lat0[i] = probe.ZeroLoadLatency(e.Src, e.Dst, e.Bytes)
+		bytes += uint64(e.Bytes)
 	}
 	inject := core.Schedule(tr, lat0, opts)
 	t0 := horizon(inject, lat0)
@@ -112,7 +117,7 @@ func Estimate(cfg config.Config, kind config.NetworkKind, tr *trace.Trace) (Resu
 		inject = core.Schedule(tr, lat, opts)
 	}
 
-	res := Result{Latency: lat}
+	res := Result{Latency: lat, Bytes: bytes}
 	var sum float64
 	for i := range lat {
 		sum += float64(lat[i])

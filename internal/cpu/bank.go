@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"onocsim/internal/sim"
 	"onocsim/internal/trace"
@@ -12,35 +13,14 @@ type bitset []uint64
 
 func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 
-func (b bitset) set(i int)      { b[i/64] |= 1 << (uint(i) % 64) }
-func (b bitset) clear(i int)    { b[i/64] &^= 1 << (uint(i) % 64) }
-func (b bitset) has(i int) bool { return b[i/64]&(1<<(uint(i)%64)) != 0 }
-func (b bitset) count() int {
-	n := 0
-	for _, w := range b {
-		for ; w != 0; w &= w - 1 {
-			n++
-		}
-	}
-	return n
-}
+func (b bitset) set(i int)   { b[i/64] |= 1 << (uint(i) % 64) }
+func (b bitset) clear(i int) { b[i/64] &^= 1 << (uint(i) % 64) }
 func (b bitset) forEach(fn func(i int)) {
 	for wi, w := range b {
-		for w != 0 {
-			bit := w & -w
-			i := wi*64 + trailingZeros(bit)
-			fn(i)
-			w &= w - 1
+		for ; w != 0; w &= w - 1 {
+			fn(wi*64 + bits.TrailingZeros64(w))
 		}
 	}
-}
-func trailingZeros(w uint64) int {
-	n := 0
-	for w&1 == 0 {
-		w >>= 1
-		n++
-	}
-	return n
 }
 
 // dirState is the directory view of a line.

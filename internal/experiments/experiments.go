@@ -1,21 +1,20 @@
 // Package experiments regenerates every table and figure of the
 // reconstructed evaluation (R1–R20, see DESIGN.md §3). Each experiment is
 // declared as a Descriptor in the registry (registry.go) — identity, cost
-// class, the shared simulations it consumes, and a Run function returning a
-// typed metrics.Table; cmd/expreport renders them as ASCII, CSV or
-// versioned JSON, and the root bench_test.go wraps each in a testing.B
-// benchmark so `go test -bench` reproduces the whole evaluation.
+// class, and a Run function returning a typed metrics.Table; cmd/expreport
+// renders them as ASCII, CSV or versioned JSON, and the root bench_test.go
+// wraps each in a testing.B benchmark so `go test -bench` reproduces the
+// whole evaluation.
 package experiments
 
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"onocsim"
 	"onocsim/internal/config"
+	"onocsim/internal/fanout"
 	"onocsim/internal/metrics"
 	"onocsim/internal/workload"
 )
@@ -37,12 +36,6 @@ type Options struct {
 	// Tables are byte-identical either way, except that cached wall-clock
 	// cells report the one computation that actually ran.
 	Session *onocsim.Session
-	// Parallel fans independent experiments out concurrently (bounded by
-	// the library's process-wide simulation-slot semaphore), deduplicating
-	// shared runs through Session instead of racing. Only All consults it;
-	// the per-experiment functions are sequential internally apart from
-	// the study-set fan-out.
-	Parallel bool
 	// Shards sets Config.Parallelism.Shards on every experiment config:
 	// replay-family runs on a crossbar or the ideal fabric split their
 	// events across this many replica fabrics, each drained in its own
@@ -70,7 +63,7 @@ type Options struct {
 	// (All does this for sessions it creates; other callers use
 	// Session.SetProgress) — simulation computed/cache-hit events. nil
 	// disables observation. Implementations must be safe for concurrent
-	// use under Parallel.
+	// use.
 	Progress onocsim.Progress
 }
 
@@ -116,47 +109,29 @@ func pct(f float64) string { return fmt.Sprintf("%.1f%%", f*100) }
 // cycles makes an integer cell measured in clock cycles.
 func cycles(v onocsim.Tick) metrics.Cell { return metrics.Int(int64(v), "cycles") }
 
-// studySet runs the full methodology study for each kernel once and caches
-// the results so that R1, R2 and R3 share work.
+// studySet is the full methodology study of every kernel, so that R1 and R2
+// render from one set of runs.
 type studySet struct {
 	kernels []string
-	studies map[string]*onocsim.Study
+	studies []*onocsim.Study // parallel to kernels
 }
 
+// newStudySet runs the studies side by side: they are independent simulations
+// with per-study state, each internally deterministic, and the simulation
+// slots their leaf operations hold keep the wall times R2 reports honest on
+// an oversubscribed host.
 func newStudySet(ctx context.Context, o Options) (*studySet, error) {
-	s := &studySet{kernels: workload.KernelNames(), studies: map[string]*onocsim.Study{}}
-	// Studies are independent simulations with per-study state, so they
-	// parallelize trivially; each remains internally deterministic. The
-	// fan-out is bounded by the CPU count so that the per-study wall
-	// times R2 reports are not inflated by oversubscription (on a single
-	// CPU this degenerates to sequential execution, which is exactly what
-	// honest timing needs there).
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	sem := make(chan struct{}, runtime.NumCPU())
-	for _, k := range s.kernels {
-		k := k
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			st, err := o.Session.RunStudyContext(ctx, kernelConfig(o, k), onocsim.Optical)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("experiments: study %s: %w", k, err)
-				return
-			}
-			s.studies[k] = st
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	s := &studySet{kernels: workload.KernelNames()}
+	s.studies = make([]*onocsim.Study, len(s.kernels))
+	err := fanout.Each(ctx, len(s.kernels), func(ctx context.Context, i int) (err error) {
+		k := s.kernels[i]
+		if s.studies[i], err = o.Session.RunStudyContext(ctx, kernelConfig(o, k), onocsim.Optical); err != nil {
+			return fmt.Errorf("experiments: study %s: %w", k, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -179,8 +154,8 @@ func r1FromSet(set *studySet) (*metrics.Table, error) {
 		"kernel", "truth makespan", "naive est", "naive err", "sctm est", "sctm err",
 		"coupled est", "coupled err", "trace events")
 	var naiveErrs, sctmErrs []float64
-	for _, k := range set.kernels {
-		st := set.studies[k]
+	for i, k := range set.kernels {
+		st := set.studies[i]
 		t.AddCells(
 			metrics.String(k),
 			cycles(st.Truth.Makespan),
@@ -212,8 +187,8 @@ func r2FromSet(set *studySet) (*metrics.Table, error) {
 		"R2 — Simulation cost (host milliseconds)",
 		"kernel", "exec-driven", "capture(ref)", "naive", "sctm", "sctm rounds",
 		"sctm vs exec", "sctm vs naive", "events replayed", "cycles saved")
-	for _, k := range set.kernels {
-		st := set.studies[k]
+	for i, k := range set.kernels {
+		st := set.studies[i]
 		execW := st.Truth.WallTime
 		sctmW := st.SCTMWall
 		t.AddCells(

@@ -2,7 +2,10 @@ package experiments
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"regexp"
+	"strings"
 	"testing"
 
 	"onocsim"
@@ -31,21 +34,25 @@ func renderMasked(t *testing.T, tables []*metrics.Table) string {
 }
 
 // TestParallelCachedOutputMatchesSequential is the byte-identity guarantee
-// of the memoized scheduler: apart from wall-clock cells (nondeterministic
-// even between two sequential runs), the parallel cached report must equal
-// the sequential uncached one — cold through the disk layer, and again warm
-// from it.
+// of the memoized fan-out: apart from wall-clock cells (nondeterministic
+// even between two sequential runs), the concurrent cached report All renders
+// must equal the sequential uncached one — one experiment after another, every
+// simulation run afresh on a nil session — cold through the disk layer, and
+// again warm from it.
 func TestParallelCachedOutputMatchesSequential(t *testing.T) {
-	sequential, err := All(bg, quickOpts)
-	if err != nil {
-		t.Fatal(err)
+	var sequential []*metrics.Table
+	for _, id := range Names() {
+		tb, err := ByName(bg, id, quickOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sequential = append(sequential, tb)
 	}
 	want := renderMasked(t, sequential)
 
 	dir := t.TempDir()
 	for _, mode := range []string{"cold", "warm"} {
 		opts := quickOpts
-		opts.Parallel = true
 		opts.Session = onocsim.NewSession(dir)
 		tables, err := All(bg, opts)
 		if err != nil {
@@ -70,6 +77,37 @@ func TestParallelCachedOutputMatchesSequential(t *testing.T) {
 				t.Fatalf("warm run never touched the disk layer: %+v", st)
 			}
 		}
+	}
+}
+
+// A failing experiment stops the others: All returns that failure — not a
+// sibling's cancellation — and a sibling blocked on its context is released
+// by it instead of running to completion first.
+func TestAllStopsOnFirstFailure(t *testing.T) {
+	saved := registry
+	defer func() { registry = saved }()
+	boom := errors.New("boom")
+	blocked, cancelled := make(chan struct{}), make(chan struct{})
+	registry = []Descriptor{
+		{ID: "blocks", Run: func(ctx context.Context, _ Options) (*metrics.Table, error) {
+			close(blocked)
+			<-ctx.Done()
+			close(cancelled)
+			return nil, ctx.Err()
+		}},
+		{ID: "fails", Run: func(context.Context, Options) (*metrics.Table, error) {
+			<-blocked // fail only once the sibling is provably waiting
+			return nil, boom
+		}},
+	}
+	tables, err := All(bg, quickOpts)
+	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "fails") || tables != nil {
+		t.Fatalf("All = %v, %v; want the failing experiment's error", tables, err)
+	}
+	select {
+	case <-cancelled:
+	default:
+		t.Fatal("All returned before the blocked experiment saw its context cancelled")
 	}
 }
 

@@ -149,10 +149,11 @@ type Result struct {
 	// Estimate is set for OpEstimate.
 	Estimate *onocsim.AnalyticEstimate
 
-	// TraceEvents and TraceBytes describe the captured trace feeding
-	// OpCorrect/OpEstimate (zero for streamed TracePath jobs, whose traces
-	// are never materialized). TraceBytes is the payload total the sweep
-	// turns into a throughput objective.
+	// TraceEvents and TraceBytes size the trace an OpCorrect/OpEstimate job
+	// read, as its own result counted it: the events the final round
+	// injected and the bytes it delivered, or the events and bytes the
+	// estimator priced — a cache hit never walks the trace again. TraceBytes
+	// is the payload total the sweep turns into a throughput objective.
 	TraceEvents int
 	TraceBytes  int64
 }
@@ -238,11 +239,7 @@ func (r *Runner) runOnce(ctx context.Context, j Job) (Result, error) {
 			return Result{}, err
 		}
 		res, wall, err := r.Session.RunSelfCorrectionContext(ctx, j.Config, tr, j.Kind)
-		out, err := correctionResult(j, res, wall, err)
-		if out.Table != nil {
-			out.TraceEvents, out.TraceBytes = traceSize(tr)
-		}
-		return out, err
+		return correctionResult(j, res, wall, err)
 
 	case OpEstimate:
 		tr, _, err := r.Session.CaptureTraceContext(ctx, j.Config, onocsim.IdealNet)
@@ -253,9 +250,12 @@ func (r *Runner) runOnce(ctx context.Context, j Job) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		out := Result{Table: report.Estimate(j.Config, j.Kind, res, wall), Estimate: &res}
-		out.TraceEvents, out.TraceBytes = traceSize(tr)
-		return out, nil
+		return Result{
+			Table:       report.Estimate(j.Config, j.Kind, res, wall),
+			Estimate:    &res,
+			TraceEvents: len(res.Latency),
+			TraceBytes:  int64(res.Bytes),
+		}, nil
 
 	case OpExperiment:
 		if r.Experiment == nil {
@@ -279,14 +279,12 @@ func correctionResult(j Job, res onocsim.CorrectionResult, wall time.Duration, e
 	if err != nil && !parked {
 		return Result{}, err
 	}
-	return Result{Table: report.Correction(j.Config, j.Kind, res, wall, parked), Correction: &res}, err
-}
-
-// traceSize sums a materialized trace: event count and payload bytes.
-func traceSize(tr *onocsim.Trace) (int, int64) {
-	var bytes int64
-	for i := range tr.Events {
-		bytes += int64(tr.Events[i].Bytes)
-	}
-	return len(tr.Events), bytes
+	// A rendered correction completed at least one round, and every round
+	// injects and delivers the whole trace.
+	return Result{
+		Table:       report.Correction(j.Config, j.Kind, res, wall, parked),
+		Correction:  &res,
+		TraceEvents: len(res.Final.Inject),
+		TraceBytes:  int64(res.Final.NetStats.BytesDelivered),
+	}, err
 }

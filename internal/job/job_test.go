@@ -125,6 +125,74 @@ func TestRunnerOps(t *testing.T) {
 	}
 }
 
+// The trace accounting a correct or estimate job reports comes from its own
+// result, never from a walk over the trace — so it has to equal the trace's
+// own sums on every fabric (the optical one in both architectures), whether
+// the result was computed, served from memory, or reloaded by a fresh session
+// from the disk layer.
+func TestTraceAccountingMatchesTheTrace(t *testing.T) {
+	fabrics := []struct {
+		name string
+		kind onocsim.NetworkKind
+		arch string
+	}{
+		{"electrical", onocsim.Electrical, ""},
+		{"optical-mwsr", onocsim.Optical, "mwsr"},
+		{"optical-swmr", onocsim.Optical, "swmr"},
+		{"hybrid", onocsim.Hybrid, ""},
+		{"ideal", onocsim.IdealNet, ""},
+	}
+	dir := t.TempDir()
+	first := &Runner{Session: onocsim.NewSession(dir)}
+	for _, f := range fabrics {
+		for _, op := range []Op{OpCorrect, OpEstimate} {
+			j := smallJob(op)
+			j.Kind = f.kind
+			if f.arch != "" {
+				j.Config.Optical.Architecture = f.arch
+			}
+			tr, _, err := onocsim.CaptureTraceContext(context.Background(), j.Config, onocsim.IdealNet)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wantBytes int64
+			for i := range tr.Events {
+				wantBytes += int64(tr.Events[i].Bytes)
+			}
+			runs := []struct {
+				name   string
+				runner *Runner
+			}{
+				{"cold", first},
+				{"warm", first},
+				{"disk", &Runner{Session: onocsim.NewSession(dir)}},
+			}
+			for _, run := range runs {
+				before := run.runner.Session.CacheStats()
+				res, err := run.runner.Run(context.Background(), j)
+				if err != nil {
+					t.Fatalf("%s/%s/%s: %v", f.name, op, run.name, err)
+				}
+				if res.TraceEvents != len(tr.Events) || res.TraceBytes != wantBytes {
+					t.Errorf("%s/%s/%s: reported %d events, %d bytes; the trace holds %d, %d",
+						f.name, op, run.name, res.TraceEvents, res.TraceBytes, len(tr.Events), wantBytes)
+				}
+				after := run.runner.Session.CacheStats()
+				switch run.name {
+				case "warm":
+					if after.Misses != before.Misses {
+						t.Errorf("%s/%s: warm run computed (misses %d -> %d)", f.name, op, before.Misses, after.Misses)
+					}
+				case "disk":
+					if after.DiskHits == before.DiskHits {
+						t.Errorf("%s/%s: fresh session never touched the disk layer", f.name, op)
+					}
+				}
+			}
+		}
+	}
+}
+
 // A sessionless runner degrades to uncached execution — the same nil-safety
 // the Session methods themselves offer — while an experiment job without an
 // installed dispatcher is a wiring error.

@@ -191,20 +191,3 @@ func (h *Histogram) Clone() *Histogram {
 	copy(c, h.counts)
 	return &Histogram{bounds: b, counts: c, sum: h.sum}
 }
-
-// Merge folds other into h. Both histograms must have identical bounds;
-// mismatched bounds panic because the merged distribution would be wrong.
-func (h *Histogram) Merge(other *Histogram) {
-	if len(h.bounds) != len(other.bounds) {
-		panic("metrics: merging histograms with different bounds")
-	}
-	for i, bd := range h.bounds {
-		if bd != other.bounds[i] {
-			panic("metrics: merging histograms with different bounds")
-		}
-	}
-	for i := range h.counts {
-		h.counts[i] += other.counts[i]
-	}
-	h.sum.Merge(other.sum)
-}

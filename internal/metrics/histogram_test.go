@@ -96,32 +96,6 @@ func TestHistogramInvalidBoundsPanic(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a := NewHistogram([]float64{10, 20})
-	b := NewHistogram([]float64{10, 20})
-	a.Add(5)
-	b.Add(15)
-	b.Add(25)
-	a.Merge(b)
-	if a.Count() != 3 {
-		t.Fatalf("merged count = %d", a.Count())
-	}
-	if a.Bucket(0) != 1 || a.Bucket(1) != 1 || a.Bucket(2) != 1 {
-		t.Fatal("merged buckets wrong")
-	}
-}
-
-func TestHistogramMergeMismatchPanics(t *testing.T) {
-	a := NewHistogram([]float64{10})
-	b := NewHistogram([]float64{20})
-	defer func() {
-		if recover() == nil {
-			t.Error("mismatched merge did not panic")
-		}
-	}()
-	a.Merge(b)
-}
-
 func TestHistogramRender(t *testing.T) {
 	h := NewHistogram([]float64{10})
 	for i := 0; i < 5; i++ {

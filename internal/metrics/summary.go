@@ -40,59 +40,6 @@ func (s *Summary) Add(x float64) {
 	s.m2 += d * (x - s.mean)
 }
 
-// AddN records the same observation n times (useful for weighted streams,
-// where n can be millions of byte-weighted observations). It is the
-// closed-form batch Welford update — algebraically the Merge of a
-// pseudo-summary holding n copies of x, whose own m2 is exactly zero — so it
-// runs in O(1) regardless of n, and min/max/sum stay exact.
-func (s *Summary) AddN(x float64, n uint64) {
-	if n == 0 {
-		return
-	}
-	if s.n == 0 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
-	n1, n2 := float64(s.n), float64(n)
-	tot := n1 + n2
-	delta := x - s.mean
-	s.mean += delta * n2 / tot
-	s.m2 += delta * delta * n1 * n2 / tot
-	s.sum += x * n2
-	s.n += n
-}
-
-// Merge folds other into s, as if every observation of other had been Added
-// to s. It uses the parallel-variance combination rule.
-func (s *Summary) Merge(other Summary) {
-	if other.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = other
-		return
-	}
-	n1, n2 := float64(s.n), float64(other.n)
-	delta := other.mean - s.mean
-	tot := n1 + n2
-	s.mean += delta * n2 / tot
-	s.m2 += other.m2 + delta*delta*n1*n2/tot
-	s.sum += other.sum
-	if other.min < s.min {
-		s.min = other.min
-	}
-	if other.max > s.max {
-		s.max = other.max
-	}
-	s.n += other.n
-}
-
 // Count returns the number of observations.
 func (s *Summary) Count() uint64 { return s.n }
 

@@ -3,7 +3,6 @@ package metrics
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func almostEq(a, b, tol float64) bool {
@@ -40,57 +39,6 @@ func TestSummaryEmpty(t *testing.T) {
 	var s Summary
 	if s.Mean() != 0 || s.Variance() != 0 || s.StdDev() != 0 || s.CI95() != 0 {
 		t.Fatal("empty summary should report zeros")
-	}
-}
-
-func TestSummaryMergeMatchesSequential(t *testing.T) {
-	if err := quick.Check(func(raw []int16) bool {
-		var all, left, right Summary
-		for i, r := range raw {
-			v := float64(r) / 16
-			all.Add(v)
-			if i%2 == 0 {
-				left.Add(v)
-			} else {
-				right.Add(v)
-			}
-		}
-		left.Merge(right)
-		if all.Count() != left.Count() {
-			return false
-		}
-		if all.Count() == 0 {
-			return true
-		}
-		return almostEq(all.Mean(), left.Mean(), 1e-9) &&
-			almostEq(all.Variance(), left.Variance(), 1e-9) &&
-			all.Min() == left.Min() && all.Max() == left.Max()
-	}, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSummaryMergeEmptyCases(t *testing.T) {
-	var a, b Summary
-	a.Add(3)
-	a.Merge(b) // merge empty into non-empty
-	if a.Count() != 1 || a.Mean() != 3 {
-		t.Fatal("merging empty changed summary")
-	}
-	b.Merge(a) // merge non-empty into empty
-	if b.Count() != 1 || b.Mean() != 3 {
-		t.Fatal("merging into empty lost data")
-	}
-}
-
-func TestSummaryAddN(t *testing.T) {
-	var a, b Summary
-	a.AddN(7, 5)
-	for i := 0; i < 5; i++ {
-		b.Add(7)
-	}
-	if a.Count() != b.Count() || a.Mean() != b.Mean() || a.Variance() != b.Variance() {
-		t.Fatal("AddN differs from repeated Add")
 	}
 }
 

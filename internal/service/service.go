@@ -105,6 +105,7 @@ type Server struct {
 	draining bool
 
 	requests atomic.Uint64
+	panics   atomic.Uint64
 }
 
 // New builds a Server over a fresh session.
@@ -139,9 +140,9 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /v1/experiments", s.handleExperimentList)
-	s.mux.HandleFunc("POST /v1/experiments/{id}", s.handleExperimentRun)
-	s.mux.HandleFunc("POST /v1/simulate", s.handleSimulate)
-	s.mux.HandleFunc("POST /v1/sweeps", s.handleSweep)
+	s.mux.HandleFunc("POST /v1/experiments/{id}", s.post(s.decodeExperiment))
+	s.mux.HandleFunc("POST /v1/simulate", s.post(s.decodeSimulate))
+	s.mux.HandleFunc("POST /v1/sweeps", s.post(s.decodeSweep))
 	return s
 }
 
@@ -261,6 +262,7 @@ type statsResponse struct {
 	Version       int               `json:"version"`
 	UptimeMS      int64             `json:"uptime_ms"`
 	Requests      uint64            `json:"requests"`
+	Panics        uint64            `json:"panics"`
 	Draining      bool              `json:"draining"`
 	Cache         simcache.Stats    `json:"cache"`
 	Scheduler     onocsim.SlotStats `json:"scheduler"`
@@ -272,6 +274,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Version:       ResponseVersion,
 		UptimeMS:      time.Since(s.start).Milliseconds(),
 		Requests:      s.requests.Load(),
+		Panics:        s.panics.Load(),
 		Draining:      s.Draining(),
 		Cache:         s.session.CacheStats(),
 		Scheduler:     s.sched.Stats(),
@@ -297,38 +300,83 @@ func (s *Server) handleExperimentList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"version": ResponseVersion, "experiments": out})
 }
 
-func (s *Server) handleExperimentRun(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	if s.Draining() {
-		writeError(w, errDraining)
-		return
-	}
-	id := r.PathValue("id")
-	d, ok := experiments.Lookup(id)
-	if !ok {
-		writeError(w, &apiError{code: http.StatusNotFound, msg: fmt.Sprintf("unknown experiment %q", id)})
-		return
-	}
-	ctx, cleanup := s.requestCtx(r)
-	defer cleanup()
-	j := job.Job{Op: job.OpExperiment, Experiment: id, Cost: string(d.CostClass)}
+// work is one decoded POST: the admission to hold while it runs (units 0
+// holds none) and the computation producing its response document.
+type work struct {
+	class onocsim.SlotClass
+	units int
+	run   func(ctx context.Context) (any, error)
+}
+
+// jobWork is the work of one job: priced by the job, run through the shared
+// runner, answered with a result envelope.
+func (s *Server) jobWork(j job.Job, op, network, fingerprint string) work {
 	class, units := j.Admission()
-	if err := s.sched.Acquire(ctx, class, units); err != nil {
-		writeError(w, fmt.Errorf("admission: %w", err))
-		return
-	}
-	defer s.sched.Release(units)
-	s.respond(w, r, func() (any, error) {
-		// Experiments are cancellable at admission and between their leaf
-		// simulations (each queues on the process-wide slot scheduler under
-		// ctx, and a correction parks at its next round boundary), but any
-		// other leaf that is already running completes.
+	return work{class, units, func(ctx context.Context) (any, error) {
 		res, err := s.runner.Run(ctx, j)
 		if err != nil {
 			return nil, err
 		}
-		return envelope("experiment:"+id, "", "", res.Status, res.Elapsed, res.Table)
-	})
+		return envelope(op, network, fingerprint, res.Status, res.Elapsed, res.Table)
+	}}
+}
+
+// post is the one POST pipeline: count the request, refuse it while draining
+// (before the body is looked at, so a draining server answers 503 and never
+// 400 or 404), decode it, merge the client's context with the drain context,
+// hold the work's admission units, and respond. A panic in the computation —
+// on this goroutine or, under SSE, on respond's own, which net/http does not
+// guard — is recovered once, in compute: the client gets a 500 (or an SSE
+// error event), /v1/stats counts it, and the daemon keeps serving.
+func (s *Server) post(decode func(w http.ResponseWriter, r *http.Request) (work, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		s.requests.Add(1)
+		if s.Draining() {
+			writeError(w, errDraining)
+			return
+		}
+		wk, err := decode(w, r)
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		ctx, cleanup := s.requestCtx(r)
+		defer cleanup()
+		if wk.units > 0 {
+			if err := s.sched.Acquire(ctx, wk.class, wk.units); err != nil {
+				writeError(w, fmt.Errorf("admission: %w", err))
+				return
+			}
+			defer s.sched.Release(wk.units)
+		}
+		s.respond(ctx, w, r, wk.run)
+	}
+}
+
+// compute runs one request's computation, turning a panic into its error.
+func (s *Server) compute(ctx context.Context, run func(context.Context) (any, error)) (env any, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			s.panics.Add(1)
+			env, err = nil, fmt.Errorf("service: request panicked: %v", p)
+		}
+	}()
+	return run(ctx)
+}
+
+// decodeExperiment resolves a registry experiment. Experiments are
+// cancellable at admission and between their leaf simulations (each queues on
+// the process-wide slot scheduler under the request context, and a correction
+// parks at its next round boundary), but any other leaf that is already
+// running completes.
+func (s *Server) decodeExperiment(_ http.ResponseWriter, r *http.Request) (work, error) {
+	id := r.PathValue("id")
+	d, ok := experiments.Lookup(id)
+	if !ok {
+		return work{}, &apiError{code: http.StatusNotFound, msg: fmt.Sprintf("unknown experiment %q", id)}
+	}
+	j := job.Job{Op: job.OpExperiment, Experiment: id, Cost: string(d.CostClass)}
+	return s.jobWork(j, "experiment:"+id, "", ""), nil
 }
 
 // simulateRequest is the /v1/simulate body. Config is a full config
@@ -345,33 +393,25 @@ type simulateRequest struct {
 	Trace   string          `json:"trace"`
 }
 
-func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	if s.Draining() {
-		writeError(w, errDraining)
-		return
-	}
+func (s *Server) decodeSimulate(w http.ResponseWriter, r *http.Request) (work, error) {
 	var req simulateRequest
 	body := http.MaxBytesReader(w, r.Body, 1<<20)
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, badRequestf("decode request: %v", err))
-		return
+		return work{}, badRequestf("decode request: %v", err)
 	}
 	switch req.Op {
 	case "exec", "study", "correct", "estimate":
 	default:
-		writeError(w, badRequestf("unknown op %q (want exec, study, correct or estimate)", req.Op))
-		return
+		return work{}, badRequestf("unknown op %q (want exec, study, correct or estimate)", req.Op)
 	}
 	cfg := onocsim.DefaultConfig()
 	if len(req.Config) > 0 {
 		var err error
 		cfg, err = config.Parse(req.Config)
 		if err != nil {
-			writeError(w, badRequestf("%v", err))
-			return
+			return work{}, badRequestf("%v", err)
 		}
 	}
 	kind := cfg.Network
@@ -381,31 +421,13 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	cfg.Network = kind
 	j := job.Job{Op: job.Op(req.Op), Config: cfg, Kind: kind, TracePath: req.Trace}
 	if err := j.Validate(); err != nil {
-		writeError(w, badRequestf("%v", err))
-		return
+		return work{}, badRequestf("%v", err)
 	}
 	fp, err := j.Fingerprint()
 	if err != nil {
-		writeError(w, err)
-		return
+		return work{}, err
 	}
-
-	ctx, cleanup := s.requestCtx(r)
-	defer cleanup()
-	class, units := j.Admission()
-	if err := s.sched.Acquire(ctx, class, units); err != nil {
-		writeError(w, fmt.Errorf("admission: %w", err))
-		return
-	}
-	defer s.sched.Release(units)
-
-	s.respond(w, r, func() (any, error) {
-		res, err := s.runner.Run(ctx, j)
-		if err != nil {
-			return nil, err
-		}
-		return envelope(req.Op, string(kind), fp, res.Status, res.Elapsed, res.Table)
-	})
+	return s.jobWork(j, req.Op, string(kind), fp), nil
 }
 
 // sweepEnvelope is the /v1/sweeps result document. Front and Summary are
@@ -424,36 +446,27 @@ type sweepEnvelope struct {
 	Summary    json.RawMessage `json:"summary"`
 }
 
-// handleSweep runs a design-space sweep. The handler holds no admission
+// decodeSweep prepares a design-space sweep. The request holds no admission
 // units itself — every arm admits individually through the shared scheduler
 // (estimates light, simulations medium), so hundreds of arms interleave
 // fairly with interactive requests instead of reserving the whole budget.
 // SSE clients receive one "sweep-arm" progress event per unique arm and
 // phase.
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	if s.Draining() {
-		writeError(w, errDraining)
-		return
-	}
+func (s *Server) decodeSweep(w http.ResponseWriter, r *http.Request) (work, error) {
 	body := http.MaxBytesReader(w, r.Body, 1<<20)
 	data, err := io.ReadAll(body)
 	if err != nil {
-		writeError(w, badRequestf("read request: %v", err))
-		return
+		return work{}, badRequestf("read request: %v", err)
 	}
 	spec := config.DefaultSweep()
 	spec.Normalize()
 	if len(bytes.TrimSpace(data)) > 0 {
 		spec, err = config.ParseSweep(data)
 		if err != nil {
-			writeError(w, badRequestf("%v", err))
-			return
+			return work{}, badRequestf("%v", err)
 		}
 	}
-	ctx, cleanup := s.requestCtx(r)
-	defer cleanup()
-	s.respond(w, r, func() (any, error) {
+	return work{run: func(ctx context.Context) (any, error) {
 		start := time.Now()
 		res, err := sweep.Run(ctx, spec, sweep.Options{
 			Session:  s.session,
@@ -483,7 +496,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			Front:      front,
 			Summary:    summary,
 		}, nil
-	})
+	}}, nil
 }
 
 // wantsSSE reports whether the client asked for an event stream.
@@ -494,13 +507,13 @@ func wantsSSE(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Accept"), "text/event-stream")
 }
 
-// respond runs compute and delivers its result envelope: as one JSON
-// document, or — when the client asked for SSE — as a progress stream
-// terminated by a result (or error) event.
-func (s *Server) respond(w http.ResponseWriter, r *http.Request, compute func() (any, error)) {
+// respond runs the computation under ctx and delivers its result envelope:
+// as one JSON document, or — when the client asked for SSE — as a progress
+// stream terminated by a result (or error) event.
+func (s *Server) respond(ctx context.Context, w http.ResponseWriter, r *http.Request, run func(context.Context) (any, error)) {
 	fl, canFlush := w.(http.Flusher)
 	if !wantsSSE(r) || !canFlush {
-		env, err := compute()
+		env, err := s.compute(ctx, run)
 		if err != nil {
 			writeError(w, err)
 			return
@@ -519,7 +532,7 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, compute func() 
 	var cerr error
 	go func() {
 		defer close(done)
-		env, cerr = compute()
+		env, cerr = s.compute(ctx, run)
 	}()
 	for {
 		select {

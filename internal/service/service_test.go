@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"onocsim"
+	"onocsim/internal/metrics"
 )
 
 // smallSim is a fast /v1/simulate body for op on the optical fabric.
@@ -323,6 +324,52 @@ func TestExperimentStopsWhenClientLeaves(t *testing.T) {
 	// The same holds one level down, where the error is still a value.
 	if _, err := srv.runner.Experiment(ctx, "r6"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("experiment under a cancelled context returned %v", err)
+	}
+}
+
+// A computation that panics outside any cache flight costs its own request a
+// 500 — or, under SSE, where the computation runs on a goroutine net/http does
+// not guard and an unrecovered panic ends the process, an error event — and
+// nothing else: the daemon serves the next request, the admission units come
+// back, and /v1/stats counts both.
+func TestPanickingComputeLeavesTheDaemonServing(t *testing.T) {
+	srv, ts := newTestServer(t)
+	dispatch := srv.runner.Experiment
+	srv.runner.Experiment = func(ctx context.Context, id string) (*metrics.Table, error) {
+		if id == "r4" {
+			panic("render blew up")
+		}
+		return dispatch(ctx, id)
+	}
+
+	code, body := postJSON(t, ts.URL+"/v1/experiments/r4", "")
+	if code != http.StatusInternalServerError || !strings.Contains(string(body), "render blew up") {
+		t.Fatalf("plain: status %d: %s", code, body)
+	}
+
+	req, err := http.NewRequest("POST", ts.URL+"/v1/experiments/r4", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept", "text/event-stream")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := readSSE(t, resp)
+	resp.Body.Close()
+	if len(events) == 0 {
+		t.Fatal("sse: empty event stream")
+	}
+	if last := events[len(events)-1]; last.event != "error" || !strings.Contains(string(last.data), "render blew up") {
+		t.Fatalf("sse: stream ended with %q %s, want an error event", last.event, last.data)
+	}
+
+	if code, body := postJSON(t, ts.URL+"/v1/experiments/r13", ""); code != http.StatusOK {
+		t.Fatalf("request after the panics: status %d: %s", code, body)
+	}
+	if st := serverStats(t, ts); st.Panics != 2 || st.Scheduler.InUse != 0 {
+		t.Fatalf("after two panics: panics = %d, admission units in use = %d", st.Panics, st.Scheduler.InUse)
 	}
 }
 

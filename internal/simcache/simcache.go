@@ -291,7 +291,9 @@ func (c *Cache) diskError(err error) {
 // Version 2: CorrectionResult grew the ReplayedEvents/SavedCycles work
 // counters; version-1 files would decode them as zero and misreport the
 // replay cost, so they are re-computed instead.
-const valueFormatVersion = 2
+// Version 3: analytic.Result grew Bytes, which the sweep's throughput
+// objective divides by the makespan; a version-2 estimate would read as zero.
+const valueFormatVersion = 3
 
 // diskValue is the on-disk envelope for non-trace results.
 type diskValue struct {
@@ -359,11 +361,17 @@ type tracePair struct {
 // failures degrade silently to in-memory caching: a read-only or full cache
 // directory must not fail the run. The returned duration is what the trace
 // cost the first flight — a full capture, or a disk load.
+//
+// The published trace carries its capture identity (Trace.CaptureKey, the
+// "fp@kind" a replay key's Capture holds), written here while the flight still
+// owns the trace, so replays of it can be keyed without any side table.
 func (c *Cache) DoTrace(key Key, compute func() (*trace.Trace, time.Duration, error)) (*trace.Trace, time.Duration, error) {
 	v, err := c.Do(key, func() (any, error) {
+		captureKey := key.Fingerprint + "@" + key.Kind
 		if c.dir != "" {
 			start := time.Now()
 			if tr, err := trace.LoadFile(c.tracePath(key)); err == nil {
+				tr.CaptureKey = captureKey
 				c.mu.Lock()
 				c.stats.DiskHits++
 				c.mu.Unlock()
@@ -375,6 +383,7 @@ func (c *Cache) DoTrace(key Key, compute func() (*trace.Trace, time.Duration, er
 		if err != nil {
 			return nil, err
 		}
+		tr.CaptureKey = captureKey
 		c.event(key, OutcomeComputed)
 		if c.dir != "" {
 			c.writeAtomic(c.tracePath(key), func(tmp string) error {

@@ -246,6 +246,11 @@ func TestDoTraceDiskRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(loaded, want) {
 		t.Fatal("disk round trip altered the trace")
 	}
+	// Computed or loaded, the published trace names its capture; the file
+	// does not store that, so the loader must have written it.
+	if got.CaptureKey != "f00d@ideal" || loaded.CaptureKey != "f00d@ideal" {
+		t.Fatalf("capture keys: computed %q, loaded %q", got.CaptureKey, loaded.CaptureKey)
+	}
 	if st := c2.Stats(); st.DiskHits != 1 {
 		t.Fatalf("disk hits = %d, want 1", st.DiskHits)
 	}

@@ -29,10 +29,10 @@ import (
 	"io"
 	"runtime"
 	"sort"
-	"sync"
 
 	"onocsim"
 	"onocsim/internal/config"
+	"onocsim/internal/fanout"
 	"onocsim/internal/job"
 	"onocsim/internal/metrics"
 )
@@ -205,9 +205,6 @@ type Options struct {
 	// Sched admits arms (estimates light/1, simulations medium/2); nil
 	// creates a private scheduler sized to the host.
 	Sched *onocsim.SlotScheduler
-	// Parallel bounds concurrent arm goroutines; 0 means one per arm
-	// (scheduler admission is then the only concurrency bound).
-	Parallel int
 }
 
 // Result is one completed sweep: the grid accounting, every simulated point,
@@ -246,8 +243,9 @@ type estimatedArm struct {
 // Run executes the sweep pipeline. Estimates fan out first (light
 // admission); the prune decision is a barrier (dominance is a property of
 // the whole estimate set); survivors then fan out through simulation (medium
-// admission). Ctx cancellation aborts promptly between arms and inside any
-// arm's simulation.
+// admission). Both phases run one goroutine per arm on fanout.Each — scheduler
+// admission is the only concurrency bound — so the first arm to fail, or ctx
+// ending, stops the arms still queued and parks the corrections in flight.
 func Run(ctx context.Context, spec config.Sweep, opts Options) (*Result, error) {
 	spec.Normalize()
 	if err := spec.Validate(); err != nil {
@@ -276,7 +274,7 @@ func Run(ctx context.Context, spec config.Sweep, opts Options) (*Result, error) 
 
 	// Phase 1: analytic prefilter, one light job per unique arm.
 	ests := make([]estimatedArm, len(arms))
-	err = forEach(ctx, len(arms), opts.Parallel, func(ctx context.Context, i int) error {
+	err = fanout.Each(ctx, len(arms), func(ctx context.Context, i int) error {
 		a := arms[i]
 		est := job.Job{Op: job.OpEstimate, Config: a.Job.Config, Kind: a.Job.Kind}
 		class, cost := est.Admission()
@@ -334,7 +332,7 @@ func Run(ctx context.Context, spec config.Sweep, opts Options) (*Result, error) 
 			emit(opts.Progress, ests[i].arm.Label, "pruned")
 		}
 	}
-	err = forEach(ctx, len(ests), opts.Parallel, func(ctx context.Context, i int) error {
+	err = fanout.Each(ctx, len(ests), func(ctx context.Context, i int) error {
 		if ests[i].prune {
 			return nil
 		}
@@ -397,53 +395,6 @@ func emit(p onocsim.Progress, label, phase string) {
 		return
 	}
 	p.Event(onocsim.ProgressEvent{Kind: onocsim.ProgressSweepArm, Sim: label, Op: phase})
-}
-
-// forEach runs fn for indices [0,n) on up to parallel goroutines (0 means
-// n), stopping at the first error.
-func forEach(ctx context.Context, n, parallel int, fn func(context.Context, int) error) error {
-	if parallel <= 0 || parallel > n {
-		parallel = n
-	}
-	if n == 0 {
-		return ctx.Err()
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	next := make(chan int)
-	wg.Add(parallel)
-	for w := 0; w < parallel; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if ctx.Err() != nil {
-					continue // drain
-				}
-				if err := fn(ctx, i); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					cancel()
-				}
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	return ctx.Err()
 }
 
 // frontTable renders the Pareto front. Columns mirror the Point fields; no

@@ -117,6 +117,13 @@ type Trace struct {
 	RefMakespan sim.Tick `json:"ref_makespan"`
 	// Events are topologically ordered by ID (ID = index+1).
 	Events []Event `json:"events"`
+
+	// CaptureKey names the capture that produced this trace, when a session
+	// cache published it (simcache.DoTrace records it before any other
+	// goroutine can see the trace); empty for a hand-built, file-loaded or
+	// transformed trace. It is where the trace came from, not what it holds:
+	// no codec writes it and transforms do not copy it.
+	CaptureKey string `json:"-"`
 }
 
 // NumEvents returns the event count.

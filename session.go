@@ -10,6 +10,7 @@ import (
 
 	"onocsim/internal/config"
 	"onocsim/internal/core"
+	"onocsim/internal/fanout"
 	"onocsim/internal/simcache"
 	"onocsim/internal/trace"
 )
@@ -30,27 +31,16 @@ import (
 type Session struct {
 	cache *simcache.Cache
 
-	// mu guards traces and gen. The registry remembers which *Trace values
-	// this session produced and under which key, so replay results can be
-	// memoized: a replay is only cacheable when the identity of its input
-	// trace is known. Traces from elsewhere (transformed, hand-built,
-	// loaded from a file) replay uncached — correct, just not memoized.
-	//
-	// The registry is bounded (maxTraceRegistry, LRU eviction): a long-lived
-	// process capturing many distinct configs must not grow this map — and
-	// through its keys, pin the traces themselves — without limit. Evicted
-	// traces replay uncached from then on, which is the same graceful
-	// degradation as an unknown trace.
-	mu     sync.Mutex
-	traces map[*Trace]traceEntry
-	gen    uint64
+	// mu guards parked and gen.
+	mu  sync.Mutex
+	gen uint64
 
 	// parked stashes the resume state of parked self-correction runs under
 	// their cache key. A parked result is never cached, so the next request
 	// for the same key re-enters the compute closure — which takes the stash
 	// and resumes the loop at the parked round boundary instead of replaying
 	// the completed rounds. The stash is in-process only (fabric snapshots
-	// do not serialize) and bounded like the trace registry.
+	// do not serialize) and bounded (maxParkStash).
 	parked map[simcache.Key]parkEntry
 }
 
@@ -101,57 +91,6 @@ func (s *Session) takePark(key simcache.Key) *core.ParkState {
 	return e.state
 }
 
-// traceEntry is one registry slot: the capture key plus a recency stamp.
-type traceEntry struct {
-	key simcache.Key
-	gen uint64
-}
-
-// maxTraceRegistry caps the trace registry. 256 distinct live traces is far
-// beyond any sweep in the repo; the cap exists so a daemon serving arbitrary
-// configs for weeks holds a bounded map, not as a tuning knob.
-const maxTraceRegistry = 256
-
-// rememberTrace registers tr under its capture key, evicting the
-// least-recently-used entry when the registry is full. Re-registering an
-// existing trace only refreshes its recency.
-func (s *Session) rememberTrace(tr *Trace, key simcache.Key) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.gen++
-	if e, ok := s.traces[tr]; ok {
-		e.gen = s.gen
-		s.traces[tr] = e
-		return
-	}
-	if len(s.traces) >= maxTraceRegistry {
-		var oldest *Trace
-		oldestGen := uint64(math.MaxUint64)
-		for t, e := range s.traces {
-			if e.gen < oldestGen {
-				oldest, oldestGen = t, e.gen
-			}
-		}
-		delete(s.traces, oldest)
-	}
-	s.traces[tr] = traceEntry{key: key, gen: s.gen}
-}
-
-// lookupTrace returns tr's capture key and refreshes its recency, so traces
-// in active use don't age out under registration churn.
-func (s *Session) lookupTrace(tr *Trace) (simcache.Key, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.traces[tr]
-	if !ok {
-		return simcache.Key{}, false
-	}
-	s.gen++
-	e.gen = s.gen
-	s.traces[tr] = e
-	return e.key, true
-}
-
 // NewSession returns an empty session. cacheDir optionally enables the disk
 // layer: captured traces (binary trace codec) and simulation results
 // (versioned JSON) are persisted there and reloaded by later invocations;
@@ -159,7 +98,6 @@ func (s *Session) lookupTrace(tr *Trace) (simcache.Key, bool) {
 func NewSession(cacheDir string) *Session {
 	return &Session{
 		cache:  simcache.New(cacheDir),
-		traces: map[*Trace]traceEntry{},
 		parked: map[simcache.Key]parkEntry{},
 	}
 }
@@ -336,16 +274,12 @@ type traceID struct {
 var noTrace = traceID{known: true}
 
 // captureID is the identity of a resident trace: the key of the capture that
-// produced it, if this session did — a registry lookup, which is what keeps a
-// warm request at lookup → fingerprint → cache hit with no pass over the
-// trace. There is none for a nil session, or for a trace that was
-// transformed, hand-built, loaded, or evicted from the registry.
-func (s *Session) captureID(tr *Trace) traceID {
-	if s == nil {
-		return traceID{}
-	}
-	capKey, ok := s.lookupTrace(tr)
-	return traceID{capKey.Fingerprint + "@" + capKey.Kind, ok}
+// produced it, which the trace carries (simcache.DoTrace records it before
+// publishing the trace) — a field read, which is what keeps a warm request at
+// fingerprint → cache hit with no pass over the trace. There is none for a
+// trace that was transformed, hand-built or loaded from a file.
+func captureID(tr *Trace) traceID {
+	return traceID{tr.CaptureKey, tr.CaptureKey != ""}
 }
 
 // sourceID is the identity of a TraceSource: the digest of its content, not
@@ -419,23 +353,18 @@ func (s *Session) CaptureTraceContext(ctx context.Context, cfg Config, captureOn
 	if err != nil {
 		return nil, 0, err
 	}
-	tr, wall, err := s.cache.DoTrace(key, func() (*trace.Trace, time.Duration, error) {
+	return s.cache.DoTrace(key, func() (*trace.Trace, time.Duration, error) {
 		return CaptureTraceContext(ctx, cfg, captureOn)
 	})
-	if err != nil {
-		return nil, 0, err
-	}
-	s.rememberTrace(tr, key)
-	return tr, wall, nil
 }
 
 // RunNaiveReplayContext replays the trace at recorded timestamps on fresh
 // fabrics of the given kind, split across cfg.Parallelism.Shards replicas
 // where the fabric allows it; results are byte-identical for any shard count.
-// Replays of traces not produced by this session's CaptureTraceContext run
-// uncached.
+// Replays of traces no session captured (hand-built, transformed, loaded from
+// a file) run uncached.
 func (s *Session) RunNaiveReplayContext(ctx context.Context, cfg Config, tr *Trace, kind NetworkKind) (ReplayResult, time.Duration, error) {
-	v, err := memo(s.key(cfg, kind, simcache.OpNaive, s.captureID(tr)), func() (timed[ReplayResult], error) {
+	v, err := memo(s.key(cfg, kind, simcache.OpNaive, captureID(tr)), func() (timed[ReplayResult], error) {
 		return naiveReplay(ctx, cfg, tr, kind)
 	})
 	return v.Res, v.Wall, err
@@ -444,7 +373,7 @@ func (s *Session) RunNaiveReplayContext(ctx context.Context, cfg Config, tr *Tra
 // RunCoupledReplayContext runs the tightly coupled dependency-driven replay,
 // memoized like RunNaiveReplayContext.
 func (s *Session) RunCoupledReplayContext(ctx context.Context, cfg Config, tr *Trace, kind NetworkKind) (ReplayResult, time.Duration, error) {
-	v, err := memo(s.key(cfg, kind, simcache.OpCoupled, s.captureID(tr)), func() (timed[ReplayResult], error) {
+	v, err := memo(s.key(cfg, kind, simcache.OpCoupled, captureID(tr)), func() (timed[ReplayResult], error) {
 		return coupledReplay(ctx, cfg, tr, kind)
 	})
 	return v.Res, v.Wall, err
@@ -474,7 +403,7 @@ func (s *Session) RunCoupledReplayContext(ctx context.Context, cfg Config, tr *T
 // service traffic after a client disconnect or a cancelled drain — the
 // retry pays only the remaining rounds.
 func (s *Session) RunSelfCorrectionContext(ctx context.Context, cfg Config, tr *Trace, kind NetworkKind) (CorrectionResult, time.Duration, error) {
-	return s.correct(ctx, cfg, tr, nil, kind, s.captureID(tr))
+	return s.correct(ctx, cfg, tr, nil, kind, captureID(tr))
 }
 
 // RunSelfCorrectionStreamContext is RunSelfCorrectionContext over a
@@ -530,7 +459,7 @@ func (s *Session) correct(ctx context.Context, cfg Config, tr *Trace, src TraceS
 // RunNaiveReplayContext anyway so repeated sweeps over a persisted session
 // cost a map lookup.
 func (s *Session) Estimate(cfg Config, tr *Trace, kind NetworkKind) (AnalyticEstimate, time.Duration, error) {
-	v, err := memo(s.key(cfg, kind, simcache.OpEstimate, s.captureID(tr)), func() (timed[AnalyticEstimate], error) {
+	v, err := memo(s.key(cfg, kind, simcache.OpEstimate, captureID(tr)), func() (timed[AnalyticEstimate], error) {
 		return estimate(cfg, tr, kind)
 	})
 	return v.Res, v.Wall, err
@@ -548,11 +477,11 @@ func (s *Session) RunSyntheticLoadContext(ctx context.Context, cfg Config, kind 
 // trace on the cheap reference fabric, measure execution-driven ground truth
 // on the target, and evaluate every replay engine against it.
 //
-// The phases form a two-stage pipeline. Trace capture and execution-driven
-// ground truth are independent, so they run in parallel; the three replay
-// engines need only the captured trace, so they start as soon as capture
-// finishes — typically while the (much slower) ground-truth run is still
-// going. Concurrency is bounded by the process-wide simulation-slot
+// The phases form a two-stage pipeline on fanout.Each. Trace capture and
+// execution-driven ground truth are independent, so they run side by side; the
+// three replay engines need only the captured trace, so they start as soon as
+// capture finishes — typically while the (much slower) ground-truth run is
+// still going. Concurrency is bounded by the process-wide simulation-slot
 // scheduler held inside each leaf operation. Every simulation is
 // self-contained (own fabric, own RNG streams, own message pools), so the
 // results are bit-identical to the sequential schedule; with a non-nil
@@ -560,60 +489,46 @@ func (s *Session) RunSyntheticLoadContext(ctx context.Context, cfg Config, kind 
 // computed by another study) is deduplicated instead of re-run.
 //
 // Every phase queues for its simulation slot under ctx, and the
-// self-correction phase parks at a round boundary if ctx ends mid-loop. A
-// cancelled study returns the first phase error; partial phase results are
-// discarded (use RunSelfCorrectionContext directly to keep a parked
-// trajectory).
+// self-correction phase parks at a round boundary if ctx ends mid-loop. The
+// first phase to fail cancels the context its siblings see and is the error
+// returned, named by its phase; partial phase results are discarded (use
+// RunSelfCorrectionContext directly to keep a parked trajectory).
 func (s *Session) RunStudyContext(ctx context.Context, cfg Config, target NetworkKind) (*Study, error) {
 	if err := ValidateNetworkKind(cfg, target); err != nil {
 		return nil, err
 	}
 	st := &Study{Workload: cfg.Workload.Kernel, Target: target}
-
-	var wg sync.WaitGroup
-	var truthErr error
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		st.Truth, truthErr = s.RunExecutionDrivenContext(ctx, cfg, target)
-	}()
-
-	// Capture runs on the calling goroutine: the replay engines block on it.
-	tr, capWall, capErr := s.CaptureTraceContext(ctx, cfg, config.NetIdeal)
-	if capErr != nil {
-		wg.Wait()
-		return nil, fmt.Errorf("onocsim: capture: %w", capErr)
+	phase := func(name string, err error) error {
+		if err != nil {
+			return fmt.Errorf("onocsim: %s: %w", name, err)
+		}
+		return nil
 	}
-	st.Trace = tr
-	st.CaptureWall = capWall
-
-	var naiveErr, coupErr, sctmErr error
-	wg.Add(3)
-	go func() {
-		defer wg.Done()
-		st.Naive, st.NaiveWall, naiveErr = s.RunNaiveReplayContext(ctx, cfg, tr, target)
-	}()
-	go func() {
-		defer wg.Done()
-		st.Coupled, st.CoupledWall, coupErr = s.RunCoupledReplayContext(ctx, cfg, tr, target)
-	}()
-	go func() {
-		defer wg.Done()
-		st.SCTM, st.SCTMWall, sctmErr = s.RunSelfCorrectionContext(ctx, cfg, tr, target)
-	}()
-	wg.Wait()
-
-	if truthErr != nil {
-		return nil, fmt.Errorf("onocsim: ground truth: %w", truthErr)
-	}
-	if naiveErr != nil {
-		return nil, fmt.Errorf("onocsim: naive replay: %w", naiveErr)
-	}
-	if coupErr != nil {
-		return nil, fmt.Errorf("onocsim: coupled replay: %w", coupErr)
-	}
-	if sctmErr != nil {
-		return nil, fmt.Errorf("onocsim: self-correction: %w", sctmErr)
+	err := fanout.Each(ctx, 2, func(ctx context.Context, i int) (err error) {
+		if i == 0 {
+			st.Truth, err = s.RunExecutionDrivenContext(ctx, cfg, target)
+			return phase("ground truth", err)
+		}
+		st.Trace, st.CaptureWall, err = s.CaptureTraceContext(ctx, cfg, config.NetIdeal)
+		if err != nil {
+			return phase("capture", err)
+		}
+		return fanout.Each(ctx, 3, func(ctx context.Context, i int) (err error) {
+			switch i {
+			case 0:
+				st.Naive, st.NaiveWall, err = s.RunNaiveReplayContext(ctx, cfg, st.Trace, target)
+				return phase("naive replay", err)
+			case 1:
+				st.Coupled, st.CoupledWall, err = s.RunCoupledReplayContext(ctx, cfg, st.Trace, target)
+				return phase("coupled replay", err)
+			default:
+				st.SCTM, st.SCTMWall, err = s.RunSelfCorrectionContext(ctx, cfg, st.Trace, target)
+				return phase("self-correction", err)
+			}
+		})
+	})
+	if err != nil {
+		return nil, err
 	}
 	st.NaiveAcc = Compare(st.Naive, st.Truth)
 	st.CoupAcc = Compare(st.Coupled, st.Truth)

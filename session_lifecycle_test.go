@@ -3,84 +3,73 @@ package onocsim
 import (
 	"context"
 	"errors"
-	"fmt"
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	"onocsim/internal/simcache"
+	"onocsim/internal/trace"
 )
 
-// The regression the daemon needed: Session.traces used to grow without
-// bound — one entry per distinct captured config, forever — so a long-lived
-// process serving arbitrary configs leaked the registry and pinned every
-// trace it ever produced. The registry is now LRU-bounded.
-func TestSessionTraceRegistryBounded(t *testing.T) {
-	s := NewSession("")
-	for i := 0; i < 4*maxTraceRegistry; i++ {
-		s.rememberTrace(&Trace{}, simcache.Key{Fingerprint: fmt.Sprintf("fp-%04d", i)})
-	}
-	s.mu.Lock()
-	n := len(s.traces)
-	s.mu.Unlock()
-	if n > maxTraceRegistry {
-		t.Fatalf("registry grew to %d entries, cap is %d", n, maxTraceRegistry)
-	}
-}
-
-func TestSessionTraceRegistryEvictsOldestKeepsTouched(t *testing.T) {
-	s := NewSession("")
-	hot := &Trace{}
-	s.rememberTrace(hot, simcache.Key{Fingerprint: "hot"})
-	for i := 0; i < 2*maxTraceRegistry; i++ {
-		// Touching the hot trace between registrations keeps it resident
-		// while everything older churns out.
-		if _, ok := s.lookupTrace(hot); !ok {
-			t.Fatalf("hot trace evicted after %d registrations despite lookups", i)
-		}
-		s.rememberTrace(&Trace{}, simcache.Key{Fingerprint: fmt.Sprintf("cold-%04d", i)})
-	}
-	key, ok := s.lookupTrace(hot)
-	if !ok || key.Fingerprint != "hot" {
-		t.Fatalf("hot trace lost: ok=%v key=%v", ok, key)
-	}
-	// Re-registering an already-known trace must not duplicate or grow.
-	s.mu.Lock()
-	before := len(s.traces)
-	s.mu.Unlock()
-	s.rememberTrace(hot, simcache.Key{Fingerprint: "hot"})
-	s.mu.Lock()
-	after := len(s.traces)
-	s.mu.Unlock()
-	if after != before {
-		t.Fatalf("re-registration changed registry size %d -> %d", before, after)
-	}
-}
-
-// An evicted trace degrades to uncached replay, exactly like a trace the
-// session never saw.
-func TestSessionEvictedTraceReplaysUncached(t *testing.T) {
+// A replay is memoized only when its input trace says which capture produced
+// it. A session's own capture does; a trace that was transformed, loaded from
+// a file or built by hand carries no capture key and replays uncached every
+// time — R14 replays ScaleGapsWhere transforms of one capture at several
+// scales, and keying them by their parent would serve every scale the first
+// one's result. A nil session caches nothing whatever the trace says.
+func TestSessionForeignTraceReplaysUncached(t *testing.T) {
 	s := NewSession("")
 	cfg := smallConfig()
 	tr, _, err := s.CaptureTraceContext(bg, cfg, IdealNet)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.captureID(tr).known {
+	if !captureID(tr).known {
 		t.Fatal("fresh capture not keyed")
 	}
-	for i := 0; i < maxTraceRegistry+1; i++ {
-		s.rememberTrace(&Trace{}, simcache.Key{Fingerprint: fmt.Sprintf("churn-%04d", i)})
+	if k := uncached.key(cfg, Optical, simcache.OpNaive, captureID(tr)); k.cache != nil {
+		t.Fatal("nil session resolved a cache slot")
 	}
-	if s.captureID(tr).known {
-		t.Fatal("evicted trace still keyed")
-	}
-	// The replay still works, just uncached.
-	res, _, err := s.RunNaiveReplayContext(bg, cfg, tr, Optical)
+	scaled, err := tr.ScaleGapsWhere(2, func(*trace.Event) bool { return true })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Makespan <= 0 {
-		t.Fatal("uncached replay produced no result")
+	path := filepath.Join(t.TempDir(), "trace.sctm")
+	if err := SaveTrace(path, tr); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadTrace(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	handBuilt := &Trace{Nodes: tr.Nodes, Workload: tr.Workload, RefMakespan: tr.RefMakespan, Events: tr.Events}
+	for name, foreign := range map[string]*Trace{"transformed": scaled, "loaded": loaded, "hand-built": handBuilt} {
+		if captureID(foreign).known {
+			t.Fatalf("%s trace is keyed", name)
+		}
+		before := s.CacheStats()
+		for i := 0; i < 2; i++ {
+			res, _, err := s.RunNaiveReplayContext(bg, cfg, foreign, Optical)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if res.Makespan <= 0 {
+				t.Fatalf("%s: uncached replay produced no result", name)
+			}
+		}
+		if after := s.CacheStats(); after != before {
+			t.Fatalf("%s trace went through the cache: %+v -> %+v", name, before, after)
+		}
+	}
+	// The session's own capture does memoize: one computation, then a hit.
+	before := s.CacheStats()
+	for i := 0; i < 2; i++ {
+		if _, _, err := s.RunNaiveReplayContext(bg, cfg, tr, Optical); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := s.CacheStats(); after.Misses != before.Misses+1 || after.Hits != before.Hits+1 {
+		t.Fatalf("captured trace not memoized: %+v -> %+v", before, after)
 	}
 }
 

@@ -170,7 +170,8 @@ func TestFabricAdmissionContract(t *testing.T) {
 
 // TestNilSessionMatchesFreshSession: a nil *Session runs every operation
 // uncached and a fresh session computes it on its first request, so the two
-// agree exactly — DeepEqual on whole results, host wall clocks aside.
+// agree exactly — DeepEqual on whole results, host wall clocks and the capture
+// key a session's trace carries (where it came from, not what it holds) aside.
 func TestNilSessionMatchesFreshSession(t *testing.T) {
 	cfg := smallConfig()
 	synthetic := smallConfig()
@@ -196,7 +197,9 @@ func TestNilSessionMatchesFreshSession(t *testing.T) {
 			return gt, err
 		}},
 		{"CaptureTraceContext", func(t *testing.T, s *Session) (any, error) {
-			return capture(t, s), nil
+			tr := *capture(t, s)
+			tr.CaptureKey = ""
+			return &tr, nil
 		}},
 		{"RunNaiveReplayContext", func(t *testing.T, s *Session) (any, error) {
 			res, _, err := s.RunNaiveReplayContext(bg, cfg, capture(t, s), Optical)
@@ -227,6 +230,9 @@ func TestNilSessionMatchesFreshSession(t *testing.T) {
 				return nil, err
 			}
 			st.Truth.WallTime, st.CaptureWall, st.NaiveWall, st.CoupledWall, st.SCTMWall = 0, 0, 0, 0, 0
+			tr := *st.Trace
+			tr.CaptureKey = ""
+			st.Trace = &tr
 			return st, nil
 		}},
 	} {
