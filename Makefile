@@ -39,7 +39,7 @@ loc:
 # (expand -> analytic prefilter -> prune -> simulate -> Pareto front). The
 # tables are discarded; any pipeline regression fails the exit code.
 sweep-smoke:
-	$(GO) run ./cmd/onocsim -mode sweep -sweep cmd/onocsim/testdata/smoke_sweep.json > /dev/null
+	$(GO) run ./cmd/expreport -sweep cmd/expreport/testdata/smoke_sweep.json > /dev/null
 
 # Tier-1 gate: vet runs first so static mistakes fail fast, before the
 # (much slower) test sweep; the golden rendering tests run as part of the
@@ -58,11 +58,13 @@ test: vet
 # count. Also here: the one fan-out helper every study, study set, report and
 # sweep runs on (internal/fanout) and its heaviest user, the experiment
 # harness; the fault injector's lazily extended per-channel timelines under
-# sharded replay; and the analytic estimator's shared probe cache. The service
-# packages run here too: the daemon's whole job is concurrent clients sharing
-# one session (single-flight dedup, the admission scheduler, the SSE hub),
-# and the job and sweep packages fan hundreds of admission-scheduled arms out
-# of one session.
+# sharded replay; and the analytic estimator, whose concurrent calls must
+# share nothing. The service packages run here too: the daemon's whole job is
+# concurrent clients sharing one session (single-flight dedup, the admission
+# scheduler, the SSE hub), and the job and sweep packages fan hundreds of
+# admission-scheduled arms out of one session. The root package holds the
+# flight-healing tests: a waiter retrying a flight that its computing caller's
+# cancellation killed.
 test-race:
 	$(GO) test -race ./internal/fanout/ ./internal/analytic/ ./internal/experiments/ ./internal/sim/ ./internal/core/ ./internal/fault/ ./internal/trace/ ./internal/service/ ./internal/job/ ./internal/sweep/ ./cmd/onocsimd/ .
 
@@ -107,10 +109,7 @@ experiments-md:
 
 examples:
 	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/casestudy
-	$(GO) run ./examples/sweep
 	$(GO) run ./examples/tracefile
-	$(GO) run ./examples/designspace
 
 clean:
 	$(GO) clean ./...

@@ -127,12 +127,10 @@ func ValidateNetworkKind(cfg Config, kind NetworkKind) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	switch kind {
-	case config.NetElectrical, config.NetOptical, config.NetIdeal, config.NetHybrid:
-		return nil
-	default:
+	if !kind.Valid() {
 		return fmt.Errorf("onocsim: unknown network kind %q", kind)
 	}
+	return nil
 }
 
 // NetworkFactory returns a constructor for fresh fabrics of the given kind;
@@ -430,11 +428,6 @@ func LoadTrace(path string) (*Trace, error) { return trace.LoadFile(path) }
 // resident memory stays bounded by the replay window instead of the trace
 // length.
 func OpenTraceFile(path string) (TraceSource, error) { return trace.NewFileSource(path) }
-
-// MemTraceSource adapts an in-memory trace to the TraceSource contract. A
-// source built here is resident: the replay window has nothing to bound and
-// is ignored.
-func MemTraceSource(tr *Trace) TraceSource { return trace.NewMemSource(tr) }
 
 // RunNaiveReplaySummaryContext replays the trace at recorded timestamps with
 // truly constant residency — O(window + nodes), no per-event vectors —

@@ -15,6 +15,7 @@
 //	expreport -exp all -quick              # CI-sized sweeps
 //	expreport -exp all -progress           # live stderr progress
 //	expreport -exp all -cachedir ~/.cache/onocsim
+//	expreport -sweep default               # design-space sweep, built-in grid
 //	expreport -sweep grid.json -quick      # custom design-space sweep
 package main
 
@@ -122,6 +123,8 @@ func (p *progressLogger) Event(e onocsim.ProgressEvent) {
 		} else {
 			fmt.Fprintf(p.w, "expreport: %s done in %s\n", e.Experiment, e.Elapsed.Round(time.Millisecond))
 		}
+	case onocsim.ProgressSweepArm:
+		fmt.Fprintf(p.w, "expreport: sweep %-9s %s\n", e.Op, e.Sim)
 	default:
 		fmt.Fprintf(p.w, "expreport: sim %s %s\n", e.Kind, e.Sim)
 	}
@@ -177,7 +180,7 @@ func runList(w io.Writer, format string) error {
 	}
 	t := metrics.NewTable("Registered experiments", "id", "cost", "summary")
 	for _, d := range experiments.Registry() {
-		t.AddCells(metrics.String(d.ID), metrics.String(string(d.CostClass)), metrics.String(d.Summary))
+		t.AddCells(metrics.String(d.ID), metrics.String(d.CostClass.String()), metrics.String(d.Summary))
 	}
 	if format == "json" {
 		return writeJSONDoc(w, []string{"registry"}, []*metrics.Table{t})
@@ -186,10 +189,11 @@ func runList(w io.Writer, format string) error {
 }
 
 // runSweep drives the design-space sweep pipeline (internal/sweep) from a
-// spec file — the batch counterpart of a single -exp run. The experiment
-// options that make sense for a sweep carry over: -seed and -quick shape the
-// spec, -progress streams per-arm phases through the shared progressLogger,
-// and the invocation's session memoizes the arms.
+// spec file — the batch counterpart of a single -exp run, and the one CLI
+// door for a sweep. The experiment options that make sense for a sweep carry
+// over: -seed and -quick shape the spec, -progress streams per-arm phases
+// through the shared progressLogger, and the invocation's session (-cachedir)
+// memoizes the arms.
 func runSweep(w io.Writer, path string, opts experiments.Options, format string) error {
 	if err := checkFormat(format); err != nil {
 		return err

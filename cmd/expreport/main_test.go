@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"onocsim/internal/cliutil"
+	"onocsim/internal/config"
 	"onocsim/internal/experiments"
 	"onocsim/internal/metrics"
 )
@@ -142,5 +143,49 @@ func TestRunJSONRoundTrip(t *testing.T) {
 	}
 	if rendered.String() != direct.String() {
 		t.Fatalf("decoded table renders differently:\n--- direct ---\n%s--- decoded ---\n%s", direct.String(), rendered.String())
+	}
+}
+
+// TestRunSweepMode drives the sweep pipeline through its one CLI entry point
+// on a deliberately tiny grid (2 unique arms after identity collapsing), in
+// every format.
+func TestRunSweepMode(t *testing.T) {
+	spec := config.Sweep{
+		Networks:    []config.NetworkKind{config.NetElectrical, config.NetOptical},
+		Cores:       []int{16},
+		Wavelengths: []int{16},
+		Faults:      []string{"off"},
+		Kernels:     []string{"stencil"},
+		Quick:       true,
+	}
+	spec.Normalize()
+	data, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "grid.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for format, want := range map[string]string{
+		"ascii": "Pareto front: sweep",
+		"json":  `"front_points"`,
+		"csv":   "arm,cells,est latency",
+	} {
+		var buf bytes.Buffer
+		if err := runSweep(&buf, path, quick, format); err != nil {
+			t.Fatalf("sweep (%s): %v", format, err)
+		}
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("sweep (%s): output lacks %q:\n%s", format, want, buf.String())
+		}
+	}
+	// A bad spec is a runtime error, not a crash.
+	bad := filepath.Join(t.TempDir(), "bad.json")
+	if err := os.WriteFile(bad, []byte(`{"cores":[7]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := runSweep(&bytes.Buffer{}, bad, quick, "ascii"); err == nil {
+		t.Fatal("invalid sweep spec accepted")
 	}
 }

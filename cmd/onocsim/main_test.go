@@ -3,13 +3,19 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"onocsim"
 	"onocsim/internal/cliutil"
-	"onocsim/internal/config"
+	"onocsim/internal/metrics"
+	"onocsim/internal/service"
 )
 
 // smallCfgFile writes a fast config and returns its path.
@@ -33,7 +39,7 @@ func opts(cfgPath, network, mode, format string) options {
 
 func TestRunExecMode(t *testing.T) {
 	for _, network := range []string{"ideal", "electrical", "optical"} {
-		if err := run(opts(smallCfgFile(t), network, "exec", "ascii")); err != nil {
+		if err := run(io.Discard, opts(smallCfgFile(t), network, "exec", "ascii")); err != nil {
 			t.Fatalf("exec on %s: %v", network, err)
 		}
 	}
@@ -43,14 +49,14 @@ func TestRunExecModeFaulted(t *testing.T) {
 	for _, preset := range []string{"light", "heavy"} {
 		o := opts(smallCfgFile(t), "optical", "exec", "ascii")
 		o.faults = preset
-		if err := run(o); err != nil {
+		if err := run(io.Discard, o); err != nil {
 			t.Fatalf("faulted exec (%s): %v", preset, err)
 		}
 	}
 }
 
 func TestRunStudyMode(t *testing.T) {
-	if err := run(opts(smallCfgFile(t), "optical", "study", "ascii")); err != nil {
+	if err := run(io.Discard, opts(smallCfgFile(t), "optical", "study", "ascii")); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -84,18 +90,7 @@ func TestUnsetShardsKeepsTheConfigs(t *testing.T) {
 func TestRunStudyModeSharded(t *testing.T) {
 	o := opts(smallCfgFile(t), "optical", "study", "ascii")
 	o.shards = 4
-	if err := run(o); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// The read-ahead window only bounds traces replayed from a file; on the
-// study's resident trace the flag is accepted and changes nothing.
-func TestRunStudyModeStreaming(t *testing.T) {
-	o := opts(smallCfgFile(t), "optical", "study", "ascii")
-	o.shards = 2
-	o.window = 1 << 12
-	if err := run(o); err != nil {
+	if err := run(io.Discard, o); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -103,7 +98,7 @@ func TestRunStudyModeStreaming(t *testing.T) {
 func TestRunStudyModeIncremental(t *testing.T) {
 	o := opts(smallCfgFile(t), "optical", "study", "ascii")
 	o.incr = true
-	if err := run(o); err != nil {
+	if err := run(io.Discard, o); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -113,7 +108,7 @@ func TestRunStudyModeIncremental(t *testing.T) {
 func TestRunCorrectAndEstimateModes(t *testing.T) {
 	cfgPath := smallCfgFile(t)
 	for _, mode := range []string{"correct", "estimate"} {
-		if err := run(opts(cfgPath, "optical", mode, "ascii")); err != nil {
+		if err := run(io.Discard, opts(cfgPath, "optical", mode, "ascii")); err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
 	}
@@ -121,50 +116,14 @@ func TestRunCorrectAndEstimateModes(t *testing.T) {
 
 func TestRunJSONFormats(t *testing.T) {
 	cfgPath := smallCfgFile(t)
-	if err := run(opts(cfgPath, "optical", "exec", "json")); err != nil {
+	if err := run(io.Discard, opts(cfgPath, "optical", "exec", "json")); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(opts(cfgPath, "optical", "study", "json")); err != nil {
+	if err := run(io.Discard, opts(cfgPath, "optical", "study", "json")); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(opts(cfgPath, "optical", "exec", "yaml")); err == nil {
+	if err := run(io.Discard, opts(cfgPath, "optical", "exec", "yaml")); err == nil {
 		t.Fatal("unknown format accepted")
-	}
-}
-
-// TestRunSweepMode drives the sweep pipeline through the CLI entry point on
-// a deliberately tiny grid (2 unique arms after identity collapsing).
-func TestRunSweepMode(t *testing.T) {
-	spec := config.Sweep{
-		Networks:    []config.NetworkKind{config.NetElectrical, config.NetOptical},
-		Cores:       []int{16},
-		Wavelengths: []int{16},
-		Faults:      []string{"off"},
-		Kernels:     []string{"stencil"},
-		Quick:       true,
-	}
-	spec.Normalize()
-	data, err := json.Marshal(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "grid.json")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, format := range []string{"ascii", "json"} {
-		o := options{mode: "sweep", format: format, sweepPath: path}
-		if err := run(o); err != nil {
-			t.Fatalf("sweep (%s): %v", format, err)
-		}
-	}
-	// A bad spec is a runtime error, not a crash.
-	bad := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(bad, []byte(`{"cores":[7]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(options{mode: "sweep", format: "ascii", sweepPath: bad}); err == nil {
-		t.Fatal("invalid sweep spec accepted")
 	}
 }
 
@@ -182,12 +141,13 @@ func TestRunExitCodes(t *testing.T) {
 		err  error
 		want int
 	}{
-		{"unknown mode", run(opts(cfgPath, "optical", "teleport", "ascii")), 2},
-		{"unknown network", run(opts(cfgPath, "warp", "exec", "ascii")), 2},
-		{"unknown format", run(opts(cfgPath, "optical", "exec", "yaml")), 2},
-		{"unknown faults preset", run(badFaults), 2},
-		{"unknown seed mode", run(badSeed), 1},
-		{"missing config", run(opts(filepath.Join(t.TempDir(), "nope.json"), "optical", "exec", "ascii")), 1},
+		{"unknown mode", run(io.Discard, opts(cfgPath, "optical", "teleport", "ascii")), 2},
+		{"sweep is not a mode", run(io.Discard, opts(cfgPath, "", "sweep", "ascii")), 2},
+		{"unknown network", run(io.Discard, opts(cfgPath, "warp", "exec", "ascii")), 2},
+		{"unknown format", run(io.Discard, opts(cfgPath, "optical", "exec", "yaml")), 2},
+		{"unknown faults preset", run(io.Discard, badFaults), 2},
+		{"unknown seed mode", run(io.Discard, badSeed), 1},
+		{"missing config", run(io.Discard, opts(filepath.Join(t.TempDir(), "nope.json"), "optical", "exec", "ascii")), 1},
 	}
 	for _, tc := range cases {
 		if tc.err == nil {
@@ -195,6 +155,85 @@ func TestRunExitCodes(t *testing.T) {
 		}
 		if got := cliutil.ExitCode(tc.err); got != tc.want {
 			t.Errorf("%s: exit code %d, want %d (err: %v)", tc.name, got, tc.want, tc.err)
+		}
+		if tc.name == "sweep is not a mode" && !strings.Contains(tc.err.Error(), "expreport -sweep") {
+			t.Errorf("%s: the error does not name the door that runs one: %v", tc.name, tc.err)
+		}
+	}
+}
+
+// maskedTable decodes a table's JSON and re-encodes it with its host-time
+// cells blanked: the one thing two computations of the same result differ in.
+func maskedTable(t *testing.T, data []byte) string {
+	t.Helper()
+	var in metrics.Table
+	if err := json.Unmarshal(data, &in); err != nil {
+		t.Fatalf("%v in %s", err, data)
+	}
+	out := metrics.NewTable(in.Title, in.Columns...)
+	for r := 0; r < in.NumRows(); r++ {
+		row := make([]metrics.Cell, len(in.Columns))
+		for c := range row {
+			if row[c] = in.At(r, c); row[c].Kind == metrics.KindDuration {
+				row[c] = metrics.String("MASKED")
+			}
+		}
+		out.AddCells(row...)
+	}
+	for _, n := range in.Notes() {
+		out.Note("%s", n)
+	}
+	enc, err := json.Marshal(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(enc)
+}
+
+// The CLI and the daemon are two doors to one job: the same config document —
+// here one whose own network is electrical — must get the same table from
+// `onocsim -format json` and from the `table` of POST /v1/simulate, when
+// neither side names a network (the document's own runs) and when both name
+// the same override. Both build their job with job.New, which is what this
+// pins: the CLI used to overwrite the document's network with its flag
+// default and answer for the optical fabric.
+func TestCLIAndDaemonAnswerOneDocumentAlike(t *testing.T) {
+	cfgPath := smallCfgFile(t)
+	doc, err := os.ReadFile(cfgPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(doc, []byte(`"network": "electrical"`)) {
+		t.Fatalf("the document's own network is not electrical:\n%s", doc)
+	}
+	ts := httptest.NewServer(service.New(service.Config{}).Handler())
+	defer ts.Close()
+	for _, network := range []string{"", "optical"} {
+		for _, op := range []string{"exec", "correct", "estimate"} {
+			var cli bytes.Buffer
+			if err := run(&cli, opts(cfgPath, network, op, "json")); err != nil {
+				t.Fatalf("%s/%q: cli: %v", op, network, err)
+			}
+			body := fmt.Sprintf(`{"op":%q,"network":%q,"config":%s}`, op, network, doc)
+			resp, err := http.Post(ts.URL+"/v1/simulate", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var reply struct {
+				Network string          `json:"network"`
+				Table   json.RawMessage `json:"table"`
+			}
+			err = json.NewDecoder(resp.Body).Decode(&reply)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s/%q: daemon: status %d, %v", op, network, resp.StatusCode, err)
+			}
+			if want := map[string]string{"": "electrical", "optical": "optical"}[network]; reply.Network != want {
+				t.Errorf("%s/%q: daemon ran on %s, want %s", op, network, reply.Network, want)
+			}
+			if got, want := maskedTable(t, cli.Bytes()), maskedTable(t, reply.Table); got != want {
+				t.Errorf("%s/%q: the two doors disagree\n   cli: %s\ndaemon: %s", op, network, got, want)
+			}
 		}
 	}
 }

@@ -143,10 +143,3 @@ func printPathEvents(w io.Writer, src trace.Source, ids []trace.EventID) error {
 		}
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -32,7 +32,6 @@ package analytic
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"onocsim/internal/config"
 	"onocsim/internal/core"
@@ -81,11 +80,10 @@ func Estimate(cfg config.Config, kind config.NetworkKind, tr *trace.Trace) (Resu
 	if tr.Nodes != cfg.System.Cores {
 		return Result{}, fmt.Errorf("analytic: trace has %d nodes, config %d cores", tr.Nodes, cfg.System.Cores)
 	}
-	entry, err := acquireProbe(cfg, kind)
+	probe, err := buildProbe(cfg, kind)
 	if err != nil {
 		return Result{}, err
 	}
-	probe := entry.probe
 	opts := core.ScheduleOptions{
 		DisableSyncDeps:   cfg.SCTM.DisableSyncDeps,
 		DisableCausalDeps: cfg.SCTM.DisableCausalDeps,
@@ -102,7 +100,6 @@ func Estimate(cfg config.Config, kind config.NetworkKind, tr *trace.Trace) (Resu
 	t0 := horizon(inject, lat0)
 
 	m, err := buildModel(cfg, kind, tr, probe)
-	entry.mu.Unlock() // the model holds no probe references past construction
 	if err != nil {
 		return Result{}, err
 	}
@@ -188,53 +185,6 @@ func buildProbe(cfg config.Config, kind config.NetworkKind) (noc.Network, error)
 	default:
 		return nil, fmt.Errorf("analytic: unknown network kind %q", kind)
 	}
-}
-
-// probeEntry is one cached fabric probe. Probes memoize serialization
-// tables internally while answering queries, so each entry carries a mutex
-// and Estimate holds it for the duration of its probe use.
-type probeEntry struct {
-	mu    sync.Mutex
-	cfg   config.Config
-	kind  config.NetworkKind
-	probe noc.Network
-}
-
-// probeCache memoizes probes across Estimate calls: fabric construction
-// (photonic budgets, derate tables) is O(nodes²) and would otherwise dominate
-// the estimator. Config is a flat comparable struct, so the key is the
-// (config, kind) pair itself — no hashing. The ring holds the handful of
-// configs a sweep or correction loop alternates between; overwriting an
-// in-use entry is safe because holders keep their own *probeEntry.
-var probeCache struct {
-	mu      sync.Mutex
-	entries [8]*probeEntry
-	next    int
-}
-
-// acquireProbe returns a probe for (cfg, kind) with its entry mutex held;
-// the caller unlocks it when done querying.
-func acquireProbe(cfg config.Config, kind config.NetworkKind) (*probeEntry, error) {
-	probeCache.mu.Lock()
-	for _, e := range probeCache.entries {
-		if e != nil && e.kind == kind && e.cfg == cfg {
-			probeCache.mu.Unlock()
-			e.mu.Lock()
-			return e, nil
-		}
-	}
-	probeCache.mu.Unlock()
-	probe, err := buildProbe(cfg, kind)
-	if err != nil {
-		return nil, err
-	}
-	e := &probeEntry{cfg: cfg, kind: kind, probe: probe}
-	e.mu.Lock()
-	probeCache.mu.Lock()
-	probeCache.entries[probeCache.next] = e
-	probeCache.next = (probeCache.next + 1) % len(probeCache.entries)
-	probeCache.mu.Unlock()
-	return e, nil
 }
 
 // model maps a horizon to per-event seeded latencies.
@@ -428,24 +378,12 @@ const (
 	numDirs
 )
 
-func flitsFor(bytes, flitBytes int) int {
-	f := (bytes + flitBytes - 1) / flitBytes
-	if f < 1 {
-		f = 1
-	}
-	return f
-}
-
 // newMeshModel builds the link-utilization model. include, when non-nil,
 // restricts it to the events the hybrid fabric routes electrically.
 func newMeshModel(cfg config.Config, tr *trace.Trace, include []bool) *meshModel {
 	nodes := tr.Nodes
-	width := 1
-	for width*width < nodes {
-		width++
-	}
 	m := &meshModel{
-		width:     width,
+		width:     config.GridWidth(nodes),
 		torus:     cfg.Mesh.Topology == "torus",
 		linkSvc:   make([]float64, nodes*numDirs),
 		linkMsgs:  make([]int64, nodes*numDirs),
@@ -460,7 +398,7 @@ func newMeshModel(cfg config.Config, tr *trace.Trace, include []bool) *meshModel
 			continue
 		}
 		m.load.Add(e.Src, e.Dst, e.Bytes)
-		m.flitsPair[e.Src*nodes+e.Dst] += float64(flitsFor(e.Bytes, cfg.Mesh.FlitBytes))
+		m.flitsPair[e.Src*nodes+e.Dst] += float64(enoc.FlitsFor(e.Bytes, cfg.Mesh.FlitBytes))
 		m.evPair[i] = int32(e.Src*nodes + e.Dst)
 	}
 	m.load.ForEachPair(func(src, dst int, pl noc.PairLoad) {
@@ -557,10 +495,7 @@ func newHybridModel(cfg config.Config, tr *trace.Trace, hy *hybrid.Network) (*hy
 	if !ok {
 		return nil, fmt.Errorf("analytic: hybrid optical sub-fabric %T lacks the crossbar surface", hy.Optical())
 	}
-	width := 1
-	for width*width < tr.Nodes {
-		width++
-	}
+	width := config.GridWidth(tr.Nodes)
 	optRouted := make([]bool, len(tr.Events))
 	meshRouted := make([]bool, len(tr.Events))
 	for i := range tr.Events {

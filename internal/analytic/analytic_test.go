@@ -259,10 +259,10 @@ func TestFaultedEstimateNotBelowHealthy(t *testing.T) {
 	}
 }
 
-// TestEstimateConcurrent hammers the shared probe cache from many
-// goroutines mixing kinds and configs: results must match the serial
-// answers, and the race detector checks the entry locking around the
-// probes' internal serialization-table memoization.
+// TestEstimateConcurrent runs Estimate from many goroutines mixing kinds and
+// configs: results must match the serial answers, and the race detector
+// checks that calls share nothing — each builds, queries and drops its own
+// probe (probes memoize serialization tables while answering).
 func TestEstimateConcurrent(t *testing.T) {
 	tr := hotspotTrace(16, 8)
 	kinds := allKinds()

@@ -28,6 +28,16 @@ const (
 	NetHybrid NetworkKind = "hybrid"
 )
 
+// Valid reports whether k names a fabric: the one list of kinds a flag, a
+// request field, a config document or a sweep axis is checked against.
+func (k NetworkKind) Valid() bool {
+	switch k {
+	case NetElectrical, NetOptical, NetIdeal, NetHybrid:
+		return true
+	}
+	return false
+}
+
 // Config is the root configuration object.
 type Config struct {
 	// Name labels the experiment in reports.
@@ -416,15 +426,8 @@ func Default() Config {
 
 // isSquare reports whether n is a positive perfect square.
 func isSquare(n int) bool {
-	if n <= 0 {
-		return false
-	}
-	for r := 1; r*r <= n; r++ {
-		if r*r == n {
-			return true
-		}
-	}
-	return false
+	w := GridWidth(n)
+	return n > 0 && w*w == n
 }
 
 // isPow2 reports whether n is a positive power of two.
@@ -530,9 +533,7 @@ func (c *Config) Validate() error {
 	default:
 		return fmt.Errorf("config: unknown workload kind %q", w.Kind)
 	}
-	switch c.Network {
-	case NetElectrical, NetOptical, NetIdeal, NetHybrid:
-	default:
+	if !c.Network.Valid() {
 		return fmt.Errorf("config: unknown network %q", c.Network)
 	}
 	t := &c.SCTM
@@ -595,12 +596,17 @@ func (c *Config) Validate() error {
 }
 
 // MeshWidth returns the edge length of the square core grid.
-func (c *Config) MeshWidth() int {
-	r := 1
-	for r*r < c.System.Cores {
-		r++
+func (c *Config) MeshWidth() int { return GridWidth(c.System.Cores) }
+
+// GridWidth returns the edge length of the smallest square grid that holds
+// nodes: the layout every mesh-shaped model (router grid, hybrid distance
+// rule, traffic patterns, analytic link walk) places its nodes on.
+func GridWidth(nodes int) int {
+	w := 1
+	for w*w < nodes {
+		w++
 	}
-	return r
+	return w
 }
 
 // MaxCyclesOrDefault returns the simulation cycle bound, substituting a

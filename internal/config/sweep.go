@@ -100,9 +100,7 @@ func (s Sweep) Validate() error {
 		return fmt.Errorf("config: sweep has an empty axis (normalize first, or fill networks/cores/wavelengths/faults/kernels)")
 	}
 	for _, k := range s.Networks {
-		switch k {
-		case NetElectrical, NetOptical, NetIdeal, NetHybrid:
-		default:
+		if !k.Valid() {
 			return fmt.Errorf("config: sweep network %q unknown", k)
 		}
 	}

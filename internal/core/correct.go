@@ -115,14 +115,6 @@ type ParkState struct {
 	cycles     sim.Tick
 }
 
-// Rounds reports how many correction rounds completed before the park.
-func (p *ParkState) Rounds() int {
-	if p == nil {
-		return 0
-	}
-	return len(p.iterations)
-}
-
 // Correct runs the self-correction fixpoint over a trace.Source — seeding,
 // schedule derivation and every replay round read the source, so a
 // file-backed trace is never materialized — with each round's replay split

@@ -83,8 +83,8 @@ func TestSelfCorrectParkedPrefixMatchesFullRun(t *testing.T) {
 		if parked.Converged {
 			t.Fatalf("%s: parked run claims convergence", name)
 		}
-		if len(parked.Iterations) != parkAfter || state.Rounds() != parkAfter {
-			t.Fatalf("%s: parked after %d rounds (state: %d), want %d", name, len(parked.Iterations), state.Rounds(), parkAfter)
+		if len(parked.Iterations) != parkAfter || len(state.iterations) != parkAfter {
+			t.Fatalf("%s: parked after %d rounds (state: %d), want %d", name, len(parked.Iterations), len(state.iterations), parkAfter)
 		}
 		if !reflect.DeepEqual(parked.Iterations, full.Iterations[:parkAfter]) {
 			t.Fatalf("%s: parked trajectory diverged:\n got %+v\nwant %+v", name, parked.Iterations, full.Iterations[:parkAfter])

@@ -46,8 +46,8 @@ func TestResumeCompletesIdenticalToUninterrupted(t *testing.T) {
 			if state == nil {
 				t.Fatal("parked run returned no resume state")
 			}
-			if state.Rounds() != parkAfter {
-				t.Fatalf("state.Rounds() = %d, want %d", state.Rounds(), parkAfter)
+			if len(state.iterations) != parkAfter {
+				t.Fatalf("state holds %d rounds, want %d", len(state.iterations), parkAfter)
 			}
 			if len(parked.Iterations) != parkAfter {
 				t.Fatalf("parked after %d rounds, want %d", len(parked.Iterations), parkAfter)

@@ -163,9 +163,8 @@ type bank struct {
 	barriers map[uint64]*barrierState
 
 	// Stats.
-	Transactions uint64
-	Recalls      uint64
-	InvRounds    uint64
+	Recalls   uint64
+	InvRounds uint64
 }
 
 func newBank(id int, sys *System) *bank {
@@ -237,7 +236,6 @@ func (b *bank) handleRequest(am arrivedMsg) {
 func (b *bank) startRequest(e *dirEntry, am arrivedMsg) {
 	m := am.msg
 	line, c := m.line, m.core
-	b.Transactions++
 	reqDep := trace.Dep{On: m.traceID, Class: trace.DepCausal}
 	switch e.state {
 	case dirUncached:

@@ -47,9 +47,8 @@ type core struct {
 	busyUntil sim.Tick
 	l1        *l1Cache
 
-	// pendingLine/pendingWrite describe the in-flight miss.
-	pendingLine  uint64
-	pendingWrite bool
+	// pendingLine is the line of the in-flight miss.
+	pendingLine uint64
 
 	// lastUnblock anchors program-order dependencies: the trace event
 	// whose arrival most recently allowed this core to proceed, and when.
@@ -175,7 +174,6 @@ func (c *core) startMiss(line uint64, write bool) {
 	deps, depTime := c.progDep()
 	c.sys.sendFromCore(c, &protoMsg{typ: typ, line: line, core: c.id}, deps, depTime)
 	c.pendingLine = line
-	c.pendingWrite = write
 	c.setState(coreWaitMem)
 }
 

@@ -60,8 +60,6 @@ type System struct {
 	// a small discrete-event simulation riding on the synchronous tick
 	// loop (RunUntil flushes the events due each cycle).
 	eng *sim.Engine
-
-	lineBits uint
 }
 
 // NewSystem builds a chip from a validated config, per-core programs, and a
@@ -73,15 +71,11 @@ func NewSystem(cfg config.Config, programs []Program, net noc.Network, rec *trac
 	if net.Nodes() != cfg.System.Cores {
 		return nil, fmt.Errorf("cpu: fabric has %d nodes, system has %d cores", net.Nodes(), cfg.System.Cores)
 	}
-	lb := uint(0)
-	for 1<<lb < cfg.System.L1LineBytes {
-		lb++
-	}
 	memTiles, err := memControllerTiles(&cfg)
 	if err != nil {
 		return nil, err
 	}
-	s := &System{cfg: cfg, net: net, nodes: cfg.System.Cores, rec: rec, lineBits: lb, eng: sim.NewEngine(), memTiles: memTiles}
+	s := &System{cfg: cfg, net: net, nodes: cfg.System.Cores, rec: rec, eng: sim.NewEngine(), memTiles: memTiles}
 	s.runningInRange = make([]int, (cfg.System.Cores+coreRangeSize-1)>>coreRangeShift)
 	for i, p := range programs {
 		if err := p.Validate(); err != nil {
@@ -257,9 +251,8 @@ func (s *System) tick() {
 type RunResult struct {
 	// Makespan is the cycle the last core finished its program.
 	Makespan sim.Tick
-	// DrainTime is when the last in-flight message retired.
-	DrainTime sim.Tick
-	// Cycles is the number of simulated cycles (equals DrainTime).
+	// Cycles is the number of simulated cycles: when the last in-flight
+	// message retired.
 	Cycles sim.Tick
 	// Messages is the total fabric message count.
 	Messages uint64
@@ -339,10 +332,9 @@ func (s *System) Run(maxCycles int64) (RunResult, error) {
 		}
 	}
 	return RunResult{
-		Makespan:  makespan,
-		DrainTime: s.now,
-		Cycles:    s.now,
-		Messages:  s.msgID,
+		Makespan: makespan,
+		Cycles:   s.now,
+		Messages: s.msgID,
 	}, nil
 }
 

@@ -48,10 +48,10 @@ func (n *Network) newPacket(m *noc.Message) *packet {
 		p := n.pktFree[l-1]
 		n.pktFree[l-1] = nil
 		n.pktFree = n.pktFree[:l-1]
-		*p = packet{msg: m, nflits: flitsFor(m.Bytes, n.cfg.FlitBytes)}
+		*p = packet{msg: m, nflits: FlitsFor(m.Bytes, n.cfg.FlitBytes)}
 		return p
 	}
-	return &packet{msg: m, nflits: flitsFor(m.Bytes, n.cfg.FlitBytes)}
+	return &packet{msg: m, nflits: FlitsFor(m.Bytes, n.cfg.FlitBytes)}
 }
 
 // nodeSet is a set of node ids. Walking it with next visits members in
@@ -76,10 +76,7 @@ func (s nodeSet) next(id int) int {
 // New builds a width×width mesh where width² equals nodes. It panics on a
 // non-square node count, matching the config validation contract.
 func New(nodes int, cfg config.Mesh) *Network {
-	width := 1
-	for width*width < nodes {
-		width++
-	}
+	width := config.GridWidth(nodes)
 	if width*width != nodes {
 		panic(fmt.Sprintf("enoc: %d nodes is not a perfect square", nodes))
 	}
@@ -302,7 +299,7 @@ func (n *Network) ZeroLoadLatency(src, dst, bytes int) sim.Tick {
 		}
 	}
 	hops := hx + hy
-	nflits := flitsFor(bytes, n.cfg.FlitBytes)
+	nflits := FlitsFor(bytes, n.cfg.FlitBytes)
 	return sim.Tick(hops+1)*sim.Tick(n.cfg.RouterStages) + sim.Tick(hops)*sim.Tick(n.cfg.LinkCycles) + sim.Tick(nflits)
 }
 

@@ -278,8 +278,8 @@ func TestFlitsFor(t *testing.T) {
 		{0, 16, 1}, {1, 16, 1}, {16, 16, 1}, {17, 16, 2}, {64, 16, 4}, {65, 16, 5},
 	}
 	for _, c := range cases {
-		if got := flitsFor(c.bytes, c.flit); got != c.want {
-			t.Errorf("flitsFor(%d,%d) = %d, want %d", c.bytes, c.flit, got, c.want)
+		if got := FlitsFor(c.bytes, c.flit); got != c.want {
+			t.Errorf("FlitsFor(%d,%d) = %d, want %d", c.bytes, c.flit, got, c.want)
 		}
 	}
 }

@@ -37,8 +37,8 @@ type flit struct {
 	isTail  bool
 }
 
-// flitsFor computes the flit count for a payload size given the link width.
-func flitsFor(bytes, flitBytes int) int {
+// FlitsFor computes the flit count for a payload size given the link width.
+func FlitsFor(bytes, flitBytes int) int {
 	if bytes <= 0 {
 		return 1
 	}

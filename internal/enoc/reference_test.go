@@ -157,7 +157,7 @@ func (n *refNetwork) Inject(m *noc.Message) {
 		n.selfQ = append(n.selfQ, selfMsg{at: n.now + 1, msg: m})
 		return
 	}
-	n.nis[m.Src].enqueue(&packet{msg: m, nflits: flitsFor(m.Bytes, n.cfg.FlitBytes)})
+	n.nis[m.Src].enqueue(&packet{msg: m, nflits: FlitsFor(m.Bytes, n.cfg.FlitBytes)})
 }
 
 func (n *refNetwork) Tick() {

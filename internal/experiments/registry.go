@@ -10,21 +10,6 @@ import (
 	"onocsim/internal/metrics"
 )
 
-// CostClass coarsely ranks an experiment's simulation cost: the service prices
-// an experiment request's admission by it, and `expreport -list` surfaces it
-// so users can budget a run.
-type CostClass string
-
-const (
-	// CostLight experiments are analytic or near-instant (no full-system
-	// simulation).
-	CostLight CostClass = "light"
-	// CostMedium experiments run a handful of simulations.
-	CostMedium CostClass = "medium"
-	// CostHeavy experiments sweep many full-system simulations.
-	CostHeavy CostClass = "heavy"
-)
-
 // Descriptor declares one experiment: identity, prose, cost, and how to run
 // it. The registry of descriptors is the single source All, `-exp`
 // resolution, `-list`, and the renderers iterate — adding an experiment is
@@ -36,8 +21,11 @@ type Descriptor struct {
 	Title string
 	// Summary is a one-line description for listings.
 	Summary string
-	// CostClass coarsely ranks the experiment's simulation cost.
-	CostClass CostClass
+	// CostClass coarsely ranks the experiment's simulation cost — light:
+	// analytic or near-instant, medium: a handful of simulations, heavy: a
+	// sweep of full-system simulations. The service admits an experiment
+	// request at this class and `expreport -list` prints it.
+	CostClass onocsim.SlotClass
 	// Run produces the experiment's table.
 	Run func(context.Context, Options) (*metrics.Table, error)
 }
@@ -49,140 +37,140 @@ var registry = []Descriptor{
 		ID:        "r1",
 		Title:     "Accuracy of trace methodologies vs execution-driven ONOC simulation",
 		Summary:   "headline accuracy: naive replay, SCTM and coupled replay vs ground truth, per kernel",
-		CostClass: CostHeavy,
+		CostClass: onocsim.SlotHeavy,
 		Run:       R1Accuracy,
 	},
 	{
 		ID:        "r2",
 		Title:     "Simulation cost (host milliseconds)",
 		Summary:   "host wall-clock of each methodology and SCTM's speedup over execution-driven",
-		CostClass: CostHeavy,
+		CostClass: onocsim.SlotHeavy,
 		Run:       R2SimTime,
 	},
 	{
 		ID:        "r3",
 		Title:     "Self-correction convergence (one series per kernel)",
 		Summary:   "per-round schedule delta and makespan error of the correction loop",
-		CostClass: CostMedium,
+		CostClass: onocsim.SlotMedium,
 		Run:       R3Convergence,
 	},
 	{
 		ID:        "r4",
 		Title:     "Load vs latency, electrical mesh vs optical crossbar",
 		Summary:   "synthetic traffic sweeps on both fabrics",
-		CostClass: CostMedium,
+		CostClass: onocsim.SlotMedium,
 		Run:       R4LoadLatency,
 	},
 	{
 		ID:        "r5",
 		Title:     "Case study: application completion time, electrical vs optical",
 		Summary:   "kernel completion time execution-driven on both fabrics",
-		CostClass: CostMedium,
+		CostClass: onocsim.SlotMedium,
 		Run:       R5CaseStudy,
 	},
 	{
 		ID:        "r6",
 		Title:     "Network power (mW) over kernel workloads",
 		Summary:   "static/dynamic power breakdown per kernel and fabric",
-		CostClass: CostMedium,
+		CostClass: onocsim.SlotMedium,
 		Run:       R6Power,
 	},
 	{
 		ID:        "r7",
 		Title:     "SCTM scalability with core count (stencil kernel)",
 		Summary:   "SCTM error and cost versus core count",
-		CostClass: CostHeavy,
+		CostClass: onocsim.SlotHeavy,
 		Run:       R7Scaling,
 	},
 	{
 		ID:        "r8",
 		Title:     "Why dependencies matter: SCTM error with dependency classes ablated",
 		Summary:   "correction accuracy with sync or causal edges disabled",
-		CostClass: CostMedium,
+		CostClass: onocsim.SlotMedium,
 		Run:       R8Ablation,
 	},
 	{
 		ID:        "r9",
 		Title:     "MWSR vs SWMR optical crossbar (extension)",
 		Summary:   "token-arbitrated vs broadcast crossbar on makespan and power",
-		CostClass: CostMedium,
+		CostClass: onocsim.SlotMedium,
 		Run:       R9Architectures,
 	},
 	{
 		ID:        "r10",
 		Title:     "SCTM accuracy vs capture fabric (extension)",
 		Summary:   "sensitivity of the correction to the fabric the trace was captured on",
-		CostClass: CostMedium,
+		CostClass: onocsim.SlotMedium,
 		Run:       R10CaptureFabric,
 	},
 	{
 		ID:        "r11",
 		Title:     "Correction-loop damping sweep (extension)",
 		Summary:   "rounds to convergence and final error across damping factors",
-		CostClass: CostMedium,
+		CostClass: onocsim.SlotMedium,
 		Run:       R11Damping,
 	},
 	{
 		ID:        "r12",
 		Title:     "Path-adaptive hybrid NoC (extension)",
 		Summary:   "makespan versus the optical-distance threshold of the hybrid fabric",
-		CostClass: CostMedium,
+		CostClass: onocsim.SlotMedium,
 		Run:       R12Hybrid,
 	},
 	{
 		ID:        "r13",
 		Title:     "Photonic loss-budget sensitivity (extension)",
 		Summary:   "laser power versus waveguide/ring losses and node count (analytic)",
-		CostClass: CostLight,
+		CostClass: onocsim.SlotLight,
 		Run:       R13Photonics,
 	},
 	{
 		ID:        "r14",
 		Title:     "Core-speed what-if from one trace (extension)",
 		Summary:   "scaled-gap prediction from one capture vs re-simulated ground truth",
-		CostClass: CostMedium,
+		CostClass: onocsim.SlotMedium,
 		Run:       R14WhatIf,
 	},
 	{
 		ID:        "r15",
 		Title:     "Fabric league table (extension)",
 		Summary:   "every kernel on all six fabrics, execution-driven",
-		CostClass: CostHeavy,
+		CostClass: onocsim.SlotHeavy,
 		Run:       R15League,
 	},
 	{
 		ID:        "r16",
 		Title:     "Seed sensitivity of methodology accuracy (extension)",
 		Summary:   "accuracy mean ± 95% CI across independent seeds with compute jitter",
-		CostClass: CostHeavy,
+		CostClass: onocsim.SlotHeavy,
 		Run:       R16Seeds,
 	},
 	{
 		ID:        "r17",
 		Title:     "Memory-bound traffic and the optical advantage (extension)",
 		Summary:   "optical:electrical ratio in cache-resident vs memory-bound regimes",
-		CostClass: CostMedium,
+		CostClass: onocsim.SlotMedium,
 		Run:       R17Memory,
 	},
 	{
 		ID:        "r18",
 		Title:     "Fault injection: degraded throughput and self-correction accuracy (extension)",
 		Summary:   "truth slowdown and replay accuracy under the fault presets, with event counters",
-		CostClass: CostMedium,
+		CostClass: onocsim.SlotMedium,
 		Run:       R18Faults,
 	},
 	{
 		ID:        "r19",
 		Title:     "Analytical fast path: seeding savings and screening error (extension)",
 		Summary:   "self-correction rounds and wall clock under analytic vs zero-load seeding, plus closed-form error bands",
-		CostClass: CostMedium,
+		CostClass: onocsim.SlotMedium,
 		Run:       R19Seeding,
 	},
 	{
 		ID:        "r20",
 		Title:     "Design-space sweep: Pareto front over latency, throughput and power (extension)",
 		Summary:   "fabric x radix x WDM x faults x kernel grid through the job pipeline, analytically prefiltered, reduced to Pareto fronts",
-		CostClass: CostHeavy,
+		CostClass: onocsim.SlotHeavy,
 		Run:       R20DesignSpace,
 	},
 }

@@ -61,10 +61,7 @@ func New(nodes int, mesh config.Mesh, optical config.Optical, threshold int) *Ne
 // lightpaths blacklisted by laser droop (DerateFactor > 1) fall back to the
 // electrical mesh instead of limping along at reduced rate.
 func NewWithFaults(nodes int, mesh config.Mesh, optical config.Optical, threshold int, faults config.Faults, seed uint64) *Network {
-	width := 1
-	for width*width < nodes {
-		width++
-	}
+	width := config.GridWidth(nodes)
 	if width*width != nodes {
 		panic(fmt.Sprintf("hybrid: %d nodes is not a perfect square", nodes))
 	}

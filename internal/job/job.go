@@ -1,18 +1,16 @@
-// Package job defines the one typed request shape every front end routes
-// through. Before it existed the same triple — an operation, a validated
-// config, a fabric kind — was re-expressed independently by the onocsim CLI's
-// mode switch, the onocsimd service's request decoding and admission pricing,
-// and the batch consumers that want to enqueue hundreds of runs at once. A
-// Job names that triple once; a Runner executes it through a shared Session
-// (memoization, single-flight dedup, disk layer) and returns both the
-// rendered table the front ends print and the typed result values batch
-// consumers (the design-space sweep) aggregate.
+// Package job defines the one typed request shape for one simulation. Before
+// it existed the same triple — an operation, a validated config, a fabric
+// kind — was re-expressed independently by the onocsim CLI's mode switch, the
+// onocsimd service's request decoding and admission pricing, and the batch
+// consumers that want to enqueue hundreds of runs at once. A Job names that
+// triple once; New builds it from a front end's words; a Runner executes it
+// through a shared Session (memoization, single-flight dedup, disk layer) and
+// returns both the rendered table the front ends print and the typed result
+// values batch consumers aggregate.
 //
-// The package deliberately does not import internal/experiments: experiment
-// jobs carry their registry id and cost class as data, and the caller that
-// owns the registry (the service) injects the dispatch function. That keeps
-// the dependency arrow pointing one way — experiments may build on jobs (R20
-// runs a sweep of them) without the pipeline depending on the registry.
+// A job is exactly one simulation. The two batches — a registry experiment
+// and a design-space sweep — are consumers of this package (a sweep arm is a
+// Job; experiments call the Session directly), not operations of it.
 package job
 
 import (
@@ -40,9 +38,6 @@ const (
 	// OpEstimate prices the config's kernel trace on the target fabric with
 	// the closed-form contention model.
 	OpEstimate Op = "estimate"
-	// OpExperiment runs one registry experiment (Job.Experiment names it);
-	// dispatch is injected via Runner.Experiment.
-	OpExperiment Op = "experiment"
 )
 
 // Job is one typed simulation request: the single shape CLI flags, service
@@ -50,16 +45,10 @@ const (
 type Job struct {
 	// Op selects the operation.
 	Op Op
-	// Config is the full validated configuration. Unused for OpExperiment.
+	// Config is the full validated configuration.
 	Config onocsim.Config
-	// Kind is the target fabric. Unused for OpExperiment.
+	// Kind is the target fabric.
 	Kind onocsim.NetworkKind
-	// Experiment is the registry id ("r1") for OpExperiment.
-	Experiment string
-	// Cost is the experiment's registry cost class ("light", "medium",
-	// "heavy") for admission pricing; empty prices as medium. Simulation
-	// ops ignore it — their op implies the class.
-	Cost string
 	// TracePath optionally replaces the config's captured kernel trace with
 	// a stored binary trace file, streamed out-of-core and keyed by content
 	// digest (OpCorrect only). This is how the service runs big tenant
@@ -67,64 +56,49 @@ type Job struct {
 	TracePath string
 }
 
+// New builds the job a front end's request describes. op and network arrive
+// as the request's own words (a flag, a JSON field); an empty network keeps
+// the config document's own. tracePath is empty unless a stored trace replaces
+// the captured one. This is the one place those words are checked, so every
+// front end that builds its job here answers the same document the same way.
+func New(op, network string, cfg onocsim.Config, tracePath string) (Job, error) {
+	if network != "" {
+		cfg.Network = onocsim.NetworkKind(network)
+	}
+	j := Job{Op: Op(op), Config: cfg, Kind: cfg.Network, TracePath: tracePath}
+	return j, j.Validate()
+}
+
 // Validate checks the job is executable before any admission or simulation
 // is paid for.
 func (j Job) Validate() error {
 	switch j.Op {
-	case OpExperiment:
-		if j.Experiment == "" {
-			return fmt.Errorf("job: experiment op without an experiment id")
-		}
-		return nil
 	case OpExec, OpStudy, OpCorrect, OpEstimate:
-		if j.TracePath != "" && j.Op != OpCorrect {
-			return fmt.Errorf("job: trace path is only supported by op correct (got %q)", j.Op)
-		}
-		return onocsim.ValidateNetworkKind(j.Config, j.Kind)
 	default:
-		return fmt.Errorf("job: unknown op %q", j.Op)
+		return fmt.Errorf("job: unknown op %q (want exec, study, correct or estimate)", j.Op)
 	}
+	if j.TracePath != "" && j.Op != OpCorrect {
+		return fmt.Errorf("job: trace path is only supported by op correct (got %q)", j.Op)
+	}
+	return onocsim.ValidateNetworkKind(j.Config, j.Kind)
 }
 
-// Admission prices the job for a SlotScheduler: the class and cost units one
-// admission Acquire should claim. The weights are deliberately coarse — they
-// keep a burst of heavy sweeps from monopolizing a budget, not model cost
-// precisely. Experiment jobs are priced by their registry cost class.
+// Admission prices the job for a SlotScheduler: the class its operation
+// implies and the units one admission Acquire of that class claims.
 func (j Job) Admission() (onocsim.SlotClass, int) {
-	if j.Op == OpExperiment {
-		return AdmissionForCost(j.Cost)
-	}
+	class := onocsim.SlotMedium // exec, correct
 	switch j.Op {
 	case OpStudy:
-		return onocsim.SlotHeavy, 4
+		class = onocsim.SlotHeavy
 	case OpEstimate:
-		return onocsim.SlotLight, 1
-	default: // exec, correct
-		return onocsim.SlotMedium, 2
+		class = onocsim.SlotLight
 	}
-}
-
-// AdmissionForCost maps a registry cost class name to admission pricing.
-func AdmissionForCost(cost string) (onocsim.SlotClass, int) {
-	switch cost {
-	case "light":
-		return onocsim.SlotLight, 1
-	case "heavy":
-		return onocsim.SlotHeavy, 4
-	default:
-		return onocsim.SlotMedium, 2
-	}
+	return class, class.Units()
 }
 
 // Fingerprint returns the job config's canonical fingerprint — the identity
-// the service reports in result envelopes. Empty for experiment jobs, whose
-// identity is the registry id.
-func (j Job) Fingerprint() (string, error) {
-	if j.Op == OpExperiment {
-		return "", nil
-	}
-	return j.Config.Fingerprint()
-}
+// the service reports in result envelopes.
+func (j Job) Fingerprint() (string, error) { return j.Config.Fingerprint() }
 
 // Result is one executed job: the rendered table both front ends print,
 // plus the typed values batch consumers aggregate without re-parsing cells.
@@ -158,58 +132,41 @@ type Result struct {
 	TraceBytes  int64
 }
 
-// ExperimentFunc dispatches one OpExperiment job; the service wires it to
-// the experiment registry.
-type ExperimentFunc func(ctx context.Context, id string) (*metrics.Table, error)
-
 // Runner executes jobs through one shared session.
 type Runner struct {
 	// Session memoizes and single-flights simulations. Session methods are
 	// nil-safe, so a nil session runs every job uncached — the same
-	// degradation the rest of the library offers. OpExperiment only needs
-	// Experiment.
+	// degradation the rest of the library offers.
 	Session *onocsim.Session
-	// Experiment runs OpExperiment jobs; nil rejects them.
-	Experiment ExperimentFunc
 }
 
-// Run executes one job. Deduplicated flights self-heal: when the job is
-// deduplicated onto another caller's in-flight computation and that caller
-// disconnects (killing the flight with a cancellation or a park), the
-// still-live job retries the — now vacant — flight itself, up to twice; a
-// retried correction resumes from the parked run's stashed state rather
-// than from scratch. A park caused by this job's own lifecycle (context
-// ended) is terminal and returns the partial result with status "parked".
+// Run executes one job. A park caused by this job's own lifecycle (its
+// context ended mid-correction) is not an error: the partial trajectory comes
+// back with status "parked". A flight that died of another caller's
+// cancellation never reaches here — the session retries it (see
+// onocsim.Session).
 func (r *Runner) Run(ctx context.Context, j Job) (Result, error) {
 	if err := j.Validate(); err != nil {
 		return Result{}, err
 	}
 	start := time.Now()
-	for attempt := 0; ; attempt++ {
-		res, err := r.runOnce(ctx, j)
-		if err == nil {
-			res.Status = "ok"
-			res.Elapsed = time.Since(start)
-			return res, nil
-		}
-		if errors.Is(err, onocsim.ErrParked) && res.Table != nil {
-			// This job's own computation parked and carried its partial
-			// trajectory out; report it rather than retrying a dying run.
-			res.Status = "parked"
-			res.Elapsed = time.Since(start)
-			return res, nil
-		}
-		retryable := errors.Is(err, context.Canceled) || errors.Is(err, onocsim.ErrParked)
-		if !retryable || attempt >= 2 || ctx.Err() != nil {
-			return Result{}, err
-		}
+	res, err := r.dispatch(ctx, j)
+	switch {
+	case err == nil:
+		res.Status = "ok"
+	case errors.Is(err, onocsim.ErrParked) && res.Table != nil:
+		res.Status = "parked"
+	default:
+		return Result{}, err
 	}
+	res.Elapsed = time.Since(start)
+	return res, nil
 }
 
-// runOnce dispatches one attempt. For a parked correction with a non-empty
-// trajectory it returns the rendered partial table alongside the error, so
-// Run can distinguish "my own run parked" from "the flight I waited on died".
-func (r *Runner) runOnce(ctx context.Context, j Job) (Result, error) {
+// dispatch runs the job's operation. For a parked correction with a non-empty
+// trajectory it returns the rendered partial table alongside the error: only
+// the caller whose own computation parked gets one.
+func (r *Runner) dispatch(ctx context.Context, j Job) (Result, error) {
 	switch j.Op {
 	case OpExec:
 		res, err := r.Session.RunExecutionDrivenContext(ctx, j.Config, j.Kind)
@@ -256,16 +213,6 @@ func (r *Runner) runOnce(ctx context.Context, j Job) (Result, error) {
 			TraceEvents: len(res.Latency),
 			TraceBytes:  int64(res.Bytes),
 		}, nil
-
-	case OpExperiment:
-		if r.Experiment == nil {
-			return Result{}, fmt.Errorf("job: no experiment dispatcher installed")
-		}
-		t, err := r.Experiment(ctx, j.Experiment)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Table: t}, nil
 
 	default:
 		return Result{}, fmt.Errorf("job: unknown op %q", j.Op)

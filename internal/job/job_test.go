@@ -3,28 +3,62 @@ package job
 import (
 	"context"
 	"errors"
-	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"onocsim"
-	"onocsim/internal/metrics"
 )
 
 // An op arrives as a string (a flag, a request body) and becomes an Op by
-// conversion; Validate is what tells the five wire names from anything else.
+// conversion; Validate is what tells the four wire names from anything else —
+// a batch (an experiment, a sweep) is not an op.
 func TestParseOp(t *testing.T) {
-	for _, s := range []string{"exec", "study", "correct", "estimate", "experiment"} {
-		err := Job{Op: Op(s), Experiment: "r1"}.Validate()
+	for _, s := range []string{"exec", "study", "correct", "estimate"} {
+		err := Job{Op: Op(s)}.Validate()
 		if err != nil && strings.Contains(err.Error(), "unknown op") {
 			t.Fatalf("op %q not recognised: %v", s, err)
 		}
 	}
-	if err := (Job{Op: Op("teleport")}).Validate(); err == nil {
-		t.Fatal("unknown op accepted")
+	for _, s := range []string{"teleport", "experiment", "sweep", ""} {
+		if err := (Job{Op: Op(s)}).Validate(); err == nil || !strings.Contains(err.Error(), "unknown op") {
+			t.Fatalf("op %q: err = %v, want unknown op", s, err)
+		}
 	}
 }
+
+// New is the one place a front end's words become a job: an empty network
+// keeps the document's own, a given one overrides it (in the config too, so a
+// dump or a fingerprint shows what ran), and a bad word is refused here.
+func TestNew(t *testing.T) {
+	cfg := onocsim.DefaultConfig()
+	cfg.Network = onocsim.Electrical
+	j, err := New("correct", "", cfg, "")
+	if err != nil || j.Op != OpCorrect || j.Kind != onocsim.Electrical || j.Config.Network != onocsim.Electrical {
+		t.Fatalf("no override: %+v, %v; want the document's electrical", j.Kind, err)
+	}
+	j, err = New("exec", "optical", cfg, "")
+	if err != nil || j.Kind != onocsim.Optical || j.Config.Network != onocsim.Optical {
+		t.Fatalf("override: kind %s, config network %s, %v; want optical in both", j.Kind, j.Config.Network, err)
+	}
+	if j, err = New("correct", "", cfg, "t.sctm"); err != nil || j.TracePath != "t.sctm" {
+		t.Fatalf("trace path: %q, %v", j.TracePath, err)
+	}
+	bad := cfg
+	bad.System.Cores = 7
+	for name, err := range map[string]error{
+		"unknown op":      second(New("teleport", "", cfg, "")),
+		"unknown network": second(New("exec", "quantum", cfg, "")),
+		"trace path":      second(New("exec", "", cfg, "t.sctm")),
+		"system.cores":    second(New("exec", "", bad, "")),
+	} {
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s: err = %v", name, err)
+		}
+	}
+}
+
+func second(_ Job, err error) error { return err }
 
 func TestAdmissionPricing(t *testing.T) {
 	cases := []struct {
@@ -36,16 +70,11 @@ func TestAdmissionPricing(t *testing.T) {
 		{Job{Op: OpEstimate}, onocsim.SlotLight, 1},
 		{Job{Op: OpExec}, onocsim.SlotMedium, 2},
 		{Job{Op: OpCorrect}, onocsim.SlotMedium, 2},
-		{Job{Op: OpExperiment, Cost: "light"}, onocsim.SlotLight, 1},
-		{Job{Op: OpExperiment, Cost: "heavy"}, onocsim.SlotHeavy, 4},
-		{Job{Op: OpExperiment, Cost: "medium"}, onocsim.SlotMedium, 2},
-		{Job{Op: OpExperiment}, onocsim.SlotMedium, 2},
 	}
 	for _, tc := range cases {
 		class, units := tc.job.Admission()
-		if class != tc.class || units != tc.units {
-			t.Errorf("%s/%s: admission %v/%d, want %v/%d",
-				tc.job.Op, tc.job.Cost, class, units, tc.class, tc.units)
+		if class != tc.class || units != tc.units || units != class.Units() {
+			t.Errorf("%s: admission %v/%d, want %v/%d", tc.job.Op, class, units, tc.class, tc.units)
 		}
 	}
 }
@@ -62,7 +91,6 @@ func TestValidate(t *testing.T) {
 		job  Job
 		want string
 	}{
-		{"experiment without id", Job{Op: OpExperiment}, "experiment id"},
 		{"trace path on exec", Job{Op: OpExec, Config: cfg, Kind: onocsim.Optical, TracePath: "t.bin"}, "trace path"},
 		{"unknown op", Job{Op: "teleport"}, "unknown op"},
 	}
@@ -80,10 +108,9 @@ func TestFingerprint(t *testing.T) {
 	if err != nil || fp == "" {
 		t.Fatalf("Fingerprint() = %q, %v", fp, err)
 	}
-	// Experiment identity is the registry id, not a config digest.
-	fp, err = (Job{Op: OpExperiment, Experiment: "r1"}).Fingerprint()
-	if err != nil || fp != "" {
-		t.Fatalf("experiment fingerprint = %q, %v, want empty", fp, err)
+	want, _ := cfg.Fingerprint()
+	if fp != want {
+		t.Fatalf("Fingerprint() = %q, want the config's %q", fp, want)
 	}
 }
 
@@ -194,30 +221,12 @@ func TestTraceAccountingMatchesTheTrace(t *testing.T) {
 }
 
 // A sessionless runner degrades to uncached execution — the same nil-safety
-// the Session methods themselves offer — while an experiment job without an
-// installed dispatcher is a wiring error.
+// the Session methods themselves offer.
 func TestRunnerNilWiring(t *testing.T) {
 	r := &Runner{}
 	res, err := r.Run(context.Background(), smallJob(OpExec))
 	if err != nil || res.Truth == nil {
 		t.Fatalf("sessionless simulation: %+v, %v", res, err)
-	}
-	if _, err := r.Run(context.Background(), Job{Op: OpExperiment, Experiment: "r1"}); err == nil {
-		t.Fatal("experiment without dispatcher accepted")
-	}
-}
-
-func TestRunnerExperimentDispatch(t *testing.T) {
-	want := metrics.NewTable("stub", "col")
-	r := &Runner{Experiment: func(_ context.Context, id string) (*metrics.Table, error) {
-		if id != "r1" {
-			return nil, fmt.Errorf("unexpected id %q", id)
-		}
-		return want, nil
-	}}
-	res, err := r.Run(context.Background(), Job{Op: OpExperiment, Experiment: "r1", Cost: "light"})
-	if err != nil || res.Table != want {
-		t.Fatalf("dispatch: table %v, err %v", res.Table, err)
 	}
 }
 

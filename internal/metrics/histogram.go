@@ -77,12 +77,6 @@ func (h *Histogram) Max() float64 { return h.sum.Max() }
 // Summary returns a copy of the exact streaming summary.
 func (h *Histogram) Summary() Summary { return h.sum }
 
-// Bucket returns the count of bucket i (0 ≤ i ≤ len(bounds)).
-func (h *Histogram) Bucket(i int) uint64 { return h.counts[i] }
-
-// NumBuckets returns the number of buckets including overflow.
-func (h *Histogram) NumBuckets() int { return len(h.counts) }
-
 // ApproxPercentile estimates the p-th percentile from bucket boundaries,
 // attributing each bucket's mass to its upper bound (conservative for
 // latency SLO-style reporting).

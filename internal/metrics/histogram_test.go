@@ -15,15 +15,15 @@ func TestHistogramBuckets(t *testing.T) {
 	// [30,inf): 30, 100 → 2.
 	want := []uint64{2, 2, 1, 2}
 	for i, w := range want {
-		if h.Bucket(i) != w {
-			t.Fatalf("bucket %d = %d, want %d", i, h.Bucket(i), w)
+		if h.counts[i] != w {
+			t.Fatalf("bucket %d = %d, want %d", i, h.counts[i], w)
 		}
 	}
 	if h.Count() != 7 {
 		t.Fatalf("count = %d", h.Count())
 	}
-	if h.NumBuckets() != 4 {
-		t.Fatalf("NumBuckets = %d", h.NumBuckets())
+	if len(h.counts) != 4 {
+		t.Fatalf("%d buckets, want 4 (three bounds plus overflow)", len(h.counts))
 	}
 }
 

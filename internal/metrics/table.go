@@ -224,10 +224,3 @@ func (t *Table) String() string {
 	_ = t.WriteASCII(&b)
 	return b.String()
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

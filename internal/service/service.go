@@ -20,13 +20,16 @@
 //	                              config.Sweep spec; empty body sweeps the
 //	                              default grid)
 //
-// Every request reduces to the typed internal/job pipeline: handlers decode
-// into a job.Job, price it with the job's admission class, and execute it
-// through one job.Runner over the shared session — the same path the onocsim
-// CLI takes, which is what keeps the two front ends' tables byte-identical.
-// A sweep expands into many jobs; its handler holds no admission units
-// itself — each arm admits individually, so a sweep's arms interleave fairly
-// with interactive requests instead of reserving the budget up front.
+// A simulate request is one job: the handler builds it with job.New — the
+// same call the onocsim CLI makes, which is what keeps the two front ends'
+// answers to one document identical — prices it with the job's admission
+// class, and executes it through one job.Runner over the shared session. The
+// other two POSTs are the batches, each handled by calling its package on the
+// shared session: an experiment (experiments.ByName, admitted at its registry
+// cost class) and a sweep (sweep.Run). A sweep expands into many jobs; its
+// handler holds no admission units itself — each arm admits individually, so
+// a sweep's arms interleave fairly with interactive requests instead of
+// reserving the budget up front.
 //
 // Any POST streams progress as Server-Sent Events when the client asks for
 // text/event-stream (Accept header or ?stream=sse): `event: progress` lines
@@ -124,19 +127,7 @@ func New(cfg Config) *Server {
 	}
 	s.drainCtx, s.drainCancel = context.WithCancelCause(context.Background())
 	s.session.SetProgress(s.hub)
-	s.runner = &job.Runner{
-		Session: s.session,
-		// The job pipeline must not depend on the registry (experiments
-		// build on jobs, not the reverse), so the dispatch is injected
-		// here, where both sides are visible.
-		Experiment: func(ctx context.Context, id string) (*metrics.Table, error) {
-			return experiments.ByName(ctx, id, experiments.Options{
-				Session:  s.session,
-				Quick:    s.quick,
-				Progress: s.hub,
-			})
-		},
-	}
+	s.runner = &job.Runner{Session: s.session}
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /v1/experiments", s.handleExperimentList)
@@ -294,7 +285,7 @@ func (s *Server) handleExperimentList(w http.ResponseWriter, r *http.Request) {
 	reg := experiments.Registry()
 	out := make([]experimentInfo, 0, len(reg))
 	for _, d := range reg {
-		out = append(out, experimentInfo{ID: d.ID, Title: d.Title, Summary: d.Summary, Cost: string(d.CostClass)})
+		out = append(out, experimentInfo{ID: d.ID, Title: d.Title, Summary: d.Summary, Cost: d.CostClass.String()})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	writeJSON(w, http.StatusOK, map[string]any{"version": ResponseVersion, "experiments": out})
@@ -306,19 +297,6 @@ type work struct {
 	class onocsim.SlotClass
 	units int
 	run   func(ctx context.Context) (any, error)
-}
-
-// jobWork is the work of one job: priced by the job, run through the shared
-// runner, answered with a result envelope.
-func (s *Server) jobWork(j job.Job, op, network, fingerprint string) work {
-	class, units := j.Admission()
-	return work{class, units, func(ctx context.Context) (any, error) {
-		res, err := s.runner.Run(ctx, j)
-		if err != nil {
-			return nil, err
-		}
-		return envelope(op, network, fingerprint, res.Status, res.Elapsed, res.Table)
-	}}
 }
 
 // post is the one POST pipeline: count the request, refuse it while draining
@@ -364,19 +342,25 @@ func (s *Server) compute(ctx context.Context, run func(context.Context) (any, er
 	return run(ctx)
 }
 
-// decodeExperiment resolves a registry experiment. Experiments are
-// cancellable at admission and between their leaf simulations (each queues on
-// the process-wide slot scheduler under the request context, and a correction
-// parks at its next round boundary), but any other leaf that is already
-// running completes.
+// decodeExperiment resolves a registry experiment, admitted at its registry
+// cost class. Experiments are cancellable at admission and between their leaf
+// simulations (each queues on the process-wide slot scheduler under the
+// request context, and a correction parks at its next round boundary), but
+// any other leaf that is already running completes.
 func (s *Server) decodeExperiment(_ http.ResponseWriter, r *http.Request) (work, error) {
 	id := r.PathValue("id")
 	d, ok := experiments.Lookup(id)
 	if !ok {
 		return work{}, &apiError{code: http.StatusNotFound, msg: fmt.Sprintf("unknown experiment %q", id)}
 	}
-	j := job.Job{Op: job.OpExperiment, Experiment: id, Cost: string(d.CostClass)}
-	return s.jobWork(j, "experiment:"+id, "", ""), nil
+	return work{d.CostClass, d.CostClass.Units(), func(ctx context.Context) (any, error) {
+		start := time.Now()
+		t, err := experiments.ByName(ctx, id, experiments.Options{Session: s.session, Quick: s.quick, Progress: s.hub})
+		if err != nil {
+			return nil, err
+		}
+		return envelope("experiment:"+id, "", "", "ok", time.Since(start), t)
+	}}, nil
 }
 
 // simulateRequest is the /v1/simulate body. Config is a full config
@@ -401,11 +385,6 @@ func (s *Server) decodeSimulate(w http.ResponseWriter, r *http.Request) (work, e
 	if err := dec.Decode(&req); err != nil {
 		return work{}, badRequestf("decode request: %v", err)
 	}
-	switch req.Op {
-	case "exec", "study", "correct", "estimate":
-	default:
-		return work{}, badRequestf("unknown op %q (want exec, study, correct or estimate)", req.Op)
-	}
 	cfg := onocsim.DefaultConfig()
 	if len(req.Config) > 0 {
 		var err error
@@ -414,36 +393,32 @@ func (s *Server) decodeSimulate(w http.ResponseWriter, r *http.Request) (work, e
 			return work{}, badRequestf("%v", err)
 		}
 	}
-	kind := cfg.Network
-	if req.Network != "" {
-		kind = onocsim.NetworkKind(req.Network)
-	}
-	cfg.Network = kind
-	j := job.Job{Op: job.Op(req.Op), Config: cfg, Kind: kind, TracePath: req.Trace}
-	if err := j.Validate(); err != nil {
+	j, err := job.New(req.Op, req.Network, cfg, req.Trace)
+	if err != nil {
 		return work{}, badRequestf("%v", err)
 	}
 	fp, err := j.Fingerprint()
 	if err != nil {
 		return work{}, err
 	}
-	return s.jobWork(j, req.Op, string(kind), fp), nil
+	class, units := j.Admission()
+	return work{class, units, func(ctx context.Context) (any, error) {
+		res, err := s.runner.Run(ctx, j)
+		if err != nil {
+			return nil, err
+		}
+		return envelope(string(j.Op), string(j.Kind), fp, res.Status, res.Elapsed, res.Table)
+	}}, nil
 }
 
-// sweepEnvelope is the /v1/sweeps result document. Front and Summary are
-// metrics.Table JSON — the same bytes `onocsim -mode sweep -format json`
-// embeds, since both front ends render through internal/sweep.
-type sweepEnvelope struct {
-	Version    int             `json:"version"`
-	Name       string          `json:"name"`
-	Status     string          `json:"status"`
-	ElapsedMS  int64           `json:"elapsed_ms"`
-	Arms       int             `json:"arms"`
-	UniqueJobs int             `json:"unique_jobs"`
-	Pruned     int             `json:"pruned"`
-	Simulated  int             `json:"simulated"`
-	Front      json.RawMessage `json:"front"`
-	Summary    json.RawMessage `json:"summary"`
+// sweepReply is the /v1/sweeps result document: the service's request
+// metadata around the sweep's own wire form (sweep.Result), the same document
+// `expreport -sweep -format json` prints.
+type sweepReply struct {
+	Version   int           `json:"version"`
+	Status    string        `json:"status"`
+	ElapsedMS int64         `json:"elapsed_ms"`
+	Sweep     *sweep.Result `json:"sweep"`
 }
 
 // decodeSweep prepares a design-space sweep. The request holds no admission
@@ -476,26 +451,7 @@ func (s *Server) decodeSweep(w http.ResponseWriter, r *http.Request) (work, erro
 		if err != nil {
 			return nil, err
 		}
-		front, err := json.Marshal(res.Front)
-		if err != nil {
-			return nil, err
-		}
-		summary, err := json.Marshal(res.Summary)
-		if err != nil {
-			return nil, err
-		}
-		return sweepEnvelope{
-			Version:    ResponseVersion,
-			Name:       res.Spec.Name,
-			Status:     "ok",
-			ElapsedMS:  time.Since(start).Milliseconds(),
-			Arms:       res.Arms,
-			UniqueJobs: res.UniqueJobs,
-			Pruned:     res.Pruned,
-			Simulated:  res.Simulated,
-			Front:      front,
-			Summary:    summary,
-		}, nil
+		return sweepReply{ResponseVersion, "ok", time.Since(start).Milliseconds(), res}, nil
 	}}, nil
 }
 

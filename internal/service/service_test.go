@@ -15,7 +15,7 @@ import (
 	"time"
 
 	"onocsim"
-	"onocsim/internal/metrics"
+	"onocsim/internal/experiments"
 )
 
 // smallSim is a fast /v1/simulate body for op on the optical fabric.
@@ -322,7 +322,7 @@ func TestExperimentStopsWhenClientLeaves(t *testing.T) {
 	}
 
 	// The same holds one level down, where the error is still a value.
-	if _, err := srv.runner.Experiment(ctx, "r6"); !errors.Is(err, context.Canceled) {
+	if _, err := experiments.ByName(ctx, "r6", experiments.Options{Session: srv.session, Quick: true}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("experiment under a cancelled context returned %v", err)
 	}
 }
@@ -334,20 +334,20 @@ func TestExperimentStopsWhenClientLeaves(t *testing.T) {
 // back, and /v1/stats counts both.
 func TestPanickingComputeLeavesTheDaemonServing(t *testing.T) {
 	srv, ts := newTestServer(t)
-	dispatch := srv.runner.Experiment
-	srv.runner.Experiment = func(ctx context.Context, id string) (*metrics.Table, error) {
-		if id == "r4" {
+	// One more POST on the one pipeline every endpoint runs through: a
+	// medium-class request whose computation panics.
+	srv.mux.HandleFunc("POST /v1/panic", srv.post(func(http.ResponseWriter, *http.Request) (work, error) {
+		return work{onocsim.SlotMedium, onocsim.SlotMedium.Units(), func(context.Context) (any, error) {
 			panic("render blew up")
-		}
-		return dispatch(ctx, id)
-	}
+		}}, nil
+	}))
 
-	code, body := postJSON(t, ts.URL+"/v1/experiments/r4", "")
+	code, body := postJSON(t, ts.URL+"/v1/panic", "")
 	if code != http.StatusInternalServerError || !strings.Contains(string(body), "render blew up") {
 		t.Fatalf("plain: status %d: %s", code, body)
 	}
 
-	req, err := http.NewRequest("POST", ts.URL+"/v1/experiments/r4", nil)
+	req, err := http.NewRequest("POST", ts.URL+"/v1/panic", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

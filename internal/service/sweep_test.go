@@ -17,28 +17,41 @@ import (
 // envelope's accounting proves fingerprint-level dedup inside one request.
 const tinySweep = `{"name":"tiny","networks":["electrical","optical"],"cores":[16],"wavelengths":[4,16],"faults":["off"],"kernels":["stencil"],"quick":true}`
 
-func postSweep(t *testing.T, ts string, body string) sweepEnvelope {
+// sweepDoc is a /v1/sweeps reply as a client sees it: the request metadata,
+// the sweep member's raw bytes, and those bytes decoded.
+type sweepDoc struct {
+	Version int             `json:"version"`
+	Status  string          `json:"status"`
+	Raw     json.RawMessage `json:"sweep"`
+	Sweep   sweep.Result    `json:"-"`
+}
+
+func postSweep(t *testing.T, ts string, body string) sweepDoc {
 	t.Helper()
 	code, raw := postJSON(t, ts+"/v1/sweeps", body)
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, raw)
 	}
-	var env sweepEnvelope
-	if err := json.Unmarshal(raw, &env); err != nil {
+	var doc sweepDoc
+	if err := json.Unmarshal(raw, &doc); err != nil {
 		t.Fatal(err)
 	}
-	return env
+	if err := json.Unmarshal(doc.Raw, &doc.Sweep); err != nil {
+		t.Fatal(err)
+	}
+	return doc
 }
 
 // The sweep endpoint collapses identity-equal arms inside a request, serves
 // a repeated request entirely from the session memo (zero new computations),
-// and returns the exact table bytes the in-process pipeline — and hence the
-// CLI — produces for the same spec.
+// and its reply's sweep member is the exact document the in-process pipeline
+// — and hence the CLI — marshals for the same spec: a sweep has one wire form.
 func TestSweepDedupAndCLIParity(t *testing.T) {
 	_, ts := newTestServer(t)
-	env := postSweep(t, ts.URL, tinySweep)
-	if env.Version != ResponseVersion || env.Status != "ok" || env.Name != "tiny" {
-		t.Fatalf("bad envelope: %+v", env)
+	doc := postSweep(t, ts.URL, tinySweep)
+	env := doc.Sweep
+	if doc.Version != ResponseVersion || doc.Status != "ok" || env.Name != "tiny" {
+		t.Fatalf("bad reply: %+v", doc)
 	}
 	if env.Arms != 4 || env.UniqueJobs != 3 {
 		t.Fatalf("dedup accounting: %d arms -> %d unique jobs, want 4 -> 3", env.Arms, env.UniqueJobs)
@@ -54,12 +67,12 @@ func TestSweepDedupAndCLIParity(t *testing.T) {
 	if got := serverStats(t, ts).Cache.Misses; got != misses {
 		t.Fatalf("repeated sweep recomputed: misses %d -> %d", misses, got)
 	}
-	if !bytes.Equal(env.Front, again.Front) || !bytes.Equal(env.Summary, again.Summary) {
-		t.Fatalf("repeated sweep changed tables:\n%s\nvs\n%s", env.Front, again.Front)
+	if !bytes.Equal(doc.Raw, again.Raw) {
+		t.Fatalf("repeated sweep changed its document:\n%s\nvs\n%s", doc.Raw, again.Raw)
 	}
 
 	// Parity with the in-process pipeline on a fresh session (the CLI path):
-	// the envelope embeds the same table bytes sweep.Run marshals.
+	// the reply embeds the document sweep.Result marshals to.
 	spec, err := config.ParseSweep([]byte(tinySweep))
 	if err != nil {
 		t.Fatal(err)
@@ -68,19 +81,12 @@ func TestSweepDedupAndCLIParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	front, err := json.Marshal(res.Front)
+	want, err := json.Marshal(res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	summary, err := json.Marshal(res.Summary)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(front, env.Front) {
-		t.Fatalf("service front diverged from pipeline front:\n%s\nvs\n%s", env.Front, front)
-	}
-	if !bytes.Equal(summary, env.Summary) {
-		t.Fatalf("service summary diverged from pipeline summary:\n%s\nvs\n%s", env.Summary, summary)
+	if !bytes.Equal(want, doc.Raw) {
+		t.Fatalf("service sweep diverged from the pipeline's:\n%s\nvs\n%s", doc.Raw, want)
 	}
 }
 

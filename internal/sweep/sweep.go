@@ -208,29 +208,31 @@ type Options struct {
 }
 
 // Result is one completed sweep: the grid accounting, every simulated point,
-// and the rendered tables. The JSON and ASCII renderings are deterministic
-// functions of the spec and the simulation results — no wall-clock ever
-// enters them — so reruns and different front ends produce identical bytes.
+// and the rendered tables. It is its own wire form — the CLI's -format json
+// and the daemon's /v1/sweeps reply both marshal this struct — and a
+// deterministic function of the spec and the simulation results: no
+// wall-clock ever enters it, so reruns and different front ends produce
+// identical bytes.
 type Result struct {
-	// Spec is the normalized sweep specification.
-	Spec config.Sweep
+	// Name is the normalized spec's name.
+	Name string `json:"name"`
 	// Arms is the full grid size (axis cross product).
-	Arms int
+	Arms int `json:"arms"`
 	// UniqueJobs counts arms after identity collapsing.
-	UniqueJobs int
+	UniqueJobs int `json:"unique_jobs"`
 	// Pruned counts unique arms the analytic prefilter eliminated.
-	Pruned int
+	Pruned int `json:"pruned"`
 	// Simulated counts unique arms that ran the self-correction loop.
-	Simulated int
+	Simulated int `json:"simulated"`
 	// Points are the realized design points, sorted (latency, label).
-	Points []Point
+	Points []Point `json:"points"`
 	// FrontPoints is the Pareto-optimal subset of Points.
-	FrontPoints []Point
+	FrontPoints []Point `json:"front_points"`
 	// Front is the Pareto front rendered as a table.
-	Front *metrics.Table
+	Front *metrics.Table `json:"front"`
 	// Summary is the per-arm accounting table (every unique arm, its
 	// phase outcome, and its analytic estimates).
-	Summary *metrics.Table
+	Summary *metrics.Table `json:"summary"`
 }
 
 // estimatedArm is one arm after the prefilter phase.
@@ -363,7 +365,7 @@ func Run(ctx context.Context, spec config.Sweep, opts Options) (*Result, error) 
 	}
 
 	out := &Result{
-		Spec:       spec,
+		Name:       spec.Name,
 		Arms:       spec.Arms(),
 		UniqueJobs: len(arms),
 		Pruned:     pruned,
@@ -442,37 +444,11 @@ func summaryTable(spec config.Sweep, ests []estimatedArm) *metrics.Table {
 	return t
 }
 
-// resultJSON is the deterministic wire form shared by the CLI -format json
-// rendering and the onocsimd /v1/sweeps response body.
-type resultJSON struct {
-	Name       string         `json:"name"`
-	Arms       int            `json:"arms"`
-	UniqueJobs int            `json:"unique_jobs"`
-	Pruned     int            `json:"pruned"`
-	Simulated  int            `json:"simulated"`
-	Points     []Point        `json:"points"`
-	FrontPts   []Point        `json:"front_points"`
-	Front      *metrics.Table `json:"front"`
-	Summary    *metrics.Table `json:"summary"`
-}
-
-// WriteJSON writes the canonical JSON rendering. The bytes depend only on
-// the spec and the simulation results, so the CLI and the service emit
-// identical documents for the same sweep.
+// WriteJSON writes the result indented, as the CLI prints it.
 func (r *Result) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(resultJSON{
-		Name:       r.Spec.Name,
-		Arms:       r.Arms,
-		UniqueJobs: r.UniqueJobs,
-		Pruned:     r.Pruned,
-		Simulated:  r.Simulated,
-		Points:     r.Points,
-		FrontPts:   r.FrontPoints,
-		Front:      r.Front,
-		Summary:    r.Summary,
-	})
+	return enc.Encode(r)
 }
 
 // WriteASCII writes the summary table then the Pareto front.

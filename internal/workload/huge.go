@@ -73,22 +73,20 @@ func (s HugeSpec) workloadName() string {
 // hugeState is the O(nodes) generator state: per-source last event and
 // clock. Nothing grows with the event count.
 type hugeState struct {
-	spec    HugeSpec
-	rng     *sim.RNG
-	lastID  []trace.EventID // per source, 0 = none yet
-	nextAt  []sim.Tick      // per source, earliest next injection
-	lastArr []sim.Tick      // per source, last event's arrival estimate
-	clock   sim.Tick        // global nondecreasing injection clock
-	deps    [2]trace.Dep    // reusable dep buffer
+	spec   HugeSpec
+	rng    *sim.RNG
+	lastID []trace.EventID // per source, 0 = none yet
+	nextAt []sim.Tick      // per source, earliest next injection
+	clock  sim.Tick        // global nondecreasing injection clock
+	deps   [2]trace.Dep    // reusable dep buffer
 }
 
 func newHugeState(spec HugeSpec) *hugeState {
 	return &hugeState{
-		spec:    spec,
-		rng:     sim.NewStream(spec.Seed, "huge-trace"),
-		lastID:  make([]trace.EventID, spec.Nodes),
-		nextAt:  make([]sim.Tick, spec.Nodes),
-		lastArr: make([]sim.Tick, spec.Nodes),
+		spec:   spec,
+		rng:    sim.NewStream(spec.Seed, "huge-trace"),
+		lastID: make([]trace.EventID, spec.Nodes),
+		nextAt: make([]sim.Tick, spec.Nodes),
 	}
 }
 
@@ -155,7 +153,6 @@ func (g *hugeState) next(e *trace.Event, id trace.EventID) {
 	}
 	g.lastID[src] = id
 	g.nextAt[src] = at + gap
-	g.lastArr[src] = at + lat
 }
 
 // WriteHuge streams a generated trace to w with O(nodes) resident memory.

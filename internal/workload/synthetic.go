@@ -31,7 +31,7 @@ func PatternByName(name string) (Pattern, error) {
 		}, nil
 	case "transpose":
 		return func(src, nodes int, rng *sim.RNG) int {
-			w := meshWidth(nodes)
+			w := config.GridWidth(nodes)
 			x, y := src%w, src/w
 			return x*w + y
 		}, nil
@@ -54,13 +54,13 @@ func PatternByName(name string) (Pattern, error) {
 		}, nil
 	case "neighbor":
 		return func(src, nodes int, rng *sim.RNG) int {
-			w := meshWidth(nodes)
+			w := config.GridWidth(nodes)
 			x, y := src%w, src/w
 			return ((x + 1) % w) + y*w
 		}, nil
 	case "tornado":
 		return func(src, nodes int, rng *sim.RNG) int {
-			w := meshWidth(nodes)
+			w := config.GridWidth(nodes)
 			x, y := src%w, src/w
 			return ((x + w/2) % w) + y*w
 		}, nil
@@ -69,18 +69,8 @@ func PatternByName(name string) (Pattern, error) {
 	}
 }
 
-func meshWidth(nodes int) int {
-	w := 1
-	for w*w < nodes {
-		w++
-	}
-	return w
-}
-
 // SyntheticResult reports an open-loop traffic run.
 type SyntheticResult struct {
-	// Offered is the configured injection rate in flits/node/cycle.
-	Offered float64
 	// InjectedPackets and DeliveredPackets count packets.
 	InjectedPackets  uint64
 	DeliveredPackets uint64
@@ -135,7 +125,7 @@ func RunSynthetic(net noc.Network, cfg config.Workload, flitBytes int, seed uint
 		remaining[i] = cfg.Packets
 	}
 	left := nodes * cfg.Packets
-	res := SyntheticResult{Offered: cfg.InjectionRate}
+	var res SyntheticResult
 
 	// Deterministic patterns can map a node to itself (the transpose
 	// diagonal); such draws consume the node's budget without producing

@@ -1,7 +1,14 @@
 package onocsim_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
 	"reflect"
+	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
 	"onocsim/internal/config"
@@ -122,5 +129,104 @@ func TestOptionSurface(t *testing.T) {
 	got = leafFields(got, "service.Config", reflect.TypeOf(service.Config{}))
 	if !reflect.DeepEqual(got, optionSurface) {
 		t.Errorf("option fields changed\n got: %q\nwant: %q", got, optionSurface)
+	}
+}
+
+// flagSurface is every command-line flag of every command, as cmd/*/main.go
+// defines them with package flag. Same rule as optionSurface: a flag is an
+// option with a user-facing name, so a new one is an edit to this list (and a
+// removed one shows in the diff as the simplification it is).
+var flagSurface = []string{
+	"expreport -cachedir",
+	"expreport -cores",
+	"expreport -cpuprofile",
+	"expreport -exp",
+	"expreport -faults",
+	"expreport -format",
+	"expreport -incremental",
+	"expreport -list",
+	"expreport -memprofile",
+	"expreport -outdir",
+	"expreport -progress",
+	"expreport -quick",
+	"expreport -seed",
+	"expreport -seedmode",
+	"expreport -shards",
+	"expreport -sweep",
+	"expreport -v",
+	"onocsim -config",
+	"onocsim -cpuprofile",
+	"onocsim -dump-config",
+	"onocsim -faults",
+	"onocsim -format",
+	"onocsim -incremental",
+	"onocsim -memprofile",
+	"onocsim -mode",
+	"onocsim -network",
+	"onocsim -seedmode",
+	"onocsim -shards",
+	"onocsimd -addr",
+	"onocsimd -budget",
+	"onocsimd -cachedir",
+	"onocsimd -drain",
+	"onocsimd -quick",
+	"tracegen -bytes",
+	"tracegen -capture-on",
+	"tracegen -config",
+	"tracegen -cores",
+	"tracegen -events",
+	"tracegen -gap",
+	"tracegen -huge",
+	"tracegen -json",
+	"tracegen -kernel",
+	"tracegen -out",
+	"tracegen -pattern",
+	"traceinfo -v",
+	"traceinfo -window",
+}
+
+// TestFlagSurface reads the flag definitions out of the commands' source: a
+// call flag.T(name, …) or flag.TVar(&v, name, …) whose name is a string
+// literal (flag.Parse, flag.Arg and friends take none).
+func TestFlagSurface(t *testing.T) {
+	mains, err := filepath.Glob("cmd/*/main.go")
+	if err != nil || len(mains) == 0 {
+		t.Fatalf("no commands found: %v", err)
+	}
+	var got []string
+	for _, path := range mains {
+		file, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cmd := filepath.Base(filepath.Dir(path))
+		ast.Inspect(file, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+				return true
+			}
+			at := 0
+			if strings.HasSuffix(sel.Sel.Name, "Var") {
+				at = 1
+			}
+			if len(call.Args) > at {
+				if lit, ok := call.Args[at].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					name, _ := strconv.Unquote(lit.Value)
+					got = append(got, cmd+" -"+name)
+				}
+			}
+			return true
+		})
+	}
+	sort.Strings(got)
+	if !reflect.DeepEqual(got, flagSurface) {
+		t.Errorf("%d command-line flags, want %d\n got: %q\nwant: %q", len(got), len(flagSurface), got, flagSurface)
 	}
 }

@@ -6,10 +6,10 @@ import (
 )
 
 // SlotClass coarsely prices an admission request against a SlotScheduler's
-// capacity. The classes mirror the experiment registry's cost classes
-// (internal/experiments.CostClass): a service maps each incoming request to
-// a class so the scheduler can keep bursts of heavy work from starving
-// cheap probes and vice versa.
+// capacity: the one vocabulary for what a request costs. A job's operation
+// implies its class, the experiment registry declares one per experiment, and
+// the scheduler queues per class so bursts of heavy work cannot starve cheap
+// probes and vice versa.
 type SlotClass uint8
 
 const (
@@ -34,6 +34,20 @@ func (c SlotClass) String() string {
 		return "heavy"
 	default:
 		return "unknown"
+	}
+}
+
+// Units is the class's weight: the admission units one request of it claims.
+// The weights are deliberately coarse — they keep a burst of heavy requests
+// from monopolizing a budget, not model cost precisely.
+func (c SlotClass) Units() int {
+	switch c {
+	case SlotLight:
+		return 1
+	case SlotHeavy:
+		return 4
+	default:
+		return 2
 	}
 }
 

@@ -25,7 +25,11 @@ import (
 //
 // Concurrent requests for the same result are single-flighted: the first
 // computes, duplicates block and share. Cached wall-clock fields (e.g.
-// GroundTruth.WallTime) report the original computation's timing.
+// GroundTruth.WallTime) report the original computation's timing. Flights
+// heal: a caller whose flight died of somebody else's cancellation while its
+// own context is alive asks again (see killedByAnother), so one client's
+// disconnect never fails another's request, whatever sits above the session —
+// a job, a study phase, an experiment's leaf, a sweep arm.
 //
 // A Session is safe for concurrent use by multiple goroutines.
 type Session struct {
@@ -317,8 +321,10 @@ func (s *Session) key(cfg Config, kind NetworkKind, op simcache.Op, in traceID) 
 
 // memo is the one memoization body behind every cached operation: run
 // uncached without a slot, otherwise single-flight through the cache. A
-// failed flight's value is dropped (never cached, never shared).
-func memo[T any](k memoKey, run func() (T, error)) (T, error) {
+// failed flight's value is dropped (never cached, never shared), and a flight
+// killedByAnother is asked for again: the retry finds the key vacant and
+// computes under ctx, or joins whoever got there first.
+func memo[T any](ctx context.Context, k memoKey, run func() (T, error)) (T, error) {
 	switch {
 	case k.err != nil:
 		var zero T
@@ -326,16 +332,38 @@ func memo[T any](k memoKey, run func() (T, error)) (T, error) {
 	case k.cache == nil:
 		return run()
 	}
-	return simcache.DoValue(k.cache, k.key, run)
+	for attempt := 0; ; attempt++ {
+		v, err := simcache.DoValue(k.cache, k.key, run)
+		if attempt == flightRetries || !killedByAnother(ctx, err) {
+			return v, err
+		}
+	}
+}
+
+// flightRetries bounds how often one request asks again for a flight that
+// keeps dying of other callers' cancellations.
+const flightRetries = 2
+
+// killedByAnother reports a flight that ended in a cancellation the caller did
+// not cause: the error is a context's or a park, and the caller's own context
+// is alive — so the flight ran under the context of another caller this one
+// was deduplicated onto, and that caller left. A cancellation of the caller's
+// own (or of a fan-out sibling's failure, which ends the shared context) is
+// final. The error is tested first: a result costs the context no poll.
+func killedByAnother(ctx context.Context, err error) bool {
+	return (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, ErrParked)) &&
+		ctx.Err() == nil
 }
 
 // RunExecutionDrivenContext is the memoized form of the package function.
 // The context governs the caller's own computation; a caller deduplicated
 // onto another request's in-flight computation shares that computation's
-// lifecycle (errors from a cancelled flight propagate to its waiters and are
-// never cached). Every Session operation follows this contract.
+// lifecycle, with one exception: a flight that dies of its computing caller's
+// cancellation is asked for again by every waiter whose own context is alive
+// (at most flightRetries times), so it fails only the caller that left.
+// Errors are never cached. Every Session operation follows this contract.
 func (s *Session) RunExecutionDrivenContext(ctx context.Context, cfg Config, kind NetworkKind) (GroundTruth, error) {
-	return memo(s.key(cfg, kind, simcache.OpTruth, noTrace), func() (GroundTruth, error) {
+	return memo(ctx, s.key(cfg, kind, simcache.OpTruth, noTrace), func() (GroundTruth, error) {
 		return RunExecutionDrivenContext(ctx, cfg, kind)
 	})
 }
@@ -353,9 +381,13 @@ func (s *Session) CaptureTraceContext(ctx context.Context, cfg Config, captureOn
 	if err != nil {
 		return nil, 0, err
 	}
-	return s.cache.DoTrace(key, func() (*trace.Trace, time.Duration, error) {
-		return CaptureTraceContext(ctx, cfg, captureOn)
-	})
+	capture := func() (*trace.Trace, time.Duration, error) { return CaptureTraceContext(ctx, cfg, captureOn) }
+	for attempt := 0; ; attempt++ {
+		tr, wall, err := s.cache.DoTrace(key, capture)
+		if attempt == flightRetries || !killedByAnother(ctx, err) {
+			return tr, wall, err
+		}
+	}
 }
 
 // RunNaiveReplayContext replays the trace at recorded timestamps on fresh
@@ -364,7 +396,7 @@ func (s *Session) CaptureTraceContext(ctx context.Context, cfg Config, captureOn
 // Replays of traces no session captured (hand-built, transformed, loaded from
 // a file) run uncached.
 func (s *Session) RunNaiveReplayContext(ctx context.Context, cfg Config, tr *Trace, kind NetworkKind) (ReplayResult, time.Duration, error) {
-	v, err := memo(s.key(cfg, kind, simcache.OpNaive, captureID(tr)), func() (timed[ReplayResult], error) {
+	v, err := memo(ctx, s.key(cfg, kind, simcache.OpNaive, captureID(tr)), func() (timed[ReplayResult], error) {
 		return naiveReplay(ctx, cfg, tr, kind)
 	})
 	return v.Res, v.Wall, err
@@ -373,7 +405,7 @@ func (s *Session) RunNaiveReplayContext(ctx context.Context, cfg Config, tr *Tra
 // RunCoupledReplayContext runs the tightly coupled dependency-driven replay,
 // memoized like RunNaiveReplayContext.
 func (s *Session) RunCoupledReplayContext(ctx context.Context, cfg Config, tr *Trace, kind NetworkKind) (ReplayResult, time.Duration, error) {
-	v, err := memo(s.key(cfg, kind, simcache.OpCoupled, captureID(tr)), func() (timed[ReplayResult], error) {
+	v, err := memo(ctx, s.key(cfg, kind, simcache.OpCoupled, captureID(tr)), func() (timed[ReplayResult], error) {
 		return coupledReplay(ctx, cfg, tr, kind)
 	})
 	return v.Res, v.Wall, err
@@ -391,16 +423,17 @@ func (s *Session) RunCoupledReplayContext(ctx context.Context, cfg Config, tr *T
 //
 // A context that ends mid-loop parks the correction at the next round
 // boundary (see ErrParked): the computing caller gets the partial trajectory
-// back alongside the error, and the parked result is never cached — callers
-// deduplicated onto the parked flight receive only the error, since a
-// partial result must not masquerade as the converged one.
+// back alongside the error, and the parked result is never cached — a
+// partial result must not masquerade as the converged one, so callers
+// deduplicated onto the parked flight never see it.
 //
 // Parked runs stash their resume state (including the runner's fabric
 // checkpoints) under the cache key: the next request for the same
-// (config, trace, kind) resumes the loop at the parked round boundary
-// instead of re-running the completed rounds, and completes to the same
-// byte-identical result an uninterrupted run produces. This is what heals
-// service traffic after a client disconnect or a cancelled drain — the
+// (config, trace, kind) — a later one, or the retry of a caller that was
+// waiting on the parked flight — resumes the loop at the parked round
+// boundary instead of re-running the completed rounds, and completes to the
+// same byte-identical result an uninterrupted run produces. This is what
+// heals service traffic after a client disconnect or a cancelled drain: the
 // retry pays only the remaining rounds.
 func (s *Session) RunSelfCorrectionContext(ctx context.Context, cfg Config, tr *Trace, kind NetworkKind) (CorrectionResult, time.Duration, error) {
 	return s.correct(ctx, cfg, tr, nil, kind, captureID(tr))
@@ -429,7 +462,7 @@ func (s *Session) correct(ctx context.Context, cfg Config, tr *Trace, src TraceS
 	// A parked partial result travels past the cache, which (correctly)
 	// drops the value of any failed flight.
 	var parked *timed[CorrectionResult]
-	v, err := memo(k, func() (timed[CorrectionResult], error) {
+	v, err := memo(ctx, k, func() (timed[CorrectionResult], error) {
 		// Take (not peek) inside the closure: only the goroutine that
 		// actually computes may consume the single-use resume state —
 		// deduplicated waiters never reach here.
@@ -459,7 +492,7 @@ func (s *Session) correct(ctx context.Context, cfg Config, tr *Trace, src TraceS
 // RunNaiveReplayContext anyway so repeated sweeps over a persisted session
 // cost a map lookup.
 func (s *Session) Estimate(cfg Config, tr *Trace, kind NetworkKind) (AnalyticEstimate, time.Duration, error) {
-	v, err := memo(s.key(cfg, kind, simcache.OpEstimate, captureID(tr)), func() (timed[AnalyticEstimate], error) {
+	v, err := memo(context.Background(), s.key(cfg, kind, simcache.OpEstimate, captureID(tr)), func() (timed[AnalyticEstimate], error) {
 		return estimate(cfg, tr, kind)
 	})
 	return v.Res, v.Wall, err
@@ -468,7 +501,7 @@ func (s *Session) Estimate(cfg Config, tr *Trace, kind NetworkKind) (AnalyticEst
 // RunSyntheticLoadContext drives a fresh fabric of the given kind open-loop
 // with the config's synthetic workload and reports latency/throughput.
 func (s *Session) RunSyntheticLoadContext(ctx context.Context, cfg Config, kind NetworkKind) (SyntheticResult, error) {
-	return memo(s.key(cfg, kind, simcache.OpSynthetic, noTrace), func() (SyntheticResult, error) {
+	return memo(ctx, s.key(cfg, kind, simcache.OpSynthetic, noTrace), func() (SyntheticResult, error) {
 		return syntheticLoad(ctx, cfg, kind)
 	})
 }

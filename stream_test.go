@@ -132,7 +132,7 @@ func TestStreamSummaryMatchesReplay(t *testing.T) {
 	// The tier leans on capture order and checks it: a trace whose recorded
 	// injection times go backwards is refused, not replayed out of order.
 	cfg.System.Cores = 4
-	if _, _, err := RunNaiveReplaySummaryContext(bg, cfg, MemTraceSource(holdoutTrace(10)), IdealNet); err == nil {
+	if _, _, err := RunNaiveReplaySummaryContext(bg, cfg, trace.NewMemSource(holdoutTrace(10)), IdealNet); err == nil {
 		t.Error("summary replay accepted a trace that is not in capture order")
 	}
 }
@@ -231,7 +231,7 @@ func TestStreamDegenerateTraces(t *testing.T) {
 					t.Errorf("shards=%d: streamed correction diverges\n got: %+v\nwant: %+v", k, gotSC, wantSC)
 				}
 			}
-			for name, src := range map[string]TraceSource{"memory": MemTraceSource(tc.tr), "file": file} {
+			for name, src := range map[string]TraceSource{"memory": trace.NewMemSource(tc.tr), "file": file} {
 				sum, _, err := RunNaiveReplaySummaryContext(bg, cfg, src, IdealNet)
 				if err != nil {
 					t.Fatalf("summary from %s: %v", name, err)
@@ -315,7 +315,7 @@ func TestTraceDigestAgreesAcrossRepresentations(t *testing.T) {
 		t.Fatalf("capture: %v", err)
 	}
 	file := traceOnDisk(t, tr).(*trace.FileSource)
-	mem := MemTraceSource(tr).(*trace.MemSource)
+	mem := trace.NewMemSource(tr)
 	fd, err := file.Digest()
 	if err != nil {
 		t.Fatalf("file digest: %v", err)
@@ -336,7 +336,7 @@ func TestTraceDigestAgreesAcrossRepresentations(t *testing.T) {
 	if err != nil {
 		t.Fatalf("capture 2: %v", err)
 	}
-	md2, err := MemTraceSource(tr2).(*trace.MemSource).Digest()
+	md2, err := trace.NewMemSource(tr2).Digest()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +374,7 @@ func TestSessionStreamReplayCache(t *testing.T) {
 	if hits := s.CacheStats().Hits; hits != 1 {
 		t.Errorf("re-run hits = %d, want 1", hits)
 	}
-	fromMem, _, err := s.RunSelfCorrectionStreamContext(bg, cfg, MemTraceSource(tr), Optical)
+	fromMem, _, err := s.RunSelfCorrectionStreamContext(bg, cfg, trace.NewMemSource(tr), Optical)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,6 @@ var publicSurface = []string{
 	"DefaultConfig",
 	"LoadConfig",
 	"LoadTrace",
-	"MemTraceSource",
 	"NetworkFactory",
 	"NewSession",
 	"NewSlotScheduler",
