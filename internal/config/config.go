@@ -8,7 +8,9 @@ package config
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 )
 
@@ -631,15 +633,29 @@ func Load(path string) (Config, error) {
 // typos in experiment configs fail loudly.
 func Parse(data []byte) (Config, error) {
 	c := Default()
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&c); err != nil {
+	if err := DecodeStrict(data, &c); err != nil {
 		return Config{}, fmt.Errorf("config: decode: %w", err)
 	}
 	if err := c.Validate(); err != nil {
 		return Config{}, err
 	}
 	return c, nil
+}
+
+// DecodeStrict decodes data into v as exactly one JSON value: unknown fields
+// are rejected, and so is anything but whitespace after the value — a document
+// followed by garbage is a malformed document, not a valid one with a tail.
+// Every request body and spec file is decoded through here.
+func DecodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON value")
+	}
+	return nil
 }
 
 // Save writes the config as indented JSON.

@@ -125,6 +125,47 @@ func TestParseRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// A document is one JSON value: a valid value followed by anything but
+// whitespace is rejected, for configs and sweep specs alike.
+func TestParseRejectsTrailingData(t *testing.T) {
+	for _, tail := range []string{"garbage", "{}", "]", "1"} {
+		if _, err := Parse([]byte(`{"seed":7}` + tail)); err == nil {
+			t.Errorf("config with trailing %q accepted", tail)
+		}
+		if _, err := ParseSweep([]byte(`{"cores":[16]}` + tail)); err == nil {
+			t.Errorf("sweep spec with trailing %q accepted", tail)
+		}
+	}
+	if _, err := Parse([]byte("{\"seed\":7} \n\t")); err != nil {
+		t.Errorf("trailing whitespace rejected: %v", err)
+	}
+}
+
+// Axis values may repeat, so the expanded grid is capped — per axis, so the
+// check itself cannot overflow on axes whose product does.
+func TestSweepValidateCapsTheGrid(t *testing.T) {
+	s := Sweep{Networks: []NetworkKind{NetOptical}, Cores: []int{16}, Faults: []string{"off"}, Kernels: []string{"stencil"}}
+	s.Wavelengths = make([]int, MaxSweepArms)
+	for i := range s.Wavelengths {
+		s.Wavelengths[i] = 1 + i%128
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatalf("grid of %d arms rejected: %v", s.Arms(), err)
+	}
+	s.Wavelengths = append(s.Wavelengths, 4)
+	if err := s.Validate(); err == nil {
+		t.Fatalf("grid of %d arms accepted", s.Arms())
+	}
+	// Five axes of 2^13 entries: the true product, 2^65, wraps an int64. The
+	// cap is checked before any axis value is.
+	const n = 1 << 13
+	s = Sweep{Networks: make([]NetworkKind, n), Cores: make([]int, n), Wavelengths: make([]int, n),
+		Faults: make([]string, n), Kernels: make([]string, n)}
+	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "arms") {
+		t.Fatalf("overflowing grid (Arms() wraps to %d) not refused for its size: %v", s.Arms(), err)
+	}
+}
+
 func TestParseRejectsInvalid(t *testing.T) {
 	if _, err := Parse([]byte(`{"system":{"cores":10}}`)); err == nil {
 		t.Fatal("invalid config accepted")

@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"hash"
-	"io"
 	"math"
 )
 
@@ -35,8 +33,7 @@ func (c *Config) Fingerprint() (string, error) {
 	if err := c.Validate(); err != nil {
 		return "", fmt.Errorf("config: fingerprint of invalid config: %w", err)
 	}
-	h := sha256.New()
-	w := fpWriter{h: h}
+	w := &fpWriter{buf: make([]byte, 0, 1024)}
 	w.str("onocsim-fingerprint")
 	w.u64(fingerprintVersion)
 
@@ -111,47 +108,39 @@ func (c *Config) Fingerprint() (string, error) {
 		w.str(t.Seed)
 	}
 
-	return hex.EncodeToString(h.Sum(nil)), nil
+	sum := sha256.Sum256(w.buf)
+	return hex.EncodeToString(sum[:]), nil
 }
 
-// fpWriter feeds canonically framed primitives into a hash. Strings are
-// length-prefixed so adjacent fields cannot alias ("ab","c" vs "a","bc");
-// numerics are fixed-width little-endian. Hash writes never fail, so errors
-// are not threaded through.
-type fpWriter struct{ h hash.Hash }
+// fpWriter frames primitives canonically into one buffer, hashed once at the
+// end. Strings are length-prefixed so adjacent fields cannot alias ("ab","c"
+// vs "a","bc"); numerics are fixed-width little-endian.
+type fpWriter struct{ buf []byte }
 
-func (w fpWriter) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	w.h.Write(b[:])
-}
+func (w *fpWriter) u64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
 
-func (w fpWriter) str(s string) {
+func (w *fpWriter) str(s string) {
 	w.u64(uint64(len(s)))
-	io.WriteString(w.h, s)
+	w.buf = append(w.buf, s...)
 }
 
-func (w fpWriter) ints(vs ...int) {
+func (w *fpWriter) ints(vs ...int) {
 	for _, v := range vs {
 		w.u64(uint64(int64(v)))
 	}
 }
 
-func (w fpWriter) i64s(vs ...int64) {
+func (w *fpWriter) i64s(vs ...int64) {
 	for _, v := range vs {
 		w.u64(uint64(v))
 	}
 }
 
-func (w fpWriter) f64(v float64) {
-	// Validated configs never hold NaN, and the sign of zero does not
-	// influence any model, so raw IEEE bits are canonical enough.
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-	w.h.Write(b[:])
-}
+// Validated configs never hold NaN, and the sign of zero does not influence
+// any model, so raw IEEE bits are canonical enough.
+func (w *fpWriter) f64(v float64) { w.u64(math.Float64bits(v)) }
 
-func (w fpWriter) bools(vs ...bool) {
+func (w *fpWriter) bools(vs ...bool) {
 	for _, v := range vs {
 		if v {
 			w.u64(1)

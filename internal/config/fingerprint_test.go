@@ -203,3 +203,20 @@ func TestValidateFaultRejections(t *testing.T) {
 		})
 	}
 }
+
+// TestFingerprintAllocs gates the fingerprint's garbage: the fields are
+// framed into one buffer and hashed once, so a call allocates the digest
+// string and little else — not a scratch buffer per field.
+func TestFingerprintAllocs(t *testing.T) {
+	cfg := Default()
+	cfg.Faults, _ = FaultPreset("light")
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := cfg.Fingerprint(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 4 {
+		t.Errorf("Fingerprint allocates %.0f times per call, want <= 4", allocs)
+	}
+	t.Logf("Fingerprint: %.0f allocs/call", allocs)
+}

@@ -1,8 +1,6 @@
 package config
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 )
@@ -86,6 +84,11 @@ func (s *Sweep) Normalize() *Sweep {
 	return s
 }
 
+// MaxSweepArms caps the expanded grid. Axis values may repeat, so without it
+// a small spec (a request body is at most 1 MiB) expands to an unbounded
+// number of arms; the distinct-valued grids anyone sweeps are far below it.
+const MaxSweepArms = 4096
+
 // Arms returns the grid size: the product of the axis lengths.
 func (s Sweep) Arms() int {
 	return len(s.Networks) * len(s.Cores) * len(s.Wavelengths) * len(s.Faults) * len(s.Kernels)
@@ -98,6 +101,15 @@ func (s Sweep) Validate() error {
 	if len(s.Networks) == 0 || len(s.Cores) == 0 || len(s.Wavelengths) == 0 ||
 		len(s.Faults) == 0 || len(s.Kernels) == 0 {
 		return fmt.Errorf("config: sweep has an empty axis (normalize first, or fill networks/cores/wavelengths/faults/kernels)")
+	}
+	arms := 1
+	for _, n := range []int{len(s.Networks), len(s.Cores), len(s.Wavelengths), len(s.Faults), len(s.Kernels)} {
+		// Per axis, by division: the running product never exceeds the limit,
+		// so it cannot overflow however long a (duplicated) axis is.
+		if n > MaxSweepArms/arms {
+			return fmt.Errorf("config: sweep grid exceeds %d arms (split it into several specs)", MaxSweepArms)
+		}
+		arms *= n
 	}
 	for _, k := range s.Networks {
 		if !k.Valid() {
@@ -141,10 +153,8 @@ func (s Sweep) Validate() error {
 // ParseSweep decodes and validates a JSON sweep spec, rejecting unknown
 // fields (typoed axis names would otherwise silently sweep the default).
 func ParseSweep(data []byte) (Sweep, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var s Sweep
-	if err := dec.Decode(&s); err != nil {
+	if err := DecodeStrict(data, &s); err != nil {
 		return Sweep{}, fmt.Errorf("config: parse sweep: %w", err)
 	}
 	s.Normalize()

@@ -85,11 +85,11 @@ func TestLoadBurst(t *testing.T) {
 		t.Fatalf("%d computations for %d distinct units (max %d) — cache not absorbing the burst: %+v",
 			st.Cache.Misses, distinct, maxFlights, st.Cache)
 	}
-	served := st.Cache.Hits + st.Cache.Waits
+	served := st.Cache.Hits + st.Cache.Waits + st.Replies.Hits
 	if served == 0 {
-		t.Fatalf("no request was served by cache or dedup: %+v", st.Cache)
+		t.Fatalf("no request was served by cache, dedup or the reply memo: %+v %+v", st.Cache, st.Replies)
 	}
-	t.Logf("burst of %d: %d flights, %d cache/dedup serves (hit ratio %.0f%%), %d queued peak-free",
+	t.Logf("burst of %d: %d flights, %d cache/dedup/memo serves (hit ratio %.0f%%), %d queued peak-free",
 		clients, st.Cache.Misses, served,
 		100*float64(served)/float64(served+st.Cache.Misses), st.Scheduler.Queued)
 	if st.Scheduler.InUse != 0 || st.Scheduler.Queued != 0 {

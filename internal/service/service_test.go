@@ -26,6 +26,18 @@ func smallSim(op string) string {
 		"max_cycles":5000000}}`, op)
 }
 
+// slowCorrection is a correct job with a wide window to park in. A fixed seed
+// far above the real latencies plus heavy damping forces a long geometric
+// approach (~350 rounds before the schedule can freeze): a wide, deterministic
+// window of round boundaries for a park to land on, even on a fast host where
+// each round takes well under a millisecond and the test polls over HTTP.
+const slowCorrection = `{"op":"correct","network":"optical","config":{
+	"system":{"cores":16},
+	"workload":{"kernel":"stencil","scale":4,"iterations":2},
+	"sctm":{"max_iterations":1000,"tolerance_cycles":0,"makespan_tolerance":0,
+		"damping":0.97,"seed":"fixed","initial_latency_cycles":20000},
+	"max_cycles":5000000}}`
+
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
 	srv := New(Config{Quick: true})
@@ -105,8 +117,11 @@ func TestSimulateConcurrentDedup(t *testing.T) {
 	if st.Cache.Misses != 1 {
 		t.Fatalf("computed %d times for %d identical requests, want exactly 1", st.Cache.Misses, n)
 	}
-	if st.Cache.Hits+st.Cache.Waits == 0 {
-		t.Fatalf("no request was deduplicated: %+v", st.Cache)
+	// Each of the other n-1 was absorbed by exactly one layer: it joined the
+	// flight, hit the session cache after it settled, or — arriving after the
+	// first reply was stored — hit the reply memo and never reached the session.
+	if got := st.Cache.Hits + st.Cache.Waits + st.Replies.Hits; got != n-1 {
+		t.Fatalf("%d of %d requests deduplicated: %+v %+v", got, n-1, st.Cache, st.Replies)
 	}
 	if st.Requests < n {
 		t.Fatalf("request counter %d < %d", st.Requests, n)
@@ -236,6 +251,9 @@ func TestSimulateRejectsBadRequests(t *testing.T) {
 		{"unknown config field", `{"op":"exec","config":{"warp_factor":9}}`},
 		{"invalid config", `{"op":"exec","config":{"system":{"cores":7}}}`},
 		{"malformed json", `{"op":`},
+		{"trailing garbage", `{"op":"exec"}garbage`},
+		{"second value", `{"op":"exec"}{"op":"exec"}`},
+		{"trailing garbage in config", `{"op":"exec","config":{"seed":7}garbage}`},
 	} {
 		code, body := postJSON(t, ts.URL+"/v1/simulate", tc.body)
 		if code != http.StatusBadRequest {
@@ -378,18 +396,7 @@ func TestPanickingComputeLeavesTheDaemonServing(t *testing.T) {
 // status "parked".
 func TestDrainParksInFlightCorrection(t *testing.T) {
 	srv, ts := newTestServer(t)
-	// A fixed seed far above the real latencies plus heavy damping forces a
-	// long geometric approach (~350 rounds before the schedule can freeze):
-	// a wide, deterministic window of round boundaries for the park to
-	// land on, even on a fast host where each round takes well under a
-	// millisecond and the drain poll below runs over HTTP.
-	body := `{"op":"correct","network":"optical","config":{
-		"system":{"cores":16},
-		"workload":{"kernel":"stencil","scale":4,"iterations":2},
-		"sctm":{"max_iterations":1000,"tolerance_cycles":0,"makespan_tolerance":0,
-			"damping":0.97,"seed":"fixed","initial_latency_cycles":20000},
-		"max_cycles":5000000}}`
-	resp, err := http.Post(ts.URL+"/v1/simulate?stream=sse", "application/json", strings.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v1/simulate?stream=sse", "application/json", strings.NewReader(slowCorrection))
 	if err != nil {
 		t.Fatal(err)
 	}

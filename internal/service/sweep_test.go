@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"strings"
 	"testing"
 
 	"onocsim"
@@ -100,5 +101,24 @@ func TestSweepSpecValidation(t *testing.T) {
 	code, body = postJSON(t, ts.URL+"/v1/sweeps", `{"unknown_axis":[1]}`)
 	if code != http.StatusBadRequest {
 		t.Fatalf("unknown field: status %d: %s", code, body)
+	}
+	code, body = postJSON(t, ts.URL+"/v1/sweeps", tinySweep+"garbage")
+	if code != http.StatusBadRequest {
+		t.Fatalf("trailing garbage: status %d: %s", code, body)
+	}
+}
+
+// Axis values may repeat, so a body well under the 1 MiB cap can name a grid
+// of any size: three axes of 400 duplicated values are 64 million arms in
+// under 4 KB. The expanded grid is capped, and the refusal is a 400 before
+// any arm is built.
+func TestSweepRejectsOversizedGrid(t *testing.T) {
+	_, ts := newTestServer(t)
+	axis := func(v string) string { return "[" + strings.TrimSuffix(strings.Repeat(v+",", 400), ",") + "]" }
+	spec := `{"networks":["optical"],"cores":` + axis("16") + `,"wavelengths":` + axis("4") +
+		`,"faults":["off"],"kernels":` + axis(`"stencil"`) + `,"quick":true}`
+	code, body := postJSON(t, ts.URL+"/v1/sweeps", spec)
+	if code != http.StatusBadRequest || !strings.Contains(string(body), "arms") {
+		t.Fatalf("%d-byte spec of 400^3 arms: status %d: %s", len(spec), code, body)
 	}
 }
