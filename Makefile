@@ -23,8 +23,11 @@ fmt-check:
 # reference, whole-record trace decode against the byte-wise decoder, the
 # replay engine against the sorted-order serial reference — run in their
 # -short form (under 5 s together; plain `go test` runs the full ones).
+# TestDocsResolve holds README, DESIGN, EXPERIMENTS and the verify skill to the
+# tree: every path, pkg.Ident, command flag and make target they name exists.
 check: vet fmt-check sweep-smoke
 	$(GO) test ./cmd/expreport/ -run TestGolden -count=1
+	$(GO) test . -run TestDocsResolve -count=1
 	$(GO) test -short ./internal/onoc/ ./internal/trace/ ./internal/core/ -run 'DifferentialAgainstReference|BufferedDecodeMatchesBytewise|EngineAgainstReference' -count=1
 
 # Non-test Go lines per package directory and in total, bench/ excluded (it is
@@ -102,10 +105,10 @@ report:
 report-csv:
 	$(GO) run ./cmd/expreport -exp all -format csv
 
-# Markdown rendering of the evaluation via the typed-JSON path — the same
-# pipeline that regenerates EXPERIMENTS.md's measured tables.
+# Markdown rendering of the evaluation: how EXPERIMENTS.md's measured tables
+# are regenerated.
 experiments-md:
-	$(GO) run ./cmd/expreport -exp all -format json | $(GO) run ./cmd/mdreport
+	$(GO) run ./cmd/expreport -exp all -format md
 
 examples:
 	$(GO) run ./examples/quickstart

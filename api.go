@@ -39,10 +39,8 @@ import (
 	"onocsim/internal/config"
 	"onocsim/internal/core"
 	"onocsim/internal/cpu"
-	"onocsim/internal/enoc"
-	"onocsim/internal/hybrid"
+	"onocsim/internal/fabric"
 	"onocsim/internal/noc"
-	"onocsim/internal/onoc"
 	"onocsim/internal/sim"
 	"onocsim/internal/trace"
 	"onocsim/internal/workload"
@@ -102,21 +100,7 @@ func BuildNetwork(cfg Config, kind NetworkKind) (Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	switch kind {
-	case config.NetElectrical:
-		return enoc.New(cfg.System.Cores, cfg.Mesh), nil
-	case config.NetOptical:
-		if cfg.Optical.Architecture == "swmr" {
-			return onoc.NewSWMRWithFaults(cfg.System.Cores, cfg.Optical, cfg.Faults, cfg.Seed), nil
-		}
-		return onoc.NewWithFaults(cfg.System.Cores, cfg.Optical, cfg.Faults, cfg.Seed), nil
-	case config.NetIdeal:
-		return noc.NewIdeal(cfg.System.Cores, sim.Tick(cfg.Ideal.LatencyCycles), cfg.Ideal.BytesPerCycle), nil
-	case config.NetHybrid:
-		return hybrid.NewWithFaults(cfg.System.Cores, cfg.Mesh, cfg.Optical, cfg.Hybrid.Threshold, cfg.Faults, cfg.Seed), nil
-	default:
-		return nil, fmt.Errorf("onocsim: unknown network kind %q", kind)
-	}
+	return fabric.Build(cfg, kind)
 }
 
 // ValidateNetworkKind checks that a fabric of the given kind can be built for

@@ -1,9 +1,9 @@
 // Command expreport regenerates the reconstructed paper evaluation: every
 // table and figure R1–R20 registered in the experiment registry (DESIGN.md
-// §3 and §9), rendered as aligned ASCII, CSV, or versioned JSON. The tool
-// itself is a thin renderer: experiment identity, cost and wiring live in
-// internal/experiments, and every output format is a view of the same typed
-// tables.
+// §3 and §8), rendered as aligned ASCII, CSV, markdown, or versioned JSON.
+// The tool itself is a thin renderer: experiment identity, cost and wiring
+// live in internal/experiments, and every output format is a view of the same
+// typed tables.
 //
 // Examples:
 //
@@ -16,7 +16,8 @@
 //	expreport -exp all -progress           # live stderr progress
 //	expreport -exp all -cachedir ~/.cache/onocsim
 //	expreport -sweep default               # design-space sweep, built-in grid
-//	expreport -sweep grid.json -quick      # custom design-space sweep
+//	expreport -sweep grid.json             # custom design-space sweep
+//	expreport -exp all -quick -format md   # the tables as markdown
 package main
 
 import (
@@ -46,14 +47,10 @@ func main() {
 		cores      = flag.Int("cores", 64, "core count for kernel experiments")
 		seed       = flag.Uint64("seed", 42, "experiment seed")
 		quick      = flag.Bool("quick", false, "shrink sweeps (CI-sized)")
-		format     = flag.String("format", "ascii", "output format: ascii | csv | json")
+		format     = flag.String("format", "ascii", "output format: ascii | csv | md | json")
 		list       = flag.Bool("list", false, "list the registered experiments (id, cost, summary) and exit")
 		outdir     = flag.String("outdir", "", "also write one CSV file per experiment into this directory")
 		cachedir   = flag.String("cachedir", "", "persist captured traces and results here and reload them across invocations")
-		shards     = flag.Int("shards", 0, "shard count for replay-family simulations (0: the configs' own, 1 = serial; tables are identical for any count, but K > 1 runs slower today, ≈2.5× at K = 2: the statistics merge costs more than the split saves)")
-		incr       = flag.Bool("incremental", false, "resume self-correction rounds from frozen-prefix checkpoints (tables are identical apart from wall-clock and replayed-events cells)")
-		faults     = flag.String("faults", "", "run the kernel experiments under this fault preset: off | light | heavy (R18 sweeps all presets regardless)")
-		seedMode   = flag.String("seedmode", "", "self-correction round-0 seeding for the kernel experiments: zeroload | analytic | fixed (R19 compares the modes regardless); -seed stays the RNG seed")
 		sweepPath  = flag.String("sweep", "", "run a design-space sweep from this JSON spec instead of the registered experiments ('default': the built-in grid)")
 		progress   = flag.Bool("progress", false, "stream experiment and simulation progress to stderr")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -61,7 +58,7 @@ func main() {
 		verbose    = flag.Bool("v", false, "report cache statistics on stderr")
 	)
 	flag.Parse()
-	opts := experiments.Options{Seed: *seed, Cores: *cores, Quick: *quick, Shards: *shards, SeedMode: *seedMode, Incremental: *incr}
+	opts := experiments.Options{Seed: *seed, Cores: *cores, Quick: *quick}
 	if *progress {
 		opts.Progress = &progressLogger{w: os.Stderr}
 	}
@@ -74,19 +71,16 @@ func main() {
 		opts.Session.SetProgress(opts.Progress)
 	}
 	var err error
-	opts.Faults, err = config.FaultPreset(*faults)
-	if err != nil {
-		err = cliutil.UsageError{Err: err}
-	} else if *list {
+	if *list {
 		err = runList(os.Stdout, *format)
 	} else {
 		var stopProf func() error
 		stopProf, err = prof.Start(*cpuprofile, *memprofile)
 		if err == nil {
-			if *sweepPath != "" {
-				err = runSweep(os.Stdout, *sweepPath, opts, *format)
-			} else {
+			if *sweepPath == "" {
 				err = run(os.Stdout, *exp, opts, *format, *outdir)
+			} else if err = sweepFlagConflict(flag.CommandLine); err == nil {
+				err = runSweep(os.Stdout, *sweepPath, opts, *format)
 			}
 		}
 		if perr := stopProf(); err == nil {
@@ -130,24 +124,36 @@ func (p *progressLogger) Event(e onocsim.ProgressEvent) {
 	}
 }
 
+// textFormats are the per-table renderings -format selects. JSON output goes
+// through a versioned document instead, so single-experiment and all runs
+// share one shape.
+var textFormats = map[string]func(*metrics.Table, io.Writer) error{
+	"ascii": (*metrics.Table).WriteASCII,
+	"csv":   (*metrics.Table).WriteCSV,
+	"md":    (*metrics.Table).WriteMarkdown,
+}
+
 // checkFormat validates the -format value; unknown formats are usage errors
 // (exit 2), matching the flag-parse convention.
 func checkFormat(format string) error {
-	switch format {
-	case "ascii", "csv", "json":
+	if _, ok := textFormats[format]; ok || format == "json" {
 		return nil
 	}
-	return cliutil.Usagef("unknown format %q (want ascii, csv, or json)", format)
+	return cliutil.Usagef("unknown format %q (want ascii, csv, md, or json)", format)
 }
 
-// writeTable renders one table in the selected format. JSON output goes
-// through the results document so single-experiment and all runs share one
-// shape; this helper serves the ascii/csv paths.
-func writeTable(w io.Writer, t *metrics.Table, format string) error {
-	if format == "csv" {
-		return t.WriteCSV(w)
+// writeTables renders tables one after another in a text format, a blank
+// line between them.
+func writeTables(w io.Writer, format string, tables ...*metrics.Table) error {
+	for i, t := range tables {
+		if i > 0 {
+			fmt.Fprintln(w)
+		}
+		if err := textFormats[format](t, w); err != nil {
+			return err
+		}
 	}
-	return t.WriteASCII(w)
+	return nil
 }
 
 // resultsDoc is the versioned document emitted by -format json: the table
@@ -185,33 +191,42 @@ func runList(w io.Writer, format string) error {
 	if format == "json" {
 		return writeJSONDoc(w, []string{"registry"}, []*metrics.Table{t})
 	}
-	return writeTable(w, t, format)
+	return writeTables(w, format, t)
+}
+
+// sweepFlagConflict refuses the flags that scale the registered experiments
+// when they are given beside -sweep: a sweep is its spec, which POST
+// /v1/sweeps must answer alike, so no flag overlays it.
+func sweepFlagConflict(fs *flag.FlagSet) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "seed" || f.Name == "quick" {
+			err = cliutil.Usagef("-%s does not apply to -sweep: a sweep is its spec, set %q in the spec file", f.Name, f.Name)
+		}
+	})
+	return err
+}
+
+// sweepSpec is the spec -sweep names: the built-in grid or a spec file, and
+// nothing laid over either.
+func sweepSpec(path string) (config.Sweep, error) {
+	if path == "default" {
+		return config.DefaultSweep(), nil
+	}
+	return config.LoadSweep(path)
 }
 
 // runSweep drives the design-space sweep pipeline (internal/sweep) from a
-// spec file — the batch counterpart of a single -exp run, and the one CLI
-// door for a sweep. The experiment options that make sense for a sweep carry
-// over: -seed and -quick shape the spec, -progress streams per-arm phases
-// through the shared progressLogger, and the invocation's session (-cachedir)
-// memoizes the arms.
+// spec — the batch counterpart of a single -exp run, and the one CLI door for
+// a sweep. -progress streams per-arm phases through the shared progressLogger,
+// and the invocation's session (-cachedir) memoizes the arms.
 func runSweep(w io.Writer, path string, opts experiments.Options, format string) error {
 	if err := checkFormat(format); err != nil {
 		return err
 	}
-	spec := config.DefaultSweep()
-	if path != "default" {
-		var err error
-		spec, err = config.LoadSweep(path)
-		if err != nil {
-			return err
-		}
-	}
-	spec.Normalize()
-	if opts.Seed != 0 {
-		spec.Seed = opts.Seed
-	}
-	if opts.Quick {
-		spec.Quick = true
+	spec, err := sweepSpec(path)
+	if err != nil {
+		return err
 	}
 	res, err := sweep.Run(context.Background(), spec, sweep.Options{
 		Session:  opts.Session,
@@ -220,17 +235,10 @@ func runSweep(w io.Writer, path string, opts experiments.Options, format string)
 	if err != nil {
 		return err
 	}
-	switch format {
-	case "json":
+	if format == "json" {
 		return res.WriteJSON(w)
-	case "csv":
-		if err := res.Summary.WriteCSV(w); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-		return res.Front.WriteCSV(w)
 	}
-	return res.WriteASCII(w)
+	return writeTables(w, format, res.Summary, res.Front)
 }
 
 // writeCSVFile saves one experiment table as <outdir>/<id>.csv.
@@ -283,13 +291,5 @@ func run(w io.Writer, exp string, opts experiments.Options, format, outdir strin
 	if format == "json" {
 		return writeJSONDoc(w, ids, tables)
 	}
-	for i, t := range tables {
-		if i > 0 {
-			fmt.Fprintln(w)
-		}
-		if err := writeTable(w, t, format); err != nil {
-			return err
-		}
-	}
-	return nil
+	return writeTables(w, format, tables...)
 }

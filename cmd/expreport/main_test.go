@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -171,6 +172,7 @@ func TestRunSweepMode(t *testing.T) {
 		"ascii": "Pareto front: sweep",
 		"json":  `"front_points"`,
 		"csv":   "arm,cells,est latency",
+		"md":    "| arm | cells | est latency",
 	} {
 		var buf bytes.Buffer
 		if err := runSweep(&buf, path, quick, format); err != nil {
@@ -187,5 +189,51 @@ func TestRunSweepMode(t *testing.T) {
 	}
 	if err := runSweep(&bytes.Buffer{}, bad, quick, "ascii"); err == nil {
 		t.Fatal("invalid sweep spec accepted")
+	}
+}
+
+// A sweep is its spec, as it is for POST /v1/sweeps: the file's own "seed"
+// reaches sweep.Run (not -seed's default of 42), the built-in grid runs seed
+// 42 and quick, and -seed or -quick given beside -sweep is a usage error
+// naming the spec field.
+func TestSweepIsItsSpec(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "grid.json")
+	if err := os.WriteFile(path, []byte(`{"cores":[16],"kernels":["stencil"],"seed":7}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := sweepSpec(path)
+	if err != nil || spec.Seed != 7 || spec.Quick {
+		t.Fatalf("spec file: seed %d quick %v (%v), want its own 7 and false", spec.Seed, spec.Quick, err)
+	}
+	spec, err = sweepSpec("default")
+	if spec.Normalize(); err != nil || spec.Seed != 42 || !spec.Quick {
+		t.Fatalf("default: seed %d quick %v (%v), want 42 and true", spec.Seed, spec.Quick, err)
+	}
+	for _, args := range [][]string{{"-seed", "42"}, {"-quick"}, {"-sweep", "default"}} {
+		fs := flag.NewFlagSet("expreport", flag.ContinueOnError)
+		fs.Uint64("seed", 42, "")
+		fs.Bool("quick", false, "")
+		fs.String("sweep", "", "")
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		err := sweepFlagConflict(fs)
+		if name := strings.TrimPrefix(args[0], "-"); name == "sweep" {
+			if err != nil {
+				t.Errorf("-sweep alone refused: %v", err)
+			}
+		} else if cliutil.ExitCode(err) != 2 || !strings.Contains(err.Error(), `"`+name+`"`) {
+			t.Errorf("%v beside -sweep: %v, want a usage error naming the spec's %q", args, err, name)
+		}
+	}
+}
+
+func TestRunMarkdown(t *testing.T) {
+	var buf bytes.Buffer
+	if err := run(&buf, "r13", quick, "md", ""); err != nil {
+		t.Fatal(err)
+	}
+	if out := buf.String(); !strings.HasPrefix(out, "### R13") || !strings.Contains(out, "\n| --- | --- |") {
+		t.Fatalf("not a markdown table:\n%s", out)
 	}
 }

@@ -32,7 +32,6 @@ import (
 
 	"onocsim"
 	"onocsim/internal/cliutil"
-	"onocsim/internal/config"
 	"onocsim/internal/job"
 	"onocsim/internal/prof"
 )
@@ -44,11 +43,7 @@ type options struct {
 	network    string
 	mode       string
 	format     string
-	faults     string
-	seedMode   string
 	dumpConfig bool
-	shards     int
-	incr       bool
 }
 
 func main() {
@@ -57,11 +52,7 @@ func main() {
 	flag.StringVar(&o.network, "network", "", "fabric: electrical | optical | hybrid | ideal (default: keep the config's own network, electrical in the baseline)")
 	flag.StringVar(&o.mode, "mode", "exec", "run mode: exec | study | correct | estimate")
 	flag.StringVar(&o.format, "format", "ascii", "output format: ascii | json")
-	flag.StringVar(&o.faults, "faults", "", "optical fault-injection preset: off | light | heavy (default: keep the config file's faults section)")
 	flag.BoolVar(&o.dumpConfig, "dump-config", false, "print the effective config as JSON and exit")
-	flag.IntVar(&o.shards, "shards", 0, "shard count for replay-family simulations (0: keep the config's, which is 1 = serial unless a -config file says otherwise; results are identical for any count, but K > 1 runs slower today, ≈2.5× at K = 2: the statistics merge costs more than the split saves)")
-	flag.BoolVar(&o.incr, "incremental", false, "resume self-correction rounds from frozen-prefix checkpoints instead of replaying from cycle zero (results are identical)")
-	flag.StringVar(&o.seedMode, "seedmode", "", "self-correction round-0 seeding: zeroload | analytic | fixed (default: keep the config file's sctm.seed)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -85,9 +76,12 @@ func run(w io.Writer, o options) error {
 	if o.mode == "sweep" {
 		return cliutil.Usagef("-mode sweep: this command runs one simulation; a design-space sweep is `expreport -sweep default` (or a spec file)")
 	}
-	cfg, err := effectiveConfig(o)
-	if err != nil {
-		return err
+	cfg := onocsim.DefaultConfig()
+	if o.cfgPath != "" {
+		var err error
+		if cfg, err = onocsim.LoadConfig(o.cfgPath); err != nil {
+			return err
+		}
 	}
 	// cfg is valid, so what New can still refuse is a flag's own word: the
 	// mode or the network.
@@ -109,39 +103,4 @@ func run(w io.Writer, o options) error {
 		return res.Table.WriteJSON(w)
 	}
 	return res.Table.WriteASCII(w)
-}
-
-// effectiveConfig is the validated config document the job is built from: the
-// baseline or -config file with every flag that was given laid over it. A
-// flag left unset leaves the config's own value alone; -network is laid on by
-// job.New, the way the daemon lays a request's network field on.
-func effectiveConfig(o options) (onocsim.Config, error) {
-	cfg := onocsim.DefaultConfig()
-	if o.cfgPath != "" {
-		var err error
-		cfg, err = onocsim.LoadConfig(o.cfgPath)
-		if err != nil {
-			return cfg, err
-		}
-	}
-	if o.faults != "" {
-		f, err := config.FaultPreset(o.faults)
-		if err != nil {
-			return cfg, cliutil.UsageError{Err: err}
-		}
-		cfg.Faults = f
-	}
-	if o.seedMode != "" {
-		cfg.SCTM.Seed = o.seedMode
-	}
-	// Sharding and incremental correction never change results, only how
-	// long they take — and K > 1 shards take longer today, so the serial
-	// default stays unless asked otherwise.
-	if o.shards != 0 {
-		cfg.Parallelism.Shards = o.shards
-	}
-	if o.incr {
-		cfg.SCTM.Incremental = true
-	}
-	return cfg, cfg.Validate()
 }

@@ -14,17 +14,22 @@ import (
 
 	"onocsim"
 	"onocsim/internal/cliutil"
+	"onocsim/internal/config"
 	"onocsim/internal/metrics"
 	"onocsim/internal/service"
 )
 
-// smallCfgFile writes a fast config and returns its path.
-func smallCfgFile(t *testing.T) string {
+// smallCfgFile writes a fast config, with the edits laid over it, and returns
+// its path: what a user does with -dump-config, an editor and -config.
+func smallCfgFile(t *testing.T, edits ...func(*onocsim.Config)) string {
 	t.Helper()
 	cfg := onocsim.DefaultConfig()
 	cfg.System.Cores = 16
 	cfg.Workload.Scale = 4
 	cfg.Workload.Iterations = 2
+	for _, edit := range edits {
+		edit(&cfg)
+	}
 	path := filepath.Join(t.TempDir(), "cfg.json")
 	if err := cfg.Save(path); err != nil {
 		t.Fatal(err)
@@ -47,12 +52,20 @@ func TestRunExecMode(t *testing.T) {
 
 func TestRunExecModeFaulted(t *testing.T) {
 	for _, preset := range []string{"light", "heavy"} {
-		o := opts(smallCfgFile(t), "optical", "exec", "ascii")
-		o.faults = preset
-		if err := run(io.Discard, o); err != nil {
+		path := smallCfgFile(t, func(c *onocsim.Config) { c.Faults = faultPreset(t, preset) })
+		if err := run(io.Discard, opts(path, "optical", "exec", "ascii")); err != nil {
 			t.Fatalf("faulted exec (%s): %v", preset, err)
 		}
 	}
+}
+
+func faultPreset(t *testing.T, name string) config.Faults {
+	t.Helper()
+	f, err := config.FaultPreset(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
 }
 
 func TestRunStudyMode(t *testing.T) {
@@ -61,44 +74,16 @@ func TestRunStudyMode(t *testing.T) {
 	}
 }
 
-// An unset -shards must leave the config's own count alone — serial in the
-// baseline, which is what `onocsim -dump-config` then prints: K > 1 is the
-// measured-slow path and may not be anybody's default.
-func TestUnsetShardsKeepsTheConfigs(t *testing.T) {
-	cfg, err := effectiveConfig(opts("", "optical", "correct", "ascii"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if data, _ := json.MarshalIndent(cfg, "", "  "); cfg.Parallelism.Shards != 1 || !bytes.Contains(data, []byte(`"shards": 1`)) {
-		t.Fatalf("no -shards on the baseline: %d shards, want 1 and `\"shards\": 1` in the dump", cfg.Parallelism.Shards)
-	}
-	file := onocsim.DefaultConfig()
-	file.Parallelism.Shards = 3
-	path := filepath.Join(t.TempDir(), "cfg.json")
-	if err := file.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	for flag, want := range map[int]int{0: 3, 2: 2} {
-		o := opts(path, "optical", "correct", "ascii")
-		o.shards = flag
-		if cfg, err := effectiveConfig(o); err != nil || cfg.Parallelism.Shards != want {
-			t.Fatalf("-shards %d over a file saying 3: %d shards (%v), want %d", flag, cfg.Parallelism.Shards, err, want)
-		}
-	}
-}
-
 func TestRunStudyModeSharded(t *testing.T) {
-	o := opts(smallCfgFile(t), "optical", "study", "ascii")
-	o.shards = 4
-	if err := run(io.Discard, o); err != nil {
+	path := smallCfgFile(t, func(c *onocsim.Config) { c.Parallelism.Shards = 4 })
+	if err := run(io.Discard, opts(path, "optical", "study", "ascii")); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunStudyModeIncremental(t *testing.T) {
-	o := opts(smallCfgFile(t), "optical", "study", "ascii")
-	o.incr = true
-	if err := run(io.Discard, o); err != nil {
+	path := smallCfgFile(t, func(c *onocsim.Config) { c.SCTM.Incremental = true })
+	if err := run(io.Discard, opts(path, "optical", "study", "ascii")); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -129,13 +114,11 @@ func TestRunJSONFormats(t *testing.T) {
 
 // TestRunExitCodes is the table test for the standardized convention: every
 // bad flag value is a usage error (exit 2), while runtime failures such as a
-// missing config file exit 1.
+// missing config file, or a document that does not validate, exit 1.
 func TestRunExitCodes(t *testing.T) {
 	cfgPath := smallCfgFile(t)
-	badSeed := opts(cfgPath, "optical", "exec", "ascii")
-	badSeed.seedMode = "entrails"
-	badFaults := opts(cfgPath, "optical", "exec", "ascii")
-	badFaults.faults = "catastrophic"
+	badSeed := smallCfgFile(t, func(c *onocsim.Config) { c.SCTM.Seed = "entrails" })
+	badFaults := smallCfgFile(t, func(c *onocsim.Config) { c.Faults.ThermalMTBF = -1 })
 	cases := []struct {
 		name string
 		err  error
@@ -145,8 +128,8 @@ func TestRunExitCodes(t *testing.T) {
 		{"sweep is not a mode", run(io.Discard, opts(cfgPath, "", "sweep", "ascii")), 2},
 		{"unknown network", run(io.Discard, opts(cfgPath, "warp", "exec", "ascii")), 2},
 		{"unknown format", run(io.Discard, opts(cfgPath, "optical", "exec", "yaml")), 2},
-		{"unknown faults preset", run(io.Discard, badFaults), 2},
-		{"unknown seed mode", run(io.Discard, badSeed), 1},
+		{"invalid faults section", run(io.Discard, opts(badFaults, "optical", "exec", "ascii")), 1},
+		{"unknown seed mode", run(io.Discard, opts(badSeed, "optical", "exec", "ascii")), 1},
 		{"missing config", run(io.Discard, opts(filepath.Join(t.TempDir(), "nope.json"), "optical", "exec", "ascii")), 1},
 	}
 	for _, tc := range cases {
@@ -196,25 +179,38 @@ func maskedTable(t *testing.T, data []byte) string {
 // neither side names a network (the document's own runs) and when both name
 // the same override. Both build their job with job.New, which is what this
 // pins: the CLI used to overwrite the document's network with its flag
-// default and answer for the optical fabric.
+// default and answer for the optical fabric. The second document carries every
+// execution detail a flag used to set — a document is the only spelling left,
+// and both doors must read all of it.
 func TestCLIAndDaemonAnswerOneDocumentAlike(t *testing.T) {
-	cfgPath := smallCfgFile(t)
-	doc, err := os.ReadFile(cfgPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(doc, []byte(`"network": "electrical"`)) {
-		t.Fatalf("the document's own network is not electrical:\n%s", doc)
-	}
+	plain := smallCfgFile(t)
+	loaded := smallCfgFile(t, func(c *onocsim.Config) {
+		c.Faults = faultPreset(t, "heavy")
+		c.SCTM.Seed = "analytic"
+		c.SCTM.Incremental = true
+		c.Parallelism.Shards = 2
+	})
 	ts := httptest.NewServer(service.New(service.Config{}).Handler())
 	defer ts.Close()
-	for _, network := range []string{"", "optical"} {
+	opticalExec := map[string]string{} // by document: its masked exec table on the optical fabric
+	for _, tc := range []struct{ cfgPath, network, ran string }{
+		{plain, "", "electrical"},
+		{plain, "optical", "optical"},
+		{loaded, "optical", "optical"},
+	} {
+		doc, err := os.ReadFile(tc.cfgPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(doc, []byte(`"network": "electrical"`)) {
+			t.Fatalf("the document's own network is not electrical:\n%s", doc)
+		}
 		for _, op := range []string{"exec", "correct", "estimate"} {
 			var cli bytes.Buffer
-			if err := run(&cli, opts(cfgPath, network, op, "json")); err != nil {
-				t.Fatalf("%s/%q: cli: %v", op, network, err)
+			if err := run(&cli, opts(tc.cfgPath, tc.network, op, "json")); err != nil {
+				t.Fatalf("%s/%q: cli: %v", op, tc.network, err)
 			}
-			body := fmt.Sprintf(`{"op":%q,"network":%q,"config":%s}`, op, network, doc)
+			body := fmt.Sprintf(`{"op":%q,"network":%q,"config":%s}`, op, tc.network, doc)
 			resp, err := http.Post(ts.URL+"/v1/simulate", "application/json", strings.NewReader(body))
 			if err != nil {
 				t.Fatal(err)
@@ -226,14 +222,23 @@ func TestCLIAndDaemonAnswerOneDocumentAlike(t *testing.T) {
 			err = json.NewDecoder(resp.Body).Decode(&reply)
 			resp.Body.Close()
 			if err != nil || resp.StatusCode != http.StatusOK {
-				t.Fatalf("%s/%q: daemon: status %d, %v", op, network, resp.StatusCode, err)
+				t.Fatalf("%s/%q: daemon: status %d, %v", op, tc.network, resp.StatusCode, err)
 			}
-			if want := map[string]string{"": "electrical", "optical": "optical"}[network]; reply.Network != want {
-				t.Errorf("%s/%q: daemon ran on %s, want %s", op, network, reply.Network, want)
+			if reply.Network != tc.ran {
+				t.Errorf("%s/%q: daemon ran on %s, want %s", op, tc.network, reply.Network, tc.ran)
 			}
-			if got, want := maskedTable(t, cli.Bytes()), maskedTable(t, reply.Table); got != want {
-				t.Errorf("%s/%q: the two doors disagree\n   cli: %s\ndaemon: %s", op, network, got, want)
+			got, want := maskedTable(t, cli.Bytes()), maskedTable(t, reply.Table)
+			if got != want {
+				t.Errorf("%s/%q: the two doors disagree\n   cli: %s\ndaemon: %s", op, tc.network, got, want)
+			}
+			if op == "exec" && tc.network == "optical" {
+				opticalExec[tc.cfgPath] = got
 			}
 		}
+	}
+	// The loaded document's faults must have reached the fabric: a door that
+	// dropped the section would still agree with the other one that did.
+	if opticalExec[plain] == opticalExec[loaded] {
+		t.Error("the heavy-faults document ran like the fault-free one")
 	}
 }

@@ -36,9 +36,9 @@ import (
 	"onocsim/internal/config"
 	"onocsim/internal/core"
 	"onocsim/internal/enoc"
+	"onocsim/internal/fabric"
 	"onocsim/internal/hybrid"
 	"onocsim/internal/noc"
-	"onocsim/internal/onoc"
 	"onocsim/internal/sim"
 	"onocsim/internal/trace"
 )
@@ -80,7 +80,7 @@ func Estimate(cfg config.Config, kind config.NetworkKind, tr *trace.Trace) (Resu
 	if tr.Nodes != cfg.System.Cores {
 		return Result{}, fmt.Errorf("analytic: trace has %d nodes, config %d cores", tr.Nodes, cfg.System.Cores)
 	}
-	probe, err := buildProbe(cfg, kind)
+	probe, err := fabric.Build(cfg, kind)
 	if err != nil {
 		return Result{}, err
 	}
@@ -163,28 +163,6 @@ func tail(tr *trace.Trace) sim.Tick {
 		return t
 	}
 	return 0
-}
-
-// buildProbe constructs the fabric whose ZeroLoadLatency anchors the
-// estimate — the same constructors the replay engines use, so zero-load
-// terms (derate tables, torus wrap, hybrid routing) agree exactly.
-func buildProbe(cfg config.Config, kind config.NetworkKind) (noc.Network, error) {
-	nodes := cfg.System.Cores
-	switch kind {
-	case config.NetElectrical:
-		return enoc.New(nodes, cfg.Mesh), nil
-	case config.NetOptical:
-		if cfg.Optical.Architecture == "swmr" {
-			return onoc.NewSWMRWithFaults(nodes, cfg.Optical, cfg.Faults, cfg.Seed), nil
-		}
-		return onoc.NewWithFaults(nodes, cfg.Optical, cfg.Faults, cfg.Seed), nil
-	case config.NetIdeal:
-		return noc.NewIdeal(nodes, sim.Tick(cfg.Ideal.LatencyCycles), cfg.Ideal.BytesPerCycle), nil
-	case config.NetHybrid:
-		return hybrid.NewWithFaults(nodes, cfg.Mesh, cfg.Optical, cfg.Hybrid.Threshold, cfg.Faults, cfg.Seed), nil
-	default:
-		return nil, fmt.Errorf("analytic: unknown network kind %q", kind)
-	}
 }
 
 // model maps a horizon to per-event seeded latencies.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"onocsim/internal/config"
+	"onocsim/internal/fabric"
 	"onocsim/internal/sim"
 	"onocsim/internal/trace"
 )
@@ -153,7 +154,7 @@ func TestUncontendedStaysNearZeroLoad(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		probe, err := buildProbe(cfg, kind)
+		probe, err := fabric.Build(cfg, kind)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

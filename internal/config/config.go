@@ -105,9 +105,9 @@ func (f Faults) Enabled() bool {
 	return f.ThermalMTBF > 0 || f.TokenMTBF > 0 || f.LaserDroopDB > 0
 }
 
-// FaultPreset returns a named fault configuration for the CLI -faults flag:
-// "off" (or "none") disables injection, "light" models occasional transients,
-// "heavy" models a chip near the edge of its thermal and power envelope.
+// FaultPreset returns a named fault configuration (R18's rows, a sweep spec's
+// faults axis): "off" (or "none") disables injection, "light" models occasional
+// transients, "heavy" a chip near the edge of its thermal and power envelope.
 func FaultPreset(name string) (Faults, error) {
 	switch name {
 	case "", "off", "none":

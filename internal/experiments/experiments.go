@@ -36,28 +36,6 @@ type Options struct {
 	// Tables are byte-identical either way, except that cached wall-clock
 	// cells report the one computation that actually ran.
 	Session *onocsim.Session
-	// Shards sets Config.Parallelism.Shards on every experiment config:
-	// replay-family runs on a crossbar or the ideal fabric split their
-	// events across this many replica fabrics, each drained in its own
-	// goroutine, and merge the statistics afterwards. 0 leaves the configs'
-	// own value (1, serial). Results are byte-identical for any value; only
-	// wall-clock cells can differ — and K > 1 has not been faster yet.
-	Shards int
-	// Faults applies an optical fault-injection section to every kernel
-	// experiment config. The zero value leaves all experiments fault-free.
-	// R18 ignores it and sweeps the presets itself.
-	Faults config.Faults
-	// SeedMode sets Config.SCTM.Seed on every experiment config: the
-	// round-0 latency seeding strategy of the self-correction loop
-	// (zeroload, analytic, fixed). Empty keeps the legacy default. R19
-	// ignores it and compares the modes itself.
-	SeedMode string
-	// Incremental sets Config.SCTM.Incremental on every experiment config:
-	// self-correction rounds resume from frozen-prefix checkpoints instead
-	// of replaying from cycle zero. Like Shards, it is an execution detail —
-	// tables are byte-identical apart from wall-clock cells and the
-	// replayed-events counters, which report the work actually performed.
-	Incremental bool
 	// Progress observes the run: experiment start/finish events from the
 	// registry dispatch, and — when it is also installed on the Session
 	// (All does this for sessions it creates; other callers use
@@ -92,12 +70,6 @@ func kernelConfig(o Options, kernel string) onocsim.Config {
 		cfg.Workload.Scale = 4
 		cfg.Workload.Iterations = 2
 	}
-	if o.Shards > 0 {
-		cfg.Parallelism.Shards = o.Shards
-	}
-	cfg.Faults = o.Faults
-	cfg.SCTM.Seed = o.SeedMode
-	cfg.SCTM.Incremental = o.Incremental
 	cfg.Name = fmt.Sprintf("%s-%dc", kernel, cfg.System.Cores)
 	return cfg
 }

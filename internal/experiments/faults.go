@@ -13,15 +13,13 @@ import (
 // the accuracy of naive replay and the self-correction model under the same
 // fault schedule, and the per-class fault counters. The ideal-fabric capture
 // is shared across every row (faults never touch the capture fabric), so the
-// sweep adds no capture work on a warm session. Options.Faults is ignored:
-// this experiment owns its fault sections.
+// sweep adds no capture work on a warm session.
 func R18Faults(ctx context.Context, o Options) (*metrics.Table, error) {
 	t := metrics.NewTable(
 		"R18 (extension) — fault injection: degraded throughput and self-correction accuracy (stencil kernel)",
 		"faults", "fabric", "truth makespan", "slowdown", "naive err", "sctm err",
 		"token losses", "drifted", "derated", "rerouted")
 	base := kernelConfig(o, "stencil")
-	base.Faults = config.Faults{}
 	tr, _, err := o.Session.CaptureTraceContext(ctx, base, onocsim.IdealNet)
 	if err != nil {
 		return nil, err

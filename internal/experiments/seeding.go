@@ -15,10 +15,9 @@ import (
 // loose tolerances a warm start may legitimately stop a round earlier at a
 // near-fixpoint within tolerance of the other). As a screening model it
 // reports the closed-form estimate against the simulated result: makespan
-// and mean-latency error bands. Options.SeedMode is ignored: this experiment
-// owns both seeding arms. The zero-load arm runs with the legacy empty seed
-// mode, so on a warm session it shares its self-correction results with the
-// other experiments.
+// and mean-latency error bands. The zero-load arm runs with the baseline's
+// empty seed mode, so on a warm session it shares its self-correction results
+// with the other experiments.
 func R19Seeding(ctx context.Context, o Options) (*metrics.Table, error) {
 	t := metrics.NewTable(
 		"R19 (extension) — analytical fast path: seeding savings and screening error",
@@ -29,7 +28,6 @@ func R19Seeding(ctx context.Context, o Options) (*metrics.Table, error) {
 	fabrics := []onocsim.NetworkKind{onocsim.Optical, onocsim.Electrical, onocsim.Hybrid}
 	for _, k := range workload.KernelNames() {
 		cfg := kernelConfig(o, k)
-		cfg.SCTM.Seed = ""
 		tr, _, err := o.Session.CaptureTraceContext(ctx, cfg, onocsim.IdealNet)
 		if err != nil {
 			return nil, err

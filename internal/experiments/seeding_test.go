@@ -49,15 +49,3 @@ func TestR19SeedingQuick(t *testing.T) {
 		}
 	}
 }
-
-func TestR19KernelConfigSeedMode(t *testing.T) {
-	o := quickOpts
-	o.SeedMode = "analytic"
-	cfg := kernelConfig(o, "stencil")
-	if cfg.SCTM.Seed != "analytic" {
-		t.Fatalf("SCTM.Seed = %q, want analytic", cfg.SCTM.Seed)
-	}
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}

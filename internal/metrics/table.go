@@ -8,8 +8,8 @@ import (
 )
 
 // Table holds experiment results as rows of typed Cells and renders them
-// three ways: aligned ASCII (for terminals and the EXPERIMENTS.md log), CSV
-// (for plotting), and versioned JSON (for machine consumers — dashboards,
+// four ways: aligned ASCII (for terminals), CSV (for plotting), markdown (for
+// the EXPERIMENTS.md log), and versioned JSON (for machine consumers — dashboards,
 // regression gates, co-simulation tooling). Each experiment builds its rows
 // with the Cell constructors so it keeps exact control of the printed
 // precision while the underlying numeric values and units stay addressable.
@@ -158,6 +158,32 @@ func (t *Table) WriteCSV(w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// WriteMarkdown renders the table as a GitHub-flavored markdown section: the
+// title as a heading, then a pipe table, then the notes in italics. Cells
+// render exactly as in the ASCII form.
+func (t *Table) WriteMarkdown(w io.Writer) error {
+	var b strings.Builder
+	writeRow := func(cell func(col int) string) {
+		for i := range t.Columns {
+			b.WriteString("| " + strings.ReplaceAll(cell(i), "|", "\\|") + " ")
+		}
+		b.WriteString("|\n")
+	}
+	if t.Title != "" {
+		fmt.Fprintf(&b, "### %s\n\n", t.Title)
+	}
+	writeRow(func(i int) string { return t.Columns[i] })
+	writeRow(func(int) string { return "---" })
+	for _, row := range t.rows {
+		writeRow(func(i int) string { return row[i].Render() })
+	}
+	for _, n := range t.notes {
+		fmt.Fprintf(&b, "\n*note: %s*\n", n)
+	}
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
 // TableFormatVersion guards the JSON table format against schema drift:

@@ -64,3 +64,18 @@ func TestTableCSVEscaping(t *testing.T) {
 		t.Fatalf("csv = %q, want %q", b.String(), want)
 	}
 }
+
+func TestTableMarkdown(t *testing.T) {
+	tb := NewTable("R1 — demo", "kernel", "err")
+	tb.AddCells(String("fft"), Percent(0.018))
+	tb.AddCells(String("has|pipe"), Percent(0.5))
+	tb.Note("a note")
+	var b strings.Builder
+	if err := tb.WriteMarkdown(&b); err != nil {
+		t.Fatal(err)
+	}
+	want := "### R1 — demo\n\n| kernel | err |\n| --- | --- |\n| fft | 1.8% |\n| has\\|pipe | 50.0% |\n\n*note: a note*\n"
+	if b.String() != want {
+		t.Fatalf("markdown = %q, want %q", b.String(), want)
+	}
+}

@@ -450,14 +450,3 @@ func (r *Result) WriteJSON(w io.Writer) error {
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)
 }
-
-// WriteASCII writes the summary table then the Pareto front.
-func (r *Result) WriteASCII(w io.Writer) error {
-	if err := r.Summary.WriteASCII(w); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w); err != nil {
-		return err
-	}
-	return r.Front.WriteASCII(w)
-}

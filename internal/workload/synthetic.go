@@ -1,7 +1,7 @@
 // Package workload provides the traffic that drives the simulators: classic
 // synthetic patterns for open-loop network characterization (experiment R4)
 // and four parallel kernels with realistic dependency structure — the
-// stand-ins for the paper's "real applications" (see DESIGN.md §5).
+// stand-ins for the paper's "real applications" (see DESIGN.md §4).
 package workload
 
 import (

@@ -91,15 +91,6 @@ var optionSurface = []string{
 	"experiments.Options.Cores",
 	"experiments.Options.Quick",
 	"experiments.Options.Session",
-	"experiments.Options.Shards",
-	"experiments.Options.Faults.ThermalMTBF",
-	"experiments.Options.Faults.ThermalDuration",
-	"experiments.Options.Faults.ThermalDetune",
-	"experiments.Options.Faults.TokenMTBF",
-	"experiments.Options.Faults.TokenTimeout",
-	"experiments.Options.Faults.LaserDroopDB",
-	"experiments.Options.SeedMode",
-	"experiments.Options.Incremental",
 	"experiments.Options.Progress",
 	"sweep.Options.Session",
 	"sweep.Options.Progress",
@@ -141,30 +132,22 @@ var flagSurface = []string{
 	"expreport -cores",
 	"expreport -cpuprofile",
 	"expreport -exp",
-	"expreport -faults",
 	"expreport -format",
-	"expreport -incremental",
 	"expreport -list",
 	"expreport -memprofile",
 	"expreport -outdir",
 	"expreport -progress",
 	"expreport -quick",
 	"expreport -seed",
-	"expreport -seedmode",
-	"expreport -shards",
 	"expreport -sweep",
 	"expreport -v",
 	"onocsim -config",
 	"onocsim -cpuprofile",
 	"onocsim -dump-config",
-	"onocsim -faults",
 	"onocsim -format",
-	"onocsim -incremental",
 	"onocsim -memprofile",
 	"onocsim -mode",
 	"onocsim -network",
-	"onocsim -seedmode",
-	"onocsim -shards",
 	"onocsimd -addr",
 	"onocsimd -budget",
 	"onocsimd -cachedir",
