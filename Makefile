@@ -25,9 +25,12 @@ fmt-check:
 # -short form (under 5 s together; plain `go test` runs the full ones).
 # TestDocsResolve holds README, DESIGN, EXPERIMENTS and the verify skill to the
 # tree: every path, pkg.Ident, command flag and make target they name exists.
+# internal/fabric is the fabric contract suite (every variant fabric.Build
+# returns × three traffic sources) plus FuzzConfig's seed corpus, well under 1 s.
 check: vet fmt-check sweep-smoke
 	$(GO) test ./cmd/expreport/ -run TestGolden -count=1
 	$(GO) test . -run TestDocsResolve -count=1
+	$(GO) test ./internal/fabric/ -count=1
 	$(GO) test -short ./internal/onoc/ ./internal/trace/ ./internal/core/ -run 'DifferentialAgainstReference|BufferedDecodeMatchesBytewise|EngineAgainstReference' -count=1
 
 # Non-test Go lines per package directory and in total, bench/ excluded (it is

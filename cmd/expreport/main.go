@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"time"
@@ -49,7 +48,6 @@ func main() {
 		quick      = flag.Bool("quick", false, "shrink sweeps (CI-sized)")
 		format     = flag.String("format", "ascii", "output format: ascii | csv | md | json")
 		list       = flag.Bool("list", false, "list the registered experiments (id, cost, summary) and exit")
-		outdir     = flag.String("outdir", "", "also write one CSV file per experiment into this directory")
 		cachedir   = flag.String("cachedir", "", "persist captured traces and results here and reload them across invocations")
 		sweepPath  = flag.String("sweep", "", "run a design-space sweep from this JSON spec instead of the registered experiments ('default': the built-in grid)")
 		progress   = flag.Bool("progress", false, "stream experiment and simulation progress to stderr")
@@ -78,7 +76,7 @@ func main() {
 		stopProf, err = prof.Start(*cpuprofile, *memprofile)
 		if err == nil {
 			if *sweepPath == "" {
-				err = run(os.Stdout, *exp, opts, *format, *outdir)
+				err = run(os.Stdout, *exp, opts, *format)
 			} else if err = sweepFlagConflict(flag.CommandLine); err == nil {
 				err = runSweep(os.Stdout, *sweepPath, opts, *format)
 			}
@@ -241,23 +239,7 @@ func runSweep(w io.Writer, path string, opts experiments.Options, format string)
 	return writeTables(w, format, res.Summary, res.Front)
 }
 
-// writeCSVFile saves one experiment table as <outdir>/<id>.csv.
-func writeCSVFile(outdir, id string, t *metrics.Table) error {
-	if err := os.MkdirAll(outdir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(outdir, id+".csv"))
-	if err != nil {
-		return err
-	}
-	if err := t.WriteCSV(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func run(w io.Writer, exp string, opts experiments.Options, format, outdir string) error {
+func run(w io.Writer, exp string, opts experiments.Options, format string) error {
 	if err := checkFormat(format); err != nil {
 		return err
 	}
@@ -280,13 +262,6 @@ func run(w io.Writer, exp string, opts experiments.Options, format, outdir strin
 			return err
 		}
 		ids, tables = []string{exp}, []*metrics.Table{t}
-	}
-	if outdir != "" {
-		for i, t := range tables {
-			if err := writeCSVFile(outdir, ids[i], t); err != nil {
-				return err
-			}
-		}
 	}
 	if format == "json" {
 		return writeJSONDoc(w, ids, tables)

@@ -19,38 +19,23 @@ var quick = experiments.Options{Seed: 42, Cores: 16, Quick: true}
 
 func TestRunSingleExperimentASCIIAndCSV(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "r1", quick, "ascii", ""); err != nil {
+	if err := run(&buf, "r1", quick, "ascii"); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(&buf, "r1", quick, "csv", ""); err != nil {
+	if err := run(&buf, "r1", quick, "csv"); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRunWritesCSVFiles(t *testing.T) {
-	dir := t.TempDir()
-	var buf bytes.Buffer
-	if err := run(&buf, "r13", quick, "ascii", dir); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "r13.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "nodes") {
-		t.Fatalf("csv missing header: %q", data[:40])
 	}
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	err := run(&bytes.Buffer{}, "r99", quick, "ascii", "")
+	err := run(&bytes.Buffer{}, "r99", quick, "ascii")
 	if err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 	if cliutil.ExitCode(err) != 2 {
 		t.Fatalf("unknown experiment should be a usage error (exit 2), got %v (exit %d)", err, cliutil.ExitCode(err))
 	}
-	if err := run(&bytes.Buffer{}, "all", experiments.Options{Seed: 1, Cores: 16, Quick: true}, "csv", ""); err != nil {
+	if err := run(&bytes.Buffer{}, "all", experiments.Options{Seed: 1, Cores: 16, Quick: true}, "csv"); err != nil {
 		// "all" must also fail loudly on an unknown id embedded in the
 		// sequence — it shouldn't here.
 		t.Fatalf("all (quick, csv): %v", err)
@@ -59,7 +44,7 @@ func TestRunUnknownExperiment(t *testing.T) {
 
 func TestRunFormatValidation(t *testing.T) {
 	for _, bad := range []string{"yaml", "", "Json", "ascii,csv"} {
-		err := run(&bytes.Buffer{}, "r13", quick, bad, "")
+		err := run(&bytes.Buffer{}, "r13", quick, bad)
 		if err == nil {
 			t.Fatalf("format %q accepted", bad)
 		}
@@ -107,7 +92,7 @@ func TestRunList(t *testing.T) {
 // renders byte-identically to the directly rendered ASCII.
 func TestRunJSONRoundTrip(t *testing.T) {
 	var jbuf bytes.Buffer
-	if err := run(&jbuf, "r13", quick, "json", ""); err != nil {
+	if err := run(&jbuf, "r13", quick, "json"); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -135,7 +120,7 @@ func TestRunJSONRoundTrip(t *testing.T) {
 	}
 
 	var direct bytes.Buffer
-	if err := run(&direct, "r13", quick, "ascii", ""); err != nil {
+	if err := run(&direct, "r13", quick, "ascii"); err != nil {
 		t.Fatal(err)
 	}
 	var rendered bytes.Buffer
@@ -230,7 +215,7 @@ func TestSweepIsItsSpec(t *testing.T) {
 
 func TestRunMarkdown(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "r13", quick, "md", ""); err != nil {
+	if err := run(&buf, "r13", quick, "md"); err != nil {
 		t.Fatal(err)
 	}
 	if out := buf.String(); !strings.HasPrefix(out, "### R13") || !strings.Contains(out, "\n| --- | --- |") {

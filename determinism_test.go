@@ -125,51 +125,3 @@ func TestStudyDeterminism(t *testing.T) {
 		})
 	}
 }
-
-// TestResettableRoundTrip drives each resettable fabric, resets it, and
-// checks the second run of an identical workload reproduces the first run's
-// delivery times exactly.
-func TestResettableRoundTrip(t *testing.T) {
-	cfg := smallConfig()
-	for _, kind := range []NetworkKind{IdealNet, Electrical, Optical, Hybrid} {
-		kind := kind
-		t.Run(string(kind), func(t *testing.T) {
-			net, err := BuildNetwork(cfg, kind)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r, ok := net.(noc.Resettable)
-			if !ok {
-				t.Fatalf("%T does not implement noc.Resettable", net)
-			}
-			run := func() []Tick {
-				var arrivals []Tick
-				net.SetDeliver(func(m *Message) { arrivals = append(arrivals, m.Arrive) })
-				id := uint64(0)
-				for src := 0; src < net.Nodes(); src++ {
-					for d := 1; d <= 3; d++ {
-						id++
-						net.Inject(&Message{ID: id, Src: src, Dst: (src + d) % net.Nodes(), Bytes: 64})
-					}
-				}
-				for net.Busy() {
-					net.Tick()
-				}
-				return arrivals
-			}
-			first := run()
-			if len(first) == 0 {
-				t.Fatal("no deliveries")
-			}
-			r.Reset()
-			if net.Now() != 0 || net.Busy() || net.Stats().Delivered != 0 {
-				t.Fatalf("reset left residue: now=%d busy=%v delivered=%d",
-					net.Now(), net.Busy(), net.Stats().Delivered)
-			}
-			second := run()
-			if !reflect.DeepEqual(first, second) {
-				t.Fatalf("post-reset run diverges:\n first: %v\n second: %v", first, second)
-			}
-		})
-	}
-}

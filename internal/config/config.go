@@ -159,8 +159,8 @@ type Parallelism struct {
 
 // System describes the CMP substrate: core count and the cache hierarchy.
 type System struct {
-	// Cores is the number of processing cores; it must be a positive
-	// perfect square so cores tile the 2-D mesh used by both fabrics.
+	// Cores is the number of processing cores; it must be a perfect square
+	// (cores tile the 2-D mesh used by both fabrics) in [4, MaxCores].
 	Cores int `json:"cores"`
 	// L1Sets, L1Ways, L1LineBytes size the private L1 data cache.
 	L1Sets      int `json:"l1_sets"`
@@ -435,6 +435,13 @@ func isSquare(n int) bool {
 // isPow2 reports whether n is a positive power of two.
 func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
+// MaxCores bounds system.cores from above, as a crossbar's two nodes bound it
+// from below. Building an optical crossbar is quadratic in the core count
+// (≈ 514 MB at 4 096 cores; 16 384 exhaust the host), so an unbounded count
+// lets one request end the daemon. Like MaxSweepArms it is a validation
+// bound, not a knob: nothing in the repo runs more than 256 cores.
+const MaxCores = 1024
+
 // Validate checks cross-field invariants and returns a descriptive error for
 // the first violation found.
 func (c *Config) Validate() error {
@@ -442,6 +449,8 @@ func (c *Config) Validate() error {
 	switch {
 	case !isSquare(s.Cores):
 		return fmt.Errorf("config: system.cores=%d must be a positive perfect square", s.Cores)
+	case s.Cores < 4 || s.Cores > MaxCores:
+		return fmt.Errorf("config: system.cores=%d out of [4, config.MaxCores=%d]: a crossbar needs two nodes", s.Cores, MaxCores)
 	case !isPow2(s.L1Sets) || s.L1Ways <= 0:
 		return fmt.Errorf("config: invalid L1 geometry sets=%d ways=%d", s.L1Sets, s.L1Ways)
 	case !isPow2(s.L1LineBytes):

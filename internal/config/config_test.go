@@ -22,6 +22,9 @@ func TestValidateRejections(t *testing.T) {
 	}{
 		{"non-square cores", func(c *Config) { c.System.Cores = 10 }, "perfect square"},
 		{"zero cores", func(c *Config) { c.System.Cores = 0 }, "perfect square"},
+		{"one core", func(c *Config) { c.System.Cores = 1 }, "two nodes"},
+		{"33x33 cores", func(c *Config) { c.System.Cores = 1089 }, "MaxCores"},
+		{"128x128 cores", func(c *Config) { c.System.Cores = 16384 }, "MaxCores"},
 		{"l1 sets not pow2", func(c *Config) { c.System.L1Sets = 12 }, "L1 geometry"},
 		{"l1 line not pow2", func(c *Config) { c.System.L1LineBytes = 48 }, "power of two"},
 		{"l2 geometry", func(c *Config) { c.System.L2Ways = 0 }, "L2 geometry"},

@@ -17,8 +17,8 @@ type Sweep struct {
 	// Networks lists the target fabrics (electrical, optical, hybrid;
 	// ideal is allowed but rarely interesting).
 	Networks []NetworkKind `json:"networks"`
-	// Cores lists system sizes; every entry must be a perfect square, and
-	// a power of two when the fft kernel is in Kernels.
+	// Cores lists system sizes; every entry must be a perfect square in
+	// [4, MaxCores], and a power of two when the fft kernel is in Kernels.
 	Cores []int `json:"cores"`
 	// Wavelengths lists WDM degrees (1..128). Electrical arms ignore the
 	// axis, and the fingerprint-level dedup collapses them accordingly.
@@ -127,8 +127,8 @@ func (s Sweep) Validate() error {
 		}
 	}
 	for _, c := range s.Cores {
-		if c < 4 || !isSquare(c) {
-			return fmt.Errorf("config: sweep cores %d must be a perfect square >= 4", c)
+		if c < 4 || c > MaxCores || !isSquare(c) {
+			return fmt.Errorf("config: sweep cores %d must be a perfect square in [4, config.MaxCores=%d]", c, MaxCores)
 		}
 		if needPow2 && !isPow2(c) {
 			return fmt.Errorf("config: sweep cores %d must be a power of two when the fft kernel is swept", c)

@@ -39,68 +39,6 @@ func TestSingleMessageLatency(t *testing.T) {
 	}
 }
 
-func TestAllPairsDelivery(t *testing.T) {
-	for _, routing := range []string{"xy", "westfirst"} {
-		routing := routing
-		t.Run(routing, func(t *testing.T) {
-			cfg := meshCfg()
-			cfg.Routing = routing
-			n := New(16, cfg)
-			delivered := map[uint64]bool{}
-			n.SetDeliver(func(m *noc.Message) {
-				if delivered[m.ID] {
-					t.Errorf("message %d delivered twice", m.ID)
-				}
-				delivered[m.ID] = true
-				want := int(m.ID-1) % 16
-				if m.Dst != want {
-					t.Errorf("message %d at wrong node", m.ID)
-				}
-			})
-			id := uint64(0)
-			for s := 0; s < 16; s++ {
-				for d := 0; d < 16; d++ {
-					id++
-					n.Inject(&noc.Message{ID: id, Src: s, Dst: d, Bytes: 32, Class: noc.ClassRequest})
-				}
-			}
-			// Encode dst in ID for the check above: ID = s*16+d+1 → dst = (ID-1)%16.
-			if !drain(n, 50_000) {
-				t.Fatal("all-pairs did not drain")
-			}
-			if len(delivered) != 256 {
-				t.Fatalf("delivered %d of 256", len(delivered))
-			}
-		})
-	}
-}
-
-func TestDeterminism(t *testing.T) {
-	run := func() (sim.Tick, float64) {
-		cfg := meshCfg()
-		n := New(16, cfg)
-		n.SetDeliver(func(m *noc.Message) {})
-		rng := sim.NewRNG(99)
-		id := uint64(0)
-		for cyc := 0; cyc < 300; cyc++ {
-			for src := 0; src < 16; src++ {
-				if rng.Bernoulli(0.15) {
-					id++
-					n.Inject(&noc.Message{ID: id, Src: src, Dst: rng.Intn(16), Bytes: 8 + rng.Intn(100), Class: noc.Class(rng.Intn(3))})
-				}
-			}
-			n.Tick()
-		}
-		drain(n, 100_000)
-		return n.Now(), n.Stats().Latency.Mean()
-	}
-	t1, l1 := run()
-	t2, l2 := run()
-	if t1 != t2 || l1 != l2 {
-		t.Fatalf("nondeterministic: (%d,%g) vs (%d,%g)", t1, l1, t2, l2)
-	}
-}
-
 func TestHeavyLoadDrains(t *testing.T) {
 	cfg := meshCfg()
 	n := New(16, cfg)
@@ -157,17 +95,6 @@ func TestCreditsRestoredAfterDrain(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestSelfMessageBypassesFabric(t *testing.T) {
-	n := New(16, meshCfg())
-	var lat sim.Tick = -1
-	n.SetDeliver(func(m *noc.Message) { lat = m.Latency() })
-	n.Inject(&noc.Message{ID: 1, Src: 7, Dst: 7, Bytes: 64, Class: noc.ClassResponse})
-	n.Tick()
-	if lat != 1 {
-		t.Fatalf("self-message latency = %d, want 1", lat)
 	}
 }
 
@@ -308,25 +235,6 @@ func TestTorusWraparoundShortensPaths(t *testing.T) {
 	}
 }
 
-func TestTorusAllPairsDelivery(t *testing.T) {
-	n := New(16, torusCfg())
-	delivered := 0
-	n.SetDeliver(func(m *noc.Message) { delivered++ })
-	id := uint64(0)
-	for s := 0; s < 16; s++ {
-		for d := 0; d < 16; d++ {
-			id++
-			n.Inject(&noc.Message{ID: id, Src: s, Dst: d, Bytes: 32, Class: noc.ClassRequest})
-		}
-	}
-	if !drain(n, 100_000) {
-		t.Fatal("torus all-pairs did not drain")
-	}
-	if delivered != 256 {
-		t.Fatalf("delivered %d of 256", delivered)
-	}
-}
-
 func TestTorusHeavyLoadNoDeadlock(t *testing.T) {
 	// The deadlock test that matters: rings full of wrapping traffic. All
 	// nodes flood their ring-opposite node in both dimensions.
@@ -353,31 +261,6 @@ func TestTorusHeavyLoadNoDeadlock(t *testing.T) {
 	}
 	if n.Stats().Delivered != 64*40 {
 		t.Fatalf("delivered %d of %d", n.Stats().Delivered, 64*40)
-	}
-}
-
-func TestTorusDeterminism(t *testing.T) {
-	run := func() (sim.Tick, float64) {
-		n := New(16, torusCfg())
-		n.SetDeliver(func(m *noc.Message) {})
-		rng := sim.NewRNG(23)
-		id := uint64(0)
-		for cyc := 0; cyc < 200; cyc++ {
-			for s := 0; s < 16; s++ {
-				if rng.Bernoulli(0.2) {
-					id++
-					n.Inject(&noc.Message{ID: id, Src: s, Dst: rng.Intn(16), Bytes: 8 + rng.Intn(90), Class: noc.Class(rng.Intn(3))})
-				}
-			}
-			n.Tick()
-		}
-		drain(n, 200_000)
-		return n.Now(), n.Stats().Latency.Mean()
-	}
-	a1, b1 := run()
-	a2, b2 := run()
-	if a1 != a2 || b1 != b2 {
-		t.Fatal("torus nondeterministic")
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"onocsim/internal/config"
 	"onocsim/internal/noc"
-	"onocsim/internal/sim"
 )
 
 func mkHybrid(threshold int) *Network {
@@ -52,45 +51,6 @@ func TestThresholdExtremes(t *testing.T) {
 	}
 }
 
-func TestSelfMessagesStayLocal(t *testing.T) {
-	n := mkHybrid(1)
-	got := 0
-	n.SetDeliver(func(m *noc.Message) { got++ })
-	n.Inject(&noc.Message{ID: 1, Src: 3, Dst: 3, Bytes: 8, Class: noc.ClassRequest})
-	n.Tick()
-	if got != 1 {
-		t.Fatal("self-message lost")
-	}
-	if n.ViaOptical != 0 {
-		t.Fatal("self-message routed through the crossbar")
-	}
-}
-
-func TestAllPairsAcrossBothFabrics(t *testing.T) {
-	n := mkHybrid(3)
-	delivered := 0
-	n.SetDeliver(func(m *noc.Message) { delivered++ })
-	id := uint64(0)
-	for s := 0; s < 16; s++ {
-		for d := 0; d < 16; d++ {
-			if s == d {
-				continue
-			}
-			id++
-			n.Inject(&noc.Message{ID: id, Src: s, Dst: d, Bytes: 48, Class: noc.ClassResponse})
-		}
-	}
-	if !drain(n, 100_000) {
-		t.Fatal("did not drain")
-	}
-	if delivered != 240 {
-		t.Fatalf("delivered %d of 240", delivered)
-	}
-	if n.ViaMesh == 0 || n.ViaOptical == 0 {
-		t.Fatalf("expected both fabrics used: mesh=%d optical=%d", n.ViaMesh, n.ViaOptical)
-	}
-}
-
 func TestZeroLoadLatencyFollowsRouting(t *testing.T) {
 	n := mkHybrid(3)
 	// Short hop: mesh ZLL; long hop: optical ZLL.
@@ -132,31 +92,6 @@ func TestHybridWithSWMRSubfabric(t *testing.T) {
 	n.Inject(&noc.Message{ID: 1, Src: 0, Dst: 15, Bytes: 64, Class: noc.ClassRequest})
 	if !drain(n, 5000) || got != 1 {
 		t.Fatalf("swmr-backed hybrid failed: got=%d", got)
-	}
-}
-
-func TestHybridDeterminism(t *testing.T) {
-	run := func() (sim.Tick, float64) {
-		n := mkHybrid(3)
-		n.SetDeliver(func(m *noc.Message) {})
-		rng := sim.NewRNG(55)
-		id := uint64(0)
-		for cyc := 0; cyc < 200; cyc++ {
-			for s := 0; s < 16; s++ {
-				if rng.Bernoulli(0.15) {
-					id++
-					n.Inject(&noc.Message{ID: id, Src: s, Dst: rng.Intn(16), Bytes: 8 + rng.Intn(100), Class: noc.Class(rng.Intn(3))})
-				}
-			}
-			n.Tick()
-		}
-		drain(n, 100_000)
-		return n.Now(), n.Stats().Latency.Mean()
-	}
-	t1, l1 := run()
-	t2, l2 := run()
-	if t1 != t2 || l1 != l2 {
-		t.Fatal("nondeterministic")
 	}
 }
 

@@ -80,6 +80,9 @@ func (j Job) Validate() error {
 	if j.TracePath != "" && j.Op != OpCorrect {
 		return fmt.Errorf("job: trace path is only supported by op correct (got %q)", j.Op)
 	}
+	if j.TracePath != "" && j.Config.SCTM.Seed == "analytic" {
+		return fmt.Errorf("job: trace %q cannot be seeded by sctm.seed=analytic: the estimator prices a resident trace and a file is streamed (use zeroload or fixed)", j.TracePath)
+	}
 	return onocsim.ValidateNetworkKind(j.Config, j.Kind)
 }
 

@@ -86,12 +86,15 @@ func TestValidate(t *testing.T) {
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("valid job rejected: %v", err)
 	}
+	analytic := cfg
+	analytic.SCTM.Seed = "analytic"
 	cases := []struct {
 		name string
 		job  Job
 		want string
 	}{
 		{"trace path on exec", Job{Op: OpExec, Config: cfg, Kind: onocsim.Optical, TracePath: "t.bin"}, "trace path"},
+		{"analytic seed on a trace file", Job{Op: OpCorrect, Config: analytic, Kind: onocsim.Optical, TracePath: "t.bin"}, "sctm.seed"},
 		{"unknown op", Job{Op: "teleport"}, "unknown op"},
 	}
 	for _, tc := range cases {

@@ -96,22 +96,6 @@ func TestIdealBandwidthCapSerializes(t *testing.T) {
 	}
 }
 
-func TestIdealSelfMessage(t *testing.T) {
-	n := NewIdeal(2, 10, 0)
-	got := 0
-	n.SetDeliver(func(m *Message) {
-		got++
-		if m.Latency() != 1 {
-			t.Fatalf("self-message latency = %d, want 1", m.Latency())
-		}
-	})
-	n.Inject(&Message{ID: 1, Src: 1, Dst: 1, Bytes: 8})
-	n.Tick()
-	if got != 1 {
-		t.Fatal("self-message not delivered next tick")
-	}
-}
-
 func TestIdealZeroLoadLatency(t *testing.T) {
 	n := NewIdeal(4, 10, 8)
 	if n.ZeroLoadLatency(0, 0, 64) != 1 {
@@ -125,40 +109,6 @@ func TestIdealZeroLoadLatency(t *testing.T) {
 	if got := uncapped.ZeroLoadLatency(0, 1, 1<<20); got != 10 {
 		t.Fatalf("uncapped ZLL = %d, want 10", got)
 	}
-}
-
-func TestIdealDeliveryOrderDeterministic(t *testing.T) {
-	run := func() []uint64 {
-		n := NewIdeal(4, 5, 0)
-		var order []uint64
-		n.SetDeliver(func(m *Message) { order = append(order, m.ID) })
-		for id := uint64(1); id <= 10; id++ {
-			n.Inject(&Message{ID: id, Src: int(id) % 4, Dst: int(id+1) % 4, Bytes: 8})
-		}
-		for i := 0; i < 20; i++ {
-			n.Tick()
-		}
-		return order
-	}
-	a, b := run(), run()
-	if len(a) != 10 || len(b) != 10 {
-		t.Fatalf("deliveries %d/%d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("delivery order diverged at %d: %v vs %v", i, a, b)
-		}
-	}
-}
-
-func TestIdealPanicsOnBadEndpoints(t *testing.T) {
-	n := NewIdeal(2, 5, 0)
-	defer func() {
-		if recover() == nil {
-			t.Error("out-of-range endpoint accepted")
-		}
-	}()
-	n.Inject(&Message{ID: 1, Src: 0, Dst: 7, Bytes: 8})
 }
 
 func TestIdealConstructorPanics(t *testing.T) {

@@ -1,12 +1,10 @@
 package onoc
 
 import (
-	"reflect"
 	"testing"
 
 	"onocsim/internal/config"
 	"onocsim/internal/noc"
-	"onocsim/internal/sim"
 )
 
 func heavyFaults() config.Faults {
@@ -15,134 +13,6 @@ func heavyFaults() config.Faults {
 		panic(err)
 	}
 	return f
-}
-
-// faultRun drives a faulted MWSR crossbar through a bursty schedule (long
-// idle gaps between bursts, so idle-cycle skipping has real work to do) and
-// records every delivery instant plus the final statistics.
-type faultRun struct {
-	now        sim.Tick
-	deliveries map[uint64]sim.Tick
-	stats      noc.Stats
-}
-
-func driveFaulted(t *testing.T, skip bool, faults config.Faults) faultRun {
-	t.Helper()
-	const nodes = 16
-	n := NewWithFaults(nodes, optCfg(), faults, 42)
-	got := map[uint64]sim.Tick{}
-	n.SetDeliver(func(m *noc.Message) { got[m.ID] = n.Now() })
-
-	type inj struct {
-		t sim.Tick
-		m *noc.Message
-	}
-	var pending []inj
-	rng := sim.NewRNG(31)
-	id := uint64(0)
-	// Bursts every ~5k cycles, long enough to straddle several heavy-preset
-	// token windows (MTBF 16k) and drift windows (MTBF 12k).
-	for burst := 0; burst < 12; burst++ {
-		at := sim.Tick(burst * 5_000)
-		for s := 0; s < nodes; s++ {
-			if rng.Bernoulli(0.5) {
-				id++
-				pending = append(pending, inj{at, &noc.Message{
-					ID: id, Src: s, Dst: rng.Intn(nodes), Bytes: 8 + rng.Intn(120), Class: noc.ClassRequest}})
-			}
-		}
-	}
-
-	for steps := 0; len(pending) > 0 || n.Busy(); steps++ {
-		if steps > 2_000_000 {
-			t.Fatal("faulted run did not drain")
-		}
-		for len(pending) > 0 && pending[0].t <= n.Now() {
-			n.Inject(pending[0].m)
-			pending = pending[1:]
-		}
-		if skip {
-			target := sim.Never
-			if len(pending) > 0 {
-				target = pending[0].t
-			}
-			if wake := n.NextWake(); wake < target {
-				target = wake
-			}
-			if target > n.Now()+1 && target != sim.Never {
-				n.SkipTo(target - 1)
-			}
-		}
-		n.Tick()
-	}
-	return faultRun{now: n.Now(), deliveries: got, stats: *n.Stats()}
-}
-
-// TestFaultedSkipEquivalence is the core tentpole guarantee at fabric level:
-// full-cycle ticking and idle-cycle skipping see the identical fault
-// schedule, delivering every message at the same instant with the same
-// fault counters.
-func TestFaultedSkipEquivalence(t *testing.T) {
-	tick := driveFaulted(t, false, heavyFaults())
-	skip := driveFaulted(t, true, heavyFaults())
-	if !reflect.DeepEqual(tick.deliveries, skip.deliveries) {
-		t.Fatalf("delivery schedules diverge: %d vs %d messages", len(tick.deliveries), len(skip.deliveries))
-	}
-	if tick.stats.Faults != skip.stats.Faults {
-		t.Fatalf("fault counters diverge: %+v vs %+v", tick.stats.Faults, skip.stats.Faults)
-	}
-	if tick.stats.Delivered != skip.stats.Delivered || tick.stats.Injected != skip.stats.Injected {
-		t.Fatalf("message counters diverge")
-	}
-	if tick.stats.Faults.TokenLosses == 0 {
-		t.Error("heavy preset drove no token losses — the equivalence test exercised nothing")
-	}
-	if tick.stats.Faults.DriftedSends == 0 {
-		t.Error("heavy preset drove no drifted sends")
-	}
-}
-
-// TestFaultedResetDeterminism pins the self-correction contract: Reset
-// between rounds replays the identical fault schedule.
-func TestFaultedResetDeterminism(t *testing.T) {
-	n := NewWithFaults(16, optCfg(), heavyFaults(), 42)
-	run := func() (sim.Tick, noc.FaultCounts) {
-		n.SetDeliver(func(m *noc.Message) {})
-		rng := sim.NewRNG(7)
-		id := uint64(0)
-		for cyc := 0; cyc < 3_000; cyc++ {
-			for s := 0; s < 16; s++ {
-				if rng.Bernoulli(0.05) {
-					id++
-					n.Inject(&noc.Message{ID: id, Src: s, Dst: rng.Intn(16), Bytes: 64, Class: noc.ClassRequest})
-				}
-			}
-			n.Tick()
-		}
-		if !drain(n, 1_000_000) {
-			t.Fatal("did not drain")
-		}
-		return n.Now(), n.Stats().Faults
-	}
-	t1, f1 := run()
-	n.Reset()
-	t2, f2 := run()
-	if t1 != t2 || f1 != f2 {
-		t.Fatalf("rounds diverge: (%d,%+v) vs (%d,%+v)", t1, f1, t2, f2)
-	}
-}
-
-// TestFaultFreePathUnchanged checks NewWithFaults with a zero section is the
-// plain constructor: same delivery schedule, zero counters.
-func TestFaultFreePathUnchanged(t *testing.T) {
-	clean := driveFaulted(t, false, config.Faults{})
-	faulted := driveFaulted(t, false, heavyFaults())
-	if clean.stats.Faults != (noc.FaultCounts{}) {
-		t.Fatalf("fault-free run counted faults: %+v", clean.stats.Faults)
-	}
-	if clean.now >= faulted.now {
-		t.Logf("note: faulted run (%d) not slower than clean (%d); acceptable but unusual", faulted.now, clean.now)
-	}
 }
 
 // TestSWMRDroopDerates checks laser droop shrinks the worst-case margin on

@@ -70,30 +70,6 @@ func TestSingleMessageDelivery(t *testing.T) {
 	}
 }
 
-func TestAllPairsDelivery(t *testing.T) {
-	n := New(16, optCfg())
-	delivered := 0
-	n.SetDeliver(func(m *noc.Message) {
-		delivered++
-		if m.Dst != int(m.ID-1)%16 {
-			t.Errorf("message %d delivered to wrong node %d", m.ID, m.Dst)
-		}
-	})
-	id := uint64(0)
-	for s := 0; s < 16; s++ {
-		for d := 0; d < 16; d++ {
-			id++
-			n.Inject(&noc.Message{ID: id, Src: s, Dst: d, Bytes: 48, Class: noc.ClassResponse})
-		}
-	}
-	if !drain(n, 100_000) {
-		t.Fatal("did not drain")
-	}
-	if delivered != 256 {
-		t.Fatalf("delivered %d of 256", delivered)
-	}
-}
-
 func TestChannelSerializesConcurrentWriters(t *testing.T) {
 	// All 15 other nodes write to node 0's channel simultaneously: the
 	// channel must serialize, so the span between first and last arrival
@@ -147,42 +123,6 @@ func TestMaxTokenHoldPreventsStarvation(t *testing.T) {
 	}
 	if pos > 10 {
 		t.Fatalf("victim message arrived at position %d of %d — starved", pos, len(arrivals))
-	}
-}
-
-func TestDeterminism(t *testing.T) {
-	run := func() (sim.Tick, float64) {
-		n := New(16, optCfg())
-		n.SetDeliver(func(m *noc.Message) {})
-		rng := sim.NewRNG(31)
-		id := uint64(0)
-		for cyc := 0; cyc < 200; cyc++ {
-			for s := 0; s < 16; s++ {
-				if rng.Bernoulli(0.2) {
-					id++
-					n.Inject(&noc.Message{ID: id, Src: s, Dst: rng.Intn(16), Bytes: 8 + rng.Intn(120), Class: noc.ClassRequest})
-				}
-			}
-			n.Tick()
-		}
-		drain(n, 100_000)
-		return n.Now(), n.Stats().Latency.Mean()
-	}
-	t1, l1 := run()
-	t2, l2 := run()
-	if t1 != t2 || l1 != l2 {
-		t.Fatalf("nondeterministic: (%d,%g) vs (%d,%g)", t1, l1, t2, l2)
-	}
-}
-
-func TestSelfMessage(t *testing.T) {
-	n := New(4, optCfg())
-	var lat sim.Tick = -1
-	n.SetDeliver(func(m *noc.Message) { lat = m.Latency() })
-	n.Inject(&noc.Message{ID: 1, Src: 2, Dst: 2, Bytes: 64, Class: noc.ClassRequest})
-	n.Tick()
-	if lat != 1 {
-		t.Fatalf("self-message latency = %d, want 1", lat)
 	}
 }
 

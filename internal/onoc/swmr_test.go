@@ -84,25 +84,6 @@ func TestSWMRDistinctSendersDontContend(t *testing.T) {
 	}
 }
 
-func TestSWMRAllPairs(t *testing.T) {
-	n := NewSWMR(16, optCfg())
-	delivered := 0
-	n.SetDeliver(func(m *noc.Message) { delivered++ })
-	id := uint64(0)
-	for s := 0; s < 16; s++ {
-		for d := 0; d < 16; d++ {
-			id++
-			n.Inject(&noc.Message{ID: id, Src: s, Dst: d, Bytes: 48, Class: noc.ClassResponse})
-		}
-	}
-	if !drainSWMR(n, 100_000) {
-		t.Fatal("did not drain")
-	}
-	if delivered != 256 {
-		t.Fatalf("delivered %d of 256", delivered)
-	}
-}
-
 func TestSWMRLaserPowerExceedsMWSR(t *testing.T) {
 	cfg := optCfg()
 	mwsr := New(64, cfg)
@@ -120,40 +101,6 @@ func TestSWMRLaserPowerExceedsMWSR(t *testing.T) {
 	rep := swmr.PowerReport(1000, cfg.ClockGHz)
 	if rep.StaticMW <= 0 {
 		t.Fatal("no static power")
-	}
-}
-
-func TestSWMRDeterminism(t *testing.T) {
-	run := func() sim.Tick {
-		n := NewSWMR(16, optCfg())
-		n.SetDeliver(func(m *noc.Message) {})
-		rng := sim.NewRNG(77)
-		id := uint64(0)
-		for cyc := 0; cyc < 200; cyc++ {
-			for s := 0; s < 16; s++ {
-				if rng.Bernoulli(0.2) {
-					id++
-					n.Inject(&noc.Message{ID: id, Src: s, Dst: rng.Intn(16), Bytes: 8 + rng.Intn(100), Class: noc.ClassRequest})
-				}
-			}
-			n.Tick()
-		}
-		drainSWMR(n, 100_000)
-		return n.Now()
-	}
-	if run() != run() {
-		t.Fatal("nondeterministic")
-	}
-}
-
-func TestSWMRSelfMessage(t *testing.T) {
-	n := NewSWMR(4, optCfg())
-	var lat sim.Tick = -1
-	n.SetDeliver(func(m *noc.Message) { lat = m.Latency() })
-	n.Inject(&noc.Message{ID: 1, Src: 3, Dst: 3, Bytes: 16, Class: noc.ClassRequest})
-	n.Tick()
-	if lat != 1 {
-		t.Fatalf("self latency = %d", lat)
 	}
 }
 

@@ -250,6 +250,7 @@ func TestSimulateRejectsBadRequests(t *testing.T) {
 		{"bad network", `{"op":"exec","network":"quantum"}`},
 		{"unknown config field", `{"op":"exec","config":{"warp_factor":9}}`},
 		{"invalid config", `{"op":"exec","config":{"system":{"cores":7}}}`},
+		{"cores above MaxCores", `{"op":"exec","config":{"system":{"cores":16384}}}`},
 		{"malformed json", `{"op":`},
 		{"trailing garbage", `{"op":"exec"}garbage`},
 		{"second value", `{"op":"exec"}{"op":"exec"}`},

@@ -94,11 +94,12 @@ func TestSweepDedupAndCLIParity(t *testing.T) {
 // An empty body runs the built-in default grid; a bad spec is a 400.
 func TestSweepSpecValidation(t *testing.T) {
 	_, ts := newTestServer(t)
-	code, body := postJSON(t, ts.URL+"/v1/sweeps", `{"cores":[7]}`)
-	if code != http.StatusBadRequest {
-		t.Fatalf("invalid spec: status %d: %s", code, body)
+	for _, spec := range []string{`{"cores":[7]}`, `{"cores":[16384]}`} {
+		if code, body := postJSON(t, ts.URL+"/v1/sweeps", spec); code != http.StatusBadRequest {
+			t.Fatalf("invalid spec %s: status %d: %s", spec, code, body)
+		}
 	}
-	code, body = postJSON(t, ts.URL+"/v1/sweeps", `{"unknown_axis":[1]}`)
+	code, body := postJSON(t, ts.URL+"/v1/sweeps", `{"unknown_axis":[1]}`)
 	if code != http.StatusBadRequest {
 		t.Fatalf("unknown field: status %d: %s", code, body)
 	}

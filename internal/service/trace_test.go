@@ -55,10 +55,13 @@ func TestSimulateStreamsStoredTrace(t *testing.T) {
 		t.Fatalf("repeated streamed correct recomputed: misses %d -> %d", misses, got)
 	}
 
-	// Trace paths only make sense for correct jobs.
-	code, raw = postJSON(t, ts.URL+"/v1/simulate",
-		fmt.Sprintf(`{"op":"exec","network":"optical","trace":%q}`, path))
-	if code != http.StatusBadRequest {
-		t.Fatalf("trace on exec: status %d: %s", code, raw)
+	// Trace paths only make sense for correct jobs, and a streamed file has no
+	// analytic seed.
+	for _, bad := range []string{`{"op":"exec","network":"optical","trace":%q}`,
+		`{"op":"correct","network":"optical","trace":%q,"config":{"system":{"cores":16},"sctm":{"seed":"analytic"}}}`} {
+		body := fmt.Sprintf(bad, path)
+		if code, raw := postJSON(t, ts.URL+"/v1/simulate", body); code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d: %s", body, code, raw)
+		}
 	}
 }

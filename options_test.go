@@ -135,7 +135,6 @@ var flagSurface = []string{
 	"expreport -format",
 	"expreport -list",
 	"expreport -memprofile",
-	"expreport -outdir",
 	"expreport -progress",
 	"expreport -quick",
 	"expreport -seed",

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"onocsim/internal/config"
-	"onocsim/internal/noc"
 )
 
 // publicSurface is every exported function of the package and every exported
@@ -100,70 +99,6 @@ func TestFabricContractSurface(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("noc.Network method set changed\n got: %q\nwant: %q", got, want)
-	}
-}
-
-// TestFabricAdmissionContract holds every fabric BuildNetwork can return to
-// the two clauses of Inject that have nothing to do with what makes fabrics
-// differ: endpoints outside [0, Nodes) panic, and a self-message is delivered
-// exactly once, on the next Tick, without keeping the fabric busy — also one
-// injected from inside the delivery callback of another (the mesh used to
-// drop that one while it filtered its self-queue).
-func TestFabricAdmissionContract(t *testing.T) {
-	swmr := smallConfig()
-	swmr.Optical.Architecture = "swmr"
-	for _, tc := range []struct {
-		name string
-		cfg  Config
-		kind NetworkKind
-	}{
-		{"electrical", smallConfig(), Electrical},
-		{"optical/mwsr", smallConfig(), Optical},
-		{"optical/swmr", swmr, Optical},
-		{"hybrid", smallConfig(), Hybrid},
-		{"ideal", smallConfig(), IdealNet},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			net, err := BuildNetwork(tc.cfg, tc.kind)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var got []Message
-			net.SetDeliver(func(m *Message) {
-				got = append(got, *m)
-				if m.ID == 7 {
-					net.Inject(&Message{ID: 8, Src: m.Dst, Dst: m.Dst, Bytes: 8})
-				}
-			})
-			for _, bad := range []Message{{Src: -1, Dst: 0}, {Src: 0, Dst: net.Nodes()}, {Src: net.Nodes(), Dst: net.Nodes()}} {
-				func() {
-					defer func() {
-						if recover() == nil {
-							t.Errorf("Inject(%d->%d) on %d nodes did not panic", bad.Src, bad.Dst, net.Nodes())
-						}
-					}()
-					bad.Bytes = 8
-					net.Inject(&bad)
-				}()
-			}
-			net.Tick()
-			net.Tick()
-			at := net.Now()
-			net.Inject(&Message{ID: 7, Src: 5, Dst: 5, Bytes: 64})
-			if !net.Busy() || net.NextWake() != at+1 {
-				t.Fatalf("after a self-inject at %d: Busy %v, NextWake %d", at, net.Busy(), net.NextWake())
-			}
-			for i := 0; i < 50; i++ {
-				net.Tick()
-			}
-			if len(got) != 2 || got[0].ID != 7 || got[0].Inject != at || got[0].Arrive != at+1 ||
-				got[1].ID != 8 || got[1].Inject != at+1 || got[1].Arrive != at+2 {
-				t.Fatalf("self-message injected at %d and its follow-up: deliveries %+v, want one at %d and one at %d", at, got, at+1, at+2)
-			}
-			if net.Busy() || net.NextWake() != noc.Never || net.Stats().Delivered != 2 {
-				t.Fatalf("after delivery: Busy %v, NextWake %d, delivered %d", net.Busy(), net.NextWake(), net.Stats().Delivered)
-			}
-		})
 	}
 }
 
