@@ -19,19 +19,22 @@ fmt-check:
 
 # Static checks plus the golden-file rendering gate: the ASCII output of the
 # pinned experiments must stay byte-identical (cmd/expreport/testdata). The
-# three differential tests — event-driven crossbar against the hop-by-hop
-# reference, whole-record trace decode against the byte-wise decoder, the
-# replay engine against the sorted-order serial reference — run in their
-# -short form (under 5 s together; plain `go test` runs the full ones).
+# four differential tests — the mesh router against the naive reference
+# router, the event-driven crossbar against the hop-by-hop reference,
+# whole-record trace decode against the byte-wise decoder, the replay engine
+# against the sorted-order serial reference — run in their -short form (a few
+# seconds together; plain `go test` runs the full ones).
 # TestDocsResolve holds README, DESIGN, EXPERIMENTS and the verify skill to the
-# tree: every path, pkg.Ident, command flag and make target they name exists.
+# tree: every path, pkg.Ident, command flag and make target they name exists;
+# beside it run the four surface pins (options, flags, public API, fabric
+# contract), the review gate for a new knob or entry point.
 # internal/fabric is the fabric contract suite (every variant fabric.Build
 # returns × three traffic sources) plus FuzzConfig's seed corpus, well under 1 s.
 check: vet fmt-check sweep-smoke
 	$(GO) test ./cmd/expreport/ -run TestGolden -count=1
-	$(GO) test . -run TestDocsResolve -count=1
+	$(GO) test . -run 'TestDocsResolve|Surface' -count=1
 	$(GO) test ./internal/fabric/ -count=1
-	$(GO) test -short ./internal/onoc/ ./internal/trace/ ./internal/core/ -run 'DifferentialAgainstReference|BufferedDecodeMatchesBytewise|EngineAgainstReference' -count=1
+	$(GO) test -short ./internal/enoc/ ./internal/onoc/ ./internal/trace/ ./internal/core/ -run 'DifferentialAgainstReference|BufferedDecodeMatchesBytewise|EngineAgainstReference' -count=1
 
 # Non-test Go lines per package directory and in total, bench/ excluded (it is
 # the measuring instrument, not the product): the count ROADMAP's "net negative

@@ -187,24 +187,13 @@ func RunExecutionDrivenContext(ctx context.Context, cfg Config, kind NetworkKind
 		Cycles:      res.Cycles,
 		Messages:    res.Messages,
 		WallTime:    run.Wall,
-		Power:       net.PowerReport(res.Cycles, clockGHz(cfg, kind)),
+		Power:       net.PowerReport(res.Cycles),
 		Faults:      net.Stats().Faults,
 	}
 	for c := noc.Class(0); c < noc.NumClasses; c++ {
 		gt.ClassLatency[c] = net.Stats().PerClass[c].Mean()
 	}
 	return gt, nil
-}
-
-// clockGHz returns the clock used to convert the simulated fabric's cycle
-// counts into seconds for power reporting: the mesh clock for the
-// electrical fabric, the optical system clock otherwise (the hybrid charges
-// both sub-fabrics at the optical system clock it is synchronized to).
-func clockGHz(cfg Config, kind NetworkKind) float64 {
-	if kind == config.NetElectrical {
-		return cfg.Mesh.ClockGHz
-	}
-	return cfg.Optical.ClockGHz
 }
 
 // CaptureTraceContext runs the configured kernel workload execution-driven on
@@ -388,7 +377,7 @@ func inSimSlot[T any](ctx context.Context, run func() (T, error)) (timed[T], err
 
 // syntheticLoad drives a fresh fabric of the given kind open-loop with the
 // config's synthetic workload and reports latency/throughput. The electrical
-// flit granularity prices offered load on both fabrics so the numbers stay
+// flit granularity prices offered load on every fabric so the numbers stay
 // comparable.
 func syntheticLoad(ctx context.Context, cfg Config, kind NetworkKind) (SyntheticResult, error) {
 	net, err := BuildNetwork(cfg, kind)
@@ -396,7 +385,7 @@ func syntheticLoad(ctx context.Context, cfg Config, kind NetworkKind) (Synthetic
 		return SyntheticResult{}, err
 	}
 	run, err := inSimSlot(ctx, func() (SyntheticResult, error) {
-		return workload.RunSynthetic(net, cfg.Workload, cfg.Mesh.FlitBytes, cfg.Seed)
+		return workload.RunSynthetic(net, cfg.Workload, cfg.Seed)
 	})
 	return run.Res, err
 }
@@ -441,5 +430,5 @@ func StaticPowerMW(cfg Config, kind NetworkKind) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return net.PowerReport(1, clockGHz(cfg, kind)).StaticMW, nil
+	return net.PowerReport(1).StaticMW, nil
 }

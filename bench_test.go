@@ -230,7 +230,7 @@ func BenchmarkSyntheticUniform(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := workload.RunSynthetic(net, cfg.Workload, cfg.Mesh.FlitBytes, cfg.Seed); err != nil {
+				if _, err := workload.RunSynthetic(net, cfg.Workload, cfg.Seed); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -184,7 +184,7 @@ func buildModel(cfg config.Config, kind config.NetworkKind, tr *trace.Trace, pro
 	case config.NetElectrical:
 		return newMeshModel(cfg, tr, nil), nil
 	case config.NetIdeal:
-		return newIdealModel(cfg, tr), nil
+		return newIdealModel(tr), nil
 	case config.NetHybrid:
 		return newHybridModel(cfg, tr, probe.(*hybrid.Network))
 	default:
@@ -307,12 +307,9 @@ func newChannelModel(cfg config.Config, tr *trace.Trace, xb crossbar, byDst bool
 
 // newIdealModel charges each event's injection-port serialization to its
 // source; with no bandwidth cap the ideal fabric is contention-free.
-func newIdealModel(cfg config.Config, tr *trace.Trace) *resourceModel {
+func newIdealModel(tr *trace.Trace) *resourceModel {
 	m := newResourceModel(tr.Nodes, len(tr.Events))
-	bpc := cfg.Ideal.BytesPerCycle
-	if bpc <= 0 {
-		return m
-	}
+	const bpc = fabric.IdealBytesPerCycle
 	for i := range tr.Events {
 		e := &tr.Events[i]
 		if e.Src == e.Dst {
@@ -376,7 +373,7 @@ func newMeshModel(cfg config.Config, tr *trace.Trace, include []bool) *meshModel
 			continue
 		}
 		m.load.Add(e.Src, e.Dst, e.Bytes)
-		m.flitsPair[e.Src*nodes+e.Dst] += float64(enoc.FlitsFor(e.Bytes, cfg.Mesh.FlitBytes))
+		m.flitsPair[e.Src*nodes+e.Dst] += float64(enoc.FlitsFor(e.Bytes))
 		m.evPair[i] = int32(e.Src*nodes + e.Dst)
 	}
 	m.load.ForEachPair(func(src, dst int, pl noc.PairLoad) {

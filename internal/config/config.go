@@ -50,7 +50,6 @@ type Config struct {
 	System   System   `json:"system"`
 	Mesh     Mesh     `json:"mesh"`
 	Optical  Optical  `json:"optical"`
-	Ideal    Ideal    `json:"ideal"`
 	Hybrid   Hybrid   `json:"hybrid"`
 	Workload Workload `json:"workload"`
 	SCTM     SCTM     `json:"sctm"`
@@ -73,8 +72,7 @@ type Config struct {
 // (internal/fault). Every schedule derives from Seed plus these parameters
 // alone, so the same (seed, faults) pair always yields the same fault
 // timeline — on any host, for any shard count. The zero value means "no
-// faults" and, uniquely, is omitted from Fingerprint so pre-existing cached
-// results for fault-free configs stay valid.
+// faults".
 type Faults struct {
 	// ThermalMTBF is the mean number of cycles between thermal drift
 	// windows on each optical channel's ring bank; 0 disables the class.
@@ -157,27 +155,17 @@ type Parallelism struct {
 	WindowEvents int `json:"window_events,omitempty"`
 }
 
-// System describes the CMP substrate: core count and the cache hierarchy.
+// System describes the CMP substrate a study varies: core count, shared L2
+// and memory controllers. The private L1, the bank and memory latencies and
+// the message sizes are constants of the cpu model (DESIGN §12).
 type System struct {
 	// Cores is the number of processing cores; it must be a perfect square
 	// (cores tile the 2-D mesh used by both fabrics) in [4, MaxCores].
 	Cores int `json:"cores"`
-	// L1Sets, L1Ways, L1LineBytes size the private L1 data cache.
-	L1Sets      int `json:"l1_sets"`
-	L1Ways      int `json:"l1_ways"`
-	L1LineBytes int `json:"l1_line_bytes"`
 	// L2SetsPerBank, L2Ways size each distributed shared-L2 bank (one
 	// bank per core tile, S-NUCA address interleaving).
 	L2SetsPerBank int `json:"l2_sets_per_bank"`
 	L2Ways        int `json:"l2_ways"`
-	// L2HitCycles is the bank access latency.
-	L2HitCycles int64 `json:"l2_hit_cycles"`
-	// MemCycles is the off-chip memory access latency beyond L2.
-	MemCycles int64 `json:"mem_cycles"`
-	// CtrlBytes and DataBytes are the network payload sizes of a control
-	// message (request/ack/inv) and a data-bearing message.
-	CtrlBytes int `json:"ctrl_bytes"`
-	DataBytes int `json:"data_bytes"`
 	// MemPorts places that many memory controllers at the chip corners
 	// (0–4). With 0 (the default), off-chip latency is folded into the
 	// home bank; with ≥1, every L2 data miss becomes real request/response
@@ -186,7 +174,8 @@ type System struct {
 	MemPorts int `json:"mem_ports"`
 }
 
-// Mesh configures the baseline electrical NoC.
+// Mesh configures the baseline electrical NoC. Link width, buffer depth,
+// router and wire latencies and the clock are constants of internal/enoc.
 type Mesh struct {
 	// Topology selects "mesh" (default) or "torus" (wraparound links with
 	// dateline virtual-channel deadlock avoidance; requires xy routing and
@@ -194,24 +183,14 @@ type Mesh struct {
 	Topology string `json:"topology"`
 	// VCs is the number of virtual channels per physical port.
 	VCs int `json:"vcs"`
-	// BufDepth is flit buffer depth per VC.
-	BufDepth int `json:"buf_depth"`
-	// FlitBytes is the physical link width per cycle.
-	FlitBytes int `json:"flit_bytes"`
-	// RouterStages is the per-hop router pipeline latency in cycles.
-	RouterStages int64 `json:"router_stages"`
-	// LinkCycles is the per-hop wire traversal latency in cycles.
-	LinkCycles int64 `json:"link_cycles"`
 	// Routing selects "xy" (deterministic) or "westfirst" (partially
 	// adaptive, deadlock-free turn model).
 	Routing string `json:"routing"`
-	// ClockGHz is the electrical network clock, used to convert cycle
-	// counts into seconds for the mesh power report. It may differ from
-	// the optical system clock when the fabrics are clocked independently.
-	ClockGHz float64 `json:"clock_ghz"`
 }
 
-// Optical configures the photonic crossbar (Corona-class MWSR).
+// Optical configures the photonic crossbar (Corona-class MWSR). Line rate,
+// clock, token timing, propagation, O/E overhead and die edge are constants
+// of internal/onoc.
 type Optical struct {
 	// Architecture selects the crossbar organization: "mwsr" (Corona:
 	// token-arbitrated home channels, the default) or "swmr" (Firefly:
@@ -219,26 +198,6 @@ type Optical struct {
 	Architecture string `json:"architecture"`
 	// WavelengthsPerChannel is the WDM degree of each home channel.
 	WavelengthsPerChannel int `json:"wavelengths_per_channel"`
-	// GbpsPerWavelength is the modulation rate of one wavelength.
-	GbpsPerWavelength float64 `json:"gbps_per_wavelength"`
-	// ClockGHz is the system clock used to convert line rate into
-	// bits-per-cycle channel capacity.
-	ClockGHz float64 `json:"clock_ghz"`
-	// TokenHopCycles is the token circulation delay between adjacent
-	// nodes on the arbitration waveguide.
-	TokenHopCycles int64 `json:"token_hop_cycles"`
-	// PropagationCyclesAcross is the light propagation time across the
-	// full die (worst case); per-pair delay scales with hop distance.
-	PropagationCyclesAcross int64 `json:"propagation_cycles_across"`
-	// OEOverheadCycles is modulation + detection + serdes overhead per
-	// message at the endpoints.
-	OEOverheadCycles int64 `json:"oe_overhead_cycles"`
-	// MaxTokenHold bounds how many packets a node may send back-to-back
-	// while holding a channel token, preventing starvation under hotspot
-	// traffic.
-	MaxTokenHold int `json:"max_token_hold"`
-	// DieEdgeCm is the physical die edge used by the loss budget.
-	DieEdgeCm float64 `json:"die_edge_cm"`
 }
 
 // Hybrid configures the path-adaptive opto-electronic fabric.
@@ -246,15 +205,6 @@ type Hybrid struct {
 	// Threshold is the minimum Manhattan hop distance routed optically;
 	// shorter paths ride the electrical mesh.
 	Threshold int `json:"threshold"`
-}
-
-// Ideal configures the contention-free reference network.
-type Ideal struct {
-	// LatencyCycles is the fixed end-to-end message latency.
-	LatencyCycles int64 `json:"latency_cycles"`
-	// BytesPerCycle is the per-node injection bandwidth cap; 0 disables
-	// the cap entirely.
-	BytesPerCycle int `json:"bytes_per_cycle"`
 }
 
 // WorkloadKind names a traffic source.
@@ -331,9 +281,6 @@ type SCTM struct {
 	//   "analytic" closed-form contention-aware estimate (internal/analytic),
 	//              falling back to zero-load when the estimator declines.
 	//   "fixed"    the constant InitialLatencyCycles for every event.
-	//
-	// The empty default is deliberately excluded from Fingerprint so cached
-	// results from earlier schema versions stay addressable.
 	Seed string `json:"seed,omitempty"`
 	// Incremental resumes each correction round from a frozen-prefix
 	// checkpoint of the previous round instead of replaying from cycle
@@ -358,8 +305,8 @@ func (t *SCTM) SeedMode() string {
 }
 
 // Default returns a fully populated baseline configuration: a 64-core chip,
-// canonical mesh and crossbar parameters from the 2012-era literature, and a
-// stencil kernel workload.
+// a 4-VC xy mesh, a 16-wavelength MWSR crossbar, and a stencil kernel
+// workload.
 func Default() Config {
 	return Config{
 		Name:    "default",
@@ -367,40 +314,17 @@ func Default() Config {
 		Network: NetElectrical,
 		System: System{
 			Cores:         64,
-			L1Sets:        64,
-			L1Ways:        4,
-			L1LineBytes:   64,
 			L2SetsPerBank: 256,
 			L2Ways:        8,
-			L2HitCycles:   6,
-			MemCycles:     120,
-			CtrlBytes:     8,
-			DataBytes:     72,
 		},
 		Mesh: Mesh{
-			Topology:     "mesh",
-			VCs:          4,
-			BufDepth:     4,
-			FlitBytes:    16,
-			RouterStages: 2,
-			LinkCycles:   1,
-			Routing:      "xy",
-			ClockGHz:     2,
+			Topology: "mesh",
+			VCs:      4,
+			Routing:  "xy",
 		},
 		Optical: Optical{
-			Architecture:            "mwsr",
-			WavelengthsPerChannel:   16,
-			GbpsPerWavelength:       10,
-			ClockGHz:                2,
-			TokenHopCycles:          1,
-			PropagationCyclesAcross: 8,
-			OEOverheadCycles:        3,
-			MaxTokenHold:            4,
-			DieEdgeCm:               2.0,
-		},
-		Ideal: Ideal{
-			LatencyCycles: 20,
-			BytesPerCycle: 16,
+			Architecture:          "mwsr",
+			WavelengthsPerChannel: 16,
 		},
 		Hybrid: Hybrid{
 			Threshold: 4,
@@ -451,16 +375,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: system.cores=%d must be a positive perfect square", s.Cores)
 	case s.Cores < 4 || s.Cores > MaxCores:
 		return fmt.Errorf("config: system.cores=%d out of [4, config.MaxCores=%d]: a crossbar needs two nodes", s.Cores, MaxCores)
-	case !isPow2(s.L1Sets) || s.L1Ways <= 0:
-		return fmt.Errorf("config: invalid L1 geometry sets=%d ways=%d", s.L1Sets, s.L1Ways)
-	case !isPow2(s.L1LineBytes):
-		return fmt.Errorf("config: l1_line_bytes=%d must be a power of two", s.L1LineBytes)
 	case !isPow2(s.L2SetsPerBank) || s.L2Ways <= 0:
 		return fmt.Errorf("config: invalid L2 geometry sets=%d ways=%d", s.L2SetsPerBank, s.L2Ways)
-	case s.L2HitCycles < 1 || s.MemCycles < 1:
-		return fmt.Errorf("config: latencies must be ≥1 (l2=%d mem=%d)", s.L2HitCycles, s.MemCycles)
-	case s.CtrlBytes <= 0 || s.DataBytes <= 0:
-		return fmt.Errorf("config: message sizes must be positive (ctrl=%d data=%d)", s.CtrlBytes, s.DataBytes)
 	case s.MemPorts < 0 || s.MemPorts > 4:
 		return fmt.Errorf("config: system.mem_ports=%d out of [0,4]: memory controllers sit at the chip corners, so at most 4 exist", s.MemPorts)
 	}
@@ -474,16 +390,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: torus needs ≥2 VCs per message class (≥6 total), got %d", m.VCs)
 	case m.VCs < 1 || m.VCs > 16:
 		return fmt.Errorf("config: mesh.vcs=%d out of [1,16]", m.VCs)
-	case m.BufDepth < 1:
-		return fmt.Errorf("config: mesh.buf_depth=%d must be ≥1", m.BufDepth)
-	case m.FlitBytes < 1:
-		return fmt.Errorf("config: mesh.flit_bytes=%d must be ≥1", m.FlitBytes)
-	case m.RouterStages < 1 || m.LinkCycles < 1:
-		return fmt.Errorf("config: mesh latencies must be ≥1")
 	case m.Routing != "xy" && m.Routing != "westfirst":
 		return fmt.Errorf("config: mesh.routing=%q not in {xy, westfirst}", m.Routing)
-	case m.ClockGHz <= 0:
-		return fmt.Errorf("config: mesh.clock_ghz=%g must be positive", m.ClockGHz)
 	}
 	o := &c.Optical
 	switch {
@@ -491,20 +399,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: optical.architecture=%q not in {mwsr, swmr}", o.Architecture)
 	case o.WavelengthsPerChannel < 1 || o.WavelengthsPerChannel > 128:
 		return fmt.Errorf("config: optical.wavelengths_per_channel=%d out of [1,128]", o.WavelengthsPerChannel)
-	case o.GbpsPerWavelength <= 0 || o.ClockGHz <= 0:
-		return fmt.Errorf("config: optical rates must be positive")
-	case o.TokenHopCycles < 1 || o.PropagationCyclesAcross < 0 || o.OEOverheadCycles < 0:
-		return fmt.Errorf("config: optical latencies invalid")
-	case o.MaxTokenHold < 1:
-		return fmt.Errorf("config: optical.max_token_hold=%d must be ≥1", o.MaxTokenHold)
-	case o.DieEdgeCm <= 0:
-		return fmt.Errorf("config: optical.die_edge_cm=%g must be positive", o.DieEdgeCm)
-	}
-	if c.Ideal.LatencyCycles < 1 {
-		return fmt.Errorf("config: ideal.latency_cycles=%d must be ≥1", c.Ideal.LatencyCycles)
-	}
-	if c.Ideal.BytesPerCycle < 0 {
-		return fmt.Errorf("config: ideal.bytes_per_cycle must be ≥0")
 	}
 	if c.Hybrid.Threshold < 1 {
 		return fmt.Errorf("config: hybrid.threshold=%d must be ≥1", c.Hybrid.Threshold)
@@ -639,7 +533,9 @@ func Load(path string) (Config, error) {
 }
 
 // Parse decodes and validates JSON bytes. Unknown fields are rejected so
-// typos in experiment configs fail loudly.
+// typos in experiment configs fail loudly — and so does a document written
+// before a leaf became a model constant: its value would otherwise be
+// silently ignored.
 func Parse(data []byte) (Config, error) {
 	c := Default()
 	if err := DecodeStrict(data, &c); err != nil {

@@ -1,8 +1,10 @@
 package config
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -14,55 +16,93 @@ func TestDefaultIsValid(t *testing.T) {
 	}
 }
 
+// TestValidateRejections: each row is a document Parse (decode, then
+// Validate) must refuse with an error naming want. The rows on leaves that
+// are model constants now are refused by strict decoding instead.
 func TestValidateRejections(t *testing.T) {
-	cases := []struct {
-		name   string
-		mutate func(*Config)
-		want   string
-	}{
-		{"non-square cores", func(c *Config) { c.System.Cores = 10 }, "perfect square"},
-		{"zero cores", func(c *Config) { c.System.Cores = 0 }, "perfect square"},
-		{"one core", func(c *Config) { c.System.Cores = 1 }, "two nodes"},
-		{"33x33 cores", func(c *Config) { c.System.Cores = 1089 }, "MaxCores"},
-		{"128x128 cores", func(c *Config) { c.System.Cores = 16384 }, "MaxCores"},
-		{"l1 sets not pow2", func(c *Config) { c.System.L1Sets = 12 }, "L1 geometry"},
-		{"l1 line not pow2", func(c *Config) { c.System.L1LineBytes = 48 }, "power of two"},
-		{"l2 geometry", func(c *Config) { c.System.L2Ways = 0 }, "L2 geometry"},
-		{"zero latency", func(c *Config) { c.System.L2HitCycles = 0 }, "latencies"},
-		{"message sizes", func(c *Config) { c.System.CtrlBytes = 0 }, "message sizes"},
-		{"vcs range", func(c *Config) { c.Mesh.VCs = 0 }, "mesh.vcs"},
-		{"buf depth", func(c *Config) { c.Mesh.BufDepth = 0 }, "buf_depth"},
-		{"flit bytes", func(c *Config) { c.Mesh.FlitBytes = 0 }, "flit_bytes"},
-		{"routing name", func(c *Config) { c.Mesh.Routing = "zigzag" }, "routing"},
-		{"wavelengths", func(c *Config) { c.Optical.WavelengthsPerChannel = 0 }, "wavelengths"},
-		{"optical rates", func(c *Config) { c.Optical.ClockGHz = 0 }, "rates"},
-		{"token hold", func(c *Config) { c.Optical.MaxTokenHold = 0 }, "max_token_hold"},
-		{"die edge", func(c *Config) { c.Optical.DieEdgeCm = 0 }, "die_edge"},
-		{"ideal latency", func(c *Config) { c.Ideal.LatencyCycles = 0 }, "ideal.latency"},
-		{"pattern", func(c *Config) { c.Workload.Kind = WorkloadSynthetic; c.Workload.Pattern = "spiral" }, "pattern"},
-		{"rate", func(c *Config) { c.Workload.Kind = WorkloadSynthetic; c.Workload.InjectionRate = 0 }, "injection_rate"},
-		{"kernel", func(c *Config) { c.Workload.Kernel = "raytrace" }, "kernel"},
-		{"scale", func(c *Config) { c.Workload.Scale = 0 }, "scale"},
-		{"iterations", func(c *Config) { c.Workload.Iterations = 0 }, "iterations"},
-		{"compute scale", func(c *Config) { c.Workload.ComputeScale = 0 }, "compute_scale"},
-		{"workload kind", func(c *Config) { c.Workload.Kind = "replay" }, "workload kind"},
-		{"network", func(c *Config) { c.Network = "quantum" }, "network"},
-		{"sctm iters", func(c *Config) { c.SCTM.MaxIterations = 0 }, "max_iterations"},
-		{"sctm tol", func(c *Config) { c.SCTM.ToleranceCycles = -1 }, "tolerance"},
-		{"sctm damping", func(c *Config) { c.SCTM.Damping = 1.0 }, "damping"},
-		{"sctm mk tol", func(c *Config) { c.SCTM.MakespanTolerance = 0.9 }, "makespan_tolerance"},
-		{"max cycles", func(c *Config) { c.MaxCycles = -1 }, "max_cycles"},
+	cases := []struct{ name, doc, want string }{
+		{"non-square cores", `{"system":{"cores":10}}`, "perfect square"},
+		{"zero cores", `{"system":{"cores":0}}`, "perfect square"},
+		{"one core", `{"system":{"cores":1}}`, "two nodes"},
+		{"33x33 cores", `{"system":{"cores":1089}}`, "MaxCores"},
+		{"128x128 cores", `{"system":{"cores":16384}}`, "MaxCores"},
+		{"l1 sets not pow2", `{"system":{"l1_sets":12}}`, "l1_sets"},
+		{"l1 line not pow2", `{"system":{"l1_line_bytes":48}}`, "l1_line_bytes"},
+		{"l2 geometry", `{"system":{"l2_ways":0}}`, "L2 geometry"},
+		{"zero latency", `{"system":{"l2_hit_cycles":0}}`, "l2_hit_cycles"},
+		{"message sizes", `{"system":{"ctrl_bytes":0}}`, "ctrl_bytes"},
+		{"vcs range", `{"mesh":{"vcs":0}}`, "mesh.vcs"},
+		{"buf depth", `{"mesh":{"buf_depth":0}}`, "buf_depth"},
+		{"flit bytes", `{"mesh":{"flit_bytes":0}}`, "flit_bytes"},
+		{"routing name", `{"mesh":{"routing":"zigzag"}}`, "routing"},
+		{"wavelengths", `{"optical":{"wavelengths_per_channel":0}}`, "wavelengths"},
+		{"optical rates", `{"optical":{"clock_ghz":0}}`, "clock_ghz"},
+		{"token hold", `{"optical":{"max_token_hold":0}}`, "max_token_hold"},
+		{"die edge", `{"optical":{"die_edge_cm":0}}`, "die_edge"},
+		{"ideal latency", `{"ideal":{"latency_cycles":0}}`, "ideal"},
+		{"pattern", `{"workload":{"kind":"synthetic","pattern":"spiral"}}`, "pattern"},
+		{"rate", `{"workload":{"kind":"synthetic","injection_rate":0}}`, "injection_rate"},
+		{"kernel", `{"workload":{"kernel":"raytrace"}}`, "kernel"},
+		{"scale", `{"workload":{"scale":0}}`, "scale"},
+		{"iterations", `{"workload":{"iterations":0}}`, "iterations"},
+		{"compute scale", `{"workload":{"compute_scale":0}}`, "compute_scale"},
+		{"workload kind", `{"workload":{"kind":"replay"}}`, "workload kind"},
+		{"network", `{"network":"quantum"}`, "network"},
+		{"sctm iters", `{"sctm":{"max_iterations":0}}`, "max_iterations"},
+		{"sctm tol", `{"sctm":{"tolerance_cycles":-1}}`, "tolerance"},
+		{"sctm damping", `{"sctm":{"damping":1.0}}`, "damping"},
+		{"sctm mk tol", `{"sctm":{"makespan_tolerance":0.9}}`, "makespan_tolerance"},
+		{"max cycles", `{"max_cycles":-1}`, "max_cycles"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			cfg := Default()
-			c.mutate(&cfg)
-			err := cfg.Validate()
+			_, err := Parse([]byte(c.doc))
 			if err == nil {
-				t.Fatalf("expected validation error containing %q", c.want)
+				t.Fatalf("expected an error containing %q", c.want)
 			}
 			if !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("error %q does not mention %q", err, c.want)
+			}
+		})
+	}
+}
+
+// TestParseRefusesModelConstants: a document naming a leaf that became a model
+// constant is refused, with the key named, even at the value the model now
+// fixes — strict decoding refuses it instead of silently ignoring it. The
+// ideal section went whole, so its name is the refused key.
+func TestParseRefusesModelConstants(t *testing.T) {
+	for _, c := range []struct{ section, key, value string }{
+		{"system", "l1_sets", "64"},
+		{"system", "l1_ways", "4"},
+		{"system", "l1_line_bytes", "64"},
+		{"system", "l2_hit_cycles", "6"},
+		{"system", "mem_cycles", "120"},
+		{"system", "ctrl_bytes", "8"},
+		{"system", "data_bytes", "72"},
+		{"mesh", "buf_depth", "4"},
+		{"mesh", "flit_bytes", "16"},
+		{"mesh", "router_stages", "2"},
+		{"mesh", "link_cycles", "1"},
+		{"mesh", "clock_ghz", "2"},
+		{"optical", "gbps_per_wavelength", "10"},
+		{"optical", "clock_ghz", "2"},
+		{"optical", "token_hop_cycles", "1"},
+		{"optical", "propagation_cycles_across", "8"},
+		{"optical", "oe_overhead_cycles", "3"},
+		{"optical", "max_token_hold", "4"},
+		{"optical", "die_edge_cm", "2"},
+		{"ideal", "latency_cycles", "20"},
+		{"ideal", "bytes_per_cycle", "16"},
+	} {
+		t.Run(c.section+"."+c.key, func(t *testing.T) {
+			named := c.key
+			if c.section == "ideal" {
+				named = c.section
+			}
+			_, err := Parse([]byte(fmt.Sprintf(`{%q:{%q:%s}}`, c.section, c.key, c.value)))
+			if err == nil || !strings.Contains(err.Error(), strconv.Quote(named)) {
+				t.Fatalf("error %v does not name %q", err, named)
 			}
 		})
 	}
@@ -109,7 +149,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestParsePartialOverridesDefaults(t *testing.T) {
-	got, err := Parse([]byte(`{"name":"x","system":{"cores":16,"l1_sets":64,"l1_ways":4,"l1_line_bytes":64,"l2_sets_per_bank":256,"l2_ways":8,"l2_hit_cycles":6,"mem_cycles":120,"ctrl_bytes":8,"data_bytes":72}}`))
+	got, err := Parse([]byte(`{"name":"x","system":{"cores":16,"l2_sets_per_bank":256,"l2_ways":8}}`))
 	if err != nil {
 		t.Fatal(err)
 	}

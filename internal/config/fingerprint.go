@@ -12,7 +12,7 @@ import (
 // re-interpreting a config field invalidates previously persisted results
 // instead of silently colliding with them. Bump it whenever the set of
 // hashed fields (or their meaning) changes.
-const fingerprintVersion = 1
+const fingerprintVersion = 2
 
 // Fingerprint returns a canonical, collision-resistant identity for a
 // validated configuration: two configs share a fingerprint exactly when
@@ -28,39 +28,29 @@ const fingerprintVersion = 1
 // window, so folding either in would only split the cache for equal results
 // (and excluding them keeps fingerprints, hence persisted disk caches,
 // stable across the settings). Everything else — seed, system
-// geometry, all fabric parameters, workload, and SCTM knobs — is included.
+// geometry, all fabric parameters, workload, SCTM knobs and faults — is
+// included.
 func (c *Config) Fingerprint() (string, error) {
 	if err := c.Validate(); err != nil {
 		return "", fmt.Errorf("config: fingerprint of invalid config: %w", err)
 	}
-	w := &fpWriter{buf: make([]byte, 0, 1024)}
+	w := &fpWriter{buf: make([]byte, 0, 512)}
 	w.str("onocsim-fingerprint")
 	w.u64(fingerprintVersion)
 
 	w.u64(c.Seed)
 	s := &c.System
-	w.ints(s.Cores, s.L1Sets, s.L1Ways, s.L1LineBytes, s.L2SetsPerBank, s.L2Ways)
-	w.i64s(s.L2HitCycles, s.MemCycles)
-	w.ints(s.CtrlBytes, s.DataBytes, s.MemPorts)
+	w.ints(s.Cores, s.L2SetsPerBank, s.L2Ways, s.MemPorts)
 
 	m := &c.Mesh
 	w.str(m.Topology)
-	w.ints(m.VCs, m.BufDepth, m.FlitBytes)
-	w.i64s(m.RouterStages, m.LinkCycles)
+	w.ints(m.VCs)
 	w.str(m.Routing)
-	w.f64(m.ClockGHz)
 
 	o := &c.Optical
 	w.str(o.Architecture)
 	w.ints(o.WavelengthsPerChannel)
-	w.f64(o.GbpsPerWavelength)
-	w.f64(o.ClockGHz)
-	w.i64s(o.TokenHopCycles, o.PropagationCyclesAcross, o.OEOverheadCycles)
-	w.ints(o.MaxTokenHold)
-	w.f64(o.DieEdgeCm)
 
-	w.i64s(c.Ideal.LatencyCycles)
-	w.ints(c.Ideal.BytesPerCycle)
 	w.ints(c.Hybrid.Threshold)
 
 	wl := &c.Workload
@@ -79,6 +69,7 @@ func (c *Config) Fingerprint() (string, error) {
 	w.f64(t.Damping)
 	w.f64(t.MakespanTolerance)
 	w.bools(t.DisableSyncDeps, t.DisableCausalDeps)
+	w.str(t.Seed)
 	// SCTM.Incremental is deliberately NOT hashed: like Parallelism, it is a
 	// pure execution detail — the incremental loop is byte-identical to the
 	// full-replay loop — so both modes address the same cached result.
@@ -86,27 +77,11 @@ func (c *Config) Fingerprint() (string, error) {
 	w.str(string(c.Network))
 	w.i64s(c.MaxCycles)
 
-	// The Faults section is hashed only when it differs from the zero value:
-	// appending nothing for fault-free configs keeps their fingerprints
-	// byte-identical to pre-fault releases, so persisted disk caches stay
-	// valid, while any non-default section (even a disabled-but-nonzero one)
-	// gets its own identity and can never collide with a no-fault result.
-	if c.Faults != (Faults{}) {
-		f := &c.Faults
-		w.str("faults")
-		w.i64s(f.ThermalMTBF, f.ThermalDuration)
-		w.f64(f.ThermalDetune)
-		w.i64s(f.TokenMTBF, f.TokenTimeout)
-		w.f64(f.LaserDroopDB)
-	}
-
-	// The SCTM seed mode is hashed only when explicitly set, like Faults:
-	// the empty default contributes nothing, keeping every pre-Seed
-	// fingerprint (and the disk caches keyed on them) byte-identical.
-	if t.Seed != "" {
-		w.str("sctm-seed")
-		w.str(t.Seed)
-	}
+	f := &c.Faults
+	w.i64s(f.ThermalMTBF, f.ThermalDuration)
+	w.f64(f.ThermalDetune)
+	w.i64s(f.TokenMTBF, f.TokenTimeout)
+	w.f64(f.LaserDroopDB)
 
 	sum := sha256.Sum256(w.buf)
 	return hex.EncodeToString(sum[:]), nil

@@ -14,17 +14,16 @@ func fp(t *testing.T, c Config) string {
 	return s
 }
 
-// TestFingerprintPinned pins the exact digests of the two workhorse configs.
-// The Faults section is hashed only when non-zero, so these values must
-// never change for fault-free configs: every disk-cached result keyed before
-// fault injection existed stays addressable.
+// TestFingerprintPinned pins the exact digests of the two workhorse configs:
+// a change to the hashed fields or their framing must bump
+// fingerprintVersion, since every persisted cache key moves with it.
 func TestFingerprintPinned(t *testing.T) {
 	cfg := Default()
-	if got, want := fp(t, cfg), "2603f2024a47be4164fbf88ced243dcf57c7ec1cf5535915b39771e85bf2fa28"; got != want {
+	if got, want := fp(t, cfg), "254c119ce98e4e23dc017c2ae758aded95380c04eae9e8a9197e2ed4474e69a1"; got != want {
 		t.Errorf("Default() fingerprint = %s, want %s", got, want)
 	}
 	cfg.Network = NetOptical
-	if got, want := fp(t, cfg), "ec4824c872f793960241db4f077ca8c54b4af664b0491e277a1a23330af2da36"; got != want {
+	if got, want := fp(t, cfg), "22b16cb7538f0d5fdae874d49ebc06b737301cdd380cdd6003a1e5d3c638e715"; got != want {
 		t.Errorf("optical fingerprint = %s, want %s", got, want)
 	}
 }
@@ -65,26 +64,14 @@ func TestFingerprintDistinguishesFaults(t *testing.T) {
 	}
 }
 
-// TestFingerprintSeedModeCompatibility pins that the SCTM seed mode is
-// hashed only when explicitly set: configs with the default empty mode keep
-// the exact digests pinned before the field existed (PR 5), so every
-// previously persisted cache entry stays addressable, while each explicit
-// mode gets its own identity.
+// TestFingerprintSeedModeCompatibility checks that each explicit SCTM seed
+// mode hashes distinctly from the default empty mode and from every sibling
+// mode, so no two modes share a cached result.
 func TestFingerprintSeedModeCompatibility(t *testing.T) {
 	cfg := Default()
 	if cfg.SCTM.Seed != "" {
 		t.Fatalf("Default() seed mode = %q, want empty (legacy)", cfg.SCTM.Seed)
 	}
-	if got, want := fp(t, cfg), "2603f2024a47be4164fbf88ced243dcf57c7ec1cf5535915b39771e85bf2fa28"; got != want {
-		t.Errorf("default-seed fingerprint = %s, want PR5 digest %s", got, want)
-	}
-	optical := cfg
-	optical.Network = NetOptical
-	if got, want := fp(t, optical), "ec4824c872f793960241db4f077ca8c54b4af664b0491e277a1a23330af2da36"; got != want {
-		t.Errorf("default-seed optical fingerprint = %s, want PR5 digest %s", got, want)
-	}
-	// Every explicit mode must hash distinctly from the default and from
-	// each other sibling mode.
 	seen := map[string]string{"default": fp(t, cfg)}
 	for _, mode := range []string{"zeroload", "analytic", "fixed"} {
 		c := Default()

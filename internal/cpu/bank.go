@@ -190,9 +190,9 @@ func (b *bank) entry(line uint64) *dirEntry {
 // serviceDelay returns the bank occupancy for a line access, charging the
 // off-chip latency when the L2 data is absent.
 func (b *bank) serviceDelay(line uint64) sim.Tick {
-	d := sim.Tick(b.sys.cfg.System.L2HitCycles)
+	d := L2HitCycles
 	if !b.l2.touch(line) {
-		d += sim.Tick(b.sys.cfg.System.MemCycles)
+		d += MemCycles
 	}
 	return d
 }
@@ -289,7 +289,7 @@ func (b *bank) startRequest(e *dirEntry, am arrivedMsg) {
 		e.depTime = am.at
 		e.recallFrom = -1
 		b.InvRounds++
-		svc := sim.Tick(b.sys.cfg.System.L2HitCycles)
+		svc := L2HitCycles
 		e.sharers.forEach(func(i int) {
 			if i == c {
 				return
@@ -320,7 +320,7 @@ func (b *bank) startRequest(e *dirEntry, am arrivedMsg) {
 		if m.typ == mGetM {
 			intent = recallForM
 		}
-		svc := sim.Tick(b.sys.cfg.System.L2HitCycles)
+		svc := L2HitCycles
 		b.sys.send(b.id, e.owner, &protoMsg{typ: mRecall, line: line, core: c, aux: intent},
 			svc, []trace.Dep{reqDep}, am.at)
 	}
@@ -345,7 +345,7 @@ func (b *bank) startMemFetch(e *dirEntry, am arrivedMsg) bool {
 	mc := b.sys.memControllerOf(am.msg.line)
 	b.sys.send(b.id, mc,
 		&protoMsg{typ: mMemReq, line: am.msg.line, core: b.id},
-		sim.Tick(b.sys.cfg.System.L2HitCycles),
+		L2HitCycles,
 		[]trace.Dep{{On: am.msg.traceID, Class: trace.DepCausal}}, am.at)
 	return true
 }
@@ -355,7 +355,7 @@ func (b *bank) startMemFetch(e *dirEntry, am arrivedMsg) bool {
 func (b *bank) handleMemReq(am arrivedMsg) {
 	b.sys.send(b.id, am.msg.core,
 		&protoMsg{typ: mMemResp, line: am.msg.line, core: b.id},
-		sim.Tick(b.sys.cfg.System.MemCycles),
+		MemCycles,
 		[]trace.Dep{{On: am.msg.traceID, Class: trace.DepCausal}}, am.at)
 }
 
@@ -368,7 +368,7 @@ func (b *bank) handleMemResp(am arrivedMsg) {
 	req := e.pendingReq
 	line, c := req.msg.line, req.msg.core
 	deps := []trace.Dep{{On: am.msg.traceID, Class: trace.DepCausal}}
-	delay := sim.Tick(b.sys.cfg.System.L2HitCycles)
+	delay := L2HitCycles
 	if req.msg.typ == mGetM {
 		e.sharers = newBitset(b.sys.nodes)
 		e.state = dirModified
@@ -462,7 +462,7 @@ func (b *bank) finishRequest(e *dirEntry) {
 	am := e.pendingReq
 	m := am.msg
 	line, c := m.line, m.core
-	delay := sim.Tick(b.sys.cfg.System.L2HitCycles)
+	delay := L2HitCycles
 	if m.typ == mGetM {
 		e.sharers = newBitset(b.sys.nodes)
 		e.state = dirModified
@@ -529,7 +529,7 @@ func (b *bank) handleLockReq(am arrivedMsg) {
 	}
 	b.sys.send(b.id, am.msg.core,
 		&protoMsg{typ: mLockGrant, id: am.msg.id, core: am.msg.core},
-		sim.Tick(b.sys.cfg.System.L2HitCycles), deps, depTime)
+		L2HitCycles, deps, depTime)
 }
 
 func (b *bank) handleLockRel(am arrivedMsg) {
@@ -557,7 +557,7 @@ func (b *bank) handleLockRel(am arrivedMsg) {
 		}
 		b.sys.send(b.id, next.msg.core,
 			&protoMsg{typ: mLockGrant, id: next.msg.id, core: next.msg.core},
-			sim.Tick(b.sys.cfg.System.L2HitCycles), deps, depTime)
+			L2HitCycles, deps, depTime)
 	}
 }
 
@@ -573,7 +573,7 @@ func (b *bank) handleBarArrive(am arrivedMsg) {
 		bs.depTime = am.at
 	}
 	if bs.arrived == b.sys.nodes {
-		svc := sim.Tick(b.sys.cfg.System.L2HitCycles)
+		svc := L2HitCycles
 		for c := 0; c < b.sys.nodes; c++ {
 			deps := make([]trace.Dep, len(bs.deps))
 			copy(deps, bs.deps)

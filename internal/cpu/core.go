@@ -65,12 +65,11 @@ type core struct {
 }
 
 func newCore(id int, sys *System, prog Program) *core {
-	s := sys.cfg.System
 	return &core{
 		id:   id,
 		sys:  sys,
 		prog: prog,
-		l1:   newL1(s.L1Sets, s.L1Ways, s.L1LineBytes),
+		l1:   newL1(sys.l1Sets, sys.l1Ways, L1LineBytes),
 	}
 }
 

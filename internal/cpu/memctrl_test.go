@@ -6,7 +6,6 @@ import (
 	"onocsim/internal/config"
 	"onocsim/internal/enoc"
 	"onocsim/internal/noc"
-	"onocsim/internal/sim"
 	"onocsim/internal/trace"
 )
 
@@ -39,7 +38,7 @@ func TestMemControllerTrafficAppears(t *testing.T) {
 	}
 	// Off-chip latency must still be felt: a cold load takes at least
 	// MemCycles end to end in both modes.
-	if resMC.Makespan < sim.Tick(mc.System.MemCycles) {
+	if resMC.Makespan < MemCycles {
 		t.Fatalf("MC makespan %d below one memory access", resMC.Makespan)
 	}
 }
@@ -126,7 +125,7 @@ func TestMemControllerCaptureCompleteness(t *testing.T) {
 func TestMemControllerStressAndDeterminism(t *testing.T) {
 	cfg := mcConfig(4)
 	mk := func() noc.Network {
-		return noc.NewIdeal(16, sim.Tick(cfg.Ideal.LatencyCycles), cfg.Ideal.BytesPerCycle)
+		return noc.NewIdeal(16, 20, 16)
 	}
 	for seed := uint64(50); seed <= 60; seed++ {
 		progs := randomPrograms(seed, 16, 20)

@@ -78,9 +78,7 @@ func TestProtocolStressRandomProgramsAllFabrics(t *testing.T) {
 	torusMesh.Topology = "torus"
 	torusMesh.VCs = 6
 	fabrics := map[string]func() noc.Network{
-		"ideal": func() noc.Network {
-			return noc.NewIdeal(16, sim.Tick(cfgDefault.Ideal.LatencyCycles), cfgDefault.Ideal.BytesPerCycle)
-		},
+		"ideal":      func() noc.Network { return noc.NewIdeal(16, 20, 16) },
 		"electrical": func() noc.Network { return enoc.New(16, cfgDefault.Mesh) },
 		"torus":      func() noc.Network { return enoc.New(16, torusMesh) },
 		"optical":    func() noc.Network { return onoc.New(16, cfgDefault.Optical) },
@@ -117,12 +115,9 @@ func TestProtocolStressDeterministic(t *testing.T) {
 // TestProtocolStressCaptureCompleteness: every random run must capture a
 // complete, valid trace whose event count matches the message count.
 func TestProtocolStressCaptureCompleteness(t *testing.T) {
-	cfg := config.Default()
 	for seed := uint64(30); seed <= 40; seed++ {
 		rec := trace.NewRecorder(16)
-		res := runOn(t, seed, 16, func() noc.Network {
-			return noc.NewIdeal(16, sim.Tick(cfg.Ideal.LatencyCycles), cfg.Ideal.BytesPerCycle)
-		}, rec)
+		res := runOn(t, seed, 16, func() noc.Network { return noc.NewIdeal(16, 20, 16) }, rec)
 		tr, err := rec.Finish(fmt.Sprintf("fuzz-%d", seed), res.Makespan)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

@@ -18,6 +18,25 @@ const (
 	coreRangeSize  = 1 << coreRangeShift
 )
 
+// The chip's fixed microarchitecture. No study varies these, so they are
+// constants of the model rather than options of the config document
+// (DESIGN §12).
+const (
+	// L1Sets, L1Ways and L1LineBytes size the private L1 data cache; the
+	// kernels lay their data out in L1LineBytes lines.
+	L1Sets      = 64
+	L1Ways      = 4
+	L1LineBytes = 64
+	// L2HitCycles is the bank access latency.
+	L2HitCycles sim.Tick = 6
+	// MemCycles is the off-chip memory access latency beyond L2.
+	MemCycles sim.Tick = 120
+	// CtrlBytes and DataBytes are the network payload sizes of a control
+	// message (request/ack/inv) and a data-bearing message.
+	CtrlBytes = 8
+	DataBytes = 72
+)
+
 // System couples the cores and home banks to a fabric and drives the whole
 // chip cycle by cycle. The same System runs execution-driven ground truth
 // (no recorder) and trace capture (with recorder) on any noc.Network.
@@ -26,6 +45,9 @@ type System struct {
 	net   noc.Network
 	nodes int
 	now   sim.Tick
+	// l1Sets and l1Ways size every core's L1: L1Sets and L1Ways, or the
+	// degenerate geometry a package test needs.
+	l1Sets, l1Ways int
 
 	cores []*core
 	banks []*bank
@@ -65,6 +87,11 @@ type System struct {
 // NewSystem builds a chip from a validated config, per-core programs, and a
 // fabric. programs must have exactly one entry per core. rec may be nil.
 func NewSystem(cfg config.Config, programs []Program, net noc.Network, rec *trace.Recorder) (*System, error) {
+	return newSystem(cfg, programs, net, rec, L1Sets, L1Ways)
+}
+
+// newSystem is NewSystem with the given L1 geometry.
+func newSystem(cfg config.Config, programs []Program, net noc.Network, rec *trace.Recorder, l1Sets, l1Ways int) (*System, error) {
 	if len(programs) != cfg.System.Cores {
 		return nil, fmt.Errorf("cpu: %d programs for %d cores", len(programs), cfg.System.Cores)
 	}
@@ -75,7 +102,7 @@ func NewSystem(cfg config.Config, programs []Program, net noc.Network, rec *trac
 	if err != nil {
 		return nil, err
 	}
-	s := &System{cfg: cfg, net: net, nodes: cfg.System.Cores, rec: rec, eng: sim.NewEngine(), memTiles: memTiles}
+	s := &System{cfg: cfg, net: net, nodes: cfg.System.Cores, l1Sets: l1Sets, l1Ways: l1Ways, rec: rec, eng: sim.NewEngine(), memTiles: memTiles}
 	s.runningInRange = make([]int, (cfg.System.Cores+coreRangeSize-1)>>coreRangeShift)
 	for i, p := range programs {
 		if err := p.Validate(); err != nil {
@@ -122,9 +149,9 @@ func (s *System) memControllerOf(line uint64) int {
 // bytesFor returns the fabric payload size of a protocol message.
 func (s *System) bytesFor(pm *protoMsg) int {
 	if pm.isData() {
-		return s.cfg.System.DataBytes
+		return DataBytes
 	}
-	return s.cfg.System.CtrlBytes
+	return CtrlBytes
 }
 
 // inject records (if capturing) and injects a protocol message now.

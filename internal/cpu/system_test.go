@@ -5,7 +5,6 @@ import (
 
 	"onocsim/internal/config"
 	"onocsim/internal/noc"
-	"onocsim/internal/sim"
 	"onocsim/internal/trace"
 )
 
@@ -20,8 +19,14 @@ func testConfig(cores int) config.Config {
 // run builds a system on an ideal fabric and runs it to completion.
 func run(t *testing.T, cfg config.Config, progs []Program, rec *trace.Recorder) (*System, RunResult) {
 	t.Helper()
-	net := noc.NewIdeal(cfg.System.Cores, sim.Tick(cfg.Ideal.LatencyCycles), cfg.Ideal.BytesPerCycle)
-	sys, err := NewSystem(cfg, progs, net, rec)
+	return runL1(t, cfg, progs, rec, L1Sets, L1Ways)
+}
+
+// runL1 is run with the given L1 geometry.
+func runL1(t *testing.T, cfg config.Config, progs []Program, rec *trace.Recorder, l1Sets, l1Ways int) (*System, RunResult) {
+	t.Helper()
+	net := noc.NewIdeal(cfg.System.Cores, 20, 16)
+	sys, err := newSystem(cfg, progs, net, rec, l1Sets, l1Ways)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,14 +176,12 @@ func TestRecallForWriteInvalidatesOwner(t *testing.T) {
 }
 
 func TestDirtyEvictionWritesBack(t *testing.T) {
-	cfg := testConfig(4)
-	cfg.System.L1Sets = 1
-	cfg.System.L1Ways = 1 // single-entry L1: every new line evicts
-	sys, _ := run(t, cfg, progsFor(4, Program{
+	// Single-entry L1: every new line evicts.
+	sys, _ := runL1(t, testConfig(4), progsFor(4, Program{
 		Store(0x1000), // M
 		Load(0x2000),  // evicts dirty 0x1000 → WB
 		Load(0x1000),  // line must come back from L2, not be lost
-	}), nil)
+	}), nil, 1, 1)
 	st := sys.Stats()
 	if st.L1Evictions < 2 {
 		t.Fatalf("evictions = %d, want ≥2", st.L1Evictions)
@@ -326,9 +329,9 @@ func TestRunsOnAllMessageSizes(t *testing.T) {
 	sawCtrl, sawData := false, false
 	for i := range tr.Events {
 		switch tr.Events[i].Bytes {
-		case cfg.System.CtrlBytes:
+		case CtrlBytes:
 			sawCtrl = true
-		case cfg.System.DataBytes:
+		case DataBytes:
 			sawData = true
 		default:
 			t.Fatalf("unexpected message size %d", tr.Events[i].Bytes)

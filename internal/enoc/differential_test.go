@@ -16,7 +16,9 @@ import (
 // mirrors, and the messages delivered that tick with their arrival cycles.
 // At drain the statistics and power counters must be DeepEqual. This is the
 // proof that skipping empty and other-port VCs, by-value ring buffers and
-// live-set iteration change no simulated result.
+// live-set iteration change no simulated result. -short runs depth {1,4} ×
+// VCs {1,4,16}, each arm with the seed and link latency it has in the full
+// matrix.
 func TestDifferentialAgainstReference(t *testing.T) {
 	variants := []struct{ topology, routing string }{
 		{"mesh", "xy"}, {"mesh", "westfirst"}, {"torus", "xy"},
@@ -29,25 +31,28 @@ func TestDifferentialAgainstReference(t *testing.T) {
 			}
 			for _, depth := range []int{1, 2, 4} {
 				cfg := meshCfg()
-				cfg.Topology, cfg.Routing, cfg.VCs, cfg.BufDepth = v.topology, v.routing, vcs, depth
+				cfg.Topology, cfg.Routing, cfg.VCs = v.topology, v.routing, vcs
 				seed++
-				cfg.LinkCycles = 1 + int64(seed%2)
+				if testing.Short() && (depth == 2 || vcs == 3 || vcs == 6) {
+					continue
+				}
+				link := 1 + sim.Tick(seed%2)
 				nodes := 16
 				if seed%3 == 0 {
 					nodes = 9 // odd width: the torus tie-break takes its other branch
 				}
 				s := seed
 				t.Run(fmt.Sprintf("%s-%s-vc%d-d%d", v.topology, v.routing, vcs, depth), func(t *testing.T) {
-					runDifferential(t, nodes, cfg, s)
+					runDifferential(t, nodes, cfg, depth, link, s)
 				})
 			}
 		}
 	}
 }
 
-func runDifferential(t *testing.T, nodes int, cfg config.Mesh, seed uint64) {
-	n := New(nodes, cfg)
-	ref := newRefNetwork(nodes, cfg)
+func runDifferential(t *testing.T, nodes int, cfg config.Mesh, depth int, link sim.Tick, seed uint64) {
+	n := newMesh(nodes, cfg, depth, link)
+	ref := newRefNetwork(nodes, cfg, depth, link)
 	var got, want []*noc.Message
 	n.SetDeliver(func(m *noc.Message) { got = append(got, m) })
 	ref.deliver = func(m *noc.Message) { want = append(want, m) }
@@ -71,7 +76,7 @@ func runDifferential(t *testing.T, nodes int, cfg config.Mesh, seed uint64) {
 				id++
 				m := noc.Message{
 					ID: id, Src: src, Dst: rng.Intn(nodes), // Dst == Src exercises the loopback queue
-					Bytes: 1 + rng.Intn(5*cfg.FlitBytes), // one to five flits
+					Bytes: 1 + rng.Intn(5*FlitBytes), // one to five flits
 					Class: noc.Class(rng.Intn(int(noc.NumClasses))),
 				}
 				m2 := m

@@ -14,7 +14,7 @@ import (
 // with the queues it summarises.
 func checkInvariants(t testing.TB, n *Network) {
 	t.Helper()
-	depth := n.cfg.BufDepth
+	depth := n.bufDepth
 	// Every packet in flight is in exactly one place: the loopback queue,
 	// an NI, or wherever its tail flit is.
 	inflight := n.selfQ.Len()
@@ -137,7 +137,7 @@ func mixedTraffic(n *Network, seed uint64, count int) []*noc.Message {
 	for i := range msgs {
 		msgs[i] = &noc.Message{
 			ID: uint64(i + 1), Src: rng.Intn(n.nodes), Dst: rng.Intn(n.nodes),
-			Bytes: 1 + rng.Intn(5*n.cfg.FlitBytes), Class: noc.Class(rng.Intn(int(noc.NumClasses))),
+			Bytes: 1 + rng.Intn(5*FlitBytes), Class: noc.Class(rng.Intn(int(noc.NumClasses))),
 		}
 		n.Inject(msgs[i])
 	}

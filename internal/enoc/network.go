@@ -9,6 +9,24 @@ import (
 	"onocsim/internal/sim"
 )
 
+// The mesh's fixed microarchitecture. No study varies these, so they are
+// constants of the model rather than options of the config document
+// (DESIGN §12).
+const (
+	// FlitBytes is the physical link width per cycle. It also prices
+	// synthetic offered load on every fabric (workload.RunSynthetic).
+	FlitBytes = 16
+	// BufDepth is the flit buffer depth per VC.
+	BufDepth = 4
+	// RouterStages is the per-hop router pipeline latency in cycles.
+	RouterStages sim.Tick = 2
+	// LinkCycles is the per-hop wire traversal latency in cycles.
+	LinkCycles sim.Tick = 1
+	// ClockGHz is the mesh clock the power report converts cycles to
+	// seconds at.
+	ClockGHz = 2.0
+)
+
 // Network is the electrical mesh fabric (optionally a torus). It implements
 // noc.Network.
 type Network struct {
@@ -16,6 +34,10 @@ type Network struct {
 	width int
 	nodes int
 	torus bool
+	// bufDepth and linkCycles are BufDepth and LinkCycles, or the values a
+	// package test sweeps.
+	bufDepth   int
+	linkCycles sim.Tick
 
 	now     sim.Tick
 	deliver noc.DeliverFunc
@@ -48,10 +70,10 @@ func (n *Network) newPacket(m *noc.Message) *packet {
 		p := n.pktFree[l-1]
 		n.pktFree[l-1] = nil
 		n.pktFree = n.pktFree[:l-1]
-		*p = packet{msg: m, nflits: FlitsFor(m.Bytes, n.cfg.FlitBytes)}
+		*p = packet{msg: m, nflits: FlitsFor(m.Bytes)}
 		return p
 	}
-	return &packet{msg: m, nflits: FlitsFor(m.Bytes, n.cfg.FlitBytes)}
+	return &packet{msg: m, nflits: FlitsFor(m.Bytes)}
 }
 
 // nodeSet is a set of node ids. Walking it with next visits members in
@@ -75,12 +97,16 @@ func (s nodeSet) next(id int) int {
 
 // New builds a width×width mesh where width² equals nodes. It panics on a
 // non-square node count, matching the config validation contract.
-func New(nodes int, cfg config.Mesh) *Network {
+func New(nodes int, cfg config.Mesh) *Network { return newMesh(nodes, cfg, BufDepth, LinkCycles) }
+
+// newMesh is New with the given buffer depth and link latency.
+func newMesh(nodes int, cfg config.Mesh, bufDepth int, linkCycles sim.Tick) *Network {
 	width := config.GridWidth(nodes)
 	if width*width != nodes {
 		panic(fmt.Sprintf("enoc: %d nodes is not a perfect square", nodes))
 	}
-	n := &Network{cfg: cfg, width: width, nodes: nodes, torus: cfg.Topology == "torus", stats: noc.NewStats()}
+	n := &Network{cfg: cfg, width: width, nodes: nodes, torus: cfg.Topology == "torus",
+		bufDepth: bufDepth, linkCycles: linkCycles, stats: noc.NewStats()}
 	words := (nodes + 63) / 64
 	n.bufBusy, n.linkBusy, n.niBusy = make(nodeSet, words), make(nodeSet, words), make(nodeSet, words)
 	n.routers = make([]*router, nodes)
@@ -89,7 +115,7 @@ func New(nodes int, cfg config.Mesh) *Network {
 	}
 	// Wire neighbor links and the upstream credit paths.
 	connect := func(from *router, outPort int, to *router, inPort int, wrap bool) {
-		from.outLink[outPort] = &link{delay: sim.Tick(cfg.LinkCycles), dst: to, dstPort: inPort, wrap: wrap}
+		from.outLink[outPort] = &link{delay: linkCycles, dst: to, dstPort: inPort, wrap: wrap}
 		to.upstream[inPort] = upstreamRef{r: from, port: outPort}
 	}
 	for id := 0; id < nodes; id++ {
@@ -243,7 +269,7 @@ func (n *Network) Reset() {
 			n.pktFree = append(n.pktFree, f.pkt)
 		}
 	}
-	depth := n.cfg.BufDepth
+	depth := n.bufDepth
 	for _, r := range n.routers {
 		for p := 0; p < numPorts; p++ {
 			for v := range r.in[p] {
@@ -299,8 +325,7 @@ func (n *Network) ZeroLoadLatency(src, dst, bytes int) sim.Tick {
 		}
 	}
 	hops := hx + hy
-	nflits := FlitsFor(bytes, n.cfg.FlitBytes)
-	return sim.Tick(hops+1)*sim.Tick(n.cfg.RouterStages) + sim.Tick(hops)*sim.Tick(n.cfg.LinkCycles) + sim.Tick(nflits)
+	return sim.Tick(hops+1)*RouterStages + sim.Tick(hops)*n.linkCycles + sim.Tick(FlitsFor(bytes))
 }
 
 func abs(x int) int {
@@ -394,7 +419,7 @@ func (ni *netIface) injectClass(r *router, c noc.Class) bool {
 		lo, hi := r.vcRange(c)
 		vc := -1
 		for v := lo; v < hi; v++ {
-			if r.in[portLocal][v].owner == nil && r.in[portLocal][v].n < ni.net.cfg.BufDepth {
+			if r.in[portLocal][v].owner == nil && r.in[portLocal][v].n < ni.net.bufDepth {
 				vc = v
 				break
 			}
@@ -406,7 +431,7 @@ func (ni *netIface) injectClass(r *router, c noc.Class) bool {
 		p.enterNI = ni.net.now
 		*st = sendState{pkt: p, vc: vc}
 	}
-	if r.in[portLocal][st.vc].n >= ni.net.cfg.BufDepth {
+	if r.in[portLocal][st.vc].n >= ni.net.bufDepth {
 		return false
 	}
 	r.acceptFlit(portLocal, st.vc, flit{pkt: st.pkt, isHead: st.next == 0, isTail: st.next == st.pkt.nflits-1})

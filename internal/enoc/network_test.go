@@ -79,9 +79,9 @@ func TestCreditsRestoredAfterDrain(t *testing.T) {
 				continue
 			}
 			for v := 0; v < cfg.VCs; v++ {
-				if r.outCredit[p][v] != cfg.BufDepth {
+				if r.outCredit[p][v] != BufDepth {
 					t.Fatalf("router %d port %d vc %d: credit %d, want %d (credit leak)",
-						r.id, p, v, r.outCredit[p][v], cfg.BufDepth)
+						r.id, p, v, r.outCredit[p][v], BufDepth)
 				}
 				if r.outBusy[p][v] {
 					t.Fatalf("router %d port %d vc %d: still busy after drain (VC leak)", r.id, p, v)
@@ -154,7 +154,7 @@ func TestPowerCountersAccumulate(t *testing.T) {
 	n.SetDeliver(func(m *noc.Message) {})
 	n.Inject(&noc.Message{ID: 1, Src: 0, Dst: 15, Bytes: 128, Class: noc.ClassRequest})
 	drain(n, 1000)
-	rep := n.PowerReport(n.Now(), 2.0)
+	rep := n.PowerReport(n.Now())
 	if rep.StaticMW <= 0 {
 		t.Fatal("no static power")
 	}
@@ -201,12 +201,12 @@ func TestWestFirstAdaptiveStillMinimal(t *testing.T) {
 }
 
 func TestFlitsFor(t *testing.T) {
-	cases := []struct{ bytes, flit, want int }{
-		{0, 16, 1}, {1, 16, 1}, {16, 16, 1}, {17, 16, 2}, {64, 16, 4}, {65, 16, 5},
+	cases := []struct{ bytes, want int }{
+		{0, 1}, {1, 1}, {16, 1}, {17, 2}, {64, 4}, {65, 5},
 	}
 	for _, c := range cases {
-		if got := FlitsFor(c.bytes, c.flit); got != c.want {
-			t.Errorf("FlitsFor(%d,%d) = %d, want %d", c.bytes, c.flit, got, c.want)
+		if got := FlitsFor(c.bytes); got != c.want {
+			t.Errorf("FlitsFor(%d) = %d, want %d", c.bytes, got, c.want)
 		}
 	}
 }

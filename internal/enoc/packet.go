@@ -37,16 +37,13 @@ type flit struct {
 	isTail  bool
 }
 
-// FlitsFor computes the flit count for a payload size given the link width.
-func FlitsFor(bytes, flitBytes int) int {
+// FlitsFor computes the flit count of a payload: at least one flit of
+// FlitBytes.
+func FlitsFor(bytes int) int {
 	if bytes <= 0 {
 		return 1
 	}
-	n := (bytes + flitBytes - 1) / flitBytes
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return (bytes + FlitBytes - 1) / FlitBytes
 }
 
 // Port indices of a mesh router.

@@ -16,12 +16,11 @@ type powerCounters struct {
 	routeComps     uint64
 }
 
-// Orion-2-class per-event energies for a 16-byte flit at a 32nm-era process,
-// in picojoules. These are the canonical constants used by 2012-era NoC
-// papers; absolute values are not the point of the reproduction — the
-// electrical-vs-optical *shape* is — and all scale linearly with flit width.
+// Orion-2-class per-event energies for a FlitBytes (16-byte) flit at a
+// 32nm-era process, in picojoules. These are the canonical constants used by
+// 2012-era NoC papers; absolute values are not the point of the reproduction
+// — the electrical-vs-optical *shape* is.
 const (
-	refFlitBytes       = 16
 	eBufferWritePJ     = 1.2
 	eBufferReadPJ      = 1.0
 	eXbarPJ            = 2.0
@@ -33,17 +32,16 @@ const (
 )
 
 // PowerReport implements noc.Network. elapsed is the measurement window in
-// cycles; clockGHz converts cycles to seconds.
-func (n *Network) PowerReport(elapsed sim.Tick, clockGHz float64) noc.PowerReport {
-	scale := float64(n.cfg.FlitBytes) / refFlitBytes
+// cycles of the ClockGHz mesh clock.
+func (n *Network) PowerReport(elapsed sim.Tick) noc.PowerReport {
 	c := &n.power
-	buffers := (float64(c.bufferWrites)*eBufferWritePJ + float64(c.bufferReads)*eBufferReadPJ) * scale
-	xbar := float64(c.xbarTraversals) * eXbarPJ * scale
-	links := float64(c.linkTraversals) * eLinkPJ * scale
+	buffers := float64(c.bufferWrites)*eBufferWritePJ + float64(c.bufferReads)*eBufferReadPJ
+	xbar := float64(c.xbarTraversals) * eXbarPJ
+	links := float64(c.linkTraversals) * eLinkPJ
 	alloc := float64(c.vcAllocs)*eVCAllocPJ + float64(c.routeComps)*eRoutePJ
 	totalPJ := buffers + xbar + links + alloc
 
-	seconds := float64(elapsed) / (clockGHz * 1e9)
+	seconds := float64(elapsed) / (ClockGHz * 1e9)
 	dynMW := 0.0
 	if seconds > 0 {
 		// pJ / s = 1e-12 W = 1e-9 mW.

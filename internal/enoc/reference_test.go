@@ -83,6 +83,9 @@ type refNetwork struct {
 	nodes int
 	torus bool
 
+	bufDepth   int
+	linkCycles sim.Tick
+
 	now     sim.Tick
 	deliver noc.DeliverFunc
 	stats   *noc.Stats
@@ -94,12 +97,13 @@ type refNetwork struct {
 	inflight int
 }
 
-func newRefNetwork(nodes int, cfg config.Mesh) *refNetwork {
+func newRefNetwork(nodes int, cfg config.Mesh, bufDepth int, linkCycles sim.Tick) *refNetwork {
 	width := 1
 	for width*width < nodes {
 		width++
 	}
-	n := &refNetwork{cfg: cfg, width: width, nodes: nodes, torus: cfg.Topology == "torus", stats: noc.NewStats()}
+	n := &refNetwork{cfg: cfg, width: width, nodes: nodes, torus: cfg.Topology == "torus",
+		bufDepth: bufDepth, linkCycles: linkCycles, stats: noc.NewStats()}
 	n.routers = make([]*refRouter, nodes)
 	for id := 0; id < nodes; id++ {
 		r := &refRouter{id: id, x: id % width, y: id / width, net: n}
@@ -108,13 +112,13 @@ func newRefNetwork(nodes int, cfg config.Mesh) *refNetwork {
 			r.outCredit[p] = make([]int, cfg.VCs)
 			r.outBusy[p] = make([]bool, cfg.VCs)
 			for v := 0; v < cfg.VCs; v++ {
-				r.outCredit[p][v] = cfg.BufDepth
+				r.outCredit[p][v] = bufDepth
 			}
 		}
 		n.routers[id] = r
 	}
 	connect := func(from *refRouter, outPort int, to *refRouter, inPort int, wrap bool) {
-		from.outLink[outPort] = &refLink{delay: sim.Tick(cfg.LinkCycles), dst: to, dstPort: inPort, wrap: wrap}
+		from.outLink[outPort] = &refLink{delay: linkCycles, dst: to, dstPort: inPort, wrap: wrap}
 		to.upstream[inPort] = &refUpstream{r: from, port: outPort}
 	}
 	for id := 0; id < nodes; id++ {
@@ -157,7 +161,7 @@ func (n *refNetwork) Inject(m *noc.Message) {
 		n.selfQ = append(n.selfQ, selfMsg{at: n.now + 1, msg: m})
 		return
 	}
-	n.nis[m.Src].enqueue(&packet{msg: m, nflits: FlitsFor(m.Bytes, n.cfg.FlitBytes)})
+	n.nis[m.Src].enqueue(&packet{msg: m, nflits: FlitsFor(m.Bytes)})
 }
 
 func (n *refNetwork) Tick() {
@@ -221,10 +225,10 @@ func (r *refRouter) vcRange(c noc.Class) (lo, hi int) {
 
 func (r *refRouter) acceptFlit(port, vc int, f *refFlit) {
 	b := &r.in[port][vc]
-	if len(b.q) >= r.net.cfg.BufDepth {
+	if len(b.q) >= r.net.bufDepth {
 		panic("enoc ref: input buffer overflow — credit protocol violated")
 	}
-	f.readyAt = r.net.now + sim.Tick(r.net.cfg.RouterStages)
+	f.readyAt = r.net.now + RouterStages
 	f.inPort = port
 	f.vcAtRouter = vc
 	if f.isHead {
@@ -446,7 +450,7 @@ func (r *refRouter) routeWestFirst(p *packet, dx, dy int) int {
 		for v := lo; v < hi; v++ {
 			credits += r.outCredit[port][v]
 			if !r.outBusy[port][v] {
-				credits += r.net.cfg.BufDepth
+				credits += r.net.bufDepth
 			}
 		}
 		if credits > bestCredits {
@@ -488,7 +492,7 @@ func (ni *refNI) injectClass(r *refRouter, c noc.Class) bool {
 		lo, hi := r.vcRange(c)
 		vc := -1
 		for v := lo; v < hi; v++ {
-			if r.in[portLocal][v].owner == nil && len(r.in[portLocal][v].q) < ni.net.cfg.BufDepth {
+			if r.in[portLocal][v].owner == nil && len(r.in[portLocal][v].q) < ni.net.bufDepth {
 				vc = v
 				break
 			}
@@ -503,7 +507,7 @@ func (ni *refNI) injectClass(r *refRouter, c noc.Class) bool {
 		*st = sendState{pkt: p, vc: vc}
 	}
 	b := &r.in[portLocal][st.vc]
-	if len(b.q) >= ni.net.cfg.BufDepth {
+	if len(b.q) >= ni.net.bufDepth {
 		return false
 	}
 	f := &refFlit{pkt: st.pkt}

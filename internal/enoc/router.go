@@ -115,7 +115,7 @@ func newRouter(id, x, y int, net *Network) *router {
 	bufs, credits, busy := make([]vcBuf, numPorts*vcs), make([]int, numPorts*vcs), make([]bool, numPorts*vcs)
 	for i := range bufs {
 		bufs[i].outPort = portUnrouted
-		credits[i] = net.cfg.BufDepth
+		credits[i] = net.bufDepth
 	}
 	for p := 0; p < numPorts; p++ {
 		lo, hi := p*vcs, (p+1)*vcs
@@ -142,10 +142,10 @@ func (r *router) vcRange(c noc.Class) (lo, hi int) {
 // control protocol violation and panics.
 func (r *router) acceptFlit(port, vc int, f flit) {
 	b := &r.in[port][vc]
-	if b.n >= r.net.cfg.BufDepth {
+	if b.n >= r.net.bufDepth {
 		panic("enoc: input buffer overflow — credit protocol violated")
 	}
-	f.readyAt = r.net.now + sim.Tick(r.net.cfg.RouterStages)
+	f.readyAt = r.net.now + RouterStages
 	if f.isHead {
 		if b.owner != nil {
 			panic("enoc: head flit arrived on busy VC — allocation protocol violated")
@@ -163,7 +163,7 @@ func (r *router) acceptFlit(port, vc int, f flit) {
 func (r *router) push(port, vc int, f flit) {
 	b := &r.in[port][vc]
 	if b.q == nil {
-		b.q = make([]flit, r.net.cfg.BufDepth)
+		b.q = make([]flit, r.net.bufDepth)
 	}
 	*b.at(b.n) = f
 	b.n++

@@ -21,7 +21,7 @@ func mkNet(nodes int, mutate func(*config.Mesh)) *Network {
 func TestAcceptFlitOverflowPanics(t *testing.T) {
 	n := mkNet(4, nil)
 	r := n.routers[0]
-	for i := 0; i < n.cfg.BufDepth; i++ {
+	for i := 0; i < n.bufDepth; i++ {
 		r.acceptFlit(portNorth, 0, flit{pkt: &packet{msg: &noc.Message{ID: 1}, nflits: 10}})
 	}
 	defer func() {
@@ -96,7 +96,9 @@ func TestInjectRejectsBadClass(t *testing.T) {
 
 func TestSingleVCStillDelivers(t *testing.T) {
 	// Degenerate fabric: 1 VC shared by all classes, depth 1 buffers.
-	n := mkNet(16, func(c *config.Mesh) { c.VCs = 1; c.BufDepth = 1 })
+	cfg := config.Default().Mesh
+	cfg.VCs = 1
+	n := newMesh(16, cfg, 1, LinkCycles)
 	got := 0
 	n.SetDeliver(func(m *noc.Message) { got++ })
 	for i := 0; i < 32; i++ {

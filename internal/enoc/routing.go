@@ -88,7 +88,7 @@ func (r *router) routeWestFirst(p *packet, dx, dy int) int {
 		for v := lo; v < hi; v++ {
 			credits += r.outCredit[port][v]
 			if !r.outBusy[port][v] {
-				credits += r.net.cfg.BufDepth // prefer ports with free VCs
+				credits += r.net.bufDepth // prefer ports with free VCs
 			}
 		}
 		if credits > bestCredits {

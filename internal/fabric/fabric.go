@@ -15,6 +15,14 @@ import (
 	"onocsim/internal/sim"
 )
 
+// The ideal capture fabric's fixed latency and per-node injection bandwidth
+// cap. No study varies them, so they are constants of the model rather than
+// options of the config document (DESIGN §12).
+const (
+	IdealLatencyCycles sim.Tick = 20
+	IdealBytesPerCycle          = 16
+)
+
 // Build constructs a fresh fabric of the given kind. The config must be
 // valid: the constructors rely on Validate's preconditions (node count,
 // channel capacity, geometry).
@@ -29,7 +37,7 @@ func Build(cfg config.Config, kind config.NetworkKind) (noc.Network, error) {
 		}
 		return onoc.NewWithFaults(nodes, cfg.Optical, cfg.Faults, cfg.Seed), nil
 	case config.NetIdeal:
-		return noc.NewIdeal(nodes, sim.Tick(cfg.Ideal.LatencyCycles), cfg.Ideal.BytesPerCycle), nil
+		return noc.NewIdeal(nodes, IdealLatencyCycles, IdealBytesPerCycle), nil
 	case config.NetHybrid:
 		return hybrid.NewWithFaults(nodes, cfg.Mesh, cfg.Optical, cfg.Hybrid.Threshold, cfg.Faults, cfg.Seed), nil
 	default:

@@ -228,11 +228,11 @@ func (n *Network) ZeroLoadLatency(src, dst, bytes int) sim.Tick {
 	return n.mesh.ZeroLoadLatency(src, dst, bytes)
 }
 
-// PowerReport implements noc.Network: the sum of both sub-fabrics, with the
-// breakdowns merged under prefixed keys.
-func (n *Network) PowerReport(elapsed sim.Tick, clockGHz float64) noc.PowerReport {
-	e := n.mesh.PowerReport(elapsed, clockGHz)
-	o := n.optical.PowerReport(elapsed, clockGHz)
+// PowerReport implements noc.Network: the sum of both sub-fabrics, each at its
+// own clock, with the breakdowns merged under prefixed keys.
+func (n *Network) PowerReport(elapsed sim.Tick) noc.PowerReport {
+	e := n.mesh.PowerReport(elapsed)
+	o := n.optical.PowerReport(elapsed)
 	breakdown := make(map[string]float64, len(e.Breakdown)+len(o.Breakdown))
 	for k, v := range e.Breakdown {
 		breakdown["mesh_"+k] = v

@@ -69,9 +69,9 @@ func TestPowerReportSumsBothFabrics(t *testing.T) {
 		n.Inject(&noc.Message{ID: uint64(i + 1), Src: i % 16, Dst: (i*5 + 1) % 16, Bytes: 64, Class: noc.ClassRequest})
 	}
 	drain(n, 100_000)
-	rep := n.PowerReport(n.Now(), 2.0)
-	e := n.mesh.PowerReport(n.Now(), 2.0)
-	o := n.optical.PowerReport(n.Now(), 2.0)
+	rep := n.PowerReport(n.Now())
+	e := n.mesh.PowerReport(n.Now())
+	o := n.optical.PowerReport(n.Now())
 	if rep.StaticMW != e.StaticMW+o.StaticMW {
 		t.Fatalf("static %g != %g + %g", rep.StaticMW, e.StaticMW, o.StaticMW)
 	}

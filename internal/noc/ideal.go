@@ -185,6 +185,6 @@ func (n *Ideal) ZeroLoadLatency(src, dst, bytes int) sim.Tick {
 
 // PowerReport implements Network. The ideal fabric has no power model; it
 // exists only as a capture substrate.
-func (n *Ideal) PowerReport(elapsed sim.Tick, clockGHz float64) PowerReport {
+func (n *Ideal) PowerReport(elapsed sim.Tick) PowerReport {
 	return PowerReport{Breakdown: map[string]float64{}}
 }

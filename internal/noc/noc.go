@@ -107,8 +107,9 @@ type Network interface {
 	// the given size between two nodes; the self-correction engine uses
 	// it to seed its first iteration.
 	ZeroLoadLatency(src, dst, bytes int) sim.Tick
-	// PowerReport resolves the power model over an elapsed window.
-	PowerReport(elapsed sim.Tick, clockGHz float64) PowerReport
+	// PowerReport resolves the power model over a window of elapsed
+	// cycles, converted to seconds at the fabric's own clock.
+	PowerReport(elapsed sim.Tick) PowerReport
 	// NextWake returns the earliest future cycle at which the fabric
 	// could perform observable work — deliver a message, move a flit,
 	// start a transmission — assuming nothing new is injected. It returns

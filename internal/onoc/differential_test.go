@@ -15,11 +15,11 @@ import (
 // every channel (yet leave the token two laps between losses, so every sender
 // is reached) — a storm of windows shorter than one slow hop, and blackouts
 // long enough that senders queue up while the token regenerates.
-func diffFaults(nodes int, hop int64) map[string]config.Faults {
+func diffFaults(nodes int, hop sim.Tick) map[string]config.Faults {
 	light, _ := config.FaultPreset("light")
 	heavy, _ := config.FaultPreset("heavy")
 	storm, blackout := heavy, heavy
-	storm.TokenMTBF, storm.TokenTimeout = 40+4*int64(nodes)*hop, 2
+	storm.TokenMTBF, storm.TokenTimeout = 40+4*int64(nodes)*int64(hop), 2
 	blackout.TokenMTBF, blackout.TokenTimeout = storm.TokenMTBF, 75
 	return map[string]config.Faults{"off": {}, "light": light, "heavy": heavy, "storm": storm, "blackout": blackout}
 }
@@ -42,17 +42,15 @@ func TestDifferentialAgainstReference(t *testing.T) {
 	}
 	seed := uint64(500)
 	for _, nodes := range nodeCounts {
-		for _, hop := range []int64{1, 2, 3} {
+		for _, hop := range []sim.Tick{1, 2, 3} {
 			for _, hold := range []int{1, 4} {
 				for _, fname := range faultNames {
-					cfg := optCfg()
-					cfg.TokenHopCycles, cfg.MaxTokenHold = hop, hold
 					faults := diffFaults(nodes, hop)[fname]
 					seed++
 					s := seed
 					t.Run(fmt.Sprintf("n%d-hop%d-hold%d-%s", nodes, hop, hold, fname), func(t *testing.T) {
-						runDifferential(t, nodes, cfg, faults, s, false)
-						runDifferential(t, nodes, cfg, faults, s, true)
+						runDifferential(t, nodes, hop, hold, faults, s, false)
+						runDifferential(t, nodes, hop, hold, faults, s, true)
 					})
 				}
 			}
@@ -70,9 +68,9 @@ func flightOffset(ch *channel, refReady, hop sim.Tick) (int, bool) {
 	return int(ahead / hop), ahead >= 0 && ahead%hop == 0
 }
 
-func runDifferential(t *testing.T, nodes int, cfg config.Optical, faults config.Faults, seed uint64, skip bool) {
-	n := NewWithFaults(nodes, cfg, faults, seed)
-	ref := newRefNetwork(nodes, cfg, faults, seed)
+func runDifferential(t *testing.T, nodes int, hop sim.Tick, hold int, faults config.Faults, seed uint64, skip bool) {
+	n := newMWSR(nodes, optCfg(), faults, seed, hop, hold)
+	ref := newRefNetwork(nodes, hop, hold, faults, seed)
 
 	// Every third delivery (up to a budget) injects a reply from inside the
 	// callback, a pure function of the delivered message so both fabrics
@@ -108,7 +106,6 @@ func runDifferential(t *testing.T, nodes int, cfg config.Optical, faults config.
 	// one while its token is flying or the channel transmitting.
 	rates := []float64{0.02, 0.3, 0, 0.004, 0.8, 0}
 	const phase, injectCycles, bound = 90, 1080, 3_000_000
-	hop := sim.Tick(cfg.TokenHopCycles)
 	id := uint64(0)
 	checked := 0
 	for cyc := 0; cyc < injectCycles || n.Busy() || ref.Busy(); cyc++ {
@@ -191,7 +188,7 @@ func runDifferential(t *testing.T, nodes int, cfg config.Optical, faults config.
 	if !reflect.DeepEqual(n.stats, ref.stats) {
 		t.Fatalf("stats diverge:\n got %+v\nwant %+v", n.stats, ref.stats)
 	}
-	if g, w := n.PowerReport(n.now, 2), ref.PowerReport(ref.now, 2); !reflect.DeepEqual(g, w) {
+	if g, w := n.PowerReport(n.now), ref.PowerReport(ref.now); !reflect.DeepEqual(g, w) {
 		t.Fatalf("power diverges:\n got %+v\nwant %+v", g, w)
 	}
 	if faults.TokenMTBF > 0 && faults.TokenMTBF < 16_000 && n.stats.Faults.TokenLosses == 0 {

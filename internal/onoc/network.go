@@ -15,7 +15,6 @@
 package onoc
 
 import (
-	"fmt"
 	"math/bits"
 
 	"onocsim/internal/config"
@@ -23,10 +22,27 @@ import (
 	"onocsim/internal/sim"
 )
 
+// The arbitration token's timing. No study varies these: the token round
+// trip is nodes × TokenHopCycles, which the cores option already varies
+// (DESIGN §12).
+const (
+	// TokenHopCycles is the token circulation delay between adjacent nodes
+	// on the arbitration waveguide.
+	TokenHopCycles sim.Tick = 1
+	// MaxTokenHold bounds how many packets a node may send back-to-back
+	// while holding a channel token, preventing starvation under hotspot
+	// traffic.
+	MaxTokenHold = 4
+)
+
 // Network is the MWSR crossbar: the physical layer plus one circulating
 // arbitration token per home channel. It implements noc.Network.
 type Network struct {
 	phys
+	// hop and maxHold are TokenHopCycles and MaxTokenHold, or the values a
+	// package test sweeps.
+	hop     sim.Tick
+	maxHold int
 
 	channels []channel
 	// wake holds the channels with queued senders, earliest tokenReady first,
@@ -176,10 +192,12 @@ func New(nodes int, cfg config.Optical) *Network {
 // NewWithFaults builds the crossbar with deterministic fault injection (see
 // newPhys for what the schedule derives from).
 func NewWithFaults(nodes int, cfg config.Optical, faults config.Faults, seed uint64) *Network {
-	if cfg.TokenHopCycles < 1 || cfg.MaxTokenHold < 1 {
-		panic(fmt.Sprintf("onoc: token_hop_cycles=%d and max_token_hold=%d must be ≥1", cfg.TokenHopCycles, cfg.MaxTokenHold))
-	}
-	n := &Network{phys: newPhys(nodes, cfg, faults, seed)}
+	return newMWSR(nodes, cfg, faults, seed, TokenHopCycles, MaxTokenHold)
+}
+
+// newMWSR is NewWithFaults with the given token hop delay and hold bound.
+func newMWSR(nodes int, cfg config.Optical, faults config.Faults, seed uint64, hop sim.Tick, maxHold int) *Network {
+	n := &Network{phys: newPhys(nodes, cfg, faults, seed), hop: hop, maxHold: maxHold}
 	// Three slabs, not 2·nodes+ small objects: a sweep builds many fabrics.
 	words := (nodes + 63) / 64
 	n.channels = make([]channel, nodes)
@@ -212,7 +230,7 @@ func (n *Network) catchUp(ch *channel) {
 	if first > n.now {
 		return
 	}
-	hop := sim.Tick(n.cfg.TokenHopCycles)
+	hop := n.hop
 	ch.holdCount = 0
 	if !n.faults.TokenFaults() {
 		steps := (n.now-first)/hop + 1
@@ -265,7 +283,7 @@ func (n *Network) Inject(m *noc.Message) {
 // Tick's arbitration is over); one from a delivery callback precedes it.
 func (n *Network) retarget(ch *channel, src int) {
 	back := (ch.tokenPos - src + n.nodes) % n.nodes
-	at := ch.tokenReady - sim.Tick(back)*sim.Tick(n.cfg.TokenHopCycles)
+	at := ch.tokenReady - sim.Tick(back)*n.hop
 	if at > n.now || (at == n.now && n.delivering) {
 		ch.tokenPos, ch.tokenReady = src, at
 		n.wake.up(ch.heapIdx)
@@ -312,7 +330,7 @@ func (n *Network) stepChannel(ch *channel) {
 		return
 	}
 	q := &ch.queues[ch.tokenPos]
-	if !q.empty() && ch.holdCount < n.cfg.MaxTokenHold {
+	if !q.empty() && ch.holdCount < n.maxHold {
 		m := q.pop()
 		if q.empty() {
 			ch.waiting.clear(ch.tokenPos)
@@ -331,13 +349,12 @@ func (n *Network) stepChannel(ch *channel) {
 	// crosses the start of a token outage — every jumped-over moment lies
 	// before it, and the landing moment takes the check above as usual.
 	d := sim.Tick(ch.waiting.next(ch.tokenPos, n.nodes))
-	hop := sim.Tick(n.cfg.TokenHopCycles)
 	if n.faults.TokenFaults() {
-		d = min(d, (n.faults.NextTokenOutage(ch.dst, n.now)-1-n.now)/hop+1)
+		d = min(d, (n.faults.NextTokenOutage(ch.dst, n.now)-1-n.now)/n.hop+1)
 	}
 	ch.holdCount = 0
 	ch.tokenPos = (ch.tokenPos + int(d)) % n.nodes
-	ch.tokenReady = n.now + d*hop
+	ch.tokenReady = n.now + d*n.hop
 	ch.flying = true
 }
 
@@ -388,16 +405,16 @@ func (n *Network) Reset() {
 // ZeroLoadLatency implements noc.Network: expected token wait (half a
 // circulation at zero load) plus O/E overhead, serialization and propagation.
 func (n *Network) ZeroLoadLatency(src, dst, bytes int) sim.Tick {
-	return n.zeroLoad(src, dst, bytes, sim.Tick(int64(n.nodes)*n.cfg.TokenHopCycles/2))
+	return n.zeroLoad(src, dst, bytes, sim.Tick(n.nodes)*n.hop/2)
 }
 
 // PowerReport implements noc.Network: the photonic report plus a small
 // electrical arbitration cost per token grab, and a larger one per
 // timeout-and-regenerate token recovery.
-func (n *Network) PowerReport(elapsed sim.Tick, clockGHz float64) noc.PowerReport {
+func (n *Network) PowerReport(elapsed sim.Tick) noc.PowerReport {
 	const tokenGrabPJ = 0.5
 	const tokenRegenPJ = 5.0
-	rep := n.powerReport(elapsed, clockGHz, float64(n.grabs)*tokenGrabPJ, float64(n.regens)*tokenRegenPJ)
+	rep := n.powerReport(elapsed, float64(n.grabs)*tokenGrabPJ, float64(n.regens)*tokenRegenPJ)
 	if n.regens > 0 {
 		rep.Breakdown["token_regens"] = float64(n.regens)
 	}

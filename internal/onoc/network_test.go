@@ -62,9 +62,8 @@ func TestSingleMessageDelivery(t *testing.T) {
 	}
 	// Latency = token wait + OE + serialization + propagation; bounded by
 	// a full token circulation plus constants.
-	maxLat := sim.Tick(16*int64(optCfg().TokenHopCycles)) +
-		sim.Tick(optCfg().OEOverheadCycles) + n.SerializationCycles(64) +
-		sim.Tick(optCfg().PropagationCyclesAcross) + 2
+	maxLat := 16*TokenHopCycles + OEOverheadCycles + n.SerializationCycles(64) +
+		PropagationCyclesAcross + 2
 	if got.Latency() < 3 || got.Latency() > maxLat {
 		t.Fatalf("latency %d outside (3, %d]", got.Latency(), maxLat)
 	}
@@ -97,9 +96,7 @@ func TestChannelSerializesConcurrentWriters(t *testing.T) {
 }
 
 func TestMaxTokenHoldPreventsStarvation(t *testing.T) {
-	cfg := optCfg()
-	cfg.MaxTokenHold = 2
-	n := New(4, cfg)
+	n := newMWSR(4, optCfg(), config.Faults{}, 0, TokenHopCycles, 2)
 	// Node 1 floods node 0's channel; node 3 sends one message. With the
 	// hold bound, node 3 must get through long before the flood ends.
 	var arrivals []uint64
@@ -138,7 +135,7 @@ func TestZeroLoadLatencyShape(t *testing.T) {
 	// serialization, not hop distance — near and far differ only by
 	// propagation.
 	diff := n.ZeroLoadLatency(0, 32, 64) - n.ZeroLoadLatency(0, 1, 64)
-	if diff < 0 || diff > sim.Tick(optCfg().PropagationCyclesAcross) {
+	if diff < 0 || diff > PropagationCyclesAcross {
 		t.Fatalf("distance sensitivity %d outside propagation budget", diff)
 	}
 }
@@ -150,7 +147,7 @@ func TestPowerReportBudget(t *testing.T) {
 		n.Inject(&noc.Message{ID: uint64(i + 1), Src: i, Dst: (i + 1) % 64, Bytes: 256, Class: noc.ClassRequest})
 	}
 	drain(n, 100_000)
-	rep := n.PowerReport(n.Now(), optCfg().ClockGHz)
+	rep := n.PowerReport(n.Now())
 	if rep.StaticMW <= 0 || rep.DynamicMW <= 0 {
 		t.Fatalf("power report: %+v", rep)
 	}

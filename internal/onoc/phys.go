@@ -10,6 +10,27 @@ import (
 	"onocsim/internal/sim"
 )
 
+// The photonic layer's fixed device and geometry parameters. No study varies
+// these, so they are constants of the model rather than options of the config
+// document (DESIGN §12). The line rate enters the model only as channel
+// capacity, WavelengthsPerChannel × GbpsPerWavelength / ClockGHz bits per
+// cycle, which the wavelengths option already varies.
+const (
+	// GbpsPerWavelength is the modulation rate of one wavelength.
+	GbpsPerWavelength = 10.0
+	// ClockGHz is the system clock: it converts line rate into channel
+	// capacity, and cycles into seconds for the power report.
+	ClockGHz = 2.0
+	// PropagationCyclesAcross is the light propagation time across the
+	// full die (worst case); per-pair delay scales with hop distance.
+	PropagationCyclesAcross = 8
+	// OEOverheadCycles is modulation + detection + serdes overhead per
+	// message at the endpoints.
+	OEOverheadCycles sim.Tick = 3
+	// DieEdgeCm is the physical die edge used by the loss budget.
+	DieEdgeCm = 2.0
+)
+
 // phys is the photonic physical layer both crossbars are built on: the clock,
 // the statistics and callbacks, channel serialization with its thermal-drift
 // and laser-droop degradations, light propagation along the serpentine, the
@@ -19,7 +40,6 @@ import (
 // itself. Arbitration hands a message that has won its channel to launch;
 // everything before (admit) and after (deliverDue) is the same on both.
 type phys struct {
-	cfg   config.Optical
 	nodes int
 
 	now      sim.Tick
@@ -89,12 +109,11 @@ func newPhys(nodes int, cfg config.Optical, faults config.Faults, seed uint64) p
 	if nodes < 2 {
 		panic(fmt.Sprintf("onoc: need ≥2 nodes, got %d", nodes))
 	}
-	bpc := float64(cfg.WavelengthsPerChannel) * cfg.GbpsPerWavelength / cfg.ClockGHz
+	bpc := float64(cfg.WavelengthsPerChannel) * GbpsPerWavelength / ClockGHz
 	if bpc <= 0 {
 		panic("onoc: non-positive channel capacity")
 	}
 	p := phys{
-		cfg:     cfg,
 		nodes:   nodes,
 		stats:   noc.NewStats(),
 		ser:     serTable{bitsPerCycle: bpc},
@@ -104,7 +123,7 @@ func newPhys(nodes int, cfg config.Optical, faults config.Faults, seed uint64) p
 	geom := photonics.CrossbarGeometry{
 		Nodes:                 nodes,
 		WavelengthsPerChannel: cfg.WavelengthsPerChannel,
-		DieEdgeCm:             cfg.DieEdgeCm,
+		DieEdgeCm:             DieEdgeCm,
 	}
 	budget, err := photonics.ComputeBudgetWithDroop(p.devices, geom, faults.LaserDroopDB)
 	if err != nil {
@@ -190,7 +209,7 @@ func (p *phys) DerateFactor(src, dst int) sim.Tick {
 // the serpentine (messages travel downstream only).
 func (p *phys) propagation(src, dst int) sim.Tick {
 	hops := (dst - src + p.nodes) % p.nodes
-	return max(sim.Tick(int64(hops)*p.cfg.PropagationCyclesAcross/int64(p.nodes)), 1)
+	return max(sim.Tick(int64(hops)*PropagationCyclesAcross/int64(p.nodes)), 1)
 }
 
 // admit stamps an injected message and reports whether arbitration has to
@@ -233,7 +252,7 @@ func (p *phys) launch(m *noc.Message, ch int) sim.Tick {
 	if p.shardObs != nil {
 		p.shardObs(m.ID, noc.ShardObs{Start: p.now, Queue: wait})
 	}
-	p.arrivals.Push(p.now+sim.Tick(p.cfg.OEOverheadCycles)+ser+p.propagation(m.Src, m.Dst), m)
+	p.arrivals.Push(p.now+OEOverheadCycles+ser+p.propagation(m.Src, m.Dst), m)
 	p.bitsSent += uint64(m.Bytes) * 8
 	return ser
 }
@@ -260,7 +279,7 @@ func (p *phys) zeroLoad(src, dst, bytes int, arbWait sim.Tick) sim.Tick {
 		return 1
 	}
 	ser := p.ser.cycles(bytes) * p.DerateFactor(src, dst)
-	return arbWait + sim.Tick(p.cfg.OEOverheadCycles) + ser + p.propagation(src, dst)
+	return arbWait + OEOverheadCycles + ser + p.propagation(src, dst)
 }
 
 // reset returns clock, statistics, arrivals and energy counters to their
@@ -277,15 +296,16 @@ func (p *phys) reset() {
 }
 
 // powerReport resolves static laser + ring tuning power from the photonic
-// budget and dynamic modulation/reception energy over the window;
-// arbitrationPJ are the energy terms the arbitration rule adds, in picojoules.
-func (p *phys) powerReport(elapsed sim.Tick, clockGHz float64, arbitrationPJ ...float64) noc.PowerReport {
+// budget and dynamic modulation/reception energy over the window of elapsed
+// ClockGHz cycles; arbitrationPJ are the energy terms the arbitration rule
+// adds, in picojoules.
+func (p *phys) powerReport(elapsed sim.Tick, arbitrationPJ ...float64) noc.PowerReport {
 	dynPJ := p.devices.DynamicEnergyPJ(int64(p.bitsSent))
 	for _, pj := range arbitrationPJ {
 		dynPJ += pj
 	}
 	dynMW := 0.0
-	if seconds := float64(elapsed) / (clockGHz * 1e9); seconds > 0 {
+	if seconds := float64(elapsed) / (ClockGHz * 1e9); seconds > 0 {
 		dynMW = dynPJ * 1e-9 / seconds
 	}
 	breakdown := map[string]float64{

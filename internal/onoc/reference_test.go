@@ -33,8 +33,8 @@ type refNetwork struct {
 	active   []*refChannel
 }
 
-func newRefNetwork(nodes int, cfg config.Optical, faults config.Faults, seed uint64) *refNetwork {
-	n := &refNetwork{Network: NewWithFaults(nodes, cfg, faults, seed)}
+func newRefNetwork(nodes int, hop sim.Tick, hold int, faults config.Faults, seed uint64) *refNetwork {
+	n := &refNetwork{Network: newMWSR(nodes, optCfg(), faults, seed, hop, hold)}
 	n.channels = make([]*refChannel, nodes)
 	for d := 0; d < nodes; d++ {
 		ch := &refChannel{dst: d, tokenPos: (d + 1) % nodes}
@@ -70,11 +70,11 @@ func (n *refNetwork) advanceToken(ch *refChannel, to sim.Tick) {
 	if first > to {
 		return
 	}
-	period := sim.Tick(n.cfg.TokenHopCycles)
+	period := n.hop
 	if period < 1 {
 		period = 1
 	}
-	hop := sim.Tick(n.cfg.TokenHopCycles)
+	hop := n.hop
 	if !n.faults.TokenFaults() {
 		steps := (to-first)/period + 1
 		ch.tokenPos = (ch.tokenPos + int(steps%sim.Tick(n.nodes))) % n.nodes
@@ -176,7 +176,7 @@ func (n *refNetwork) stepChannel(ch *refChannel) {
 		return
 	}
 	q := &ch.queues[ch.tokenPos]
-	if !q.empty() && ch.holdCount < n.cfg.MaxTokenHold {
+	if !q.empty() && ch.holdCount < n.maxHold {
 		m := q.pop()
 		ch.queued--
 		ch.holdCount++
@@ -189,7 +189,7 @@ func (n *refNetwork) stepChannel(ch *refChannel) {
 	// Advance the token to the next node.
 	ch.holdCount = 0
 	ch.tokenPos = (ch.tokenPos + 1) % n.nodes
-	ch.tokenReady = n.now + sim.Tick(n.cfg.TokenHopCycles)
+	ch.tokenReady = n.now + n.hop
 }
 
 // NextWake implements noc.Network. An active channel next acts (transmits or

@@ -116,6 +116,6 @@ func (n *SWMR) ZeroLoadLatency(src, dst, bytes int) sim.Tick {
 }
 
 // PowerReport implements noc.Network: arbitration costs nothing here.
-func (n *SWMR) PowerReport(elapsed sim.Tick, clockGHz float64) noc.PowerReport {
-	return n.powerReport(elapsed, clockGHz)
+func (n *SWMR) PowerReport(elapsed sim.Tick) noc.PowerReport {
+	return n.powerReport(elapsed)
 }

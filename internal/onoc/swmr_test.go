@@ -98,7 +98,7 @@ func TestSWMRLaserPowerExceedsMWSR(t *testing.T) {
 		t.Fatalf("tuning power should be symmetric: %g vs %g",
 			swmr.Budget().TuningPowerMW, mwsr.Budget().TuningPowerMW)
 	}
-	rep := swmr.PowerReport(1000, cfg.ClockGHz)
+	rep := swmr.PowerReport(1000)
 	if rep.StaticMW <= 0 {
 		t.Fatal("no static power")
 	}

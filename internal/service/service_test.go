@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -260,6 +261,22 @@ func TestSimulateRejectsBadRequests(t *testing.T) {
 		if code != http.StatusBadRequest {
 			t.Errorf("%s: status %d (want 400): %s", tc.name, code, body)
 		}
+	}
+}
+
+// TestSimulateRefusesModelConstants posts the baseline document as
+// `onocsim -dump-config` printed it while the model constants were still
+// options (testdata/dump-config-v1.json): the daemon answers 400 and names
+// the first such key, rather than run the job with those values ignored.
+func TestSimulateRefusesModelConstants(t *testing.T) {
+	_, ts := newTestServer(t)
+	doc, err := os.ReadFile("testdata/dump-config-v1.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, body := postJSON(t, ts.URL+"/v1/simulate", `{"op":"exec","config":`+string(doc)+`}`)
+	if code != http.StatusBadRequest || !strings.Contains(string(body), "l1_sets") {
+		t.Fatalf("status %d (want 400 naming l1_sets): %s", code, body)
 	}
 }
 

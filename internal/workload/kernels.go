@@ -102,7 +102,7 @@ func genReduce(cfg config.Config) ([]cpu.Program, error) {
 	}
 	span := cfg.Workload.Scale
 	iters := cfg.Workload.Iterations
-	lb := cfg.System.L1LineBytes
+	lb := cpu.L1LineBytes
 	const base = 5 << 20
 	levels := 0
 	for 1<<levels < P {
@@ -160,7 +160,7 @@ func genStencil(cfg config.Config) ([]cpu.Program, error) {
 	P := cfg.System.Cores
 	span := cfg.Workload.Scale
 	iters := cfg.Workload.Iterations
-	lb := cfg.System.L1LineBytes
+	lb := cpu.L1LineBytes
 	width := cfg.MeshWidth()
 	const base = 1 << 20
 
@@ -215,7 +215,7 @@ func genFFT(cfg config.Config) ([]cpu.Program, error) {
 		return nil, fmt.Errorf("workload: fft needs a power-of-two core count, got %d", P)
 	}
 	span := cfg.Workload.Scale
-	lb := cfg.System.L1LineBytes
+	lb := cpu.L1LineBytes
 	const base = 2 << 20
 	stages := 0
 	for 1<<stages < P {
@@ -257,7 +257,7 @@ func genFFT(cfg config.Config) ([]cpu.Program, error) {
 func genLU(cfg config.Config) ([]cpu.Program, error) {
 	P := cfg.System.Cores
 	steps := cfg.Workload.Scale
-	lb := cfg.System.L1LineBytes
+	lb := cpu.L1LineBytes
 	const base = 3 << 20
 	const pivotLines = 4
 	progs := make([]cpu.Program, P)
@@ -306,7 +306,7 @@ func genLU(cfg config.Config) ([]cpu.Program, error) {
 func genSort(cfg config.Config) ([]cpu.Program, error) {
 	P := cfg.System.Cores
 	keysPerCore := cfg.Workload.Scale
-	lb := cfg.System.L1LineBytes
+	lb := cpu.L1LineBytes
 	const base = 4 << 20
 	const bucketLines = 2
 	progs := make([]cpu.Program, P)

@@ -8,6 +8,7 @@ import (
 	"fmt"
 
 	"onocsim/internal/config"
+	"onocsim/internal/enoc"
 	"onocsim/internal/noc"
 	"onocsim/internal/sim"
 )
@@ -90,21 +91,16 @@ type SyntheticResult struct {
 
 // RunSynthetic drives a fabric open-loop: every node injects packets of
 // cfg.PacketBytes under the given pattern at cfg.InjectionRate (flits per
-// node per cycle, with a 16-byte reference flit), for cfg.Packets packets
-// per node, then drains. Determinism follows from the seeded RNG.
-func RunSynthetic(net noc.Network, cfg config.Workload, flitBytes int, seed uint64) (SyntheticResult, error) {
+// node per cycle, in the mesh's enoc.FlitBytes flits on every fabric, so
+// loads are comparable), for cfg.Packets packets per node, then drains.
+// Determinism follows from the seeded RNG.
+func RunSynthetic(net noc.Network, cfg config.Workload, seed uint64) (SyntheticResult, error) {
 	pat, err := PatternByName(cfg.Pattern)
 	if err != nil {
 		return SyntheticResult{}, err
 	}
-	if flitBytes <= 0 {
-		flitBytes = 16
-	}
 	nodes := net.Nodes()
-	flitsPerPkt := (cfg.PacketBytes + flitBytes - 1) / flitBytes
-	if flitsPerPkt < 1 {
-		flitsPerPkt = 1
-	}
+	flitsPerPkt := enoc.FlitsFor(cfg.PacketBytes)
 	// Per-cycle packet start probability that yields the offered flit rate.
 	pktProb := cfg.InjectionRate / float64(flitsPerPkt)
 	if pktProb > 1 {

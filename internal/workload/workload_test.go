@@ -85,7 +85,7 @@ func TestRunSyntheticDeliversAll(t *testing.T) {
 	cfg.PacketBytes = 64
 	cfg.Packets = 30
 	net := noc.NewIdeal(16, 20, 16)
-	res, err := RunSynthetic(net, cfg, 16, 7)
+	res, err := RunSynthetic(net, cfg, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestRunSyntheticDeterministic(t *testing.T) {
 	cfg.Packets = 20
 	run := func() SyntheticResult {
 		net := noc.NewIdeal(16, 20, 16)
-		res, err := RunSynthetic(net, cfg, 16, 11)
+		res, err := RunSynthetic(net, cfg, 11)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +135,7 @@ func TestRunSyntheticTransposeDiagonalTerminates(t *testing.T) {
 	var res SyntheticResult
 	var err error
 	go func() {
-		res, err = RunSynthetic(net, cfg, 16, 3)
+		res, err = RunSynthetic(net, cfg, 3)
 		close(done)
 	}()
 	select {
@@ -155,7 +155,7 @@ func TestRunSyntheticTransposeDiagonalTerminates(t *testing.T) {
 func TestRunSyntheticRejectsBadPattern(t *testing.T) {
 	cfg := config.Default().Workload
 	cfg.Pattern = "nope"
-	if _, err := RunSynthetic(noc.NewIdeal(4, 10, 0), cfg, 16, 1); err == nil {
+	if _, err := RunSynthetic(noc.NewIdeal(4, 10, 0), cfg, 1); err == nil {
 		t.Fatal("bad pattern accepted")
 	}
 }

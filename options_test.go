@@ -28,35 +28,14 @@ var optionSurface = []string{
 	"config.Config.Name",
 	"config.Config.Seed",
 	"config.Config.System.Cores",
-	"config.Config.System.L1Sets",
-	"config.Config.System.L1Ways",
-	"config.Config.System.L1LineBytes",
 	"config.Config.System.L2SetsPerBank",
 	"config.Config.System.L2Ways",
-	"config.Config.System.L2HitCycles",
-	"config.Config.System.MemCycles",
-	"config.Config.System.CtrlBytes",
-	"config.Config.System.DataBytes",
 	"config.Config.System.MemPorts",
 	"config.Config.Mesh.Topology",
 	"config.Config.Mesh.VCs",
-	"config.Config.Mesh.BufDepth",
-	"config.Config.Mesh.FlitBytes",
-	"config.Config.Mesh.RouterStages",
-	"config.Config.Mesh.LinkCycles",
 	"config.Config.Mesh.Routing",
-	"config.Config.Mesh.ClockGHz",
 	"config.Config.Optical.Architecture",
 	"config.Config.Optical.WavelengthsPerChannel",
-	"config.Config.Optical.GbpsPerWavelength",
-	"config.Config.Optical.ClockGHz",
-	"config.Config.Optical.TokenHopCycles",
-	"config.Config.Optical.PropagationCyclesAcross",
-	"config.Config.Optical.OEOverheadCycles",
-	"config.Config.Optical.MaxTokenHold",
-	"config.Config.Optical.DieEdgeCm",
-	"config.Config.Ideal.LatencyCycles",
-	"config.Config.Ideal.BytesPerCycle",
 	"config.Config.Hybrid.Threshold",
 	"config.Config.Workload.Kind",
 	"config.Config.Workload.Pattern",

@@ -205,26 +205,12 @@ func normalizeFor(cfg Config, kind NetworkKind, op simcache.Op) Config {
 		n.Workload = def.Workload
 		n.MaxCycles = def.MaxCycles
 	}
-	// Fabric sections are read only when a network of their kind is built,
-	// with two scalar exceptions handled below.
+	// Fabric sections are read only when a network of their kind is built.
 	if kind != config.NetElectrical && kind != config.NetHybrid {
-		flit := n.Mesh.FlitBytes
 		n.Mesh = def.Mesh
-		// The electrical flit granularity prices synthetic offered load on
-		// every fabric.
-		n.Mesh.FlitBytes = flit
 	}
 	if kind != config.NetOptical && kind != config.NetHybrid {
-		clk := n.Optical.ClockGHz
 		n.Optical = def.Optical
-		if op == simcache.OpTruth && kind != config.NetElectrical {
-			// Ground truth converts cycles to watts at the optical system
-			// clock on every non-electrical fabric, ideal included.
-			n.Optical.ClockGHz = clk
-		}
-	}
-	if kind != config.NetIdeal {
-		n.Ideal = def.Ideal
 	}
 	if kind != config.NetHybrid {
 		n.Hybrid = def.Hybrid
