@@ -10,9 +10,11 @@
 //   - CaptureTraceContext + RunNaiveReplayContext: conventional trace-driven
 //     simulation, fast but wrong when the target fabric differs from the
 //     capture fabric.
-//   - CaptureTraceContext + RunSelfCorrectionContext: the paper's
-//     Self-Correction Trace Model — iterated dependency-driven replay
-//     converging to near execution-driven accuracy at trace-driven cost.
+//   - CaptureTraceContext (or OpenTraceFile) + RunSelfCorrectionContext: the
+//     paper's Self-Correction Trace Model — iterated dependency-driven replay
+//     converging to near execution-driven accuracy at trace-driven cost. It
+//     takes any TraceSource: a captured *Trace is one, and a stored trace
+//     file streams through the same call without being materialized.
 //   - CaptureTraceContext + RunCoupledReplayContext: a tightly coupled
 //     dependency replay, the upper-accuracy single-pass reference.
 //
@@ -67,8 +69,8 @@ type (
 	Accuracy = core.Accuracy
 	// AnalyticEstimate is a closed-form contention-aware latency estimate.
 	AnalyticEstimate = analytic.Result
-	// TraceSource yields repeated decode passes over a stored trace; the
-	// streaming replay engines consume one instead of a materialized Trace.
+	// TraceSource yields repeated decode passes over a trace: a resident
+	// *Trace is one, and OpenTraceFile streams one from disk.
 	TraceSource = trace.Source
 	// ReplaySummary is the constant-residency replay result (no per-event
 	// time vectors).
@@ -235,7 +237,7 @@ func naiveReplay(ctx context.Context, cfg Config, tr *Trace, kind NetworkKind) (
 		return timed[ReplayResult]{}, err
 	}
 	return inSimSlot(ctx, func() (ReplayResult, error) {
-		return core.NaiveReplayStream(factory, trace.NewMemSource(tr), cfg.Parallelism.Shards, cfg.Parallelism.WindowEvents)
+		return core.NaiveReplayStream(factory, tr, cfg.Parallelism.Shards, cfg.Parallelism.WindowEvents)
 	})
 }
 
@@ -268,37 +270,31 @@ var ErrParked = core.ErrParked
 // round boundary: the call returns the partial trajectory, the resume state,
 // and an error wrapping ErrParked.
 //
-// The input is a resident trace (tr non-nil) or a file-backed source (tr nil):
-// every trace-touching step of the loop reads the source, so a file is never
-// materialized, and the two produce byte-identical trajectories — with two
-// differences that follow from residency. cfg.SCTM.Seed = "analytic" needs
-// the whole trace (the closed-form estimator prices it in one pass), so a
-// file always seeds from zero-load latencies or InitialLatencyCycles; and a
-// file runs every round in full whatever cfg.SCTM.Incremental says, so it has
-// no checkpoints worth resuming from and resume must be nil.
+// Every trace-touching step of the loop reads src, so a trace file is never
+// materialized, and a file and the resident trace it encodes produce
+// byte-identical trajectories. Residency matters twice: cfg.SCTM.Seed =
+// "analytic" prices the whole resident trace in one pass (the caller refuses
+// it for any other source), and a file runs every round in full whatever
+// cfg.SCTM.Incremental says, so it has no checkpoints worth resuming from.
 //
 // Resume state is opaque, bound to the exact (config, trace, kind) triple that
 // parked, single-use, and in-process only (fabric snapshots do not
 // serialize); passing it back re-enters the loop at the parked round boundary
 // and completes to the result an uninterrupted run produces.
-func selfCorrect(ctx context.Context, cfg Config, tr *Trace, src TraceSource, kind NetworkKind, resume *core.ParkState) (timed[CorrectionResult], *core.ParkState, error) {
+func selfCorrect(ctx context.Context, cfg Config, src TraceSource, kind NetworkKind, resume *core.ParkState) (timed[CorrectionResult], *core.ParkState, error) {
 	factory, err := NetworkFactory(cfg, kind)
 	if err != nil {
 		return timed[CorrectionResult]{}, nil, err
 	}
 	var state *core.ParkState
 	res, err := inSimSlot(ctx, func() (res CorrectionResult, err error) {
-		if tr == nil {
-			res, _, err = core.Correct(ctx, factory, src, cfg.SCTM, cfg.Parallelism.Shards, cfg.Parallelism.WindowEvents, nil, nil)
-			return res, err
-		}
 		var seed []sim.Tick
-		if resume == nil && cfg.SCTM.SeedMode() == "analytic" {
+		if tr, ok := src.(*Trace); ok && resume == nil && cfg.SCTM.SeedMode() == "analytic" {
 			// A resumed loop starts from the state's blended latencies; seeding
 			// would be discarded, so skip computing it.
 			seed = analytic.Seed(cfg, kind, tr)
 		}
-		res, state, err = core.SelfCorrectParkableCtx(ctx, factory, tr, cfg.SCTM, cfg.Parallelism.Shards, seed, resume)
+		res, state, err = core.Correct(ctx, factory, src, cfg.SCTM, cfg.Parallelism.Shards, cfg.Parallelism.WindowEvents, seed, resume)
 		return res, err
 	})
 	return res, state, err
@@ -390,16 +386,13 @@ func syntheticLoad(ctx context.Context, cfg Config, kind NetworkKind) (Synthetic
 	return run.Res, err
 }
 
-// SaveTrace / LoadTrace round-trip the binary trace format.
+// SaveTrace writes a trace in the binary trace format.
 func SaveTrace(path string, tr *Trace) error { return trace.SaveFile(path, tr) }
-
-// LoadTrace reads a binary trace file.
-func LoadTrace(path string) (*Trace, error) { return trace.LoadFile(path) }
 
 // OpenTraceFile opens a binary trace file as a streaming source: the header
 // is validated up front, events decode incrementally on each pass, and
 // resident memory stays bounded by the replay window instead of the trace
-// length.
+// length. It is how a stored trace is read back.
 func OpenTraceFile(path string) (TraceSource, error) { return trace.NewFileSource(path) }
 
 // RunNaiveReplaySummaryContext replays the trace at recorded timestamps with

@@ -105,24 +105,13 @@ func TestTraceSaveLoadAPI(t *testing.T) {
 	if err := SaveTrace(path, tr); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadTrace(path)
+	got, err := OpenTraceFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.NumEvents() != tr.NumEvents() || got.RefMakespan != tr.RefMakespan {
+	// What a stored trace drives is TestStreamInvarianceSelfCorrection's.
+	if got.Meta() != tr.Meta() {
 		t.Fatal("API round trip mismatch")
-	}
-	// A reloaded trace must drive the correction loop identically.
-	r1, _, err := uncached.RunSelfCorrectionContext(bg, cfg, tr, Optical)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, _, err := uncached.RunSelfCorrectionContext(bg, cfg, got, Optical)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Final.Makespan != r2.Final.Makespan {
-		t.Fatalf("reloaded trace diverged: %d vs %d", r1.Final.Makespan, r2.Final.Makespan)
 	}
 }
 

@@ -74,7 +74,7 @@ func TestReportByteIdenticalToInMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem, err := trace.StreamAnalyze(trace.NewMemSource(tr), trace.StreamOptions{Paths: true, Window: trace.Unbounded})
+	mem, err := trace.StreamAnalyze(tr, trace.StreamOptions{Paths: true, Window: trace.Unbounded})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestReportByteIdenticalToInMemory(t *testing.T) {
 		if err := report(&got, path, streamed, src, verbose); err != nil {
 			t.Fatal(err)
 		}
-		if err := report(&want, path, mem, trace.NewMemSource(tr), verbose); err != nil {
+		if err := report(&want, path, mem, tr, verbose); err != nil {
 			t.Fatal(err)
 		}
 		if got.String() != want.String() {

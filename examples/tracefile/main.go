@@ -1,9 +1,10 @@
 // Tracefile demonstrates offline trace workflows: capture a trace, save it
-// in the binary SCTM format, reload it, verify it round-trips bit-exactly,
-// and run the self-correction model on the reloaded trace — the
-// capture-once / evaluate-many-designs loop the trace methodology exists
-// for. It finishes by sweeping an optical design parameter (wavelengths per
-// channel) against the single stored trace.
+// in the binary SCTM format, open it again as a streaming source, check its
+// header against the capture, and run the self-correction model on the stored
+// trace — the capture-once / evaluate-many-designs loop the trace methodology
+// exists for. It sweeps an optical design parameter (wavelengths per channel)
+// against the single stored trace, which every correction round streams from
+// disk without materializing it.
 //
 // Run with:
 //
@@ -48,14 +49,13 @@ func main() {
 	fmt.Printf("captured %d events, wrote %s (%d bytes, %.1f bytes/event)\n",
 		tr.NumEvents(), *out, info.Size(), float64(info.Size())/float64(tr.NumEvents()))
 
-	// Reload and verify.
-	tr2, err := onocsim.LoadTrace(*out)
+	// Reopen and verify.
+	src, err := onocsim.OpenTraceFile(*out)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if tr2.NumEvents() != tr.NumEvents() || tr2.RefMakespan != tr.RefMakespan {
-		log.Fatalf("round-trip mismatch: %d/%d events, %d/%d makespan",
-			tr2.NumEvents(), tr.NumEvents(), tr2.RefMakespan, tr.RefMakespan)
+	if m := src.Meta(); m != tr.Meta() {
+		log.Fatalf("round-trip mismatch: header %+v, captured %+v", m, tr.Meta())
 	}
 	fmt.Println("round-trip verified")
 
@@ -65,7 +65,7 @@ func main() {
 	for _, wl := range []int{4, 8, 16, 32, 64} {
 		c := cfg
 		c.Optical.WavelengthsPerChannel = wl
-		res, _, err := s.RunSelfCorrectionContext(ctx, c, tr2, onocsim.Optical)
+		res, _, err := s.RunSelfCorrectionContext(ctx, c, src, onocsim.Optical)
 		if err != nil {
 			log.Fatal(err)
 		}

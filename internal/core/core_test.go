@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"onocsim/internal/config"
@@ -243,6 +245,10 @@ func TestSelfCorrectRejectsInvalidTrace(t *testing.T) {
 	tr.Events[0].Bytes = 0
 	if _, err := SelfCorrect(idealFactory(4, 20), tr, config.Default().SCTM); err == nil {
 		t.Fatal("invalid trace accepted")
+	}
+	// The check comes before round 0: a dead context would otherwise park.
+	if _, _, err := Correct(&countdownCtx{Context: context.Background()}, idealFactory(4, 20), tr, config.Default().SCTM, 1, 0, nil, nil); err == nil || errors.Is(err, ErrParked) {
+		t.Fatalf("invalid resident trace reached the round loop: %v", err)
 	}
 }
 

@@ -69,13 +69,9 @@ func SelfCorrect(factory NetworkFactory, tr *trace.Trace, cfg config.SCTM) (Corr
 	return res, err
 }
 
-// SelfCorrectParkableCtx is Correct on a materialized trace, which it
-// validates first.
+// SelfCorrectParkableCtx is Correct on a materialized trace.
 func SelfCorrectParkableCtx(ctx context.Context, factory NetworkFactory, tr *trace.Trace, cfg config.SCTM, shards int, seed []sim.Tick, resume *ParkState) (CorrectionResult, *ParkState, error) {
-	if err := tr.Validate(); err != nil {
-		return CorrectionResult{}, nil, fmt.Errorf("core: invalid trace: %w", err)
-	}
-	return Correct(ctx, factory, trace.NewMemSource(tr), cfg, shards, 0, seed, resume)
+	return Correct(ctx, factory, tr, cfg, shards, 0, seed, resume)
 }
 
 // SelfCorrectStream is Correct without cancellation.
@@ -121,7 +117,8 @@ type ParkState struct {
 // across the given number of shards. Results are byte-identical for any
 // shard count, any sufficient window (semantics as ReplayScheduleStream) and
 // either setting of cfg.Incremental; those choose how rounds execute, never
-// what they compute.
+// what they compute. A resident *trace.Trace is validated before anything
+// else (a file's decoder validates every event it reads).
 //
 // seed, when non-nil, supplies the round-0 latency estimates, one per event
 // (the analytical fast path computes them from the trace's byte histogram);
@@ -146,6 +143,11 @@ type ParkState struct {
 // seeding and the initial schedule derivation, with the trajectory so far
 // already in place; seed is then ignored.
 func Correct(ctx context.Context, factory NetworkFactory, src trace.Source, cfg config.SCTM, shards, window int, seed []sim.Tick, resume *ParkState) (CorrectionResult, *ParkState, error) {
+	if tr, ok := src.(*trace.Trace); ok {
+		if err := tr.Validate(); err != nil {
+			return CorrectionResult{}, nil, fmt.Errorf("core: invalid trace: %w", err)
+		}
+	}
 	n := src.Meta().NumEvents
 	opts := ScheduleOptions{
 		DisableSyncDeps:   cfg.DisableSyncDeps,
@@ -245,7 +247,7 @@ func Correct(ctx context.Context, factory NetworkFactory, src trace.Source, cfg 
 				final:      out.Final,
 				cycles:     out.TotalCycles,
 			}
-			return out, state, fmt.Errorf("%w after %d of %d rounds: %v",
+			return out, state, fmt.Errorf("%w after %d of %d rounds: %w",
 				ErrParked, len(out.Iterations), cfg.MaxIterations, cause)
 		}
 		var res ReplayResult

@@ -84,7 +84,6 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	for _, preset := range []string{"off", "light", "heavy"} {
 		for name, mk := range checkpointFabrics(t, nodes, preset) {
 			tr := randomTrace(7, 80, nodes)
-			src := trace.NewMemSource(tr)
 			inject := make([]sim.Tick, len(tr.Events))
 			for i := range tr.Events {
 				inject[i] = tr.Events[i].RefInject
@@ -93,7 +92,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 			// replay drains net from its current state; floor, injected and
 			// done describe what a restored snapshot already holds.
 			replay := func(net noc.Network, res *ReplayResult, floor sim.Tick, injected, done int, capture func(int)) error {
-				it, err := src.Pass()
+				it, err := tr.Pass()
 				if err != nil {
 					return err
 				}
@@ -188,7 +187,7 @@ func TestIncrementalEmptyFrozenPrefix(t *testing.T) {
 	copy(injB, injA)
 	injB[first] += 5
 
-	r := newReplayer(mk, trace.NewMemSource(tr), 1, 0)
+	r := newReplayer(mk, tr, 1, 0)
 	r.ladder = true
 	resA, err := r.run(injA)
 	if err != nil {
@@ -235,7 +234,7 @@ func TestIncrementalIdenticalScheduleResumesDeep(t *testing.T) {
 	for i := range tr.Events {
 		inject[i] = tr.Events[i].RefInject
 	}
-	r := newReplayer(func() noc.Network { return onoc.New(nodes, cfg.Optical) }, trace.NewMemSource(tr), 1, 0)
+	r := newReplayer(func() noc.Network { return onoc.New(nodes, cfg.Optical) }, tr, 1, 0)
 	r.ladder = true
 	resA, err := r.run(inject)
 	if err != nil {

@@ -65,7 +65,7 @@ func TestSelfCorrectParkedPrefixMatchesFullRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, src := range map[string]trace.Source{"mem": trace.NewMemSource(tr), "file": file} {
+	for name, src := range map[string]trace.Source{"mem": tr, "file": file} {
 		full, _, err := Correct(context.Background(), idealFactory(4, 20), src, cfg, 1, 0, nil, nil)
 		if err != nil {
 			t.Fatal(err)

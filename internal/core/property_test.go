@@ -73,7 +73,7 @@ func TestSchedulePropertyRespectsDeps(t *testing.T) {
 		// seeding from the materialized trace. Same recurrence, same answer,
 		// under every ablation.
 		for _, opts := range []ScheduleOptions{{}, {DisableSyncDeps: true}, {DisableCausalDeps: true}} {
-			streamed, err := ScheduleStream(trace.NewMemSource(tr), lat, opts)
+			streamed, err := ScheduleStream(tr, lat, opts)
 			if err != nil || !reflect.DeepEqual(streamed, Schedule(tr, lat, opts)) {
 				return false
 			}

@@ -294,7 +294,7 @@ func TestEngineAgainstReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sources := map[string]trace.Source{"mem": trace.NewMemSource(tc.tr), "file": file}
+		sources := map[string]trace.Source{"mem": tc.tr, "file": file}
 		for _, preset := range presets {
 			fabrics := checkpointFabrics(t, nodes, preset)
 			fabrics["plain"] = func() noc.Network { return plainNet{noc.NewIdeal(nodes, 15, 16)} }
@@ -340,7 +340,6 @@ func TestEngineAgainstReference(t *testing.T) {
 func TestEngineEntryPointsAgainstReference(t *testing.T) {
 	const nodes = 16
 	tr := randomTrace(11, 70, nodes)
-	src := trace.NewMemSource(tr)
 	for fabric, mk := range checkpointFabrics(t, nodes, "light") {
 		for i, s := range referenceSchedules(tr, mk()) {
 			want, err := refReplaySchedule(mk(), tr, s)
@@ -351,7 +350,7 @@ func TestEngineEntryPointsAgainstReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			stream, err := ReplayScheduleStream(mk(), src, s, 0)
+			stream, err := ReplayScheduleStream(mk(), tr, s, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -369,7 +368,7 @@ func TestEngineEntryPointsAgainstReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum, err := NaiveReplaySummaryStream(mk(), src)
+		sum, err := NaiveReplaySummaryStream(mk(), tr)
 		if err != nil {
 			t.Fatal(err)
 		}

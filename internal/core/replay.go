@@ -398,7 +398,7 @@ func (r *replayer) replay(inject []sim.Tick) (ReplayResult, error) {
 // times and runs the fabric until all are delivered. The fabric must be
 // fresh (at time zero, no prior traffic).
 func ReplaySchedule(net noc.Network, tr *trace.Trace, inject []sim.Tick) (ReplayResult, error) {
-	return ReplayScheduleStream(net, trace.NewMemSource(tr), inject, 0)
+	return ReplayScheduleStream(net, tr, inject, 0)
 }
 
 // ReplayScheduleStream is ReplaySchedule over a trace.Source, holding at
@@ -412,19 +412,19 @@ func ReplayScheduleStream(net noc.Network, src trace.Source, inject []sim.Tick, 
 // ReplayScheduleSharded replays a schedule across the given number of shards;
 // the result is byte-identical to ReplaySchedule's for any count.
 func ReplayScheduleSharded(factory NetworkFactory, tr *trace.Trace, inject []sim.Tick, shards int) (ReplayResult, error) {
-	return newReplayer(factory, trace.NewMemSource(tr), shards, 0).run(inject)
+	return newReplayer(factory, tr, shards, 0).run(inject)
 }
 
 // NaiveReplay replays the trace at its recorded capture-network timestamps —
 // the conventional trace-driven methodology the paper shows to be wrong on a
 // fabric with different timing.
 func NaiveReplay(net noc.Network, tr *trace.Trace) (ReplayResult, error) {
-	return NaiveReplayStream(func() noc.Network { return net }, trace.NewMemSource(tr), 1, 0)
+	return NaiveReplayStream(func() noc.Network { return net }, tr, 1, 0)
 }
 
 // NaiveReplaySharded is NaiveReplay across the given number of shards.
 func NaiveReplaySharded(factory NetworkFactory, tr *trace.Trace, shards int) (ReplayResult, error) {
-	return NaiveReplayStream(factory, trace.NewMemSource(tr), shards, 0)
+	return NaiveReplayStream(factory, tr, shards, 0)
 }
 
 // NaiveReplayStream is NaiveReplaySharded over a trace.Source: one pass

@@ -124,7 +124,7 @@ func TestShardedReplayerReuse(t *testing.T) {
 	const nodes = 16
 	cfg := config.Default()
 	tr := randomTrace(77, 40, nodes)
-	rep := newReplayer(func() noc.Network { return onoc.New(nodes, cfg.Optical) }, trace.NewMemSource(tr), 4, 0)
+	rep := newReplayer(func() noc.Network { return onoc.New(nodes, cfg.Optical) }, tr, 4, 0)
 	inject := make([]sim.Tick, len(tr.Events))
 	for trial := 0; trial < 3; trial++ {
 		for i := range tr.Events {

@@ -67,7 +67,7 @@ func readAhead(src trace.Source, w int) int {
 
 // resident reports whether src is a materialized trace.
 func resident(src trace.Source) bool {
-	_, ok := src.(*trace.MemSource)
+	_, ok := src.(*trace.Trace)
 	return ok
 }
 

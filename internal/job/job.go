@@ -186,19 +186,18 @@ func (r *Runner) dispatch(ctx context.Context, j Job) (Result, error) {
 		return Result{Table: report.Study(j.Config, j.Kind, st), Study: st}, nil
 
 	case OpCorrect:
+		// The stored file TracePath names, streamed, or the captured kernel.
+		var src onocsim.TraceSource
+		var err error
 		if j.TracePath != "" {
-			src, err := onocsim.OpenTraceFile(j.TracePath)
-			if err != nil {
-				return Result{}, err
-			}
-			res, wall, err := r.Session.RunSelfCorrectionStreamContext(ctx, j.Config, src, j.Kind)
-			return correctionResult(j, res, wall, err)
+			src, err = onocsim.OpenTraceFile(j.TracePath)
+		} else {
+			src, _, err = r.Session.CaptureTraceContext(ctx, j.Config, onocsim.IdealNet)
 		}
-		tr, _, err := r.Session.CaptureTraceContext(ctx, j.Config, onocsim.IdealNet)
 		if err != nil {
 			return Result{}, err
 		}
-		res, wall, err := r.Session.RunSelfCorrectionContext(ctx, j.Config, tr, j.Kind)
+		res, wall, err := r.Session.RunSelfCorrectionContext(ctx, j.Config, src, j.Kind)
 		return correctionResult(j, res, wall, err)
 
 	case OpEstimate:

@@ -233,9 +233,9 @@ func TestRunnerNilWiring(t *testing.T) {
 	}
 }
 
-// A job whose own context dies mid-correction reports the parked partial
-// trajectory instead of erroring or retrying forever.
-func TestRunnerReportsOwnPark(t *testing.T) {
+// slowCorrect is a correction that cannot converge early — a fixed seed far
+// above the real latencies, heavily damped — so a park lands mid-loop.
+func slowCorrect() Job {
 	j := smallJob(OpCorrect)
 	j.Config.SCTM.MaxIterations = 50
 	j.Config.SCTM.ToleranceCycles = 0
@@ -243,50 +243,14 @@ func TestRunnerReportsOwnPark(t *testing.T) {
 	j.Config.SCTM.Damping = 0.9
 	j.Config.SCTM.Seed = "fixed"
 	j.Config.SCTM.InitialLatencyCycles = 5000
-
-	r := &Runner{Session: onocsim.NewSession("")}
-	ctx := &pollCtx{Context: context.Background(), remaining: 10}
-	res, err := r.Run(ctx, j)
-	if err != nil {
-		t.Fatalf("parked run surfaced an error: %v", err)
-	}
-	if res.Status != "parked" || res.Table == nil || res.Correction == nil {
-		t.Fatalf("park not reported: status %q, table %v, correction %v", res.Status, res.Table, res.Correction)
-	}
-	if res.Correction.Converged || len(res.Correction.Iterations) == 0 {
-		t.Fatalf("parked trajectory implausible: %+v", res.Correction)
-	}
-	// A plain cancellation before any round yields the error, not a report.
-	dead, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := r.Run(dead, j); !errors.Is(err, context.Canceled) && !errors.Is(err, onocsim.ErrParked) {
-		t.Fatalf("cancelled run returned %v", err)
-	}
+	return j
 }
 
-// A correction streamed from a trace file parks and is reported exactly as
-// one on a captured trace: its context ending mid-loop yields status
-// "parked" with the partial trajectory, not a finished run and not an error.
-func TestRunnerReportsOwnParkStreamed(t *testing.T) {
-	j := smallJob(OpCorrect)
-	j.Config.SCTM.MaxIterations = 50
-	j.Config.SCTM.ToleranceCycles = 0
-	j.Config.SCTM.MakespanTolerance = 0
-	j.Config.SCTM.Damping = 0.9
-	j.Config.SCTM.Seed = "fixed"
-	j.Config.SCTM.InitialLatencyCycles = 5000
-
-	tr, _, err := onocsim.CaptureTraceContext(context.Background(), j.Config, onocsim.IdealNet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.TracePath = filepath.Join(t.TempDir(), "trace.sctm")
-	if err := onocsim.SaveTrace(j.TracePath, tr); err != nil {
-		t.Fatal(err)
-	}
-
-	r := &Runner{Session: onocsim.NewSession("")}
-	res, err := r.Run(&pollCtx{Context: context.Background(), remaining: 10}, j)
+// checkOwnPark runs j under a context that ends mid-loop: the job reports the
+// parked partial trajectory, not a finished run and not an error.
+func checkOwnPark(t *testing.T, j Job) {
+	t.Helper()
+	res, err := (&Runner{Session: onocsim.NewSession("")}).Run(&pollCtx{Context: context.Background(), remaining: 10}, j)
 	if err != nil {
 		t.Fatalf("parked run surfaced an error: %v", err)
 	}
@@ -296,6 +260,35 @@ func TestRunnerReportsOwnParkStreamed(t *testing.T) {
 	if n := len(res.Correction.Iterations); res.Correction.Converged || n == 0 || n >= 10 {
 		t.Fatalf("parked trajectory implausible: %d rounds, converged %v", n, res.Correction.Converged)
 	}
+}
+
+// A job whose own context dies mid-correction reports the parked partial
+// trajectory instead of erroring or retrying forever. One that dies before
+// round 0 has no trajectory to report: it gets the error, which is the
+// cancellation as well as the park (so the daemon answers it with a 503).
+func TestRunnerReportsOwnPark(t *testing.T) {
+	j := slowCorrect()
+	checkOwnPark(t, j)
+	// Sessionless, the capture's and the correction's slot admissions poll;
+	// round 0's boundary check parks.
+	if _, err := (&Runner{}).Run(&pollCtx{Context: context.Background(), remaining: 2}, j); !errors.Is(err, onocsim.ErrParked) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled before round 0: %v", err)
+	}
+}
+
+// A correction streamed from a trace file parks and is reported exactly as
+// one on a captured trace.
+func TestRunnerReportsOwnParkStreamed(t *testing.T) {
+	j := slowCorrect()
+	tr, _, err := onocsim.CaptureTraceContext(context.Background(), j.Config, onocsim.IdealNet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.TracePath = filepath.Join(t.TempDir(), "trace.sctm")
+	if err := onocsim.SaveTrace(j.TracePath, tr); err != nil {
+		t.Fatal(err)
+	}
+	checkOwnPark(t, j)
 }
 
 // pollCtx reports Canceled after a fixed number of Err polls, landing the

@@ -122,14 +122,7 @@ func TestMemoStoresOnlyFinishedAnswers(t *testing.T) {
 	defer cancel()
 	parked := make(chan *httptest.ResponseRecorder, 1)
 	go func() { parked <- serveInProcess(srv, ctx, "/v1/simulate", body) }()
-	deadline := time.Now().Add(30 * time.Second)
-	for srv.session.CacheStats().Misses < 2 { // the capture, then the correction flight
-		if time.Now().After(deadline) {
-			t.Fatal("correction never started")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(5 * time.Millisecond) // a few of its ~350 rounds
+	awaitRound(t)
 	cancel()
 	var env resultEnvelope
 	rec := <-parked

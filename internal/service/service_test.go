@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -38,6 +39,22 @@ const slowCorrection = `{"op":"correct","network":"optical","config":{
 	"sctm":{"max_iterations":1000,"tolerance_cycles":0,"makespan_tolerance":0,
 		"damping":0.97,"seed":"fixed","initial_latency_cycles":20000},
 	"max_cycles":5000000}}`
+
+// awaitRound blocks until a correction round is replaying. The loop checks its
+// context before each round, so a cancellation from then on parks the run with
+// at least that round done; one that lands before round 0's check (as soon as
+// the flight's cache miss shows, say) parks it with none, which is an error.
+func awaitRound(t *testing.T) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	deadline := time.Now().Add(30 * time.Second)
+	for !bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("onocsim/internal/core.(*replayer).run(")) {
+		if time.Now().After(deadline) {
+			t.Fatal("no correction round started")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
 
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
@@ -420,7 +437,7 @@ func TestDrainParksInFlightCorrection(t *testing.T) {
 	}
 	defer resp.Body.Close()
 
-	// Stream until the capture finishes computing, then drain mid-loop.
+	// Stream while the correction runs; drain mid-loop.
 	type result struct {
 		env resultEnvelope
 		evs []sseEvent
@@ -435,15 +452,7 @@ func TestDrainParksInFlightCorrection(t *testing.T) {
 		}
 		resc <- r
 	}()
-	// Wait for the correction to be underway (the capture is the first
-	// computed entry, the correction flight the second miss), then drain.
-	deadline := time.Now().Add(30 * time.Second)
-	for serverStats(t, ts).Cache.Misses < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("correction never started")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	awaitRound(t)
 	srv.Drain()
 
 	// New work is refused while draining.

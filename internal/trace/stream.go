@@ -19,8 +19,8 @@ import (
 // materialized to be produced, inspected, or replayed. The Source/Iterator
 // pair is the contract the streaming replay engines in internal/core
 // consume; FileSource streams from disk with O(1) resident state per pass,
-// and MemSource adapts an in-memory Trace to the same contract so both
-// execution paths share one consumer implementation.
+// and a resident *Trace is itself a Source, so both execution paths share one
+// consumer implementation.
 
 // Meta is the trace header: everything known about a trace before any event
 // has been decoded.
@@ -76,9 +76,9 @@ type Source interface {
 // Digester is an optional Source extension: a stable, collision-resistant
 // identity for the trace's *content*, usable as a cache key for results of
 // replaying the source. Both provided sources implement it: FileSource
-// hashes the raw file bytes (lazily, once), and MemSource hashes the
-// canonical binary encoding — so a file written by Writer digests
-// identically to the in-memory trace it encodes. A digest mismatch between
+// hashes the raw file bytes (lazily, once), and *Trace hashes its canonical
+// binary encoding — so a file written by Writer digests identically to the
+// in-memory trace it encodes. A digest mismatch between
 // two representations of equal content only costs a cache miss, never a
 // wrong hit.
 type Digester interface {
@@ -493,32 +493,24 @@ func (s *FileSource) Digest() (string, error) {
 	return s.digest, s.digestErr
 }
 
-// MemSource adapts a materialized Trace to the Source contract, so in-memory
-// and out-of-core execution share one consumer code path. The trace must
-// already satisfy Validate; events are handed out without copying.
-type MemSource struct {
-	tr *Trace
-
-	digestOnce sync.Once
-	digest     string
-	digestErr  error
-}
-
-// NewMemSource wraps an in-memory trace.
-func NewMemSource(tr *Trace) *MemSource { return &MemSource{tr: tr} }
+// NewMemSource returns the trace as a Source: a resident trace is one. It
+// remains because bench/ names it (DESIGN.md §12).
+func NewMemSource(tr *Trace) Source { return tr }
 
 // Meta derives the header from the materialized trace.
-func (s *MemSource) Meta() Meta {
+func (t *Trace) Meta() Meta {
 	return Meta{
-		Nodes:       s.tr.Nodes,
-		Workload:    s.tr.Workload,
-		RefMakespan: s.tr.RefMakespan,
-		NumEvents:   len(s.tr.Events),
+		Nodes:       t.Nodes,
+		Workload:    t.Workload,
+		RefMakespan: t.RefMakespan,
+		NumEvents:   len(t.Events),
 	}
 }
 
-// Pass opens an iterator over the trace's event slice.
-func (s *MemSource) Pass() (Iterator, error) { return &memIter{tr: s.tr}, nil }
+// Pass opens an iterator over the trace's event slice. Events are handed out
+// without copying and, unlike a file's decoder, without checks: Validate is
+// the resident trace's check.
+func (t *Trace) Pass() (Iterator, error) { return &memIter{tr: t}, nil }
 
 type memIter struct {
 	tr  *Trace
@@ -538,29 +530,24 @@ func (it *memIter) Close() error { return nil }
 
 // Digest implements Digester by streaming the canonical binary encoding
 // through the hash — no materialized copy — so it matches the Digest of a
-// file written by Writer for the same trace.
-func (s *MemSource) Digest() (string, error) {
-	s.digestOnce.Do(func() {
-		h := sha256.New()
-		w, err := NewWriter(h, s.Meta())
-		if err != nil {
-			s.digestErr = err
-			return
+// file written by Writer for the same trace. It is recomputed on every call:
+// a session's own capture is keyed by its CaptureKey and never digested.
+func (t *Trace) Digest() (string, error) {
+	h := sha256.New()
+	w, err := NewWriter(h, t.Meta())
+	if err != nil {
+		return "", err
+	}
+	for i := range t.Events {
+		e := t.Events[i] // Append may assign the ID; never mutate the trace
+		if err := w.Append(&e); err != nil {
+			return "", err
 		}
-		for i := range s.tr.Events {
-			e := s.tr.Events[i] // Append may assign the ID; never mutate the trace
-			if err := w.Append(&e); err != nil {
-				s.digestErr = err
-				return
-			}
-		}
-		if err := w.Close(); err != nil {
-			s.digestErr = err
-			return
-		}
-		s.digest = "sha256:" + hex.EncodeToString(h.Sum(nil))
-	})
-	return s.digest, s.digestErr
+	}
+	if err := w.Close(); err != nil {
+		return "", err
+	}
+	return "sha256:" + hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // Writer incrementally encodes the binary trace format: the header (with the

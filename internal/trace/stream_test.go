@@ -69,10 +69,10 @@ func TestFileSourceMatchesTrace(t *testing.T) {
 	}
 }
 
-func TestMemSourceMatchesTrace(t *testing.T) {
+// A resident trace is a Source of its own events.
+func TestTraceIsASource(t *testing.T) {
 	tr := tinyTrace()
-	src := NewMemSource(tr)
-	if got := collect(t, src); !reflect.DeepEqual(got, tr.Events) {
+	if got := collect(t, tr); !reflect.DeepEqual(got, tr.Events) {
 		t.Fatalf("events mismatch:\n got %+v\nwant %+v", got, tr.Events)
 	}
 }
@@ -115,7 +115,7 @@ func TestStreamStatsMatchesComputeStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, src := range []Source{NewMemSource(tr), fsrc} {
+	for _, src := range []Source{tr, fsrc} {
 		an, err := StreamAnalyze(src, StreamOptions{})
 		if err != nil {
 			t.Fatal(err)

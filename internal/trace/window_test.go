@@ -13,7 +13,7 @@ import (
 // quartet exactly.
 func checkAnalysisMatchesInMemory(t *testing.T, tr *Trace, opts StreamOptions) *Analysis {
 	t.Helper()
-	an, err := StreamAnalyze(NewMemSource(tr), opts)
+	an, err := StreamAnalyze(tr, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestStreamAnalyzeWindowSmallerThanSpanErrors(t *testing.T) {
 	// An edge spanning 10 events under a window of 4 must fail loudly (no
 	// deadlock, no wrong numbers) and name the window that would work.
 	tr := chainTrace(20, 10)
-	_, err := StreamAnalyze(NewMemSource(tr), StreamOptions{Window: 4})
+	_, err := StreamAnalyze(tr, StreamOptions{Window: 4})
 	if err == nil {
 		t.Fatal("undersized window accepted")
 	}
@@ -128,7 +128,7 @@ func TestStreamAnalyzeWindowSmallerThanSpanErrors(t *testing.T) {
 func TestStreamAnalyzeWindowExactlySpan(t *testing.T) {
 	// A window equal to the longest span is sufficient.
 	tr := chainTrace(20, 10)
-	an, err := StreamAnalyze(NewMemSource(tr), StreamOptions{Window: 10})
+	an, err := StreamAnalyze(tr, StreamOptions{Window: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestStreamAnalyzeRingGrowsPastInitialSize(t *testing.T) {
 func TestStreamAnalyzeUnbounded(t *testing.T) {
 	// Unbounded disables retirement entirely: a span of n-1 is fine.
 	tr := chainTrace(1500, 1499)
-	an, err := StreamAnalyze(NewMemSource(tr), StreamOptions{Window: Unbounded})
+	an, err := StreamAnalyze(tr, StreamOptions{Window: Unbounded})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestStreamAnalyzeUnbounded(t *testing.T) {
 		t.Fatalf("MaxDepSpan = %d, want 1499", an.MaxDepSpan)
 	}
 	// ...while a bounded window of the same trace errors.
-	if _, err := StreamAnalyze(NewMemSource(tr), StreamOptions{Window: 100}); err == nil {
+	if _, err := StreamAnalyze(tr, StreamOptions{Window: 100}); err == nil {
 		t.Fatal("bounded window accepted span beyond it")
 	}
 }

@@ -120,7 +120,7 @@ func TestStreamReplayFlatRSS(t *testing.T) {
 
 	// Control: the materialized path must show the growth streaming avoids —
 	// otherwise this test is measuring nothing.
-	tr, err := onocsim.LoadTrace(largePath)
+	tr, err := trace.LoadFile(largePath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func BenchmarkInMemoryReplayRSS(b *testing.B) {
 	var peak uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr, err := onocsim.LoadTrace(path)
+		tr, err := trace.LoadFile(path)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -252,56 +252,54 @@ func sessionKey(cfg Config, kind NetworkKind, op simcache.Op, capture string) (s
 	return simcache.Key{Fingerprint: fp, Kind: string(kind), Capture: capture, Op: op}, nil
 }
 
-// traceID is the identity of an operation's input trace as a cache key sees
-// it (simcache.Key.Capture). An operation whose trace has no known identity
-// runs uncached: correct, just not memoized.
-type traceID struct {
-	capture string
-	known   bool
-}
-
-// noTrace is the identity of the operations that read no trace.
-var noTrace = traceID{known: true}
-
-// captureID is the identity of a resident trace: the key of the capture that
-// produced it, which the trace carries (simcache.DoTrace records it before
-// publishing the trace) — a field read, which is what keeps a warm request at
-// fingerprint → cache hit with no pass over the trace. There is none for a
-// trace that was transformed, hand-built or loaded from a file.
-func captureID(tr *Trace) traceID {
-	return traceID{tr.CaptureKey, tr.CaptureKey != ""}
-}
-
-// sourceID is the identity of a TraceSource: the digest of its content, not
-// session bookkeeping, so results for a trace file persist across invocations
-// and are shared by byte-identical files under different paths. There is
-// none for a nil session, a source without a digest, or one whose digest
-// fails (e.g. an unreadable file: the replay will surface the real error).
-func (s *Session) sourceID(src TraceSource) traceID {
+// traceKey is the identity of an operation's input trace as a cache key sees
+// it (simcache.Key.Capture). A session's own capture is named by the key of
+// the capture that produced it, which the trace carries (simcache.DoTrace
+// records it before publishing the trace) — a field read, which is what keeps
+// a warm request at fingerprint → cache hit with no pass over the trace. Any
+// other trace — transformed, hand-built, or a file — is named by the digest of
+// its content: two ScaleGapsWhere scales of one capture get distinct entries,
+// results for a file persist across invocations, and byte-identical files
+// under different paths share them.
+func traceKey(src TraceSource) (string, error) {
+	if tr, ok := src.(*Trace); ok && tr.CaptureKey != "" {
+		return tr.CaptureKey, nil
+	}
 	d, ok := src.(trace.Digester)
-	if s == nil || !ok {
-		return traceID{}
+	if !ok {
+		return "", fmt.Errorf("onocsim: trace source %T has no content digest to key its results by", src)
 	}
 	digest, err := d.Digest()
-	return traceID{digest, err == nil}
+	if err != nil {
+		return "", fmt.Errorf("onocsim: digesting a trace to key its results: %w", err)
+	}
+	return digest, nil
 }
 
 // memoKey is where one result lives in a session's cache, resolved before the
 // result is known to be needed. The zero cache means "run uncached"; err
-// carries a fingerprinting failure to memo, so resolving and memoizing
-// compose as memo(s.key(…), run).
+// carries a fingerprinting or digest failure to memo, so resolving and
+// memoizing compose as memo(s.key(…), run).
 type memoKey struct {
 	cache *simcache.Cache
 	key   simcache.Key
 	err   error
 }
 
-// key resolves the cache slot of op on (cfg, kind) reading the trace in.
-func (s *Session) key(cfg Config, kind NetworkKind, op simcache.Op, in traceID) memoKey {
-	if s == nil || !in.known {
+// key resolves the cache slot of op on (cfg, kind) reading the trace in (nil
+// for the operations that read none). A nil session resolves no slot.
+func (s *Session) key(cfg Config, kind NetworkKind, op simcache.Op, in TraceSource) memoKey {
+	if s == nil {
 		return memoKey{}
 	}
-	key, err := sessionKey(cfg, kind, op, in.capture)
+	var capture string
+	if in != nil {
+		var err error
+		if capture, err = traceKey(in); err != nil {
+			return memoKey{err: err}
+		}
+	}
+	key, err := sessionKey(cfg, kind, op, capture)
 	return memoKey{cache: s.cache, key: key, err: err}
 }
 
@@ -349,7 +347,7 @@ func killedByAnother(ctx context.Context, err error) bool {
 // (at most flightRetries times), so it fails only the caller that left.
 // Errors are never cached. Every Session operation follows this contract.
 func (s *Session) RunExecutionDrivenContext(ctx context.Context, cfg Config, kind NetworkKind) (GroundTruth, error) {
-	return memo(ctx, s.key(cfg, kind, simcache.OpTruth, noTrace), func() (GroundTruth, error) {
+	return memo(ctx, s.key(cfg, kind, simcache.OpTruth, nil), func() (GroundTruth, error) {
 		return RunExecutionDrivenContext(ctx, cfg, kind)
 	})
 }
@@ -379,10 +377,10 @@ func (s *Session) CaptureTraceContext(ctx context.Context, cfg Config, captureOn
 // RunNaiveReplayContext replays the trace at recorded timestamps on fresh
 // fabrics of the given kind, split across cfg.Parallelism.Shards replicas
 // where the fabric allows it; results are byte-identical for any shard count.
-// Replays of traces no session captured (hand-built, transformed, loaded from
-// a file) run uncached.
+// A session's own capture is keyed by where it came from, any other trace by
+// its content (see traceKey).
 func (s *Session) RunNaiveReplayContext(ctx context.Context, cfg Config, tr *Trace, kind NetworkKind) (ReplayResult, time.Duration, error) {
-	v, err := memo(ctx, s.key(cfg, kind, simcache.OpNaive, captureID(tr)), func() (timed[ReplayResult], error) {
+	v, err := memo(ctx, s.key(cfg, kind, simcache.OpNaive, tr), func() (timed[ReplayResult], error) {
 		return naiveReplay(ctx, cfg, tr, kind)
 	})
 	return v.Res, v.Wall, err
@@ -391,20 +389,27 @@ func (s *Session) RunNaiveReplayContext(ctx context.Context, cfg Config, tr *Tra
 // RunCoupledReplayContext runs the tightly coupled dependency-driven replay,
 // memoized like RunNaiveReplayContext.
 func (s *Session) RunCoupledReplayContext(ctx context.Context, cfg Config, tr *Trace, kind NetworkKind) (ReplayResult, time.Duration, error) {
-	v, err := memo(ctx, s.key(cfg, kind, simcache.OpCoupled, captureID(tr)), func() (timed[ReplayResult], error) {
+	v, err := memo(ctx, s.key(cfg, kind, simcache.OpCoupled, tr), func() (timed[ReplayResult], error) {
 		return coupledReplay(ctx, cfg, tr, kind)
 	})
 	return v.Res, v.Wall, err
 }
 
-// RunSelfCorrectionContext runs the Self-Correction Trace Model on a resident
-// trace, memoized like RunNaiveReplayContext. With cfg.SCTM.Seed = "analytic"
-// the round-0 latencies come from the closed-form contention estimate instead
-// of the zero-load probe, typically saving replay rounds on contended
-// fabrics; when the estimator declines, the loop falls back to zero-load
-// seeding. With cfg.SCTM.Incremental each round after the first resumes from
-// a frozen-prefix checkpoint of the previous round instead of replaying from
-// cycle zero; results stay byte-identical, and
+// RunSelfCorrectionContext runs the Self-Correction Trace Model on src — a
+// captured *Trace, or a stored trace file from OpenTraceFile, which every
+// round streams from disk without materializing it — memoized like
+// RunNaiveReplayContext: two clients posting byte-identical trace files, under
+// any paths, share one computation, and on a hit the file is not even decoded.
+// A file and the resident trace it encodes produce byte-identical results.
+//
+// With cfg.SCTM.Seed = "analytic" the round-0 latencies come from the
+// closed-form contention estimate instead of the zero-load probe, typically
+// saving replay rounds on contended fabrics; when the estimator declines, the
+// loop falls back to zero-load seeding. The estimator prices a resident trace,
+// so analytic seeding of any other source is an error. With
+// cfg.SCTM.Incremental each round after the first on a resident trace resumes
+// from a frozen-prefix checkpoint of the previous round instead of replaying
+// from cycle zero; results stay byte-identical, and
 // CorrectionResult.ReplayedEvents/SavedCycles report the work skipped.
 //
 // A context that ends mid-loop parks the correction at the next round
@@ -413,38 +418,24 @@ func (s *Session) RunCoupledReplayContext(ctx context.Context, cfg Config, tr *T
 // partial result must not masquerade as the converged one, so callers
 // deduplicated onto the parked flight never see it.
 //
-// Parked runs stash their resume state (including the runner's fabric
-// checkpoints) under the cache key: the next request for the same
-// (config, trace, kind) — a later one, or the retry of a caller that was
+// A parked run on a resident trace stashes its resume state (including the
+// runner's fabric checkpoints) under the cache key: the next request for the
+// same (config, trace, kind) — a later one, or the retry of a caller that was
 // waiting on the parked flight — resumes the loop at the parked round
 // boundary instead of re-running the completed rounds, and completes to the
 // same byte-identical result an uninterrupted run produces. This is what
 // heals service traffic after a client disconnect or a cancelled drain: the
-// retry pays only the remaining rounds.
-func (s *Session) RunSelfCorrectionContext(ctx context.Context, cfg Config, tr *Trace, kind NetworkKind) (CorrectionResult, time.Duration, error) {
-	return s.correct(ctx, cfg, tr, nil, kind, captureID(tr))
-}
-
-// RunSelfCorrectionStreamContext is RunSelfCorrectionContext over a
-// TraceSource, keyed by the source's content digest: this is how the service
-// runs big tenant trace files, and two clients posting the same trace path
-// (or byte-identical traces under different paths) share one streaming
-// computation; on a hit the file is not even decoded. Trajectories are
-// byte-identical to the resident form's, except that a source always seeds
-// from zero-load latencies and runs every round in full (see selfCorrect). A
-// parked run returns its partial trajectory the same way, but stashes no
-// resume state: a retried file-backed correction starts over.
-func (s *Session) RunSelfCorrectionStreamContext(ctx context.Context, cfg Config, src TraceSource, kind NetworkKind) (CorrectionResult, time.Duration, error) {
-	return s.correct(ctx, cfg, nil, src, kind, s.sourceID(src))
-}
-
-// correct is the body the two correction entry points share: tr is the
-// resident input, or nil for the file-backed src.
-func (s *Session) correct(ctx context.Context, cfg Config, tr *Trace, src TraceSource, kind NetworkKind, in traceID) (CorrectionResult, time.Duration, error) {
-	k := s.key(cfg, kind, simcache.OpSCTM, in)
+// retry pays only the remaining rounds. A file's rounds leave no checkpoints,
+// so a retried file-backed correction starts over.
+func (s *Session) RunSelfCorrectionContext(ctx context.Context, cfg Config, src TraceSource, kind NetworkKind) (CorrectionResult, time.Duration, error) {
+	_, resident := src.(*Trace)
+	if !resident && cfg.SCTM.SeedMode() == "analytic" {
+		return CorrectionResult{}, 0, fmt.Errorf("onocsim: sctm.seed=analytic needs a resident trace, and a %T is streamed (use zeroload or fixed)", src)
+	}
+	k := s.key(cfg, kind, simcache.OpSCTM, src)
 	// Resume state is worth keeping for a cached run on a resident trace: the
 	// stash lives under the cache key, and a file's rounds leave no checkpoints.
-	stash := k.cache != nil && tr != nil
+	stash := k.cache != nil && resident
 	// A parked partial result travels past the cache, which (correctly)
 	// drops the value of any failed flight.
 	var parked *timed[CorrectionResult]
@@ -456,7 +447,7 @@ func (s *Session) correct(ctx context.Context, cfg Config, tr *Trace, src TraceS
 		if stash {
 			resume = s.takePark(k.key)
 		}
-		res, state, err := selfCorrect(ctx, cfg, tr, src, kind, resume)
+		res, state, err := selfCorrect(ctx, cfg, src, kind, resume)
 		if errors.Is(err, ErrParked) {
 			parked = &res
 			if stash && state != nil {
@@ -478,7 +469,7 @@ func (s *Session) correct(ctx context.Context, cfg Config, tr *Trace, src TraceS
 // RunNaiveReplayContext anyway so repeated sweeps over a persisted session
 // cost a map lookup.
 func (s *Session) Estimate(cfg Config, tr *Trace, kind NetworkKind) (AnalyticEstimate, time.Duration, error) {
-	v, err := memo(context.Background(), s.key(cfg, kind, simcache.OpEstimate, captureID(tr)), func() (timed[AnalyticEstimate], error) {
+	v, err := memo(context.Background(), s.key(cfg, kind, simcache.OpEstimate, tr), func() (timed[AnalyticEstimate], error) {
 		return estimate(cfg, tr, kind)
 	})
 	return v.Res, v.Wall, err
@@ -487,7 +478,7 @@ func (s *Session) Estimate(cfg Config, tr *Trace, kind NetworkKind) (AnalyticEst
 // RunSyntheticLoadContext drives a fresh fabric of the given kind open-loop
 // with the config's synthetic workload and reports latency/throughput.
 func (s *Session) RunSyntheticLoadContext(ctx context.Context, cfg Config, kind NetworkKind) (SyntheticResult, error) {
-	return memo(ctx, s.key(cfg, kind, simcache.OpSynthetic, noTrace), func() (SyntheticResult, error) {
+	return memo(ctx, s.key(cfg, kind, simcache.OpSynthetic, nil), func() (SyntheticResult, error) {
 		return syntheticLoad(ctx, cfg, kind)
 	})
 }

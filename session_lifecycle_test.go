@@ -3,7 +3,6 @@ package onocsim
 import (
 	"context"
 	"errors"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -11,65 +10,41 @@ import (
 	"onocsim/internal/trace"
 )
 
-// A replay is memoized only when its input trace says which capture produced
-// it. A session's own capture does; a trace that was transformed, loaded from
-// a file or built by hand carries no capture key and replays uncached every
-// time — R14 replays ScaleGapsWhere transforms of one capture at several
-// scales, and keying them by their parent would serve every scale the first
-// one's result. A nil session caches nothing whatever the trace says.
-func TestSessionForeignTraceReplaysUncached(t *testing.T) {
+// A replay is memoized by where its trace came from when the session captured
+// it, and by its content otherwise: a transformed, loaded or hand-built trace
+// is keyed by its digest. R14 replays ScaleGapsWhere transforms of one capture
+// at several scales, and keying them by their parent would serve every scale
+// the first one's result, so each scale is an entry of its own; a trace whose
+// content the session has seen is a hit. A nil session caches nothing.
+func TestSessionForeignTraceMemoizedByContent(t *testing.T) {
 	s := NewSession("")
 	cfg := smallConfig()
 	tr, _, err := s.CaptureTraceContext(bg, cfg, IdealNet)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !captureID(tr).known {
-		t.Fatal("fresh capture not keyed")
-	}
-	if k := uncached.key(cfg, Optical, simcache.OpNaive, captureID(tr)); k.cache != nil {
+	if k := uncached.key(cfg, Optical, simcache.OpNaive, tr); k.cache != nil {
 		t.Fatal("nil session resolved a cache slot")
 	}
-	scaled, err := tr.ScaleGapsWhere(2, func(*trace.Event) bool { return true })
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "trace.sctm")
-	if err := SaveTrace(path, tr); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadTrace(path)
-	if err != nil {
+	all := func(*trace.Event) bool { return true }
+	x2, err2 := tr.ScaleGapsWhere(2, all)
+	x3, err3 := tr.ScaleGapsWhere(3, all)
+	if err := errors.Join(err2, err3); err != nil {
 		t.Fatal(err)
 	}
 	handBuilt := &Trace{Nodes: tr.Nodes, Workload: tr.Workload, RefMakespan: tr.RefMakespan, Events: tr.Events}
-	for name, foreign := range map[string]*Trace{"transformed": scaled, "loaded": loaded, "hand-built": handBuilt} {
-		if captureID(foreign).known {
-			t.Fatalf("%s trace is keyed", name)
-		}
+	for i, tc := range []struct {
+		tr  *Trace
+		hit bool
+	}{{tr, false}, {x2, false}, {x3, false}, {handBuilt, false}, {handBuilt, true}, {x3, true}, {tr, true}} {
 		before := s.CacheStats()
-		for i := 0; i < 2; i++ {
-			res, _, err := s.RunNaiveReplayContext(bg, cfg, foreign, Optical)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if res.Makespan <= 0 {
-				t.Fatalf("%s: uncached replay produced no result", name)
-			}
-		}
-		if after := s.CacheStats(); after != before {
-			t.Fatalf("%s trace went through the cache: %+v -> %+v", name, before, after)
-		}
-	}
-	// The session's own capture does memoize: one computation, then a hit.
-	before := s.CacheStats()
-	for i := 0; i < 2; i++ {
-		if _, _, err := s.RunNaiveReplayContext(bg, cfg, tr, Optical); err != nil {
+		if _, _, err := s.RunNaiveReplayContext(bg, cfg, tc.tr, Optical); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if after := s.CacheStats(); after.Misses != before.Misses+1 || after.Hits != before.Hits+1 {
-		t.Fatalf("captured trace not memoized: %+v -> %+v", before, after)
+		after := s.CacheStats()
+		if hit := after.Hits == before.Hits+1 && after.Misses == before.Misses; hit != tc.hit {
+			t.Fatalf("request %d (%s): hit %v, want %v: %+v -> %+v", i, tc.tr.Workload, hit, tc.hit, before, after)
+		}
 	}
 }
 
@@ -198,11 +173,11 @@ func TestSessionResumesParkedCorrection(t *testing.T) {
 	}
 }
 
-// A correction streamed from a trace file honours its context like one on a
-// materialized trace: once the context reports cancellation the loop parks
-// at the next round boundary with ErrParked, and the rounds it completed are
-// a byte-identical prefix of the uncancelled run's. The poll budget pins the
-// boundary: one poll at slot admission, then one per round.
+// A correction honours its context the same way whether its trace is resident
+// or streamed from a file: once the context reports cancellation the loop
+// parks at the next round boundary with ErrParked, and the rounds it completed
+// are a byte-identical prefix of the uncancelled run's. The poll budget pins
+// the boundary: one poll at slot admission, then one per round.
 func TestStreamedCorrectionParksAtRoundBoundary(t *testing.T) {
 	cfg := smallConfig()
 	cfg.SCTM.MaxIterations = 10
@@ -215,44 +190,37 @@ func TestStreamedCorrectionParksAtRoundBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	file := traceOnDisk(t, tr)
-	for _, shards := range []int{1, 4} {
-		cfg.Parallelism.Shards = shards
-		full, _, err := uncached.RunSelfCorrectionStreamContext(bg, cfg, file, Optical)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if full.Converged || len(full.Iterations) != cfg.SCTM.MaxIterations {
-			t.Fatalf("shards=%d: reference run converged early: %+v", shards, full)
-		}
-		const rounds = 4
-		ctx := &resumePollCtx{Context: context.Background(), remaining: 1 + rounds}
-		parked, _, err := uncached.RunSelfCorrectionStreamContext(ctx, cfg, file, Optical)
-		if !errors.Is(err, ErrParked) {
-			t.Fatalf("shards=%d: err = %v, want ErrParked", shards, err)
-		}
-		if parked.Converged || len(parked.Iterations) != rounds {
-			t.Fatalf("shards=%d: parked after %d rounds, want %d", shards, len(parked.Iterations), rounds)
-		}
-		if !reflect.DeepEqual(parked.Iterations, full.Iterations[:rounds]) {
-			t.Fatalf("shards=%d: parked trajectory is not a prefix of the full run's:\n got %+v\nwant %+v",
-				shards, parked.Iterations, full.Iterations[:rounds])
-		}
-		if parked.ReplayedEvents != rounds*len(tr.Events) {
-			t.Fatalf("shards=%d: replayed %d events in %d rounds of %d", shards, parked.ReplayedEvents, rounds, len(tr.Events))
-		}
+	for name, src := range map[string]TraceSource{"captured": tr, "file": traceOnDisk(t, tr)} {
+		for _, shards := range []int{1, 4} {
+			cfg.Parallelism.Shards = shards
+			full, _, err := uncached.RunSelfCorrectionContext(bg, cfg, src, Optical)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if full.Converged || len(full.Iterations) != cfg.SCTM.MaxIterations {
+				t.Fatalf("%s shards=%d: reference run converged early: %+v", name, shards, full)
+			}
+			const rounds = 4
+			ctx := &resumePollCtx{Context: context.Background(), remaining: 1 + rounds}
+			parked, _, err := uncached.RunSelfCorrectionContext(ctx, cfg, src, Optical)
+			if !errors.Is(err, ErrParked) || parked.Converged || !reflect.DeepEqual(parked.Iterations, full.Iterations[:rounds]) ||
+				parked.ReplayedEvents != rounds*len(tr.Events) {
+				t.Fatalf("%s shards=%d: park (err %v, %d events replayed) is not the first %d rounds of the full run:\n got %+v\nwant %+v",
+					name, shards, err, parked.ReplayedEvents, rounds, parked.Iterations, full.Iterations[:rounds])
+			}
 
-		// Through a session the partial trajectory still reaches the caller,
-		// and is not cached: the next, uncancelled request runs to the end.
-		s := NewSession("")
-		ctx = &resumePollCtx{Context: context.Background(), remaining: 1 + rounds}
-		viaSession, _, err := s.RunSelfCorrectionStreamContext(ctx, cfg, file, Optical)
-		if !errors.Is(err, ErrParked) || !reflect.DeepEqual(viaSession.Iterations, parked.Iterations) {
-			t.Fatalf("shards=%d: session park: err = %v, %d rounds", shards, err, len(viaSession.Iterations))
-		}
-		again, _, err := s.RunSelfCorrectionStreamContext(context.Background(), cfg, file, Optical)
-		if err != nil || !reflect.DeepEqual(again, full) {
-			t.Fatalf("shards=%d: run after a park: err = %v, %d rounds", shards, err, len(again.Iterations))
+			// Through a session the partial trajectory still reaches the caller,
+			// and is not cached: the next, uncancelled request runs to the end.
+			s := NewSession("")
+			ctx = &resumePollCtx{Context: context.Background(), remaining: 1 + rounds}
+			viaSession, _, err := s.RunSelfCorrectionContext(ctx, cfg, src, Optical)
+			if !errors.Is(err, ErrParked) || !reflect.DeepEqual(viaSession.Iterations, parked.Iterations) {
+				t.Fatalf("%s shards=%d: session park: err = %v, %d rounds", name, shards, err, len(viaSession.Iterations))
+			}
+			again, _, err := s.RunSelfCorrectionContext(context.Background(), cfg, src, Optical)
+			if err != nil || !reflect.DeepEqual(again, full) {
+				t.Fatalf("%s shards=%d: run after a park: err = %v, %d rounds", name, shards, err, len(again.Iterations))
+			}
 		}
 	}
 }

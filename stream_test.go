@@ -11,8 +11,7 @@ import (
 )
 
 // traceOnDisk round-trips a trace through the binary format and opens it as a
-// streaming file source, so equivalence tests exercise the real out-of-core
-// path (decode from disk, not a memory adapter).
+// streaming file source: the real out-of-core path, decoding from disk.
 func traceOnDisk(t *testing.T, tr *Trace) TraceSource {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "trace.sctm")
@@ -59,8 +58,8 @@ func TestStreamInvarianceNaiveReplay(t *testing.T) {
 }
 
 // TestStreamInvarianceSelfCorrection asserts the whole correction trajectory
-// is identical when every round streams from disk instead of replaying a
-// materialized trace.
+// is identical whether the one correction door is handed the captured trace
+// or the file it was stored in, at any shard count.
 func TestStreamInvarianceSelfCorrection(t *testing.T) {
 	for _, tc := range shardCases() {
 		tc := tc
@@ -74,24 +73,17 @@ func TestStreamInvarianceSelfCorrection(t *testing.T) {
 			if err != nil {
 				t.Fatalf("serial: %v", err)
 			}
-			file := traceOnDisk(t, tr)
-			for _, k := range []int{1, 8} {
-				cfg := tc.cfg
-				cfg.Parallelism.Shards = k
-				got, _, err := uncached.RunSelfCorrectionStreamContext(bg, cfg, file, tc.kind)
-				if err != nil {
-					t.Fatalf("shards=%d: %v", k, err)
-				}
-				if !reflect.DeepEqual(got.Iterations, serial.Iterations) {
-					t.Errorf("shards=%d: iteration trajectories diverge:\n stream: %+v\n serial: %+v",
-						k, got.Iterations, serial.Iterations)
-				}
-				replaysEqual(t, tc.name, got.Final, serial.Final)
-				if got.Converged != serial.Converged {
-					t.Errorf("shards=%d: converged %v, want %v", k, got.Converged, serial.Converged)
-				}
-				if got.TotalCycles != serial.TotalCycles {
-					t.Errorf("shards=%d: total cycles %d, want %d", k, got.TotalCycles, serial.TotalCycles)
+			for name, src := range map[string]TraceSource{"captured": tr, "file": traceOnDisk(t, tr)} {
+				for _, k := range []int{1, 8} {
+					cfg := tc.cfg
+					cfg.Parallelism.Shards = k
+					got, _, err := uncached.RunSelfCorrectionContext(bg, cfg, src, tc.kind)
+					if err != nil {
+						t.Fatalf("%s shards=%d: %v", name, k, err)
+					}
+					if !reflect.DeepEqual(got, serial) {
+						t.Errorf("%s shards=%d: correction diverges:\n got: %+v\n serial: %+v", name, k, got, serial)
+					}
 				}
 			}
 		})
@@ -111,28 +103,14 @@ func TestStreamSummaryMatchesReplay(t *testing.T) {
 		t.Fatalf("replay: %v", err)
 	}
 	sum, _, err := RunNaiveReplaySummaryContext(bg, cfg, traceOnDisk(t, tr), IdealNet)
-	if err != nil {
-		t.Fatalf("summary: %v", err)
-	}
-	if sum.Events != len(tr.Events) {
-		t.Errorf("events %d, want %d", sum.Events, len(tr.Events))
-	}
-	if sum.Makespan != full.Makespan {
-		t.Errorf("makespan %d, want %d", sum.Makespan, full.Makespan)
-	}
-	if sum.MeanLatency != full.MeanLatency {
-		t.Errorf("mean latency %g, want %g", sum.MeanLatency, full.MeanLatency)
-	}
-	if sum.Cycles != full.Cycles {
-		t.Errorf("cycles %d, want %d", sum.Cycles, full.Cycles)
-	}
-	if !reflect.DeepEqual(sum.NetStats, full.NetStats) {
-		t.Errorf("fabric statistics diverge\n got: %+v\nwant: %+v", sum.NetStats, full.NetStats)
+	want := ReplaySummary{Events: len(tr.Events), Makespan: full.Makespan, MeanLatency: full.MeanLatency, Cycles: full.Cycles, NetStats: full.NetStats}
+	if err != nil || !reflect.DeepEqual(sum, want) {
+		t.Fatalf("summary (err %v)\n got: %+v\nwant: %+v", err, sum, want)
 	}
 	// The tier leans on capture order and checks it: a trace whose recorded
 	// injection times go backwards is refused, not replayed out of order.
 	cfg.System.Cores = 4
-	if _, _, err := RunNaiveReplaySummaryContext(bg, cfg, trace.NewMemSource(holdoutTrace(10)), IdealNet); err == nil {
+	if _, _, err := RunNaiveReplaySummaryContext(bg, cfg, holdoutTrace(10), IdealNet); err == nil {
 		t.Error("summary replay accepted a trace that is not in capture order")
 	}
 }
@@ -161,37 +139,33 @@ func holdoutTrace(n int) *Trace {
 // TestStreamWindowTooSmallErrors pins the window-cap contract: a schedule that
 // needs more resident events than the window fails loudly and immediately —
 // no deadlock, no silent reorder. The cap bounds what is read ahead from a
-// file; a trace already in memory has nothing to bound.
+// file; a trace already in memory has nothing to bound. Once the window covers
+// the holdout span, the file's correction is the resident trace's.
 func TestStreamWindowTooSmallErrors(t *testing.T) {
 	tr := holdoutTrace(10)
-	file := traceOnDisk(t, tr)
 	cfg := smallConfig()
 	cfg.System.Cores = 4
-	cfg.Parallelism.WindowEvents = 4
-
-	if _, _, err := uncached.RunSelfCorrectionStreamContext(bg, cfg, file, IdealNet); err == nil {
-		t.Fatal("undersized window accepted")
-	}
 	want, _, err := uncached.RunSelfCorrectionContext(bg, cfg, tr, IdealNet)
 	if err != nil {
-		t.Fatalf("resident trace under a small window: %v", err)
+		t.Fatal(err)
 	}
-
-	// The same file replays fine once the window covers the holdout span.
-	cfg.Parallelism.WindowEvents = 10
-	got, _, err := uncached.RunSelfCorrectionStreamContext(bg, cfg, file, IdealNet)
-	if err != nil {
-		t.Fatalf("sufficient window: %v", err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("correction from disk diverges from the resident one\n got: %+v\nwant: %+v", got, want)
+	for _, tc := range []struct {
+		src    TraceSource
+		window int
+		fits   bool
+	}{{tr, 4, true}, {traceOnDisk(t, tr), 4, false}, {traceOnDisk(t, tr), 10, true}} {
+		cfg.Parallelism.WindowEvents = tc.window
+		got, _, err := uncached.RunSelfCorrectionContext(bg, cfg, tc.src, IdealNet)
+		if tc.fits != (err == nil) || tc.fits && !reflect.DeepEqual(got, want) {
+			t.Fatalf("%T window=%d: err = %v, want fits = %v and the resident result\n got: %+v\nwant: %+v", tc.src, tc.window, err, tc.fits, got, want)
+		}
 	}
 }
 
 // TestStreamDegenerateTraces pins the edge cases: an empty trace and a
-// single-source chain replay identically at every shard count, through the
-// summary tier from memory and from a file, and through a correction streamed
-// from a file. (Their full replay from a file is held to the reference by
+// single-source chain replay identically at every shard count, and through
+// the summary tier and a correction, from memory and from a file. (Their full
+// replay from a file is held to the reference by
 // core.TestEngineAgainstReference's "empty", "one", "same-cycle" and "self"
 // traces, file K={1,2,3,8}.)
 func TestStreamDegenerateTraces(t *testing.T) {
@@ -214,7 +188,7 @@ func TestStreamDegenerateTraces(t *testing.T) {
 			if err != nil {
 				t.Fatalf("in-memory correction: %v", err)
 			}
-			file := traceOnDisk(t, tc.tr)
+			sources := map[string]TraceSource{"memory": tc.tr, "file": traceOnDisk(t, tc.tr)}
 			for _, k := range []int{1, 2, 8} {
 				c := cfg
 				c.Parallelism.Shards = k
@@ -223,15 +197,14 @@ func TestStreamDegenerateTraces(t *testing.T) {
 					t.Fatalf("shards=%d: %v", k, err)
 				}
 				replaysEqual(t, tc.name, got, want)
-				gotSC, _, err := uncached.RunSelfCorrectionStreamContext(bg, c, file, IdealNet)
-				if err != nil {
-					t.Fatalf("shards=%d: streamed correction: %v", k, err)
-				}
-				if !reflect.DeepEqual(gotSC, wantSC) {
-					t.Errorf("shards=%d: streamed correction diverges\n got: %+v\nwant: %+v", k, gotSC, wantSC)
+				for name, src := range sources {
+					gotSC, _, err := uncached.RunSelfCorrectionContext(bg, c, src, IdealNet)
+					if err != nil || !reflect.DeepEqual(gotSC, wantSC) {
+						t.Errorf("%s shards=%d: correction diverges (%v)\n got: %+v\nwant: %+v", name, k, err, gotSC, wantSC)
+					}
 				}
 			}
-			for name, src := range map[string]TraceSource{"memory": trace.NewMemSource(tc.tr), "file": file} {
+			for name, src := range sources {
 				sum, _, err := RunNaiveReplaySummaryContext(bg, cfg, src, IdealNet)
 				if err != nil {
 					t.Fatalf("summary from %s: %v", name, err)
@@ -305,9 +278,8 @@ func TestStreamWindowValidation(t *testing.T) {
 }
 
 // TestTraceDigestAgreesAcrossRepresentations: a file written by SaveTrace
-// digests identically to a MemSource of the same trace (the file holds the
-// canonical encoding MemSource hashes), and distinct traces get distinct
-// digests.
+// digests identically to the resident trace (the file holds the canonical
+// encoding the trace hashes), and distinct traces get distinct digests.
 func TestTraceDigestAgreesAcrossRepresentations(t *testing.T) {
 	cfg := smallConfig()
 	tr, _, err := uncached.CaptureTraceContext(bg, cfg, IdealNet)
@@ -315,12 +287,11 @@ func TestTraceDigestAgreesAcrossRepresentations(t *testing.T) {
 		t.Fatalf("capture: %v", err)
 	}
 	file := traceOnDisk(t, tr).(*trace.FileSource)
-	mem := trace.NewMemSource(tr)
 	fd, err := file.Digest()
 	if err != nil {
 		t.Fatalf("file digest: %v", err)
 	}
-	md, err := mem.Digest()
+	md, err := tr.Digest()
 	if err != nil {
 		t.Fatalf("mem digest: %v", err)
 	}
@@ -336,7 +307,7 @@ func TestTraceDigestAgreesAcrossRepresentations(t *testing.T) {
 	if err != nil {
 		t.Fatalf("capture 2: %v", err)
 	}
-	md2, err := trace.NewMemSource(tr2).Digest()
+	md2, err := tr2.Digest()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,9 +316,10 @@ func TestTraceDigestAgreesAcrossRepresentations(t *testing.T) {
 	}
 }
 
-// TestSessionStreamReplayCache: streaming replays through a Session are
-// memoized by trace content — a second run of the same file is a cache hit,
-// and a MemSource of the same trace hits the entry the file computed.
+// TestSessionStreamReplayCache: corrections through a Session are memoized by
+// trace content — a second run of the same file is a cache hit, and the
+// resident trace the file encodes (captured without a session, so it has no
+// capture key) hits the entry the file computed.
 func TestSessionStreamReplayCache(t *testing.T) {
 	cfg := smallConfig()
 	tr, _, err := uncached.CaptureTraceContext(bg, cfg, IdealNet)
@@ -357,14 +329,14 @@ func TestSessionStreamReplayCache(t *testing.T) {
 	file := traceOnDisk(t, tr)
 	s := NewSession("")
 
-	first, _, err := s.RunSelfCorrectionStreamContext(bg, cfg, file, Optical)
+	first, _, err := s.RunSelfCorrectionContext(bg, cfg, file, Optical)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hits := s.CacheStats().Hits; hits != 0 {
 		t.Fatalf("unexpected hits before re-run: %d", hits)
 	}
-	again, _, err := s.RunSelfCorrectionStreamContext(bg, cfg, file, Optical)
+	again, _, err := s.RunSelfCorrectionContext(bg, cfg, file, Optical)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +346,7 @@ func TestSessionStreamReplayCache(t *testing.T) {
 	if hits := s.CacheStats().Hits; hits != 1 {
 		t.Errorf("re-run hits = %d, want 1", hits)
 	}
-	fromMem, _, err := s.RunSelfCorrectionStreamContext(bg, cfg, trace.NewMemSource(tr), Optical)
+	fromMem, _, err := s.RunSelfCorrectionContext(bg, cfg, tr, Optical)
 	if err != nil {
 		t.Fatal(err)
 	}

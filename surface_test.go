@@ -26,7 +26,6 @@ var publicSurface = []string{
 	"Compare",
 	"DefaultConfig",
 	"LoadConfig",
-	"LoadTrace",
 	"NetworkFactory",
 	"NewSession",
 	"NewSlotScheduler",
@@ -42,7 +41,6 @@ var publicSurface = []string{
 	"Session.RunExecutionDrivenContext",
 	"Session.RunNaiveReplayContext",
 	"Session.RunSelfCorrectionContext",
-	"Session.RunSelfCorrectionStreamContext",
 	"Session.RunStudyContext",
 	"Session.RunSyntheticLoadContext",
 	"Session.SetProgress",
@@ -147,8 +145,8 @@ func TestNilSessionMatchesFreshSession(t *testing.T) {
 			res, _, err := s.RunSelfCorrectionContext(bg, cfg, capture(t, s), Optical)
 			return res, err
 		}},
-		{"RunSelfCorrectionStreamContext", func(t *testing.T, s *Session) (any, error) {
-			res, _, err := s.RunSelfCorrectionStreamContext(bg, cfg, traceOnDisk(t, capture(t, s)), Optical)
+		{"RunSelfCorrectionContext(file)", func(t *testing.T, s *Session) (any, error) {
+			res, _, err := s.RunSelfCorrectionContext(bg, cfg, traceOnDisk(t, capture(t, s)), Optical)
 			return res, err
 		}},
 		{"Estimate", func(t *testing.T, s *Session) (any, error) {
