@@ -27,12 +27,14 @@ fmt-check:
 # TestDocsResolve holds README, DESIGN, EXPERIMENTS and the verify skill to the
 # tree: every path, pkg.Ident, command flag and make target they name exists;
 # beside it run the four surface pins (options, flags, public API, fabric
-# contract), the review gate for a new knob or entry point.
+# contract) and the file≡resident table (every operation that reads a trace,
+# handed a trace file, answers as for the resident trace): the review gate
+# for a new knob, entry point, or *Trace-only path.
 # internal/fabric is the fabric contract suite (every variant fabric.Build
 # returns × three traffic sources) plus FuzzConfig's seed corpus, well under 1 s.
 check: vet fmt-check sweep-smoke
 	$(GO) test ./cmd/expreport/ -run TestGolden -count=1
-	$(GO) test . -run 'TestDocsResolve|Surface' -count=1
+	$(GO) test . -run 'TestDocsResolve|Surface|TestFileMatchesResident' -count=1
 	$(GO) test ./internal/fabric/ -count=1
 	$(GO) test -short ./internal/enoc/ ./internal/onoc/ ./internal/trace/ ./internal/core/ -run 'DifferentialAgainstReference|BufferedDecodeMatchesBytewise|EngineAgainstReference' -count=1
 

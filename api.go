@@ -10,16 +10,16 @@
 //   - CaptureTraceContext + RunNaiveReplayContext: conventional trace-driven
 //     simulation, fast but wrong when the target fabric differs from the
 //     capture fabric.
-//   - CaptureTraceContext (or OpenTraceFile) + RunSelfCorrectionContext: the
-//     paper's Self-Correction Trace Model — iterated dependency-driven replay
-//     converging to near execution-driven accuracy at trace-driven cost. It
-//     takes any TraceSource: a captured *Trace is one, and a stored trace
-//     file streams through the same call without being materialized.
+//   - CaptureTraceContext + RunSelfCorrectionContext: the paper's
+//     Self-Correction Trace Model — iterated dependency-driven replay
+//     converging to near execution-driven accuracy at trace-driven cost.
 //   - CaptureTraceContext + RunCoupledReplayContext: a tightly coupled
 //     dependency replay, the upper-accuracy single-pass reference.
 //
 // RunStudyContext runs all four against each other; Estimate prices a replay
-// in closed form. The usual shape:
+// in closed form. Every operation that reads a trace takes a TraceSource: a
+// captured *Trace is one, and a stored trace file (OpenTraceFile) streams
+// through the same call without being materialized. The usual shape:
 //
 //	s := onocsim.NewSession("")
 //	tr, _, err := s.CaptureTraceContext(ctx, cfg, onocsim.IdealNet)
@@ -231,18 +231,18 @@ func CaptureTraceContext(ctx context.Context, cfg Config, captureOn NetworkKind)
 // naiveReplay replays the trace at recorded timestamps on fresh fabrics of
 // the given kind, split across cfg.Parallelism.Shards replicas where the
 // fabric allows it. Results are byte-identical for any shard count.
-func naiveReplay(ctx context.Context, cfg Config, tr *Trace, kind NetworkKind) (timed[ReplayResult], error) {
+func naiveReplay(ctx context.Context, cfg Config, src TraceSource, kind NetworkKind) (timed[ReplayResult], error) {
 	factory, err := NetworkFactory(cfg, kind)
 	if err != nil {
 		return timed[ReplayResult]{}, err
 	}
 	return inSimSlot(ctx, func() (ReplayResult, error) {
-		return core.NaiveReplayStream(factory, tr, cfg.Parallelism.Shards, cfg.Parallelism.WindowEvents)
+		return core.NaiveReplayStream(factory, src, cfg.Parallelism.Shards, cfg.Parallelism.WindowEvents)
 	})
 }
 
 // coupledReplay runs the tightly coupled dependency-driven replay.
-func coupledReplay(ctx context.Context, cfg Config, tr *Trace, kind NetworkKind) (timed[ReplayResult], error) {
+func coupledReplay(ctx context.Context, cfg Config, src TraceSource, kind NetworkKind) (timed[ReplayResult], error) {
 	net, err := BuildNetwork(cfg, kind)
 	if err != nil {
 		return timed[ReplayResult]{}, err
@@ -251,15 +251,15 @@ func coupledReplay(ctx context.Context, cfg Config, tr *Trace, kind NetworkKind)
 		DisableSyncDeps:   cfg.SCTM.DisableSyncDeps,
 		DisableCausalDeps: cfg.SCTM.DisableCausalDeps,
 	}
-	return inSimSlot(ctx, func() (ReplayResult, error) { return core.CoupledReplay(net, tr, opts) })
+	return inSimSlot(ctx, func() (ReplayResult, error) { return core.CoupledReplay(net, src, opts) })
 }
 
 // ErrParked reports a self-correction run that stopped at a round boundary
 // because its context ended: the returned CorrectionResult holds the valid
 // partial trajectory (a byte-identical prefix of the full run), and
 // Converged is false. Parked results are never cached — rerunning the same
-// config resumes from scratch and, uncancelled, completes. Detect with
-// errors.Is(err, ErrParked).
+// request completes, through a session from the round it parked at. Detect
+// with errors.Is(err, ErrParked).
 var ErrParked = core.ErrParked
 
 // selfCorrect runs the Self-Correction Trace Model against a fresh fabric per
@@ -270,17 +270,15 @@ var ErrParked = core.ErrParked
 // round boundary: the call returns the partial trajectory, the resume state,
 // and an error wrapping ErrParked.
 //
-// Every trace-touching step of the loop reads src, so a trace file is never
-// materialized, and a file and the resident trace it encodes produce
-// byte-identical trajectories. Residency matters twice: cfg.SCTM.Seed =
-// "analytic" prices the whole resident trace in one pass (the caller refuses
-// it for any other source), and a file runs every round in full whatever
-// cfg.SCTM.Incremental says, so it has no checkpoints worth resuming from.
+// Every trace-touching step of the loop, the analytic seed's pricing pass
+// included, reads src, so a trace file is never materialized, and a file and
+// the resident trace it encodes produce byte-identical trajectories.
 //
-// Resume state is opaque, bound to the exact (config, trace, kind) triple that
-// parked, single-use, and in-process only (fabric snapshots do not
-// serialize); passing it back re-enters the loop at the parked round boundary
-// and completes to the result an uninterrupted run produces.
+// Resume state is opaque, bound to the exact (config, trace content, kind)
+// triple that parked, single-use, and in-process only (fabric snapshots do
+// not serialize); passing it back re-enters the loop at the parked round
+// boundary, reading this call's src, and completes to the result an
+// uninterrupted run produces.
 func selfCorrect(ctx context.Context, cfg Config, src TraceSource, kind NetworkKind, resume *core.ParkState) (timed[CorrectionResult], *core.ParkState, error) {
 	factory, err := NetworkFactory(cfg, kind)
 	if err != nil {
@@ -289,10 +287,10 @@ func selfCorrect(ctx context.Context, cfg Config, src TraceSource, kind NetworkK
 	var state *core.ParkState
 	res, err := inSimSlot(ctx, func() (res CorrectionResult, err error) {
 		var seed []sim.Tick
-		if tr, ok := src.(*Trace); ok && resume == nil && cfg.SCTM.SeedMode() == "analytic" {
+		if resume == nil && cfg.SCTM.SeedMode() == "analytic" {
 			// A resumed loop starts from the state's blended latencies; seeding
 			// would be discarded, so skip computing it.
-			seed = analytic.Seed(cfg, kind, tr)
+			seed = analytic.Seed(cfg, kind, src)
 		}
 		res, state, err = core.Correct(ctx, factory, src, cfg.SCTM, cfg.Parallelism.Shards, cfg.Parallelism.WindowEvents, seed, resume)
 		return res, err
@@ -300,13 +298,13 @@ func selfCorrect(ctx context.Context, cfg Config, src TraceSource, kind NetworkK
 	return res, state, err
 }
 
-// estimate prices replaying tr on the given fabric kind with the closed-form
+// estimate prices replaying src on the given fabric kind with the closed-form
 // contention model — no event loop, microseconds instead of replay rounds, so
 // it takes no simulation slot and no context. The estimate is the "analytic"
 // seed's view of the run.
-func estimate(cfg Config, tr *Trace, kind NetworkKind) (timed[AnalyticEstimate], error) {
+func estimate(cfg Config, src TraceSource, kind NetworkKind) (timed[AnalyticEstimate], error) {
 	start := time.Now()
-	res, err := analytic.Estimate(cfg, kind, tr)
+	res, err := analytic.Estimate(cfg, kind, src)
 	return timed[AnalyticEstimate]{res, time.Since(start)}, err
 }
 

@@ -66,52 +66,65 @@ type Result struct {
 	Bytes uint64 `json:"bytes"`
 }
 
-// Estimate computes the closed-form latency estimate of replaying tr on a
-// fabric of the given kind. It never ticks a fabric: the cost is two or
-// three O(events) schedule passes plus an O(events + pairs·√nodes)
-// histogram pass.
-func Estimate(cfg config.Config, kind config.NetworkKind, tr *trace.Trace) (Result, error) {
+// Estimate computes the closed-form latency estimate of replaying src on a
+// fabric of the given kind. It never ticks a fabric: the cost is one pass
+// collecting the demand, two or three O(events) schedule passes, and an
+// O(events + pairs·√nodes) histogram pass; what stays resident is a few
+// scalars per event, whatever the source.
+func Estimate(cfg config.Config, kind config.NetworkKind, src trace.Source) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, fmt.Errorf("analytic: %w", err)
 	}
-	if err := tr.Validate(); err != nil {
-		return Result{}, fmt.Errorf("analytic: invalid trace: %w", err)
-	}
-	if tr.Nodes != cfg.System.Cores {
-		return Result{}, fmt.Errorf("analytic: trace has %d nodes, config %d cores", tr.Nodes, cfg.System.Cores)
+	meta := src.Meta()
+	if meta.Nodes != cfg.System.Cores {
+		return Result{}, fmt.Errorf("analytic: trace has %d nodes, config %d cores", meta.Nodes, cfg.System.Cores)
 	}
 	probe, err := fabric.Build(cfg, kind)
 	if err != nil {
 		return Result{}, err
 	}
+	d := &demand{nodes: meta.Nodes, msgs: make([]message, meta.NumEvents)}
+	lat0 := make([]sim.Tick, meta.NumEvents)
+	var bytes uint64
+	var maxRef sim.Tick
+	if err := core.EachEvent(src, func(i int, e *trace.Event) {
+		d.msgs[i] = message{src: e.Src, dst: e.Dst, bytes: e.Bytes}
+		lat0[i] = probe.ZeroLoadLatency(e.Src, e.Dst, e.Bytes)
+		bytes += uint64(e.Bytes)
+		maxRef = max(maxRef, e.RefArrive)
+	}); err != nil {
+		return Result{}, fmt.Errorf("analytic: %w", err)
+	}
 	opts := core.ScheduleOptions{
 		DisableSyncDeps:   cfg.SCTM.DisableSyncDeps,
 		DisableCausalDeps: cfg.SCTM.DisableCausalDeps,
 	}
-	n := len(tr.Events)
-	lat0 := make([]sim.Tick, n)
-	var bytes uint64
-	for i := range tr.Events {
-		e := &tr.Events[i]
-		lat0[i] = probe.ZeroLoadLatency(e.Src, e.Dst, e.Bytes)
-		bytes += uint64(e.Bytes)
+	// schedule returns the horizon of the dependency schedule under lat.
+	schedule := func(lat []sim.Tick) (sim.Tick, error) {
+		inject, err := core.ScheduleStream(src, lat, opts)
+		return horizon(inject, lat), err
 	}
-	inject := core.Schedule(tr, lat0, opts)
-	t0 := horizon(inject, lat0)
+	t0, err := schedule(lat0)
+	if err != nil {
+		return Result{}, fmt.Errorf("analytic: %w", err)
+	}
 
-	m, err := buildModel(cfg, kind, tr, probe)
+	m, err := buildModel(cfg, kind, d, probe)
 	if err != nil {
 		return Result{}, err
 	}
 	lat := m.seed(lat0, float64(t0))
-	inject = core.Schedule(tr, lat, opts)
+	t, err := schedule(lat)
 	// One refinement pass: the zero-load horizon overstates utilization
 	// exactly when contention matters, so recompute the waits against the
 	// contention-stretched schedule. The sequence is decreasing in the wait
 	// term and one step lands close to its fixpoint.
-	if t1 := horizon(inject, lat); t1 > t0 {
-		lat = m.seed(lat0, float64(t1))
-		inject = core.Schedule(tr, lat, opts)
+	if err == nil && t > t0 {
+		lat = m.seed(lat0, float64(t))
+		t, err = schedule(lat)
+	}
+	if err != nil {
+		return Result{}, fmt.Errorf("analytic: %w", err)
 	}
 
 	res := Result{Latency: lat, Bytes: bytes}
@@ -119,19 +132,20 @@ func Estimate(cfg config.Config, kind config.NetworkKind, tr *trace.Trace) (Resu
 	for i := range lat {
 		sum += float64(lat[i])
 	}
-	if n > 0 {
-		res.MeanLatency = sum / float64(n)
+	if len(lat) > 0 {
+		res.MeanLatency = sum / float64(len(lat))
 	}
-	res.ZeroLoadMakespan = t0 + tail(tr)
-	res.Makespan = horizon(inject, lat) + tail(tr)
+	tail := max(meta.RefMakespan-maxRef, 0)
+	res.ZeroLoadMakespan = t0 + tail
+	res.Makespan = t + tail
 	return res, nil
 }
 
 // Seed returns the analytic per-event round-0 seed for the self-correction
 // loop, or nil when the estimator declines (any error): callers fall back to
 // zero-load seeding, which is always available.
-func Seed(cfg config.Config, kind config.NetworkKind, tr *trace.Trace) []sim.Tick {
-	res, err := Estimate(cfg, kind, tr)
+func Seed(cfg config.Config, kind config.NetworkKind, src trace.Source) []sim.Tick {
+	res, err := Estimate(cfg, kind, src)
 	if err != nil {
 		return nil
 	}
@@ -150,20 +164,15 @@ func horizon(inject, lat []sim.Tick) sim.Tick {
 	return t
 }
 
-// tail is the capture run's trailing computation after the last arrival,
-// mirroring the replay engines' makespan finalization.
-func tail(tr *trace.Trace) sim.Tick {
-	var maxRef sim.Tick
-	for i := range tr.Events {
-		if a := tr.Events[i].RefArrive; a > maxRef {
-			maxRef = a
-		}
-	}
-	if t := tr.RefMakespan - maxRef; t > 0 {
-		return t
-	}
-	return 0
+// demand is what the contention models read of a trace, collected in one
+// pass over its source.
+type demand struct {
+	nodes int
+	msgs  []message // in event order
 }
+
+// message is one event as the models see it: endpoints and payload.
+type message struct{ src, dst, bytes int }
 
 // model maps a horizon to per-event seeded latencies.
 type model interface {
@@ -172,7 +181,7 @@ type model interface {
 }
 
 // buildModel dispatches to the per-fabric contention model.
-func buildModel(cfg config.Config, kind config.NetworkKind, tr *trace.Trace, probe noc.Network) (model, error) {
+func buildModel(cfg config.Config, kind config.NetworkKind, d *demand, probe noc.Network) (model, error) {
 	switch kind {
 	case config.NetOptical:
 		xb, ok := probe.(crossbar)
@@ -180,13 +189,13 @@ func buildModel(cfg config.Config, kind config.NetworkKind, tr *trace.Trace, pro
 			return nil, fmt.Errorf("analytic: optical probe %T lacks the crossbar surface", probe)
 		}
 		byDst := cfg.Optical.Architecture != "swmr"
-		return newChannelModel(cfg, tr, xb, byDst, nil), nil
+		return newChannelModel(cfg, d, xb, byDst, nil), nil
 	case config.NetElectrical:
-		return newMeshModel(cfg, tr, nil), nil
+		return newMeshModel(cfg, d, nil), nil
 	case config.NetIdeal:
-		return newIdealModel(tr), nil
+		return newIdealModel(d), nil
 	case config.NetHybrid:
-		return newHybridModel(cfg, tr, probe.(*hybrid.Network))
+		return newHybridModel(cfg, d, probe.(*hybrid.Network))
 	default:
 		return nil, fmt.Errorf("analytic: unknown network kind %q", kind)
 	}
@@ -284,21 +293,20 @@ func tokenScale(f config.Faults) float64 {
 // channel, the SWMR fabric serializes per sender channel (and has no token,
 // so token outages apply only to MWSR). include, when non-nil, restricts the
 // model to the events the hybrid fabric actually routes optically.
-func newChannelModel(cfg config.Config, tr *trace.Trace, xb crossbar, byDst bool, include []bool) *resourceModel {
-	m := newResourceModel(tr.Nodes, len(tr.Events))
+func newChannelModel(cfg config.Config, d *demand, xb crossbar, byDst bool, include []bool) *resourceModel {
+	m := newResourceModel(d.nodes, len(d.msgs))
 	scale := driftScale(cfg.Optical, cfg.Faults)
 	if byDst {
 		scale *= tokenScale(cfg.Faults)
 	}
-	for i := range tr.Events {
-		e := &tr.Events[i]
-		if e.Src == e.Dst || (include != nil && !include[i]) {
+	for i, e := range d.msgs {
+		if e.src == e.dst || (include != nil && !include[i]) {
 			continue
 		}
-		svc := float64(xb.SerializationCycles(e.Bytes)*xb.DerateFactor(e.Src, e.Dst)) * scale
-		r := e.Dst
+		svc := float64(xb.SerializationCycles(e.bytes)*xb.DerateFactor(e.src, e.dst)) * scale
+		r := e.dst
 		if !byDst {
-			r = e.Src
+			r = e.src
 		}
 		m.charge(i, r, svc)
 	}
@@ -307,19 +315,18 @@ func newChannelModel(cfg config.Config, tr *trace.Trace, xb crossbar, byDst bool
 
 // newIdealModel charges each event's injection-port serialization to its
 // source; with no bandwidth cap the ideal fabric is contention-free.
-func newIdealModel(tr *trace.Trace) *resourceModel {
-	m := newResourceModel(tr.Nodes, len(tr.Events))
+func newIdealModel(d *demand) *resourceModel {
+	m := newResourceModel(d.nodes, len(d.msgs))
 	const bpc = fabric.IdealBytesPerCycle
-	for i := range tr.Events {
-		e := &tr.Events[i]
-		if e.Src == e.Dst {
+	for i, e := range d.msgs {
+		if e.src == e.dst {
 			continue
 		}
-		ser := (e.Bytes + bpc - 1) / bpc
+		ser := (e.bytes + bpc - 1) / bpc
 		if ser < 1 {
 			ser = 1
 		}
-		m.charge(i, e.Src, float64(ser))
+		m.charge(i, e.src, float64(ser))
 	}
 	return m
 }
@@ -355,8 +362,8 @@ const (
 
 // newMeshModel builds the link-utilization model. include, when non-nil,
 // restricts it to the events the hybrid fabric routes electrically.
-func newMeshModel(cfg config.Config, tr *trace.Trace, include []bool) *meshModel {
-	nodes := tr.Nodes
+func newMeshModel(cfg config.Config, d *demand, include []bool) *meshModel {
+	nodes := d.nodes
 	m := &meshModel{
 		width:     config.GridWidth(nodes),
 		torus:     cfg.Mesh.Topology == "torus",
@@ -364,17 +371,16 @@ func newMeshModel(cfg config.Config, tr *trace.Trace, include []bool) *meshModel
 		linkMsgs:  make([]int64, nodes*numDirs),
 		load:      noc.NewLoadMatrix(nodes),
 		flitsPair: make([]float64, nodes*nodes),
-		evPair:    make([]int32, len(tr.Events)),
+		evPair:    make([]int32, len(d.msgs)),
 	}
-	for i := range tr.Events {
-		e := &tr.Events[i]
+	for i, e := range d.msgs {
 		m.evPair[i] = -1
-		if e.Src == e.Dst || (include != nil && !include[i]) {
+		if e.src == e.dst || (include != nil && !include[i]) {
 			continue
 		}
-		m.load.Add(e.Src, e.Dst, e.Bytes)
-		m.flitsPair[e.Src*nodes+e.Dst] += float64(enoc.FlitsFor(e.Bytes))
-		m.evPair[i] = int32(e.Src*nodes + e.Dst)
+		m.load.Add(e.src, e.dst, e.bytes)
+		m.flitsPair[e.src*nodes+e.dst] += float64(enoc.FlitsFor(e.bytes))
+		m.evPair[i] = int32(e.src*nodes + e.dst)
 	}
 	m.load.ForEachPair(func(src, dst int, pl noc.PairLoad) {
 		flits := m.flitsPair[src*nodes+dst]
@@ -465,25 +471,24 @@ type hybridModel struct {
 	mesh    model
 }
 
-func newHybridModel(cfg config.Config, tr *trace.Trace, hy *hybrid.Network) (*hybridModel, error) {
+func newHybridModel(cfg config.Config, d *demand, hy *hybrid.Network) (*hybridModel, error) {
 	xb, ok := hy.Optical().(crossbar)
 	if !ok {
 		return nil, fmt.Errorf("analytic: hybrid optical sub-fabric %T lacks the crossbar surface", hy.Optical())
 	}
-	width := config.GridWidth(tr.Nodes)
-	optRouted := make([]bool, len(tr.Events))
-	meshRouted := make([]bool, len(tr.Events))
-	for i := range tr.Events {
-		e := &tr.Events[i]
-		if e.Src == e.Dst {
+	width := config.GridWidth(d.nodes)
+	optRouted := make([]bool, len(d.msgs))
+	meshRouted := make([]bool, len(d.msgs))
+	for i, e := range d.msgs {
+		if e.src == e.dst {
 			continue
 		}
-		sx, sy := e.Src%width, e.Src/width
-		dx, dy := e.Dst%width, e.Dst/width
+		sx, sy := e.src%width, e.src/width
+		dx, dy := e.dst%width, e.dst/width
 		dist := int(math.Abs(float64(dx-sx)) + math.Abs(float64(dy-sy)))
 		// The routing rule, including the droop-blacklist fallback: long
 		// hops go optical unless their lightpath is derated.
-		if dist >= cfg.Hybrid.Threshold && xb.DerateFactor(e.Src, e.Dst) == 1 {
+		if dist >= cfg.Hybrid.Threshold && xb.DerateFactor(e.src, e.dst) == 1 {
 			optRouted[i] = true
 		} else {
 			meshRouted[i] = true
@@ -491,8 +496,8 @@ func newHybridModel(cfg config.Config, tr *trace.Trace, hy *hybrid.Network) (*hy
 	}
 	byDst := cfg.Optical.Architecture != "swmr"
 	return &hybridModel{
-		optical: newChannelModel(cfg, tr, xb, byDst, optRouted),
-		mesh:    newMeshModel(cfg, tr, meshRouted),
+		optical: newChannelModel(cfg, d, xb, byDst, optRouted),
+		mesh:    newMeshModel(cfg, d, meshRouted),
 	}, nil
 }
 

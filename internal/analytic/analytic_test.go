@@ -206,8 +206,7 @@ func TestMeshWalkMatchesManhattan(t *testing.T) {
 	for _, topo := range []string{"mesh", "torus"} {
 		cfg := config.Default()
 		cfg.Mesh.Topology = topo
-		tr := &trace.Trace{Nodes: 16}
-		m := newMeshModel(cfg, tr, nil)
+		m := newMeshModel(cfg, &demand{nodes: 16}, nil)
 		w := m.width
 		for src := 0; src < 16; src++ {
 			for dst := 0; dst < 16; dst++ {

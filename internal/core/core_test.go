@@ -109,6 +109,55 @@ func idealFactory(nodes int, latency sim.Tick) NetworkFactory {
 	return func() noc.Network { return noc.NewIdeal(nodes, latency, 0) }
 }
 
+// Every engine entry refuses a malformed resident trace with an error at its
+// first pass (trace.Trace.Pass validates): none hands an out-of-range
+// endpoint to a fabric, whose Inject panics, or follows a dependency on event
+// 0 to index -1.
+func TestEnginesRejectInvalidTraces(t *testing.T) {
+	inject := []sim.Tick{10, 35, 60}
+	engines := map[string]func(tr *trace.Trace) error{
+		"NaiveReplay":        func(tr *trace.Trace) error { _, err := NaiveReplay(idealFactory(4, 20)(), tr); return err },
+		"NaiveReplaySharded": func(tr *trace.Trace) error { _, err := NaiveReplaySharded(idealFactory(4, 20), tr, 2); return err },
+		"NaiveReplaySummaryStream": func(tr *trace.Trace) error {
+			_, err := NaiveReplaySummaryStream(idealFactory(4, 20)(), tr)
+			return err
+		},
+		"CoupledReplay": func(tr *trace.Trace) error {
+			_, err := CoupledReplay(idealFactory(4, 20)(), tr, ScheduleOptions{})
+			return err
+		},
+		"Correct": func(tr *trace.Trace) error {
+			_, _, err := Correct(context.Background(), idealFactory(4, 20), tr, config.Default().SCTM, 1, 0, nil, nil)
+			return err
+		},
+		"ReplaySchedule": func(tr *trace.Trace) error { _, err := ReplaySchedule(idealFactory(4, 20)(), tr, inject); return err },
+		"ReplayScheduleStream": func(tr *trace.Trace) error {
+			_, err := ReplayScheduleStream(idealFactory(4, 20)(), tr, inject, 0)
+			return err
+		},
+		"ReplayScheduleSharded": func(tr *trace.Trace) error {
+			_, err := ReplayScheduleSharded(idealFactory(4, 20), tr, inject, 2)
+			return err
+		},
+	}
+	defects := map[string]func(e *trace.Event){
+		"bad endpoint":                func(e *trace.Event) { e.Dst = 9 },
+		"dependency on 0":             func(e *trace.Event) { e.Deps = []trace.Dep{{On: 0}} },
+		"dependency on a later event": func(e *trace.Event) { e.Deps = []trace.Dep{{On: 3}} },
+	}
+	for engine, run := range engines {
+		for defect, apply := range defects {
+			t.Run(engine+"/"+defect, func(t *testing.T) {
+				tr := chainTrace()
+				apply(&tr.Events[1])
+				if err := run(tr); err == nil {
+					t.Fatal("malformed trace accepted")
+				}
+			})
+		}
+	}
+}
+
 func TestReplayScheduleOnIdealExact(t *testing.T) {
 	tr := chainTrace()
 	inj := []sim.Tick{10, 35, 60}

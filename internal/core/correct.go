@@ -98,10 +98,10 @@ var ErrParked = errors.New("core: self-correction parked before convergence")
 // only the dirty suffix of its first resumed round instead of starting the
 // whole fixpoint from scratch.
 //
-// A ParkState is bound to the (trace, SCTM config, fabric) triple that
-// produced it and is single-use: the replayer inside is not safe for
-// concurrent resumes. Callers that stash states must hand each one to at
-// most one resume.
+// A ParkState is bound to the (trace content, SCTM config, fabric) triple that
+// produced it, not to the source object that held the trace, and is
+// single-use: the replayer inside is not safe for concurrent resumes. Callers
+// that stash states must hand each one to at most one resume.
 type ParkState struct {
 	runner     *replayer
 	lat        []sim.Tick
@@ -117,8 +117,7 @@ type ParkState struct {
 // across the given number of shards. Results are byte-identical for any
 // shard count, any sufficient window (semantics as ReplayScheduleStream) and
 // either setting of cfg.Incremental; those choose how rounds execute, never
-// what they compute. A resident *trace.Trace is validated before anything
-// else (a file's decoder validates every event it reads).
+// what they compute.
 //
 // seed, when non-nil, supplies the round-0 latency estimates, one per event
 // (the analytical fast path computes them from the trace's byte histogram);
@@ -138,16 +137,12 @@ type ParkState struct {
 // and ctx's error. Replay rounds themselves are never interrupted
 // mid-flight, so a park costs at most one round of latency and the partial
 // trajectory is byte-identical to a prefix of the uncancelled run's. Passing
-// the state back as resume (same source, config and fabric kind) re-enters
-// the loop at the parked round boundary instead of restarting — skipping
-// seeding and the initial schedule derivation, with the trajectory so far
-// already in place; seed is then ignored.
+// the state back as resume (same trace content, config and fabric kind, in
+// src of either residency) re-enters the loop at the parked round boundary
+// instead of restarting — skipping seeding and the initial schedule
+// derivation, with the trajectory so far already in place; seed is then
+// ignored, and every resumed pass reads src.
 func Correct(ctx context.Context, factory NetworkFactory, src trace.Source, cfg config.SCTM, shards, window int, seed []sim.Tick, resume *ParkState) (CorrectionResult, *ParkState, error) {
-	if tr, ok := src.(*trace.Trace); ok {
-		if err := tr.Validate(); err != nil {
-			return CorrectionResult{}, nil, fmt.Errorf("core: invalid trace: %w", err)
-		}
-	}
 	n := src.Meta().NumEvents
 	opts := ScheduleOptions{
 		DisableSyncDeps:   cfg.DisableSyncDeps,
@@ -167,6 +162,7 @@ func Correct(ctx context.Context, factory NetworkFactory, src trace.Source, cfg 
 		// The parked replayer carries the fabric checkpoints the resumed
 		// rounds restore from, and the work counters so far.
 		runner = resume.runner
+		runner.read(src, window)
 		lat = append([]sim.Tick(nil), resume.lat...)
 		prev = append([]sim.Tick(nil), resume.prev...)
 		out.Iterations = append([]Iteration(nil), resume.iterations...)
@@ -191,7 +187,7 @@ func Correct(ctx context.Context, factory NetworkFactory, src trace.Source, cfg 
 			}
 		} else {
 			probe := runner.fabric(0)
-			if err := eachEvent(src, func(i int, e *trace.Event) {
+			if err := EachEvent(src, func(i int, e *trace.Event) {
 				lat[i] = probe.ZeroLoadLatency(e.Src, e.Dst, e.Bytes)
 			}); err != nil {
 				return CorrectionResult{}, nil, fmt.Errorf("core: zero-load seeding: %w", err)

@@ -203,7 +203,16 @@ type slot struct {
 }
 
 func newReplayer(factory NetworkFactory, src trace.Source, shards, window int) *replayer {
-	return &replayer{factory: factory, src: src, meta: src.Meta(), shards: shards, window: readAhead(src, window)}
+	r := &replayer{factory: factory, shards: shards}
+	r.read(src, window)
+	return r
+}
+
+// read points every later pass of the replayer at src. A resumed correction
+// points its parked replayer at the resuming caller's source: the content is
+// the parked one's, but the file that held it may be gone.
+func (r *replayer) read(src trace.Source, window int) {
+	r.src, r.meta, r.window = src, src.Meta(), readAhead(src, window)
 }
 
 // fabric returns the long-lived instance of shard slot i, as it was left.
@@ -432,7 +441,7 @@ func NaiveReplaySharded(factory NetworkFactory, tr *trace.Trace, shards int) (Re
 // semantics match ReplayScheduleStream.
 func NaiveReplayStream(factory NetworkFactory, src trace.Source, shards, window int) (ReplayResult, error) {
 	inject := make([]sim.Tick, src.Meta().NumEvents)
-	if err := eachEvent(src, func(i int, e *trace.Event) { inject[i] = e.RefInject }); err != nil {
+	if err := EachEvent(src, func(i int, e *trace.Event) { inject[i] = e.RefInject }); err != nil {
 		return ReplayResult{}, err
 	}
 	return newReplayer(factory, src, shards, window).run(inject)
@@ -440,13 +449,16 @@ func NaiveReplayStream(factory NetworkFactory, src trace.Source, shards, window 
 
 // CoupledReplay resolves dependencies *inside* the network simulation: an
 // event is injected its gap after its last dependency physically arrives on
-// the target fabric. One pass, no estimates — the expensive upper-accuracy
-// reference the self-correction loop approaches.
-func CoupledReplay(net noc.Network, tr *trace.Trace, opts ScheduleOptions) (ReplayResult, error) {
-	if err := checkFabric(net, tr.Nodes); err != nil {
+// the target fabric. One replay, no estimates — the expensive upper-accuracy
+// reference the self-correction loop approaches. One pass over src builds the
+// reverse-dependency lists and keeps every event's payload, so a coupled
+// replay holds O(events + edges) resident whatever the source.
+func CoupledReplay(net noc.Network, src trace.Source, opts ScheduleOptions) (ReplayResult, error) {
+	meta := src.Meta()
+	if err := checkFabric(net, meta.Nodes); err != nil {
 		return ReplayResult{}, err
 	}
-	n := len(tr.Events)
+	n := meta.NumEvents
 	res := ReplayResult{
 		Inject: make([]sim.Tick, n),
 		Arrive: make([]sim.Tick, n),
@@ -456,15 +468,11 @@ func CoupledReplay(net noc.Network, tr *trace.Trace, opts ScheduleOptions) (Repl
 	lastDep := make([]sim.Tick, n)
 	children := make([][]int, n)
 	var maxRef sim.Tick
-	for i := range tr.Events {
-		// The delivery callback maps a message back to its event by ID.
-		if tr.Events[i].ID != trace.EventID(i+1) {
-			return ReplayResult{}, fmt.Errorf("core: trace event %d has id %d, want dense 1-based ids", i, tr.Events[i].ID)
-		}
-		if tr.Events[i].RefArrive > maxRef {
-			maxRef = tr.Events[i].RefArrive
-		}
-		for _, d := range tr.Events[i].Deps {
+	feed := coupledFeed{events: make([]pendingMsg, n)}
+	err := EachEvent(src, func(i int, e *trace.Event) {
+		feed.events[i] = pendingMsg{at: e.Gap, idx: i, src: e.Src, dst: e.Dst, bytes: e.Bytes, class: e.Class}
+		maxRef = max(maxRef, e.RefArrive)
+		for _, d := range e.Deps {
 			if !opts.keepDep(d.Class) {
 				continue
 			}
@@ -472,11 +480,13 @@ func CoupledReplay(net noc.Network, tr *trace.Trace, opts ScheduleOptions) (Repl
 			children[di] = append(children[di], i)
 			remaining[i]++
 		}
+	})
+	if err != nil {
+		return ReplayResult{}, err
 	}
-	feed := coupledFeed{events: tr.Events}
-	for i := range tr.Events {
+	for i := range feed.events {
 		if remaining[i] == 0 {
-			feed.push(i, tr.Events[i].Gap)
+			feed.push(i, feed.events[i].at)
 		}
 	}
 
@@ -489,8 +499,8 @@ func CoupledReplay(net noc.Network, tr *trace.Trace, opts ScheduleOptions) (Repl
 		delivered++
 		pool.Put(m)
 		for _, ch := range children[idx] {
-			if m.Arrive+tr.Events[ch].Gap > lastDep[ch] {
-				lastDep[ch] = m.Arrive + tr.Events[ch].Gap
+			if at := m.Arrive + feed.events[ch].at; at > lastDep[ch] {
+				lastDep[ch] = at
 			}
 			remaining[ch]--
 			if remaining[ch] == 0 {
@@ -503,7 +513,7 @@ func CoupledReplay(net noc.Network, tr *trace.Trace, opts ScheduleOptions) (Repl
 	if err := drain(net, &feed, &pool, 0, &delivered, n, nil); err != nil {
 		return ReplayResult{}, fmt.Errorf("core: coupled %w", err)
 	}
-	finalize(&res, tr.RefMakespan, maxRef)
+	finalize(&res, meta.RefMakespan, maxRef)
 	res.Cycles, res.NetStats = net.Now(), net.Stats()
 	return res, nil
 }
@@ -514,25 +524,21 @@ func CoupledReplay(net noc.Network, tr *trace.Trace, opts ScheduleOptions) (Repl
 // are removed, so a linear scan serves both methods. Swap-removal inside that
 // scan is what fixes the injection order of events due the same cycle.
 type coupledFeed struct {
-	events []trace.Event
-	ready  []readyEv
-}
-
-type readyEv struct {
-	at  sim.Tick
-	idx int
+	events []pendingMsg // every event's payload, its gap in at
+	ready  []pendingMsg
 }
 
 func (f *coupledFeed) push(idx int, at sim.Tick) {
-	f.ready = append(f.ready, readyEv{at: at, idx: idx})
+	m := f.events[idx]
+	m.at = at
+	f.ready = append(f.ready, m)
 }
 
 func (f *coupledFeed) injectDue(now sim.Tick, net noc.Network, pool *noc.MsgPool) (int, error) {
 	k := 0
 	for i := 0; i < len(f.ready); {
-		if f.ready[i].at <= now {
-			e := &f.events[f.ready[i].idx]
-			inject(net, pool, uint64(e.ID), e.Src, e.Dst, e.Bytes, e.Class)
+		if e := &f.ready[i]; e.at <= now {
+			inject(net, pool, uint64(e.idx+1), e.src, e.dst, e.bytes, e.class)
 			f.ready[i] = f.ready[len(f.ready)-1]
 			f.ready = f.ready[:len(f.ready)-1]
 			k++

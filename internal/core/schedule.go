@@ -43,33 +43,13 @@ func (o ScheduleOptions) keepDep(c trace.DepClass) bool {
 	}
 }
 
-// Schedule derives an injection time for every event from the dependency
-// DAG, given a per-event latency estimate: an event is injected its recorded
-// gap after its last dependency's estimated arrival. Events are processed in
-// ID order, which is a topological order by construction, so a single pass
-// suffices.
-//
-// latency[i] estimates the end-to-end latency of event ID i+1 (including
-// source queueing). The returned slice is indexed the same way.
+// Schedule is ScheduleStream on a resident trace, panicking where that
+// returns an error (a latency slice of the wrong length, a malformed trace).
+// It remains because bench/ names it (DESIGN.md §12).
 func Schedule(tr *trace.Trace, latency []sim.Tick, opts ScheduleOptions) []sim.Tick {
-	if len(latency) != len(tr.Events) {
-		panic(fmt.Sprintf("core: %d latency estimates for %d events", len(latency), len(tr.Events)))
-	}
-	inject := make([]sim.Tick, len(tr.Events))
-	for i := range tr.Events {
-		e := &tr.Events[i]
-		var ready sim.Tick // dependency-free events start at time zero
-		for _, d := range e.Deps {
-			if !opts.keepDep(d.Class) {
-				continue
-			}
-			di := int(d.On) - 1
-			arr := inject[di] + latency[di]
-			if arr > ready {
-				ready = arr
-			}
-		}
-		inject[i] = ready + e.Gap
+	inject, err := ScheduleStream(tr, latency, opts)
+	if err != nil {
+		panic(err)
 	}
 	return inject
 }
@@ -91,9 +71,9 @@ func nextEvent(it trace.Iterator, e *trace.Event, pos, n int) error {
 	return nil
 }
 
-// eachEvent calls fn on every event of one pass over src, in ID order. The
+// EachEvent calls fn on every event of one pass over src, in ID order. The
 // event (and its Deps) is only valid during the call.
-func eachEvent(src trace.Source, fn func(i int, e *trace.Event)) error {
+func EachEvent(src trace.Source, fn func(i int, e *trace.Event)) error {
 	n := src.Meta().NumEvents
 	it, err := src.Pass()
 	if err != nil {
@@ -110,17 +90,22 @@ func eachEvent(src trace.Source, fn func(i int, e *trace.Event)) error {
 	return nil
 }
 
-// ScheduleStream is Schedule over a trace.Source: one pass in ID order —
-// a topological order by construction — evaluating the identical recurrence.
-// Dependency edges are consulted only while the event streams past, so no
-// event or edge outlives its decode.
+// ScheduleStream derives an injection time for every event from the
+// dependency DAG, given a per-event latency estimate: an event is injected its
+// recorded gap after its last dependency's estimated arrival. Events are
+// processed in ID order, a topological order by construction, so one pass
+// suffices, and dependency edges are consulted only while the event streams
+// past: no event or edge outlives its decode.
+//
+// latency[i] estimates the end-to-end latency of event ID i+1 (including
+// source queueing). The returned slice is indexed the same way.
 func ScheduleStream(src trace.Source, latency []sim.Tick, opts ScheduleOptions) ([]sim.Tick, error) {
 	n := src.Meta().NumEvents
 	if len(latency) != n {
 		return nil, fmt.Errorf("core: %d latency estimates for %d events", len(latency), n)
 	}
 	inject := make([]sim.Tick, n)
-	err := eachEvent(src, func(i int, e *trace.Event) {
+	err := EachEvent(src, func(i int, e *trace.Event) {
 		var ready sim.Tick
 		for _, d := range e.Deps {
 			if !opts.keepDep(d.Class) {

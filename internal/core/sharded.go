@@ -38,7 +38,7 @@ func (r *replayer) split(sh noc.ScheduleShardable, k int) error {
 		sn: make([]int, n), bytes: make([]int32, n), class: make([]noc.Class, n), self: make([]bool, n),
 		want: make([]int, k),
 	}
-	err := eachEvent(r.src, func(i int, e *trace.Event) {
+	err := EachEvent(r.src, func(i int, e *trace.Event) {
 		p.sn[i] = sh.ShardNode(e.Src, e.Dst)
 		p.bytes[i] = int32(e.Bytes)
 		p.class[i] = e.Class

@@ -34,17 +34,19 @@ type source struct {
 }
 
 // sources are an all-pairs burst (self-pairs included) at cycle 0, each
-// message acknowledged at its destination by a self-message injected from
-// inside its delivery callback; a seeded schedule of small bursts separated by
-// idle gaps of up to several token rotations — the regime NextWake/SkipTo
-// exist for; and the execution-driven stencil, real coherence traffic whose
-// replies follow deliveries.
+// message acknowledged from inside its delivery callback by a message from its
+// destination to the node opposite it on the grid — never itself, and at a
+// hop distance unrelated to the delivered message's, so on the hybrid an
+// acknowledgement often changes sub-fabric; a seeded schedule of small bursts
+// separated by idle gaps of up to several token rotations — the regime
+// NextWake/SkipTo exist for; and the execution-driven stencil, real coherence
+// traffic whose replies follow deliveries.
 var sources = []source{
 	{"burst", func(t *testing.T, _ config.Config, net noc.Network) {
 		burst := allPairs(net.Nodes())
 		net.SetDeliver(func(m *noc.Message) {
 			if m.ID <= uint64(len(burst)) {
-				net.Inject(&noc.Message{ID: m.ID + uint64(len(burst)), Src: m.Dst, Dst: m.Dst, Bytes: 8, Class: noc.ClassResponse})
+				net.Inject(&noc.Message{ID: m.ID + uint64(len(burst)), Src: m.Dst, Dst: net.Nodes() - 1 - m.Dst, Bytes: 8, Class: noc.ClassResponse})
 			}
 		})
 		driveSchedule(t, net, burst)

@@ -1,18 +1,25 @@
-package fabric
+package fabric_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"testing"
 
+	"onocsim/internal/analytic"
 	"onocsim/internal/config"
+	"onocsim/internal/fabric"
 	"onocsim/internal/noc"
+	"onocsim/internal/trace"
+	"onocsim/internal/workload"
 )
 
 // FuzzConfig holds Validate to what the constructors assume: any document
 // config.Parse accepts builds every kind, answers ZeroLoadLatency for the
-// corner pairs, and delivers a lone corner-to-corner message within a tick
-// bound — all without panicking (onoc.NewWithFaults panics on exactly the
-// inputs Validate is trusted to refuse).
+// corner pairs, delivers a lone corner-to-corner message within a tick bound,
+// and prices a small generated trace in closed form — all without panicking
+// (onoc.NewWithFaults panics on exactly the inputs Validate is trusted to
+// refuse). The test package is external because the estimator imports
+// internal/fabric.
 func FuzzConfig(f *testing.F) {
 	for _, edit := range []func(*config.Config){
 		func(*config.Config) {},
@@ -36,9 +43,23 @@ func FuzzConfig(f *testing.F) {
 		if err != nil {
 			return
 		}
+		var buf bytes.Buffer
+		const events = 64
+		if _, err := workload.WriteHuge(&buf, workload.HugeSpec{Nodes: cfg.System.Cores, Events: events, Pattern: "hotspot", Bytes: 64, Gap: 5, Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+		tr, err := trace.ReadBinary(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
 		last := cfg.System.Cores - 1
 		for _, kind := range []config.NetworkKind{config.NetElectrical, config.NetOptical, config.NetIdeal, config.NetHybrid} {
-			net, err := Build(cfg, kind)
+			est, err := analytic.Estimate(cfg, kind, tr)
+			if err != nil || len(est.Latency) != events || est.Makespan < est.ZeroLoadMakespan {
+				t.Fatalf("%s: estimate of %d events: %d latencies, makespan %d, zero-load makespan %d, err %v",
+					kind, events, len(est.Latency), est.Makespan, est.ZeroLoadMakespan, err)
+			}
+			net, err := fabric.Build(cfg, kind)
 			if err != nil {
 				t.Fatalf("%s: %v", kind, err)
 			}

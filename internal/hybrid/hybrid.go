@@ -32,6 +32,10 @@ type Network struct {
 	deliver noc.DeliverFunc
 	stats   *noc.Stats
 
+	// held keeps what a mesh delivery callback routes optically until the
+	// crossbar, a cycle behind while the mesh ticks, has caught up.
+	held []*noc.Message
+
 	// der consults the optical sub-fabric's laser-droop blacklist; rerouted
 	// counts messages diverted to the mesh because of it.
 	der      optDerater
@@ -135,7 +139,11 @@ func (n *Network) Inject(m *noc.Message) {
 			n.rerouted++
 		} else {
 			n.ViaOptical++
-			n.optical.Inject(m)
+			if n.optical.Now() < n.mesh.Now() {
+				n.held = append(n.held, m)
+			} else {
+				n.optical.Inject(m)
+			}
 			return
 		}
 	}
@@ -143,10 +151,16 @@ func (n *Network) Inject(m *noc.Message) {
 	n.mesh.Inject(m)
 }
 
-// Tick implements noc.Network, advancing both sub-fabrics in lockstep.
+// Tick implements noc.Network, advancing both sub-fabrics in lockstep. A
+// message a mesh delivery callback routes optically enters the crossbar once
+// it has ticked too, so the crossbar stamps it with the hybrid's clock.
 func (n *Network) Tick() {
 	n.mesh.Tick()
 	n.optical.Tick()
+	for _, m := range n.held {
+		n.optical.Inject(m)
+	}
+	n.held = n.held[:0]
 }
 
 // Busy implements noc.Network.

@@ -35,8 +35,8 @@ const (
 	// OpCorrect captures the config's kernel trace (or streams TracePath)
 	// and runs the self-correction loop on the target fabric.
 	OpCorrect Op = "correct"
-	// OpEstimate prices the config's kernel trace on the target fabric with
-	// the closed-form contention model.
+	// OpEstimate prices the config's kernel trace (or TracePath) on the
+	// target fabric with the closed-form contention model.
 	OpEstimate Op = "estimate"
 )
 
@@ -51,8 +51,8 @@ type Job struct {
 	Kind onocsim.NetworkKind
 	// TracePath optionally replaces the config's captured kernel trace with
 	// a stored binary trace file, streamed out-of-core and keyed by content
-	// digest (OpCorrect only). This is how the service runs big tenant
-	// traces without materializing them.
+	// digest (OpCorrect and OpEstimate). This is how the service runs big
+	// tenant traces without materializing them.
 	TracePath string
 }
 
@@ -77,11 +77,8 @@ func (j Job) Validate() error {
 	default:
 		return fmt.Errorf("job: unknown op %q (want exec, study, correct or estimate)", j.Op)
 	}
-	if j.TracePath != "" && j.Op != OpCorrect {
-		return fmt.Errorf("job: trace path is only supported by op correct (got %q)", j.Op)
-	}
-	if j.TracePath != "" && j.Config.SCTM.Seed == "analytic" {
-		return fmt.Errorf("job: trace %q cannot be seeded by sctm.seed=analytic: the estimator prices a resident trace and a file is streamed (use zeroload or fixed)", j.TracePath)
+	if j.TracePath != "" && (j.Op == OpExec || j.Op == OpStudy) {
+		return fmt.Errorf("job: trace path is not supported by op %s (it runs the config's kernel)", j.Op)
 	}
 	return onocsim.ValidateNetworkKind(j.Config, j.Kind)
 }
@@ -184,41 +181,33 @@ func (r *Runner) dispatch(ctx context.Context, j Job) (Result, error) {
 			return Result{}, err
 		}
 		return Result{Table: report.Study(j.Config, j.Kind, st), Study: st}, nil
-
-	case OpCorrect:
-		// The stored file TracePath names, streamed, or the captured kernel.
-		var src onocsim.TraceSource
-		var err error
-		if j.TracePath != "" {
-			src, err = onocsim.OpenTraceFile(j.TracePath)
-		} else {
-			src, _, err = r.Session.CaptureTraceContext(ctx, j.Config, onocsim.IdealNet)
-		}
-		if err != nil {
-			return Result{}, err
-		}
+	}
+	// Correct and estimate read a trace: the stored file TracePath names,
+	// streamed, or the captured kernel.
+	var src onocsim.TraceSource
+	var err error
+	if j.TracePath != "" {
+		src, err = onocsim.OpenTraceFile(j.TracePath)
+	} else {
+		src, _, err = r.Session.CaptureTraceContext(ctx, j.Config, onocsim.IdealNet)
+	}
+	if err != nil {
+		return Result{}, err
+	}
+	if j.Op == OpCorrect {
 		res, wall, err := r.Session.RunSelfCorrectionContext(ctx, j.Config, src, j.Kind)
 		return correctionResult(j, res, wall, err)
-
-	case OpEstimate:
-		tr, _, err := r.Session.CaptureTraceContext(ctx, j.Config, onocsim.IdealNet)
-		if err != nil {
-			return Result{}, err
-		}
-		res, wall, err := r.Session.Estimate(j.Config, tr, j.Kind)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{
-			Table:       report.Estimate(j.Config, j.Kind, res, wall),
-			Estimate:    &res,
-			TraceEvents: len(res.Latency),
-			TraceBytes:  int64(res.Bytes),
-		}, nil
-
-	default:
-		return Result{}, fmt.Errorf("job: unknown op %q", j.Op)
 	}
+	res, wall, err := r.Session.Estimate(j.Config, src, j.Kind)
+	if err != nil {
+		return Result{}, err
+	}
+	return Result{
+		Table:       report.Estimate(j.Config, j.Kind, res, wall),
+		Estimate:    &res,
+		TraceEvents: len(res.Latency),
+		TraceBytes:  int64(res.Bytes),
+	}, nil
 }
 
 // correctionResult renders one correction attempt. A park that carried its

@@ -82,19 +82,24 @@ func TestAdmissionPricing(t *testing.T) {
 func TestValidate(t *testing.T) {
 	cfg := onocsim.DefaultConfig()
 	cfg.System.Cores = 16
-	ok := Job{Op: OpExec, Config: cfg, Kind: onocsim.Optical}
-	if err := ok.Validate(); err != nil {
-		t.Fatalf("valid job rejected: %v", err)
-	}
 	analytic := cfg
 	analytic.SCTM.Seed = "analytic"
+	for _, ok := range []Job{
+		{Op: OpExec, Config: cfg, Kind: onocsim.Optical},
+		{Op: OpCorrect, Config: analytic, Kind: onocsim.Optical, TracePath: "t.bin"},
+		{Op: OpEstimate, Config: cfg, Kind: onocsim.Optical, TracePath: "t.bin"},
+	} {
+		if err := ok.Validate(); err != nil {
+			t.Fatalf("valid %s job rejected: %v", ok.Op, err)
+		}
+	}
 	cases := []struct {
 		name string
 		job  Job
 		want string
 	}{
 		{"trace path on exec", Job{Op: OpExec, Config: cfg, Kind: onocsim.Optical, TracePath: "t.bin"}, "trace path"},
-		{"analytic seed on a trace file", Job{Op: OpCorrect, Config: analytic, Kind: onocsim.Optical, TracePath: "t.bin"}, "sctm.seed"},
+		{"trace path on study", Job{Op: OpStudy, Config: cfg, Kind: onocsim.Optical, TracePath: "t.bin"}, "trace path"},
 		{"unknown op", Job{Op: "teleport"}, "unknown op"},
 	}
 	for _, tc := range cases {

@@ -375,9 +375,9 @@ func (s *Server) decodeExperiment(_ http.ResponseWriter, r *http.Request) (work,
 // document in the same JSON schema as `onocsim -config` files (validated,
 // unknown fields rejected); omitted, the baseline config is used. Trace
 // optionally names a stored binary trace file on the server host: a correct
-// op then streams it out-of-core (keyed by content digest) instead of
-// capturing the config's kernel — how big tenant traces run without ever
-// being materialized in daemon memory.
+// or estimate op then streams it out-of-core (keyed by content digest)
+// instead of capturing the config's kernel — how big tenant traces run
+// without ever being materialized in daemon memory.
 type simulateRequest struct {
 	Op      string          `json:"op"`
 	Network string          `json:"network"`

@@ -55,13 +55,17 @@ func TestSimulateStreamsStoredTrace(t *testing.T) {
 		t.Fatalf("repeated streamed correct recomputed: misses %d -> %d", misses, got)
 	}
 
-	// Trace paths only make sense for correct jobs, and a streamed file has no
-	// analytic seed.
-	for _, bad := range []string{`{"op":"exec","network":"optical","trace":%q}`,
-		`{"op":"correct","network":"optical","trace":%q,"config":{"system":{"cores":16},"sctm":{"seed":"analytic"}}}`} {
-		body := fmt.Sprintf(bad, path)
-		if code, raw := postJSON(t, ts.URL+"/v1/simulate", body); code != http.StatusBadRequest {
-			t.Fatalf("%s: status %d: %s", body, code, raw)
+	// Every op that reads a trace reads a file, an analytic-seeded correction
+	// included; the ops that run the config's kernel refuse one.
+	for body, want := range map[string]int{
+		`{"op":"estimate","network":"optical","trace":%q,"config":{"system":{"cores":16}}}`:                           http.StatusOK,
+		`{"op":"correct","network":"optical","trace":%q,"config":{"system":{"cores":16},"sctm":{"seed":"analytic"}}}`: http.StatusOK,
+		`{"op":"exec","network":"optical","trace":%q}`:                                                                http.StatusBadRequest,
+		`{"op":"study","network":"optical","trace":%q}`:                                                               http.StatusBadRequest,
+	} {
+		body := fmt.Sprintf(body, path)
+		if code, raw := postJSON(t, ts.URL+"/v1/simulate", body); code != want {
+			t.Fatalf("%s: status %d, want %d: %s", body, code, want, raw)
 		}
 	}
 }

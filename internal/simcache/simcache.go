@@ -28,9 +28,10 @@ import (
 	"onocsim/internal/trace"
 )
 
-// Op names a cached operation. The replay ops are keyed on the capture
-// fabric too (see Key.Capture): a self-correction on an ideal-captured
-// trace is a different result from one on an electrically captured trace.
+// Op names a cached operation. The ops that read a trace are keyed on that
+// trace's identity too (see Key.Capture): a self-correction on an
+// ideal-captured trace is a different result from one on an electrically
+// captured trace, or on a trace file.
 type Op string
 
 const (
@@ -38,16 +39,16 @@ const (
 	OpTruth Op = "truth"
 	// OpCapture is a trace capture on Key.Kind (the capture fabric).
 	OpCapture Op = "capture"
-	// OpNaive, OpCoupled and OpSCTM are replays targeting Key.Kind of a
-	// trace captured on Key.Capture.
+	// OpNaive, OpCoupled and OpSCTM are replays targeting Key.Kind of the
+	// trace Key.Capture names.
 	OpNaive   Op = "naive"
 	OpCoupled Op = "coupled"
 	OpSCTM    Op = "sctm"
 	// OpSynthetic is an open-loop synthetic traffic run on Key.Kind.
 	OpSynthetic Op = "synthetic"
 	// OpEstimate is a closed-form analytic latency estimate targeting
-	// Key.Kind of a trace captured on Key.Capture — keyed like the replay
-	// ops, priced like none of them.
+	// Key.Kind of the trace Key.Capture names — keyed like the replay ops,
+	// priced like none of them.
 	OpEstimate Op = "estimate"
 )
 
@@ -58,8 +59,10 @@ type Key struct {
 	// Kind is the fabric the operation ran on (the capture fabric for
 	// OpCapture, the target fabric for runs and replays).
 	Kind string
-	// Capture is the capture fabric of the replayed trace; empty for
-	// OpTruth and OpCapture.
+	// Capture names the trace an operation read: the capture key of a
+	// session's own capture ("fp@kind", see DoTrace), else the trace's
+	// content digest ("sha256:<hex>"). Empty for the operations that read
+	// none.
 	Capture string
 	// Op is the operation.
 	Op Op
@@ -237,7 +240,8 @@ func (c *Cache) tracePath(key Key) string {
 }
 
 // valuePath places a persisted non-trace result under the disk layer's
-// directory. Replay keys carry the capture identity ("fp@kind"), which is
+// directory. Keys of the operations that read a trace carry its identity, a
+// capture key ("fp@kind") or a content digest ("sha256:<hex>"), both
 // filename-safe as is.
 func (c *Cache) valuePath(key Key) string {
 	name := fmt.Sprintf("%s-%s-%s", key.Fingerprint, key.Kind, key.Op)

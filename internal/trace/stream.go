@@ -65,7 +65,8 @@ type Iterator interface {
 // Source yields repeated sequential decode passes over a stored trace. The
 // replay engines take several passes per run (seeding, scheduling, replay),
 // so a Source must support any number of Pass calls; passes are independent
-// and may be open concurrently (the sharded engine opens one per shard).
+// and may be open concurrently (the sharded engine opens one per shard). A
+// pass yields only events validateEvent accepts, or an error.
 type Source interface {
 	// Meta returns the trace header without decoding any events.
 	Meta() Meta
@@ -507,10 +508,16 @@ func (t *Trace) Meta() Meta {
 	}
 }
 
-// Pass opens an iterator over the trace's event slice. Events are handed out
-// without copying and, unlike a file's decoder, without checks: Validate is
-// the resident trace's check.
-func (t *Trace) Pass() (Iterator, error) { return &memIter{tr: t}, nil }
+// Pass opens an iterator over the trace's event slice once Validate accepts
+// the whole trace. A file's decoder checks every event it reads, so either
+// kind of source hands out only valid events, and no consumer checks a
+// resident trace itself: a malformed one is an error at its first pass.
+func (t *Trace) Pass() (Iterator, error) {
+	if err := t.Validate(); err != nil {
+		return nil, err
+	}
+	return &memIter{tr: t}, nil
+}
 
 type memIter struct {
 	tr  *Trace

@@ -2,7 +2,6 @@ package onocsim
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"onocsim/internal/workload"
@@ -92,23 +91,6 @@ func TestAnalyticSeedNeverSlower(t *testing.T) {
 						len(seeded.Iterations), len(zl.Iterations))
 				}
 			})
-		}
-	}
-}
-
-// TestAnalyticSeedRefusesAFile: the estimator prices a resident trace, so
-// analytic seeding of a trace file is an error naming the mode, through a
-// session too, rather than a run seeded from zero-load and cached as analytic.
-func TestAnalyticSeedRefusesAFile(t *testing.T) {
-	cfg := smallConfig()
-	tr, _, err := uncached.CaptureTraceContext(bg, cfg, IdealNet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.SCTM.Seed = "analytic"
-	for _, s := range []*Session{uncached, NewSession("")} {
-		if _, _, err := s.RunSelfCorrectionContext(bg, cfg, traceOnDisk(t, tr), Optical); err == nil || !strings.Contains(err.Error(), "sctm.seed=analytic") {
-			t.Fatalf("analytic seeding of a file: err = %v, want one naming the mode", err)
 		}
 	}
 }

@@ -378,39 +378,39 @@ func (s *Session) CaptureTraceContext(ctx context.Context, cfg Config, captureOn
 // fabrics of the given kind, split across cfg.Parallelism.Shards replicas
 // where the fabric allows it; results are byte-identical for any shard count.
 // A session's own capture is keyed by where it came from, any other trace by
-// its content (see traceKey).
-func (s *Session) RunNaiveReplayContext(ctx context.Context, cfg Config, tr *Trace, kind NetworkKind) (ReplayResult, time.Duration, error) {
-	v, err := memo(ctx, s.key(cfg, kind, simcache.OpNaive, tr), func() (timed[ReplayResult], error) {
-		return naiveReplay(ctx, cfg, tr, kind)
+// its content (see traceKey): two clients posting byte-identical trace files,
+// under any paths, share one computation, and on a hit the file is not even
+// decoded. src is a captured *Trace or a stored trace file from OpenTraceFile,
+// which every pass streams from disk without materializing it; a file and the
+// resident trace it encodes produce byte-identical results. Every Session
+// operation that reads a trace follows this contract.
+func (s *Session) RunNaiveReplayContext(ctx context.Context, cfg Config, src TraceSource, kind NetworkKind) (ReplayResult, time.Duration, error) {
+	v, err := memo(ctx, s.key(cfg, kind, simcache.OpNaive, src), func() (timed[ReplayResult], error) {
+		return naiveReplay(ctx, cfg, src, kind)
 	})
 	return v.Res, v.Wall, err
 }
 
 // RunCoupledReplayContext runs the tightly coupled dependency-driven replay,
 // memoized like RunNaiveReplayContext.
-func (s *Session) RunCoupledReplayContext(ctx context.Context, cfg Config, tr *Trace, kind NetworkKind) (ReplayResult, time.Duration, error) {
-	v, err := memo(ctx, s.key(cfg, kind, simcache.OpCoupled, tr), func() (timed[ReplayResult], error) {
-		return coupledReplay(ctx, cfg, tr, kind)
+func (s *Session) RunCoupledReplayContext(ctx context.Context, cfg Config, src TraceSource, kind NetworkKind) (ReplayResult, time.Duration, error) {
+	v, err := memo(ctx, s.key(cfg, kind, simcache.OpCoupled, src), func() (timed[ReplayResult], error) {
+		return coupledReplay(ctx, cfg, src, kind)
 	})
 	return v.Res, v.Wall, err
 }
 
-// RunSelfCorrectionContext runs the Self-Correction Trace Model on src — a
-// captured *Trace, or a stored trace file from OpenTraceFile, which every
-// round streams from disk without materializing it — memoized like
-// RunNaiveReplayContext: two clients posting byte-identical trace files, under
-// any paths, share one computation, and on a hit the file is not even decoded.
-// A file and the resident trace it encodes produce byte-identical results.
+// RunSelfCorrectionContext runs the Self-Correction Trace Model on src,
+// memoized like RunNaiveReplayContext.
 //
 // With cfg.SCTM.Seed = "analytic" the round-0 latencies come from the
 // closed-form contention estimate instead of the zero-load probe, typically
 // saving replay rounds on contended fabrics; when the estimator declines, the
-// loop falls back to zero-load seeding. The estimator prices a resident trace,
-// so analytic seeding of any other source is an error. With
-// cfg.SCTM.Incremental each round after the first on a resident trace resumes
-// from a frozen-prefix checkpoint of the previous round instead of replaying
-// from cycle zero; results stay byte-identical, and
-// CorrectionResult.ReplayedEvents/SavedCycles report the work skipped.
+// loop falls back to zero-load seeding. With cfg.SCTM.Incremental each round
+// after the first on a resident trace resumes from a frozen-prefix checkpoint
+// of the previous round instead of replaying from cycle zero; results stay
+// byte-identical, and CorrectionResult.ReplayedEvents/SavedCycles report the
+// work skipped.
 //
 // A context that ends mid-loop parks the correction at the next round
 // boundary (see ErrParked): the computing caller gets the partial trajectory
@@ -418,24 +418,16 @@ func (s *Session) RunCoupledReplayContext(ctx context.Context, cfg Config, tr *T
 // partial result must not masquerade as the converged one, so callers
 // deduplicated onto the parked flight never see it.
 //
-// A parked run on a resident trace stashes its resume state (including the
-// runner's fabric checkpoints) under the cache key: the next request for the
-// same (config, trace, kind) — a later one, or the retry of a caller that was
+// A parked run stashes its resume state (including the runner's fabric
+// checkpoints) under the cache key: the next request for the same (config,
+// trace content, kind) — a later one, or the retry of a caller that was
 // waiting on the parked flight — resumes the loop at the parked round
-// boundary instead of re-running the completed rounds, and completes to the
-// same byte-identical result an uninterrupted run produces. This is what
-// heals service traffic after a client disconnect or a cancelled drain: the
-// retry pays only the remaining rounds. A file's rounds leave no checkpoints,
-// so a retried file-backed correction starts over.
+// boundary, reading its own src, instead of re-running the completed rounds,
+// and completes to the same byte-identical result an uninterrupted run
+// produces. This is what heals service traffic after a client disconnect or a
+// cancelled drain: the retry pays only the remaining rounds.
 func (s *Session) RunSelfCorrectionContext(ctx context.Context, cfg Config, src TraceSource, kind NetworkKind) (CorrectionResult, time.Duration, error) {
-	_, resident := src.(*Trace)
-	if !resident && cfg.SCTM.SeedMode() == "analytic" {
-		return CorrectionResult{}, 0, fmt.Errorf("onocsim: sctm.seed=analytic needs a resident trace, and a %T is streamed (use zeroload or fixed)", src)
-	}
 	k := s.key(cfg, kind, simcache.OpSCTM, src)
-	// Resume state is worth keeping for a cached run on a resident trace: the
-	// stash lives under the cache key, and a file's rounds leave no checkpoints.
-	stash := k.cache != nil && resident
 	// A parked partial result travels past the cache, which (correctly)
 	// drops the value of any failed flight.
 	var parked *timed[CorrectionResult]
@@ -444,13 +436,13 @@ func (s *Session) RunSelfCorrectionContext(ctx context.Context, cfg Config, src 
 		// actually computes may consume the single-use resume state —
 		// deduplicated waiters never reach here.
 		var resume *core.ParkState
-		if stash {
+		if k.cache != nil {
 			resume = s.takePark(k.key)
 		}
 		res, state, err := selfCorrect(ctx, cfg, src, kind, resume)
 		if errors.Is(err, ErrParked) {
 			parked = &res
-			if stash && state != nil {
+			if k.cache != nil && state != nil {
 				s.stashPark(k.key, state)
 			}
 		}
@@ -462,15 +454,15 @@ func (s *Session) RunSelfCorrectionContext(ctx context.Context, cfg Config, src 
 	return v.Res, v.Wall, err
 }
 
-// Estimate prices replaying tr on the given fabric kind with the closed-form
+// Estimate prices replaying src on the given fabric kind with the closed-form
 // contention model — the "analytic" seed's view of the run, in microseconds
 // instead of replay rounds. Cheap enough to screen whole design spaces (it
 // queues for no simulation slot, hence no context), memoized like
 // RunNaiveReplayContext anyway so repeated sweeps over a persisted session
 // cost a map lookup.
-func (s *Session) Estimate(cfg Config, tr *Trace, kind NetworkKind) (AnalyticEstimate, time.Duration, error) {
-	v, err := memo(context.Background(), s.key(cfg, kind, simcache.OpEstimate, tr), func() (timed[AnalyticEstimate], error) {
-		return estimate(cfg, tr, kind)
+func (s *Session) Estimate(cfg Config, src TraceSource, kind NetworkKind) (AnalyticEstimate, time.Duration, error) {
+	v, err := memo(context.Background(), s.key(cfg, kind, simcache.OpEstimate, src), func() (timed[AnalyticEstimate], error) {
+		return estimate(cfg, src, kind)
 	})
 	return v.Res, v.Wall, err
 }

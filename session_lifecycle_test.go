@@ -3,6 +3,8 @@ package onocsim
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -110,7 +112,9 @@ func (c *resumePollCtx) Err() error {
 // re-running from scratch, and completes to the exact result an
 // uninterrupted session computes. The resume is proven — not just the
 // equality — by giving the second call an Err-poll budget large enough for
-// the remaining rounds but far too small for a from-scratch rerun.
+// the remaining rounds but far too small for a from-scratch rerun. A trace
+// file resumes the same way, reading the resuming request's file: the one
+// the parked request named is gone by then.
 func TestSessionResumesParkedCorrection(t *testing.T) {
 	cfg := smallConfig()
 	cfg.SCTM.MaxIterations = 10
@@ -133,43 +137,63 @@ func TestSessionResumesParkedCorrection(t *testing.T) {
 		t.Fatalf("reference run converged early: %+v", full)
 	}
 
-	s := NewSession("")
-	tr2, _, err := s.CaptureTraceContext(bg, cfg, IdealNet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := &resumePollCtx{Context: context.Background(), remaining: 5}
-	parked, _, err := s.RunSelfCorrectionContext(ctx, cfg, tr2, Optical)
-	if !errors.Is(err, ErrParked) {
-		t.Fatalf("err = %v, want ErrParked", err)
-	}
-	r := len(parked.Iterations)
-	if r == 0 || r >= cfg.SCTM.MaxIterations {
-		t.Fatalf("park landed at %d rounds, want mid-loop", r)
-	}
+	for _, name := range []string{"captured", "file"} {
+		t.Run(name, func(t *testing.T) {
+			s := NewSession("")
+			tr2, _, err := s.CaptureTraceContext(bg, cfg, IdealNet)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parkOn, resumeOn, parkPath := TraceSource(tr2), TraceSource(tr2), ""
+			if name == "file" {
+				parkPath = filepath.Join(t.TempDir(), "parked.sctm")
+				if err := SaveTrace(parkPath, tr); err != nil {
+					t.Fatal(err)
+				}
+				if parkOn, err = OpenTraceFile(parkPath); err != nil {
+					t.Fatal(err)
+				}
+				resumeOn = traceOnDisk(t, tr)
+			}
+			ctx := &resumePollCtx{Context: context.Background(), remaining: 5}
+			parked, _, err := s.RunSelfCorrectionContext(ctx, cfg, parkOn, Optical)
+			if !errors.Is(err, ErrParked) {
+				t.Fatalf("err = %v, want ErrParked", err)
+			}
+			r := len(parked.Iterations)
+			if r == 0 || r >= cfg.SCTM.MaxIterations {
+				t.Fatalf("park landed at %d rounds, want mid-loop", r)
+			}
+			if parkPath != "" {
+				if err := os.Remove(parkPath); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	// Budget: remaining rounds plus admission/boundary slack. A restart
-	// from round zero would need MaxIterations+1 polls and park again.
-	budget := (cfg.SCTM.MaxIterations - r) + 2
-	if budget >= cfg.SCTM.MaxIterations+1 {
-		t.Fatalf("park too late to distinguish resume from restart: r=%d", r)
-	}
-	ctx2 := &resumePollCtx{Context: context.Background(), remaining: budget}
-	resumed, _, err := s.RunSelfCorrectionContext(ctx2, cfg, tr2, Optical)
-	if err != nil {
-		t.Fatalf("resumed run failed (did the session restart from scratch?): %v", err)
-	}
-	if !reflect.DeepEqual(resumed, full) {
-		t.Fatalf("resumed result diverged from uninterrupted run:\n got %+v\nwant %+v", resumed, full)
-	}
+			// Budget: remaining rounds plus admission/boundary slack. A restart
+			// from round zero would need MaxIterations+1 polls and park again.
+			budget := (cfg.SCTM.MaxIterations - r) + 2
+			if budget >= cfg.SCTM.MaxIterations+1 {
+				t.Fatalf("park too late to distinguish resume from restart: r=%d", r)
+			}
+			ctx2 := &resumePollCtx{Context: context.Background(), remaining: budget}
+			resumed, _, err := s.RunSelfCorrectionContext(ctx2, cfg, resumeOn, Optical)
+			if err != nil {
+				t.Fatalf("resumed run failed (did the session restart from scratch?): %v", err)
+			}
+			if !reflect.DeepEqual(resumed, full) {
+				t.Fatalf("resumed result diverged from uninterrupted run:\n got %+v\nwant %+v", resumed, full)
+			}
 
-	// The completed resume is cached like any converged-or-exhausted run.
-	hits := s.CacheStats().Hits
-	if _, _, err := s.RunSelfCorrectionContext(bg, cfg, tr2, Optical); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.CacheStats().Hits; got != hits+1 {
-		t.Fatalf("resumed result not cached: hits %d -> %d", hits, got)
+			// The completed resume is cached like any converged-or-exhausted run.
+			hits := s.CacheStats().Hits
+			if _, _, err := s.RunSelfCorrectionContext(bg, cfg, resumeOn, Optical); err != nil {
+				t.Fatal(err)
+			}
+			if got := s.CacheStats().Hits; got != hits+1 {
+				t.Fatalf("resumed result not cached: hits %d -> %d", hits, got)
+			}
+		})
 	}
 }
 

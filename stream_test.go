@@ -25,6 +25,66 @@ func traceOnDisk(t *testing.T, tr *Trace) TraceSource {
 	return src
 }
 
+// TestFileMatchesResident holds every operation that reads a trace to one
+// contract: handed the file a trace is stored in, it returns what it returns
+// for the resident trace, DeepEqual, on every fabric family. The correction
+// rows cover both seeds that read the trace, the zero-load probe and the
+// analytic estimate.
+func TestFileMatchesResident(t *testing.T) {
+	cases := shardCases()
+	resident, files := make([]*Trace, len(cases)), make([]TraceSource, len(cases))
+	for i, tc := range cases {
+		tr, _, err := uncached.CaptureTraceContext(bg, tc.cfg, IdealNet)
+		if err != nil {
+			t.Fatalf("%s: capture: %v", tc.name, err)
+		}
+		resident[i], files[i] = tr, traceOnDisk(t, tr)
+	}
+	correct := func(seed string) func(Config, TraceSource, NetworkKind) (any, error) {
+		return func(cfg Config, src TraceSource, kind NetworkKind) (any, error) {
+			cfg.SCTM.Seed = seed
+			res, _, err := uncached.RunSelfCorrectionContext(bg, cfg, src, kind)
+			return res, err
+		}
+	}
+	for _, op := range []struct {
+		name string
+		run  func(Config, TraceSource, NetworkKind) (any, error)
+	}{
+		{"naive", func(cfg Config, src TraceSource, kind NetworkKind) (any, error) {
+			res, _, err := uncached.RunNaiveReplayContext(bg, cfg, src, kind)
+			return res, err
+		}},
+		{"coupled", func(cfg Config, src TraceSource, kind NetworkKind) (any, error) {
+			res, _, err := uncached.RunCoupledReplayContext(bg, cfg, src, kind)
+			return res, err
+		}},
+		{"estimate", func(cfg Config, src TraceSource, kind NetworkKind) (any, error) {
+			res, _, err := uncached.Estimate(cfg, src, kind)
+			return res, err
+		}},
+		{"correct-zeroload", correct("zeroload")},
+		{"correct-analytic", correct("analytic")},
+	} {
+		t.Run(op.name, func(t *testing.T) {
+			t.Parallel()
+			for i, tc := range cases {
+				want, err := op.run(tc.cfg, resident[i], tc.kind)
+				if err != nil {
+					t.Fatalf("%s resident: %v", tc.name, err)
+				}
+				got, err := op.run(tc.cfg, files[i], tc.kind)
+				if err != nil {
+					t.Fatalf("%s file: %v", tc.name, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: the file's result diverges from the resident trace's\n got: %+v\nwant: %+v", tc.name, got, want)
+				}
+			}
+		})
+	}
+}
+
 // TestStreamInvarianceNaiveReplay locks in the file-versus-memory contract of
 // the naive replay for every fabric family: the constant-residency summary
 // pass decoded from disk reports the figures of the resident replay, whole
