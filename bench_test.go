@@ -11,6 +11,7 @@ package onocsim_test
 import (
 	"context"
 	"io"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -148,6 +149,37 @@ func BenchmarkSelfCorrection(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(tr.NumEvents()), "events")
+}
+
+// BenchmarkStreamCorrection measures the streamed correction's engine cost
+// per event: a correction of a generated 2^16-event, 64-node trace file on
+// the optical crossbar, read out of core, with ns/event charged per replayed
+// event (every round's replay) — the per-event figure the benchmark of
+// record's xbar_stream workload reports, without its 2^19-event file.
+func BenchmarkStreamCorrection(b *testing.B) {
+	cfg := onocsim.DefaultConfig()
+	cfg.System.Cores = 64
+	spec := workload.DefaultHugeSpec()
+	spec.Nodes, spec.Events = 64, 1<<16
+	path := filepath.Join(b.TempDir(), "stream.sctm")
+	if _, err := workload.WriteHugeFile(path, spec); err != nil {
+		b.Fatal(err)
+	}
+	src, err := onocsim.OpenTraceFile(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	replayed := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, _, err := uncached.RunSelfCorrectionContext(bg, cfg, src, onocsim.Optical)
+		if err != nil {
+			b.Fatal(err)
+		}
+		replayed += res.ReplayedEvents
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(replayed), "ns/event")
 }
 
 // BenchmarkSchedulePass measures the pure dependency-graph schedule pass,

@@ -152,6 +152,7 @@ func Correct(ctx context.Context, factory NetworkFactory, src trace.Source, cfg 
 	var out CorrectionResult
 	var runner *replayer
 	var lat, prev []sim.Tick
+	var zeroLoad func(e *trace.Event) sim.Tick
 	if resume != nil {
 		if len(resume.lat) != n || len(resume.prev) != n {
 			return CorrectionResult{}, nil, fmt.Errorf("core: resume state sized for %d events, trace has %d", len(resume.lat), n)
@@ -174,7 +175,8 @@ func Correct(ctx context.Context, factory NetworkFactory, src trace.Source, cfg 
 		// Seed latencies: an externally supplied per-event estimate wins (the
 		// damping blend mutates lat in place, so the caller's slice is copied),
 		// then a fixed constant if configured, else the target fabric's
-		// zero-load estimate per message.
+		// zero-load estimate per message, filled in by the pass that derives
+		// the round-0 schedule.
 		lat = make([]sim.Tick, n)
 		if seed != nil {
 			if len(seed) != n {
@@ -187,11 +189,7 @@ func Correct(ctx context.Context, factory NetworkFactory, src trace.Source, cfg 
 			}
 		} else {
 			probe := runner.fabric(0)
-			if err := EachEvent(src, func(i int, e *trace.Event) {
-				lat[i] = probe.ZeroLoadLatency(e.Src, e.Dst, e.Bytes)
-			}); err != nil {
-				return CorrectionResult{}, nil, fmt.Errorf("core: zero-load seeding: %w", err)
-			}
+			zeroLoad = func(e *trace.Event) sim.Tick { return probe.ZeroLoadLatency(e.Src, e.Dst, e.Bytes) }
 		}
 	}
 	// finish fills the work counters at every successful exit. Full rounds
@@ -221,7 +219,7 @@ func Correct(ctx context.Context, factory NetworkFactory, src trace.Source, cfg 
 	}
 	if resume == nil {
 		if err := labeled(-1, "schedule", func() (err error) {
-			prev, err = ScheduleStream(src, lat, opts)
+			prev, err = schedule(src, lat, opts, zeroLoad)
 			return err
 		}); err != nil {
 			return CorrectionResult{}, nil, fmt.Errorf("core: deriving schedule: %w", err)

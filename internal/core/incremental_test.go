@@ -105,7 +105,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 					done++
 					pool.Put(m)
 				})
-				dec := &streamDecoder{it: it, inject: inject, sm: suffixMinInject(inject), floor: floor}
+				dec := &streamDecoder{it: it, inject: inject, sm: suffixMinInject(inject), pending: new(pendingQueue), floor: floor}
 				if err := drain(net, dec, &pool, injected, &done, n, capture); err != nil {
 					return err
 				}

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"onocsim/internal/noc"
@@ -236,7 +238,10 @@ func referenceTraces(nodes int) []referenceTrace {
 // of a correction: capture order; the zero-load schedule (out of ID order,
 // with same-cycle ties); a late suffix moved; the same schedule again; one
 // event moved onto another's cycle (the strict edge of the frozen-prefix
-// rule); the earliest event moved (empty frozen prefix).
+// rule); the earliest event moved (empty frozen prefix). Two more hold the
+// pending queue to account: "wide" spans several calendar rings, and
+// "reverse" needs every event resident at once, which fills a window of
+// len(tr.Events) exactly.
 func referenceSchedules(tr *trace.Trace, probe noc.Network) [][]sim.Tick {
 	n := len(tr.Events)
 	capture, lat := make([]sim.Tick, n), make([]sim.Tick, n)
@@ -270,7 +275,35 @@ func referenceSchedules(tr *trace.Trace, probe noc.Network) [][]sim.Tick {
 	edge[last] = sorted[n/2]
 	head := append([]sim.Tick(nil), edge...)
 	head[first] += 5
-	return [][]sim.Tick{capture, zero, late, late, edge, head}
+	reverse := make([]sim.Tick, n)
+	for i := range reverse {
+		reverse[i] = sim.Tick(3 * (n - 1 - i))
+	}
+	return [][]sim.Tick{capture, zero, late, late, edge, head, wideSchedule(tr, zero), reverse}
+}
+
+// wideSchedule moves three events of zero far beyond the calendar ring. The
+// last event and an earlier one from the same source land on one cycle T:
+// the earlier is decoded at once and waits in the overflow heap, the last is
+// decoded only when T is due. Between them, the second-to-last event at T -
+// 100 is released straight out of the overflow heap and advances the ring
+// over T, which must move the earlier event into T's bucket ahead of the
+// last one's push.
+func wideSchedule(tr *trace.Trace, zero []sim.Tick) []sim.Tick {
+	wide := append([]sim.Tick(nil), zero...)
+	n := len(wide)
+	if n < 3 {
+		return wide
+	}
+	a := 0
+	for i := n - 3; i >= 0; i-- {
+		if tr.Events[i].Src == tr.Events[n-1].Src {
+			a = i
+		}
+	}
+	T := slices.Max(zero) + 3*ringTicks
+	wide[a], wide[n-2], wide[n-1] = T, T-100, T
+	return wide
 }
 
 // TestEngineAgainstReference holds every configuration of the replay engine
@@ -286,6 +319,7 @@ func TestEngineAgainstReference(t *testing.T) {
 	}
 	dir := t.TempDir()
 	for _, tc := range referenceTraces(nodes) {
+		n := len(tc.tr.Events)
 		path := filepath.Join(dir, tc.name+".sctm")
 		if err := trace.SaveFile(path, tc.tr); err != nil {
 			t.Fatal(err)
@@ -307,13 +341,21 @@ func TestEngineAgainstReference(t *testing.T) {
 						t.Fatalf("%s/%s/%s reference, schedule %d: %v", tc.name, fabric, preset, i, err)
 					}
 				}
+				if n > 1 { // one event short of "reverse", a file's window overflows
+					reverse := scheds[len(scheds)-1]
+					_, err := newReplayer(mk, file, 1, n-1).run(reverse)
+					if want := fmt.Sprintf("needs more than %d resident events", n-1); err == nil || !strings.Contains(err.Error(), want) {
+						t.Fatalf("%s/%s/%s: a window of %d for %d events: err = %v, want %q", tc.name, fabric, preset, n-1, n, err, want)
+					}
+				}
 				for srcName, src := range sources {
 					for _, k := range shardCounts {
 						for _, ladder := range []bool{false, true} {
 							label := fmt.Sprintf("%s/%s/%s %s K=%d ladder=%v", tc.name, fabric, preset, srcName, k, ladder)
 							// The ladder is set on the replayer so that a file is
 							// resumed from checkpoints too, which Correct never asks.
-							r := newReplayer(mk, src, k, 0)
+							// A file's window is the trace, which "reverse" fills.
+							r := newReplayer(mk, src, k, n)
 							r.ladder = ladder
 							for i, s := range scheds {
 								got, err := r.run(s)
@@ -326,6 +368,9 @@ func TestEngineAgainstReference(t *testing.T) {
 							}
 							if saved := r.saved > 0; saved != (ladder && tc.ladders && checkpoints) {
 								t.Fatalf("%s: checkpoints restored = %v", label, saved)
+							}
+							if n >= 3 && !ladder && !slices.ContainsFunc(r.slots, func(s slot) bool { return cap(s.pending.far) > 0 }) {
+								t.Fatalf("%s: no shard used the overflow heap", label)
 							}
 						}
 					}

@@ -195,11 +195,13 @@ type replayer struct {
 
 // slot is the long-lived state of one shard: its fabric — a Resettable
 // instance is reset between runs instead of rebuilt, and checkpoints restore
-// onto it — and the storage of its decoder's pending heap.
+// onto it — and the storage its drains reuse: the message pool and the
+// decoder's pending queue.
 type slot struct {
-	net  noc.Network
-	used bool
-	heap pendingHeap
+	net     noc.Network
+	used    bool
+	pool    noc.MsgPool
+	pending pendingQueue
 }
 
 func newReplayer(factory NetworkFactory, src trace.Source, shards, window int) *replayer {
@@ -247,7 +249,7 @@ func (r *replayer) fresh(i int) noc.Network {
 // through its delivery callback, so does the lane.
 type lane struct {
 	net  noc.Network
-	pool noc.MsgPool
+	slot *slot // the storage the drain reuses
 	// floor, injected and delivered describe what a restored checkpoint
 	// already holds (noFloor, 0, 0 from cycle zero); want is the lane's
 	// owned event count.
@@ -259,17 +261,17 @@ type lane struct {
 }
 
 // drain opens the lane's own pass over src and runs the drain loop on it.
-// heap is the pending-event storage kept from the slot's previous run.
-func (l *lane) drain(src trace.Source, dec streamDecoder, heap *pendingHeap) {
+func (l *lane) drain(src trace.Source, dec streamDecoder) {
 	it, err := src.Pass()
 	if err != nil {
 		l.err = err
 		return
 	}
 	defer it.Close()
-	dec.it, dec.floor, dec.pending = it, l.floor, (*heap)[:0]
-	l.err = drain(l.net, &dec, &l.pool, l.injected, &l.delivered, l.want, l.capture)
-	l.maxRef, *heap = dec.maxRef, dec.pending
+	l.slot.pending.reset()
+	dec.it, dec.floor, dec.pending = it, l.floor, &l.slot.pending
+	l.err = drain(l.net, &dec, &l.slot.pool, l.injected, &l.delivered, l.want, l.capture)
+	l.maxRef = dec.maxRef
 }
 
 // run injects every event of the source at the given absolute times and runs
@@ -328,14 +330,15 @@ func (r *replayer) replay(inject []sim.Tick) (ReplayResult, error) {
 			}
 			l.floor = noFloor
 		}
-		r.slots[s].used = true
+		l.slot = &r.slots[s]
+		l.slot.used = true
 		r.replayed += l.want - l.injected
 		l.net.SetDeliver(func(m *noc.Message) {
 			idx := int(m.ID) - 1
 			res.Arrive[idx] = m.Arrive
 			res.Inject[idx] = m.Inject
 			l.delivered++
-			l.pool.Put(m)
+			l.slot.pool.Put(m)
 		})
 		if k > 1 {
 			l.net.(noc.ScheduleShardable).SetShardObs(func(id uint64, o noc.ShardObs) {
@@ -352,7 +355,7 @@ func (r *replayer) replay(inject []sim.Tick) (ReplayResult, error) {
 	// obs, a ladder) lands at indices owned by exactly one lane.
 	dec := streamDecoder{inject: inject, sm: suffixMinInject(inject), window: r.window}
 	if k == 1 {
-		lanes[0].drain(r.src, dec, &r.slots[0].heap)
+		lanes[0].drain(r.src, dec)
 	} else {
 		var wg sync.WaitGroup
 		for s := range lanes {
@@ -361,7 +364,7 @@ func (r *replayer) replay(inject []sim.Tick) (ReplayResult, error) {
 				defer wg.Done()
 				dec := dec
 				dec.own = func(idx int) bool { return r.part.owner(idx) == s }
-				lanes[s].drain(r.src, dec, &r.slots[s].heap)
+				lanes[s].drain(r.src, dec)
 			}()
 		}
 		wg.Wait()

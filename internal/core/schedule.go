@@ -100,12 +100,23 @@ func EachEvent(src trace.Source, fn func(i int, e *trace.Event)) error {
 // latency[i] estimates the end-to-end latency of event ID i+1 (including
 // source queueing). The returned slice is indexed the same way.
 func ScheduleStream(src trace.Source, latency []sim.Tick, opts ScheduleOptions) ([]sim.Tick, error) {
+	return schedule(src, latency, opts, nil)
+}
+
+// schedule is ScheduleStream's pass. With estimate non-nil it also seeds the
+// latencies: latency[i] = estimate(event i), filled as the event streams past
+// and so before any dependent reads it — a seeded correction derives its
+// round-0 schedule in the pass that computes the seed.
+func schedule(src trace.Source, latency []sim.Tick, opts ScheduleOptions, estimate func(e *trace.Event) sim.Tick) ([]sim.Tick, error) {
 	n := src.Meta().NumEvents
 	if len(latency) != n {
 		return nil, fmt.Errorf("core: %d latency estimates for %d events", len(latency), n)
 	}
 	inject := make([]sim.Tick, n)
 	err := EachEvent(src, func(i int, e *trace.Event) {
+		if estimate != nil {
+			latency[i] = estimate(e)
+		}
 		var ready sim.Tick
 		for _, d := range e.Deps {
 			if !opts.keepDep(d.Class) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"onocsim/internal/noc"
 	"onocsim/internal/sim"
@@ -20,12 +21,18 @@ import (
 // How (time, ID) injection order survives out-of-order schedules without a
 // sort: the decoder keeps suffixMin[i] = min injection time over events ≥ i.
 // Decoding while suffixMin[pos] ≤ now guarantees every event due at `now` has
-// been decoded, and a min-heap keyed (time, index) releases them in exactly
-// (time, ID) order — the order a full sort of the schedule would give. The
-// heap is the read-ahead window: it holds events the stream has passed but
-// the schedule has not yet made due, and its size is the trace's schedule
-// inversion width. A window cap turns an undersized window into a
-// deterministic error — never a deadlock and never a silently wrong result.
+// been decoded, and the pending queue releases them in exactly (time, ID)
+// order — the order a full sort of the schedule would give. The queue is a
+// calendar: one FIFO bucket per cycle for the ringTicks cycles after the last
+// released one, and a (time, index) min-heap for events scheduled further
+// out. A bucket's FIFO order is ID order because the decoder pushes in ID
+// order and every push lands after every released cycle; an overflow event
+// moves into its bucket as the ring advances over its cycle, before that
+// bucket can take a direct push. The queue is the read-ahead window: it holds
+// events the stream has passed but the schedule has not yet made due, and
+// its size is the trace's schedule inversion width. A window cap turns an
+// undersized window into a deterministic error — never a deadlock and never a
+// silently wrong result.
 
 // feed hands the drain loop its injections.
 type feed interface {
@@ -96,6 +103,145 @@ type pendingMsg struct {
 	dst   int
 	bytes int
 	class noc.Class
+	next  int32 // the calendar's link to the next entry: slab index + 1, 0 = none
+}
+
+// ringTicks is how many cycles past the last released one the calendar holds
+// in per-cycle buckets; a power of two. The overflow heap beyond it is nearly
+// idle: a correction of a generated 2^19-event trace on the 64-node crossbar
+// sends it 469 of 1.6 million pushes.
+const ringTicks = 1 << 12
+
+// pendingQueue is the decoder's pending events in (at, idx) order: per-cycle
+// FIFO buckets for [lo, lo+ringTicks), a heap for the cycles beyond. The
+// buckets are linked lists through one slab, so a queue reused across runs
+// allocates nothing once it has held its peak. The zero value is empty.
+type pendingQueue struct {
+	lo    sim.Tick // every cycle before lo has been released
+	n     int      // pending events, ring and overflow
+	first sim.Tick // earliest pending cycle, while n > 0
+	// head and tail are each bucket's ends (slab index + 1, 0 = empty); occ
+	// has a bit per non-empty bucket, and words a bit per non-zero occ word.
+	head, tail [ringTicks]int32
+	occ        [ringTicks / 64]uint64
+	words      uint64
+	slab       []pendingMsg
+	free       int32       // released slab entries, linked through next
+	far        pendingHeap // events at lo+ringTicks or later
+	popped     pendingMsg  // the last event pop took from far
+}
+
+// reset empties the queue for a drain, keeping its storage.
+func (q *pendingQueue) reset() {
+	if q.n > 0 { // a failed run left events behind
+		clear(q.head[:])
+		clear(q.tail[:])
+		clear(q.occ[:])
+		q.words = 0
+	}
+	q.lo, q.n, q.free = 0, 0, 0
+	q.slab, q.far = q.slab[:0], q.far[:0]
+}
+
+// push queues m. Its cycle must not be before lo.
+func (q *pendingQueue) push(m pendingMsg) {
+	if q.n == 0 || m.at < q.first {
+		q.first = m.at
+	}
+	q.n++
+	if m.at-q.lo >= ringTicks {
+		q.far.push(m)
+		return
+	}
+	q.append(m)
+}
+
+// append adds m at the tail of its cycle's bucket.
+func (q *pendingQueue) append(m pendingMsg) {
+	m.next = 0
+	e := q.free
+	if e != 0 {
+		q.free = q.slab[e-1].next
+		q.slab[e-1] = m
+	} else {
+		q.slab = append(q.slab, m)
+		e = int32(len(q.slab))
+	}
+	b := int(m.at) & (ringTicks - 1)
+	if q.tail[b] == 0 {
+		q.head[b] = e
+		q.occ[b>>6] |= 1 << (b & 63)
+		q.words |= 1 << (b >> 6)
+	} else {
+		q.slab[q.tail[b]-1].next = e
+	}
+	q.tail[b] = e
+}
+
+// scan returns the first occupied ring cycle at or after from, given that
+// none lies in [lo, from), or sim.Never when the ring is empty.
+func (q *pendingQueue) scan(from sim.Tick) sim.Tick {
+	b := int(from) & (ringTicks - 1)
+	if w := q.occ[b>>6] >> (b & 63); w != 0 { // in from's own word
+		return from + sim.Tick(bits.TrailingZeros64(w))
+	}
+	// The next non-empty word, counting circularly from the one after
+	// from's; from's own word comes last, holding cycles a ring later.
+	rest := bits.RotateLeft64(q.words, -(b>>6 + 1))
+	if rest == 0 {
+		return sim.Never
+	}
+	k := bits.TrailingZeros64(rest) + 1
+	w := (b>>6 + k) & (ringTicks/64 - 1)
+	return from - sim.Tick(b&63) + sim.Tick(64*k+bits.TrailingZeros64(q.occ[w]))
+}
+
+// pop removes the first event due at or before now and returns it, or nil
+// when none is due. The event stays valid until the next call on the queue.
+func (q *pendingQueue) pop(now sim.Tick) *pendingMsg {
+	if q.n == 0 || q.first > now {
+		return nil
+	}
+	q.n--
+	if q.first-q.lo >= ringTicks { // the ring is empty: every ring event precedes every overflow one
+		q.popped = q.far.pop()
+		if len(q.far) > 0 {
+			q.first = q.far[0].at
+		}
+		return &q.popped
+	}
+	b := int(q.first) & (ringTicks - 1)
+	e := q.head[b]
+	m := &q.slab[e-1]
+	q.head[b], m.next, q.free = m.next, q.free, e
+	if q.head[b] == 0 {
+		q.tail[b] = 0
+		if q.occ[b>>6] &^= 1 << (b & 63); q.occ[b>>6] == 0 {
+			q.words &^= 1 << (b >> 6)
+		}
+		if q.first = q.scan(q.first + 1); q.first == sim.Never && len(q.far) > 0 {
+			q.first = q.far[0].at
+		}
+	}
+	return m
+}
+
+// advance records that every event due at or before now has been popped. The
+// ring moves past now and takes in the overflow events it now covers: their
+// buckets were emptied by the pops, and no push can have reached them yet.
+func (q *pendingQueue) advance(now sim.Tick) {
+	q.lo = now + 1
+	for len(q.far) > 0 && q.far[0].at-q.lo < ringTicks {
+		q.append(q.far.pop())
+	}
+}
+
+// next returns the earliest pending cycle, or sim.Never.
+func (q *pendingQueue) next() sim.Tick {
+	if q.n == 0 {
+		return sim.Never
+	}
+	return q.first
 }
 
 // pendingHeap is a binary min-heap ordered by (at, idx) — the (time, ID)
@@ -160,13 +306,13 @@ func (h *pendingHeap) pop() pendingMsg {
 const noFloor = -sim.Never
 
 // streamDecoder is the schedule feed: it advances an iterator in lockstep
-// with a suffix-min bound, pushing the events it keeps onto a pending heap.
+// with a suffix-min bound, pushing the events it keeps onto a pending queue.
 type streamDecoder struct {
 	it      trace.Iterator
 	inject  []sim.Tick
 	sm      []sim.Tick
 	pos     int
-	pending pendingHeap
+	pending *pendingQueue
 	window  int // max pending entries; 0 = unbounded
 	// own filters which events this consumer keeps; nil keeps all. With a
 	// filter the suffix-min bound may belong to another consumer's event,
@@ -203,8 +349,8 @@ func (d *streamDecoder) decodeTo(t sim.Tick) error {
 				bytes: d.ev.Bytes,
 				class: d.ev.Class,
 			})
-			if d.window > 0 && len(d.pending) > d.window {
-				return fmt.Errorf("schedule needs %d events resident at once, exceeding the streaming window of %d; rerun with a larger window", len(d.pending), d.window)
+			if d.window > 0 && d.pending.n > d.window {
+				return fmt.Errorf("schedule needs more than %d resident events, the size of the streaming window; raise parallelism.window_events (-1 lifts the cap)", d.window)
 			}
 		}
 		d.pos++
@@ -212,14 +358,10 @@ func (d *streamDecoder) decodeTo(t sim.Tick) error {
 	return nil
 }
 
-// nextInject implements feed: the heap top among decoded events, the
-// suffix-min bound among undecoded ones.
+// nextInject implements feed: the earliest pending cycle among decoded
+// events, the suffix-min bound among undecoded ones.
 func (d *streamDecoder) nextInject() sim.Tick {
-	t := d.sm[d.pos]
-	if len(d.pending) > 0 && d.pending[0].at < t {
-		t = d.pending[0].at
-	}
-	return t
+	return min(d.sm[d.pos], d.pending.next())
 }
 
 // injectDue implements feed.
@@ -228,11 +370,11 @@ func (d *streamDecoder) injectDue(now sim.Tick, net noc.Network, pool *noc.MsgPo
 		return 0, err
 	}
 	injected := 0
-	for len(d.pending) > 0 && d.pending[0].at <= now {
-		pm := d.pending.pop()
-		inject(net, pool, uint64(pm.idx+1), pm.src, pm.dst, pm.bytes, pm.class)
+	for m := d.pending.pop(now); m != nil; m = d.pending.pop(now) {
+		inject(net, pool, uint64(m.idx+1), m.src, m.dst, m.bytes, m.class)
 		injected++
 	}
+	d.pending.advance(now)
 	return injected, nil
 }
 

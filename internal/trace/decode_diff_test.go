@@ -70,17 +70,20 @@ func compareDecoders(t *testing.T, data []byte, wrap func(io.Reader) io.Reader) 
 
 // TestBufferedDecodeMatchesBytewise holds the whole-record fast path to the
 // byte-wise decoder over the fuzz seed corpus, a trace long enough that
-// records straddle bufio refills (also fed a byte and a few bytes at a time),
-// and every single-byte truncation and corruption of a 200-event file.
+// records straddle refills of the reader's buffer (also fed a byte and a few
+// bytes at a time), and every single-byte truncation and corruption of a
+// 200-event file.
 func TestBufferedDecodeMatchesBytewise(t *testing.T) {
 	for _, data := range fuzzSeedCorpus() {
 		compareDecoders(t, data, nil)
 	}
+	// A record is at least its nine one-byte fixed fields, so this many
+	// events fill the buffer three times over.
 	var long bytes.Buffer
-	if err := WriteBinary(&long, randomStreamTrace(11, 3000, 64)); err != nil {
+	if err := WriteBinary(&long, randomStreamTrace(11, 3*readBufSize/9+1, 64)); err != nil {
 		t.Fatal(err)
 	}
-	if long.Len() < 3*4096 {
+	if long.Len() < 3*readBufSize {
 		t.Fatalf("long trace is only %d bytes", long.Len())
 	}
 	compareDecoders(t, long.Bytes(), nil)

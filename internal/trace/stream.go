@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sync"
 
 	"onocsim/internal/noc"
@@ -141,16 +142,27 @@ type Reader struct {
 	off  int64 // bytes consumed so far
 	next int   // events decoded so far
 	deps []Dep // reusable dependency buffer handed out via Event.Deps
-	err  error // sticky first error
+	// depFields holds the fast path's (delta, class) pairs of one record.
+	depFields []uint64
+	err       error // sticky first error
 	// readErr is the read error (io.EOF included) nextBuffered met while
 	// topping up the buffer. bufio forgets an error once it has reported it,
 	// so readByte hands it out when the buffered bytes run out.
 	readErr error
+	// win is what bufio held when nextBuffered last looked; the first used
+	// bytes of it are decoded but not yet discarded from bufio.
+	win  []byte
+	used int
 }
+
+// readBufSize is the Reader's buffer. Next decodes whole records in place
+// out of it and leaves only a record that straddles a refill to the byte-wise
+// decoder, so a larger buffer means fewer refills and fewer fallbacks.
+const readBufSize = 64 << 10
 
 // NewReader consumes and validates the header of a binary trace stream.
 func NewReader(r io.Reader) (*Reader, error) {
-	sr := &Reader{br: bufio.NewReader(r)}
+	sr := &Reader{br: bufio.NewReaderSize(r, readBufSize)}
 	if err := sr.readHeader(); err != nil {
 		return nil, err
 	}
@@ -289,6 +301,7 @@ func (r *Reader) Next(e *Event) (bool, error) {
 	if r.nextBuffered(e) {
 		return true, nil
 	}
+	r.settle()
 	return r.nextBytewise(e)
 }
 
@@ -309,67 +322,102 @@ func uvarintAt(buf []byte, pos int) (uint64, int) {
 	return v, pos + w
 }
 
+// uvarintsAt decodes len(out) consecutive uvarints from buf[pos:] into out
+// and returns the position after them, or -1 as uvarintAt does. The one- to
+// three-byte cases, nearly every field of a real trace, are decoded inline.
+func uvarintsAt(buf []byte, pos int, out []uint64) int {
+	for j := range out {
+		if pos+3 <= len(buf) {
+			b0, b1, b2 := uint64(buf[pos]), uint64(buf[pos+1]), uint64(buf[pos+2])
+			switch {
+			case b0 < 0x80:
+				out[j], pos = b0, pos+1
+				continue
+			case b1 < 0x80:
+				out[j], pos = b0&0x7f|b1<<7, pos+2
+				continue
+			case b2 < 0x80:
+				out[j], pos = b0&0x7f|(b1&0x7f)<<7|b2<<14, pos+3
+				continue
+			}
+		}
+		if out[j], pos = uvarintAt(buf, pos); pos < 0 {
+			return -1
+		}
+	}
+	return pos
+}
+
 // nextBuffered is Next's fast path: it decodes one whole record out of the
-// bytes bufio already holds and consumes them with a single Discard. It
+// bytes bufio already holds, which it consumes a window at a time. It
 // applies exactly nextBytewise's checks, but on any irregularity — the
 // buffer ends inside the record, an over-long varint, a failed check — it
 // consumes nothing and reports false, so nextBytewise re-decodes the record
 // and stays the sole owner of error text, record numbers and byte offsets.
 func (r *Reader) nextBuffered(e *Event) bool {
-	n := r.br.Buffered()
-	if n < minPeek && r.readErr == nil {
-		n = minPeek // top up, so that a record rarely straddles the refill
+	if len(r.win)-r.used < minPeek {
+		r.settle()
+		if r.readErr == nil {
+			// Top up, so that a record rarely straddles the refill.
+			if _, err := r.br.Peek(minPeek); err != nil {
+				r.readErr = err
+			}
+		}
+		r.win, _ = r.br.Peek(r.br.Buffered())
 	}
-	buf, err := r.br.Peek(n)
-	if err != nil {
-		r.readErr = err
-	}
+	buf := r.win[r.used:]
 	id := EventID(r.next + 1)
 	var fields [9]uint64
-	pos := 0
-	for j := range fields {
-		if fields[j], pos = uvarintAt(buf, pos); pos < 0 {
-			return false
-		}
+	pos := uvarintsAt(buf, 0, fields[:])
+	if pos < 0 {
+		return false
 	}
 	ndeps := fields[8]
 	if fields[2] > maxTick || fields[5] > maxTick || fields[6] > maxTick || fields[7] > maxTick || ndeps > uint64(r.next)+1 {
 		return false
 	}
 	r.deps = r.deps[:0]
-	for k := uint64(0); k < ndeps; k++ {
-		var delta, cls uint64
-		if delta, pos = uvarintAt(buf, pos); pos < 0 || delta == 0 || delta >= uint64(id) {
+	if ndeps > 0 {
+		if 2*ndeps > uint64(len(buf)-pos) { // (delta, class) pairs of a byte or more
 			return false
 		}
-		if cls, pos = uvarintAt(buf, pos); pos < 0 {
+		r.depFields = slices.Grow(r.depFields[:0], int(2*ndeps))[:2*ndeps]
+		if pos = uvarintsAt(buf, pos, r.depFields); pos < 0 {
 			return false
 		}
-		r.deps = append(r.deps, Dep{On: id - EventID(delta), Class: DepClass(cls)})
+		for k := 0; k < len(r.depFields); k += 2 {
+			delta := r.depFields[k]
+			if delta == 0 || delta >= uint64(id) {
+				return false
+			}
+			r.deps = append(r.deps, Dep{On: id - EventID(delta), Class: DepClass(r.depFields[k+1])})
+		}
 	}
 	r.fill(e, id, &fields)
 	if validateEvent(r.meta.Nodes, e) != nil {
 		return false
 	}
-	r.br.Discard(pos)
+	r.used += pos
 	r.off += int64(pos)
 	r.next++
 	return true
 }
 
-// fill assembles the event from its decoded fixed fields and r.deps.
+// settle discards from bufio the bytes nextBuffered has decoded, so that
+// bufio stands where decoding does.
+func (r *Reader) settle() {
+	r.br.Discard(r.used)
+	r.win, r.used = nil, 0
+}
+
+// fill writes the event's decoded fixed fields and r.deps into *e, field by
+// field: every field of Event is assigned.
 func (r *Reader) fill(e *Event, id EventID, fields *[9]uint64) {
-	*e = Event{
-		ID:        id,
-		Src:       int(fields[0]),
-		Dst:       int(fields[1]),
-		Bytes:     int(fields[2]),
-		Class:     noc.Class(fields[3]),
-		Kind:      Kind(fields[4]),
-		Gap:       sim.Tick(fields[5]),
-		RefInject: sim.Tick(fields[6]),
-		RefArrive: sim.Tick(fields[7]),
-	}
+	e.ID = id
+	e.Src, e.Dst, e.Bytes = int(fields[0]), int(fields[1]), int(fields[2])
+	e.Class, e.Kind = noc.Class(fields[3]), Kind(fields[4])
+	e.Gap, e.RefInject, e.RefArrive = sim.Tick(fields[5]), sim.Tick(fields[6]), sim.Tick(fields[7])
+	e.Deps = nil
 	if len(r.deps) > 0 {
 		e.Deps = r.deps
 	}

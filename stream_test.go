@@ -3,6 +3,7 @@ package onocsim
 import (
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"onocsim/internal/noc"
@@ -198,9 +199,11 @@ func holdoutTrace(n int) *Trace {
 
 // TestStreamWindowTooSmallErrors pins the window-cap contract: a schedule that
 // needs more resident events than the window fails loudly and immediately —
-// no deadlock, no silent reorder. The cap bounds what is read ahead from a
-// file; a trace already in memory has nothing to bound. Once the window covers
-// the holdout span, the file's correction is the resident trace's.
+// no deadlock, no silent reorder — with an error that says what the window
+// was and which document field raises it. The cap bounds what is read ahead
+// from a file; a trace already in memory has nothing to bound. Once the
+// window covers the holdout span, the file's correction is the resident
+// trace's.
 func TestStreamWindowTooSmallErrors(t *testing.T) {
 	tr := holdoutTrace(10)
 	cfg := smallConfig()
@@ -218,6 +221,9 @@ func TestStreamWindowTooSmallErrors(t *testing.T) {
 		got, _, err := uncached.RunSelfCorrectionContext(bg, cfg, tc.src, IdealNet)
 		if tc.fits != (err == nil) || tc.fits && !reflect.DeepEqual(got, want) {
 			t.Fatalf("%T window=%d: err = %v, want fits = %v and the resident result\n got: %+v\nwant: %+v", tc.src, tc.window, err, tc.fits, got, want)
+		}
+		if msg := "schedule needs more than 4 resident events, the size of the streaming window; raise parallelism.window_events (-1 lifts the cap)"; err != nil && !strings.Contains(err.Error(), msg) {
+			t.Fatalf("window=%d: error %q does not say %q", tc.window, err, msg)
 		}
 	}
 }
