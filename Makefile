@@ -32,11 +32,15 @@ fmt-check:
 # for a new knob, entry point, or *Trace-only path.
 # internal/fabric is the fabric contract suite (every variant fabric.Build
 # returns × three traffic sources) plus FuzzConfig's seed corpus, well under 1 s.
+# The merge property tests are why a sharded replay cannot change a result:
+# statistics blocks recorded from any split of a delivery log, each part
+# shuffled, merge in any order into the block of the whole log.
 check: vet fmt-check sweep-smoke
 	$(GO) test ./cmd/expreport/ -run TestGolden -count=1
 	$(GO) test . -run 'TestDocsResolve|Surface|TestFileMatchesResident' -count=1
 	$(GO) test ./internal/fabric/ -count=1
 	$(GO) test -short ./internal/enoc/ ./internal/onoc/ ./internal/trace/ ./internal/core/ -run 'DifferentialAgainstReference|BufferedDecodeMatchesBytewise|EngineAgainstReference' -count=1
+	$(GO) test ./internal/noc/ ./internal/metrics/ -run 'MergeIs' -count=1
 
 # Non-test Go lines per package directory and in total, bench/ excluded (it is
 # the measuring instrument, not the product): the count ROADMAP's "net negative
@@ -61,8 +65,8 @@ test: vet
 # The simulators are single-goroutine by design; the race detector guards the
 # few places that are not. In the replay engine (internal/core) a K > 1 replay
 # runs K goroutines that never synchronize until they finish: what must hold
-# is that they write disjoint indices of the shared result and observation
-# vectors, append to their own checkpoint ladder only (capture and restore
+# is that they write disjoint indices of the shared result vectors, append to
+# their own checkpoint ladder and statistics block only (capture and restore
 # run inside the shard goroutine), and each decode their own pass of the
 # source (internal/trace sources hand out concurrent passes) — the reference,
 # incremental and park/resume tests cover every fabric x preset x shard

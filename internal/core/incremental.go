@@ -43,20 +43,17 @@ type checkpoint struct {
 }
 
 // lastRun is what the ladder keeps between runs: the previous schedule, its
-// realized times and shard observations (K > 1), and one ladder per lane.
+// realized times, and one ladder per lane.
 type lastRun struct {
 	inject  []sim.Tick // nil before the first completed run
 	injRes  []sim.Tick
 	arrive  []sim.Tick
-	obs     []noc.ShardObs
-	hasObs  []bool
 	ladders [][]checkpoint
 }
 
-func (p *lastRun) remember(inject []sim.Tick, res *ReplayResult, obs []noc.ShardObs, hasObs []bool) {
+func (p *lastRun) remember(inject []sim.Tick, res *ReplayResult) {
 	p.inject = append(p.inject[:0], inject...)
 	p.injRes, p.arrive = res.Inject, res.Arrive
-	p.obs, p.hasObs = obs, hasObs
 }
 
 // pruneLadder drops checkpoints invalidated by boundary b (at ≥ b, strict
@@ -111,11 +108,10 @@ func ladderCapture(net noc.Network, ladder *[]checkpoint, thresholds []int) func
 
 // resume prunes every lane's ladder against the new schedule and restores
 // the deepest surviving checkpoint onto the lane's fabric, leaving the lane
-// positioned there: floor at the checkpoint cycle, injected and
-// delivered counts, realized times and observations carried over from the
-// previous run. Lanes with no surviving checkpoint are left untouched and
-// start from cycle zero.
-func (r *replayer) resume(lanes []lane, inject []sim.Tick, res *ReplayResult, obs []noc.ShardObs, hasObs []bool) {
+// positioned there: floor at the checkpoint cycle, injected and delivered
+// counts and realized times carried over from the previous run. Lanes with no
+// surviving checkpoint are left untouched and start from cycle zero.
+func (r *replayer) resume(lanes []lane, inject []sim.Tick, res *ReplayResult) {
 	p := &r.last
 	for len(p.ladders) < len(lanes) {
 		p.ladders = append(p.ladders, nil)
@@ -174,13 +170,6 @@ func (r *replayer) resume(lanes []lane, inject []sim.Tick, res *ReplayResult, ob
 			res.Inject[i] = p.injRes[i]
 			res.Arrive[i] = p.arrive[i]
 			l.delivered++
-		}
-		// Observations are recorded at transmit start (crossbars) or
-		// injection (ideal); starts at or before the checkpoint carry over,
-		// later ones re-record during the resumed run.
-		if obs != nil && p.hasObs[i] && p.obs[i].Start <= t0 {
-			obs[i] = p.obs[i]
-			hasObs[i] = true
 		}
 	}
 }

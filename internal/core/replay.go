@@ -141,9 +141,9 @@ func finalize(res *ReplayResult, refMakespan, maxRef sim.Tick) sim.Tick {
 //   - the feed (stream.go) decodes the source inside a bounded read-ahead
 //     window; a resident trace is the unbounded case;
 //   - K > 1 on a noc.ScheduleShardable fabric splits the events over K
-//     replica fabrics, drains each to completion in its own goroutine and
-//     merges the statistics (sharded.go); K = 1 is the serial case, run in
-//     the caller's goroutine with the fabric's own statistics block;
+//     replica fabrics (sharded.go), drains each to completion in its own
+//     goroutine and merges their statistics blocks; K = 1 is the serial
+//     case, run in the caller's goroutine with the fabric's own block;
 //   - the checkpoint ladder (incremental.go) lets a run resume from the
 //     deepest fabric snapshot of the previous run that the new schedule
 //     leaves valid.
@@ -164,11 +164,10 @@ func finalize(res *ReplayResult, refMakespan, maxRef sim.Tick) sim.Tick {
 // barrier.
 //
 // Per-message times then match the serial run by the skip-equivalence
-// invariant (every Tick strictly before NextWake is a no-op), and the serial
-// statistics — order-sensitive Welford accumulators included — are
-// reconstructed by replaying every statistics mutation in the serial run's
-// exact order, recovered from (cycle, phase, fabric scan position); see
-// mergeStats.
+// invariant (every Tick strictly before NextWake is a no-op). Each replica
+// records exactly the samples the serial run records for its owned events,
+// and a noc.Stats block is integer-exact and independent of sample order, so
+// the replicas' blocks merged are the serial block.
 //
 // Fabrics that do not implement noc.ScheduleShardable (the wormhole mesh,
 // whose flits contend for shared links every cycle, and the hybrid fabric
@@ -294,19 +293,12 @@ func (r *replayer) replay(inject []sim.Tick) (ReplayResult, error) {
 		return ReplayResult{}, fmt.Errorf("core: %d injection times for %d events", len(inject), n)
 	}
 	k := 1
-	if sh, ok := net0.(noc.ScheduleShardable); ok {
-		if k = min(r.shards, net0.Nodes()); k <= 1 {
-			k = 1
-			sh.SetShardObs(nil)
-		}
+	if _, ok := net0.(noc.ScheduleShardable); ok {
+		k = max(min(r.shards, net0.Nodes()), 1)
 	}
 	res := ReplayResult{Inject: make([]sim.Tick, n), Arrive: make([]sim.Tick, n)}
 	lanes := make([]lane, k)
 	lanes[0].want = n
-	// Per-message fabric observations, written at disjoint indices by the
-	// owning shard (each message is observed only by its own replica).
-	var obs []noc.ShardObs
-	var hasObs []bool
 	if k > 1 {
 		if err := r.split(net0.(noc.ScheduleShardable), k); err != nil {
 			return ReplayResult{}, err
@@ -314,11 +306,10 @@ func (r *replayer) replay(inject []sim.Tick) (ReplayResult, error) {
 		for s := range lanes {
 			lanes[s].want = r.part.want[s]
 		}
-		obs, hasObs = make([]noc.ShardObs, n), make([]bool, n)
 	}
 	_, keep := net0.(noc.Checkpointer)
 	if keep = keep && r.ladder; keep {
-		r.resume(lanes, inject, &res, obs, hasObs)
+		r.resume(lanes, inject, &res)
 	}
 
 	for s := range lanes {
@@ -340,19 +331,13 @@ func (r *replayer) replay(inject []sim.Tick) (ReplayResult, error) {
 			l.delivered++
 			l.slot.pool.Put(m)
 		})
-		if k > 1 {
-			l.net.(noc.ScheduleShardable).SetShardObs(func(id uint64, o noc.ShardObs) {
-				obs[id-1] = o
-				hasObs[id-1] = true
-			})
-		}
 		if keep {
 			l.capture = ladderCapture(l.net, &r.last.ladders[s], captureThresholds(l.want, l.injected))
 		}
 	}
 
-	// Replicas are fully independent, and every shared-slice write (res,
-	// obs, a ladder) lands at indices owned by exactly one lane.
+	// Replicas are fully independent, and every shared-slice write (res, a
+	// ladder) lands at indices owned by exactly one lane.
 	dec := streamDecoder{inject: inject, sm: suffixMinInject(inject), window: r.window}
 	if k == 1 {
 		lanes[0].drain(r.src, dec)
@@ -378,30 +363,25 @@ func (r *replayer) replay(inject []sim.Tick) (ReplayResult, error) {
 		}
 	}
 
+	// Each event passed through the decoder of the lane that owns it, which
+	// folded in the event's capture-run arrival on the way.
+	var maxRef sim.Tick
+	for s := range lanes {
+		maxRef = max(maxRef, lanes[s].maxRef)
+	}
+	maxArr := finalize(&res, r.meta.RefMakespan, maxRef)
 	if k == 1 {
-		// Every event passed through the one decoder, which folded in the
-		// capture run's last arrival on the way.
-		finalize(&res, r.meta.RefMakespan, lanes[0].maxRef)
 		res.Cycles, res.NetStats = lanes[0].net.Now(), lanes[0].net.Stats()
 	} else {
-		stats, err := r.mergeStats(&res, inject, obs, hasObs, net0.(noc.ScheduleShardable).SeqOrder())
-		if err != nil {
-			return ReplayResult{}, err
-		}
-		// Fault events are per-channel, and every channel is owned by
-		// exactly one shard, so each replica's counters reproduce the
-		// serial run's tallies for its owned channels and zero elsewhere;
-		// summation is order-insensitive, hence equal to the serial totals.
-		for s := range lanes {
-			stats.Faults.Add(lanes[s].net.Stats().Faults)
-		}
 		// The serial loop exits on the Tick that delivers the last message,
 		// so its final clock equals the last arrival.
-		res.Cycles = finalize(&res, r.meta.RefMakespan, r.part.maxRef)
-		res.NetStats = stats
+		res.Cycles, res.NetStats = maxArr, noc.NewStats()
+		for s := range lanes {
+			res.NetStats.Merge(lanes[s].net.Stats())
+		}
 	}
 	if keep {
-		r.last.remember(inject, &res, obs, hasObs)
+		r.last.remember(inject, &res)
 	}
 	return res, nil
 }

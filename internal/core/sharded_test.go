@@ -40,8 +40,8 @@ func selfCorrectShards(factory NetworkFactory, tr *trace.Trace, cfg config.SCTM,
 
 // TestShardedReplayMatchesSerial: for random traces, the sharded replay is
 // byte-identical to the serial engine — per-event times, makespan, cycle
-// count, and the full order-sensitive statistics block — for every shard
-// count, on every fabric family.
+// count, and the full statistics block — for every shard count, on every
+// fabric family.
 func TestShardedReplayMatchesSerial(t *testing.T) {
 	const nodes = 16
 	for name, mk := range shardFabrics(nodes) {

@@ -415,7 +415,7 @@ func (f *captureFeed) advance() error {
 		return err
 	}
 	if f.injected > 0 && f.cur.RefInject < prev {
-		return fmt.Errorf("summary replay requires capture order, but event %d injects at %d after event %d at %d; use NaiveReplayStream", f.cur.ID, f.cur.RefInject, f.cur.ID-1, prev)
+		return fmt.Errorf("summary replay requires capture order, but event %d injects at %d after event %d at %d; replay it with Session.RunNaiveReplayContext", f.cur.ID, f.cur.RefInject, f.cur.ID-1, prev)
 	}
 	return nil
 }

@@ -214,8 +214,8 @@ func (n *Network) eject(node int, f flit) {
 	}
 	m.Arrive = n.now
 	n.stats.RecordDelivery(m)
-	n.stats.HopCount.Add(float64(p.hops))
-	n.stats.QueueDelay.Add(float64(p.enterNI - m.Inject))
+	n.stats.HopCount.Add(int64(p.hops))
+	n.stats.QueueDelay.Add(int64(p.enterNI - m.Inject))
 	n.pktFree = append(n.pktFree, p)
 	n.inflight--
 	if n.deliver != nil {

@@ -205,8 +205,8 @@ func (n *refNetwork) eject(node int, f *refFlit) {
 	}
 	m.Arrive = n.now
 	n.stats.RecordDelivery(m)
-	n.stats.HopCount.Add(float64(p.hops))
-	n.stats.QueueDelay.Add(float64(p.enterNI - m.Inject))
+	n.stats.HopCount.Add(int64(p.hops))
+	n.stats.QueueDelay.Add(int64(p.enterNI - m.Inject))
 	n.inflight--
 	if n.deliver != nil {
 		n.deliver(m)

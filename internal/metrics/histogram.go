@@ -4,14 +4,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"strings"
+	"slices"
 )
 
-// Histogram is a fixed-boundary histogram over float64 observations with an
-// exact streaming Summary alongside the bucketed counts. Buckets are
-// half-open intervals [bound[i-1], bound[i]); observations below the first
-// bound land in bucket 0 and observations at or above the last bound land in
-// the overflow bucket.
+// Histogram is a fixed-boundary histogram over integer observations with an
+// exact Summary alongside the bucketed counts. Buckets are half-open
+// intervals [bound[i-1], bound[i]); observations below the first bound land
+// in bucket 0 and observations at or above the last bound land in the
+// overflow bucket. Like the Summary, its state is a set of integer sums, so
+// it does not depend on the order of the Adds.
 type Histogram struct {
 	bounds []float64
 	counts []uint64
@@ -50,13 +51,14 @@ func NewLatencyHistogram(maxExp int) *Histogram {
 }
 
 // Add records one observation.
-func (h *Histogram) Add(x float64) {
+func (h *Histogram) Add(x int64) {
 	h.sum.Add(x)
 	// Binary search for the first bound > x.
+	v := float64(x)
 	lo, hi := 0, len(h.bounds)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if x < h.bounds[mid] {
+		if v < h.bounds[mid] {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -65,17 +67,24 @@ func (h *Histogram) Add(x float64) {
 	h.counts[lo]++
 }
 
+// Merge folds o, which must have the same bounds, into h: afterwards h equals
+// the histogram of both streams. It panics on different bounds, for the same
+// reason NewHistogram panics on bad ones.
+func (h *Histogram) Merge(o *Histogram) {
+	if !slices.Equal(h.bounds, o.bounds) {
+		panic("metrics: merging histograms with different bounds")
+	}
+	for i, c := range o.counts {
+		h.counts[i] += c
+	}
+	h.sum.Merge(&o.sum)
+}
+
 // Count returns the total number of observations.
 func (h *Histogram) Count() uint64 { return h.sum.Count() }
 
 // Mean returns the exact (not bucketed) mean of the observations.
 func (h *Histogram) Mean() float64 { return h.sum.Mean() }
-
-// Max returns the exact maximum observation.
-func (h *Histogram) Max() float64 { return h.sum.Max() }
-
-// Summary returns a copy of the exact streaming summary.
-func (h *Histogram) Summary() Summary { return h.sum }
 
 // ApproxPercentile estimates the p-th percentile from bucket boundaries,
 // attributing each bucket's mass to its upper bound (conservative for
@@ -102,41 +111,10 @@ func (h *Histogram) ApproxPercentile(p float64) float64 {
 			if i < len(h.bounds) {
 				return h.bounds[i]
 			}
-			return h.sum.Max()
+			break
 		}
 	}
-	return h.sum.Max()
-}
-
-// Render draws a proportional ASCII bar chart of the distribution, width
-// characters wide, for experiment reports.
-func (h *Histogram) Render(width int) string {
-	if width < 8 {
-		width = 8
-	}
-	var maxCount uint64
-	for _, c := range h.counts {
-		if c > maxCount {
-			maxCount = c
-		}
-	}
-	var b strings.Builder
-	prev := math.Inf(-1)
-	for i, c := range h.counts {
-		var label string
-		if i < len(h.bounds) {
-			label = fmt.Sprintf("[%8.4g,%8.4g)", prev, h.bounds[i])
-			prev = h.bounds[i]
-		} else {
-			label = fmt.Sprintf("[%8.4g,     inf)", prev)
-		}
-		bar := 0
-		if maxCount > 0 {
-			bar = int(float64(c) / float64(maxCount) * float64(width))
-		}
-		fmt.Fprintf(&b, "%s %10d %s\n", label, c, strings.Repeat("#", bar))
-	}
-	return b.String()
+	return float64(h.sum.Max())
 }
 
 // histogramJSON mirrors the unexported state for serialization; see the
@@ -179,9 +157,5 @@ func (h *Histogram) UnmarshalJSON(data []byte) error {
 // copy leaves the other untouched. The checkpoint machinery relies on this to
 // snapshot a fabric's statistics block mid-run.
 func (h *Histogram) Clone() *Histogram {
-	b := make([]float64, len(h.bounds))
-	copy(b, h.bounds)
-	c := make([]uint64, len(h.counts))
-	copy(c, h.counts)
-	return &Histogram{bounds: b, counts: c, sum: h.sum}
+	return &Histogram{bounds: slices.Clone(h.bounds), counts: slices.Clone(h.counts), sum: h.sum}
 }

@@ -1,17 +1,16 @@
 package metrics
 
 import (
-	"strings"
 	"testing"
 	"testing/quick"
 )
 
 func TestHistogramBuckets(t *testing.T) {
 	h := NewHistogram([]float64{10, 20, 30})
-	for _, v := range []float64{5, 9.99, 10, 15, 25, 30, 100} {
+	for _, v := range []int64{5, 9, 10, 15, 25, 30, 100} {
 		h.Add(v)
 	}
-	// [-inf,10): 5, 9.99 → 2 ; [10,20): 10, 15 → 2 ; [20,30): 25 → 1 ;
+	// [-inf,10): 5, 9 → 2 ; [10,20): 10, 15 → 2 ; [20,30): 25 → 1 ;
 	// [30,inf): 30, 100 → 2.
 	want := []uint64{2, 2, 1, 2}
 	for i, w := range want {
@@ -29,16 +28,14 @@ func TestHistogramBuckets(t *testing.T) {
 
 func TestHistogramExactMean(t *testing.T) {
 	h := NewLatencyHistogram(10)
-	var sum float64
-	for i := 1; i <= 100; i++ {
-		h.Add(float64(i))
-		sum += float64(i)
+	for i := int64(1); i <= 100; i++ {
+		h.Add(i)
 	}
-	if got := h.Mean(); got != sum/100 {
-		t.Fatalf("mean = %g, want exact %g", got, sum/100)
+	if got := h.Mean(); got != 50.5 {
+		t.Fatalf("mean = %g, want exact 50.5", got)
 	}
-	if h.Max() != 100 {
-		t.Fatalf("max = %g", h.Max())
+	if h.sum.Max() != 100 {
+		t.Fatalf("max = %d", h.sum.Max())
 	}
 }
 
@@ -67,7 +64,7 @@ func TestHistogramPercentileMonotone(t *testing.T) {
 	h := NewLatencyHistogram(12)
 	if err := quick.Check(func(vals []uint16) bool {
 		for _, v := range vals {
-			h.Add(float64(v))
+			h.Add(int64(v))
 		}
 		prev := 0.0
 		for p := 0.0; p <= 100; p += 10 {
@@ -93,21 +90,5 @@ func TestHistogramInvalidBoundsPanic(t *testing.T) {
 			}()
 			NewHistogram(bounds)
 		}()
-	}
-}
-
-func TestHistogramRender(t *testing.T) {
-	h := NewHistogram([]float64{10})
-	for i := 0; i < 5; i++ {
-		h.Add(1)
-	}
-	h.Add(100)
-	out := h.Render(20)
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("render produced %d lines, want 2:\n%s", len(lines), out)
-	}
-	if !strings.Contains(lines[0], "#") {
-		t.Fatalf("populated bucket has no bar:\n%s", out)
 	}
 }

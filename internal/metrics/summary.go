@@ -7,103 +7,141 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/big"
+	"math/bits"
 )
 
-// Summary accumulates a stream of float64 observations with O(1) memory
-// using Welford's online algorithm. The zero value is an empty summary ready
-// to use.
+// Summary accumulates a stream of integer observations (cycle counts) with
+// O(1) memory: the count, Σx and Σx² as exact 128-bit integers, and the
+// extremes. Every field is an integer, so the state does not depend on the
+// order of the Adds, and Merge of two summaries is exactly the summary of
+// both streams — which is what lets sharded replicas' statistics add up to the
+// serial run's. The sums overflow only past 2^127. The zero value is an empty
+// summary ready to use.
 type Summary struct {
-	n    uint64
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-	sum  float64
+	n          uint64
+	sum, sumSq int128
+	min, max   int64
+}
+
+// int128 is a two's-complement 128-bit integer.
+type int128 struct{ hi, lo uint64 }
+
+func (a int128) plus(b int128) int128 {
+	lo, carry := bits.Add64(a.lo, b.lo, 0)
+	hi, _ := bits.Add64(a.hi, b.hi, carry)
+	return int128{hi, lo}
+}
+
+// big returns a as a big.Int.
+func (a int128) big() *big.Int {
+	b := big.NewInt(int64(a.hi))
+	b.Lsh(b, 64)
+	return b.Add(b, new(big.Int).SetUint64(a.lo))
+}
+
+// float returns a rounded to the nearest float64.
+func (a int128) float() float64 {
+	if a.hi == uint64(int64(a.lo)>>63) { // fits in 64 bits
+		return float64(int64(a.lo))
+	}
+	f, _ := new(big.Float).SetInt(a.big()).Float64()
+	return f
+}
+
+// int128Of converts b, nil meaning zero.
+func int128Of(b *big.Int) (int128, error) {
+	if b == nil {
+		return int128{}, nil
+	}
+	if b.BitLen() > 127 {
+		return int128{}, fmt.Errorf("metrics: summary sum %v overflows 128 bits", b)
+	}
+	lo := new(big.Int).And(b, new(big.Int).SetUint64(math.MaxUint64)).Uint64()
+	return int128{uint64(new(big.Int).Rsh(b, 64).Int64()), lo}, nil
 }
 
 // Add records one observation.
-func (s *Summary) Add(x float64) {
-	s.n++
-	s.sum += x
-	if s.n == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
+func (s *Summary) Add(x int64) {
+	if s.n == 0 || x < s.min {
+		s.min = x
 	}
-	d := x - s.mean
-	s.mean += d / float64(s.n)
-	s.m2 += d * (x - s.mean)
+	if s.n == 0 || x > s.max {
+		s.max = x
+	}
+	s.n++
+	s.sum = s.sum.plus(int128{uint64(x >> 63), uint64(x)})
+	u := uint64(x)
+	if x < 0 {
+		u = -u
+	}
+	hi, lo := bits.Mul64(u, u)
+	s.sumSq = s.sumSq.plus(int128{hi, lo})
+}
+
+// Merge folds o into s: afterwards s equals the summary that Adding both
+// streams, in any order, would have built.
+func (s *Summary) Merge(o *Summary) {
+	if o.n == 0 {
+		return
+	}
+	if s.n == 0 {
+		*s = *o
+		return
+	}
+	s.n += o.n
+	s.sum = s.sum.plus(o.sum)
+	s.sumSq = s.sumSq.plus(o.sumSq)
+	s.min = min(s.min, o.min)
+	s.max = max(s.max, o.max)
 }
 
 // Count returns the number of observations.
 func (s *Summary) Count() uint64 { return s.n }
-
-// Sum returns the sum of all observations.
-func (s *Summary) Sum() float64 { return s.sum }
 
 // Mean returns the arithmetic mean, or 0 for an empty summary.
 func (s *Summary) Mean() float64 {
 	if s.n == 0 {
 		return 0
 	}
-	return s.mean
+	return s.sum.float() / float64(s.n)
 }
 
 // Min returns the smallest observation, or 0 for an empty summary.
-func (s *Summary) Min() float64 { return s.min }
+func (s *Summary) Min() int64 { return s.min }
 
 // Max returns the largest observation, or 0 for an empty summary.
-func (s *Summary) Max() float64 { return s.max }
+func (s *Summary) Max() int64 { return s.max }
 
-// Variance returns the unbiased sample variance, or 0 with fewer than two
-// observations.
+// Variance returns the unbiased sample variance, (nΣx² − (Σx)²) / (n(n−1))
+// rounded once, or 0 with fewer than two observations.
 func (s *Summary) Variance() float64 {
 	if s.n < 2 {
 		return 0
 	}
-	return s.m2 / float64(s.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (s *Summary) StdDev() float64 { return math.Sqrt(s.Variance()) }
-
-// CI95 returns the half-width of the 95% confidence interval of the mean
-// under the normal approximation.
-func (s *Summary) CI95() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return 1.96 * s.StdDev() / math.Sqrt(float64(s.n))
-}
-
-// String renders a compact human-readable summary.
-func (s *Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.3f min=%.3f max=%.3f sd=%.3f",
-		s.n, s.Mean(), s.min, s.max, s.StdDev())
+	n := new(big.Int).SetUint64(s.n)
+	sum := s.sum.big()
+	num := new(big.Int).Mul(n, s.sumSq.big())
+	num.Sub(num, sum.Mul(sum, sum))
+	den := n.Mul(n, new(big.Int).SetUint64(s.n-1))
+	v, _ := new(big.Rat).SetFrac(num, den).Float64()
+	return v
 }
 
 // summaryJSON mirrors the unexported accumulator state so summaries survive
 // serialization (the simulation result cache persists stats blocks across
-// process invocations). Every field is finite in every reachable state — the
-// zero value keeps min/max at 0 rather than ±Inf — so encoding/json can
-// always represent it.
+// process invocations). The sums are JSON integers of any width.
 type summaryJSON struct {
-	N    uint64  `json:"n"`
-	Mean float64 `json:"mean"`
-	M2   float64 `json:"m2"`
-	Min  float64 `json:"min"`
-	Max  float64 `json:"max"`
-	Sum  float64 `json:"sum"`
+	N     uint64   `json:"n"`
+	Sum   *big.Int `json:"sum"`
+	SumSq *big.Int `json:"sum_sq"`
+	Min   int64    `json:"min"`
+	Max   int64    `json:"max"`
 }
 
 // MarshalJSON serializes the full accumulator state.
 func (s Summary) MarshalJSON() ([]byte, error) {
-	return json.Marshal(summaryJSON{N: s.n, Mean: s.mean, M2: s.m2, Min: s.min, Max: s.max, Sum: s.sum})
+	return json.Marshal(summaryJSON{N: s.n, Sum: s.sum.big(), SumSq: s.sumSq.big(), Min: s.min, Max: s.max})
 }
 
 // UnmarshalJSON restores a summary written by MarshalJSON.
@@ -112,8 +150,32 @@ func (s *Summary) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &j); err != nil {
 		return err
 	}
-	*s = Summary{n: j.N, mean: j.Mean, m2: j.M2, min: j.Min, max: j.Max, sum: j.Sum}
+	sum, err := int128Of(j.Sum)
+	if err != nil {
+		return err
+	}
+	sumSq, err := int128Of(j.SumSq)
+	if err != nil {
+		return err
+	}
+	*s = Summary{n: j.N, sum: sum, sumSq: sumSq, min: j.Min, max: j.Max}
 	return nil
+}
+
+// MeanCI95 returns the mean of xs (at least two values) and the half-width
+// of its 95% confidence interval under the normal approximation — for the
+// few non-integer samples a study repeats, such as one error per seed.
+func MeanCI95(xs []float64) (mean, ci float64) {
+	n := float64(len(xs))
+	for _, x := range xs {
+		mean += x
+	}
+	mean /= n
+	var ss float64
+	for _, x := range xs {
+		ss += (x - mean) * (x - mean)
+	}
+	return mean, 1.96 * math.Sqrt(ss/(n-1)) / math.Sqrt(n)
 }
 
 // RelErr returns the relative error |measured-reference|/|reference|,

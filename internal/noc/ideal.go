@@ -17,7 +17,6 @@ type Ideal struct {
 	bytesPerC int
 	now       sim.Tick
 	deliver   DeliverFunc
-	shardObs  ShardObsFunc
 	stats     *Stats
 
 	// nextFree[n] is the first cycle node n's injection port is free,
@@ -76,10 +75,7 @@ func (n *Ideal) Inject(m *Message) {
 		n.nextFree[m.Src] = start + ser
 		start += ser - 1
 	}
-	n.stats.QueueDelay.Add(float64(start - n.now))
-	if n.shardObs != nil {
-		n.shardObs(m.ID, ShardObs{Start: n.now, Queue: float64(start - n.now)})
-	}
+	n.stats.QueueDelay.Add(int64(start - n.now))
 	at := start + n.latency
 	if m.Src == m.Dst {
 		at = n.now + 1
@@ -163,13 +159,11 @@ func (n *Ideal) Restore(s Snapshot) {
 // owned by its source.
 func (n *Ideal) ShardNode(src, dst int) int { return src }
 
-// SetShardObs implements ScheduleShardable. Like the delivery callback, the
-// sink survives Reset.
-func (n *Ideal) SetShardObs(fn ShardObsFunc) { n.shardObs = fn }
+// SetShardObs implements ScheduleShardable; the sink is ignored.
+func (n *Ideal) SetShardObs(ShardObsFunc) {}
 
-// SeqOrder implements ScheduleShardable: messages enter the delivery queue at
-// Inject, so same-cycle deliveries complete in injection order.
-func (n *Ideal) SeqOrder() SeqOrder { return SeqByInjection }
+// SeqOrder implements ScheduleShardable; see ShardObsFunc.
+func (n *Ideal) SeqOrder() SeqOrder { return 0 }
 
 // ZeroLoadLatency implements Network.
 func (n *Ideal) ZeroLoadLatency(src, dst, bytes int) sim.Tick {

@@ -126,38 +126,15 @@ type Network interface {
 	SkipTo(t sim.Tick)
 }
 
-// ShardObs is the fabric-side observation the sharded replay engine needs to
-// reconstruct serial statistics without re-deriving fabric-internal decisions.
-// For crossbars it is recorded when a queued message wins its channel (Start =
-// the transmit-start cycle, Queue = the token/channel wait); for the ideal
-// fabric it is recorded at injection (Start = the injection cycle, Queue = the
-// bandwidth-cap stall). Fabrics emit at most one observation per message and
-// none for messages whose serial path records no such sample.
-type ShardObs struct {
-	Start sim.Tick
-	Queue float64
-}
+// ShardObsFunc and SeqOrder remain only because the benchmark harness
+// forwards them through ScheduleShardable. A sharded replay merges its
+// replicas' statistics by summing them (Stats.Merge), so it needs no
+// per-message observation and no knowledge of a fabric's same-cycle delivery
+// order: every fabric ignores the sink and reports the zero SeqOrder.
+type ShardObsFunc func(id uint64)
 
-// ShardObsFunc receives the per-message observation for message ID id.
-type ShardObsFunc func(id uint64, obs ShardObs)
-
-// SeqOrder names the rule a fabric uses to break ties between deliveries that
-// complete at the same cycle, so a sharded merge can reproduce the serial
-// delivery order without access to the serial sequence counter.
+// SeqOrder is not consulted; see ShardObsFunc.
 type SeqOrder int
-
-const (
-	// SeqByService orders same-cycle deliveries by when and where their
-	// transmission started: first by transmit-start cycle, then — for
-	// transmissions starting the same cycle — by the fabric's channel scan
-	// order (== ShardNode), with locally-delivered self-messages sorting
-	// after all transmissions of their injection cycle, by message ID.
-	SeqByService SeqOrder = iota
-	// SeqByInjection orders same-cycle deliveries by global injection
-	// rank: the fabric assigns sequence numbers at Inject, so the serial
-	// tie-break is the order messages entered the network.
-	SeqByInjection
-)
 
 // ScheduleShardable is implemented by fabrics whose schedule-driven replay —
 // injections fixed up front, no delivery→injection feedback — factorizes into
@@ -173,9 +150,8 @@ type ScheduleShardable interface {
 	// ShardNode returns the node index that owns all fabric resources a
 	// src→dst message touches.
 	ShardNode(src, dst int) int
-	// SetShardObs registers the observation sink; nil disables it.
+	// SetShardObs and SeqOrder are no-ops; see ShardObsFunc.
 	SetShardObs(fn ShardObsFunc)
-	// SeqOrder reports the fabric's same-cycle delivery tie-break rule.
 	SeqOrder() SeqOrder
 }
 
@@ -196,14 +172,13 @@ type Snapshot interface {
 //
 // The contract mirrors Resettable: Restore(s) must leave the fabric
 // observationally identical to the one Snapshot was called on at that
-// instant — clock, statistics (Welford accumulators included), every queued
-// and in-flight message, arbitration state (token positions, credits,
-// round-robin pointers), and fault counters. Like Reset, the delivery and
-// shard-observation callbacks are deliberately left in place. Restore
-// deep-copies *from* the snapshot, so one snapshot may be restored any
-// number of times, onto the originating instance or any identically
-// configured one. State that is immutable or a pure function of the
-// configuration (topology wiring, photonic budgets, lazily materialized
+// instant — clock, statistics, every queued and in-flight message,
+// arbitration state (token positions, credits, round-robin pointers), and
+// fault counters. Like Reset, the delivery callback is deliberately left in
+// place. Restore deep-copies *from* the snapshot, so one snapshot may be
+// restored any number of times, onto the originating instance or any
+// identically configured one. State that is immutable or a pure function of
+// the configuration (topology wiring, photonic budgets, lazily materialized
 // fault timelines, serialization memo tables, free lists) is exempt.
 type Checkpointer interface {
 	// Snapshot captures the fabric's mutable state at the current cycle.
@@ -272,7 +247,11 @@ func (p *MsgPool) Put(m *Message) {
 	p.free = append(p.free, m)
 }
 
-// Stats aggregates the counters every fabric maintains.
+// Stats aggregates the counters every fabric maintains. Every field is an
+// integer count or an integer-exact summary of integer cycle counts, so a
+// block does not depend on the order its samples arrived in, and Merge of two
+// blocks equals the block of both sample streams. That is why a sharded
+// replay's statistics are its replicas' blocks merged.
 type Stats struct {
 	Injected  uint64
 	Delivered uint64
@@ -296,8 +275,7 @@ type Stats struct {
 
 // FaultCounts tallies fault events by class. Each event is attributable to
 // exactly one channel, and every counter is a plain sum, so sharded replicas'
-// counts add up to the serial run's — the property that keeps faulted runs
-// shard-invariant.
+// counts add up to the serial run's.
 type FaultCounts struct {
 	// TokenLosses counts lost-token events (each stalls one MWSR home
 	// channel until its timeout-and-regenerate recovery fires).
@@ -313,7 +291,7 @@ type FaultCounts struct {
 	Rerouted uint64
 }
 
-// Add accumulates another tally (used when merging shard replicas).
+// Add accumulates another tally.
 func (f *FaultCounts) Add(o FaultCounts) {
 	f.TokenLosses += o.TokenLosses
 	f.DriftedSends += o.DriftedSends
@@ -321,9 +299,24 @@ func (f *FaultCounts) Add(o FaultCounts) {
 	f.Rerouted += o.Rerouted
 }
 
+// Merge folds o into s: afterwards s equals the block that recording both
+// sample streams, interleaved in any order, would have built.
+func (s *Stats) Merge(o *Stats) {
+	s.Injected += o.Injected
+	s.Delivered += o.Delivered
+	s.Latency.Merge(o.Latency)
+	for c := range s.PerClass {
+		s.PerClass[c].Merge(&o.PerClass[c])
+	}
+	s.QueueDelay.Merge(&o.QueueDelay)
+	s.HopCount.Merge(&o.HopCount)
+	s.BytesDelivered += o.BytesDelivered
+	s.Faults.Add(o.Faults)
+}
+
 // Clone returns an independent deep copy of the statistics block. PerClass,
-// QueueDelay and HopCount are value-type Welford summaries and copy with the
-// struct; only the latency histogram needs an explicit deep copy.
+// QueueDelay and HopCount are value-type summaries and copy with the struct;
+// only the latency histogram needs an explicit deep copy.
 func (s *Stats) Clone() *Stats {
 	c := *s
 	c.Latency = s.Latency.Clone()
@@ -339,9 +332,10 @@ func NewStats() *Stats {
 func (s *Stats) RecordDelivery(m *Message) {
 	s.Delivered++
 	s.BytesDelivered += uint64(m.Bytes)
-	s.Latency.Add(float64(m.Latency()))
+	lat := int64(m.Latency())
+	s.Latency.Add(lat)
 	if m.Class < NumClasses {
-		s.PerClass[m.Class].Add(float64(m.Latency()))
+		s.PerClass[m.Class].Add(lat)
 	}
 }
 

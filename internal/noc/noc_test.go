@@ -1,7 +1,10 @@
 package noc
 
 import (
+	"encoding/json"
+	"reflect"
 	"testing"
+	"testing/quick"
 
 	"onocsim/internal/sim"
 )
@@ -46,6 +49,88 @@ func TestStatsRecordDelivery(t *testing.T) {
 	}
 	if s.PerClass[ClassWriteback].Count() != 0 {
 		t.Fatal("untouched class has samples")
+	}
+}
+
+// TestStatsMergeIsOrderFree is why shards cannot change a result: a random
+// delivery log, split into K disjoint subsequences (some empty) that are each
+// shuffled and recorded into a block of their own, merges in any order into
+// exactly the block of the whole log recorded in sequence — and that block
+// survives a JSON round trip.
+func TestStatsMergeIsOrderFree(t *testing.T) {
+	type delivery struct {
+		m          Message
+		wait, hops int64
+		drifted    bool
+	}
+	record := func(s *Stats, d *delivery) {
+		s.Injected++
+		s.QueueDelay.Add(d.wait)
+		s.HopCount.Add(d.hops)
+		if d.drifted {
+			s.Faults.DriftedSends++
+		}
+		m := d.m
+		s.RecordDelivery(&m)
+	}
+	shuffle := func(rng *sim.RNG, n int, swap func(i, j int)) {
+		for i := n - 1; i > 0; i-- {
+			swap(i, rng.Intn(i+1))
+		}
+	}
+	check := func(seed uint64, kRaw uint8) bool {
+		rng := sim.NewRNG(seed)
+		log := make([]delivery, rng.Intn(300))
+		for i := range log {
+			d := &log[i]
+			d.m = Message{ID: uint64(i + 1), Src: rng.Intn(8), Dst: rng.Intn(8), Bytes: 8 << rng.Intn(4),
+				Class: Class(rng.Intn(int(NumClasses))), Inject: sim.Tick(rng.Intn(1000))}
+			d.drifted = rng.Bernoulli(0.1)
+			if d.m.Src == d.m.Dst { // a self-message: next cycle, no wait, no hops
+				d.m.Arrive = d.m.Inject + 1
+				continue
+			}
+			if rng.Bernoulli(0.5) {
+				d.wait = int64(rng.Intn(50))
+			}
+			d.hops = int64(1 + rng.Intn(14))
+			d.m.Arrive = d.m.Inject + sim.Tick(d.wait+d.hops) + sim.Tick(rng.Intn(1<<rng.Intn(16)))
+		}
+		want := NewStats()
+		for i := range log {
+			record(want, &log[i])
+		}
+
+		k := 1 + int(kRaw)%8
+		parts := make([][]*delivery, k)
+		for i := range log { // with k > 1 the last part stays empty
+			s := rng.Intn(max(k-1, 1))
+			parts[s] = append(parts[s], &log[i])
+		}
+		blocks := make([]*Stats, k)
+		for s, part := range parts {
+			shuffle(rng, len(part), func(i, j int) { part[i], part[j] = part[j], part[i] })
+			blocks[s] = NewStats()
+			for _, d := range part {
+				record(blocks[s], d)
+			}
+		}
+		shuffle(rng, k, func(i, j int) { blocks[i], blocks[j] = blocks[j], blocks[i] })
+		got := blocks[0]
+		for _, b := range blocks[1:] {
+			got.Merge(b)
+		}
+
+		data, err := json.Marshal(got)
+		var back Stats
+		if err != nil || json.Unmarshal(data, &back) != nil {
+			t.Logf("JSON round trip: %v", err)
+			return false
+		}
+		return reflect.DeepEqual(got, want) && reflect.DeepEqual(&back, want)
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }
 

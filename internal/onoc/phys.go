@@ -42,10 +42,9 @@ const (
 type phys struct {
 	nodes int
 
-	now      sim.Tick
-	deliver  noc.DeliverFunc
-	shardObs noc.ShardObsFunc
-	stats    *noc.Stats
+	now     sim.Tick
+	deliver noc.DeliverFunc
+	stats   *noc.Stats
 
 	ser serTable
 	// Fault injection (nil / empty when the config carries no faults).
@@ -178,15 +177,11 @@ func (p *phys) SkipTo(t sim.Tick) {
 	}
 }
 
-// SetShardObs implements noc.ScheduleShardable. Like the delivery callback,
-// the sink survives Reset.
-func (p *phys) SetShardObs(fn noc.ShardObsFunc) { p.shardObs = fn }
+// SetShardObs implements noc.ScheduleShardable; the sink is ignored.
+func (p *phys) SetShardObs(noc.ShardObsFunc) {}
 
-// SeqOrder implements noc.ScheduleShardable: a message enters the arrival
-// queue when its transmission starts (a self-message at Inject) and Tick
-// serves same-cycle channels in ascending ShardNode order, so same-cycle
-// deliveries complete in transmit-start order, tie-broken by channel.
-func (p *phys) SeqOrder() noc.SeqOrder { return noc.SeqByService }
+// SeqOrder implements noc.ScheduleShardable; see noc.ShardObsFunc.
+func (p *phys) SeqOrder() noc.SeqOrder { return 0 }
 
 // Budget exposes the resolved static photonic budget for reporting.
 func (p *phys) Budget() photonics.Budget { return p.budget }
@@ -246,12 +241,9 @@ func (p *phys) launch(m *noc.Message, ch int) sim.Tick {
 		ser *= f
 		p.stats.Faults.DeratedSends++
 	}
-	wait := float64(p.now - m.Inject)
+	wait := int64(p.now - m.Inject)
 	p.stats.HopCount.Add(wait)
 	p.stats.QueueDelay.Add(wait)
-	if p.shardObs != nil {
-		p.shardObs(m.ID, noc.ShardObs{Start: p.now, Queue: wait})
-	}
 	p.arrivals.Push(p.now+OEOverheadCycles+ser+p.propagation(m.Src, m.Dst), m)
 	p.bitsSent += uint64(m.Bytes) * 8
 	return ser

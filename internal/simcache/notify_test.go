@@ -2,6 +2,8 @@ package simcache
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
 	"sync"
 	"testing"
 
@@ -96,5 +98,29 @@ func TestDoValueTableRoundTrip(t *testing.T) {
 	}
 	if st := c2.Stats(); st.DiskHits != 1 {
 		t.Fatalf("disk hits = %d, want 1", st.DiskHits)
+	}
+}
+
+// TestStaleValueFileIsAMiss: a value file written under an older
+// valueFormatVersion is recomputed, not decoded, and rewritten at the current
+// version.
+func TestStaleValueFileIsAMiss(t *testing.T) {
+	c := New(t.TempDir())
+	key := testKey(3)
+	stale, _ := json.Marshal(diskValue{Version: valueFormatVersion - 1, Value: json.RawMessage("5")})
+	if err := os.WriteFile(c.valuePath(key), stale, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := DoValue(c, key, func() (int, error) { return 7, nil })
+	if err != nil || got != 7 {
+		t.Fatalf("got %d, %v; want the recomputed 7", got, err)
+	}
+	if st := c.Stats(); st.Misses != 1 || st.DiskHits != 0 {
+		t.Fatalf("misses %d, disk hits %d; want 1 and 0", st.Misses, st.DiskHits)
+	}
+	data, err := os.ReadFile(c.valuePath(key))
+	var env diskValue
+	if err != nil || json.Unmarshal(data, &env) != nil || env.Version != valueFormatVersion || string(env.Value) != "7" {
+		t.Fatalf("file not rewritten at version %d: %s (%v)", valueFormatVersion, data, err)
 	}
 }

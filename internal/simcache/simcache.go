@@ -297,7 +297,10 @@ func (c *Cache) diskError(err error) {
 // replay cost, so they are re-computed instead.
 // Version 3: analytic.Result grew Bytes, which the sweep's throughput
 // objective divides by the makespan; a version-2 estimate would read as zero.
-const valueFormatVersion = 3
+// Version 4: a noc.Stats summary holds integer Σx and Σx² instead of a
+// running mean and squared deviation; a version-3 block would decode with
+// zero sums.
+const valueFormatVersion = 4
 
 // diskValue is the on-disk envelope for non-trace results.
 type diskValue struct {

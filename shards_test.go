@@ -31,8 +31,8 @@ func shardCases() []shardCase {
 // TestShardInvarianceNaiveReplay locks in the tentpole contract at the API
 // level: RunNaiveReplay with any Parallelism.Shards value returns results
 // byte-identical to the serial run — Makespan, MeanLatency, Cycles, both
-// per-event time vectors, and the full fabric statistics (order-sensitive
-// Welford accumulators included).
+// per-event time vectors, and the full fabric statistics, whose replica
+// blocks merge into the serial block.
 func TestShardInvarianceNaiveReplay(t *testing.T) {
 	for _, tc := range shardCases() {
 		tc := tc

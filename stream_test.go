@@ -171,8 +171,11 @@ func TestStreamSummaryMatchesReplay(t *testing.T) {
 	// The tier leans on capture order and checks it: a trace whose recorded
 	// injection times go backwards is refused, not replayed out of order.
 	cfg.System.Cores = 4
-	if _, _, err := RunNaiveReplaySummaryContext(bg, cfg, holdoutTrace(10), IdealNet); err == nil {
+	_, _, err = RunNaiveReplaySummaryContext(bg, cfg, holdoutTrace(10), IdealNet)
+	if err == nil {
 		t.Error("summary replay accepted a trace that is not in capture order")
+	} else if !strings.Contains(err.Error(), "Session.RunNaiveReplayContext") {
+		t.Errorf("the refusal does not name the full replay a caller can reach: %v", err)
 	}
 }
 
