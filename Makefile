@@ -35,8 +35,12 @@ fmt-check:
 # The merge property tests are why a sharded replay cannot change a result:
 # statistics blocks recorded from any split of a delivery log, each part
 # shuffled, merge in any order into the block of the whole log.
+# TestParallelCachedOutputMatchesSequential holds the concurrent, cached
+# (cold and warm disk) quick report to the sequential uncached one, byte for
+# byte: no table cell holds host time.
 check: vet fmt-check sweep-smoke
 	$(GO) test ./cmd/expreport/ -run TestGolden -count=1
+	$(GO) test ./internal/experiments/ -run TestParallelCachedOutputMatchesSequential -count=1
 	$(GO) test . -run 'TestDocsResolve|Surface|TestFileMatchesResident' -count=1
 	$(GO) test ./internal/fabric/ -count=1
 	$(GO) test -short ./internal/enoc/ ./internal/onoc/ ./internal/trace/ ./internal/core/ -run 'DifferentialAgainstReference|BufferedDecodeMatchesBytewise|EngineAgainstReference' -count=1

@@ -23,7 +23,7 @@
 //
 //	s := onocsim.NewSession("")
 //	tr, _, err := s.CaptureTraceContext(ctx, cfg, onocsim.IdealNet)
-//	res, _, err := s.RunSelfCorrectionContext(ctx, cfg, tr, onocsim.Optical)
+//	res, err := s.RunSelfCorrectionContext(ctx, cfg, tr, onocsim.Optical)
 //
 // Fabrics: an electrical wormhole mesh (baseline), a Corona-class optical
 // crossbar (the ONOC under study), and an ideal fixed-latency capture
@@ -148,8 +148,6 @@ type GroundTruth struct {
 	// ClassLatency is the mean latency per virtual network, indexed by
 	// noc.Class (request, response, writeback).
 	ClassLatency [noc.NumClasses]float64
-	// WallTime is the host time the simulation took.
-	WallTime time.Duration
 	// Power is the fabric power report over the run.
 	Power noc.PowerReport
 	// Faults counts injected-fault events the fabric absorbed (all zero
@@ -166,29 +164,15 @@ type GroundTruth struct {
 // admitted, the run proceeds to completion (execution-driven runs have no
 // checkpoint to park at). Every leaf operation follows this contract.
 func RunExecutionDrivenContext(ctx context.Context, cfg Config, kind NetworkKind) (GroundTruth, error) {
-	progs, err := workload.Generate(cfg)
+	res, net, _, err := execute(ctx, cfg, kind, false)
 	if err != nil {
 		return GroundTruth{}, err
 	}
-	net, err := BuildNetwork(cfg, kind)
-	if err != nil {
-		return GroundTruth{}, err
-	}
-	sys, err := cpu.NewSystem(cfg, progs, net, nil)
-	if err != nil {
-		return GroundTruth{}, err
-	}
-	run, err := inSimSlot(ctx, func() (cpu.RunResult, error) { return sys.Run(cfg.MaxCyclesOrDefault()) })
-	if err != nil {
-		return GroundTruth{}, err
-	}
-	res := run.Res
 	gt := GroundTruth{
 		Makespan:    res.Makespan,
 		MeanLatency: net.Stats().MeanLatency(),
 		Cycles:      res.Cycles,
 		Messages:    res.Messages,
-		WallTime:    run.Wall,
 		Power:       net.PowerReport(res.Cycles),
 		Faults:      net.Stats().Faults,
 	}
@@ -200,41 +184,54 @@ func RunExecutionDrivenContext(ctx context.Context, cfg Config, kind NetworkKind
 
 // CaptureTraceContext runs the configured kernel workload execution-driven on
 // the capture fabric (by default the cheap ideal network) with recording
-// enabled and returns the dependency-annotated trace. It is the uncached leaf
-// of Session.CaptureTraceContext; see RunExecutionDrivenContext for the
-// context contract.
+// enabled and returns the dependency-annotated trace, plus the host time of
+// the call. It is the uncached leaf of Session.CaptureTraceContext; see
+// RunExecutionDrivenContext for the context contract.
 func CaptureTraceContext(ctx context.Context, cfg Config, captureOn NetworkKind) (*Trace, time.Duration, error) {
+	start := time.Now()
+	res, _, rec, err := execute(ctx, cfg, captureOn, true)
+	if err != nil {
+		return nil, 0, err
+	}
+	tr, err := rec.Finish(cfg.Workload.Kernel, res.Makespan)
+	if err != nil {
+		return nil, 0, err
+	}
+	return tr, time.Since(start), nil
+}
+
+// execute runs the configured kernel workload execution-driven on a fresh
+// fabric of the given kind inside a simulation slot, with a trace recorder
+// attached when record is set. A capture is this run recorded: the recorder
+// observes the run without changing a cycle of it.
+func execute(ctx context.Context, cfg Config, kind NetworkKind, record bool) (cpu.RunResult, Network, *trace.Recorder, error) {
 	progs, err := workload.Generate(cfg)
 	if err != nil {
-		return nil, 0, err
+		return cpu.RunResult{}, nil, nil, err
 	}
-	net, err := BuildNetwork(cfg, captureOn)
+	net, err := BuildNetwork(cfg, kind)
 	if err != nil {
-		return nil, 0, err
+		return cpu.RunResult{}, nil, nil, err
 	}
-	rec := trace.NewRecorder(cfg.System.Cores)
+	var rec *trace.Recorder
+	if record {
+		rec = trace.NewRecorder(cfg.System.Cores)
+	}
 	sys, err := cpu.NewSystem(cfg, progs, net, rec)
 	if err != nil {
-		return nil, 0, err
+		return cpu.RunResult{}, nil, nil, err
 	}
-	run, err := inSimSlot(ctx, func() (cpu.RunResult, error) { return sys.Run(cfg.MaxCyclesOrDefault()) })
-	if err != nil {
-		return nil, 0, err
-	}
-	tr, err := rec.Finish(cfg.Workload.Kernel, run.Res.Makespan)
-	if err != nil {
-		return nil, 0, err
-	}
-	return tr, run.Wall, nil
+	res, err := inSimSlot(ctx, func() (cpu.RunResult, error) { return sys.Run(cfg.MaxCyclesOrDefault()) })
+	return res, net, rec, err
 }
 
 // naiveReplay replays the trace at recorded timestamps on fresh fabrics of
 // the given kind, split across cfg.Parallelism.Shards replicas where the
 // fabric allows it. Results are byte-identical for any shard count.
-func naiveReplay(ctx context.Context, cfg Config, src TraceSource, kind NetworkKind) (timed[ReplayResult], error) {
+func naiveReplay(ctx context.Context, cfg Config, src TraceSource, kind NetworkKind) (ReplayResult, error) {
 	factory, err := NetworkFactory(cfg, kind)
 	if err != nil {
-		return timed[ReplayResult]{}, err
+		return ReplayResult{}, err
 	}
 	return inSimSlot(ctx, func() (ReplayResult, error) {
 		return core.NaiveReplayStream(factory, src, cfg.Parallelism.Shards, cfg.Parallelism.WindowEvents)
@@ -242,10 +239,10 @@ func naiveReplay(ctx context.Context, cfg Config, src TraceSource, kind NetworkK
 }
 
 // coupledReplay runs the tightly coupled dependency-driven replay.
-func coupledReplay(ctx context.Context, cfg Config, src TraceSource, kind NetworkKind) (timed[ReplayResult], error) {
+func coupledReplay(ctx context.Context, cfg Config, src TraceSource, kind NetworkKind) (ReplayResult, error) {
 	net, err := BuildNetwork(cfg, kind)
 	if err != nil {
-		return timed[ReplayResult]{}, err
+		return ReplayResult{}, err
 	}
 	opts := core.ScheduleOptions{
 		DisableSyncDeps:   cfg.SCTM.DisableSyncDeps,
@@ -279,10 +276,10 @@ var ErrParked = core.ErrParked
 // not serialize); passing it back re-enters the loop at the parked round
 // boundary, reading this call's src, and completes to the result an
 // uninterrupted run produces.
-func selfCorrect(ctx context.Context, cfg Config, src TraceSource, kind NetworkKind, resume *core.ParkState) (timed[CorrectionResult], *core.ParkState, error) {
+func selfCorrect(ctx context.Context, cfg Config, src TraceSource, kind NetworkKind, resume *core.ParkState) (CorrectionResult, *core.ParkState, error) {
 	factory, err := NetworkFactory(cfg, kind)
 	if err != nil {
-		return timed[CorrectionResult]{}, nil, err
+		return CorrectionResult{}, nil, err
 	}
 	var state *core.ParkState
 	res, err := inSimSlot(ctx, func() (res CorrectionResult, err error) {
@@ -298,16 +295,6 @@ func selfCorrect(ctx context.Context, cfg Config, src TraceSource, kind NetworkK
 	return res, state, err
 }
 
-// estimate prices replaying src on the given fabric kind with the closed-form
-// contention model — no event loop, microseconds instead of replay rounds, so
-// it takes no simulation slot and no context. The estimate is the "analytic"
-// seed's view of the run.
-func estimate(cfg Config, src TraceSource, kind NetworkKind) (timed[AnalyticEstimate], error) {
-	start := time.Now()
-	res, err := analytic.Estimate(cfg, kind, src)
-	return timed[AnalyticEstimate]{res, time.Since(start)}, err
-}
-
 // Compare computes the accuracy of a replay against ground truth.
 func Compare(replay ReplayResult, truth GroundTruth) Accuracy {
 	return core.CompareToTruth(replay.Makespan, replay.MeanLatency, truth.Makespan, truth.MeanLatency)
@@ -315,7 +302,7 @@ func Compare(replay ReplayResult, truth GroundTruth) Accuracy {
 
 // Study is the full methodology comparison for one workload and target
 // fabric: ground truth, naive replay, coupled replay, and self-correction,
-// with accuracies and wall-clock costs.
+// with their accuracies.
 type Study struct {
 	Workload string
 	Target   NetworkKind
@@ -328,19 +315,14 @@ type Study struct {
 	NaiveAcc Accuracy
 	CoupAcc  Accuracy
 	SCTMAcc  Accuracy
-
-	CaptureWall time.Duration
-	NaiveWall   time.Duration
-	CoupledWall time.Duration
-	SCTMWall    time.Duration
 }
 
 // simSched bounds the simulation phases running concurrently across the
-// whole process: every timed leaf operation (execution-driven run, capture,
-// replay, synthetic drive) holds one slot for its entire timed region, so
-// per-phase wall clocks stay honest even when studies pipeline — or
-// experiments.All fans whole experiments out — on an oversubscribed host. It
-// is the only bound those fan-outs have: internal/fanout takes no limit. Leaf
+// whole process: every leaf operation (execution-driven run, capture, replay,
+// synthetic drive) holds one slot while it simulates, so studies that
+// pipeline — or experiments.All fanning whole experiments out — keep at most
+// one simulation per CPU live, and with it the memory each one pins. It is the
+// only bound those fan-outs have: internal/fanout takes no limit. Leaf
 // operations never nest, so a goroutine holds at most one slot and the
 // scheduler cannot deadlock. Leaf slots are all one class and one
 // unit — the weighted classes exist for request-level admission
@@ -348,25 +330,16 @@ type Study struct {
 // budget.
 var simSched = NewSlotScheduler(runtime.NumCPU())
 
-// timed pairs a result with the host wall clock of the computation that
-// produced it, so a cached hit — memory or disk — reports the original
-// timing. The field names are the disk layer's JSON format.
-type timed[T any] struct {
-	Res  T
-	Wall time.Duration
-}
-
-// inSimSlot runs one leaf simulation inside a simulation slot and times it.
-// A caller whose context ends while it queues releases its admission claim
-// and gets the context error instead of running an orphaned simulation.
-func inSimSlot[T any](ctx context.Context, run func() (T, error)) (timed[T], error) {
+// inSimSlot runs one leaf simulation inside a simulation slot. A caller whose
+// context ends while it queues releases its admission claim and gets the
+// context error instead of running an orphaned simulation.
+func inSimSlot[T any](ctx context.Context, run func() (T, error)) (T, error) {
 	if err := simSched.Acquire(ctx, SlotMedium, 1); err != nil {
-		return timed[T]{}, err
+		var zero T
+		return zero, err
 	}
 	defer simSched.Release(1)
-	start := time.Now()
-	res, err := run()
-	return timed[T]{res, time.Since(start)}, err
+	return run()
 }
 
 // syntheticLoad drives a fresh fabric of the given kind open-loop with the
@@ -378,10 +351,9 @@ func syntheticLoad(ctx context.Context, cfg Config, kind NetworkKind) (Synthetic
 	if err != nil {
 		return SyntheticResult{}, err
 	}
-	run, err := inSimSlot(ctx, func() (SyntheticResult, error) {
+	return inSimSlot(ctx, func() (SyntheticResult, error) {
 		return workload.RunSynthetic(net, cfg.Workload, cfg.Seed)
 	})
-	return run.Res, err
 }
 
 // SaveTrace writes a trace in the binary trace format.
@@ -395,18 +367,19 @@ func OpenTraceFile(path string) (TraceSource, error) { return trace.NewFileSourc
 
 // RunNaiveReplaySummaryContext replays the trace at recorded timestamps with
 // truly constant residency — O(window + nodes), no per-event vectors —
-// returning summary metrics only. This is the fully out-of-core tier: traces
-// far larger than memory replay at flat RSS. The summary fields equal the
-// corresponding Session.RunNaiveReplayContext fields on the same fabric. It
-// is never cached (a summary costs one pass either way); see
-// RunExecutionDrivenContext for the context contract.
+// returning summary metrics only, plus the host time of the call. This is the
+// fully out-of-core tier: traces far larger than memory replay at flat RSS.
+// The summary fields equal the corresponding Session.RunNaiveReplayContext
+// fields on the same fabric. It is never cached (a summary costs one pass
+// either way); see RunExecutionDrivenContext for the context contract.
 func RunNaiveReplaySummaryContext(ctx context.Context, cfg Config, src TraceSource, kind NetworkKind) (ReplaySummary, time.Duration, error) {
+	start := time.Now()
 	net, err := BuildNetwork(cfg, kind)
 	if err != nil {
 		return ReplaySummary{}, 0, err
 	}
-	run, err := inSimSlot(ctx, func() (ReplaySummary, error) { return core.NaiveReplaySummaryStream(net, src) })
-	return run.Res, run.Wall, err
+	sum, err := inSimSlot(ctx, func() (ReplaySummary, error) { return core.NaiveReplaySummaryStream(net, src) })
+	return sum, time.Since(start), err
 }
 
 // StaticPowerMW reports the load-independent power floor of a fabric built

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"onocsim/internal/config"
+	"onocsim/internal/workload"
 )
 
 func TestBuildNetworkKinds(t *testing.T) {
@@ -80,6 +81,33 @@ func TestCaptureOnElectricalFabricToo(t *testing.T) {
 	}
 }
 
+// TestCaptureIsTheIdealExecutionDrivenRun pins what R2's capture column
+// stands on: a capture is the ideal-fabric execution-driven run with a
+// recorder attached, and recording moves neither the cycles the run steps nor
+// the makespan it reaches.
+func TestCaptureIsTheIdealExecutionDrivenRun(t *testing.T) {
+	for _, kernel := range workload.KernelNames() {
+		cfg := smallConfig()
+		cfg.Workload.Kernel = kernel
+		gt, err := uncached.RunExecutionDrivenContext(bg, cfg, IdealNet)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recorded, _, _, err := execute(bg, cfg, IdealNet, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, _, err := uncached.CaptureTraceContext(bg, cfg, IdealNet)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if recorded.Cycles != gt.Cycles || tr.RefMakespan != gt.Makespan {
+			t.Errorf("%s: the capture ran %d cycles to makespan %d, the ideal execution-driven run %d to %d",
+				kernel, recorded.Cycles, tr.RefMakespan, gt.Cycles, gt.Makespan)
+		}
+	}
+}
+
 func TestExecutionDrivenDeterminism(t *testing.T) {
 	cfg := smallConfig()
 	a, err := uncached.RunExecutionDrivenContext(bg, cfg, Optical)
@@ -125,7 +153,7 @@ func TestNaiveReplayOnCaptureFabricIsExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := uncached.RunNaiveReplayContext(bg, cfg, tr, IdealNet)
+	res, err := uncached.RunNaiveReplayContext(bg, cfg, tr, IdealNet)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +256,7 @@ func TestSelfCorrectionUsesConfigKnobs(t *testing.T) {
 	cfg.SCTM.MaxIterations = 1
 	cfg.SCTM.ToleranceCycles = 0
 	cfg.SCTM.MakespanTolerance = 0
-	res, _, err := uncached.RunSelfCorrectionContext(bg, cfg, tr, Optical)
+	res, err := uncached.RunSelfCorrectionContext(bg, cfg, tr, Optical)
 	if err != nil {
 		t.Fatal(err)
 	}

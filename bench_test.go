@@ -144,7 +144,7 @@ func BenchmarkSelfCorrection(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := uncached.RunSelfCorrectionContext(bg, cfg, tr, onocsim.Optical); err != nil {
+		if _, err := uncached.RunSelfCorrectionContext(bg, cfg, tr, onocsim.Optical); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -173,7 +173,7 @@ func BenchmarkStreamCorrection(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, _, err := uncached.RunSelfCorrectionContext(bg, cfg, src, onocsim.Optical)
+		res, err := uncached.RunSelfCorrectionContext(bg, cfg, src, onocsim.Optical)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -456,7 +456,7 @@ func benchSelfCorrectSeed(b *testing.B, mode string) {
 			var rounds int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, _, err := uncached.RunSelfCorrectionContext(bg, cfg, tc.tr, tc.kind)
+				res, err := uncached.RunSelfCorrectionContext(bg, cfg, tc.tr, tc.kind)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -495,7 +495,7 @@ func benchSelfCorrectIncr(b *testing.B, kind onocsim.NetworkKind, cfg onocsim.Co
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, _, err := uncached.RunSelfCorrectionContext(bg, c, tr, kind)
+				res, err := uncached.RunSelfCorrectionContext(bg, c, tr, kind)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -574,9 +574,9 @@ func benchEstimateVsCorrect(b *testing.B, kind onocsim.NetworkKind, estimate boo
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if estimate {
-			_, _, err = uncached.Estimate(cfg, tr, kind)
+			_, err = uncached.Estimate(cfg, tr, kind)
 		} else {
-			_, _, err = uncached.RunSelfCorrectionContext(bg, cfg, tr, kind)
+			_, err = uncached.RunSelfCorrectionContext(bg, cfg, tr, kind)
 		}
 		if err != nil {
 			b.Fatal(err)

@@ -26,11 +26,11 @@ func sequentialStudy(t *testing.T, cfg Config, target NetworkKind) *Study {
 	if err != nil {
 		t.Fatalf("ground truth: %v", err)
 	}
-	naive, _, err := uncached.RunNaiveReplayContext(bg, cfg, tr, target)
+	naive, err := uncached.RunNaiveReplayContext(bg, cfg, tr, target)
 	if err != nil {
 		t.Fatalf("naive: %v", err)
 	}
-	coupled, _, err := uncached.RunCoupledReplayContext(bg, cfg, tr, target)
+	coupled, err := uncached.RunCoupledReplayContext(bg, cfg, tr, target)
 	if err != nil {
 		t.Fatalf("coupled: %v", err)
 	}

@@ -61,7 +61,7 @@ func ExampleSession_CaptureTraceContext() {
 		return
 	}
 	fmt.Printf("captured a valid trace: %v\n", tr.Validate() == nil && tr.NumEvents() > 0)
-	res, _, err := s.RunSelfCorrectionContext(ctx, cfg, tr, onocsim.Optical)
+	res, err := s.RunSelfCorrectionContext(ctx, cfg, tr, onocsim.Optical)
 	if err != nil {
 		fmt.Println("error:", err)
 		return

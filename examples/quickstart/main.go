@@ -45,7 +45,7 @@ func main() {
 	fmt.Printf("execution-driven ONOC makespan: %d cycles (truth)\n", truth.Makespan)
 
 	// 3. Conventional trace-driven replay: fast but wrong.
-	naive, _, err := s.RunNaiveReplayContext(ctx, cfg, tr, onocsim.Optical)
+	naive, err := s.RunNaiveReplayContext(ctx, cfg, tr, onocsim.Optical)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func main() {
 		naive.Makespan, na.MakespanErr*100)
 
 	// 4. The Self-Correction Trace Model.
-	sctm, _, err := s.RunSelfCorrectionContext(ctx, cfg, tr, onocsim.Optical)
+	sctm, err := s.RunSelfCorrectionContext(ctx, cfg, tr, onocsim.Optical)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -65,7 +65,7 @@ func main() {
 	for _, wl := range []int{4, 8, 16, 32, 64} {
 		c := cfg
 		c.Optical.WavelengthsPerChannel = wl
-		res, _, err := s.RunSelfCorrectionContext(ctx, c, src, onocsim.Optical)
+		res, err := s.RunSelfCorrectionContext(ctx, c, src, onocsim.Optical)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -134,18 +134,18 @@ func TestFaultedShardInvariance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			serial, _, err := uncached.RunNaiveReplayContext(bg, cfg, tr, Optical)
+			serial, err := uncached.RunNaiveReplayContext(bg, cfg, tr, Optical)
 			if err != nil {
 				t.Fatal(err)
 			}
-			serialSC, _, err := uncached.RunSelfCorrectionContext(bg, cfg, tr, Optical)
+			serialSC, err := uncached.RunSelfCorrectionContext(bg, cfg, tr, Optical)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, k := range []int{1, 8} {
 				sharded := cfg
 				sharded.Parallelism.Shards = k
-				got, _, err := uncached.RunNaiveReplayContext(bg, sharded, tr, Optical)
+				got, err := uncached.RunNaiveReplayContext(bg, sharded, tr, Optical)
 				if err != nil {
 					t.Fatalf("shards=%d: %v", k, err)
 				}
@@ -154,7 +154,7 @@ func TestFaultedShardInvariance(t *testing.T) {
 					t.Errorf("shards=%d: fabric statistics (incl. fault counters) diverge\n got: %+v\nwant: %+v",
 						k, got.NetStats, serial.NetStats)
 				}
-				sc, _, err := uncached.RunSelfCorrectionContext(bg, sharded, tr, Optical)
+				sc, err := uncached.RunSelfCorrectionContext(bg, sharded, tr, Optical)
 				if err != nil {
 					t.Fatalf("shards=%d self-correction: %v", k, err)
 				}

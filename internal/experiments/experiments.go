@@ -10,7 +10,7 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"time"
+	"strings"
 
 	"onocsim"
 	"onocsim/internal/config"
@@ -33,8 +33,7 @@ type Options struct {
 	// of a kernel, needed by R1, R3, R5, R6, R8… — is computed once and
 	// shared. nil runs every simulation afresh (every call site is
 	// nil-safe), except under All, which creates a session for the run.
-	// Tables are byte-identical either way, except that cached wall-clock
-	// cells report the one computation that actually ran.
+	// Tables are byte-identical either way: no cell holds host time.
 	Session *onocsim.Session
 	// Progress observes the run: experiment start/finish events from the
 	// registry dispatch, and — when it is also installed on the Session
@@ -90,8 +89,7 @@ type studySet struct {
 
 // newStudySet runs the studies side by side: they are independent simulations
 // with per-study state, each internally deterministic, and the simulation
-// slots their leaf operations hold keep the wall times R2 reports honest on
-// an oversubscribed host.
+// slots their leaf operations hold bound how many run at once.
 func newStudySet(ctx context.Context, o Options) (*studySet, error) {
 	s := &studySet{kernels: workload.KernelNames()}
 	s.studies = make([]*onocsim.Study, len(s.kernels))
@@ -144,37 +142,53 @@ func r1FromSet(set *studySet) (*metrics.Table, error) {
 	return t, nil
 }
 
-// R2SimTime reconstructs the simulation-cost table: host wall-clock of each
-// methodology, and the speedup of SCTM over execution-driven simulation.
+// R2SimTime reconstructs the simulation-cost table in simulated cycles, a
+// cost every result carries and no host load can move: what each methodology
+// simulates per kernel, SCTM's cost as a multiple of the execution-driven run
+// and of one naive replay, and the design count at which capturing once and
+// correcting per design would undercut simulating every design
+// execution-driven.
 func R2SimTime(ctx context.Context, o Options) (*metrics.Table, error) {
 	set, err := newStudySet(ctx, o)
 	if err != nil {
 		return nil, err
 	}
-	return r2FromSet(set)
+	return r2FromSet(ctx, o, set)
 }
 
-func r2FromSet(set *studySet) (*metrics.Table, error) {
+func r2FromSet(ctx context.Context, o Options, set *studySet) (*metrics.Table, error) {
 	t := metrics.NewTable(
-		"R2 — Simulation cost (host milliseconds)",
+		"R2 — Simulation cost (simulated cycles)",
 		"kernel", "exec-driven", "capture(ref)", "naive", "sctm", "sctm rounds",
 		"sctm vs exec", "sctm vs naive", "events replayed", "cycles saved")
+	var breakEven []string
 	for i, k := range set.kernels {
 		st := set.studies[i]
-		execW := st.Truth.WallTime
-		sctmW := st.SCTMWall
+		// A capture is the ideal-fabric execution-driven run with a recorder
+		// attached, so that run's cycles are the capture's.
+		capture, err := o.Session.RunExecutionDrivenContext(ctx, kernelConfig(o, k), onocsim.IdealNet)
+		if err != nil {
+			return nil, err
+		}
+		exec, sctm := st.Truth.Cycles, st.SCTM.TotalCycles
 		t.AddCells(
 			metrics.String(k),
-			metrics.Duration(execW), metrics.Duration(st.CaptureWall),
-			metrics.Duration(st.NaiveWall), metrics.Duration(sctmW),
+			cycles(exec), cycles(capture.Cycles), cycles(st.Naive.Cycles), cycles(sctm),
 			metrics.Int(int64(len(st.SCTM.Iterations)), "rounds"),
-			metrics.Ratio(ratio(execW, sctmW), 2),
-			metrics.Ratio(ratio(sctmW, st.NaiveWall), 1),
+			metrics.Ratio(float64(sctm)/float64(exec), 2),
+			metrics.Ratio(float64(sctm)/float64(st.Naive.Cycles), 1),
 			metrics.Int(int64(st.SCTM.ReplayedEvents), "events"),
 			cycles(st.SCTM.SavedCycles),
 		)
+		n := "none"
+		if sctm < exec {
+			n = fmt.Sprint(capture.Cycles/(exec-sctm) + 1)
+		}
+		breakEven = append(breakEven, k+" "+n)
 	}
 	t.Note("the paper claims the method does 'not substantially extend the total simulation time' vs trace-driven")
+	t.Note("exec-driven and capture step cores, caches and fabric; naive and sctm step the fabric alone, sctm once per round")
+	t.Note("break-even design count N (capture + N x sctm < N x exec-driven): %s", strings.Join(breakEven, ", "))
 	t.Note("events replayed counts per-round replay work; under sctm.incremental the frozen prefix is skipped and 'cycles saved' sums the checkpoint resume times")
 	return t, nil
 }
@@ -195,7 +209,7 @@ func R3Convergence(ctx context.Context, o Options) (*metrics.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, _, err := o.Session.RunSelfCorrectionContext(ctx, cfg, tr, onocsim.Optical)
+		res, err := o.Session.RunSelfCorrectionContext(ctx, cfg, tr, onocsim.Optical)
 		if err != nil {
 			return nil, err
 		}
@@ -322,11 +336,12 @@ func R6Power(ctx context.Context, o Options) (*metrics.Table, error) {
 }
 
 // R7Scaling reconstructs the methodology-scalability figure: SCTM error and
-// cost versus core count.
+// cost (in simulated cycles, as R2) versus core count.
 func R7Scaling(ctx context.Context, o Options) (*metrics.Table, error) {
 	t := metrics.NewTable(
 		"R7 — SCTM scalability with core count (stencil kernel)",
-		"cores", "truth makespan", "sctm err", "naive err", "exec ms", "sctm ms", "trace events")
+		"cores", "truth makespan", "sctm err", "naive err", "exec cycles", "sctm cycles",
+		"sctm vs exec", "sctm rounds", "trace events")
 	sizes := []int{16, 64, 144, 256}
 	if o.Quick {
 		sizes = []int{16, 64}
@@ -344,8 +359,10 @@ func R7Scaling(ctx context.Context, o Options) (*metrics.Table, error) {
 			cycles(st.Truth.Makespan),
 			metrics.Percent(st.SCTMAcc.MakespanErr),
 			metrics.Percent(st.NaiveAcc.MakespanErr),
-			metrics.Duration(st.Truth.WallTime),
-			metrics.Duration(st.SCTMWall),
+			cycles(st.Truth.Cycles),
+			cycles(st.SCTM.TotalCycles),
+			metrics.Ratio(float64(st.SCTM.TotalCycles)/float64(st.Truth.Cycles), 2),
+			metrics.Int(int64(len(st.SCTM.Iterations)), "rounds"),
 			metrics.Int(int64(st.Trace.NumEvents()), "events"),
 		)
 	}
@@ -372,7 +389,7 @@ func R8Ablation(ctx context.Context, o Options) (*metrics.Table, error) {
 			c := cfg
 			c.SCTM.DisableSyncDeps = noSync
 			c.SCTM.DisableCausalDeps = noCausal
-			res, _, err := o.Session.RunSelfCorrectionContext(ctx, c, tr, onocsim.Optical)
+			res, err := o.Session.RunSelfCorrectionContext(ctx, c, tr, onocsim.Optical)
 			if err != nil {
 				return 0, err
 			}
@@ -404,13 +421,6 @@ func mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-func ratio(a, b time.Duration) float64 {
-	if b <= 0 {
-		return 0
-	}
-	return float64(a) / float64(b)
 }
 
 // topComponents names the n largest breakdown entries.

@@ -37,7 +37,7 @@ func TestR1R2ShareStudySet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2, err := r2FromSet(set)
+	t2, err := r2FromSet(bg, quickOpts, set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,8 +178,5 @@ func TestHelpers(t *testing.T) {
 	}
 	if got := topComponents(map[string]float64{"a": 1, "b": 5, "c": 3}, 2); got != "b=5.0, c=3.0" {
 		t.Fatalf("topComponents = %q", got)
-	}
-	if ratio(0, 0) != 0 {
-		t.Fatal("ratio zero divisor")
 	}
 }

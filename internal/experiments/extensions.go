@@ -72,13 +72,13 @@ func R10CaptureFabric(ctx context.Context, o Options) (*metrics.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, _, err := o.Session.RunSelfCorrectionContext(ctx, cfg, tr, onocsim.Optical)
+			res, err := o.Session.RunSelfCorrectionContext(ctx, cfg, tr, onocsim.Optical)
 			if err != nil {
 				return nil, err
 			}
 			row = append(row, metrics.Percent(metrics.RelErr(float64(res.Final.Makespan), float64(truth.Makespan))))
 			if i == 0 {
-				nv, _, err := o.Session.RunNaiveReplayContext(ctx, cfg, tr, onocsim.Optical)
+				nv, err := o.Session.RunNaiveReplayContext(ctx, cfg, tr, onocsim.Optical)
 				if err != nil {
 					return nil, err
 				}
@@ -160,7 +160,7 @@ func R11Damping(ctx context.Context, o Options) (*metrics.Table, error) {
 		c := cfg
 		c.SCTM.Damping = d
 		c.SCTM.MaxIterations = 15
-		res, _, err := o.Session.RunSelfCorrectionContext(ctx, c, tr, onocsim.Optical)
+		res, err := o.Session.RunSelfCorrectionContext(ctx, c, tr, onocsim.Optical)
 		if err != nil {
 			return nil, err
 		}

@@ -45,11 +45,11 @@ func R18Faults(ctx context.Context, o Options) (*metrics.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			nv, _, err := o.Session.RunNaiveReplayContext(ctx, cfg, tr, fb.kind)
+			nv, err := o.Session.RunNaiveReplayContext(ctx, cfg, tr, fb.kind)
 			if err != nil {
 				return nil, err
 			}
-			sc, _, err := o.Session.RunSelfCorrectionContext(ctx, cfg, tr, fb.kind)
+			sc, err := o.Session.RunSelfCorrectionContext(ctx, cfg, tr, fb.kind)
 			if err != nil {
 				return nil, err
 			}

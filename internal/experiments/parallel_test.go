@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"regexp"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -12,16 +12,8 @@ import (
 	"onocsim/internal/metrics"
 )
 
-// wallClockCell matches decimal numbers: every wall-clock-derived cell (ms
-// timings and their ratios) renders with a fractional part, while the
-// deterministic simulation outputs in the tables are integers (cycles,
-// messages, mW) or fixed-precision values derived from them. Masking all
-// decimals is conservative — it also hides some deterministic cells — but
-// leaves every integer cell compared exactly.
-var wallClockCell = regexp.MustCompile(`[0-9]+\.[0-9]+x?`)
-
-// renderMasked renders tables as CSV with wall-clock cells masked.
-func renderMasked(t *testing.T, tables []*metrics.Table) string {
+// renderCSV renders tables as CSV, one after another.
+func renderCSV(t *testing.T, tables []*metrics.Table) string {
 	t.Helper()
 	var buf bytes.Buffer
 	for _, tb := range tables {
@@ -30,15 +22,14 @@ func renderMasked(t *testing.T, tables []*metrics.Table) string {
 		}
 		buf.WriteByte('\n')
 	}
-	return wallClockCell.ReplaceAllString(buf.String(), "#")
+	return buf.String()
 }
 
 // TestParallelCachedOutputMatchesSequential is the byte-identity guarantee
-// of the memoized fan-out: apart from wall-clock cells (nondeterministic
-// even between two sequential runs), the concurrent cached report All renders
-// must equal the sequential uncached one — one experiment after another, every
-// simulation run afresh on a nil session — cold through the disk layer, and
-// again warm from it.
+// of the memoized fan-out: the concurrent cached report All renders must equal
+// the sequential uncached one byte for byte — one experiment after another,
+// every simulation run afresh on a nil session — cold through the disk layer,
+// and again warm from it.
 func TestParallelCachedOutputMatchesSequential(t *testing.T) {
 	var sequential []*metrics.Table
 	for _, id := range Names() {
@@ -48,7 +39,7 @@ func TestParallelCachedOutputMatchesSequential(t *testing.T) {
 		}
 		sequential = append(sequential, tb)
 	}
-	want := renderMasked(t, sequential)
+	want := renderCSV(t, sequential)
 
 	dir := t.TempDir()
 	for _, mode := range []string{"cold", "warm"} {
@@ -58,7 +49,7 @@ func TestParallelCachedOutputMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
-		got := renderMasked(t, tables)
+		got := renderCSV(t, tables)
 		if got != want {
 			t.Fatalf("%s parallel cached output diverges from sequential uncached output:\n%s",
 				mode, firstDiff(want, got))
@@ -111,12 +102,12 @@ func TestAllStopsOnFirstFailure(t *testing.T) {
 	}
 }
 
-// firstDiff locates the first line where two renderings diverge.
+// firstDiff locates the first line (1-based) where two renderings diverge.
 func firstDiff(want, got string) string {
-	w, g := bytes.Split([]byte(want), []byte("\n")), bytes.Split([]byte(got), []byte("\n"))
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
 	for i := 0; i < len(w) && i < len(g); i++ {
-		if !bytes.Equal(w[i], g[i]) {
-			return "line " + string(rune('0'+i%10)) + ":\n want: " + string(w[i]) + "\n  got: " + string(g[i])
+		if w[i] != g[i] {
+			return fmt.Sprintf("line %d:\n want: %s\n  got: %s", i+1, w[i], g[i])
 		}
 	}
 	return "length mismatch"

@@ -42,8 +42,8 @@ var registry = []Descriptor{
 	},
 	{
 		ID:        "r2",
-		Title:     "Simulation cost (host milliseconds)",
-		Summary:   "host wall-clock of each methodology and SCTM's speedup over execution-driven",
+		Title:     "Simulation cost (simulated cycles)",
+		Summary:   "simulated cycles of each methodology, SCTM's cost multiple over exec-driven and naive replay, and the break-even design count",
 		CostClass: onocsim.SlotHeavy,
 		Run:       R2SimTime,
 	},
@@ -78,7 +78,7 @@ var registry = []Descriptor{
 	{
 		ID:        "r7",
 		Title:     "SCTM scalability with core count (stencil kernel)",
-		Summary:   "SCTM error and cost versus core count",
+		Summary:   "SCTM error and simulated-cycle cost versus core count",
 		CostClass: onocsim.SlotHeavy,
 		Run:       R7Scaling,
 	},
@@ -162,7 +162,7 @@ var registry = []Descriptor{
 	{
 		ID:        "r19",
 		Title:     "Analytical fast path: seeding savings and screening error (extension)",
-		Summary:   "self-correction rounds and wall clock under analytic vs zero-load seeding, plus closed-form error bands",
+		Summary:   "self-correction rounds and replayed events under analytic vs zero-load seeding, plus closed-form error bands",
 		CostClass: onocsim.SlotMedium,
 		Run:       R19Seeding,
 	},
@@ -236,12 +236,11 @@ func runDescriptor(ctx context.Context, d Descriptor, o Options) (*metrics.Table
 // registry order) and returns the tables in canonical registry order. The
 // per-experiment goroutines are cheap coordinators: all heavy work happens in
 // the leaf simulation operations, which both bound concurrency (each holds one
-// process-wide simulation slot for its timed region) and deduplicate — a
+// process-wide simulation slot while it simulates) and deduplicate — a
 // Session is created for the run when the caller supplied none, so the
 // simulations experiments share are computed once (tables are byte-identical
-// with or without the session, except that cached wall-clock cells report the
-// one computation that actually ran). The first experiment to fail cancels
-// the others and is the error returned.
+// with or without the session). The first experiment to fail cancels the
+// others and is the error returned.
 func All(ctx context.Context, o Options) ([]*metrics.Table, error) {
 	if o.Session == nil {
 		o.Session = onocsim.NewSession("")

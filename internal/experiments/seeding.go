@@ -10,7 +10,7 @@ import (
 // R19Seeding evaluates the analytical fast path on both of its jobs. As a
 // warm start it compares the self-correction loop under zero-load and
 // analytic round-0 seeding per kernel and contended fabric: replay rounds,
-// wall clock, the round reduction, and the relative drift between the two
+// the round reduction, replayed events, and the relative drift between the two
 // converged makespans (0.0% when the arms stop at the same fixpoint; with
 // loose tolerances a warm start may legitimately stop a round earlier at a
 // near-fixpoint within tolerance of the other). As a screening model it
@@ -22,7 +22,6 @@ func R19Seeding(ctx context.Context, o Options) (*metrics.Table, error) {
 	t := metrics.NewTable(
 		"R19 (extension) — analytical fast path: seeding savings and screening error",
 		"kernel", "fabric", "rounds (zero-load)", "rounds (analytic)", "rounds saved",
-		"wall (zero-load)", "wall (analytic)",
 		"makespan est", "makespan sim", "makespan err", "mean-latency err", "final drift",
 		"replayed (zero-load)", "replayed (analytic)")
 	fabrics := []onocsim.NetworkKind{onocsim.Optical, onocsim.Electrical, onocsim.Hybrid}
@@ -33,17 +32,17 @@ func R19Seeding(ctx context.Context, o Options) (*metrics.Table, error) {
 			return nil, err
 		}
 		for _, kind := range fabrics {
-			zl, zlWall, err := o.Session.RunSelfCorrectionContext(ctx, cfg, tr, kind)
+			zl, err := o.Session.RunSelfCorrectionContext(ctx, cfg, tr, kind)
 			if err != nil {
 				return nil, err
 			}
 			acfg := cfg
 			acfg.SCTM.Seed = "analytic"
-			an, anWall, err := o.Session.RunSelfCorrectionContext(ctx, acfg, tr, kind)
+			an, err := o.Session.RunSelfCorrectionContext(ctx, acfg, tr, kind)
 			if err != nil {
 				return nil, err
 			}
-			est, _, err := o.Session.Estimate(cfg, tr, kind)
+			est, err := o.Session.Estimate(cfg, tr, kind)
 			if err != nil {
 				return nil, err
 			}
@@ -56,7 +55,6 @@ func R19Seeding(ctx context.Context, o Options) (*metrics.Table, error) {
 				metrics.Int(int64(len(zl.Iterations)), "rounds"),
 				metrics.Int(int64(len(an.Iterations)), "rounds"),
 				metrics.Percent(saved),
-				metrics.Duration(zlWall), metrics.Duration(anWall),
 				cycles(est.Makespan), cycles(zl.Final.Makespan),
 				metrics.Percent(metrics.RelErr(float64(est.Makespan), float64(zl.Final.Makespan))),
 				metrics.Percent(metrics.RelErr(est.MeanLatency, zl.Final.MeanLatency)),

@@ -36,11 +36,11 @@ func R16Seeds(ctx context.Context, o Options) (*metrics.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			nv, _, err := o.Session.RunNaiveReplayContext(ctx, cfg, tr, onocsim.Optical)
+			nv, err := o.Session.RunNaiveReplayContext(ctx, cfg, tr, onocsim.Optical)
 			if err != nil {
 				return nil, err
 			}
-			sc, _, err := o.Session.RunSelfCorrectionContext(ctx, cfg, tr, onocsim.Optical)
+			sc, err := o.Session.RunSelfCorrectionContext(ctx, cfg, tr, onocsim.Optical)
 			if err != nil {
 				return nil, err
 			}

@@ -81,7 +81,7 @@ func R14WhatIf(ctx context.Context, o Options) (*metrics.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			pred, _, err := o.Session.RunSelfCorrectionContext(ctx, base, scaled, onocsim.Optical)
+			pred, err := o.Session.RunSelfCorrectionContext(ctx, base, scaled, onocsim.Optical)
 			if err != nil {
 				return nil, err
 			}

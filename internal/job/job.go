@@ -110,8 +110,9 @@ type Result struct {
 	// Status is "ok", or "parked" for a correction that stopped at a round
 	// boundary and returned its partial trajectory.
 	Status string
-	// Elapsed is the host time the job took end to end (including cache
-	// hits, which make it near zero).
+	// Elapsed is the host time the job took, near zero on a cache hit. It is
+	// the table's one host-time cell (the exec, correct and estimate tables'
+	// "host wall time" row) and the service envelope's elapsed_ms.
 	Elapsed time.Duration
 
 	// Truth is set for OpExec.
@@ -144,7 +145,8 @@ type Runner struct {
 // context ended mid-correction) is not an error: the partial trajectory comes
 // back with status "parked". A flight that died of another caller's
 // cancellation never reaches here — the session retries it (see
-// onocsim.Session).
+// onocsim.Session). The table is rendered last, so its host-time row is the
+// job's own Elapsed.
 func (r *Runner) Run(ctx context.Context, j Job) (Result, error) {
 	if err := j.Validate(); err != nil {
 		return Result{}, err
@@ -154,33 +156,28 @@ func (r *Runner) Run(ctx context.Context, j Job) (Result, error) {
 	switch {
 	case err == nil:
 		res.Status = "ok"
-	case errors.Is(err, onocsim.ErrParked) && res.Table != nil:
+	case errors.Is(err, onocsim.ErrParked) && res.Correction != nil:
 		res.Status = "parked"
 	default:
 		return Result{}, err
 	}
 	res.Elapsed = time.Since(start)
+	res.Table = render(j, res)
 	return res, nil
 }
 
 // dispatch runs the job's operation. For a parked correction with a non-empty
-// trajectory it returns the rendered partial table alongside the error: only
-// the caller whose own computation parked gets one.
+// trajectory it returns the partial result alongside the error: only the
+// caller whose own computation parked gets one.
 func (r *Runner) dispatch(ctx context.Context, j Job) (Result, error) {
 	switch j.Op {
 	case OpExec:
 		res, err := r.Session.RunExecutionDrivenContext(ctx, j.Config, j.Kind)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Table: report.Exec(j.Config, j.Kind, res), Truth: &res}, nil
+		return Result{Truth: &res}, err
 
 	case OpStudy:
 		st, err := r.Session.RunStudyContext(ctx, j.Config, j.Kind)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Table: report.Study(j.Config, j.Kind, st), Study: st}, nil
+		return Result{Study: st}, err
 	}
 	// Correct and estimate read a trace: the stored file TracePath names,
 	// streamed, or the captured kernel.
@@ -195,34 +192,39 @@ func (r *Runner) dispatch(ctx context.Context, j Job) (Result, error) {
 		return Result{}, err
 	}
 	if j.Op == OpCorrect {
-		res, wall, err := r.Session.RunSelfCorrectionContext(ctx, j.Config, src, j.Kind)
-		return correctionResult(j, res, wall, err)
+		res, err := r.Session.RunSelfCorrectionContext(ctx, j.Config, src, j.Kind)
+		if err != nil && !(errors.Is(err, onocsim.ErrParked) && len(res.Iterations) > 0) {
+			return Result{}, err
+		}
+		// A returned correction completed at least one round, and every round
+		// injects and delivers the whole trace.
+		return Result{
+			Correction:  &res,
+			TraceEvents: len(res.Final.Inject),
+			TraceBytes:  int64(res.Final.NetStats.BytesDelivered),
+		}, err
 	}
-	res, wall, err := r.Session.Estimate(j.Config, src, j.Kind)
+	res, err := r.Session.Estimate(j.Config, src, j.Kind)
 	if err != nil {
 		return Result{}, err
 	}
 	return Result{
-		Table:       report.Estimate(j.Config, j.Kind, res, wall),
 		Estimate:    &res,
 		TraceEvents: len(res.Latency),
 		TraceBytes:  int64(res.Bytes),
 	}, nil
 }
 
-// correctionResult renders one correction attempt. A park that carried its
-// partial trajectory out is rendered as such and returned with the error.
-func correctionResult(j Job, res onocsim.CorrectionResult, wall time.Duration, err error) (Result, error) {
-	parked := errors.Is(err, onocsim.ErrParked) && len(res.Iterations) > 0
-	if err != nil && !parked {
-		return Result{}, err
+// render builds the report table of a finished (or parked) job.
+func render(j Job, res Result) *metrics.Table {
+	switch {
+	case res.Truth != nil:
+		return report.Exec(j.Config, j.Kind, *res.Truth, res.Elapsed)
+	case res.Study != nil:
+		return report.Study(j.Config, j.Kind, res.Study)
+	case res.Correction != nil:
+		return report.Correction(j.Config, j.Kind, *res.Correction, res.Elapsed, res.Status == "parked")
+	default:
+		return report.Estimate(j.Config, j.Kind, *res.Estimate, res.Elapsed)
 	}
-	// A rendered correction completed at least one round, and every round
-	// injects and delivers the whole trace.
-	return Result{
-		Table:       report.Correction(j.Config, j.Kind, res, wall, parked),
-		Correction:  &res,
-		TraceEvents: len(res.Final.Inject),
-		TraceBytes:  int64(res.Final.NetStats.BytesDelivered),
-	}, err
 }

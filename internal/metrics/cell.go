@@ -28,9 +28,9 @@ const (
 	// KindRatio is a dimensionless multiplier rendered with an "x" suffix
 	// ("1.62x").
 	KindRatio
-	// KindDuration is a host-time duration stored in nanoseconds. With a
-	// non-negative precision it renders as milliseconds ("12.3"); with
-	// Prec < 0 it renders as time.Duration.String ("12.3ms").
+	// KindDuration is a host-time duration stored in nanoseconds, rendered
+	// as time.Duration.String ("12.3ms"). It is the one kind whose value is
+	// not a function of the simulation's inputs.
 	KindDuration
 	// KindDB is a decibel quantity (optical loss budgets).
 	KindDB
@@ -131,12 +131,6 @@ func Ratio(v float64, prec int) Cell {
 	return Cell{Kind: KindRatio, Float: v, Prec: prec, Unit: "x"}
 }
 
-// Duration makes a host-time cell rendered as milliseconds with one
-// fractional digit ("12.3"), matching the simulation-cost tables.
-func Duration(d time.Duration) Cell {
-	return Cell{Kind: KindDuration, Int: int64(d), Prec: 1, Unit: "ms"}
-}
-
 // DurationText makes a host-time cell rendered as time.Duration.String
 // ("12.3ms"); the stored value is still nanoseconds.
 func DurationText(d time.Duration) Cell {
@@ -160,8 +154,8 @@ func Bool(v bool) Cell {
 // Render returns the cell's ASCII form. The rules reproduce the printf
 // vocabulary the experiments used before cells were typed, so tables render
 // byte-identically: "%d" for ints, "%.<prec>f" for decimals, "%.1f%%" of
-// the fraction for percentages, "%.<prec>fx" for ratios, milliseconds with
-// one digit for durations, "true"/"false" for booleans.
+// the fraction for percentages, "%.<prec>fx" for ratios, time.Duration.String
+// for durations, "true"/"false" for booleans.
 func (c Cell) Render() string {
 	switch c.Kind {
 	case KindString:
@@ -175,11 +169,7 @@ func (c Cell) Render() string {
 	case KindRatio:
 		return strconv.FormatFloat(c.Float, 'f', c.Prec, 64) + "x"
 	case KindDuration:
-		d := time.Duration(c.Int)
-		if c.Prec < 0 {
-			return d.String()
-		}
-		return strconv.FormatFloat(float64(d.Microseconds())/1000, 'f', c.Prec, 64)
+		return time.Duration(c.Int).String()
 	case KindBool:
 		if c.Int != 0 {
 			return "true"

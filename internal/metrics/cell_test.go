@@ -27,9 +27,8 @@ func TestCellRender(t *testing.T) {
 		{Percent(1.25), "125.0%"},
 		{Ratio(1.6249, 2), "1.62x"},
 		{Ratio(2, 1), "2.0x"},
-		{Duration(12345 * time.Microsecond), "12.3"},
-		{Duration(0), "0.0"},
 		{DurationText(1500 * time.Millisecond), "1.5s"},
+		{DurationText(0), "0s"},
 		{DB(3.14159, 2), "3.14"},
 		{Bool(true), "true"},
 		{Bool(false), "false"},
@@ -48,7 +47,7 @@ func TestCellValue(t *testing.T) {
 	if v, ok := Percent(0.042).Value(); !ok || v != 0.042 {
 		t.Errorf("percent value = %v, %v; want the fraction", v, ok)
 	}
-	if v, ok := Duration(time.Millisecond).Value(); !ok || v != 1e6 {
+	if v, ok := DurationText(time.Millisecond).Value(); !ok || v != 1e6 {
 		t.Errorf("duration value = %v, %v; want nanoseconds", v, ok)
 	}
 	if v, ok := Bool(true).Value(); !ok || v != 1 {
@@ -61,7 +60,7 @@ func TestCellValue(t *testing.T) {
 func TestTableJSONRoundTrip(t *testing.T) {
 	tb := NewTable("demo", "kernel", "makespan", "err", "speedup", "wall", "ok")
 	tb.AddCells(String("fft"), Int(4500, "cycles"), Percent(0.018),
-		Ratio(1.62, 2), Duration(12345*time.Microsecond), Bool(true))
+		Ratio(1.62, 2), DurationText(12345*time.Microsecond), Bool(true))
 	tb.Note("a note with %d parts", 2)
 	data, err := json.Marshal(tb)
 	if err != nil {

@@ -2,7 +2,9 @@
 // and the onocsimd service: one table per operation, rendered as ASCII for
 // terminals or versioned JSON for machine consumers. Both front ends call
 // these builders so their outputs stay byte-identical — the daemon's JSON for
-// an exec run is exactly what `onocsim -mode exec -format json` prints.
+// an exec run is exactly what `onocsim -mode exec -format json` prints, bar
+// the one host-time row the exec, correct and estimate tables carry: the wall
+// time their caller passes in.
 package report
 
 import (
@@ -14,8 +16,9 @@ import (
 	"onocsim/internal/metrics"
 )
 
-// Exec renders an execution-driven run.
-func Exec(cfg onocsim.Config, kind onocsim.NetworkKind, res onocsim.GroundTruth) *metrics.Table {
+// Exec renders an execution-driven run. wall is the host time of the request
+// that produced res, the one cell that is not a function of the run.
+func Exec(cfg onocsim.Config, kind onocsim.NetworkKind, res onocsim.GroundTruth, wall time.Duration) *metrics.Table {
 	t := metrics.NewTable(fmt.Sprintf("execution-driven run — %s, %s, %d cores",
 		cfg.Workload.Kernel, kind, cfg.System.Cores), "metric", "value")
 	t.AddCells(metrics.String("makespan (cycles)"), metrics.Int(int64(res.Makespan), "cycles"))
@@ -24,7 +27,7 @@ func Exec(cfg onocsim.Config, kind onocsim.NetworkKind, res onocsim.GroundTruth)
 	t.AddCells(metrics.String("simulated cycles"), metrics.Int(int64(res.Cycles), "cycles"))
 	t.AddCells(metrics.String("mean latency by class"), metrics.Stringf("req %.1f / resp %.1f / wb %.1f",
 		res.ClassLatency[0], res.ClassLatency[1], res.ClassLatency[2]))
-	t.AddCells(metrics.String("host wall time"), metrics.DurationText(res.WallTime))
+	t.AddCells(metrics.String("host wall time"), metrics.DurationText(wall))
 	t.AddCells(metrics.String("network power (mW)"), metrics.Stringf("%.1f static + %.2f dynamic",
 		res.Power.StaticMW, res.Power.DynamicMW))
 	if cfg.Faults.Enabled() {
@@ -38,21 +41,17 @@ func Exec(cfg onocsim.Config, kind onocsim.NetworkKind, res onocsim.GroundTruth)
 func Study(cfg onocsim.Config, kind onocsim.NetworkKind, study *onocsim.Study) *metrics.Table {
 	t := metrics.NewTable(fmt.Sprintf("methodology study — %s on %s, %d cores",
 		study.Workload, kind, cfg.System.Cores),
-		"method", "makespan", "err vs truth", "mean lat", "host time")
+		"method", "makespan", "err vs truth", "mean lat")
 	t.AddCells(metrics.String("execution-driven (truth)"), metrics.Int(int64(study.Truth.Makespan), "cycles"),
-		metrics.String("—"),
-		metrics.Float(study.Truth.MeanLatency, 1, "cycles"), metrics.DurationText(study.Truth.WallTime))
+		metrics.String("—"), metrics.Float(study.Truth.MeanLatency, 1, "cycles"))
 	t.AddCells(metrics.String("naive trace replay"), metrics.Int(int64(study.Naive.Makespan), "cycles"),
-		metrics.Percent(study.NaiveAcc.MakespanErr),
-		metrics.Float(study.Naive.MeanLatency, 1, "cycles"), metrics.DurationText(study.NaiveWall))
+		metrics.Percent(study.NaiveAcc.MakespanErr), metrics.Float(study.Naive.MeanLatency, 1, "cycles"))
 	t.AddCells(metrics.String("self-correction trace model"), metrics.Int(int64(study.SCTM.Final.Makespan), "cycles"),
-		metrics.Percent(study.SCTMAcc.MakespanErr),
-		metrics.Float(study.SCTM.Final.MeanLatency, 1, "cycles"), metrics.DurationText(study.SCTMWall))
+		metrics.Percent(study.SCTMAcc.MakespanErr), metrics.Float(study.SCTM.Final.MeanLatency, 1, "cycles"))
 	t.AddCells(metrics.String("coupled replay (reference)"), metrics.Int(int64(study.Coupled.Makespan), "cycles"),
-		metrics.Percent(study.CoupAcc.MakespanErr),
-		metrics.Float(study.Coupled.MeanLatency, 1, "cycles"), metrics.DurationText(study.CoupledWall))
-	t.Note("trace: %d events captured on the %s fabric in %s",
-		study.Trace.NumEvents(), config.NetIdeal, study.CaptureWall)
+		metrics.Percent(study.CoupAcc.MakespanErr), metrics.Float(study.Coupled.MeanLatency, 1, "cycles"))
+	t.Note("trace: %d events captured on the %s fabric",
+		study.Trace.NumEvents(), config.NetIdeal)
 	t.Note("self-correction: %d rounds, converged=%v, %d events replayed (%d cycles skipped by checkpoints)",
 		len(study.SCTM.Iterations), study.SCTM.Converged, study.SCTM.ReplayedEvents, study.SCTM.SavedCycles)
 	return t

@@ -3,12 +3,14 @@ package service
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -258,6 +260,24 @@ func TestMemoStaysWithinItsCap(t *testing.T) {
 	serveInProcess(srv, context.Background(), "/v1/simulate", body+strings.Repeat(" ", replyMemoCap+extra-1))
 	if st := srv.replies.stats(); st.Hits != 1 {
 		t.Fatalf("the newest entry was evicted: %+v", st)
+	}
+}
+
+// A memoised body that keeps being asked for survives any number of never-seen
+// bodies: a warm daemon's hot set is not evicted by its cold stream, so its
+// repeats keep answering with the bytes of their first reply.
+func TestMemoKeepsWhatIsHit(t *testing.T) {
+	var m replyMemo
+	key := func(i int) replyKey { return sha256.Sum256([]byte(strconv.Itoa(i))) }
+	m.put(key(-1), resultEnvelope{Op: "hot"})
+	for i := 0; i < 3*replyMemoCap; i++ {
+		if env, ok := m.get(key(-1)); !ok || env.Op != "hot" {
+			t.Fatalf("hot entry evicted after %d never-seen bodies", i)
+		}
+		m.put(key(i), resultEnvelope{Op: "cold"})
+	}
+	if st := m.stats(); st.Entries != replyMemoCap || st.Evicted != 2*replyMemoCap+1 {
+		t.Fatalf("after 3 caps of never-seen bodies: %+v", st)
 	}
 }
 

@@ -103,24 +103,32 @@ func TestDoValueTableRoundTrip(t *testing.T) {
 
 // TestStaleValueFileIsAMiss: a value file written under an older
 // valueFormatVersion is recomputed, not decoded, and rewritten at the current
-// version.
+// version. The second case is the layout version 4 stored results in, wrapped
+// with the host time of their computation: read as a bare result it decodes
+// without error into a zero one, so only the version refuses it.
 func TestStaleValueFileIsAMiss(t *testing.T) {
-	c := New(t.TempDir())
-	key := testKey(3)
-	stale, _ := json.Marshal(diskValue{Version: valueFormatVersion - 1, Value: json.RawMessage("5")})
-	if err := os.WriteFile(c.valuePath(key), stale, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DoValue(c, key, func() (int, error) { return 7, nil })
-	if err != nil || got != 7 {
-		t.Fatalf("got %d, %v; want the recomputed 7", got, err)
-	}
-	if st := c.Stats(); st.Misses != 1 || st.DiskHits != 0 {
-		t.Fatalf("misses %d, disk hits %d; want 1 and 0", st.Misses, st.DiskHits)
-	}
-	data, err := os.ReadFile(c.valuePath(key))
-	var env diskValue
-	if err != nil || json.Unmarshal(data, &env) != nil || env.Version != valueFormatVersion || string(env.Value) != "7" {
-		t.Fatalf("file not rewritten at version %d: %s (%v)", valueFormatVersion, data, err)
+	type result struct{ Makespan int64 }
+	for _, stale := range []diskValue{
+		{Version: valueFormatVersion - 1, Value: json.RawMessage(`{"Makespan":5}`)},
+		{Version: 4, Value: json.RawMessage(`{"Res":{"Makespan":5},"Wall":1234}`)},
+	} {
+		c := New(t.TempDir())
+		key := testKey(3)
+		data, _ := json.Marshal(stale)
+		if err := os.WriteFile(c.valuePath(key), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := DoValue(c, key, func() (result, error) { return result{7}, nil })
+		if err != nil || got.Makespan != 7 {
+			t.Fatalf("%s: got %+v, %v; want the recomputed 7", data, got, err)
+		}
+		if st := c.Stats(); st.Misses != 1 || st.DiskHits != 0 {
+			t.Fatalf("%s: misses %d, disk hits %d; want 1 and 0", data, st.Misses, st.DiskHits)
+		}
+		data, err = os.ReadFile(c.valuePath(key))
+		var env diskValue
+		if err != nil || json.Unmarshal(data, &env) != nil || env.Version != valueFormatVersion || string(env.Value) != `{"Makespan":7}` {
+			t.Fatalf("file not rewritten at version %d: %s (%v)", valueFormatVersion, data, err)
+		}
 	}
 }

@@ -23,7 +23,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"onocsim/internal/trace"
 )
@@ -300,7 +299,10 @@ func (c *Cache) diskError(err error) {
 // Version 4: a noc.Stats summary holds integer Σx and Σx² instead of a
 // running mean and squared deviation; a version-3 block would decode with
 // zero sums.
-const valueFormatVersion = 4
+// Version 5: replay, correction and estimate results are stored bare instead
+// of wrapped as {"Res": …, "Wall": …} with the host time of the computation;
+// a version-4 file would decode into a zero result.
+const valueFormatVersion = 5
 
 // diskValue is the on-disk envelope for non-trace results.
 type diskValue struct {
@@ -353,40 +355,29 @@ func DoValue[T any](c *Cache, key Key, compute func() (T, error)) (T, error) {
 	return v.(T), nil
 }
 
-// tracePair is the cached value of a capture: the trace plus the wall time
-// it cost to obtain (capture time on a compute, load time on a disk hit).
-// Storing the timing inside the entry keeps duplicate requesters' reported
-// walls identical to the original flight's, with no side-channel races.
-type tracePair struct {
-	tr   *trace.Trace
-	wall time.Duration
-}
-
 // DoTrace memoizes a trace capture, additionally consulting the disk layer
 // when one is configured: a miss first tries to load the persisted trace,
 // and a computed trace is persisted for future invocations. Persistence
 // failures degrade silently to in-memory caching: a read-only or full cache
-// directory must not fail the run. The returned duration is what the trace
-// cost the first flight — a full capture, or a disk load.
+// directory must not fail the run.
 //
 // The published trace carries its capture identity (Trace.CaptureKey, the
 // "fp@kind" a replay key's Capture holds), written here while the flight still
 // owns the trace, so replays of it can be keyed without any side table.
-func (c *Cache) DoTrace(key Key, compute func() (*trace.Trace, time.Duration, error)) (*trace.Trace, time.Duration, error) {
+func (c *Cache) DoTrace(key Key, compute func() (*trace.Trace, error)) (*trace.Trace, error) {
 	v, err := c.Do(key, func() (any, error) {
 		captureKey := key.Fingerprint + "@" + key.Kind
 		if c.dir != "" {
-			start := time.Now()
 			if tr, err := trace.LoadFile(c.tracePath(key)); err == nil {
 				tr.CaptureKey = captureKey
 				c.mu.Lock()
 				c.stats.DiskHits++
 				c.mu.Unlock()
 				c.event(key, OutcomeDiskHit)
-				return tracePair{tr: tr, wall: time.Since(start)}, nil
+				return tr, nil
 			}
 		}
-		tr, wall, err := compute()
+		tr, err := compute()
 		if err != nil {
 			return nil, err
 		}
@@ -397,11 +388,10 @@ func (c *Cache) DoTrace(key Key, compute func() (*trace.Trace, time.Duration, er
 				return trace.SaveFile(tmp, tr)
 			})
 		}
-		return tracePair{tr: tr, wall: wall}, nil
+		return tr, nil
 	})
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	p := v.(tracePair)
-	return p.tr, p.wall, nil
+	return v.(*trace.Trace), nil
 }

@@ -215,14 +215,12 @@ func TestDoTraceDiskRoundTrip(t *testing.T) {
 
 	// First cache: computes and persists.
 	c1 := New(dir)
-	got, wall, err := c1.DoTrace(key, func() (*trace.Trace, time.Duration, error) {
-		return want, 123 * time.Millisecond, nil
-	})
+	got, err := c1.DoTrace(key, func() (*trace.Trace, error) { return want, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want || wall != 123*time.Millisecond {
-		t.Fatalf("first flight returned tr=%p wall=%v", got, wall)
+	if got != want {
+		t.Fatalf("first flight returned tr=%p, want %p", got, want)
 	}
 	if _, err := os.Stat(c1.tracePath(key)); err != nil {
 		t.Fatalf("trace not persisted: %v", err)
@@ -236,9 +234,9 @@ func TestDoTraceDiskRoundTrip(t *testing.T) {
 	// Fresh cache over the same directory: the capture must come off disk,
 	// bit-identical, without invoking compute.
 	c2 := New(dir)
-	loaded, _, err := c2.DoTrace(key, func() (*trace.Trace, time.Duration, error) {
+	loaded, err := c2.DoTrace(key, func() (*trace.Trace, error) {
 		t.Error("compute ran despite persisted trace")
-		return nil, 0, errors.New("unreachable")
+		return nil, errors.New("unreachable")
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +255,7 @@ func TestDoTraceDiskRoundTrip(t *testing.T) {
 
 	// Within one cache, the second request is a plain memory hit — the disk
 	// is consulted once per process, not per request.
-	if _, _, err := c2.DoTrace(key, nil); err != nil {
+	if _, err := c2.DoTrace(key, nil); err != nil {
 		t.Fatal(err)
 	}
 	if st := c2.Stats(); st.Hits != 1 || st.DiskHits != 1 {
@@ -270,8 +268,8 @@ func TestDoTraceErrorNotPersisted(t *testing.T) {
 	c := New(dir)
 	key := Key{Fingerprint: "dead", Kind: "ideal", Op: OpCapture}
 	boom := errors.New("capture failed")
-	if _, _, err := c.DoTrace(key, func() (*trace.Trace, time.Duration, error) {
-		return nil, 0, boom
+	if _, err := c.DoTrace(key, func() (*trace.Trace, error) {
+		return nil, boom
 	}); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the compute error", err)
 	}
@@ -284,9 +282,7 @@ func TestDoTraceErrorNotPersisted(t *testing.T) {
 	}
 	// The failure is not cached in memory either.
 	want := diskTrace()
-	got, _, err := c.DoTrace(key, func() (*trace.Trace, time.Duration, error) {
-		return want, 0, nil
-	})
+	got, err := c.DoTrace(key, func() (*trace.Trace, error) { return want, nil })
 	if err != nil || got != want {
 		t.Fatalf("retry after failure: tr=%p err=%v", got, err)
 	}
@@ -302,8 +298,8 @@ func TestDoTraceUnwritableDirDegradesGracefully(t *testing.T) {
 	}
 	c := New(filepath.Join(bad, "cache")) // parent is a file: MkdirAll fails
 	want := diskTrace()
-	got, _, err := c.DoTrace(Key{Fingerprint: "beef", Kind: "ideal", Op: OpCapture},
-		func() (*trace.Trace, time.Duration, error) { return want, 0, nil })
+	got, err := c.DoTrace(Key{Fingerprint: "beef", Kind: "ideal", Op: OpCapture},
+		func() (*trace.Trace, error) { return want, nil })
 	if err != nil || got != want {
 		t.Fatalf("unwritable dir leaked into the result: tr=%p err=%v", got, err)
 	}

@@ -177,7 +177,7 @@ func BenchmarkInMemoryReplayRSS(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := uncached.RunNaiveReplayContext(bg, cfg, tr, onocsim.IdealNet); err != nil {
+		if _, err := uncached.RunNaiveReplayContext(bg, cfg, tr, onocsim.IdealNet); err != nil {
 			b.Fatal(err)
 		}
 		runtime.GC()
@@ -200,7 +200,7 @@ func BenchmarkNaiveReplayInMemory(b *testing.B) {
 	cfg := rssConfig()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := uncached.RunNaiveReplayContext(bg, cfg, tr, onocsim.Optical); err != nil {
+		if _, err := uncached.RunNaiveReplayContext(bg, cfg, tr, onocsim.Optical); err != nil {
 			b.Fatal(err)
 		}
 	}

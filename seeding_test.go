@@ -36,7 +36,7 @@ func TestSeedModesConvergeIdentically(t *testing.T) {
 				if mutate != nil {
 					mutate(&cfg)
 				}
-				res, _, err := uncached.RunSelfCorrectionContext(bg, cfg, tr, kind)
+				res, err := uncached.RunSelfCorrectionContext(bg, cfg, tr, kind)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -76,13 +76,13 @@ func TestAnalyticSeedNeverSlower(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				zl, _, err := uncached.RunSelfCorrectionContext(bg, cfg, tr, kind)
+				zl, err := uncached.RunSelfCorrectionContext(bg, cfg, tr, kind)
 				if err != nil {
 					t.Fatal(err)
 				}
 				an := cfg
 				an.SCTM.Seed = "analytic"
-				seeded, _, err := uncached.RunSelfCorrectionContext(bg, an, tr, kind)
+				seeded, err := uncached.RunSelfCorrectionContext(bg, an, tr, kind)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -104,14 +104,11 @@ func TestEstimateAgainstSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, kind := range []NetworkKind{Electrical, Optical, Hybrid} {
-		est, wall, err := uncached.Estimate(cfg, tr, kind)
+		est, err := uncached.Estimate(cfg, tr, kind)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
-		if wall <= 0 {
-			t.Fatalf("%s: no wall time measured", kind)
-		}
-		sim, _, err := uncached.RunSelfCorrectionContext(bg, cfg, tr, kind)
+		sim, err := uncached.RunSelfCorrectionContext(bg, cfg, tr, kind)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
@@ -132,12 +129,12 @@ func TestSessionEstimateCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _, err := s.Estimate(cfg, tr, Optical)
+	a, err := s.Estimate(cfg, tr, Optical)
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := s.CacheStats()
-	b, _, err := s.Estimate(cfg, tr, Optical)
+	b, err := s.Estimate(cfg, tr, Optical)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"onocsim/internal/analytic"
 	"onocsim/internal/config"
 	"onocsim/internal/core"
 	"onocsim/internal/fanout"
@@ -24,10 +25,10 @@ import (
 // uncached.
 //
 // Concurrent requests for the same result are single-flighted: the first
-// computes, duplicates block and share. Cached wall-clock fields (e.g.
-// GroundTruth.WallTime) report the original computation's timing. Flights
-// heal: a caller whose flight died of somebody else's cancellation while its
-// own context is alive asks again (see killedByAnother), so one client's
+// computes, duplicates block and share. No result carries host time, so a
+// cached answer is indistinguishable from a computed one. Flights heal: a
+// caller whose flight died of somebody else's cancellation while its own
+// context is alive asks again (see killedByAnother), so one client's
 // disconnect never fails another's request, whatever sits above the session —
 // a job, a study phase, an experiment's leaf, a sweep arm.
 //
@@ -355,21 +356,26 @@ func (s *Session) RunExecutionDrivenContext(ctx context.Context, cfg Config, kin
 // CaptureTraceContext is the memoized form of the package function. The
 // returned trace is shared: replay engines treat traces as read-only, so one
 // capture serves any number of concurrent replays. With a disk-layer session,
-// the capture may be satisfied by a trace persisted by an earlier invocation,
-// in which case the reported wall time is the (much smaller) load time.
+// the capture may be satisfied by a trace persisted by an earlier invocation.
+// The duration is the host time of this call — a capture, a load, a wait or a
+// map lookup.
 func (s *Session) CaptureTraceContext(ctx context.Context, cfg Config, captureOn NetworkKind) (*Trace, time.Duration, error) {
 	if s == nil {
 		return CaptureTraceContext(ctx, cfg, captureOn)
 	}
+	start := time.Now()
 	key, err := sessionKey(cfg, captureOn, simcache.OpCapture, "")
 	if err != nil {
 		return nil, 0, err
 	}
-	capture := func() (*trace.Trace, time.Duration, error) { return CaptureTraceContext(ctx, cfg, captureOn) }
+	capture := func() (*trace.Trace, error) {
+		tr, _, err := CaptureTraceContext(ctx, cfg, captureOn)
+		return tr, err
+	}
 	for attempt := 0; ; attempt++ {
-		tr, wall, err := s.cache.DoTrace(key, capture)
+		tr, err := s.cache.DoTrace(key, capture)
 		if attempt == flightRetries || !killedByAnother(ctx, err) {
-			return tr, wall, err
+			return tr, time.Since(start), err
 		}
 	}
 }
@@ -384,20 +390,18 @@ func (s *Session) CaptureTraceContext(ctx context.Context, cfg Config, captureOn
 // which every pass streams from disk without materializing it; a file and the
 // resident trace it encodes produce byte-identical results. Every Session
 // operation that reads a trace follows this contract.
-func (s *Session) RunNaiveReplayContext(ctx context.Context, cfg Config, src TraceSource, kind NetworkKind) (ReplayResult, time.Duration, error) {
-	v, err := memo(ctx, s.key(cfg, kind, simcache.OpNaive, src), func() (timed[ReplayResult], error) {
+func (s *Session) RunNaiveReplayContext(ctx context.Context, cfg Config, src TraceSource, kind NetworkKind) (ReplayResult, error) {
+	return memo(ctx, s.key(cfg, kind, simcache.OpNaive, src), func() (ReplayResult, error) {
 		return naiveReplay(ctx, cfg, src, kind)
 	})
-	return v.Res, v.Wall, err
 }
 
 // RunCoupledReplayContext runs the tightly coupled dependency-driven replay,
 // memoized like RunNaiveReplayContext.
-func (s *Session) RunCoupledReplayContext(ctx context.Context, cfg Config, src TraceSource, kind NetworkKind) (ReplayResult, time.Duration, error) {
-	v, err := memo(ctx, s.key(cfg, kind, simcache.OpCoupled, src), func() (timed[ReplayResult], error) {
+func (s *Session) RunCoupledReplayContext(ctx context.Context, cfg Config, src TraceSource, kind NetworkKind) (ReplayResult, error) {
+	return memo(ctx, s.key(cfg, kind, simcache.OpCoupled, src), func() (ReplayResult, error) {
 		return coupledReplay(ctx, cfg, src, kind)
 	})
-	return v.Res, v.Wall, err
 }
 
 // RunSelfCorrectionContext runs the Self-Correction Trace Model on src,
@@ -426,12 +430,12 @@ func (s *Session) RunCoupledReplayContext(ctx context.Context, cfg Config, src T
 // and completes to the same byte-identical result an uninterrupted run
 // produces. This is what heals service traffic after a client disconnect or a
 // cancelled drain: the retry pays only the remaining rounds.
-func (s *Session) RunSelfCorrectionContext(ctx context.Context, cfg Config, src TraceSource, kind NetworkKind) (CorrectionResult, time.Duration, error) {
+func (s *Session) RunSelfCorrectionContext(ctx context.Context, cfg Config, src TraceSource, kind NetworkKind) (CorrectionResult, error) {
 	k := s.key(cfg, kind, simcache.OpSCTM, src)
 	// A parked partial result travels past the cache, which (correctly)
 	// drops the value of any failed flight.
-	var parked *timed[CorrectionResult]
-	v, err := memo(ctx, k, func() (timed[CorrectionResult], error) {
+	var parked *CorrectionResult
+	res, err := memo(ctx, k, func() (CorrectionResult, error) {
 		// Take (not peek) inside the closure: only the goroutine that
 		// actually computes may consume the single-use resume state —
 		// deduplicated waiters never reach here.
@@ -449,9 +453,9 @@ func (s *Session) RunSelfCorrectionContext(ctx context.Context, cfg Config, src 
 		return res, err
 	})
 	if err != nil && parked != nil {
-		v = *parked
+		res = *parked
 	}
-	return v.Res, v.Wall, err
+	return res, err
 }
 
 // Estimate prices replaying src on the given fabric kind with the closed-form
@@ -460,11 +464,10 @@ func (s *Session) RunSelfCorrectionContext(ctx context.Context, cfg Config, src 
 // queues for no simulation slot, hence no context), memoized like
 // RunNaiveReplayContext anyway so repeated sweeps over a persisted session
 // cost a map lookup.
-func (s *Session) Estimate(cfg Config, src TraceSource, kind NetworkKind) (AnalyticEstimate, time.Duration, error) {
-	v, err := memo(context.Background(), s.key(cfg, kind, simcache.OpEstimate, src), func() (timed[AnalyticEstimate], error) {
-		return estimate(cfg, src, kind)
+func (s *Session) Estimate(cfg Config, src TraceSource, kind NetworkKind) (AnalyticEstimate, error) {
+	return memo(context.Background(), s.key(cfg, kind, simcache.OpEstimate, src), func() (AnalyticEstimate, error) {
+		return analytic.Estimate(cfg, kind, src)
 	})
-	return v.Res, v.Wall, err
 }
 
 // RunSyntheticLoadContext drives a fresh fabric of the given kind open-loop
@@ -511,20 +514,20 @@ func (s *Session) RunStudyContext(ctx context.Context, cfg Config, target Networ
 			st.Truth, err = s.RunExecutionDrivenContext(ctx, cfg, target)
 			return phase("ground truth", err)
 		}
-		st.Trace, st.CaptureWall, err = s.CaptureTraceContext(ctx, cfg, config.NetIdeal)
+		st.Trace, _, err = s.CaptureTraceContext(ctx, cfg, config.NetIdeal)
 		if err != nil {
 			return phase("capture", err)
 		}
 		return fanout.Each(ctx, 3, func(ctx context.Context, i int) (err error) {
 			switch i {
 			case 0:
-				st.Naive, st.NaiveWall, err = s.RunNaiveReplayContext(ctx, cfg, st.Trace, target)
+				st.Naive, err = s.RunNaiveReplayContext(ctx, cfg, st.Trace, target)
 				return phase("naive replay", err)
 			case 1:
-				st.Coupled, st.CoupledWall, err = s.RunCoupledReplayContext(ctx, cfg, st.Trace, target)
+				st.Coupled, err = s.RunCoupledReplayContext(ctx, cfg, st.Trace, target)
 				return phase("coupled replay", err)
 			default:
-				st.SCTM, st.SCTMWall, err = s.RunSelfCorrectionContext(ctx, cfg, st.Trace, target)
+				st.SCTM, err = s.RunSelfCorrectionContext(ctx, cfg, st.Trace, target)
 				return phase("self-correction", err)
 			}
 		})

@@ -68,7 +68,7 @@ func TestSessionHealsCorrectionKilledByAnotherCaller(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, _, err := ref.RunSelfCorrectionContext(bg, cfg, refTrace, Optical)
+	full, err := ref.RunSelfCorrectionContext(bg, cfg, refTrace, Optical)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestSessionHealsCorrectionKilledByAnotherCaller(t *testing.T) {
 	left := make(chan struct{})
 	go func() {
 		defer close(left)
-		parked, _, leaverErr = s.RunSelfCorrectionContext(leaver, cfg, tr, Optical)
+		parked, leaverErr = s.RunSelfCorrectionContext(leaver, cfg, tr, Optical)
 	}()
 	<-leaver.started
 
@@ -96,7 +96,7 @@ func TestSessionHealsCorrectionKilledByAnotherCaller(t *testing.T) {
 	if budget >= 1+1+cfg.SCTM.MaxIterations {
 		t.Fatalf("budget %d would cover a restart", budget)
 	}
-	survivor, _, err := s.RunSelfCorrectionContext(&resumePollCtx{Context: bg, remaining: budget}, cfg, tr, Optical)
+	survivor, err := s.RunSelfCorrectionContext(&resumePollCtx{Context: bg, remaining: budget}, cfg, tr, Optical)
 	<-left
 	if err != nil {
 		t.Fatalf("survivor failed (not retried, or restarted from scratch?): %v", err)
@@ -115,7 +115,7 @@ func TestSessionHealsCorrectionKilledByAnotherCaller(t *testing.T) {
 		t.Fatalf("flights %d, joins %d; want 2 and 1 (%+v -> %+v)", after.Misses-before.Misses, after.Waits-before.Waits, before, after)
 	}
 	hits := after.Hits
-	if _, _, err := s.RunSelfCorrectionContext(bg, cfg, tr, Optical); err != nil || s.CacheStats().Hits != hits+1 {
+	if _, err := s.RunSelfCorrectionContext(bg, cfg, tr, Optical); err != nil || s.CacheStats().Hits != hits+1 {
 		t.Fatalf("healed result not cached: err = %v, hits %d -> %d", err, hits, s.CacheStats().Hits)
 	}
 }

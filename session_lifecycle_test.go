@@ -40,7 +40,7 @@ func TestSessionForeignTraceMemoizedByContent(t *testing.T) {
 		hit bool
 	}{{tr, false}, {x2, false}, {x3, false}, {handBuilt, false}, {handBuilt, true}, {x3, true}, {tr, true}} {
 		before := s.CacheStats()
-		if _, _, err := s.RunNaiveReplayContext(bg, cfg, tc.tr, Optical); err != nil {
+		if _, err := s.RunNaiveReplayContext(bg, cfg, tc.tr, Optical); err != nil {
 			t.Fatal(err)
 		}
 		after := s.CacheStats()
@@ -62,7 +62,7 @@ func TestSessionSelfCorrectionParksAndNeverCachesPartial(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, _, err := s.RunSelfCorrectionContext(ctx, cfg, tr, Optical)
+	res, err := s.RunSelfCorrectionContext(ctx, cfg, tr, Optical)
 	if !errors.Is(err, ErrParked) && !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled correction returned %v", err)
 	}
@@ -70,7 +70,7 @@ func TestSessionSelfCorrectionParksAndNeverCachesPartial(t *testing.T) {
 		t.Fatal("parked result claims convergence")
 	}
 	misses := s.CacheStats().Misses
-	full, _, err := s.RunSelfCorrectionContext(bg, cfg, tr, Optical)
+	full, err := s.RunSelfCorrectionContext(bg, cfg, tr, Optical)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestSessionSelfCorrectionParksAndNeverCachesPartial(t *testing.T) {
 	}
 	// And the converged result is cached now.
 	hits := s.CacheStats().Hits
-	if _, _, err := s.RunSelfCorrectionContext(bg, cfg, tr, Optical); err != nil {
+	if _, err := s.RunSelfCorrectionContext(bg, cfg, tr, Optical); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.CacheStats().Hits; got != hits+1 {
@@ -129,7 +129,7 @@ func TestSessionResumesParkedCorrection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, _, err := ref.RunSelfCorrectionContext(bg, cfg, tr, Optical)
+	full, err := ref.RunSelfCorrectionContext(bg, cfg, tr, Optical)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestSessionResumesParkedCorrection(t *testing.T) {
 				resumeOn = traceOnDisk(t, tr)
 			}
 			ctx := &resumePollCtx{Context: context.Background(), remaining: 5}
-			parked, _, err := s.RunSelfCorrectionContext(ctx, cfg, parkOn, Optical)
+			parked, err := s.RunSelfCorrectionContext(ctx, cfg, parkOn, Optical)
 			if !errors.Is(err, ErrParked) {
 				t.Fatalf("err = %v, want ErrParked", err)
 			}
@@ -177,7 +177,7 @@ func TestSessionResumesParkedCorrection(t *testing.T) {
 				t.Fatalf("park too late to distinguish resume from restart: r=%d", r)
 			}
 			ctx2 := &resumePollCtx{Context: context.Background(), remaining: budget}
-			resumed, _, err := s.RunSelfCorrectionContext(ctx2, cfg, resumeOn, Optical)
+			resumed, err := s.RunSelfCorrectionContext(ctx2, cfg, resumeOn, Optical)
 			if err != nil {
 				t.Fatalf("resumed run failed (did the session restart from scratch?): %v", err)
 			}
@@ -187,7 +187,7 @@ func TestSessionResumesParkedCorrection(t *testing.T) {
 
 			// The completed resume is cached like any converged-or-exhausted run.
 			hits := s.CacheStats().Hits
-			if _, _, err := s.RunSelfCorrectionContext(bg, cfg, resumeOn, Optical); err != nil {
+			if _, err := s.RunSelfCorrectionContext(bg, cfg, resumeOn, Optical); err != nil {
 				t.Fatal(err)
 			}
 			if got := s.CacheStats().Hits; got != hits+1 {
@@ -217,7 +217,7 @@ func TestStreamedCorrectionParksAtRoundBoundary(t *testing.T) {
 	for name, src := range map[string]TraceSource{"captured": tr, "file": traceOnDisk(t, tr)} {
 		for _, shards := range []int{1, 4} {
 			cfg.Parallelism.Shards = shards
-			full, _, err := uncached.RunSelfCorrectionContext(bg, cfg, src, Optical)
+			full, err := uncached.RunSelfCorrectionContext(bg, cfg, src, Optical)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -226,7 +226,7 @@ func TestStreamedCorrectionParksAtRoundBoundary(t *testing.T) {
 			}
 			const rounds = 4
 			ctx := &resumePollCtx{Context: context.Background(), remaining: 1 + rounds}
-			parked, _, err := uncached.RunSelfCorrectionContext(ctx, cfg, src, Optical)
+			parked, err := uncached.RunSelfCorrectionContext(ctx, cfg, src, Optical)
 			if !errors.Is(err, ErrParked) || parked.Converged || !reflect.DeepEqual(parked.Iterations, full.Iterations[:rounds]) ||
 				parked.ReplayedEvents != rounds*len(tr.Events) {
 				t.Fatalf("%s shards=%d: park (err %v, %d events replayed) is not the first %d rounds of the full run:\n got %+v\nwant %+v",
@@ -237,11 +237,11 @@ func TestStreamedCorrectionParksAtRoundBoundary(t *testing.T) {
 			// and is not cached: the next, uncancelled request runs to the end.
 			s := NewSession("")
 			ctx = &resumePollCtx{Context: context.Background(), remaining: 1 + rounds}
-			viaSession, _, err := s.RunSelfCorrectionContext(ctx, cfg, src, Optical)
+			viaSession, err := s.RunSelfCorrectionContext(ctx, cfg, src, Optical)
 			if !errors.Is(err, ErrParked) || !reflect.DeepEqual(viaSession.Iterations, parked.Iterations) {
 				t.Fatalf("%s shards=%d: session park: err = %v, %d rounds", name, shards, err, len(viaSession.Iterations))
 			}
-			again, _, err := s.RunSelfCorrectionContext(context.Background(), cfg, src, Optical)
+			again, err := s.RunSelfCorrectionContext(context.Background(), cfg, src, Optical)
 			if err != nil || !reflect.DeepEqual(again, full) {
 				t.Fatalf("%s shards=%d: run after a park: err = %v, %d rounds", name, shards, err, len(again.Iterations))
 			}

@@ -42,14 +42,14 @@ func TestShardInvarianceNaiveReplay(t *testing.T) {
 			if err != nil {
 				t.Fatalf("capture: %v", err)
 			}
-			serial, _, err := uncached.RunNaiveReplayContext(bg, tc.cfg, tr, tc.kind)
+			serial, err := uncached.RunNaiveReplayContext(bg, tc.cfg, tr, tc.kind)
 			if err != nil {
 				t.Fatalf("serial replay: %v", err)
 			}
 			for _, k := range []int{1, 2, 3, 8} {
 				cfg := tc.cfg
 				cfg.Parallelism.Shards = k
-				got, _, err := uncached.RunNaiveReplayContext(bg, cfg, tr, tc.kind)
+				got, err := uncached.RunNaiveReplayContext(bg, cfg, tr, tc.kind)
 				if err != nil {
 					t.Fatalf("shards=%d: %v", k, err)
 				}
@@ -75,13 +75,13 @@ func TestShardInvarianceSelfCorrection(t *testing.T) {
 			if err != nil {
 				t.Fatalf("capture: %v", err)
 			}
-			serial, _, err := uncached.RunSelfCorrectionContext(bg, tc.cfg, tr, tc.kind)
+			serial, err := uncached.RunSelfCorrectionContext(bg, tc.cfg, tr, tc.kind)
 			if err != nil {
 				t.Fatalf("serial: %v", err)
 			}
 			cfg := tc.cfg
 			cfg.Parallelism.Shards = 8
-			got, _, err := uncached.RunSelfCorrectionContext(bg, cfg, tr, tc.kind)
+			got, err := uncached.RunSelfCorrectionContext(bg, cfg, tr, tc.kind)
 			if err != nil {
 				t.Fatalf("sharded: %v", err)
 			}

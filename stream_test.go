@@ -44,7 +44,7 @@ func TestFileMatchesResident(t *testing.T) {
 	correct := func(seed string) func(Config, TraceSource, NetworkKind) (any, error) {
 		return func(cfg Config, src TraceSource, kind NetworkKind) (any, error) {
 			cfg.SCTM.Seed = seed
-			res, _, err := uncached.RunSelfCorrectionContext(bg, cfg, src, kind)
+			res, err := uncached.RunSelfCorrectionContext(bg, cfg, src, kind)
 			return res, err
 		}
 	}
@@ -53,15 +53,15 @@ func TestFileMatchesResident(t *testing.T) {
 		run  func(Config, TraceSource, NetworkKind) (any, error)
 	}{
 		{"naive", func(cfg Config, src TraceSource, kind NetworkKind) (any, error) {
-			res, _, err := uncached.RunNaiveReplayContext(bg, cfg, src, kind)
+			res, err := uncached.RunNaiveReplayContext(bg, cfg, src, kind)
 			return res, err
 		}},
 		{"coupled", func(cfg Config, src TraceSource, kind NetworkKind) (any, error) {
-			res, _, err := uncached.RunCoupledReplayContext(bg, cfg, src, kind)
+			res, err := uncached.RunCoupledReplayContext(bg, cfg, src, kind)
 			return res, err
 		}},
 		{"estimate", func(cfg Config, src TraceSource, kind NetworkKind) (any, error) {
-			res, _, err := uncached.Estimate(cfg, src, kind)
+			res, err := uncached.Estimate(cfg, src, kind)
 			return res, err
 		}},
 		{"correct-zeroload", correct("zeroload")},
@@ -102,7 +102,7 @@ func TestStreamInvarianceNaiveReplay(t *testing.T) {
 			if err != nil {
 				t.Fatalf("capture: %v", err)
 			}
-			full, _, err := uncached.RunNaiveReplayContext(bg, tc.cfg, tr, tc.kind)
+			full, err := uncached.RunNaiveReplayContext(bg, tc.cfg, tr, tc.kind)
 			if err != nil {
 				t.Fatalf("resident replay: %v", err)
 			}
@@ -130,7 +130,7 @@ func TestStreamInvarianceSelfCorrection(t *testing.T) {
 			if err != nil {
 				t.Fatalf("capture: %v", err)
 			}
-			serial, _, err := uncached.RunSelfCorrectionContext(bg, tc.cfg, tr, tc.kind)
+			serial, err := uncached.RunSelfCorrectionContext(bg, tc.cfg, tr, tc.kind)
 			if err != nil {
 				t.Fatalf("serial: %v", err)
 			}
@@ -138,7 +138,7 @@ func TestStreamInvarianceSelfCorrection(t *testing.T) {
 				for _, k := range []int{1, 8} {
 					cfg := tc.cfg
 					cfg.Parallelism.Shards = k
-					got, _, err := uncached.RunSelfCorrectionContext(bg, cfg, src, tc.kind)
+					got, err := uncached.RunSelfCorrectionContext(bg, cfg, src, tc.kind)
 					if err != nil {
 						t.Fatalf("%s shards=%d: %v", name, k, err)
 					}
@@ -159,7 +159,7 @@ func TestStreamSummaryMatchesReplay(t *testing.T) {
 	if err != nil {
 		t.Fatalf("capture: %v", err)
 	}
-	full, _, err := uncached.RunNaiveReplayContext(bg, cfg, tr, IdealNet)
+	full, err := uncached.RunNaiveReplayContext(bg, cfg, tr, IdealNet)
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
@@ -211,7 +211,7 @@ func TestStreamWindowTooSmallErrors(t *testing.T) {
 	tr := holdoutTrace(10)
 	cfg := smallConfig()
 	cfg.System.Cores = 4
-	want, _, err := uncached.RunSelfCorrectionContext(bg, cfg, tr, IdealNet)
+	want, err := uncached.RunSelfCorrectionContext(bg, cfg, tr, IdealNet)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestStreamWindowTooSmallErrors(t *testing.T) {
 		fits   bool
 	}{{tr, 4, true}, {traceOnDisk(t, tr), 4, false}, {traceOnDisk(t, tr), 10, true}} {
 		cfg.Parallelism.WindowEvents = tc.window
-		got, _, err := uncached.RunSelfCorrectionContext(bg, cfg, tc.src, IdealNet)
+		got, err := uncached.RunSelfCorrectionContext(bg, cfg, tc.src, IdealNet)
 		if tc.fits != (err == nil) || tc.fits && !reflect.DeepEqual(got, want) {
 			t.Fatalf("%T window=%d: err = %v, want fits = %v and the resident result\n got: %+v\nwant: %+v", tc.src, tc.window, err, tc.fits, got, want)
 		}
@@ -249,11 +249,11 @@ func TestStreamDegenerateTraces(t *testing.T) {
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			want, _, err := uncached.RunNaiveReplayContext(bg, cfg, tc.tr, IdealNet)
+			want, err := uncached.RunNaiveReplayContext(bg, cfg, tc.tr, IdealNet)
 			if err != nil {
 				t.Fatalf("in-memory: %v", err)
 			}
-			wantSC, _, err := uncached.RunSelfCorrectionContext(bg, cfg, tc.tr, IdealNet)
+			wantSC, err := uncached.RunSelfCorrectionContext(bg, cfg, tc.tr, IdealNet)
 			if err != nil {
 				t.Fatalf("in-memory correction: %v", err)
 			}
@@ -261,13 +261,13 @@ func TestStreamDegenerateTraces(t *testing.T) {
 			for _, k := range []int{1, 2, 8} {
 				c := cfg
 				c.Parallelism.Shards = k
-				got, _, err := uncached.RunNaiveReplayContext(bg, c, tc.tr, IdealNet)
+				got, err := uncached.RunNaiveReplayContext(bg, c, tc.tr, IdealNet)
 				if err != nil {
 					t.Fatalf("shards=%d: %v", k, err)
 				}
 				replaysEqual(t, tc.name, got, want)
 				for name, src := range sources {
-					gotSC, _, err := uncached.RunSelfCorrectionContext(bg, c, src, IdealNet)
+					gotSC, err := uncached.RunSelfCorrectionContext(bg, c, src, IdealNet)
 					if err != nil || !reflect.DeepEqual(gotSC, wantSC) {
 						t.Errorf("%s shards=%d: correction diverges (%v)\n got: %+v\nwant: %+v", name, k, err, gotSC, wantSC)
 					}
@@ -398,14 +398,14 @@ func TestSessionStreamReplayCache(t *testing.T) {
 	file := traceOnDisk(t, tr)
 	s := NewSession("")
 
-	first, _, err := s.RunSelfCorrectionContext(bg, cfg, file, Optical)
+	first, err := s.RunSelfCorrectionContext(bg, cfg, file, Optical)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hits := s.CacheStats().Hits; hits != 0 {
 		t.Fatalf("unexpected hits before re-run: %d", hits)
 	}
-	again, _, err := s.RunSelfCorrectionContext(bg, cfg, file, Optical)
+	again, err := s.RunSelfCorrectionContext(bg, cfg, file, Optical)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +415,7 @@ func TestSessionStreamReplayCache(t *testing.T) {
 	if hits := s.CacheStats().Hits; hits != 1 {
 		t.Errorf("re-run hits = %d, want 1", hits)
 	}
-	fromMem, _, err := s.RunSelfCorrectionContext(bg, cfg, tr, Optical)
+	fromMem, err := s.RunSelfCorrectionContext(bg, cfg, tr, Optical)
 	if err != nil {
 		t.Fatal(err)
 	}
