@@ -34,7 +34,10 @@ fmt-check:
 # returns × three traffic sources) plus FuzzConfig's seed corpus, well under 1 s.
 # The merge property tests are why a sharded replay cannot change a result:
 # statistics blocks recorded from any split of a delivery log, each part
-# shuffled, merge in any order into the block of the whole log.
+# shuffled, merge in any order into the block of the whole log. Beside them,
+# the calendar property test holds sim.Calendar — every fabric's delivery
+# queue and the replay decoder's pending queue — to a sorted (cycle, push
+# order) reference.
 # TestParallelCachedOutputMatchesSequential holds the concurrent, cached
 # (cold and warm disk) quick report to the sequential uncached one, byte for
 # byte: no table cell holds host time.
@@ -44,7 +47,7 @@ check: vet fmt-check sweep-smoke
 	$(GO) test . -run 'TestDocsResolve|Surface|TestFileMatchesResident' -count=1
 	$(GO) test ./internal/fabric/ -count=1
 	$(GO) test -short ./internal/enoc/ ./internal/onoc/ ./internal/trace/ ./internal/core/ -run 'DifferentialAgainstReference|BufferedDecodeMatchesBytewise|EngineAgainstReference' -count=1
-	$(GO) test ./internal/noc/ ./internal/metrics/ -run 'MergeIs' -count=1
+	$(GO) test ./internal/noc/ ./internal/metrics/ ./internal/sim/ -run 'MergeIs|CalendarMatches' -count=1
 
 # Non-test Go lines per package directory and in total, bench/ excluded (it is
 # the measuring instrument, not the product): the count ROADMAP's "net negative

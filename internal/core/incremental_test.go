@@ -105,7 +105,8 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 					done++
 					pool.Put(m)
 				})
-				dec := &streamDecoder{it: it, inject: inject, sm: suffixMinInject(inject), pending: new(pendingQueue), floor: floor}
+				pending := sim.NewCalendar[pendingMsg](ringTicks)
+				dec := &streamDecoder{it: it, inject: inject, sm: suffixMinInject(inject), pending: &pending, floor: floor}
 				if err := drain(net, dec, &pool, injected, &done, n, capture); err != nil {
 					return err
 				}

@@ -369,7 +369,7 @@ func TestEngineAgainstReference(t *testing.T) {
 							if saved := r.saved > 0; saved != (ladder && tc.ladders && checkpoints) {
 								t.Fatalf("%s: checkpoints restored = %v", label, saved)
 							}
-							if n >= 3 && !ladder && !slices.ContainsFunc(r.slots, func(s slot) bool { return cap(s.pending.far) > 0 }) {
+							if n >= 3 && !ladder && !slices.ContainsFunc(r.slots, func(s slot) bool { return s.pending.Overflowed() }) {
 								t.Fatalf("%s: no shard used the overflow heap", label)
 							}
 						}

@@ -200,7 +200,7 @@ type slot struct {
 	net     noc.Network
 	used    bool
 	pool    noc.MsgPool
-	pending pendingQueue
+	pending sim.Calendar[pendingMsg]
 }
 
 func newReplayer(factory NetworkFactory, src trace.Source, shards, window int) *replayer {
@@ -221,7 +221,7 @@ func (r *replayer) read(src trace.Source, window int) {
 // instance is still fresh for the first run.
 func (r *replayer) fabric(i int) noc.Network {
 	for len(r.slots) <= i {
-		r.slots = append(r.slots, slot{})
+		r.slots = append(r.slots, slot{pending: sim.NewCalendar[pendingMsg](ringTicks)})
 	}
 	if r.slots[i].net == nil {
 		r.slots[i].net = r.factory()
@@ -267,7 +267,7 @@ func (l *lane) drain(src trace.Source, dec streamDecoder) {
 		return
 	}
 	defer it.Close()
-	l.slot.pending.reset()
+	l.slot.pending.Reset()
 	dec.it, dec.floor, dec.pending = it, l.floor, &l.slot.pending
 	l.err = drain(l.net, &dec, &l.slot.pool, l.injected, &l.delivered, l.want, l.capture)
 	l.maxRef = dec.maxRef

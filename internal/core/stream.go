@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 
 	"onocsim/internal/noc"
 	"onocsim/internal/sim"
@@ -23,16 +22,13 @@ import (
 // Decoding while suffixMin[pos] ≤ now guarantees every event due at `now` has
 // been decoded, and the pending queue releases them in exactly (time, ID)
 // order — the order a full sort of the schedule would give. The queue is a
-// calendar: one FIFO bucket per cycle for the ringTicks cycles after the last
-// released one, and a (time, index) min-heap for events scheduled further
-// out. A bucket's FIFO order is ID order because the decoder pushes in ID
-// order and every push lands after every released cycle; an overflow event
-// moves into its bucket as the ring advances over its cycle, before that
-// bucket can take a direct push. The queue is the read-ahead window: it holds
-// events the stream has passed but the schedule has not yet made due, and
-// its size is the trace's schedule inversion width. A window cap turns an
-// undersized window into a deterministic error — never a deadlock and never a
-// silently wrong result.
+// sim.Calendar, which releases same-cycle events in push order, and the
+// decoder pushes in ID order; every push lands at or after the cycle being
+// released. The queue is the read-ahead window: it holds events the stream
+// has passed but the schedule has not yet made due, and its size is the
+// trace's schedule inversion width. A window cap turns an undersized window
+// into a deterministic error — never a deadlock and never a silently wrong
+// result.
 
 // feed hands the drain loop its injections.
 type feed interface {
@@ -103,204 +99,13 @@ type pendingMsg struct {
 	dst   int
 	bytes int
 	class noc.Class
-	next  int32 // the calendar's link to the next entry: slab index + 1, 0 = none
 }
 
-// ringTicks is how many cycles past the last released one the calendar holds
-// in per-cycle buckets; a power of two. The overflow heap beyond it is nearly
-// idle: a correction of a generated 2^19-event trace on the 64-node crossbar
-// sends it 469 of 1.6 million pushes.
+// ringTicks is the span of the decoder's pending calendar: how many cycles
+// past the last released one it holds in per-cycle buckets. Its overflow heap
+// is nearly idle: a correction of a generated 2^19-event trace on the 64-node
+// crossbar sends it 480 of 1.6 million pushes.
 const ringTicks = 1 << 12
-
-// pendingQueue is the decoder's pending events in (at, idx) order: per-cycle
-// FIFO buckets for [lo, lo+ringTicks), a heap for the cycles beyond. The
-// buckets are linked lists through one slab, so a queue reused across runs
-// allocates nothing once it has held its peak. The zero value is empty.
-type pendingQueue struct {
-	lo    sim.Tick // every cycle before lo has been released
-	n     int      // pending events, ring and overflow
-	first sim.Tick // earliest pending cycle, while n > 0
-	// head and tail are each bucket's ends (slab index + 1, 0 = empty); occ
-	// has a bit per non-empty bucket, and words a bit per non-zero occ word.
-	head, tail [ringTicks]int32
-	occ        [ringTicks / 64]uint64
-	words      uint64
-	slab       []pendingMsg
-	free       int32       // released slab entries, linked through next
-	far        pendingHeap // events at lo+ringTicks or later
-	popped     pendingMsg  // the last event pop took from far
-}
-
-// reset empties the queue for a drain, keeping its storage.
-func (q *pendingQueue) reset() {
-	if q.n > 0 { // a failed run left events behind
-		clear(q.head[:])
-		clear(q.tail[:])
-		clear(q.occ[:])
-		q.words = 0
-	}
-	q.lo, q.n, q.free = 0, 0, 0
-	q.slab, q.far = q.slab[:0], q.far[:0]
-}
-
-// push queues m. Its cycle must not be before lo.
-func (q *pendingQueue) push(m pendingMsg) {
-	if q.n == 0 || m.at < q.first {
-		q.first = m.at
-	}
-	q.n++
-	if m.at-q.lo >= ringTicks {
-		q.far.push(m)
-		return
-	}
-	q.append(m)
-}
-
-// append adds m at the tail of its cycle's bucket.
-func (q *pendingQueue) append(m pendingMsg) {
-	m.next = 0
-	e := q.free
-	if e != 0 {
-		q.free = q.slab[e-1].next
-		q.slab[e-1] = m
-	} else {
-		q.slab = append(q.slab, m)
-		e = int32(len(q.slab))
-	}
-	b := int(m.at) & (ringTicks - 1)
-	if q.tail[b] == 0 {
-		q.head[b] = e
-		q.occ[b>>6] |= 1 << (b & 63)
-		q.words |= 1 << (b >> 6)
-	} else {
-		q.slab[q.tail[b]-1].next = e
-	}
-	q.tail[b] = e
-}
-
-// scan returns the first occupied ring cycle at or after from, given that
-// none lies in [lo, from), or sim.Never when the ring is empty.
-func (q *pendingQueue) scan(from sim.Tick) sim.Tick {
-	b := int(from) & (ringTicks - 1)
-	if w := q.occ[b>>6] >> (b & 63); w != 0 { // in from's own word
-		return from + sim.Tick(bits.TrailingZeros64(w))
-	}
-	// The next non-empty word, counting circularly from the one after
-	// from's; from's own word comes last, holding cycles a ring later.
-	rest := bits.RotateLeft64(q.words, -(b>>6 + 1))
-	if rest == 0 {
-		return sim.Never
-	}
-	k := bits.TrailingZeros64(rest) + 1
-	w := (b>>6 + k) & (ringTicks/64 - 1)
-	return from - sim.Tick(b&63) + sim.Tick(64*k+bits.TrailingZeros64(q.occ[w]))
-}
-
-// pop removes the first event due at or before now and returns it, or nil
-// when none is due. The event stays valid until the next call on the queue.
-func (q *pendingQueue) pop(now sim.Tick) *pendingMsg {
-	if q.n == 0 || q.first > now {
-		return nil
-	}
-	q.n--
-	if q.first-q.lo >= ringTicks { // the ring is empty: every ring event precedes every overflow one
-		q.popped = q.far.pop()
-		if len(q.far) > 0 {
-			q.first = q.far[0].at
-		}
-		return &q.popped
-	}
-	b := int(q.first) & (ringTicks - 1)
-	e := q.head[b]
-	m := &q.slab[e-1]
-	q.head[b], m.next, q.free = m.next, q.free, e
-	if q.head[b] == 0 {
-		q.tail[b] = 0
-		if q.occ[b>>6] &^= 1 << (b & 63); q.occ[b>>6] == 0 {
-			q.words &^= 1 << (b >> 6)
-		}
-		if q.first = q.scan(q.first + 1); q.first == sim.Never && len(q.far) > 0 {
-			q.first = q.far[0].at
-		}
-	}
-	return m
-}
-
-// advance records that every event due at or before now has been popped. The
-// ring moves past now and takes in the overflow events it now covers: their
-// buckets were emptied by the pops, and no push can have reached them yet.
-func (q *pendingQueue) advance(now sim.Tick) {
-	q.lo = now + 1
-	for len(q.far) > 0 && q.far[0].at-q.lo < ringTicks {
-		q.append(q.far.pop())
-	}
-}
-
-// next returns the earliest pending cycle, or sim.Never.
-func (q *pendingQueue) next() sim.Tick {
-	if q.n == 0 {
-		return sim.Never
-	}
-	return q.first
-}
-
-// pendingHeap is a binary min-heap ordered by (at, idx) — the (time, ID)
-// injection order.
-type pendingHeap []pendingMsg
-
-// before reports whether a is released ahead of b.
-func (a *pendingMsg) before(b *pendingMsg) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.idx < b.idx
-}
-
-// push and pop move a hole through the tree instead of swapping entries:
-// one 48-byte copy per level, not three.
-func (h *pendingHeap) push(m pendingMsg) {
-	*h = append(*h, m)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !m.before(&s[p]) {
-			break
-		}
-		s[i] = s[p]
-		i = p
-	}
-	s[i] = m
-}
-
-func (h *pendingHeap) pop() pendingMsg {
-	s := *h
-	top := s[0]
-	last := len(s) - 1
-	m := s[last]
-	s = s[:last]
-	*h = s
-	if last == 0 {
-		return top
-	}
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= last {
-			break
-		}
-		if c+1 < last && s[c+1].before(&s[c]) {
-			c++
-		}
-		if !s[c].before(&m) {
-			break
-		}
-		s[i] = s[c]
-		i = c
-	}
-	s[i] = m
-	return top
-}
 
 // noFloor is the streamDecoder.floor of a drain that starts at cycle zero.
 const noFloor = -sim.Never
@@ -312,7 +117,7 @@ type streamDecoder struct {
 	inject  []sim.Tick
 	sm      []sim.Tick
 	pos     int
-	pending *pendingQueue
+	pending *sim.Calendar[pendingMsg]
 	window  int // max pending entries; 0 = unbounded
 	// own filters which events this consumer keeps; nil keeps all. With a
 	// filter the suffix-min bound may belong to another consumer's event,
@@ -341,7 +146,7 @@ func (d *streamDecoder) decodeTo(t sim.Tick) error {
 			d.maxRef = d.ev.RefArrive
 		}
 		if d.inject[d.pos] > d.floor && (d.own == nil || d.own(d.pos)) {
-			d.pending.push(pendingMsg{
+			d.pending.Push(d.inject[d.pos], pendingMsg{
 				at:    d.inject[d.pos],
 				idx:   d.pos,
 				src:   d.ev.Src,
@@ -349,7 +154,7 @@ func (d *streamDecoder) decodeTo(t sim.Tick) error {
 				bytes: d.ev.Bytes,
 				class: d.ev.Class,
 			})
-			if d.window > 0 && d.pending.n > d.window {
+			if d.window > 0 && d.pending.Len() > d.window {
 				return fmt.Errorf("schedule needs more than %d resident events, the size of the streaming window; raise parallelism.window_events (-1 lifts the cap)", d.window)
 			}
 		}
@@ -361,7 +166,7 @@ func (d *streamDecoder) decodeTo(t sim.Tick) error {
 // nextInject implements feed: the earliest pending cycle among decoded
 // events, the suffix-min bound among undecoded ones.
 func (d *streamDecoder) nextInject() sim.Tick {
-	return min(d.sm[d.pos], d.pending.next())
+	return min(d.sm[d.pos], d.pending.NextAt())
 }
 
 // injectDue implements feed.
@@ -370,11 +175,11 @@ func (d *streamDecoder) injectDue(now sim.Tick, net noc.Network, pool *noc.MsgPo
 		return 0, err
 	}
 	injected := 0
-	for m := d.pending.pop(now); m != nil; m = d.pending.pop(now) {
+	for d.pending.NextAt() <= now {
+		m := d.pending.Pop()
 		inject(net, pool, uint64(m.idx+1), m.src, m.dst, m.bytes, m.class)
 		injected++
 	}
-	d.pending.advance(now)
 	return injected, nil
 }
 

@@ -12,42 +12,45 @@ import (
 	"onocsim/internal/trace"
 )
 
-// TestPendingQueueReleasesSortedOrder holds the calendar queue to a stable
-// sort by (at, idx), the order of the heap it stands in front of, under the
-// decoder's discipline: IDs ascend from push to push, a push lands at or
-// after the cycle being released, and the clock never passes a pending event.
-// Spans cluster on a few values up to three rings out, so events pass through
-// the overflow heap, move into the ring as it advances, and tie on one cycle
-// with later pushes straight into the ring.
+// TestPendingQueueReleasesSortedOrder holds the decoder's pending calendar to
+// a stable sort by (at, idx) under the decoder's discipline: IDs ascend from
+// push to push, a push lands at or after the cycle being released, and the
+// clock never passes a pending event. Spans cluster on a few values up to
+// three rings out, so events pass through the overflow heap, move into the
+// ring as it advances, and tie on one cycle with later pushes straight into
+// the ring.
 func TestPendingQueueReleasesSortedOrder(t *testing.T) {
 	const events = 3000
-	var q pendingQueue // reused across seeds, as a slot reuses it across runs
+	q := sim.NewCalendar[pendingMsg](ringTicks) // reused across seeds, as a slot reuses it across runs
 	for seed := uint64(1); seed <= 40; seed++ {
 		rng := sim.NewRNG(seed)
-		q.reset()
+		q.Reset()
 		var pushed, released []pendingMsg
 		now := sim.Tick(rng.Intn(3 * ringTicks))
-		for len(pushed) < events || q.n > 0 {
+		for len(pushed) < events || q.Len() > 0 {
 			for k := rng.Intn(4); k > 0 && len(pushed) < events; k-- {
 				span := sim.Tick(rng.Intn(13)*ringTicks/4 + rng.Intn(3))
 				m := pendingMsg{at: now + span, idx: len(pushed)}
-				q.push(m)
+				q.Push(m.at, m)
 				pushed = append(pushed, m)
 			}
-			for m := q.pop(now); m != nil; m = q.pop(now) {
+			for q.NextAt() <= now {
+				m := q.Pop()
 				if m.at != now {
 					t.Fatalf("seed %d: event %d (due %d) released at %d", seed, m.idx, m.at, now)
 				}
-				released = append(released, *m)
+				released = append(released, m)
 			}
-			q.advance(now)
 			// The drain's next cycle: at most the earliest pending one,
 			// sometimes well short of it; past an empty queue, anywhere.
 			next := now + 1 + sim.Tick(rng.Intn(3*ringTicks))
 			if rng.Intn(2) == 0 {
 				next = now + 1 + sim.Tick(rng.Intn(ringTicks/16))
 			}
-			now = min(next, max(q.next(), now+1))
+			now = min(next, max(q.NextAt(), now+1))
+		}
+		if !q.Overflowed() {
+			t.Fatalf("seed %d: the overflow heap was never used", seed)
 		}
 		want := append([]pendingMsg(nil), pushed...)
 		sort.SliceStable(want, func(a, b int) bool { return want[a].at < want[b].at })
@@ -141,7 +144,7 @@ func TestReplayAllocationsIndependentOfLength(t *testing.T) {
 					t.Fatal(err)
 				}
 			}))
-			if cap(r.slots[0].pending.far) == 0 {
+			if !r.slots[0].pending.Overflowed() {
 				t.Fatalf("%s, %d events: the overflow heap was never used", name, n)
 			}
 		}

@@ -106,7 +106,7 @@ func newMesh(nodes int, cfg config.Mesh, bufDepth int, linkCycles sim.Tick) *Net
 		panic(fmt.Sprintf("enoc: %d nodes is not a perfect square", nodes))
 	}
 	n := &Network{cfg: cfg, width: width, nodes: nodes, torus: cfg.Topology == "torus",
-		bufDepth: bufDepth, linkCycles: linkCycles, stats: noc.NewStats()}
+		bufDepth: bufDepth, linkCycles: linkCycles, stats: noc.NewStats(), selfQ: noc.NewDeliveryQueue(64)}
 	words := (nodes + 63) / 64
 	n.bufBusy, n.linkBusy, n.niBusy = make(nodeSet, words), make(nodeSet, words), make(nodeSet, words)
 	n.routers = make([]*router, nodes)

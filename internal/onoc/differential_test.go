@@ -3,6 +3,7 @@ package onoc
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"onocsim/internal/config"
@@ -33,12 +34,19 @@ func diffFaults(nodes int, hop sim.Tick) map[string]config.Faults {
 // The production fabric runs once ticked every cycle and once under
 // NextWake/SkipTo. This is the proof that token jumps, retargeting, the
 // outage clamp and wake-ordered stepping change no simulated result.
+//
+// The "wdm1" rows run one wavelength per channel, where a 200-byte message
+// serializes for 320 cycles: past the wake wheel's span (64 cycles at 3
+// nodes, 128 at 64), so finished transmissions wait in its overflow set, as
+// do tokens regenerating from a blackout (75 cycles) at 3 nodes.
 func TestDifferentialAgainstReference(t *testing.T) {
 	nodeCounts := []int{2, 3, 16, 63, 64, 65, 130}
 	faultNames := []string{"off", "light", "heavy", "storm", "blackout"}
+	narrowNodes := []int{3, 64}
 	if testing.Short() {
 		nodeCounts = []int{3, 64, 65}
 		faultNames = []string{"off", "storm", "blackout"}
+		narrowNodes = []int{3}
 	}
 	seed := uint64(500)
 	for _, nodes := range nodeCounts {
@@ -49,11 +57,26 @@ func TestDifferentialAgainstReference(t *testing.T) {
 					seed++
 					s := seed
 					t.Run(fmt.Sprintf("n%d-hop%d-hold%d-%s", nodes, hop, hold, fname), func(t *testing.T) {
-						runDifferential(t, nodes, hop, hold, faults, s, false)
-						runDifferential(t, nodes, hop, hold, faults, s, true)
+						runDifferential(t, nodes, hop, hold, optCfg(), faults, s, false)
+						runDifferential(t, nodes, hop, hold, optCfg(), faults, s, true)
 					})
 				}
 			}
+		}
+	}
+	narrow := optCfg()
+	narrow.WavelengthsPerChannel = 1
+	for _, nodes := range narrowNodes {
+		for _, fname := range []string{"off", "blackout"} {
+			faults := diffFaults(nodes, 1)[fname]
+			seed++
+			s := seed
+			t.Run(fmt.Sprintf("n%d-hop1-hold4-%s-wdm1", nodes, fname), func(t *testing.T) {
+				if !runDifferential(t, nodes, 1, 4, narrow, faults, s, false) {
+					t.Error("no channel ever waited in the wake wheel's overflow set")
+				}
+				runDifferential(t, nodes, 1, 4, narrow, faults, s, true)
+			})
 		}
 	}
 }
@@ -68,9 +91,11 @@ func flightOffset(ch *channel, refReady, hop sim.Tick) (int, bool) {
 	return int(ahead / hop), ahead >= 0 && ahead%hop == 0
 }
 
-func runDifferential(t *testing.T, nodes int, hop sim.Tick, hold int, faults config.Faults, seed uint64, skip bool) {
-	n := newMWSR(nodes, optCfg(), faults, seed, hop, hold)
-	ref := newRefNetwork(nodes, hop, hold, faults, seed)
+// runDifferential runs one row, ticked or skipping, and reports whether a
+// channel ever waited in the wake wheel's overflow set (seen ticked only).
+func runDifferential(t *testing.T, nodes int, hop sim.Tick, hold int, cfg config.Optical, faults config.Faults, seed uint64, skip bool) (far bool) {
+	n := newMWSR(nodes, cfg, faults, seed, hop, hold)
+	ref := newRefNetwork(nodes, hop, hold, cfg, faults, seed)
 
 	// Every third delivery (up to a budget) injects a reply from inside the
 	// callback, a pure function of the delivered message so both fabrics
@@ -100,6 +125,7 @@ func runDifferential(t *testing.T, nodes int, hop sim.Tick, hold int, faults con
 		}
 	})
 
+	rebuilt := newWakeWheel(nodes, hop)
 	rng := sim.NewRNG(seed)
 	// Injection probability per node per cycle, by phase. A hotspot phase
 	// sends everything to one destination: sources join the channel one by
@@ -153,6 +179,10 @@ func runDifferential(t *testing.T, nodes int, hop sim.Tick, hold int, faults con
 			continue
 		}
 		n.Tick()
+		far = far || len(n.wake.far) > 0
+		if cyc%61 == 0 {
+			checkWheel(t, n, &rebuilt)
+		}
 		if n.Busy() != ref.Busy() || len(got) != len(want) {
 			t.Fatalf("cycle %d: busy %v delivered %d, reference %v %d", n.now, n.Busy(), len(got), ref.Busy(), len(want))
 		}
@@ -196,6 +226,29 @@ func runDifferential(t *testing.T, nodes int, hop sim.Tick, hold int, faults con
 	}
 	if !skip && nodes > 2 && checked == 0 {
 		t.Error("no jump was ever observed in flight")
+	}
+	return far
+}
+
+// checkWheel holds the wake wheel to the channels it indexes: rebuilt from
+// their states into scratch it comes out the same — no stale bit, no channel
+// missing or filed twice — and no token in flight waits in the overflow set.
+func checkWheel(t *testing.T, n *Network, scratch *wakeWheel) {
+	t.Helper()
+	scratch.reset()
+	for d := range n.channels {
+		if ch := &n.channels[d]; ch.queued > 0 {
+			scratch.add(ch, n.now)
+		}
+	}
+	got, want := n.wake.far, scratch.far
+	for _, ch := range got {
+		if ch.flying || !slices.Contains(want, ch) {
+			t.Fatalf("cycle %d: channel %d (ready %d, flying %v) in the overflow set", n.now, ch.dst, ch.tokenReady, ch.flying)
+		}
+	}
+	if len(got) != len(want) || n.wake.farAt != scratch.farAt || !slices.Equal(n.wake.bits, scratch.bits) || !slices.Equal(n.wake.occ, scratch.occ) {
+		t.Fatalf("cycle %d: the wake wheel differs from one rebuilt from the channels", n.now)
 	}
 }
 
@@ -277,7 +330,7 @@ func TestSteadyStateTickAllocatesNothing(t *testing.T) {
 
 // TestRestoreRebuildsDerivedState snapshots a loaded crossbar with tokens in
 // flight and restores it onto a dirty instance: the waiting bitsets and the
-// wake heap are not in the snapshot, so Restore must rebuild them from the
+// wake wheel are not in the snapshot, so Restore must rebuild them from the
 // queues (and carry the flight flags) for the two to stay in lockstep while
 // more senders join.
 func TestRestoreRebuildsDerivedState(t *testing.T) {

@@ -45,10 +45,9 @@ type Network struct {
 	maxHold int
 
 	channels []channel
-	// wake holds the channels with queued senders, earliest tokenReady first,
-	// so Tick steps exactly the channels whose token is actionable this cycle
-	// and NextWake reads the root.
-	wake wakeHeap
+	// wake holds the channels with queued senders by tokenReady, so Tick
+	// steps exactly the channels whose token is actionable this cycle.
+	wake wakeWheel
 	// delivering is set while Tick runs delivery callbacks: an Inject from
 	// one is still ahead of this cycle's arbitration (see retarget).
 	delivering bool
@@ -99,7 +98,8 @@ type channel struct {
 	// tokenPos is the node currently able to grab the token.
 	tokenPos int
 	// tokenReady is the cycle at which the token becomes actionable at
-	// tokenPos (circulation delay or post-transmission release).
+	// tokenPos (circulation delay or post-transmission release); never
+	// before cycle 1, the first a Tick reaches.
 	tokenReady sim.Tick
 	// holdCount counts consecutive transmissions by tokenPos, bounded by
 	// MaxTokenHold for fairness.
@@ -108,8 +108,6 @@ type channel struct {
 	// (not while the channel transmits, regenerates a lost token, or replays
 	// idle circulation): only then may an Inject retarget it.
 	flying bool
-	// heapIdx is the channel's slot in Network.wake while queued > 0.
-	heapIdx int
 }
 
 // bitset marks the non-empty sender FIFOs of one MWSR channel or of the SWMR
@@ -141,47 +139,101 @@ func (b bitset) next(pos, nodes int) int {
 	return d
 }
 
-// wakeHeap is an indexed binary min-heap of the channels with queued senders,
-// keyed (tokenReady, dst): channels due the same cycle pop in ascending dst,
-// the order a scan over all channels would step them in.
-type wakeHeap []*channel
+// wakeWheel files the channels with queued senders under the cycle their
+// token is next actionable: a bitset of channels per cycle for the span cycles
+// after now, span ≥ 2 × nodes × hop so a token in flight is always on it, and
+// a small overflow set for the channels due later (a long transmission, a
+// token outage). Tick steps the current cycle's bits in ascending dst.
+type wakeWheel struct {
+	mask  sim.Tick // span - 1
+	words int      // bitset words per cycle
+	bits  []uint64 // span × words
+	occ   []uint64 // a bit per cycle with a channel filed
+	far   []*channel
+	farAt sim.Tick // the earliest tokenReady in far, Never when empty
+}
 
-func (h wakeHeap) less(i, j int) bool {
-	if h[i].tokenReady != h[j].tokenReady {
-		return h[i].tokenReady < h[j].tokenReady
+func newWakeWheel(nodes int, hop sim.Tick) wakeWheel {
+	span := 64
+	for sim.Tick(span) < 2*sim.Tick(nodes)*hop {
+		span *= 2
 	}
-	return h[i].dst < h[j].dst
+	words := (nodes + 63) / 64
+	return wakeWheel{mask: sim.Tick(span - 1), words: words, bits: make([]uint64, span*words),
+		occ: make([]uint64, span/64), farAt: noc.Never}
 }
 
-func (h wakeHeap) swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].heapIdx, h[j].heapIdx = i, j
+// row returns the bitset of cycle at.
+func (w *wakeWheel) row(at sim.Tick) bitset {
+	s := int(at&w.mask) * w.words
+	return w.bits[s : s+w.words]
 }
 
-func (h wakeHeap) up(i int) {
-	for p := (i - 1) / 2; i > 0 && h.less(i, p); i, p = p, (p-1)/2 {
-		h.swap(i, p)
+// add files ch under its tokenReady, which lies in [now, ∞).
+func (w *wakeWheel) add(ch *channel, now sim.Tick) {
+	if ch.tokenReady-now > w.mask {
+		w.far = append(w.far, ch)
+		w.farAt = min(w.farAt, ch.tokenReady)
+		return
 	}
+	w.row(ch.tokenReady).set(ch.dst)
+	s := ch.tokenReady & w.mask
+	w.occ[s>>6] |= 1 << (s & 63)
 }
 
-func (h wakeHeap) down(i int) {
-	for {
-		c := 2*i + 1
-		if c+1 < len(h) && h.less(c+1, c) {
-			c++
-		}
-		if c >= len(h) || !h.less(c, i) {
+// remove takes ch, filed on the wheel rather than in far, off it.
+func (w *wakeWheel) remove(ch *channel) {
+	r := w.row(ch.tokenReady)
+	r.clear(ch.dst)
+	for _, x := range r {
+		if x != 0 {
 			return
 		}
-		h.swap(i, c)
-		i = c
 	}
+	s := ch.tokenReady & w.mask
+	w.occ[s>>6] &^= 1 << (s & 63)
 }
 
-func (h *wakeHeap) push(ch *channel) {
-	ch.heapIdx = len(*h)
-	*h = append(*h, ch)
-	h.up(ch.heapIdx)
+// admit moves the channels of far that come due within a span of now onto
+// the wheel; Tick calls it once farAt is that close.
+func (w *wakeWheel) admit(now sim.Tick) {
+	keep := w.far[:0]
+	w.farAt = noc.Never
+	for _, ch := range w.far {
+		if ch.tokenReady-now > w.mask {
+			keep = append(keep, ch)
+			w.farAt = min(w.farAt, ch.tokenReady)
+		} else {
+			w.add(ch, now)
+		}
+	}
+	clear(w.far[len(keep):])
+	w.far = keep
+}
+
+// next returns the earliest cycle after now with a channel filed, or Never:
+// the wheel scanned word by word from now+1, then far.
+func (w *wakeWheel) next(now sim.Tick) sim.Tick {
+	s := int((now + 1) & w.mask)
+	base := now + 1 - sim.Tick(s&63) // the cycle of the word's bit 0
+	x := w.occ[s>>6] &^ (1<<(s&63) - 1)
+	for k := 1; x == 0; k++ {
+		if k > len(w.occ) {
+			return w.farAt
+		}
+		base += 64
+		x = w.occ[(s>>6+k)&(len(w.occ)-1)]
+	}
+	return min(w.farAt, base+sim.Tick(bits.TrailingZeros64(x)))
+}
+
+// reset empties the wheel.
+func (w *wakeWheel) reset() {
+	clear(w.bits)
+	clear(w.occ)
+	clear(w.far)
+	w.far = w.far[:0]
+	w.farAt = noc.Never
 }
 
 // New builds the crossbar for the given node count.
@@ -197,7 +249,7 @@ func NewWithFaults(nodes int, cfg config.Optical, faults config.Faults, seed uin
 
 // newMWSR is NewWithFaults with the given token hop delay and hold bound.
 func newMWSR(nodes int, cfg config.Optical, faults config.Faults, seed uint64, hop sim.Tick, maxHold int) *Network {
-	n := &Network{phys: newPhys(nodes, cfg, faults, seed), hop: hop, maxHold: maxHold}
+	n := &Network{phys: newPhys(nodes, cfg, faults, seed), hop: hop, maxHold: maxHold, wake: newWakeWheel(nodes, hop)}
 	// Three slabs, not 2·nodes+ small objects: a sweep builds many fabrics.
 	words := (nodes + 63) / 64
 	n.channels = make([]channel, nodes)
@@ -205,20 +257,22 @@ func newMWSR(nodes int, cfg config.Optical, faults config.Faults, seed uint64, h
 	waiting := make(bitset, nodes*words)
 	for d := range n.channels {
 		n.channels[d] = channel{
-			dst:      d,
-			queues:   queues[d*nodes : (d+1)*nodes : (d+1)*nodes],
-			waiting:  waiting[d*words : (d+1)*words : (d+1)*words],
-			tokenPos: (d + 1) % nodes,
+			dst:        d,
+			queues:     queues[d*nodes : (d+1)*nodes : (d+1)*nodes],
+			waiting:    waiting[d*words : (d+1)*words : (d+1)*words],
+			tokenPos:   (d + 1) % nodes,
+			tokenReady: 1,
 		}
 	}
 	return n
 }
 
 // catchUp replays an idle channel's token circulation since it last carried
-// queued traffic, in closed form, leaving tokenReady strictly beyond now.
+// queued traffic, in closed form, leaving tokenReady strictly beyond now (a
+// fresh channel's tokenReady is already cycle 1, after the cycle-0 injects).
 // Channels with no queued senders are not stepped at all; their trajectory —
-// one hop every TokenHopCycles starting at max(tokenReady, 1) — is rebuilt
-// here the moment the channel matters again. Without token faults one
+// one hop every TokenHopCycles starting at tokenReady — is rebuilt here the
+// moment the channel matters again. Without token faults one
 // division suffices; with them the trajectory is piecewise — closed-form
 // hopping between outage windows, each actionable moment inside a window
 // losing the token until the timeout regenerates it at the home node.
@@ -226,7 +280,7 @@ func newMWSR(nodes int, cfg config.Optical, faults config.Faults, seed uint64, h
 // never crosses a window start), so full ticking, idle skipping and this
 // catch-up produce the identical trajectory — the skip-equivalence invariant.
 func (n *Network) catchUp(ch *channel) {
-	first := max(ch.tokenReady, 1)
+	first := ch.tokenReady
 	if first > n.now {
 		return
 	}
@@ -267,7 +321,7 @@ func (n *Network) Inject(m *noc.Message) {
 		ch.waiting.set(m.Src)
 		if ch.queued == 0 {
 			n.catchUp(ch)
-			n.wake.push(ch)
+			n.wake.add(ch, n.now)
 		} else if ch.flying {
 			n.retarget(ch, m.Src)
 		}
@@ -285,8 +339,9 @@ func (n *Network) retarget(ch *channel, src int) {
 	back := (ch.tokenPos - src + n.nodes) % n.nodes
 	at := ch.tokenReady - sim.Tick(back)*n.hop
 	if at > n.now || (at == n.now && n.delivering) {
+		n.wake.remove(ch)
 		ch.tokenPos, ch.tokenReady = src, at
-		n.wake.up(ch.heapIdx)
+		n.wake.add(ch, n.now)
 	}
 }
 
@@ -294,22 +349,30 @@ func (n *Network) retarget(ch *channel, src int) {
 // whose token is actionable this cycle.
 func (n *Network) Tick() {
 	n.now++
+	if n.wake.farAt-n.now <= n.wake.mask {
+		n.wake.admit(n.now)
+	}
 	n.delivering = true
 	n.deliverDue()
 	n.delivering = false
-	// Idle channels circulate their token lazily (see catchUp) and channels
-	// in mid-flight or mid-transmission sit deeper in the heap; every step
-	// moves tokenReady into the future, so each due channel steps once.
-	for len(n.wake) > 0 && n.wake[0].tokenReady <= n.now {
-		ch := n.wake[0]
-		n.stepChannel(ch)
-		if ch.queued == 0 { // drained: the last entry takes the root's place
-			last := len(n.wake) - 1
-			n.wake.swap(0, last)
-			n.wake[last] = nil
-			n.wake = n.wake[:last]
+	// Idle channels circulate their token lazily (see catchUp); channels in
+	// mid-flight or mid-transmission are filed under later cycles. A step
+	// moves tokenReady past now, so no channel is filed back under this one.
+	s := n.now & n.wake.mask
+	if n.wake.occ[s>>6]&(1<<(s&63)) == 0 {
+		return
+	}
+	n.wake.occ[s>>6] &^= 1 << (s & 63)
+	row := n.wake.row(n.now)
+	for i, x := range row {
+		row[i] = 0
+		for ; x != 0; x &= x - 1 {
+			ch := &n.channels[i<<6+bits.TrailingZeros64(x)]
+			n.stepChannel(ch)
+			if ch.queued > 0 {
+				n.wake.add(ch, n.now)
+			}
 		}
-		n.wake.down(0)
 	}
 }
 
@@ -366,24 +429,19 @@ func (n *Network) ShardNode(src, dst int) int { return dst }
 // NextWake implements noc.Network. A channel with queued senders next acts
 // (transmits, jumps or recovers its token) at tokenReady — which every state
 // transition leaves strictly in the future — so the fabric's next event is
-// the earliest of the wake heap's root and the first pending arrival. Cycles
+// the earliest of the wake wheel's and the first pending arrival. Cycles
 // in between are spent on light propagation, channel serialization, or token
 // flight: provably unobservable. Idle token circulation is unobservable too —
 // catchUp reproduces it analytically.
 func (n *Network) NextWake() sim.Tick {
-	wake := n.arrivals.NextAt()
-	if len(n.wake) > 0 && n.wake[0].tokenReady < wake {
-		wake = n.wake[0].tokenReady
-	}
-	return wake
+	return min(n.arrivals.NextAt(), n.wake.next(n.now))
 }
 
 // Reset implements noc.Resettable: the physical layer (see phys.reset),
 // queues and token state return to constructor values.
 func (n *Network) Reset() {
 	n.reset()
-	clear(n.wake)
-	n.wake = n.wake[:0]
+	n.wake.reset()
 	n.grabs = 0
 	n.regens = 0
 	for d := range n.channels {
@@ -396,7 +454,7 @@ func (n *Network) Reset() {
 		}
 		ch.queued = 0
 		ch.tokenPos = (d + 1) % n.nodes
-		ch.tokenReady = 0
+		ch.tokenReady = 1
 		ch.holdCount = 0
 		ch.flying = false
 	}

@@ -118,6 +118,8 @@ func newPhys(nodes int, cfg config.Optical, faults config.Faults, seed uint64) p
 		ser:     serTable{bitsPerCycle: bpc},
 		devices: photonics.DefaultDeviceParams(),
 		faults:  fault.New(nodes, faults, seed),
+		// O/E, serialization, propagation: tens of cycles for protocol messages
+		arrivals: noc.NewDeliveryQueue(128),
 	}
 	geom := photonics.CrossbarGeometry{
 		Nodes:                 nodes,

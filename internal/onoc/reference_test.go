@@ -33,11 +33,14 @@ type refNetwork struct {
 	active   []*refChannel
 }
 
-func newRefNetwork(nodes int, hop sim.Tick, hold int, faults config.Faults, seed uint64) *refNetwork {
-	n := &refNetwork{Network: newMWSR(nodes, optCfg(), faults, seed, hop, hold)}
+func newRefNetwork(nodes int, hop sim.Tick, hold int, cfg config.Optical, faults config.Faults, seed uint64) *refNetwork {
+	n := &refNetwork{Network: newMWSR(nodes, cfg, faults, seed, hop, hold)}
 	n.channels = make([]*refChannel, nodes)
 	for d := 0; d < nodes; d++ {
-		ch := &refChannel{dst: d, tokenPos: (d + 1) % nodes}
+		// A fresh token is actionable at cycle 1, as in production (where
+		// advanceToken's max(tokenReady, 1) came from): the differential test
+		// compares tokenReady.
+		ch := &refChannel{dst: d, tokenPos: (d + 1) % nodes, tokenReady: 1}
 		ch.queues = make([]srcQueue, nodes)
 		n.channels[d] = ch
 	}

@@ -56,7 +56,7 @@ type mwsrChannelSnap struct {
 }
 
 // mwsrSnapshot is the MWSR crossbar's full mutable state. The waiting bitsets
-// and the wake heap are derived from the queues and are rebuilt by Restore.
+// and the wake wheel are derived from the queues and are rebuilt by Restore.
 type mwsrSnapshot struct {
 	physSnap
 	grabs, regens uint64
@@ -96,8 +96,7 @@ func (n *Network) Restore(s noc.Snapshot) {
 	snap := s.(*mwsrSnapshot)
 	n.restore(&snap.physSnap)
 	n.grabs, n.regens = snap.grabs, snap.regens
-	clear(n.wake)
-	n.wake = n.wake[:0]
+	n.wake.reset()
 	for d := range n.channels {
 		ch, cs := &n.channels[d], &snap.channels[d]
 		clear(ch.waiting)
@@ -115,7 +114,7 @@ func (n *Network) Restore(s noc.Snapshot) {
 		ch.holdCount = cs.holdCount
 		ch.flying = cs.flying
 		if ch.queued > 0 {
-			n.wake.push(ch)
+			n.wake.add(ch, n.now)
 		}
 	}
 }
