@@ -41,10 +41,14 @@ fmt-check:
 # TestParallelCachedOutputMatchesSequential holds the concurrent, cached
 # (cold and warm disk) quick report to the sequential uncached one, byte for
 # byte: no table cell holds host time.
+# TestSelfCaptureFixpointIsTruth validates the correction loop against itself
+# (~3 s): on a trace captured on its target, every kernel × {optical,
+# electrical} has the captured latencies as a one-round fixpoint equal to the
+# execution-driven truth, and the zero-load loop at tolerance zero walks to it.
 check: vet fmt-check sweep-smoke
 	$(GO) test ./cmd/expreport/ -run TestGolden -count=1
 	$(GO) test ./internal/experiments/ -run TestParallelCachedOutputMatchesSequential -count=1
-	$(GO) test . -run 'TestDocsResolve|Surface|TestFileMatchesResident' -count=1
+	$(GO) test . -run 'TestDocsResolve|Surface|TestFileMatchesResident|TestSelfCaptureFixpointIsTruth' -count=1
 	$(GO) test ./internal/fabric/ -count=1
 	$(GO) test -short ./internal/enoc/ ./internal/onoc/ ./internal/trace/ ./internal/core/ -run 'DifferentialAgainstReference|BufferedDecodeMatchesBytewise|EngineAgainstReference' -count=1
 	$(GO) test ./internal/noc/ ./internal/metrics/ ./internal/sim/ -run 'MergeIs|CalendarMatches' -count=1

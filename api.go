@@ -285,7 +285,7 @@ func selfCorrect(ctx context.Context, cfg Config, src TraceSource, kind NetworkK
 	res, err := inSimSlot(ctx, func() (res CorrectionResult, err error) {
 		var seed []sim.Tick
 		if resume == nil && cfg.SCTM.SeedMode() == "analytic" {
-			// A resumed loop starts from the state's blended latencies; seeding
+			// A resumed loop starts from the state's parked schedule; seeding
 			// would be discarded, so skip computing it.
 			seed = analytic.Seed(cfg, kind, src)
 		}

@@ -78,9 +78,6 @@ func BenchmarkR9Architectures(b *testing.B) { benchTable(b, "r9") }
 // BenchmarkR10CaptureFabric regenerates the capture-sensitivity extension (R10).
 func BenchmarkR10CaptureFabric(b *testing.B) { benchTable(b, "r10") }
 
-// BenchmarkR11Damping regenerates the damping-sweep extension (R11).
-func BenchmarkR11Damping(b *testing.B) { benchTable(b, "r11") }
-
 // BenchmarkR12Hybrid regenerates the hybrid-NoC extension (R12).
 func BenchmarkR12Hybrid(b *testing.B) { benchTable(b, "r12") }
 
@@ -382,7 +379,7 @@ func BenchmarkR19Seeding(b *testing.B) { benchTable(b, "r19") }
 // seedBenchCases are the two contended fabrics the analytic seed is built
 // for, each with a workload where contention actually shapes the schedule:
 // the mesh runs the fft kernel, the crossbar a dependency-chained hotspot
-// (every source bursting at node 0) under damping. The rounds metric is the
+// (every source bursting at node 0). The rounds metric is the
 // replay-round count the seeding strategy pays; comparing it between the
 // ZeroLoad and Analytic benchmarks shows the fast path's savings per fabric.
 func seedBenchCases(b *testing.B) []struct {
@@ -404,7 +401,6 @@ func seedBenchCases(b *testing.B) []struct {
 
 	xbar := onocsim.DefaultConfig()
 	xbar.System.Cores = 16
-	xbar.SCTM.Damping = 0.5
 	xbarTr := hotspotBenchTrace(16, 8)
 
 	return []struct {

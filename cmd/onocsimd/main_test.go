@@ -72,13 +72,12 @@ func drainMidCorrection(t *testing.T) []byte {
 		t.Fatal("daemon never became ready")
 	}
 
-	// Long-running correction: fixed far-off seed + heavy damping give the
-	// loop ~60 rounds of boundaries to park at.
+	// Long-running correction: at tolerance zero the loop walks 76 rounds to
+	// its exact fixpoint, 76 boundaries to park at.
 	body := `{"op":"correct","network":"optical","config":{
 		"system":{"cores":16},
 		"workload":{"kernel":"stencil","scale":4,"iterations":2},
-		"sctm":{"max_iterations":500,"tolerance_cycles":0,"makespan_tolerance":0,
-			"damping":0.9,"seed":"fixed","initial_latency_cycles":5000},
+		"sctm":{"max_iterations":500,"tolerance_cycles":0,"makespan_tolerance":0},
 		"max_cycles":5000000}}`
 	resp, err := http.Post(base+"/v1/simulate?stream=sse", "application/json", strings.NewReader(body))
 	if err != nil {

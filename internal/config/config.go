@@ -256,14 +256,6 @@ type SCTM struct {
 	// ToleranceCycles stops iterating when the largest absolute change
 	// of any event's injection time falls to or below this value.
 	ToleranceCycles int64 `json:"tolerance_cycles"`
-	// InitialLatencyCycles seeds round 0 latency estimates; 0 means use
-	// the target network's zero-load estimate.
-	InitialLatencyCycles int64 `json:"initial_latency_cycles"`
-	// Damping blends each round's measured latencies with the previous
-	// estimates (0 = take measurements verbatim, 0.5 = halfway). The R8
-	// family of ablations sweeps it; the default is off because verbatim
-	// feedback reaches low makespan error fastest on our workloads.
-	Damping float64 `json:"damping"`
 	// MakespanTolerance is the relative makespan change between
 	// consecutive rounds below which the loop is declared converged
 	// (the per-event schedule keeps jittering under contention long
@@ -275,12 +267,10 @@ type SCTM struct {
 	DisableCausalDeps bool `json:"disable_causal_deps"`
 	// Seed selects the round-0 latency seeding strategy:
 	//
-	//   ""         legacy behavior: "fixed" when InitialLatencyCycles > 0,
-	//              otherwise "zeroload".
-	//   "zeroload" per-event ZeroLoadLatency on the target fabric.
-	//   "analytic" closed-form contention-aware estimate (internal/analytic),
-	//              falling back to zero-load when the estimator declines.
-	//   "fixed"    the constant InitialLatencyCycles for every event.
+	//   "" or "zeroload" per-event ZeroLoadLatency on the target fabric.
+	//   "analytic"       closed-form contention-aware estimate
+	//                    (internal/analytic), falling back to zero-load when
+	//                    the estimator declines.
 	Seed string `json:"seed,omitempty"`
 	// Incremental resumes each correction round from a frozen-prefix
 	// checkpoint of the previous round instead of replaying from cycle
@@ -292,14 +282,10 @@ type SCTM struct {
 	Incremental bool `json:"incremental,omitempty"`
 }
 
-// SeedMode is the effective seeding strategy after resolving the legacy
-// empty value: "fixed" when InitialLatencyCycles is set, else "zeroload".
+// SeedMode is the effective seeding strategy: the empty value is "zeroload".
 func (t *SCTM) SeedMode() string {
 	if t.Seed != "" {
 		return t.Seed
-	}
-	if t.InitialLatencyCycles > 0 {
-		return "fixed"
 	}
 	return "zeroload"
 }
@@ -343,7 +329,6 @@ func Default() Config {
 		SCTM: SCTM{
 			MaxIterations:     10,
 			ToleranceCycles:   2,
-			Damping:           0,
 			MakespanTolerance: 0.01,
 		},
 		Parallelism: Parallelism{Shards: 1},
@@ -448,22 +433,13 @@ func (c *Config) Validate() error {
 	if t.ToleranceCycles < 0 {
 		return fmt.Errorf("config: sctm.tolerance_cycles must be ≥0")
 	}
-	if t.Damping < 0 || t.Damping >= 1 {
-		return fmt.Errorf("config: sctm.damping=%g out of [0,1)", t.Damping)
-	}
 	if t.MakespanTolerance < 0 || t.MakespanTolerance > 0.5 {
 		return fmt.Errorf("config: sctm.makespan_tolerance=%g out of [0,0.5]", t.MakespanTolerance)
 	}
 	switch t.Seed {
-	case "", "zeroload", "analytic", "fixed":
+	case "", "zeroload", "analytic":
 	default:
-		return fmt.Errorf("config: sctm.seed=%q not in {zeroload, analytic, fixed}", t.Seed)
-	}
-	if t.Seed == "fixed" && t.InitialLatencyCycles <= 0 {
-		return fmt.Errorf("config: sctm.seed=fixed requires sctm.initial_latency_cycles > 0")
-	}
-	if (t.Seed == "zeroload" || t.Seed == "analytic") && t.InitialLatencyCycles > 0 {
-		return fmt.Errorf("config: sctm.seed=%q contradicts sctm.initial_latency_cycles=%d (fixed seeding)", t.Seed, t.InitialLatencyCycles)
+		return fmt.Errorf("config: sctm.seed=%q not in {zeroload, analytic}", t.Seed)
 	}
 	if c.MaxCycles < 0 {
 		return fmt.Errorf("config: max_cycles must be ≥0")

@@ -70,7 +70,9 @@ func TestValidateRejections(t *testing.T) {
 // TestParseRefusesModelConstants: a document naming a leaf that became a model
 // constant is refused, with the key named, even at the value the model now
 // fixes — strict decoding refuses it instead of silently ignoring it. The
-// ideal section went whole, so its name is the refused key.
+// ideal section went whole, so its name is the refused key. The correction
+// loop's damping and constant seed were deleted outright (every round feeds
+// its measurements back verbatim), and are refused the same way.
 func TestParseRefusesModelConstants(t *testing.T) {
 	for _, c := range []struct{ section, key, value string }{
 		{"system", "l1_sets", "64"},
@@ -94,6 +96,8 @@ func TestParseRefusesModelConstants(t *testing.T) {
 		{"optical", "die_edge_cm", "2"},
 		{"ideal", "latency_cycles", "20"},
 		{"ideal", "bytes_per_cycle", "16"},
+		{"sctm", "damping", "0"},
+		{"sctm", "initial_latency_cycles", "0"},
 	} {
 		t.Run(c.section+"."+c.key, func(t *testing.T) {
 			named := c.key

@@ -12,7 +12,7 @@ import (
 // re-interpreting a config field invalidates previously persisted results
 // instead of silently colliding with them. Bump it whenever the set of
 // hashed fields (or their meaning) changes.
-const fingerprintVersion = 2
+const fingerprintVersion = 3
 
 // Fingerprint returns a canonical, collision-resistant identity for a
 // validated configuration: two configs share a fingerprint exactly when
@@ -65,8 +65,7 @@ func (c *Config) Fingerprint() (string, error) {
 
 	t := &c.SCTM
 	w.ints(t.MaxIterations)
-	w.i64s(t.ToleranceCycles, t.InitialLatencyCycles)
-	w.f64(t.Damping)
+	w.i64s(t.ToleranceCycles)
 	w.f64(t.MakespanTolerance)
 	w.bools(t.DisableSyncDeps, t.DisableCausalDeps)
 	w.str(t.Seed)

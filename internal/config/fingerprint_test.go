@@ -19,11 +19,11 @@ func fp(t *testing.T, c Config) string {
 // fingerprintVersion, since every persisted cache key moves with it.
 func TestFingerprintPinned(t *testing.T) {
 	cfg := Default()
-	if got, want := fp(t, cfg), "254c119ce98e4e23dc017c2ae758aded95380c04eae9e8a9197e2ed4474e69a1"; got != want {
+	if got, want := fp(t, cfg), "d18af9a33c64fa0772108e571f217ef89a2d334bab19b3a4440cb9798ecfac17"; got != want {
 		t.Errorf("Default() fingerprint = %s, want %s", got, want)
 	}
 	cfg.Network = NetOptical
-	if got, want := fp(t, cfg), "22b16cb7538f0d5fdae874d49ebc06b737301cdd380cdd6003a1e5d3c638e715"; got != want {
+	if got, want := fp(t, cfg), "595ec3c7063cf3eaf30f95fb8f73ecb61319dd6a33571abd3480342dfe03d76d"; got != want {
 		t.Errorf("optical fingerprint = %s, want %s", got, want)
 	}
 }
@@ -70,15 +70,12 @@ func TestFingerprintDistinguishesFaults(t *testing.T) {
 func TestFingerprintSeedModeCompatibility(t *testing.T) {
 	cfg := Default()
 	if cfg.SCTM.Seed != "" {
-		t.Fatalf("Default() seed mode = %q, want empty (legacy)", cfg.SCTM.Seed)
+		t.Fatalf("Default() seed mode = %q, want empty", cfg.SCTM.Seed)
 	}
 	seen := map[string]string{"default": fp(t, cfg)}
-	for _, mode := range []string{"zeroload", "analytic", "fixed"} {
+	for _, mode := range []string{"zeroload", "analytic"} {
 		c := Default()
 		c.SCTM.Seed = mode
-		if mode == "fixed" {
-			c.SCTM.InitialLatencyCycles = 25
-		}
 		h := fp(t, c)
 		for prev, ph := range seen {
 			if h == ph {
@@ -89,27 +86,28 @@ func TestFingerprintSeedModeCompatibility(t *testing.T) {
 	}
 }
 
-// TestValidateSeedMode checks the seed-mode cross-field rules.
+// TestValidateSeedMode checks the seed modes a document may name: zeroload
+// and analytic. The constant seed is gone, so a document asking for it —
+// by mode or by its initial_latency_cycles constant — is refused, naming the
+// key.
 func TestValidateSeedMode(t *testing.T) {
 	cases := []struct {
-		name   string
-		mutate func(*SCTM)
-		want   string // substring of the error, "" for valid
+		name string
+		sctm string // the document's sctm section
+		want string // substring of the error, "" for valid
 	}{
-		{"default", func(t *SCTM) {}, ""},
-		{"zeroload", func(t *SCTM) { t.Seed = "zeroload" }, ""},
-		{"analytic", func(t *SCTM) { t.Seed = "analytic" }, ""},
-		{"fixed with cycles", func(t *SCTM) { t.Seed = "fixed"; t.InitialLatencyCycles = 10 }, ""},
-		{"unknown mode", func(t *SCTM) { t.Seed = "psychic" }, "sctm.seed"},
-		{"fixed without cycles", func(t *SCTM) { t.Seed = "fixed" }, "initial_latency_cycles"},
-		{"zeroload with cycles", func(t *SCTM) { t.Seed = "zeroload"; t.InitialLatencyCycles = 10 }, "contradicts"},
-		{"analytic with cycles", func(t *SCTM) { t.Seed = "analytic"; t.InitialLatencyCycles = 10 }, "contradicts"},
+		{"default", `{}`, ""},
+		{"zeroload", `{"seed":"zeroload"}`, ""},
+		{"analytic", `{"seed":"analytic"}`, ""},
+		{"unknown mode", `{"seed":"psychic"}`, "sctm.seed"},
+		{"fixed without cycles", `{"seed":"fixed"}`, "sctm.seed"},
+		{"fixed with cycles", `{"seed":"fixed","initial_latency_cycles":10}`, `"initial_latency_cycles"`},
+		{"zeroload with cycles", `{"seed":"zeroload","initial_latency_cycles":10}`, `"initial_latency_cycles"`},
+		{"analytic with cycles", `{"seed":"analytic","initial_latency_cycles":10}`, `"initial_latency_cycles"`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			cfg := Default()
-			c.mutate(&cfg.SCTM)
-			err := cfg.Validate()
+			_, err := Parse([]byte(`{"sctm":` + c.sctm + `}`))
 			if c.want == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -123,15 +121,11 @@ func TestValidateSeedMode(t *testing.T) {
 	}
 }
 
-// TestSeedModeResolution pins the legacy resolution of the empty mode.
+// TestSeedModeResolution pins the resolution of the empty mode.
 func TestSeedModeResolution(t *testing.T) {
 	var s SCTM
 	if got := s.SeedMode(); got != "zeroload" {
 		t.Errorf("empty SCTM seed mode = %q, want zeroload", got)
-	}
-	s.InitialLatencyCycles = 5
-	if got := s.SeedMode(); got != "fixed" {
-		t.Errorf("legacy initial-latency seed mode = %q, want fixed", got)
 	}
 	s.Seed = "analytic"
 	if got := s.SeedMode(); got != "analytic" {

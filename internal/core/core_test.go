@@ -30,6 +30,10 @@ func chainTrace() *trace.Trace {
 	}
 }
 
+// chainSeed is a round-0 estimate for chainTrace far below the ideal fabric's
+// 20 cycles: a deliberately wrong seed for the loop to correct.
+var chainSeed = []sim.Tick{3, 3, 3}
+
 func TestScheduleLinearChain(t *testing.T) {
 	tr := chainTrace()
 	lat := []sim.Tick{20, 20, 20}
@@ -238,9 +242,8 @@ func TestSelfCorrectConvergesOnIdeal(t *testing.T) {
 	// round 1's.
 	tr := chainTrace()
 	cfg := config.Default().SCTM
-	cfg.InitialLatencyCycles = 3 // deliberately wrong seed
-	cfg.MakespanTolerance = 0    // force the strict schedule criterion
-	res, err := SelfCorrect(idealFactory(4, 20), tr, cfg)
+	cfg.MakespanTolerance = 0 // force the strict schedule criterion
+	res, _, err := SelfCorrectParkableCtx(context.Background(), idealFactory(4, 20), tr, cfg, 1, chainSeed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,30 +265,14 @@ func TestSelfCorrectConvergesOnIdeal(t *testing.T) {
 func TestSelfCorrectZeroLoadSeed(t *testing.T) {
 	tr := chainTrace()
 	cfg := config.Default().SCTM
-	cfg.InitialLatencyCycles = 0 // use fabric ZLL = exactly right here
 	cfg.MakespanTolerance = 0
+	// No seed: the fabric's zero-load latency, exactly right here.
 	res, err := SelfCorrect(idealFactory(4, 20), tr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Converged || len(res.Iterations) != 1 {
 		t.Fatalf("perfect seed should converge in one round: %+v", res.Iterations)
-	}
-}
-
-func TestSelfCorrectDampedStillConverges(t *testing.T) {
-	tr := chainTrace()
-	cfg := config.Default().SCTM
-	cfg.InitialLatencyCycles = 3
-	cfg.Damping = 0.5
-	cfg.MaxIterations = 30
-	cfg.MakespanTolerance = 0
-	res, err := SelfCorrect(idealFactory(4, 20), tr, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatalf("damped loop did not converge in %d rounds", len(res.Iterations))
 	}
 }
 
@@ -307,8 +294,7 @@ func TestSelfCorrectIterationBudget(t *testing.T) {
 	cfg.MaxIterations = 1
 	cfg.ToleranceCycles = 0
 	cfg.MakespanTolerance = 0
-	cfg.InitialLatencyCycles = 1
-	res, err := SelfCorrect(idealFactory(4, 20), tr, cfg)
+	res, _, err := SelfCorrectParkableCtx(context.Background(), idealFactory(4, 20), tr, cfg, 1, chainSeed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

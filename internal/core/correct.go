@@ -89,8 +89,9 @@ func SelfCorrectStream(factory NetworkFactory, src trace.Source, cfg config.SCTM
 var ErrParked = errors.New("core: self-correction parked before convergence")
 
 // ParkState snapshots a parked correction loop at the round boundary it
-// stopped at: the blended latency estimates, the derived schedule the next
-// round would have replayed, the trajectory so far, and — crucially — the
+// stopped at: the derived schedule the next round would have replayed (each
+// round's latency estimates are that round's measurements, so the schedule is
+// all the loop carries between rounds), the trajectory so far, and the
 // live replayer, whose fabric checkpoints (the noc.Checkpointer ladders of
 // incremental.go) survive the park intact. Resuming through Correct
 // continues the loop exactly where it stopped: the completed run is
@@ -104,7 +105,6 @@ var ErrParked = errors.New("core: self-correction parked before convergence")
 // that stash states must hand each one to at most one resume.
 type ParkState struct {
 	runner     *replayer
-	lat        []sim.Tick
 	prev       []sim.Tick
 	iterations []Iteration
 	final      ReplayResult
@@ -120,9 +120,8 @@ type ParkState struct {
 // what they compute.
 //
 // seed, when non-nil, supplies the round-0 latency estimates, one per event
-// (the analytical fast path computes them from the trace's byte histogram);
-// it takes precedence over both InitialLatencyCycles and the zero-load probe
-// and is copied, never mutated.
+// (the analytical fast path computes them from the trace's byte histogram),
+// in place of the target fabric's zero-load probe; it is never mutated.
 //
 // cfg.Incremental keeps frozen-prefix checkpoint ladders between rounds, so
 // later rounds skip re-simulating the schedule prefix that did not change
@@ -151,47 +150,7 @@ func Correct(ctx context.Context, factory NetworkFactory, src trace.Source, cfg 
 
 	var out CorrectionResult
 	var runner *replayer
-	var lat, prev []sim.Tick
-	var zeroLoad func(e *trace.Event) sim.Tick
-	if resume != nil {
-		if len(resume.lat) != n || len(resume.prev) != n {
-			return CorrectionResult{}, nil, fmt.Errorf("core: resume state sized for %d events, trace has %d", len(resume.lat), n)
-		}
-		if len(resume.iterations) >= cfg.MaxIterations {
-			return CorrectionResult{}, nil, fmt.Errorf("core: resume state has %d rounds, budget is %d", len(resume.iterations), cfg.MaxIterations)
-		}
-		// The parked replayer carries the fabric checkpoints the resumed
-		// rounds restore from, and the work counters so far.
-		runner = resume.runner
-		runner.read(src, window)
-		lat = append([]sim.Tick(nil), resume.lat...)
-		prev = append([]sim.Tick(nil), resume.prev...)
-		out.Iterations = append([]Iteration(nil), resume.iterations...)
-		out.Final = resume.final
-		out.TotalCycles = resume.cycles
-	} else {
-		runner = newReplayer(factory, src, shards, window)
-		runner.ladder = cfg.Incremental && resident(src)
-		// Seed latencies: an externally supplied per-event estimate wins (the
-		// damping blend mutates lat in place, so the caller's slice is copied),
-		// then a fixed constant if configured, else the target fabric's
-		// zero-load estimate per message, filled in by the pass that derives
-		// the round-0 schedule.
-		lat = make([]sim.Tick, n)
-		if seed != nil {
-			if len(seed) != n {
-				return CorrectionResult{}, nil, fmt.Errorf("core: seed has %d latencies for %d events", len(seed), n)
-			}
-			copy(lat, seed)
-		} else if cfg.InitialLatencyCycles > 0 {
-			for i := range lat {
-				lat[i] = sim.Tick(cfg.InitialLatencyCycles)
-			}
-		} else {
-			probe := runner.fabric(0)
-			zeroLoad = func(e *trace.Event) sim.Tick { return probe.ZeroLoadLatency(e.Src, e.Dst, e.Bytes) }
-		}
-	}
+	var prev []sim.Tick
 	// finish fills the work counters at every successful exit. Full rounds
 	// charge the whole trace; a round resumed from a checkpoint only the
 	// dirty suffix it injected.
@@ -217,7 +176,34 @@ func Correct(ctx context.Context, factory NetworkFactory, src trace.Source, cfg 
 		})
 		return err
 	}
-	if resume == nil {
+	if resume != nil {
+		if len(resume.prev) != n {
+			return CorrectionResult{}, nil, fmt.Errorf("core: resume state sized for %d events, trace has %d", len(resume.prev), n)
+		}
+		if len(resume.iterations) >= cfg.MaxIterations {
+			return CorrectionResult{}, nil, fmt.Errorf("core: resume state has %d rounds, budget is %d", len(resume.iterations), cfg.MaxIterations)
+		}
+		// The parked replayer carries the fabric checkpoints the resumed
+		// rounds restore from, and the work counters so far.
+		runner = resume.runner
+		runner.read(src, window)
+		prev = resume.prev
+		out.Iterations = append([]Iteration(nil), resume.iterations...)
+		out.Final = resume.final
+		out.TotalCycles = resume.cycles
+	} else {
+		runner = newReplayer(factory, src, shards, window)
+		runner.ladder = cfg.Incremental && resident(src)
+		// Round-0 latencies: the caller's seed, else the target fabric's
+		// zero-load estimate per message, filled in by the pass that derives
+		// the round-0 schedule.
+		lat := seed
+		var zeroLoad func(e *trace.Event) sim.Tick
+		if lat == nil {
+			lat = make([]sim.Tick, n)
+			probe := runner.fabric(0)
+			zeroLoad = func(e *trace.Event) sim.Tick { return probe.ZeroLoadLatency(e.Src, e.Dst, e.Bytes) }
+		}
 		if err := labeled(-1, "schedule", func() (err error) {
 			prev, err = schedule(src, lat, opts, zeroLoad)
 			return err
@@ -235,8 +221,7 @@ func Correct(ctx context.Context, factory NetworkFactory, src trace.Source, cfg 
 			finish()
 			state := &ParkState{
 				runner:     runner,
-				lat:        append([]sim.Tick(nil), lat...),
-				prev:       append([]sim.Tick(nil), prev...),
+				prev:       prev,
 				iterations: append([]Iteration(nil), out.Iterations...),
 				final:      out.Final,
 				cycles:     out.TotalCycles,
@@ -252,21 +237,10 @@ func Correct(ctx context.Context, factory NetworkFactory, src trace.Source, cfg 
 			return CorrectionResult{}, nil, fmt.Errorf("core: correction round %d: %w", round, err)
 		}
 		out.TotalCycles += res.Cycles
-		// Blend measured latencies into the running estimates. Damping
-		// suppresses the two-cycle oscillation of self-reinforcing
-		// contention estimates (messages scheduled together congest,
-		// spread apart, then congest again).
-		measured := res.Latencies()
-		if cfg.Damping > 0 {
-			for i := range lat {
-				lat[i] += sim.Tick(float64(measured[i]-lat[i]) * (1 - cfg.Damping))
-			}
-		} else {
-			lat = measured
-		}
+		// The measured latencies are the next round's estimates, verbatim.
 		var next []sim.Tick
 		if err := labeled(round, "schedule", func() (err error) {
-			next, err = ScheduleStream(src, lat, opts)
+			next, err = ScheduleStream(src, res.Latencies(), opts)
 			return err
 		}); err != nil {
 			return CorrectionResult{}, nil, fmt.Errorf("core: correction round %d: %w", round, err)

@@ -55,7 +55,6 @@ func TestSelfCorrectParkedPrefixMatchesFullRun(t *testing.T) {
 	tr := chainTrace()
 	cfg := neverConverge(config.Default().SCTM)
 	cfg.MaxIterations = 8
-	cfg.InitialLatencyCycles = 3
 
 	path := filepath.Join(t.TempDir(), "chain.sctm")
 	if err := trace.SaveFile(path, tr); err != nil {
@@ -66,7 +65,7 @@ func TestSelfCorrectParkedPrefixMatchesFullRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, src := range map[string]trace.Source{"mem": tr, "file": file} {
-		full, _, err := Correct(context.Background(), idealFactory(4, 20), src, cfg, 1, 0, nil, nil)
+		full, _, err := Correct(context.Background(), idealFactory(4, 20), src, cfg, 1, 0, chainSeed, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +75,7 @@ func TestSelfCorrectParkedPrefixMatchesFullRun(t *testing.T) {
 
 		const parkAfter = 3
 		ctx := &countdownCtx{Context: context.Background(), remaining: parkAfter}
-		parked, state, err := Correct(ctx, idealFactory(4, 20), src, cfg, 1, 0, nil, nil)
+		parked, state, err := Correct(ctx, idealFactory(4, 20), src, cfg, 1, 0, chainSeed, nil)
 		if !errors.Is(err, ErrParked) {
 			t.Fatalf("%s: err = %v, want ErrParked", name, err)
 		}

@@ -19,7 +19,6 @@ func TestResumeCompletesIdenticalToUninterrupted(t *testing.T) {
 	tr := chainTrace()
 	base := neverConverge(config.Default().SCTM)
 	base.MaxIterations = 8
-	base.InitialLatencyCycles = 3
 
 	for _, tc := range []struct {
 		name   string
@@ -32,14 +31,14 @@ func TestResumeCompletesIdenticalToUninterrupted(t *testing.T) {
 		{"incremental-sharded", func() config.SCTM { c := base; c.Incremental = true; return c }(), 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			full, _, err := SelfCorrectParkableCtx(context.Background(), idealFactory(4, 20), tr, tc.cfg, tc.shards, nil, nil)
+			full, _, err := SelfCorrectParkableCtx(context.Background(), idealFactory(4, 20), tr, tc.cfg, tc.shards, chainSeed, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			const parkAfter = 3
 			ctx := &countdownCtx{Context: context.Background(), remaining: parkAfter}
-			parked, state, err := SelfCorrectParkableCtx(ctx, idealFactory(4, 20), tr, tc.cfg, tc.shards, nil, nil)
+			parked, state, err := SelfCorrectParkableCtx(ctx, idealFactory(4, 20), tr, tc.cfg, tc.shards, chainSeed, nil)
 			if !errors.Is(err, ErrParked) {
 				t.Fatalf("err = %v, want ErrParked", err)
 			}
@@ -74,15 +73,14 @@ func TestResumeCanParkAgain(t *testing.T) {
 	tr := chainTrace()
 	cfg := neverConverge(config.Default().SCTM)
 	cfg.MaxIterations = 8
-	cfg.InitialLatencyCycles = 3
 
-	full, _, err := SelfCorrectParkableCtx(context.Background(), idealFactory(4, 20), tr, cfg, 1, nil, nil)
+	full, _, err := SelfCorrectParkableCtx(context.Background(), idealFactory(4, 20), tr, cfg, 1, chainSeed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	ctx1 := &countdownCtx{Context: context.Background(), remaining: 2}
-	_, state, err := SelfCorrectParkableCtx(ctx1, idealFactory(4, 20), tr, cfg, 1, nil, nil)
+	_, state, err := SelfCorrectParkableCtx(ctx1, idealFactory(4, 20), tr, cfg, 1, chainSeed, nil)
 	if !errors.Is(err, ErrParked) || state == nil {
 		t.Fatalf("first park: err=%v state=%v", err, state)
 	}
@@ -116,10 +114,9 @@ func TestResumeIncrementalReplaysFewerEvents(t *testing.T) {
 	tr := chainTrace()
 	cfg := neverConverge(config.Default().SCTM)
 	cfg.MaxIterations = 8
-	cfg.InitialLatencyCycles = 3
 	cfg.Incremental = true
 
-	full, _, err := SelfCorrectParkableCtx(context.Background(), idealFactory(4, 20), tr, cfg, 1, nil, nil)
+	full, _, err := SelfCorrectParkableCtx(context.Background(), idealFactory(4, 20), tr, cfg, 1, chainSeed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +126,7 @@ func TestResumeIncrementalReplaysFewerEvents(t *testing.T) {
 	}
 
 	ctx := &countdownCtx{Context: context.Background(), remaining: 3}
-	_, state, err := SelfCorrectParkableCtx(ctx, idealFactory(4, 20), tr, cfg, 1, nil, nil)
+	_, state, err := SelfCorrectParkableCtx(ctx, idealFactory(4, 20), tr, cfg, 1, chainSeed, nil)
 	if !errors.Is(err, ErrParked) || state == nil {
 		t.Fatalf("park: err=%v state=%v", err, state)
 	}
@@ -152,10 +149,9 @@ func TestResumeRejectsBadState(t *testing.T) {
 	tr := chainTrace()
 	cfg := neverConverge(config.Default().SCTM)
 	cfg.MaxIterations = 3
-	cfg.InitialLatencyCycles = 3
 
 	ctx := &countdownCtx{Context: context.Background(), remaining: 2}
-	_, state, err := SelfCorrectParkableCtx(ctx, idealFactory(4, 20), tr, cfg, 1, nil, nil)
+	_, state, err := SelfCorrectParkableCtx(ctx, idealFactory(4, 20), tr, cfg, 1, chainSeed, nil)
 	if !errors.Is(err, ErrParked) || state == nil {
 		t.Fatalf("park: err=%v state=%v", err, state)
 	}

@@ -149,10 +149,12 @@ func TestByNameUnknown(t *testing.T) {
 	if _, err := ByName(bg, "r99", quickOpts); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
-	if len(Names()) != 20 {
+	// R11, the damping sweep, went with the damping knob; the other ids keep
+	// their numbers.
+	if len(Names()) != 19 {
 		t.Fatalf("Names() = %v", Names())
 	}
-	if Known("r99") || !Known("r20") {
+	if Known("r99") || Known("r11") || !Known("r20") {
 		t.Fatal("Known misclassifies experiment names")
 	}
 }

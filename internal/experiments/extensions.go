@@ -88,7 +88,7 @@ func R10CaptureFabric(ctx context.Context, o Options) (*metrics.Table, error) {
 		row = append(row, metrics.Percent(naiveIdeal))
 		t.AddCells(row...)
 	}
-	t.Note("capture=optical is self-capture: the dependency replay should then be nearly exact")
+	t.Note("capture=optical is self-capture: its latencies are the loop's exact fixpoint and equal truth, so its error is the early exit's")
 	return t, nil
 }
 
@@ -136,41 +136,5 @@ func R12Hybrid(ctx context.Context, o Options) (*metrics.Table, error) {
 		t.AddCells(row...)
 	}
 	t.Note("hybrid routes hops < threshold over the mesh and the rest over the crossbar")
-	return t, nil
-}
-
-// R11Damping sweeps the correction loop's damping factor: rounds to
-// convergence and final error. It ablates the loop-stability design choice
-// DESIGN.md calls out.
-func R11Damping(ctx context.Context, o Options) (*metrics.Table, error) {
-	t := metrics.NewTable(
-		"R11 (extension) — correction-loop damping sweep (stencil kernel)",
-		"damping", "rounds", "converged", "makespan est", "err vs truth")
-	cfg := kernelConfig(o, "stencil")
-	tr, _, err := o.Session.CaptureTraceContext(ctx, cfg, onocsim.IdealNet)
-	if err != nil {
-		return nil, err
-	}
-	truth, err := o.Session.RunExecutionDrivenContext(ctx, cfg, onocsim.Optical)
-	if err != nil {
-		return nil, err
-	}
-	dampings := []float64{0, 0.25, 0.5, 0.75}
-	for _, d := range dampings {
-		c := cfg
-		c.SCTM.Damping = d
-		c.SCTM.MaxIterations = 15
-		res, err := o.Session.RunSelfCorrectionContext(ctx, c, tr, onocsim.Optical)
-		if err != nil {
-			return nil, err
-		}
-		t.AddCells(
-			metrics.Float(d, 2, ""),
-			metrics.Int(int64(len(res.Iterations)), "rounds"),
-			metrics.Bool(res.Converged),
-			cycles(res.Final.Makespan),
-			metrics.Percent(metrics.RelErr(float64(res.Final.Makespan), float64(truth.Makespan))),
-		)
-	}
 	return t, nil
 }

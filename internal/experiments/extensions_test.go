@@ -43,19 +43,6 @@ func TestR10CaptureFabricQuick(t *testing.T) {
 	}
 }
 
-func TestR11DampingRows(t *testing.T) {
-	tb, err := R11Damping(bg, quickOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tb.NumRows() != 4 {
-		t.Fatalf("rows = %d", tb.NumRows())
-	}
-	if tb.Cell(0, 0) != "0.00" || tb.Cell(3, 0) != "0.75" {
-		t.Fatalf("damping sweep values: %q .. %q", tb.Cell(0, 0), tb.Cell(3, 0))
-	}
-}
-
 func TestR12HybridQuick(t *testing.T) {
 	tb, err := R12Hybrid(bg, quickOpts)
 	if err != nil {
@@ -70,7 +57,7 @@ func TestR12HybridQuick(t *testing.T) {
 }
 
 func TestExtensionsViaByName(t *testing.T) {
-	for _, name := range []string{"r9", "r11", "r12"} {
+	for _, name := range []string{"r9", "r12"} {
 		tb, err := ByName(bg, name, quickOpts)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

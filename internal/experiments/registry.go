@@ -104,13 +104,6 @@ var registry = []Descriptor{
 		Run:       R10CaptureFabric,
 	},
 	{
-		ID:        "r11",
-		Title:     "Correction-loop damping sweep (extension)",
-		Summary:   "rounds to convergence and final error across damping factors",
-		CostClass: onocsim.SlotMedium,
-		Run:       R11Damping,
-	},
-	{
 		ID:        "r12",
 		Title:     "Path-adaptive hybrid NoC (extension)",
 		Summary:   "makespan versus the optical-distance threshold of the hybrid fabric",

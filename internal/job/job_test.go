@@ -238,16 +238,14 @@ func TestRunnerNilWiring(t *testing.T) {
 	}
 }
 
-// slowCorrect is a correction that cannot converge early — a fixed seed far
-// above the real latencies, heavily damped — so a park lands mid-loop.
+// slowCorrect is a correction that cannot converge early — at tolerance zero
+// the loop needs 76 rounds to its exact fixpoint, beyond the budget of 50 —
+// so a park lands mid-loop.
 func slowCorrect() Job {
 	j := smallJob(OpCorrect)
 	j.Config.SCTM.MaxIterations = 50
 	j.Config.SCTM.ToleranceCycles = 0
 	j.Config.SCTM.MakespanTolerance = 0
-	j.Config.SCTM.Damping = 0.9
-	j.Config.SCTM.Seed = "fixed"
-	j.Config.SCTM.InitialLatencyCycles = 5000
 	return j
 }
 

@@ -29,16 +29,15 @@ func smallSim(op string) string {
 		"max_cycles":5000000}}`, op)
 }
 
-// slowCorrection is a correct job with a wide window to park in. A fixed seed
-// far above the real latencies plus heavy damping forces a long geometric
-// approach (~350 rounds before the schedule can freeze): a wide, deterministic
-// window of round boundaries for a park to land on, even on a fast host where
-// each round takes well under a millisecond and the test polls over HTTP.
+// slowCorrection is a correct job with a wide window to park in. At tolerance
+// zero the ten-sweep stencil walks 371 rounds to its exact fixpoint (≈0.7 s
+// on a 2-vCPU host): a wide, deterministic window of round boundaries for a
+// park to land on, even on a fast host where each round takes a few
+// milliseconds and the test polls over HTTP.
 const slowCorrection = `{"op":"correct","network":"optical","config":{
 	"system":{"cores":16},
-	"workload":{"kernel":"stencil","scale":4,"iterations":2},
-	"sctm":{"max_iterations":1000,"tolerance_cycles":0,"makespan_tolerance":0,
-		"damping":0.97,"seed":"fixed","initial_latency_cycles":20000},
+	"workload":{"kernel":"stencil","scale":4,"iterations":10},
+	"sctm":{"max_iterations":1000,"tolerance_cycles":0,"makespan_tolerance":0},
 	"max_cycles":5000000}}`
 
 // awaitRound blocks until a correction round is replaying. The loop checks its
@@ -302,6 +301,17 @@ func TestSimulateRefusesModelConstants(t *testing.T) {
 	code, body := postJSON(t, ts.URL+"/v1/simulate", `{"op":"exec","config":`+string(doc)+`}`)
 	if code != http.StatusBadRequest || !strings.Contains(string(body), "l1_sets") {
 		t.Fatalf("status %d (want 400 naming l1_sets): %s", code, body)
+	}
+	// The correction loop's deleted knobs are refused the same way.
+	for key, sctm := range map[string]string{
+		"damping":                `{"damping":0}`,
+		"initial_latency_cycles": `{"initial_latency_cycles":0}`,
+		"sctm.seed":              `{"seed":"fixed"}`,
+	} {
+		code, body := postJSON(t, ts.URL+"/v1/simulate", `{"op":"exec","config":{"sctm":`+sctm+`}}`)
+		if code != http.StatusBadRequest || !strings.Contains(string(body), key) {
+			t.Errorf("status %d (want 400 naming %s): %s", code, key, body)
+		}
 	}
 }
 

@@ -119,9 +119,10 @@ func TestEngineNextAt(t *testing.T) {
 	}
 }
 
-// TestEngineHeapOrderRandomized cross-checks the 4-ary heap against a large
-// randomized schedule: execution must be sorted by (time, seq).
-func TestEngineHeapOrderRandomized(t *testing.T) {
+// TestEngineOrderRandomized cross-checks the engine against a large
+// randomized schedule, most of it beyond the calendar's ring: execution must
+// be sorted by (time, seq).
+func TestEngineOrderRandomized(t *testing.T) {
 	e := NewEngine()
 	rng := NewStream(99, "engine-heap")
 	const n = 5000
@@ -161,7 +162,7 @@ func BenchmarkEngineScheduleStep(b *testing.B) {
 }
 
 // BenchmarkEngineChurn measures a deeper queue: 64 resident events with one
-// schedule+pop per iteration, exercising sift-up and sift-down paths.
+// schedule+pop per iteration, spread over a dozen calendar buckets.
 func BenchmarkEngineChurn(b *testing.B) {
 	e := NewEngine()
 	fn := func() {}

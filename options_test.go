@@ -49,8 +49,6 @@ var optionSurface = []string{
 	"config.Config.Workload.Jitter",
 	"config.Config.SCTM.MaxIterations",
 	"config.Config.SCTM.ToleranceCycles",
-	"config.Config.SCTM.InitialLatencyCycles",
-	"config.Config.SCTM.Damping",
 	"config.Config.SCTM.MakespanTolerance",
 	"config.Config.SCTM.DisableSyncDeps",
 	"config.Config.SCTM.DisableCausalDeps",

@@ -59,9 +59,6 @@ func TestSessionHealsCorrectionKilledByAnotherCaller(t *testing.T) {
 	cfg.SCTM.MaxIterations = 10
 	cfg.SCTM.ToleranceCycles = 0
 	cfg.SCTM.MakespanTolerance = 0
-	cfg.SCTM.Damping = 0.9
-	cfg.SCTM.Seed = "fixed"
-	cfg.SCTM.InitialLatencyCycles = 5000
 
 	ref := NewSession("")
 	refTrace, _, err := ref.CaptureTraceContext(bg, cfg, IdealNet)

@@ -120,9 +120,6 @@ func TestSessionResumesParkedCorrection(t *testing.T) {
 	cfg.SCTM.MaxIterations = 10
 	cfg.SCTM.ToleranceCycles = 0
 	cfg.SCTM.MakespanTolerance = 0
-	cfg.SCTM.Damping = 0.9
-	cfg.SCTM.Seed = "fixed"
-	cfg.SCTM.InitialLatencyCycles = 5000
 
 	ref := NewSession("")
 	tr, _, err := ref.CaptureTraceContext(bg, cfg, IdealNet)
@@ -207,9 +204,6 @@ func TestStreamedCorrectionParksAtRoundBoundary(t *testing.T) {
 	cfg.SCTM.MaxIterations = 10
 	cfg.SCTM.ToleranceCycles = 0
 	cfg.SCTM.MakespanTolerance = 0
-	cfg.SCTM.Damping = 0.9
-	cfg.SCTM.Seed = "fixed"
-	cfg.SCTM.InitialLatencyCycles = 5000
 	tr, _, err := uncached.CaptureTraceContext(bg, cfg, IdealNet)
 	if err != nil {
 		t.Fatal(err)
