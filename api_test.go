@@ -254,7 +254,6 @@ func TestSelfCorrectionUsesConfigKnobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.SCTM.MaxIterations = 1
-	cfg.SCTM.ToleranceCycles = 0
 	cfg.SCTM.MakespanTolerance = 0
 	res, err := uncached.RunSelfCorrectionContext(bg, cfg, tr, Optical)
 	if err != nil {

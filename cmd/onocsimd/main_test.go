@@ -72,12 +72,12 @@ func drainMidCorrection(t *testing.T) []byte {
 		t.Fatal("daemon never became ready")
 	}
 
-	// Long-running correction: at tolerance zero the loop walks 76 rounds to
-	// its exact fixpoint, 76 boundaries to park at.
+	// Long-running correction: with the makespan tolerance off the loop walks
+	// 76 rounds to its exact fixpoint, 76 boundaries to park at.
 	body := `{"op":"correct","network":"optical","config":{
 		"system":{"cores":16},
 		"workload":{"kernel":"stencil","scale":4,"iterations":2},
-		"sctm":{"max_iterations":500,"tolerance_cycles":0,"makespan_tolerance":0},
+		"sctm":{"max_iterations":500,"makespan_tolerance":0},
 		"max_cycles":5000000}}`
 	resp, err := http.Post(base+"/v1/simulate?stream=sse", "application/json", strings.NewReader(body))
 	if err != nil {

@@ -16,7 +16,7 @@ import (
 //  1. naive replay of the self-captured trace reproduces the truth's makespan;
 //  2. the loop seeded with the trace's own latencies (RefArrive − RefInject)
 //     stops after one round with Delta 0 and the truth's makespan;
-//  3. the zero-load-seeded loop at tolerance zero walks to that same Final,
+//  3. the zero-load-seeded loop, makespan tolerance off, walks to that same Final,
 //     DeepEqual, within its round budget (14 to 304 rounds here).
 func TestSelfCaptureFixpointIsTruth(t *testing.T) {
 	for _, kernel := range workload.KernelNames() {
@@ -24,7 +24,6 @@ func TestSelfCaptureFixpointIsTruth(t *testing.T) {
 			t.Run(kernel+"/"+string(kind), func(t *testing.T) {
 				cfg := smallConfig()
 				cfg.Workload.Kernel = kernel
-				cfg.SCTM.ToleranceCycles = 0
 				cfg.SCTM.MakespanTolerance = 0
 				cfg.SCTM.MaxIterations = 400
 				truth, err := uncached.RunExecutionDrivenContext(bg, cfg, kind)

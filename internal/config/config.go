@@ -251,11 +251,9 @@ type Workload struct {
 
 // SCTM parameterizes the self-correction trace model.
 type SCTM struct {
-	// MaxIterations bounds the correction fixpoint loop.
+	// MaxIterations bounds the correction fixpoint loop, which also stops
+	// at a round whose re-derived schedule equals the one it replayed.
 	MaxIterations int `json:"max_iterations"`
-	// ToleranceCycles stops iterating when the largest absolute change
-	// of any event's injection time falls to or below this value.
-	ToleranceCycles int64 `json:"tolerance_cycles"`
 	// MakespanTolerance is the relative makespan change between
 	// consecutive rounds below which the loop is declared converged
 	// (the per-event schedule keeps jittering under contention long
@@ -328,7 +326,6 @@ func Default() Config {
 		},
 		SCTM: SCTM{
 			MaxIterations:     10,
-			ToleranceCycles:   2,
 			MakespanTolerance: 0.01,
 		},
 		Parallelism: Parallelism{Shards: 1},
@@ -429,9 +426,6 @@ func (c *Config) Validate() error {
 	t := &c.SCTM
 	if t.MaxIterations < 1 {
 		return fmt.Errorf("config: sctm.max_iterations=%d must be ≥1", t.MaxIterations)
-	}
-	if t.ToleranceCycles < 0 {
-		return fmt.Errorf("config: sctm.tolerance_cycles must be ≥0")
 	}
 	if t.MakespanTolerance < 0 || t.MakespanTolerance > 0.5 {
 		return fmt.Errorf("config: sctm.makespan_tolerance=%g out of [0,0.5]", t.MakespanTolerance)

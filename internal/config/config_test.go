@@ -49,7 +49,6 @@ func TestValidateRejections(t *testing.T) {
 		{"workload kind", `{"workload":{"kind":"replay"}}`, "workload kind"},
 		{"network", `{"network":"quantum"}`, "network"},
 		{"sctm iters", `{"sctm":{"max_iterations":0}}`, "max_iterations"},
-		{"sctm tol", `{"sctm":{"tolerance_cycles":-1}}`, "tolerance"},
 		{"sctm damping", `{"sctm":{"damping":1.0}}`, "damping"},
 		{"sctm mk tol", `{"sctm":{"makespan_tolerance":0.9}}`, "makespan_tolerance"},
 		{"max cycles", `{"max_cycles":-1}`, "max_cycles"},
@@ -72,7 +71,8 @@ func TestValidateRejections(t *testing.T) {
 // fixes — strict decoding refuses it instead of silently ignoring it. The
 // ideal section went whole, so its name is the refused key. The correction
 // loop's damping and constant seed were deleted outright (every round feeds
-// its measurements back verbatim), and are refused the same way.
+// its measurements back verbatim), and so was its per-event tolerance (the
+// loop stops at an exact fixpoint); they are refused the same way.
 func TestParseRefusesModelConstants(t *testing.T) {
 	for _, c := range []struct{ section, key, value string }{
 		{"system", "l1_sets", "64"},
@@ -98,6 +98,7 @@ func TestParseRefusesModelConstants(t *testing.T) {
 		{"ideal", "bytes_per_cycle", "16"},
 		{"sctm", "damping", "0"},
 		{"sctm", "initial_latency_cycles", "0"},
+		{"sctm", "tolerance_cycles", "0"},
 	} {
 		t.Run(c.section+"."+c.key, func(t *testing.T) {
 			named := c.key

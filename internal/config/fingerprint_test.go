@@ -19,11 +19,11 @@ func fp(t *testing.T, c Config) string {
 // fingerprintVersion, since every persisted cache key moves with it.
 func TestFingerprintPinned(t *testing.T) {
 	cfg := Default()
-	if got, want := fp(t, cfg), "d18af9a33c64fa0772108e571f217ef89a2d334bab19b3a4440cb9798ecfac17"; got != want {
+	if got, want := fp(t, cfg), "ab25aa4506a5c6fe67d647ff03b551f64530f7a846e459ba85d66327a839906c"; got != want {
 		t.Errorf("Default() fingerprint = %s, want %s", got, want)
 	}
 	cfg.Network = NetOptical
-	if got, want := fp(t, cfg), "595ec3c7063cf3eaf30f95fb8f73ecb61319dd6a33571abd3480342dfe03d76d"; got != want {
+	if got, want := fp(t, cfg), "c47349a6e29eeb30d3e315c30965e72a2aad4fe867034eb7ea3cab066f5d801d"; got != want {
 		t.Errorf("optical fingerprint = %s, want %s", got, want)
 	}
 }

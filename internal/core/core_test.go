@@ -292,7 +292,6 @@ func TestSelfCorrectIterationBudget(t *testing.T) {
 	tr := chainTrace()
 	cfg := config.Default().SCTM
 	cfg.MaxIterations = 1
-	cfg.ToleranceCycles = 0
 	cfg.MakespanTolerance = 0
 	res, _, err := SelfCorrectParkableCtx(context.Background(), idealFactory(4, 20), tr, cfg, 1, chainSeed, nil)
 	if err != nil {

@@ -42,8 +42,8 @@ type CorrectionResult struct {
 	Final ReplayResult
 	// Iterations traces the convergence (experiment R3).
 	Iterations []Iteration
-	// Converged reports whether the loop met the tolerance before
-	// exhausting its iteration budget.
+	// Converged reports whether the loop reached its fixpoint or met the
+	// makespan tolerance before exhausting its iteration budget.
 	Converged bool
 	// TotalCycles sums fabric cycles across all rounds — the simulation
 	// cost the R2 experiment charges to the method.
@@ -118,6 +118,11 @@ type ParkState struct {
 // shard count, any sufficient window (semantics as ReplayScheduleStream) and
 // either setting of cfg.Incremental; those choose how rounds execute, never
 // what they compute.
+//
+// The loop stops at a fixpoint (a round whose re-derived schedule equals the
+// one it replayed, so another round would repeat it), when the makespan
+// moves by no more than cfg.MakespanTolerance of itself between rounds, or
+// after cfg.MaxIterations rounds.
 //
 // seed, when non-nil, supplies the round-0 latency estimates, one per event
 // (the analytical fast path computes them from the trace's byte histogram),
@@ -258,7 +263,7 @@ func Correct(ctx context.Context, factory NetworkFactory, src trace.Source, cfg 
 			prevMakespan = out.Iterations[round-1].Makespan
 		}
 		out.Final = res
-		if delta <= sim.Tick(cfg.ToleranceCycles) {
+		if delta == 0 {
 			out.Converged = true
 			finish()
 			return out, nil, nil

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"onocsim/internal/config"
+	"onocsim/internal/noc"
 	"onocsim/internal/trace"
 )
 
@@ -26,11 +27,22 @@ func (c *countdownCtx) Err() error {
 	return context.Canceled
 }
 
-// neverConverge disables both convergence criteria so the loop always runs
-// its full iteration budget: delta can never be ≤ -1.
-func neverConverge(cfg config.SCTM) config.SCTM {
-	cfg.ToleranceCycles = -1
+// slowTrace is a correction with rounds to park between: from the
+// zero-load seed on contendedIdeal it first reaches its fixpoint in round 7
+// (round deltas 29 16 8 6 6 5 6 0), and its incremental rounds resume from
+// frozen prefixes (1 235 of 2 400 events replayed over those 8 rounds).
+func slowTrace() *trace.Trace { return randomTrace(4, 300, 16) }
+
+// contendedIdeal is a 16-node ideal fabric of 15-cycle latency whose 16-byte
+// ports serialize, so the schedule feeds back into contention.
+func contendedIdeal() noc.Network { return noc.NewIdeal(16, 15, 16) }
+
+// neverConverge is a loop that always runs its full budget on slowTrace: the
+// makespan criterion is off, and 7 rounds end one short of the fixpoint.
+func neverConverge() config.SCTM {
+	cfg := config.Default().SCTM
 	cfg.MakespanTolerance = 0
+	cfg.MaxIterations = 7
 	return cfg
 }
 
@@ -52,11 +64,10 @@ func TestSelfCorrectParksOnDeadContext(t *testing.T) {
 // are byte-identical to a prefix of the uncancelled run's, whether the trace
 // is resident or decoded from a file.
 func TestSelfCorrectParkedPrefixMatchesFullRun(t *testing.T) {
-	tr := chainTrace()
-	cfg := neverConverge(config.Default().SCTM)
-	cfg.MaxIterations = 8
+	tr := slowTrace()
+	cfg := neverConverge()
 
-	path := filepath.Join(t.TempDir(), "chain.sctm")
+	path := filepath.Join(t.TempDir(), "slow.sctm")
 	if err := trace.SaveFile(path, tr); err != nil {
 		t.Fatal(err)
 	}
@@ -65,17 +76,17 @@ func TestSelfCorrectParkedPrefixMatchesFullRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, src := range map[string]trace.Source{"mem": tr, "file": file} {
-		full, _, err := Correct(context.Background(), idealFactory(4, 20), src, cfg, 1, 0, chainSeed, nil)
+		full, _, err := Correct(context.Background(), contendedIdeal, src, cfg, 1, 0, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if full.Converged || len(full.Iterations) != 8 {
+		if full.Converged || len(full.Iterations) != cfg.MaxIterations {
 			t.Fatalf("%s: reference run unexpectedly converged: %+v", name, full)
 		}
 
 		const parkAfter = 3
 		ctx := &countdownCtx{Context: context.Background(), remaining: parkAfter}
-		parked, state, err := Correct(ctx, idealFactory(4, 20), src, cfg, 1, 0, chainSeed, nil)
+		parked, state, err := Correct(ctx, contendedIdeal, src, cfg, 1, 0, nil, nil)
 		if !errors.Is(err, ErrParked) {
 			t.Fatalf("%s: err = %v, want ErrParked", name, err)
 		}

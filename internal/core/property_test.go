@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"onocsim/internal/config"
 	"onocsim/internal/noc"
 	"onocsim/internal/sim"
 	"onocsim/internal/trace"
@@ -165,5 +166,37 @@ func TestCoupledReplayNeverBeatsSchedule(t *testing.T) {
 		return true
 	}, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCorrectStopsAtExactFixpoint: with the makespan criterion off, the loop
+// stops only at a fixpoint. Its last round has Delta 0, and the schedule
+// re-derived from the final replay's latencies is the one that replay ran.
+func TestCorrectStopsAtExactFixpoint(t *testing.T) {
+	cfg := config.Default().SCTM
+	cfg.MakespanTolerance = 0
+	cfg.MaxIterations = 100
+	for seed := uint64(1); seed <= 6; seed++ {
+		for _, n := range []int{40, 100, 300} {
+			tr := randomTrace(seed, n, 16)
+			res, err := SelfCorrect(contendedIdeal, tr, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Converged {
+				t.Fatalf("seed %d, %d events: no fixpoint in %d rounds", seed, n, cfg.MaxIterations)
+			}
+			last := res.Iterations[len(res.Iterations)-1]
+			if last.Delta != 0 {
+				t.Fatalf("seed %d, %d events: stopped in round %d with Delta %d", seed, n, last.Round, last.Delta)
+			}
+			next, err := ScheduleStream(tr, res.Final.Latencies(), ScheduleOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(next, res.Final.Inject) {
+				t.Fatalf("seed %d, %d events: the final latencies re-derive a different schedule", seed, n)
+			}
+		}
 	}
 }

@@ -16,9 +16,8 @@ import (
 // the continuation is literally the same execution the uninterrupted run
 // performs.
 func TestResumeCompletesIdenticalToUninterrupted(t *testing.T) {
-	tr := chainTrace()
-	base := neverConverge(config.Default().SCTM)
-	base.MaxIterations = 8
+	tr := slowTrace()
+	base := neverConverge()
 
 	for _, tc := range []struct {
 		name   string
@@ -31,14 +30,14 @@ func TestResumeCompletesIdenticalToUninterrupted(t *testing.T) {
 		{"incremental-sharded", func() config.SCTM { c := base; c.Incremental = true; return c }(), 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			full, _, err := SelfCorrectParkableCtx(context.Background(), idealFactory(4, 20), tr, tc.cfg, tc.shards, chainSeed, nil)
+			full, _, err := SelfCorrectParkableCtx(context.Background(), contendedIdeal, tr, tc.cfg, tc.shards, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			const parkAfter = 3
 			ctx := &countdownCtx{Context: context.Background(), remaining: parkAfter}
-			parked, state, err := SelfCorrectParkableCtx(ctx, idealFactory(4, 20), tr, tc.cfg, tc.shards, chainSeed, nil)
+			parked, state, err := SelfCorrectParkableCtx(ctx, contendedIdeal, tr, tc.cfg, tc.shards, nil, nil)
 			if !errors.Is(err, ErrParked) {
 				t.Fatalf("err = %v, want ErrParked", err)
 			}
@@ -52,7 +51,7 @@ func TestResumeCompletesIdenticalToUninterrupted(t *testing.T) {
 				t.Fatalf("parked after %d rounds, want %d", len(parked.Iterations), parkAfter)
 			}
 
-			resumed, state2, err := SelfCorrectParkableCtx(context.Background(), idealFactory(4, 20), tr, tc.cfg, tc.shards, nil, state)
+			resumed, state2, err := SelfCorrectParkableCtx(context.Background(), contendedIdeal, tr, tc.cfg, tc.shards, nil, state)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,23 +69,22 @@ func TestResumeCompletesIdenticalToUninterrupted(t *testing.T) {
 // parks again further along, and finally completes — the ladder of partial
 // runs still lands on the uninterrupted result.
 func TestResumeCanParkAgain(t *testing.T) {
-	tr := chainTrace()
-	cfg := neverConverge(config.Default().SCTM)
-	cfg.MaxIterations = 8
+	tr := slowTrace()
+	cfg := neverConverge()
 
-	full, _, err := SelfCorrectParkableCtx(context.Background(), idealFactory(4, 20), tr, cfg, 1, chainSeed, nil)
+	full, _, err := SelfCorrectParkableCtx(context.Background(), contendedIdeal, tr, cfg, 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	ctx1 := &countdownCtx{Context: context.Background(), remaining: 2}
-	_, state, err := SelfCorrectParkableCtx(ctx1, idealFactory(4, 20), tr, cfg, 1, chainSeed, nil)
+	_, state, err := SelfCorrectParkableCtx(ctx1, contendedIdeal, tr, cfg, 1, nil, nil)
 	if !errors.Is(err, ErrParked) || state == nil {
 		t.Fatalf("first park: err=%v state=%v", err, state)
 	}
 
 	ctx2 := &countdownCtx{Context: context.Background(), remaining: 3}
-	parked2, state2, err := SelfCorrectParkableCtx(ctx2, idealFactory(4, 20), tr, cfg, 1, nil, state)
+	parked2, state2, err := SelfCorrectParkableCtx(ctx2, contendedIdeal, tr, cfg, 1, nil, state)
 	if !errors.Is(err, ErrParked) || state2 == nil {
 		t.Fatalf("second park: err=%v state=%v", err, state2)
 	}
@@ -97,7 +95,7 @@ func TestResumeCanParkAgain(t *testing.T) {
 		t.Fatal("second parked trajectory diverged from uninterrupted prefix")
 	}
 
-	resumed, _, err := SelfCorrectParkableCtx(context.Background(), idealFactory(4, 20), tr, cfg, 1, nil, state2)
+	resumed, _, err := SelfCorrectParkableCtx(context.Background(), contendedIdeal, tr, cfg, 1, nil, state2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,12 +109,11 @@ func TestResumeCanParkAgain(t *testing.T) {
 // checkpoints survive, so the resumed rounds replay only dirty suffixes.
 // Restarting from scratch after a park would pay the full-replay cost again.
 func TestResumeIncrementalReplaysFewerEvents(t *testing.T) {
-	tr := chainTrace()
-	cfg := neverConverge(config.Default().SCTM)
-	cfg.MaxIterations = 8
+	tr := slowTrace()
+	cfg := neverConverge()
 	cfg.Incremental = true
 
-	full, _, err := SelfCorrectParkableCtx(context.Background(), idealFactory(4, 20), tr, cfg, 1, chainSeed, nil)
+	full, _, err := SelfCorrectParkableCtx(context.Background(), contendedIdeal, tr, cfg, 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,11 +123,11 @@ func TestResumeIncrementalReplaysFewerEvents(t *testing.T) {
 	}
 
 	ctx := &countdownCtx{Context: context.Background(), remaining: 3}
-	_, state, err := SelfCorrectParkableCtx(ctx, idealFactory(4, 20), tr, cfg, 1, chainSeed, nil)
+	_, state, err := SelfCorrectParkableCtx(ctx, contendedIdeal, tr, cfg, 1, nil, nil)
 	if !errors.Is(err, ErrParked) || state == nil {
 		t.Fatalf("park: err=%v state=%v", err, state)
 	}
-	resumed, _, err := SelfCorrectParkableCtx(context.Background(), idealFactory(4, 20), tr, cfg, 1, nil, state)
+	resumed, _, err := SelfCorrectParkableCtx(context.Background(), contendedIdeal, tr, cfg, 1, nil, state)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,12 +143,12 @@ func TestResumeIncrementalReplaysFewerEvents(t *testing.T) {
 // whose geometry does not match the trace, or that has already exhausted the
 // iteration budget, is refused rather than silently corrupting the loop.
 func TestResumeRejectsBadState(t *testing.T) {
-	tr := chainTrace()
-	cfg := neverConverge(config.Default().SCTM)
+	tr := slowTrace()
+	cfg := neverConverge()
 	cfg.MaxIterations = 3
 
 	ctx := &countdownCtx{Context: context.Background(), remaining: 2}
-	_, state, err := SelfCorrectParkableCtx(ctx, idealFactory(4, 20), tr, cfg, 1, chainSeed, nil)
+	_, state, err := SelfCorrectParkableCtx(ctx, contendedIdeal, tr, cfg, 1, nil, nil)
 	if !errors.Is(err, ErrParked) || state == nil {
 		t.Fatalf("park: err=%v state=%v", err, state)
 	}
@@ -159,7 +156,7 @@ func TestResumeRejectsBadState(t *testing.T) {
 	// Shrinking the budget below the completed rounds invalidates the state.
 	small := cfg
 	small.MaxIterations = 2
-	if _, _, err := SelfCorrectParkableCtx(context.Background(), idealFactory(4, 20), tr, small, 1, nil, state); err == nil {
+	if _, _, err := SelfCorrectParkableCtx(context.Background(), contendedIdeal, tr, small, 1, nil, state); err == nil {
 		t.Fatal("resume with exhausted iteration budget succeeded")
 	}
 }

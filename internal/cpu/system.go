@@ -372,7 +372,7 @@ func (s *System) done() bool {
 			return false
 		}
 	}
-	return !s.net.Busy() && s.eng.Pending() == 0 && len(s.inbox) == 0
+	return s.net.NextWake() == noc.Never && s.eng.Pending() == 0 && len(s.inbox) == 0
 }
 
 // coreStates summarizes core states for timeout diagnostics.

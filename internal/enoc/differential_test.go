@@ -63,7 +63,7 @@ func runDifferential(t *testing.T, nodes int, cfg config.Mesh, depth int, link s
 	rates := []float64{0.05, 0.4, 0, 0.9}
 	const phase, injectCycles, bound = 60, 480, 400_000
 	id := uint64(0)
-	for cyc := 0; cyc < injectCycles || n.Busy() || ref.Busy(); cyc++ {
+	for cyc := 0; cyc < injectCycles || n.NextWake() != noc.Never || ref.Busy(); cyc++ {
 		if cyc > bound {
 			t.Fatalf("no drain within %d cycles", bound)
 		}
@@ -86,8 +86,8 @@ func runDifferential(t *testing.T, nodes int, cfg config.Mesh, depth int, link s
 		}
 		n.Tick()
 		ref.Tick()
-		if n.Busy() != ref.Busy() {
-			t.Fatalf("cycle %d: Busy %v, reference %v", cyc, n.Busy(), ref.Busy())
+		if busy := n.NextWake() != noc.Never; busy != ref.Busy() {
+			t.Fatalf("cycle %d: busy %v, reference %v", cyc, busy, ref.Busy())
 		}
 		if len(got) != len(want) {
 			t.Fatalf("cycle %d: delivered %d messages, reference %d", cyc, len(got), len(want))

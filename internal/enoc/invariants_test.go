@@ -122,11 +122,11 @@ func checkInvariants(t testing.TB, n *Network) {
 func drainChecked(t testing.TB, n *Network, bound int) bool {
 	t.Helper()
 	checkInvariants(t, n)
-	for i := 0; i < bound && n.Busy(); i++ {
+	for i := 0; i < bound && n.NextWake() != noc.Never; i++ {
 		n.Tick()
 		checkInvariants(t, n)
 	}
-	return !n.Busy()
+	return n.NextWake() == noc.Never
 }
 
 // mixedTraffic injects count seeded messages of one to five flits in all
@@ -226,7 +226,7 @@ func TestResetWhileBusy(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		n.Tick()
 	}
-	if !n.Busy() {
+	if n.NextWake() == noc.Never {
 		t.Fatal("fabric drained before the reset; the test needs it busy")
 	}
 	packets := 0 // every non-loopback message took one packet from a pool that started empty

@@ -223,9 +223,6 @@ func (n *Network) eject(node int, f flit) {
 	}
 }
 
-// Busy implements noc.Network.
-func (n *Network) Busy() bool { return n.inflight > 0 }
-
 // NextWake implements noc.Network. With flits in routers or NIs the mesh
 // does observable work every cycle, so the only skippable states are a
 // fully drained fabric and one where the sole survivors are self-messages

@@ -12,10 +12,10 @@ func meshCfg() config.Mesh { return config.Default().Mesh }
 
 // drain ticks until idle or the bound, returning whether the fabric drained.
 func drain(n *Network, bound int) bool {
-	for i := 0; i < bound && n.Busy(); i++ {
+	for i := 0; i < bound && n.NextWake() != noc.Never; i++ {
 		n.Tick()
 	}
-	return !n.Busy()
+	return n.NextWake() == noc.Never
 }
 
 func TestSingleMessageLatency(t *testing.T) {

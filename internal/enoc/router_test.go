@@ -104,7 +104,7 @@ func TestSingleVCStillDelivers(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		n.Inject(&noc.Message{ID: uint64(i + 1), Src: i % 16, Dst: (i * 7) % 16, Bytes: 64, Class: noc.ClassRequest})
 	}
-	for i := 0; i < 100_000 && n.Busy(); i++ {
+	for i := 0; i < 100_000 && n.NextWake() != noc.Never; i++ {
 		n.Tick()
 	}
 	want := 0
@@ -126,7 +126,7 @@ func TestMultiFlitPacketStaysContiguousPerVC(t *testing.T) {
 	n.SetDeliver(func(m *noc.Message) { got++ })
 	n.Inject(&noc.Message{ID: 1, Src: 0, Dst: 15, Bytes: 160, Class: noc.ClassRequest})
 	n.Inject(&noc.Message{ID: 2, Src: 0, Dst: 15, Bytes: 160, Class: noc.ClassRequest})
-	for i := 0; i < 10_000 && n.Busy(); i++ {
+	for i := 0; i < 10_000 && n.NextWake() != noc.Never; i++ {
 		n.Tick()
 	}
 	if got != 2 {
@@ -143,11 +143,11 @@ func TestQueueDelayGrowsWithLoad(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		heavy.Inject(&noc.Message{ID: uint64(i + 1), Src: 0, Dst: 15, Bytes: 64, Class: noc.ClassRequest})
 	}
-	for i := 0; i < 100_000 && (light.Busy() || heavy.Busy()); i++ {
-		if light.Busy() {
+	for i := 0; i < 100_000 && (light.NextWake() != noc.Never || heavy.NextWake() != noc.Never); i++ {
+		if light.NextWake() != noc.Never {
 			light.Tick()
 		}
-		if heavy.Busy() {
+		if heavy.NextWake() != noc.Never {
 			heavy.Tick()
 		}
 	}

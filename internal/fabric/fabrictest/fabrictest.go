@@ -95,7 +95,7 @@ func allPairs(nodes int) []noc.Message {
 // driveSchedule injects each message of sched at its Inject cycle, with ID
 // index+1, and runs net dry, skipping whatever NextWake says it may.
 func driveSchedule(t *testing.T, net noc.Network, sched []noc.Message) {
-	for i, ticks := 0, 0; i < len(sched) || net.Busy(); ticks++ {
+	for i, ticks := 0, 0; i < len(sched) || net.NextWake() != noc.Never; ticks++ {
 		if ticks > 1_000_000 {
 			t.Fatalf("not drained after %d ticks (%d of %d injected)", ticks, i, len(sched))
 		}
@@ -120,9 +120,9 @@ func driveSchedule(t *testing.T, net noc.Network, sched []noc.Message) {
 
 // probe is the decorator every run goes through. It logs each message as
 // injected (stamped with the cycle it was injected at) and as delivered, and
-// with every set it reports Now()+1 as NextWake, so whatever owns the fabric
-// ticks every cycle. After every Tick, and every Inject from outside one, a
-// busy fabric's NextWake must lie in the future.
+// with every set it reports Now()+1 as a busy fabric's NextWake, so whatever
+// owns the fabric ticks every cycle. After every Tick, and every Inject from
+// outside one, the fabric's NextWake must lie in the future.
 type probe struct {
 	noc.Network
 	t       *testing.T
@@ -165,19 +165,19 @@ func (p *probe) Tick() {
 	p.wakeAhead("a Tick")
 }
 
-// wakeAhead fails the run if the fabric, busy, names a next wake that is not
-// in the future: whatever skips to NextWake would stall or go back.
+// wakeAhead fails the run if the fabric names a next wake that is not in the
+// future: whatever skips to NextWake would stall or go back.
 func (p *probe) wakeAhead(after string) {
-	if w := p.Network.NextWake(); w <= p.Now() && p.Network.Busy() {
+	if w := p.Network.NextWake(); w <= p.Now() {
 		p.t.Fatalf("busy fabric: after %s at cycle %d, NextWake is %d", after, p.Now(), w)
 	}
 }
 
 func (p *probe) NextWake() sim.Tick {
-	if p.every {
-		return p.Now() + 1
+	if w := p.Network.NextWake(); !p.every || w == noc.Never {
+		return w
 	}
-	return p.Network.NextWake()
+	return p.Now() + 1
 }
 
 // check holds a finished run to the per-run clauses: every injected message
@@ -208,8 +208,8 @@ func (p *probe) check(t *testing.T) {
 		t.Fatalf("stats count %d injected, %d delivered, %d bytes; the log %d, %d, %d",
 			st.Injected, st.Delivered, st.BytesDelivered, injected, len(p.log), bytes)
 	}
-	if p.Network.Busy() || p.Network.NextWake() != noc.Never {
-		t.Fatalf("drained fabric: Busy %v, NextWake %d", p.Network.Busy(), p.Network.NextWake())
+	if w := p.Network.NextWake(); w != noc.Never {
+		t.Fatalf("drained fabric: NextWake %d", w)
 	}
 }
 
@@ -253,8 +253,8 @@ func run(t *testing.T, cfg config.Config, kind config.NetworkKind, src source, r
 			net.Tick()
 		}
 		rs, ok := net.(noc.Resettable)
-		if !ok || !net.Busy() {
-			t.Fatalf("%T: Resettable %v, busy %v after 5 cycles of a burst", net, ok, net.Busy())
+		if !ok || net.NextWake() == noc.Never {
+			t.Fatalf("%T: Resettable %v, NextWake %d after 5 cycles of a burst", net, ok, net.NextWake())
 		}
 		rs.Reset()
 		p.sent, p.log = map[uint64]noc.Message{}, nil
@@ -335,8 +335,8 @@ func SelfMessage(t *testing.T, net noc.Network) {
 	net.Tick()
 	at := net.Now()
 	net.Inject(&noc.Message{ID: 7, Src: 5, Dst: 5, Bytes: 64})
-	if !net.Busy() || net.NextWake() != at+1 {
-		t.Fatalf("after a self-inject at %d: Busy %v, NextWake %d", at, net.Busy(), net.NextWake())
+	if net.NextWake() != at+1 {
+		t.Fatalf("after a self-inject at %d: NextWake %d", at, net.NextWake())
 	}
 	for i := 0; i < 50; i++ {
 		net.Tick()
@@ -345,7 +345,7 @@ func SelfMessage(t *testing.T, net noc.Network) {
 		got[1].ID != 8 || got[1].Inject != at+1 || got[1].Arrive != at+2 {
 		t.Fatalf("self-message injected at %d and its follow-up: deliveries %+v, want one at %d and one at %d", at, got, at+1, at+2)
 	}
-	if net.Busy() || net.NextWake() != noc.Never || net.Stats().Delivered != 2 {
-		t.Fatalf("after delivery: Busy %v, NextWake %d, delivered %d", net.Busy(), net.NextWake(), net.Stats().Delivered)
+	if net.NextWake() != noc.Never || net.Stats().Delivered != 2 {
+		t.Fatalf("after delivery: NextWake %d, delivered %d", net.NextWake(), net.Stats().Delivered)
 	}
 }

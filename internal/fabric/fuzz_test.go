@@ -77,7 +77,7 @@ func FuzzConfig(f *testing.F) {
 			}
 			net.SetDeliver(func(*noc.Message) {})
 			net.Inject(&noc.Message{ID: 1, Src: 0, Dst: last, Bytes: 64})
-			for left := bound; net.Busy(); left-- {
+			for left := bound; net.NextWake() != noc.Never; left-- {
 				if left == 0 {
 					t.Fatalf("%s: a lone message still in flight after %d ticks", kind, bound)
 				}

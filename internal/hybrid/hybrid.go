@@ -163,9 +163,6 @@ func (n *Network) Tick() {
 	n.held = n.held[:0]
 }
 
-// Busy implements noc.Network.
-func (n *Network) Busy() bool { return n.mesh.Busy() || n.optical.Busy() }
-
 // NextWake implements noc.Network: the earlier of the two sub-fabrics'
 // wake-ups, since Tick advances both in lockstep.
 func (n *Network) NextWake() sim.Tick {

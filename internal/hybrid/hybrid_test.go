@@ -13,10 +13,10 @@ func mkHybrid(threshold int) *Network {
 }
 
 func drain(n *Network, bound int) bool {
-	for i := 0; i < bound && n.Busy(); i++ {
+	for i := 0; i < bound && n.NextWake() != noc.Never; i++ {
 		n.Tick()
 	}
-	return !n.Busy()
+	return n.NextWake() == noc.Never
 }
 
 func TestRoutingDecisionByDistance(t *testing.T) {

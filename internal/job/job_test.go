@@ -238,13 +238,12 @@ func TestRunnerNilWiring(t *testing.T) {
 	}
 }
 
-// slowCorrect is a correction that cannot converge early — at tolerance zero
-// the loop needs 76 rounds to its exact fixpoint, beyond the budget of 50 —
+// slowCorrect is a correction that cannot converge early — with the makespan
+// tolerance off the loop needs 76 rounds to its exact fixpoint, beyond the budget of 50 —
 // so a park lands mid-loop.
 func slowCorrect() Job {
 	j := smallJob(OpCorrect)
 	j.Config.SCTM.MaxIterations = 50
-	j.Config.SCTM.ToleranceCycles = 0
 	j.Config.SCTM.MakespanTolerance = 0
 	return j
 }

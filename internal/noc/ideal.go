@@ -98,9 +98,6 @@ func (n *Ideal) Tick() {
 	}
 }
 
-// Busy implements Network.
-func (n *Ideal) Busy() bool { return n.inflight.Len() > 0 }
-
 // NextWake implements Network: the earliest pending delivery, or Never when
 // drained. The fixed-latency model does no other per-cycle work.
 func (n *Ideal) NextWake() sim.Tick { return n.inflight.NextAt() }

@@ -99,8 +99,6 @@ type Network interface {
 	// SetDeliver registers the delivery callback; it must be set before
 	// the first Tick that could deliver.
 	SetDeliver(fn DeliverFunc)
-	// Busy reports whether any message is queued or in flight.
-	Busy() bool
 	// Stats exposes the shared counters.
 	Stats() *Stats
 	// ZeroLoadLatency estimates the uncontended latency of a message of
@@ -112,9 +110,10 @@ type Network interface {
 	PowerReport(elapsed sim.Tick) PowerReport
 	// NextWake returns the earliest future cycle at which the fabric
 	// could perform observable work — deliver a message, move a flit,
-	// start a transmission — assuming nothing new is injected. It returns
-	// Never when the fabric is fully drained, and Now()+1 whenever it
-	// cannot cheaply bound the next action. The invariant owners rely on:
+	// start a transmission — assuming nothing new is injected, or Now()+1
+	// whenever it cannot cheaply bound the next action. It returns Never
+	// exactly when no message is queued or in flight: NextWake() != Never is
+	// the fabric's busy test. The invariant owners rely on:
 	// every Tick strictly before NextWake is observationally a no-op, so
 	// the stretch may be skipped with SkipTo.
 	NextWake() sim.Tick

@@ -155,7 +155,7 @@ func TestIdealFixedLatency(t *testing.T) {
 	if got := arrived[0].Latency(); got != 10 {
 		t.Fatalf("latency = %d, want exactly 10", got)
 	}
-	if n.Busy() {
+	if n.NextWake() != Never {
 		t.Fatal("still busy after delivery")
 	}
 }
@@ -238,7 +238,7 @@ func TestIdealQueueMatchesGeoD1Theory(t *testing.T) {
 			sent++
 		}
 	}
-	for n.Busy() {
+	for n.NextWake() != Never {
 		n.Tick()
 	}
 	rho := p * svc

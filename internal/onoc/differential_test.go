@@ -134,7 +134,7 @@ func runDifferential(t *testing.T, nodes int, hop sim.Tick, hold int, cfg config
 	const phase, injectCycles, bound = 90, 1080, 3_000_000
 	id := uint64(0)
 	checked := 0
-	for cyc := 0; cyc < injectCycles || n.Busy() || ref.Busy(); cyc++ {
+	for cyc := 0; cyc < injectCycles || n.NextWake() != noc.Never || ref.NextWake() != noc.Never; cyc++ {
 		if cyc > bound {
 			t.Fatalf("no drain within %d cycles", bound)
 		}
@@ -183,8 +183,8 @@ func runDifferential(t *testing.T, nodes int, hop sim.Tick, hold int, cfg config
 		if cyc%61 == 0 {
 			checkWheel(t, n, &rebuilt)
 		}
-		if n.Busy() != ref.Busy() || len(got) != len(want) {
-			t.Fatalf("cycle %d: busy %v delivered %d, reference %v %d", n.now, n.Busy(), len(got), ref.Busy(), len(want))
+		if busy, refBusy := n.NextWake() != noc.Never, ref.NextWake() != noc.Never; busy != refBusy || len(got) != len(want) {
+			t.Fatalf("cycle %d: busy %v delivered %d, reference %v %d", n.now, busy, len(got), refBusy, len(want))
 		}
 		for d := range n.channels {
 			ch, rc := &n.channels[d], ref.channels[d]
@@ -265,7 +265,7 @@ func TestSWMRDifferentialAgainstReference(t *testing.T) {
 		ref.SetDeliver(func(m *noc.Message) { want = append(want, m) })
 		rng := sim.NewRNG(uint64(nodes))
 		id := uint64(0)
-		for cyc := 0; cyc < 600 || ref.Busy(); cyc++ {
+		for cyc := 0; cyc < 600 || ref.NextWake() != noc.Never; cyc++ {
 			if cyc < 600 {
 				for src := 0; src < nodes; src++ {
 					if rng.Bernoulli([]float64{0.05, 0.5, 0}[cyc/100%3]) {
@@ -283,7 +283,7 @@ func TestSWMRDifferentialAgainstReference(t *testing.T) {
 			n.Tick()
 			ref.Tick()
 		}
-		if n.Busy() || len(got) != int(id) || len(got) != len(want) {
+		if n.NextWake() != noc.Never || len(got) != int(id) || len(got) != len(want) {
 			t.Fatalf("nodes %d: delivered %d (reference %d) of %d", nodes, len(got), len(want), id)
 		}
 		for i := range got {

@@ -29,7 +29,7 @@ func TestSWMRDroopDerates(t *testing.T) {
 	}
 	n.SetDeliver(func(m *noc.Message) {})
 	n.Inject(&noc.Message{ID: 1, Src: 0, Dst: 15, Bytes: 256, Class: noc.ClassRequest})
-	for i := 0; i < 10_000 && n.Busy(); i++ {
+	for i := 0; i < 10_000 && n.NextWake() != noc.Never; i++ {
 		n.Tick()
 	}
 	if n.Stats().Faults.DeratedSends == 0 {

@@ -11,10 +11,10 @@ import (
 func optCfg() config.Optical { return config.Default().Optical }
 
 func drain(n *Network, bound int) bool {
-	for i := 0; i < bound && n.Busy(); i++ {
+	for i := 0; i < bound && n.NextWake() != noc.Never; i++ {
 		n.Tick()
 	}
-	return !n.Busy()
+	return n.NextWake() == noc.Never
 }
 
 func TestSerializationCycles(t *testing.T) {

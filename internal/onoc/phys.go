@@ -57,7 +57,6 @@ type phys struct {
 	derate   []sim.Tick
 
 	arrivals noc.DeliveryQueue
-	inflight int
 
 	// Power accounting.
 	devices  photonics.DeviceParams
@@ -167,9 +166,6 @@ func (p *phys) Stats() *noc.Stats { return p.stats }
 // SetDeliver implements noc.Network.
 func (p *phys) SetDeliver(fn noc.DeliverFunc) { p.deliver = fn }
 
-// Busy implements noc.Network.
-func (p *phys) Busy() bool { return p.inflight > 0 }
-
 // SkipTo implements noc.Network. Arrival times and every arbitration stamp
 // (tokenReady, chanFree) are absolute and t is below NextWake, so the skip is
 // a pure clock jump.
@@ -217,7 +213,6 @@ func (p *phys) admit(m *noc.Message) bool {
 	}
 	m.Inject = p.now
 	p.stats.Injected++
-	p.inflight++
 	if m.Src == m.Dst {
 		p.arrivals.Push(p.now+1, m)
 		return false
@@ -257,7 +252,6 @@ func (p *phys) deliverDue() {
 		m := p.arrivals.Pop()
 		m.Arrive = p.now
 		p.stats.RecordDelivery(m)
-		p.inflight--
 		if p.deliver != nil {
 			p.deliver(m)
 		}
@@ -285,7 +279,6 @@ func (p *phys) reset() {
 	p.now = 0
 	p.stats = noc.NewStats()
 	p.arrivals.Reset()
-	p.inflight = 0
 	p.bitsSent = 0
 }
 
@@ -323,7 +316,6 @@ func (p *phys) powerReport(elapsed sim.Tick, arbitrationPJ ...float64) noc.Power
 type physSnap struct {
 	now      sim.Tick
 	stats    *noc.Stats
-	inflight int
 	bitsSent uint64
 	arrivals noc.DeliveryQueue
 }
@@ -335,7 +327,6 @@ func (p *phys) snapshot() physSnap {
 	return physSnap{
 		now:      p.now,
 		stats:    p.stats.Clone(),
-		inflight: p.inflight,
 		bitsSent: p.bitsSent,
 		arrivals: p.arrivals.Clone(),
 	}
@@ -344,7 +335,6 @@ func (p *phys) snapshot() physSnap {
 func (p *phys) restore(s *physSnap) {
 	p.now = s.now
 	p.stats = s.stats.Clone()
-	p.inflight = s.inflight
 	p.bitsSent = s.bitsSent
 	p.arrivals.Restore(&s.arrivals)
 }

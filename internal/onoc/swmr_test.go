@@ -8,10 +8,10 @@ import (
 )
 
 func drainSWMR(n *SWMR, bound int) bool {
-	for i := 0; i < bound && n.Busy(); i++ {
+	for i := 0; i < bound && n.NextWake() != noc.Never; i++ {
 		n.Tick()
 	}
-	return !n.Busy()
+	return n.NextWake() == noc.Never
 }
 
 func TestSWMRSingleMessage(t *testing.T) {

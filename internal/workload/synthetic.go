@@ -159,8 +159,8 @@ func RunSynthetic(net noc.Network, cfg config.Workload, seed uint64) (SyntheticR
 	// With injection over, cycles before the fabric's next wake-up are
 	// provably idle and are fast-forwarded.
 	drainBound := net.Now()*20 + 2_000_000
-	for net.Busy() && net.Now() < drainBound {
-		if wake := net.NextWake(); wake > net.Now()+1 {
+	for wake := net.NextWake(); wake != noc.Never && net.Now() < drainBound; wake = net.NextWake() {
+		if wake > net.Now()+1 {
 			if wake > drainBound {
 				wake = drainBound + 1
 			}
@@ -171,7 +171,7 @@ func RunSynthetic(net noc.Network, cfg config.Workload, seed uint64) (SyntheticR
 		}
 		net.Tick()
 	}
-	res.Saturated = net.Busy()
+	res.Saturated = net.NextWake() != noc.Never
 	st := net.Stats()
 	res.DeliveredPackets = st.Delivered
 	res.MeanLatency = st.Latency.Mean()

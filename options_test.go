@@ -48,7 +48,6 @@ var optionSurface = []string{
 	"config.Config.Workload.ComputeScale",
 	"config.Config.Workload.Jitter",
 	"config.Config.SCTM.MaxIterations",
-	"config.Config.SCTM.ToleranceCycles",
 	"config.Config.SCTM.MakespanTolerance",
 	"config.Config.SCTM.DisableSyncDeps",
 	"config.Config.SCTM.DisableCausalDeps",

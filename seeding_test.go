@@ -13,11 +13,10 @@ import (
 // replay on every fabric kind.
 func TestSeedModesConvergeIdentically(t *testing.T) {
 	base := smallConfig()
-	// Exact convergence: with the default loose tolerances the loop may
-	// stop one round early at a near-fixpoint that still carries seed
-	// residue. At tolerance zero the schedule is an exact fixpoint of the
-	// replay map, and every seed walks to the same one.
-	base.SCTM.ToleranceCycles = 0
+	// Exact convergence: with the default makespan tolerance the loop may
+	// stop early at a near-fixpoint that still carries seed residue.
+	// Without it the loop stops only at an exact fixpoint of the replay
+	// map, and every seed walks to the same one.
 	base.SCTM.MakespanTolerance = 0
 	// The contended fabrics need up to ~80 rounds to reach their exact
 	// fixpoints on this workload.

@@ -57,7 +57,6 @@ func closeOnWait(s *Session, op string) chan struct{} {
 func TestSessionHealsCorrectionKilledByAnotherCaller(t *testing.T) {
 	cfg := smallConfig()
 	cfg.SCTM.MaxIterations = 10
-	cfg.SCTM.ToleranceCycles = 0
 	cfg.SCTM.MakespanTolerance = 0
 
 	ref := NewSession("")

@@ -118,7 +118,6 @@ func (c *resumePollCtx) Err() error {
 func TestSessionResumesParkedCorrection(t *testing.T) {
 	cfg := smallConfig()
 	cfg.SCTM.MaxIterations = 10
-	cfg.SCTM.ToleranceCycles = 0
 	cfg.SCTM.MakespanTolerance = 0
 
 	ref := NewSession("")
@@ -202,7 +201,6 @@ func TestSessionResumesParkedCorrection(t *testing.T) {
 func TestStreamedCorrectionParksAtRoundBoundary(t *testing.T) {
 	cfg := smallConfig()
 	cfg.SCTM.MaxIterations = 10
-	cfg.SCTM.ToleranceCycles = 0
 	cfg.SCTM.MakespanTolerance = 0
 	tr, _, err := uncached.CaptureTraceContext(bg, cfg, IdealNet)
 	if err != nil {
