@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check check loc sweep-smoke test test-race loadtest bench bench-record bench-compare report report-csv experiments-md examples clean
+.PHONY: all build vet fmt-check check loc sweep-smoke mutate test test-race loadtest bench bench-record bench-compare report report-csv experiments-md examples clean
 
 all: build vet test test-race
 
@@ -44,8 +44,12 @@ fmt-check:
 # TestSelfCaptureFixpointIsTruth validates the correction loop against itself
 # (~3 s): on a trace captured on its target, every kernel × {optical,
 # electrical} has the captured latencies as a one-round fixpoint equal to the
-# execution-driven truth, and the zero-load loop at tolerance zero walks to it.
+# execution-driven truth, and the zero-load loop, makespan tolerance off,
+# walks to it. TestPruneKeepsTrueFront is the sweep prefilter's recall gate:
+# the quick default grid, pruned, keeps every arm of the Pareto front that
+# simulating all of its arms finds (~1.5 s).
 check: vet fmt-check sweep-smoke
+	$(GO) test ./internal/sweep/ -run TestPruneKeepsTrueFront -count=1
 	$(GO) test ./cmd/expreport/ -run TestGolden -count=1
 	$(GO) test ./internal/experiments/ -run TestParallelCachedOutputMatchesSequential -count=1
 	$(GO) test . -run 'TestDocsResolve|Surface|TestFileMatchesResident|TestSelfCaptureFixpointIsTruth' -count=1
@@ -66,6 +70,14 @@ loc:
 # tables are discarded; any pipeline regression fails the exit code.
 sweep-smoke:
 	$(GO) run ./cmd/expreport -sweep cmd/expreport/testdata/smoke_sweep.json > /dev/null
+
+# The mutation catalog (internal/mutation/testdata/catalog.json): each entry
+# is a deliberate bug, built through `go test -overlay` so the tree is never
+# edited, and the test it names must fail. Prints the kill rate; any
+# survivor fails the target. Kept out of plain `go test ./...` because every
+# entry recompiles a package.
+mutate:
+	ONOCSIM_MUTATE=1 $(GO) test ./internal/mutation/ -count=1 -v -timeout 30m
 
 # Tier-1 gate: vet runs first so static mistakes fail fast, before the
 # (much slower) test sweep; the golden rendering tests run as part of the

@@ -206,3 +206,43 @@ func TestRunDefaultGrid(t *testing.T) {
 		t.Error("sweep JSON differs across reruns of the same spec")
 	}
 }
+
+// TestPruneKeepsTrueFront is the prefilter's recall gate: on the quick
+// default grid, the arms pruned on analytic estimates include no arm of the
+// Pareto front that simulating every arm finds, so the pruned sweep reports
+// the true front.
+func TestPruneKeepsTrueFront(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full quick grid, twice, in -short mode")
+	}
+	// One session: the unpruned run reuses the pruned run's simulations.
+	sess := onocsim.NewSession("")
+	run := func(margin float64) *Result {
+		spec := config.DefaultSweep()
+		spec.PruneMargin = margin
+		res, err := Run(context.Background(), spec, Options{Session: sess})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	pruned, all := run(0), run(-1)
+	if pruned.Pruned == 0 || all.Pruned != 0 || all.Simulated != all.UniqueJobs {
+		t.Fatalf("pruned %d of %d unique arms at the default margin, %d with pruning off", pruned.Pruned, pruned.UniqueJobs, all.Pruned)
+	}
+	if !reflect.DeepEqual(pruned.FrontPoints, all.FrontPoints) {
+		kept := 0
+		for _, p := range all.FrontPoints {
+			for _, q := range pruned.FrontPoints {
+				if p == q {
+					kept++
+					break
+				}
+			}
+		}
+		t.Fatalf("%d of the %d true-front arms kept; pruned front %+v, true front %+v",
+			kept, len(all.FrontPoints), pruned.FrontPoints, all.FrontPoints)
+	}
+	t.Logf("%d unique arms, %d pruned, %d simulated; all %d true-front arms kept",
+		pruned.UniqueJobs, pruned.Pruned, pruned.Simulated, len(all.FrontPoints))
+}
