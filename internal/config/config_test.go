@@ -18,7 +18,8 @@ func TestDefaultIsValid(t *testing.T) {
 
 // TestValidateRejections: each row is a document Parse (decode, then
 // Validate) must refuse with an error naming want. The rows on leaves that
-// are model constants now are refused by strict decoding instead.
+// are model constants now, or were deleted, are refused by strict decoding
+// instead.
 func TestValidateRejections(t *testing.T) {
 	cases := []struct{ name, doc, want string }{
 		{"non-square cores", `{"system":{"cores":10}}`, "perfect square"},
@@ -49,6 +50,7 @@ func TestValidateRejections(t *testing.T) {
 		{"workload kind", `{"workload":{"kind":"replay"}}`, "workload kind"},
 		{"network", `{"network":"quantum"}`, "network"},
 		{"sctm iters", `{"sctm":{"max_iterations":0}}`, "max_iterations"},
+		{"sctm tol", `{"sctm":{"tolerance_cycles":-1}}`, "tolerance"},
 		{"sctm damping", `{"sctm":{"damping":1.0}}`, "damping"},
 		{"sctm mk tol", `{"sctm":{"makespan_tolerance":0.9}}`, "makespan_tolerance"},
 		{"max cycles", `{"max_cycles":-1}`, "max_cycles"},

@@ -37,8 +37,9 @@ func slowTrace() *trace.Trace { return randomTrace(4, 300, 16) }
 // ports serialize, so the schedule feeds back into contention.
 func contendedIdeal() noc.Network { return noc.NewIdeal(16, 15, 16) }
 
-// neverConverge is a loop that always runs its full budget on slowTrace: the
-// makespan criterion is off, and 7 rounds end one short of the fixpoint.
+// neverConverge is a loop config under which slowTrace always runs its full
+// budget: the makespan criterion is off, and 7 rounds end one short of the
+// fixpoint.
 func neverConverge() config.SCTM {
 	cfg := config.Default().SCTM
 	cfg.MakespanTolerance = 0

@@ -169,7 +169,7 @@ func (p *probe) Tick() {
 // future: whatever skips to NextWake would stall or go back.
 func (p *probe) wakeAhead(after string) {
 	if w := p.Network.NextWake(); w <= p.Now() {
-		p.t.Fatalf("busy fabric: after %s at cycle %d, NextWake is %d", after, p.Now(), w)
+		p.t.Fatalf("after %s at cycle %d, NextWake is %d", after, p.Now(), w)
 	}
 }
 
