@@ -77,7 +77,7 @@ sweep-smoke:
 # survivor fails the target. Kept out of plain `go test ./...` because every
 # entry recompiles a package.
 mutate:
-	ONOCSIM_MUTATE=1 $(GO) test ./internal/mutation/ -count=1 -v -timeout 30m
+	ONOCSIM_MUTATE=1 ONOCSIM_GO=$(GO) $(GO) test ./internal/mutation/ -count=1 -v -timeout 30m
 
 # Tier-1 gate: vet runs first so static mistakes fail fast, before the
 # (much slower) test sweep; the golden rendering tests run as part of the

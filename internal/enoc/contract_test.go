@@ -30,6 +30,12 @@ func TestDeterminism(t *testing.T) {
 	fabrictest.Contract(t, mesh("xy", "mesh"), config.NetElectrical, fabrictest.SecondBuild)
 }
 
+// The mesh skips only when drained or holding self-messages alone, so this
+// holds a SkipTo over idle cycles to ticking each of them.
+func TestSkipEquivalence(t *testing.T) {
+	fabrictest.Contract(t, mesh("xy", "mesh"), config.NetElectrical, fabrictest.TickEveryCycle)
+}
+
 func TestSelfMessageBypassesFabric(t *testing.T) {
 	fabrictest.SelfMessage(t, enoc.New(16, config.Default().Mesh))
 }

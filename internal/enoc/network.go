@@ -50,7 +50,8 @@ type Network struct {
 	// selfQ holds Src==Dst messages pending their next-cycle delivery.
 	selfQ noc.DeliveryQueue
 	// inflight counts injected-but-undelivered packets (including
-	// self-messages) for Busy.
+	// self-messages), so NextWake can tell a drained or self-message-only
+	// mesh from a busy one.
 	inflight int
 
 	// bufBusy, linkBusy and niBusy are the routers holding buffered flits,

@@ -119,9 +119,11 @@ func driveSchedule(t *testing.T, net noc.Network, sched []noc.Message) {
 }
 
 // probe is the decorator every run goes through. It logs each message as
-// injected (stamped with the cycle it was injected at) and as delivered, and
-// with every set it reports Now()+1 as a busy fabric's NextWake, so whatever
-// owns the fabric ticks every cycle. After every Tick, and every Inject from
+// injected (stamped with the cycle it was injected at) and as delivered. With
+// every set the fabric is ticked through every cycle: the probe reports
+// Now()+1 as a busy fabric's NextWake, so whatever owns the fabric ticks it
+// while traffic is in flight, and a SkipTo over a drained fabric's idle
+// stretch ticks each cycle of it. After every Tick, and every Inject from
 // outside one, the fabric's NextWake must lie in the future.
 type probe struct {
 	noc.Network
@@ -178,6 +180,16 @@ func (p *probe) NextWake() sim.Tick {
 		return w
 	}
 	return p.Now() + 1
+}
+
+func (p *probe) SkipTo(t sim.Tick) {
+	if !p.every {
+		p.Network.SkipTo(t)
+		return
+	}
+	for p.Now() < t {
+		p.Tick()
+	}
 }
 
 // check holds a finished run to the per-run clauses: every injected message

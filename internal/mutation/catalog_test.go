@@ -6,6 +6,7 @@ package mutation
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"os"
 	"os/exec"
@@ -104,13 +105,15 @@ func TestMutationCatalog(t *testing.T) {
 }
 
 // goTest runs the named top-level tests of pkg from the module root, through
-// the overlay file when one is given, and returns the combined output.
+// the overlay file when one is given, and returns the combined output. It
+// runs the go command ONOCSIM_GO names (make mutate sets it to $(GO)), or
+// else the one on PATH.
 func goTest(root, overlay, pkg string, names ...string) (string, error) {
 	args := []string{"test", "-count=1", "-timeout=5m", "-run", "^(" + strings.Join(names, "|") + ")$"}
 	if overlay != "" {
 		args = append(args, "-overlay", overlay)
 	}
-	cmd := exec.Command("go", append(args, pkg)...)
+	cmd := exec.Command(cmp.Or(os.Getenv("ONOCSIM_GO"), "go"), append(args, pkg)...)
 	cmd.Dir = root
 	out, err := cmd.CombinedOutput()
 	return string(out), err
