@@ -47,7 +47,8 @@ fmt-check:
 # execution-driven truth, and the zero-load loop, makespan tolerance off,
 # walks to it. TestPruneKeepsTrueFront is the sweep prefilter's recall gate:
 # the quick default grid, pruned, keeps every arm of the Pareto front that
-# simulating all of its arms finds (~1.5 s).
+# simulating all of its arms finds (~1.5 s). Last, the mutation catalog
+# (~1 min): every deliberate bug it lists must still be caught.
 check: vet fmt-check sweep-smoke
 	$(GO) test ./internal/sweep/ -run TestPruneKeepsTrueFront -count=1
 	$(GO) test ./cmd/expreport/ -run TestGolden -count=1
@@ -56,6 +57,7 @@ check: vet fmt-check sweep-smoke
 	$(GO) test ./internal/fabric/ -count=1
 	$(GO) test -short ./internal/enoc/ ./internal/onoc/ ./internal/trace/ ./internal/core/ -run 'DifferentialAgainstReference|BufferedDecodeMatchesBytewise|EngineAgainstReference' -count=1
 	$(GO) test ./internal/noc/ ./internal/metrics/ ./internal/sim/ -run 'MergeIs|CalendarMatches' -count=1
+	$(MAKE) --no-print-directory mutate
 
 # Non-test Go lines per package directory and in total, bench/ excluded (it is
 # the measuring instrument, not the product): the count ROADMAP's "net negative
@@ -75,7 +77,7 @@ sweep-smoke:
 # is a deliberate bug, built through `go test -overlay` so the tree is never
 # edited, and the test it names must fail. Prints the kill rate; any
 # survivor fails the target. Kept out of plain `go test ./...` because every
-# entry recompiles a package.
+# entry recompiles a package; `make check` runs it.
 mutate:
 	ONOCSIM_MUTATE=1 ONOCSIM_GO=$(GO) $(GO) test ./internal/mutation/ -count=1 -v -timeout 30m
 

@@ -19,6 +19,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 
 	"onocsim"
 	"onocsim/internal/cliutil"
@@ -29,7 +31,7 @@ import (
 func main() {
 	var (
 		cfgPath   = flag.String("config", "", "JSON config file (default: built-in baseline)")
-		kernel    = flag.String("kernel", "", "override workload kernel: fft | lu | stencil | sort")
+		kernel    = flag.String("kernel", "", "override workload kernel: "+strings.Join(workload.KernelNames(), " | "))
 		cores     = flag.Int("cores", 0, "override core count")
 		captureOn = flag.String("capture-on", "ideal", "capture fabric: ideal | electrical | optical")
 		out       = flag.String("out", "trace.sctm", "output path (binary format)")
@@ -59,7 +61,7 @@ func run(cfgPath, kernel string, cores int, captureOn, out, jsonOut string) erro
 	default:
 		return cliutil.Usagef("unknown capture fabric %q (want ideal, electrical, or optical)", captureOn)
 	}
-	if kernel != "" && !knownKernel(kernel) {
+	if kernel != "" && !slices.Contains(workload.KernelNames(), kernel) {
 		return cliutil.Usagef("unknown kernel %q (want one of %v)", kernel, workload.KernelNames())
 	}
 	cfg := onocsim.DefaultConfig()
@@ -146,14 +148,4 @@ func runHuge(cfgPath string, cores, events int, pattern string, bytesMean, gap i
 		spec.Events, spec.Pattern, spec.Nodes, makespan)
 	fmt.Printf("wrote %s (%d bytes)\n", out, fi.Size())
 	return nil
-}
-
-// knownKernel reports whether name is one of the built-in workload kernels.
-func knownKernel(name string) bool {
-	for _, k := range workload.KernelNames() {
-		if k == name {
-			return true
-		}
-	}
-	return false
 }

@@ -27,11 +27,15 @@
 // (photonics.RateDerateTable, via the fabric's DerateFactor), expected-value
 // thermal-drift capacity loss, and expected token-outage unavailability all
 // scale the demanded service, so faulted configs estimate accordingly.
+//
+// Every fabric decision the models price is read from the probe fabric.Build
+// returns, never copied: a message's resource and service time on a crossbar
+// or the ideal fabric (ShardNode, SerializationCycles, DerateFactor), the
+// hybrid's routing rule (RoutesOptical), and the mesh route (enoc's Route).
 package analytic
 
 import (
 	"fmt"
-	"math"
 
 	"onocsim/internal/config"
 	"onocsim/internal/core"
@@ -39,6 +43,7 @@ import (
 	"onocsim/internal/fabric"
 	"onocsim/internal/hybrid"
 	"onocsim/internal/noc"
+	"onocsim/internal/onoc"
 	"onocsim/internal/sim"
 	"onocsim/internal/trace"
 )
@@ -109,7 +114,7 @@ func Estimate(cfg config.Config, kind config.NetworkKind, src trace.Source) (Res
 		return Result{}, fmt.Errorf("analytic: %w", err)
 	}
 
-	m, err := buildModel(cfg, kind, d, probe)
+	m, err := buildModel(cfg, d, probe)
 	if err != nil {
 		return Result{}, err
 	}
@@ -180,83 +185,104 @@ type model interface {
 	seed(lat0 []sim.Tick, T float64) []sim.Tick
 }
 
-// buildModel dispatches to the per-fabric contention model.
-func buildModel(cfg config.Config, kind config.NetworkKind, d *demand, probe noc.Network) (model, error) {
-	switch kind {
-	case config.NetOptical:
-		xb, ok := probe.(crossbar)
-		if !ok {
-			return nil, fmt.Errorf("analytic: optical probe %T lacks the crossbar surface", probe)
-		}
-		byDst := cfg.Optical.Architecture != "swmr"
-		return newChannelModel(cfg, d, xb, byDst, nil), nil
-	case config.NetElectrical:
-		return newMeshModel(cfg, d, nil), nil
-	case config.NetIdeal:
-		return newIdealModel(d), nil
-	case config.NetHybrid:
-		return newHybridModel(cfg, d, probe.(*hybrid.Network))
+// port is what the port model reads of a crossbar or the ideal
+// fabric: the node whose channel or injection port a message waits on, and
+// how long its payload holds it.
+type port interface {
+	ShardNode(src, dst int) int
+	SerializationCycles(bytes int) sim.Tick
+}
+
+// buildModel dispatches on the probe to its fabric's contention model.
+func buildModel(cfg config.Config, d *demand, probe noc.Network) (model, error) {
+	switch p := probe.(type) {
+	case *enoc.Network:
+		return newMeshModel(d, p, nil), nil
+	case *hybrid.Network:
+		// Each event waits on exactly one sub-fabric, the one the hybrid's
+		// own routing rule picks.
+		return &hybridModel{
+			optical: newPortModel(cfg, d, p.Optical(), p.RoutesOptical),
+			mesh:    newMeshModel(d, p.Mesh(), func(src, dst int) bool { return !p.RoutesOptical(src, dst) }),
+		}, nil
+	case port:
+		return newPortModel(cfg, d, p, nil), nil
 	default:
-		return nil, fmt.Errorf("analytic: unknown network kind %q", kind)
+		return nil, fmt.Errorf("analytic: no contention model for %T", probe)
 	}
 }
 
-// crossbar is the slice of the photonic fabric API the channel model needs;
-// both the MWSR and SWMR crossbars implement it.
-type crossbar interface {
-	SerializationCycles(bytes int) sim.Tick
-	DerateFactor(src, dst int) sim.Tick
+// waits returns each resource's queueing wait W_r = ρ_r/(1−ρ_r)·S_r/2 at
+// horizon T, from the service cycles and messages the trace asks of it.
+func waits(svc []float64, msgs []int64, T float64) []float64 {
+	wait := make([]float64, len(svc))
+	for r := range svc {
+		if msgs[r] == 0 {
+			continue
+		}
+		rho := min(svc[r]/T, maxUtilization)
+		mean := svc[r] / float64(msgs[r])
+		wait[r] = rho / (1 - rho) * mean / 2
+	}
+	return wait
 }
 
-// resourceModel is the shared single-resource-per-event queueing machinery:
-// each event demands service of exactly one resource (a home channel, a
-// sender channel, an injection port), and waits W_r = ρ/(1−ρ)·S_r/2 on it.
-type resourceModel struct {
+// charge returns lat0 plus, for each event i with at[i] ≥ 0, the wait at
+// index at[i], rounded to the nearest cycle.
+func charge(lat0 []sim.Tick, at []int32, wait []float64) []sim.Tick {
+	out := make([]sim.Tick, len(lat0))
+	for i := range lat0 {
+		out[i] = lat0[i]
+		if r := at[i]; r >= 0 {
+			out[i] += sim.Tick(wait[r] + 0.5)
+		}
+	}
+	return out
+}
+
+// portModel is the crossbar and ideal contention model: each event demands
+// service of exactly one resource (a home channel, a sender channel, an
+// injection port), and waits W_r = ρ/(1−ρ)·S_r/2 on it.
+type portModel struct {
 	svc   []float64 // total service cycles demanded per resource
 	msgs  []int64   // messages per resource
 	evRes []int32   // resource of each event, −1 for none (self-traffic)
 }
 
-func newResourceModel(resources, events int) *resourceModel {
-	m := &resourceModel{
-		svc:   make([]float64, resources),
-		msgs:  make([]int64, resources),
-		evRes: make([]int32, events),
+func (m *portModel) seed(lat0 []sim.Tick, T float64) []sim.Tick {
+	return charge(lat0, m.evRes, waits(m.svc, m.msgs, T))
+}
+
+// newPortModel builds the port model: each message waits on the
+// probe's ShardNode for its SerializationCycles. On a crossbar that service
+// stretches by the lightpath's droop derating and the expected drift loss,
+// and on MWSR, the one crossbar with a token, by expected token outages.
+// include, when non-nil, restricts the model to the events the hybrid
+// fabric routes optically.
+func newPortModel(cfg config.Config, d *demand, p port, include func(src, dst int) bool) *portModel {
+	m := &portModel{
+		svc:   make([]float64, d.nodes),
+		msgs:  make([]int64, d.nodes),
+		evRes: make([]int32, len(d.msgs)),
 	}
-	for i := range m.evRes {
+	scale, derate := 1.0, func(src, dst int) sim.Tick { return 1 }
+	if xb, ok := p.(onoc.Crossbar); ok {
+		scale, derate = driftScale(cfg.Optical, cfg.Faults), xb.DerateFactor
+		if _, mwsr := xb.(*onoc.Network); mwsr {
+			scale *= tokenScale(cfg.Faults)
+		}
+	}
+	for i, e := range d.msgs {
 		m.evRes[i] = -1
-	}
-	return m
-}
-
-// charge records event i demanding svc cycles of resource r.
-func (m *resourceModel) charge(i, r int, svc float64) {
-	m.svc[r] += svc
-	m.msgs[r]++
-	m.evRes[i] = int32(r)
-}
-
-func (m *resourceModel) seed(lat0 []sim.Tick, T float64) []sim.Tick {
-	wait := make([]float64, len(m.svc))
-	for r := range m.svc {
-		if m.msgs[r] == 0 {
+		if e.src == e.dst || (include != nil && !include(e.src, e.dst)) {
 			continue
 		}
-		rho := m.svc[r] / T
-		if rho > maxUtilization {
-			rho = maxUtilization
-		}
-		mean := m.svc[r] / float64(m.msgs[r])
-		wait[r] = rho / (1 - rho) * mean / 2
+		r := p.ShardNode(e.src, e.dst)
+		m.svc[r] += float64(p.SerializationCycles(e.bytes)*derate(e.src, e.dst)) * scale
+		m.msgs[r]++
+		m.evRes[i] = int32(r)
 	}
-	out := make([]sim.Tick, len(lat0))
-	for i := range lat0 {
-		out[i] = lat0[i]
-		if r := m.evRes[i]; r >= 0 {
-			out[i] += sim.Tick(wait[r] + 0.5)
-		}
-	}
-	return out
+	return m
 }
 
 // driftScale is the expected serialization stretch from thermal drift: a
@@ -288,60 +314,16 @@ func tokenScale(f config.Faults) float64 {
 	return 1 / (1 - out)
 }
 
-// newChannelModel builds the crossbar contention model. byDst selects the
-// contended resource: the MWSR fabric arbitrates per destination home
-// channel, the SWMR fabric serializes per sender channel (and has no token,
-// so token outages apply only to MWSR). include, when non-nil, restricts the
-// model to the events the hybrid fabric actually routes optically.
-func newChannelModel(cfg config.Config, d *demand, xb crossbar, byDst bool, include []bool) *resourceModel {
-	m := newResourceModel(d.nodes, len(d.msgs))
-	scale := driftScale(cfg.Optical, cfg.Faults)
-	if byDst {
-		scale *= tokenScale(cfg.Faults)
-	}
-	for i, e := range d.msgs {
-		if e.src == e.dst || (include != nil && !include[i]) {
-			continue
-		}
-		svc := float64(xb.SerializationCycles(e.bytes)*xb.DerateFactor(e.src, e.dst)) * scale
-		r := e.dst
-		if !byDst {
-			r = e.src
-		}
-		m.charge(i, r, svc)
-	}
-	return m
-}
-
-// newIdealModel charges each event's injection-port serialization to its
-// source; with no bandwidth cap the ideal fabric is contention-free.
-func newIdealModel(d *demand) *resourceModel {
-	m := newResourceModel(d.nodes, len(d.msgs))
-	const bpc = fabric.IdealBytesPerCycle
-	for i, e := range d.msgs {
-		if e.src == e.dst {
-			continue
-		}
-		ser := (e.bytes + bpc - 1) / bpc
-		if ser < 1 {
-			ser = 1
-		}
-		m.charge(i, e.src, float64(ser))
-	}
-	return m
-}
-
-// meshModel charges each message's flits to every directed link on its
-// dimension-ordered route and sums the per-link queueing waits along the
-// route. Wormhole pipelining, virtual channels, and adaptive (westfirst)
-// detours are abstracted away: the estimate prices link occupancy, the
-// dominant first-order effect. The per-pair route walk runs once per
-// distinct (src,dst) pair with traffic — O(pairs·√nodes), independent of
-// event count.
+// meshModel charges each message's flits to every directed link on the
+// mesh's own dimension-ordered route (enoc's Route) and sums the per-link
+// queueing waits along it. Wormhole pipelining, virtual channels, and
+// adaptive (westfirst) detours are abstracted away: the estimate prices link
+// occupancy, the dominant first-order effect. The per-pair route walk runs
+// once per distinct (src,dst) pair with traffic — O(pairs·√nodes),
+// independent of event count.
 type meshModel struct {
-	width int
-	torus bool
-	// Per directed link (node*4+dir): demanded flit cycles and messages.
+	mesh *enoc.Network
+	// Per directed link: demanded flit cycles and messages.
 	linkSvc  []float64
 	linkMsgs []int64
 	load     *noc.LoadMatrix
@@ -352,30 +334,21 @@ type meshModel struct {
 	evPair    []int32 // src*nodes+dst per event, −1 for none
 }
 
-const (
-	dirEast = iota
-	dirWest
-	dirSouth
-	dirNorth
-	numDirs
-)
-
 // newMeshModel builds the link-utilization model. include, when non-nil,
 // restricts it to the events the hybrid fabric routes electrically.
-func newMeshModel(cfg config.Config, d *demand, include []bool) *meshModel {
+func newMeshModel(d *demand, mesh *enoc.Network, include func(src, dst int) bool) *meshModel {
 	nodes := d.nodes
 	m := &meshModel{
-		width:     config.GridWidth(nodes),
-		torus:     cfg.Mesh.Topology == "torus",
-		linkSvc:   make([]float64, nodes*numDirs),
-		linkMsgs:  make([]int64, nodes*numDirs),
+		mesh:      mesh,
+		linkSvc:   make([]float64, mesh.Links()),
+		linkMsgs:  make([]int64, mesh.Links()),
 		load:      noc.NewLoadMatrix(nodes),
 		flitsPair: make([]float64, nodes*nodes),
 		evPair:    make([]int32, len(d.msgs)),
 	}
 	for i, e := range d.msgs {
 		m.evPair[i] = -1
-		if e.src == e.dst || (include != nil && !include[i]) {
+		if e.src == e.dst || (include != nil && !include(e.src, e.dst)) {
 			continue
 		}
 		m.load.Add(e.src, e.dst, e.bytes)
@@ -384,7 +357,7 @@ func newMeshModel(cfg config.Config, d *demand, include []bool) *meshModel {
 	}
 	m.load.ForEachPair(func(src, dst int, pl noc.PairLoad) {
 		flits := m.flitsPair[src*nodes+dst]
-		m.walk(src, dst, func(link int) {
+		m.mesh.Route(src, dst, func(link int) {
 			m.linkSvc[link] += flits
 			m.linkMsgs[link] += pl.Messages
 		})
@@ -392,75 +365,16 @@ func newMeshModel(cfg config.Config, d *demand, include []bool) *meshModel {
 	return m
 }
 
-// walk visits the directed links of the dimension-ordered (X then Y) route,
-// taking the torus wraparound whenever it is strictly shorter — the same
-// distance rule the fabric's ZeroLoadLatency uses.
-func (m *meshModel) walk(src, dst int, visit func(link int)) {
-	w := m.width
-	x, y := src%w, src/w
-	dx, dy := dst%w, dst/w
-	// forward reports whether the +1 direction is the (strictly) shorter
-	// way from cur to want; on torus ties and on meshes it goes with the
-	// sign of the plain delta.
-	forward := func(cur, want int) bool {
-		d := want - cur
-		abs := d
-		if abs < 0 {
-			abs = -abs
-		}
-		if m.torus && w-abs < abs {
-			return d < 0
-		}
-		return d > 0
-	}
-	for x != dx {
-		if forward(x, dx) {
-			visit((y*w+x)*numDirs + dirEast)
-			x = (x + 1) % w
-		} else {
-			visit((y*w+x)*numDirs + dirWest)
-			x = (x - 1 + w) % w
-		}
-	}
-	for y != dy {
-		if forward(y, dy) {
-			visit((y*w+x)*numDirs + dirSouth)
-			y = (y + 1) % w
-		} else {
-			visit((y*w+x)*numDirs + dirNorth)
-			y = (y - 1 + w) % w
-		}
-	}
-}
-
 func (m *meshModel) seed(lat0 []sim.Tick, T float64) []sim.Tick {
-	linkWait := make([]float64, len(m.linkSvc))
-	for l := range m.linkSvc {
-		if m.linkMsgs[l] == 0 {
-			continue
-		}
-		rho := m.linkSvc[l] / T
-		if rho > maxUtilization {
-			rho = maxUtilization
-		}
-		mean := m.linkSvc[l] / float64(m.linkMsgs[l])
-		linkWait[l] = rho / (1 - rho) * mean / 2
-	}
+	linkWait := waits(m.linkSvc, m.linkMsgs, T)
 	nodes := m.load.Nodes()
 	pairWait := make([]float64, nodes*nodes)
 	m.load.ForEachPair(func(src, dst int, _ noc.PairLoad) {
 		var sum float64
-		m.walk(src, dst, func(link int) { sum += linkWait[link] })
+		m.mesh.Route(src, dst, func(link int) { sum += linkWait[link] })
 		pairWait[src*nodes+dst] = sum
 	})
-	out := make([]sim.Tick, len(lat0))
-	for i := range lat0 {
-		out[i] = lat0[i]
-		if p := m.evPair[i]; p >= 0 {
-			out[i] += sim.Tick(pairWait[p] + 0.5)
-		}
-	}
-	return out
+	return charge(lat0, m.evPair, pairWait)
 }
 
 // hybridModel splits the trace by the hybrid routing rule and runs the
@@ -469,36 +383,6 @@ func (m *meshModel) seed(lat0 []sim.Tick, T float64) []sim.Tick {
 type hybridModel struct {
 	optical model
 	mesh    model
-}
-
-func newHybridModel(cfg config.Config, d *demand, hy *hybrid.Network) (*hybridModel, error) {
-	xb, ok := hy.Optical().(crossbar)
-	if !ok {
-		return nil, fmt.Errorf("analytic: hybrid optical sub-fabric %T lacks the crossbar surface", hy.Optical())
-	}
-	width := config.GridWidth(d.nodes)
-	optRouted := make([]bool, len(d.msgs))
-	meshRouted := make([]bool, len(d.msgs))
-	for i, e := range d.msgs {
-		if e.src == e.dst {
-			continue
-		}
-		sx, sy := e.src%width, e.src/width
-		dx, dy := e.dst%width, e.dst/width
-		dist := int(math.Abs(float64(dx-sx)) + math.Abs(float64(dy-sy)))
-		// The routing rule, including the droop-blacklist fallback: long
-		// hops go optical unless their lightpath is derated.
-		if dist >= cfg.Hybrid.Threshold && xb.DerateFactor(e.src, e.dst) == 1 {
-			optRouted[i] = true
-		} else {
-			meshRouted[i] = true
-		}
-	}
-	byDst := cfg.Optical.Architecture != "swmr"
-	return &hybridModel{
-		optical: newChannelModel(cfg, d, xb, byDst, optRouted),
-		mesh:    newMeshModel(cfg, d, meshRouted),
-	}, nil
 }
 
 func (m *hybridModel) seed(lat0 []sim.Tick, T float64) []sim.Tick {

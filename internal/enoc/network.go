@@ -311,18 +311,11 @@ func (n *Network) ZeroLoadLatency(src, dst, bytes int) sim.Tick {
 	if src == dst {
 		return 1
 	}
-	sx, sy := src%n.width, src/n.width
-	dx, dy := dst%n.width, dst/n.width
-	hx, hy := abs(dx-sx), abs(dy-sy)
+	dx, dy := dst%n.width-src%n.width, dst/n.width-src/n.width
 	if n.torus {
-		if w := n.width - hx; w < hx {
-			hx = w
-		}
-		if w := n.width - hy; w < hy {
-			hy = w
-		}
+		dx, dy = ringDelta(dx, n.width), ringDelta(dy, n.width)
 	}
-	hops := hx + hy
+	hops := abs(dx) + abs(dy)
 	return sim.Tick(hops+1)*RouterStages + sim.Tick(hops)*n.linkCycles + sim.Tick(FlitsFor(bytes))
 }
 

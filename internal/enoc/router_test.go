@@ -1,10 +1,12 @@
 package enoc
 
 import (
+	"slices"
 	"testing"
 
 	"onocsim/internal/config"
 	"onocsim/internal/noc"
+	"onocsim/internal/sim"
 )
 
 // mkNet builds a small mesh for router-level white-box tests.
@@ -154,5 +156,47 @@ func TestQueueDelayGrowsWithLoad(t *testing.T) {
 	if heavy.Stats().QueueDelay.Mean() <= light.Stats().QueueDelay.Mean() {
 		t.Fatalf("queue delay did not grow with load: %g vs %g",
 			heavy.Stats().QueueDelay.Mean(), light.Stats().QueueDelay.Mean())
+	}
+}
+
+// TestRouteFollowsRouter holds Route, the link list the analytic estimator
+// charges, to the router: over every ordered pair of 16- and 64-node meshes
+// and tori with xy routing, Route visits exactly the (node, output port)
+// links a packet takes when router.route is followed hop by hop, torus
+// half-ring ties included, and ZeroLoadLatency prices that many hops.
+func TestRouteFollowsRouter(t *testing.T) {
+	for _, nodes := range []int{16, 64} {
+		for _, topology := range []string{"mesh", "torus"} {
+			n := mkNet(nodes, func(c *config.Mesh) { c.Topology, c.Routing, c.VCs = topology, "xy", 6 })
+			for src := 0; src < nodes; src++ {
+				for dst := 0; dst < nodes; dst++ {
+					var want []int
+					p := &packet{msg: &noc.Message{Src: src, Dst: dst}}
+					for node := src; ; {
+						port := n.routers[node].route(p)
+						if port == portLocal {
+							break
+						}
+						if len(want) > nodes {
+							t.Fatalf("%s %d→%d: the router never delivers", topology, src, dst)
+						}
+						want = append(want, node*portLocal+port)
+						node = n.routers[node].outLink[port].dst.id
+					}
+					var got []int
+					n.Route(src, dst, func(link int) { got = append(got, link) })
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s %d-node %d→%d: Route visits links %v, the router takes %v", topology, nodes, src, dst, got, want)
+					}
+					if src == dst {
+						continue
+					}
+					hops := sim.Tick(len(want))
+					if zl := (hops+1)*RouterStages + hops*LinkCycles + 1; n.ZeroLoadLatency(src, dst, 1) != zl {
+						t.Fatalf("%s %d-node %d→%d: ZeroLoadLatency %d, want %d for %d hops", topology, nodes, src, dst, n.ZeroLoadLatency(src, dst, 1), zl, hops)
+					}
+				}
+			}
+		}
 	}
 }

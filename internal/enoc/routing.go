@@ -25,19 +25,7 @@ func (r *router) route(p *packet) int {
 // maintaining the packet's dateline state: the wrap-crossing flag resets
 // when the packet turns from the X ring into the Y ring.
 func (r *router) routeTorus(p *packet, dx, dy int) int {
-	w := r.net.width
-	// Shorten each displacement through the wraparound when profitable;
-	// ties break toward the positive direction deterministically.
-	if dx > w/2 || (w%2 == 0 && dx == w/2) {
-		dx -= w
-	} else if dx < -w/2 || (w%2 == 0 && dx == -w/2) {
-		dx += w
-	}
-	if dy > w/2 || (w%2 == 0 && dy == w/2) {
-		dy -= w
-	} else if dy < -w/2 || (w%2 == 0 && dy == -w/2) {
-		dy += w
-	}
+	dx, dy = ringDelta(dx, r.net.width), ringDelta(dy, r.net.width)
 	dim := int8(0)
 	if dx == 0 {
 		dim = 1
@@ -48,6 +36,50 @@ func (r *router) routeTorus(p *packet, dx, dy int) int {
 	}
 	return routeXY(dx, dy)
 }
+
+// ringDelta shortens a displacement d ∈ (−w, w) along a torus ring of width
+// w through the wraparound when that is no longer. A half-ring tie (even w,
+// |d| = w/2) takes the wraparound, against the sign of d. routeTorus, Route
+// and ZeroLoadLatency all read this one rule.
+func ringDelta(d, w int) int {
+	if 2*abs(d) < w {
+		return d
+	}
+	if d > 0 {
+		return d - w
+	}
+	return d + w
+}
+
+// Route visits, in hop order, the directed links of the dimension-ordered
+// route from src to dst, torus wraparound included: the route the xy router
+// takes, and the one west-first takes where it does not adapt. A link is
+// numbered node×4 + its output port, below Links().
+func (n *Network) Route(src, dst int, visit func(link int)) {
+	w := n.width
+	dx, dy := dst%w-src%w, dst/w-src/w
+	if n.torus {
+		dx, dy = ringDelta(dx, w), ringDelta(dy, w)
+	}
+	for node := src; dx != 0 || dy != 0; {
+		port := routeXY(dx, dy)
+		visit(node*portLocal + port)
+		node = n.routers[node].outLink[port].dst.id
+		switch port {
+		case portEast:
+			dx--
+		case portWest:
+			dx++
+		case portSouth:
+			dy--
+		default:
+			dy++
+		}
+	}
+}
+
+// Links is the number of link ids Route numbers: four per node.
+func (n *Network) Links() int { return n.nodes * portLocal }
 
 // routeXY is dimension-ordered: X before Y.
 func routeXY(dx, dy int) int {

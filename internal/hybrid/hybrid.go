@@ -22,7 +22,7 @@ import (
 // distance. It implements noc.Network.
 type Network struct {
 	mesh    *enoc.Network
-	optical noc.Network
+	optical onoc.Crossbar
 	width   int
 	nodes   int
 
@@ -36,20 +36,12 @@ type Network struct {
 	// crossbar, a cycle behind while the mesh ticks, has caught up.
 	held []*noc.Message
 
-	// der consults the optical sub-fabric's laser-droop blacklist; rerouted
-	// counts messages diverted to the mesh because of it.
-	der      optDerater
+	// rerouted counts messages diverted to the mesh by the optical
+	// sub-fabric's laser-droop blacklist.
 	rerouted uint64
 
 	// Sub-fabric routing counters.
 	ViaMesh, ViaOptical uint64
-}
-
-// optDerater is the slice of the crossbar API the reroute policy needs: the
-// droop-induced serialization multiplier of a lightpath. Both crossbars
-// implement it.
-type optDerater interface {
-	DerateFactor(src, dst int) sim.Tick
 }
 
 // New builds a hybrid fabric: messages with Manhattan distance ≥ threshold
@@ -75,13 +67,7 @@ func NewWithFaults(nodes int, mesh config.Mesh, optical config.Optical, threshol
 		nodes:     nodes,
 		threshold: threshold,
 		stats:     noc.NewStats(),
-	}
-	if optical.Architecture == "swmr" {
-		opt := onoc.NewSWMRWithFaults(nodes, optical, faults, seed)
-		n.optical, n.der = opt, opt
-	} else {
-		opt := onoc.NewWithFaults(nodes, optical, faults, seed)
-		n.optical, n.der = opt, opt
+		optical:   onoc.NewCrossbar(nodes, optical, faults, seed),
 	}
 	relay := func(m *noc.Message) {
 		n.stats.RecordDelivery(m)
@@ -111,16 +97,28 @@ func (n *Network) Stats() *noc.Stats {
 }
 
 // Optical exposes the photonic sub-fabric.
-func (n *Network) Optical() noc.Network { return n.optical }
+func (n *Network) Optical() onoc.Crossbar { return n.optical }
+
+// Mesh exposes the electrical sub-fabric.
+func (n *Network) Mesh() *enoc.Network { return n.mesh }
 
 // SetDeliver implements noc.Network.
 func (n *Network) SetDeliver(fn noc.DeliverFunc) { n.deliver = fn }
 
-// distance is the Manhattan hop count between two nodes.
-func (n *Network) distance(src, dst int) int {
+// long reports whether a message travels at least the threshold's Manhattan
+// distance, so the routing rule sends it optical unless droop forbids.
+func (n *Network) long(src, dst int) bool {
 	sx, sy := src%n.width, src/n.width
 	dx, dy := dst%n.width, dst/n.width
-	return abs(dx-sx) + abs(dy-sy)
+	return src != dst && abs(dx-sx)+abs(dy-sy) >= n.threshold
+}
+
+// RoutesOptical is the routing rule: a message rides the crossbar when it is
+// long and laser droop has not blacklisted its lightpath (DerateFactor > 1
+// falls back to the mesh). Inject, ZeroLoadLatency and the analytic
+// estimator all read it.
+func (n *Network) RoutesOptical(src, dst int) bool {
+	return n.long(src, dst) && n.optical.DerateFactor(src, dst) == 1
 }
 
 func abs(x int) int {
@@ -134,18 +132,17 @@ func abs(x int) int {
 // droop-blacklisted optical paths falling back to the electrical mesh.
 func (n *Network) Inject(m *noc.Message) {
 	n.stats.Injected++
-	if m.Src != m.Dst && n.distance(m.Src, m.Dst) >= n.threshold {
-		if n.der != nil && n.der.DerateFactor(m.Src, m.Dst) > 1 {
-			n.rerouted++
+	if n.RoutesOptical(m.Src, m.Dst) {
+		n.ViaOptical++
+		if n.optical.Now() < n.mesh.Now() {
+			n.held = append(n.held, m)
 		} else {
-			n.ViaOptical++
-			if n.optical.Now() < n.mesh.Now() {
-				n.held = append(n.held, m)
-			} else {
-				n.optical.Inject(m)
-			}
-			return
+			n.optical.Inject(m)
 		}
+		return
+	}
+	if n.long(m.Src, m.Dst) {
+		n.rerouted++
 	}
 	n.ViaMesh++
 	n.mesh.Inject(m)
@@ -198,7 +195,7 @@ func (s *hybridSnapshot) SnapshotAt() sim.Tick { return s.mesh.SnapshotAt() }
 func (n *Network) Snapshot() noc.Snapshot {
 	return &hybridSnapshot{
 		mesh:       n.mesh.Snapshot(),
-		optical:    n.optical.(noc.Checkpointer).Snapshot(),
+		optical:    n.optical.Snapshot(),
 		stats:      n.stats.Clone(),
 		rerouted:   n.rerouted,
 		viaMesh:    n.ViaMesh,
@@ -210,7 +207,7 @@ func (n *Network) Snapshot() noc.Snapshot {
 func (n *Network) Restore(s noc.Snapshot) {
 	snap := s.(*hybridSnapshot)
 	n.mesh.Restore(snap.mesh)
-	n.optical.(noc.Checkpointer).Restore(snap.optical)
+	n.optical.Restore(snap.optical)
 	n.stats = snap.stats.Clone()
 	n.rerouted = snap.rerouted
 	n.ViaMesh = snap.viaMesh
@@ -220,7 +217,7 @@ func (n *Network) Restore(s noc.Snapshot) {
 // Reset implements noc.Resettable.
 func (n *Network) Reset() {
 	n.mesh.Reset()
-	n.optical.(noc.Resettable).Reset()
+	n.optical.Reset()
 	n.stats = noc.NewStats()
 	n.ViaMesh = 0
 	n.ViaOptical = 0
@@ -231,10 +228,8 @@ func (n *Network) Reset() {
 // including the droop-blacklist fallback, so SCTM's round-0 estimates match
 // where traffic will actually flow.
 func (n *Network) ZeroLoadLatency(src, dst, bytes int) sim.Tick {
-	if src != dst && n.distance(src, dst) >= n.threshold {
-		if n.der == nil || n.der.DerateFactor(src, dst) == 1 {
-			return n.optical.ZeroLoadLatency(src, dst, bytes)
-		}
+	if n.RoutesOptical(src, dst) {
+		return n.optical.ZeroLoadLatency(src, dst, bytes)
 	}
 	return n.mesh.ZeroLoadLatency(src, dst, bytes)
 }

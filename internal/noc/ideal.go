@@ -66,13 +66,8 @@ func (n *Ideal) Inject(m *Message) {
 	n.stats.Injected++
 	start := n.now
 	if n.bytesPerC > 0 {
-		if n.nextFree[m.Src] > start {
-			start = n.nextFree[m.Src]
-		}
-		ser := sim.Tick((m.Bytes + n.bytesPerC - 1) / n.bytesPerC)
-		if ser < 1 {
-			ser = 1
-		}
+		start = max(start, n.nextFree[m.Src])
+		ser := n.SerializationCycles(m.Bytes)
 		n.nextFree[m.Src] = start + ser
 		start += ser - 1
 	}
@@ -82,6 +77,16 @@ func (n *Ideal) Inject(m *Message) {
 		at = n.now + 1
 	}
 	n.inflight.Push(at, m)
+}
+
+// SerializationCycles returns how long a payload holds its source's
+// injection port: at least one cycle under the bandwidth cap, none without
+// it.
+func (n *Ideal) SerializationCycles(bytes int) sim.Tick {
+	if n.bytesPerC <= 0 {
+		return 0
+	}
+	return max(sim.Tick((bytes+n.bytesPerC-1)/n.bytesPerC), 1)
 }
 
 // Tick implements Network.

@@ -236,6 +236,30 @@ func (w *wakeWheel) reset() {
 	w.farAt = noc.Never
 }
 
+// Crossbar is either photonic crossbar as the fabrics built over it and the
+// analytic estimator read it: besides the network, the nominal serialization
+// of a payload, the laser-droop derating of a lightpath, and the node whose
+// channel a message waits on (the destination's home channel on MWSR, the
+// source's broadcast channel on SWMR).
+type Crossbar interface {
+	noc.Network
+	noc.Checkpointer
+	noc.Resettable
+	SerializationCycles(bytes int) sim.Tick
+	DerateFactor(src, dst int) sim.Tick
+	ShardNode(src, dst int) int
+}
+
+// NewCrossbar builds the crossbar cfg.Architecture names, SWMR for "swmr" and
+// MWSR otherwise, with deterministic fault injection. It is the one place
+// that choice is made.
+func NewCrossbar(nodes int, cfg config.Optical, faults config.Faults, seed uint64) Crossbar {
+	if cfg.Architecture == "swmr" {
+		return NewSWMRWithFaults(nodes, cfg, faults, seed)
+	}
+	return NewWithFaults(nodes, cfg, faults, seed)
+}
+
 // New builds the crossbar for the given node count.
 func New(nodes int, cfg config.Optical) *Network {
 	return NewWithFaults(nodes, cfg, config.Faults{}, 0)

@@ -11,6 +11,7 @@ import (
 	"onocsim/internal/analytic"
 	"onocsim/internal/config"
 	"onocsim/internal/core"
+	"onocsim/internal/fabric"
 	"onocsim/internal/fanout"
 	"onocsim/internal/simcache"
 	"onocsim/internal/trace"
@@ -183,11 +184,9 @@ func normalizeFor(cfg Config, kind NetworkKind, op simcache.Op) Config {
 	default:
 		n.SCTM = def.SCTM
 	}
-	// Fault injection exists only in the photonic fabrics; for the rest the
-	// section is inert and masked like any unread fabric section.
-	if kind != config.NetOptical && kind != config.NetHybrid {
-		n.Faults = def.Faults
-	}
+	// Fabric sections, faults included, count only for the kinds that read
+	// them.
+	n = fabric.Mask(n, kind)
 	// Replays observe only the target fabric (plus the toggles above): the
 	// program generation inputs are baked into the trace, whose identity is
 	// keyed separately via Key.Capture. Seed is an exception when the
@@ -205,16 +204,6 @@ func normalizeFor(cfg Config, kind NetworkKind, op simcache.Op) Config {
 		n.System = def.System
 		n.Workload = def.Workload
 		n.MaxCycles = def.MaxCycles
-	}
-	// Fabric sections are read only when a network of their kind is built.
-	if kind != config.NetElectrical && kind != config.NetHybrid {
-		n.Mesh = def.Mesh
-	}
-	if kind != config.NetOptical && kind != config.NetHybrid {
-		n.Optical = def.Optical
-	}
-	if kind != config.NetHybrid {
-		n.Hybrid = def.Hybrid
 	}
 	return n
 }
