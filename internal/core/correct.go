@@ -155,7 +155,9 @@ func Correct(ctx context.Context, factory NetworkFactory, src trace.Source, cfg 
 
 	var out CorrectionResult
 	var runner *replayer
-	var prev []sim.Tick
+	// prev is the schedule a round replays; the round derives next, and the
+	// two trade places.
+	var prev, next []sim.Tick
 	// finish fills the work counters at every successful exit. Full rounds
 	// charge the whole trace; a round resumed from a checkpoint only the
 	// dirty suffix it injected.
@@ -163,8 +165,9 @@ func Correct(ctx context.Context, factory NetworkFactory, src trace.Source, cfg 
 		out.ReplayedEvents, out.SavedCycles = runner.replayed, runner.saved
 	}
 	// Profiler labels tag every sample with the round and phase so a pprof
-	// capture of a correction run decomposes into schedule derivation versus
-	// replay, per round (round -1 renders as "seed"). Label bookkeeping
+	// capture of a correction run decomposes into the seed's schedule
+	// derivation and each round's replay, which derives the next schedule
+	// (round -1 renders as "seed"). Label bookkeeping
 	// allocates per pprof.Do call, so unprofiled runs — the common case, and
 	// the one the allocation gate measures — skip it entirely.
 	labeled := func(round int, phase string, fn func() error) error {
@@ -216,6 +219,8 @@ func Correct(ctx context.Context, factory NetworkFactory, src trace.Source, cfg 
 			return CorrectionResult{}, nil, fmt.Errorf("core: deriving schedule: %w", err)
 		}
 	}
+	runner.derive.opts = opts
+	next = make([]sim.Tick, n)
 	for round := len(out.Iterations); round < cfg.MaxIterations; round++ {
 		// Park point: the round boundary is where the ladder checkpoints, so
 		// stopping here loses at most the round that was about to start,
@@ -234,22 +239,17 @@ func Correct(ctx context.Context, factory NetworkFactory, src trace.Source, cfg 
 			return out, state, fmt.Errorf("%w after %d of %d rounds: %w",
 				ErrParked, len(out.Iterations), cfg.MaxIterations, cause)
 		}
+		// The replay derives the next schedule from its measured latencies,
+		// the next round's estimates verbatim.
 		var res ReplayResult
 		if err := labeled(round, "replay", func() (err error) {
+			runner.next = next
 			res, err = runner.run(prev)
 			return err
 		}); err != nil {
 			return CorrectionResult{}, nil, fmt.Errorf("core: correction round %d: %w", round, err)
 		}
 		out.TotalCycles += res.Cycles
-		// The measured latencies are the next round's estimates, verbatim.
-		var next []sim.Tick
-		if err := labeled(round, "schedule", func() (err error) {
-			next, err = ScheduleStream(src, res.Latencies(), opts)
-			return err
-		}); err != nil {
-			return CorrectionResult{}, nil, fmt.Errorf("core: correction round %d: %w", round, err)
-		}
 		delta := MaxScheduleDelta(next, prev)
 		out.Iterations = append(out.Iterations, Iteration{
 			Round:       round,
@@ -283,7 +283,7 @@ func Correct(ctx context.Context, factory NetworkFactory, src trace.Source, cfg 
 				return out, nil, nil
 			}
 		}
-		prev = next
+		prev, next = next, prev
 	}
 	finish()
 	return out, nil, nil

@@ -109,8 +109,9 @@ func ladderCapture(net noc.Network, ladder *[]checkpoint, thresholds []int) func
 // resume prunes every lane's ladder against the new schedule and restores
 // the deepest surviving checkpoint onto the lane's fabric, leaving the lane
 // positioned there: floor at the checkpoint cycle, injected and delivered
-// counts and realized times carried over from the previous run. Lanes with no
-// surviving checkpoint are left untouched and start from cycle zero.
+// counts and realized times, with their delivered marks, carried over from
+// the previous run. Lanes with no surviving checkpoint are left untouched and
+// start from cycle zero.
 func (r *replayer) resume(lanes []lane, inject []sim.Tick, res *ReplayResult) {
 	p := &r.last
 	for len(p.ladders) < len(lanes) {
@@ -169,6 +170,7 @@ func (r *replayer) resume(lanes []lane, inject []sim.Tick, res *ReplayResult) {
 		if p.arrive[i] <= t0 {
 			res.Inject[i] = p.injRes[i]
 			res.Arrive[i] = p.arrive[i]
+			r.done[i] = true
 			l.delivered++
 		}
 	}

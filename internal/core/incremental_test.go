@@ -106,7 +106,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 					pool.Put(m)
 				})
 				pending := sim.NewCalendar[pendingMsg](ringTicks)
-				dec := &streamDecoder{it: it, inject: inject, sm: suffixMinInject(inject), pending: &pending, floor: floor}
+				dec := &streamDecoder{it: it, inject: inject, sm: suffixMinInject(nil, inject), pending: &pending, floor: floor}
 				if err := drain(net, dec, &pool, injected, &done, n, capture); err != nil {
 					return err
 				}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"onocsim/internal/noc"
@@ -186,6 +187,15 @@ type replayer struct {
 	part  *partition // K > 1 only; see sharded.go
 	last  lastRun    // ladder only; see incremental.go
 
+	// next is where a run derives the next schedule; nil derives none. The
+	// correction sets it, and the deriver's options.
+	next []sim.Tick
+	// Storage every run reuses: the suffix-min bound of its schedule, its
+	// delivered marks and the deriver.
+	sm     []sim.Tick
+	done   []bool
+	derive deriver
+
 	// replayed counts injections actually performed and saved the fabric
 	// cycles checkpoint restores skipped, summed over every run.
 	replayed int
@@ -260,6 +270,8 @@ type lane struct {
 }
 
 // drain opens the lane's own pass over src and runs the drain loop on it.
+// With a deriver, it then decodes whatever the drain left undecoded (events
+// a restored checkpoint already held) and derives the rest of the schedule.
 func (l *lane) drain(src trace.Source, dec streamDecoder) {
 	it, err := src.Pass()
 	if err != nil {
@@ -270,20 +282,27 @@ func (l *lane) drain(src trace.Source, dec streamDecoder) {
 	l.slot.pending.Reset()
 	dec.it, dec.floor, dec.pending = it, l.floor, &l.slot.pending
 	l.err = drain(l.net, &dec, &l.slot.pool, l.injected, &l.delivered, l.want, l.capture)
+	if l.err == nil && dec.derive != nil {
+		l.err = dec.decodeTo(sim.Never)
+		dec.derive.advance()
+	}
 	l.maxRef = dec.maxRef
 }
 
 // run injects every event of the source at the given absolute times and runs
-// the fabric(s) until all are delivered.
+// the fabric(s) until all are delivered. With r.next non-nil it also derives
+// into it the schedule the realized latencies give (ScheduleStream with
+// r.derive.opts): during the replay itself for K = 1, in one more pass over
+// the source for K > 1.
 func (r *replayer) run(inject []sim.Tick) (ReplayResult, error) {
-	res, err := r.replay(inject)
+	res, err := r.replay(inject, r.next)
 	if err != nil {
 		r.last = lastRun{} // a failed run leaves nothing to resume from
 	}
 	return res, err
 }
 
-func (r *replayer) replay(inject []sim.Tick) (ReplayResult, error) {
+func (r *replayer) replay(inject, next []sim.Tick) (ReplayResult, error) {
 	n := r.meta.NumEvents
 	net0 := r.fabric(0)
 	if net0.Nodes() != r.meta.Nodes {
@@ -297,6 +316,8 @@ func (r *replayer) replay(inject []sim.Tick) (ReplayResult, error) {
 		k = max(min(r.shards, net0.Nodes()), 1)
 	}
 	res := ReplayResult{Inject: make([]sim.Tick, n), Arrive: make([]sim.Tick, n)}
+	r.done = slices.Grow(r.done[:0], n)[:n]
+	clear(r.done)
 	lanes := make([]lane, k)
 	lanes[0].want = n
 	if k > 1 {
@@ -324,10 +345,12 @@ func (r *replayer) replay(inject []sim.Tick) (ReplayResult, error) {
 		l.slot = &r.slots[s]
 		l.slot.used = true
 		r.replayed += l.want - l.injected
+		done := r.done
 		l.net.SetDeliver(func(m *noc.Message) {
 			idx := int(m.ID) - 1
 			res.Arrive[idx] = m.Arrive
 			res.Inject[idx] = m.Inject
+			done[idx] = true
 			l.delivered++
 			l.slot.pool.Put(m)
 		})
@@ -338,8 +361,13 @@ func (r *replayer) replay(inject []sim.Tick) (ReplayResult, error) {
 
 	// Replicas are fully independent, and every shared-slice write (res, a
 	// ladder) lands at indices owned by exactly one lane.
-	dec := streamDecoder{inject: inject, sm: suffixMinInject(inject), window: r.window}
+	r.sm = suffixMinInject(r.sm, inject)
+	dec := streamDecoder{inject: inject, sm: r.sm, window: r.window}
 	if k == 1 {
+		if next != nil {
+			r.derive.reset(next, res.Arrive, res.Inject, r.done)
+			dec.derive = &r.derive
+		}
 		lanes[0].drain(r.src, dec)
 	} else {
 		var wg sync.WaitGroup
@@ -360,6 +388,12 @@ func (r *replayer) replay(inject []sim.Tick) (ReplayResult, error) {
 				return ReplayResult{}, fmt.Errorf("core: shard %d/%d: %w", s, k, err)
 			}
 			return ReplayResult{}, fmt.Errorf("core: %w", err)
+		}
+	}
+	if next != nil && k > 1 {
+		r.derive.reset(next, res.Arrive, res.Inject, nil)
+		if err := EachEvent(r.src, r.derive.offer); err != nil {
+			return ReplayResult{}, err
 		}
 	}
 

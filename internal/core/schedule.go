@@ -113,27 +113,161 @@ func schedule(src trace.Source, latency []sim.Tick, opts ScheduleOptions, estima
 		return nil, fmt.Errorf("core: %d latency estimates for %d events", len(latency), n)
 	}
 	inject := make([]sim.Tick, n)
+	d := deriver{opts: opts}
+	d.reset(inject, latency, nil, nil)
 	err := EachEvent(src, func(i int, e *trace.Event) {
 		if estimate != nil {
 			latency[i] = estimate(e)
 		}
-		var ready sim.Tick
-		for _, d := range e.Deps {
-			if !opts.keepDep(d.Class) {
-				continue
-			}
-			di := int(d.On) - 1
-			arr := inject[di] + latency[di]
-			if arr > ready {
-				ready = arr
-			}
-		}
-		inject[i] = ready + e.Gap
+		d.offer(i, e)
 	})
 	if err != nil {
 		return nil, err
 	}
 	return inject, nil
+}
+
+// deriver is the one body of schedule derivation: next[i] = max over event
+// i's kept dependencies d of (next[d] + latency[d]), plus i's gap. It is fed
+// events in ID order, a topological order, and derives them in that order.
+//
+// Three passes feed it. Two know every latency up front and have each event
+// derived as it is offered: ScheduleStream's (the seed's among them), and the
+// pass a K > 1 run makes once every lane has drained, since lanes cannot read
+// each other's arrivals. A K = 1 run feeds it from the replay's own decoder,
+// while the replay is still delivering: an event whose dependency has not
+// been delivered waits in the backlog, and everything after it waits behind
+// it, until the delivery callback marks the dependency done. The backlog
+// holds only an event's gap and its kept dependencies, and is not part of
+// the read-ahead window.
+type deriver struct {
+	opts ScheduleOptions
+	next []sim.Tick
+	// The latency of event j is arrive[j] − inject[j], the realized times of
+	// the replay being measured; with inject nil, arrive holds the latencies
+	// themselves.
+	arrive, inject []sim.Tick
+	// done marks the events whose latency is known; nil when all are.
+	done []bool
+
+	// The backlog: events offered but not yet derived, in ID order, from
+	// held[head], which is event first, on. Event first+k's kept
+	// dependencies end at held[head+k].to in deps, and start where the
+	// previous one's end, except the head's, which start at from: the
+	// dependencies before it are folded into its ready time.
+	held  []heldEvent
+	head  int
+	first int
+	from  int
+	deps  []int
+	// wait is the event the head waits on to be delivered, −1 for none.
+	wait int
+	// peak is the longest the backlog has been.
+	peak int
+}
+
+// heldEvent is one backlog entry. ready is the latest arrival among the
+// dependencies already folded in.
+type heldEvent struct {
+	gap, ready sim.Tick
+	to         int
+}
+
+// heldCap is the backlog storage a deriver that waits on deliveries starts
+// with: enough for the backlogs a replay of a real trace builds (a correction
+// of a generated 2^19-event trace on the 64-node crossbar peaks near 2 300
+// events), so that its storage is allocated once.
+const heldCap = 1 << 12
+
+// reset points the deriver at a new derivation, keeping its storage.
+func (d *deriver) reset(next, arrive, inject []sim.Tick, done []bool) {
+	d.next, d.arrive, d.inject, d.done = next, arrive, inject, done
+	d.held, d.deps, d.head, d.from, d.wait = d.held[:0], d.deps[:0], 0, 0, -1
+	if done != nil && d.held == nil {
+		d.held, d.deps = make([]heldEvent, 0, heldCap), make([]int, 0, heldCap)
+	}
+}
+
+// offer hands the deriver event i, the next in ID order, and derives what it
+// can. The event is only read during the call: with every latency known it
+// is derived at once, and otherwise its kept dependencies are copied into the
+// backlog.
+func (d *deriver) offer(i int, e *trace.Event) {
+	if d.done == nil {
+		var ready sim.Tick
+		for _, dep := range e.Deps {
+			if d.opts.keepDep(dep.Class) {
+				ready = max(ready, d.arrival(int(dep.On)-1))
+			}
+		}
+		d.next[i] = ready + e.Gap
+		return
+	}
+	if d.head == len(d.held) {
+		d.first = i
+	}
+	for _, dep := range e.Deps {
+		if d.opts.keepDep(dep.Class) {
+			d.deps = append(d.deps, int(dep.On)-1)
+		}
+	}
+	d.held = append(d.held, heldEvent{gap: e.Gap, to: len(d.deps)})
+	d.peak = max(d.peak, len(d.held)-d.head)
+	d.advance()
+}
+
+// advance derives backlog events from the head until one has a dependency
+// not yet delivered, or the backlog is empty.
+func (d *deriver) advance() {
+	if d.wait >= 0 && !d.done[d.wait] {
+		return
+	}
+	d.derive()
+}
+
+// derive is advance past its check of the event the head last waited on.
+func (d *deriver) derive() {
+	for d.head < len(d.held) {
+		h := &d.held[d.head]
+		for ; d.from < h.to; d.from++ {
+			j := d.deps[d.from]
+			if !d.done[j] {
+				d.wait = j
+				d.compact()
+				return
+			}
+			h.ready = max(h.ready, d.arrival(j))
+		}
+		d.next[d.first] = h.ready + h.gap
+		d.head++
+		d.first++
+	}
+	d.held, d.deps, d.head, d.from, d.wait = d.held[:0], d.deps[:0], 0, 0, -1
+}
+
+// arrival is event j's arrival under the next schedule: its derived
+// injection plus its latency.
+func (d *deriver) arrival(j int) sim.Tick {
+	if d.inject == nil {
+		return d.next[j] + d.arrive[j]
+	}
+	return d.next[j] + d.arrive[j] - d.inject[j]
+}
+
+// compact moves a blocked backlog to the front of its storage once the
+// derived entries ahead of it make up half of it, so a backlog that never
+// empties does not grow its storage without bound.
+func (d *deriver) compact() {
+	if d.head < 1024 || 2*d.head < len(d.held) {
+		return
+	}
+	base := d.from
+	d.held = d.held[:copy(d.held, d.held[d.head:])]
+	for k := range d.held {
+		d.held[k].to -= base
+	}
+	d.deps = d.deps[:copy(d.deps, d.deps[base:])]
+	d.head, d.from = 0, 0
 }
 
 // MaxScheduleDelta returns the largest absolute difference between two

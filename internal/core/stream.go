@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"onocsim/internal/noc"
 	"onocsim/internal/sim"
@@ -29,6 +30,14 @@ import (
 // trace's schedule inversion width. A window cap turns an undersized window
 // into a deterministic error — never a deadlock and never a silently wrong
 // result.
+//
+// A correction round's decoder also hands every event it decodes to the
+// deriver (schedule.go), which derives the next round's schedule from this
+// round's arrivals as the delivery callback marks them, so a round reads its
+// source once. Events whose dependencies are still in flight wait in the
+// deriver's backlog, which holds a gap and a few indices per event and is not
+// part of the window. A file source decodes each pass on a goroutine of its
+// own, blocks ahead of the decoder here (trace.FileSource.Pass).
 
 // feed hands the drain loop its injections.
 type feed interface {
@@ -74,12 +83,13 @@ func resident(src trace.Source) bool {
 	return ok
 }
 
-// suffixMinInject returns sm with sm[i] = min(inject[i:]) and sm[n] =
-// sim.Never: the earliest injection among events the stream has not yet
-// decoded, the conservative bound that drives both decode and fast-forward.
-func suffixMinInject(inject []sim.Tick) []sim.Tick {
+// suffixMinInject returns sm, reusing its storage, with sm[i] =
+// min(inject[i:]) and sm[n] = sim.Never: the earliest injection among events
+// the stream has not yet decoded, the conservative bound that drives both
+// decode and fast-forward.
+func suffixMinInject(sm, inject []sim.Tick) []sim.Tick {
 	n := len(inject)
-	sm := make([]sim.Tick, n+1)
+	sm = slices.Grow(sm[:0], n+1)[:n+1]
 	sm[n] = sim.Never
 	for i := n - 1; i >= 0; i-- {
 		sm[i] = inject[i]
@@ -131,6 +141,9 @@ type streamDecoder struct {
 	// maxRef folds in every decoded event's RefArrive: the event is gone by
 	// finalize time, so the makespan tail term accumulates during decode.
 	maxRef sim.Tick
+	// derive, when non-nil, is offered every decoded event, and advanced
+	// before each injection burst, after the deliveries of the Tick before.
+	derive *deriver
 	ev     trace.Event
 }
 
@@ -144,6 +157,9 @@ func (d *streamDecoder) decodeTo(t sim.Tick) error {
 		}
 		if d.ev.RefArrive > d.maxRef {
 			d.maxRef = d.ev.RefArrive
+		}
+		if d.derive != nil {
+			d.derive.offer(d.pos, &d.ev)
 		}
 		if d.inject[d.pos] > d.floor && (d.own == nil || d.own(d.pos)) {
 			d.pending.Push(d.inject[d.pos], pendingMsg{
@@ -171,6 +187,9 @@ func (d *streamDecoder) nextInject() sim.Tick {
 
 // injectDue implements feed.
 func (d *streamDecoder) injectDue(now sim.Tick, net noc.Network, pool *noc.MsgPool) (int, error) {
+	if d.derive != nil {
+		d.derive.advance()
+	}
 	if err := d.decodeTo(now); err != nil {
 		return 0, err
 	}

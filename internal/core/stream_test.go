@@ -79,8 +79,7 @@ func (c *countingSource) Pass() (trace.Iterator, error) {
 
 // TestCorrectionPassCount pins how often a zero-load-seeded correction reads
 // its source: one pass computes the seed and derives the round-0 schedule,
-// then every round replays (one pass) and derives the next schedule (one
-// more).
+// then every round replays in one pass that also derives the next schedule.
 func TestCorrectionPassCount(t *testing.T) {
 	src := &countingSource{Source: randomTrace(5, 300, 16)}
 	cfg := config.Default().SCTM
@@ -93,7 +92,7 @@ func TestCorrectionPassCount(t *testing.T) {
 	if rounds < 2 {
 		t.Fatalf("the correction took %d rounds; the count needs a contended one", rounds)
 	}
-	if want := 1 + 2*rounds; src.passes != want {
+	if want := 1 + rounds; src.passes != want {
 		t.Fatalf("%d rounds opened %d passes, want %d", rounds, src.passes, want)
 	}
 }

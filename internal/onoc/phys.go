@@ -55,6 +55,8 @@ type phys struct {
 	faults   *fault.Injector
 	serDrift serTable
 	derate   []sim.Tick
+	// prop maps serpentine hop count → light propagation cycles.
+	prop []sim.Tick
 
 	arrivals noc.DeliveryQueue
 
@@ -119,6 +121,10 @@ func newPhys(nodes int, cfg config.Optical, faults config.Faults, seed uint64) p
 		faults:  fault.New(nodes, faults, seed),
 		// O/E, serialization, propagation: tens of cycles for protocol messages
 		arrivals: noc.NewDeliveryQueue(128),
+		prop:     make([]sim.Tick, nodes),
+	}
+	for hops := range p.prop {
+		p.prop[hops] = max(sim.Tick(int64(hops)*PropagationCyclesAcross/int64(nodes)), 1)
 	}
 	geom := photonics.CrossbarGeometry{
 		Nodes:                 nodes,
@@ -195,15 +201,20 @@ func (p *phys) DerateFactor(src, dst int) sim.Tick {
 	if p.derate == nil || src == dst {
 		return 1
 	}
-	return p.derate[(dst-src+p.nodes)%p.nodes]
+	return p.derate[p.hops(src, dst)]
+}
+
+// hops is the serpentine distance from src downstream to dst.
+func (p *phys) hops(src, dst int) int {
+	if h := dst - src; h >= 0 {
+		return h
+	}
+	return dst - src + p.nodes
 }
 
 // propagation returns the light travel time from src to the reader dst along
 // the serpentine (messages travel downstream only).
-func (p *phys) propagation(src, dst int) sim.Tick {
-	hops := (dst - src + p.nodes) % p.nodes
-	return max(sim.Tick(int64(hops)*PropagationCyclesAcross/int64(p.nodes)), 1)
-}
+func (p *phys) propagation(src, dst int) sim.Tick { return p.prop[p.hops(src, dst)] }
 
 // admit stamps an injected message and reports whether arbitration has to
 // queue it: a self-message goes straight to the arrival queue, due next cycle.

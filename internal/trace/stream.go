@@ -19,7 +19,8 @@ import (
 // decode/encode of the binary format, so a trace never has to be
 // materialized to be produced, inspected, or replayed. The Source/Iterator
 // pair is the contract the streaming replay engines in internal/core
-// consume; FileSource streams from disk with O(1) resident state per pass,
+// consume; FileSource streams from disk with O(1) resident state per pass —
+// a fixed number of fixed-size blocks, decoded ahead on a second goroutine —
 // and a resident *Trace is itself a Source, so both execution paths share one
 // consumer implementation.
 
@@ -54,12 +55,17 @@ func (m Meta) validate() error {
 }
 
 // Iterator decodes one sequential pass over a trace, in event-ID order.
+// A FileSource pass decodes ahead of its consumer on a goroutine of its own;
+// to the consumer it is the same sequence of events and the same error, at
+// the same record, as a Reader over the file.
 type Iterator interface {
 	// Next decodes the next event into *e and reports whether one was
 	// available. The Deps slice may be reused by the following Next call:
 	// consumers that retain dependency edges across calls must copy them.
+	// Once Next has returned false it keeps doing so, with the same error.
 	Next(e *Event) (bool, error)
-	// Close releases the pass's underlying resources (file handles).
+	// Close releases the pass's underlying resources (file handles, the
+	// decoding goroutine). A second Close does nothing.
 	Close() error
 }
 
@@ -162,11 +168,19 @@ const readBufSize = 64 << 10
 
 // NewReader consumes and validates the header of a binary trace stream.
 func NewReader(r io.Reader) (*Reader, error) {
-	sr := &Reader{br: bufio.NewReaderSize(r, readBufSize)}
-	if err := sr.readHeader(); err != nil {
+	sr := &Reader{br: bufio.NewReaderSize(nil, readBufSize)}
+	if err := sr.reset(r); err != nil {
 		return nil, err
 	}
 	return sr, nil
+}
+
+// reset points the Reader at the start of a new stream, keeping its buffers,
+// and consumes and validates the stream's header.
+func (r *Reader) reset(src io.Reader) error {
+	r.br.Reset(src)
+	*r = Reader{br: r.br, deps: r.deps[:0], depFields: r.depFields[:0]}
+	return r.readHeader()
 }
 
 // Meta returns the decoded header.
@@ -481,6 +495,11 @@ type FileSource struct {
 	digestOnce sync.Once
 	digest     string
 	digestErr  error
+
+	// free holds what closed passes decoded with, for the passes opened
+	// after them.
+	mu   sync.Mutex
+	free []*passState
 }
 
 // NewFileSource validates the file's header and returns a reusable source.
@@ -500,26 +519,190 @@ func NewFileSource(path string) (*FileSource, error) {
 // Meta returns the header decoded at construction.
 func (s *FileSource) Meta() Meta { return s.meta }
 
-// Pass opens a fresh decode pass over the file.
+// Pass opens a fresh decode pass over the file. It reads the header itself,
+// then decodes the events on a goroutine of its own, aheadBlocks blocks of
+// blockEvents events ahead of the consumer, so decode overlaps whatever the
+// consumer does with each event. The pass yields exactly what a Reader
+// would, errors included; Close stops the goroutine.
 func (s *FileSource) Pass() (Iterator, error) {
 	f, err := os.Open(s.path)
 	if err != nil {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
-	r, err := NewReader(f)
-	if err != nil {
+	var ps *passState
+	s.mu.Lock()
+	if k := len(s.free); k > 0 {
+		ps, s.free = s.free[k-1], s.free[:k-1]
+	}
+	s.mu.Unlock()
+	if ps == nil {
+		ps = newPassState()
+	}
+	if err := ps.r.reset(f); err != nil {
 		f.Close()
+		s.recycle(ps)
 		return nil, fmt.Errorf("%w (in %s)", err, s.path)
 	}
-	return &fileIter{Reader: r, f: f}, nil
+	it := &aheadIter{
+		src:   s,
+		f:     f,
+		ps:    ps,
+		full:  make(chan *block, aheadBlocks),
+		empty: make(chan *block, aheadBlocks),
+	}
+	for _, b := range ps.blocks {
+		it.empty <- b
+	}
+	go it.decode()
+	return it, nil
 }
 
-type fileIter struct {
-	*Reader
-	f *os.File
+// passState is what a FileSource pass decodes with: the Reader, with its
+// buffer, and the blocks. The source keeps it from one closed pass to the
+// next, so passes in steady state allocate none of it.
+type passState struct {
+	r      *Reader
+	blocks [aheadBlocks]*block
 }
 
-func (it *fileIter) Close() error { return it.f.Close() }
+func newPassState() *passState {
+	ps := &passState{r: &Reader{br: bufio.NewReaderSize(nil, readBufSize)}}
+	for i := range ps.blocks {
+		ps.blocks[i] = &block{
+			events: make([]Event, 0, blockEvents),
+			ends:   make([]int, 0, blockEvents),
+			deps:   make([]Dep, 0, 2*blockEvents),
+		}
+	}
+	return ps
+}
+
+// recycle keeps ps for a later pass.
+func (s *FileSource) recycle(ps *passState) {
+	s.mu.Lock()
+	s.free = append(s.free, ps)
+	s.mu.Unlock()
+}
+
+// aheadBlocks and blockEvents size a file pass's decode-ahead: how many
+// blocks circulate between its decoder and its consumer, and how many events
+// each holds.
+const (
+	aheadBlocks = 4
+	blockEvents = 1024
+)
+
+// block is one decoded stretch of a pass: events in ID order, their
+// dependencies flattened into deps, event j's ending at ends[j]. The pass's
+// last block also carries how it ended: err, or nil after the declared count.
+type block struct {
+	events []Event
+	ends   []int
+	deps   []Dep
+	last   bool
+	err    error
+}
+
+// fill decodes up to blockEvents events from r.
+func (b *block) fill(r *Reader) {
+	b.events, b.ends, b.deps, b.last, b.err = b.events[:0], b.ends[:0], b.deps[:0], false, nil
+	for len(b.events) < blockEvents {
+		b.events = append(b.events, Event{})
+		e := &b.events[len(b.events)-1]
+		ok, err := r.Next(e)
+		if !ok {
+			b.events = b.events[:len(b.events)-1]
+			b.last, b.err = true, err
+			return
+		}
+		b.deps = append(b.deps, e.Deps...)
+		b.ends = append(b.ends, len(b.deps))
+		e.Deps = nil // the Reader's buffer; Next hands out deps instead
+	}
+	b.last = r.next >= r.meta.NumEvents
+}
+
+// aheadIter is a FileSource pass: decode runs on its own goroutine, which
+// owns the Reader and hands filled blocks over full; the consumer returns
+// each block over empty once it has moved past it. Closing empty stops the
+// decoder, and the decoder closes full on its way out.
+type aheadIter struct {
+	src         *FileSource
+	f           *os.File
+	ps          *passState
+	full, empty chan *block
+	closed      bool
+
+	cur *block // the block Next reads, from pos on
+	pos int
+}
+
+// decode is the pass's goroutine: it fills blocks until the pass ends or
+// Close stops it. full holds every block, so handing one over never blocks.
+func (it *aheadIter) decode() {
+	defer close(it.full)
+	for b := range it.empty {
+		b.fill(it.ps.r)
+		it.full <- b
+		if b.last {
+			return
+		}
+	}
+}
+
+// Next implements Iterator. The event's Deps alias the current block and are
+// only valid until the following Next call.
+func (it *aheadIter) Next(e *Event) (bool, error) {
+	for it.cur == nil || it.pos == len(it.cur.events) {
+		if it.cur != nil {
+			if it.cur.last {
+				return false, it.cur.err
+			}
+			it.empty <- it.cur
+		}
+		if it.closed {
+			return false, fmt.Errorf("trace: Next on a closed pass")
+		}
+		it.cur, it.pos = <-it.full, 0
+	}
+	b := it.cur
+	*e = b.events[it.pos]
+	lo, hi := 0, b.ends[it.pos]
+	if it.pos > 0 {
+		lo = b.ends[it.pos-1]
+	}
+	if hi > lo {
+		e.Deps = b.deps[lo:hi:hi]
+	}
+	it.pos++
+	return true, nil
+}
+
+// Close implements Iterator: it stops the decoder, waits for it to exit,
+// gives what the pass decoded with back to the source and closes the file.
+func (it *aheadIter) Close() error {
+	if it.closed {
+		return nil
+	}
+	it.closed = true
+	// Take back the blocks the decoder has not started, so that it stops
+	// after the one it is filling, if any.
+	for taken := true; taken; {
+		select {
+		case <-it.empty:
+		default:
+			taken = false
+		}
+	}
+	close(it.empty)
+	for range it.full {
+	}
+	it.cur = nil
+	it.ps.r.br.Reset(nil) // drop the file
+	it.src.recycle(it.ps)
+	it.ps = nil
+	return it.f.Close()
+}
 
 // Digest implements Digester by hashing the raw file bytes. The hash is
 // computed on first use and cached; a multi-gigabyte trace pays one
