@@ -47,10 +47,14 @@ fmt-check:
 # (cold and warm disk) quick report to the sequential uncached one, byte for
 # byte: no table cell holds host time.
 # TestSelfCaptureFixpointIsTruth validates the correction loop against itself
-# (~3 s): on a trace captured on its target, every kernel × {optical,
-# electrical} has the captured latencies as a one-round fixpoint equal to the
-# execution-driven truth, and the zero-load loop, makespan tolerance off,
-# walks to it. TestPruneKeepsTrueFront is the sweep prefilter's recall gate:
+# (~5 s): on a trace captured on its target, every kernel × {MWSR, SWMR,
+# electrical, ideal, hybrid} has the captured latencies as a one-round
+# fixpoint equal to the execution-driven truth, coupled replay reproduces the
+# truth's makespan, and on {optical, electrical} the zero-load loop, makespan
+# tolerance off, walks to it. TestCoupledIsTheFixpoint (<1 s) holds coupled
+# replay to the loop's exact fixpoint: seeded with its latencies, the loop
+# stops in round 0 at a Final equal to it, every kernel × those five variants
+# × {ideal, self} capture. TestPruneKeepsTrueFront is the sweep prefilter's recall gate:
 # the quick default grid, pruned, keeps every arm of the Pareto front that
 # simulating all of its arms finds (~1.5 s). Last, the mutation catalog
 # (~1 min): every deliberate bug it lists must still be caught.
@@ -58,7 +62,7 @@ check: vet fmt-check sweep-smoke
 	$(GO) test ./internal/sweep/ -run TestPruneKeepsTrueFront -count=1
 	$(GO) test ./cmd/expreport/ -run TestGolden -count=1
 	$(GO) test ./internal/experiments/ -run TestParallelCachedOutputMatchesSequential -count=1
-	$(GO) test . -run 'TestDocsResolve|Surface|TestFileMatchesResident|TestSelfCaptureFixpointIsTruth' -count=1
+	$(GO) test . -run 'TestDocsResolve|Surface|TestFileMatchesResident|TestSelfCaptureFixpointIsTruth|TestCoupledIsTheFixpoint' -count=1
 	$(GO) test ./internal/fabric/ -count=1
 	$(GO) test -short ./internal/enoc/ ./internal/onoc/ ./internal/trace/ ./internal/core/ -run 'DifferentialAgainstReference|BufferedDecodeMatchesBytewise|EngineAgainstReference' -count=1
 	$(GO) test ./internal/noc/ ./internal/metrics/ ./internal/sim/ -run 'MergeIs|CalendarMatches' -count=1

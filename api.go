@@ -14,7 +14,8 @@
 //     Self-Correction Trace Model — iterated dependency-driven replay
 //     converging to near execution-driven accuracy at trace-driven cost.
 //   - CaptureTraceContext + RunCoupledReplayContext: a tightly coupled
-//     dependency replay, the upper-accuracy single-pass reference.
+//     dependency replay, the self-correction loop's exact fixpoint in a
+//     single pass.
 //
 // RunStudyContext runs all four against each other; Estimate prices a replay
 // in closed form. Every operation that reads a trace takes a TraceSource: a

@@ -8,22 +8,43 @@ import (
 	"onocsim/internal/workload"
 )
 
+// fixpointVariants are the five fabric variants the fixpoint tests cover: the
+// optical crossbar with each arbitration ("optical" is MWSR, the default), the
+// mesh, the ideal fabric and the hybrid.
+var fixpointVariants = []struct {
+	name string
+	kind NetworkKind
+	swmr bool
+}{
+	{"optical", Optical, false},
+	{"swmr", Optical, true},
+	{"electrical", Electrical, false},
+	{"ideal", IdealNet, false},
+	{"hybrid", Hybrid, false},
+}
+
 // TestSelfCaptureFixpointIsTruth is the correction loop validated against
 // itself: a trace captured on its own target carries latencies that are
 // already the loop's fixpoint, and that fixpoint is the execution-driven
-// truth. For every kernel on both contended fabrics:
+// truth. For every kernel on every fixpoint variant:
 //
 //  1. naive replay of the self-captured trace reproduces the truth's makespan;
-//  2. the loop seeded with the trace's own latencies (RefArrive − RefInject)
+//  2. so does coupled replay, which resolves the dependencies on the fabric;
+//  3. the loop seeded with the trace's own latencies (RefArrive − RefInject)
 //     stops after one round with Delta 0 and the truth's makespan;
-//  3. the zero-load-seeded loop, makespan tolerance off, walks to that same Final,
-//     DeepEqual, within its round budget (14 to 304 rounds here).
+//  4. on the MWSR crossbar and the mesh, the zero-load-seeded loop, makespan
+//     tolerance off, walks to that same Final, DeepEqual, within its round
+//     budget (14 to 304 rounds here).
 func TestSelfCaptureFixpointIsTruth(t *testing.T) {
 	for _, kernel := range workload.KernelNames() {
-		for _, kind := range []NetworkKind{Optical, Electrical} {
-			t.Run(kernel+"/"+string(kind), func(t *testing.T) {
+		for _, v := range fixpointVariants {
+			kind := v.kind
+			t.Run(kernel+"/"+v.name, func(t *testing.T) {
 				cfg := smallConfig()
 				cfg.Workload.Kernel = kernel
+				if v.swmr {
+					cfg.Optical.Architecture = "swmr"
+				}
 				cfg.SCTM.MakespanTolerance = 0
 				cfg.SCTM.MaxIterations = 400
 				truth, err := uncached.RunExecutionDrivenContext(bg, cfg, kind)
@@ -40,6 +61,13 @@ func TestSelfCaptureFixpointIsTruth(t *testing.T) {
 				}
 				if naive.Makespan != truth.Makespan {
 					t.Fatalf("naive replay makespan %d, truth %d", naive.Makespan, truth.Makespan)
+				}
+				coupled, err := uncached.RunCoupledReplayContext(bg, cfg, tr, kind)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if coupled.Makespan != truth.Makespan {
+					t.Fatalf("coupled replay makespan %d, truth %d", coupled.Makespan, truth.Makespan)
 				}
 
 				factory, err := NetworkFactory(cfg, kind)
@@ -60,6 +88,9 @@ func TestSelfCaptureFixpointIsTruth(t *testing.T) {
 				if own.Final.Makespan != truth.Makespan {
 					t.Fatalf("own-latency fixpoint makespan %d, truth %d", own.Final.Makespan, truth.Makespan)
 				}
+				if v.name != "optical" && v.name != "electrical" {
+					return
+				}
 
 				zl, err := uncached.RunSelfCorrectionContext(bg, cfg, tr, kind)
 				if err != nil {
@@ -74,6 +105,55 @@ func TestSelfCaptureFixpointIsTruth(t *testing.T) {
 				}
 				t.Logf("%d rounds", len(zl.Iterations))
 			})
+		}
+	}
+}
+
+// TestCoupledIsTheFixpoint holds coupled replay to the correction loop's own
+// fixpoint: seeded with a coupled replay's latencies, the loop stops in round
+// 0 with Delta 0 and a Final DeepEqual to the coupled result. Coupled replay
+// injects each cycle's ready events in event-index order, the order of every
+// scheduled replay; any other order moves a same-cycle tie and the seed is no
+// fixpoint. Every kernel on every fabric family (the crossbar both MWSR and
+// SWMR), from an ideal-fabric capture and from a capture on the target itself.
+func TestCoupledIsTheFixpoint(t *testing.T) {
+	for _, kernel := range workload.KernelNames() {
+		for _, v := range fixpointVariants {
+			for _, capture := range []string{"ideal", "self"} {
+				t.Run(kernel+"/"+v.name+"/"+capture, func(t *testing.T) {
+					cfg := smallConfig()
+					cfg.Workload.Kernel = kernel
+					if v.swmr {
+						cfg.Optical.Architecture = "swmr"
+					}
+					on := IdealNet
+					if capture == "self" {
+						on = v.kind
+					}
+					tr, _, err := uncached.CaptureTraceContext(bg, cfg, on)
+					if err != nil {
+						t.Fatal(err)
+					}
+					coupled, err := uncached.RunCoupledReplayContext(bg, cfg, tr, v.kind)
+					if err != nil {
+						t.Fatal(err)
+					}
+					factory, err := NetworkFactory(cfg, v.kind)
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, _, err := core.Correct(bg, factory, tr, cfg.SCTM, 1, 0, coupled.Latencies(), nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !res.Converged || len(res.Iterations) != 1 || res.Iterations[0].Delta != 0 {
+						t.Fatalf("coupled latencies are not a round-0 fixpoint: %+v", res.Iterations)
+					}
+					if !reflect.DeepEqual(res.Final, coupled) {
+						t.Fatalf("the fixpoint differs from the coupled replay:\n got %+v\nwant %+v", res.Final, coupled)
+					}
+				})
+			}
 		}
 	}
 }

@@ -466,8 +466,9 @@ func NaiveReplayStream(factory NetworkFactory, src trace.Source, shards, window 
 
 // CoupledReplay resolves dependencies *inside* the network simulation: an
 // event is injected its gap after its last dependency physically arrives on
-// the target fabric. One replay, no estimates — the expensive upper-accuracy
-// reference the self-correction loop approaches. One pass over src builds the
+// the target fabric. One replay, no estimates: its latencies are the exact
+// fixpoint of the self-correction loop, which stops on them in round 0 with a
+// Final equal to this result. One pass over src builds the
 // reverse-dependency lists and keeps every event's payload, so a coupled
 // replay holds O(events + edges) resident whatever the source.
 func CoupledReplay(net noc.Network, src trace.Source, opts ScheduleOptions) (ReplayResult, error) {
@@ -485,9 +486,9 @@ func CoupledReplay(net noc.Network, src trace.Source, opts ScheduleOptions) (Rep
 	lastDep := make([]sim.Tick, n)
 	children := make([][]int, n)
 	var maxRef sim.Tick
-	feed := coupledFeed{events: make([]pendingMsg, n)}
+	feed := coupledFeed{events: make([]pendingMsg, n), pending: sim.NewCalendar[int](ringTicks)}
 	err := EachEvent(src, func(i int, e *trace.Event) {
-		feed.events[i] = pendingMsg{at: e.Gap, idx: i, src: e.Src, dst: e.Dst, bytes: e.Bytes, class: e.Class}
+		feed.events[i] = pendingMsg{at: e.Gap, src: e.Src, dst: e.Dst, bytes: e.Bytes, class: e.Class}
 		maxRef = max(maxRef, e.RefArrive)
 		for _, d := range e.Deps {
 			if !opts.keepDep(d.Class) {
@@ -535,43 +536,37 @@ func CoupledReplay(net noc.Network, src trace.Source, opts ScheduleOptions) (Rep
 	return res, nil
 }
 
-// coupledFeed is the feed of a coupled replay: the events whose dependencies
-// have all arrived on the target fabric, each with the cycle its gap ends.
-// The delivery callback pushes; the list stays short because injected entries
-// are removed, so a linear scan serves both methods. Swap-removal inside that
-// scan is what fixes the injection order of events due the same cycle.
+// coupledFeed is the feed of a coupled replay. The delivery callback pushes
+// each event whose dependencies have all arrived on the target fabric onto a
+// sim.Calendar, the engine's one due-time queue, for the cycle its gap ends;
+// injectDue releases one cycle at a time in event-index order, the (time, ID)
+// order of every feed, which makes a coupled replay the exact fixpoint of the
+// correction loop.
 type coupledFeed struct {
-	events []pendingMsg // every event's payload, its gap in at
-	ready  []pendingMsg
+	events  []pendingMsg // every event's payload, its gap in at
+	pending sim.Calendar[int]
+	due     []int // the cycle being released, sorted by event index
 }
 
-func (f *coupledFeed) push(idx int, at sim.Tick) {
-	m := f.events[idx]
-	m.at = at
-	f.ready = append(f.ready, m)
-}
+func (f *coupledFeed) push(idx int, at sim.Tick) { f.pending.Push(at, idx) }
 
 func (f *coupledFeed) injectDue(now sim.Tick, net noc.Network, pool *noc.MsgPool) (int, error) {
 	k := 0
-	for i := 0; i < len(f.ready); {
-		if e := &f.ready[i]; e.at <= now {
-			inject(net, pool, uint64(e.idx+1), e.src, e.dst, e.bytes, e.class)
-			f.ready[i] = f.ready[len(f.ready)-1]
-			f.ready = f.ready[:len(f.ready)-1]
-			k++
-		} else {
-			i++
+	for at := f.pending.NextAt(); at <= now; at = f.pending.NextAt() {
+		f.due = f.due[:0]
+		for f.pending.NextAt() == at {
+			f.due = append(f.due, f.pending.Pop())
 		}
+		slices.Sort(f.due)
+		for _, i := range f.due {
+			e := &f.events[i]
+			inject(net, pool, uint64(i+1), e.src, e.dst, e.bytes, e.class)
+		}
+		k += len(f.due)
 	}
 	return k, nil
 }
 
 // nextInject bounds only the events already ready; the rest become ready
 // inside a Tick, and drain asks again after every one.
-func (f *coupledFeed) nextInject() sim.Tick {
-	next := sim.Never
-	for i := range f.ready {
-		next = min(next, f.ready[i].at)
-	}
-	return next
-}
+func (f *coupledFeed) nextInject() sim.Tick { return f.pending.NextAt() }

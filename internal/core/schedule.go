@@ -5,8 +5,8 @@
 //   - NaiveReplay: inject at the timestamps recorded on the capture network
 //     (the fast-but-wrong baseline the paper improves on);
 //   - CoupledReplay: a tightly coupled dependency-driven co-simulation that
-//     resolves dependencies inside the network simulation (the expensive
-//     upper-accuracy reference);
+//     resolves dependencies inside the network simulation; it lands in one
+//     pass on SelfCorrect's exact fixpoint;
 //   - SelfCorrect: the paper's method — an iterated schedule-then-simulate
 //     fixpoint in which each round replays the trace with injection times
 //     derived from the dependency DAG using the previous round's *measured*

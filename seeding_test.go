@@ -10,7 +10,7 @@ import (
 // TestSeedModesConvergeIdentically is the seeding-correctness contract: the
 // round-0 seed is a warm start, never a different answer. Every seed mode
 // must converge the self-correction loop to a DeepEqual-identical Final
-// replay on every fabric kind.
+// replay on every fabric kind, and that Final is the coupled replay's result.
 func TestSeedModesConvergeIdentically(t *testing.T) {
 	base := smallConfig()
 	// Exact convergence: with the default makespan tolerance the loop may
@@ -47,6 +47,14 @@ func TestSeedModesConvergeIdentically(t *testing.T) {
 			if !reflect.DeepEqual(def.Final, analytic.Final) {
 				t.Fatalf("analytic seed changed the converged result:\n default %+v\n analytic %+v",
 					def.Final, analytic.Final)
+			}
+			coupled, err := uncached.RunCoupledReplayContext(bg, base, tr, kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(def.Final, coupled) {
+				t.Fatalf("the converged result is not the coupled replay:\n converged %+v\n coupled %+v",
+					def.Final, coupled)
 			}
 		})
 	}
