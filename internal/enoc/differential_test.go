@@ -15,14 +15,17 @@ import (
 // compares them after every tick: arbitration pointers, credit and VC-busy
 // mirrors, and the messages delivered that tick with their arrival cycles.
 // At drain the statistics and power counters must be DeepEqual. This is the
-// proof that skipping empty and other-port VCs, by-value ring buffers and
-// live-set iteration change no simulated result. -short runs depth {1,4} ×
-// VCs {1,4,16}, each arm with the seed and link latency it has in the full
-// matrix.
+// proof that skipping empty, not-ready and other-port VCs, flits entering
+// the downstream buffer when sent, by-value ring buffers and live-set
+// iteration change no simulated result. -short runs depth {1,4} ×
+// VCs {1,4,6,16} and depth 2 at 16 VCs, each arm with the seed, link
+// latency and node count it has in the full matrix: every routing variant
+// at both link latencies, and on a 9-node fabric.
 func TestDifferentialAgainstReference(t *testing.T) {
 	variants := []struct{ topology, routing string }{
 		{"mesh", "xy"}, {"mesh", "westfirst"}, {"torus", "xy"},
 	}
+	ran := map[string]bool{} // "<variant> link <cycles>" and "<variant> <nodes> nodes"
 	seed := uint64(100)
 	for _, v := range variants {
 		for _, vcs := range []int{1, 3, 4, 6, 16} {
@@ -33,7 +36,7 @@ func TestDifferentialAgainstReference(t *testing.T) {
 				cfg := meshCfg()
 				cfg.Topology, cfg.Routing, cfg.VCs = v.topology, v.routing, vcs
 				seed++
-				if testing.Short() && (depth == 2 || vcs == 3 || vcs == 6) {
+				if testing.Short() && (vcs == 3 || depth == 2 && vcs != 16) {
 					continue
 				}
 				link := 1 + sim.Tick(seed%2)
@@ -41,6 +44,8 @@ func TestDifferentialAgainstReference(t *testing.T) {
 				if seed%3 == 0 {
 					nodes = 9 // odd width: the torus tie-break takes its other branch
 				}
+				ran[fmt.Sprintf("%s-%s link %d", v.topology, v.routing, link)] = true
+				ran[fmt.Sprintf("%s-%s %d nodes", v.topology, v.routing, nodes)] = true
 				s := seed
 				t.Run(fmt.Sprintf("%s-%s-vc%d-d%d", v.topology, v.routing, vcs, depth), func(t *testing.T) {
 					runDifferential(t, nodes, cfg, depth, link, s)
@@ -48,6 +53,27 @@ func TestDifferentialAgainstReference(t *testing.T) {
 			}
 		}
 	}
+	for _, v := range variants {
+		for _, arm := range []string{"link 1", "link 2", "9 nodes"} {
+			if !ran[v.topology+"-"+v.routing+" "+arm] {
+				t.Errorf("no %s-%s arm runs at %s", v.topology, v.routing, arm)
+			}
+		}
+	}
+}
+
+// flatRR converts round-robin pointers from reqSet bits (p<<4|v) to the
+// reference's flattened (p·vcs + v) numbering. A bit past the last VC of a
+// port starts the next port's scan, and one past the local port wraps.
+func flatRR(rr [numPorts]int, vcs int) [numPorts]int {
+	for o, bit := range rr {
+		p, v := bit>>4, bit&15
+		if v >= vcs {
+			p, v = p+1, 0
+		}
+		rr[o] = p%numPorts*vcs + v
+	}
+	return rr
 }
 
 func runDifferential(t *testing.T, nodes int, cfg config.Mesh, depth int, link sim.Tick, seed uint64) {
@@ -101,8 +127,8 @@ func runDifferential(t *testing.T, nodes int, cfg config.Mesh, depth int, link s
 		got, want = got[:0], want[:0]
 		for i, r := range n.routers {
 			rr := ref.routers[i]
-			if r.rr != rr.rr {
-				t.Fatalf("cycle %d router %d: rr %v, reference %v", cyc, i, r.rr, rr.rr)
+			if got := flatRR(r.rr, cfg.VCs); got != rr.rr {
+				t.Fatalf("cycle %d router %d: rr %v, reference %v", cyc, i, got, rr.rr)
 			}
 			for p := 0; p < numPorts; p++ {
 				if !reflect.DeepEqual(r.outCredit[p], rr.outCredit[p]) {

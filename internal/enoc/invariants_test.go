@@ -9,32 +9,41 @@ import (
 )
 
 // checkInvariants verifies, between ticks, the conservation laws of the
-// credit protocol and that every piece of derived state — occupancy and
-// link-load counts, request masks, NI pending counts, the busy sets — agrees
-// with the queues it summarises.
+// credit protocol and that every piece of derived state — request rows, the
+// wake calendar, NI pending counts, the busy sets — agrees with the queues it
+// summarises.
 func checkInvariants(t testing.TB, n *Network) {
 	t.Helper()
 	depth := n.bufDepth
 	// Every packet in flight is in exactly one place: the loopback queue,
 	// an NI, or wherever its tail flit is.
 	inflight := n.selfQ.Len()
+	waiting := 0 // occupied VCs that do not bid: each waits on the calendar once
 	for _, r := range n.routers {
-		occupancy, linkLoad := 0, 0
-		var req [numPorts + 1][numPorts]uint16
-		var reqPorts [numPorts + 1]uint8
+		var req [numPorts + 1]reqSet
 		for p := 0; p < numPorts; p++ {
 			for v := range r.in[p] {
 				b := &r.in[p][v]
 				if b.n < 0 || b.n > depth || (b.q != nil && (len(b.q) != depth || b.head < 0 || b.head >= depth)) {
 					t.Fatalf("cycle %d router %d in %s/%d: ring head %d n %d len %d, depth %d", n.now, r.id, portNames[p], v, b.head, b.n, len(b.q), depth)
 				}
-				occupancy += b.n
 				if b.n > 0 && b.at(b.n-1).isTail {
 					inflight++
 				}
-				if b.n > 0 {
-					req[b.outPort][p] |= 1 << v
-					reqPorts[b.outPort] |= 1 << p
+				// A VC bids, in the row of its route, exactly while its
+				// head flit is ready — by the next cycle, between ticks.
+				bit := p<<4 | v
+				if bids := r.req[b.outPort][bit>>6]&(1<<(bit&63)) != 0; b.n > 0 {
+					switch ready := b.at(0).readyAt; {
+					case bids && ready > n.now+1:
+						t.Fatalf("cycle %d router %d in %s/%d: bids with its head ready at %d", n.now, r.id, portNames[p], v, ready)
+					case !bids && ready <= n.now:
+						t.Fatalf("cycle %d router %d in %s/%d: head ready at %d does not bid", n.now, r.id, portNames[p], v, ready)
+					case bids:
+						req[b.outPort].add(bit)
+					default:
+						waiting++
+					}
 				}
 				// One owner per VC: every buffered flit is the owner's,
 				// and a VC without an owner holds nothing and no decision.
@@ -46,56 +55,35 @@ func checkInvariants(t testing.TB, n *Network) {
 				if b.owner == nil && (b.n != 0 || b.granted || b.outPort != portUnrouted) {
 					t.Fatalf("cycle %d router %d in %s/%d: free VC holds state %+v", n.now, r.id, portNames[p], v, *b)
 				}
-				if b.n > 0 && b.outPort == portUnrouted {
-					if f := b.at(0); !f.isHead || f.readyAt < r.unroutedReady {
-						t.Fatalf("cycle %d router %d in %s/%d: unrouted front flit head=%v ready %d, bound %d", n.now, r.id, portNames[p], v, f.isHead, f.readyAt, r.unroutedReady)
-					}
+				if b.n > 0 && b.outPort == portUnrouted && !b.at(0).isHead {
+					t.Fatalf("cycle %d router %d in %s/%d: unrouted front flit is not a head", n.now, r.id, portNames[p], v)
 				}
 			}
 			l := r.outLink[p]
 			if l == nil {
 				continue
 			}
-			linkLoad += len(l.inflight)
+			// The wire is in the downstream buffer: a flit on it is
+			// buffered there, not yet ready.
 			for v := range r.outCredit[p] {
 				down := &l.dst.in[l.dstPort][v]
-				user := down.owner
-				wire := 0
-				for _, lf := range l.inflight {
-					if lf.vc != v {
-						continue
-					}
-					wire++
-					if lf.f.isTail {
-						inflight++
-					}
-					if user == nil {
-						user = lf.f.pkt
-					}
-					if lf.f.pkt != user {
-						t.Fatalf("cycle %d router %d out %s/%d: flits of messages %d and %d share the VC", n.now, r.id, portNames[p], v, user.msg.ID, lf.f.pkt.msg.ID)
-					}
+				if got := r.outCredit[p][v] + down.n; got != depth {
+					t.Fatalf("cycle %d router %d out %s/%d: credits %d + buffered %d = %d, want %d", n.now, r.id, portNames[p], v, r.outCredit[p][v], down.n, got, depth)
 				}
-				if got := r.outCredit[p][v] + down.n + wire; got != depth {
-					t.Fatalf("cycle %d router %d out %s/%d: credits %d + buffered %d + on the wire %d = %d, want %d", n.now, r.id, portNames[p], v, r.outCredit[p][v], down.n, wire, got, depth)
-				}
-				if user != nil && !r.outBusy[p][v] {
-					t.Fatalf("cycle %d router %d out %s/%d: in use by message %d but marked free", n.now, r.id, portNames[p], v, user.msg.ID)
+				if down.owner != nil && !r.outBusy[p][v] {
+					t.Fatalf("cycle %d router %d out %s/%d: in use by message %d but marked free", n.now, r.id, portNames[p], v, down.owner.msg.ID)
 				}
 			}
 		}
-		if occupancy != r.occupancy || linkLoad != r.linkLoad {
-			t.Fatalf("cycle %d router %d: occupancy %d linkLoad %d, queues hold %d and %d", n.now, r.id, r.occupancy, r.linkLoad, occupancy, linkLoad)
+		if req != r.req {
+			t.Fatalf("cycle %d router %d: request rows %x, queues give %x", n.now, r.id, r.req, req)
 		}
-		if req != r.req || reqPorts != r.reqPorts {
-			t.Fatalf("cycle %d router %d: request masks %v / %05b, queues give %v / %05b", n.now, r.id, r.req, r.reqPorts, req, reqPorts)
+		if got, bidding := n.bufBusy.next(r.id) == r.id, req != [numPorts + 1]reqSet{}; got != bidding {
+			t.Fatalf("cycle %d router %d: in bufBusy %v, a VC bids %v", n.now, r.id, got, bidding)
 		}
-		if got := n.bufBusy.next(r.id) == r.id; got != (occupancy > 0) {
-			t.Fatalf("cycle %d router %d: in bufBusy %v with %d flits buffered", n.now, r.id, got, occupancy)
-		}
-		if got := n.linkBusy.next(r.id) == r.id; got != (linkLoad > 0) {
-			t.Fatalf("cycle %d router %d: in linkBusy %v with %d flits on its links", n.now, r.id, got, linkLoad)
-		}
+	}
+	if waiting != n.wake.Len() {
+		t.Fatalf("cycle %d: %d occupied VCs wait for their head, the wake calendar holds %d", n.now, waiting, n.wake.Len())
 	}
 	for _, ni := range n.nis {
 		pending := 0

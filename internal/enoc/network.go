@@ -54,10 +54,12 @@ type Network struct {
 	// mesh from a busy one.
 	inflight int
 
-	// bufBusy, linkBusy and niBusy are the routers holding buffered flits,
-	// the routers with flits on their outgoing links and the NIs with
-	// packets to send: the only elements a Tick has to visit.
-	bufBusy, linkBusy, niBusy nodeSet
+	// bufBusy and niBusy are the routers with a bidding VC and the NIs
+	// with packets to send: the only elements a Tick has to visit.
+	bufBusy, niBusy nodeSet
+	// wake holds each occupied input VC whose head flit is not ready yet,
+	// due the cycle it becomes ready (router.ready).
+	wake sim.Calendar[vcRef]
 
 	// pktFree recycles the per-message wormhole state: a packet dies at
 	// ejection and is reborn at the next Inject, so a steady-state run
@@ -107,9 +109,10 @@ func newMesh(nodes int, cfg config.Mesh, bufDepth int, linkCycles sim.Tick) *Net
 		panic(fmt.Sprintf("enoc: %d nodes is not a perfect square", nodes))
 	}
 	n := &Network{cfg: cfg, width: width, nodes: nodes, torus: cfg.Topology == "torus",
-		bufDepth: bufDepth, linkCycles: linkCycles, stats: noc.NewStats(), selfQ: noc.NewDeliveryQueue(64)}
+		bufDepth: bufDepth, linkCycles: linkCycles, stats: noc.NewStats(), selfQ: noc.NewDeliveryQueue(64),
+		wake: sim.NewCalendar[vcRef](64)}
 	words := (nodes + 63) / 64
-	n.bufBusy, n.linkBusy, n.niBusy = make(nodeSet, words), make(nodeSet, words), make(nodeSet, words)
+	n.bufBusy, n.niBusy = make(nodeSet, words), make(nodeSet, words)
 	n.routers = make([]*router, nodes)
 	for id := 0; id < nodes; id++ {
 		n.routers[id] = newRouter(id, id%width, id/width, n)
@@ -176,8 +179,9 @@ func (n *Network) Inject(m *noc.Message) {
 	n.nis[m.Src].enqueue(n.newPacket(m))
 }
 
-// Tick implements noc.Network: link drain, then allocation, then injection,
-// all in deterministic node order.
+// Tick implements noc.Network: the heads that became ready join their
+// request rows, then allocation, then injection, in deterministic node
+// order.
 func (n *Network) Tick() {
 	n.now++
 	// Self-messages bypass the fabric with a one-cycle loopback latency.
@@ -191,8 +195,9 @@ func (n *Network) Tick() {
 			n.deliver(m)
 		}
 	}
-	for id := n.linkBusy.next(0); id >= 0; id = n.linkBusy.next(id + 1) {
-		n.routers[id].drainLinks()
+	for n.wake.NextAt() <= n.now {
+		v := n.wake.Pop()
+		n.routers[v.node].ready(int(v.bit), n.now)
 	}
 	for id := n.bufBusy.next(0); id >= 0; id = n.bufBusy.next(id + 1) {
 		n.routers[id].allocate()
@@ -236,7 +241,7 @@ func (n *Network) NextWake() sim.Tick {
 }
 
 // SkipTo implements noc.Network. In the skippable states (see NextWake) no
-// router, link or NI holds live work, and all remaining state — self-queue
+// router or NI holds live work, and all remaining state — self-queue
 // delivery times, flit readyAt stamps — is kept in absolute cycles, so the
 // skip is a pure clock jump.
 func (n *Network) SkipTo(t sim.Tick) {
@@ -258,36 +263,27 @@ func (n *Network) Reset() {
 	n.selfQ.Reset()
 	n.inflight = 0
 	clear(n.bufBusy)
-	clear(n.linkBusy)
 	clear(n.niBusy)
+	n.wake.Reset()
 	// A packet in flight is freed where its tail flit is; one whose tail
 	// has not left the NI yet, at the NI.
-	freeTail := func(f flit) {
-		if f.isTail {
-			n.pktFree = append(n.pktFree, f.pkt)
-		}
-	}
 	depth := n.bufDepth
 	for _, r := range n.routers {
 		for p := 0; p < numPorts; p++ {
 			for v := range r.in[p] {
 				b := &r.in[p][v]
 				for i := 0; i < b.n; i++ {
-					freeTail(*b.at(i))
+					if f := b.at(i); f.isTail {
+						n.pktFree = append(n.pktFree, f.pkt)
+					}
 				}
 				*b = vcBuf{q: b.q, outPort: portUnrouted}
 				r.outCredit[p][v] = depth
 				r.outBusy[p][v] = false
 			}
-			if l := r.outLink[p]; l != nil {
-				for _, lf := range l.inflight {
-					freeTail(lf.f)
-				}
-				l.inflight = l.inflight[:0]
-			}
 		}
 		r.rr = [numPorts]int{}
-		r.clearDerived()
+		r.req = [numPorts + 1]reqSet{}
 	}
 	for _, ni := range n.nis {
 		for c := range ni.classQ {
@@ -425,7 +421,7 @@ func (ni *netIface) injectClass(r *router, c noc.Class) bool {
 	if r.in[portLocal][st.vc].n >= ni.net.bufDepth {
 		return false
 	}
-	r.acceptFlit(portLocal, st.vc, flit{pkt: st.pkt, isHead: st.next == 0, isTail: st.next == st.pkt.nflits-1})
+	r.acceptFlit(portLocal, st.vc, flit{pkt: st.pkt, isHead: st.next == 0, isTail: st.next == st.pkt.nflits-1}, ni.net.now)
 	st.next++
 	if st.next == st.pkt.nflits {
 		st.pkt = nil

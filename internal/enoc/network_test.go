@@ -308,10 +308,66 @@ func TestFlitConservationAfterDrain(t *testing.T) {
 	if n.power.xbarTraversals != n.power.linkTraversals {
 		t.Fatalf("crossbar/link mismatch: %d vs %d", n.power.xbarTraversals, n.power.linkTraversals)
 	}
-	// All occupancy counters must return to zero.
+	// No VC bids or waits for its head after the drain.
 	for _, r := range n.routers {
-		if r.occupancy != 0 || r.linkLoad != 0 {
-			t.Fatalf("router %d occupancy=%d linkLoad=%d after drain", r.id, r.occupancy, r.linkLoad)
+		if r.req != [numPorts + 1]reqSet{} {
+			t.Fatalf("router %d request rows %x after drain", r.id, r.req)
 		}
+	}
+	if n.wake.Len() != 0 {
+		t.Fatalf("%d VCs wait on the wake calendar after drain", n.wake.Len())
+	}
+}
+
+// TestCallbackInjectSavesOneCycle pins where the mesh beats its zero-load
+// figure by a cycle. A delivery callback runs inside Tick, before the NI
+// phase of that same Tick, so a message it injects enters its local buffer
+// in its own inject cycle; injected between ticks, it enters at the next
+// Tick — the cycle of injection overhead ZeroLoadLatency charges.
+func TestCallbackInjectSavesOneCycle(t *testing.T) {
+	westFirst := meshCfg()
+	westFirst.Routing = "westfirst"
+	for _, c := range []struct {
+		name     string
+		cfg      config.Mesh
+		src, dst int
+		want     sim.Tick // between ticks; from the callback it is one less
+	}{
+		{"mesh-xy", meshCfg(), 12, 3, 21},
+		{"mesh-westfirst", westFirst, 12, 3, 21},
+		{"torus", torusCfg(), 14, 1, 9},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			latency := func(fromCallback bool) sim.Tick {
+				n := New(16, c.cfg)
+				first := &noc.Message{ID: 1, Src: 0, Dst: 1, Bytes: 8}
+				probe := &noc.Message{ID: 2, Src: c.src, Dst: c.dst, Bytes: 8}
+				n.SetDeliver(func(m *noc.Message) {
+					if m == first && fromCallback {
+						n.Inject(probe)
+					}
+				})
+				n.Inject(first)
+				for n.Now() < 6 {
+					n.Tick()
+				}
+				if !fromCallback {
+					n.Inject(probe)
+				}
+				if !drain(n, 1000) || first.Arrive != 6 || probe.Inject != 6 {
+					t.Fatalf("message 1 arrived at %d, the probe was injected at %d; want both at 6", first.Arrive, probe.Inject)
+				}
+				if zll := n.ZeroLoadLatency(c.src, c.dst, 8); zll != c.want {
+					t.Fatalf("ZeroLoadLatency %d, want %d", zll, c.want)
+				}
+				return probe.Latency()
+			}
+			if got := latency(false); got != c.want {
+				t.Errorf("injected between ticks: latency %d, want %d", got, c.want)
+			}
+			if got := latency(true); got != c.want-1 {
+				t.Errorf("injected from a delivery callback: latency %d, want %d", got, c.want-1)
+			}
+		})
 	}
 }

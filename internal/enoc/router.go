@@ -38,24 +38,28 @@ func (b *vcBuf) at(i int) *flit {
 	return &b.q[i]
 }
 
-// link models a point-to-point channel with a fixed traversal delay. Flits
-// pushed at cycle t surface at the downstream input buffer at t+delay.
-// wrap marks torus wraparound links — the datelines of the VC discipline.
+// link models a point-to-point channel with a fixed traversal delay. A flit
+// sent at cycle t enters the downstream input buffer at once, stamped with
+// its arrival t+delay: the credit it spent reserved the slot, and its
+// readyAt keeps it invisible until it has arrived. wrap marks torus
+// wraparound links — the datelines of the VC discipline.
 type link struct {
-	delay    sim.Tick
-	dst      *router
-	dstPort  int
-	wrap     bool
-	inflight []linkFlit
+	delay   sim.Tick
+	dst     *router
+	dstPort int
+	wrap    bool
 }
 
-// linkFlit is a flit on the wire: when it surfaces and on which downstream
-// VC (the one its packet was granted).
-type linkFlit struct {
-	at sim.Tick
-	vc int
-	f  flit
-}
+// reqSet is a set of input VCs of one router: bit p<<4|v is input port p,
+// VC v (the config caps VCs at 16). Ports 0–3 fill the first word, the local
+// port the second.
+type reqSet [2]uint64
+
+func (s *reqSet) add(bit int)    { s[bit>>6] |= 1 << (bit & 63) }
+func (s *reqSet) remove(bit int) { s[bit>>6] &^= 1 << (bit & 63) }
+
+// vcRef names an input VC network-wide: its router and its reqSet bit.
+type vcRef struct{ node, bit int32 }
 
 // router is one mesh node: five ports (N/S/E/W/local), VCs per port,
 // combined VC+switch allocation, one flit per output port per cycle.
@@ -78,29 +82,17 @@ type router struct {
 	// state directly.
 	upstream [numPorts]upstreamRef
 
-	// rr are round-robin arbitration pointers, one per output port, over
-	// the flattened (inputPort, vc) space.
+	// rr are round-robin arbitration pointers, one per output port: the
+	// reqSet bit its next scan starts from.
 	rr [numPorts]int
 
-	// req[o][i] is the set of VCs of input port i (bit v = VC v; the
-	// config caps VCs at 16) that hold a flit and whose packet is routed
-	// to output port o; row portUnrouted holds the occupied VCs whose
-	// head flit still awaits its route. allocate walks only these bits, so
-	// its cost follows the VCs that can bid for an output port, not the
-	// ports × VCs matrix. reqPorts[row] has bit i set iff req[row][i] is
-	// non-empty: an output port nobody bids for costs one test.
-	req      [numPorts + 1][numPorts]uint16
-	reqPorts [numPorts + 1]uint8
-	// unroutedReady is the earliest readyAt an unrouted head flit may
-	// have (a lower bound: it is not raised when that head leaves the
-	// row). Until then none can bid, and the scan leaves the row out.
-	unroutedReady sim.Tick
-	// occupancy counts buffered flits across all input VCs and linkLoad
-	// the flits in flight on this router's outgoing links; the router is
-	// in Network.bufBusy / linkBusy exactly while the count is non-zero,
-	// so Tick never visits an empty router.
-	occupancy int
-	linkLoad  int
+	// req[o] is the set of input VCs that bid for output port o: their
+	// head flit is ready (or will be next cycle, between ticks) and routed
+	// to o. Row portUnrouted holds the bidding heads that still await
+	// their route. A VC whose head is not ready waits on Network.wake
+	// instead, so allocate walks only the VCs that can move a flit. The
+	// router is in Network.bufBusy exactly while some row is non-empty.
+	req [numPorts + 1]reqSet
 }
 
 // upstreamRef points back at the fabric element feeding an input port.
@@ -137,15 +129,15 @@ func (r *router) vcRange(c noc.Class) (lo, hi int) {
 	return lo, hi
 }
 
-// acceptFlit appends a flit arriving on (port, vc) to the input buffer. The
-// caller is responsible for having respected credits; overflow is a flow
-// control protocol violation and panics.
-func (r *router) acceptFlit(port, vc int, f flit) {
+// acceptFlit appends a flit arriving on (port, vc) at cycle at to the input
+// buffer. The caller is responsible for having respected credits; overflow
+// is a flow control protocol violation and panics.
+func (r *router) acceptFlit(port, vc int, f flit, at sim.Tick) {
 	b := &r.in[port][vc]
 	if b.n >= r.net.bufDepth {
 		panic("enoc: input buffer overflow — credit protocol violated")
 	}
-	f.readyAt = r.net.now + RouterStages
+	f.readyAt = at + RouterStages
 	if f.isHead {
 		if b.owner != nil {
 			panic("enoc: head flit arrived on busy VC — allocation protocol violated")
@@ -166,136 +158,83 @@ func (r *router) push(port, vc int, f flit) {
 		b.q = make([]flit, r.net.bufDepth)
 	}
 	*b.at(b.n) = f
-	b.n++
-	if b.outPort == portUnrouted && (r.reqPorts[portUnrouted] == 0 || f.readyAt < r.unroutedReady) {
-		r.unroutedReady = f.readyAt
-	}
-	r.setReq(b.outPort, port, vc)
-	if r.occupancy == 0 {
-		r.net.bufBusy.add(r.id)
-	}
-	r.occupancy++
-}
-
-// send puts lf on outgoing link l.
-func (r *router) send(l *link, lf linkFlit) {
-	l.inflight = append(l.inflight, lf)
-	if r.linkLoad == 0 {
-		r.net.linkBusy.add(r.id)
-	}
-	r.linkLoad++
-}
-
-// clearDerived forgets everything derived from the (emptied) queues.
-func (r *router) clearDerived() {
-	r.req = [numPorts + 1][numPorts]uint16{}
-	r.reqPorts = [numPorts + 1]uint8{}
-	r.occupancy, r.linkLoad = 0, 0
-}
-
-// setReq and clearReq add input (inPort, vc) to, and remove it from, a row of
-// the request masks.
-func (r *router) setReq(row, inPort, vc int) {
-	r.req[row][inPort] |= 1 << vc
-	r.reqPorts[row] |= 1 << inPort
-}
-
-func (r *router) clearReq(row, inPort, vc int) {
-	if r.req[row][inPort] &^= 1 << vc; r.req[row][inPort] == 0 {
-		r.reqPorts[row] &^= 1 << inPort
+	if b.n++; b.n == 1 {
+		r.ready(port<<4|vc, f.readyAt)
 	}
 }
 
-// drainLinks surfaces link flits whose delay expired.
-func (r *router) drainLinks() {
-	for p := 0; p < numPorts; p++ {
-		l := r.outLink[p]
-		if l == nil || len(l.inflight) == 0 {
-			continue
-		}
-		keep := l.inflight[:0]
-		for _, lf := range l.inflight {
-			if lf.at <= r.net.now {
-				l.dst.acceptFlit(l.dstPort, lf.vc, lf.f)
-				r.linkLoad--
-			} else {
-				keep = append(keep, lf)
-			}
-		}
-		l.inflight = keep
+// ready makes input VC bit, whose head flit is ready at cycle at, bid from
+// then on: it joins its request row now if that is by the next cycle, and
+// otherwise waits on the network's wake calendar, which Tick empties into
+// the rows before allocation.
+func (r *router) ready(bit int, at sim.Tick) {
+	if at > r.net.now+1 {
+		r.net.wake.Push(at, vcRef{int32(r.id), int32(bit)})
+		return
 	}
-	if r.linkLoad == 0 {
-		r.net.linkBusy.remove(r.id)
-	}
+	r.req[r.in[bit>>4][bit&15].outPort].add(bit)
+	r.net.bufBusy.add(r.id)
 }
 
 // allocate performs combined route computation, VC allocation and switch
 // allocation for all output ports of this router in one cycle, moving at
 // most one flit per output port.
 //
-// Each output port arbitrates round-robin over the flattened (inputPort, vc)
-// space starting at rr[outPort]. That rotated order is six runs of VCs: the
-// pointer's own port from its VC up, the four other ports in full, then the
-// pointer's port below its VC. Each run is walked as a bitmask of the VCs
-// that hold a flit and are either routed to outPort or not routed yet. The
-// VCs left out — empty ones and those routed elsewhere — are exactly the
-// ones a full scan would pass over without side effects, so the visit order
-// over the rest, and with it the cycle at which each head flit is routed, is
-// that of the full scan (reference_test.go keeps it and
+// Each output port arbitrates round-robin over the input VCs in reqSet bit
+// order, starting at rr[outPort] and wrapping: the bits of its row and of
+// the unrouted row at or above the pointer, then those below it. The VCs
+// left out — empty ones, not-ready heads and those routed elsewhere — are
+// exactly the ones a full scan would pass over without side effects, so the
+// visit order over the rest, and with it the cycle at which each head flit
+// is routed, is that of the full scan (reference_test.go keeps it and
 // TestDifferentialAgainstReference holds the two equal). An output port with
 // no bidder at all is passed over for the same reason.
 func (r *router) allocate() {
-	vcs := r.net.cfg.VCs
 	for outPort := 0; outPort < numPorts; outPort++ {
-		bidders := r.reqPorts[outPort]
-		if r.net.now >= r.unroutedReady {
-			bidders |= r.reqPorts[portUnrouted]
+		m := reqSet{r.req[outPort][0] | r.req[portUnrouted][0], r.req[outPort][1] | r.req[portUnrouted][1]}
+		self := outPort << 4
+		m[self>>6] &^= 0xffff << (self & 63) // no U-turns under minimal routing
+		if m[0]|m[1] == 0 {
+			continue
 		}
-		if bidders&^(1<<outPort) == 0 {
-			continue // no bidder (U-turns never occur under minimal routing)
+		var lo reqSet // the bits below the pointer, which come last
+		if s := r.rr[outPort]; s < 64 {
+			lo[0] = 1<<s - 1
+		} else {
+			lo = reqSet{^uint64(0), 1<<(s-64) - 1}
 		}
-		inPort, v0 := r.rr[outPort]/vcs, r.rr[outPort]%vcs
-		below := uint16(1)<<v0 - 1 // the pointer port's VCs that come last
 	scan:
-		for run := 0; run <= numPorts; run++ {
-			m := r.req[outPort][inPort] | r.req[portUnrouted][inPort]
-			switch {
-			case inPort == outPort:
-				m = 0 // no U-turns
-			case run == 0:
-				m &^= below
-			case run == numPorts:
-				m &= below
-			}
-			for ; m != 0; m &= m - 1 {
-				vc := bits.TrailingZeros16(m)
-				if r.tryForward(outPort, inPort, vc) {
-					r.rr[outPort] = (inPort*vcs + vc + 1) % (numPorts * vcs)
+		for k, w := range [4]uint64{m[0] &^ lo[0], m[1] &^ lo[1], m[0] & lo[0], m[1] & lo[1]} {
+			for ; w != 0; w &= w - 1 {
+				bit := (k&1)<<6 | bits.TrailingZeros64(w)
+				if r.tryForward(outPort, bit>>4, bit&15) {
+					r.rr[outPort] = bit + 1
 					break scan // one flit per output port per cycle
 				}
 			}
-			if inPort++; inPort == numPorts {
-				inPort = 0
-			}
 		}
+	}
+	var bidders uint64
+	for i := range r.req {
+		bidders |= r.req[i][0] | r.req[i][1]
+	}
+	if bidders == 0 {
+		r.net.bufBusy.remove(r.id)
 	}
 }
 
-// tryForward lets the head-of-queue flit of input (inPort, vc) bid for
-// outPort: it routes a ready, unrouted head flit — lazily, here, because
+// tryForward lets the ready head-of-queue flit of input (inPort, vc) bid for
+// outPort: it routes an unrouted head flit — lazily, here, because
 // west-first routing reads the credits as they stand at this point of the
 // scan — and, if the packet does head for outPort, allocates a downstream VC
 // and moves the flit. It reports whether a flit moved.
 func (r *router) tryForward(outPort, inPort, vc int) bool {
 	b := &r.in[inPort][vc]
 	f := &b.q[b.head]
-	if f.readyAt > r.net.now {
-		return false
-	}
 	if b.outPort == portUnrouted {
 		b.outPort = r.route(f.pkt)
-		r.clearReq(portUnrouted, inPort, vc)
-		r.setReq(b.outPort, inPort, vc)
+		r.req[portUnrouted].remove(inPort<<4 | vc)
+		r.req[b.outPort].add(inPort<<4 | vc)
 		r.net.power.routeComps++
 	}
 	if b.outPort != outPort {
@@ -363,7 +302,7 @@ func (r *router) forward(inPort, vc int, b *vcBuf) bool {
 			f.pkt.crossedWrap = true
 		}
 	}
-	r.send(l, linkFlit{at: r.net.now + l.delay, vc: b.outVC, f: f})
+	l.dst.acceptFlit(l.dstPort, b.outVC, f, r.net.now+l.delay)
 	r.popFlit(inPort, vc, b)
 	r.net.power.xbarTraversals++
 	r.net.power.linkTraversals++
@@ -372,18 +311,17 @@ func (r *router) forward(inPort, vc int, b *vcBuf) bool {
 
 // popFlit removes the forwarded flit from the head of b — input (inPort,
 // vc) — returning the credit upstream and releasing the VC on tail
-// departure.
+// departure. The next flit, if any, keeps the VC bidding only if it is
+// ready by the next cycle; otherwise the VC waits for it on the calendar.
 func (r *router) popFlit(inPort, vc int, b *vcBuf) {
 	isTail := b.q[b.head].isTail
 	if b.head++; b.head == len(b.q) {
 		b.head = 0
 	}
 	b.n--
-	if b.n == 0 {
-		r.clearReq(b.outPort, inPort, vc)
-	}
-	if r.occupancy--; r.occupancy == 0 {
-		r.net.bufBusy.remove(r.id)
+	r.req[b.outPort].remove(inPort<<4 | vc)
+	if b.n > 0 {
+		r.ready(inPort<<4|vc, b.q[b.head].readyAt)
 	}
 	r.net.power.bufferReads++
 	// Return one credit and, on tail, the VC itself to the upstream

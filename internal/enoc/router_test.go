@@ -24,28 +24,28 @@ func TestAcceptFlitOverflowPanics(t *testing.T) {
 	n := mkNet(4, nil)
 	r := n.routers[0]
 	for i := 0; i < n.bufDepth; i++ {
-		r.acceptFlit(portNorth, 0, flit{pkt: &packet{msg: &noc.Message{ID: 1}, nflits: 10}})
+		r.acceptFlit(portNorth, 0, flit{pkt: &packet{msg: &noc.Message{ID: 1}, nflits: 10}}, 0)
 	}
 	defer func() {
 		if recover() == nil {
 			t.Error("buffer overflow accepted")
 		}
 	}()
-	r.acceptFlit(portNorth, 0, flit{pkt: &packet{msg: &noc.Message{ID: 2}, nflits: 10}})
+	r.acceptFlit(portNorth, 0, flit{pkt: &packet{msg: &noc.Message{ID: 2}, nflits: 10}}, 0)
 }
 
 func TestAcceptHeadOnBusyVCPanics(t *testing.T) {
 	n := mkNet(4, nil)
 	r := n.routers[0]
 	p1 := &packet{msg: &noc.Message{ID: 1}, nflits: 4}
-	r.acceptFlit(portNorth, 0, flit{pkt: p1, isHead: true})
+	r.acceptFlit(portNorth, 0, flit{pkt: p1, isHead: true}, 0)
 	defer func() {
 		if recover() == nil {
 			t.Error("second head on busy VC accepted")
 		}
 	}()
 	p2 := &packet{msg: &noc.Message{ID: 2}, nflits: 4}
-	r.acceptFlit(portNorth, 0, flit{pkt: p2, isHead: true})
+	r.acceptFlit(portNorth, 0, flit{pkt: p2, isHead: true}, 0)
 }
 
 func TestRouteXYAllQuadrants(t *testing.T) {

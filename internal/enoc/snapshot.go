@@ -14,9 +14,9 @@ import (
 // reproduced exactly. The packet free list is deliberately left out on both
 // sides: it holds only dead state, and restored traffic uses fresh clones, so
 // a stale free-list entry can never alias a live packet. State derived from
-// the queues — occupancy and link-load counts, request masks, NI pending
-// counts, the busy sets — is not captured either: Restore rebuilds it from
-// the queues it restores.
+// the queues — request rows, the wake calendar, NI pending counts, the busy
+// sets — is not captured either: Restore rebuilds it from the queues it
+// restores.
 
 // graphCloner deep-copies the packet/message graph while preserving aliasing:
 // every distinct source pointer maps to exactly one clone. Flits are values;
@@ -83,12 +83,12 @@ type vcBufSnap struct {
 	granted bool
 }
 
-// routerSnap captures one router's buffers, credits, links and arbitration.
+// routerSnap captures one router's buffers, credits and arbitration; the
+// flits on its links are in the downstream buffers.
 type routerSnap struct {
 	in        [numPorts][]vcBufSnap
 	outCredit [numPorts][]int
 	outBusy   [numPorts][]bool
-	link      [numPorts][]linkFlit
 	rr        [numPorts]int
 }
 
@@ -143,12 +143,6 @@ func (n *Network) Snapshot() noc.Snapshot {
 			}
 			rs.outCredit[p] = append([]int(nil), r.outCredit[p]...)
 			rs.outBusy[p] = append([]bool(nil), r.outBusy[p]...)
-			if l := r.outLink[p]; l != nil {
-				for _, lf := range l.inflight {
-					lf.f = cl.flit(lf.f)
-					rs.link[p] = append(rs.link[p], lf)
-				}
-			}
 		}
 	}
 	for ni, iface := range n.nis {
@@ -176,12 +170,12 @@ func (n *Network) Restore(s noc.Snapshot) {
 	n.inflight = snap.inflight
 	n.selfQ.Restore(&snap.selfQ)
 	clear(n.bufBusy)
-	clear(n.linkBusy)
 	clear(n.niBusy)
+	n.wake.Reset()
 	for ri, r := range n.routers {
 		rs := &snap.routers[ri]
 		r.rr = rs.rr
-		r.clearDerived()
+		r.req = [numPorts + 1]reqSet{}
 		for p := 0; p < numPorts; p++ {
 			for v := range r.in[p] {
 				b := &r.in[p][v]
@@ -193,13 +187,6 @@ func (n *Network) Restore(s noc.Snapshot) {
 			}
 			copy(r.outCredit[p], rs.outCredit[p])
 			copy(r.outBusy[p], rs.outBusy[p])
-			if l := r.outLink[p]; l != nil {
-				l.inflight = l.inflight[:0]
-				for _, lf := range rs.link[p] {
-					lf.f = cl.flit(lf.f)
-					r.send(l, lf)
-				}
-			}
 		}
 	}
 	for ni, iface := range n.nis {
