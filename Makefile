@@ -41,8 +41,9 @@ fmt-check:
 # The replay's own schedule derivation and the file decode-ahead run under
 # the race detector (K = 2 lanes share one file source): every derived
 # schedule equals ScheduleStream over the run's latencies, a correction
-# reads its source 1 + rounds times, and a decode-ahead pass yields a
-# Reader's events and errors and leaves no goroutine once closed.
+# reads its source 1 + rounds times (one more seeded coupled), and a
+# decode-ahead pass yields a Reader's events and errors and leaves no
+# goroutine once closed.
 # TestParallelCachedOutputMatchesSequential holds the concurrent, cached
 # (cold and warm disk) quick report to the sequential uncached one, byte for
 # byte: no table cell holds host time.
@@ -51,10 +52,11 @@ fmt-check:
 # electrical, ideal, hybrid} has the captured latencies as a one-round
 # fixpoint equal to the execution-driven truth, coupled replay reproduces the
 # truth's makespan, and on {optical, electrical} the zero-load loop, makespan
-# tolerance off, walks to it. TestCoupledIsTheFixpoint (<1 s) holds coupled
-# replay to the loop's exact fixpoint: seeded with its latencies, the loop
-# stops in round 0 at a Final equal to it, every kernel × those five variants
-# × {ideal, self} capture. TestPruneKeepsTrueFront is the sweep prefilter's recall gate:
+# tolerance off, walks to it. TestCoupledIsTheFixpoint (~2 s) holds coupled
+# replay to the loop's exact fixpoint through a Session: seeded "coupled", the
+# loop stops in round 0 at a Final equal to it with the coupled pass charged,
+# every kernel × those five variants × {ideal, self} capture, plus light and
+# heavy faults and both dependency ablations. TestPruneKeepsTrueFront is the sweep prefilter's recall gate:
 # the quick default grid, pruned, keeps every arm of the Pareto front that
 # simulating all of its arms finds (~1.5 s). Last, the mutation catalog
 # (~1 min): every deliberate bug it lists must still be caught.

@@ -268,9 +268,9 @@ var ErrParked = core.ErrParked
 // round boundary: the call returns the partial trajectory, the resume state,
 // and an error wrapping ErrParked.
 //
-// Every trace-touching step of the loop, the analytic seed's pricing pass
-// included, reads src, so a trace file is never materialized, and a file and
-// the resident trace it encodes produce byte-identical trajectories.
+// Every trace-touching step of the loop, the coupled seed's pass included,
+// reads src, and a file and the resident trace it encodes produce
+// byte-identical trajectories. Seeding is core.Correct's to decide.
 //
 // Resume state is opaque, bound to the exact (config, trace content, kind)
 // triple that parked, single-use, and in-process only (fabric snapshots do
@@ -284,13 +284,7 @@ func selfCorrect(ctx context.Context, cfg Config, src TraceSource, kind NetworkK
 	}
 	var state *core.ParkState
 	res, err := inSimSlot(ctx, func() (res CorrectionResult, err error) {
-		var seed []sim.Tick
-		if resume == nil && cfg.SCTM.SeedMode() == "analytic" {
-			// A resumed loop starts from the state's parked schedule; seeding
-			// would be discarded, so skip computing it.
-			seed = analytic.Seed(cfg, kind, src)
-		}
-		res, state, err = core.Correct(ctx, factory, src, cfg.SCTM, cfg.Parallelism.Shards, cfg.Parallelism.WindowEvents, seed, resume)
+		res, state, err = core.Correct(ctx, factory, src, cfg.SCTM, cfg.Parallelism.Shards, cfg.Parallelism.WindowEvents, nil, resume)
 		return res, err
 	})
 	return res, state, err

@@ -373,15 +373,15 @@ func BenchmarkR17Memory(b *testing.B) { benchTable(b, "r17") }
 // BenchmarkR18Faults regenerates the fault-injection degradation table (R18).
 func BenchmarkR18Faults(b *testing.B) { benchTable(b, "r18") }
 
-// BenchmarkR19Seeding regenerates the analytic fast-path table (R19).
+// BenchmarkR19Seeding regenerates the seeding and screening table (R19).
 func BenchmarkR19Seeding(b *testing.B) { benchTable(b, "r19") }
 
-// seedBenchCases are the two contended fabrics the analytic seed is built
-// for, each with a workload where contention actually shapes the schedule:
-// the mesh runs the fft kernel, the crossbar a dependency-chained hotspot
-// (every source bursting at node 0). The rounds metric is the
-// replay-round count the seeding strategy pays; comparing it between the
-// ZeroLoad and Analytic benchmarks shows the fast path's savings per fabric.
+// seedBenchCases are two contended fabrics, each with a workload where
+// contention actually shapes the schedule: the mesh runs the fft kernel, the
+// crossbar a dependency-chained hotspot (every source bursting at node 0).
+// The rounds metric is the replay-round count the seeding strategy pays;
+// comparing it and ns/op between the ZeroLoad and Coupled benchmarks shows
+// what starting from the coupled answer saves per fabric.
 func seedBenchCases(b *testing.B) []struct {
 	name string
 	kind onocsim.NetworkKind
@@ -463,14 +463,15 @@ func benchSelfCorrectSeed(b *testing.B, mode string) {
 	}
 }
 
-// BenchmarkSelfCorrectSeedZeroLoad is the baseline arm: legacy zero-load
-// round-0 seeding on both contended fabrics.
+// BenchmarkSelfCorrectSeedZeroLoad is the baseline arm: the paper's
+// zero-load round-0 seeding on both contended fabrics.
 func BenchmarkSelfCorrectSeedZeroLoad(b *testing.B) { benchSelfCorrectSeed(b, "zeroload") }
 
-// BenchmarkSelfCorrectSeedAnalytic is the fast-path arm: closed-form
-// contention-aware round-0 seeding. Compare its rounds metric (and ns/op)
-// with the ZeroLoad benchmark to see the replay-round savings.
-func BenchmarkSelfCorrectSeedAnalytic(b *testing.B) { benchSelfCorrectSeed(b, "analytic") }
+// BenchmarkSelfCorrectSeedCoupled is the coupled arm: round 0 starts from a
+// coupled replay's latencies, the loop's exact fixpoint, so it is one round
+// plus the coupled pass. Compare its rounds metric (and ns/op) with the
+// ZeroLoad benchmark.
+func BenchmarkSelfCorrectSeedCoupled(b *testing.B) { benchSelfCorrectSeed(b, "coupled") }
 
 // benchSelfCorrectIncr runs the correction loop in both execution modes on
 // one workload: "full" replays every event every round, "incremental" resumes

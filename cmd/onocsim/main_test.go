@@ -186,7 +186,7 @@ func TestCLIAndDaemonAnswerOneDocumentAlike(t *testing.T) {
 	plain := smallCfgFile(t)
 	loaded := smallCfgFile(t, func(c *onocsim.Config) {
 		c.Faults = faultPreset(t, "heavy")
-		c.SCTM.Seed = "analytic"
+		c.SCTM.Seed = "coupled"
 		c.SCTM.Incremental = true
 		c.Parallelism.Shards = 2
 	})

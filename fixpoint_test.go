@@ -110,49 +110,72 @@ func TestSelfCaptureFixpointIsTruth(t *testing.T) {
 }
 
 // TestCoupledIsTheFixpoint holds coupled replay to the correction loop's own
-// fixpoint: seeded with a coupled replay's latencies, the loop stops in round
-// 0 with Delta 0 and a Final DeepEqual to the coupled result. Coupled replay
-// injects each cycle's ready events in event-index order, the order of every
-// scheduled replay; any other order moves a same-cycle tie and the seed is no
-// fixpoint. Every kernel on every fabric family (the crossbar both MWSR and
-// SWMR), from an ideal-fabric capture and from a capture on the target itself.
+// fixpoint through the product path: seeded "coupled", the loop stops in
+// round 0 with Delta 0 and a Final DeepEqual to the coupled result, the
+// coupled pass charged (TotalCycles is its cycles plus round 0's, and
+// ReplayedEvents twice the trace's events). Coupled replay injects each
+// cycle's ready events in event-index order, the order of every scheduled
+// replay; any other order moves a same-cycle tie and the seed is no fixpoint.
+// Every kernel on every fabric family (the crossbar both MWSR and SWMR), from
+// an ideal-fabric capture and from a capture on the target itself; from the
+// ideal capture also under light and heavy faults and with either dependency
+// class off.
 func TestCoupledIsTheFixpoint(t *testing.T) {
+	variants := []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"", func(*Config) {}},
+		{"/faults-light", func(c *Config) { c.Faults = faultedConfig(t, "light").Faults }},
+		{"/faults-heavy", func(c *Config) { c.Faults = faultedConfig(t, "heavy").Faults }},
+		{"/no-sync-deps", func(c *Config) { c.SCTM.DisableSyncDeps = true }},
+		{"/no-causal-deps", func(c *Config) { c.SCTM.DisableCausalDeps = true }},
+	}
 	for _, kernel := range workload.KernelNames() {
 		for _, v := range fixpointVariants {
 			for _, capture := range []string{"ideal", "self"} {
-				t.Run(kernel+"/"+v.name+"/"+capture, func(t *testing.T) {
-					cfg := smallConfig()
-					cfg.Workload.Kernel = kernel
-					if v.swmr {
-						cfg.Optical.Architecture = "swmr"
+				for _, x := range variants {
+					if capture == "self" && x.name != "" {
+						continue
 					}
-					on := IdealNet
-					if capture == "self" {
-						on = v.kind
-					}
-					tr, _, err := uncached.CaptureTraceContext(bg, cfg, on)
-					if err != nil {
-						t.Fatal(err)
-					}
-					coupled, err := uncached.RunCoupledReplayContext(bg, cfg, tr, v.kind)
-					if err != nil {
-						t.Fatal(err)
-					}
-					factory, err := NetworkFactory(cfg, v.kind)
-					if err != nil {
-						t.Fatal(err)
-					}
-					res, _, err := core.Correct(bg, factory, tr, cfg.SCTM, 1, 0, coupled.Latencies(), nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !res.Converged || len(res.Iterations) != 1 || res.Iterations[0].Delta != 0 {
-						t.Fatalf("coupled latencies are not a round-0 fixpoint: %+v", res.Iterations)
-					}
-					if !reflect.DeepEqual(res.Final, coupled) {
-						t.Fatalf("the fixpoint differs from the coupled replay:\n got %+v\nwant %+v", res.Final, coupled)
-					}
-				})
+					t.Run(kernel+"/"+v.name+"/"+capture+x.name, func(t *testing.T) {
+						cfg := smallConfig()
+						cfg.Workload.Kernel = kernel
+						if v.swmr {
+							cfg.Optical.Architecture = "swmr"
+						}
+						x.mutate(&cfg)
+						on := IdealNet
+						if capture == "self" {
+							on = v.kind
+						}
+						tr, _, err := uncached.CaptureTraceContext(bg, cfg, on)
+						if err != nil {
+							t.Fatal(err)
+						}
+						coupled, err := uncached.RunCoupledReplayContext(bg, cfg, tr, v.kind)
+						if err != nil {
+							t.Fatal(err)
+						}
+						cfg.SCTM.Seed = "coupled"
+						res, err := uncached.RunSelfCorrectionContext(bg, cfg, tr, v.kind)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !res.Converged || len(res.Iterations) != 1 || res.Iterations[0].Delta != 0 {
+							t.Fatalf("the coupled seed is not a round-0 fixpoint: %+v", res.Iterations)
+						}
+						if !reflect.DeepEqual(res.Final, coupled) {
+							t.Fatalf("the fixpoint differs from the coupled replay:\n got %+v\nwant %+v", res.Final, coupled)
+						}
+						if want := coupled.Cycles + res.Iterations[0].Cycles; res.TotalCycles != want {
+							t.Fatalf("TotalCycles %d, want the coupled pass plus round 0, %d", res.TotalCycles, want)
+						}
+						if want := 2 * len(tr.Events); res.ReplayedEvents != want {
+							t.Fatalf("ReplayedEvents %d, want the coupled pass plus round 0, %d", res.ReplayedEvents, want)
+						}
+					})
+				}
 			}
 		}
 	}

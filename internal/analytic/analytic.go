@@ -3,12 +3,10 @@
 // derived from the trace's per-src/dst offered-load histogram, computed in
 // O(events) with no event loop.
 //
-// The estimate serves two roles. As the self-correction seed
-// (config.SCTM.Seed = "analytic") it replaces the pure zero-load round-0
-// latencies with contention-aware ones, so the fixpoint loop starts near its
-// answer and converges in fewer replay rounds. As a screening backend
-// (Session.Estimate) it prices a configuration in microseconds, cheap enough
-// to drive large design-space sweeps that only simulate the survivors.
+// The estimate has one role: a screening backend (Session.Estimate) that
+// prices a configuration in microseconds, cheap enough to drive large
+// design-space sweeps that only simulate the survivors. Seed, its per-event
+// latencies, is kept alive only by bench/ (DESIGN §12).
 //
 // The contention model is an M/D/1-style queueing correction in the spirit
 // of Mandal et al., "Analytical Performance Models for NoCs with Multiple

@@ -152,6 +152,8 @@ type Parallelism struct {
 	// needing more residency than the window fails with an error naming
 	// the required size — never a deadlock, never a silently wrong result.
 	// Like Shards it cannot change results and stays out of Fingerprint.
+	// It bounds no coupled pass: a coupled replay, sctm.seed "coupled"'s
+	// included, holds O(events + edges) resident whatever the source.
 	WindowEvents int `json:"window_events,omitempty"`
 }
 
@@ -265,10 +267,10 @@ type SCTM struct {
 	DisableCausalDeps bool `json:"disable_causal_deps"`
 	// Seed selects the round-0 latency seeding strategy:
 	//
-	//   "" or "zeroload" per-event ZeroLoadLatency on the target fabric.
-	//   "analytic"       closed-form contention-aware estimate
-	//                    (internal/analytic), falling back to zero-load when
-	//                    the estimator declines.
+	//   "" or "zeroload" per-event ZeroLoadLatency on the target fabric,
+	//                    the paper's method.
+	//   "coupled"        the latencies of a coupled replay, the loop's exact
+	//                    fixpoint, so the loop stops in round 0.
 	Seed string `json:"seed,omitempty"`
 	// Incremental resumes each correction round from a frozen-prefix
 	// checkpoint of the previous round instead of replaying from cycle
@@ -431,9 +433,9 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: sctm.makespan_tolerance=%g out of [0,0.5]", t.MakespanTolerance)
 	}
 	switch t.Seed {
-	case "", "zeroload", "analytic":
+	case "", "zeroload", "coupled":
 	default:
-		return fmt.Errorf("config: sctm.seed=%q not in {zeroload, analytic}", t.Seed)
+		return fmt.Errorf("config: sctm.seed=%q not in {zeroload, coupled}", t.Seed)
 	}
 	if c.MaxCycles < 0 {
 		return fmt.Errorf("config: max_cycles must be ≥0")

@@ -67,7 +67,12 @@ func (c *Config) Fingerprint() (string, error) {
 	w.ints(t.MaxIterations)
 	w.f64(t.MakespanTolerance)
 	w.bools(t.DisableSyncDeps, t.DisableCausalDeps)
-	w.str(t.Seed)
+	// "zeroload" hashes as the empty default it spells: one mode, one key.
+	if t.Seed == "zeroload" {
+		w.str("")
+	} else {
+		w.str(t.Seed)
+	}
 	// SCTM.Incremental is deliberately NOT hashed: like Parallelism, it is a
 	// pure execution detail — the incremental loop is byte-identical to the
 	// full-replay loop — so both modes address the same cached result.

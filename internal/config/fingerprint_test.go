@@ -64,32 +64,28 @@ func TestFingerprintDistinguishesFaults(t *testing.T) {
 	}
 }
 
-// TestFingerprintSeedModeCompatibility checks that each explicit SCTM seed
-// mode hashes distinctly from the default empty mode and from every sibling
-// mode, so no two modes share a cached result.
+// TestFingerprintSeedModeCompatibility checks that the two spellings of the
+// default seed mode, "" and "zeroload", share one fingerprint, hence one
+// cached result, and that "coupled" hashes apart from them.
 func TestFingerprintSeedModeCompatibility(t *testing.T) {
-	cfg := Default()
-	if cfg.SCTM.Seed != "" {
-		t.Fatalf("Default() seed mode = %q, want empty", cfg.SCTM.Seed)
-	}
-	seen := map[string]string{"default": fp(t, cfg)}
-	for _, mode := range []string{"zeroload", "analytic"} {
+	hash := map[string]string{}
+	for _, mode := range []string{"", "zeroload", "coupled"} {
 		c := Default()
 		c.SCTM.Seed = mode
-		h := fp(t, c)
-		for prev, ph := range seen {
-			if h == ph {
-				t.Errorf("seed mode %q collides with %s", mode, prev)
-			}
-		}
-		seen[mode] = h
+		hash[mode] = fp(t, c)
+	}
+	if hash["zeroload"] != hash[""] {
+		t.Error(`seed mode "zeroload" hashes apart from the empty default it spells`)
+	}
+	if hash["coupled"] == hash[""] {
+		t.Error(`seed mode "coupled" collides with the default`)
 	}
 }
 
 // TestValidateSeedMode checks the seed modes a document may name: zeroload
-// and analytic. The constant seed is gone, so a document asking for it —
-// by mode or by its initial_latency_cycles constant — is refused, naming the
-// key.
+// and coupled. The constant and analytic seeds are gone, so a document asking
+// for one — by mode or by the constant's initial_latency_cycles — is refused,
+// naming the key.
 func TestValidateSeedMode(t *testing.T) {
 	cases := []struct {
 		name string
@@ -98,7 +94,8 @@ func TestValidateSeedMode(t *testing.T) {
 	}{
 		{"default", `{}`, ""},
 		{"zeroload", `{"seed":"zeroload"}`, ""},
-		{"analytic", `{"seed":"analytic"}`, ""},
+		{"coupled", `{"seed":"coupled"}`, ""},
+		{"analytic", `{"seed":"analytic"}`, `sctm.seed="analytic"`},
 		{"unknown mode", `{"seed":"psychic"}`, "sctm.seed"},
 		{"fixed without cycles", `{"seed":"fixed"}`, "sctm.seed"},
 		{"fixed with cycles", `{"seed":"fixed","initial_latency_cycles":10}`, `"initial_latency_cycles"`},
@@ -127,9 +124,9 @@ func TestSeedModeResolution(t *testing.T) {
 	if got := s.SeedMode(); got != "zeroload" {
 		t.Errorf("empty SCTM seed mode = %q, want zeroload", got)
 	}
-	s.Seed = "analytic"
-	if got := s.SeedMode(); got != "analytic" {
-		t.Errorf("explicit seed mode = %q, want analytic", got)
+	s.Seed = "coupled"
+	if got := s.SeedMode(); got != "coupled" {
+		t.Errorf("explicit seed mode = %q, want coupled", got)
 	}
 }
 

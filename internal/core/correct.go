@@ -27,7 +27,7 @@ type Iteration struct {
 	// Round is 0-based.
 	Round int
 	// Delta is the largest injection-time change versus the previous
-	// round's schedule (Round 0 compares against the zero-load seed).
+	// round's schedule (Round 0 compares against the seed schedule).
 	Delta sim.Tick
 	// Makespan and MeanLatency are this round's estimates.
 	Makespan    sim.Tick
@@ -60,8 +60,8 @@ type CorrectionResult struct {
 	SavedCycles sim.Tick
 }
 
-// SelfCorrect runs the Self-Correction Trace Model: starting from zero-load
-// latency estimates, it alternates (a) re-deriving the injection schedule
+// SelfCorrect runs the Self-Correction Trace Model: starting from the round-0
+// latencies cfg.SeedMode() names, it alternates (a) re-deriving the injection schedule
 // from the dependency DAG and (b) measuring realized latencies by replaying
 // that schedule on a fresh fabric, until the schedule reaches a fixpoint.
 func SelfCorrect(factory NetworkFactory, tr *trace.Trace, cfg config.SCTM) (CorrectionResult, error) {
@@ -124,9 +124,10 @@ type ParkState struct {
 // moves by no more than cfg.MakespanTolerance of itself between rounds, or
 // after cfg.MaxIterations rounds.
 //
-// seed, when non-nil, supplies the round-0 latency estimates, one per event
-// (the analytical fast path computes them from the trace's byte histogram),
-// in place of the target fabric's zero-load probe; it is never mutated.
+// seed, when non-nil, supplies the round-0 latencies, one per event; it is
+// never mutated. Otherwise cfg.SeedMode() decides: "coupled" seeds with a
+// coupled replay's latencies, the loop's exact fixpoint, charged to the
+// result; "zeroload" with the target fabric's zero-load probe.
 //
 // cfg.Incremental keeps frozen-prefix checkpoint ladders between rounds, so
 // later rounds skip re-simulating the schedule prefix that did not change
@@ -165,9 +166,9 @@ func Correct(ctx context.Context, factory NetworkFactory, src trace.Source, cfg 
 		out.ReplayedEvents, out.SavedCycles = runner.replayed, runner.saved
 	}
 	// Profiler labels tag every sample with the round and phase so a pprof
-	// capture of a correction run decomposes into the seed's schedule
-	// derivation and each round's replay, which derives the next schedule
-	// (round -1 renders as "seed"). Label bookkeeping
+	// capture of a correction run decomposes into the coupled seed's pass,
+	// the seed's schedule derivation and each round's replay, which derives
+	// the next schedule (round -1 renders as "seed"). Label bookkeeping
 	// allocates per pprof.Do call, so unprofiled runs — the common case, and
 	// the one the allocation gate measures — skip it entirely.
 	labeled := func(round int, phase string, fn func() error) error {
@@ -202,12 +203,22 @@ func Correct(ctx context.Context, factory NetworkFactory, src trace.Source, cfg 
 	} else {
 		runner = newReplayer(factory, src, shards, window)
 		runner.ladder = cfg.Incremental && resident(src)
-		// Round-0 latencies: the caller's seed, else the target fabric's
-		// zero-load estimate per message, filled in by the pass that derives
-		// the round-0 schedule.
+		// Round-0 latencies: the caller's seed, a coupled replay's (a pass
+		// charged like a round), or the target fabric's zero-load estimate
+		// per message, filled in by the pass that derives the round-0 schedule.
 		lat := seed
 		var zeroLoad func(e *trace.Event) sim.Tick
-		if lat == nil {
+		if lat == nil && cfg.SeedMode() == "coupled" {
+			var c ReplayResult
+			if err := labeled(-1, "coupled", func() (err error) {
+				c, err = CoupledReplay(factory(), src, opts)
+				return err
+			}); err != nil {
+				return CorrectionResult{}, nil, fmt.Errorf("core: coupled seed: %w", err)
+			}
+			lat = c.Latencies()
+			out.TotalCycles, runner.replayed = c.Cycles, n
+		} else if lat == nil {
 			lat = make([]sim.Tick, n)
 			probe := runner.fabric(0)
 			zeroLoad = func(e *trace.Event) sim.Tick { return probe.ZeroLoadLatency(e.Src, e.Dst, e.Bytes) }

@@ -20,14 +20,18 @@ func TestResumeCompletesIdenticalToUninterrupted(t *testing.T) {
 	base := neverConverge()
 
 	for _, tc := range []struct {
-		name   string
-		cfg    config.SCTM
-		shards int
+		name      string
+		cfg       config.SCTM
+		shards    int
+		parkAfter int
 	}{
-		{"serial", base, 1},
-		{"sharded", base, 2},
-		{"incremental", func() config.SCTM { c := base; c.Incremental = true; return c }(), 1},
-		{"incremental-sharded", func() config.SCTM { c := base; c.Incremental = true; return c }(), 2},
+		{"serial", base, 1, 3},
+		{"sharded", base, 2, 3},
+		{"incremental", func() config.SCTM { c := base; c.Incremental = true; return c }(), 1, 3},
+		{"incremental-sharded", func() config.SCTM { c := base; c.Incremental = true; return c }(), 2, 3},
+		// Parked after the coupled pass, before round 0: the resume state
+		// carries the pass's charge.
+		{"coupled", func() config.SCTM { c := base; c.Seed = "coupled"; return c }(), 1, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			full, _, err := SelfCorrectParkableCtx(context.Background(), contendedIdeal, tr, tc.cfg, tc.shards, nil, nil)
@@ -35,8 +39,7 @@ func TestResumeCompletesIdenticalToUninterrupted(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			const parkAfter = 3
-			ctx := &countdownCtx{Context: context.Background(), remaining: parkAfter}
+			ctx := &countdownCtx{Context: context.Background(), remaining: tc.parkAfter}
 			parked, state, err := SelfCorrectParkableCtx(ctx, contendedIdeal, tr, tc.cfg, tc.shards, nil, nil)
 			if !errors.Is(err, ErrParked) {
 				t.Fatalf("err = %v, want ErrParked", err)
@@ -44,11 +47,11 @@ func TestResumeCompletesIdenticalToUninterrupted(t *testing.T) {
 			if state == nil {
 				t.Fatal("parked run returned no resume state")
 			}
-			if len(state.iterations) != parkAfter {
-				t.Fatalf("state holds %d rounds, want %d", len(state.iterations), parkAfter)
+			if len(state.iterations) != tc.parkAfter {
+				t.Fatalf("state holds %d rounds, want %d", len(state.iterations), tc.parkAfter)
 			}
-			if len(parked.Iterations) != parkAfter {
-				t.Fatalf("parked after %d rounds, want %d", len(parked.Iterations), parkAfter)
+			if len(parked.Iterations) != tc.parkAfter {
+				t.Fatalf("parked after %d rounds, want %d", len(parked.Iterations), tc.parkAfter)
 			}
 
 			resumed, state2, err := SelfCorrectParkableCtx(context.Background(), contendedIdeal, tr, tc.cfg, tc.shards, nil, state)

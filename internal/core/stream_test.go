@@ -77,23 +77,32 @@ func (c *countingSource) Pass() (trace.Iterator, error) {
 	return c.Source.Pass()
 }
 
-// TestCorrectionPassCount pins how often a zero-load-seeded correction reads
-// its source: one pass computes the seed and derives the round-0 schedule,
-// then every round replays in one pass that also derives the next schedule.
+// TestCorrectionPassCount pins how often a correction reads its source. Seeded
+// zero-load, one pass computes the seed and derives the round-0 schedule, then
+// every round replays in one pass that also derives the next schedule. Seeded
+// coupled, the coupled replay is one more pass, and the loop stops in round 0.
 func TestCorrectionPassCount(t *testing.T) {
-	src := &countingSource{Source: randomTrace(5, 300, 16)}
-	cfg := config.Default().SCTM
-	cfg.MakespanTolerance = 0
-	res, _, err := Correct(context.Background(), func() noc.Network { return noc.NewIdeal(16, 15, 16) }, src, cfg, 1, 0, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rounds := len(res.Iterations)
-	if rounds < 2 {
-		t.Fatalf("the correction took %d rounds; the count needs a contended one", rounds)
-	}
-	if want := 1 + rounds; src.passes != want {
-		t.Fatalf("%d rounds opened %d passes, want %d", rounds, src.passes, want)
+	for _, seed := range []string{"zeroload", "coupled"} {
+		src := &countingSource{Source: randomTrace(5, 300, 16)}
+		cfg := config.Default().SCTM
+		cfg.MakespanTolerance = 0
+		cfg.Seed = seed
+		res, _, err := Correct(context.Background(), func() noc.Network { return noc.NewIdeal(16, 15, 16) }, src, cfg, 1, 0, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rounds, want := len(res.Iterations), 1+len(res.Iterations)
+		if seed == "coupled" {
+			want = 3
+			if rounds != 1 {
+				t.Fatalf("the coupled-seeded correction took %d rounds, want 1", rounds)
+			}
+		} else if rounds < 2 {
+			t.Fatalf("the correction took %d rounds; the count needs a contended one", rounds)
+		}
+		if src.passes != want {
+			t.Fatalf("%s: %d rounds opened %d passes, want %d", seed, rounds, src.passes, want)
+		}
 	}
 }
 

@@ -154,8 +154,8 @@ var registry = []Descriptor{
 	},
 	{
 		ID:        "r19",
-		Title:     "Analytical fast path: seeding savings and screening error (extension)",
-		Summary:   "self-correction rounds and replayed events under analytic vs zero-load seeding, plus closed-form error bands",
+		Title:     "Round-0 seeding, zero-load vs coupled, and screening error (extension)",
+		Summary:   "self-correction rounds and replayed events under zero-load vs coupled seeding, plus closed-form error bands",
 		CostClass: onocsim.SlotMedium,
 		Run:       R19Seeding,
 	},

@@ -5,6 +5,10 @@ import (
 	"testing"
 )
 
+// TestR19SeedingQuick holds R19's coupled arm to what it claims: one round on
+// every row, its replayed events that round plus the coupled pass, twice the
+// trace's events (the zero-load arm replays the whole trace every round, so
+// its replayed ÷ rounds is the event count), and parseable percentages.
 func TestR19SeedingQuick(t *testing.T) {
 	tb, err := R19Seeding(bg, quickOpts)
 	if err != nil {
@@ -14,37 +18,19 @@ func TestR19SeedingQuick(t *testing.T) {
 		t.Fatalf("rows = %d", tb.NumRows())
 	}
 	for r := 0; r < tb.NumRows(); r++ {
-		zl, err := strconv.Atoi(tb.Cell(r, 2))
-		if err != nil {
-			t.Fatalf("row %d: bad zero-load rounds %q", r, tb.Cell(r, 2))
+		n := map[int]int{}
+		for _, c := range []int{2, 3, 10, 11} {
+			if n[c], err = strconv.Atoi(tb.Cell(r, c)); err != nil {
+				t.Fatalf("row %d: bad count %q in column %d", r, tb.Cell(r, c), c)
+			}
 		}
-		an, err := strconv.Atoi(tb.Cell(r, 3))
-		if err != nil {
-			t.Fatalf("row %d: bad analytic rounds %q", r, tb.Cell(r, 3))
+		if n[3] != 1 {
+			t.Errorf("row %d (%s/%s): the coupled seed took %d rounds, want 1", r, tb.Cell(r, 0), tb.Cell(r, 1), n[3])
 		}
-		if an > zl {
-			t.Errorf("row %d (%s/%s): analytic seeding took %d rounds, zero-load %d",
-				r, tb.Cell(r, 0), tb.Cell(r, 1), an, zl)
+		if events := n[10] / n[2]; n[11] != 2*events {
+			t.Errorf("row %d (%s/%s): the coupled arm replayed %d events, want 2 × %d", r, tb.Cell(r, 0), tb.Cell(r, 1), n[11], events)
 		}
-	}
-	// The fast path must actually save rounds somewhere: at least one row
-	// with strictly fewer analytic rounds, else the experiment's headline
-	// claim is hollow.
-	savedSomewhere := false
-	for r := 0; r < tb.NumRows(); r++ {
-		zl, _ := strconv.Atoi(tb.Cell(r, 2))
-		an, _ := strconv.Atoi(tb.Cell(r, 3))
-		if an < zl {
-			savedSomewhere = true
-			break
-		}
-	}
-	if !savedSomewhere {
-		t.Error("analytic seeding saved no rounds on any kernel/fabric")
-	}
-	// Screening error bands must be present and parseable percentages.
-	for r := 0; r < tb.NumRows(); r++ {
-		for _, c := range []int{9, 10, 11} {
+		for _, c := range []int{4, 7, 8, 9} {
 			parsePct(t, tb.Cell(r, c))
 		}
 	}

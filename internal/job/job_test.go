@@ -82,11 +82,11 @@ func TestAdmissionPricing(t *testing.T) {
 func TestValidate(t *testing.T) {
 	cfg := onocsim.DefaultConfig()
 	cfg.System.Cores = 16
-	analytic := cfg
-	analytic.SCTM.Seed = "analytic"
+	coupled := cfg
+	coupled.SCTM.Seed = "coupled"
 	for _, ok := range []Job{
 		{Op: OpExec, Config: cfg, Kind: onocsim.Optical},
-		{Op: OpCorrect, Config: analytic, Kind: onocsim.Optical, TracePath: "t.bin"},
+		{Op: OpCorrect, Config: coupled, Kind: onocsim.Optical, TracePath: "t.bin"},
 		{Op: OpEstimate, Config: cfg, Kind: onocsim.Optical, TracePath: "t.bin"},
 	} {
 		if err := ok.Validate(); err != nil {

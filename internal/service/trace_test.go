@@ -55,13 +55,13 @@ func TestSimulateStreamsStoredTrace(t *testing.T) {
 		t.Fatalf("repeated streamed correct recomputed: misses %d -> %d", misses, got)
 	}
 
-	// Every op that reads a trace reads a file, an analytic-seeded correction
+	// Every op that reads a trace reads a file, a coupled-seeded correction
 	// included; the ops that run the config's kernel refuse one.
 	for body, want := range map[string]int{
-		`{"op":"estimate","network":"optical","trace":%q,"config":{"system":{"cores":16}}}`:                           http.StatusOK,
-		`{"op":"correct","network":"optical","trace":%q,"config":{"system":{"cores":16},"sctm":{"seed":"analytic"}}}`: http.StatusOK,
-		`{"op":"exec","network":"optical","trace":%q}`:                                                                http.StatusBadRequest,
-		`{"op":"study","network":"optical","trace":%q}`:                                                               http.StatusBadRequest,
+		`{"op":"estimate","network":"optical","trace":%q,"config":{"system":{"cores":16}}}`:                          http.StatusOK,
+		`{"op":"correct","network":"optical","trace":%q,"config":{"system":{"cores":16},"sctm":{"seed":"coupled"}}}`: http.StatusOK,
+		`{"op":"exec","network":"optical","trace":%q}`:                                                               http.StatusBadRequest,
+		`{"op":"study","network":"optical","trace":%q}`:                                                              http.StatusBadRequest,
 	} {
 		body := fmt.Sprintf(body, path)
 		if code, raw := postJSON(t, ts.URL+"/v1/simulate", body); code != want {

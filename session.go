@@ -396,14 +396,13 @@ func (s *Session) RunCoupledReplayContext(ctx context.Context, cfg Config, src T
 // RunSelfCorrectionContext runs the Self-Correction Trace Model on src,
 // memoized like RunNaiveReplayContext.
 //
-// With cfg.SCTM.Seed = "analytic" the round-0 latencies come from the
-// closed-form contention estimate instead of the zero-load probe, typically
-// saving replay rounds on contended fabrics; when the estimator declines, the
-// loop falls back to zero-load seeding. With cfg.SCTM.Incremental each round
-// after the first on a resident trace resumes from a frozen-prefix checkpoint
-// of the previous round instead of replaying from cycle zero; results stay
-// byte-identical, and CorrectionResult.ReplayedEvents/SavedCycles report the
-// work skipped.
+// With cfg.SCTM.Seed = "coupled" the loop starts from a coupled replay's
+// latencies, its exact fixpoint, and stops in round 0, the coupled pass
+// charged to TotalCycles and ReplayedEvents. With cfg.SCTM.Incremental each
+// round after the first on a resident trace resumes from a frozen-prefix
+// checkpoint of the previous round instead of replaying from cycle zero;
+// results stay byte-identical, and CorrectionResult.ReplayedEvents/SavedCycles
+// report the work skipped.
 //
 // A context that ends mid-loop parks the correction at the next round
 // boundary (see ErrParked): the computing caller gets the partial trajectory
@@ -448,11 +447,10 @@ func (s *Session) RunSelfCorrectionContext(ctx context.Context, cfg Config, src 
 }
 
 // Estimate prices replaying src on the given fabric kind with the closed-form
-// contention model — the "analytic" seed's view of the run, in microseconds
-// instead of replay rounds. Cheap enough to screen whole design spaces (it
-// queues for no simulation slot, hence no context), memoized like
-// RunNaiveReplayContext anyway so repeated sweeps over a persisted session
-// cost a map lookup.
+// contention model, in microseconds instead of replay rounds. Cheap enough to
+// screen whole design spaces (it queues for no simulation slot, hence no
+// context), memoized like RunNaiveReplayContext anyway so repeated sweeps
+// over a persisted session cost a map lookup.
 func (s *Session) Estimate(cfg Config, src TraceSource, kind NetworkKind) (AnalyticEstimate, error) {
 	return memo(context.Background(), s.key(cfg, kind, simcache.OpEstimate, src), func() (AnalyticEstimate, error) {
 		return analytic.Estimate(cfg, kind, src)

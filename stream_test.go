@@ -29,8 +29,7 @@ func traceOnDisk(t *testing.T, tr *Trace) TraceSource {
 // TestFileMatchesResident holds every operation that reads a trace to one
 // contract: handed the file a trace is stored in, it returns what it returns
 // for the resident trace, DeepEqual, on every fabric family. The correction
-// rows cover both seeds that read the trace, the zero-load probe and the
-// analytic estimate.
+// rows cover both seeds, the zero-load probe and the coupled replay.
 func TestFileMatchesResident(t *testing.T) {
 	cases := shardCases()
 	resident, files := make([]*Trace, len(cases)), make([]TraceSource, len(cases))
@@ -65,7 +64,7 @@ func TestFileMatchesResident(t *testing.T) {
 			return res, err
 		}},
 		{"correct-zeroload", correct("zeroload")},
-		{"correct-analytic", correct("analytic")},
+		{"correct-coupled", correct("coupled")},
 	} {
 		t.Run(op.name, func(t *testing.T) {
 			t.Parallel()
