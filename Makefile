@@ -58,7 +58,9 @@ fmt-check:
 # every kernel × those five variants × {ideal, self} capture, plus light and
 # heavy faults and both dependency ablations. TestPruneKeepsTrueFront is the sweep prefilter's recall gate:
 # the quick default grid, pruned, keeps every arm of the Pareto front that
-# simulating all of its arms finds (~1.5 s). Last, the mutation catalog
+# simulating all of its arms finds (~1.5 s). The daemon's reply-memo tests
+# (~1.3 s) hold a hit to its miss's bytes on both wire forms and to its
+# allocation count (TestMemoHitAllocs). Last, the mutation catalog
 # (~1 min): every deliberate bug it lists must still be caught.
 check: vet fmt-check sweep-smoke
 	$(GO) test ./internal/sweep/ -run TestPruneKeepsTrueFront -count=1
@@ -69,6 +71,7 @@ check: vet fmt-check sweep-smoke
 	$(GO) test -short ./internal/enoc/ ./internal/onoc/ ./internal/trace/ ./internal/core/ -run 'DifferentialAgainstReference|BufferedDecodeMatchesBytewise|EngineAgainstReference' -count=1
 	$(GO) test ./internal/noc/ ./internal/metrics/ ./internal/sim/ -run 'MergeIs|CalendarMatches' -count=1
 	$(GO) test -race ./internal/trace/ ./internal/core/ -run 'DecodeAhead|ReplayDerivesNextSchedule|CorrectionPassCount' -count=1
+	$(GO) test ./internal/service/ -run TestMemo -count=1
 	$(MAKE) --no-print-directory mutate
 
 # Non-test Go lines per package directory and in total, bench/ excluded (it is

@@ -5,8 +5,8 @@ import (
 	"sync"
 )
 
-// replyMemoCap bounds the reply memo. An entry is a digest plus one result
-// envelope (a few KB of rendered table), so a full memo is a few MB.
+// replyMemoCap bounds the reply memo. An entry is a digest plus one rendered
+// reply (about 1 KB of compact JSON), so a full memo is about 1 MB.
 const replyMemoCap = 1024
 
 // replyKey identifies a simulate request by the digest of its raw body: two
@@ -14,9 +14,9 @@ const replyMemoCap = 1024
 // the body, is the map key, so a 1 MiB body cannot make the memo hold 1 MiB.
 type replyKey [sha256.Size]byte
 
-// replyMemo fronts POST /v1/simulate: the finished envelope of every
-// successful request, keyed by the request's bytes, so that a byte-identical
-// repeat is answered without decoding, fingerprinting, admission or rendering.
+// replyMemo fronts POST /v1/simulate: the rendered reply of every successful
+// request, keyed by the request's bytes, so that a byte-identical repeat is
+// answered without decoding, fingerprinting, admission or rendering.
 // It holds at most replyMemoCap entries and evicts second-chance FIFO: the
 // oldest-inserted entry goes unless it was hit since the eviction hand last
 // passed it, in which case it loses the mark and stays. A hot set repeated
@@ -32,9 +32,9 @@ type replyMemo struct {
 	evicted uint64
 }
 
-// memoEntry is one stored envelope and its slot in the ring.
+// memoEntry is one stored reply and its slot in the ring.
 type memoEntry struct {
-	env  resultEnvelope
+	rep  rendered
 	slot int
 }
 
@@ -45,7 +45,7 @@ type replyStats struct {
 	Evicted uint64 `json:"evicted"`
 }
 
-func (m *replyMemo) get(k replyKey) (resultEnvelope, bool) {
+func (m *replyMemo) get(k replyKey) (rendered, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	e, ok := m.entries[k]
@@ -53,10 +53,10 @@ func (m *replyMemo) get(k replyKey) (resultEnvelope, bool) {
 		m.hits++
 		m.hit[e.slot] = true
 	}
-	return e.env, ok
+	return e.rep, ok
 }
 
-func (m *replyMemo) put(k replyKey, env resultEnvelope) {
+func (m *replyMemo) put(k replyKey, rep rendered) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, ok := m.entries[k]; ok {
@@ -80,7 +80,7 @@ func (m *replyMemo) put(k replyKey, env resultEnvelope) {
 		m.next = (m.next + 1) % replyMemoCap
 		m.evicted++
 	}
-	m.entries[k] = memoEntry{env, slot}
+	m.entries[k] = memoEntry{rep, slot}
 }
 
 func (m *replyMemo) stats() replyStats {

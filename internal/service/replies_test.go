@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"onocsim"
+	"onocsim/internal/metrics"
 )
 
 var elapsedDigits = regexp.MustCompile(`"elapsed_ms":[0-9]+`)
@@ -32,13 +34,33 @@ func serveInProcess(srv *Server, ctx context.Context, target, body string) *http
 	return rec
 }
 
+// postSized is postJSON for a reply that must declare its length: the body
+// read through the socket is exactly Content-Length bytes.
+func postSized(t *testing.T, url, body string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("reading a reply of Content-Length %d: %v", resp.ContentLength, err)
+	}
+	if resp.ContentLength != int64(len(data)) {
+		t.Fatalf("Content-Length %d, body %d bytes", resp.ContentLength, len(data))
+	}
+	return resp.StatusCode, data
+}
+
 // For every op, the repeat of a request is answered from the reply memo with
 // the bytes the first answer had (bar the digits of elapsed_ms), and costs
-// neither a session-cache lookup nor an admission.
+// neither a session-cache lookup nor an admission. Both replies declare their
+// length.
 func TestMemoHitRepliesTheMissBytes(t *testing.T) {
 	_, ts := newTestServer(t)
 	for i, op := range []string{"exec", "study", "correct", "estimate"} {
-		code, miss := postJSON(t, ts.URL+"/v1/simulate", smallSim(op))
+		code, miss := postSized(t, ts.URL+"/v1/simulate", smallSim(op))
 		if code != http.StatusOK {
 			t.Fatalf("%s: status %d: %s", op, code, miss)
 		}
@@ -46,7 +68,7 @@ func TestMemoHitRepliesTheMissBytes(t *testing.T) {
 		if before.Replies.Entries != i+1 || before.Replies.Hits != uint64(i) {
 			t.Fatalf("%s: after the first sighting: %+v", op, before.Replies)
 		}
-		code, hit := postJSON(t, ts.URL+"/v1/simulate", smallSim(op))
+		code, hit := postSized(t, ts.URL+"/v1/simulate", smallSim(op))
 		if code != http.StatusOK {
 			t.Fatalf("%s repeat: status %d: %s", op, code, hit)
 		}
@@ -143,38 +165,43 @@ func TestMemoStoresOnlyFinishedAnswers(t *testing.T) {
 	}
 }
 
-// An SSE client posting memoised bytes gets the stored envelope as its result
-// event.
+// An SSE client posting memoised bytes gets a stream of exactly one event:
+// for every op, byte for byte the result event that closed the stream which
+// computed them, bar the digits of elapsed_ms.
 func TestMemoHitOverSSE(t *testing.T) {
 	srv, ts := newTestServer(t)
-	code, plain := postJSON(t, ts.URL+"/v1/simulate", smallSim("exec"))
-	if code != http.StatusOK {
-		t.Fatalf("status %d: %s", code, plain)
+	stream := func(op string) *http.Response {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/simulate?stream=sse", "application/json", strings.NewReader(smallSim(op)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
+			t.Fatalf("%s: content type %q", op, ct)
+		}
+		return resp
 	}
-	resp, err := http.Post(ts.URL+"/v1/simulate?stream=sse", "application/json", strings.NewReader(smallSim("exec")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("content type %q", ct)
-	}
-	events := readSSE(t, resp)
-	if len(events) != 1 || events[0].event != "result" {
-		t.Fatalf("memoised stream is not one result event: %+v", events)
-	}
-	var streamed, want resultEnvelope
-	if err := json.Unmarshal(events[0].data, &streamed); err != nil {
-		t.Fatalf("result event is not an envelope: %v: %s", err, events[0].data)
-	}
-	if err := json.Unmarshal(plain, &want); err != nil {
-		t.Fatal(err)
-	}
-	if streamed.Status != "ok" || streamed.Fingerprint != want.Fingerprint || !bytes.Equal(streamed.Table, want.Table) {
-		t.Fatalf("streamed envelope differs from the plain one:\n%s\nvs\n%s", events[0].data, plain)
-	}
-	if st := srv.replies.stats(); st.Hits != 1 {
-		t.Fatalf("streamed repeat was not a memo hit: %+v", st)
+	for i, op := range []string{"exec", "study", "correct", "estimate"} {
+		resp := stream(op)
+		events := readSSE(t, resp)
+		resp.Body.Close()
+		if len(events) == 0 || events[len(events)-1].event != "result" {
+			t.Fatalf("%s: computed stream does not end in a result: %+v", op, events)
+		}
+		want := "event: result\ndata: " + string(events[len(events)-1].data) + "\n\n"
+
+		resp = stream(op)
+		hit, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(maskElapsed(hit), maskElapsed([]byte(want))) {
+			t.Fatalf("%s: memoised stream is not the computed result event alone:\n%q\nvs\n%q", op, hit, want)
+		}
+		if st := srv.replies.stats(); st.Hits != uint64(i+1) {
+			t.Fatalf("%s: streamed repeat was not a memo hit: %+v", op, st)
+		}
 	}
 }
 
@@ -205,7 +232,7 @@ func TestMemoHitNeedsNoAdmission(t *testing.T) {
 
 	release := make(chan struct{})
 	srv.mux.HandleFunc("POST /v1/block", srv.post(func(http.ResponseWriter, *http.Request) (work, error) {
-		return work{onocsim.SlotHeavy, onocsim.SlotHeavy.Units(), func(context.Context) (any, error) {
+		return work{class: onocsim.SlotHeavy, units: onocsim.SlotHeavy.Units(), run: func(context.Context) (any, error) {
 			<-release
 			return struct{}{}, nil
 		}}, nil
@@ -269,22 +296,60 @@ func TestMemoStaysWithinItsCap(t *testing.T) {
 func TestMemoKeepsWhatIsHit(t *testing.T) {
 	var m replyMemo
 	key := func(i int) replyKey { return sha256.Sum256([]byte(strconv.Itoa(i))) }
-	m.put(key(-1), resultEnvelope{Op: "hot"})
+	m.put(key(-1), rendered{head: []byte("hot")})
 	for i := 0; i < 3*replyMemoCap; i++ {
-		if env, ok := m.get(key(-1)); !ok || env.Op != "hot" {
+		if rep, ok := m.get(key(-1)); !ok || string(rep.head) != "hot" {
 			t.Fatalf("hot entry evicted after %d never-seen bodies", i)
 		}
-		m.put(key(i), resultEnvelope{Op: "cold"})
+		m.put(key(i), rendered{head: []byte("cold")})
 	}
 	if st := m.stats(); st.Entries != replyMemoCap || st.Evicted != 2*replyMemoCap+1 {
 		t.Fatalf("after 3 caps of never-seen bodies: %+v", st)
 	}
 }
 
+// A rendered reply is the encoder's rendering of its envelope: written plain
+// it is writeJSON's bytes, and marshalled for an SSE result event it is
+// json.Marshal's, HTML escaping and U+2028 included.
+func TestRenderedReplyIsTheEncoders(t *testing.T) {
+	tab := metrics.NewTable("a<b & c>d", "k\u2028")
+	tab.AddRow("x<y")
+	tab.Note("p&q")
+	rep, err := envelope("exec", "optical", "fp", "ok", 1234*time.Millisecond, tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var table bytes.Buffer
+	if err := tab.WriteJSON(&table); err != nil {
+		t.Fatal(err)
+	}
+	env := resultEnvelope{Version: ResponseVersion, Fingerprint: "fp", Op: "exec", Network: "optical",
+		Status: "ok", ElapsedMS: 1234, Table: table.Bytes()}
+	got, want := httptest.NewRecorder(), httptest.NewRecorder()
+	rep.write(got)
+	writeJSON(want, http.StatusOK, env)
+	if !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+		t.Fatalf("written reply:\n%s\nwriteJSON:\n%s", got.Body, want.Body)
+	}
+	gotSSE, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSSE, err := json.Marshal(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotSSE, wantSSE) {
+		t.Fatalf("marshalled reply:\n%s\njson.Marshal:\n%s", gotSSE, wantSSE)
+	}
+}
+
 // The warm path's allocation gate: a memo hit through the handler (no socket)
-// reads the body, builds the reply closure and encodes the envelope. The old
-// hit path cost ~440 allocations here; anything re-decoding, re-fingerprinting
-// or re-rendering on a hit trips this.
+// allocates 13 times — the recorder, its header snapshot and its body buffer
+// (8), the request body (1), the reply's two headers (3) and its
+// Content-Length digits (1) — and nothing for the reply itself, which is
+// written from its one rendering. A hit that re-decoded, re-fingerprinted or
+// re-rendered cost ~440 allocations here, one that re-encoded its envelope 21.
 func TestMemoHitAllocs(t *testing.T) {
 	srv, _ := newTestServer(t)
 	body := smallSim("study")
@@ -303,7 +368,7 @@ func TestMemoHitAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("memo hit: %.0f allocs/request (recorder included)", allocs)
-	if allocs > 32 {
-		t.Errorf("memo hit allocates %.0f times per request, want <= 32", allocs)
+	if allocs > 15 {
+		t.Errorf("memo hit allocates %.0f times per request, want <= 15", allocs)
 	}
 }

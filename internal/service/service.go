@@ -58,6 +58,7 @@ import (
 	"net/http"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -188,21 +189,55 @@ type resultEnvelope struct {
 	Table       json.RawMessage `json:"table"`
 }
 
-// envelope assembles a result document around a rendered table.
-func envelope(op, network, fingerprint, status string, elapsed time.Duration, t *metrics.Table) (resultEnvelope, error) {
-	var buf bytes.Buffer
-	if err := t.WriteJSON(&buf); err != nil {
-		return resultEnvelope{}, err
+// envelope renders a result document around a table once, as writeJSON would
+// encode it, and splits it around its elapsed_ms, encoded as 0.
+func envelope(op, network, fingerprint, status string, elapsed time.Duration, t *metrics.Table) (reply, error) {
+	var table, buf bytes.Buffer
+	if err := t.WriteJSON(&table); err != nil {
+		return reply{}, err
 	}
-	return resultEnvelope{
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(resultEnvelope{
 		Version:     ResponseVersion,
 		Fingerprint: fingerprint,
 		Op:          op,
 		Network:     network,
 		Status:      status,
-		ElapsedMS:   elapsed.Milliseconds(),
-		Table:       json.RawMessage(buf.Bytes()),
-	}, nil
+		Table:       json.RawMessage(table.Bytes()),
+	}); err != nil {
+		return reply{}, err
+	}
+	const key = `"elapsed_ms":` // first match is the member: strings escape quotes
+	b := buf.Bytes()
+	i := bytes.Index(b, []byte(key)) + len(key)
+	return reply{rendered{head: b[:i:i], tail: b[i+1:]}, elapsed.Milliseconds()}, nil
+}
+
+// rendered is an envelope encoded once, split around the digits of its
+// elapsed_ms. A computed reply and all its memo hits are written from it.
+type rendered struct{ head, tail []byte }
+
+// reply is a rendered envelope and the elapsed_ms this request answers with.
+type reply struct {
+	rendered
+	elapsedMS int64
+}
+
+// MarshalJSON gives an SSE result event the bytes json.Marshal(envelope) would.
+func (r reply) MarshalJSON() ([]byte, error) {
+	return append(strconv.AppendInt(bytes.Clone(r.head), r.elapsedMS, 10), r.tail...), nil
+}
+
+// write answers a plain-JSON request: head, this request's digits, tail.
+func (r reply) write(w http.ResponseWriter) {
+	digits := strconv.FormatInt(r.elapsedMS, 10) // under 100: no allocation
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(r.head)+len(digits)+len(r.tail)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(r.head)
+	_, _ = io.WriteString(w, digits)
+	_, _ = w.Write(r.tail)
 }
 
 // apiError carries an HTTP status with a client-facing message.
@@ -305,15 +340,17 @@ type work struct {
 	class onocsim.SlotClass
 	units int
 	run   func(ctx context.Context) (any, error)
+	hit   reply // if hit.head != nil, a reply-memo hit: nothing to run
 }
 
 // post is the one POST pipeline: count the request, refuse it while draining
 // (before the body is looked at, so a draining server answers 503 and never
-// 400 or 404), decode it, merge the client's context with the drain context,
-// hold the work's admission units, and respond. A panic in the computation —
-// on this goroutine or, under SSE, on respond's own, which net/http does not
-// guard — is recovered once, in compute: the client gets a 500 (or an SSE
-// error event), /v1/stats counts it, and the daemon keeps serving.
+// 400 or 404), decode it, write a memo hit as it is, or merge the client's
+// context with the drain context, hold the work's admission units, and
+// respond. A panic in the computation — on this goroutine or, under SSE, on
+// respond's own, which net/http does not guard — is recovered once, in
+// compute: the client gets a 500 (or an SSE error event), /v1/stats counts
+// it, and the daemon keeps serving.
 func (s *Server) post(decode func(w http.ResponseWriter, r *http.Request) (work, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.requests.Add(1)
@@ -324,6 +361,15 @@ func (s *Server) post(decode func(w http.ResponseWriter, r *http.Request) (work,
 		wk, err := decode(w, r)
 		if err != nil {
 			writeError(w, err)
+			return
+		}
+		if wk.hit.head != nil { // nothing computes, so no progress event belongs to it
+			if fl := streamTo(w, r); fl != nil {
+				writeSSE(w, "result", wk.hit)
+				fl.Flush()
+			} else {
+				wk.hit.write(w)
+			}
 			return
 		}
 		ctx, cleanup := s.requestCtx(r)
@@ -361,7 +407,7 @@ func (s *Server) decodeExperiment(_ http.ResponseWriter, r *http.Request) (work,
 	if !ok {
 		return work{}, &apiError{code: http.StatusNotFound, msg: fmt.Sprintf("unknown experiment %q", id)}
 	}
-	return work{d.CostClass, d.CostClass.Units(), func(ctx context.Context) (any, error) {
+	return work{class: d.CostClass, units: d.CostClass.Units(), run: func(ctx context.Context) (any, error) {
 		start := time.Now()
 		t, err := experiments.ByName(ctx, id, experiments.Options{Session: s.session, Quick: s.quick, Progress: s.hub})
 		if err != nil {
@@ -385,9 +431,25 @@ type simulateRequest struct {
 	Trace   string          `json:"trace"`
 }
 
-// readBody reads a POST body whole, capped at 1 MiB.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+const maxBody = 1 << 20 // every POST body's cap; a longer one is errTooLarge
+
+var errTooLarge = &apiError{code: http.StatusRequestEntityTooLarge, msg: fmt.Sprintf("request body over %d bytes", maxBody)}
+
+// readBody reads a POST body whole. A declared length sizes the buffer, or is
+// refused unread over maxBody; a chunked body is read up to the cap.
+func readBody(w http.ResponseWriter, r *http.Request) (data []byte, err error) {
+	if r.ContentLength > maxBody {
+		return nil, errTooLarge
+	}
+	if r.ContentLength >= 0 {
+		data = make([]byte, r.ContentLength)
+		_, err = io.ReadFull(r.Body, data)
+	} else {
+		data, err = io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+	}
+	if err != nil && errors.As(err, new(*http.MaxBytesError)) {
+		return nil, errTooLarge
+	}
 	if err != nil {
 		return nil, badRequestf("read request: %v", err)
 	}
@@ -399,8 +461,8 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 // successful request is a lookup and a write: nothing is decoded, validated,
 // fingerprinted, admitted (it computes nothing, so it holds no units and is
 // answered even while the whole budget is taken) or rendered again; the
-// stored envelope goes out with this request's own elapsed_ms. Everything else
-// runs the full path, and the envelope is stored only when it is final and a
+// stored reply goes out with this request's own elapsed_ms. Everything else
+// runs the full path, and the reply is stored only when it is final and a
 // function of the bytes alone: status "ok" (an error or a parked partial
 // result must be recomputed, not replayed) and no trace path (the file's
 // content can change under the same bytes, so those requests stay keyed by
@@ -412,11 +474,8 @@ func (s *Server) decodeSimulate(w http.ResponseWriter, r *http.Request) (work, e
 		return work{}, err
 	}
 	key := replyKey(sha256.Sum256(data))
-	if env, ok := s.replies.get(key); ok {
-		return work{run: func(context.Context) (any, error) {
-			env.ElapsedMS = time.Since(start).Milliseconds()
-			return env, nil
-		}}, nil
+	if rep, ok := s.replies.get(key); ok {
+		return work{hit: reply{rep, time.Since(start).Milliseconds()}}, nil
 	}
 	var req simulateRequest
 	if err := config.DecodeStrict(data, &req); err != nil {
@@ -438,19 +497,19 @@ func (s *Server) decodeSimulate(w http.ResponseWriter, r *http.Request) (work, e
 		return work{}, err
 	}
 	class, units := j.Admission()
-	return work{class, units, func(ctx context.Context) (any, error) {
+	return work{class: class, units: units, run: func(ctx context.Context) (any, error) {
 		res, err := s.runner.Run(ctx, j)
 		if err != nil {
 			return nil, err
 		}
-		env, err := envelope(string(j.Op), string(j.Kind), fp, res.Status, res.Elapsed, res.Table)
+		rep, err := envelope(string(j.Op), string(j.Kind), fp, res.Status, res.Elapsed, res.Table)
 		if err != nil {
 			return nil, err
 		}
-		if env.Status == "ok" && j.TracePath == "" {
-			s.replies.put(key, env)
+		if res.Status == "ok" && j.TracePath == "" {
+			s.replies.put(key, rep.rendered)
 		}
-		return env, nil
+		return rep, nil
 	}}, nil
 }
 
@@ -499,7 +558,7 @@ func (s *Server) decodeSweep(w http.ResponseWriter, r *http.Request) (work, erro
 
 // wantsSSE reports whether the client asked for an event stream.
 func wantsSSE(r *http.Request) bool {
-	if r.URL.Query().Get("stream") == "sse" {
+	if r.URL.RawQuery != "" && r.URL.Query().Get("stream") == "sse" {
 		return true
 	}
 	return strings.Contains(r.Header.Get("Accept"), "text/event-stream")
@@ -509,20 +568,18 @@ func wantsSSE(r *http.Request) bool {
 // as one JSON document, or — when the client asked for SSE — as a progress
 // stream terminated by a result (or error) event.
 func (s *Server) respond(ctx context.Context, w http.ResponseWriter, r *http.Request, run func(context.Context) (any, error)) {
-	fl, canFlush := w.(http.Flusher)
-	if !wantsSSE(r) || !canFlush {
+	fl := streamTo(w, r)
+	if fl == nil {
 		env, err := s.compute(ctx, run)
 		if err != nil {
 			writeError(w, err)
-			return
+		} else if rep, ok := env.(reply); ok {
+			rep.write(w)
+		} else {
+			writeJSON(w, http.StatusOK, env)
 		}
-		writeJSON(w, http.StatusOK, env)
 		return
 	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
 	events, unsubscribe := s.hub.subscribe()
 	defer unsubscribe()
 	done := make(chan struct{})
@@ -552,6 +609,19 @@ func (s *Server) respond(ctx context.Context, w http.ResponseWriter, r *http.Req
 			return
 		}
 	}
+}
+
+// streamTo starts an event stream if the client asked for one and w can flush.
+func streamTo(w http.ResponseWriter, r *http.Request) http.Flusher {
+	fl, canFlush := w.(http.Flusher)
+	if !wantsSSE(r) || !canFlush {
+		return nil
+	}
+	w.Header().Set("Content-Type", "text/event-stream")
+	w.Header().Set("Cache-Control", "no-cache")
+	w.WriteHeader(http.StatusOK)
+	fl.Flush()
+	return fl
 }
 
 // wireEvent is a ProgressEvent flattened for the wire (Err as a string).

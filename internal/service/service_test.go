@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -288,6 +289,39 @@ func TestSimulateRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// A body over the cap is a 413 on both endpoints that read one, whether its
+// length is declared (refused unread) or it arrives chunked; a body at the cap
+// is read, and being no document, is a 400.
+func TestOversizedBodyIs413(t *testing.T) {
+	_, ts := newTestServer(t)
+	for _, path := range []string{"/v1/simulate", "/v1/sweeps"} {
+		for _, tc := range []struct {
+			size    int
+			chunked bool
+			want    int
+		}{
+			{maxBody + 1, false, http.StatusRequestEntityTooLarge},
+			{maxBody + 1, true, http.StatusRequestEntityTooLarge},
+			{maxBody, false, http.StatusBadRequest},
+			{maxBody, true, http.StatusBadRequest},
+		} {
+			var body io.Reader = bytes.NewReader(bytes.Repeat([]byte("x"), tc.size))
+			if tc.chunked {
+				body = io.MultiReader(body) // hides the length: sent chunked
+			}
+			resp, err := http.Post(ts.URL+path, "application/json", body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Errorf("%s, %d bytes, chunked %v: status %d (want %d): %s", path, tc.size, tc.chunked, resp.StatusCode, tc.want, msg)
+			}
+		}
+	}
+}
+
 // TestSimulateRefusesModelConstants posts the baseline document as
 // `onocsim -dump-config` printed it while the model constants were still
 // options (testdata/dump-config-v1.json): the daemon answers 400 and names
@@ -409,7 +443,7 @@ func TestPanickingComputeLeavesTheDaemonServing(t *testing.T) {
 	// One more POST on the one pipeline every endpoint runs through: a
 	// medium-class request whose computation panics.
 	srv.mux.HandleFunc("POST /v1/panic", srv.post(func(http.ResponseWriter, *http.Request) (work, error) {
-		return work{onocsim.SlotMedium, onocsim.SlotMedium.Units(), func(context.Context) (any, error) {
+		return work{class: onocsim.SlotMedium, units: onocsim.SlotMedium.Units(), run: func(context.Context) (any, error) {
 			panic("render blew up")
 		}}, nil
 	}))
