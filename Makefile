@@ -56,7 +56,15 @@ fmt-check:
 # replay to the loop's exact fixpoint through a Session: seeded "coupled", the
 # loop stops in round 0 at a Final equal to it with the coupled pass charged,
 # every kernel × those five variants × {ideal, self} capture, plus light and
-# heavy faults and both dependency ablations. TestPruneKeepsTrueFront is the sweep prefilter's recall gate:
+# heavy faults and both dependency ablations. TestLoopAttractsWithoutCausalEdges
+# (~0.1 s) pins where the zero-load loop does reach that fixpoint: causal
+# edges off, MWSR and ideal, every kernel within 40 rounds.
+# The streamed correction's residency gates (~1 s): its peak live heap grows
+# by at most 32 B per event (three time vectors and the delivered marks), and
+# an extra round allocates at most 64 KiB, no per-event vector. Beside them,
+# every fabric stamps each scheduled message with exactly its scheduled cycle
+# (what lets a replay's Inject be its schedule), and a resume leaves the
+# parked result's vectors as they were. TestPruneKeepsTrueFront is the sweep prefilter's recall gate:
 # the quick default grid, pruned, keeps every arm of the Pareto front that
 # simulating all of its arms finds (~1.5 s). The daemon's reply-memo tests
 # (~1.3 s) hold a hit to its miss's bytes on both wire forms and to its
@@ -66,7 +74,9 @@ check: vet fmt-check sweep-smoke
 	$(GO) test ./internal/sweep/ -run TestPruneKeepsTrueFront -count=1
 	$(GO) test ./cmd/expreport/ -run TestGolden -count=1
 	$(GO) test ./internal/experiments/ -run TestParallelCachedOutputMatchesSequential -count=1
-	$(GO) test . -run 'TestDocsResolve|Surface|TestFileMatchesResident|TestSelfCaptureFixpointIsTruth|TestCoupledIsTheFixpoint' -count=1
+	$(GO) test . -run 'TestDocsResolve|Surface|TestFileMatchesResident|TestSelfCaptureFixpointIsTruth|TestCoupledIsTheFixpoint|TestLoopAttractsWithoutCausalEdges' -count=1
+	$(GO) test . -run 'TestStreamCorrectionResidency|TestCorrectionRoundAllocatesNoEventVectors' -count=1
+	$(GO) test ./internal/core/ -run 'TestScheduledReplayInjectsOnSchedule|TestParkedResultSurvivesResume' -count=1
 	$(GO) test ./internal/fabric/ -count=1
 	$(GO) test -short ./internal/enoc/ ./internal/onoc/ ./internal/trace/ ./internal/core/ -run 'DifferentialAgainstReference|BufferedDecodeMatchesBytewise|EngineAgainstReference' -count=1
 	$(GO) test ./internal/noc/ ./internal/metrics/ ./internal/sim/ -run 'MergeIs|CalendarMatches' -count=1

@@ -180,3 +180,39 @@ func TestCoupledIsTheFixpoint(t *testing.T) {
 		}
 	}
 }
+
+// TestLoopAttractsWithoutCausalEdges pins where the zero-load loop does reach
+// its fixpoint: with causal edges off, on the MWSR crossbar and the ideal
+// fabric, every kernel's loop, makespan tolerance off, walks from an
+// ideal-fabric capture to a Final DeepEqual to the coupled replay of the same
+// ablation, its exact fixpoint, within 40 rounds. With every edge kept it
+// misses on some (ROADMAP item 4).
+func TestLoopAttractsWithoutCausalEdges(t *testing.T) {
+	for _, kernel := range workload.KernelNames() {
+		for _, kind := range []NetworkKind{Optical, IdealNet} {
+			t.Run(kernel+"/"+string(kind), func(t *testing.T) {
+				cfg := smallConfig()
+				cfg.Workload.Kernel = kernel
+				cfg.SCTM.DisableCausalDeps = true
+				cfg.SCTM.MakespanTolerance = 0
+				cfg.SCTM.MaxIterations = 40
+				tr, _, err := uncached.CaptureTraceContext(bg, cfg, IdealNet)
+				if err != nil {
+					t.Fatal(err)
+				}
+				coupled, err := uncached.RunCoupledReplayContext(bg, cfg, tr, kind)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := uncached.RunSelfCorrectionContext(bg, cfg, tr, kind)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !res.Converged || !reflect.DeepEqual(res.Final, coupled) {
+					t.Fatalf("after %d rounds (converged %v) the loop is not at the coupled replay's fixpoint", len(res.Iterations), res.Converged)
+				}
+				t.Logf("%d rounds", len(res.Iterations))
+			})
+		}
+	}
+}

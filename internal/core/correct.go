@@ -99,6 +99,11 @@ var ErrParked = errors.New("core: self-correction parked before convergence")
 // only the dirty suffix of its first resumed round instead of starting the
 // whole fixpoint from scratch.
 //
+// The parked result's Final shares its vectors with the loop's storage, so the
+// park detaches them: the resumed loop replays into a fresh arrival vector
+// and derives into a fresh next buffer, and leaves the parked result as it
+// was.
+//
 // A ParkState is bound to the (trace content, SCTM config, fabric) triple that
 // produced it, not to the source object that held the trace, and is
 // single-use: the replayer inside is not safe for concurrent resumes. Callers
@@ -157,8 +162,13 @@ func Correct(ctx context.Context, factory NetworkFactory, src trace.Source, cfg 
 	var out CorrectionResult
 	var runner *replayer
 	// prev is the schedule a round replays; the round derives next, and the
-	// two trade places.
-	var prev, next []sim.Tick
+	// two trade places. A round's result shares both its vectors with the
+	// loop: its Inject is prev, which becomes next, and its Arrive is the
+	// replayer's arrival vector, so the round after overwrites them while it
+	// runs and then replaces out.Final with its own result. Before round 0,
+	// next holds the round-0 latencies the loop seeds itself with.
+	var prev []sim.Tick
+	next := make([]sim.Tick, n)
 	// finish fills the work counters at every successful exit. Full rounds
 	// charge the whole trace; a round resumed from a checkpoint only the
 	// dirty suffix it injected.
@@ -205,7 +215,8 @@ func Correct(ctx context.Context, factory NetworkFactory, src trace.Source, cfg 
 		runner.ladder = cfg.Incremental && resident(src)
 		// Round-0 latencies: the caller's seed, a coupled replay's (a pass
 		// charged like a round), or the target fabric's zero-load estimate
-		// per message, filled in by the pass that derives the round-0 schedule.
+		// per message, filled in by the pass that derives the round-0
+		// schedule. The last two are written into next.
 		lat := seed
 		var zeroLoad func(e *trace.Event) sim.Tick
 		if lat == nil && cfg.SeedMode() == "coupled" {
@@ -216,10 +227,13 @@ func Correct(ctx context.Context, factory NetworkFactory, src trace.Source, cfg 
 			}); err != nil {
 				return CorrectionResult{}, nil, fmt.Errorf("core: coupled seed: %w", err)
 			}
-			lat = c.Latencies()
+			lat = next
+			for i := range lat {
+				lat[i] = c.Arrive[i] - c.Inject[i]
+			}
 			out.TotalCycles, runner.replayed = c.Cycles, n
 		} else if lat == nil {
-			lat = make([]sim.Tick, n)
+			lat = next
 			probe := runner.fabric(0)
 			zeroLoad = func(e *trace.Event) sim.Tick { return probe.ZeroLoadLatency(e.Src, e.Dst, e.Bytes) }
 		}
@@ -231,7 +245,6 @@ func Correct(ctx context.Context, factory NetworkFactory, src trace.Source, cfg 
 		}
 	}
 	runner.derive.opts = opts
-	next = make([]sim.Tick, n)
 	for round := len(out.Iterations); round < cfg.MaxIterations; round++ {
 		// Park point: the round boundary is where the ladder checkpoints, so
 		// stopping here loses at most the round that was about to start,
@@ -240,6 +253,7 @@ func Correct(ctx context.Context, factory NetworkFactory, src trace.Source, cfg 
 		// reporting — together with the state a later call can resume from.
 		if cause := ctx.Err(); cause != nil {
 			finish()
+			runner.arrive = nil // the partial result keeps it (see ParkState)
 			state := &ParkState{
 				runner:     runner,
 				prev:       prev,

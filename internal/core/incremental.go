@@ -42,18 +42,18 @@ type checkpoint struct {
 	snap noc.Snapshot
 }
 
-// lastRun is what the ladder keeps between runs: the previous schedule, its
-// realized times, and one ladder per lane.
+// lastRun is what the ladder keeps between runs: copies of the previous
+// schedule, which was also its realized injections, and of its arrivals (the
+// next run overwrites the replayer's), and one ladder per lane.
 type lastRun struct {
 	inject  []sim.Tick // nil before the first completed run
-	injRes  []sim.Tick
 	arrive  []sim.Tick
 	ladders [][]checkpoint
 }
 
-func (p *lastRun) remember(inject []sim.Tick, res *ReplayResult) {
+func (p *lastRun) remember(inject, arrive []sim.Tick) {
 	p.inject = append(p.inject[:0], inject...)
-	p.injRes, p.arrive = res.Inject, res.Arrive
+	p.arrive = append(p.arrive[:0], arrive...)
 }
 
 // pruneLadder drops checkpoints invalidated by boundary b (at ≥ b, strict
@@ -109,8 +109,8 @@ func ladderCapture(net noc.Network, ladder *[]checkpoint, thresholds []int) func
 // resume prunes every lane's ladder against the new schedule and restores
 // the deepest surviving checkpoint onto the lane's fabric, leaving the lane
 // positioned there: floor at the checkpoint cycle, injected and delivered
-// counts and realized times, with their delivered marks, carried over from
-// the previous run. Lanes with no surviving checkpoint are left untouched and
+// counts and arrivals, with their delivered marks, carried over from the
+// previous run. Lanes with no surviving checkpoint are left untouched and
 // start from cycle zero.
 func (r *replayer) resume(lanes []lane, inject []sim.Tick, res *ReplayResult) {
 	p := &r.last
@@ -157,7 +157,7 @@ func (r *replayer) resume(lanes []lane, inject []sim.Tick, res *ReplayResult) {
 	// Reconstruct the drain cursors in O(n): injections at or before a
 	// checkpoint are identical in both schedules (t0 < B), so the injected
 	// set is exactly {i : inject[i] ≤ t0} and the delivered prefix carries
-	// over from the previous run's realized times.
+	// over from the previous run's arrivals.
 	for i, t := range inject {
 		l := &lanes[owner(i)]
 		if l.net == nil {
@@ -168,7 +168,6 @@ func (r *replayer) resume(lanes []lane, inject []sim.Tick, res *ReplayResult) {
 			l.injected++
 		}
 		if p.arrive[i] <= t0 {
-			res.Inject[i] = p.injRes[i]
 			res.Arrive[i] = p.arrive[i]
 			r.done[i] = true
 			l.delivered++

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"onocsim/internal/config"
@@ -106,7 +107,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 					pool.Put(m)
 				})
 				pending := sim.NewCalendar[pendingMsg](ringTicks)
-				dec := &streamDecoder{it: it, inject: inject, sm: suffixMinInject(nil, inject), pending: &pending, floor: floor}
+				dec := &streamDecoder{it: it, inject: inject, bm: blockMins(nil, inject), cur: new([minBlock]sim.Tick), pending: &pending, floor: floor}
 				if err := drain(net, dec, &pool, injected, &done, n, capture); err != nil {
 					return err
 				}
@@ -197,6 +198,7 @@ func TestIncrementalEmptyFrozenPrefix(t *testing.T) {
 	if len(r.last.ladders[0]) == 0 {
 		t.Fatal("round A captured no checkpoints")
 	}
+	resA.Inject, resA.Arrive = slices.Clone(resA.Inject), slices.Clone(resA.Arrive) // the next run reuses both
 	resB, err := r.run(injB)
 	if err != nil {
 		t.Fatal(err)
@@ -241,6 +243,7 @@ func TestIncrementalIdenticalScheduleResumesDeep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	resA.Inject, resA.Arrive = slices.Clone(resA.Inject), slices.Clone(resA.Arrive) // the next run reuses both
 	resB, err := r.run(inject)
 	if err != nil {
 		t.Fatal(err)

@@ -13,7 +13,9 @@ import (
 // ReplayResult reports one trace replay on a target fabric.
 type ReplayResult struct {
 	// Inject and Arrive are the realized per-event times (indexed by
-	// event ID minus one).
+	// event ID minus one). A schedule-driven replay injects every event at
+	// exactly its scheduled cycle, so its Inject is the schedule it was
+	// handed, the same slice; CoupledReplay's are its own.
 	Inject []sim.Tick
 	Arrive []sim.Tick
 	// Makespan estimates total application time: the last arrival plus
@@ -190,9 +192,12 @@ type replayer struct {
 	// next is where a run derives the next schedule; nil derives none. The
 	// correction sets it, and the deriver's options.
 	next []sim.Tick
-	// Storage every run reuses: the suffix-min bound of its schedule, its
-	// delivered marks and the deriver.
-	sm     []sim.Tick
+	// Storage every run reuses: the arrival vector, which is the result's
+	// Arrive and so is overwritten by the next run (a parked correction
+	// detaches it, and the next run allocates another), the per-block
+	// suffix minima of its schedule, its delivered marks and the deriver.
+	arrive []sim.Tick
+	bm     []sim.Tick
 	done   []bool
 	derive deriver
 
@@ -205,12 +210,13 @@ type replayer struct {
 // slot is the long-lived state of one shard: its fabric — a Resettable
 // instance is reset between runs instead of rebuilt, and checkpoints restore
 // onto it — and the storage its drains reuse: the message pool and the
-// decoder's pending queue.
+// decoder's pending queue and bound cursor.
 type slot struct {
 	net     noc.Network
 	used    bool
 	pool    noc.MsgPool
 	pending sim.Calendar[pendingMsg]
+	cur     [minBlock]sim.Tick
 }
 
 func newReplayer(factory NetworkFactory, src trace.Source, shards, window int) *replayer {
@@ -280,7 +286,7 @@ func (l *lane) drain(src trace.Source, dec streamDecoder) {
 	}
 	defer it.Close()
 	l.slot.pending.Reset()
-	dec.it, dec.floor, dec.pending = it, l.floor, &l.slot.pending
+	dec.it, dec.floor, dec.pending, dec.cur = it, l.floor, &l.slot.pending, &l.slot.cur
 	l.err = drain(l.net, &dec, &l.slot.pool, l.injected, &l.delivered, l.want, l.capture)
 	if l.err == nil && dec.derive != nil {
 		l.err = dec.decodeTo(sim.Never)
@@ -293,7 +299,9 @@ func (l *lane) drain(src trace.Source, dec streamDecoder) {
 // the fabric(s) until all are delivered. With r.next non-nil it also derives
 // into it the schedule the realized latencies give (ScheduleStream with
 // r.derive.opts): during the replay itself for K = 1, in one more pass over
-// the source for K > 1.
+// the source for K > 1. The result is valid until the next run: its Inject is
+// the inject slice passed in, and its Arrive is r.arrive, which the next run
+// overwrites.
 func (r *replayer) run(inject []sim.Tick) (ReplayResult, error) {
 	res, err := r.replay(inject, r.next)
 	if err != nil {
@@ -315,7 +323,10 @@ func (r *replayer) replay(inject, next []sim.Tick) (ReplayResult, error) {
 	if _, ok := net0.(noc.ScheduleShardable); ok {
 		k = max(min(r.shards, net0.Nodes()), 1)
 	}
-	res := ReplayResult{Inject: make([]sim.Tick, n), Arrive: make([]sim.Tick, n)}
+	if r.arrive == nil {
+		r.arrive = make([]sim.Tick, n)
+	}
+	res := ReplayResult{Inject: inject, Arrive: r.arrive}
 	r.done = slices.Grow(r.done[:0], n)[:n]
 	clear(r.done)
 	lanes := make([]lane, k)
@@ -333,6 +344,7 @@ func (r *replayer) replay(inject, next []sim.Tick) (ReplayResult, error) {
 		r.resume(lanes, inject, &res)
 	}
 
+	r.fabric(k - 1) // every slot exists before a lane points into one
 	for s := range lanes {
 		l := &lanes[s]
 		if l.net == nil { // not resumed from a checkpoint
@@ -346,10 +358,10 @@ func (r *replayer) replay(inject, next []sim.Tick) (ReplayResult, error) {
 		l.slot.used = true
 		r.replayed += l.want - l.injected
 		done := r.done
+		arrive := r.arrive
 		l.net.SetDeliver(func(m *noc.Message) {
 			idx := int(m.ID) - 1
-			res.Arrive[idx] = m.Arrive
-			res.Inject[idx] = m.Inject
+			arrive[idx] = m.Arrive
 			done[idx] = true
 			l.delivered++
 			l.slot.pool.Put(m)
@@ -361,8 +373,8 @@ func (r *replayer) replay(inject, next []sim.Tick) (ReplayResult, error) {
 
 	// Replicas are fully independent, and every shared-slice write (res, a
 	// ladder) lands at indices owned by exactly one lane.
-	r.sm = suffixMinInject(r.sm, inject)
-	dec := streamDecoder{inject: inject, sm: r.sm, window: r.window}
+	r.bm = blockMins(r.bm, inject)
+	dec := streamDecoder{inject: inject, bm: r.bm, window: r.window}
 	if k == 1 {
 		if next != nil {
 			r.derive.reset(next, res.Arrive, res.Inject, r.done)
@@ -415,7 +427,7 @@ func (r *replayer) replay(inject, next []sim.Tick) (ReplayResult, error) {
 		}
 	}
 	if keep {
-		r.last.remember(inject, &res)
+		r.last.remember(inject, res.Arrive)
 	}
 	return res, nil
 }
@@ -454,8 +466,9 @@ func NaiveReplaySharded(factory NetworkFactory, tr *trace.Trace, shards int) (Re
 }
 
 // NaiveReplayStream is NaiveReplaySharded over a trace.Source: one pass
-// collects the recorded injection times, a second replays them. Window
-// semantics match ReplayScheduleStream.
+// collects the recorded injection times, a second replays them, and the
+// collected times are the result's Inject. Window semantics match
+// ReplayScheduleStream.
 func NaiveReplayStream(factory NetworkFactory, src trace.Source, shards, window int) (ReplayResult, error) {
 	inject := make([]sim.Tick, src.Meta().NumEvents)
 	if err := EachEvent(src, func(i int, e *trace.Event) { inject[i] = e.RefInject }); err != nil {

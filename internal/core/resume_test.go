@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"onocsim/internal/config"
@@ -63,6 +64,43 @@ func TestResumeCompletesIdenticalToUninterrupted(t *testing.T) {
 			}
 			if !reflect.DeepEqual(resumed, full) {
 				t.Fatalf("resumed result diverged from uninterrupted run:\n got %+v\nwant %+v", resumed, full)
+			}
+		})
+	}
+}
+
+// TestParkedResultSurvivesResume: a parked run's partial result shares its
+// vectors with the loop's storage, the arrival vector among them, and the
+// resume that completes the loop must leave it as it was parked.
+func TestParkedResultSurvivesResume(t *testing.T) {
+	tr := slowTrace()
+	base := neverConverge()
+	for _, tc := range []struct {
+		name      string
+		cfg       config.SCTM
+		shards    int
+		parkAfter int
+	}{
+		{"serial", base, 1, 3},
+		{"sharded", base, 2, 3},
+		{"coupled", func() config.SCTM { c := base; c.Seed = "coupled"; return c }(), 1, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := &countdownCtx{Context: context.Background(), remaining: tc.parkAfter}
+			parked, state, err := SelfCorrectParkableCtx(ctx, contendedIdeal, tr, tc.cfg, tc.shards, nil, nil)
+			if !errors.Is(err, ErrParked) || state == nil {
+				t.Fatalf("park: err=%v state=%v", err, state)
+			}
+			want := parked.Final
+			want.Inject, want.Arrive = slices.Clone(want.Inject), slices.Clone(want.Arrive)
+			if want.NetStats != nil {
+				want.NetStats = want.NetStats.Clone()
+			}
+			if _, _, err := SelfCorrectParkableCtx(context.Background(), contendedIdeal, tr, tc.cfg, tc.shards, nil, state); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(parked.Final, want) {
+				t.Fatal("resuming the loop rewrote the parked result's Final")
 			}
 		})
 	}

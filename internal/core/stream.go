@@ -12,16 +12,21 @@ import (
 // The feed: how the replay engine's drain loop (replay.go) is handed its
 // injections. Every replay reads its events from a trace.Source, so event
 // payloads and dependency edges live only inside a bounded read-ahead window;
-// a resident trace is the same feed with nothing to bound. Per-event *scalar*
-// bookkeeping (injection times, latencies, result vectors) remains O(n) — the
-// schedule itself is the correction loop's state. NaiveReplaySummaryStream
-// below is the fully out-of-core tier: O(window + nodes) resident,
-// summary-only results.
+// a resident trace is the same feed with nothing to bound. What stays O(n) is
+// three time vectors and the delivered marks, 25 bytes per event: the
+// schedule being replayed (which is also the result's realized injections),
+// the schedule being derived, the arrivals and the marks. A correction carries
+// them from round to round and allocates none of them again.
+// NaiveReplaySummaryStream below is the fully out-of-core tier: O(window +
+// nodes) resident, summary-only results.
 //
 // How (time, ID) injection order survives out-of-order schedules without a
-// sort: the decoder keeps suffixMin[i] = min injection time over events ≥ i.
-// Decoding while suffixMin[pos] ≤ now guarantees every event due at `now` has
-// been decoded, and the pending queue releases them in exactly (time, ID)
+// sort: the decoder's bound is min injection time over events ≥ pos, the
+// schedule's suffix minimum. It is kept per block of minBlock events (the
+// suffix minimum at each block's start) and expanded into a per-decoder
+// cursor over the block being decoded, which pos, only ever advancing, reads
+// in order. Decoding while the bound is ≤ now guarantees every event due at
+// `now` has been decoded, and the pending queue releases them in exactly (time, ID)
 // order — the order a full sort of the schedule would give. The queue is a
 // sim.Calendar, which releases same-cycle events in push order, and the
 // decoder pushes in ID order; every push lands at or after the cycle being
@@ -83,21 +88,25 @@ func resident(src trace.Source) bool {
 	return ok
 }
 
-// suffixMinInject returns sm, reusing its storage, with sm[i] =
-// min(inject[i:]) and sm[n] = sim.Never: the earliest injection among events
-// the stream has not yet decoded, the conservative bound that drives both
-// decode and fast-forward.
-func suffixMinInject(sm, inject []sim.Tick) []sim.Tick {
-	n := len(inject)
-	sm = slices.Grow(sm[:0], n+1)[:n+1]
-	sm[n] = sim.Never
-	for i := n - 1; i >= 0; i-- {
-		sm[i] = inject[i]
-		if sm[i+1] < sm[i] {
-			sm[i] = sm[i+1]
+// minBlock is the span of the decoder's bound: one suffix minimum is kept per
+// minBlock events, and a decoder expands the block it is in into its cursor.
+const minBlock = 1 << 10
+
+// blockMins returns bm, reusing its storage, with bm[b] =
+// min(inject[b*minBlock:]) for every block b and a final sim.Never: the
+// schedule's suffix minimum at each block's start.
+func blockMins(bm, inject []sim.Tick) []sim.Tick {
+	nb := (len(inject) + minBlock - 1) / minBlock
+	bm = slices.Grow(bm[:0], nb+1)[:nb+1]
+	bm[nb] = sim.Never
+	for b := nb - 1; b >= 0; b-- {
+		m := bm[b+1]
+		for _, t := range inject[b*minBlock : min((b+1)*minBlock, len(inject))] {
+			m = min(m, t)
 		}
+		bm[b] = m
 	}
-	return sm
+	return bm
 }
 
 // pendingMsg is one decoded-but-not-yet-injected event: the full payload a
@@ -123,10 +132,14 @@ const noFloor = -sim.Never
 // streamDecoder is the schedule feed: it advances an iterator in lockstep
 // with a suffix-min bound, pushing the events it keeps onto a pending queue.
 type streamDecoder struct {
-	it      trace.Iterator
-	inject  []sim.Tick
-	sm      []sim.Tick
-	pos     int
+	it     trace.Iterator
+	inject []sim.Tick
+	bm     []sim.Tick // blockMins(inject)
+	pos    int
+	// cur[i%minBlock] = min(inject[i:]) for the events i of the block that
+	// ends at end; the zero decoder has expanded no block yet.
+	cur     *[minBlock]sim.Tick
+	end     int
 	pending *sim.Calendar[pendingMsg]
 	window  int // max pending entries; 0 = unbounded
 	// own filters which events this consumer keeps; nil keeps all. With a
@@ -147,11 +160,38 @@ type streamDecoder struct {
 	ev     trace.Event
 }
 
+// bound returns min(inject[pos:]), sim.Never once every event is decoded:
+// the earliest injection among events the stream has not yet decoded, the
+// conservative bound that drives both decode and fast-forward.
+func (d *streamDecoder) bound() sim.Tick {
+	if d.pos < d.end {
+		return d.cur[d.pos&(minBlock-1)]
+	}
+	return d.expand()
+}
+
+// expand is bound past the end of the block in the cursor: it expands the
+// block holding pos, if there is one.
+func (d *streamDecoder) expand() sim.Tick {
+	if d.pos >= len(d.inject) {
+		return sim.Never
+	}
+	b := d.pos / minBlock
+	lo := b * minBlock
+	d.end = min(lo+minBlock, len(d.inject))
+	m := d.bm[b+1]
+	for i := d.end - 1; i >= lo; i-- {
+		m = min(m, d.inject[i])
+		d.cur[i-lo] = m
+	}
+	return d.cur[d.pos-lo]
+}
+
 // decodeTo decodes every event whose suffix-min injection bound is ≤ t.
 // Afterward, any undecoded event injects strictly after t.
 func (d *streamDecoder) decodeTo(t sim.Tick) error {
 	n := len(d.inject)
-	for d.pos < n && d.sm[d.pos] <= t {
+	for d.pos < n && d.bound() <= t {
 		if err := nextEvent(d.it, &d.ev, d.pos, n); err != nil {
 			return err
 		}
@@ -182,7 +222,7 @@ func (d *streamDecoder) decodeTo(t sim.Tick) error {
 // nextInject implements feed: the earliest pending cycle among decoded
 // events, the suffix-min bound among undecoded ones.
 func (d *streamDecoder) nextInject() sim.Tick {
-	return min(d.sm[d.pos], d.pending.NextAt())
+	return min(d.bound(), d.pending.NextAt())
 }
 
 // injectDue implements feed.

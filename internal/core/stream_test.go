@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"path/filepath"
+	"slices"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"onocsim/internal/config"
@@ -160,6 +162,105 @@ func TestReplayAllocationsIndependentOfLength(t *testing.T) {
 	for name, c := range counts {
 		if c[0] != c[1] {
 			t.Errorf("%s: a reused run allocates %v times at 2 000 events, %v at 20 000", name, c[0], c[1])
+		}
+	}
+}
+
+// injectSpy checks, as each message is delivered, the injection cycle the
+// fabric itself stamped on it against the schedule the replay was handed:
+// it observes m.Inject, not the result's Inject, which is the schedule.
+type injectSpy struct {
+	noc.Network
+	sched *[]sim.Tick
+	late  *atomic.Int64 // messages stamped off their scheduled cycle
+}
+
+func (s injectSpy) SetDeliver(fn noc.DeliverFunc) {
+	s.Network.SetDeliver(func(m *noc.Message) {
+		if m.Inject != (*s.sched)[m.ID-1] {
+			s.late.Add(1)
+		}
+		fn(m)
+	})
+}
+
+// shardSpy is injectSpy over a noc.ScheduleShardable fabric, which it stays.
+type shardSpy struct {
+	injectSpy
+	sh noc.ScheduleShardable
+}
+
+func (s shardSpy) ShardNode(src, dst int) int      { return s.sh.ShardNode(src, dst) }
+func (s shardSpy) SetShardObs(fn noc.ShardObsFunc) { s.sh.SetShardObs(fn) }
+func (s shardSpy) SeqOrder() noc.SeqOrder          { return s.sh.SeqOrder() }
+
+// TestScheduledReplayInjectsOnSchedule holds the rule that lets a replay's
+// result share the schedule as its Inject: every fabric stamps every message
+// with exactly its scheduled cycle. Three schedules run on every fabric kind,
+// from memory and from a file, at K = 1 and 2: capture order, the zero-load
+// schedule, and capture order with the last event of the second bound block
+// moved back among the first block's, so that the block's minimum is its
+// last event and the decoder must reach it from the block before. The file
+// replays that one through a window it barely fits.
+func TestScheduledReplayInjectsOnSchedule(t *testing.T) {
+	const nodes, n = 16, 3 * minBlock
+	tr := randomTrace(17, n, nodes)
+	path := filepath.Join(t.TempDir(), "spy.sctm")
+	if err := trace.SaveFile(path, tr); err != nil {
+		t.Fatal(err)
+	}
+	file, err := trace.NewFileSource(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fabrics := checkpointFabrics(t, nodes, "light")
+	fabrics["plain"] = func() noc.Network { return plainNet{noc.NewIdeal(nodes, 15, 16)} }
+	for fabric, mk := range fabrics {
+		capture, lat := make([]sim.Tick, n), make([]sim.Tick, n)
+		probe := mk()
+		for i := range tr.Events {
+			e := &tr.Events[i]
+			capture[i] = e.RefInject
+			lat[i] = probe.ZeroLoadLatency(e.Src, e.Dst, e.Bytes)
+		}
+		tail := slices.Clone(capture)
+		tail[2*minBlock-1] = capture[minBlock-8]
+		scheds := []struct {
+			name   string
+			s      []sim.Tick
+			window int
+		}{
+			{"capture", capture, 0},
+			{"zeroload", Schedule(tr, lat, ScheduleOptions{}), 0},
+			{"tail", tail, minBlock + 16},
+		}
+
+		var sched []sim.Tick
+		var late atomic.Int64
+		spied := func() noc.Network {
+			spy := injectSpy{Network: mk(), sched: &sched, late: &late}
+			if sh, ok := spy.Network.(noc.ScheduleShardable); ok {
+				return shardSpy{spy, sh}
+			}
+			return spy
+		}
+		for _, sc := range scheds {
+			name, s := sc.name, sc.s
+			for srcName, src := range map[string]trace.Source{"mem": tr, "file": file} {
+				for _, k := range []int{1, 2} {
+					sched = s
+					res, err := newReplayer(spied, src, k, sc.window).run(s)
+					if err != nil {
+						t.Fatalf("%s %s %s K=%d: %v", fabric, name, srcName, k, err)
+					}
+					if got := late.Swap(0); got != 0 {
+						t.Fatalf("%s %s %s K=%d: %d of %d messages injected off their scheduled cycle", fabric, name, srcName, k, got, n)
+					}
+					if &res.Inject[0] != &s[0] {
+						t.Fatalf("%s %s %s K=%d: the result's Inject is not the schedule", fabric, name, srcName, k)
+					}
+				}
+			}
 		}
 	}
 }

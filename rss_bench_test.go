@@ -136,6 +136,78 @@ func TestStreamReplayFlatRSS(t *testing.T) {
 	}
 }
 
+// streamCorrection runs an uncached correction of the trace file at path on
+// the optical crossbar with the makespan criterion off, so it takes all
+// rounds of its budget, reading the file through sampler when one is given.
+func streamCorrection(tb testing.TB, path string, rounds int, sampler *peakSampler) {
+	tb.Helper()
+	src, err := onocsim.OpenTraceFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if sampler != nil {
+		sampler.src = src
+		src = sampler
+	}
+	cfg := rssConfig()
+	cfg.SCTM.MaxIterations, cfg.SCTM.MakespanTolerance = rounds, 0
+	res, err := uncached.RunSelfCorrectionContext(bg, cfg, src, onocsim.Optical)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if len(res.Iterations) != rounds {
+		tb.Fatalf("the correction stopped after %d of %d rounds", len(res.Iterations), rounds)
+	}
+}
+
+// TestStreamCorrectionResidency holds a file-backed correction to the
+// per-event state it needs: the schedule it replays (also the result's
+// Inject), the one it derives, the arrivals and the delivered marks, 3 × 8 B
+// + 1 B. The slope of peak live heap between 20 000 and 200 000 events,
+// sampled mid-stream over three rounds, must stay within 32 B per event.
+func TestStreamCorrectionResidency(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates a 200k-event trace")
+	}
+	dir := t.TempDir()
+	const small, large, bound = 20_000, 200_000, 32
+	var peaks [2]uint64
+	for i, events := range []int{small, large} {
+		sampler := &peakSampler{every: 4096}
+		sampler.sample()
+		streamCorrection(t, hugeOnDisk(t, dir, events), 3, sampler)
+		peaks[i] = sampler.peak
+	}
+	slope := (float64(peaks[1]) - float64(peaks[0])) / (large - small)
+	t.Logf("correction peak residency: %d B at %d events, %d B at %d events: %.1f B/event",
+		peaks[0], small, peaks[1], large, slope)
+	if slope > bound {
+		t.Errorf("a streamed correction keeps %.1f B per event, want ≤ %d", slope, bound)
+	}
+}
+
+// TestCorrectionRoundAllocatesNoEventVectors: a correction round reuses every
+// per-event vector of the round before, so an extra round of a 2^16-event
+// file-backed correction allocates at most 64 KiB, where one new int64
+// vector alone is 512 KiB.
+func TestCorrectionRoundAllocatesNoEventVectors(t *testing.T) {
+	path := hugeOnDisk(t, t.TempDir(), 1<<16)
+	const few, many, bound = 2, 6, 64 << 10
+	var alloc [2]uint64
+	for i, rounds := range []int{few, many} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		streamCorrection(t, path, rounds, nil)
+		runtime.ReadMemStats(&after)
+		alloc[i] = after.TotalAlloc - before.TotalAlloc
+	}
+	perRound := (float64(alloc[1]) - float64(alloc[0])) / (many - few)
+	t.Logf("%d rounds allocate %d B, %d rounds %d B: %.0f B per extra round", few, alloc[0], many, alloc[1], perRound)
+	if perRound > bound {
+		t.Errorf("an extra correction round allocates %.0f B, want ≤ %d", perRound, bound)
+	}
+}
+
 // BenchmarkStreamReplaySummaryRSS replays a 100k-event on-disk trace through
 // the constant-residency tier, reporting peak residency and allocation rate
 // alongside wall time. This row is the BENCH gate for the memory contract.
