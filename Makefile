@@ -38,12 +38,12 @@ fmt-check:
 # the calendar property test holds sim.Calendar — every fabric's delivery
 # queue and the replay decoder's pending queue — to a sorted (cycle, push
 # order) reference.
-# The replay's own schedule derivation and the file decode-ahead run under
-# the race detector (K = 2 lanes share one file source): every derived
-# schedule equals ScheduleStream over the run's latencies, a correction
-# reads its source 1 + rounds times (one more seeded coupled), and a
-# decode-ahead pass yields a Reader's events and errors and leaves no
-# goroutine once closed.
+# The replay's own schedule derivation and the file passes run under the
+# race detector (K = 2 lanes share one file source's recycled Readers): every
+# derived schedule equals ScheduleStream over the run's latencies, a
+# correction reads its source 1 + rounds times (one more seeded coupled), and
+# a file pass yields a Reader's events and errors, refuses a file whose header
+# changed, ignores a second Close and leaves no goroutine once closed.
 # TestParallelCachedOutputMatchesSequential holds the concurrent, cached
 # (cold and warm disk) quick report to the sequential uncached one, byte for
 # byte: no table cell holds host time.
@@ -80,7 +80,7 @@ check: vet fmt-check sweep-smoke
 	$(GO) test ./internal/fabric/ -count=1
 	$(GO) test -short ./internal/enoc/ ./internal/onoc/ ./internal/trace/ ./internal/core/ -run 'DifferentialAgainstReference|BufferedDecodeMatchesBytewise|EngineAgainstReference' -count=1
 	$(GO) test ./internal/noc/ ./internal/metrics/ ./internal/sim/ -run 'MergeIs|CalendarMatches' -count=1
-	$(GO) test -race ./internal/trace/ ./internal/core/ -run 'DecodeAhead|ReplayDerivesNextSchedule|CorrectionPassCount' -count=1
+	$(GO) test -race ./internal/trace/ ./internal/core/ -run 'DecodeAhead|FilePass|ReplayDerivesNextSchedule|CorrectionPassCount' -count=1
 	$(GO) test ./internal/service/ -run TestMemo -count=1
 	$(MAKE) --no-print-directory mutate
 

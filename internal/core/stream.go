@@ -41,8 +41,9 @@ import (
 // round's arrivals as the delivery callback marks them, so a round reads its
 // source once. Events whose dependencies are still in flight wait in the
 // deriver's backlog, which holds a gap and a few indices per event and is not
-// part of the window. A file source decodes each pass on a goroutine of its
-// own, blocks ahead of the decoder here (trace.FileSource.Pass).
+// part of the window. A file source's pass is a trace.Reader over the file,
+// which the decoder here calls on the replay's own goroutine
+// (trace.FileSource.Pass).
 
 // feed hands the drain loop its injections.
 type feed interface {

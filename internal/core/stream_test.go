@@ -5,11 +5,13 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"onocsim/internal/config"
 	"onocsim/internal/noc"
+	"onocsim/internal/onoc"
 	"onocsim/internal/sim"
 	"onocsim/internal/trace"
 )
@@ -105,6 +107,28 @@ func TestCorrectionPassCount(t *testing.T) {
 		if src.passes != want {
 			t.Fatalf("%s: %d rounds opened %d passes, want %d", seed, rounds, src.passes, want)
 		}
+	}
+}
+
+// TestStreamRefusesRewrittenFile: a replay of a trace file rewritten with
+// another header since it was opened is an error, not a replay sized for one
+// header fed the other's events.
+func TestStreamRefusesRewrittenFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "rewritten.sctm")
+	if err := trace.SaveFile(path, randomTrace(3, 200, 8)); err != nil {
+		t.Fatal(err)
+	}
+	file, err := trace.NewFileSource(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.SaveFile(path, randomTrace(3, 200, 64)); err != nil {
+		t.Fatal(err)
+	}
+	optical := config.Default().Optical
+	_, err = NaiveReplayStream(func() noc.Network { return onoc.New(8, optical) }, file, 1, 0)
+	if err == nil || !strings.Contains(err.Error(), "changed since it was opened") {
+		t.Fatalf("replaying the rewritten file: %v, want the changed header refused", err)
 	}
 }
 

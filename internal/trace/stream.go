@@ -20,7 +20,7 @@ import (
 // materialized to be produced, inspected, or replayed. The Source/Iterator
 // pair is the contract the streaming replay engines in internal/core
 // consume; FileSource streams from disk with O(1) resident state per pass —
-// a fixed number of fixed-size blocks, decoded ahead on a second goroutine —
+// one Reader and its 64 KiB buffer, kept from one closed pass to the next —
 // and a resident *Trace is itself a Source, so both execution paths share one
 // consumer implementation.
 
@@ -55,17 +55,14 @@ func (m Meta) validate() error {
 }
 
 // Iterator decodes one sequential pass over a trace, in event-ID order.
-// A FileSource pass decodes ahead of its consumer on a goroutine of its own;
-// to the consumer it is the same sequence of events and the same error, at
-// the same record, as a Reader over the file.
 type Iterator interface {
 	// Next decodes the next event into *e and reports whether one was
 	// available. The Deps slice may be reused by the following Next call:
 	// consumers that retain dependency edges across calls must copy them.
 	// Once Next has returned false it keeps doing so, with the same error.
 	Next(e *Event) (bool, error)
-	// Close releases the pass's underlying resources (file handles, the
-	// decoding goroutine). A second Close does nothing.
+	// Close releases the pass's underlying resources (file handles). A
+	// second Close does nothing.
 	Close() error
 }
 
@@ -487,7 +484,10 @@ func (r *Reader) Close() error { return nil }
 
 // FileSource streams passes over a binary trace file on disk. Each Pass
 // opens the file independently, so concurrent passes (one per shard) are
-// safe; the header is decoded once at construction.
+// safe. The header is decoded once at construction, and every consumer
+// sizes its state from it, so a pass refuses a file whose header has changed
+// since. A file rewritten under the same header is not detected: that takes
+// a check of the content, which no pass makes.
 type FileSource struct {
 	path string
 	meta Meta
@@ -496,10 +496,10 @@ type FileSource struct {
 	digest     string
 	digestErr  error
 
-	// free holds what closed passes decoded with, for the passes opened
-	// after them.
+	// free holds the Readers of closed passes, each with its buffer, for
+	// the passes opened after them.
 	mu   sync.Mutex
-	free []*passState
+	free []*Reader
 }
 
 // NewFileSource validates the file's header and returns a reusable source.
@@ -519,189 +519,66 @@ func NewFileSource(path string) (*FileSource, error) {
 // Meta returns the header decoded at construction.
 func (s *FileSource) Meta() Meta { return s.meta }
 
-// Pass opens a fresh decode pass over the file. It reads the header itself,
-// then decodes the events on a goroutine of its own, aheadBlocks blocks of
-// blockEvents events ahead of the consumer, so decode overlaps whatever the
-// consumer does with each event. The pass yields exactly what a Reader
-// would, errors included; Close stops the goroutine.
+// Pass opens a fresh decode pass over the file: a Reader, recycled from a
+// closed pass, over a file handle of the pass's own. A header other than the
+// one NewFileSource read is an error naming both.
 func (s *FileSource) Pass() (Iterator, error) {
 	f, err := os.Open(s.path)
 	if err != nil {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
-	var ps *passState
-	s.mu.Lock()
-	if k := len(s.free); k > 0 {
-		ps, s.free = s.free[k-1], s.free[:k-1]
-	}
-	s.mu.Unlock()
-	if ps == nil {
-		ps = newPassState()
-	}
-	if err := ps.r.reset(f); err != nil {
-		f.Close()
-		s.recycle(ps)
+	p := &filePass{src: s, f: f, r: s.reader()}
+	if err := p.r.reset(f); err != nil {
+		p.Close()
 		return nil, fmt.Errorf("%w (in %s)", err, s.path)
 	}
-	it := &aheadIter{
-		src:   s,
-		f:     f,
-		ps:    ps,
-		full:  make(chan *block, aheadBlocks),
-		empty: make(chan *block, aheadBlocks),
+	if got := p.r.meta; got != s.meta {
+		p.Close()
+		return nil, fmt.Errorf("trace: %s changed since it was opened: header %+v, was %+v", s.path, got, s.meta)
 	}
-	for _, b := range ps.blocks {
-		it.empty <- b
-	}
-	go it.decode()
-	return it, nil
+	return p, nil
 }
 
-// passState is what a FileSource pass decodes with: the Reader, with its
-// buffer, and the blocks. The source keeps it from one closed pass to the
-// next, so passes in steady state allocate none of it.
-type passState struct {
-	r      *Reader
-	blocks [aheadBlocks]*block
-}
-
-func newPassState() *passState {
-	ps := &passState{r: &Reader{br: bufio.NewReaderSize(nil, readBufSize)}}
-	for i := range ps.blocks {
-		ps.blocks[i] = &block{
-			events: make([]Event, 0, blockEvents),
-			ends:   make([]int, 0, blockEvents),
-			deps:   make([]Dep, 0, 2*blockEvents),
-		}
-	}
-	return ps
-}
-
-// recycle keeps ps for a later pass.
-func (s *FileSource) recycle(ps *passState) {
+// reader takes the Reader of a closed pass, or makes one.
+func (s *FileSource) reader() *Reader {
 	s.mu.Lock()
-	s.free = append(s.free, ps)
-	s.mu.Unlock()
-}
-
-// aheadBlocks and blockEvents size a file pass's decode-ahead: how many
-// blocks circulate between its decoder and its consumer, and how many events
-// each holds.
-const (
-	aheadBlocks = 4
-	blockEvents = 1024
-)
-
-// block is one decoded stretch of a pass: events in ID order, their
-// dependencies flattened into deps, event j's ending at ends[j]. The pass's
-// last block also carries how it ended: err, or nil after the declared count.
-type block struct {
-	events []Event
-	ends   []int
-	deps   []Dep
-	last   bool
-	err    error
-}
-
-// fill decodes up to blockEvents events from r.
-func (b *block) fill(r *Reader) {
-	b.events, b.ends, b.deps, b.last, b.err = b.events[:0], b.ends[:0], b.deps[:0], false, nil
-	for len(b.events) < blockEvents {
-		b.events = append(b.events, Event{})
-		e := &b.events[len(b.events)-1]
-		ok, err := r.Next(e)
-		if !ok {
-			b.events = b.events[:len(b.events)-1]
-			b.last, b.err = true, err
-			return
-		}
-		b.deps = append(b.deps, e.Deps...)
-		b.ends = append(b.ends, len(b.deps))
-		e.Deps = nil // the Reader's buffer; Next hands out deps instead
+	defer s.mu.Unlock()
+	if k := len(s.free); k > 0 {
+		r := s.free[k-1]
+		s.free = s.free[:k-1]
+		return r
 	}
-	b.last = r.next >= r.meta.NumEvents
+	return &Reader{br: bufio.NewReaderSize(nil, readBufSize)}
 }
 
-// aheadIter is a FileSource pass: decode runs on its own goroutine, which
-// owns the Reader and hands filled blocks over full; the consumer returns
-// each block over empty once it has moved past it. Closing empty stops the
-// decoder, and the decoder closes full on its way out.
-type aheadIter struct {
-	src         *FileSource
-	f           *os.File
-	ps          *passState
-	full, empty chan *block
-	closed      bool
-
-	cur *block // the block Next reads, from pos on
-	pos int
+// filePass is a FileSource pass: a Reader over the pass's file.
+type filePass struct {
+	src *FileSource
+	f   *os.File
+	r   *Reader // nil once closed
 }
 
-// decode is the pass's goroutine: it fills blocks until the pass ends or
-// Close stops it. full holds every block, so handing one over never blocks.
-func (it *aheadIter) decode() {
-	defer close(it.full)
-	for b := range it.empty {
-		b.fill(it.ps.r)
-		it.full <- b
-		if b.last {
-			return
-		}
+// Next implements Iterator. The event's Deps alias the Reader's buffer and
+// are only valid until the following Next call.
+func (p *filePass) Next(e *Event) (bool, error) {
+	if p.r == nil {
+		return false, fmt.Errorf("trace: Next on a closed pass")
 	}
+	return p.r.Next(e)
 }
 
-// Next implements Iterator. The event's Deps alias the current block and are
-// only valid until the following Next call.
-func (it *aheadIter) Next(e *Event) (bool, error) {
-	for it.cur == nil || it.pos == len(it.cur.events) {
-		if it.cur != nil {
-			if it.cur.last {
-				return false, it.cur.err
-			}
-			it.empty <- it.cur
-		}
-		if it.closed {
-			return false, fmt.Errorf("trace: Next on a closed pass")
-		}
-		it.cur, it.pos = <-it.full, 0
-	}
-	b := it.cur
-	*e = b.events[it.pos]
-	lo, hi := 0, b.ends[it.pos]
-	if it.pos > 0 {
-		lo = b.ends[it.pos-1]
-	}
-	if hi > lo {
-		e.Deps = b.deps[lo:hi:hi]
-	}
-	it.pos++
-	return true, nil
-}
-
-// Close implements Iterator: it stops the decoder, waits for it to exit,
-// gives what the pass decoded with back to the source and closes the file.
-func (it *aheadIter) Close() error {
-	if it.closed {
+// Close implements Iterator: it gives the Reader back to the source and
+// closes the file.
+func (p *filePass) Close() error {
+	if p.r == nil {
 		return nil
 	}
-	it.closed = true
-	// Take back the blocks the decoder has not started, so that it stops
-	// after the one it is filling, if any.
-	for taken := true; taken; {
-		select {
-		case <-it.empty:
-		default:
-			taken = false
-		}
-	}
-	close(it.empty)
-	for range it.full {
-	}
-	it.cur = nil
-	it.ps.r.br.Reset(nil) // drop the file
-	it.src.recycle(it.ps)
-	it.ps = nil
-	return it.f.Close()
+	p.r.br.Reset(nil) // drop the file
+	p.src.mu.Lock()
+	p.src.free = append(p.src.free, p.r)
+	p.src.mu.Unlock()
+	p.r = nil
+	return p.f.Close()
 }
 
 // Digest implements Digester by hashing the raw file bytes. The hash is
