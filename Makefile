@@ -35,9 +35,10 @@ fmt-check:
 # The merge property tests are why a sharded replay cannot change a result:
 # statistics blocks recorded from any split of a delivery log, each part
 # shuffled, merge in any order into the block of the whole log. Beside them,
-# the calendar property test holds sim.Calendar — every fabric's delivery
-# queue and the replay decoder's pending queue — to a sorted (cycle, push
-# order) reference.
+# the latency histogram's power-of-two bucket rule is held to the binary
+# search over its bounds it replaced, and the calendar property test holds
+# sim.Calendar — every fabric's delivery queue and the replay decoder's
+# pending queue — to a sorted (cycle, push order) reference.
 # The replay's own schedule derivation and the file passes run under the
 # race detector (K = 2 lanes share one file source's recycled Readers): every
 # derived schedule equals ScheduleStream over the run's latencies, a
@@ -79,7 +80,7 @@ check: vet fmt-check sweep-smoke
 	$(GO) test ./internal/core/ -run 'TestScheduledReplayInjectsOnSchedule|TestParkedResultSurvivesResume' -count=1
 	$(GO) test ./internal/fabric/ -count=1
 	$(GO) test -short ./internal/enoc/ ./internal/onoc/ ./internal/trace/ ./internal/core/ -run 'DifferentialAgainstReference|BufferedDecodeMatchesBytewise|EngineAgainstReference' -count=1
-	$(GO) test ./internal/noc/ ./internal/metrics/ ./internal/sim/ -run 'MergeIs|CalendarMatches' -count=1
+	$(GO) test ./internal/noc/ ./internal/metrics/ ./internal/sim/ -run 'MergeIs|LatencyBucketMatchesSearch|CalendarMatches' -count=1
 	$(GO) test -race ./internal/trace/ ./internal/core/ -run 'DecodeAhead|FilePass|ReplayDerivesNextSchedule|CorrectionPassCount' -count=1
 	$(GO) test ./internal/service/ -run TestMemo -count=1
 	$(MAKE) --no-print-directory mutate

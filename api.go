@@ -171,7 +171,7 @@ func RunExecutionDrivenContext(ctx context.Context, cfg Config, kind NetworkKind
 	}
 	gt := GroundTruth{
 		Makespan:    res.Makespan,
-		MeanLatency: net.Stats().MeanLatency(),
+		MeanLatency: net.Stats().Latency.Mean(),
 		Cycles:      res.Cycles,
 		Messages:    res.Messages,
 		Power:       net.PowerReport(res.Cycles),

@@ -421,7 +421,7 @@ func (r *replayer) replay(inject, next []sim.Tick) (ReplayResult, error) {
 	} else {
 		// The serial loop exits on the Tick that delivers the last message,
 		// so its final clock equals the last arrival.
-		res.Cycles, res.NetStats = maxArr, noc.NewStats()
+		res.Cycles, res.NetStats = maxArr, new(noc.Stats)
 		for s := range lanes {
 			res.NetStats.Merge(lanes[s].net.Stats())
 		}

@@ -94,7 +94,8 @@ func TestParkedResultSurvivesResume(t *testing.T) {
 			want := parked.Final
 			want.Inject, want.Arrive = slices.Clone(want.Inject), slices.Clone(want.Arrive)
 			if want.NetStats != nil {
-				want.NetStats = want.NetStats.Clone()
+				st := *want.NetStats
+				want.NetStats = &st
 			}
 			if _, _, err := SelfCorrectParkableCtx(context.Background(), contendedIdeal, tr, tc.cfg, tc.shards, nil, state); err != nil {
 				t.Fatal(err)

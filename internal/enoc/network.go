@@ -109,7 +109,7 @@ func newMesh(nodes int, cfg config.Mesh, bufDepth int, linkCycles sim.Tick) *Net
 		panic(fmt.Sprintf("enoc: %d nodes is not a perfect square", nodes))
 	}
 	n := &Network{cfg: cfg, width: width, nodes: nodes, torus: cfg.Topology == "torus",
-		bufDepth: bufDepth, linkCycles: linkCycles, stats: noc.NewStats(), selfQ: noc.NewDeliveryQueue(64),
+		bufDepth: bufDepth, linkCycles: linkCycles, stats: new(noc.Stats), selfQ: noc.NewDeliveryQueue(64),
 		wake: sim.NewCalendar[vcRef](64)}
 	words := (nodes + 63) / 64
 	n.bufBusy, n.niBusy = make(nodeSet, words), make(nodeSet, words)
@@ -258,7 +258,7 @@ func (n *Network) SkipTo(t sim.Tick) {
 // reusing the fabric.
 func (n *Network) Reset() {
 	n.now = 0
-	n.stats = noc.NewStats()
+	n.stats = new(noc.Stats)
 	n.power = powerCounters{}
 	n.selfQ.Reset()
 	n.inflight = 0

@@ -103,7 +103,7 @@ func newRefNetwork(nodes int, cfg config.Mesh, bufDepth int, linkCycles sim.Tick
 		width++
 	}
 	n := &refNetwork{cfg: cfg, width: width, nodes: nodes, torus: cfg.Topology == "torus",
-		bufDepth: bufDepth, linkCycles: linkCycles, stats: noc.NewStats()}
+		bufDepth: bufDepth, linkCycles: linkCycles, stats: new(noc.Stats)}
 	n.routers = make([]*refRouter, nodes)
 	for id := 0; id < nodes; id++ {
 		r := &refRouter{id: id, x: id % width, y: id / width, net: n}

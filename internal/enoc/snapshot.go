@@ -102,7 +102,7 @@ type niSnap struct {
 // meshSnapshot is the mesh fabric's full mutable state.
 type meshSnapshot struct {
 	now      sim.Tick
-	stats    *noc.Stats
+	stats    noc.Stats
 	power    powerCounters
 	selfQ    noc.DeliveryQueue
 	inflight int
@@ -118,7 +118,7 @@ func (n *Network) Snapshot() noc.Snapshot {
 	cl := newGraphCloner()
 	s := &meshSnapshot{
 		now:      n.now,
-		stats:    n.stats.Clone(),
+		stats:    *n.stats,
 		power:    n.power,
 		selfQ:    n.selfQ.Clone(),
 		inflight: n.inflight,
@@ -165,7 +165,8 @@ func (n *Network) Restore(s noc.Snapshot) {
 	snap := s.(*meshSnapshot)
 	cl := newGraphCloner()
 	n.now = snap.now
-	n.stats = snap.stats.Clone()
+	stats := snap.stats
+	n.stats = &stats
 	n.power = snap.power
 	n.inflight = snap.inflight
 	n.selfQ.Restore(&snap.selfQ)

@@ -248,7 +248,9 @@ var (
 
 // run builds a fresh fabric, drives src through a probe and checks the run.
 // With r.reset, the fabric first takes an all-pairs burst and is Reset
-// mid-flight.
+// mid-flight (a noc.Checkpointer is snapshotted, Reset, restored and Reset
+// again), and no step may write through the statistics block an earlier
+// Stats returned: a finished result may hold it.
 func run(t *testing.T, cfg config.Config, kind config.NetworkKind, src source, r Rerun) outcome {
 	t.Helper()
 	net, err := fabric.Build(cfg, kind)
@@ -268,7 +270,18 @@ func run(t *testing.T, cfg config.Config, kind config.NetworkKind, src source, r
 		if !ok || net.NextWake() == noc.Never {
 			t.Fatalf("%T: Resettable %v, NextWake %d after 5 cycles of a burst", net, ok, net.NextWake())
 		}
-		rs.Reset()
+		steps := []func(){rs.Reset}
+		if cp, ok := net.(noc.Checkpointer); ok {
+			snap := cp.Snapshot()
+			steps = []func(){rs.Reset, func() { cp.Restore(snap) }, rs.Reset}
+		}
+		for i, step := range steps {
+			old := net.Stats()
+			was := *old
+			if step(); *old != was {
+				t.Fatalf("step %d of Reset, Restore, Reset wrote through the old statistics block:\n got %+v\nwant %+v", i, *old, was)
+			}
+		}
 		p.sent, p.log = map[uint64]noc.Message{}, nil
 	}
 	src.drive(t, cfg, p)

@@ -66,7 +66,7 @@ func NewWithFaults(nodes int, mesh config.Mesh, optical config.Optical, threshol
 		width:     width,
 		nodes:     nodes,
 		threshold: threshold,
-		stats:     noc.NewStats(),
+		stats:     new(noc.Stats),
 		optical:   onoc.NewCrossbar(nodes, optical, faults, seed),
 	}
 	relay := func(m *noc.Message) {
@@ -182,7 +182,7 @@ func (n *Network) SkipTo(t sim.Tick) {
 type hybridSnapshot struct {
 	mesh    noc.Snapshot
 	optical noc.Snapshot
-	stats   *noc.Stats
+	stats   noc.Stats
 
 	rerouted            uint64
 	viaMesh, viaOptical uint64
@@ -196,7 +196,7 @@ func (n *Network) Snapshot() noc.Snapshot {
 	return &hybridSnapshot{
 		mesh:       n.mesh.Snapshot(),
 		optical:    n.optical.Snapshot(),
-		stats:      n.stats.Clone(),
+		stats:      *n.stats,
 		rerouted:   n.rerouted,
 		viaMesh:    n.ViaMesh,
 		viaOptical: n.ViaOptical,
@@ -208,7 +208,8 @@ func (n *Network) Restore(s noc.Snapshot) {
 	snap := s.(*hybridSnapshot)
 	n.mesh.Restore(snap.mesh)
 	n.optical.Restore(snap.optical)
-	n.stats = snap.stats.Clone()
+	stats := snap.stats
+	n.stats = &stats
 	n.rerouted = snap.rerouted
 	n.ViaMesh = snap.viaMesh
 	n.ViaOptical = snap.viaOptical
@@ -218,7 +219,7 @@ func (n *Network) Restore(s noc.Snapshot) {
 func (n *Network) Reset() {
 	n.mesh.Reset()
 	n.optical.Reset()
-	n.stats = noc.NewStats()
+	n.stats = new(noc.Stats)
 	n.ViaMesh = 0
 	n.ViaOptical = 0
 	n.rerouted = 0

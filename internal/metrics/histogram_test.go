@@ -1,33 +1,56 @@
 package metrics
 
 import (
+	"encoding/json"
+	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
-func TestHistogramBuckets(t *testing.T) {
-	h := NewHistogram([]float64{10, 20, 30})
-	for _, v := range []int64{5, 9, 10, 15, 25, 30, 100} {
-		h.Add(v)
+// searchBucket is the bucket rule the histogram replaced and is held to: a
+// binary search for the first of the bounds 1, 2, 4, …, 2^20 greater than x,
+// the overflow bucket when there is none.
+func searchBucket(x int64) int {
+	var bounds [latencyBuckets - 1]float64
+	for i := range bounds {
+		bounds[i] = math.Pow(2, float64(i))
 	}
-	// [-inf,10): 5, 9 → 2 ; [10,20): 10, 15 → 2 ; [20,30): 25 → 1 ;
-	// [30,inf): 30, 100 → 2.
-	want := []uint64{2, 2, 1, 2}
-	for i, w := range want {
-		if h.counts[i] != w {
-			t.Fatalf("bucket %d = %d, want %d", i, h.counts[i], w)
+	v := float64(x)
+	lo, hi := 0, len(bounds)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if v < bounds[mid] {
+			hi = mid
+		} else {
+			lo = mid + 1
 		}
 	}
-	if h.Count() != 7 {
-		t.Fatalf("count = %d", h.Count())
+	return lo
+}
+
+// TestLatencyBucketMatchesSearch holds the power-of-two bucket rule to the
+// search over the bounds: at and beside every power of two, for x ≤ 0 and
+// for random values of every width.
+func TestLatencyBucketMatchesSearch(t *testing.T) {
+	xs := []int64{math.MinInt64, -1 << 40, -2, -1, 0, math.MaxInt64}
+	for k := 0; k < 64; k++ {
+		p := uint64(1) << k
+		xs = append(xs, int64(p-1), int64(p), int64(p+1))
 	}
-	if len(h.counts) != 4 {
-		t.Fatalf("%d buckets, want 4 (three bounds plus overflow)", len(h.counts))
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 10_000; i++ {
+		xs = append(xs, rng.Int63()>>rng.Intn(63), -rng.Int63())
+	}
+	for _, x := range xs {
+		if got, want := bucket(x), searchBucket(x); got != want {
+			t.Fatalf("bucket(%d) = %d, the search picks %d", x, got, want)
+		}
 	}
 }
 
 func TestHistogramExactMean(t *testing.T) {
-	h := NewLatencyHistogram(10)
+	var h Histogram
 	for i := int64(1); i <= 100; i++ {
 		h.Add(i)
 	}
@@ -40,7 +63,7 @@ func TestHistogramExactMean(t *testing.T) {
 }
 
 func TestHistogramPercentileConservative(t *testing.T) {
-	h := NewHistogram([]float64{1, 2, 4, 8, 16, 32})
+	var h Histogram
 	for i := 0; i < 100; i++ {
 		h.Add(3) // all in [2,4)
 	}
@@ -50,18 +73,18 @@ func TestHistogramPercentileConservative(t *testing.T) {
 	if p := h.ApproxPercentile(100); p != 4 {
 		t.Fatalf("p100 = %g, want 4", p)
 	}
-	h.Add(1000) // lands in overflow
-	if p := h.ApproxPercentile(100); p != 1000 {
-		t.Fatalf("overflow percentile = %g, want exact max 1000", p)
+	h.Add(3 << 20) // lands in overflow
+	if p := h.ApproxPercentile(100); p != 3<<20 {
+		t.Fatalf("overflow percentile = %g, want exact max %d", p, 3<<20)
 	}
-	var empty = NewHistogram([]float64{1})
+	var empty Histogram
 	if empty.ApproxPercentile(99) != 0 {
 		t.Fatal("empty percentile should be 0")
 	}
 }
 
 func TestHistogramPercentileMonotone(t *testing.T) {
-	h := NewLatencyHistogram(12)
+	var h Histogram
 	if err := quick.Check(func(vals []uint16) bool {
 		for _, v := range vals {
 			h.Add(int64(v))
@@ -80,15 +103,18 @@ func TestHistogramPercentileMonotone(t *testing.T) {
 	}
 }
 
-func TestHistogramInvalidBoundsPanic(t *testing.T) {
-	for _, bounds := range [][]float64{nil, {}, {5, 5}, {5, 4}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("bounds %v did not panic", bounds)
-				}
-			}()
-			NewHistogram(bounds)
-		}()
+// TestHistogramJSON round-trips a histogram and refuses a bucket count that
+// is not the histogram's.
+func TestHistogramJSON(t *testing.T) {
+	var h, back Histogram
+	for _, x := range []int64{0, 1, 5, 1 << 30} {
+		h.Add(x)
+	}
+	data, err := json.Marshal(h)
+	if err != nil || json.Unmarshal(data, &back) != nil || back != h {
+		t.Fatalf("round trip of %s: %+v, %v", data, back, err)
+	}
+	if err := json.Unmarshal([]byte(`{"counts":[1,2],"sum":{"n":3,"sum":3,"max":2}}`), &back); err == nil {
+		t.Fatal("a two-bucket histogram decoded")
 	}
 }

@@ -12,16 +12,16 @@ import (
 )
 
 // Summary accumulates a stream of integer observations (cycle counts) with
-// O(1) memory: the count, Σx and Σx² as exact 128-bit integers, and the
-// extremes. Every field is an integer, so the state does not depend on the
-// order of the Adds, and Merge of two summaries is exactly the summary of
-// both streams — which is what lets sharded replicas' statistics add up to the
-// serial run's. The sums overflow only past 2^127. The zero value is an empty
-// summary ready to use.
+// O(1) memory: the count, Σx as an exact 128-bit integer, and the maximum.
+// Every field is an integer, so the state does not depend on the order of the
+// Adds, and Merge of two summaries is exactly the summary of both streams —
+// which is what lets sharded replicas' statistics add up to the serial run's.
+// The sum overflows only past 2^127. The zero value is an empty summary ready
+// to use.
 type Summary struct {
-	n          uint64
-	sum, sumSq int128
-	min, max   int64
+	n   uint64
+	sum int128
+	max int64
 }
 
 // int128 is a two's-complement 128-bit integer.
@@ -63,20 +63,11 @@ func int128Of(b *big.Int) (int128, error) {
 
 // Add records one observation.
 func (s *Summary) Add(x int64) {
-	if s.n == 0 || x < s.min {
-		s.min = x
-	}
 	if s.n == 0 || x > s.max {
 		s.max = x
 	}
 	s.n++
 	s.sum = s.sum.plus(int128{uint64(x >> 63), uint64(x)})
-	u := uint64(x)
-	if x < 0 {
-		u = -u
-	}
-	hi, lo := bits.Mul64(u, u)
-	s.sumSq = s.sumSq.plus(int128{hi, lo})
 }
 
 // Merge folds o into s: afterwards s equals the summary that Adding both
@@ -91,8 +82,6 @@ func (s *Summary) Merge(o *Summary) {
 	}
 	s.n += o.n
 	s.sum = s.sum.plus(o.sum)
-	s.sumSq = s.sumSq.plus(o.sumSq)
-	s.min = min(s.min, o.min)
 	s.max = max(s.max, o.max)
 }
 
@@ -107,41 +96,21 @@ func (s *Summary) Mean() float64 {
 	return s.sum.float() / float64(s.n)
 }
 
-// Min returns the smallest observation, or 0 for an empty summary.
-func (s *Summary) Min() int64 { return s.min }
-
 // Max returns the largest observation, or 0 for an empty summary.
 func (s *Summary) Max() int64 { return s.max }
 
-// Variance returns the unbiased sample variance, (nΣx² − (Σx)²) / (n(n−1))
-// rounded once, or 0 with fewer than two observations.
-func (s *Summary) Variance() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	n := new(big.Int).SetUint64(s.n)
-	sum := s.sum.big()
-	num := new(big.Int).Mul(n, s.sumSq.big())
-	num.Sub(num, sum.Mul(sum, sum))
-	den := n.Mul(n, new(big.Int).SetUint64(s.n-1))
-	v, _ := new(big.Rat).SetFrac(num, den).Float64()
-	return v
-}
-
 // summaryJSON mirrors the unexported accumulator state so summaries survive
 // serialization (the simulation result cache persists stats blocks across
-// process invocations). The sums are JSON integers of any width.
+// process invocations). The sum is a JSON integer of any width.
 type summaryJSON struct {
-	N     uint64   `json:"n"`
-	Sum   *big.Int `json:"sum"`
-	SumSq *big.Int `json:"sum_sq"`
-	Min   int64    `json:"min"`
-	Max   int64    `json:"max"`
+	N   uint64   `json:"n"`
+	Sum *big.Int `json:"sum"`
+	Max int64    `json:"max"`
 }
 
 // MarshalJSON serializes the full accumulator state.
 func (s Summary) MarshalJSON() ([]byte, error) {
-	return json.Marshal(summaryJSON{N: s.n, Sum: s.sum.big(), SumSq: s.sumSq.big(), Min: s.min, Max: s.max})
+	return json.Marshal(summaryJSON{N: s.n, Sum: s.sum.big(), Max: s.max})
 }
 
 // UnmarshalJSON restores a summary written by MarshalJSON.
@@ -154,11 +123,7 @@ func (s *Summary) UnmarshalJSON(data []byte) error {
 	if err != nil {
 		return err
 	}
-	sumSq, err := int128Of(j.SumSq)
-	if err != nil {
-		return err
-	}
-	*s = Summary{n: j.N, sum: sum, sumSq: sumSq, min: j.Min, max: j.Max}
+	*s = Summary{n: j.N, sum: sum, max: j.Max}
 	return nil
 }
 

@@ -39,7 +39,7 @@ func NewIdeal(nodes int, latency sim.Tick, bytesPerCycle int) *Ideal {
 		nodes:     nodes,
 		latency:   latency,
 		bytesPerC: bytesPerCycle,
-		stats:     NewStats(),
+		stats:     new(Stats),
 		nextFree:  make([]sim.Tick, nodes),
 		inflight:  NewDeliveryQueue(256), // the latency plus some port backlog
 	}
@@ -118,7 +118,7 @@ func (n *Ideal) SkipTo(t sim.Tick) {
 // Reset implements Resettable: back to the just-constructed state.
 func (n *Ideal) Reset() {
 	n.now = 0
-	n.stats = NewStats()
+	n.stats = new(Stats)
 	for i := range n.nextFree {
 		n.nextFree[i] = 0
 	}
@@ -129,7 +129,7 @@ func (n *Ideal) Reset() {
 // per-node port reservations and the in-flight messages.
 type idealSnapshot struct {
 	now      sim.Tick
-	stats    *Stats
+	stats    Stats
 	nextFree []sim.Tick
 	inflight DeliveryQueue
 }
@@ -141,7 +141,7 @@ func (s *idealSnapshot) SnapshotAt() sim.Tick { return s.now }
 func (n *Ideal) Snapshot() Snapshot {
 	return &idealSnapshot{
 		now:      n.now,
-		stats:    n.stats.Clone(),
+		stats:    *n.stats,
 		nextFree: append([]sim.Tick(nil), n.nextFree...),
 		inflight: n.inflight.Clone(),
 	}
@@ -152,7 +152,8 @@ func (n *Ideal) Snapshot() Snapshot {
 func (n *Ideal) Restore(s Snapshot) {
 	snap := s.(*idealSnapshot)
 	n.now = snap.now
-	n.stats = snap.stats.Clone()
+	stats := snap.stats
+	n.stats = &stats
 	copy(n.nextFree, snap.nextFree)
 	n.inflight.Restore(&snap.inflight)
 }

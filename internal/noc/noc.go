@@ -178,7 +178,8 @@ type Snapshot interface {
 // restored any number of times, onto the originating instance or any
 // identically configured one. State that is immutable or a pure function of
 // the configuration (topology wiring, photonic budgets, lazily materialized
-// fault timelines, serialization memo tables, free lists) is exempt.
+// fault timelines, serialization memo tables, free lists) is exempt. Like
+// Reset, Restore installs a fresh statistics block.
 type Checkpointer interface {
 	// Snapshot captures the fabric's mutable state at the current cycle.
 	Snapshot() Snapshot
@@ -192,9 +193,10 @@ type Checkpointer interface {
 // independent runs instead of rebuilding it. Reset must restore the clock
 // to zero, drop all queued and in-flight traffic, zero every statistic and
 // power counter, and re-arm arbitration state (token positions, credits,
-// round-robin pointers) to the constructor values. The delivery callback
-// is deliberately left in place; callers that need a different sink call
-// SetDeliver again.
+// round-robin pointers) to the constructor values; it installs a fresh
+// statistics block, since a finished result may hold the old one. The
+// delivery callback is deliberately left in place; callers that need a
+// different sink call SetDeliver again.
 type Resettable interface {
 	Reset()
 }
@@ -250,12 +252,13 @@ func (p *MsgPool) Put(m *Message) {
 // integer count or an integer-exact summary of integer cycle counts, so a
 // block does not depend on the order its samples arrived in, and Merge of two
 // blocks equals the block of both sample streams. That is why a sharded
-// replay's statistics are its replicas' blocks merged.
+// replay's statistics are its replicas' blocks merged. The zero value is an
+// empty block ready to use, and a copy is a deep copy.
 type Stats struct {
 	Injected  uint64
 	Delivered uint64
-	// Latency is the exact end-to-end latency distribution in cycles.
-	Latency *metrics.Histogram
+	// Latency is the end-to-end latency distribution in cycles.
+	Latency metrics.Histogram
 	// PerClass splits latency by virtual network: coherence studies care
 	// whether requests or data responses are the slow class.
 	PerClass [NumClasses]metrics.Summary
@@ -303,7 +306,7 @@ func (f *FaultCounts) Add(o FaultCounts) {
 func (s *Stats) Merge(o *Stats) {
 	s.Injected += o.Injected
 	s.Delivered += o.Delivered
-	s.Latency.Merge(o.Latency)
+	s.Latency.Merge(&o.Latency)
 	for c := range s.PerClass {
 		s.PerClass[c].Merge(&o.PerClass[c])
 	}
@@ -311,20 +314,6 @@ func (s *Stats) Merge(o *Stats) {
 	s.HopCount.Merge(&o.HopCount)
 	s.BytesDelivered += o.BytesDelivered
 	s.Faults.Add(o.Faults)
-}
-
-// Clone returns an independent deep copy of the statistics block. PerClass,
-// QueueDelay and HopCount are value-type summaries and copy with the struct;
-// only the latency histogram needs an explicit deep copy.
-func (s *Stats) Clone() *Stats {
-	c := *s
-	c.Latency = s.Latency.Clone()
-	return &c
-}
-
-// NewStats returns an initialized stats block.
-func NewStats() *Stats {
-	return &Stats{Latency: metrics.NewLatencyHistogram(20)}
 }
 
 // RecordDelivery folds one completed message into the counters.
@@ -337,9 +326,6 @@ func (s *Stats) RecordDelivery(m *Message) {
 		s.PerClass[m.Class].Add(lat)
 	}
 }
-
-// MeanLatency returns the mean delivered latency in cycles.
-func (s *Stats) MeanLatency() float64 { return s.Latency.Mean() }
 
 // PowerReport is the resolved power of a fabric over a measurement window.
 type PowerReport struct {

@@ -31,7 +31,7 @@ func TestMessageLatency(t *testing.T) {
 }
 
 func TestStatsRecordDelivery(t *testing.T) {
-	s := NewStats()
+	s := new(Stats)
 	s.RecordDelivery(&Message{Bytes: 64, Inject: 0, Arrive: 8, Class: ClassRequest})
 	s.RecordDelivery(&Message{Bytes: 8, Inject: 4, Arrive: 20, Class: ClassResponse})
 	if s.Delivered != 2 {
@@ -40,8 +40,8 @@ func TestStatsRecordDelivery(t *testing.T) {
 	if s.BytesDelivered != 72 {
 		t.Fatalf("bytes = %d", s.BytesDelivered)
 	}
-	if s.MeanLatency() != 12 {
-		t.Fatalf("mean latency = %g, want 12", s.MeanLatency())
+	if s.Latency.Mean() != 12 {
+		t.Fatalf("mean latency = %g, want 12", s.Latency.Mean())
 	}
 	if s.PerClass[ClassRequest].Mean() != 8 || s.PerClass[ClassResponse].Mean() != 16 {
 		t.Fatalf("per-class means: %g/%g",
@@ -96,7 +96,7 @@ func TestStatsMergeIsOrderFree(t *testing.T) {
 			d.hops = int64(1 + rng.Intn(14))
 			d.m.Arrive = d.m.Inject + sim.Tick(d.wait+d.hops) + sim.Tick(rng.Intn(1<<rng.Intn(16)))
 		}
-		want := NewStats()
+		want := new(Stats)
 		for i := range log {
 			record(want, &log[i])
 		}
@@ -110,7 +110,7 @@ func TestStatsMergeIsOrderFree(t *testing.T) {
 		blocks := make([]*Stats, k)
 		for s, part := range parts {
 			shuffle(rng, len(part), func(i, j int) { part[i], part[j] = part[j], part[i] })
-			blocks[s] = NewStats()
+			blocks[s] = new(Stats)
 			for _, d := range part {
 				record(blocks[s], d)
 			}

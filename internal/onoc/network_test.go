@@ -174,7 +174,7 @@ func TestTokenWaitRecordedInHopCount(t *testing.T) {
 	if n.Stats().HopCount.Count() != 7 {
 		t.Fatalf("token wait samples = %d", n.Stats().HopCount.Count())
 	}
-	if n.Stats().HopCount.Max() <= n.Stats().HopCount.Min() {
+	if float64(n.Stats().HopCount.Max()) <= n.Stats().HopCount.Mean() {
 		t.Fatal("contending writers should see different token waits")
 	}
 }

@@ -115,7 +115,7 @@ func newPhys(nodes int, cfg config.Optical, faults config.Faults, seed uint64) p
 	}
 	p := phys{
 		nodes:   nodes,
-		stats:   noc.NewStats(),
+		stats:   new(noc.Stats),
 		ser:     serTable{bitsPerCycle: bpc},
 		devices: photonics.DefaultDeviceParams(),
 		faults:  fault.New(nodes, faults, seed),
@@ -288,7 +288,7 @@ func (p *phys) zeroLoad(src, dst, bytes int, arbWait sim.Tick) sim.Tick {
 // replay identically in the next round.
 func (p *phys) reset() {
 	p.now = 0
-	p.stats = noc.NewStats()
+	p.stats = new(noc.Stats)
 	p.arrivals.Reset()
 	p.bitsSent = 0
 }
@@ -326,7 +326,7 @@ func (p *phys) powerReport(elapsed sim.Tick, arbitrationPJ ...float64) noc.Power
 // configuration and stay out.
 type physSnap struct {
 	now      sim.Tick
-	stats    *noc.Stats
+	stats    noc.Stats
 	bitsSent uint64
 	arrivals noc.DeliveryQueue
 }
@@ -337,7 +337,7 @@ func (s *physSnap) SnapshotAt() sim.Tick { return s.now }
 func (p *phys) snapshot() physSnap {
 	return physSnap{
 		now:      p.now,
-		stats:    p.stats.Clone(),
+		stats:    *p.stats,
 		bitsSent: p.bitsSent,
 		arrivals: p.arrivals.Clone(),
 	}
@@ -345,7 +345,8 @@ func (p *phys) snapshot() physSnap {
 
 func (p *phys) restore(s *physSnap) {
 	p.now = s.now
-	p.stats = s.stats.Clone()
+	stats := s.stats
+	p.stats = &stats
 	p.bitsSent = s.bitsSent
 	p.arrivals.Restore(&s.arrivals)
 }

@@ -302,7 +302,10 @@ func (c *Cache) diskError(err error) {
 // Version 5: replay, correction and estimate results are stored bare instead
 // of wrapped as {"Res": …, "Wall": …} with the host time of the computation;
 // a version-4 file would decode into a zero result.
-const valueFormatVersion = 5
+// Version 6: a noc.Stats summary keeps no Σx² or min, and its latency
+// histogram has fixed power-of-two buckets and persists no bounds; the
+// persisted block changed shape, so version-5 files are re-computed.
+const valueFormatVersion = 6
 
 // diskValue is the on-disk envelope for non-trace results.
 type diskValue struct {
