@@ -65,7 +65,12 @@ fmt-check:
 # an extra round allocates at most 64 KiB, no per-event vector. Beside them,
 # every fabric stamps each scheduled message with exactly its scheduled cycle
 # (what lets a replay's Inject be its schedule), and a resume leaves the
-# parked result's vectors as they were. TestPruneKeepsTrueFront is the sweep prefilter's recall gate:
+# parked result's vectors as they were. The capture gates (~1.5 s): every
+# captured event with dependencies is injected Gap cycles after the last of
+# them arrived (every kernel × ideal, mesh and crossbar × 16 and 64 cores),
+# which a send citing a dependency list its caller reused breaks, and a
+# longer capture costs at most 0.25 allocations per added event: a message
+# allocates nothing of its own. TestPruneKeepsTrueFront is the sweep prefilter's recall gate:
 # the quick default grid, pruned, keeps every arm of the Pareto front that
 # simulating all of its arms finds (~1.5 s). The daemon's reply-memo tests
 # (~1.3 s) hold a hit to its miss's bytes on both wire forms and to its
@@ -77,6 +82,7 @@ check: vet fmt-check sweep-smoke
 	$(GO) test ./internal/experiments/ -run TestParallelCachedOutputMatchesSequential -count=1
 	$(GO) test . -run 'TestDocsResolve|Surface|TestFileMatchesResident|TestSelfCaptureFixpointIsTruth|TestCoupledIsTheFixpoint|TestLoopAttractsWithoutCausalEdges' -count=1
 	$(GO) test . -run 'TestStreamCorrectionResidency|TestCorrectionRoundAllocatesNoEventVectors' -count=1
+	$(GO) test . -run 'TestCaptureGapStartsAtLastDependency|TestCaptureAllocationsIndependentOfLength' -count=1
 	$(GO) test ./internal/core/ -run 'TestScheduledReplayInjectsOnSchedule|TestParkedResultSurvivesResume' -count=1
 	$(GO) test ./internal/fabric/ -count=1
 	$(GO) test -short ./internal/enoc/ ./internal/onoc/ ./internal/trace/ ./internal/core/ -run 'DifferentialAgainstReference|BufferedDecodeMatchesBytewise|EngineAgainstReference' -count=1

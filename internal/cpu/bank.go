@@ -34,9 +34,11 @@ const (
 
 // arrivedMsg couples a delivered protocol message with its destination node
 // and arrival time, so handlers can cite it as a dependency of their
-// responses.
+// responses. set is false only in the zero value, which a directory entry's
+// pendingReq holds while no request is pending.
 type arrivedMsg struct {
-	msg *protoMsg
+	msg protoMsg
+	set bool
 	dst int
 	at  sim.Tick
 }
@@ -53,7 +55,8 @@ type dirEntry struct {
 	waitq []arrivedMsg
 
 	// Transaction scratch: the request being serviced, outstanding ack
-	// count, and the dependency set accumulated for the final response.
+	// count, and the dependency set accumulated for the final response
+	// (its backing array serves every transaction of the line).
 	pendingReq  arrivedMsg
 	pendingAcks int
 	deps        []trace.Dep
@@ -276,7 +279,7 @@ func (b *bank) startRequest(e *dirEntry, am arrivedMsg) {
 				return
 			}
 			delay := b.serviceDelay(line)
-			e.sharers = newBitset(b.sys.nodes)
+			clear(e.sharers)
 			e.state = dirModified
 			e.owner = c
 			b.sendData(line, c, grantM, delay, []trace.Dep{reqDep}, am.at)
@@ -285,7 +288,7 @@ func (b *bank) startRequest(e *dirEntry, am arrivedMsg) {
 		e.busy = true
 		e.pendingReq = am
 		e.pendingAcks = others
-		e.deps = []trace.Dep{reqDep}
+		e.deps = append(e.deps[:0], reqDep)
 		e.depTime = am.at
 		e.recallFrom = -1
 		b.InvRounds++
@@ -294,7 +297,7 @@ func (b *bank) startRequest(e *dirEntry, am arrivedMsg) {
 			if i == c {
 				return
 			}
-			b.sys.send(b.id, i, &protoMsg{typ: mInv, line: line, core: c},
+			b.sys.send(b.id, i, protoMsg{typ: mInv, line: line, core: c},
 				svc, []trace.Dep{reqDep}, am.at)
 		})
 
@@ -311,7 +314,7 @@ func (b *bank) startRequest(e *dirEntry, am arrivedMsg) {
 		e.busy = true
 		e.pendingReq = am
 		e.pendingAcks = 1
-		e.deps = []trace.Dep{reqDep}
+		e.deps = append(e.deps[:0], reqDep)
 		e.depTime = am.at
 		e.recallFrom = e.owner
 		e.ownerKeptCopy = false
@@ -321,7 +324,7 @@ func (b *bank) startRequest(e *dirEntry, am arrivedMsg) {
 			intent = recallForM
 		}
 		svc := L2HitCycles
-		b.sys.send(b.id, e.owner, &protoMsg{typ: mRecall, line: line, core: c, aux: intent},
+		b.sys.send(b.id, e.owner, protoMsg{typ: mRecall, line: line, core: c, aux: intent},
 			svc, []trace.Dep{reqDep}, am.at)
 	}
 }
@@ -344,7 +347,7 @@ func (b *bank) startMemFetch(e *dirEntry, am arrivedMsg) bool {
 	e.recallFrom = -1
 	mc := b.sys.memControllerOf(am.msg.line)
 	b.sys.send(b.id, mc,
-		&protoMsg{typ: mMemReq, line: am.msg.line, core: b.id},
+		protoMsg{typ: mMemReq, line: am.msg.line, core: b.id},
 		L2HitCycles,
 		[]trace.Dep{{On: am.msg.traceID, Class: trace.DepCausal}}, am.at)
 	return true
@@ -354,7 +357,7 @@ func (b *bank) startMemFetch(e *dirEntry, am arrivedMsg) bool {
 // the response carries the line after the DRAM latency.
 func (b *bank) handleMemReq(am arrivedMsg) {
 	b.sys.send(b.id, am.msg.core,
-		&protoMsg{typ: mMemResp, line: am.msg.line, core: b.id},
+		protoMsg{typ: mMemResp, line: am.msg.line, core: b.id},
 		MemCycles,
 		[]trace.Dep{{On: am.msg.traceID, Class: trace.DepCausal}}, am.at)
 }
@@ -362,7 +365,7 @@ func (b *bank) handleMemReq(am arrivedMsg) {
 // handleMemResp completes the deferred grant at the home bank.
 func (b *bank) handleMemResp(am arrivedMsg) {
 	e := b.entry(am.msg.line)
-	if !e.busy || !e.waitingMem || e.pendingReq.msg == nil {
+	if !e.busy || !e.waitingMem || !e.pendingReq.set {
 		panic(fmt.Sprintf("cpu: bank %d stray MemResp for line %#x", b.id, am.msg.line))
 	}
 	req := e.pendingReq
@@ -370,7 +373,7 @@ func (b *bank) handleMemResp(am arrivedMsg) {
 	deps := []trace.Dep{{On: am.msg.traceID, Class: trace.DepCausal}}
 	delay := L2HitCycles
 	if req.msg.typ == mGetM {
-		e.sharers = newBitset(b.sys.nodes)
+		clear(e.sharers)
 		e.state = dirModified
 		e.owner = c
 		b.sendData(line, c, grantM, delay, deps, am.at)
@@ -399,7 +402,7 @@ func (b *bank) handleWB(am arrivedMsg) {
 	if e.state == dirModified && e.owner == c {
 		e.state = dirUncached
 		e.owner = -1
-		if e.busy && e.pendingReq.msg == nil {
+		if e.busy && !e.pendingReq.set {
 			// An owner re-request was queued waiting for this WB.
 			e.busy = false
 			b.drainWaitq(e)
@@ -412,7 +415,7 @@ func (b *bank) handleWB(am arrivedMsg) {
 // handleInvAck counts one invalidation acknowledgement.
 func (b *bank) handleInvAck(am arrivedMsg) {
 	e := b.entry(am.msg.line)
-	if !e.busy || e.pendingAcks <= 0 || e.pendingReq.msg == nil {
+	if !e.busy || e.pendingAcks <= 0 || !e.pendingReq.set {
 		panic(fmt.Sprintf("cpu: bank %d stray InvAck for line %#x", b.id, am.msg.line))
 	}
 	e.sharers.clear(am.msg.core)
@@ -429,7 +432,7 @@ func (b *bank) handleInvAck(am arrivedMsg) {
 // handleRecallResp completes a recall with or without data.
 func (b *bank) handleRecallResp(am arrivedMsg) {
 	e := b.entry(am.msg.line)
-	if !e.busy || e.pendingAcks <= 0 || e.pendingReq.msg == nil || e.recallFrom != am.msg.core {
+	if !e.busy || e.pendingAcks <= 0 || !e.pendingReq.set || e.recallFrom != am.msg.core {
 		// A recall response may trail a crossing WB that already
 		// completed the transaction; it is then a harmless straggler.
 		return
@@ -464,7 +467,7 @@ func (b *bank) finishRequest(e *dirEntry) {
 	line, c := m.line, m.core
 	delay := L2HitCycles
 	if m.typ == mGetM {
-		e.sharers = newBitset(b.sys.nodes)
+		clear(e.sharers)
 		e.state = dirModified
 		e.owner = c
 		b.sendData(line, c, grantM, delay, e.deps, e.depTime)
@@ -479,7 +482,7 @@ func (b *bank) finishRequest(e *dirEntry) {
 		b.sendData(line, c, grantS, delay, e.deps, e.depTime)
 	}
 	e.busy = false
-	e.deps = nil
+	e.deps = e.deps[:0]
 	e.pendingReq = arrivedMsg{}
 	e.recallFrom = -1
 	e.ownerKeptCopy = false
@@ -497,7 +500,7 @@ func (b *bank) drainWaitq(e *dirEntry) {
 
 // sendData emits a data response.
 func (b *bank) sendData(line uint64, c, grant int, delay sim.Tick, deps []trace.Dep, depTime sim.Tick) {
-	b.sys.send(b.id, c, &protoMsg{typ: mData, line: line, core: c, aux: grant}, delay, deps, depTime)
+	b.sys.send(b.id, c, protoMsg{typ: mData, line: line, core: c, aux: grant}, delay, deps, depTime)
 }
 
 // --- Synchronization ---
@@ -528,7 +531,7 @@ func (b *bank) handleLockReq(am arrivedMsg) {
 		}
 	}
 	b.sys.send(b.id, am.msg.core,
-		&protoMsg{typ: mLockGrant, id: am.msg.id, core: am.msg.core},
+		protoMsg{typ: mLockGrant, id: am.msg.id, core: am.msg.core},
 		L2HitCycles, deps, depTime)
 }
 
@@ -556,7 +559,7 @@ func (b *bank) handleLockRel(am arrivedMsg) {
 			depTime = l.relTime
 		}
 		b.sys.send(b.id, next.msg.core,
-			&protoMsg{typ: mLockGrant, id: next.msg.id, core: next.msg.core},
+			protoMsg{typ: mLockGrant, id: next.msg.id, core: next.msg.core},
 			L2HitCycles, deps, depTime)
 	}
 }
@@ -575,11 +578,9 @@ func (b *bank) handleBarArrive(am arrivedMsg) {
 	if bs.arrived == b.sys.nodes {
 		svc := L2HitCycles
 		for c := 0; c < b.sys.nodes; c++ {
-			deps := make([]trace.Dep, len(bs.deps))
-			copy(deps, bs.deps)
 			b.sys.send(b.id, c,
-				&protoMsg{typ: mBarRelease, id: am.msg.id, core: c},
-				svc, deps, bs.depTime)
+				protoMsg{typ: mBarRelease, id: am.msg.id, core: c},
+				svc, bs.deps, bs.depTime)
 		}
 		delete(b.barriers, am.msg.id)
 	}

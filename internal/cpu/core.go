@@ -55,6 +55,10 @@ type core struct {
 	lastUnblockID   trace.EventID
 	lastUnblockTime sim.Tick
 
+	// dep is progDep's one-edge slot: every core send is injected, and
+	// its edges recorded, before the core sends again.
+	dep [1]trace.Dep
+
 	// doneAt is the cycle the program finished.
 	doneAt sim.Tick
 
@@ -89,12 +93,14 @@ func (c *core) setState(s coreState) {
 	c.state = s
 }
 
-// progDep returns the program-order dependency set of the core's next send.
+// progDep returns the program-order dependency set of the core's next send,
+// in the core's slot.
 func (c *core) progDep() ([]trace.Dep, sim.Tick) {
 	if c.lastUnblockID == trace.None {
 		return nil, c.lastUnblockTime
 	}
-	return []trace.Dep{{On: c.lastUnblockID, Class: trace.DepProgram}}, c.lastUnblockTime
+	c.dep[0] = trace.Dep{On: c.lastUnblockID, Class: trace.DepProgram}
+	return c.dep[:], c.lastUnblockTime
 }
 
 // step advances the core by (at most) one blocking action at the current
@@ -137,14 +143,14 @@ func (c *core) step() {
 		case OpLock:
 			c.SyncOps++
 			deps, depTime := c.progDep()
-			c.sys.sendFromCore(c, &protoMsg{typ: mLockReq, id: op.Arg, core: c.id}, deps, depTime)
+			c.sys.sendFromCore(c, protoMsg{typ: mLockReq, id: op.Arg, core: c.id}, deps, depTime)
 			c.setState(coreWaitLock)
 			return
 
 		case OpUnlock:
 			c.SyncOps++
 			deps, depTime := c.progDep()
-			c.sys.sendFromCore(c, &protoMsg{typ: mLockRel, id: op.Arg, core: c.id}, deps, depTime)
+			c.sys.sendFromCore(c, protoMsg{typ: mLockRel, id: op.Arg, core: c.id}, deps, depTime)
 			c.pc++
 			c.busyUntil = now + 1
 			return
@@ -152,7 +158,7 @@ func (c *core) step() {
 		case OpBarrier:
 			c.SyncOps++
 			deps, depTime := c.progDep()
-			c.sys.sendFromCore(c, &protoMsg{typ: mBarArrive, id: op.Arg, core: c.id}, deps, depTime)
+			c.sys.sendFromCore(c, protoMsg{typ: mBarArrive, id: op.Arg, core: c.id}, deps, depTime)
 			c.setState(coreWaitBarrier)
 			return
 
@@ -171,7 +177,7 @@ func (c *core) startMiss(line uint64, write bool) {
 		typ = mGetM
 	}
 	deps, depTime := c.progDep()
-	c.sys.sendFromCore(c, &protoMsg{typ: typ, line: line, core: c.id}, deps, depTime)
+	c.sys.sendFromCore(c, protoMsg{typ: typ, line: line, core: c.id}, deps, depTime)
 	c.pendingLine = line
 	c.setState(coreWaitMem)
 }
@@ -188,25 +194,25 @@ func (c *core) handle(am arrivedMsg) {
 		// Acknowledge to the home (the sender), naming the requesting
 		// core only for diagnostics.
 		c.sys.sendFromCoreTo(c, c.sys.homeOf(m.line),
-			&protoMsg{typ: mInvAck, line: m.line, core: c.id},
+			protoMsg{typ: mInvAck, line: m.line, core: c.id},
 			[]trace.Dep{{On: m.traceID, Class: trace.DepCausal}}, am.at)
 
 	case mRecall:
 		home := c.sys.homeOf(m.line)
 		dep := []trace.Dep{{On: m.traceID, Class: trace.DepCausal}}
-		var resp *protoMsg
+		var resp protoMsg
 		if m.aux == recallForS {
 			if c.l1.Downgrade(m.line) {
-				resp = &protoMsg{typ: mWBData, line: m.line, core: c.id}
+				resp = protoMsg{typ: mWBData, line: m.line, core: c.id}
 			} else {
-				resp = &protoMsg{typ: mRecallAck, line: m.line, core: c.id}
+				resp = protoMsg{typ: mRecallAck, line: m.line, core: c.id}
 			}
 		} else {
 			was, present := c.l1.Invalidate(m.line)
 			if present && was == stateM {
-				resp = &protoMsg{typ: mWBData, line: m.line, core: c.id}
+				resp = protoMsg{typ: mWBData, line: m.line, core: c.id}
 			} else {
-				resp = &protoMsg{typ: mRecallAck, line: m.line, core: c.id}
+				resp = protoMsg{typ: mRecallAck, line: m.line, core: c.id}
 			}
 		}
 		c.sys.sendFromCoreTo(c, home, resp, dep, am.at)
@@ -248,7 +254,7 @@ func (c *core) completeMiss(am arrivedMsg) {
 			// The eviction is caused by this fill: its dependency is
 			// the arriving data message.
 			c.sys.sendFromCoreTo(c, c.sys.homeOf(victim),
-				&protoMsg{typ: mWB, line: victim, core: c.id},
+				protoMsg{typ: mWB, line: victim, core: c.id},
 				[]trace.Dep{{On: m.traceID, Class: trace.DepCausal}}, am.at)
 		}
 		c.l1.Fill(m.line, st)

@@ -58,8 +58,9 @@ const (
 	recallForM        // invalidate owner, return data
 )
 
-// protoMsg is the protocol payload attached to every noc.Message the
-// substrate injects.
+// protoMsg is a protocol message. It is a value everywhere except in flight,
+// where a *protoMsg from the System's free list rides in the
+// noc.Message.Payload of the message the substrate injects.
 type protoMsg struct {
 	typ  msgType
 	line uint64 // cache line number (coherence) — unused for sync

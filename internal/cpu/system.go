@@ -74,14 +74,27 @@ type System struct {
 	// swaps it in before dispatching so the in-flight batch is never
 	// aliased, and both backing arrays are recycled for the whole run.
 	inboxSpare []arrivedMsg
-	// pool recycles fabric messages: a Message dies in onDeliver as soon
-	// as its fields are copied into the inbox, so steady state re-injects
-	// the same handful of allocations.
-	pool noc.MsgPool
-	// eng schedules delayed bank responses: the bank occupancy model is
-	// a small discrete-event simulation riding on the synchronous tick
-	// loop (RunUntil flushes the events due each cycle).
-	eng *sim.Engine
+	// pool recycles fabric messages and freeMsgs the protocol payloads they
+	// carry: both die in onDeliver as soon as their fields are copied into
+	// the inbox, so steady state re-injects the same handful of allocations.
+	pool     noc.MsgPool
+	freeMsgs []*protoMsg
+	// delayed holds bank responses until their service delay (at most
+	// MemCycles + L2HitCycles, inside its 256-cycle ring) expires, in
+	// (cycle, send order); tick injects the ones due each cycle. freeDeps
+	// recycles the edge lists a capture copies into them.
+	delayed  sim.Calendar[delayedSend]
+	freeDeps [][]trace.Dep
+}
+
+// delayedSend is a bank response waiting out its service delay. deps is the
+// send's own copy of its edges, kept only while capturing: the caller's list
+// may be reused before the send is injected.
+type delayedSend struct {
+	src, dst int
+	pm       protoMsg
+	deps     []trace.Dep
+	depTime  sim.Tick
 }
 
 // NewSystem builds a chip from a validated config, per-core programs, and a
@@ -102,7 +115,7 @@ func newSystem(cfg config.Config, programs []Program, net noc.Network, rec *trac
 	if err != nil {
 		return nil, err
 	}
-	s := &System{cfg: cfg, net: net, nodes: cfg.System.Cores, l1Sets: l1Sets, l1Ways: l1Ways, rec: rec, eng: sim.NewEngine(), memTiles: memTiles}
+	s := &System{cfg: cfg, net: net, nodes: cfg.System.Cores, l1Sets: l1Sets, l1Ways: l1Ways, rec: rec, delayed: sim.NewCalendar[delayedSend](256), memTiles: memTiles}
 	s.runningInRange = make([]int, (cfg.System.Cores+coreRangeSize-1)>>coreRangeShift)
 	for i, p := range programs {
 		if err := p.Validate(); err != nil {
@@ -147,15 +160,16 @@ func (s *System) memControllerOf(line uint64) int {
 }
 
 // bytesFor returns the fabric payload size of a protocol message.
-func (s *System) bytesFor(pm *protoMsg) int {
+func (s *System) bytesFor(pm protoMsg) int {
 	if pm.isData() {
 		return DataBytes
 	}
 	return CtrlBytes
 }
 
-// inject records (if capturing) and injects a protocol message now.
-func (s *System) inject(src, dst int, pm *protoMsg, deps []trace.Dep, depTime sim.Tick) {
+// inject records (if capturing) and injects a protocol message now. The
+// message rides the fabric in a payload from the free list.
+func (s *System) inject(src, dst int, pm protoMsg, deps []trace.Dep, depTime sim.Tick) {
 	if s.rec != nil {
 		pm.traceID = s.rec.RecordSend(trace.SendInfo{
 			Src:         src,
@@ -168,6 +182,13 @@ func (s *System) inject(src, dst int, pm *protoMsg, deps []trace.Dep, depTime si
 			Now:         s.now,
 		})
 	}
+	var p *protoMsg
+	if n := len(s.freeMsgs); n > 0 {
+		p, s.freeMsgs = s.freeMsgs[n-1], s.freeMsgs[:n-1]
+	} else {
+		p = new(protoMsg)
+	}
+	*p = pm
 	s.msgID++
 	m := s.pool.Get()
 	m.ID = s.msgID
@@ -175,23 +196,29 @@ func (s *System) inject(src, dst int, pm *protoMsg, deps []trace.Dep, depTime si
 	m.Dst = dst
 	m.Bytes = s.bytesFor(pm)
 	m.Class = pm.class()
-	m.Payload = pm
+	m.Payload = p
 	s.net.Inject(m)
 }
 
-// send schedules a message after a service delay (bank responses).
-func (s *System) send(src, dst int, pm *protoMsg, delay sim.Tick, deps []trace.Dep, depTime sim.Tick) {
+// send schedules a message after a service delay (bank responses). It keeps
+// no reference to deps.
+func (s *System) send(src, dst int, pm protoMsg, delay sim.Tick, deps []trace.Dep, depTime sim.Tick) {
 	if delay <= 0 {
 		s.inject(src, dst, pm, deps, depTime)
 		return
 	}
-	s.eng.Schedule(s.now+delay, func() {
-		s.inject(src, dst, pm, deps, depTime)
-	})
+	d := delayedSend{src: src, dst: dst, pm: pm, depTime: depTime}
+	if s.rec != nil {
+		if n := len(s.freeDeps); n > 0 {
+			d.deps, s.freeDeps = s.freeDeps[n-1], s.freeDeps[:n-1]
+		}
+		d.deps = append(d.deps, deps...)
+	}
+	s.delayed.Push(s.now+delay, d)
 }
 
 // sendFromCore routes a core-originated message to its implicit home.
-func (s *System) sendFromCore(c *core, pm *protoMsg, deps []trace.Dep, depTime sim.Tick) {
+func (s *System) sendFromCore(c *core, pm protoMsg, deps []trace.Dep, depTime sim.Tick) {
 	var dst int
 	switch pm.typ {
 	case mGetS, mGetM, mWB:
@@ -205,20 +232,21 @@ func (s *System) sendFromCore(c *core, pm *protoMsg, deps []trace.Dep, depTime s
 }
 
 // sendFromCoreTo routes a core-originated message to an explicit node.
-func (s *System) sendFromCoreTo(c *core, dst int, pm *protoMsg, deps []trace.Dep, depTime sim.Tick) {
+func (s *System) sendFromCoreTo(c *core, dst int, pm protoMsg, deps []trace.Dep, depTime sim.Tick) {
 	s.inject(c.id, dst, pm, deps, depTime)
 }
 
 // onDeliver collects fabric deliveries; they are dispatched after the
 // fabric tick completes so handler-triggered sends see a settled cycle.
 // The fabric holds no reference to m after this returns, so the message
-// goes straight back to the pool.
+// and its payload go straight back to their free lists.
 func (s *System) onDeliver(m *noc.Message) {
 	pm, ok := m.Payload.(*protoMsg)
 	if !ok {
 		panic(fmt.Sprintf("cpu: delivery %d carries foreign payload %T", m.ID, m.Payload))
 	}
-	s.inbox = append(s.inbox, arrivedMsg{msg: pm, dst: m.Dst, at: m.Arrive})
+	s.inbox = append(s.inbox, arrivedMsg{msg: *pm, set: true, dst: m.Dst, at: m.Arrive})
+	s.freeMsgs = append(s.freeMsgs, pm)
 	s.pool.Put(m)
 }
 
@@ -252,8 +280,14 @@ func (s *System) tick() {
 		s.inboxSpare = batch[:0]
 	}
 
-	// Flush bank responses whose service delay expired.
-	s.eng.RunUntil(s.now)
+	// Inject bank responses whose service delay expired.
+	for s.delayed.NextAt() <= s.now {
+		d := s.delayed.Pop()
+		s.inject(d.src, d.dst, d.pm, d.deps, d.depTime)
+		if d.deps != nil {
+			s.freeDeps = append(s.freeDeps, d.deps[:0])
+		}
+	}
 
 	// Advance cores, skipping whole tile ranges with no running core.
 	// step() never wakes another core (unblocks happen only during inbox
@@ -286,9 +320,10 @@ type RunResult struct {
 }
 
 // nextWake returns the earliest future cycle at which any chip component
-// could do observable work: a running core reaching busyUntil, a pending
-// bank-response event, or the fabric's own wake-up. Blocked cores are woken
-// exclusively by deliveries, which the fabric/engine terms already cover.
+// could do observable work: a running core reaching busyUntil, a delayed
+// bank response, or the fabric's own wake-up. Blocked cores are woken
+// exclusively by deliveries, which the fabric and delayed-response terms
+// already cover.
 // Cycles strictly before the returned value are provably no-ops.
 func (s *System) nextWake() sim.Tick {
 	if len(s.inbox) > 0 {
@@ -319,7 +354,7 @@ func (s *System) nextWake() sim.Tick {
 			}
 		}
 	}
-	if at, ok := s.eng.NextAt(); ok && at < wake {
+	if at := s.delayed.NextAt(); at < wake {
 		wake = at
 	}
 	if nw := s.net.NextWake(); nw < wake {
@@ -331,8 +366,8 @@ func (s *System) nextWake() sim.Tick {
 // Run drives the system until every core finishes and the fabric drains,
 // or errors out at the cycle bound (indicating livelock or an undersized
 // bound). Provably idle stretches — all cores blocked or mid-compute,
-// nothing due in the fabric or the bank engine — are fast-forwarded without
-// changing any observable timing.
+// nothing due in the fabric or among the delayed responses — are
+// fast-forwarded without changing any observable timing.
 func (s *System) Run(maxCycles int64) (RunResult, error) {
 	bound := sim.Tick(maxCycles)
 	for {
@@ -372,7 +407,7 @@ func (s *System) done() bool {
 			return false
 		}
 	}
-	return s.net.NextWake() == noc.Never && s.eng.Pending() == 0 && len(s.inbox) == 0
+	return s.net.NextWake() == noc.Never && s.delayed.Len() == 0 && len(s.inbox) == 0
 }
 
 // coreStates summarizes core states for timeout diagnostics.

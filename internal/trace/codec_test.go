@@ -32,6 +32,7 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 	gen := func(seed uint64, n int) *Trace {
 		rng := sim.NewRNG(seed)
 		tr := &Trace{Nodes: 8, Workload: "prop", RefMakespan: 10000}
+		r := NewRecorder(8)
 		now := sim.Tick(0)
 		for i := 0; i < n; i++ {
 			id := EventID(i + 1)
@@ -50,7 +51,7 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 					Class: DepClass(rng.Intn(int(numDepClasses))),
 				})
 			}
-			e.Deps = dedupeDeps(e.Deps, id)
+			e.Deps = r.dedupe(e.Deps, id)
 			now += e.Gap + 1
 			e.RefInject = now
 			e.RefArrive = now + sim.Tick(1+rng.Intn(100))
@@ -84,6 +85,7 @@ func TestReadBinaryAllocsConstant(t *testing.T) {
 	// here and fail loudly.
 	rng := sim.NewRNG(7)
 	tr := &Trace{Nodes: 8, Workload: "allocs", RefMakespan: 1 << 30}
+	r := NewRecorder(8)
 	now := sim.Tick(0)
 	const n = 5000
 	for i := 0; i < n; i++ {
@@ -92,7 +94,7 @@ func TestReadBinaryAllocsConstant(t *testing.T) {
 		for d := 0; d < rng.Intn(3) && i > 0; d++ {
 			e.Deps = append(e.Deps, Dep{On: EventID(1 + rng.Intn(i))})
 		}
-		e.Deps = dedupeDeps(e.Deps, id)
+		e.Deps = r.dedupe(e.Deps, id)
 		now += e.Gap + 1
 		e.RefInject = now
 		e.RefArrive = now + 10

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 
 	"onocsim/internal/noc"
 	"onocsim/internal/sim"
@@ -18,7 +19,17 @@ import (
 type Recorder struct {
 	nodes  int
 	events []Event
+	// arena is the chunk the recorded edges are copied into: each event's
+	// Deps is a full-capacity subslice of it, so an append through one
+	// event's Deps can never overwrite its neighbor's. A full chunk is
+	// left to the events that point into it.
+	arena []Dep
 }
+
+// arenaChunk is the edge capacity of one arena chunk (8 KiB): small enough
+// that the slack a cached small capture pins past its last edge stays below
+// its own edges, large enough that a chunk costs no allocation per message.
+const arenaChunk = 512
 
 // NewRecorder starts an empty capture for a system with the given node count.
 func NewRecorder(nodes int) *Recorder {
@@ -35,6 +46,7 @@ type SendInfo struct {
 	Class    noc.Class
 	Kind     Kind
 	// Deps are the gating events; duplicates are tolerated and removed.
+	// The recorder keeps a copy, not the slice.
 	Deps []Dep
 	// DepResolved is the capture-run time at which the last gating event
 	// arrived; for dependency-free events pass 0 (meaning "start of run").
@@ -58,7 +70,7 @@ func (r *Recorder) RecordSend(info SendInfo) EventID {
 		panic(fmt.Sprintf("trace: event %d injected at %d before its dependency resolved at %d",
 			id, info.Now, info.DepResolved))
 	}
-	deps := dedupeDeps(info.Deps, id)
+	deps := r.dedupe(info.Deps, id)
 	r.events = append(r.events, Event{
 		ID:        id,
 		Src:       info.Src,
@@ -74,13 +86,16 @@ func (r *Recorder) RecordSend(info SendInfo) EventID {
 	return id
 }
 
-// dedupeDeps removes duplicate edges and checks the DAG discipline.
-func dedupeDeps(deps []Dep, self EventID) []Dep {
+// dedupe copies deps into the arena without duplicate edges, checking the
+// DAG discipline. Lists are short, so a duplicate is found by a linear scan.
+func (r *Recorder) dedupe(deps []Dep, self EventID) []Dep {
 	if len(deps) == 0 {
 		return nil
 	}
-	out := make([]Dep, 0, len(deps))
-	seen := make(map[Dep]bool, len(deps))
+	if cap(r.arena)-len(r.arena) < len(deps) {
+		r.arena = make([]Dep, 0, max(arenaChunk, len(deps)))
+	}
+	start := len(r.arena)
 	for _, d := range deps {
 		if d.On == None {
 			continue
@@ -88,12 +103,11 @@ func dedupeDeps(deps []Dep, self EventID) []Dep {
 		if d.On >= self {
 			panic(fmt.Sprintf("trace: event %d depends on non-earlier event %d", self, d.On))
 		}
-		if !seen[d] {
-			seen[d] = true
-			out = append(out, d)
+		if !slices.Contains(r.arena[start:], d) {
+			r.arena = append(r.arena, d)
 		}
 	}
-	return out
+	return r.arena[start:len(r.arena):len(r.arena)]
 }
 
 // RecordArrive stamps the capture-run arrival time of an event.

@@ -18,6 +18,9 @@ func TestRecorderBasicFlow(t *testing.T) {
 	id2 := r.RecordSend(SendInfo{Src: 1, Dst: 0, Bytes: 72, Class: noc.ClassResponse,
 		Kind: KindResponse, Deps: []Dep{{On: id1, Class: DepCausal}}, DepResolved: 30, Now: 36})
 	r.RecordArrive(id2, 60)
+	id3 := r.RecordSend(SendInfo{Src: 0, Dst: 1, Bytes: 8, Class: noc.ClassRequest,
+		Kind: KindRequest, Deps: []Dep{{On: id2, Class: DepProgram}}, DepResolved: 60, Now: 61})
+	r.RecordArrive(id3, 65)
 	tr, err := r.Finish("flow", 70)
 	if err != nil {
 		t.Fatal(err)
@@ -30,6 +33,12 @@ func TestRecorderBasicFlow(t *testing.T) {
 	}
 	if tr.Events[1].Deps[0].On != id1 {
 		t.Fatal("dep lost")
+	}
+	// Events share the recorder's edge arena: an append through one
+	// event's Deps must not reach its neighbor's.
+	_ = append(tr.Events[1].Deps, Dep{On: id1, Class: DepSync})
+	if want := (Dep{On: id2, Class: DepProgram}); tr.Events[2].Deps[0] != want {
+		t.Fatalf("event 3 deps = %v after an append to event 2's, want [%v]", tr.Events[2].Deps, want)
 	}
 	if tr.RefMakespan != 70 || tr.Workload != "flow" {
 		t.Fatal("metadata lost")

@@ -383,6 +383,7 @@ func TestNewFileSourceRejectsCorruptHeader(t *testing.T) {
 func randomStreamTrace(seed uint64, n, nodes int) *Trace {
 	rng := sim.NewRNG(seed)
 	tr := &Trace{Nodes: nodes, Workload: "stream-prop", RefMakespan: 100000}
+	r := NewRecorder(nodes)
 	now := sim.Tick(0)
 	for i := 0; i < n; i++ {
 		id := EventID(i + 1)
@@ -401,7 +402,7 @@ func randomStreamTrace(seed uint64, n, nodes int) *Trace {
 				Class: DepClass(rng.Intn(int(numDepClasses))),
 			})
 		}
-		e.Deps = dedupeDeps(e.Deps, id)
+		e.Deps = r.dedupe(e.Deps, id)
 		now += e.Gap + 1
 		e.RefInject = now
 		e.RefArrive = now + sim.Tick(1+rng.Intn(100))
