@@ -44,7 +44,9 @@ fmt-check:
 # derived schedule equals ScheduleStream over the run's latencies, a
 # correction reads its source 1 + rounds times (one more seeded coupled), and
 # a file pass yields a Reader's events and errors, refuses a file whose header
-# changed, ignores a second Close and leaves no goroutine once closed.
+# changed, ignores a second Close and leaves no goroutine once closed. Beside
+# them, a cached capture is one shared trace while any caller holds it, under
+# concurrent hits too, and an equal re-decode once the collector dropped it.
 # TestParallelCachedOutputMatchesSequential holds the concurrent, cached
 # (cold and warm disk) quick report to the sequential uncached one, byte for
 # byte: no table cell holds host time.
@@ -65,7 +67,10 @@ fmt-check:
 # an extra round allocates at most 64 KiB, no per-event vector. Beside them,
 # every fabric stamps each scheduled message with exactly its scheduled cycle
 # (what lets a replay's Inject be its schedule), and a resume leaves the
-# parked result's vectors as they were. The capture gates (~1.5 s): every
+# parked result's vectors as they were. The capture cache's residency gate
+# (~0.1 s): 24 cached 16-core captures, every trace dropped, retain at most
+# 32 B per event after a GC, because an entry keeps the capture's binary
+# encoding and not the decoded trace. The capture gates (~1.5 s): every
 # captured event with dependencies is injected Gap cycles after the last of
 # them arrived (every kernel × ideal, mesh and crossbar × 16 and 64 cores),
 # which a send citing a dependency list its caller reused breaks, and a
@@ -81,13 +86,13 @@ check: vet fmt-check sweep-smoke
 	$(GO) test ./cmd/expreport/ -run TestGolden -count=1
 	$(GO) test ./internal/experiments/ -run TestParallelCachedOutputMatchesSequential -count=1
 	$(GO) test . -run 'TestDocsResolve|Surface|TestFileMatchesResident|TestSelfCaptureFixpointIsTruth|TestCoupledIsTheFixpoint|TestLoopAttractsWithoutCausalEdges' -count=1
-	$(GO) test . -run 'TestStreamCorrectionResidency|TestCorrectionRoundAllocatesNoEventVectors' -count=1
+	$(GO) test . -run 'TestStreamCorrectionResidency|TestCorrectionRoundAllocatesNoEventVectors|TestCachedCaptureResidency' -count=1
 	$(GO) test . -run 'TestCaptureGapStartsAtLastDependency|TestCaptureAllocationsIndependentOfLength' -count=1
 	$(GO) test ./internal/core/ -run 'TestScheduledReplayInjectsOnSchedule|TestParkedResultSurvivesResume' -count=1
 	$(GO) test ./internal/fabric/ -count=1
 	$(GO) test -short ./internal/enoc/ ./internal/onoc/ ./internal/trace/ ./internal/core/ -run 'DifferentialAgainstReference|BufferedDecodeMatchesBytewise|EngineAgainstReference' -count=1
 	$(GO) test ./internal/noc/ ./internal/metrics/ ./internal/sim/ -run 'MergeIs|LatencyBucketMatchesSearch|CalendarMatches' -count=1
-	$(GO) test -race ./internal/trace/ ./internal/core/ -run 'DecodeAhead|FilePass|ReplayDerivesNextSchedule|CorrectionPassCount' -count=1
+	$(GO) test -race ./internal/trace/ ./internal/core/ ./internal/simcache/ -run 'DecodeAhead|FilePass|ReplayDerivesNextSchedule|CorrectionPassCount|DoTraceSharesWhileHeld' -count=1
 	$(GO) test ./internal/service/ -run TestMemo -count=1
 	$(MAKE) --no-print-directory mutate
 

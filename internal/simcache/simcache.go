@@ -15,14 +15,21 @@
 // poison the session. An optional disk layer persists captured traces via
 // the binary trace codec and every other result as versioned JSON, carrying
 // simulation work across process invocations.
+//
+// A settled capture is held as its binary encoding, the bytes the disk layer
+// writes: 14–35 B per event instead of the 120–130 B of a decoded trace. The
+// decoded trace is shared through a weak pointer while any caller holds it,
+// and decoded again only on the first hit after the collector dropped it.
 package simcache
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
+	"weak"
 
 	"onocsim/internal/trace"
 )
@@ -358,43 +365,88 @@ func DoValue[T any](c *Cache, key Key, compute func() (T, error)) (T, error) {
 	return v.(T), nil
 }
 
+// packedTrace is a settled capture as the cache keeps it: the binary
+// encoding (exact size), the capture key the decoded trace carries, and a weak
+// pointer to the decoded trace, live while any caller holds it.
+type packedTrace struct {
+	data       []byte
+	captureKey string
+	mu         sync.Mutex
+	live       weak.Pointer[trace.Trace]
+}
+
+// publish stamps tr with the capture key and arms the weak pointer with it.
+func (p *packedTrace) publish(tr *trace.Trace) *trace.Trace {
+	tr.CaptureKey = p.captureKey
+	p.live = weak.Make(tr)
+	return tr
+}
+
+// trace returns the decoded trace a caller still holds, else decodes data
+// again. The mutex makes concurrent hits after a collection share one decode.
+func (p *packedTrace) trace() (*trace.Trace, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if tr := p.live.Value(); tr != nil {
+		return tr, nil
+	}
+	tr, err := trace.ReadBinary(bytes.NewReader(p.data))
+	if err != nil {
+		return nil, err
+	}
+	return p.publish(tr), nil
+}
+
 // DoTrace memoizes a trace capture, additionally consulting the disk layer
 // when one is configured: a miss first tries to load the persisted trace,
 // and a computed trace is persisted for future invocations. Persistence
 // failures degrade silently to in-memory caching: a read-only or full cache
 // directory must not fail the run.
 //
-// The published trace carries its capture identity (Trace.CaptureKey, the
-// "fp@kind" a replay key's Capture holds), written here while the flight still
-// owns the trace, so replays of it can be keyed without any side table.
+// The entry keeps the capture's binary encoding, the same bytes as its file
+// (see packedTrace). The computing call returns the captured trace itself; a
+// hit returns that same trace while anyone holds it, else a fresh decode equal
+// to it. Either way the published trace carries its capture identity
+// (Trace.CaptureKey, the "fp@kind" a replay key's Capture holds), so replays
+// of it can be keyed without any side table.
 func (c *Cache) DoTrace(key Key, compute func() (*trace.Trace, error)) (*trace.Trace, error) {
+	var own *trace.Trace // set when this call's own flight captured or loaded the trace
 	v, err := c.Do(key, func() (any, error) {
-		captureKey := key.Fingerprint + "@" + key.Kind
+		p := &packedTrace{captureKey: key.Fingerprint + "@" + key.Kind}
 		if c.dir != "" {
-			if tr, err := trace.LoadFile(c.tracePath(key)); err == nil {
-				tr.CaptureKey = captureKey
-				c.mu.Lock()
-				c.stats.DiskHits++
-				c.mu.Unlock()
-				c.event(key, OutcomeDiskHit)
-				return tr, nil
+			if data, err := os.ReadFile(c.tracePath(key)); err == nil {
+				if tr, err := trace.ReadBinary(bytes.NewReader(data)); err == nil {
+					p.data, own = data, p.publish(tr)
+					c.mu.Lock()
+					c.stats.DiskHits++
+					c.mu.Unlock()
+					c.event(key, OutcomeDiskHit)
+					return p, nil
+				}
 			}
 		}
 		tr, err := compute()
 		if err != nil {
 			return nil, err
 		}
-		tr.CaptureKey = captureKey
+		var buf bytes.Buffer
+		if err := trace.WriteBinary(&buf, tr); err != nil {
+			return nil, err
+		}
+		p.data, own = bytes.Clone(buf.Bytes()), p.publish(tr)
 		c.event(key, OutcomeComputed)
 		if c.dir != "" {
 			c.writeAtomic(c.tracePath(key), func(tmp string) error {
-				return trace.SaveFile(tmp, tr)
+				return os.WriteFile(tmp, p.data, 0o644)
 			})
 		}
-		return tr, nil
+		return p, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return v.(*trace.Trace), nil
+	if own != nil {
+		return own, nil
+	}
+	return v.(*packedTrace).trace()
 }

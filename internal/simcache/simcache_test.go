@@ -6,10 +6,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 
 	"onocsim/internal/noc"
 	"onocsim/internal/sim"
@@ -260,6 +262,73 @@ func TestDoTraceDiskRoundTrip(t *testing.T) {
 	}
 	if st := c2.Stats(); st.Hits != 1 || st.DiskHits != 1 {
 		t.Fatalf("stats after re-request = %+v", st)
+	}
+}
+
+// TestDoTraceSharesWhileHeld: a cached capture is one decoded trace while any
+// caller holds it, and a fresh decode equal to it, capture key included, once
+// the collector has dropped it.
+func TestDoTraceSharesWhileHeld(t *testing.T) {
+	c := New("")
+	key := Key{Fingerprint: "cafe", Kind: "ideal", Op: OpCapture}
+	recompute := func() (*trace.Trace, error) {
+		return nil, errors.New("a settled capture was recomputed")
+	}
+	hit := func() *trace.Trace {
+		tr, err := c.DoTrace(key, recompute)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	want := diskTrace()
+	want.CaptureKey = "cafe@ideal"
+	// held runs in its own frame so that no stack slot of the test keeps the
+	// computed trace alive past it.
+	held := func() weak.Pointer[trace.Trace] {
+		tr, err := c.DoTrace(key, func() (*trace.Trace, error) { return diskTrace(), nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hit(); got != tr {
+			t.Fatalf("a hit while the computing caller holds the trace returned %p, want %p", got, tr)
+		}
+		var wg sync.WaitGroup
+		got := make([]*trace.Trace, 8)
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var err error
+				if got[i], err = c.DoTrace(key, recompute); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		for i, g := range got {
+			if g != tr {
+				t.Fatalf("concurrent hit %d returned %p, want the held %p", i, g, tr)
+			}
+		}
+		if !reflect.DeepEqual(tr, want) {
+			t.Fatal("the computed trace changed in the cache")
+		}
+		return weak.Make(tr)
+	}()
+	runtime.GC()
+	if held.Value() != nil {
+		t.Fatal("the cache keeps the decoded trace alive after every caller dropped it")
+	}
+	again := hit()
+	if !reflect.DeepEqual(again, want) {
+		t.Fatalf("the re-decoded trace differs from the capture (capture key %q)", again.CaptureKey)
+	}
+	if next := hit(); next != again {
+		t.Fatalf("the hit after a re-decode returned %p, want the re-decoded %p", next, again)
+	}
+	if st := c.Stats(); st.Misses != 1 || st.Hits != 11 {
+		t.Fatalf("stats = %+v, want 1 miss and 11 hits", st)
 	}
 }
 

@@ -208,6 +208,49 @@ func TestCorrectionRoundAllocatesNoEventVectors(t *testing.T) {
 	}
 }
 
+// TestCachedCaptureResidency holds a session's capture cache to the binary
+// encoding of what it captured: after 24 distinct 16-core stencil captures
+// with every returned trace dropped, the session's live heap after a GC
+// exceeds the empty session's by at most 32 B per captured event. A decoded
+// trace kept resident costs about 127 B per event here.
+func TestCachedCaptureResidency(t *testing.T) {
+	const captures, bound = 24, 32
+	s := onocsim.NewSession("")
+	before := liveHeap()
+	events := 0
+	for seed := 1; seed <= captures; seed++ {
+		events += captureEvents(t, s, uint64(seed))
+	}
+	perEvent := float64(int64(liveHeap())-int64(before)) / float64(events)
+	runtime.KeepAlive(s)
+	t.Logf("%d cached captures, %d events: %.1f B retained per event", captures, events, perEvent)
+	if perEvent > bound {
+		t.Errorf("the capture cache retains %.1f B per captured event, want ≤ %d", perEvent, bound)
+	}
+}
+
+// captureEvents captures one 16-core stencil through s and returns its event
+// count; the trace is unreachable once it returns.
+func captureEvents(tb testing.TB, s *onocsim.Session, seed uint64) int {
+	tb.Helper()
+	cfg := rssConfig()
+	cfg.Workload.Kernel = "stencil"
+	cfg.Seed = seed
+	tr, _, err := s.CaptureTraceContext(bg, cfg, onocsim.IdealNet)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return len(tr.Events)
+}
+
+// liveHeap is the live heap after a collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
 // BenchmarkStreamReplaySummaryRSS replays a 100k-event on-disk trace through
 // the constant-residency tier, reporting peak residency and allocation rate
 // alongside wall time. This row is the BENCH gate for the memory contract.

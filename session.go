@@ -343,8 +343,11 @@ func (s *Session) RunExecutionDrivenContext(ctx context.Context, cfg Config, kin
 }
 
 // CaptureTraceContext is the memoized form of the package function. The
-// returned trace is shared: replay engines treat traces as read-only, so one
-// capture serves any number of concurrent replays. With a disk-layer session,
+// returned trace is shared while held: replay engines treat traces as
+// read-only, so one capture serves any number of concurrent replays, and every
+// call returns that same trace while any caller still holds it. The session
+// keeps only the capture's binary encoding; a call after every caller has
+// dropped the trace decodes an equal one from it. With a disk-layer session,
 // the capture may be satisfied by a trace persisted by an earlier invocation.
 // The duration is the host time of this call — a capture, a load, a wait or a
 // map lookup.
