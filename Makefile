@@ -32,9 +32,9 @@ fmt-check:
 # for a new knob, entry point, or *Trace-only path.
 # internal/fabric is the fabric contract suite (every variant fabric.Build
 # returns × three traffic sources) plus FuzzConfig's seed corpus, well under 1 s.
-# The merge property tests are why a sharded replay cannot change a result:
-# statistics blocks recorded from any split of a delivery log, each part
-# shuffled, merge in any order into the block of the whole log. Beside them,
+# The merge property test is why a sharded replay cannot change a result:
+# counter blocks counted from any split of an event log, each part shuffled,
+# merge in any order into the block of the whole log. Beside it,
 # the latency histogram's power-of-two bucket rule is held to the binary
 # search over its bounds it replaced, and the calendar property test holds
 # sim.Calendar — every fabric's delivery queue and the replay decoder's
@@ -75,9 +75,13 @@ fmt-check:
 # them arrived (every kernel × ideal, mesh and crossbar × 16 and 64 cores),
 # which a send citing a dependency list its caller reused breaks, and a
 # longer capture costs at most 0.25 allocations per added event: a message
-# allocates nothing of its own. TestPruneKeepsTrueFront is the sweep prefilter's recall gate:
-# the quick default grid, pruned, keeps every arm of the Pareto front that
-# simulating all of its arms finds (~1.5 s). The daemon's reply-memo tests
+# allocates nothing of its own. TestReceiverLatencySummaries (~0.1 s) pins,
+# float bit for float bit, the latency summaries receivers build from their
+# delivery streams — the ground truth's mean and per-class latency and the
+# synthetic run's mean and p99 — on all six fabric kinds.
+# TestPruneKeepsTrueFront is the sweep prefilter's recall gate: the quick
+# default grid, pruned, keeps every arm of the Pareto front that simulating
+# all of its arms finds (~1.5 s). The daemon's reply-memo tests
 # (~1.3 s) hold a hit to its miss's bytes on both wire forms and to its
 # allocation count (TestMemoHitAllocs). Last, the mutation catalog
 # (~1 min): every deliberate bug it lists must still be caught.
@@ -87,7 +91,7 @@ check: vet fmt-check sweep-smoke
 	$(GO) test ./internal/experiments/ -run TestParallelCachedOutputMatchesSequential -count=1
 	$(GO) test . -run 'TestDocsResolve|Surface|TestFileMatchesResident|TestSelfCaptureFixpointIsTruth|TestCoupledIsTheFixpoint|TestLoopAttractsWithoutCausalEdges' -count=1
 	$(GO) test . -run 'TestStreamCorrectionResidency|TestCorrectionRoundAllocatesNoEventVectors|TestCachedCaptureResidency' -count=1
-	$(GO) test . -run 'TestCaptureGapStartsAtLastDependency|TestCaptureAllocationsIndependentOfLength' -count=1
+	$(GO) test . -run 'TestCaptureGapStartsAtLastDependency|TestCaptureAllocationsIndependentOfLength|TestReceiverLatencySummaries' -count=1
 	$(GO) test ./internal/core/ -run 'TestScheduledReplayInjectsOnSchedule|TestParkedResultSurvivesResume' -count=1
 	$(GO) test ./internal/fabric/ -count=1
 	$(GO) test -short ./internal/enoc/ ./internal/onoc/ ./internal/trace/ ./internal/core/ -run 'DifferentialAgainstReference|BufferedDecodeMatchesBytewise|EngineAgainstReference' -count=1

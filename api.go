@@ -170,17 +170,27 @@ func RunExecutionDrivenContext(ctx context.Context, cfg Config, kind NetworkKind
 		return GroundTruth{}, err
 	}
 	gt := GroundTruth{
-		Makespan:    res.Makespan,
-		MeanLatency: net.Stats().Latency.Mean(),
-		Cycles:      res.Cycles,
-		Messages:    res.Messages,
-		Power:       net.PowerReport(res.Cycles),
-		Faults:      net.Stats().Faults,
+		Makespan: res.Makespan,
+		Cycles:   res.Cycles,
+		Messages: res.Messages,
+		Power:    net.PowerReport(res.Cycles),
+		Faults:   net.Stats().Faults,
 	}
-	for c := noc.Class(0); c < noc.NumClasses; c++ {
-		gt.ClassLatency[c] = net.Stats().PerClass[c].Mean()
+	var n, sum uint64
+	for c := range noc.NumClasses {
+		gt.ClassLatency[c] = meanLatency(res.LatencySum[c], res.Delivered[c])
+		n, sum = n+res.Delivered[c], sum+res.LatencySum[c]
 	}
+	gt.MeanLatency = meanLatency(sum, n)
 	return gt, nil
+}
+
+// meanLatency is sum/n, or 0 when nothing was delivered.
+func meanLatency(sum, n uint64) float64 {
+	if n == 0 {
+		return 0
+	}
+	return float64(sum) / float64(n)
 }
 
 // CaptureTraceContext runs the configured kernel workload execution-driven on

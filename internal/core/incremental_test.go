@@ -112,7 +112,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 					return err
 				}
 				finalize(res, tr.RefMakespan, dec.maxRef)
-				res.Cycles, res.NetStats = net.Now(), net.Stats()
+				res.Cycles, res.NetStats = net.Now(), statsOf(net)
 				return nil
 			}
 

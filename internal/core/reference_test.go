@@ -187,7 +187,7 @@ func refFinalizeResult(res *ReplayResult, tr *trace.Trace, net noc.Network) {
 		res.MeanLatency = sum / float64(len(res.Arrive))
 	}
 	res.Cycles = net.Now()
-	res.NetStats = net.Stats()
+	res.NetStats = statsOf(net)
 }
 
 // plainNet hides every optional contract of a fabric — Resettable,

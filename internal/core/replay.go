@@ -26,8 +26,14 @@ type ReplayResult struct {
 	MeanLatency float64
 	// Cycles is how long the fabric was ticked.
 	Cycles sim.Tick
-	// NetStats is the fabric's own statistics block.
+	// NetStats is a copy of the fabric's counters at the end of the run.
 	NetStats *noc.Stats
+}
+
+// statsOf returns a copy of net's counters.
+func statsOf(net noc.Network) *noc.Stats {
+	st := net.Stats()
+	return &st
 }
 
 // Latencies returns the realized per-event latencies, suitable as the next
@@ -168,9 +174,9 @@ func finalize(res *ReplayResult, refMakespan, maxRef sim.Tick) sim.Tick {
 //
 // Per-message times then match the serial run by the skip-equivalence
 // invariant (every Tick strictly before NextWake is a no-op). Each replica
-// records exactly the samples the serial run records for its owned events,
-// and a noc.Stats block is integer-exact and independent of sample order, so
-// the replicas' blocks merged are the serial block.
+// counts exactly what the serial run counts for its owned events, and a
+// noc.Stats block is a set of plain sums, so the replicas' blocks merged are
+// the serial block.
 //
 // Fabrics that do not implement noc.ScheduleShardable (the wormhole mesh,
 // whose flits contend for shared links every cycle, and the hybrid fabric
@@ -417,7 +423,7 @@ func (r *replayer) replay(inject, next []sim.Tick) (ReplayResult, error) {
 	}
 	maxArr := finalize(&res, r.meta.RefMakespan, maxRef)
 	if k == 1 {
-		res.Cycles, res.NetStats = lanes[0].net.Now(), lanes[0].net.Stats()
+		res.Cycles, res.NetStats = lanes[0].net.Now(), statsOf(lanes[0].net)
 	} else {
 		// The serial loop exits on the Tick that delivers the last message,
 		// so its final clock equals the last arrival.
@@ -545,7 +551,7 @@ func CoupledReplay(net noc.Network, src trace.Source, opts ScheduleOptions) (Rep
 		return ReplayResult{}, fmt.Errorf("core: coupled %w", err)
 	}
 	finalize(&res, meta.RefMakespan, maxRef)
-	res.Cycles, res.NetStats = net.Now(), net.Stats()
+	res.Cycles, res.NetStats = net.Now(), statsOf(net)
 	return res, nil
 }
 

@@ -352,7 +352,7 @@ func NaiveReplaySummaryStream(net noc.Network, src trace.Source) (ReplaySummary,
 		Events:   m.NumEvents,
 		Makespan: maxArr + refTail(m.RefMakespan, f.maxRef),
 		Cycles:   net.Now(),
-		NetStats: net.Stats(),
+		NetStats: statsOf(net),
 	}
 	if m.NumEvents > 0 {
 		sum.MeanLatency = latSum / float64(m.NumEvents)

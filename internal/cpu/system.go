@@ -85,6 +85,10 @@ type System struct {
 	// recycles the edge lists a capture copies into them.
 	delayed  sim.Calendar[delayedSend]
 	freeDeps [][]trace.Dep
+
+	// delivered and latencySum count, per class, the messages delivered
+	// and their summed latency; Run reports them.
+	delivered, latencySum [noc.NumClasses]uint64
 }
 
 // delayedSend is a bank response waiting out its service delay. deps is the
@@ -246,6 +250,8 @@ func (s *System) onDeliver(m *noc.Message) {
 		panic(fmt.Sprintf("cpu: delivery %d carries foreign payload %T", m.ID, m.Payload))
 	}
 	s.inbox = append(s.inbox, arrivedMsg{msg: *pm, set: true, dst: m.Dst, at: m.Arrive})
+	s.delivered[m.Class]++
+	s.latencySum[m.Class] += uint64(m.Latency())
 	s.freeMsgs = append(s.freeMsgs, pm)
 	s.pool.Put(m)
 }
@@ -317,6 +323,9 @@ type RunResult struct {
 	Cycles sim.Tick
 	// Messages is the total fabric message count.
 	Messages uint64
+	// Delivered counts the messages delivered per class (indexed by
+	// noc.Class), and LatencySum sums their latencies, Arrive − Inject.
+	Delivered, LatencySum [noc.NumClasses]uint64
 }
 
 // nextWake returns the earliest future cycle at which any chip component
@@ -394,9 +403,11 @@ func (s *System) Run(maxCycles int64) (RunResult, error) {
 		}
 	}
 	return RunResult{
-		Makespan: makespan,
-		Cycles:   s.now,
-		Messages: s.msgID,
+		Makespan:   makespan,
+		Cycles:     s.now,
+		Messages:   s.msgID,
+		Delivered:  s.delivered,
+		LatencySum: s.latencySum,
 	}, nil
 }
 

@@ -197,7 +197,7 @@ func TestRestoreRebuildsDerivedState(t *testing.T) {
 // be dropped and the pool re-grown), and a replay on the reset fabric must
 // match a fresh one exactly.
 func TestResetWhileBusy(t *testing.T) {
-	run := func(n *Network) ([]sim.Tick, *noc.Stats, powerCounters) {
+	run := func(n *Network) ([]sim.Tick, noc.Stats, powerCounters) {
 		msgs := mixedTraffic(n, 21, 500)
 		if !drainChecked(t, n, 200_000) {
 			t.Fatal("did not drain")

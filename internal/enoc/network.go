@@ -41,7 +41,7 @@ type Network struct {
 
 	now     sim.Tick
 	deliver noc.DeliverFunc
-	stats   *noc.Stats
+	stats   noc.Stats
 	power   powerCounters
 
 	routers []*router
@@ -109,7 +109,7 @@ func newMesh(nodes int, cfg config.Mesh, bufDepth int, linkCycles sim.Tick) *Net
 		panic(fmt.Sprintf("enoc: %d nodes is not a perfect square", nodes))
 	}
 	n := &Network{cfg: cfg, width: width, nodes: nodes, torus: cfg.Topology == "torus",
-		bufDepth: bufDepth, linkCycles: linkCycles, stats: new(noc.Stats), selfQ: noc.NewDeliveryQueue(64),
+		bufDepth: bufDepth, linkCycles: linkCycles, selfQ: noc.NewDeliveryQueue(64),
 		wake: sim.NewCalendar[vcRef](64)}
 	words := (nodes + 63) / 64
 	n.bufBusy, n.niBusy = make(nodeSet, words), make(nodeSet, words)
@@ -159,7 +159,7 @@ func (n *Network) Nodes() int { return n.nodes }
 func (n *Network) Now() sim.Tick { return n.now }
 
 // Stats implements noc.Network.
-func (n *Network) Stats() *noc.Stats { return n.stats }
+func (n *Network) Stats() noc.Stats { return n.stats }
 
 // SetDeliver implements noc.Network.
 func (n *Network) SetDeliver(fn noc.DeliverFunc) { n.deliver = fn }
@@ -188,8 +188,7 @@ func (n *Network) Tick() {
 	for n.selfQ.NextAt() <= n.now {
 		m := n.selfQ.Pop()
 		m.Arrive = n.now
-		n.stats.RecordDelivery(m)
-		n.stats.HopCount.Add(0)
+		n.stats.CountDelivery(m)
 		n.inflight--
 		if n.deliver != nil {
 			n.deliver(m)
@@ -219,9 +218,7 @@ func (n *Network) eject(node int, f flit) {
 		panic(fmt.Sprintf("enoc: message %d ejected at %d, expected %d", m.ID, node, m.Dst))
 	}
 	m.Arrive = n.now
-	n.stats.RecordDelivery(m)
-	n.stats.HopCount.Add(int64(p.hops))
-	n.stats.QueueDelay.Add(int64(p.enterNI - m.Inject))
+	n.stats.CountDelivery(m)
 	n.pktFree = append(n.pktFree, p)
 	n.inflight--
 	if n.deliver != nil {
@@ -258,7 +255,7 @@ func (n *Network) SkipTo(t sim.Tick) {
 // reusing the fabric.
 func (n *Network) Reset() {
 	n.now = 0
-	n.stats = new(noc.Stats)
+	n.stats = noc.Stats{}
 	n.power = powerCounters{}
 	n.selfQ.Reset()
 	n.inflight = 0
@@ -415,7 +412,6 @@ func (ni *netIface) injectClass(r *router, c noc.Class) bool {
 			return false
 		}
 		p := ni.classQ[c].pop()
-		p.enterNI = ni.net.now
 		*st = sendState{pkt: p, vc: vc}
 	}
 	if r.in[portLocal][st.vc].n >= ni.net.bufDepth {

@@ -15,10 +15,6 @@ import (
 type packet struct {
 	msg    *noc.Message
 	nflits int
-	hops   int
-	// enterNI is when the first flit left the injection queue; used for
-	// the queue-delay statistic.
-	enterNI sim.Tick
 
 	// Torus dateline state: whether the packet crossed a wraparound link
 	// in the dimension it is currently traversing (selects the escape

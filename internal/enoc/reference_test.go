@@ -88,7 +88,7 @@ type refNetwork struct {
 
 	now     sim.Tick
 	deliver noc.DeliverFunc
-	stats   *noc.Stats
+	stats   noc.Stats
 	power   powerCounters
 
 	routers  []*refRouter
@@ -103,7 +103,7 @@ func newRefNetwork(nodes int, cfg config.Mesh, bufDepth int, linkCycles sim.Tick
 		width++
 	}
 	n := &refNetwork{cfg: cfg, width: width, nodes: nodes, torus: cfg.Topology == "torus",
-		bufDepth: bufDepth, linkCycles: linkCycles, stats: new(noc.Stats)}
+		bufDepth: bufDepth, linkCycles: linkCycles}
 	n.routers = make([]*refRouter, nodes)
 	for id := 0; id < nodes; id++ {
 		r := &refRouter{id: id, x: id % width, y: id / width, net: n}
@@ -171,8 +171,7 @@ func (n *refNetwork) Tick() {
 		for _, s := range n.selfQ {
 			if s.at <= n.now {
 				s.msg.Arrive = n.now
-				n.stats.RecordDelivery(s.msg)
-				n.stats.HopCount.Add(0)
+				n.stats.CountDelivery(s.msg)
 				n.inflight--
 				if n.deliver != nil {
 					n.deliver(s.msg)
@@ -204,9 +203,7 @@ func (n *refNetwork) eject(node int, f *refFlit) {
 		panic(fmt.Sprintf("enoc ref: message %d ejected at %d, expected %d", m.ID, node, m.Dst))
 	}
 	m.Arrive = n.now
-	n.stats.RecordDelivery(m)
-	n.stats.HopCount.Add(int64(p.hops))
-	n.stats.QueueDelay.Add(int64(p.enterNI - m.Inject))
+	n.stats.CountDelivery(m)
 	n.inflight--
 	if n.deliver != nil {
 		n.deliver(m)
@@ -365,9 +362,6 @@ func (r *refRouter) forward(b *refVCBuf, f *refFlit) bool {
 	r.popFlit(b, f)
 	r.net.power.xbarTraversals++
 	r.net.power.linkTraversals++
-	if f.isHead {
-		f.pkt.hops++
-	}
 	return true
 }
 
@@ -503,7 +497,6 @@ func (ni *refNI) injectClass(r *refRouter, c noc.Class) bool {
 		p := ni.classQ[c][0]
 		ni.classQ[c][0] = nil
 		ni.classQ[c] = ni.classQ[c][1:]
-		p.enterNI = ni.net.now
 		*st = sendState{pkt: p, vc: vc}
 	}
 	b := &r.in[portLocal][st.vc]

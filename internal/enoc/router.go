@@ -296,11 +296,8 @@ func (r *router) forward(inPort, vc int, b *vcBuf) bool {
 	}
 	r.outCredit[out][b.outVC]--
 	l := r.outLink[out]
-	if f.isHead {
-		f.pkt.hops++
-		if l.wrap {
-			f.pkt.crossedWrap = true
-		}
+	if f.isHead && l.wrap {
+		f.pkt.crossedWrap = true
 	}
 	l.dst.acceptFlit(l.dstPort, b.outVC, f, r.net.now+l.delay)
 	r.popFlit(inPort, vc, b)

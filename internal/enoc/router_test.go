@@ -136,9 +136,10 @@ func TestMultiFlitPacketStaysContiguousPerVC(t *testing.T) {
 	}
 }
 
-func TestQueueDelayGrowsWithLoad(t *testing.T) {
+func TestLatencyGrowsWithLoad(t *testing.T) {
 	light := mkNet(16, nil)
 	heavy := mkNet(16, nil)
+	lightLat, heavyLat := latencies(light), latencies(heavy)
 	for i := 0; i < 4; i++ {
 		light.Inject(&noc.Message{ID: uint64(i + 1), Src: 0, Dst: 15, Bytes: 64, Class: noc.ClassRequest})
 	}
@@ -153,9 +154,9 @@ func TestQueueDelayGrowsWithLoad(t *testing.T) {
 			heavy.Tick()
 		}
 	}
-	if heavy.Stats().QueueDelay.Mean() <= light.Stats().QueueDelay.Mean() {
-		t.Fatalf("queue delay did not grow with load: %g vs %g",
-			heavy.Stats().QueueDelay.Mean(), light.Stats().QueueDelay.Mean())
+	if len(*heavyLat) != 200 || heavyLat.mean() <= lightLat.mean() {
+		t.Fatalf("latency did not grow with load: %g over %d deliveries vs %g",
+			heavyLat.mean(), len(*heavyLat), lightLat.mean())
 	}
 }
 

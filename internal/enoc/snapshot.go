@@ -118,7 +118,7 @@ func (n *Network) Snapshot() noc.Snapshot {
 	cl := newGraphCloner()
 	s := &meshSnapshot{
 		now:      n.now,
-		stats:    *n.stats,
+		stats:    n.stats,
 		power:    n.power,
 		selfQ:    n.selfQ.Clone(),
 		inflight: n.inflight,
@@ -165,8 +165,7 @@ func (n *Network) Restore(s noc.Snapshot) {
 	snap := s.(*meshSnapshot)
 	cl := newGraphCloner()
 	n.now = snap.now
-	stats := snap.stats
-	n.stats = &stats
+	n.stats = snap.stats
 	n.power = snap.power
 	n.inflight = snap.inflight
 	n.selfQ.Restore(&snap.selfQ)

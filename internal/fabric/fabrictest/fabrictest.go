@@ -249,8 +249,7 @@ var (
 // run builds a fresh fabric, drives src through a probe and checks the run.
 // With r.reset, the fabric first takes an all-pairs burst and is Reset
 // mid-flight (a noc.Checkpointer is snapshotted, Reset, restored and Reset
-// again), and no step may write through the statistics block an earlier
-// Stats returned: a finished result may hold it.
+// again).
 func run(t *testing.T, cfg config.Config, kind config.NetworkKind, src source, r Rerun) outcome {
 	t.Helper()
 	net, err := fabric.Build(cfg, kind)
@@ -270,23 +269,17 @@ func run(t *testing.T, cfg config.Config, kind config.NetworkKind, src source, r
 		if !ok || net.NextWake() == noc.Never {
 			t.Fatalf("%T: Resettable %v, NextWake %d after 5 cycles of a burst", net, ok, net.NextWake())
 		}
-		steps := []func(){rs.Reset}
 		if cp, ok := net.(noc.Checkpointer); ok {
 			snap := cp.Snapshot()
-			steps = []func(){rs.Reset, func() { cp.Restore(snap) }, rs.Reset}
+			rs.Reset()
+			cp.Restore(snap)
 		}
-		for i, step := range steps {
-			old := net.Stats()
-			was := *old
-			if step(); *old != was {
-				t.Fatalf("step %d of Reset, Restore, Reset wrote through the old statistics block:\n got %+v\nwant %+v", i, *old, was)
-			}
-		}
+		rs.Reset()
 		p.sent, p.log = map[uint64]noc.Message{}, nil
 	}
 	src.drive(t, cfg, p)
 	p.check(t)
-	return outcome{p.log, *net.Stats(), net.Now()}
+	return outcome{p.log, net.Stats(), net.Now()}
 }
 
 // same fails the test when got is not want, naming the first delivery that

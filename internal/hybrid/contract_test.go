@@ -17,8 +17,8 @@ func TestSelfMessagesStayLocal(t *testing.T) {
 	cfg := config.Default()
 	n := hybrid.New(16, cfg.Mesh, cfg.Optical, 1)
 	fabrictest.SelfMessage(t, n)
-	if n.ViaMesh != 2 || n.ViaOptical != 0 {
-		t.Fatalf("self-message routing: mesh=%d optical=%d", n.ViaMesh, n.ViaOptical)
+	if mesh, opt := n.Mesh().Stats().Injected, n.Optical().Stats().Injected; mesh != 2 || opt != 0 {
+		t.Fatalf("self-message routing: mesh=%d optical=%d", mesh, opt)
 	}
 }
 

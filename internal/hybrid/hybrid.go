@@ -29,9 +29,6 @@ type Network struct {
 	// threshold is the minimum hop distance that goes optical.
 	threshold int
 
-	deliver noc.DeliverFunc
-	stats   *noc.Stats
-
 	// held keeps what a mesh delivery callback routes optically until the
 	// crossbar, a cycle behind while the mesh ticks, has caught up.
 	held []*noc.Message
@@ -39,9 +36,6 @@ type Network struct {
 	// rerouted counts messages diverted to the mesh by the optical
 	// sub-fabric's laser-droop blacklist.
 	rerouted uint64
-
-	// Sub-fabric routing counters.
-	ViaMesh, ViaOptical uint64
 }
 
 // New builds a hybrid fabric: messages with Manhattan distance ≥ threshold
@@ -66,17 +60,8 @@ func NewWithFaults(nodes int, mesh config.Mesh, optical config.Optical, threshol
 		width:     width,
 		nodes:     nodes,
 		threshold: threshold,
-		stats:     new(noc.Stats),
 		optical:   onoc.NewCrossbar(nodes, optical, faults, seed),
 	}
-	relay := func(m *noc.Message) {
-		n.stats.RecordDelivery(m)
-		if n.deliver != nil {
-			n.deliver(m)
-		}
-	}
-	n.mesh.SetDeliver(relay)
-	n.optical.SetDeliver(relay)
 	return n
 }
 
@@ -86,14 +71,14 @@ func (n *Network) Nodes() int { return n.nodes }
 // Now implements noc.Network.
 func (n *Network) Now() sim.Tick { return n.mesh.Now() }
 
-// Stats implements noc.Network; it aggregates both sub-fabrics' deliveries.
-// Fault counters are folded in from the optical sub-fabric on each call — the
-// refresh is idempotent, so calling Stats repeatedly is safe.
-func (n *Network) Stats() *noc.Stats {
-	f := n.optical.Stats().Faults
-	f.Rerouted = n.rerouted
-	n.stats.Faults = f
-	return n.stats
+// Stats implements noc.Network: the sum of both sub-fabrics' counters, plus
+// the messages held for the crossbar as injected and the droop reroutes.
+func (n *Network) Stats() noc.Stats {
+	st := n.mesh.Stats()
+	st.Merge(n.optical.Stats())
+	st.Injected += uint64(len(n.held))
+	st.Faults.Rerouted = n.rerouted
+	return st
 }
 
 // Optical exposes the photonic sub-fabric.
@@ -102,8 +87,11 @@ func (n *Network) Optical() onoc.Crossbar { return n.optical }
 // Mesh exposes the electrical sub-fabric.
 func (n *Network) Mesh() *enoc.Network { return n.mesh }
 
-// SetDeliver implements noc.Network.
-func (n *Network) SetDeliver(fn noc.DeliverFunc) { n.deliver = fn }
+// SetDeliver implements noc.Network: both sub-fabrics deliver straight to fn.
+func (n *Network) SetDeliver(fn noc.DeliverFunc) {
+	n.mesh.SetDeliver(fn)
+	n.optical.SetDeliver(fn)
+}
 
 // long reports whether a message travels at least the threshold's Manhattan
 // distance, so the routing rule sends it optical unless droop forbids.
@@ -131,9 +119,7 @@ func abs(x int) int {
 // Inject implements noc.Network: the path-adaptive routing decision, with
 // droop-blacklisted optical paths falling back to the electrical mesh.
 func (n *Network) Inject(m *noc.Message) {
-	n.stats.Injected++
 	if n.RoutesOptical(m.Src, m.Dst) {
-		n.ViaOptical++
 		if n.optical.Now() < n.mesh.Now() {
 			n.held = append(n.held, m)
 		} else {
@@ -144,7 +130,6 @@ func (n *Network) Inject(m *noc.Message) {
 	if n.long(m.Src, m.Dst) {
 		n.rerouted++
 	}
-	n.ViaMesh++
 	n.mesh.Inject(m)
 }
 
@@ -178,14 +163,10 @@ func (n *Network) SkipTo(t sim.Tick) {
 }
 
 // hybridSnapshot composes the two sub-fabric snapshots with the routing
-// layer's own counters and aggregate statistics.
+// layer's reroute counter.
 type hybridSnapshot struct {
-	mesh    noc.Snapshot
-	optical noc.Snapshot
-	stats   noc.Stats
-
-	rerouted            uint64
-	viaMesh, viaOptical uint64
+	mesh, optical noc.Snapshot
+	rerouted      uint64
 }
 
 // SnapshotAt implements noc.Snapshot: both sub-fabrics share the clock.
@@ -194,12 +175,9 @@ func (s *hybridSnapshot) SnapshotAt() sim.Tick { return s.mesh.SnapshotAt() }
 // Snapshot implements noc.Checkpointer.
 func (n *Network) Snapshot() noc.Snapshot {
 	return &hybridSnapshot{
-		mesh:       n.mesh.Snapshot(),
-		optical:    n.optical.Snapshot(),
-		stats:      *n.stats,
-		rerouted:   n.rerouted,
-		viaMesh:    n.ViaMesh,
-		viaOptical: n.ViaOptical,
+		mesh:     n.mesh.Snapshot(),
+		optical:  n.optical.Snapshot(),
+		rerouted: n.rerouted,
 	}
 }
 
@@ -208,20 +186,13 @@ func (n *Network) Restore(s noc.Snapshot) {
 	snap := s.(*hybridSnapshot)
 	n.mesh.Restore(snap.mesh)
 	n.optical.Restore(snap.optical)
-	stats := snap.stats
-	n.stats = &stats
 	n.rerouted = snap.rerouted
-	n.ViaMesh = snap.viaMesh
-	n.ViaOptical = snap.viaOptical
 }
 
 // Reset implements noc.Resettable.
 func (n *Network) Reset() {
 	n.mesh.Reset()
 	n.optical.Reset()
-	n.stats = new(noc.Stats)
-	n.ViaMesh = 0
-	n.ViaOptical = 0
 	n.rerouted = 0
 }
 

@@ -25,8 +25,8 @@ func TestRoutingDecisionByDistance(t *testing.T) {
 	// 0→1 is 1 hop: mesh. 0→15 is 6 hops: optical.
 	n.Inject(&noc.Message{ID: 1, Src: 0, Dst: 1, Bytes: 64, Class: noc.ClassRequest})
 	n.Inject(&noc.Message{ID: 2, Src: 0, Dst: 15, Bytes: 64, Class: noc.ClassRequest})
-	if n.ViaMesh != 1 || n.ViaOptical != 1 {
-		t.Fatalf("routing: mesh=%d optical=%d", n.ViaMesh, n.ViaOptical)
+	if mesh, opt := n.Mesh().Stats().Injected, n.Optical().Stats().Injected; mesh != 1 || opt != 1 {
+		t.Fatalf("routing: mesh=%d optical=%d", mesh, opt)
 	}
 	if !drain(n, 5000) {
 		t.Fatal("did not drain")
@@ -36,17 +36,41 @@ func TestRoutingDecisionByDistance(t *testing.T) {
 	}
 }
 
+// TestStatsCountHeldMessages: a message a mesh delivery callback routes
+// optically waits in the hybrid until the crossbar has ticked, and Stats
+// counts it as injected meanwhile.
+func TestStatsCountHeldMessages(t *testing.T) {
+	n := mkHybrid(3)
+	var inCallback noc.Stats
+	n.SetDeliver(func(m *noc.Message) {
+		if m.ID == 1 {
+			n.Inject(&noc.Message{ID: 2, Src: 1, Dst: 15, Bytes: 64, Class: noc.ClassResponse})
+			inCallback = n.Stats()
+		}
+	})
+	n.Inject(&noc.Message{ID: 1, Src: 0, Dst: 1, Bytes: 64, Class: noc.ClassRequest})
+	if !drain(n, 5000) {
+		t.Fatal("did not drain")
+	}
+	if inCallback.Injected != 2 || inCallback.Delivered != 1 {
+		t.Fatalf("stats inside the callback: %+v, want 2 injected, 1 delivered", inCallback)
+	}
+	if st := n.Stats(); st.Injected != 2 || st.Delivered != 2 || n.Optical().Stats().Injected != 1 {
+		t.Fatalf("stats after the drain: %+v", st)
+	}
+}
+
 func TestThresholdExtremes(t *testing.T) {
 	allOpt := mkHybrid(1)
 	allOpt.SetDeliver(func(m *noc.Message) {})
 	allOpt.Inject(&noc.Message{ID: 1, Src: 0, Dst: 1, Bytes: 64, Class: noc.ClassRequest})
-	if allOpt.ViaOptical != 1 {
+	if allOpt.Optical().Stats().Injected != 1 {
 		t.Fatal("threshold 1 should route everything optical")
 	}
 	allMesh := mkHybrid(100)
 	allMesh.SetDeliver(func(m *noc.Message) {})
 	allMesh.Inject(&noc.Message{ID: 1, Src: 0, Dst: 15, Bytes: 64, Class: noc.ClassRequest})
-	if allMesh.ViaMesh != 1 {
+	if allMesh.Mesh().Stats().Injected != 1 {
 		t.Fatal("huge threshold should route everything electrical")
 	}
 }

@@ -1,8 +1,6 @@
 package metrics
 
 import (
-	"encoding/json"
-	"fmt"
 	"math"
 	"math/bits"
 )
@@ -13,12 +11,12 @@ import (
 const latencyBuckets = 22
 
 // Histogram is a power-of-two histogram over integer cycle counts with an
-// exact Summary alongside the bucketed counts. Like the Summary, its state is
+// exact summary alongside the bucketed counts. Like the summary, its state is
 // a set of integer sums, so it does not depend on the order of the Adds. The
 // zero value is an empty histogram ready to use, and a copy is a deep copy.
 type Histogram struct {
 	counts [latencyBuckets]uint64
-	sum    Summary
+	sum    summary
 }
 
 // bucket returns the bucket x lands in: the index of the first bound 2^i
@@ -31,14 +29,6 @@ func bucket(x int64) int {
 func (h *Histogram) Add(x int64) {
 	h.sum.Add(x)
 	h.counts[bucket(x)]++
-}
-
-// Merge folds o into h: afterwards h equals the histogram of both streams.
-func (h *Histogram) Merge(o *Histogram) {
-	for i, c := range o.counts {
-		h.counts[i] += c
-	}
-	h.sum.Merge(&o.sum)
 }
 
 // Mean returns the exact (not bucketed) mean of the observations.
@@ -58,31 +48,4 @@ func (h *Histogram) ApproxPercentile(p float64) float64 {
 		}
 	}
 	return float64(h.sum.Max())
-}
-
-// histogramJSON mirrors the unexported state for serialization; see the
-// Summary codec for why.
-type histogramJSON struct {
-	Counts []uint64 `json:"counts"`
-	Sum    Summary  `json:"sum"`
-}
-
-// MarshalJSON serializes the bucket counts and the exact summary.
-func (h Histogram) MarshalJSON() ([]byte, error) {
-	return json.Marshal(histogramJSON{Counts: h.counts[:], Sum: h.sum})
-}
-
-// UnmarshalJSON restores a histogram written by MarshalJSON, returning an
-// error on a bucket count that is not the histogram's.
-func (h *Histogram) UnmarshalJSON(data []byte) error {
-	var j histogramJSON
-	if err := json.Unmarshal(data, &j); err != nil {
-		return err
-	}
-	if len(j.Counts) != latencyBuckets {
-		return fmt.Errorf("metrics: histogram has %d counts, want %d", len(j.Counts), latencyBuckets)
-	}
-	*h = Histogram{sum: j.Sum}
-	copy(h.counts[:], j.Counts)
-	return nil
 }

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"encoding/json"
 	"math"
 	"math/rand"
 	"testing"
@@ -100,21 +99,5 @@ func TestHistogramPercentileMonotone(t *testing.T) {
 		return true
 	}, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestHistogramJSON round-trips a histogram and refuses a bucket count that
-// is not the histogram's.
-func TestHistogramJSON(t *testing.T) {
-	var h, back Histogram
-	for _, x := range []int64{0, 1, 5, 1 << 30} {
-		h.Add(x)
-	}
-	data, err := json.Marshal(h)
-	if err != nil || json.Unmarshal(data, &back) != nil || back != h {
-		t.Fatalf("round trip of %s: %+v, %v", data, back, err)
-	}
-	if err := json.Unmarshal([]byte(`{"counts":[1,2],"sum":{"n":3,"sum":3,"max":2}}`), &back); err == nil {
-		t.Fatal("a two-bucket histogram decoded")
 	}
 }

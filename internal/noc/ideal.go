@@ -17,7 +17,7 @@ type Ideal struct {
 	bytesPerC int
 	now       sim.Tick
 	deliver   DeliverFunc
-	stats     *Stats
+	stats     Stats
 
 	// nextFree[n] is the first cycle node n's injection port is free,
 	// implementing the bandwidth cap as a serialization delay.
@@ -39,7 +39,6 @@ func NewIdeal(nodes int, latency sim.Tick, bytesPerCycle int) *Ideal {
 		nodes:     nodes,
 		latency:   latency,
 		bytesPerC: bytesPerCycle,
-		stats:     new(Stats),
 		nextFree:  make([]sim.Tick, nodes),
 		inflight:  NewDeliveryQueue(256), // the latency plus some port backlog
 	}
@@ -55,7 +54,7 @@ func (n *Ideal) SetDeliver(fn DeliverFunc) { n.deliver = fn }
 func (n *Ideal) Now() sim.Tick { return n.now }
 
 // Stats implements Network.
-func (n *Ideal) Stats() *Stats { return n.stats }
+func (n *Ideal) Stats() Stats { return n.stats }
 
 // Inject implements Network.
 func (n *Ideal) Inject(m *Message) {
@@ -71,7 +70,6 @@ func (n *Ideal) Inject(m *Message) {
 		n.nextFree[m.Src] = start + ser
 		start += ser - 1
 	}
-	n.stats.QueueDelay.Add(int64(start - n.now))
 	at := start + n.latency
 	if m.Src == m.Dst {
 		at = n.now + 1
@@ -95,8 +93,7 @@ func (n *Ideal) Tick() {
 	for n.inflight.NextAt() <= n.now {
 		m := n.inflight.Pop()
 		m.Arrive = n.now
-		n.stats.RecordDelivery(m)
-		n.stats.HopCount.Add(1)
+		n.stats.CountDelivery(m)
 		if n.deliver != nil {
 			n.deliver(m)
 		}
@@ -118,14 +115,14 @@ func (n *Ideal) SkipTo(t sim.Tick) {
 // Reset implements Resettable: back to the just-constructed state.
 func (n *Ideal) Reset() {
 	n.now = 0
-	n.stats = new(Stats)
+	n.stats = Stats{}
 	for i := range n.nextFree {
 		n.nextFree[i] = 0
 	}
 	n.inflight.Reset()
 }
 
-// idealSnapshot captures the ideal fabric's mutable state: clock, statistics,
+// idealSnapshot captures the ideal fabric's mutable state: clock, counters,
 // per-node port reservations and the in-flight messages.
 type idealSnapshot struct {
 	now      sim.Tick
@@ -141,7 +138,7 @@ func (s *idealSnapshot) SnapshotAt() sim.Tick { return s.now }
 func (n *Ideal) Snapshot() Snapshot {
 	return &idealSnapshot{
 		now:      n.now,
-		stats:    *n.stats,
+		stats:    n.stats,
 		nextFree: append([]sim.Tick(nil), n.nextFree...),
 		inflight: n.inflight.Clone(),
 	}
@@ -152,8 +149,7 @@ func (n *Ideal) Snapshot() Snapshot {
 func (n *Ideal) Restore(s Snapshot) {
 	snap := s.(*idealSnapshot)
 	n.now = snap.now
-	stats := snap.stats
-	n.stats = &stats
+	n.stats = snap.stats
 	copy(n.nextFree, snap.nextFree)
 	n.inflight.Restore(&snap.inflight)
 }

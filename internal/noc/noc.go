@@ -1,8 +1,10 @@
 // Package noc defines the interconnect abstraction shared by every fabric in
 // onocsim — the electrical mesh, the MWSR and SWMR optical crossbars, the
 // mesh/crossbar hybrid and the ideal reference network — together with what
-// they all have in common: the message type, the due-delivery queue, delivery
-// statistics and power reporting.
+// they all have in common: the message type, the due-delivery queue, the
+// injection and delivery counters and power reporting. A fabric keeps no
+// latency statistics: a delivered message carries its Inject and Arrive
+// cycles, and the receiver summarises them.
 //
 // All fabrics are synchronous cycle-level models: the owner calls Tick once
 // per system clock cycle, injects messages at the current cycle, and receives
@@ -11,10 +13,7 @@
 // engine run unmodified on any fabric.
 package noc
 
-import (
-	"onocsim/internal/metrics"
-	"onocsim/internal/sim"
-)
+import "onocsim/internal/sim"
 
 // Class partitions messages into virtual networks so that request/response
 // protocol cycles cannot deadlock in the fabric.
@@ -99,8 +98,8 @@ type Network interface {
 	// SetDeliver registers the delivery callback; it must be set before
 	// the first Tick that could deliver.
 	SetDeliver(fn DeliverFunc)
-	// Stats exposes the shared counters.
-	Stats() *Stats
+	// Stats returns a copy of the fabric's counters.
+	Stats() Stats
 	// ZeroLoadLatency estimates the uncontended latency of a message of
 	// the given size between two nodes; the self-correction engine uses
 	// it to seed its first iteration.
@@ -156,7 +155,7 @@ type ScheduleShardable interface {
 
 // Snapshot is an opaque deep copy of a fabric's mutable state, produced by
 // Checkpointer.Snapshot. A snapshot owns every piece of state it captures —
-// cloned messages, cloned statistics, copied queues — so the live fabric may
+// cloned messages, the counters, copied queues — so the live fabric may
 // keep running (or be Reset) without invalidating it. SnapshotAt reports the
 // fabric clock at capture time; the correction loop uses it to decide which
 // checkpoint is still inside a new schedule's frozen prefix.
@@ -178,8 +177,7 @@ type Snapshot interface {
 // restored any number of times, onto the originating instance or any
 // identically configured one. State that is immutable or a pure function of
 // the configuration (topology wiring, photonic budgets, lazily materialized
-// fault timelines, serialization memo tables, free lists) is exempt. Like
-// Reset, Restore installs a fresh statistics block.
+// fault timelines, serialization memo tables, free lists) is exempt.
 type Checkpointer interface {
 	// Snapshot captures the fabric's mutable state at the current cycle.
 	Snapshot() Snapshot
@@ -191,12 +189,10 @@ type Checkpointer interface {
 // Resettable is implemented by fabrics that can return to their
 // just-constructed state, letting owners reuse one network across
 // independent runs instead of rebuilding it. Reset must restore the clock
-// to zero, drop all queued and in-flight traffic, zero every statistic and
-// power counter, and re-arm arbitration state (token positions, credits,
-// round-robin pointers) to the constructor values; it installs a fresh
-// statistics block, since a finished result may hold the old one. The
-// delivery callback is deliberately left in place; callers that need a
-// different sink call SetDeliver again.
+// to zero, drop all queued and in-flight traffic, zero every counter, and
+// re-arm arbitration state (token positions, credits, round-robin pointers)
+// to the constructor values. The delivery callback is deliberately left in
+// place; callers that need a different sink call SetDeliver again.
 type Resettable interface {
 	Reset()
 }
@@ -248,30 +244,19 @@ func (p *MsgPool) Put(m *Message) {
 	p.free = append(p.free, m)
 }
 
-// Stats aggregates the counters every fabric maintains. Every field is an
-// integer count or an integer-exact summary of integer cycle counts, so a
-// block does not depend on the order its samples arrived in, and Merge of two
-// blocks equals the block of both sample streams. That is why a sharded
-// replay's statistics are its replicas' blocks merged. The zero value is an
-// empty block ready to use, and a copy is a deep copy.
+// Stats holds the counters every fabric keeps: plain sums, so a block does not
+// depend on the order its events arrived in, and Merge of two blocks equals
+// the block of both event streams. That is why a sharded replay's statistics
+// are its replicas' blocks merged. A fabric counts what it moves and nothing
+// more: a message's latency is Arrive − Inject, and whoever receives the
+// message summarises it.
 type Stats struct {
 	Injected  uint64
 	Delivered uint64
-	// Latency is the end-to-end latency distribution in cycles.
-	Latency metrics.Histogram
-	// PerClass splits latency by virtual network: coherence studies care
-	// whether requests or data responses are the slow class.
-	PerClass [NumClasses]metrics.Summary
-	// QueueDelay measures source-NI queueing (injection backpressure).
-	QueueDelay metrics.Summary
-	// HopCount distribution (electrical) or token wait (optical); the
-	// fabric documents its meaning.
-	HopCount metrics.Summary
 	// BytesDelivered totals payload bytes that completed.
 	BytesDelivered uint64
 	// Faults counts injected-fault events the fabric absorbed (all zero on
-	// fault-free runs, so persisted pre-fault statistics decode
-	// losslessly with the zero value).
+	// fault-free runs).
 	Faults FaultCounts
 }
 
@@ -301,30 +286,19 @@ func (f *FaultCounts) Add(o FaultCounts) {
 	f.Rerouted += o.Rerouted
 }
 
-// Merge folds o into s: afterwards s equals the block that recording both
-// sample streams, interleaved in any order, would have built.
-func (s *Stats) Merge(o *Stats) {
+// Merge folds o into s: afterwards s equals the block that counting both
+// event streams, interleaved in any order, would have built.
+func (s *Stats) Merge(o Stats) {
 	s.Injected += o.Injected
 	s.Delivered += o.Delivered
-	s.Latency.Merge(&o.Latency)
-	for c := range s.PerClass {
-		s.PerClass[c].Merge(&o.PerClass[c])
-	}
-	s.QueueDelay.Merge(&o.QueueDelay)
-	s.HopCount.Merge(&o.HopCount)
 	s.BytesDelivered += o.BytesDelivered
 	s.Faults.Add(o.Faults)
 }
 
-// RecordDelivery folds one completed message into the counters.
-func (s *Stats) RecordDelivery(m *Message) {
+// CountDelivery counts one completed message.
+func (s *Stats) CountDelivery(m *Message) {
 	s.Delivered++
 	s.BytesDelivered += uint64(m.Bytes)
-	lat := int64(m.Latency())
-	s.Latency.Add(lat)
-	if m.Class < NumClasses {
-		s.PerClass[m.Class].Add(lat)
-	}
 }
 
 // PowerReport is the resolved power of a fabric over a measurement window.

@@ -44,7 +44,7 @@ type phys struct {
 
 	now     sim.Tick
 	deliver noc.DeliverFunc
-	stats   *noc.Stats
+	stats   noc.Stats
 
 	ser serTable
 	// Fault injection (nil / empty when the config carries no faults).
@@ -115,7 +115,6 @@ func newPhys(nodes int, cfg config.Optical, faults config.Faults, seed uint64) p
 	}
 	p := phys{
 		nodes:   nodes,
-		stats:   new(noc.Stats),
 		ser:     serTable{bitsPerCycle: bpc},
 		devices: photonics.DefaultDeviceParams(),
 		faults:  fault.New(nodes, faults, seed),
@@ -164,10 +163,8 @@ func (p *phys) Nodes() int { return p.nodes }
 // Now implements noc.Network.
 func (p *phys) Now() sim.Tick { return p.now }
 
-// Stats implements noc.Network. On the crossbars Stats().HopCount records the
-// cycles a message waited for its channel (the MWSR token, the SWMR sender's
-// earlier messages) rather than hop counts.
-func (p *phys) Stats() *noc.Stats { return p.stats }
+// Stats implements noc.Network.
+func (p *phys) Stats() noc.Stats { return p.stats }
 
 // SetDeliver implements noc.Network.
 func (p *phys) SetDeliver(fn noc.DeliverFunc) { p.deliver = fn }
@@ -249,9 +246,6 @@ func (p *phys) launch(m *noc.Message, ch int) sim.Tick {
 		ser *= f
 		p.stats.Faults.DeratedSends++
 	}
-	wait := int64(p.now - m.Inject)
-	p.stats.HopCount.Add(wait)
-	p.stats.QueueDelay.Add(wait)
 	p.arrivals.Push(p.now+OEOverheadCycles+ser+p.propagation(m.Src, m.Dst), m)
 	p.bitsSent += uint64(m.Bytes) * 8
 	return ser
@@ -262,7 +256,7 @@ func (p *phys) deliverDue() {
 	for p.arrivals.NextAt() <= p.now {
 		m := p.arrivals.Pop()
 		m.Arrive = p.now
-		p.stats.RecordDelivery(m)
+		p.stats.CountDelivery(m)
 		if p.deliver != nil {
 			p.deliver(m)
 		}
@@ -281,14 +275,14 @@ func (p *phys) zeroLoad(src, dst, bytes int, arbWait sim.Tick) sim.Tick {
 	return arbWait + OEOverheadCycles + ser + p.propagation(src, dst)
 }
 
-// reset returns clock, statistics, arrivals and energy counters to their
+// reset returns clock, counters, arrivals and energy counters to their
 // constructor values. The static photonic budget is untouched (it depends
 // only on geometry), and so are the fault timelines: they are pure functions
 // of (seed, faults, channel), so their lazily-materialized windows persist and
 // replay identically in the next round.
 func (p *phys) reset() {
 	p.now = 0
-	p.stats = new(noc.Stats)
+	p.stats = noc.Stats{}
 	p.arrivals.Reset()
 	p.bitsSent = 0
 }
@@ -337,7 +331,7 @@ func (s *physSnap) SnapshotAt() sim.Tick { return s.now }
 func (p *phys) snapshot() physSnap {
 	return physSnap{
 		now:      p.now,
-		stats:    *p.stats,
+		stats:    p.stats,
 		bitsSent: p.bitsSent,
 		arrivals: p.arrivals.Clone(),
 	}
@@ -345,8 +339,7 @@ func (p *phys) snapshot() physSnap {
 
 func (p *phys) restore(s *physSnap) {
 	p.now = s.now
-	stats := s.stats
-	p.stats = &stats
+	p.stats = s.stats
 	p.bitsSent = s.bitsSent
 	p.arrivals.Restore(&s.arrivals)
 }

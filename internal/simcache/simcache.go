@@ -312,7 +312,10 @@ func (c *Cache) diskError(err error) {
 // Version 6: a noc.Stats summary keeps no Σx² or min, and its latency
 // histogram has fixed power-of-two buckets and persists no bounds; the
 // persisted block changed shape, so version-5 files are re-computed.
-const valueFormatVersion = 6
+// Version 7: a noc.Stats block is four plain counters, with no latency
+// histogram, per-class or queue-delay summaries; the block changed shape
+// again, so version-6 files are re-computed.
+const valueFormatVersion = 7
 
 // diskValue is the on-disk envelope for non-trace results.
 type diskValue struct {

@@ -9,6 +9,7 @@ import (
 
 	"onocsim/internal/config"
 	"onocsim/internal/enoc"
+	"onocsim/internal/metrics"
 	"onocsim/internal/noc"
 	"onocsim/internal/sim"
 )
@@ -110,10 +111,14 @@ func RunSynthetic(net noc.Network, cfg config.Workload, seed uint64) (SyntheticR
 	for i := range rngs {
 		rngs[i] = sim.NewStream(seed, fmt.Sprintf("synthetic-%d", i))
 	}
-	// Open-loop runs only need the fabric's aggregate statistics, so the
-	// delivery callback exists purely to recycle message allocations.
+	// The delivery callback folds each message's latency into the run's
+	// histogram, then recycles the message.
 	var pool noc.MsgPool
-	net.SetDeliver(func(m *noc.Message) { pool.Put(m) })
+	var lat metrics.Histogram
+	net.SetDeliver(func(m *noc.Message) {
+		lat.Add(int64(m.Latency()))
+		pool.Put(m)
+	})
 
 	var id uint64
 	remaining := make([]int, nodes)
@@ -174,8 +179,8 @@ func RunSynthetic(net noc.Network, cfg config.Workload, seed uint64) (SyntheticR
 	res.Saturated = net.NextWake() != noc.Never
 	st := net.Stats()
 	res.DeliveredPackets = st.Delivered
-	res.MeanLatency = st.Latency.Mean()
-	res.P99Latency = st.Latency.ApproxPercentile(99)
+	res.MeanLatency = lat.Mean()
+	res.P99Latency = lat.ApproxPercentile(99)
 	res.Cycles = net.Now()
 	res.Faults = st.Faults
 	if res.Cycles > 0 {
