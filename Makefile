@@ -66,8 +66,10 @@ fmt-check:
 # by at most 32 B per event (three time vectors and the delivered marks), and
 # an extra round allocates at most 64 KiB, no per-event vector. Beside them,
 # every fabric stamps each scheduled message with exactly its scheduled cycle
-# (what lets a replay's Inject be its schedule), and a resume leaves the
-# parked result's vectors as they were. The capture cache's residency gate
+# (what lets a replay's Inject be its schedule), a resume leaves the parked
+# result's vectors as they were, and a correction parked once or twice and
+# resumed equals the uninterrupted one: every round replays in full, so a
+# resume from plain park data is the only resume path. The capture cache's residency gate
 # (~0.1 s): 24 cached 16-core captures, every trace dropped, retain at most
 # 32 B per event after a GC, because an entry keeps the capture's binary
 # encoding and not the decoded trace. The capture gates (~1.5 s): every
@@ -92,7 +94,7 @@ check: vet fmt-check sweep-smoke
 	$(GO) test . -run 'TestDocsResolve|Surface|TestFileMatchesResident|TestSelfCaptureFixpointIsTruth|TestCoupledIsTheFixpoint|TestLoopAttractsWithoutCausalEdges' -count=1
 	$(GO) test . -run 'TestStreamCorrectionResidency|TestCorrectionRoundAllocatesNoEventVectors|TestCachedCaptureResidency' -count=1
 	$(GO) test . -run 'TestCaptureGapStartsAtLastDependency|TestCaptureAllocationsIndependentOfLength|TestReceiverLatencySummaries' -count=1
-	$(GO) test ./internal/core/ -run 'TestScheduledReplayInjectsOnSchedule|TestParkedResultSurvivesResume' -count=1
+	$(GO) test ./internal/core/ -run 'TestScheduledReplayInjectsOnSchedule|TestParkedResultSurvivesResume|TestResumeCompletesIdenticalToUninterrupted|TestResumeCanParkAgain' -count=1
 	$(GO) test ./internal/fabric/ -count=1
 	$(GO) test -short ./internal/enoc/ ./internal/onoc/ ./internal/trace/ ./internal/core/ -run 'DifferentialAgainstReference|BufferedDecodeMatchesBytewise|EngineAgainstReference' -count=1
 	$(GO) test ./internal/noc/ ./internal/metrics/ ./internal/sim/ -run 'MergeIs|LatencyBucketMatchesSearch|CalendarMatches' -count=1
@@ -131,12 +133,10 @@ test: vet
 # The simulators are single-goroutine by design; the race detector guards the
 # few places that are not. In the replay engine (internal/core) a K > 1 replay
 # runs K goroutines that never synchronize until they finish: what must hold
-# is that they write disjoint indices of the shared result vectors, append to
-# their own checkpoint ladder and statistics block only (capture and restore
-# run inside the shard goroutine), and each decode their own pass of the
-# source (internal/trace sources hand out concurrent passes) — the reference,
-# incremental and park/resume tests cover every fabric x preset x shard
-# count. Also here: the one fan-out helper every study, study set, report and
+# is that they write disjoint indices of the shared result vectors and their
+# own statistics block only, and each decode their own pass of the source
+# (internal/trace sources hand out concurrent passes) — the reference tests
+# cover every fabric x preset x shard count, the park/resume tests K = 1, 2. Also here: the one fan-out helper every study, study set, report and
 # sweep runs on (internal/fanout) and its heaviest user, the experiment
 # harness; the fault injector's lazily extended per-channel timelines under
 # sharded replay; and the analytic estimator, whose concurrent calls must

@@ -283,10 +283,9 @@ var ErrParked = core.ErrParked
 // byte-identical trajectories. Seeding is core.Correct's to decide.
 //
 // Resume state is opaque, bound to the exact (config, trace content, kind)
-// triple that parked, single-use, and in-process only (fabric snapshots do
-// not serialize); passing it back re-enters the loop at the parked round
-// boundary, reading this call's src, and completes to the result an
-// uninterrupted run produces.
+// triple that parked, single-use, and in-process only; passing it back
+// re-enters the loop at the parked round boundary, reading this call's src,
+// and completes to the result an uninterrupted run produces.
 func selfCorrect(ctx context.Context, cfg Config, src TraceSource, kind NetworkKind, resume *core.ParkState) (CorrectionResult, *core.ParkState, error) {
 	factory, err := NetworkFactory(cfg, kind)
 	if err != nil {

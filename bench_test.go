@@ -473,88 +473,6 @@ func BenchmarkSelfCorrectSeedZeroLoad(b *testing.B) { benchSelfCorrectSeed(b, "z
 // ZeroLoad benchmark.
 func BenchmarkSelfCorrectSeedCoupled(b *testing.B) { benchSelfCorrectSeed(b, "coupled") }
 
-// benchSelfCorrectIncr runs the correction loop in both execution modes on
-// one workload: "full" replays every event every round, "incremental" resumes
-// each round from the deepest frozen-prefix checkpoint. Results are
-// byte-identical (the equivalence tests assert it); the replayed-events
-// metric is the deterministic work counter the incremental mode shrinks, and
-// ns/op shows how much of it wall clock recovers.
-func benchSelfCorrectIncr(b *testing.B, kind onocsim.NetworkKind, cfg onocsim.Config, tr *onocsim.Trace) {
-	for _, mode := range []struct {
-		name string
-		incr bool
-	}{{"full", false}, {"incremental", true}} {
-		mode := mode
-		b.Run(mode.name, func(b *testing.B) {
-			c := cfg
-			c.SCTM.Incremental = mode.incr
-			var replayed int
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := uncached.RunSelfCorrectionContext(bg, c, tr, kind)
-				if err != nil {
-					b.Fatal(err)
-				}
-				replayed = res.ReplayedEvents
-			}
-			b.ReportMetric(float64(replayed), "replayed-events")
-		})
-	}
-}
-
-// incrBenchTrace builds the incremental benchmark's workload, the shape the
-// frozen-prefix optimization targets: a long dependency-free head whose
-// schedule never moves between rounds (dep-free events inject at their fixed
-// gap), followed by parallel dependency chains all hammering one node, whose
-// queueing delays shift the scheduled suffix round over round.
-func incrBenchTrace(nodes int) *onocsim.Trace {
-	tr := &onocsim.Trace{Nodes: nodes, Workload: "incr-bench", RefMakespan: 1_000_000}
-	const head, tail, chains = 600, 200, 10
-	for i := 0; i < head; i++ {
-		at := onocsim.Tick(i * 8)
-		tr.Events = append(tr.Events, trace.Event{
-			ID: trace.EventID(i + 1), Src: i % nodes, Dst: (i*5 + 1) % nodes,
-			Bytes: 64 + (i%4)*32, Class: noc.Class(i % 3),
-			Kind: trace.KindData, Gap: at,
-			RefInject: at, RefArrive: at + 40,
-		})
-	}
-	for i := 0; i < tail; i++ {
-		id := head + i + 1
-		dep := trace.EventID(head)
-		if i >= chains {
-			dep = trace.EventID(id - chains)
-		}
-		at := onocsim.Tick(head*8 + i*4)
-		tr.Events = append(tr.Events, trace.Event{
-			ID: trace.EventID(id), Src: i % nodes, Dst: 3,
-			Bytes: 256, Class: noc.Class(i % 3),
-			Kind: trace.KindData, Gap: 4,
-			Deps:      []trace.Dep{{On: dep, Class: trace.DepCausal}},
-			RefInject: at, RefArrive: at + 80,
-		})
-	}
-	return tr
-}
-
-// BenchmarkSelfCorrectIncrementalCrossbar compares full vs incremental
-// correction on the optical crossbar.
-func BenchmarkSelfCorrectIncrementalCrossbar(b *testing.B) {
-	cfg := onocsim.DefaultConfig()
-	cfg.System.Cores = 16
-	benchSelfCorrectIncr(b, onocsim.Optical, cfg, incrBenchTrace(16))
-}
-
-// BenchmarkSelfCorrectIncrementalMesh is the same comparison on the
-// electrical mesh, the expensive flit-level fabric where skipping the frozen
-// prefix buys the most replay cycles.
-func BenchmarkSelfCorrectIncrementalMesh(b *testing.B) {
-	cfg := onocsim.DefaultConfig()
-	cfg.System.Cores = 16
-	benchSelfCorrectIncr(b, onocsim.Electrical, cfg, incrBenchTrace(16))
-}
-
 // benchEstimateVsCorrect pins the screening-speedup comparison: both arms
 // run the identical (config, trace, fabric) triple, so the ns/op ratio
 // between the estimate and the full correction loop is the speedup a sweep

@@ -81,13 +81,6 @@ func TestRunStudyModeSharded(t *testing.T) {
 	}
 }
 
-func TestRunStudyModeIncremental(t *testing.T) {
-	path := smallCfgFile(t, func(c *onocsim.Config) { c.SCTM.Incremental = true })
-	if err := run(io.Discard, opts(path, "optical", "study", "ascii")); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // The two job-pipeline modes the CLI gained with the unified pipeline: a
 // correction run and its closed-form estimate.
 func TestRunCorrectAndEstimateModes(t *testing.T) {
@@ -187,7 +180,6 @@ func TestCLIAndDaemonAnswerOneDocumentAlike(t *testing.T) {
 	loaded := smallCfgFile(t, func(c *onocsim.Config) {
 		c.Faults = faultPreset(t, "heavy")
 		c.SCTM.Seed = "coupled"
-		c.SCTM.Incremental = true
 		c.Parallelism.Shards = 2
 	})
 	ts := httptest.NewServer(service.New(service.Config{}).Handler())

@@ -272,13 +272,10 @@ type SCTM struct {
 	//   "coupled"        the latencies of a coupled replay, the loop's exact
 	//                    fixpoint, so the loop stops in round 0.
 	Seed string `json:"seed,omitempty"`
-	// Incremental resumes each correction round from a frozen-prefix
-	// checkpoint of the previous round instead of replaying from cycle
-	// zero. It is a pure execution detail: results are byte-identical
-	// either way (only the ReplayedEvents/SavedCycles work counters
-	// differ), so — like Parallelism — it is excluded from Fingerprint
-	// and cached results remain addressable from both modes. The
-	// streaming (out-of-core) replay path ignores it.
+	// Incremental is refused when set: every correction round replays in
+	// full from cycle zero, and rounds resumed from fabric checkpoints are
+	// gone. The field remains only because the benchmark sets it when it
+	// calls core.SelfCorrect directly; core ignores it.
 	Incremental bool `json:"incremental,omitempty"`
 }
 
@@ -436,6 +433,9 @@ func (c *Config) Validate() error {
 	case "", "zeroload", "coupled":
 	default:
 		return fmt.Errorf("config: sctm.seed=%q not in {zeroload, coupled}", t.Seed)
+	}
+	if t.Incremental {
+		return fmt.Errorf("config: sctm.incremental is no longer supported: every correction round replays in full")
 	}
 	if c.MaxCycles < 0 {
 		return fmt.Errorf("config: max_cycles must be ≥0")

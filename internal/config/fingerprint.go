@@ -73,9 +73,7 @@ func (c *Config) Fingerprint() (string, error) {
 	} else {
 		w.str(t.Seed)
 	}
-	// SCTM.Incremental is deliberately NOT hashed: like Parallelism, it is a
-	// pure execution detail — the incremental loop is byte-identical to the
-	// full-replay loop — so both modes address the same cached result.
+	// SCTM.Incremental is not hashed: Validate refuses it set.
 
 	w.str(string(c.Network))
 	w.i64s(c.MaxCycles)

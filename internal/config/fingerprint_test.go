@@ -85,7 +85,7 @@ func TestFingerprintSeedModeCompatibility(t *testing.T) {
 // TestValidateSeedMode checks the seed modes a document may name: zeroload
 // and coupled. The constant and analytic seeds are gone, so a document asking
 // for one — by mode or by the constant's initial_latency_cycles — is refused,
-// naming the key.
+// naming the key; so is one asking for incremental correction rounds.
 func TestValidateSeedMode(t *testing.T) {
 	cases := []struct {
 		name string
@@ -101,6 +101,7 @@ func TestValidateSeedMode(t *testing.T) {
 		{"fixed with cycles", `{"seed":"fixed","initial_latency_cycles":10}`, `"initial_latency_cycles"`},
 		{"zeroload with cycles", `{"seed":"zeroload","initial_latency_cycles":10}`, `"initial_latency_cycles"`},
 		{"analytic with cycles", `{"seed":"analytic","initial_latency_cycles":10}`, `"initial_latency_cycles"`},
+		{"incremental", `{"incremental":true}`, "sctm.incremental"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

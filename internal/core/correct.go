@@ -48,16 +48,10 @@ type CorrectionResult struct {
 	// TotalCycles sums fabric cycles across all rounds — the simulation
 	// cost the R2 experiment charges to the method.
 	TotalCycles sim.Tick
-	// ReplayedEvents counts injections actually performed across all
-	// rounds. A full-replay loop performs len(tr.Events) per round;
-	// incremental rounds resume from frozen-prefix checkpoints and inject
-	// only the dirty suffix, so the gap between this and
-	// len(tr.Events)×len(Iterations) is the work the checkpointing saved.
+	// ReplayedEvents counts injections performed across all rounds: the
+	// trace's event count per round, and once more for a coupled seed's
+	// pass.
 	ReplayedEvents int
-	// SavedCycles sums the fabric cycles skipped by checkpoint restores
-	// (each restore at time t0 saves the t0 cycles of frozen prefix it
-	// would otherwise re-simulate). Zero for full-replay loops.
-	SavedCycles sim.Tick
 }
 
 // SelfCorrect runs the Self-Correction Trace Model: starting from the round-0
@@ -88,41 +82,38 @@ func SelfCorrectStream(factory NetworkFactory, src trace.Source, cfg config.SCTM
 // what the configuration converges to.
 var ErrParked = errors.New("core: self-correction parked before convergence")
 
-// ParkState snapshots a parked correction loop at the round boundary it
-// stopped at: the derived schedule the next round would have replayed (each
-// round's latency estimates are that round's measurements, so the schedule is
-// all the loop carries between rounds), the trajectory so far, and the
-// live replayer, whose fabric checkpoints (the noc.Checkpointer ladders of
-// incremental.go) survive the park intact. Resuming through Correct
-// continues the loop exactly where it stopped: the completed run is
-// byte-identical to one that never parked, and an incremental resume replays
-// only the dirty suffix of its first resumed round instead of starting the
-// whole fixpoint from scratch.
+// ParkState is a parked correction loop at the round boundary it stopped at,
+// as plain data: the derived schedule the next round would have replayed
+// (each round's latency estimates are that round's measurements, so the
+// schedule is all the loop carries between rounds), the trajectory so far,
+// and the work counters. It holds no fabric. Resuming through Correct builds
+// a new replayer and continues the loop exactly where it stopped: every round
+// replays in full from cycle zero, so the completed run is byte-identical to
+// one that never parked.
 //
-// The parked result's Final shares its vectors with the loop's storage, so the
-// park detaches them: the resumed loop replays into a fresh arrival vector
-// and derives into a fresh next buffer, and leaves the parked result as it
-// was.
+// The parked result's Final shares its vectors with the loop's storage, and
+// the resumed loop leaves them as they were: it replays into its own arrival
+// vector and derives into a buffer of its own, then into the parked schedule.
 //
 // A ParkState is bound to the (trace content, SCTM config, fabric) triple that
 // produced it, not to the source object that held the trace, and is
-// single-use: the replayer inside is not safe for concurrent resumes. Callers
-// that stash states must hand each one to at most one resume.
+// single-use: its resume overwrites the parked schedule. Callers that stash
+// states must hand each one to at most one resume.
 type ParkState struct {
-	runner     *replayer
 	prev       []sim.Tick
 	iterations []Iteration
 	final      ReplayResult
 	cycles     sim.Tick
+	replayed   int
 }
 
 // Correct runs the self-correction fixpoint over a trace.Source — seeding,
 // schedule derivation and every replay round read the source, so a
 // file-backed trace is never materialized — with each round's replay split
-// across the given number of shards. Results are byte-identical for any
-// shard count, any sufficient window (semantics as ReplayScheduleStream) and
-// either setting of cfg.Incremental; those choose how rounds execute, never
-// what they compute.
+// across the given number of shards. Every round replays the whole trace from
+// cycle zero. Results are byte-identical for any shard count and any
+// sufficient window (semantics as ReplayScheduleStream); those choose how
+// rounds execute, never what they compute.
 //
 // The loop stops at a fixpoint (a round whose re-derived schedule equals the
 // one it replayed, so another round would repeat it), when the makespan
@@ -132,26 +123,20 @@ type ParkState struct {
 // seed, when non-nil, supplies the round-0 latencies, one per event; it is
 // never mutated. Otherwise cfg.SeedMode() decides: "coupled" seeds with a
 // coupled replay's latencies, the loop's exact fixpoint, charged to the
-// result; "zeroload" with the target fabric's zero-load probe.
+// result and run on the fabric the rounds replay on; "zeroload" with the
+// target fabric's zero-load probe. cfg.Incremental is not read.
 //
-// cfg.Incremental keeps frozen-prefix checkpoint ladders between rounds, so
-// later rounds skip re-simulating the schedule prefix that did not change
-// (only ReplayedEvents/SavedCycles differ). It takes effect on a resident
-// trace; a file-backed source keeps its rounds full — bounded residency is
-// its point.
-//
-// Cancellation is cooperative: the loop checks ctx at every round boundary —
-// the same boundaries the ladder checkpoints at — and, once ctx is done,
-// parks instead of starting another round. A parked run returns the partial
-// CorrectionResult, a non-nil *ParkState, and an error wrapping ErrParked
-// and ctx's error. Replay rounds themselves are never interrupted
-// mid-flight, so a park costs at most one round of latency and the partial
-// trajectory is byte-identical to a prefix of the uncancelled run's. Passing
-// the state back as resume (same trace content, config and fabric kind, in
-// src of either residency) re-enters the loop at the parked round boundary
-// instead of restarting — skipping seeding and the initial schedule
-// derivation, with the trajectory so far already in place; seed is then
-// ignored, and every resumed pass reads src.
+// Cancellation is cooperative: the loop checks ctx at every round boundary
+// and, once ctx is done, parks instead of starting another round. A parked
+// run returns the partial CorrectionResult, a non-nil *ParkState, and an
+// error wrapping ErrParked and ctx's error. Replay rounds themselves are
+// never interrupted mid-flight, so a park costs at most one round of latency
+// and the partial trajectory is byte-identical to a prefix of the
+// uncancelled run's. Passing the state back as resume (same trace content,
+// config and fabric kind, in src of either residency) re-enters the loop at
+// the parked round boundary instead of restarting — skipping seeding and the
+// initial schedule derivation, with the trajectory so far already in place;
+// seed is then ignored, and every resumed pass reads src.
 func Correct(ctx context.Context, factory NetworkFactory, src trace.Source, cfg config.SCTM, shards, window int, seed []sim.Tick, resume *ParkState) (CorrectionResult, *ParkState, error) {
 	n := src.Meta().NumEvents
 	opts := ScheduleOptions{
@@ -160,7 +145,7 @@ func Correct(ctx context.Context, factory NetworkFactory, src trace.Source, cfg 
 	}
 
 	var out CorrectionResult
-	var runner *replayer
+	runner := newReplayer(factory, src, shards, window)
 	// prev is the schedule a round replays; the round derives next, and the
 	// two trade places. A round's result shares both its vectors with the
 	// loop: its Inject is prev, which becomes next, and its Arrive is the
@@ -169,12 +154,6 @@ func Correct(ctx context.Context, factory NetworkFactory, src trace.Source, cfg 
 	// next holds the round-0 latencies the loop seeds itself with.
 	var prev []sim.Tick
 	next := make([]sim.Tick, n)
-	// finish fills the work counters at every successful exit. Full rounds
-	// charge the whole trace; a round resumed from a checkpoint only the
-	// dirty suffix it injected.
-	finish := func() {
-		out.ReplayedEvents, out.SavedCycles = runner.replayed, runner.saved
-	}
 	// Profiler labels tag every sample with the round and phase so a pprof
 	// capture of a correction run decomposes into the coupled seed's pass,
 	// the seed's schedule derivation and each round's replay, which derives
@@ -202,17 +181,12 @@ func Correct(ctx context.Context, factory NetworkFactory, src trace.Source, cfg 
 		if len(resume.iterations) >= cfg.MaxIterations {
 			return CorrectionResult{}, nil, fmt.Errorf("core: resume state has %d rounds, budget is %d", len(resume.iterations), cfg.MaxIterations)
 		}
-		// The parked replayer carries the fabric checkpoints the resumed
-		// rounds restore from, and the work counters so far.
-		runner = resume.runner
-		runner.read(src, window)
 		prev = resume.prev
 		out.Iterations = append([]Iteration(nil), resume.iterations...)
 		out.Final = resume.final
 		out.TotalCycles = resume.cycles
+		out.ReplayedEvents = resume.replayed
 	} else {
-		runner = newReplayer(factory, src, shards, window)
-		runner.ladder = cfg.Incremental && resident(src)
 		// Round-0 latencies: the caller's seed, a coupled replay's (a pass
 		// charged like a round), or the target fabric's zero-load estimate
 		// per message, filled in by the pass that derives the round-0
@@ -221,8 +195,10 @@ func Correct(ctx context.Context, factory NetworkFactory, src trace.Source, cfg 
 		var zeroLoad func(e *trace.Event) sim.Tick
 		if lat == nil && cfg.SeedMode() == "coupled" {
 			var c ReplayResult
+			net := runner.fabric(0)
+			runner.slots[0].used = true // round 0 resets or rebuilds it
 			if err := labeled(-1, "coupled", func() (err error) {
-				c, err = CoupledReplay(factory(), src, opts)
+				c, err = CoupledReplay(net, src, opts)
 				return err
 			}); err != nil {
 				return CorrectionResult{}, nil, fmt.Errorf("core: coupled seed: %w", err)
@@ -231,7 +207,7 @@ func Correct(ctx context.Context, factory NetworkFactory, src trace.Source, cfg 
 			for i := range lat {
 				lat[i] = c.Arrive[i] - c.Inject[i]
 			}
-			out.TotalCycles, runner.replayed = c.Cycles, n
+			out.TotalCycles, out.ReplayedEvents = c.Cycles, n
 		} else if lat == nil {
 			lat = next
 			probe := runner.fabric(0)
@@ -246,20 +222,18 @@ func Correct(ctx context.Context, factory NetworkFactory, src trace.Source, cfg 
 	}
 	runner.derive.opts = opts
 	for round := len(out.Iterations); round < cfg.MaxIterations; round++ {
-		// Park point: the round boundary is where the ladder checkpoints, so
-		// stopping here loses at most the round that was about to start,
-		// never work already done. The partial result is returned alongside
-		// the error — callers decide whether the trajectory so far is worth
-		// reporting — together with the state a later call can resume from.
+		// Park point: stopping at a round boundary loses at most the round
+		// that was about to start, never work already done. The partial
+		// result is returned alongside the error — callers decide whether the
+		// trajectory so far is worth reporting — together with the state a
+		// later call can resume from.
 		if cause := ctx.Err(); cause != nil {
-			finish()
-			runner.arrive = nil // the partial result keeps it (see ParkState)
 			state := &ParkState{
-				runner:     runner,
 				prev:       prev,
 				iterations: append([]Iteration(nil), out.Iterations...),
 				final:      out.Final,
 				cycles:     out.TotalCycles,
+				replayed:   out.ReplayedEvents,
 			}
 			return out, state, fmt.Errorf("%w after %d of %d rounds: %w",
 				ErrParked, len(out.Iterations), cfg.MaxIterations, cause)
@@ -275,6 +249,7 @@ func Correct(ctx context.Context, factory NetworkFactory, src trace.Source, cfg 
 			return CorrectionResult{}, nil, fmt.Errorf("core: correction round %d: %w", round, err)
 		}
 		out.TotalCycles += res.Cycles
+		out.ReplayedEvents += n
 		delta := MaxScheduleDelta(next, prev)
 		out.Iterations = append(out.Iterations, Iteration{
 			Round:       round,
@@ -290,7 +265,6 @@ func Correct(ctx context.Context, factory NetworkFactory, src trace.Source, cfg 
 		out.Final = res
 		if delta == 0 {
 			out.Converged = true
-			finish()
 			return out, nil, nil
 		}
 		// Aggregate-stability criterion: under contention the per-event
@@ -304,12 +278,10 @@ func Correct(ctx context.Context, factory NetworkFactory, src trace.Source, cfg 
 			}
 			if float64(diff) <= cfg.MakespanTolerance*float64(res.Makespan) {
 				out.Converged = true
-				finish()
 				return out, nil, nil
 			}
 		}
 		prev, next = next, prev
 	}
-	finish()
 	return out, nil, nil
 }

@@ -48,8 +48,7 @@ func heldTrace(n int) *trace.Trace {
 // TestReplayDerivesNextSchedule: the schedule a run derives while it replays
 // (K = 1) or in its own pass (K = 2) equals ScheduleStream over the run's
 // measured latencies, round after round, on every fabric kind, from memory
-// and from a file, with and without checkpoint ladders, under the full model
-// and both R8 ablations. The held trace builds a backlog of more than 4 096
+// and from a file, under the full model and both R8 ablations. The held trace builds a backlog of more than 4 096
 // events behind one undelivered dependency, through a file pass whose
 // read-ahead window is 64 events: the backlog is not part of the window.
 func TestReplayDerivesNextSchedule(t *testing.T) {
@@ -85,11 +84,9 @@ func TestReplayDerivesNextSchedule(t *testing.T) {
 			}
 			for sname, src := range map[string]trace.Source{"mem": tr, "file": file} {
 				for _, k := range []int{1, 2} {
-					for _, incremental := range []bool{false, true} {
-						for aname, opts := range ablations {
-							name := fmt.Sprintf("%s/%s/%s/K=%d/incremental=%v/%s", kind, tname, sname, k, incremental, aname)
-							checkDerivedRounds(t, name, factory, src, k, window, incremental, opts)
-						}
+					for aname, opts := range ablations {
+						name := fmt.Sprintf("%s/%s/%s/K=%d/%s", kind, tname, sname, k, aname)
+						checkDerivedRounds(t, name, factory, src, k, window, opts)
 					}
 				}
 			}
@@ -100,11 +97,10 @@ func TestReplayDerivesNextSchedule(t *testing.T) {
 // checkDerivedRounds runs three rounds of a correction by hand, each from the
 // schedule the previous one derived, and holds every derived schedule to
 // ScheduleStream's.
-func checkDerivedRounds(t *testing.T, name string, factory NetworkFactory, src trace.Source, k, window int, incremental bool, opts ScheduleOptions) {
+func checkDerivedRounds(t *testing.T, name string, factory NetworkFactory, src trace.Source, k, window int, opts ScheduleOptions) {
 	t.Helper()
 	n := src.Meta().NumEvents
 	r := newReplayer(factory, src, k, window)
-	r.ladder = incremental && resident(src)
 	r.derive.opts = opts
 	probe := r.fabric(0)
 	zero := make([]sim.Tick, n)

@@ -29,8 +29,7 @@ func (c *countdownCtx) Err() error {
 
 // slowTrace is a correction with rounds to park between: from the
 // zero-load seed on contendedIdeal it first reaches its fixpoint in round 7
-// (round deltas 29 16 8 6 6 5 6 0), and its incremental rounds resume from
-// frozen prefixes (1 235 of 2 400 events replayed over those 8 rounds).
+// (round deltas 29 16 8 6 6 5 6 0).
 func slowTrace() *trace.Trace { return randomTrace(4, 300, 16) }
 
 // contendedIdeal is a 16-node ideal fabric of 15-cycle latency whose 16-byte
@@ -121,19 +120,16 @@ func TestSelfCorrectCtxBackgroundIdentical(t *testing.T) {
 	live, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	for _, shards := range []int{1, 2} {
-		for _, incr := range []bool{false, true} {
-			cfg.Incremental = incr
-			want, _, err := SelfCorrectParkableCtx(context.Background(), idealFactory(4, 20), tr, cfg, shards, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, state, err := SelfCorrectParkableCtx(live, idealFactory(4, 20), tr, cfg, shards, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if state != nil || !reflect.DeepEqual(got, want) {
-				t.Fatalf("shards=%d incr=%v: live-context path diverged (state %v):\n got %+v\nwant %+v", shards, incr, state, got, want)
-			}
+		want, _, err := SelfCorrectParkableCtx(context.Background(), idealFactory(4, 20), tr, cfg, shards, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, state, err := SelfCorrectParkableCtx(live, idealFactory(4, 20), tr, cfg, shards, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if state != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("shards=%d: live-context path diverged (state %v):\n got %+v\nwant %+v", shards, state, got, want)
 		}
 	}
 }

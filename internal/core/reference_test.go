@@ -19,8 +19,8 @@ import (
 // refReplayDrain and refFinalizeResult are that code verbatim (identifiers
 // prefixed, nothing else changed). It materializes the trace, sorts the whole
 // schedule by (time, ID) and indexes it, where the production engine streams
-// a source through a suffix-min bound and a heap, partitions it over K
-// replicas and resumes from checkpoints; the two share no replay code.
+// a source through a suffix-min bound and a calendar and partitions it over
+// K replicas; the two share no replay code.
 
 // refCheckEventIDs verifies the dense 1-based ID invariant the replay engines
 // rely on to map a delivered message back to its trace event without
@@ -192,16 +192,13 @@ func refFinalizeResult(res *ReplayResult, tr *trace.Trace, net noc.Network) {
 
 // plainNet hides every optional contract of a fabric — Resettable,
 // Checkpointer, ScheduleShardable — leaving the engine one fresh build per
-// run, no ladder and K = 1.
+// run and K = 1.
 type plainNet struct{ noc.Network }
 
 // referenceTrace is one input of TestEngineAgainstReference.
 type referenceTrace struct {
 	name string
 	tr   *trace.Trace
-	// ladders says a second run of an unchanged schedule must find a
-	// checkpoint to resume from (false where there is nothing to inject).
-	ladders bool
 }
 
 // referenceTraces returns a random DAG trace plus the degenerate shapes.
@@ -226,19 +223,19 @@ func referenceTraces(nodes int) []referenceTrace {
 		selfs.Events = append(selfs.Events, event(i, i%nodes, dst, sim.Tick(3*(i/4))))
 	}
 	return []referenceTrace{
-		{"random", randomTrace(7, 80, nodes), true},
-		{"empty", &trace.Trace{Nodes: nodes, Workload: "empty", RefMakespan: 100}, false},
-		{"one", one, true},
-		{"same-cycle", same, true},
-		{"self", selfs, true},
+		{"random", randomTrace(7, 80, nodes)},
+		{"empty", &trace.Trace{Nodes: nodes, Workload: "empty", RefMakespan: 100}},
+		{"one", one},
+		{"same-cycle", same},
+		{"self", selfs},
 	}
 }
 
 // referenceSchedules returns a sequence of schedules shaped like the rounds
 // of a correction: capture order; the zero-load schedule (out of ID order,
-// with same-cycle ties); a late suffix moved; the same schedule again; one
-// event moved onto another's cycle (the strict edge of the frozen-prefix
-// rule); the earliest event moved (empty frozen prefix). Two more hold the
+// with same-cycle ties); a late suffix moved; the same schedule again; the
+// latest event moved onto another's cycle; the earliest event moved. Two
+// more hold the
 // pending queue to account: "wide" spans several calendar rings, and
 // "reverse" needs every event resident at once, which fills a window of
 // len(tr.Events) exactly.
@@ -307,8 +304,8 @@ func wideSchedule(tr *trace.Trace, zero []sim.Tick) []sim.Tick {
 }
 
 // TestEngineAgainstReference holds every configuration of the replay engine
-// — feed from memory or from a file, K replicas, with and without the
-// checkpoint ladder — to the reference engine above: reflect.DeepEqual on
+// — feed from memory or from a file, K replicas — to the reference engine
+// above: reflect.DeepEqual on
 // the whole ReplayResult, per-event vectors and statistics block included,
 // for each schedule of a correction-like sequence run through one replayer.
 func TestEngineAgainstReference(t *testing.T) {
@@ -330,10 +327,9 @@ func TestEngineAgainstReference(t *testing.T) {
 		}
 		sources := map[string]trace.Source{"mem": tc.tr, "file": file}
 		for _, preset := range presets {
-			fabrics := checkpointFabrics(t, nodes, preset)
+			fabrics := fabricFamilies(t, nodes, preset)
 			fabrics["plain"] = func() noc.Network { return plainNet{noc.NewIdeal(nodes, 15, 16)} }
 			for fabric, mk := range fabrics {
-				_, checkpoints := mk().(noc.Checkpointer)
 				scheds := referenceSchedules(tc.tr, mk())
 				want := make([]ReplayResult, len(scheds))
 				for i, s := range scheds {
@@ -350,28 +346,20 @@ func TestEngineAgainstReference(t *testing.T) {
 				}
 				for srcName, src := range sources {
 					for _, k := range shardCounts {
-						for _, ladder := range []bool{false, true} {
-							label := fmt.Sprintf("%s/%s/%s %s K=%d ladder=%v", tc.name, fabric, preset, srcName, k, ladder)
-							// The ladder is set on the replayer so that a file is
-							// resumed from checkpoints too, which Correct never asks.
-							// A file's window is the trace, which "reverse" fills.
-							r := newReplayer(mk, src, k, n)
-							r.ladder = ladder
-							for i, s := range scheds {
-								got, err := r.run(s)
-								if err != nil {
-									t.Fatalf("%s, schedule %d: %v", label, i, err)
-								}
-								if !reflect.DeepEqual(want[i], got) {
-									t.Fatalf("%s, schedule %d: result differs from the reference\n got %+v\nwant %+v", label, i, got, want[i])
-								}
+						label := fmt.Sprintf("%s/%s/%s %s K=%d", tc.name, fabric, preset, srcName, k)
+						// A file's window is the trace, which "reverse" fills.
+						r := newReplayer(mk, src, k, n)
+						for i, s := range scheds {
+							got, err := r.run(s)
+							if err != nil {
+								t.Fatalf("%s, schedule %d: %v", label, i, err)
 							}
-							if saved := r.saved > 0; saved != (ladder && tc.ladders && checkpoints) {
-								t.Fatalf("%s: checkpoints restored = %v", label, saved)
+							if !reflect.DeepEqual(want[i], got) {
+								t.Fatalf("%s, schedule %d: result differs from the reference\n got %+v\nwant %+v", label, i, got, want[i])
 							}
-							if n >= 3 && !ladder && !slices.ContainsFunc(r.slots, func(s slot) bool { return s.pending.Overflowed() }) {
-								t.Fatalf("%s: no shard used the overflow heap", label)
-							}
+						}
+						if n >= 3 && !slices.ContainsFunc(r.slots, func(s slot) bool { return s.pending.Overflowed() }) {
+							t.Fatalf("%s: no shard used the overflow heap", label)
 						}
 					}
 				}
@@ -385,7 +373,7 @@ func TestEngineAgainstReference(t *testing.T) {
 func TestEngineEntryPointsAgainstReference(t *testing.T) {
 	const nodes = 16
 	tr := randomTrace(11, 70, nodes)
-	for fabric, mk := range checkpointFabrics(t, nodes, "light") {
+	for fabric, mk := range fabricFamilies(t, nodes, "light") {
 		for i, s := range referenceSchedules(tr, mk()) {
 			want, err := refReplaySchedule(mk(), tr, s)
 			if err != nil {

@@ -65,28 +65,12 @@ func checkFabric(net noc.Network, nodes int) error {
 // The feed decides what kind of replay this is: a fixed schedule decoded from
 // a trace.Source (streamDecoder, captureFeed) or dependencies resolved on the
 // fabric as deliveries complete (coupledFeed).
-//
-// The loop is resumable: a caller restoring a checkpoint passes the fabric
-// at its restored clock, a feed that withholds the events injected at or
-// before it, their count as injected, and *delivered prefilled with the
-// arrivals that completed by then.
-//
-// capture, when non-nil, is invoked at the top of every iteration — after
-// the injection burst, when the fabric state is exactly "every injection and
-// delivery ≤ Now() applied" — with the running injected count; it is the
-// hook the checkpoint ladder uses to snapshot at a consistent,
-// trajectory-independent point.
-func drain(net noc.Network, f feed, pool *noc.MsgPool, injected int, delivered *int, want int, capture func(injected int)) error {
+func drain(net noc.Network, f feed, pool *noc.MsgPool, delivered *int, want int) error {
 	var lastInj sim.Tick
 	for *delivered < want {
 		now := net.Now()
-		k, err := f.injectDue(now, net, pool)
-		if err != nil {
+		if err := f.injectDue(now, net, pool); err != nil {
 			return err
-		}
-		injected += k
-		if capture != nil {
-			capture(injected)
 		}
 		// Fast-forward to the next injection or fabric event; the cycles
 		// in between are provably idle.
@@ -144,18 +128,15 @@ func finalize(res *ReplayResult, refMakespan, maxRef sim.Tick) sim.Tick {
 }
 
 // replayer is the replay engine: it replays injection schedules of one
-// trace.Source on fabrics from one factory, a call to run per schedule. It
-// has three pluggable parts around the one drain loop:
+// trace.Source on fabrics from one factory, a call to run per schedule, each
+// from cycle zero. It has two pluggable parts around the one drain loop:
 //
 //   - the feed (stream.go) decodes the source inside a bounded read-ahead
 //     window; a resident trace is the unbounded case;
 //   - K > 1 on a noc.ScheduleShardable fabric splits the events over K
 //     replica fabrics (sharded.go), drains each to completion in its own
 //     goroutine and merges their statistics blocks; K = 1 is the serial
-//     case, run in the caller's goroutine with the fabric's own block;
-//   - the checkpoint ladder (incremental.go) lets a run resume from the
-//     deepest fabric snapshot of the previous run that the new schedule
-//     leaves valid.
+//     case, run in the caller's goroutine with the fabric's own block.
 //
 // Results are byte-identical whichever parts are in play.
 //
@@ -187,36 +168,28 @@ type replayer struct {
 	factory NetworkFactory
 	src     trace.Source
 	meta    trace.Meta
-	shards  int  // requested K, clamped to [1, nodes] per run
-	window  int  // cap on each drain's pending events; 0 = unbounded
-	ladder  bool // keep checkpoint ladders between runs
+	shards  int // requested K, clamped to [1, nodes] per run
+	window  int // cap on each drain's pending events; 0 = unbounded
 
 	slots []slot     // what each shard keeps from run to run
 	part  *partition // K > 1 only; see sharded.go
-	last  lastRun    // ladder only; see incremental.go
 
 	// next is where a run derives the next schedule; nil derives none. The
 	// correction sets it, and the deriver's options.
 	next []sim.Tick
 	// Storage every run reuses: the arrival vector, which is the result's
-	// Arrive and so is overwritten by the next run (a parked correction
-	// detaches it, and the next run allocates another), the per-block
-	// suffix minima of its schedule, its delivered marks and the deriver.
+	// Arrive and so is overwritten by the next run, the per-block suffix
+	// minima of its schedule, its delivered marks and the deriver.
 	arrive []sim.Tick
 	bm     []sim.Tick
 	done   []bool
 	derive deriver
-
-	// replayed counts injections actually performed and saved the fabric
-	// cycles checkpoint restores skipped, summed over every run.
-	replayed int
-	saved    sim.Tick
 }
 
 // slot is the long-lived state of one shard: its fabric — a Resettable
-// instance is reset between runs instead of rebuilt, and checkpoints restore
-// onto it — and the storage its drains reuse: the message pool and the
-// decoder's pending queue and bound cursor.
+// instance is reset between runs instead of rebuilt — and the storage its
+// drains reuse: the message pool and the decoder's pending queue and bound
+// cursor.
 type slot struct {
 	net     noc.Network
 	used    bool
@@ -226,21 +199,13 @@ type slot struct {
 }
 
 func newReplayer(factory NetworkFactory, src trace.Source, shards, window int) *replayer {
-	r := &replayer{factory: factory, shards: shards}
-	r.read(src, window)
-	return r
-}
-
-// read points every later pass of the replayer at src. A resumed correction
-// points its parked replayer at the resuming caller's source: the content is
-// the parked one's, but the file that held it may be gone.
-func (r *replayer) read(src trace.Source, window int) {
-	r.src, r.meta, r.window = src, src.Meta(), readAhead(src, window)
+	return &replayer{factory: factory, src: src, meta: src.Meta(), shards: shards, window: readAhead(src, window)}
 }
 
 // fabric returns the long-lived instance of shard slot i, as it was left.
 // Slot 0 doubles as the zero-load probe: a probe never ticks, so the
-// instance is still fresh for the first run.
+// instance is still fresh for the first run. A correction's coupled seed
+// runs on it too and marks it used, so the first run resets it.
 func (r *replayer) fabric(i int) noc.Network {
 	for len(r.slots) <= i {
 		r.slots = append(r.slots, slot{pending: sim.NewCalendar[pendingMsg](ringTicks)})
@@ -269,21 +234,16 @@ func (r *replayer) fresh(i int) noc.Network {
 // holds no reference to the run's feed: the fabric outlives the run and,
 // through its delivery callback, so does the lane.
 type lane struct {
-	net  noc.Network
-	slot *slot // the storage the drain reuses
-	// floor, injected and delivered describe what a restored checkpoint
-	// already holds (noFloor, 0, 0 from cycle zero); want is the lane's
-	// owned event count.
-	floor                     sim.Tick
-	injected, delivered, want int
-	capture                   func(injected int)
-	maxRef                    sim.Tick // the decoder's, once drained
-	err                       error
+	net             noc.Network
+	slot            *slot    // the storage the drain reuses
+	delivered, want int      // want is the lane's owned event count
+	maxRef          sim.Tick // the decoder's, once drained
+	err             error
 }
 
 // drain opens the lane's own pass over src and runs the drain loop on it.
-// With a deriver, it then decodes whatever the drain left undecoded (events
-// a restored checkpoint already held) and derives the rest of the schedule.
+// With a deriver, it then derives from the last deliveries: every event was
+// decoded before it was injected, so the deriver has been offered them all.
 func (l *lane) drain(src trace.Source, dec streamDecoder) {
 	it, err := src.Pass()
 	if err != nil {
@@ -292,10 +252,9 @@ func (l *lane) drain(src trace.Source, dec streamDecoder) {
 	}
 	defer it.Close()
 	l.slot.pending.Reset()
-	dec.it, dec.floor, dec.pending, dec.cur = it, l.floor, &l.slot.pending, &l.slot.cur
-	l.err = drain(l.net, &dec, &l.slot.pool, l.injected, &l.delivered, l.want, l.capture)
+	dec.it, dec.pending, dec.cur = it, &l.slot.pending, &l.slot.cur
+	l.err = drain(l.net, &dec, &l.slot.pool, &l.delivered, l.want)
 	if l.err == nil && dec.derive != nil {
-		l.err = dec.decodeTo(sim.Never)
 		dec.derive.advance()
 	}
 	l.maxRef = dec.maxRef
@@ -309,15 +268,7 @@ func (l *lane) drain(src trace.Source, dec streamDecoder) {
 // the inject slice passed in, and its Arrive is r.arrive, which the next run
 // overwrites.
 func (r *replayer) run(inject []sim.Tick) (ReplayResult, error) {
-	res, err := r.replay(inject, r.next)
-	if err != nil {
-		r.last = lastRun{} // a failed run leaves nothing to resume from
-	}
-	return res, err
-}
-
-func (r *replayer) replay(inject, next []sim.Tick) (ReplayResult, error) {
-	n := r.meta.NumEvents
+	n, next := r.meta.NumEvents, r.next
 	net0 := r.fabric(0)
 	if net0.Nodes() != r.meta.Nodes {
 		return ReplayResult{}, fmt.Errorf("core: fabric has %d nodes, trace has %d", net0.Nodes(), r.meta.Nodes)
@@ -345,24 +296,15 @@ func (r *replayer) replay(inject, next []sim.Tick) (ReplayResult, error) {
 			lanes[s].want = r.part.want[s]
 		}
 	}
-	_, keep := net0.(noc.Checkpointer)
-	if keep = keep && r.ladder; keep {
-		r.resume(lanes, inject, &res)
-	}
-
 	r.fabric(k - 1) // every slot exists before a lane points into one
 	for s := range lanes {
 		l := &lanes[s]
-		if l.net == nil { // not resumed from a checkpoint
-			l.net = r.fresh(s)
-			if l.net.Now() != 0 {
-				return ReplayResult{}, fmt.Errorf("core: replay fabric is not fresh (now=%d)", l.net.Now())
-			}
-			l.floor = noFloor
+		l.net = r.fresh(s)
+		if l.net.Now() != 0 {
+			return ReplayResult{}, fmt.Errorf("core: replay fabric is not fresh (now=%d)", l.net.Now())
 		}
 		l.slot = &r.slots[s]
 		l.slot.used = true
-		r.replayed += l.want - l.injected
 		done := r.done
 		arrive := r.arrive
 		l.net.SetDeliver(func(m *noc.Message) {
@@ -372,13 +314,10 @@ func (r *replayer) replay(inject, next []sim.Tick) (ReplayResult, error) {
 			l.delivered++
 			l.slot.pool.Put(m)
 		})
-		if keep {
-			l.capture = ladderCapture(l.net, &r.last.ladders[s], captureThresholds(l.want, l.injected))
-		}
 	}
 
-	// Replicas are fully independent, and every shared-slice write (res, a
-	// ladder) lands at indices owned by exactly one lane.
+	// Replicas are fully independent, and every shared-slice write lands at
+	// indices owned by exactly one lane.
 	r.bm = blockMins(r.bm, inject)
 	dec := streamDecoder{inject: inject, bm: r.bm, window: r.window}
 	if k == 1 {
@@ -431,9 +370,6 @@ func (r *replayer) replay(inject, next []sim.Tick) (ReplayResult, error) {
 		for s := range lanes {
 			res.NetStats.Merge(lanes[s].net.Stats())
 		}
-	}
-	if keep {
-		r.last.remember(inject, res.Arrive)
 	}
 	return res, nil
 }
@@ -547,7 +483,7 @@ func CoupledReplay(net noc.Network, src trace.Source, opts ScheduleOptions) (Rep
 	})
 	// A drain that runs out of wake-ups with deliveries outstanding means the
 	// dependency graph (or the fabric) has deadlocked.
-	if err := drain(net, &feed, &pool, 0, &delivered, n, nil); err != nil {
+	if err := drain(net, &feed, &pool, &delivered, n); err != nil {
 		return ReplayResult{}, fmt.Errorf("core: coupled %w", err)
 	}
 	finalize(&res, meta.RefMakespan, maxRef)
@@ -569,8 +505,7 @@ type coupledFeed struct {
 
 func (f *coupledFeed) push(idx int, at sim.Tick) { f.pending.Push(at, idx) }
 
-func (f *coupledFeed) injectDue(now sim.Tick, net noc.Network, pool *noc.MsgPool) (int, error) {
-	k := 0
+func (f *coupledFeed) injectDue(now sim.Tick, net noc.Network, pool *noc.MsgPool) error {
 	for at := f.pending.NextAt(); at <= now; at = f.pending.NextAt() {
 		f.due = f.due[:0]
 		for f.pending.NextAt() == at {
@@ -581,9 +516,8 @@ func (f *coupledFeed) injectDue(now sim.Tick, net noc.Network, pool *noc.MsgPool
 			e := &f.events[i]
 			inject(net, pool, uint64(i+1), e.src, e.dst, e.bytes, e.class)
 		}
-		k += len(f.due)
 	}
-	return k, nil
+	return nil
 }
 
 // nextInject bounds only the events already ready; the rest become ready

@@ -48,8 +48,8 @@ import (
 // feed hands the drain loop its injections.
 type feed interface {
 	// injectDue injects every event due at or before now, in (time, ID)
-	// order, and returns how many.
-	injectDue(now sim.Tick, net noc.Network, pool *noc.MsgPool) (int, error)
+	// order.
+	injectDue(now sim.Tick, net noc.Network, pool *noc.MsgPool) error
 	// nextInject returns a lower bound on the injection time of every event
 	// the feed has yet to inject and could name now — all of them for a
 	// fixed schedule, the ready ones for a coupled replay, where a Tick's
@@ -127,9 +127,6 @@ type pendingMsg struct {
 // crossbar sends it 480 of 1.6 million pushes.
 const ringTicks = 1 << 12
 
-// noFloor is the streamDecoder.floor of a drain that starts at cycle zero.
-const noFloor = -sim.Never
-
 // streamDecoder is the schedule feed: it advances an iterator in lockstep
 // with a suffix-min bound, pushing the events it keeps onto a pending queue.
 type streamDecoder struct {
@@ -148,10 +145,6 @@ type streamDecoder struct {
 	// which costs this one an idle Tick, never correctness: every Tick
 	// strictly before NextWake is a no-op.
 	own func(idx int) bool
-	// floor drops events injecting at or before it: a drain resuming from a
-	// fabric checkpoint taken at cycle floor finds them already inside the
-	// restored fabric (or delivered).
-	floor sim.Tick
 	// maxRef folds in every decoded event's RefArrive: the event is gone by
 	// finalize time, so the makespan tail term accumulates during decode.
 	maxRef sim.Tick
@@ -202,7 +195,7 @@ func (d *streamDecoder) decodeTo(t sim.Tick) error {
 		if d.derive != nil {
 			d.derive.offer(d.pos, &d.ev)
 		}
-		if d.inject[d.pos] > d.floor && (d.own == nil || d.own(d.pos)) {
+		if d.own == nil || d.own(d.pos) {
 			d.pending.Push(d.inject[d.pos], pendingMsg{
 				at:    d.inject[d.pos],
 				idx:   d.pos,
@@ -227,20 +220,18 @@ func (d *streamDecoder) nextInject() sim.Tick {
 }
 
 // injectDue implements feed.
-func (d *streamDecoder) injectDue(now sim.Tick, net noc.Network, pool *noc.MsgPool) (int, error) {
+func (d *streamDecoder) injectDue(now sim.Tick, net noc.Network, pool *noc.MsgPool) error {
 	if d.derive != nil {
 		d.derive.advance()
 	}
 	if err := d.decodeTo(now); err != nil {
-		return 0, err
+		return err
 	}
-	injected := 0
 	for d.pending.NextAt() <= now {
 		m := d.pending.Pop()
 		inject(net, pool, uint64(m.idx+1), m.src, m.dst, m.bytes, m.class)
-		injected++
 	}
-	return injected, nil
+	return nil
 }
 
 // ReplaySummary is the O(window)-resident replay result: everything
@@ -286,20 +277,18 @@ func (f *captureFeed) advance() error {
 }
 
 // injectDue implements feed.
-func (f *captureFeed) injectDue(now sim.Tick, net noc.Network, pool *noc.MsgPool) (int, error) {
-	injected := 0
+func (f *captureFeed) injectDue(now sim.Tick, net noc.Network, pool *noc.MsgPool) error {
 	for f.have && f.cur.RefInject <= now {
 		inject(net, pool, uint64(f.cur.ID), f.cur.Src, f.cur.Dst, f.cur.Bytes, f.cur.Class)
 		f.injected++
-		injected++
 		if f.cur.RefArrive > f.maxRef {
 			f.maxRef = f.cur.RefArrive
 		}
 		if err := f.advance(); err != nil {
-			return injected, err
+			return err
 		}
 	}
-	return injected, nil
+	return nil
 }
 
 // nextInject implements feed.
@@ -343,7 +332,7 @@ func NaiveReplaySummaryStream(net noc.Network, src trace.Source) (ReplaySummary,
 	f := &captureFeed{it: it, total: m.NumEvents}
 	err = f.advance()
 	if err == nil {
-		err = drain(net, f, &pool, 0, &delivered, m.NumEvents, nil)
+		err = drain(net, f, &pool, &delivered, m.NumEvents)
 	}
 	if err != nil {
 		return ReplaySummary{}, fmt.Errorf("core: %w", err)

@@ -237,7 +237,7 @@ func TestScheduledReplayInjectsOnSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fabrics := checkpointFabrics(t, nodes, "light")
+	fabrics := fabricFamilies(t, nodes, "light")
 	fabrics["plain"] = func() noc.Network { return plainNet{noc.NewIdeal(nodes, 15, 16)} }
 	for fabric, mk := range fabrics {
 		capture, lat := make([]sim.Tick, n), make([]sim.Tick, n)

@@ -157,16 +157,16 @@ type ScheduleShardable interface {
 // Checkpointer.Snapshot. A snapshot owns every piece of state it captures —
 // cloned messages, the counters, copied queues — so the live fabric may
 // keep running (or be Reset) without invalidating it. SnapshotAt reports the
-// fabric clock at capture time; the correction loop uses it to decide which
-// checkpoint is still inside a new schedule's frozen prefix.
+// fabric clock at capture time.
 type Snapshot interface {
 	SnapshotAt() sim.Tick
 }
 
 // Checkpointer is implemented by fabrics whose full mutable state can be
-// captured mid-run and restored later — the primitive behind incremental
-// self-correction (replay resumes from the deepest checkpoint still valid
-// under the next round's schedule instead of from cycle zero).
+// captured mid-run and restored later. No product code calls it: every
+// correction round replays in full from cycle zero, and the fabrics keep
+// their Snapshot/Restore only for the benchmark's snapshot probe and
+// decorator (DESIGN.md §12), to be deleted together with them.
 //
 // The contract mirrors Resettable: Restore(s) must leave the fabric
 // observationally identical to the one Snapshot was called on at that

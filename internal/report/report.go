@@ -52,8 +52,8 @@ func Study(cfg onocsim.Config, kind onocsim.NetworkKind, study *onocsim.Study) *
 		metrics.Percent(study.CoupAcc.MakespanErr), metrics.Float(study.Coupled.MeanLatency, 1, "cycles"))
 	t.Note("trace: %d events captured on the %s fabric",
 		study.Trace.NumEvents(), config.NetIdeal)
-	t.Note("self-correction: %d rounds, converged=%v, %d events replayed (%d cycles skipped by checkpoints)",
-		len(study.SCTM.Iterations), study.SCTM.Converged, study.SCTM.ReplayedEvents, study.SCTM.SavedCycles)
+	t.Note("self-correction: %d rounds, converged=%v, %d events replayed",
+		len(study.SCTM.Iterations), study.SCTM.Converged, study.SCTM.ReplayedEvents)
 	return t
 }
 
@@ -69,9 +69,6 @@ func Correction(cfg onocsim.Config, kind onocsim.NetworkKind, res onocsim.Correc
 	t.AddCells(metrics.String("converged"), metrics.Stringf("%v", res.Converged))
 	t.AddCells(metrics.String("events replayed"), metrics.Int(int64(res.ReplayedEvents), "events"))
 	t.AddCells(metrics.String("simulation cost (cycles)"), metrics.Int(int64(res.TotalCycles), "cycles"))
-	if res.SavedCycles > 0 {
-		t.AddCells(metrics.String("cycles skipped by checkpoints"), metrics.Int(int64(res.SavedCycles), "cycles"))
-	}
 	t.AddCells(metrics.String("host wall time"), metrics.DurationText(wall))
 	if parked {
 		t.Note("parked before convergence: the trajectory above is a valid prefix of the full run")

@@ -315,7 +315,9 @@ func (c *Cache) diskError(err error) {
 // Version 7: a noc.Stats block is four plain counters, with no latency
 // histogram, per-class or queue-delay summaries; the block changed shape
 // again, so version-6 files are re-computed.
-const valueFormatVersion = 7
+// Version 8: CorrectionResult lost its cycles-skipped-by-checkpoints
+// counter; the result changed shape, so version-7 files are re-computed.
+const valueFormatVersion = 8
 
 // diskValue is the on-disk envelope for non-trace results.
 type diskValue struct {

@@ -92,9 +92,9 @@ type Digester interface {
 }
 
 // validateEvent checks the per-event structural invariants every consumer
-// relies on. It is the single checkpoint shared by Trace.Validate, the
-// streaming Reader, and the streaming Writer, so the three paths accept
-// exactly the same traces.
+// relies on. It is the single check shared by a resident trace's passes
+// (and so Trace.Validate), the streaming Reader, and the streaming Writer, so
+// the three paths accept exactly the same traces.
 func validateEvent(nodes int, e *Event) error {
 	if e.Src < 0 || e.Src >= nodes || e.Dst < 0 || e.Dst >= nodes {
 		return fmt.Errorf("trace: event %d endpoints (%d->%d) out of [0,%d)", e.ID, e.Src, e.Dst, nodes)
@@ -616,12 +616,13 @@ func (t *Trace) Meta() Meta {
 	}
 }
 
-// Pass opens an iterator over the trace's event slice once Validate accepts
-// the whole trace. A file's decoder checks every event it reads, so either
-// kind of source hands out only valid events, and no consumer checks a
-// resident trace itself: a malformed one is an error at its first pass.
+// Pass opens an iterator over the trace's event slice once the header is
+// valid. The iterator checks each event as it yields it, as a file's Reader
+// does, so either kind of source hands out only valid events, and no consumer
+// checks a resident trace itself: a malformed event is an error at the point
+// of the pass that reaches it.
 func (t *Trace) Pass() (Iterator, error) {
-	if err := t.Validate(); err != nil {
+	if err := t.Meta().validate(); err != nil {
 		return nil, err
 	}
 	return &memIter{tr: t}, nil
@@ -630,13 +631,23 @@ func (t *Trace) Pass() (Iterator, error) {
 type memIter struct {
 	tr  *Trace
 	pos int
+	err error // sticky first error
 }
 
 func (it *memIter) Next(e *Event) (bool, error) {
-	if it.pos >= len(it.tr.Events) {
-		return false, nil
+	if it.err != nil || it.pos >= len(it.tr.Events) {
+		return false, it.err
 	}
-	*e = it.tr.Events[it.pos]
+	ev := &it.tr.Events[it.pos]
+	if want := EventID(it.pos + 1); ev.ID != want {
+		it.err = fmt.Errorf("trace: event %d has id %d, want %d", it.pos, ev.ID, want)
+	} else {
+		it.err = validateEvent(it.tr.Nodes, ev)
+	}
+	if it.err != nil {
+		return false, it.err
+	}
+	*e = *ev
 	it.pos++
 	return true, nil
 }

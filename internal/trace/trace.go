@@ -140,25 +140,19 @@ func (t *Trace) Event(id EventID) *Event {
 
 // Validate checks the structural invariants every consumer relies on:
 // IDs dense and ascending, endpoints in range, dependencies strictly
-// earlier, gaps non-negative, and reference timestamps coherent.
+// earlier, gaps non-negative, and reference timestamps coherent. It is one
+// drained pass: the checks every pass makes.
 func (t *Trace) Validate() error {
-	if t.Nodes < 1 {
-		return fmt.Errorf("trace: nodes=%d must be ≥1", t.Nodes)
+	it, err := t.Pass()
+	if err != nil {
+		return err
 	}
-	for i := range t.Events {
-		e := &t.Events[i]
-		want := EventID(i + 1)
-		if e.ID != want {
-			return fmt.Errorf("trace: event %d has id %d, want %d", i, e.ID, want)
-		}
-		if err := validateEvent(t.Nodes, e); err != nil {
+	var e Event
+	for {
+		if ok, err := it.Next(&e); !ok {
 			return err
 		}
 	}
-	if t.RefMakespan < 0 {
-		return fmt.Errorf("trace: negative makespan %d", t.RefMakespan)
-	}
-	return nil
 }
 
 // Stats summarizes a trace for reports.

@@ -71,6 +71,29 @@ func TestValidateRejections(t *testing.T) {
 	}
 }
 
+// A resident trace's pass yields the events before a malformed one, then
+// stops on it with an error that every later Next repeats, as a file's
+// Reader does.
+func TestResidentPassStopsAtMalformedEvent(t *testing.T) {
+	tr := tinyTrace()
+	tr.Events[1].Dst = 9
+	it, err := tr.Pass()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e Event
+	if ok, err := it.Next(&e); !ok || err != nil || e.ID != 1 {
+		t.Fatalf("first Next = %v, %v, event %d; want event 1", ok, err, e.ID)
+	}
+	ok, first := it.Next(&e)
+	if ok || first == nil || !strings.Contains(first.Error(), "endpoints") {
+		t.Fatalf("second Next = %v, %v; want the endpoint error", ok, first)
+	}
+	if ok, err := it.Next(&e); ok || err != first {
+		t.Fatalf("third Next = %v, %v; want the same error %v", ok, err, first)
+	}
+}
+
 func TestEventAccessor(t *testing.T) {
 	tr := tinyTrace()
 	if tr.Event(2).Src != 1 {

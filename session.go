@@ -45,8 +45,8 @@ type Session struct {
 	// their cache key. A parked result is never cached, so the next request
 	// for the same key re-enters the compute closure — which takes the stash
 	// and resumes the loop at the parked round boundary instead of replaying
-	// the completed rounds. The stash is in-process only (fabric snapshots
-	// do not serialize) and bounded (maxParkStash).
+	// the completed rounds. The stash is in-process only and bounded
+	// (maxParkStash).
 	parked map[simcache.Key]parkEntry
 }
 
@@ -56,9 +56,9 @@ type parkEntry struct {
 	gen   uint64
 }
 
-// maxParkStash caps the parked-run stash: each entry pins fabric replicas
-// and per-event slices, so a draining daemon parking dozens of tenants must
-// not hold them all forever. Evicted runs resume from scratch — the same
+// maxParkStash caps the parked-run stash: each entry pins its per-event
+// schedule and partial result, so a draining daemon parking dozens of tenants
+// must not hold them all forever. Evicted runs resume from scratch — the same
 // graceful degradation as before resume existed.
 const maxParkStash = 16
 
@@ -84,8 +84,8 @@ func (s *Session) stashPark(key simcache.Key, st *core.ParkState) {
 }
 
 // takePark removes and returns the stashed resume state for key. Take
-// semantics keep the single-use contract: a ParkState's runner must never
-// serve two resumes, so whoever takes it owns it.
+// semantics keep the single-use contract: a resume overwrites its
+// ParkState's schedule, so whoever takes it owns it.
 func (s *Session) takePark(key simcache.Key) *core.ParkState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -170,12 +170,7 @@ func normalizeFor(cfg Config, kind NetworkKind, op simcache.Op) Config {
 	// replay's two dependency toggles.
 	switch op {
 	case simcache.OpSCTM:
-		// Incremental replay is byte-identical to full replay (it only
-		// changes how rounds are executed, like Parallelism), so both modes
-		// must share one cached result. Note the work counters
-		// (ReplayedEvents/SavedCycles) are execution-mode metadata: a cache
-		// hit reports whichever mode computed the entry first.
-		n.SCTM.Incremental = def.SCTM.Incremental
+		// The correction reads every SCTM field.
 	case simcache.OpCoupled, simcache.OpEstimate:
 		sc := cfg.SCTM
 		n.SCTM = def.SCTM
@@ -401,11 +396,8 @@ func (s *Session) RunCoupledReplayContext(ctx context.Context, cfg Config, src T
 //
 // With cfg.SCTM.Seed = "coupled" the loop starts from a coupled replay's
 // latencies, its exact fixpoint, and stops in round 0, the coupled pass
-// charged to TotalCycles and ReplayedEvents. With cfg.SCTM.Incremental each
-// round after the first on a resident trace resumes from a frozen-prefix
-// checkpoint of the previous round instead of replaying from cycle zero;
-// results stay byte-identical, and CorrectionResult.ReplayedEvents/SavedCycles
-// report the work skipped.
+// charged to TotalCycles and ReplayedEvents. Every round replays the whole
+// trace.
 //
 // A context that ends mid-loop parks the correction at the next round
 // boundary (see ErrParked): the computing caller gets the partial trajectory
@@ -413,8 +405,8 @@ func (s *Session) RunCoupledReplayContext(ctx context.Context, cfg Config, src T
 // partial result must not masquerade as the converged one, so callers
 // deduplicated onto the parked flight never see it.
 //
-// A parked run stashes its resume state (including the runner's fabric
-// checkpoints) under the cache key: the next request for the same (config,
+// A parked run stashes its resume state, plain data that holds no fabric,
+// under the cache key: the next request for the same (config,
 // trace content, kind) — a later one, or the retry of a caller that was
 // waiting on the parked flight — resumes the loop at the parked round
 // boundary, reading its own src, instead of re-running the completed rounds,
