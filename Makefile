@@ -26,10 +26,18 @@ fmt-check:
 # seconds together; plain `go test` runs the full ones).
 # TestDocsResolve holds README, DESIGN, EXPERIMENTS and the verify skill to the
 # tree: every path, pkg.Ident, command flag and make target they name exists;
-# beside it run the four surface pins (options, flags, public API, fabric
-# contract) and the file≡resident table (every operation that reads a trace,
-# handed a trace file, answers as for the resident trace): the review gate
-# for a new knob, entry point, or *Trace-only path.
+# beside it run the five surface pins (options, flags, public API, fabric
+# contract, and TestInternalExportSurface: every exported name in internal/
+# has a caller outside its package that is neither a test nor bench/, or an
+# allowlist entry with a reason) and the file≡resident table (every operation
+# that reads a trace, handed a trace file, answers as for the resident
+# trace): the review gate for a new knob, entry point, export, or *Trace-only
+# path. TestReplayMetamorphicRelations (~1 s) holds coupled replay to two
+# relations the replay rule implies, exactly, for every kernel × the five
+# fixpoint variants: delaying every root event by C delays every arrival by C
+# (on MWSR and the hybrid only for C a multiple of the token's revolution), and
+# an edge an event already implies transitively changes neither the coupled
+# replay nor a zero-load-seeded correction.
 # internal/fabric is the fabric contract suite (every variant fabric.Build
 # returns × three traffic sources) plus FuzzConfig's seed corpus, well under 1 s.
 # The merge property test is why a sharded replay cannot change a result:
@@ -91,7 +99,7 @@ check: vet fmt-check sweep-smoke
 	$(GO) test ./internal/sweep/ -run TestPruneKeepsTrueFront -count=1
 	$(GO) test ./cmd/expreport/ -run TestGolden -count=1
 	$(GO) test ./internal/experiments/ -run TestParallelCachedOutputMatchesSequential -count=1
-	$(GO) test . -run 'TestDocsResolve|Surface|TestFileMatchesResident|TestSelfCaptureFixpointIsTruth|TestCoupledIsTheFixpoint|TestLoopAttractsWithoutCausalEdges' -count=1
+	$(GO) test . -run 'TestDocsResolve|Surface|TestFileMatchesResident|TestSelfCaptureFixpointIsTruth|TestCoupledIsTheFixpoint|TestLoopAttractsWithoutCausalEdges|TestReplayMetamorphicRelations' -count=1
 	$(GO) test . -run 'TestStreamCorrectionResidency|TestCorrectionRoundAllocatesNoEventVectors|TestCachedCaptureResidency' -count=1
 	$(GO) test . -run 'TestCaptureGapStartsAtLastDependency|TestCaptureAllocationsIndependentOfLength|TestReceiverLatencySummaries' -count=1
 	$(GO) test ./internal/core/ -run 'TestScheduledReplayInjectsOnSchedule|TestParkedResultSurvivesResume|TestResumeCompletesIdenticalToUninterrupted|TestResumeCanParkAgain' -count=1

@@ -102,9 +102,13 @@ func run(cfgPath, kernel string, cores int, captureOn, out, jsonOut string) erro
 			return err
 		}
 	}
-	st := tr.ComputeStats()
+	// Unbounded: a resident trace's span can never be too wide to summarise.
+	an, err := trace.StreamAnalyze(tr, trace.StreamOptions{Window: trace.Unbounded})
+	if err != nil {
+		return err
+	}
 	fmt.Printf("captured %s on %s fabric in %s\n", cfg.Workload.Kernel, captureOn, wall)
-	fmt.Printf("  %s\n", st)
+	fmt.Printf("  %s\n", an.Stats)
 	fmt.Printf("wrote %s\n", out)
 	if jsonOut != "" {
 		fmt.Printf("wrote %s\n", jsonOut)

@@ -343,7 +343,7 @@ func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 // MaxCores bounds system.cores from above, as a crossbar's two nodes bound it
 // from below. Building an optical crossbar is quadratic in the core count
 // (≈ 514 MB at 4 096 cores; 16 384 exhaust the host), so an unbounded count
-// lets one request end the daemon. Like MaxSweepArms it is a validation
+// lets one request end the daemon. Like maxSweepArms it is a validation
 // bound, not a knob: nothing in the repo runs more than 256 cores.
 const MaxCores = 1024
 

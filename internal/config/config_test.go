@@ -195,7 +195,7 @@ func TestParseRejectsTrailingData(t *testing.T) {
 // check itself cannot overflow on axes whose product does.
 func TestSweepValidateCapsTheGrid(t *testing.T) {
 	s := Sweep{Networks: []NetworkKind{NetOptical}, Cores: []int{16}, Faults: []string{"off"}, Kernels: []string{"stencil"}}
-	s.Wavelengths = make([]int, MaxSweepArms)
+	s.Wavelengths = make([]int, maxSweepArms)
 	for i := range s.Wavelengths {
 		s.Wavelengths[i] = 1 + i%128
 	}

@@ -84,10 +84,10 @@ func (s *Sweep) Normalize() *Sweep {
 	return s
 }
 
-// MaxSweepArms caps the expanded grid. Axis values may repeat, so without it
+// maxSweepArms caps the expanded grid. Axis values may repeat, so without it
 // a small spec (a request body is at most 1 MiB) expands to an unbounded
 // number of arms; the distinct-valued grids anyone sweeps are far below it.
-const MaxSweepArms = 4096
+const maxSweepArms = 4096
 
 // Arms returns the grid size: the product of the axis lengths.
 func (s Sweep) Arms() int {
@@ -106,8 +106,8 @@ func (s Sweep) Validate() error {
 	for _, n := range []int{len(s.Networks), len(s.Cores), len(s.Wavelengths), len(s.Faults), len(s.Kernels)} {
 		// Per axis, by division: the running product never exceeds the limit,
 		// so it cannot overflow however long a (duplicated) axis is.
-		if n > MaxSweepArms/arms {
-			return fmt.Errorf("config: sweep grid exceeds %d arms (split it into several specs)", MaxSweepArms)
+		if n > maxSweepArms/arms {
+			return fmt.Errorf("config: sweep grid exceeds %d arms (split it into several specs)", maxSweepArms)
 		}
 		arms *= n
 	}

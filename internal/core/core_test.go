@@ -95,10 +95,10 @@ func TestScheduleLengthMismatchPanics(t *testing.T) {
 func TestMaxScheduleDelta(t *testing.T) {
 	a := []sim.Tick{10, 20, 30}
 	b := []sim.Tick{12, 15, 30}
-	if d := MaxScheduleDelta(a, b); d != 5 {
+	if d := maxScheduleDelta(a, b); d != 5 {
 		t.Fatalf("delta = %d, want 5", d)
 	}
-	if d := MaxScheduleDelta(a, a); d != 0 {
+	if d := maxScheduleDelta(a, a); d != 0 {
 		t.Fatalf("self delta = %d", d)
 	}
 	defer func() {
@@ -106,7 +106,7 @@ func TestMaxScheduleDelta(t *testing.T) {
 			t.Error("length mismatch accepted")
 		}
 	}()
-	MaxScheduleDelta(a, b[:2])
+	maxScheduleDelta(a, b[:2])
 }
 
 func idealFactory(nodes int, latency sim.Tick) NetworkFactory {

@@ -250,7 +250,7 @@ func Correct(ctx context.Context, factory NetworkFactory, src trace.Source, cfg 
 		}
 		out.TotalCycles += res.Cycles
 		out.ReplayedEvents += n
-		delta := MaxScheduleDelta(next, prev)
+		delta := maxScheduleDelta(next, prev)
 		out.Iterations = append(out.Iterations, Iteration{
 			Round:       round,
 			Delta:       delta,

@@ -270,9 +270,9 @@ func (d *deriver) compact() {
 	d.head, d.from = 0, 0
 }
 
-// MaxScheduleDelta returns the largest absolute difference between two
+// maxScheduleDelta returns the largest absolute difference between two
 // schedules, the convergence measure of the correction loop.
-func MaxScheduleDelta(a, b []sim.Tick) sim.Tick {
+func maxScheduleDelta(a, b []sim.Tick) sim.Tick {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("core: comparing schedules of lengths %d and %d", len(a), len(b)))
 	}

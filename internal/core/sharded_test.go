@@ -21,11 +21,11 @@ func shardFabrics(nodes int) map[string]NetworkFactory {
 	cfg := config.Default()
 	return map[string]NetworkFactory{
 		"ideal": func() noc.Network { return noc.NewIdeal(nodes, 15, 16) },
-		"mwsr":  func() noc.Network { return onoc.New(nodes, cfg.Optical) },
+		"mwsr":  func() noc.Network { return onoc.NewCrossbar(nodes, cfg.Optical, config.Faults{}, 0) },
 		"swmr": func() noc.Network {
 			c := cfg.Optical
 			c.Architecture = "swmr"
-			return onoc.NewSWMR(nodes, c)
+			return onoc.NewCrossbar(nodes, c, config.Faults{}, 0)
 		},
 		"mesh": func() noc.Network { return enoc.New(nodes, cfg.Mesh) },
 	}
@@ -124,13 +124,13 @@ func TestShardedReplayerReuse(t *testing.T) {
 	const nodes = 16
 	cfg := config.Default()
 	tr := randomTrace(77, 40, nodes)
-	rep := newReplayer(func() noc.Network { return onoc.New(nodes, cfg.Optical) }, tr, 4, 0)
+	rep := newReplayer(func() noc.Network { return onoc.NewCrossbar(nodes, cfg.Optical, config.Faults{}, 0) }, tr, 4, 0)
 	inject := make([]sim.Tick, len(tr.Events))
 	for trial := 0; trial < 3; trial++ {
 		for i := range tr.Events {
 			inject[i] = tr.Events[i].RefInject + sim.Tick(trial*(i%7))
 		}
-		want, err := ReplaySchedule(onoc.New(nodes, cfg.Optical), tr, inject)
+		want, err := ReplaySchedule(onoc.NewCrossbar(nodes, cfg.Optical, config.Faults{}, 0), tr, inject)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -27,10 +27,10 @@ func fabricFamilies(t *testing.T, nodes int, preset string) map[string]NetworkFa
 	swmr.Architecture = "swmr"
 	return map[string]NetworkFactory{
 		"ideal":  func() noc.Network { return noc.NewIdeal(nodes, 15, 16) },
-		"mwsr":   func() noc.Network { return onoc.NewWithFaults(nodes, cfg.Optical, faults, 42) },
-		"swmr":   func() noc.Network { return onoc.NewSWMRWithFaults(nodes, swmr, faults, 42) },
+		"mwsr":   func() noc.Network { return onoc.NewCrossbar(nodes, cfg.Optical, faults, 42) },
+		"swmr":   func() noc.Network { return onoc.NewCrossbar(nodes, swmr, faults, 42) },
 		"mesh":   func() noc.Network { return enoc.New(nodes, cfg.Mesh) },
-		"hybrid": func() noc.Network { return hybrid.NewWithFaults(nodes, cfg.Mesh, cfg.Optical, 2, faults, 42) },
+		"hybrid": func() noc.Network { return hybrid.New(nodes, cfg.Mesh, cfg.Optical, 2, faults, 42) },
 	}
 }
 

@@ -41,9 +41,8 @@ import (
 // round's arrivals as the delivery callback marks them, so a round reads its
 // source once. Events whose dependencies are still in flight wait in the
 // deriver's backlog, which holds a gap and a few indices per event and is not
-// part of the window. A file source's pass is a trace.Reader over the file,
-// which the decoder here calls on the replay's own goroutine
-// (trace.FileSource.Pass).
+// part of the window. A file source's pass decodes the file as the decoder
+// here calls it, on the replay's own goroutine (trace.FileSource.Pass).
 
 // feed hands the drain loop its injections.
 type feed interface {

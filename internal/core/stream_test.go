@@ -126,7 +126,7 @@ func TestStreamRefusesRewrittenFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	optical := config.Default().Optical
-	_, err = NaiveReplayStream(func() noc.Network { return onoc.New(8, optical) }, file, 1, 0)
+	_, err = NaiveReplayStream(func() noc.Network { return onoc.NewCrossbar(8, optical, config.Faults{}, 0) }, file, 1, 0)
 	if err == nil || !strings.Contains(err.Error(), "changed since it was opened") {
 		t.Fatalf("replaying the rewritten file: %v, want the changed header refused", err)
 	}

@@ -116,7 +116,11 @@ func TestMemControllerCaptureCompleteness(t *testing.T) {
 		t.Fatalf("captured %d events for %d messages", tr.NumEvents(), res.Messages)
 	}
 	// MemReq/MemResp events must be present and respect causality chains.
-	st := tr.ComputeStats()
+	an, err := trace.StreamAnalyze(tr, trace.StreamOptions{Window: trace.Unbounded})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := an.Stats
 	if st.DepEdges[trace.DepCausal] == 0 {
 		t.Fatal("no causal edges captured")
 	}

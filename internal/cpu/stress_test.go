@@ -77,13 +77,15 @@ func TestProtocolStressRandomProgramsAllFabrics(t *testing.T) {
 	torusMesh := cfgDefault.Mesh
 	torusMesh.Topology = "torus"
 	torusMesh.VCs = 6
+	swmr := cfgDefault.Optical
+	swmr.Architecture = "swmr"
 	fabrics := map[string]func() noc.Network{
 		"ideal":      func() noc.Network { return noc.NewIdeal(16, 20, 16) },
 		"electrical": func() noc.Network { return enoc.New(16, cfgDefault.Mesh) },
 		"torus":      func() noc.Network { return enoc.New(16, torusMesh) },
-		"optical":    func() noc.Network { return onoc.New(16, cfgDefault.Optical) },
-		"swmr":       func() noc.Network { return onoc.NewSWMR(16, cfgDefault.Optical) },
-		"hybrid":     func() noc.Network { return hybrid.New(16, cfgDefault.Mesh, cfgDefault.Optical, 3) },
+		"optical":    func() noc.Network { return onoc.NewCrossbar(16, cfgDefault.Optical, config.Faults{}, 0) },
+		"swmr":       func() noc.Network { return onoc.NewCrossbar(16, swmr, config.Faults{}, 0) },
+		"hybrid":     func() noc.Network { return hybrid.New(16, cfgDefault.Mesh, cfgDefault.Optical, 3, config.Faults{}, 0) },
 	}
 	for name, mk := range fabrics {
 		name, mk := name, mk

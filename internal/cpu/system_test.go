@@ -276,7 +276,11 @@ func TestCaptureRecordsEverything(t *testing.T) {
 	if uint64(tr.NumEvents()) != res.Messages {
 		t.Fatalf("captured %d events for %d messages", tr.NumEvents(), res.Messages)
 	}
-	st := tr.ComputeStats()
+	an, err := trace.StreamAnalyze(tr, trace.StreamOptions{Window: trace.Unbounded})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := an.Stats
 	if st.DepEdges[trace.DepSync] == 0 {
 		t.Fatal("no sync dependencies captured despite barriers")
 	}

@@ -37,7 +37,7 @@ func Build(cfg config.Config, kind config.NetworkKind) (noc.Network, error) {
 	case config.NetIdeal:
 		return noc.NewIdeal(nodes, IdealLatencyCycles, IdealBytesPerCycle), nil
 	case config.NetHybrid:
-		return hybrid.NewWithFaults(nodes, cfg.Mesh, cfg.Optical, cfg.Hybrid.Threshold, cfg.Faults, cfg.Seed), nil
+		return hybrid.New(nodes, cfg.Mesh, cfg.Optical, cfg.Hybrid.Threshold, cfg.Faults, cfg.Seed), nil
 	default:
 		return nil, fmt.Errorf("fabric: unknown network kind %q", kind)
 	}

@@ -17,7 +17,7 @@ import (
 // config.Parse accepts builds every kind, answers ZeroLoadLatency for the
 // corner pairs, delivers a lone corner-to-corner message within a tick bound,
 // and prices a small generated trace in closed form — all without panicking
-// (onoc.NewWithFaults panics on exactly the inputs Validate is trusted to
+// (onoc.NewCrossbar panics on exactly the inputs Validate is trusted to
 // refuse). The test package is external because the estimator imports
 // internal/fabric.
 func FuzzConfig(f *testing.F) {

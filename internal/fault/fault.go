@@ -20,8 +20,8 @@ import (
 	"onocsim/internal/sim"
 )
 
-// Window is one half-open fault interval [Start, End).
-type Window struct {
+// window is one half-open fault interval [Start, End).
+type window struct {
 	Start, End sim.Tick
 }
 
@@ -33,7 +33,7 @@ type timeline struct {
 	rng  *sim.RNG
 	mtbf int64
 	dur  sim.Tick
-	wins []Window
+	wins []window
 }
 
 // extendPast appends windows until the newest one starts strictly after t,
@@ -48,18 +48,18 @@ func (tl *timeline) extendPast(t sim.Tick) {
 		// consecutive windows never touch.
 		gap := sim.Tick(1 + tl.mtbf/2 + int64(tl.rng.Intn(int(tl.mtbf))))
 		start := prev + gap
-		tl.wins = append(tl.wins, Window{Start: start, End: start + tl.dur})
+		tl.wins = append(tl.wins, window{Start: start, End: start + tl.dur})
 	}
 }
 
 // at returns the window containing t, if any.
-func (tl *timeline) at(t sim.Tick) (Window, bool) {
+func (tl *timeline) at(t sim.Tick) (window, bool) {
 	tl.extendPast(t)
 	i := sort.Search(len(tl.wins), func(i int) bool { return tl.wins[i].End > t })
 	if i < len(tl.wins) && tl.wins[i].Start <= t {
 		return tl.wins[i], true
 	}
-	return Window{}, false
+	return window{}, false
 }
 
 // nextStart returns the first window start strictly after t.
@@ -87,7 +87,7 @@ func New(nodes int, f config.Faults, seed uint64) *Injector {
 	if nodes < 1 || (f.ThermalMTBF <= 0 && f.TokenMTBF <= 0) {
 		return nil
 	}
-	base := BaseSeed(seed, f)
+	base := baseSeed(seed, f)
 	in := &Injector{cfg: f}
 	if f.ThermalMTBF > 0 {
 		in.drift = make([]*timeline, nodes)
@@ -112,10 +112,10 @@ func New(nodes int, f config.Faults, seed uint64) *Injector {
 	return in
 }
 
-// BaseSeed folds the run seed and every fault parameter into the root seed
+// baseSeed folds the run seed and every fault parameter into the root seed
 // all per-channel streams derive from. Distinct fault sections therefore get
 // fully decorrelated schedules even under the same run seed.
-func BaseSeed(seed uint64, f config.Faults) uint64 {
+func baseSeed(seed uint64, f config.Faults) uint64 {
 	label := fmt.Sprintf("fault/%d/%d/%g/%d/%d/%g",
 		f.ThermalMTBF, f.ThermalDuration, f.ThermalDetune,
 		f.TokenMTBF, f.TokenTimeout, f.LaserDroopDB)

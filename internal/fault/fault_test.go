@@ -65,11 +65,11 @@ func TestDeterministic(t *testing.T) {
 // TestSeedsDecorrelate checks distinct seeds and distinct fault sections give
 // distinct schedules.
 func TestSeedsDecorrelate(t *testing.T) {
-	if BaseSeed(42, heavy()) == BaseSeed(43, heavy()) {
+	if baseSeed(42, heavy()) == baseSeed(43, heavy()) {
 		t.Error("seeds collide")
 	}
 	light, _ := config.FaultPreset("light")
-	if BaseSeed(42, heavy()) == BaseSeed(42, light) {
+	if baseSeed(42, heavy()) == baseSeed(42, light) {
 		t.Error("fault sections collide")
 	}
 }
@@ -85,7 +85,7 @@ func TestWindowInvariants(t *testing.T) {
 	if len(tl.wins) < 10 {
 		t.Fatalf("only %d windows in 2M cycles", len(tl.wins))
 	}
-	var prev Window
+	var prev window
 	for i, w := range tl.wins {
 		if w.End-w.Start != sim.Tick(f.TokenTimeout) {
 			t.Fatalf("window %d length %d, want %d", i, w.End-w.Start, f.TokenTimeout)

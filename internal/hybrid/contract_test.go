@@ -15,7 +15,7 @@ import (
 // every other pair rides the crossbar.
 func TestSelfMessagesStayLocal(t *testing.T) {
 	cfg := config.Default()
-	n := hybrid.New(16, cfg.Mesh, cfg.Optical, 1)
+	n := hybrid.New(16, cfg.Mesh, cfg.Optical, 1, config.Faults{}, 0)
 	fabrictest.SelfMessage(t, n)
 	if mesh, opt := n.Mesh().Stats().Injected, n.Optical().Stats().Injected; mesh != 2 || opt != 0 {
 		t.Fatalf("self-message routing: mesh=%d optical=%d", mesh, opt)

@@ -41,16 +41,11 @@ type Network struct {
 // New builds a hybrid fabric: messages with Manhattan distance ≥ threshold
 // ride the optical crossbar, the rest the electrical mesh. threshold ≤ 1
 // sends everything optical; a threshold above the mesh diameter sends
-// everything electrical.
-func New(nodes int, mesh config.Mesh, optical config.Optical, threshold int) *Network {
-	return NewWithFaults(nodes, mesh, optical, threshold, config.Faults{}, 0)
-}
-
-// NewWithFaults builds the hybrid fabric with deterministic fault injection
-// on the optical sub-fabric. Graceful degradation here is a routing policy:
+// everything electrical. Faults are injected deterministically on the
+// optical sub-fabric, and graceful degradation is a routing policy:
 // lightpaths blacklisted by laser droop (DerateFactor > 1) fall back to the
 // electrical mesh instead of limping along at reduced rate.
-func NewWithFaults(nodes int, mesh config.Mesh, optical config.Optical, threshold int, faults config.Faults, seed uint64) *Network {
+func New(nodes int, mesh config.Mesh, optical config.Optical, threshold int, faults config.Faults, seed uint64) *Network {
 	width := config.GridWidth(nodes)
 	if width*width != nodes {
 		panic(fmt.Sprintf("hybrid: %d nodes is not a perfect square", nodes))

@@ -9,7 +9,7 @@ import (
 
 func mkHybrid(threshold int) *Network {
 	cfg := config.Default()
-	return New(16, cfg.Mesh, cfg.Optical, threshold)
+	return New(16, cfg.Mesh, cfg.Optical, threshold, config.Faults{}, 0)
 }
 
 func drain(n *Network, bound int) bool {
@@ -110,7 +110,7 @@ func TestPowerReportSumsBothFabrics(t *testing.T) {
 func TestHybridWithSWMRSubfabric(t *testing.T) {
 	cfg := config.Default()
 	cfg.Optical.Architecture = "swmr"
-	n := New(16, cfg.Mesh, cfg.Optical, 2)
+	n := New(16, cfg.Mesh, cfg.Optical, 2, config.Faults{}, 0)
 	got := 0
 	n.SetDeliver(func(m *noc.Message) { got++ })
 	n.Inject(&noc.Message{ID: 1, Src: 0, Dst: 15, Bytes: 64, Class: noc.ClassRequest})
@@ -126,5 +126,5 @@ func TestHybridNonSquarePanics(t *testing.T) {
 			t.Error("non-square accepted")
 		}
 	}()
-	New(10, cfg.Mesh, cfg.Optical, 3)
+	New(10, cfg.Mesh, cfg.Optical, 3, config.Faults{}, 0)
 }

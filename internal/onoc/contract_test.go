@@ -30,7 +30,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestSelfMessage(t *testing.T) {
-	fabrictest.SelfMessage(t, onoc.New(16, config.Default().Optical))
+	fabrictest.SelfMessage(t, onoc.NewCrossbar(16, crossbar("mwsr", "off").Optical, config.Faults{}, 0))
 }
 
 func TestSWMRAllPairs(t *testing.T) {
@@ -42,7 +42,7 @@ func TestSWMRDeterminism(t *testing.T) {
 }
 
 func TestSWMRSelfMessage(t *testing.T) {
-	fabrictest.SelfMessage(t, onoc.NewSWMR(16, config.Default().Optical))
+	fabrictest.SelfMessage(t, onoc.NewCrossbar(16, crossbar("swmr", "off").Optical, config.Faults{}, 0))
 }
 
 // The heavy preset's faults are counted (Contract checks), and both ways of
@@ -55,7 +55,7 @@ func TestFaultedResetDeterminism(t *testing.T) {
 	fabrictest.Contract(t, crossbar("mwsr", "heavy"), config.NetOptical, fabrictest.ResetWhileBusy)
 }
 
-// NewWithFaults under a zero section holds to what the two tests above check,
+// A crossbar under a zero fault section holds to what the two tests above check,
 // and counts no faults.
 func TestFaultFreePathUnchanged(t *testing.T) {
 	fabrictest.Contract(t, crossbar("mwsr", "off"), config.NetOptical, fabrictest.TickEveryCycle, fabrictest.ResetWhileBusy)

@@ -258,8 +258,8 @@ func checkWheel(t *testing.T, n *Network, scratch *wakeWheel) {
 func TestSWMRDifferentialAgainstReference(t *testing.T) {
 	heavy, _ := config.FaultPreset("heavy")
 	for _, nodes := range []int{2, 64, 65, 130} {
-		n := NewSWMRWithFaults(nodes, optCfg(), heavy, 9)
-		ref := refSWMR{NewSWMRWithFaults(nodes, optCfg(), heavy, 9)}
+		n := newSWMR(nodes, optCfg(), heavy, 9)
+		ref := refSWMR{newSWMR(nodes, optCfg(), heavy, 9)}
 		var got, want []*noc.Message
 		n.SetDeliver(func(m *noc.Message) { got = append(got, m) })
 		ref.SetDeliver(func(m *noc.Message) { want = append(want, m) })
@@ -302,7 +302,7 @@ func TestSWMRDifferentialAgainstReference(t *testing.T) {
 // loop: on a crossbar that has run the burst once, injecting and draining it
 // again costs no allocation beyond what Reset itself makes (fresh Stats).
 func TestSteadyStateTickAllocatesNothing(t *testing.T) {
-	n := NewWithFaults(64, optCfg(), heavyFaults(), 7)
+	n := newMWSR(64, optCfg(), heavyFaults(), 7, TokenHopCycles, MaxTokenHold)
 	n.SetDeliver(func(*noc.Message) {})
 	rng := sim.NewRNG(31)
 	msgs := make([]*noc.Message, 4000)
@@ -344,8 +344,8 @@ func TestRestoreRebuildsDerivedState(t *testing.T) {
 			n.Tick()
 		}
 	}
-	a := NewWithFaults(nodes, optCfg(), heavyFaults(), 3)
-	b := NewWithFaults(nodes, optCfg(), heavyFaults(), 3)
+	a := newMWSR(nodes, optCfg(), heavyFaults(), 3, TokenHopCycles, MaxTokenHold)
+	b := newMWSR(nodes, optCfg(), heavyFaults(), 3, TokenHopCycles, MaxTokenHold)
 	var got, want []noc.Message
 	a.SetDeliver(func(m *noc.Message) { want = append(want, *m) })
 	b.SetDeliver(func(m *noc.Message) { got = append(got, *m) })

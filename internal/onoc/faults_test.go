@@ -19,8 +19,8 @@ func heavyFaults() config.Faults {
 // the SWMR crossbar: long lightpaths serialize slower and the counter fires.
 func TestSWMRDroopDerates(t *testing.T) {
 	f := config.Faults{LaserDroopDB: 12}
-	n := NewSWMRWithFaults(16, optCfg(), f, 42)
-	clean := NewSWMR(16, optCfg())
+	n := newSWMR(16, optCfg(), f, 42)
+	clean := plainSWMR(16, optCfg())
 	if n.DerateFactor(0, 15) <= 1 {
 		t.Skip("12 dB droop leaves all paths within budget for this geometry")
 	}

@@ -251,27 +251,17 @@ type Crossbar interface {
 }
 
 // NewCrossbar builds the crossbar cfg.Architecture names, SWMR for "swmr" and
-// MWSR otherwise, with deterministic fault injection. It is the one place
-// that choice is made.
+// MWSR otherwise, with deterministic fault injection (see newPhys for what the
+// schedule derives from). It is the one place that choice is made.
 func NewCrossbar(nodes int, cfg config.Optical, faults config.Faults, seed uint64) Crossbar {
 	if cfg.Architecture == "swmr" {
-		return NewSWMRWithFaults(nodes, cfg, faults, seed)
+		return newSWMR(nodes, cfg, faults, seed)
 	}
-	return NewWithFaults(nodes, cfg, faults, seed)
-}
-
-// New builds the crossbar for the given node count.
-func New(nodes int, cfg config.Optical) *Network {
-	return NewWithFaults(nodes, cfg, config.Faults{}, 0)
-}
-
-// NewWithFaults builds the crossbar with deterministic fault injection (see
-// newPhys for what the schedule derives from).
-func NewWithFaults(nodes int, cfg config.Optical, faults config.Faults, seed uint64) *Network {
 	return newMWSR(nodes, cfg, faults, seed, TokenHopCycles, MaxTokenHold)
 }
 
-// newMWSR is NewWithFaults with the given token hop delay and hold bound.
+// newMWSR builds the MWSR crossbar with the given token hop delay and hold
+// bound.
 func newMWSR(nodes int, cfg config.Optical, faults config.Faults, seed uint64, hop sim.Tick, maxHold int) *Network {
 	n := &Network{phys: newPhys(nodes, cfg, faults, seed), hop: hop, maxHold: maxHold, wake: newWakeWheel(nodes, hop)}
 	// Three slabs, not 2·nodes+ small objects: a sweep builds many fabrics.

@@ -11,6 +11,15 @@ import (
 
 func optCfg() config.Optical { return config.Default().Optical }
 
+// plainMWSR and plainSWMR build the crossbars NewCrossbar does, fault-free.
+func plainMWSR(nodes int, cfg config.Optical) *Network {
+	return newMWSR(nodes, cfg, config.Faults{}, 0, TokenHopCycles, MaxTokenHold)
+}
+
+func plainSWMR(nodes int, cfg config.Optical) *swmr {
+	return newSWMR(nodes, cfg, config.Faults{}, 0)
+}
+
 func drain(n *Network, bound int) bool {
 	for i := 0; i < bound && n.NextWake() != noc.Never; i++ {
 		n.Tick()
@@ -20,7 +29,7 @@ func drain(n *Network, bound int) bool {
 
 func TestSerializationCycles(t *testing.T) {
 	cfg := optCfg() // 16 λ × 10 Gbps / 2 GHz = 80 bits/cycle
-	n := New(4, cfg)
+	n := plainMWSR(4, cfg)
 	cases := []struct {
 		bytes int
 		want  sim.Tick
@@ -39,7 +48,7 @@ func TestSerializationCycles(t *testing.T) {
 }
 
 func TestPropagationScalesWithDistance(t *testing.T) {
-	n := New(16, optCfg())
+	n := plainMWSR(16, optCfg())
 	near := n.propagation(4, 5) // 1 hop downstream
 	far := n.propagation(5, 4)  // 15 hops around the serpentine
 	if near < 1 {
@@ -51,7 +60,7 @@ func TestPropagationScalesWithDistance(t *testing.T) {
 }
 
 func TestSingleMessageDelivery(t *testing.T) {
-	n := New(16, optCfg())
+	n := plainMWSR(16, optCfg())
 	var got *noc.Message
 	n.SetDeliver(func(m *noc.Message) { got = m })
 	n.Inject(&noc.Message{ID: 1, Src: 2, Dst: 9, Bytes: 64, Class: noc.ClassRequest})
@@ -74,7 +83,7 @@ func TestChannelSerializesConcurrentWriters(t *testing.T) {
 	// All 15 other nodes write to node 0's channel simultaneously: the
 	// channel must serialize, so the span between first and last arrival
 	// is at least (writers-1) × serialization.
-	n := New(16, optCfg())
+	n := plainMWSR(16, optCfg())
 	var first, last sim.Tick
 	count := 0
 	n.SetDeliver(func(m *noc.Message) {
@@ -125,7 +134,7 @@ func TestMaxTokenHoldPreventsStarvation(t *testing.T) {
 }
 
 func TestZeroLoadLatencyShape(t *testing.T) {
-	n := New(64, optCfg())
+	n := plainMWSR(64, optCfg())
 	if n.ZeroLoadLatency(3, 3, 64) != 1 {
 		t.Fatal("self ZLL should be 1")
 	}
@@ -142,7 +151,7 @@ func TestZeroLoadLatencyShape(t *testing.T) {
 }
 
 func TestPowerReportBudget(t *testing.T) {
-	n := New(64, optCfg())
+	n := plainMWSR(64, optCfg())
 	n.SetDeliver(func(m *noc.Message) {})
 	for i := 0; i < 64; i++ {
 		n.Inject(&noc.Message{ID: uint64(i + 1), Src: i, Dst: (i + 1) % 64, Bytes: 256, Class: noc.ClassRequest})
@@ -169,7 +178,7 @@ func TestPowerReportBudget(t *testing.T) {
 // channel wait for its token in turn, so their delivered latencies less the
 // uncontended flight (O/E, serialization, propagation) differ.
 func TestTokenWaitsDifferAmongWriters(t *testing.T) {
-	n := New(16, optCfg())
+	n := plainMWSR(16, optCfg())
 	var waits []sim.Tick
 	n.SetDeliver(func(m *noc.Message) {
 		waits = append(waits, m.Latency()-n.zeroLoad(m.Src, m.Dst, m.Bytes, 0))
@@ -192,13 +201,13 @@ func TestConstructorPanics(t *testing.T) {
 			t.Error("single-node crossbar accepted")
 		}
 	}()
-	New(1, optCfg())
+	plainMWSR(1, optCfg())
 }
 
 func TestChannelConservation(t *testing.T) {
 	// Every injected (non-self) message grabs the token exactly once and
 	// its bits are accounted once.
-	n := New(16, optCfg())
+	n := plainMWSR(16, optCfg())
 	n.SetDeliver(func(m *noc.Message) {})
 	var bytes uint64
 	rng := sim.NewRNG(43)

@@ -242,7 +242,7 @@ func (n *refNetwork) SkipTo(t sim.Tick) {
 
 // refSWMR is the pre-rewrite SWMR arbitration: Tick and NextWake scan every
 // sender. Inject, SkipTo and the rest are the production fabric's.
-type refSWMR struct{ *SWMR }
+type refSWMR struct{ *swmr }
 
 // Tick implements noc.Network.
 func (n *refSWMR) Tick() {

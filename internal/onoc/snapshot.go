@@ -127,7 +127,7 @@ type swmrSnapshot struct {
 }
 
 // Snapshot implements noc.Checkpointer.
-func (n *SWMR) Snapshot() noc.Snapshot {
+func (n *swmr) Snapshot() noc.Snapshot {
 	s := &swmrSnapshot{
 		physSnap: n.snapshot(),
 		chanFree: append([]sim.Tick(nil), n.chanFree...),
@@ -140,7 +140,7 @@ func (n *SWMR) Snapshot() noc.Snapshot {
 }
 
 // Restore implements noc.Checkpointer.
-func (n *SWMR) Restore(s noc.Snapshot) {
+func (n *swmr) Restore(s noc.Snapshot) {
 	snap := s.(*swmrSnapshot)
 	n.restore(&snap.physSnap)
 	copy(n.chanFree, snap.chanFree)

@@ -8,14 +8,14 @@ import (
 	"onocsim/internal/sim"
 )
 
-// SWMR is the single-writer multiple-reader crossbar (Firefly-class): every
+// swmr is the single-writer multiple-reader crossbar (Firefly-class): every
 // node owns a broadcast channel that only it modulates, and every other node
 // carries a receiver bank for that channel. Arbitration disappears — a
 // sender serializes only behind its own earlier messages — at the price of a
 // quadratic receiver-ring budget whose thermal tuning dominates static
 // power. The MWSR/SWMR pair brackets the classic ONOC design space:
 // arbitration latency versus static power.
-type SWMR struct {
+type swmr struct {
 	phys
 
 	// chanFree[s] is the first cycle node s's send channel is free.
@@ -27,19 +27,14 @@ type SWMR struct {
 	waiting bitset
 }
 
-// NewSWMR builds the broadcast crossbar for the given node count.
-func NewSWMR(nodes int, cfg config.Optical) *SWMR {
-	return NewSWMRWithFaults(nodes, cfg, config.Faults{}, 0)
-}
-
-// NewSWMRWithFaults builds the broadcast crossbar with deterministic fault
-// injection. Token faults do not apply (no arbitration token exists) and are
-// ignored; thermal drift and laser droop degrade exactly as on MWSR.
-func NewSWMRWithFaults(nodes int, cfg config.Optical, faults config.Faults, seed uint64) *SWMR {
+// newSWMR builds the broadcast crossbar with deterministic fault injection.
+// Token faults do not apply (no arbitration token exists) and are ignored;
+// thermal drift and laser droop degrade exactly as on MWSR.
+func newSWMR(nodes int, cfg config.Optical, faults config.Faults, seed uint64) *swmr {
 	// Drop the inapplicable token class before building the injector so a
 	// token-only fault section costs nothing here.
 	faults.TokenMTBF, faults.TokenTimeout = 0, 0
-	n := &SWMR{
+	n := &swmr{
 		phys:     newPhys(nodes, cfg, faults, seed),
 		chanFree: make([]sim.Tick, nodes),
 		queues:   make([]srcQueue, nodes),
@@ -56,7 +51,7 @@ func NewSWMRWithFaults(nodes int, cfg config.Optical, faults config.Faults, seed
 }
 
 // Inject implements noc.Network.
-func (n *SWMR) Inject(m *noc.Message) {
+func (n *swmr) Inject(m *noc.Message) {
 	if n.admit(m) {
 		n.queues[m.Src].push(m)
 		n.waiting.set(m.Src)
@@ -64,7 +59,7 @@ func (n *SWMR) Inject(m *noc.Message) {
 }
 
 // Tick implements noc.Network.
-func (n *SWMR) Tick() {
+func (n *swmr) Tick() {
 	n.now++
 	n.deliverDue()
 	for i, w := range n.waiting {
@@ -84,13 +79,13 @@ func (n *SWMR) Tick() {
 
 // ShardNode implements noc.ScheduleShardable. A message's only stateful
 // resources — the sender's broadcast channel and FIFO — belong to its source.
-func (n *SWMR) ShardNode(src, dst int) int { return src }
+func (n *swmr) ShardNode(src, dst int) int { return src }
 
 // NextWake implements noc.Network. With no arbitration there is no hidden
 // per-cycle state: the next observable action is either the earliest
 // arrival or the first cycle a backlogged sender's channel frees up, both
 // known exactly.
-func (n *SWMR) NextWake() sim.Tick {
+func (n *swmr) NextWake() sim.Tick {
 	wake := n.arrivals.NextAt()
 	for i, w := range n.waiting {
 		for ; w != 0; w &= w - 1 {
@@ -101,7 +96,7 @@ func (n *SWMR) NextWake() sim.Tick {
 }
 
 // Reset implements noc.Resettable.
-func (n *SWMR) Reset() {
+func (n *swmr) Reset() {
 	n.reset()
 	for s := range n.queues {
 		n.queues[s].reset()
@@ -111,11 +106,11 @@ func (n *SWMR) Reset() {
 }
 
 // ZeroLoadLatency implements noc.Network: no arbitration wait at all.
-func (n *SWMR) ZeroLoadLatency(src, dst, bytes int) sim.Tick {
+func (n *swmr) ZeroLoadLatency(src, dst, bytes int) sim.Tick {
 	return n.zeroLoad(src, dst, bytes, 0)
 }
 
 // PowerReport implements noc.Network: arbitration costs nothing here.
-func (n *SWMR) PowerReport(elapsed sim.Tick) noc.PowerReport {
+func (n *swmr) PowerReport(elapsed sim.Tick) noc.PowerReport {
 	return n.powerReport(elapsed)
 }

@@ -7,7 +7,7 @@ import (
 	"onocsim/internal/sim"
 )
 
-func drainSWMR(n *SWMR, bound int) bool {
+func drainSWMR(n *swmr, bound int) bool {
 	for i := 0; i < bound && n.NextWake() != noc.Never; i++ {
 		n.Tick()
 	}
@@ -15,7 +15,7 @@ func drainSWMR(n *SWMR, bound int) bool {
 }
 
 func TestSWMRSingleMessage(t *testing.T) {
-	n := NewSWMR(16, optCfg())
+	n := plainSWMR(16, optCfg())
 	var got *noc.Message
 	n.SetDeliver(func(m *noc.Message) { got = m })
 	n.Inject(&noc.Message{ID: 1, Src: 2, Dst: 9, Bytes: 64, Class: noc.ClassRequest})
@@ -32,8 +32,8 @@ func TestSWMRSingleMessage(t *testing.T) {
 
 func TestSWMRNoArbitrationBeatsMWSRAtZeroLoad(t *testing.T) {
 	cfg := optCfg()
-	mwsr := New(64, cfg)
-	swmr := NewSWMR(64, cfg)
+	mwsr := plainMWSR(64, cfg)
+	swmr := plainSWMR(64, cfg)
 	// The SWMR ZLL must be strictly below MWSR's, which includes the
 	// expected token wait.
 	if swmr.ZeroLoadLatency(0, 32, 64) >= mwsr.ZeroLoadLatency(0, 32, 64) {
@@ -43,7 +43,7 @@ func TestSWMRNoArbitrationBeatsMWSRAtZeroLoad(t *testing.T) {
 }
 
 func TestSWMRSenderChannelSerializes(t *testing.T) {
-	n := NewSWMR(4, optCfg())
+	n := plainSWMR(4, optCfg())
 	var arrives []sim.Tick
 	n.SetDeliver(func(m *noc.Message) { arrives = append(arrives, m.Arrive) })
 	// One sender, several messages to different destinations: they share
@@ -63,7 +63,7 @@ func TestSWMRSenderChannelSerializes(t *testing.T) {
 }
 
 func TestSWMRDistinctSendersDontContend(t *testing.T) {
-	n := NewSWMR(16, optCfg())
+	n := plainSWMR(16, optCfg())
 	var maxLat sim.Tick
 	n.SetDeliver(func(m *noc.Message) {
 		if m.Latency() > maxLat {
@@ -86,8 +86,8 @@ func TestSWMRDistinctSendersDontContend(t *testing.T) {
 
 func TestSWMRLaserPowerExceedsMWSR(t *testing.T) {
 	cfg := optCfg()
-	mwsr := New(64, cfg)
-	swmr := NewSWMR(64, cfg)
+	mwsr := plainMWSR(64, cfg)
+	swmr := plainSWMR(64, cfg)
 	// Broadcast splitting: the SWMR laser budget must be far above the
 	// point-to-point MWSR budget; tuning stays symmetric.
 	if swmr.Budget().LaserPowerMW <= 10*mwsr.Budget().LaserPowerMW {
@@ -110,5 +110,5 @@ func TestSWMRConstructorPanics(t *testing.T) {
 			t.Error("single-node swmr accepted")
 		}
 	}()
-	NewSWMR(1, optCfg())
+	plainSWMR(1, optCfg())
 }

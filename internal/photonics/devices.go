@@ -135,14 +135,14 @@ func (p DeviceParams) LossDB(path PathProfile) float64 {
 	return loss
 }
 
-// DBmToMW converts dBm to milliwatts.
-func DBmToMW(dbm float64) float64 { return math.Pow(10, dbm/10) }
+// dbmToMW converts dBm to milliwatts.
+func dbmToMW(dbm float64) float64 { return math.Pow(10, dbm/10) }
 
 // LaserPowerPerWavelengthMW returns the *electrical* wall-plug power one
 // wavelength needs so the detector still sees its sensitivity floor after
 // the worst-case path loss.
 func (p DeviceParams) LaserPowerPerWavelengthMW(worstLossDB float64) float64 {
 	requiredAtLaserDBm := p.DetectorSensitivityDBm + worstLossDB
-	opticalMW := DBmToMW(requiredAtLaserDBm)
+	opticalMW := dbmToMW(requiredAtLaserDBm)
 	return opticalMW / p.LaserEfficiency
 }

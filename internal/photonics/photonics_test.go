@@ -50,11 +50,11 @@ func TestLossLinearity(t *testing.T) {
 func TestDBmConversionsInverse(t *testing.T) {
 	if err := quick.Check(func(raw int16) bool {
 		dbm := float64(raw) / 100 // −327..327 dBm range
-		return math.Abs(10*math.Log10(DBmToMW(dbm))-dbm) < 1e-9
+		return math.Abs(10*math.Log10(dbmToMW(dbm))-dbm) < 1e-9
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if DBmToMW(0) != 1 {
+	if dbmToMW(0) != 1 {
 		t.Fatal("0 dBm should be 1 mW")
 	}
 }

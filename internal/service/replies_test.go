@@ -323,7 +323,7 @@ func TestRenderedReplyIsTheEncoders(t *testing.T) {
 	if err := tab.WriteJSON(&table); err != nil {
 		t.Fatal(err)
 	}
-	env := resultEnvelope{Version: ResponseVersion, Fingerprint: "fp", Op: "exec", Network: "optical",
+	env := resultEnvelope{Version: responseVersion, Fingerprint: "fp", Op: "exec", Network: "optical",
 		Status: "ok", ElapsedMS: 1234, Table: table.Bytes()}
 	got, want := httptest.NewRecorder(), httptest.NewRecorder()
 	rep.write(got)

@@ -73,9 +73,9 @@ import (
 	"onocsim/internal/sweep"
 )
 
-// ResponseVersion guards the service's JSON envelopes against schema drift,
+// responseVersion guards the service's JSON envelopes against schema drift,
 // exactly like metrics.TableFormatVersion guards the table payload inside.
-const ResponseVersion = 1
+const responseVersion = 1
 
 // errDraining is the cancellation cause a draining server injects into
 // in-flight request contexts, and the refusal for new work.
@@ -199,7 +199,7 @@ func envelope(op, network, fingerprint, status string, elapsed time.Duration, t 
 	enc := json.NewEncoder(&buf)
 	enc.SetEscapeHTML(false)
 	if err := enc.Encode(resultEnvelope{
-		Version:     ResponseVersion,
+		Version:     responseVersion,
 		Fingerprint: fingerprint,
 		Op:          op,
 		Network:     network,
@@ -304,7 +304,7 @@ type statsResponse struct {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, statsResponse{
-		Version:       ResponseVersion,
+		Version:       responseVersion,
 		UptimeMS:      time.Since(s.start).Milliseconds(),
 		Requests:      s.requests.Load(),
 		Panics:        s.panics.Load(),
@@ -331,7 +331,7 @@ func (s *Server) handleExperimentList(w http.ResponseWriter, r *http.Request) {
 		out = append(out, experimentInfo{ID: d.ID, Title: d.Title, Summary: d.Summary, Cost: d.CostClass.String()})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	writeJSON(w, http.StatusOK, map[string]any{"version": ResponseVersion, "experiments": out})
+	writeJSON(w, http.StatusOK, map[string]any{"version": responseVersion, "experiments": out})
 }
 
 // work is one decoded POST: the admission to hold while it runs (units 0
@@ -552,7 +552,7 @@ func (s *Server) decodeSweep(w http.ResponseWriter, r *http.Request) (work, erro
 		if err != nil {
 			return nil, err
 		}
-		return sweepReply{ResponseVersion, "ok", time.Since(start).Milliseconds(), res}, nil
+		return sweepReply{responseVersion, "ok", time.Since(start).Milliseconds(), res}, nil
 	}}, nil
 }
 

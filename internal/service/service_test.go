@@ -136,7 +136,7 @@ func TestSimulateConcurrentDedup(t *testing.T) {
 			t.Fatalf("client %d received a different result:\n%s\nvs\n%s", i, bodies[i], bodies[0])
 		}
 	}
-	if env.Version != ResponseVersion || env.Status != "ok" || env.Op != "exec" || env.Fingerprint == "" {
+	if env.Version != responseVersion || env.Status != "ok" || env.Op != "exec" || env.Fingerprint == "" {
 		t.Fatalf("bad envelope: %+v", env)
 	}
 	st := serverStats(t, ts)
@@ -237,7 +237,7 @@ func TestSimulateSSEStreamsProgressThenResult(t *testing.T) {
 	if err := json.Unmarshal(last.data, &env); err != nil {
 		t.Fatal(err)
 	}
-	if env.Status != "ok" || env.Version != ResponseVersion {
+	if env.Status != "ok" || env.Version != responseVersion {
 		t.Fatalf("bad streamed envelope: %+v", env)
 	}
 	sawProgress := false

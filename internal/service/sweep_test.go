@@ -51,7 +51,7 @@ func TestSweepDedupAndCLIParity(t *testing.T) {
 	_, ts := newTestServer(t)
 	doc := postSweep(t, ts.URL, tinySweep)
 	env := doc.Sweep
-	if doc.Version != ResponseVersion || doc.Status != "ok" || env.Name != "tiny" {
+	if doc.Version != responseVersion || doc.Status != "ok" || env.Name != "tiny" {
 		t.Fatalf("bad reply: %+v", doc)
 	}
 	if env.Arms != 4 || env.UniqueJobs != 3 {

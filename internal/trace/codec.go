@@ -23,7 +23,7 @@ import (
 // Dependency IDs are delta-encoded against the event's own ID, which keeps
 // the common "depends on a recent event" case to one or two bytes.
 //
-// Both directions have a single implementation: the streaming Reader/Writer
+// Both directions have a single implementation: the streaming reader/Writer
 // in stream.go. WriteBinary and ReadBinary below are the materialized
 // convenience forms layered on top of them.
 
@@ -58,7 +58,7 @@ func WriteBinary(w io.Writer, t *Trace) error {
 // validated as it decodes, so a corrupt file fails with the offending record
 // index and byte offset instead of a bare decode error.
 func ReadBinary(r io.Reader) (*Trace, error) {
-	sr, err := NewReader(r)
+	sr, err := newReader(r)
 	if err != nil {
 		return nil, err
 	}

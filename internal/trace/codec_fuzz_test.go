@@ -72,7 +72,7 @@ func FuzzReadBinary(f *testing.F) {
 	})
 }
 
-// FuzzReaderStream asserts the incremental Reader matches ReadBinary
+// FuzzReaderStream asserts the incremental reader matches ReadBinary
 // decision-for-decision: same acceptance, same events — and that its
 // whole-record fast path matches the byte-wise decoder down to the error
 // strings (decode_diff_test.go).
@@ -84,10 +84,10 @@ func FuzzReaderStream(f *testing.F) {
 		compareDecoders(t, data, nil)
 		whole, wholeErr := ReadBinary(bytes.NewReader(data))
 
-		sr, err := NewReader(bytes.NewReader(data))
+		sr, err := newReader(bytes.NewReader(data))
 		if err != nil {
 			if wholeErr == nil {
-				t.Fatalf("Reader rejected header ReadBinary accepted: %v", err)
+				t.Fatalf("reader rejected header ReadBinary accepted: %v", err)
 			}
 			return
 		}
@@ -97,7 +97,7 @@ func FuzzReaderStream(f *testing.F) {
 			ok, nerr := sr.Next(&e)
 			if nerr != nil {
 				if wholeErr == nil {
-					t.Fatalf("Reader rejected record ReadBinary accepted: %v", nerr)
+					t.Fatalf("reader rejected record ReadBinary accepted: %v", nerr)
 				}
 				return
 			}
@@ -114,19 +114,19 @@ func FuzzReaderStream(f *testing.F) {
 			// Clean EOF before the declared count: ReadBinary reports this
 			// as a truncation error.
 			if wholeErr == nil {
-				t.Fatal("Reader stopped early on a stream ReadBinary accepted")
+				t.Fatal("reader stopped early on a stream ReadBinary accepted")
 			}
 			return
 		}
 		if wholeErr != nil {
-			t.Fatalf("Reader accepted a stream ReadBinary rejected: %v", wholeErr)
+			t.Fatalf("reader accepted a stream ReadBinary rejected: %v", wholeErr)
 		}
 		if len(events) != len(whole.Events) {
-			t.Fatalf("Reader yielded %d events, ReadBinary %d", len(events), len(whole.Events))
+			t.Fatalf("reader yielded %d events, ReadBinary %d", len(events), len(whole.Events))
 		}
 		for i := range events {
 			if !reflect.DeepEqual(events[i], whole.Events[i]) {
-				t.Fatalf("event %d differs between Reader and ReadBinary", i)
+				t.Fatalf("event %d differs between reader and ReadBinary", i)
 			}
 		}
 	})

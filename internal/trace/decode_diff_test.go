@@ -8,10 +8,10 @@ import (
 	"testing/iotest"
 )
 
-// bytewiseNext is Reader.Next without the buffered fast path: the decoder as
+// bytewiseNext is reader.Next without the buffered fast path: the decoder as
 // it stood before whole-record decoding, and still the one that words every
 // error.
-func bytewiseNext(r *Reader, e *Event) (bool, error) {
+func bytewiseNext(r *reader, e *Event) (bool, error) {
 	if r.err != nil {
 		return false, r.err
 	}
@@ -27,12 +27,12 @@ func bytewiseNext(r *Reader, e *Event) (bool, error) {
 // step. wrap adapts the underlying reader (nil for none).
 func compareDecoders(t *testing.T, data []byte, wrap func(io.Reader) io.Reader) {
 	t.Helper()
-	open := func() (*Reader, error) {
+	open := func() (*reader, error) {
 		var r io.Reader = bytes.NewReader(data)
 		if wrap != nil {
 			r = wrap(r)
 		}
-		return NewReader(r)
+		return newReader(r)
 	}
 	fast, errF := open()
 	slow, errS := open()
@@ -147,7 +147,7 @@ func BenchmarkReaderNext(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for done := 0; done < b.N; {
-		r, err := NewReader(bytes.NewReader(buf.Bytes()))
+		r, err := newReader(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			b.Fatal(err)
 		}

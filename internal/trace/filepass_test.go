@@ -46,15 +46,15 @@ func closeTwice(t *testing.T, what string, it Iterator) {
 	}
 }
 
-// TestDecodeAheadMatchesReader: a FileSource pass yields what a Reader over
+// TestDecodeAheadMatchesReader: a FileSource pass yields what a reader over
 // the same bytes yields — the events, then the same end: nil after the
 // declared count, or the same error text, record number and byte offset
 // included — for an intact file, and for files damaged at the first records,
-// at the records around the first two refills of the Reader's buffer, and at
+// at the records around the first two refills of the reader's buffer, and at
 // the last record. Each source is read twice: the second pass reuses the
-// first pass's Reader, so it also holds reset to clearing a pass's error.
+// first pass's reader, so it also holds reset to clearing a pass's error.
 // (The name dates from when a pass decoded blocks ahead on a goroutine of its
-// own; a pass is now the Reader itself.)
+// own; a pass is now the reader itself.)
 func TestDecodeAheadMatchesReader(t *testing.T) {
 	// A record is at least its nine one-byte fixed fields, so this many
 	// events fill the buffer three times over.
@@ -65,7 +65,7 @@ func TestDecodeAheadMatchesReader(t *testing.T) {
 	}
 	good := buf.Bytes()
 	// starts[k] is the byte offset of record k+1.
-	r, err := NewReader(bytes.NewReader(good))
+	r, err := newReader(bytes.NewReader(good))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,29 +107,29 @@ func TestDecodeAheadMatchesReader(t *testing.T) {
 		if err := os.WriteFile(path, c.data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		sync, err := NewReader(bytes.NewReader(c.data))
+		sync, err := newReader(bytes.NewReader(c.data))
 		if err != nil {
 			t.Fatal(err)
 		}
 		want, wantErr := readAll(sync)
 		if c.k > 0 && (wantErr == nil || len(want) != c.k-1) {
-			t.Fatalf("%s: the Reader read %d events and ended with %v", c.name, len(want), wantErr)
+			t.Fatalf("%s: the reader read %d events and ended with %v", c.name, len(want), wantErr)
 		}
 		src, err := NewFileSource(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for pass := 0; pass < 2; pass++ { // the second pass reuses the first's Reader
+		for pass := 0; pass < 2; pass++ { // the second pass reuses the first's reader
 			it, err := src.Pass()
 			if err != nil {
 				t.Fatal(err)
 			}
 			got, gotErr := readAll(it)
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s, pass %d: the pass yields %d events, the Reader %d, or they differ", c.name, pass, len(got), len(want))
+				t.Fatalf("%s, pass %d: the pass yields %d events, the reader %d, or they differ", c.name, pass, len(got), len(want))
 			}
 			if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
-				t.Fatalf("%s, pass %d: the pass ends with %v, the Reader with %v", c.name, pass, gotErr, wantErr)
+				t.Fatalf("%s, pass %d: the pass ends with %v, the reader with %v", c.name, pass, gotErr, wantErr)
 			}
 			var e Event
 			if ok, again := it.Next(&e); ok || (again == nil) != (gotErr == nil) || again != nil && again.Error() != gotErr.Error() {
@@ -141,8 +141,8 @@ func TestDecodeAheadMatchesReader(t *testing.T) {
 }
 
 // TestDecodeAheadCloseStopsDecoder: Close ends a pass wherever the consumer
-// stands — before the first event, across a refill of the Reader's buffer,
-// at the end, past it: it hands the pass's Reader back to the source, a
+// stands — before the first event, across a refill of the reader's buffer,
+// at the end, past it: it hands the pass's reader back to the source, a
 // second Close is a no-op, Next after it fails, and the goroutine count
 // stays where it was before the pass.
 func TestDecodeAheadCloseStopsDecoder(t *testing.T) {
@@ -159,7 +159,7 @@ func TestDecodeAheadCloseStopsDecoder(t *testing.T) {
 		t.Fatal(err)
 	}
 	// straddle is the number of records that start before the first refill.
-	r, err := NewReader(bytes.NewReader(data))
+	r, err := newReader(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestDecodeAheadCloseStopsDecoder(t *testing.T) {
 		what := fmt.Sprintf("closed after %d events", read)
 		closeTwice(t, what, it)
 		if len(src.free) != 1 {
-			t.Fatalf("%s: %d Readers free, want 1", what, len(src.free))
+			t.Fatalf("%s: %d readers free, want 1", what, len(src.free))
 		}
 		deadline := time.Now().Add(5 * time.Second)
 		for runtime.NumGoroutine() > base {
@@ -200,7 +200,7 @@ func TestDecodeAheadCloseStopsDecoder(t *testing.T) {
 
 // TestFilePassRefusesChangedHeader: a pass over a file rewritten with another
 // header since NewFileSource read it is an error naming the path and both
-// headers, and the pass's Reader goes back to the source.
+// headers, and the pass's reader goes back to the source.
 func TestFilePassRefusesChangedHeader(t *testing.T) {
 	path := writeTempTrace(t, randomStreamTrace(5, 40, 8))
 	src, err := NewFileSource(path)
@@ -223,6 +223,6 @@ func TestFilePassRefusesChangedHeader(t *testing.T) {
 		}
 	}
 	if len(src.free) != 1 {
-		t.Errorf("the refused pass left %d Readers free, want 1", len(src.free))
+		t.Errorf("the refused pass left %d readers free, want 1", len(src.free))
 	}
 }

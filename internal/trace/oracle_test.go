@@ -7,8 +7,26 @@ import (
 )
 
 // The in-memory analyses StreamAnalyze is held to: each walks a materialized
-// trace in the obvious way. They are the oracle of window_test.go and have no
-// other caller.
+// trace in the obvious way. They are the oracle of window_test.go and
+// stream_test.go and have no other caller.
+
+// ComputeStats scans the trace once.
+func (t *Trace) ComputeStats() Stats {
+	s := Stats{Events: len(t.Events), RefMakespan: t.RefMakespan}
+	for i := range t.Events {
+		e := &t.Events[i]
+		s.Bytes += uint64(e.Bytes)
+		if int(e.Kind) < len(s.ByKind) {
+			s.ByKind[e.Kind]++
+		}
+		for _, d := range e.Deps {
+			if int(d.Class) < len(s.DepEdges) {
+				s.DepEdges[d.Class]++
+			}
+		}
+	}
+	return s
+}
 
 // CriticalPathWith computes the critical path under a per-event latency
 // estimate. lat must have one entry per event.

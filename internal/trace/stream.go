@@ -20,7 +20,7 @@ import (
 // materialized to be produced, inspected, or replayed. The Source/Iterator
 // pair is the contract the streaming replay engines in internal/core
 // consume; FileSource streams from disk with O(1) resident state per pass —
-// one Reader and its 64 KiB buffer, kept from one closed pass to the next —
+// one reader and its 64 KiB buffer, kept from one closed pass to the next —
 // and a resident *Trace is itself a Source, so both execution paths share one
 // consumer implementation.
 
@@ -93,7 +93,7 @@ type Digester interface {
 
 // validateEvent checks the per-event structural invariants every consumer
 // relies on. It is the single check shared by a resident trace's passes
-// (and so Trace.Validate), the streaming Reader, and the streaming Writer, so
+// (and so Trace.Validate), the streaming reader, and the streaming Writer, so
 // the three paths accept exactly the same traces.
 func validateEvent(nodes int, e *Event) error {
 	if e.Src < 0 || e.Src >= nodes || e.Dst < 0 || e.Dst >= nodes {
@@ -133,13 +133,13 @@ const maxTick = uint64(1) << 62
 // error messages.
 var eventFieldNames = [9]string{"src", "dst", "bytes", "class", "kind", "gap", "ref_inject", "ref_arrive", "ndeps"}
 
-// Reader incrementally decodes the binary trace format: the header is read
+// reader incrementally decodes the binary trace format: the header is read
 // at construction, then Next yields one validated event per call. Resident
 // state is O(1) plus the current event's dependency list, independent of
 // trace length. Decode errors carry the failing record number and byte
 // offset, so a corrupt multi-gigabyte file points at the damage instead of
 // yielding a bare varint error.
-type Reader struct {
+type reader struct {
 	br   *bufio.Reader
 	meta Meta
 	off  int64 // bytes consumed so far
@@ -158,46 +158,46 @@ type Reader struct {
 	used int
 }
 
-// readBufSize is the Reader's buffer. Next decodes whole records in place
+// readBufSize is the reader's buffer. Next decodes whole records in place
 // out of it and leaves only a record that straddles a refill to the byte-wise
 // decoder, so a larger buffer means fewer refills and fewer fallbacks.
 const readBufSize = 64 << 10
 
-// NewReader consumes and validates the header of a binary trace stream.
-func NewReader(r io.Reader) (*Reader, error) {
-	sr := &Reader{br: bufio.NewReaderSize(nil, readBufSize)}
+// newReader consumes and validates the header of a binary trace stream.
+func newReader(r io.Reader) (*reader, error) {
+	sr := &reader{br: bufio.NewReaderSize(nil, readBufSize)}
 	if err := sr.reset(r); err != nil {
 		return nil, err
 	}
 	return sr, nil
 }
 
-// reset points the Reader at the start of a new stream, keeping its buffers,
+// reset points the reader at the start of a new stream, keeping its buffers,
 // and consumes and validates the stream's header.
-func (r *Reader) reset(src io.Reader) error {
+func (r *reader) reset(src io.Reader) error {
 	r.br.Reset(src)
-	*r = Reader{br: r.br, deps: r.deps[:0], depFields: r.depFields[:0]}
+	*r = reader{br: r.br, deps: r.deps[:0], depFields: r.depFields[:0]}
 	return r.readHeader()
 }
 
 // Meta returns the decoded header.
-func (r *Reader) Meta() Meta { return r.meta }
+func (r *reader) Meta() Meta { return r.meta }
 
 // headerErrf wraps a header-stage decode failure with the byte offset.
-func (r *Reader) headerErrf(format string, args ...any) error {
+func (r *reader) headerErrf(format string, args ...any) error {
 	return fmt.Errorf("trace: header (byte offset %d): %s", r.off, fmt.Sprintf(format, args...))
 }
 
 // recordErrf wraps a per-event decode failure with the 1-based record number
 // (the event ID being decoded) and the byte offset where decoding stood.
-func (r *Reader) recordErrf(format string, args ...any) error {
+func (r *reader) recordErrf(format string, args ...any) error {
 	err := fmt.Errorf("trace: record %d (byte offset %d): %s", r.next+1, r.off, fmt.Sprintf(format, args...))
 	r.err = err
 	return err
 }
 
 // readByte reads one byte, counting it toward the offset.
-func (r *Reader) readByte() (byte, error) {
+func (r *reader) readByte() (byte, error) {
 	if r.readErr != nil && r.br.Buffered() == 0 {
 		return 0, r.readErr
 	}
@@ -209,7 +209,7 @@ func (r *Reader) readByte() (byte, error) {
 }
 
 // readUvarint is binary.ReadUvarint with offset accounting.
-func (r *Reader) readUvarint() (uint64, error) {
+func (r *reader) readUvarint() (uint64, error) {
 	var x uint64
 	var s uint
 	for i := 0; ; i++ {
@@ -234,7 +234,7 @@ func (r *Reader) readUvarint() (uint64, error) {
 	}
 }
 
-func (r *Reader) readHeader() error {
+func (r *reader) readHeader() error {
 	head := make([]byte, len(magic))
 	n, err := io.ReadFull(r.br, head)
 	r.off += int64(n)
@@ -300,7 +300,7 @@ func (r *Reader) readHeader() error {
 
 // Next decodes the next event. The event's Deps slice aliases a buffer owned
 // by the reader and is only valid until the following Next call.
-func (r *Reader) Next(e *Event) (bool, error) {
+func (r *reader) Next(e *Event) (bool, error) {
 	if r.err != nil {
 		return false, r.err
 	}
@@ -365,7 +365,7 @@ func uvarintsAt(buf []byte, pos int, out []uint64) int {
 // buffer ends inside the record, an over-long varint, a failed check — it
 // consumes nothing and reports false, so nextBytewise re-decodes the record
 // and stays the sole owner of error text, record numbers and byte offsets.
-func (r *Reader) nextBuffered(e *Event) bool {
+func (r *reader) nextBuffered(e *Event) bool {
 	if len(r.win)-r.used < minPeek {
 		r.settle()
 		if r.readErr == nil {
@@ -416,14 +416,14 @@ func (r *Reader) nextBuffered(e *Event) bool {
 
 // settle discards from bufio the bytes nextBuffered has decoded, so that
 // bufio stands where decoding does.
-func (r *Reader) settle() {
+func (r *reader) settle() {
 	r.br.Discard(r.used)
 	r.win, r.used = nil, 0
 }
 
 // fill writes the event's decoded fixed fields and r.deps into *e, field by
 // field: every field of Event is assigned.
-func (r *Reader) fill(e *Event, id EventID, fields *[9]uint64) {
+func (r *reader) fill(e *Event, id EventID, fields *[9]uint64) {
 	e.ID = id
 	e.Src, e.Dst, e.Bytes = int(fields[0]), int(fields[1]), int(fields[2])
 	e.Class, e.Kind = noc.Class(fields[3]), Kind(fields[4])
@@ -436,7 +436,7 @@ func (r *Reader) fill(e *Event, id EventID, fields *[9]uint64) {
 
 // nextBytewise decodes one record a byte at a time, tracking the offset of
 // every byte so that a failure names the record and where decoding stood.
-func (r *Reader) nextBytewise(e *Event) (bool, error) {
+func (r *reader) nextBytewise(e *Event) (bool, error) {
 	id := EventID(r.next + 1)
 	var fields [9]uint64
 	names := &eventFieldNames
@@ -479,8 +479,8 @@ func (r *Reader) nextBytewise(e *Event) (bool, error) {
 	return true, nil
 }
 
-// Close implements Iterator; the Reader does not own its io.Reader.
-func (r *Reader) Close() error { return nil }
+// Close implements Iterator; the reader does not own its io.Reader.
+func (r *reader) Close() error { return nil }
 
 // FileSource streams passes over a binary trace file on disk. Each Pass
 // opens the file independently, so concurrent passes (one per shard) are
@@ -496,10 +496,10 @@ type FileSource struct {
 	digest     string
 	digestErr  error
 
-	// free holds the Readers of closed passes, each with its buffer, for
+	// free holds the readers of closed passes, each with its buffer, for
 	// the passes opened after them.
 	mu   sync.Mutex
-	free []*Reader
+	free []*reader
 }
 
 // NewFileSource validates the file's header and returns a reusable source.
@@ -509,7 +509,7 @@ func NewFileSource(path string) (*FileSource, error) {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
 	defer f.Close()
-	r, err := NewReader(f)
+	r, err := newReader(f)
 	if err != nil {
 		return nil, fmt.Errorf("%w (in %s)", err, path)
 	}
@@ -519,7 +519,7 @@ func NewFileSource(path string) (*FileSource, error) {
 // Meta returns the header decoded at construction.
 func (s *FileSource) Meta() Meta { return s.meta }
 
-// Pass opens a fresh decode pass over the file: a Reader, recycled from a
+// Pass opens a fresh decode pass over the file: a reader, recycled from a
 // closed pass, over a file handle of the pass's own. A header other than the
 // one NewFileSource read is an error naming both.
 func (s *FileSource) Pass() (Iterator, error) {
@@ -527,7 +527,7 @@ func (s *FileSource) Pass() (Iterator, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
-	p := &filePass{src: s, f: f, r: s.reader()}
+	p := &filePass{src: s, f: f, r: s.takeReader()}
 	if err := p.r.reset(f); err != nil {
 		p.Close()
 		return nil, fmt.Errorf("%w (in %s)", err, s.path)
@@ -539,8 +539,8 @@ func (s *FileSource) Pass() (Iterator, error) {
 	return p, nil
 }
 
-// reader takes the Reader of a closed pass, or makes one.
-func (s *FileSource) reader() *Reader {
+// takeReader takes the reader of a closed pass, or makes one.
+func (s *FileSource) takeReader() *reader {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if k := len(s.free); k > 0 {
@@ -548,17 +548,17 @@ func (s *FileSource) reader() *Reader {
 		s.free = s.free[:k-1]
 		return r
 	}
-	return &Reader{br: bufio.NewReaderSize(nil, readBufSize)}
+	return &reader{br: bufio.NewReaderSize(nil, readBufSize)}
 }
 
-// filePass is a FileSource pass: a Reader over the pass's file.
+// filePass is a FileSource pass: a reader over the pass's file.
 type filePass struct {
 	src *FileSource
 	f   *os.File
-	r   *Reader // nil once closed
+	r   *reader // nil once closed
 }
 
-// Next implements Iterator. The event's Deps alias the Reader's buffer and
+// Next implements Iterator. The event's Deps alias the reader's buffer and
 // are only valid until the following Next call.
 func (p *filePass) Next(e *Event) (bool, error) {
 	if p.r == nil {
@@ -567,7 +567,7 @@ func (p *filePass) Next(e *Event) (bool, error) {
 	return p.r.Next(e)
 }
 
-// Close implements Iterator: it gives the Reader back to the source and
+// Close implements Iterator: it gives the reader back to the source and
 // closes the file.
 func (p *filePass) Close() error {
 	if p.r == nil {
@@ -617,7 +617,7 @@ func (t *Trace) Meta() Meta {
 }
 
 // Pass opens an iterator over the trace's event slice once the header is
-// valid. The iterator checks each event as it yields it, as a file's Reader
+// valid. The iterator checks each event as it yields it, as a file's reader
 // does, so either kind of source hands out only valid events, and no consumer
 // checks a resident trace itself: a malformed event is an error at the point
 // of the pass that reaches it.

@@ -248,13 +248,13 @@ func (r *rawTrace) event(src, dst, size, class, kind, gap, ri, ra uint64, deps .
 
 func TestReaderErrorsCarryOffsetAndRecord(t *testing.T) {
 	t.Run("bad magic", func(t *testing.T) {
-		_, err := NewReader(bytes.NewReader([]byte("XCTM\x01")))
+		_, err := newReader(bytes.NewReader([]byte("XCTM\x01")))
 		if err == nil || !strings.Contains(err.Error(), "header (byte offset") {
 			t.Fatalf("error = %v", err)
 		}
 	})
 	t.Run("truncated header", func(t *testing.T) {
-		_, err := NewReader(bytes.NewReader([]byte("SCTM\x01\x04")))
+		_, err := newReader(bytes.NewReader([]byte("SCTM\x01\x04")))
 		if err == nil || !strings.Contains(err.Error(), "header (byte offset 6)") {
 			t.Fatalf("error = %v", err)
 		}
@@ -307,7 +307,7 @@ func TestReaderErrorsCarryOffsetAndRecord(t *testing.T) {
 		var r rawTrace
 		r.header(4, 1, "w")
 		r.event(0, 1, 0, 0, 0, 0, 0, 0) // invalid size
-		sr, err := NewReader(&r.buf)
+		sr, err := newReader(&r.buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -351,7 +351,7 @@ func TestReaderRejectsImplausibleFields(t *testing.T) {
 	t.Run("huge event count", func(t *testing.T) {
 		var r rawTrace
 		r.header(4, uint64(1)<<40, "w")
-		_, err := NewReader(&r.buf)
+		_, err := newReader(&r.buf)
 		if err == nil || !strings.Contains(err.Error(), "implausible event count") {
 			t.Fatalf("error = %v", err)
 		}

@@ -155,31 +155,13 @@ func (t *Trace) Validate() error {
 	}
 }
 
-// Stats summarizes a trace for reports.
+// Stats summarizes a trace for reports (StreamAnalyze computes it).
 type Stats struct {
 	Events      int
 	Bytes       uint64
 	DepEdges    [numDepClasses]int
 	ByKind      [numKinds]int
 	RefMakespan sim.Tick
-}
-
-// ComputeStats scans the trace once.
-func (t *Trace) ComputeStats() Stats {
-	s := Stats{Events: len(t.Events), RefMakespan: t.RefMakespan}
-	for i := range t.Events {
-		e := &t.Events[i]
-		s.Bytes += uint64(e.Bytes)
-		if int(e.Kind) < len(s.ByKind) {
-			s.ByKind[e.Kind]++
-		}
-		for _, d := range e.Deps {
-			if int(d.Class) < len(s.DepEdges) {
-				s.DepEdges[d.Class]++
-			}
-		}
-	}
-	return s
 }
 
 // String renders the stats compactly.

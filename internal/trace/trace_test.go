@@ -73,7 +73,7 @@ func TestValidateRejections(t *testing.T) {
 
 // A resident trace's pass yields the events before a malformed one, then
 // stops on it with an error that every later Next repeats, as a file's
-// Reader does.
+// reader does.
 func TestResidentPassStopsAtMalformedEvent(t *testing.T) {
 	tr := tinyTrace()
 	tr.Events[1].Dst = 9

@@ -61,7 +61,7 @@ type CriticalPath struct {
 type Analysis struct {
 	// Meta is the trace header.
 	Meta Meta
-	// Stats matches Trace.ComputeStats exactly.
+	// Stats is the trace's summary counts.
 	Stats Stats
 	// CriticalPath is the critical path under the latencies observed on the
 	// capture fabric: Length always, Events only when Options.Paths was set.
@@ -152,9 +152,9 @@ func (w *spanWindow) grow() {
 // source. With opts.Paths false, resident memory is O(window + nodes +
 // depth-histogram), independent of trace length.
 //
-// The results are identical to Trace.ComputeStats and to the straightforward
-// in-memory analyses kept as the test oracle (oracle_test.go): the
-// recurrences are the same, evaluated in the same ID order.
+// The results are identical to the straightforward in-memory analyses kept
+// as the test oracle (oracle_test.go): the recurrences are the same,
+// evaluated in the same ID order.
 func StreamAnalyze(src Source, opts StreamOptions) (*Analysis, error) {
 	m := src.Meta()
 	it, err := src.Pass()

@@ -14,13 +14,13 @@ import (
 	"onocsim/internal/sim"
 )
 
-// Pattern maps a source node to a destination for synthetic traffic.
-type Pattern func(src, nodes int, rng *sim.RNG) int
+// pattern maps a source node to a destination for synthetic traffic.
+type pattern func(src, nodes int, rng *sim.RNG) int
 
-// PatternByName returns a named synthetic pattern. The set matches the
+// patternByName returns a named synthetic pattern. The set matches the
 // canonical NoC evaluation suite: uniform random, transpose, hotspot,
 // bit-complement, nearest neighbor, tornado.
-func PatternByName(name string) (Pattern, error) {
+func patternByName(name string) (pattern, error) {
 	switch name {
 	case "uniform":
 		return func(src, nodes int, rng *sim.RNG) int {
@@ -96,7 +96,7 @@ type SyntheticResult struct {
 // loads are comparable), for cfg.Packets packets per node, then drains.
 // Determinism follows from the seeded RNG.
 func RunSynthetic(net noc.Network, cfg config.Workload, seed uint64) (SyntheticResult, error) {
-	pat, err := PatternByName(cfg.Pattern)
+	pat, err := patternByName(cfg.Pattern)
 	if err != nil {
 		return SyntheticResult{}, err
 	}

@@ -17,11 +17,11 @@ func timeAfter(ns int64) <-chan time.Time { return time.After(time.Duration(ns))
 
 func TestPatternByNameKnown(t *testing.T) {
 	for _, name := range []string{"uniform", "transpose", "hotspot", "bitcomplement", "neighbor", "tornado"} {
-		if _, err := PatternByName(name); err != nil {
+		if _, err := patternByName(name); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
-	if _, err := PatternByName("spiral"); err == nil {
+	if _, err := patternByName("spiral"); err == nil {
 		t.Error("unknown pattern accepted")
 	}
 }
@@ -29,7 +29,7 @@ func TestPatternByNameKnown(t *testing.T) {
 func TestPatternsInRange(t *testing.T) {
 	rng := sim.NewRNG(5)
 	for _, name := range []string{"uniform", "transpose", "hotspot", "bitcomplement", "neighbor", "tornado"} {
-		pat, _ := PatternByName(name)
+		pat, _ := patternByName(name)
 		if err := quick.Check(func(sRaw uint8) bool {
 			src := int(sRaw) % 64
 			d := pat(src, 64, rng)
@@ -45,7 +45,7 @@ func TestDeterministicPatternsArePermutations(t *testing.T) {
 	// are permutations of the node set.
 	rng := sim.NewRNG(5)
 	for _, name := range []string{"transpose", "bitcomplement", "neighbor", "tornado"} {
-		pat, _ := PatternByName(name)
+		pat, _ := patternByName(name)
 		seen := map[int]bool{}
 		for s := 0; s < 64; s++ {
 			d := pat(s, 64, rng)
@@ -59,7 +59,7 @@ func TestDeterministicPatternsArePermutations(t *testing.T) {
 
 func TestTransposeInvolution(t *testing.T) {
 	rng := sim.NewRNG(1)
-	pat, _ := PatternByName("transpose")
+	pat, _ := patternByName("transpose")
 	for s := 0; s < 64; s++ {
 		if pat(pat(s, 64, rng), 64, rng) != s {
 			t.Fatalf("transpose not an involution at %d", s)
@@ -69,7 +69,7 @@ func TestTransposeInvolution(t *testing.T) {
 
 func TestUniformAvoidsSelf(t *testing.T) {
 	rng := sim.NewRNG(2)
-	pat, _ := PatternByName("uniform")
+	pat, _ := patternByName("uniform")
 	for i := 0; i < 1000; i++ {
 		if pat(7, 16, rng) == 7 {
 			t.Fatal("uniform produced self-traffic")
