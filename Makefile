@@ -23,7 +23,9 @@ fmt-check:
 # router, the event-driven crossbar against the hop-by-hop reference,
 # whole-record trace decode against the byte-wise decoder, the replay engine
 # against the sorted-order serial reference — run in their -short form (a few
-# seconds together; plain `go test` runs the full ones).
+# seconds together; plain `go test` runs the full ones). Beside them,
+# TestAllocatorBidsMostlyMove bounds the share of the mesh allocator's bids
+# that move no flit, a deterministic count on a fixed seeded burst.
 # TestDocsResolve holds README, DESIGN, EXPERIMENTS and the verify skill to the
 # tree: every path, pkg.Ident, command flag and make target they name exists;
 # beside it run the five surface pins (options, flags, public API, fabric
@@ -104,7 +106,7 @@ check: vet fmt-check sweep-smoke
 	$(GO) test . -run 'TestCaptureGapStartsAtLastDependency|TestCaptureAllocationsIndependentOfLength|TestReceiverLatencySummaries' -count=1
 	$(GO) test ./internal/core/ -run 'TestScheduledReplayInjectsOnSchedule|TestParkedResultSurvivesResume|TestResumeCompletesIdenticalToUninterrupted|TestResumeCanParkAgain' -count=1
 	$(GO) test ./internal/fabric/ -count=1
-	$(GO) test -short ./internal/enoc/ ./internal/onoc/ ./internal/trace/ ./internal/core/ -run 'DifferentialAgainstReference|BufferedDecodeMatchesBytewise|EngineAgainstReference' -count=1
+	$(GO) test -short ./internal/enoc/ ./internal/onoc/ ./internal/trace/ ./internal/core/ -run 'DifferentialAgainstReference|AllocatorBidsMostlyMove|BufferedDecodeMatchesBytewise|EngineAgainstReference' -count=1
 	$(GO) test ./internal/noc/ ./internal/metrics/ ./internal/sim/ -run 'MergeIs|LatencyBucketMatchesSearch|CalendarMatches' -count=1
 	$(GO) test -race ./internal/trace/ ./internal/core/ ./internal/simcache/ -run 'DecodeAhead|FilePass|ReplayDerivesNextSchedule|CorrectionPassCount|DoTraceSharesWhileHeld' -count=1
 	$(GO) test ./internal/service/ -run TestMemo -count=1

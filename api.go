@@ -286,14 +286,14 @@ var ErrParked = core.ErrParked
 // triple that parked, single-use, and in-process only; passing it back
 // re-enters the loop at the parked round boundary, reading this call's src,
 // and completes to the result an uninterrupted run produces.
-func selfCorrect(ctx context.Context, cfg Config, src TraceSource, kind NetworkKind, resume *core.ParkState) (CorrectionResult, *core.ParkState, error) {
+func selfCorrect(ctx context.Context, cfg Config, src TraceSource, kind NetworkKind, resume *core.ParkState, onRound func()) (CorrectionResult, *core.ParkState, error) {
 	factory, err := NetworkFactory(cfg, kind)
 	if err != nil {
 		return CorrectionResult{}, nil, err
 	}
 	var state *core.ParkState
 	res, err := inSimSlot(ctx, func() (res CorrectionResult, err error) {
-		res, state, err = core.Correct(ctx, factory, src, cfg.SCTM, cfg.Parallelism.Shards, cfg.Parallelism.WindowEvents, nil, resume)
+		res, state, err = core.Correct(ctx, factory, src, cfg.SCTM, cfg.Parallelism.Shards, cfg.Parallelism.WindowEvents, nil, resume, onRound)
 		return res, err
 	})
 	return res, state, err

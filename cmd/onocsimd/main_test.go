@@ -20,32 +20,22 @@ import (
 // signal.NotifyContext would), and verify the client still receives a valid
 // parked partial result and run() exits cleanly.
 //
-// The signal goes out on the capture's progress event, the last one before
-// the correction loop. It can still land before the loop's first round
-// boundary — while the correction queues for its slot, or before round 0
-// completes — and a request cancelled with no round done is by design an
-// error reply, not a "parked" envelope: there is no trajectory to report.
-// That reply says nothing about draining, so the scenario is run again.
+// The signal goes out on the correction's first round event: a round is done,
+// so the park that follows has a trajectory to report. (A request cancelled
+// before its first round is by design an error reply, not a "parked"
+// envelope; internal/job's TestRunnerParkBeforeRoundZeroResumes pins that.)
 func TestDaemonSIGTERMDrainsAndParks(t *testing.T) {
-	for attempt := 1; ; attempt++ {
-		result := drainMidCorrection(t)
-		early := strings.Contains(string(result), "after 0 of 500 rounds") || string(result) == `{"error":"context canceled"}`
-		if early && attempt < 10 {
-			t.Logf("attempt %d: signal landed before the first round boundary (%s), retrying", attempt, result)
-			continue
-		}
-		var env struct {
-			Version int             `json:"version"`
-			Status  string          `json:"status"`
-			Table   json.RawMessage `json:"table"`
-		}
-		if err := json.Unmarshal(result, &env); err != nil {
-			t.Fatalf("bad result payload %s: %v", result, err)
-		}
-		if env.Status != "parked" || len(env.Table) == 0 {
-			t.Fatalf("expected parked partial result, got %s", result)
-		}
-		return
+	result := drainMidCorrection(t)
+	var env struct {
+		Version int             `json:"version"`
+		Status  string          `json:"status"`
+		Table   json.RawMessage `json:"table"`
+	}
+	if err := json.Unmarshal(result, &env); err != nil {
+		t.Fatalf("bad result payload %s: %v", result, err)
+	}
+	if env.Status != "parked" || !strings.Contains(string(env.Table), "parked before convergence") {
+		t.Fatalf("expected parked partial result, got %s", result)
 	}
 }
 
@@ -85,8 +75,7 @@ func drainMidCorrection(t *testing.T) []byte {
 	}
 	defer resp.Body.Close()
 
-	// Read the SSE stream; after the first computed progress event (the
-	// capture finishing means the correction loop is next), deliver the
+	// Read the SSE stream; on the first round progress event, deliver the
 	// "signal".
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
@@ -101,7 +90,7 @@ func drainMidCorrection(t *testing.T) []byte {
 		case strings.HasPrefix(line, "data: "):
 			switch event {
 			case "progress":
-				if !signalled && strings.Contains(line, `"computed"`) {
+				if !signalled && strings.Contains(line, `"kind":"round"`) {
 					signalled = true
 					cancel() // SIGTERM
 				}
@@ -114,7 +103,7 @@ func drainMidCorrection(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	if !signalled {
-		t.Fatal("never saw a computed progress event to signal on")
+		t.Fatal("never saw a round progress event to signal on")
 	}
 	if result == nil {
 		t.Fatal("stream ended without a result event")

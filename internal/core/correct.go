@@ -65,12 +65,12 @@ func SelfCorrect(factory NetworkFactory, tr *trace.Trace, cfg config.SCTM) (Corr
 
 // SelfCorrectParkableCtx is Correct on a materialized trace.
 func SelfCorrectParkableCtx(ctx context.Context, factory NetworkFactory, tr *trace.Trace, cfg config.SCTM, shards int, seed []sim.Tick, resume *ParkState) (CorrectionResult, *ParkState, error) {
-	return Correct(ctx, factory, tr, cfg, shards, 0, seed, resume)
+	return Correct(ctx, factory, tr, cfg, shards, 0, seed, resume, nil)
 }
 
 // SelfCorrectStream is Correct without cancellation.
 func SelfCorrectStream(factory NetworkFactory, src trace.Source, cfg config.SCTM, shards, window int, seed []sim.Tick) (CorrectionResult, error) {
-	res, _, err := Correct(context.Background(), factory, src, cfg, shards, window, seed, nil)
+	res, _, err := Correct(context.Background(), factory, src, cfg, shards, window, seed, nil, nil)
 	return res, err
 }
 
@@ -137,7 +137,11 @@ type ParkState struct {
 // the parked round boundary instead of restarting — skipping seeding and the
 // initial schedule derivation, with the trajectory so far already in place;
 // seed is then ignored, and every resumed pass reads src.
-func Correct(ctx context.Context, factory NetworkFactory, src trace.Source, cfg config.SCTM, shards, window int, seed []sim.Tick, resume *ParkState) (CorrectionResult, *ParkState, error) {
+//
+// onRound, when non-nil, is called on the loop's goroutine after every
+// completed round: from the first call on, a park has a trajectory to
+// report.
+func Correct(ctx context.Context, factory NetworkFactory, src trace.Source, cfg config.SCTM, shards, window int, seed []sim.Tick, resume *ParkState, onRound func()) (CorrectionResult, *ParkState, error) {
 	n := src.Meta().NumEvents
 	opts := ScheduleOptions{
 		DisableSyncDeps:   cfg.DisableSyncDeps,
@@ -258,6 +262,9 @@ func Correct(ctx context.Context, factory NetworkFactory, src trace.Source, cfg 
 			MeanLatency: res.MeanLatency,
 			Cycles:      res.Cycles,
 		})
+		if onRound != nil {
+			onRound()
+		}
 		prevMakespan := sim.Tick(-1)
 		if round > 0 {
 			prevMakespan = out.Iterations[round-1].Makespan

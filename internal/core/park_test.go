@@ -76,7 +76,7 @@ func TestSelfCorrectParkedPrefixMatchesFullRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, src := range map[string]trace.Source{"mem": tr, "file": file} {
-		full, _, err := Correct(context.Background(), contendedIdeal, src, cfg, 1, 0, nil, nil)
+		full, _, err := Correct(context.Background(), contendedIdeal, src, cfg, 1, 0, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func TestSelfCorrectParkedPrefixMatchesFullRun(t *testing.T) {
 
 		const parkAfter = 3
 		ctx := &countdownCtx{Context: context.Background(), remaining: parkAfter}
-		parked, state, err := Correct(ctx, contendedIdeal, src, cfg, 1, 0, nil, nil)
+		parked, state, err := Correct(ctx, contendedIdeal, src, cfg, 1, 0, nil, nil, nil)
 		if !errors.Is(err, ErrParked) {
 			t.Fatalf("%s: err = %v, want ErrParked", name, err)
 		}

@@ -9,18 +9,19 @@ import (
 )
 
 // checkInvariants verifies, between ticks, the conservation laws of the
-// credit protocol and that every piece of derived state — request rows, the
-// wake calendar, NI pending counts, the busy sets — agrees with the queues it
-// summarises.
+// credit protocol and that every piece of derived state — request rows, VC
+// wait sets, the wake calendar, NI pending counts, the busy sets — agrees
+// with the queues it summarises.
 func checkInvariants(t testing.TB, n *Network) {
 	t.Helper()
 	depth := n.bufDepth
 	// Every packet in flight is in exactly one place: the loopback queue,
 	// an NI, or wherever its tail flit is.
 	inflight := n.selfQ.Len()
-	waiting := 0 // occupied VCs that do not bid: each waits on the calendar once
+	waiting := 0 // occupied VCs whose head is not ready: each waits on the calendar once
 	for _, r := range n.routers {
 		var req [numPorts + 1]reqSet
+		var vcWait [portLocal]reqSet
 		for p := 0; p < numPorts; p++ {
 			for v := range r.in[p] {
 				b := &r.in[p][v]
@@ -30,17 +31,39 @@ func checkInvariants(t testing.TB, n *Network) {
 				if b.n > 0 && b.at(b.n-1).isTail {
 					inflight++
 				}
-				// A VC bids, in the row of its route, exactly while its
-				// head flit is ready — by the next cycle, between ticks.
+				// A VC whose head flit is ready — by the next cycle,
+				// between ticks — is in exactly one of the request row of
+				// its route and that port's VC wait set; otherwise in
+				// neither. Only west-first bids unrouted.
 				bit := p<<4 | v
-				if bids := r.req[b.outPort][bit>>6]&(1<<(bit&63)) != 0; b.n > 0 {
+				bids := r.req[b.outPort][bit>>6]&(1<<(bit&63)) != 0
+				waits := b.outPort < portLocal && r.vcWait[b.outPort][bit>>6]&(1<<(bit&63)) != 0
+				if b.n > 0 {
 					switch ready := b.at(0).readyAt; {
-					case bids && ready > n.now+1:
-						t.Fatalf("cycle %d router %d in %s/%d: bids with its head ready at %d", n.now, r.id, portNames[p], v, ready)
-					case !bids && ready <= n.now:
-						t.Fatalf("cycle %d router %d in %s/%d: head ready at %d does not bid", n.now, r.id, portNames[p], v, ready)
+					case bids && waits:
+						t.Fatalf("cycle %d router %d in %s/%d: both bids for and waits at %s", n.now, r.id, portNames[p], v, portNames[b.outPort])
+					case (bids || waits) && ready > n.now+1:
+						t.Fatalf("cycle %d router %d in %s/%d: bids or waits with its head ready at %d", n.now, r.id, portNames[p], v, ready)
+					case !bids && !waits && ready <= n.now:
+						t.Fatalf("cycle %d router %d in %s/%d: head ready at %d neither bids nor waits", n.now, r.id, portNames[p], v, ready)
+					case bids && b.outPort == portUnrouted && !n.routeAtBid:
+						t.Fatalf("cycle %d router %d in %s/%d: bids unrouted under %s routing", n.now, r.id, portNames[p], v, n.cfg.Routing)
 					case bids:
 						req[b.outPort].add(bit)
+					case waits:
+						// A waiter is a ready head refused a VC, and no
+						// VC it may take has been released since.
+						f := b.at(0)
+						if !f.isHead || b.granted || f.readyAt > n.now {
+							t.Fatalf("cycle %d router %d in %s/%d: waits for a VC with head %v, granted %v, ready at %d", n.now, r.id, portNames[p], v, f.isHead, b.granted, f.readyAt)
+						}
+						lo, hi := r.vcChoices(f.pkt)
+						for c := lo; c < hi; c++ {
+							if !r.outBusy[b.outPort][c] {
+								t.Fatalf("cycle %d router %d in %s/%d: waits at %s while its VC %d is free", n.now, r.id, portNames[p], v, portNames[b.outPort], c)
+							}
+						}
+						vcWait[b.outPort].add(bit)
 					default:
 						waiting++
 					}
@@ -77,6 +100,9 @@ func checkInvariants(t testing.TB, n *Network) {
 		}
 		if req != r.req {
 			t.Fatalf("cycle %d router %d: request rows %x, queues give %x", n.now, r.id, r.req, req)
+		}
+		if vcWait != r.vcWait {
+			t.Fatalf("cycle %d router %d: VC wait sets %x, queues give %x", n.now, r.id, r.vcWait, vcWait)
 		}
 		if got, bidding := n.bufBusy.next(r.id) == r.id, req != [numPorts + 1]reqSet{}; got != bidding {
 			t.Fatalf("cycle %d router %d: in bufBusy %v, a VC bids %v", n.now, r.id, got, bidding)

@@ -34,6 +34,11 @@ type Network struct {
 	width int
 	nodes int
 	torus bool
+	// routeAtBid is set for west-first routing on the mesh, which picks a
+	// head's output port by the downstream credits as the allocator's scan
+	// finds them: such a head is routed when it first bids, not when it
+	// becomes ready as XY and torus heads are (router.ready).
+	routeAtBid bool
 	// bufDepth and linkCycles are BufDepth and LinkCycles, or the values a
 	// package test sweeps.
 	bufDepth   int
@@ -60,6 +65,10 @@ type Network struct {
 	// wake holds each occupied input VC whose head flit is not ready yet,
 	// due the cycle it becomes ready (router.ready).
 	wake sim.Calendar[vcRef]
+	// bids counts allocator bids (router.tryForward calls) since
+	// construction or Reset; those that moved a flit are
+	// power.bufferReads.
+	bids uint64
 
 	// pktFree recycles the per-message wormhole state: a packet dies at
 	// ejection and is reborn at the next Inject, so a steady-state run
@@ -69,14 +78,17 @@ type Network struct {
 
 // newPacket returns a recycled or fresh packet wrapping m.
 func (n *Network) newPacket(m *noc.Message) *packet {
+	var p *packet
 	if l := len(n.pktFree); l > 0 {
-		p := n.pktFree[l-1]
+		p = n.pktFree[l-1]
 		n.pktFree[l-1] = nil
 		n.pktFree = n.pktFree[:l-1]
-		*p = packet{msg: m, nflits: FlitsFor(m.Bytes)}
-		return p
+	} else {
+		p = new(packet)
 	}
-	return &packet{msg: m, nflits: FlitsFor(m.Bytes)}
+	*p = packet{msg: m, nflits: FlitsFor(m.Bytes), class: m.Class,
+		dstX: int16(m.Dst % n.width), dstY: int16(m.Dst / n.width)}
+	return p
 }
 
 // nodeSet is a set of node ids. Walking it with next visits members in
@@ -108,7 +120,8 @@ func newMesh(nodes int, cfg config.Mesh, bufDepth int, linkCycles sim.Tick) *Net
 	if width*width != nodes {
 		panic(fmt.Sprintf("enoc: %d nodes is not a perfect square", nodes))
 	}
-	n := &Network{cfg: cfg, width: width, nodes: nodes, torus: cfg.Topology == "torus",
+	torus := cfg.Topology == "torus"
+	n := &Network{cfg: cfg, width: width, nodes: nodes, torus: torus, routeAtBid: !torus && cfg.Routing == "westfirst",
 		bufDepth: bufDepth, linkCycles: linkCycles, selfQ: noc.NewDeliveryQueue(64),
 		wake: sim.NewCalendar[vcRef](64)}
 	words := (nodes + 63) / 64
@@ -257,6 +270,7 @@ func (n *Network) Reset() {
 	n.now = 0
 	n.stats = noc.Stats{}
 	n.power = powerCounters{}
+	n.bids = 0
 	n.selfQ.Reset()
 	n.inflight = 0
 	clear(n.bufBusy)
@@ -281,6 +295,7 @@ func (n *Network) Reset() {
 		}
 		r.rr = [numPorts]int{}
 		r.req = [numPorts + 1]reqSet{}
+		r.vcWait = [portLocal]reqSet{}
 	}
 	for _, ni := range n.nis {
 		for c := range ni.classQ {

@@ -15,6 +15,11 @@ import (
 type packet struct {
 	msg    *noc.Message
 	nflits int
+	// dstX, dstY and class are the destination's grid coordinates and
+	// the message class, copied from msg at injection so that routing and
+	// VC allocation read only the packet.
+	dstX, dstY int16
+	class      noc.Class
 
 	// Torus dateline state: whether the packet crossed a wraparound link
 	// in the dimension it is currently traversing (selects the escape

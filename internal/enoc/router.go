@@ -8,7 +8,8 @@ import (
 )
 
 // portUnrouted is the outPort of a VC whose packet has no route at this
-// router yet, and the row of router.req that collects such VCs.
+// router yet, and, under west-first routing only, the row of router.req that
+// collects such VCs while they bid.
 const portUnrouted = numPorts
 
 // vcBuf is one virtual-channel input buffer.
@@ -22,8 +23,9 @@ type vcBuf struct {
 	// from head-flit allocation until its tail flit departs.
 	owner *packet
 	// outPort/outVC are the route decision for the owner packet. outPort
-	// is computed once per packet at this router, the first cycle allocate
-	// finds the head flit ready, and is portUnrouted until then.
+	// is computed once per packet at this router — when the head flit
+	// becomes ready, or under west-first the first cycle allocate finds it
+	// ready — and is portUnrouted until then.
 	outPort int
 	outVC   int
 	granted bool
@@ -89,10 +91,16 @@ type router struct {
 	// req[o] is the set of input VCs that bid for output port o: their
 	// head flit is ready (or will be next cycle, between ticks) and routed
 	// to o. Row portUnrouted holds the bidding heads that still await
-	// their route. A VC whose head is not ready waits on Network.wake
-	// instead, so allocate walks only the VCs that can move a flit. The
-	// router is in Network.bufBusy exactly while some row is non-empty.
+	// their route, which only west-first leaves for bid time. A VC whose
+	// head is not ready waits on Network.wake instead, so allocate walks
+	// only the VCs that can move a flit. The router is in Network.bufBusy
+	// exactly while some row is non-empty.
 	req [numPorts + 1]reqSet
+	// vcWait[o] holds the heads routed to o that found every downstream VC
+	// they may take busy. They leave req[o] until the downstream router
+	// releases a VC of o (popFlit), since no bid of theirs can succeed
+	// before that. The local port grants at once, so it has no wait set.
+	vcWait [portLocal]reqSet
 }
 
 // upstreamRef points back at the fabric element feeding an input port.
@@ -166,13 +174,20 @@ func (r *router) push(port, vc int, f flit) {
 // ready makes input VC bit, whose head flit is ready at cycle at, bid from
 // then on: it joins its request row now if that is by the next cycle, and
 // otherwise waits on the network's wake calendar, which Tick empties into
-// the rows before allocation.
+// the rows before allocation. An unrouted head is routed here and joins the
+// one row of its output port, unless west-first leaves its route to bid
+// time (Network.routeAtBid).
 func (r *router) ready(bit int, at sim.Tick) {
 	if at > r.net.now+1 {
 		r.net.wake.Push(at, vcRef{int32(r.id), int32(bit)})
 		return
 	}
-	r.req[r.in[bit>>4][bit&15].outPort].add(bit)
+	b := &r.in[bit>>4][bit&15]
+	if b.outPort == portUnrouted && !r.net.routeAtBid {
+		b.outPort = r.route(b.owner)
+		r.net.power.routeComps++
+	}
+	r.req[b.outPort].add(bit)
 	r.net.bufBusy.add(r.id)
 }
 
@@ -183,18 +198,40 @@ func (r *router) ready(bit int, at sim.Tick) {
 // Each output port arbitrates round-robin over the input VCs in reqSet bit
 // order, starting at rr[outPort] and wrapping: the bits of its row and of
 // the unrouted row at or above the pointer, then those below it. The VCs
-// left out — empty ones, not-ready heads and those routed elsewhere — are
-// exactly the ones a full scan would pass over without side effects, so the
-// visit order over the rest, and with it the cycle at which each head flit
-// is routed, is that of the full scan (reference_test.go keeps it and
-// TestDifferentialAgainstReference holds the two equal). An output port with
-// no bidder at all is passed over for the same reason.
+// left out — empty ones, not-ready heads, those routed elsewhere and heads
+// waiting for a downstream VC — are exactly the ones a full scan would pass
+// over without side effects, so the visit order over the rest, and with it
+// the cycle at which each west-first head flit is routed, is that of the
+// full scan (reference_test.go keeps it and TestDifferentialAgainstReference
+// holds the two equal). An output port with no bidder at all is passed over
+// for the same reason.
 func (r *router) allocate() {
-	for outPort := 0; outPort < numPorts; outPort++ {
-		m := reqSet{r.req[outPort][0] | r.req[portUnrouted][0], r.req[outPort][1] | r.req[portUnrouted][1]}
-		self := outPort << 4
-		m[self>>6] &^= 0xffff << (self & 63) // no U-turns under minimal routing
-		if m[0]|m[1] == 0 {
+	// Only the ports with a bidder now arbitrate: no other port gains one
+	// before its turn. A move re-adds only its own VC, to its own row, and
+	// only routing a head of the unrouted row fills another row; while
+	// that row has heads, every port arbitrates.
+	rows := uint(1)<<numPorts - 1
+	if r.req[portUnrouted] == (reqSet{}) {
+		rows = 0
+		for o := 0; o < numPorts; o++ {
+			if r.req[o] != (reqSet{}) {
+				rows |= 1 << o
+			}
+		}
+	}
+	for ; rows != 0; rows &= rows - 1 {
+		outPort := bits.TrailingZeros(rows)
+		m := r.req[outPort]
+		if un := r.req[portUnrouted]; un != (reqSet{}) {
+			// A head still to be routed bids for every port but the one
+			// it came in on: no U-turns under minimal routing, which is
+			// also why no routed row holds a VC of its own port.
+			self := outPort << 4
+			m[0] |= un[0]
+			m[1] |= un[1]
+			m[self>>6] &^= 0xffff << (self & 63)
+		}
+		if m == (reqSet{}) {
 			continue
 		}
 		var lo reqSet // the bits below the pointer, which come last
@@ -224,24 +261,30 @@ func (r *router) allocate() {
 }
 
 // tryForward lets the ready head-of-queue flit of input (inPort, vc) bid for
-// outPort: it routes an unrouted head flit — lazily, here, because
-// west-first routing reads the credits as they stand at this point of the
-// scan — and, if the packet does head for outPort, allocates a downstream VC
-// and moves the flit. It reports whether a flit moved.
+// outPort: it routes an unrouted west-first head flit — lazily, here,
+// because west-first routing reads the credits as they stand at this point
+// of the scan — and, if the packet does head for outPort, allocates a
+// downstream VC and moves the flit. A head refused a VC leaves the row for
+// the wait set until a VC of outPort is released. It reports whether a flit
+// moved.
 func (r *router) tryForward(outPort, inPort, vc int) bool {
+	r.net.bids++
 	b := &r.in[inPort][vc]
 	f := &b.q[b.head]
+	bit := inPort<<4 | vc
 	if b.outPort == portUnrouted {
 		b.outPort = r.route(f.pkt)
-		r.req[portUnrouted].remove(inPort<<4 | vc)
-		r.req[b.outPort].add(inPort<<4 | vc)
+		r.req[portUnrouted].remove(bit)
+		r.req[b.outPort].add(bit)
 		r.net.power.routeComps++
 	}
 	if b.outPort != outPort {
 		return false
 	}
 	if f.isHead && !b.granted && !r.grantVC(b, f.pkt) {
-		return false // no free downstream VC this cycle
+		r.req[outPort].remove(bit)
+		r.vcWait[outPort].add(bit)
+		return false
 	}
 	return r.forward(inPort, vc, b) // false: no credit this cycle
 }
@@ -255,16 +298,7 @@ func (r *router) grantVC(b *vcBuf, p *packet) bool {
 		b.granted = true
 		return true
 	}
-	lo, hi := r.vcRange(p.msg.Class)
-	if r.net.torus {
-		// Dateline discipline: exactly one VC before the wrap crossing,
-		// the other after. This breaks the ring cycle each unidirectional
-		// torus dimension would otherwise form.
-		if p.crossedWrap {
-			lo++
-		}
-		hi = min(hi, lo+1)
-	}
+	lo, hi := r.vcChoices(p)
 	for v := lo; v < hi; v++ {
 		if !r.outBusy[b.outPort][v] {
 			r.outBusy[b.outPort][v] = true
@@ -275,6 +309,22 @@ func (r *router) grantVC(b *vcBuf, p *packet) bool {
 		}
 	}
 	return false
+}
+
+// vcChoices returns the half-open range of downstream VCs grantVC may give a
+// head of p at a neighbour: its class's range, narrowed on the torus by the
+// dateline discipline to exactly one VC before the wrap crossing and the
+// other after. That breaks the ring cycle each unidirectional torus
+// dimension would otherwise form.
+func (r *router) vcChoices(p *packet) (lo, hi int) {
+	lo, hi = r.vcRange(p.class)
+	if r.net.torus {
+		if p.crossedWrap {
+			lo++
+		}
+		hi = min(hi, lo+1)
+	}
+	return lo, hi
 }
 
 // forward moves the head-of-queue flit of b — input (inPort, vc) — through
@@ -310,6 +360,12 @@ func (r *router) forward(inPort, vc int, b *vcBuf) bool {
 // vc) — returning the credit upstream and releasing the VC on tail
 // departure. The next flit, if any, keeps the VC bidding only if it is
 // ready by the next cycle; otherwise the VC waits for it on the calendar.
+//
+// A release puts the upstream heads waiting for a VC of that output back in
+// its request row. One that cannot take the freed VC (another class, the
+// other dateline VC) fails its next bid and waits again. The upstream router
+// rejoins bufBusy: if it comes later in this tick's node order it allocates
+// this cycle, as it would have had its heads bid throughout.
 func (r *router) popFlit(inPort, vc int, b *vcBuf) {
 	isTail := b.q[b.head].isTail
 	if b.head++; b.head == len(b.q) {
@@ -327,6 +383,12 @@ func (r *router) popFlit(inPort, vc int, b *vcBuf) {
 		up.r.outCredit[up.port][vc]++
 		if isTail {
 			up.r.outBusy[up.port][vc] = false
+			if w := &up.r.vcWait[up.port]; *w != (reqSet{}) {
+				up.r.req[up.port][0] |= w[0]
+				up.r.req[up.port][1] |= w[1]
+				*w = reqSet{}
+				r.net.bufBusy.add(up.r.id)
+			}
 		}
 	}
 	if isTail {

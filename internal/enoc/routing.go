@@ -6,16 +6,14 @@ package enoc
 // must travel west does so first (deterministically); all remaining
 // directions are chosen adaptively by downstream credit availability.
 func (r *router) route(p *packet) int {
-	dst := p.msg.Dst
-	dx := dst%r.net.width - r.x
-	dy := dst/r.net.width - r.y
+	dx, dy := int(p.dstX)-r.x, int(p.dstY)-r.y
 	if dx == 0 && dy == 0 {
 		return portLocal
 	}
 	if r.net.torus {
 		return r.routeTorus(p, dx, dy)
 	}
-	if r.net.cfg.Routing == "westfirst" {
+	if r.net.routeAtBid {
 		return r.routeWestFirst(p, dx, dy)
 	}
 	return routeXY(dx, dy)
@@ -113,7 +111,7 @@ func (r *router) routeWestFirst(p *packet, dx, dy int) int {
 	}
 	// Two productive ports, in a fixed tie-break order.
 	candidates := [2]int{portEast, vertical}
-	lo, hi := r.vcRange(p.msg.Class)
+	lo, hi := r.vcRange(p.class)
 	best, bestCredits := candidates[0], -1
 	for _, port := range candidates {
 		credits := 0

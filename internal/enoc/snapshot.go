@@ -16,7 +16,8 @@ import (
 // a stale free-list entry can never alias a live packet. State derived from
 // the queues — request rows, the wake calendar, NI pending counts, the busy
 // sets — is not captured either: Restore rebuilds it from the queues it
-// restores.
+// restores. Nor are the VC wait sets: a restored waiter bids again, fails
+// once and waits again, as the failed bid has no other effect.
 
 // graphCloner deep-copies the packet/message graph while preserving aliasing:
 // every distinct source pointer maps to exactly one clone. Flits are values;
@@ -176,6 +177,7 @@ func (n *Network) Restore(s noc.Snapshot) {
 		rs := &snap.routers[ri]
 		r.rr = rs.rr
 		r.req = [numPorts + 1]reqSet{}
+		r.vcWait = [portLocal]reqSet{}
 		for p := 0; p < numPorts; p++ {
 			for v := range r.in[p] {
 				b := &r.in[p][v]

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -275,6 +276,39 @@ func TestRunnerReportsOwnPark(t *testing.T) {
 	// round 0's boundary check parks.
 	if _, err := (&Runner{}).Run(&pollCtx{Context: context.Background(), remaining: 2}, j); !errors.Is(err, onocsim.ErrParked) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled before round 0: %v", err)
+	}
+}
+
+// A job cancelled after its correction took a simulation slot but before
+// round 0 has no trajectory to report, so it answers the error — the park and
+// the cancellation — and no table. The session stashed the park all the same:
+// the retry resumes from it and answers what an uninterrupted run does.
+func TestRunnerParkBeforeRoundZeroResumes(t *testing.T) {
+	j := slowCorrect()
+	want, err := (&Runner{}).Run(context.Background(), j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &Runner{Session: onocsim.NewSession("")}
+	// With the capture cached, the correction's slot admission is the one
+	// poll before round 0's boundary check.
+	if _, _, err := r.Session.CaptureTraceContext(context.Background(), j.Config, onocsim.IdealNet); err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.Run(&pollCtx{Context: context.Background(), remaining: 1}, j)
+	if !errors.Is(err, onocsim.ErrParked) || !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "after 0 of") {
+		t.Fatalf("cancelled before round 0: %v, want a park after 0 rounds", err)
+	}
+	if res.Table != nil || res.Correction != nil {
+		t.Fatalf("a park with no round done answered status %q with a result", res.Status)
+	}
+	got, err := r.Run(context.Background(), j)
+	if err != nil || got.Status != "ok" {
+		t.Fatalf("retry: status %q, %v", got.Status, err)
+	}
+	if !reflect.DeepEqual(got.Correction, want.Correction) {
+		t.Fatalf("retry after a park before round 0 differs from an uninterrupted run: %d rounds to makespan %d, want %d to %d",
+			len(got.Correction.Iterations), got.Correction.Final.Makespan, len(want.Correction.Iterations), want.Correction.Final.Makespan)
 	}
 }
 

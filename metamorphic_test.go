@@ -13,7 +13,8 @@ import (
 // TestReplayMetamorphicRelations checks two relations that PAPER.md's replay
 // rule, inject(e) = max(dependency arrivals) + gap, implies between runs of
 // one trace, each exactly. Every kernel's ideal capture is replayed on every
-// fixpoint variant.
+// fixpoint variant, and for the time shift also on the torus and on the mesh
+// under west-first routing.
 //
 //   - Time shift: adding C to the gap of every root event (one with no
 //     dependencies) moves every coupled-replay injection and arrival by
@@ -21,6 +22,8 @@ import (
 //     token, which circulates from cycle 1 whether or not traffic waits: on
 //     MWSR and the hybrid the relation holds for C a multiple of the token's
 //     revolution, nodes × onoc.TokenHopCycles, and is checked only there.
+//     West-first routes by downstream credits, which also move only with
+//     traffic.
 //   - Redundant edge: an edge from an event to one it already depends on
 //     transitively arrives no later than the direct dependency it goes
 //     through, so neither the coupled replay nor a zero-load-seeded
@@ -57,13 +60,7 @@ func TestReplayMetamorphicRelations(t *testing.T) {
 					if tokenPhased && int(c)%revolution != 0 {
 						continue
 					}
-					shifted := coupled(shiftRoots(tr, c))
-					for i := range base.Arrive {
-						if shifted.Inject[i] != base.Inject[i]+c || shifted.Arrive[i] != base.Arrive[i]+c {
-							t.Fatalf("roots delayed by %d: event %d injected %d and arrived %d, want %d and %d",
-								c, i+1, shifted.Inject[i], shifted.Arrive[i], base.Inject[i]+c, base.Arrive[i]+c)
-						}
-					}
+					checkShifted(t, c, base, coupled(shiftRoots(tr, c)))
 				}
 
 				if got := coupled(redundant); !reflect.DeepEqual(got, base) {
@@ -82,6 +79,40 @@ func TestReplayMetamorphicRelations(t *testing.T) {
 						len(got.Iterations), got.Final.Makespan, len(want.Iterations), want.Final.Makespan)
 				}
 			})
+		}
+		for _, m := range []struct {
+			name, topology, routing string
+			vcs                     int
+		}{{"torus", "torus", "xy", 6}, {"westfirst", "mesh", "westfirst", cfg.Mesh.VCs}} {
+			cfg := cfg
+			cfg.Mesh.Topology, cfg.Mesh.Routing, cfg.Mesh.VCs = m.topology, m.routing, m.vcs
+			t.Run(kernel+"/"+m.name, func(t *testing.T) {
+				t.Parallel()
+				coupled := func(tr *Trace) ReplayResult {
+					t.Helper()
+					res, err := uncached.RunCoupledReplayContext(bg, cfg, tr, Electrical)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return res
+				}
+				base := coupled(tr)
+				for _, c := range []Tick{1, 7, 16, 32} {
+					checkShifted(t, c, base, coupled(shiftRoots(tr, c)))
+				}
+			})
+		}
+	}
+}
+
+// checkShifted fails t unless every injection and arrival of shifted is that
+// of base plus c.
+func checkShifted(t *testing.T, c Tick, base, shifted ReplayResult) {
+	t.Helper()
+	for i := range base.Arrive {
+		if shifted.Inject[i] != base.Inject[i]+c || shifted.Arrive[i] != base.Arrive[i]+c {
+			t.Fatalf("roots delayed by %d: event %d injected %d and arrived %d, want %d and %d",
+				c, i+1, shifted.Inject[i], shifted.Arrive[i], base.Inject[i]+c, base.Arrive[i]+c)
 		}
 	}
 }

@@ -26,6 +26,11 @@ const (
 	// "simulated"). The onocsimd /v1/sweeps endpoint streams these as
 	// per-arm SSE progress.
 	ProgressSweepArm
+	// ProgressSimRound fires when a self-correction the session computes
+	// completes a round: Sim and Op name the correction as its computed
+	// event will. A cancellation from then on parks the correction with a
+	// trajectory to report.
+	ProgressSimRound
 )
 
 // String names the kind for log lines.
@@ -45,15 +50,17 @@ func (k ProgressKind) String() string {
 		return "disk-hit"
 	case ProgressSweepArm:
 		return "sweep-arm"
+	case ProgressSimRound:
+		return "round"
 	default:
 		return "unknown"
 	}
 }
 
 // ProgressEvent is one observation of the experiment pipeline: an experiment
-// starting or finishing, or a session resolving one simulation (computed
-// fresh, deduplicated against a concurrent computation, or served from the
-// memory/disk cache).
+// starting or finishing, a session resolving one simulation (computed fresh,
+// deduplicated against a concurrent computation, or served from the
+// memory/disk cache), or a self-correction completing a round.
 type ProgressEvent struct {
 	// Kind classifies the event and selects which fields below are set.
 	Kind ProgressKind

@@ -37,9 +37,12 @@ import (
 type Session struct {
 	cache *simcache.Cache
 
-	// mu guards parked and gen.
+	// mu guards parked, gen and progress.
 	mu  sync.Mutex
 	gen uint64
+	// progress is the observer SetProgress installed, for the events the
+	// cache does not resolve: a correction's completed rounds.
+	progress Progress
 
 	// parked stashes the resume state of parked self-correction runs under
 	// their cache key. A parked result is never cached, so the next request
@@ -118,13 +121,17 @@ func (s *Session) CacheStats() simcache.Stats {
 
 // SetProgress installs an observer notified of every simulation this session
 // resolves: computed fresh, deduplicated against an in-flight computation,
-// or served from the memory or disk cache. The observer runs on the
+// or served from the memory or disk cache; and of every round a
+// self-correction it computes completes. The observer runs on the
 // requesting goroutine and must be safe for concurrent use; nil removes it.
 // No-op on a nil session.
 func (s *Session) SetProgress(p Progress) {
 	if s == nil {
 		return
 	}
+	s.mu.Lock()
+	s.progress = p
+	s.mu.Unlock()
 	if p == nil {
 		s.cache.SetNotify(nil)
 		return
@@ -426,7 +433,7 @@ func (s *Session) RunSelfCorrectionContext(ctx context.Context, cfg Config, src 
 		if k.cache != nil {
 			resume = s.takePark(k.key)
 		}
-		res, state, err := selfCorrect(ctx, cfg, src, kind, resume)
+		res, state, err := selfCorrect(ctx, cfg, src, kind, resume, s.roundEvents(k.key))
 		if errors.Is(err, ErrParked) {
 			parked = &res
 			if k.cache != nil && state != nil {
@@ -439,6 +446,23 @@ func (s *Session) RunSelfCorrectionContext(ctx context.Context, cfg Config, src 
 		res = *parked
 	}
 	return res, err
+}
+
+// roundEvents returns a correction loop's round observer that reports each
+// completed round to the installed Progress as a ProgressSimRound event
+// under key, or nil when none is installed: an unobserved loop pays nothing.
+func (s *Session) roundEvents(key simcache.Key) func() {
+	if s == nil {
+		return nil
+	}
+	s.mu.Lock()
+	p := s.progress
+	s.mu.Unlock()
+	if p == nil {
+		return nil
+	}
+	ev := ProgressEvent{Kind: ProgressSimRound, Sim: key.String(), Op: string(key.Op)}
+	return func() { p.Event(ev) }
 }
 
 // Estimate prices replaying src on the given fabric kind with the closed-form
