@@ -25,7 +25,12 @@ fmt-check:
 # against the sorted-order serial reference — run in their -short form (a few
 # seconds together; plain `go test` runs the full ones). Beside them,
 # TestAllocatorBidsMostlyMove bounds the share of the mesh allocator's bids
-# that move no flit, a deterministic count on a fixed seeded burst.
+# that move no flit, a deterministic count on a fixed seeded burst; the
+# mesh's KeepsInvariants tests tick seeded bursts under the conservation
+# checker, which also holds every router's bidding-port mask to its request
+# rows and every wake-ring entry to its head's ready cycle; and
+# TestWakeRingOrder holds the wake ring to a sorted (cycle, push order)
+# reference across many wraps.
 # TestDocsResolve holds README, DESIGN, EXPERIMENTS and the verify skill to the
 # tree: every path, pkg.Ident, command flag and make target they name exists;
 # beside it run the five surface pins (options, flags, public API, fabric
@@ -106,7 +111,7 @@ check: vet fmt-check sweep-smoke
 	$(GO) test . -run 'TestCaptureGapStartsAtLastDependency|TestCaptureAllocationsIndependentOfLength|TestReceiverLatencySummaries' -count=1
 	$(GO) test ./internal/core/ -run 'TestScheduledReplayInjectsOnSchedule|TestParkedResultSurvivesResume|TestResumeCompletesIdenticalToUninterrupted|TestResumeCanParkAgain' -count=1
 	$(GO) test ./internal/fabric/ -count=1
-	$(GO) test -short ./internal/enoc/ ./internal/onoc/ ./internal/trace/ ./internal/core/ -run 'DifferentialAgainstReference|AllocatorBidsMostlyMove|BufferedDecodeMatchesBytewise|EngineAgainstReference' -count=1
+	$(GO) test -short ./internal/enoc/ ./internal/onoc/ ./internal/trace/ ./internal/core/ -run 'DifferentialAgainstReference|AllocatorBidsMostlyMove|KeepsInvariants|WakeRingOrder|BufferedDecodeMatchesBytewise|EngineAgainstReference' -count=1
 	$(GO) test ./internal/noc/ ./internal/metrics/ ./internal/sim/ -run 'MergeIs|LatencyBucketMatchesSearch|CalendarMatches' -count=1
 	$(GO) test -race ./internal/trace/ ./internal/core/ ./internal/simcache/ -run 'DecodeAhead|FilePass|ReplayDerivesNextSchedule|CorrectionPassCount|DoTraceSharesWhileHeld' -count=1
 	$(GO) test ./internal/service/ -run TestMemo -count=1

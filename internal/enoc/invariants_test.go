@@ -9,24 +9,39 @@ import (
 )
 
 // checkInvariants verifies, between ticks, the conservation laws of the
-// credit protocol and that every piece of derived state — request rows, VC
-// wait sets, the wake calendar, NI pending counts, the busy sets — agrees
-// with the queues it summarises.
+// credit protocol and that every piece of derived state — request rows and
+// their bidding mask, VC wait sets, the wake ring, NI pending counts, the
+// busy sets — agrees with the queues it summarises.
 func checkInvariants(t testing.TB, n *Network) {
 	t.Helper()
 	depth := n.bufDepth
+	// Every wake-ring entry is an occupied VC, filed once, in the slot of
+	// the cycle its head becomes ready, and within the ring's horizon.
+	filed := map[vcRef]bool{}
+	for i, slot := range n.wake.slots {
+		for _, v := range slot {
+			b := &n.routers[v.node].in[v.bit>>4][v.bit&15]
+			if b.n == 0 || filed[v] {
+				t.Fatalf("cycle %d router %d in %s/%d: on the wake ring empty or twice", n.now, v.node, portNames[v.bit>>4], v.bit&15)
+			}
+			if ready := b.at(0).readyAt; ready&n.wake.mask != sim.Tick(i) || ready <= n.now || ready > n.now+n.linkCycles+RouterStages {
+				t.Fatalf("cycle %d router %d in %s/%d: head ready at %d filed in wake slot %d of %d", n.now, v.node, portNames[v.bit>>4], v.bit&15, ready, i, len(n.wake.slots))
+			}
+			filed[v] = true
+		}
+	}
 	// Every packet in flight is in exactly one place: the loopback queue,
 	// an NI, or wherever its tail flit is.
 	inflight := n.selfQ.Len()
-	waiting := 0 // occupied VCs whose head is not ready: each waits on the calendar once
+	waiting := 0 // occupied VCs whose head is not ready: each waits on the wake ring once
 	for _, r := range n.routers {
 		var req [numPorts + 1]reqSet
 		var vcWait [portLocal]reqSet
 		for p := 0; p < numPorts; p++ {
 			for v := range r.in[p] {
 				b := &r.in[p][v]
-				if b.n < 0 || b.n > depth || (b.q != nil && (len(b.q) != depth || b.head < 0 || b.head >= depth)) {
-					t.Fatalf("cycle %d router %d in %s/%d: ring head %d n %d len %d, depth %d", n.now, r.id, portNames[p], v, b.head, b.n, len(b.q), depth)
+				if b.n < 0 || b.n > depth || b.head < 0 || b.head >= len(b.q) {
+					t.Fatalf("cycle %d router %d in %s/%d: ring head %d n %d, depth %d", n.now, r.id, portNames[p], v, b.head, b.n, depth)
 				}
 				if b.n > 0 && b.at(b.n-1).isTail {
 					inflight++
@@ -65,6 +80,9 @@ func checkInvariants(t testing.TB, n *Network) {
 						}
 						vcWait[b.outPort].add(bit)
 					default:
+						if !filed[vcRef{int32(r.id), int32(bit)}] {
+							t.Fatalf("cycle %d router %d in %s/%d: head ready at %d is not on the wake ring", n.now, r.id, portNames[p], v, b.at(0).readyAt)
+						}
 						waiting++
 					}
 				}
@@ -101,6 +119,15 @@ func checkInvariants(t testing.TB, n *Network) {
 		if req != r.req {
 			t.Fatalf("cycle %d router %d: request rows %x, queues give %x", n.now, r.id, r.req, req)
 		}
+		var bidding uint
+		for o := range req {
+			if req[o] != (reqSet{}) {
+				bidding |= 1 << o
+			}
+		}
+		if bidding != r.bidding {
+			t.Fatalf("cycle %d router %d: bidding mask %b, request rows give %b", n.now, r.id, r.bidding, bidding)
+		}
 		if vcWait != r.vcWait {
 			t.Fatalf("cycle %d router %d: VC wait sets %x, queues give %x", n.now, r.id, r.vcWait, vcWait)
 		}
@@ -109,7 +136,7 @@ func checkInvariants(t testing.TB, n *Network) {
 		}
 	}
 	if waiting != n.wake.Len() {
-		t.Fatalf("cycle %d: %d occupied VCs wait for their head, the wake calendar holds %d", n.now, waiting, n.wake.Len())
+		t.Fatalf("cycle %d: %d occupied VCs wait for their head, the wake ring holds %d", n.now, waiting, n.wake.Len())
 	}
 	for _, ni := range n.nis {
 		pending := 0

@@ -16,7 +16,8 @@ const (
 	// FlitBytes is the physical link width per cycle. It also prices
 	// synthetic offered load on every fabric (workload.RunSynthetic).
 	FlitBytes = 16
-	// BufDepth is the flit buffer depth per VC.
+	// BufDepth is the flit buffer depth per VC, a power of two: the VC
+	// rings index modulo it.
 	BufDepth = 4
 	// RouterStages is the per-hop router pipeline latency in cycles.
 	RouterStages sim.Tick = 2
@@ -64,7 +65,7 @@ type Network struct {
 	bufBusy, niBusy nodeSet
 	// wake holds each occupied input VC whose head flit is not ready yet,
 	// due the cycle it becomes ready (router.ready).
-	wake sim.Calendar[vcRef]
+	wake wakeRing
 	// bids counts allocator bids (router.tryForward calls) since
 	// construction or Reset; those that moved a flit are
 	// power.bufferReads.
@@ -91,6 +92,64 @@ func (n *Network) newPacket(m *noc.Message) *packet {
 	return p
 }
 
+// wakeRing files input VCs under the cycle their head flit becomes ready,
+// one slot per cycle. A flit's readyAt is stamped on arrival, at most
+// linkCycles + RouterStages after the cycle it was sent in, and a VC waits
+// only for a head not ready by the next cycle, so every due time lies in
+// (now+1, now+linkCycles+RouterStages]: a ring of more slots than that
+// horizon never files two live cycles in one slot, and needs no overflow.
+type wakeRing struct {
+	slots [][]vcRef // slots[t&mask] holds the VCs due at cycle t, in push order
+	mask  sim.Tick
+}
+
+// newWakeRing returns a ring of the smallest power of two of slots greater
+// than horizon.
+func newWakeRing(horizon sim.Tick) wakeRing {
+	span := sim.Tick(1)
+	for span <= horizon {
+		span <<= 1
+	}
+	return wakeRing{slots: make([][]vcRef, span), mask: span - 1}
+}
+
+// Push files v due at cycle at, now being the current cycle. A due time
+// outside (now+1, now+span) would share a slot with a live cycle, so it
+// panics, as a credit violation does.
+func (w *wakeRing) Push(at sim.Tick, v vcRef, now sim.Tick) {
+	if at <= now+1 || at > now+w.mask {
+		panic(fmt.Sprintf("enoc: wake at cycle %d from cycle %d is outside the ring's %d-cycle horizon", at, now, w.mask+1))
+	}
+	s := &w.slots[at&w.mask]
+	*s = append(*s, v)
+}
+
+// Take empties the slot of cycle now and returns what it held, in push
+// order. The slice stays valid through the cycle: every push lands in
+// another slot.
+func (w *wakeRing) Take(now sim.Tick) []vcRef {
+	s := &w.slots[now&w.mask]
+	due := *s
+	*s = due[:0]
+	return due
+}
+
+// Len returns the number of entries filed.
+func (w *wakeRing) Len() int {
+	n := 0
+	for _, s := range w.slots {
+		n += len(s)
+	}
+	return n
+}
+
+// Reset empties every slot and keeps its array.
+func (w *wakeRing) Reset() {
+	for i := range w.slots {
+		w.slots[i] = w.slots[i][:0]
+	}
+}
+
 // nodeSet is a set of node ids. Walking it with next visits members in
 // ascending id order — the order Tick has always served routers and NIs in,
 // which credit return between routers within a cycle depends on.
@@ -114,16 +173,20 @@ func (s nodeSet) next(id int) int {
 // non-square node count, matching the config validation contract.
 func New(nodes int, cfg config.Mesh) *Network { return newMesh(nodes, cfg, BufDepth, LinkCycles) }
 
-// newMesh is New with the given buffer depth and link latency.
+// newMesh is New with the given buffer depth, at most BufDepth, and link
+// latency.
 func newMesh(nodes int, cfg config.Mesh, bufDepth int, linkCycles sim.Tick) *Network {
 	width := config.GridWidth(nodes)
 	if width*width != nodes {
 		panic(fmt.Sprintf("enoc: %d nodes is not a perfect square", nodes))
 	}
+	if bufDepth < 1 || bufDepth > BufDepth {
+		panic(fmt.Sprintf("enoc: buffer depth %d outside [1, %d]", bufDepth, BufDepth))
+	}
 	torus := cfg.Topology == "torus"
 	n := &Network{cfg: cfg, width: width, nodes: nodes, torus: torus, routeAtBid: !torus && cfg.Routing == "westfirst",
 		bufDepth: bufDepth, linkCycles: linkCycles, selfQ: noc.NewDeliveryQueue(64),
-		wake: sim.NewCalendar[vcRef](64)}
+		wake: newWakeRing(linkCycles + RouterStages)}
 	words := (nodes + 63) / 64
 	n.bufBusy, n.niBusy = make(nodeSet, words), make(nodeSet, words)
 	n.routers = make([]*router, nodes)
@@ -207,8 +270,7 @@ func (n *Network) Tick() {
 			n.deliver(m)
 		}
 	}
-	for n.wake.NextAt() <= n.now {
-		v := n.wake.Pop()
+	for _, v := range n.wake.Take(n.now) {
 		n.routers[v.node].ready(int(v.bit), n.now)
 	}
 	for id := n.bufBusy.next(0); id >= 0; id = n.bufBusy.next(id + 1) {
@@ -251,8 +313,8 @@ func (n *Network) NextWake() sim.Tick {
 }
 
 // SkipTo implements noc.Network. In the skippable states (see NextWake) no
-// router or NI holds live work, and all remaining state — self-queue
-// delivery times, flit readyAt stamps — is kept in absolute cycles, so the
+// router or NI holds live work — no flit is in flight, so the wake ring is
+// empty — and the self-queue's delivery times are absolute cycles, so the
 // skip is a pure clock jump.
 func (n *Network) SkipTo(t sim.Tick) {
 	if t > n.now {
@@ -263,8 +325,8 @@ func (n *Network) SkipTo(t sim.Tick) {
 // Reset implements noc.Resettable: clocks, statistics, power counters,
 // queues, buffers, credits and arbitration pointers all return to their
 // constructor values. Packets still in the fabric go back to the free list —
-// a Reset need not wait for a drain — and the list, the VC rings and the
-// queue arrays survive: they hold only dead state and are the point of
+// a Reset need not wait for a drain — and the list and the queue and wake
+// ring arrays survive: they hold only dead state and are the point of
 // reusing the fabric.
 func (n *Network) Reset() {
 	n.now = 0
@@ -288,13 +350,14 @@ func (n *Network) Reset() {
 						n.pktFree = append(n.pktFree, f.pkt)
 					}
 				}
-				*b = vcBuf{q: b.q, outPort: portUnrouted}
+				*b = vcBuf{outPort: portUnrouted}
 				r.outCredit[p][v] = depth
 				r.outBusy[p][v] = false
 			}
 		}
 		r.rr = [numPorts]int{}
 		r.req = [numPorts + 1]reqSet{}
+		r.bidding = 0
 		r.vcWait = [portLocal]reqSet{}
 	}
 	for _, ni := range n.nis {

@@ -1,6 +1,7 @@
 package enoc
 
 import (
+	"slices"
 	"testing"
 
 	"onocsim/internal/config"
@@ -340,7 +341,7 @@ func TestFlitConservationAfterDrain(t *testing.T) {
 		}
 	}
 	if n.wake.Len() != 0 {
-		t.Fatalf("%d VCs wait on the wake calendar after drain", n.wake.Len())
+		t.Fatalf("%d VCs wait on the wake ring after drain", n.wake.Len())
 	}
 }
 
@@ -394,5 +395,61 @@ func TestCallbackInjectSavesOneCycle(t *testing.T) {
 				t.Errorf("injected from a delivery callback: latency %d, want %d", got, c.want-1)
 			}
 		})
+	}
+}
+
+// TestWakeRingOrder holds the wake ring to a sorted (cycle, push order)
+// reference: seeded due times over every cycle the ring accepts, across many
+// wraps of it, come out of Take cycle by cycle in that order. A due time the
+// ring cannot file — the past, now, the next cycle or a full span ahead —
+// panics.
+func TestWakeRingOrder(t *testing.T) {
+	type entry struct {
+		at  sim.Tick
+		seq int32
+	}
+	for _, horizon := range []sim.Tick{LinkCycles + RouterStages, 2 + RouterStages, 13} {
+		w := newWakeRing(horizon)
+		span := w.mask + 1
+		if span&w.mask != 0 || span <= horizon || span > 2*horizon {
+			t.Fatalf("horizon %d: ring of %d slots, want the smallest power of two above it", horizon, span)
+		}
+		rng := sim.NewRNG(uint64(horizon))
+		var ref []entry // pending, sorted by (cycle, push order)
+		seq := int32(0)
+		for now := sim.Tick(1); now <= 50*span; now++ {
+			var want []vcRef
+			for len(ref) > 0 && ref[0].at == now {
+				want = append(want, vcRef{bit: ref[0].seq})
+				ref = ref[1:]
+			}
+			if got := w.Take(now); !slices.Equal(got, want) {
+				t.Fatalf("horizon %d cycle %d: took %v, want %v", horizon, now, got, want)
+			}
+			if w.Len() != len(ref) {
+				t.Fatalf("horizon %d cycle %d: Len %d, want %d", horizon, now, w.Len(), len(ref))
+			}
+			for k := rng.Intn(5); k > 0; k-- {
+				seq++
+				e := entry{at: now + 2 + sim.Tick(rng.Intn(int(span-2))), seq: seq}
+				w.Push(e.at, vcRef{bit: e.seq}, now)
+				i := 0
+				for i < len(ref) && ref[i].at <= e.at {
+					i++
+				}
+				ref = slices.Insert(ref, i, e)
+			}
+		}
+		now := 3 * span
+		for _, at := range []sim.Tick{now - 1, now, now + 1, now + span} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("horizon %d: a push due at %d from cycle %d did not panic", horizon, at, now)
+					}
+				}()
+				w.Push(at, vcRef{}, now)
+			}()
+		}
 	}
 }

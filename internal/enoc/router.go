@@ -14,10 +14,10 @@ const portUnrouted = numPorts
 
 // vcBuf is one virtual-channel input buffer.
 type vcBuf struct {
-	// q is a ring of BufDepth flits held by value, allocated when the VC
-	// first holds a flit so memory follows use rather than ports × VCs ×
-	// depth. head indexes the oldest flit, n counts them.
-	q       []flit
+	// q is a ring of flits held by value in the buffer itself, indexed
+	// modulo BufDepth; at most Network.bufDepth of them are occupied. head
+	// indexes the oldest flit, n counts them.
+	q       [BufDepth]flit
 	head, n int
 	// owner is the packet currently allocated to this VC; a VC is busy
 	// from head-flit allocation until its tail flit departs.
@@ -33,12 +33,7 @@ type vcBuf struct {
 
 // at returns the i-th oldest slot of the ring; at(b.n) is where the next
 // flit goes.
-func (b *vcBuf) at(i int) *flit {
-	if i += b.head; i >= len(b.q) {
-		i -= len(b.q)
-	}
-	return &b.q[i]
-}
+func (b *vcBuf) at(i int) *flit { return &b.q[(b.head+i)&(BufDepth-1)] }
 
 // link models a point-to-point channel with a fixed traversal delay. A flit
 // sent at cycle t enters the downstream input buffer at once, stamped with
@@ -94,8 +89,11 @@ type router struct {
 	// their route, which only west-first leaves for bid time. A VC whose
 	// head is not ready waits on Network.wake instead, so allocate walks
 	// only the VCs that can move a flit. The router is in Network.bufBusy
-	// exactly while some row is non-empty.
-	req [numPorts + 1]reqSet
+	// exactly while some row is non-empty. Bit o of bidding is set exactly
+	// while row o is non-empty: every change to a row goes through bid and
+	// unbid, or is popFlit's release of a wait set, which sets the bit.
+	req     [numPorts + 1]reqSet
+	bidding uint
 	// vcWait[o] holds the heads routed to o that found every downstream VC
 	// they may take busy. They leave req[o] until the downstream router
 	// releases a VC of o (popFlit), since no bid of theirs can succeed
@@ -162,9 +160,6 @@ func (r *router) acceptFlit(port, vc int, f flit, at sim.Tick) {
 // from the queues in step; Restore refills the rings through it too.
 func (r *router) push(port, vc int, f flit) {
 	b := &r.in[port][vc]
-	if b.q == nil {
-		b.q = make([]flit, r.net.bufDepth)
-	}
 	*b.at(b.n) = f
 	if b.n++; b.n == 1 {
 		r.ready(port<<4|vc, f.readyAt)
@@ -173,13 +168,13 @@ func (r *router) push(port, vc int, f flit) {
 
 // ready makes input VC bit, whose head flit is ready at cycle at, bid from
 // then on: it joins its request row now if that is by the next cycle, and
-// otherwise waits on the network's wake calendar, which Tick empties into
-// the rows before allocation. An unrouted head is routed here and joins the
+// otherwise waits on the network's wake ring, which Tick empties into the
+// rows before allocation. An unrouted head is routed here and joins the
 // one row of its output port, unless west-first leaves its route to bid
 // time (Network.routeAtBid).
 func (r *router) ready(bit int, at sim.Tick) {
 	if at > r.net.now+1 {
-		r.net.wake.Push(at, vcRef{int32(r.id), int32(bit)})
+		r.net.wake.Push(at, vcRef{int32(r.id), int32(bit)}, r.net.now)
 		return
 	}
 	b := &r.in[bit>>4][bit&15]
@@ -187,8 +182,21 @@ func (r *router) ready(bit int, at sim.Tick) {
 		b.outPort = r.route(b.owner)
 		r.net.power.routeComps++
 	}
-	r.req[b.outPort].add(bit)
+	r.bid(b.outPort, bit)
 	r.net.bufBusy.add(r.id)
+}
+
+// bid adds input VC bit to request row o.
+func (r *router) bid(o, bit int) {
+	r.req[o].add(bit)
+	r.bidding |= 1 << o
+}
+
+// unbid removes input VC bit from request row o.
+func (r *router) unbid(o, bit int) {
+	if r.req[o].remove(bit); r.req[o] == (reqSet{}) {
+		r.bidding &^= 1 << o
+	}
 }
 
 // allocate performs combined route computation, VC allocation and switch
@@ -210,14 +218,9 @@ func (r *router) allocate() {
 	// before its turn. A move re-adds only its own VC, to its own row, and
 	// only routing a head of the unrouted row fills another row; while
 	// that row has heads, every port arbitrates.
-	rows := uint(1)<<numPorts - 1
-	if r.req[portUnrouted] == (reqSet{}) {
-		rows = 0
-		for o := 0; o < numPorts; o++ {
-			if r.req[o] != (reqSet{}) {
-				rows |= 1 << o
-			}
-		}
+	rows := r.bidding
+	if rows&(1<<portUnrouted) != 0 {
+		rows = 1<<numPorts - 1
 	}
 	for ; rows != 0; rows &= rows - 1 {
 		outPort := bits.TrailingZeros(rows)
@@ -251,11 +254,7 @@ func (r *router) allocate() {
 			}
 		}
 	}
-	var bidders uint64
-	for i := range r.req {
-		bidders |= r.req[i][0] | r.req[i][1]
-	}
-	if bidders == 0 {
+	if r.bidding == 0 {
 		r.net.bufBusy.remove(r.id)
 	}
 }
@@ -274,15 +273,15 @@ func (r *router) tryForward(outPort, inPort, vc int) bool {
 	bit := inPort<<4 | vc
 	if b.outPort == portUnrouted {
 		b.outPort = r.route(f.pkt)
-		r.req[portUnrouted].remove(bit)
-		r.req[b.outPort].add(bit)
+		r.unbid(portUnrouted, bit)
+		r.bid(b.outPort, bit)
 		r.net.power.routeComps++
 	}
 	if b.outPort != outPort {
 		return false
 	}
 	if f.isHead && !b.granted && !r.grantVC(b, f.pkt) {
-		r.req[outPort].remove(bit)
+		r.unbid(outPort, bit)
 		r.vcWait[outPort].add(bit)
 		return false
 	}
@@ -359,7 +358,7 @@ func (r *router) forward(inPort, vc int, b *vcBuf) bool {
 // popFlit removes the forwarded flit from the head of b — input (inPort,
 // vc) — returning the credit upstream and releasing the VC on tail
 // departure. The next flit, if any, keeps the VC bidding only if it is
-// ready by the next cycle; otherwise the VC waits for it on the calendar.
+// ready by the next cycle; otherwise the VC waits for it on the wake ring.
 //
 // A release puts the upstream heads waiting for a VC of that output back in
 // its request row. One that cannot take the freed VC (another class, the
@@ -368,11 +367,9 @@ func (r *router) forward(inPort, vc int, b *vcBuf) bool {
 // this cycle, as it would have had its heads bid throughout.
 func (r *router) popFlit(inPort, vc int, b *vcBuf) {
 	isTail := b.q[b.head].isTail
-	if b.head++; b.head == len(b.q) {
-		b.head = 0
-	}
+	b.head = (b.head + 1) & (BufDepth - 1)
 	b.n--
-	r.req[b.outPort].remove(inPort<<4 | vc)
+	r.unbid(b.outPort, inPort<<4|vc)
 	if b.n > 0 {
 		r.ready(inPort<<4|vc, b.q[b.head].readyAt)
 	}
@@ -386,6 +383,7 @@ func (r *router) popFlit(inPort, vc int, b *vcBuf) {
 			if w := &up.r.vcWait[up.port]; *w != (reqSet{}) {
 				up.r.req[up.port][0] |= w[0]
 				up.r.req[up.port][1] |= w[1]
+				up.r.bidding |= 1 << up.port
 				*w = reqSet{}
 				r.net.bufBusy.add(up.r.id)
 			}

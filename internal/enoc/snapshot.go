@@ -14,10 +14,10 @@ import (
 // reproduced exactly. The packet free list is deliberately left out on both
 // sides: it holds only dead state, and restored traffic uses fresh clones, so
 // a stale free-list entry can never alias a live packet. State derived from
-// the queues — request rows, the wake calendar, NI pending counts, the busy
-// sets — is not captured either: Restore rebuilds it from the queues it
-// restores. Nor are the VC wait sets: a restored waiter bids again, fails
-// once and waits again, as the failed bid has no other effect.
+// the queues — request rows and their bidding mask, the wake ring, NI pending
+// counts, the busy sets — is not captured either: Restore rebuilds it from
+// the queues it restores. Nor are the VC wait sets: a restored waiter bids
+// again, fails once and waits again, as the failed bid has no other effect.
 
 // graphCloner deep-copies the packet/message graph while preserving aliasing:
 // every distinct source pointer maps to exactly one clone. Flits are values;
@@ -177,12 +177,13 @@ func (n *Network) Restore(s noc.Snapshot) {
 		rs := &snap.routers[ri]
 		r.rr = rs.rr
 		r.req = [numPorts + 1]reqSet{}
+		r.bidding = 0
 		r.vcWait = [portLocal]reqSet{}
 		for p := 0; p < numPorts; p++ {
 			for v := range r.in[p] {
 				b := &r.in[p][v]
 				bs := &rs.in[p][v]
-				*b = vcBuf{q: b.q, owner: cl.pkt(bs.owner), outPort: bs.outPort, outVC: bs.outVC, granted: bs.granted}
+				*b = vcBuf{owner: cl.pkt(bs.owner), outPort: bs.outPort, outVC: bs.outVC, granted: bs.granted}
 				for _, f := range bs.flits {
 					r.push(p, v, cl.flit(f))
 				}
