@@ -39,12 +39,13 @@ fmt-check:
 # allowlist entry with a reason) and the file≡resident table (every operation
 # that reads a trace, handed a trace file, answers as for the resident
 # trace): the review gate for a new knob, entry point, export, or *Trace-only
-# path. TestReplayMetamorphicRelations (~1 s) holds coupled replay to two
+# path. TestReplayMetamorphicRelations (~2 s) holds coupled replay to two
 # relations the replay rule implies, exactly, for every kernel × the five
 # fixpoint variants: delaying every root event by C delays every arrival by C
 # (on MWSR and the hybrid only for C a multiple of the token's revolution), and
-# an edge an event already implies transitively changes neither the coupled
-# replay nor a zero-load-seeded correction.
+# every round of an overlapped zero-load correction by C too, and an edge an
+# event already implies transitively changes neither the coupled replay nor a
+# zero-load-seeded correction.
 # internal/fabric is the fabric contract suite (every variant fabric.Build
 # returns × three traffic sources) plus FuzzConfig's seed corpus, well under 1 s.
 # The merge property test is why a sharded replay cannot change a result:
@@ -59,7 +60,15 @@ fmt-check:
 # derived schedule equals ScheduleStream over the run's latencies, a
 # correction reads its source 1 + rounds times (one more seeded coupled), and
 # a file pass yields a Reader's events and errors, refuses a file whose header
-# changed, ignores a second Close and leaves no goroutine once closed. Beside
+# changed, ignores a second Close and leaves no goroutine once closed. So do
+# the overlapped correction rounds (~45 s under -race): a correction whose
+# rounds overlap on a forced spare slot equals the serial one, DeepEqual, on
+# every kernel × seven fabric variants × both seeds × tolerance 0 and default,
+# parked at every round boundary and resumed, with no goroutine left after
+# any case and every spare released once; the follower's bound is walked
+# through a hand-fed delivery log, its clock guard panics, a panicking or
+# swallowing fabric ahead or behind leaves no goroutine, and an extra
+# overlapped round allocates no per-event vector. Beside
 # them, a cached capture is one shared trace while any caller holds it, under
 # concurrent hits too, and an equal re-decode once the collector dropped it.
 # TestParallelCachedOutputMatchesSequential holds the concurrent, cached
@@ -92,7 +101,8 @@ fmt-check:
 # them arrived (every kernel × ideal, mesh and crossbar × 16 and 64 cores),
 # which a send citing a dependency list its caller reused breaks, and a
 # longer capture costs at most 0.25 allocations per added event: a message
-# allocates nothing of its own. TestReceiverLatencySummaries (~0.1 s) pins,
+# allocates nothing of its own. A longer coupled replay costs at most 0.05
+# per added event: its reverse-dependency index is one flat array. TestReceiverLatencySummaries (~0.1 s) pins,
 # float bit for float bit, the latency summaries receivers build from their
 # delivery streams — the ground truth's mean and per-class latency and the
 # synthetic run's mean and p99 — on all six fabric kinds.
@@ -108,12 +118,12 @@ check: vet fmt-check sweep-smoke
 	$(GO) test ./internal/experiments/ -run TestParallelCachedOutputMatchesSequential -count=1
 	$(GO) test . -run 'TestDocsResolve|Surface|TestFileMatchesResident|TestSelfCaptureFixpointIsTruth|TestCoupledIsTheFixpoint|TestLoopAttractsWithoutCausalEdges|TestReplayMetamorphicRelations' -count=1
 	$(GO) test . -run 'TestStreamCorrectionResidency|TestCorrectionRoundAllocatesNoEventVectors|TestCachedCaptureResidency' -count=1
-	$(GO) test . -run 'TestCaptureGapStartsAtLastDependency|TestCaptureAllocationsIndependentOfLength|TestReceiverLatencySummaries' -count=1
+	$(GO) test . -run 'TestCaptureGapStartsAtLastDependency|TestCaptureAllocationsIndependentOfLength|TestCoupledReplayAllocationsIndependentOfLength|TestReceiverLatencySummaries' -count=1
 	$(GO) test ./internal/core/ -run 'TestScheduledReplayInjectsOnSchedule|TestParkedResultSurvivesResume|TestResumeCompletesIdenticalToUninterrupted|TestResumeCanParkAgain' -count=1
 	$(GO) test ./internal/fabric/ -count=1
 	$(GO) test -short ./internal/enoc/ ./internal/onoc/ ./internal/trace/ ./internal/core/ -run 'DifferentialAgainstReference|AllocatorBidsMostlyMove|KeepsInvariants|WakeRingOrder|BufferedDecodeMatchesBytewise|EngineAgainstReference' -count=1
 	$(GO) test ./internal/noc/ ./internal/metrics/ ./internal/sim/ -run 'MergeIs|LatencyBucketMatchesSearch|CalendarMatches' -count=1
-	$(GO) test -race ./internal/trace/ ./internal/core/ ./internal/simcache/ -run 'DecodeAhead|FilePass|ReplayDerivesNextSchedule|CorrectionPassCount|DoTraceSharesWhileHeld' -count=1
+	$(GO) test -race ./internal/trace/ ./internal/core/ ./internal/simcache/ . -run 'DecodeAhead|FilePass|ReplayDerivesNextSchedule|CorrectionPassCount|DoTraceSharesWhileHeld|PipelinedCorrectionMatchesSerial|Overlap' -count=1
 	$(GO) test ./internal/service/ -run TestMemo -count=1
 	$(MAKE) --no-print-directory mutate
 
@@ -145,8 +155,13 @@ mutate:
 test: vet
 	$(GO) test ./...
 
-# The simulators are single-goroutine by design; the race detector guards the
-# few places that are not. In the replay engine (internal/core) a K > 1 replay
+# Each fabric stays single-goroutine by design; the race detector guards the
+# few places where simulations share state across goroutines. A correction on
+# a resident trace with a spare simulation slot overlaps two rounds, each on
+# its own fabric in its own goroutine: the round ahead reads the other's
+# arrivals only below its delivery log's atomically published length, and
+# stops reading them once its schedule is derived, before the round after
+# reuses that storage. In the replay engine (internal/core) a K > 1 replay
 # runs K goroutines that never synchronize until they finish: what must hold
 # is that they write disjoint indices of the shared result vectors and their
 # own statistics block only, and each decode their own pass of the source

@@ -84,3 +84,37 @@ func TestCaptureAllocationsIndependentOfLength(t *testing.T) {
 		}
 	}
 }
+
+// TestCoupledReplayAllocationsIndependentOfLength holds a coupled replay's
+// allocations to a handful per replay, not per event: its reverse-dependency
+// index is one flat array (the one overlapped correction rounds build), and
+// the fabric's messages and packets come from pooled blocks. A longer trace
+// costs at most 0.05 allocations per added event, on the ideal fabric and the
+// mesh. (The crossbar is left out: each of its nodes² source FIFOs allocates
+// on first use, and a longer trace reaches more of them.)
+func TestCoupledReplayAllocationsIndependentOfLength(t *testing.T) {
+	for _, kind := range []NetworkKind{IdealNet, Electrical} {
+		var allocs [2]float64
+		var events [2]int
+		for i, iters := range []int{2, 4} {
+			cfg := smallConfig()
+			cfg.System.Cores = 64
+			cfg.Workload.Iterations = iters
+			tr, _, err := uncached.CaptureTraceContext(bg, cfg, IdealNet)
+			if err != nil {
+				t.Fatal(err)
+			}
+			events[i] = len(tr.Events)
+			allocs[i] = testing.AllocsPerRun(2, func() {
+				if _, err := uncached.RunCoupledReplayContext(bg, cfg, tr, kind); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		per := (allocs[1] - allocs[0]) / float64(events[1]-events[0])
+		t.Logf("%s: %.0f allocations for %d events, %.0f for %d: %.4f per added event", kind, allocs[0], events[0], allocs[1], events[1], per)
+		if per > 0.05 {
+			t.Errorf("%s: %.4f allocations per added event, want at most 0.05", kind, per)
+		}
+	}
+}

@@ -78,7 +78,7 @@ func TestSelfCaptureFixpointIsTruth(t *testing.T) {
 				for i, e := range tr.Events {
 					seed[i] = e.RefArrive - e.RefInject
 				}
-				own, _, err := core.Correct(bg, factory, tr, cfg.SCTM, 1, 0, seed, nil, nil)
+				own, _, err := core.Correct(bg, factory, tr, cfg.SCTM, 1, 0, seed, nil, nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -131,7 +131,7 @@ func TestEnginesRejectInvalidTraces(t *testing.T) {
 			return err
 		},
 		"Correct": func(tr *trace.Trace) error {
-			_, _, err := Correct(context.Background(), idealFactory(4, 20), tr, config.Default().SCTM, 1, 0, nil, nil, nil)
+			_, _, err := Correct(context.Background(), idealFactory(4, 20), tr, config.Default().SCTM, 1, 0, nil, nil, nil, nil)
 			return err
 		},
 		"ReplaySchedule": func(tr *trace.Trace) error { _, err := ReplaySchedule(idealFactory(4, 20)(), tr, inject); return err },
@@ -283,7 +283,7 @@ func TestSelfCorrectRejectsInvalidTrace(t *testing.T) {
 		t.Fatal("invalid trace accepted")
 	}
 	// The check comes before round 0: a dead context would otherwise park.
-	if _, _, err := Correct(&countdownCtx{Context: context.Background()}, idealFactory(4, 20), tr, config.Default().SCTM, 1, 0, nil, nil, nil); err == nil || errors.Is(err, ErrParked) {
+	if _, _, err := Correct(&countdownCtx{Context: context.Background()}, idealFactory(4, 20), tr, config.Default().SCTM, 1, 0, nil, nil, nil, nil); err == nil || errors.Is(err, ErrParked) {
 		t.Fatalf("invalid resident trace reached the round loop: %v", err)
 	}
 }

@@ -63,14 +63,16 @@ func SelfCorrect(factory NetworkFactory, tr *trace.Trace, cfg config.SCTM) (Corr
 	return res, err
 }
 
-// SelfCorrectParkableCtx is Correct on a materialized trace.
+// SelfCorrectParkableCtx is Correct on a materialized trace, its rounds run
+// one after another.
 func SelfCorrectParkableCtx(ctx context.Context, factory NetworkFactory, tr *trace.Trace, cfg config.SCTM, shards int, seed []sim.Tick, resume *ParkState) (CorrectionResult, *ParkState, error) {
-	return Correct(ctx, factory, tr, cfg, shards, 0, seed, resume, nil)
+	return Correct(ctx, factory, tr, cfg, shards, 0, seed, resume, nil, nil)
 }
 
-// SelfCorrectStream is Correct without cancellation.
+// SelfCorrectStream is Correct without cancellation, its rounds run one after
+// another.
 func SelfCorrectStream(factory NetworkFactory, src trace.Source, cfg config.SCTM, shards, window int, seed []sim.Tick) (CorrectionResult, error) {
-	res, _, err := Correct(context.Background(), factory, src, cfg, shards, window, seed, nil, nil)
+	res, _, err := Correct(context.Background(), factory, src, cfg, shards, window, seed, nil, nil, nil)
 	return res, err
 }
 
@@ -141,7 +143,18 @@ type ParkState struct {
 // onRound, when non-nil, is called on the loop's goroutine after every
 // completed round: from the first call on, a park has a trajectory to
 // report.
-func Correct(ctx context.Context, factory NetworkFactory, src trace.Source, cfg config.SCTM, shards, window int, seed []sim.Tick, resume *ParkState, onRound func()) (CorrectionResult, *ParkState, error) {
+//
+// spare, when non-nil, is asked for a second simulation slot whenever a round
+// could start beside the one running; it returns the slot's release, or nil
+// when none is free. On a resident trace at K = 1, a granted slot runs the
+// next round on a fabric of its own, in a second goroutine, deriving its
+// schedule from the running round's deliveries as they land (overlap.go),
+// and is released when that round ends. The result is byte-identical either
+// way; the loop's decisions (delta, tolerance, onRound, park) are taken at
+// each round's end, in order, as without overlap, and a round running ahead
+// of a decision that ends the loop is stopped and discarded. No goroutine
+// outlives the call, and a panic in one resurfaces in the caller's.
+func Correct(ctx context.Context, factory NetworkFactory, src trace.Source, cfg config.SCTM, shards, window int, seed []sim.Tick, resume *ParkState, onRound func(), spare func() func()) (CorrectionResult, *ParkState, error) {
 	n := src.Meta().NumEvents
 	opts := ScheduleOptions{
 		DisableSyncDeps:   cfg.DisableSyncDeps,
@@ -225,6 +238,46 @@ func Correct(ctx context.Context, factory NetworkFactory, src trace.Source, cfg 
 		}
 	}
 	runner.derive.opts = opts
+	// Overlapped rounds: cur is this iteration's round when it already runs,
+	// started beside the round before, and ahead is the round started beside
+	// this one. Either is stopped on any way out of the loop.
+	tr, _ := src.(*trace.Trace)
+	overlapOK := spare != nil && tr != nil && n > 0 && runner.lanes() == 1
+	var ov *overlap
+	var cur, ahead *follower
+	// startAhead starts round+1 beside round, following its deliveries, on
+	// the slot release hands back (nil: the call's own). Round replays prev
+	// on lane 0 through the replayer when it started with its schedule
+	// whole, and is cur otherwise.
+	startAhead := func(round int, release func()) error {
+		if ov == nil {
+			var err error
+			if ov, err = newOverlap(tr, opts); err != nil {
+				release()
+				return err
+			}
+		}
+		lane, parr := 1, runner.arrive
+		if cur != nil {
+			lane, parr = 1-cur.lane, cur.arrive
+		} else {
+			if parr == nil {
+				parr = make([]sim.Tick, n)
+				runner.arrive = parr
+			}
+			ov.logs[0].reset(n)
+			runner.log = &ov.logs[0]
+		}
+		ahead = ov.follow(runner, lane, round+1, prev, parr, next, release, labeled)
+		return nil
+	}
+	defer func() {
+		for _, f := range [...]*follower{cur, ahead} {
+			if f != nil {
+				f.halt()
+			}
+		}
+	}()
 	for round := len(out.Iterations); round < cfg.MaxIterations; round++ {
 		// Park point: stopping at a round boundary loses at most the round
 		// that was about to start, never work already done. The partial
@@ -232,6 +285,10 @@ func Correct(ctx context.Context, factory NetworkFactory, src trace.Source, cfg 
 		// trajectory so far is worth reporting — together with the state a
 		// later call can resume from.
 		if cause := ctx.Err(); cause != nil {
+			if cur != nil {
+				cur.halt()
+				cur = nil
+			}
 			state := &ParkState{
 				prev:       prev,
 				iterations: append([]Iteration(nil), out.Iterations...),
@@ -242,15 +299,59 @@ func Correct(ctx context.Context, factory NetworkFactory, src trace.Source, cfg 
 			return out, state, fmt.Errorf("%w after %d of %d rounds: %w",
 				ErrParked, len(out.Iterations), cfg.MaxIterations, cause)
 		}
-		// The replay derives the next schedule from its measured latencies,
-		// the next round's estimates verbatim.
+		// The next schedule is derived from this round's measured latencies,
+		// the next round's estimates verbatim: by the replay itself, or by
+		// the round started beside it from its deliveries, or, when this
+		// round ran beside its predecessor and nothing follows it, in one
+		// pass once it ends.
 		var res ReplayResult
-		if err := labeled(round, "replay", func() (err error) {
-			runner.next = next
-			res, err = runner.run(prev)
-			return err
-		}); err != nil {
+		var err error
+		inline := false
+		overlapNext := overlapOK && round+1 < cfg.MaxIterations
+		if cur == nil {
+			if overlapNext {
+				if release := spare(); release != nil {
+					err = startAhead(round, release)
+				}
+			}
+			if err == nil {
+				inline = ahead == nil
+				err = labeled(round, "replay", func() (err error) {
+					runner.next = nil
+					if inline {
+						runner.next = next
+					}
+					res, err = runner.run(prev)
+					return err
+				})
+				runner.log = nil
+			}
+		} else {
+			// This round and the one before it held the call's slot and one
+			// spare, and the one before has ended: the round ahead takes its
+			// slot if that was the call's own, and a spare otherwise.
+			if overlapNext {
+				if cur.spare != nil {
+					err = startAhead(round, nil)
+				} else if release := spare(); release != nil {
+					err = startAhead(round, release)
+				}
+			}
+			if err == nil {
+				res, err = cur.join()
+				cur = nil
+			}
+		}
+		if err != nil {
 			return CorrectionResult{}, nil, fmt.Errorf("core: correction round %d: %w", round, err)
+		}
+		if !inline && (ahead == nil || !ahead.awaitDerived()) {
+			// No round derived the next schedule, or the one running ahead
+			// failed before it had: its failure surfaces if the loop gets
+			// to its round.
+			if err := runner.deriveAll(next, res); err != nil {
+				return CorrectionResult{}, nil, fmt.Errorf("core: correction round %d: %w", round, err)
+			}
 		}
 		out.TotalCycles += res.Cycles
 		out.ReplayedEvents += n
@@ -289,6 +390,7 @@ func Correct(ctx context.Context, factory NetworkFactory, src trace.Source, cfg 
 			}
 		}
 		prev, next = next, prev
+		cur, ahead = ahead, nil
 	}
 	return out, nil, nil
 }

@@ -163,7 +163,9 @@ func finalize(res *ReplayResult, refMakespan, maxRef sim.Tick) sim.Tick {
 // whose flits contend for shared links every cycle, and the hybrid fabric
 // that embeds it) run serially whatever K says.
 //
-// A replayer is not safe for concurrent use.
+// A replayer is not safe for concurrent use. An overlapped correction round
+// (overlap.go) drives one of its slots from a goroutine of its own, never a
+// slot a run or another round is using.
 type replayer struct {
 	factory NetworkFactory
 	src     trace.Source
@@ -177,6 +179,9 @@ type replayer struct {
 	// next is where a run derives the next schedule; nil derives none. The
 	// correction sets it, and the deriver's options.
 	next []sim.Tick
+	// log, when non-nil, is where a K = 1 run publishes its deliveries for
+	// an overlapped round that follows it (overlap.go).
+	log *deliveryLog
 	// Storage every run reuses: the arrival vector, which is the result's
 	// Arrive and so is overwritten by the next run, the per-block suffix
 	// minima of its schedule, its delivered marks and the deriver.
@@ -230,6 +235,23 @@ func (r *replayer) fresh(i int) noc.Network {
 	return net
 }
 
+// lanes is how many fabrics a run splits over: K, clamped to the node count,
+// on a noc.ScheduleShardable fabric, and 1 on any other.
+func (r *replayer) lanes() int {
+	net0 := r.fabric(0)
+	if _, ok := net0.(noc.ScheduleShardable); ok {
+		return max(min(r.shards, net0.Nodes()), 1)
+	}
+	return 1
+}
+
+// deriveAll derives into next the schedule a finished run's latencies give
+// (ScheduleStream with r.derive.opts), in one more pass over the source.
+func (r *replayer) deriveAll(next []sim.Tick, res ReplayResult) error {
+	r.derive.reset(next, res.Arrive, res.Inject, nil)
+	return EachEvent(r.src, r.derive.offer)
+}
+
 // lane is one fabric's share of a run: the drain of the events it owns. It
 // holds no reference to the run's feed: the fabric outlives the run and,
 // through its delivery callback, so does the lane.
@@ -276,10 +298,7 @@ func (r *replayer) run(inject []sim.Tick) (ReplayResult, error) {
 	if len(inject) != n {
 		return ReplayResult{}, fmt.Errorf("core: %d injection times for %d events", len(inject), n)
 	}
-	k := 1
-	if _, ok := net0.(noc.ScheduleShardable); ok {
-		k = max(min(r.shards, net0.Nodes()), 1)
-	}
+	k := r.lanes()
 	if r.arrive == nil {
 		r.arrive = make([]sim.Tick, n)
 	}
@@ -307,10 +326,14 @@ func (r *replayer) run(inject []sim.Tick) (ReplayResult, error) {
 		l.slot.used = true
 		done := r.done
 		arrive := r.arrive
+		log := r.log
 		l.net.SetDeliver(func(m *noc.Message) {
 			idx := int(m.ID) - 1
 			arrive[idx] = m.Arrive
 			done[idx] = true
+			if log != nil {
+				log.publish(idx)
+			}
 			l.delivered++
 			l.slot.pool.Put(m)
 		})
@@ -348,8 +371,7 @@ func (r *replayer) run(inject []sim.Tick) (ReplayResult, error) {
 		}
 	}
 	if next != nil && k > 1 {
-		r.derive.reset(next, res.Arrive, res.Inject, nil)
-		if err := EachEvent(r.src, r.derive.offer); err != nil {
+		if err := r.deriveAll(next, res); err != nil {
 			return ReplayResult{}, err
 		}
 	}
@@ -423,9 +445,10 @@ func NaiveReplayStream(factory NetworkFactory, src trace.Source, shards, window 
 // event is injected its gap after its last dependency physically arrives on
 // the target fabric. One replay, no estimates: its latencies are the exact
 // fixpoint of the self-correction loop, which stops on them in round 0 with a
-// Final equal to this result. One pass over src builds the
-// reverse-dependency lists and keeps every event's payload, so a coupled
-// replay holds O(events + edges) resident whatever the source.
+// Final equal to this result. One pass over src builds the reverse-dependency
+// index (the one overlapped correction rounds use) and keeps every event's
+// payload, so a coupled replay holds O(events + edges) resident whatever the
+// source, in a handful of allocations whatever its length.
 func CoupledReplay(net noc.Network, src trace.Source, opts ScheduleOptions) (ReplayResult, error) {
 	meta := src.Meta()
 	if err := checkFabric(net, meta.Nodes); err != nil {
@@ -436,30 +459,21 @@ func CoupledReplay(net noc.Network, src trace.Source, opts ScheduleOptions) (Rep
 		Inject: make([]sim.Tick, n),
 		Arrive: make([]sim.Tick, n),
 	}
-	// Dependency bookkeeping.
-	remaining := make([]int, n)
-	lastDep := make([]sim.Tick, n)
-	children := make([][]int, n)
+	// Dependency bookkeeping: remaining counts each event's kept
+	// dependencies not yet arrived.
 	var maxRef sim.Tick
-	feed := coupledFeed{events: make([]pendingMsg, n), pending: sim.NewCalendar[int](ringTicks)}
-	err := EachEvent(src, func(i int, e *trace.Event) {
+	feed := coupledFeed{events: make([]pendingMsg, n), dueQueue: newDueQueue()}
+	ix, err := buildRevDeps(src, opts, func(i int, e *trace.Event) {
 		feed.events[i] = pendingMsg{at: e.Gap, src: e.Src, dst: e.Dst, bytes: e.Bytes, class: e.Class}
 		maxRef = max(maxRef, e.RefArrive)
-		for _, d := range e.Deps {
-			if !opts.keepDep(d.Class) {
-				continue
-			}
-			di := int(d.On) - 1
-			children[di] = append(children[di], i)
-			remaining[i]++
-		}
 	})
 	if err != nil {
 		return ReplayResult{}, err
 	}
+	remaining, lastDep := ix.deps, make([]sim.Tick, n)
 	for i := range feed.events {
 		if remaining[i] == 0 {
-			feed.push(i, feed.events[i].at)
+			feed.pending.Push(feed.events[i].at, int32(i))
 		}
 	}
 
@@ -471,13 +485,13 @@ func CoupledReplay(net noc.Network, src trace.Source, opts ScheduleOptions) (Rep
 		res.Inject[idx] = m.Inject
 		delivered++
 		pool.Put(m)
-		for _, ch := range children[idx] {
+		for _, ch := range ix.children(idx) {
 			if at := m.Arrive + feed.events[ch].at; at > lastDep[ch] {
 				lastDep[ch] = at
 			}
 			remaining[ch]--
 			if remaining[ch] == 0 {
-				feed.push(ch, lastDep[ch])
+				feed.pending.Push(lastDep[ch], ch)
 			}
 		}
 	})
@@ -492,34 +506,48 @@ func CoupledReplay(net noc.Network, src trace.Source, opts ScheduleOptions) (Rep
 }
 
 // coupledFeed is the feed of a coupled replay. The delivery callback pushes
-// each event whose dependencies have all arrived on the target fabric onto a
-// sim.Calendar, the engine's one due-time queue, for the cycle its gap ends;
-// injectDue releases one cycle at a time in event-index order, the (time, ID)
-// order of every feed, which makes a coupled replay the exact fixpoint of the
-// correction loop.
+// each event whose dependencies have all arrived on the target fabric onto
+// its dueQueue, for the cycle its gap ends; injectDue releases them in the
+// (time, ID) order of every feed, which makes a coupled replay the exact
+// fixpoint of the correction loop.
 type coupledFeed struct {
-	events  []pendingMsg // every event's payload, its gap in at
-	pending sim.Calendar[int]
-	due     []int // the cycle being released, sorted by event index
+	events []pendingMsg // every event's payload, its gap in at
+	dueQueue
 }
 
-func (f *coupledFeed) push(idx int, at sim.Tick) { f.pending.Push(at, idx) }
-
 func (f *coupledFeed) injectDue(now sim.Tick, net noc.Network, pool *noc.MsgPool) error {
-	for at := f.pending.NextAt(); at <= now; at = f.pending.NextAt() {
-		f.due = f.due[:0]
-		for f.pending.NextAt() == at {
-			f.due = append(f.due, f.pending.Pop())
-		}
-		slices.Sort(f.due)
-		for _, i := range f.due {
-			e := &f.events[i]
-			inject(net, pool, uint64(i+1), e.src, e.dst, e.bytes, e.class)
-		}
-	}
+	f.popDue(now, func(i int32) {
+		e := &f.events[i]
+		inject(net, pool, uint64(i+1), e.src, e.dst, e.bytes, e.class)
+	})
 	return nil
 }
 
 // nextInject bounds only the events already ready; the rest become ready
 // inside a Tick, and drain asks again after every one.
 func (f *coupledFeed) nextInject() sim.Tick { return f.pending.NextAt() }
+
+// dueQueue holds events under the cycle they become due, on a sim.Calendar,
+// the engine's one due-time queue, for the feeds whose events become due out
+// of ID order: the coupled replay's and an overlapped round's (overlap.go).
+type dueQueue struct {
+	pending sim.Calendar[int32]
+	batch   []int32 // the cycle being released
+}
+
+func newDueQueue() dueQueue { return dueQueue{pending: sim.NewCalendar[int32](ringTicks)} }
+
+// popDue calls fn on every event due at or before now, one cycle at a time
+// and each cycle's in event-index order.
+func (q *dueQueue) popDue(now sim.Tick, fn func(i int32)) {
+	for at := q.pending.NextAt(); at <= now; at = q.pending.NextAt() {
+		q.batch = q.batch[:0]
+		for q.pending.NextAt() == at {
+			q.batch = append(q.batch, q.pending.Pop())
+		}
+		slices.Sort(q.batch)
+		for _, i := range q.batch {
+			fn(i)
+		}
+	}
+}

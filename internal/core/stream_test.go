@@ -91,7 +91,7 @@ func TestCorrectionPassCount(t *testing.T) {
 		cfg := config.Default().SCTM
 		cfg.MakespanTolerance = 0
 		cfg.Seed = seed
-		res, _, err := Correct(context.Background(), func() noc.Network { return noc.NewIdeal(16, 15, 16) }, src, cfg, 1, 0, nil, nil, nil)
+		res, _, err := Correct(context.Background(), func() noc.Network { return noc.NewIdeal(16, 15, 16) }, src, cfg, 1, 0, nil, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -75,7 +75,16 @@ type Network struct {
 	// ejection and is reborn at the next Inject, so a steady-state run
 	// allocates nothing per message. Flits are values and need no pool.
 	pktFree []*packet
+	// pktBlock is the unused rest of the block fresh packets come from.
+	pktBlock []packet
 }
+
+// packetBlock is how many packets one allocation makes room for, and
+// niQueueCap the packets each interface class queue holds before it grows.
+const (
+	packetBlock = 32
+	niQueueCap  = 4
+)
 
 // newPacket returns a recycled or fresh packet wrapping m.
 func (n *Network) newPacket(m *noc.Message) *packet {
@@ -85,7 +94,12 @@ func (n *Network) newPacket(m *noc.Message) *packet {
 		n.pktFree[l-1] = nil
 		n.pktFree = n.pktFree[:l-1]
 	} else {
-		p = new(packet)
+		// Packets are carved from blocks of packetBlock, so a fabric's
+		// warm-up costs one allocation per block rather than per packet.
+		if len(n.pktBlock) == 0 {
+			n.pktBlock = make([]packet, packetBlock)
+		}
+		p, n.pktBlock = &n.pktBlock[0], n.pktBlock[1:]
 	}
 	*p = packet{msg: m, nflits: FlitsFor(m.Bytes), class: m.Class,
 		dstX: int16(m.Dst % n.width), dstY: int16(m.Dst / n.width)}
@@ -189,13 +203,22 @@ func newMesh(nodes int, cfg config.Mesh, bufDepth int, linkCycles sim.Tick) *Net
 		wake: newWakeRing(linkCycles + RouterStages)}
 	words := (nodes + 63) / 64
 	n.bufBusy, n.niBusy = make(nodeSet, words), make(nodeSet, words)
+	// Routers, their VC state, links and interfaces each live in one slab,
+	// so a build costs a handful of allocations whatever the node count.
 	n.routers = make([]*router, nodes)
+	routers := make([]router, nodes)
+	vcs := numPorts * cfg.VCs
+	bufs, credits, busy := make([]vcBuf, nodes*vcs), make([]int, nodes*vcs), make([]bool, nodes*vcs)
 	for id := 0; id < nodes; id++ {
-		n.routers[id] = newRouter(id, id%width, id/width, n)
+		lo, hi := id*vcs, (id+1)*vcs
+		n.routers[id] = &routers[id]
+		initRouter(&routers[id], id, id%width, id/width, n, bufs[lo:hi:hi], credits[lo:hi:hi], busy[lo:hi:hi])
 	}
 	// Wire neighbor links and the upstream credit paths.
+	links := make([]link, 0, 4*nodes)
 	connect := func(from *router, outPort int, to *router, inPort int, wrap bool) {
-		from.outLink[outPort] = &link{delay: linkCycles, dst: to, dstPort: inPort, wrap: wrap}
+		links = append(links, link{delay: linkCycles, dst: to, dstPort: inPort, wrap: wrap})
+		from.outLink[outPort] = &links[len(links)-1]
 		to.upstream[inPort] = upstreamRef{r: from, port: outPort}
 	}
 	for id := 0; id < nodes; id++ {
@@ -222,8 +245,18 @@ func newMesh(nodes int, cfg config.Mesh, bufDepth int, linkCycles sim.Tick) *Net
 		}
 	}
 	n.nis = make([]*netIface, nodes)
+	nis := make([]netIface, nodes)
+	// Every class queue starts with room for niQueueCap packets of a shared
+	// backing array; a queue that outgrows it reallocates on its own.
+	queues := make([]*packet, nodes*int(noc.NumClasses)*niQueueCap)
 	for id := 0; id < nodes; id++ {
-		n.nis[id] = &netIface{node: id, net: n}
+		ni := &nis[id]
+		*ni = netIface{node: id, net: n}
+		for c := range ni.classQ {
+			lo := (id*int(noc.NumClasses) + c) * niQueueCap
+			ni.classQ[c].q = queues[lo : lo : lo+niQueueCap]
+		}
+		n.nis[id] = ni
 	}
 	return n
 }

@@ -107,10 +107,11 @@ type upstreamRef struct {
 	port int
 }
 
-func newRouter(id, x, y int, net *Network) *router {
-	r := &router{id: id, x: x, y: y, net: net}
+// initRouter sets up r over its share of the network's VC slabs: numPorts ×
+// VCs buffers, credit counts and busy marks.
+func initRouter(r *router, id, x, y int, net *Network, bufs []vcBuf, credits []int, busy []bool) {
+	*r = router{id: id, x: x, y: y, net: net}
 	vcs := net.cfg.VCs
-	bufs, credits, busy := make([]vcBuf, numPorts*vcs), make([]int, numPorts*vcs), make([]bool, numPorts*vcs)
 	for i := range bufs {
 		bufs[i].outPort = portUnrouted
 		credits[i] = net.bufDepth
@@ -119,7 +120,6 @@ func newRouter(id, x, y int, net *Network) *router {
 		lo, hi := p*vcs, (p+1)*vcs
 		r.in[p], r.outCredit[p], r.outBusy[p] = bufs[lo:hi:hi], credits[lo:hi:hi], busy[lo:hi:hi]
 	}
-	return r
 }
 
 // vcRange returns the half-open VC range a message class may use. When

@@ -224,7 +224,13 @@ func SkipIdle(net Network, target sim.Tick) {
 // nondeterministic reuse for nothing.
 type MsgPool struct {
 	free []*Message
+	// block is the unused rest of the block fresh messages are carved from,
+	// so a pool's warm-up costs one allocation per msgBlock messages.
+	block []Message
 }
+
+// msgBlock is how many messages one pool allocation makes room for.
+const msgBlock = 32
 
 // Get returns a zeroed message, recycled when possible.
 func (p *MsgPool) Get() *Message {
@@ -235,7 +241,12 @@ func (p *MsgPool) Get() *Message {
 		*m = Message{}
 		return m
 	}
-	return &Message{}
+	if len(p.block) == 0 {
+		p.block = make([]Message, msgBlock)
+	}
+	m := &p.block[0]
+	p.block = p.block[1:]
+	return m
 }
 
 // Put returns a delivered message to the pool. The caller must not touch m

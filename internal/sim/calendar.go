@@ -147,6 +147,10 @@ func (c *Calendar[T]) scan(from Tick) Tick {
 	return base + Tick(bits.TrailingZeros64(w))
 }
 
+// Grow makes room for n more entries in the ring's buckets, so an owner that
+// knows its peak allocates the storage once.
+func (c *Calendar[T]) Grow(n int) { c.slab = slices.Grow(c.slab, n) }
+
 // Reset empties the calendar, keeping its storage but no reference to a
 // queued value.
 func (c *Calendar[T]) Reset() {

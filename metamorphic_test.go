@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"onocsim/internal/core"
 	"onocsim/internal/onoc"
 	"onocsim/internal/trace"
 	"onocsim/internal/workload"
@@ -24,6 +25,11 @@ import (
 //     revolution, nodes × onoc.TokenHopCycles, and is checked only there.
 //     West-first routes by downstream credits, which also move only with
 //     traffic.
+//   - Time shift, every round: the same delay moves every round of a
+//     zero-load-seeded correction (makespan tolerance off, rounds overlapped
+//     through core.Correct's spare), so each Iteration keeps its Delta and
+//     MeanLatency while its Makespan and Cycles move by C, and Final's
+//     vectors move by C.
 //   - Redundant edge: an edge from an event to one it already depends on
 //     transitively arrives no later than the direct dependency it goes
 //     through, so neither the coupled replay nor a zero-load-seeded
@@ -62,6 +68,7 @@ func TestReplayMetamorphicRelations(t *testing.T) {
 					}
 					checkShifted(t, c, base, coupled(shiftRoots(tr, c)))
 				}
+				checkShiftedRounds(t, cfg, v.kind, tr, revolution, tokenPhased)
 
 				if got := coupled(redundant); !reflect.DeepEqual(got, base) {
 					t.Errorf("a redundant edge changed the coupled replay: makespan %d, was %d", got.Makespan, base.Makespan)
@@ -100,6 +107,7 @@ func TestReplayMetamorphicRelations(t *testing.T) {
 				for _, c := range []Tick{1, 7, 16, 32} {
 					checkShifted(t, c, base, coupled(shiftRoots(tr, c)))
 				}
+				checkShiftedRounds(t, cfg, Electrical, tr, revolution, false)
 			})
 		}
 	}
@@ -114,6 +122,48 @@ func checkShifted(t *testing.T, c Tick, base, shifted ReplayResult) {
 			t.Fatalf("roots delayed by %d: event %d injected %d and arrived %d, want %d and %d",
 				c, i+1, shifted.Inject[i], shifted.Arrive[i], base.Inject[i]+c, base.Arrive[i]+c)
 		}
+	}
+}
+
+// checkShiftedRounds fails t unless delaying tr's root events by C moves
+// every round of an overlapped zero-load correction by C: for C 1, 7 and one
+// token revolution, or only the revolution when the fabric is token-phased.
+func checkShiftedRounds(t *testing.T, cfg Config, kind NetworkKind, tr *Trace, revolution int, tokenPhased bool) {
+	t.Helper()
+	factory, err := NetworkFactory(cfg, kind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	correct := func(tr *Trace) CorrectionResult {
+		t.Helper()
+		sp := &spareSlots{every: 1}
+		res, _, err := core.Correct(bg, factory, tr, cfg.SCTM, 1, 0, nil, nil, nil, sp.spare)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp.check(t)
+		return res
+	}
+	base := correct(tr)
+	for _, c := range []Tick{1, 7, Tick(revolution)} {
+		if tokenPhased && int(c)%revolution != 0 {
+			continue
+		}
+		got := correct(shiftRoots(tr, c))
+		if len(got.Iterations) != len(base.Iterations) || got.Converged != base.Converged {
+			t.Fatalf("roots delayed by %d: %d rounds (converged %v), undelayed %d (%v)", c, len(got.Iterations), got.Converged, len(base.Iterations), base.Converged)
+		}
+		for r, it := range base.Iterations {
+			it.Makespan += c
+			it.Cycles += c
+			if got.Iterations[r] != it {
+				t.Fatalf("roots delayed by %d: round %d is %+v, want %+v", c, r, got.Iterations[r], it)
+			}
+		}
+		if want := base.TotalCycles + Tick(len(base.Iterations))*c; got.TotalCycles != want {
+			t.Fatalf("roots delayed by %d: %d total cycles, want %d", c, got.TotalCycles, want)
+		}
+		checkShifted(t, c, base.Final, got.Final)
 	}
 }
 

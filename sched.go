@@ -177,6 +177,23 @@ func (s *SlotScheduler) Acquire(ctx context.Context, class SlotClass, cost int) 
 	return ctx.Err()
 }
 
+// tryAcquire claims cost units only if they are free now and no request
+// queues: it never waits, and never takes units a queued request is owed. It
+// returns the function that hands the units back, which releases them on its
+// first call only, or nil when the units were not free.
+func (s *SlotScheduler) tryAcquire(cost int) (release func()) {
+	cost = s.clampCost(cost)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.queuedLocked() > 0 || s.inUse+cost > s.capacity {
+		return nil
+	}
+	s.inUse += cost
+	s.admitted++
+	var once sync.Once
+	return func() { once.Do(func() { s.Release(cost) }) }
+}
+
 // Release hands back cost units claimed by a successful Acquire and grants
 // them onward to queued waiters.
 func (s *SlotScheduler) Release(cost int) {

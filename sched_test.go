@@ -184,3 +184,50 @@ func TestSlotSchedulerConcurrentAccounting(t *testing.T) {
 		t.Fatalf("units leaked: %+v", st)
 	}
 }
+
+// tryAcquire is how a correction takes a spare slot for an overlapped round:
+// it never waits, never exceeds capacity, never takes units a queued request
+// is owed, and its release hands the units back once however often it is
+// called.
+func TestSlotSchedulerTryAcquire(t *testing.T) {
+	s := NewSlotScheduler(2)
+	first := s.tryAcquire(1)
+	second := s.tryAcquire(1)
+	if first == nil || second == nil {
+		t.Fatal("tryAcquire refused a free unit")
+	}
+	if s.tryAcquire(1) != nil {
+		t.Fatalf("tryAcquire exceeded capacity: %+v", s.Stats())
+	}
+	first()
+	first()
+	if st := s.Stats(); st.InUse != 1 {
+		t.Fatalf("a release called twice left %d units in use, want 1", st.InUse)
+	}
+
+	// A request queues behind a full scheduler: a unit freed is its, even
+	// when tryAcquire asks first.
+	if err := s.Acquire(context.Background(), SlotMedium, 1); err != nil {
+		t.Fatal(err)
+	}
+	granted := make(chan struct{})
+	go func() {
+		if err := s.Acquire(context.Background(), SlotHeavy, 2); err == nil {
+			close(granted)
+		}
+	}()
+	waitStats(t, s, func(st SlotStats) bool { return st.Queued == 1 })
+	second()
+	if s.tryAcquire(1) != nil {
+		t.Fatalf("tryAcquire took a unit while a request queued: %+v", s.Stats())
+	}
+	s.Release(1)
+	<-granted
+	if st := s.Stats(); st.InUse != 2 || st.Queued != 0 {
+		t.Fatalf("the queued request did not get both units: %+v", st)
+	}
+	s.Release(2)
+	if st := s.Stats(); st.InUse != 0 {
+		t.Fatalf("%d units still in use", st.InUse)
+	}
+}
