@@ -87,7 +87,7 @@ fmt-check:
 # (~0.1 s) pins where the zero-load loop does reach that fixpoint: causal
 # edges off, MWSR and ideal, every kernel within 40 rounds.
 # The streamed correction's residency gates (~1 s): its peak live heap grows
-# by at most 32 B per event (three time vectors and the delivered marks), and
+# by at most 32 B per event (three time vectors; the arrivals are the marks), and
 # an extra round allocates at most 64 KiB, no per-event vector. Beside them,
 # every fabric stamps each scheduled message with exactly its scheduled cycle
 # (what lets a replay's Inject be its schedule), a resume leaves the parked

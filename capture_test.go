@@ -89,11 +89,10 @@ func TestCaptureAllocationsIndependentOfLength(t *testing.T) {
 // allocations to a handful per replay, not per event: its reverse-dependency
 // index is one flat array (the one overlapped correction rounds build), and
 // the fabric's messages and packets come from pooled blocks. A longer trace
-// costs at most 0.05 allocations per added event, on the ideal fabric and the
-// mesh. (The crossbar is left out: each of its nodes² source FIFOs allocates
-// on first use, and a longer trace reaches more of them.)
+// costs at most 0.05 allocations per added event, on the ideal fabric, the
+// mesh and the crossbar.
 func TestCoupledReplayAllocationsIndependentOfLength(t *testing.T) {
-	for _, kind := range []NetworkKind{IdealNet, Electrical} {
+	for _, kind := range []NetworkKind{IdealNet, Electrical, Optical} {
 		var allocs [2]float64
 		var events [2]int
 		for i, iters := range []int{2, 4} {

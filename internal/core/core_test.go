@@ -234,6 +234,17 @@ func TestReplayRejections(t *testing.T) {
 	if _, err := CoupledReplay(used, tr, ScheduleOptions{}); err == nil {
 		t.Fatal("warm fabric accepted by coupled replay")
 	}
+	if _, err := CoupledReplay(idealFactory(8, 20)(), tr, ScheduleOptions{}); err == nil {
+		t.Fatal("node mismatch accepted by coupled replay")
+	}
+	// The summary tier sets its fabric up on its own, and checks it as the
+	// lane method does.
+	if _, err := NaiveReplaySummaryStream(idealFactory(8, 20)(), tr); err == nil {
+		t.Fatal("node mismatch accepted by the summary replay")
+	}
+	if _, err := NaiveReplaySummaryStream(used, tr); err == nil {
+		t.Fatal("warm fabric accepted by the summary replay")
+	}
 }
 
 func TestSelfCorrectConvergesOnIdeal(t *testing.T) {

@@ -19,7 +19,8 @@ import (
 // implements noc.Resettable the loop builds it once and resets it between
 // rounds — observationally identical to a fresh build, without paying the
 // full construction (topology wiring, photonic budget) per iteration; other
-// fabrics fall back to one build per round.
+// fabrics fall back to one build per round, which an overlapped round makes
+// on its own goroutine, so a factory must be safe to call concurrently.
 type NetworkFactory func() noc.Network
 
 // Iteration records the state of the correction loop after one round.
@@ -212,10 +213,8 @@ func Correct(ctx context.Context, factory NetworkFactory, src trace.Source, cfg 
 		var zeroLoad func(e *trace.Event) sim.Tick
 		if lat == nil && cfg.SeedMode() == "coupled" {
 			var c ReplayResult
-			net := runner.fabric(0)
-			runner.slots[0].used = true // round 0 resets or rebuilds it
 			if err := labeled(-1, "coupled", func() (err error) {
-				c, err = CoupledReplay(net, src, opts)
+				c, err = runner.coupled(opts)
 				return err
 			}); err != nil {
 				return CorrectionResult{}, nil, fmt.Errorf("core: coupled seed: %w", err)
@@ -240,39 +239,35 @@ func Correct(ctx context.Context, factory NetworkFactory, src trace.Source, cfg 
 	runner.derive.opts = opts
 	// Overlapped rounds: cur is this iteration's round when it already runs,
 	// started beside the round before, and ahead is the round started beside
-	// this one. Either is stopped on any way out of the loop.
+	// this one. Either is stopped on any way out of the loop. A loop seeded
+	// coupled ends in round 0, so it is offered no overlap.
 	tr, _ := src.(*trace.Trace)
-	overlapOK := spare != nil && tr != nil && n > 0 && runner.lanes() == 1
+	overlapOK := spare != nil && tr != nil && n > 0 && runner.lanes() == 1 && (seed != nil || cfg.SeedMode() != "coupled")
 	var ov *overlap
-	var cur, ahead *follower
+	var cur, ahead *aheadRound
 	// startAhead starts round+1 beside round, following its deliveries, on
-	// the slot release hands back (nil: the call's own). Round replays prev
-	// on lane 0 through the replayer when it started with its schedule
-	// whole, and is cur otherwise.
+	// the slot release hands back (nil: the call's own). Round is cur, or,
+	// when it starts with its schedule whole, replays prev on slot 0 through
+	// the replayer.
 	startAhead := func(round int, release func()) error {
 		if ov == nil {
 			var err error
-			if ov, err = newOverlap(tr, opts); err != nil {
+			if ov, err = newOverlap(runner, tr, opts); err != nil {
 				release()
 				return err
 			}
 		}
-		lane, parr := 1, runner.arrive
+		slot := 1
 		if cur != nil {
-			lane, parr = 1-cur.lane, cur.arrive
+			slot = 1 - cur.slot
 		} else {
-			if parr == nil {
-				parr = make([]sim.Tick, n)
-				runner.arrive = parr
-			}
-			ov.logs[0].reset(n)
-			runner.log = &ov.logs[0]
+			runner.slots[0].armLog(n)
 		}
-		ahead = ov.follow(runner, lane, round+1, prev, parr, next, release, labeled)
+		ahead = ov.follow(runner, slot, round+1, prev, next, release, labeled)
 		return nil
 	}
 	defer func() {
-		for _, f := range [...]*follower{cur, ahead} {
+		for _, f := range [...]*aheadRound{cur, ahead} {
 			if f != nil {
 				f.halt()
 			}
@@ -307,40 +302,29 @@ func Correct(ctx context.Context, factory NetworkFactory, src trace.Source, cfg 
 		var res ReplayResult
 		var err error
 		inline := false
-		overlapNext := overlapOK && round+1 < cfg.MaxIterations
-		if cur == nil {
-			if overlapNext {
-				if release := spare(); release != nil {
-					err = startAhead(round, release)
+		if overlapOK && round+1 < cfg.MaxIterations {
+			if cur != nil && cur.spare != nil {
+				// This round and the one before it held the call's slot and
+				// a spare, and the one before has ended: the round ahead
+				// takes the call's slot.
+				err = startAhead(round, nil)
+			} else if release := spare(); release != nil {
+				err = startAhead(round, release)
+			}
+		}
+		if err == nil && cur == nil {
+			inline = ahead == nil
+			err = labeled(round, "replay", func() (err error) {
+				runner.next = nil
+				if inline {
+					runner.next = next
 				}
-			}
-			if err == nil {
-				inline = ahead == nil
-				err = labeled(round, "replay", func() (err error) {
-					runner.next = nil
-					if inline {
-						runner.next = next
-					}
-					res, err = runner.run(prev)
-					return err
-				})
-				runner.log = nil
-			}
-		} else {
-			// This round and the one before it held the call's slot and one
-			// spare, and the one before has ended: the round ahead takes its
-			// slot if that was the call's own, and a spare otherwise.
-			if overlapNext {
-				if cur.spare != nil {
-					err = startAhead(round, nil)
-				} else if release := spare(); release != nil {
-					err = startAhead(round, release)
-				}
-			}
-			if err == nil {
-				res, err = cur.join()
-				cur = nil
-			}
+				res, err = runner.run(prev)
+				return err
+			})
+		} else if err == nil {
+			res, err = cur.join()
+			cur = nil
 		}
 		if err != nil {
 			return CorrectionResult{}, nil, fmt.Errorf("core: correction round %d: %w", round, err)

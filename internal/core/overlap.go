@@ -147,16 +147,14 @@ const (
 	markDelivered             // the predecessor has delivered it
 )
 
-// follower is one overlapped round: the feed of its drain, deriving its
-// schedule from the predecessor's log, and the goroutine that runs it. Its
-// storage (everything sized by the trace) is kept from round to round of a
-// lane.
+// follower is the feed of an overlapped round: it derives the round's
+// schedule from its predecessor's delivery log as the log grows, and holds
+// the drain below the bound L. Its storage (everything sized by the trace)
+// is kept from round to round of a slot.
 type follower struct {
-	tr   *trace.Trace
-	ix   *revDeps
-	lane int
-	net  noc.Network
-	pool *noc.MsgPool
+	tr     *trace.Trace
+	ix     *revDeps
+	maxRef sim.Tick
 
 	// The predecessor: its schedule, its arrivals and its log.
 	pin, parr []sim.Tick
@@ -177,20 +175,12 @@ type follower struct {
 	clock sim.Tick
 	dueQueue
 
-	// The run: this round's arrivals and log, and its lifecycle.
-	arrive  []sim.Tick
-	log     *deliveryLog
-	spare   func() // releases the spare slot the round holds; nil on the call's own
-	stop    atomic.Bool
+	stop    atomic.Bool   // set by halt
 	derived chan struct{} // closed once every event is derived
-	done    chan struct{} // closed when the goroutine has returned
-	res     ReplayResult
-	err     error
-	panic   any
 }
 
-// reset readies the lane's storage for a round, its predecessor's fields
-// and schedule vector set, and derives the root events.
+// reset readies the follower for a round, its predecessor's fields and
+// schedule vector set, and derives the root events.
 func (f *follower) reset() {
 	n := len(f.tr.Events)
 	clear(f.next)
@@ -200,7 +190,6 @@ func (f *follower) reset() {
 	f.seen, f.underived, f.clock = 0, n, -1
 	f.open, f.work = f.open[:0], f.work[:0]
 	f.pending.Reset()
-	f.log.reset(n)
 	f.stop.Store(false)
 	f.derived = make(chan struct{})
 	for i := range n {
@@ -210,73 +199,46 @@ func (f *follower) reset() {
 	}
 }
 
-// start begins the round in its own goroutine. Its fabric must be fresh.
-func (f *follower) start(round int, maxRef sim.Tick, labeled func(round int, phase string, fn func() error) error) {
-	n := len(f.tr.Events)
-	f.reset()
-	f.done = make(chan struct{})
-	f.res, f.err, f.panic = ReplayResult{}, nil, nil
-	delivered := 0
-	f.net.SetDeliver(func(m *noc.Message) {
-		idx := int(m.ID) - 1
-		f.arrive[idx] = m.Arrive
-		f.log.publish(idx)
-		delivered++
-		f.pool.Put(m)
-	})
-	go func() {
-		defer close(f.done)
-		defer func() {
-			if f.spare != nil {
-				f.spare()
-			}
-		}()
-		defer func() {
-			if v := recover(); v != nil {
-				f.panic = v
-			}
-		}()
-		f.err = labeled(round, "replay", func() error {
-			if err := drain(f.net, f, f.pool, &delivered, n); err != nil {
-				return fmt.Errorf("core: %w", err)
-			}
-			return nil
-		})
-		if f.err == nil {
-			f.res = ReplayResult{Inject: f.next, Arrive: f.arrive}
-			finalize(&f.res, f.tr.RefMakespan, maxRef)
-			f.res.Cycles, f.res.NetStats = f.net.Now(), statsOf(f.net)
-		}
-	}()
+// aheadRound is an overlapped round's goroutine: it replays the follower's
+// schedule on the replayer's slot, releases the spare slot the round holds,
+// and keeps a panic for join to raise in the caller's goroutine.
+type aheadRound struct {
+	follower
+	slot  int
+	spare func() // releases the spare slot the round holds; nil on the call's own
+	done  chan struct{}
+	res   ReplayResult
+	err   error
+	panic any
 }
 
 // halt stops the round, if it still runs, and waits for its goroutine.
-func (f *follower) halt() {
-	f.stop.Store(true)
-	f.plog.signal()
-	<-f.done
+func (a *aheadRound) halt() {
+	a.stop.Store(true)
+	a.plog.signal()
+	<-a.done
 }
 
 // join waits for the round to end and returns its result. A panic in its
 // goroutine resurfaces here, in the caller's.
-func (f *follower) join() (ReplayResult, error) {
-	<-f.done
-	if f.panic != nil {
-		panic(f.panic)
+func (a *aheadRound) join() (ReplayResult, error) {
+	<-a.done
+	if a.panic != nil {
+		panic(a.panic)
 	}
-	return f.res, f.err
+	return a.res, a.err
 }
 
 // awaitDerived waits until every event of the round's schedule is derived and
 // reports whether that happened; false means the round ended first, with an
 // error or a panic.
-func (f *follower) awaitDerived() bool {
+func (a *aheadRound) awaitDerived() bool {
 	select {
-	case <-f.derived:
+	case <-a.derived:
 		return true
-	case <-f.done:
+	case <-a.done:
 		select {
-		case <-f.derived:
+		case <-a.derived:
 			return true
 		default:
 			return false
@@ -305,11 +267,11 @@ func (f *follower) injectDue(now sim.Tick, net noc.Network, pool *noc.MsgPool) e
 // serial replay would — and otherwise waits for the predecessor's deliveries
 // to raise the bound. A halted round returns the next cycle, so the drain
 // ticks once and its injectDue reports the halt.
-func (f *follower) nextInject() sim.Tick {
+func (f *follower) nextInject(wake sim.Tick) sim.Tick {
 	for {
 		f.consume()
 		at := f.pending.NextAt()
-		if f.underived == 0 || min(at, f.net.NextWake()) < f.bound() {
+		if f.underived == 0 || min(at, wake) < f.bound() {
 			return at
 		}
 		if !f.await() {
@@ -445,54 +407,66 @@ func (f *follower) await() bool {
 	return !f.stop.Load()
 }
 
-// overlap is what a correction keeps for overlapped rounds: the trace and its
-// reverse-dependency index, and per lane (fabric slot 0 or 1) the storage of
-// the round that runs there. Lane 0 is where a round that starts with its
-// schedule whole runs, through replayer.run; its arrivals are the replayer's.
-type overlap struct {
-	tr     *trace.Trace
-	ix     *revDeps
-	maxRef sim.Tick
-	lanes  [2]follower
-	logs   [2]deliveryLog
-}
+func (f *follower) lastRef() sim.Tick { return f.maxRef }
 
-// newOverlap builds the per-correction half of overlapped rounds.
-func newOverlap(tr *trace.Trace, opts ScheduleOptions) (*overlap, error) {
-	o := &overlap{tr: tr}
-	ix, err := buildRevDeps(tr, opts, func(_ int, e *trace.Event) { o.maxRef = max(o.maxRef, e.RefArrive) })
+// overlap is what a correction keeps for overlapped rounds: per slot of its
+// replayer (0 or 1), the round that runs there.
+type overlap [2]aheadRound
+
+// newOverlap builds the trace's reverse-dependency index, both followers'
+// storage and both of r's slots, before any round points into one.
+func newOverlap(r *replayer, tr *trace.Trace, opts ScheduleOptions) (*overlap, error) {
+	var maxRef sim.Tick
+	ix, err := buildRevDeps(tr, opts, func(_ int, e *trace.Event) { maxRef = max(maxRef, e.RefArrive) })
 	if err != nil {
 		return nil, err
 	}
-	o.ix = ix
-	return o, nil
-}
-
-// follow starts round on lane, the one its predecessor does not use,
-// deriving into next from the predecessor's schedule pin, its arrivals parr
-// and its log, the other lane's.
-func (o *overlap) follow(r *replayer, lane, round int, pin, parr, next []sim.Tick, release func(), labeled func(int, string, func() error) error) *follower {
-	n := len(o.tr.Events)
-	f := &o.lanes[lane]
-	if f.ix == nil {
+	o, n := new(overlap), len(tr.Events)
+	for i := range o {
 		// How many derived events wait to be injected, and how many wait to
-		// be delivered by the predecessor, depends on how far this lane lags
-		// it on the host: room for every event keeps a lagging round from
-		// growing the lane's storage.
+		// be delivered by the predecessor, depends on how far a round lags
+		// its predecessor on the host: room for every event keeps a lagging
+		// round from growing its follower's storage.
+		f := &o[i].follower
+		f.tr, f.ix, f.maxRef = tr, ix, maxRef
 		f.dueQueue = newDueQueue()
 		f.pending.Grow(n)
 		f.open = make([]int32, 0, n)
 	}
-	f.tr, f.ix, f.lane = o.tr, o.ix, lane
-	f.pin, f.parr, f.plog = pin, parr, &o.logs[1-lane]
-	f.next, f.log, f.spare = next, &o.logs[lane], release
-	if lane == 0 {
-		f.arrive = r.arrive
-	} else if f.arrive == nil {
-		f.arrive = make([]sim.Tick, n)
-	}
-	f.net, f.pool = r.fresh(lane), &r.slots[lane].pool
-	r.slots[lane].used = true
-	f.start(round, o.maxRef, labeled)
-	return f
+	r.fabric(1)
+	return o, nil
+}
+
+// follow starts round on slot, the one its predecessor does not use,
+// deriving into next from the predecessor's schedule pin and the other slot's
+// arrivals and log.
+func (o *overlap) follow(r *replayer, slot, round int, pin, next []sim.Tick, release func(), labeled func(int, string, func() error) error) *aheadRound {
+	a, n := &o[slot], r.meta.NumEvents
+	// The round's arrival vector exists before its goroutine reads it, and
+	// the predecessor's before the round does.
+	own, pred := &r.slots[slot], &r.slots[1-slot]
+	own.arrivals(n)
+	own.armLog(n)
+	a.pin, a.parr, a.plog, a.next = pin, pred.arrivals(n), pred.log, next
+	a.reset()
+	a.slot, a.spare, a.done = slot, release, make(chan struct{})
+	a.res, a.err, a.panic = ReplayResult{}, nil, nil
+	go func() {
+		defer close(a.done)
+		defer func() {
+			if a.spare != nil {
+				a.spare()
+			}
+		}()
+		defer func() {
+			if v := recover(); v != nil {
+				a.panic = v
+			}
+		}()
+		a.err = labeled(round, "replay", func() (err error) {
+			a.res, err = r.replay(slot, a.next, &a.follower)
+			return err
+		})
+	}()
+	return a
 }

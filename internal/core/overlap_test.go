@@ -2,14 +2,17 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"onocsim/internal/config"
+	"onocsim/internal/enoc"
 	"onocsim/internal/noc"
 	"onocsim/internal/sim"
 	"onocsim/internal/trace"
@@ -49,7 +52,7 @@ func newTestFollower(t *testing.T, plog *deliveryLog) *follower {
 	n := len(tr.Events)
 	plog.reset(n)
 	f := &follower{
-		tr: tr, ix: ix, plog: plog, log: new(deliveryLog),
+		tr: tr, ix: ix, plog: plog,
 		// Latencies 10, 4, 4, 5 and 10 cycles.
 		pin:      []sim.Tick{2, 5, 10, 20, 30},
 		parr:     []sim.Tick{12, 9, 14, 25, 40},
@@ -226,5 +229,55 @@ func TestOverlappedRoundAllocatesNoEventVectors(t *testing.T) {
 	t.Logf("%.0f B per extra round", perRound)
 	if perRound > bound {
 		t.Errorf("an extra overlapped round allocates %.0f B, want ≤ %d", perRound, bound)
+	}
+}
+
+// TestCoupledSeededCorrectionTakesNoSpare: a loop seeded coupled replays the
+// fixpoint in round 0 and stops there with Delta 0, so it asks for no spare
+// slot, neither run through nor resumed from a park before round 0, and its
+// result is the serial loop's.
+func TestCoupledSeededCorrectionTakesNoSpare(t *testing.T) {
+	tr := slowTrace()
+	cfg := config.Default()
+	cfg.SCTM.Seed = "coupled"
+	for name, factory := range map[string]NetworkFactory{
+		"mesh":  func() noc.Network { return enoc.New(16, cfg.Mesh) },
+		"ideal": contendedIdeal,
+	} {
+		want, _, err := Correct(context.Background(), factory, tr, cfg.SCTM, 1, 0, nil, nil, nil, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(want.Iterations) != 1 || want.Iterations[0].Delta != 0 {
+			t.Fatalf("%s: the coupled-seeded loop ran %+v, want one round at Delta 0", name, want.Iterations)
+		}
+		asked := 0
+		spare := func() func() {
+			asked++
+			return func() {}
+		}
+		got, _, err := Correct(context.Background(), factory, tr, cfg.SCTM, 1, 0, nil, nil, nil, spare)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the correction offered a spare differs from the serial one", name)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		_, state, err := Correct(ctx, factory, tr, cfg.SCTM, 1, 0, nil, nil, nil, spare)
+		if !errors.Is(err, ErrParked) || state == nil {
+			t.Fatalf("%s: a cancelled correction returned %v, want a park", name, err)
+		}
+		got, _, err = Correct(context.Background(), factory, tr, cfg.SCTM, 1, 0, nil, state, nil, spare)
+		if err != nil {
+			t.Fatalf("%s: resume: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the correction resumed from before round 0 differs from the serial one", name)
+		}
+		if asked != 0 {
+			t.Errorf("%s: a coupled-seeded correction asked for a spare slot %d times", name, asked)
+		}
 	}
 }

@@ -75,7 +75,7 @@ func drain(net noc.Network, f feed, pool *noc.MsgPool, delivered *int, want int)
 		// Fast-forward to the next injection or fabric event; the cycles
 		// in between are provably idle.
 		wake := net.NextWake()
-		if t := f.nextInject(); t < sim.Never {
+		if t := f.nextInject(wake); t < sim.Never {
 			lastInj = t
 			if t < wake {
 				wake = t
@@ -108,10 +108,10 @@ func refTail(refMakespan, maxRef sim.Tick) sim.Tick {
 	return 0
 }
 
-// finalize computes makespan and mean latency from the realized times and
-// returns the last arrival; maxRef is the capture run's last arrival. The
-// caller installs Cycles and NetStats.
-func finalize(res *ReplayResult, refMakespan, maxRef sim.Tick) sim.Tick {
+// finalize computes makespan and mean latency from the realized times;
+// maxRef is the capture run's last arrival. The caller installs Cycles and
+// NetStats.
+func finalize(res *ReplayResult, refMakespan, maxRef sim.Tick) {
 	var maxArr sim.Tick
 	var sum float64
 	for i := range res.Arrive {
@@ -124,19 +124,22 @@ func finalize(res *ReplayResult, refMakespan, maxRef sim.Tick) sim.Tick {
 	if len(res.Arrive) > 0 {
 		res.MeanLatency = sum / float64(len(res.Arrive))
 	}
-	return maxArr
 }
 
-// replayer is the replay engine: it replays injection schedules of one
-// trace.Source on fabrics from one factory, a call to run per schedule, each
-// from cycle zero. It has two pluggable parts around the one drain loop:
+// replayer is the replay engine: it replays one trace.Source on fabrics from
+// one factory, each replay from cycle zero on one of its slots. Every replay
+// that keeps per-event vectors runs through its one lane method, replay,
+// whatever its feed:
 //
-//   - the feed (stream.go) decodes the source inside a bounded read-ahead
-//     window; a resident trace is the unbounded case;
-//   - K > 1 on a noc.ScheduleShardable fabric splits the events over K
-//     replica fabrics (sharded.go), drains each to completion in its own
-//     goroutine and merges their statistics blocks; K = 1 is the serial
-//     case, run in the caller's goroutine with the fabric's own block.
+//   - the schedule feed (stream.go) decodes the source inside a bounded
+//     read-ahead window, a resident trace being the unbounded case; run
+//     replays a whole schedule through it, and with K > 1 on a
+//     noc.ScheduleShardable fabric splits the events over K slots
+//     (sharded.go), each drained to completion in its own goroutine;
+//   - the coupled feed releases an event once its dependencies have arrived
+//     on the fabric (CoupledReplay, and a correction's coupled seed);
+//   - the follower derives an overlapped round's schedule from the round
+//     before it as that round delivers (overlap.go).
 //
 // Results are byte-identical whichever parts are in play.
 //
@@ -164,8 +167,8 @@ func finalize(res *ReplayResult, refMakespan, maxRef sim.Tick) sim.Tick {
 // that embeds it) run serially whatever K says.
 //
 // A replayer is not safe for concurrent use. An overlapped correction round
-// (overlap.go) drives one of its slots from a goroutine of its own, never a
-// slot a run or another round is using.
+// replays on one of its slots from a goroutine of its own, never a slot a run
+// or another round is using; slots are added only while no round runs.
 type replayer struct {
 	factory NetworkFactory
 	src     trace.Source
@@ -173,73 +176,79 @@ type replayer struct {
 	shards  int // requested K, clamped to [1, nodes] per run
 	window  int // cap on each drain's pending events; 0 = unbounded
 
-	slots []slot     // what each shard keeps from run to run
+	slots []slot
 	part  *partition // K > 1 only; see sharded.go
 
 	// next is where a run derives the next schedule; nil derives none. The
 	// correction sets it, and the deriver's options.
 	next []sim.Tick
-	// log, when non-nil, is where a K = 1 run publishes its deliveries for
-	// an overlapped round that follows it (overlap.go).
-	log *deliveryLog
-	// Storage every run reuses: the arrival vector, which is the result's
-	// Arrive and so is overwritten by the next run, the per-block suffix
-	// minima of its schedule, its delivered marks and the deriver.
-	arrive []sim.Tick
+	// Storage every run reuses: the per-block suffix minima of its schedule,
+	// and the deriver.
 	bm     []sim.Tick
-	done   []bool
 	derive deriver
 }
 
-// slot is the long-lived state of one shard: its fabric — a Resettable
-// instance is reset between runs instead of rebuilt — and the storage its
-// drains reuse: the message pool and the decoder's pending queue and bound
-// cursor.
+// slot is one lane of the replayer: its fabric — a Resettable instance is
+// reset between replays instead of rebuilt — and what the replays on it
+// reuse: the message pool, the arrival vector, the delivery log a following
+// round reads, and the schedule feed's pending queue and bound cursor.
 type slot struct {
-	net     noc.Network
-	used    bool
-	pool    noc.MsgPool
-	pending sim.Calendar[pendingMsg]
-	cur     [minBlock]sim.Tick
+	net  noc.Network
+	used bool
+	pool noc.MsgPool
+	// arrive is a replay's Arrive: zero until the event is delivered (every
+	// fabric delivers at Arrive > Inject ≥ 0), so it is the delivered mark
+	// too. The next replay on the slot clears it.
+	arrive []sim.Tick
+	// followed has the next replay on the slot publish its deliveries to
+	// log, for a round that follows it; armLog sets it.
+	followed  bool
+	log       *deliveryLog
+	delivered int
+	err       error // the last drain's
+	pending   sim.Calendar[pendingMsg]
+	cur       [minBlock]sim.Tick
+}
+
+// arrivals returns the slot's arrival vector, sized for n events.
+func (sl *slot) arrivals(n int) []sim.Tick {
+	if sl.arrive == nil || len(sl.arrive) != n {
+		sl.arrive = make([]sim.Tick, n)
+	}
+	return sl.arrive
+}
+
+// armLog readies the slot's log for a replay of n events that another round
+// follows, and has that replay publish to it. It is called before the
+// following round can read the log.
+func (sl *slot) armLog(n int) {
+	if sl.log == nil {
+		sl.log = new(deliveryLog)
+	}
+	sl.log.reset(n)
+	sl.followed = true
 }
 
 func newReplayer(factory NetworkFactory, src trace.Source, shards, window int) *replayer {
 	return &replayer{factory: factory, src: src, meta: src.Meta(), shards: shards, window: readAhead(src, window)}
 }
 
-// fabric returns the long-lived instance of shard slot i, as it was left.
-// Slot 0 doubles as the zero-load probe: a probe never ticks, so the
-// instance is still fresh for the first run. A correction's coupled seed
-// runs on it too and marks it used, so the first run resets it.
+// fabric returns the long-lived instance of slot i, as it was left, adding
+// the slots up to i first. Slot 0 doubles as the zero-load probe: a probe
+// never ticks, so the instance is still fresh for the first replay.
 func (r *replayer) fabric(i int) noc.Network {
 	for len(r.slots) <= i {
-		r.slots = append(r.slots, slot{pending: sim.NewCalendar[pendingMsg](ringTicks)})
-	}
-	if r.slots[i].net == nil {
-		r.slots[i].net = r.factory()
+		r.slots = append(r.slots, slot{net: r.factory(), pending: sim.NewCalendar[pendingMsg](ringTicks)})
 	}
 	return r.slots[i].net
 }
 
-// fresh returns slot i at time zero with no prior traffic.
-func (r *replayer) fresh(i int) noc.Network {
-	net := r.fabric(i)
-	if r.slots[i].used {
-		if rs, ok := net.(noc.Resettable); ok {
-			rs.Reset()
-		} else {
-			net = r.factory()
-			r.slots[i].net = net
-		}
-	}
-	return net
-}
-
 // lanes is how many fabrics a run splits over: K, clamped to the node count,
-// on a noc.ScheduleShardable fabric, and 1 on any other.
+// on a noc.ScheduleShardable fabric, and 1 on any other, and on one the lane
+// method will refuse for its node count.
 func (r *replayer) lanes() int {
 	net0 := r.fabric(0)
-	if _, ok := net0.(noc.ScheduleShardable); ok {
+	if _, ok := net0.(noc.ScheduleShardable); ok && net0.Nodes() == r.meta.Nodes {
 		return max(min(r.shards, net0.Nodes()), 1)
 	}
 	return 1
@@ -248,38 +257,90 @@ func (r *replayer) lanes() int {
 // deriveAll derives into next the schedule a finished run's latencies give
 // (ScheduleStream with r.derive.opts), in one more pass over the source.
 func (r *replayer) deriveAll(next []sim.Tick, res ReplayResult) error {
-	r.derive.reset(next, res.Arrive, res.Inject, nil)
+	r.derive.reset(next, res.Arrive, res.Inject, false)
 	return EachEvent(r.src, r.derive.offer)
 }
 
-// lane is one fabric's share of a run: the drain of the events it owns. It
-// holds no reference to the run's feed: the fabric outlives the run and,
-// through its delivery callback, so does the lane.
-type lane struct {
-	net             noc.Network
-	slot            *slot    // the storage the drain reuses
-	delivered, want int      // want is the lane's owned event count
-	maxRef          sim.Tick // the decoder's, once drained
-	err             error
-}
+// replay is the lane method, the one way a replay with per-event vectors
+// runs: it takes slots lo, lo+1, … fresh, one per feed, installs on each the
+// only delivery callback — write Arrive, run the feed's delivery hook if it
+// has one, publish to the slot's log when a round follows it, count,
+// recycle — drains each on its feed, and assembles the result. Its Inject is
+// the inject passed in, and its Arrive slot lo's arrival vector, which every
+// lane writes at the indices of the events its feed owns. One lane drains in
+// the caller's goroutine; several (a K > 1 run's, each delivering the events
+// r.part gives it) drain in one goroutine each.
+func (r *replayer) replay(lo int, inject []sim.Tick, feeds ...feed) (ReplayResult, error) {
+	n, k := r.meta.NumEvents, len(feeds)
+	r.fabric(lo + k - 1) // every slot exists before a callback points into one
+	arrive := r.slots[lo].arrivals(n)
+	clear(arrive)
+	for s, f := range feeds {
+		sl := &r.slots[lo+s]
+		// Take the slot fresh: reset its fabric, or build another.
+		if rs, ok := sl.net.(noc.Resettable); ok && sl.used {
+			rs.Reset()
+		} else if sl.used {
+			sl.net = r.factory()
+		}
+		if err := checkFabric(sl.net, r.meta.Nodes); err != nil {
+			return ReplayResult{}, err
+		}
+		sl.used, sl.delivered = true, 0
+		hook, _ := f.(deliveryHook)
+		var log *deliveryLog
+		if sl.followed {
+			log, sl.followed = sl.log, false
+		}
+		sl.net.SetDeliver(func(m *noc.Message) {
+			idx := int(m.ID) - 1
+			arrive[idx] = m.Arrive
+			if hook != nil {
+				hook.delivered(idx, m)
+			}
+			if log != nil {
+				log.publish(idx)
+			}
+			sl.delivered++
+			sl.pool.Put(m)
+		})
+	}
+	// The lane captures nothing, so a one-lane replay allocates no closure.
+	lane := func(sl *slot, f feed, want int) {
+		sl.err = drain(sl.net, f, &sl.pool, &sl.delivered, want)
+	}
+	if k == 1 {
+		lane(&r.slots[lo], feeds[0], n)
+	} else {
+		var wg sync.WaitGroup
+		for s, f := range feeds {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				lane(&r.slots[lo+s], f, r.part.want[s])
+			}()
+		}
+		wg.Wait()
+	}
 
-// drain opens the lane's own pass over src and runs the drain loop on it.
-// With a deriver, it then derives from the last deliveries: every event was
-// decoded before it was injected, so the deriver has been offered them all.
-func (l *lane) drain(src trace.Source, dec streamDecoder) {
-	it, err := src.Pass()
-	if err != nil {
-		l.err = err
-		return
+	res := ReplayResult{Inject: inject, Arrive: arrive, NetStats: new(noc.Stats)}
+	var maxRef sim.Tick
+	for s := range feeds {
+		if err := r.slots[lo+s].err; err != nil {
+			if k > 1 {
+				return ReplayResult{}, fmt.Errorf("core: shard %d/%d: %w", s, k, err)
+			}
+			return ReplayResult{}, fmt.Errorf("core: %w", err)
+		}
+		// Each lane's drain exits on the Tick that delivers its last message,
+		// so the latest clock is the last arrival.
+		net := r.slots[lo+s].net
+		res.Cycles = max(res.Cycles, net.Now())
+		res.NetStats.Merge(net.Stats())
+		maxRef = max(maxRef, feeds[s].lastRef())
 	}
-	defer it.Close()
-	l.slot.pending.Reset()
-	dec.it, dec.pending, dec.cur = it, &l.slot.pending, &l.slot.cur
-	l.err = drain(l.net, &dec, &l.slot.pool, &l.delivered, l.want)
-	if l.err == nil && dec.derive != nil {
-		dec.derive.advance()
-	}
-	l.maxRef = dec.maxRef
+	finalize(&res, r.meta.RefMakespan, maxRef)
+	return res, nil
 }
 
 // run injects every event of the source at the given absolute times and runs
@@ -287,111 +348,51 @@ func (l *lane) drain(src trace.Source, dec streamDecoder) {
 // into it the schedule the realized latencies give (ScheduleStream with
 // r.derive.opts): during the replay itself for K = 1, in one more pass over
 // the source for K > 1. The result is valid until the next run: its Inject is
-// the inject slice passed in, and its Arrive is r.arrive, which the next run
-// overwrites.
+// the inject slice passed in, and its Arrive is slot 0's arrival vector,
+// which the next run overwrites.
 func (r *replayer) run(inject []sim.Tick) (ReplayResult, error) {
 	n, next := r.meta.NumEvents, r.next
-	net0 := r.fabric(0)
-	if net0.Nodes() != r.meta.Nodes {
-		return ReplayResult{}, fmt.Errorf("core: fabric has %d nodes, trace has %d", net0.Nodes(), r.meta.Nodes)
-	}
 	if len(inject) != n {
 		return ReplayResult{}, fmt.Errorf("core: %d injection times for %d events", len(inject), n)
 	}
 	k := r.lanes()
-	if r.arrive == nil {
-		r.arrive = make([]sim.Tick, n)
-	}
-	res := ReplayResult{Inject: inject, Arrive: r.arrive}
-	r.done = slices.Grow(r.done[:0], n)[:n]
-	clear(r.done)
-	lanes := make([]lane, k)
-	lanes[0].want = n
 	if k > 1 {
-		if err := r.split(net0.(noc.ScheduleShardable), k); err != nil {
+		if err := r.split(r.fabric(0).(noc.ScheduleShardable), k); err != nil {
 			return ReplayResult{}, err
 		}
-		for s := range lanes {
-			lanes[s].want = r.part.want[s]
-		}
 	}
-	r.fabric(k - 1) // every slot exists before a lane points into one
-	for s := range lanes {
-		l := &lanes[s]
-		l.net = r.fresh(s)
-		if l.net.Now() != 0 {
-			return ReplayResult{}, fmt.Errorf("core: replay fabric is not fresh (now=%d)", l.net.Now())
-		}
-		l.slot = &r.slots[s]
-		l.slot.used = true
-		done := r.done
-		arrive := r.arrive
-		log := r.log
-		l.net.SetDeliver(func(m *noc.Message) {
-			idx := int(m.ID) - 1
-			arrive[idx] = m.Arrive
-			done[idx] = true
-			if log != nil {
-				log.publish(idx)
-			}
-			l.delivered++
-			l.slot.pool.Put(m)
-		})
-	}
-
-	// Replicas are fully independent, and every shared-slice write lands at
-	// indices owned by exactly one lane.
+	r.fabric(k - 1) // every slot exists before a decoder points into one
 	r.bm = blockMins(r.bm, inject)
-	dec := streamDecoder{inject: inject, bm: r.bm, window: r.window}
-	if k == 1 {
-		if next != nil {
-			r.derive.reset(next, res.Arrive, res.Inject, r.done)
-			dec.derive = &r.derive
-		}
-		lanes[0].drain(r.src, dec)
-	} else {
-		var wg sync.WaitGroup
-		for s := range lanes {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				dec := dec
-				dec.own = func(idx int) bool { return r.part.owner(idx) == s }
-				lanes[s].drain(r.src, dec)
-			}()
-		}
-		wg.Wait()
-	}
-	for s := range lanes {
-		if err := lanes[s].err; err != nil {
-			if k > 1 {
-				return ReplayResult{}, fmt.Errorf("core: shard %d/%d: %w", s, k, err)
-			}
-			return ReplayResult{}, fmt.Errorf("core: %w", err)
-		}
-	}
-	if next != nil && k > 1 {
-		if err := r.deriveAll(next, res); err != nil {
+	decs, feeds := make([]streamDecoder, k), make([]feed, k)
+	for s := range decs {
+		// Each lane opens its own pass: a lane keeps only the events it owns.
+		it, err := r.src.Pass()
+		if err != nil {
 			return ReplayResult{}, err
 		}
-	}
-
-	// Each event passed through the decoder of the lane that owns it, which
-	// folded in the event's capture-run arrival on the way.
-	var maxRef sim.Tick
-	for s := range lanes {
-		maxRef = max(maxRef, lanes[s].maxRef)
-	}
-	maxArr := finalize(&res, r.meta.RefMakespan, maxRef)
-	if k == 1 {
-		res.Cycles, res.NetStats = lanes[0].net.Now(), statsOf(lanes[0].net)
-	} else {
-		// The serial loop exits on the Tick that delivers the last message,
-		// so its final clock equals the last arrival.
-		res.Cycles, res.NetStats = maxArr, new(noc.Stats)
-		for s := range lanes {
-			res.NetStats.Merge(lanes[s].net.Stats())
+		defer it.Close()
+		sl := &r.slots[s]
+		sl.pending.Reset()
+		decs[s] = streamDecoder{it: it, inject: inject, bm: r.bm, window: r.window, pending: &sl.pending, cur: &sl.cur}
+		if k > 1 {
+			decs[s].own = func(idx int) bool { return r.part.owner(idx) == s }
 		}
+		feeds[s] = &decs[s]
+	}
+	if next != nil && k == 1 {
+		r.derive.reset(next, r.slots[0].arrivals(n), inject, true)
+		decs[0].derive = &r.derive
+	}
+	res, err := r.replay(0, inject, feeds...)
+	if err != nil || next == nil {
+		return res, err
+	}
+	if k == 1 {
+		// Every event was decoded before it was injected, so the deriver has
+		// been offered them all; the last Tick's deliveries remain.
+		r.derive.advance()
+	} else if err := r.deriveAll(next, res); err != nil {
+		return ReplayResult{}, err
 	}
 	return res, nil
 }
@@ -448,71 +449,58 @@ func NaiveReplayStream(factory NetworkFactory, src trace.Source, shards, window 
 // Final equal to this result. One pass over src builds the reverse-dependency
 // index (the one overlapped correction rounds use) and keeps every event's
 // payload, so a coupled replay holds O(events + edges) resident whatever the
-// source, in a handful of allocations whatever its length.
+// source, in a handful of allocations whatever its length. It runs on a
+// one-slot replayer over net, which must be fresh.
 func CoupledReplay(net noc.Network, src trace.Source, opts ScheduleOptions) (ReplayResult, error) {
-	meta := src.Meta()
-	if err := checkFabric(net, meta.Nodes); err != nil {
-		return ReplayResult{}, err
-	}
-	n := meta.NumEvents
-	res := ReplayResult{
-		Inject: make([]sim.Tick, n),
-		Arrive: make([]sim.Tick, n),
-	}
-	// Dependency bookkeeping: remaining counts each event's kept
-	// dependencies not yet arrived.
-	var maxRef sim.Tick
-	feed := coupledFeed{events: make([]pendingMsg, n), dueQueue: newDueQueue()}
-	ix, err := buildRevDeps(src, opts, func(i int, e *trace.Event) {
-		feed.events[i] = pendingMsg{at: e.Gap, src: e.Src, dst: e.Dst, bytes: e.Bytes, class: e.Class}
-		maxRef = max(maxRef, e.RefArrive)
+	return newReplayer(func() noc.Network { return net }, src, 1, 0).coupled(opts)
+}
+
+// coupled runs a coupled replay on slot 0. Its Inject is a vector of its own,
+// and its Arrive is the slot's, which the next replay there overwrites.
+func (r *replayer) coupled(opts ScheduleOptions) (ReplayResult, error) {
+	n := r.meta.NumEvents
+	f := &coupledFeed{events: make([]pendingMsg, n), inject: make([]sim.Tick, n), dueQueue: newDueQueue()}
+	ix, err := buildRevDeps(r.src, opts, func(i int, e *trace.Event) {
+		f.events[i] = pendingMsg{at: e.Gap, src: e.Src, dst: e.Dst, bytes: e.Bytes, class: e.Class}
+		f.maxRef = max(f.maxRef, e.RefArrive)
 	})
 	if err != nil {
 		return ReplayResult{}, err
 	}
-	remaining, lastDep := ix.deps, make([]sim.Tick, n)
-	for i := range feed.events {
-		if remaining[i] == 0 {
-			feed.pending.Push(feed.events[i].at, int32(i))
+	f.ix = ix
+	for i := range f.events {
+		if ix.deps[i] == 0 {
+			f.inject[i] = f.events[i].at
+			f.pending.Push(f.inject[i], int32(i))
 		}
 	}
-
-	var pool noc.MsgPool
-	delivered := 0
-	net.SetDeliver(func(m *noc.Message) {
-		idx := int(m.ID) - 1
-		res.Arrive[idx] = m.Arrive
-		res.Inject[idx] = m.Inject
-		delivered++
-		pool.Put(m)
-		for _, ch := range ix.children(idx) {
-			if at := m.Arrive + feed.events[ch].at; at > lastDep[ch] {
-				lastDep[ch] = at
-			}
-			remaining[ch]--
-			if remaining[ch] == 0 {
-				feed.pending.Push(lastDep[ch], ch)
-			}
-		}
-	})
 	// A drain that runs out of wake-ups with deliveries outstanding means the
 	// dependency graph (or the fabric) has deadlocked.
-	if err := drain(net, &feed, &pool, &delivered, n); err != nil {
-		return ReplayResult{}, fmt.Errorf("core: coupled %w", err)
-	}
-	finalize(&res, meta.RefMakespan, maxRef)
-	res.Cycles, res.NetStats = net.Now(), statsOf(net)
-	return res, nil
+	return r.replay(0, f.inject, f)
 }
 
-// coupledFeed is the feed of a coupled replay. The delivery callback pushes
-// each event whose dependencies have all arrived on the target fabric onto
-// its dueQueue, for the cycle its gap ends; injectDue releases them in the
-// (time, ID) order of every feed, which makes a coupled replay the exact
-// fixpoint of the correction loop.
+// coupledFeed is the feed of a coupled replay. Its delivery hook folds each
+// arrival into the dependents' injection times and pushes each event whose
+// dependencies have all arrived on the target fabric onto its dueQueue, for
+// the cycle its gap ends; injectDue releases them in the (time, ID) order of
+// every feed, which makes a coupled replay the exact fixpoint of the
+// correction loop. An event is injected at exactly the cycle it is released
+// at, so inject, filled in as it is pushed, is also the realized injection.
 type coupledFeed struct {
 	events []pendingMsg // every event's payload, its gap in at
+	ix     *revDeps     // its deps count each event's kept dependencies not yet arrived
+	inject []sim.Tick   // the latest dependency arrival plus gap folded in so far
+	maxRef sim.Tick
 	dueQueue
+}
+
+func (f *coupledFeed) delivered(idx int, m *noc.Message) {
+	for _, c := range f.ix.children(idx) {
+		f.inject[c] = max(f.inject[c], m.Arrive+f.events[c].at)
+		if f.ix.deps[c]--; f.ix.deps[c] == 0 {
+			f.pending.Push(f.inject[c], c)
+		}
+	}
 }
 
 func (f *coupledFeed) injectDue(now sim.Tick, net noc.Network, pool *noc.MsgPool) error {
@@ -525,7 +513,9 @@ func (f *coupledFeed) injectDue(now sim.Tick, net noc.Network, pool *noc.MsgPool
 
 // nextInject bounds only the events already ready; the rest become ready
 // inside a Tick, and drain asks again after every one.
-func (f *coupledFeed) nextInject() sim.Tick { return f.pending.NextAt() }
+func (f *coupledFeed) nextInject(sim.Tick) sim.Tick { return f.pending.NextAt() }
+
+func (f *coupledFeed) lastRef() sim.Tick { return f.maxRef }
 
 // dueQueue holds events under the cycle they become due, on a sim.Calendar,
 // the engine's one due-time queue, for the feeds whose events become due out

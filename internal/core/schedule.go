@@ -13,8 +13,13 @@
 //     per-message latencies, until the schedule stops moving.
 //
 // plus the error metrics that compare them against execution-driven ground
-// truth. NaiveReplay and every SelfCorrect round are schedule-driven and run
-// on the one replay engine of replay.go.
+// truth. All three run on the one replay engine of replay.go, through its one
+// lane method, and differ only in the feed that hands it injections:
+// NaiveReplay and every SelfCorrect round replay a schedule, an overlapped
+// round derives its schedule as the round before it delivers (overlap.go),
+// and CoupledReplay releases each event once its dependencies arrive. Only
+// the summary replay of stream.go, which keeps no per-event vector, sets its
+// fabric up on its own.
 package core
 
 import (
@@ -114,7 +119,7 @@ func schedule(src trace.Source, latency []sim.Tick, opts ScheduleOptions, estima
 	}
 	inject := make([]sim.Tick, n)
 	d := deriver{opts: opts}
-	d.reset(inject, latency, nil, nil)
+	d.reset(inject, latency, nil, false)
 	err := EachEvent(src, func(i int, e *trace.Event) {
 		if estimate != nil {
 			latency[i] = estimate(e)
@@ -137,7 +142,7 @@ func schedule(src trace.Source, latency []sim.Tick, opts ScheduleOptions, estima
 // each other's arrivals. A K = 1 run feeds it from the replay's own decoder,
 // while the replay is still delivering: an event whose dependency has not
 // been delivered waits in the backlog, and everything after it waits behind
-// it, until the delivery callback marks the dependency done. The backlog
+// it, until the dependency's arrival is recorded. The backlog
 // holds only an event's gap and its kept dependencies, and is not part of
 // the read-ahead window.
 type deriver struct {
@@ -147,8 +152,9 @@ type deriver struct {
 	// the replay being measured; with inject nil, arrive holds the latencies
 	// themselves.
 	arrive, inject []sim.Tick
-	// done marks the events whose latency is known; nil when all are.
-	done []bool
+	// live is set while that replay still delivers: event j's latency is
+	// known once arrive[j] is nonzero, and every latency is when it is unset.
+	live bool
 
 	// The backlog: events offered but not yet derived, in ID order, from
 	// held[head], which is event first, on. Event first+k's kept
@@ -180,10 +186,10 @@ type heldEvent struct {
 const heldCap = 1 << 12
 
 // reset points the deriver at a new derivation, keeping its storage.
-func (d *deriver) reset(next, arrive, inject []sim.Tick, done []bool) {
-	d.next, d.arrive, d.inject, d.done = next, arrive, inject, done
+func (d *deriver) reset(next, arrive, inject []sim.Tick, live bool) {
+	d.next, d.arrive, d.inject, d.live = next, arrive, inject, live
 	d.held, d.deps, d.head, d.from, d.wait = d.held[:0], d.deps[:0], 0, 0, -1
-	if done != nil && d.held == nil {
+	if live && d.held == nil {
 		d.held, d.deps = make([]heldEvent, 0, heldCap), make([]int, 0, heldCap)
 	}
 }
@@ -193,7 +199,7 @@ func (d *deriver) reset(next, arrive, inject []sim.Tick, done []bool) {
 // is derived at once, and otherwise its kept dependencies are copied into the
 // backlog.
 func (d *deriver) offer(i int, e *trace.Event) {
-	if d.done == nil {
+	if !d.live {
 		var ready sim.Tick
 		for _, dep := range e.Deps {
 			if d.opts.keepDep(dep.Class) {
@@ -219,7 +225,7 @@ func (d *deriver) offer(i int, e *trace.Event) {
 // advance derives backlog events from the head until one has a dependency
 // not yet delivered, or the backlog is empty.
 func (d *deriver) advance() {
-	if d.wait >= 0 && !d.done[d.wait] {
+	if d.wait >= 0 && d.arrive[d.wait] == 0 {
 		return
 	}
 	d.derive()
@@ -231,7 +237,7 @@ func (d *deriver) derive() {
 		h := &d.held[d.head]
 		for ; d.from < h.to; d.from++ {
 			j := d.deps[d.from]
-			if !d.done[j] {
+			if d.arrive[j] == 0 {
 				d.wait = j
 				d.compact()
 				return

@@ -13,12 +13,13 @@ import (
 // injections. Every replay reads its events from a trace.Source, so event
 // payloads and dependency edges live only inside a bounded read-ahead window;
 // a resident trace is the same feed with nothing to bound. What stays O(n) is
-// three time vectors and the delivered marks, 25 bytes per event: the
-// schedule being replayed (which is also the result's realized injections),
-// the schedule being derived, the arrivals and the marks. A correction carries
-// them from round to round and allocates none of them again.
+// three time vectors, 24 bytes per event: the schedule being replayed (which
+// is also the result's realized injections), the schedule being derived, and
+// the arrivals, which are also the delivered marks. A correction carries them
+// from round to round and allocates none of them again.
 // NaiveReplaySummaryStream below is the fully out-of-core tier: O(window +
-// nodes) resident, summary-only results.
+// nodes) resident, summary-only results, and the one replay that sets its
+// fabric up itself rather than on the replayer's lane method.
 //
 // How (time, ID) injection order survives out-of-order schedules without a
 // sort: the decoder's bound is min injection time over events ≥ pos, the
@@ -38,8 +39,8 @@ import (
 //
 // A correction round's decoder also hands every event it decodes to the
 // deriver (schedule.go), which derives the next round's schedule from this
-// round's arrivals as the delivery callback marks them, so a round reads its
-// source once. Events whose dependencies are still in flight wait in the
+// round's arrivals as the delivery callback records them, so a round reads
+// its source once. Events whose dependencies are still in flight wait in the
 // deriver's backlog, which holds a gap and a few indices per event and is not
 // part of the window. A file source's pass decodes the file as the decoder
 // here calls it, on the replay's own goroutine (trace.FileSource.Pass).
@@ -54,7 +55,18 @@ type feed interface {
 	// fixed schedule, the ready ones for a coupled replay, where a Tick's
 	// deliveries can add more — and sim.Never when there is none. A bound
 	// below the true earliest time costs an idle Tick, never correctness.
-	nextInject() sim.Tick
+	// wake is the fabric's next wake, which only an overlapped round's
+	// follower reads.
+	nextInject(wake sim.Tick) sim.Tick
+	// lastRef is the latest capture-run arrival among the events fed so far:
+	// the capture's makespan tail starts there.
+	lastRef() sim.Tick
+}
+
+// deliveryHook is a feed that hears of every delivery, after its arrival is
+// recorded and before the message is recycled.
+type deliveryHook interface {
+	delivered(idx int, m *noc.Message)
 }
 
 // inject hands one trace event to the fabric as a pooled message.
@@ -214,9 +226,11 @@ func (d *streamDecoder) decodeTo(t sim.Tick) error {
 
 // nextInject implements feed: the earliest pending cycle among decoded
 // events, the suffix-min bound among undecoded ones.
-func (d *streamDecoder) nextInject() sim.Tick {
+func (d *streamDecoder) nextInject(sim.Tick) sim.Tick {
 	return min(d.bound(), d.pending.NextAt())
 }
+
+func (d *streamDecoder) lastRef() sim.Tick { return d.maxRef }
 
 // injectDue implements feed.
 func (d *streamDecoder) injectDue(now sim.Tick, net noc.Network, pool *noc.MsgPool) error {
@@ -291,12 +305,14 @@ func (f *captureFeed) injectDue(now sim.Tick, net noc.Network, pool *noc.MsgPool
 }
 
 // nextInject implements feed.
-func (f *captureFeed) nextInject() sim.Tick {
+func (f *captureFeed) nextInject(sim.Tick) sim.Tick {
 	if !f.have {
 		return sim.Never
 	}
 	return f.cur.RefInject
 }
+
+func (f *captureFeed) lastRef() sim.Tick { return f.maxRef }
 
 // NaiveReplaySummaryStream replays the trace at its recorded capture
 // timestamps with truly constant residency: one event in flight from the

@@ -66,6 +66,21 @@ type srcQueue struct {
 
 func (q *srcQueue) push(m *noc.Message) { q.buf = append(q.buf, m) }
 
+// srcSlots is how many messages each sender FIFO holds before it grows.
+const srcSlots = 2
+
+// newSrcQueues returns count empty sender FIFOs whose first srcSlots
+// messages share one backing array, so a build costs two allocations however
+// many FIFOs it has; a FIFO that outgrows its slots reallocates on its own.
+func newSrcQueues(count int) []srcQueue {
+	qs := make([]srcQueue, count)
+	slots := make([]*noc.Message, count*srcSlots)
+	for i := range qs {
+		qs[i].buf = slots[i*srcSlots : i*srcSlots : (i+1)*srcSlots]
+	}
+	return qs
+}
+
 func (q *srcQueue) empty() bool { return q.head == len(q.buf) }
 
 func (q *srcQueue) pop() *noc.Message {
@@ -264,10 +279,10 @@ func NewCrossbar(nodes int, cfg config.Optical, faults config.Faults, seed uint6
 // bound.
 func newMWSR(nodes int, cfg config.Optical, faults config.Faults, seed uint64, hop sim.Tick, maxHold int) *Network {
 	n := &Network{phys: newPhys(nodes, cfg, faults, seed), hop: hop, maxHold: maxHold, wake: newWakeWheel(nodes, hop)}
-	// Three slabs, not 2·nodes+ small objects: a sweep builds many fabrics.
+	// Four slabs, not nodes² small objects: a sweep builds many fabrics.
 	words := (nodes + 63) / 64
 	n.channels = make([]channel, nodes)
-	queues := make([]srcQueue, nodes*nodes)
+	queues := newSrcQueues(nodes * nodes)
 	waiting := make(bitset, nodes*words)
 	for d := range n.channels {
 		n.channels[d] = channel{

@@ -37,7 +37,7 @@ func newSWMR(nodes int, cfg config.Optical, faults config.Faults, seed uint64) *
 	n := &swmr{
 		phys:     newPhys(nodes, cfg, faults, seed),
 		chanFree: make([]sim.Tick, nodes),
-		queues:   make([]srcQueue, nodes),
+		queues:   newSrcQueues(nodes),
 		waiting:  make(bitset, (nodes+63)/64),
 	}
 	// The ring count is symmetric with MWSR (N·(N-1) receiver banks here
