@@ -39,16 +39,17 @@ fmt-check:
 # allowlist entry with a reason) and the file≡resident table (every operation
 # that reads a trace, handed a trace file, answers as for the resident
 # trace): the review gate for a new knob, entry point, export, or *Trace-only
-# path. TestReplayMetamorphicRelations (~2 s) holds coupled replay to two
+# path. TestReplayMetamorphicRelations (~2 s) holds coupled replay to three
 # relations the replay rule implies, exactly, for every kernel × the five
 # fixpoint variants: delaying every root event by C delays every arrival by C
 # (on MWSR and the hybrid only for C a multiple of the token's revolution), and
-# every round of an overlapped zero-load correction by C too, and an edge an
+# every round of an overlapped zero-load correction by C too; an edge an
 # event already implies transitively changes neither the coupled replay nor a
-# zero-load-seeded correction.
+# zero-load-seeded correction; and on the ideal fabric neither does renaming
+# every node by a permutation.
 # internal/fabric is the fabric contract suite (every variant fabric.Build
 # returns × three traffic sources) plus FuzzConfig's seed corpus, well under 1 s.
-# The merge property test is why a sharded replay cannot change a result:
+# The merge property test is why the hybrid's merged counters are exact:
 # counter blocks counted from any split of an event log, each part shuffled,
 # merge in any order into the block of the whole log. Beside it,
 # the latency histogram's power-of-two bucket rule is held to the binary
@@ -56,7 +57,7 @@ fmt-check:
 # sim.Calendar — every fabric's delivery queue and the replay decoder's
 # pending queue — to a sorted (cycle, push order) reference.
 # The replay's own schedule derivation and the file passes run under the
-# race detector (K = 2 lanes share one file source's recycled Readers): every
+# race detector (a file source recycles a closed pass's Reader): every
 # derived schedule equals ScheduleStream over the run's latencies, a
 # correction reads its source 1 + rounds times (one more seeded coupled), and
 # a file pass yields a Reader's events and errors, refuses a file whose header
@@ -161,16 +162,13 @@ test: vet
 # its own fabric in its own goroutine: the round ahead reads the other's
 # arrivals only below its delivery log's atomically published length, and
 # stops reading them once its schedule is derived, before the round after
-# reuses that storage. In the replay engine (internal/core) a K > 1 replay
-# runs K goroutines that never synchronize until they finish: what must hold
-# is that they write disjoint indices of the shared result vectors and their
-# own statistics block only, and each decode their own pass of the source
-# (internal/trace sources hand out concurrent passes) — the reference tests
-# cover every fabric x preset x shard count, the park/resume tests K = 1, 2. Also here: the one fan-out helper every study, study set, report and
-# sweep runs on (internal/fanout) and its heaviest user, the experiment
-# harness; the fault injector's lazily extended per-channel timelines under
-# sharded replay; and the analytic estimator, whose concurrent calls must
-# share nothing. The service packages run here too: the daemon's whole job is
+# reuses that storage. Every other replay runs in its caller's goroutine, on
+# one fabric; concurrent jobs may still open passes over one trace source at
+# once (internal/trace). Also here: the one fan-out helper every study, study
+# set, report and sweep runs on (internal/fanout) and its heaviest user, the
+# experiment harness; the fault injector, whose per-channel timelines each
+# fabric extends lazily on its own; and the analytic estimator, whose
+# concurrent calls must share nothing. The service packages run here too: the daemon's whole job is
 # concurrent clients sharing one session (single-flight dedup, the admission
 # scheduler, the SSE hub), and the job and sweep packages fan hundreds of
 # admission-scheduled arms out of one session. The root package holds the

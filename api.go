@@ -236,16 +236,15 @@ func execute(ctx context.Context, cfg Config, kind NetworkKind, record bool) (cp
 	return res, net, rec, err
 }
 
-// naiveReplay replays the trace at recorded timestamps on fresh fabrics of
-// the given kind, split across cfg.Parallelism.Shards replicas where the
-// fabric allows it. Results are byte-identical for any shard count.
+// naiveReplay replays the trace at recorded timestamps on a fresh fabric of
+// the given kind.
 func naiveReplay(ctx context.Context, cfg Config, src TraceSource, kind NetworkKind) (ReplayResult, error) {
 	factory, err := NetworkFactory(cfg, kind)
 	if err != nil {
 		return ReplayResult{}, err
 	}
 	return inSimSlot(ctx, func() (ReplayResult, error) {
-		return core.NaiveReplayStream(factory, src, cfg.Parallelism.Shards, cfg.Parallelism.WindowEvents)
+		return core.NaiveReplayStream(factory, src, cfg.Parallelism.WindowEvents)
 	})
 }
 
@@ -271,12 +270,10 @@ func coupledReplay(ctx context.Context, cfg Config, src TraceSource, kind Networ
 var ErrParked = core.ErrParked
 
 // selfCorrect runs the Self-Correction Trace Model against a fresh fabric per
-// iteration, every round's replay split across cfg.Parallelism.Shards
-// replicas where the fabric allows it; the trajectory and result are
-// byte-identical for any shard count. Admission queueing aborts if ctx ends
-// first, and a context that ends mid-loop parks the correction at the next
-// round boundary: the call returns the partial trajectory, the resume state,
-// and an error wrapping ErrParked.
+// iteration. Admission queueing aborts if ctx ends first, and a context that
+// ends mid-loop parks the correction at the next round boundary: the call
+// returns the partial trajectory, the resume state, and an error wrapping
+// ErrParked.
 //
 // Every trace-touching step of the loop, the coupled seed's pass included,
 // reads src, and a file and the resident trace it encodes produce
@@ -307,7 +304,7 @@ func selfCorrect(ctx context.Context, cfg Config, src TraceSource, kind NetworkK
 	}
 	var state *core.ParkState
 	res, err := inSimSlot(ctx, func() (res CorrectionResult, err error) {
-		res, state, err = core.Correct(ctx, factory, src, cfg.SCTM, cfg.Parallelism.Shards, cfg.Parallelism.WindowEvents, nil, resume, onRound, spare)
+		res, state, err = core.Correct(ctx, factory, src, cfg.SCTM, cfg.Parallelism.WindowEvents, nil, resume, onRound, spare)
 		return res, err
 	})
 	return res, state, err

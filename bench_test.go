@@ -12,7 +12,6 @@ import (
 	"context"
 	"io"
 	"path/filepath"
-	"sync"
 	"testing"
 
 	"onocsim"
@@ -265,94 +264,6 @@ func BenchmarkSyntheticUniform(b *testing.B) {
 			}
 		})
 	}
-}
-
-// --- Sharded replay benchmarks ---
-
-// shardBench holds the one captured trace shared by the sharded-replay
-// benchmarks; capture cost is paid once and excluded from every timing loop.
-var shardBench struct {
-	once sync.Once
-	cfg  onocsim.Config
-	tr   *trace.Trace
-	err  error
-}
-
-func shardBenchTrace(b *testing.B) (onocsim.Config, *trace.Trace) {
-	b.Helper()
-	s := &shardBench
-	s.once.Do(func() {
-		cfg := onocsim.DefaultConfig()
-		cfg.System.Cores = 64
-		cfg.Workload.Scale = 8
-		cfg.Workload.Iterations = 2
-		s.cfg = cfg
-		s.tr, _, s.err = uncached.CaptureTraceContext(bg, cfg, onocsim.IdealNet)
-	})
-	if s.err != nil {
-		b.Fatal(s.err)
-	}
-	return s.cfg, s.tr
-}
-
-// benchReplayShards measures a naive trace replay on the optical crossbar
-// split across K replica fabrics. Results are byte-identical across K (the
-// shard-invariance tests assert it); only wall-clock moves, and only on
-// hosts with spare cores. The replicas are built once and handed out reset
-// every iteration, as a correction loop reuses them from round to round.
-func benchReplayShards(b *testing.B, shards int) {
-	cfg, tr := shardBenchTrace(b)
-	factory, err := onocsim.NetworkFactory(cfg, onocsim.Optical)
-	if err != nil {
-		b.Fatal(err)
-	}
-	inject := make([]onocsim.Tick, len(tr.Events))
-	for i := range tr.Events {
-		inject[i] = tr.Events[i].RefInject
-	}
-	var nets []noc.Network
-	next := 0
-	reuse := func() noc.Network {
-		if next == len(nets) {
-			nets = append(nets, factory())
-		}
-		next++
-		return nets[next-1]
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, n := range nets {
-			n.(noc.Resettable).Reset()
-		}
-		next = 0
-		if _, err := core.ReplayScheduleSharded(reuse, tr, inject, shards); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(tr.NumEvents()), "events")
-}
-
-func BenchmarkReplayShards1(b *testing.B) { benchReplayShards(b, 1) }
-func BenchmarkReplayShards2(b *testing.B) { benchReplayShards(b, 2) }
-func BenchmarkReplayShards4(b *testing.B) { benchReplayShards(b, 4) }
-func BenchmarkReplayShards8(b *testing.B) { benchReplayShards(b, 8) }
-
-// BenchmarkSelfCorrectionShards8 measures the full correction loop with
-// every replay round split across 8 shards (compare BenchmarkSelfCorrection
-// for the serial loop on a smaller chip).
-func BenchmarkSelfCorrectionShards8(b *testing.B) {
-	cfg, tr := shardBenchTrace(b)
-	factory, err := onocsim.NetworkFactory(cfg, onocsim.Optical)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := core.SelfCorrectParkableCtx(context.Background(), factory, tr, cfg.SCTM, 8, nil, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(tr.NumEvents()), "events")
 }
 
 // BenchmarkR13Photonics regenerates the loss-budget sensitivity table (R13).

@@ -74,13 +74,6 @@ func TestRunStudyMode(t *testing.T) {
 	}
 }
 
-func TestRunStudyModeSharded(t *testing.T) {
-	path := smallCfgFile(t, func(c *onocsim.Config) { c.Parallelism.Shards = 4 })
-	if err := run(io.Discard, opts(path, "optical", "study", "ascii")); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // The two job-pipeline modes the CLI gained with the unified pipeline: a
 // correction run and its closed-form estimate.
 func TestRunCorrectAndEstimateModes(t *testing.T) {
@@ -180,7 +173,6 @@ func TestCLIAndDaemonAnswerOneDocumentAlike(t *testing.T) {
 	loaded := smallCfgFile(t, func(c *onocsim.Config) {
 		c.Faults = faultPreset(t, "heavy")
 		c.SCTM.Seed = "coupled"
-		c.Parallelism.Shards = 2
 	})
 	ts := httptest.NewServer(service.New(service.Config{}).Handler())
 	defer ts.Close()

@@ -1,7 +1,6 @@
 package onocsim
 
 import (
-	"reflect"
 	"testing"
 
 	"onocsim/internal/config"
@@ -31,24 +30,6 @@ func intenseFaults() config.Faults {
 		TokenMTBF:       400,
 		TokenTimeout:    120,
 		LaserDroopDB:    3,
-	}
-}
-
-// faultClassCases enumerates each fault class enabled alone, plus an intense
-// section combining all three — the matrix the tentpole's determinism and
-// shard-invariance guarantees are pinned over.
-func faultClassCases() []struct {
-	name   string
-	faults config.Faults
-} {
-	return []struct {
-		name   string
-		faults config.Faults
-	}{
-		{"thermal-only", config.Faults{ThermalMTBF: 300, ThermalDuration: 150, ThermalDetune: 0.75}},
-		{"token-only", config.Faults{TokenMTBF: 400, TokenTimeout: 120}},
-		{"droop-only", config.Faults{LaserDroopDB: 3}},
-		{"intense-all", intenseFaults()},
 	}
 }
 
@@ -115,58 +96,6 @@ func TestFaultedCountsEvents(t *testing.T) {
 	}
 	if truth.Makespan <= clean.Makespan {
 		t.Errorf("intense faults did not degrade makespan: %d vs clean %d", truth.Makespan, clean.Makespan)
-	}
-}
-
-// TestFaultedShardInvariance is the acceptance criterion for the tentpole:
-// for every fault class, sharded conservative-lookahead replay returns
-// byte-identical results — per-event time vectors, fabric statistics
-// including the fault counters, and the whole self-correction trajectory —
-// for any shard count.
-func TestFaultedShardInvariance(t *testing.T) {
-	for _, fc := range faultClassCases() {
-		fc := fc
-		t.Run(fc.name, func(t *testing.T) {
-			t.Parallel()
-			cfg := smallConfig()
-			cfg.Faults = fc.faults
-			tr, _, err := uncached.CaptureTraceContext(bg, cfg, IdealNet)
-			if err != nil {
-				t.Fatal(err)
-			}
-			serial, err := uncached.RunNaiveReplayContext(bg, cfg, tr, Optical)
-			if err != nil {
-				t.Fatal(err)
-			}
-			serialSC, err := uncached.RunSelfCorrectionContext(bg, cfg, tr, Optical)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, k := range []int{1, 8} {
-				sharded := cfg
-				sharded.Parallelism.Shards = k
-				got, err := uncached.RunNaiveReplayContext(bg, sharded, tr, Optical)
-				if err != nil {
-					t.Fatalf("shards=%d: %v", k, err)
-				}
-				replaysEqual(t, fc.name, got, serial)
-				if !reflect.DeepEqual(got.NetStats, serial.NetStats) {
-					t.Errorf("shards=%d: fabric statistics (incl. fault counters) diverge\n got: %+v\nwant: %+v",
-						k, got.NetStats, serial.NetStats)
-				}
-				sc, err := uncached.RunSelfCorrectionContext(bg, sharded, tr, Optical)
-				if err != nil {
-					t.Fatalf("shards=%d self-correction: %v", k, err)
-				}
-				replaysEqual(t, fc.name+"/sctm", sc.Final, serialSC.Final)
-				if !reflect.DeepEqual(sc.Iterations, serialSC.Iterations) {
-					t.Errorf("shards=%d: correction trajectories diverge", k)
-				}
-				if sc.Converged != serialSC.Converged || sc.TotalCycles != serialSC.TotalCycles {
-					t.Errorf("shards=%d: convergence diverges", k)
-				}
-			}
-		})
 	}
 }
 

@@ -71,7 +71,7 @@ type Config struct {
 // Faults configures deterministic fault injection in the photonic fabrics
 // (internal/fault). Every schedule derives from Seed plus these parameters
 // alone, so the same (seed, faults) pair always yields the same fault
-// timeline — on any host, for any shard count. The zero value means "no
+// timeline — on any host, in every round. The zero value means "no
 // faults".
 type Faults struct {
 	// ThermalMTBF is the mean number of cycles between thermal drift
@@ -133,27 +133,23 @@ func FaultPreset(name string) (Faults, error) {
 	}
 }
 
-// Parallelism configures deterministic intra-run parallel execution. It is a
-// pure wall-clock knob: a replay split across K replica fabrics is
-// byte-identical to the serial one for any K, which is why this section is
-// excluded from Fingerprint — cached results remain valid whatever the
-// setting.
+// Parallelism configures how a replay runs, never what it computes, which is
+// why this section is excluded from Fingerprint: cached results remain valid
+// whatever the setting.
 type Parallelism struct {
-	// Shards is the number of replica fabrics replay-style simulations
-	// split their events across, each drained in its own goroutine. 0 and
-	// 1 both mean serial; the effective count is clamped to the node count,
-	// and fabrics whose traffic does not factorize per node (the wormhole
-	// mesh, the hybrid fabric) run serially regardless.
+	// Shards must be 0 or 1: every replay runs on one fabric. A value above
+	// 1 is refused; splitting a replay across replica fabrics never changed
+	// a result and, measured end to end, was slower than one fabric.
 	Shards int `json:"shards"`
-	// WindowEvents bounds how many decoded-but-not-yet-injectable events
-	// each shard of a replay keeps resident when the trace is read from a
-	// file; a trace already in memory has nothing to bound. 0 selects the
-	// default window (trace.DefaultWindow); -1 lifts the bound. A schedule
-	// needing more residency than the window fails with an error naming
-	// the required size — never a deadlock, never a silently wrong result.
-	// Like Shards it cannot change results and stays out of Fingerprint.
-	// It bounds no coupled pass: a coupled replay, sctm.seed "coupled"'s
-	// included, holds O(events + edges) resident whatever the source.
+	// WindowEvents bounds how many decoded-but-not-yet-injectable events a
+	// replay keeps resident when the trace is read from a file; a trace
+	// already in memory has nothing to bound. 0 selects the default window
+	// (trace.DefaultWindow); -1 lifts the bound. A schedule needing more
+	// residency than the window fails with an error naming the required
+	// size — never a deadlock, never a silently wrong result. It cannot
+	// change results and stays out of Fingerprint. It bounds no coupled
+	// pass: a coupled replay, sctm.seed "coupled"'s included, holds
+	// O(events + edges) resident whatever the source.
 	WindowEvents int `json:"window_events,omitempty"`
 }
 
@@ -457,11 +453,8 @@ func (c *Config) Validate() error {
 	case f.LaserDroopDB < 0 || f.LaserDroopDB > 60:
 		return fmt.Errorf("config: faults.laser_droop_db=%g out of [0,60]", f.LaserDroopDB)
 	}
-	if c.Parallelism.Shards < 0 {
-		return fmt.Errorf("config: parallelism.shards must be ≥0")
-	}
-	if c.Parallelism.Shards > 1<<16 {
-		return fmt.Errorf("config: parallelism.shards=%d is implausibly large", c.Parallelism.Shards)
+	if s := c.Parallelism.Shards; s != 0 && s != 1 {
+		return fmt.Errorf("config: parallelism.shards=%d is refused: every replay runs on one fabric (0 and 1 both mean serial)", s)
 	}
 	if c.Parallelism.WindowEvents < -1 {
 		return fmt.Errorf("config: parallelism.window_events must be ≥ -1 (-1 = unbounded)")

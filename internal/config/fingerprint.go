@@ -23,9 +23,10 @@ const fingerprintVersion = 4
 // cache key.
 //
 // Name is deliberately excluded: it labels reports and does not influence
-// simulation results. Parallelism is excluded for the same reason — a
-// replay is byte-identical for any shard count and any sufficient read-ahead
-// window, so folding either in would only split the cache for equal results
+// simulation results. Parallelism is excluded for the same reason — the
+// shard count may only be 0 or 1, both one fabric, and a replay is
+// byte-identical for any sufficient read-ahead window, so folding either in
+// would only split the cache for equal results
 // (and excluding them keeps fingerprints, hence persisted disk caches,
 // stable across the settings). Everything else — seed, system
 // geometry, all fabric parameters, workload, SCTM knobs and faults — is

@@ -65,15 +65,16 @@ func SelfCorrect(factory NetworkFactory, tr *trace.Trace, cfg config.SCTM) (Corr
 }
 
 // SelfCorrectParkableCtx is Correct on a materialized trace, its rounds run
-// one after another.
-func SelfCorrectParkableCtx(ctx context.Context, factory NetworkFactory, tr *trace.Trace, cfg config.SCTM, shards int, seed []sim.Tick, resume *ParkState) (CorrectionResult, *ParkState, error) {
-	return Correct(ctx, factory, tr, cfg, shards, 0, seed, resume, nil, nil)
+// one after another. The shard count is ignored: every round replays on one
+// fabric, and no count ever changed a result.
+func SelfCorrectParkableCtx(ctx context.Context, factory NetworkFactory, tr *trace.Trace, cfg config.SCTM, _ int, seed []sim.Tick, resume *ParkState) (CorrectionResult, *ParkState, error) {
+	return Correct(ctx, factory, tr, cfg, 0, seed, resume, nil, nil)
 }
 
 // SelfCorrectStream is Correct without cancellation, its rounds run one after
-// another.
-func SelfCorrectStream(factory NetworkFactory, src trace.Source, cfg config.SCTM, shards, window int, seed []sim.Tick) (CorrectionResult, error) {
-	res, _, err := Correct(context.Background(), factory, src, cfg, shards, window, seed, nil, nil, nil)
+// another; the shard count is ignored, as SelfCorrectParkableCtx's is.
+func SelfCorrectStream(factory NetworkFactory, src trace.Source, cfg config.SCTM, _, window int, seed []sim.Tick) (CorrectionResult, error) {
+	res, _, err := Correct(context.Background(), factory, src, cfg, window, seed, nil, nil, nil)
 	return res, err
 }
 
@@ -112,11 +113,10 @@ type ParkState struct {
 
 // Correct runs the self-correction fixpoint over a trace.Source — seeding,
 // schedule derivation and every replay round read the source, so a
-// file-backed trace is never materialized — with each round's replay split
-// across the given number of shards. Every round replays the whole trace from
-// cycle zero. Results are byte-identical for any shard count and any
-// sufficient window (semantics as ReplayScheduleStream); those choose how
-// rounds execute, never what they compute.
+// file-backed trace is never materialized. Every round replays the whole
+// trace from cycle zero. Results are byte-identical for any sufficient window
+// (semantics as ReplayScheduleStream), which chooses how rounds execute,
+// never what they compute.
 //
 // The loop stops at a fixpoint (a round whose re-derived schedule equals the
 // one it replayed, so another round would repeat it), when the makespan
@@ -147,7 +147,7 @@ type ParkState struct {
 //
 // spare, when non-nil, is asked for a second simulation slot whenever a round
 // could start beside the one running; it returns the slot's release, or nil
-// when none is free. On a resident trace at K = 1, a granted slot runs the
+// when none is free. On a resident trace, a granted slot runs the
 // next round on a fabric of its own, in a second goroutine, deriving its
 // schedule from the running round's deliveries as they land (overlap.go),
 // and is released when that round ends. The result is byte-identical either
@@ -155,7 +155,7 @@ type ParkState struct {
 // each round's end, in order, as without overlap, and a round running ahead
 // of a decision that ends the loop is stopped and discarded. No goroutine
 // outlives the call, and a panic in one resurfaces in the caller's.
-func Correct(ctx context.Context, factory NetworkFactory, src trace.Source, cfg config.SCTM, shards, window int, seed []sim.Tick, resume *ParkState, onRound func(), spare func() func()) (CorrectionResult, *ParkState, error) {
+func Correct(ctx context.Context, factory NetworkFactory, src trace.Source, cfg config.SCTM, window int, seed []sim.Tick, resume *ParkState, onRound func(), spare func() func()) (CorrectionResult, *ParkState, error) {
 	n := src.Meta().NumEvents
 	opts := ScheduleOptions{
 		DisableSyncDeps:   cfg.DisableSyncDeps,
@@ -163,7 +163,7 @@ func Correct(ctx context.Context, factory NetworkFactory, src trace.Source, cfg 
 	}
 
 	var out CorrectionResult
-	runner := newReplayer(factory, src, shards, window)
+	runner := newReplayer(factory, src, window)
 	// prev is the schedule a round replays; the round derives next, and the
 	// two trade places. A round's result shares both its vectors with the
 	// loop: its Inject is prev, which becomes next, and its Arrive is the
@@ -242,7 +242,7 @@ func Correct(ctx context.Context, factory NetworkFactory, src trace.Source, cfg 
 	// this one. Either is stopped on any way out of the loop. A loop seeded
 	// coupled ends in round 0, so it is offered no overlap.
 	tr, _ := src.(*trace.Trace)
-	overlapOK := spare != nil && tr != nil && n > 0 && runner.lanes() == 1 && (seed != nil || cfg.SeedMode() != "coupled")
+	overlapOK := spare != nil && tr != nil && n > 0 && (seed != nil || cfg.SeedMode() != "coupled")
 	var ov *overlap
 	var cur, ahead *aheadRound
 	// startAhead starts round+1 beside round, following its deliveries, on

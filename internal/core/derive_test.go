@@ -45,10 +45,11 @@ func heldTrace(n int) *trace.Trace {
 	return tr
 }
 
-// TestReplayDerivesNextSchedule: the schedule a run derives while it replays
-// (K = 1) or in its own pass (K = 2) equals ScheduleStream over the run's
-// measured latencies, round after round, on every fabric kind, from memory
-// and from a file, under the full model and both R8 ablations. The held trace builds a backlog of more than 4 096
+// TestReplayDerivesNextSchedule: the schedule a run derives while it replays,
+// and the one deriveAll derives in a pass of its own, equal ScheduleStream
+// over the run's measured latencies, round after round, on every fabric kind,
+// from memory and from a file, under the full model and both R8 ablations.
+// The held trace builds a backlog of more than 4 096
 // events behind one undelivered dependency, through a file pass whose
 // read-ahead window is 64 events: the backlog is not part of the window.
 func TestReplayDerivesNextSchedule(t *testing.T) {
@@ -83,11 +84,9 @@ func TestReplayDerivesNextSchedule(t *testing.T) {
 				window = 64
 			}
 			for sname, src := range map[string]trace.Source{"mem": tr, "file": file} {
-				for _, k := range []int{1, 2} {
-					for aname, opts := range ablations {
-						name := fmt.Sprintf("%s/%s/%s/K=%d/%s", kind, tname, sname, k, aname)
-						checkDerivedRounds(t, name, factory, src, k, window, opts)
-					}
+				for aname, opts := range ablations {
+					name := fmt.Sprintf("%s/%s/%s/%s", kind, tname, sname, aname)
+					checkDerivedRounds(t, name, factory, src, window, opts)
 				}
 			}
 		}
@@ -95,12 +94,12 @@ func TestReplayDerivesNextSchedule(t *testing.T) {
 }
 
 // checkDerivedRounds runs three rounds of a correction by hand, each from the
-// schedule the previous one derived, and holds every derived schedule to
-// ScheduleStream's.
-func checkDerivedRounds(t *testing.T, name string, factory NetworkFactory, src trace.Source, k, window int, opts ScheduleOptions) {
+// schedule the previous one derived, and holds every derived schedule, and
+// deriveAll's over the same round, to ScheduleStream's.
+func checkDerivedRounds(t *testing.T, name string, factory NetworkFactory, src trace.Source, window int, opts ScheduleOptions) {
 	t.Helper()
 	n := src.Meta().NumEvents
-	r := newReplayer(factory, src, k, window)
+	r := newReplayer(factory, src, window)
 	r.derive.opts = opts
 	probe := r.fabric(0)
 	zero := make([]sim.Tick, n)
@@ -129,8 +128,15 @@ func checkDerivedRounds(t *testing.T, name string, factory NetworkFactory, src t
 				}
 			}
 		}
-		if src.Meta().Workload == "held" && k == 1 && round == 0 && r.derive.peak <= 4096 {
+		if src.Meta().Workload == "held" && round == 0 && r.derive.peak <= 4096 {
 			t.Fatalf("%s: the backlog peaked at %d events, want more than 4 096", name, r.derive.peak)
+		}
+		all := make([]sim.Tick, n)
+		if err := r.deriveAll(all, res); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(all, want) {
+			t.Fatalf("%s round %d: deriveAll differs from ScheduleStream", name, round)
 		}
 		inject = r.next
 	}

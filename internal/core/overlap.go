@@ -39,9 +39,8 @@ import (
 // skips and injects exactly where a serial replay of the finished schedule
 // would, and its result is byte-identical to one.
 //
-// Overlap is only for a resident trace at K = 1. A file-backed round derives
-// in the one O(window) pass its replay makes, and a K > 1 round's lanes
-// cannot read each other's arrivals until they all drain.
+// Overlap is only for a resident trace. A file-backed round derives in the
+// one O(window) pass its replay makes.
 
 // revDeps is the flat reverse-dependency index of a trace under one
 // ScheduleOptions: event i's dependents are child[start[i]:start[i+1]], in ID

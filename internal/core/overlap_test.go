@@ -174,7 +174,7 @@ func TestOverlappedCorrectionFailuresLeaveNoGoroutine(t *testing.T) {
 		var err error
 		recovered := func() (v any) {
 			defer func() { v = recover() }()
-			_, _, err = Correct(context.Background(), factory, tr, cfg, 1, 0, nil, nil, nil, spare)
+			_, _, err = Correct(context.Background(), factory, tr, cfg, 0, nil, nil, nil, spare)
 			return nil
 		}()
 		if tc.panic && recovered != "faulty fabric" {
@@ -210,7 +210,7 @@ func TestOverlappedRoundAllocatesNoEventVectors(t *testing.T) {
 		cfg.MakespanTolerance, cfg.MaxIterations = 0, rounds
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		res, _, err := Correct(context.Background(), contendedIdeal, tr, cfg, 1, 0, nil, nil, nil, grantAlways)
+		res, _, err := Correct(context.Background(), contendedIdeal, tr, cfg, 0, nil, nil, nil, grantAlways)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
@@ -244,7 +244,7 @@ func TestCoupledSeededCorrectionTakesNoSpare(t *testing.T) {
 		"mesh":  func() noc.Network { return enoc.New(16, cfg.Mesh) },
 		"ideal": contendedIdeal,
 	} {
-		want, _, err := Correct(context.Background(), factory, tr, cfg.SCTM, 1, 0, nil, nil, nil, nil)
+		want, _, err := Correct(context.Background(), factory, tr, cfg.SCTM, 0, nil, nil, nil, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -256,7 +256,7 @@ func TestCoupledSeededCorrectionTakesNoSpare(t *testing.T) {
 			asked++
 			return func() {}
 		}
-		got, _, err := Correct(context.Background(), factory, tr, cfg.SCTM, 1, 0, nil, nil, nil, spare)
+		got, _, err := Correct(context.Background(), factory, tr, cfg.SCTM, 0, nil, nil, nil, spare)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -265,11 +265,11 @@ func TestCoupledSeededCorrectionTakesNoSpare(t *testing.T) {
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		_, state, err := Correct(ctx, factory, tr, cfg.SCTM, 1, 0, nil, nil, nil, spare)
+		_, state, err := Correct(ctx, factory, tr, cfg.SCTM, 0, nil, nil, nil, spare)
 		if !errors.Is(err, ErrParked) || state == nil {
 			t.Fatalf("%s: a cancelled correction returned %v, want a park", name, err)
 		}
-		got, _, err = Correct(context.Background(), factory, tr, cfg.SCTM, 1, 0, nil, state, nil, spare)
+		got, _, err = Correct(context.Background(), factory, tr, cfg.SCTM, 0, nil, state, nil, spare)
 		if err != nil {
 			t.Fatalf("%s: resume: %v", name, err)
 		}

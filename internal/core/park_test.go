@@ -76,7 +76,7 @@ func TestSelfCorrectParkedPrefixMatchesFullRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, src := range map[string]trace.Source{"mem": tr, "file": file} {
-		full, _, err := Correct(context.Background(), contendedIdeal, src, cfg, 1, 0, nil, nil, nil, nil)
+		full, _, err := Correct(context.Background(), contendedIdeal, src, cfg, 0, nil, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func TestSelfCorrectParkedPrefixMatchesFullRun(t *testing.T) {
 
 		const parkAfter = 3
 		ctx := &countdownCtx{Context: context.Background(), remaining: parkAfter}
-		parked, state, err := Correct(ctx, contendedIdeal, src, cfg, 1, 0, nil, nil, nil, nil)
+		parked, state, err := Correct(ctx, contendedIdeal, src, cfg, 0, nil, nil, nil, nil)
 		if !errors.Is(err, ErrParked) {
 			t.Fatalf("%s: err = %v, want ErrParked", name, err)
 		}
@@ -111,25 +111,22 @@ func TestSelfCorrectParkedPrefixMatchesFullRun(t *testing.T) {
 }
 
 // Polling a context that never ends changes nothing: a cancellable but live
-// context yields the Background result, and no park state, for every runner
-// configuration.
+// context yields the Background result, and no park state.
 func TestSelfCorrectCtxBackgroundIdentical(t *testing.T) {
 	tr := chainTrace()
 	cfg := config.Default().SCTM
 	cfg.MakespanTolerance = 0
 	live, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	for _, shards := range []int{1, 2} {
-		want, _, err := SelfCorrectParkableCtx(context.Background(), idealFactory(4, 20), tr, cfg, shards, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, state, err := SelfCorrectParkableCtx(live, idealFactory(4, 20), tr, cfg, shards, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if state != nil || !reflect.DeepEqual(got, want) {
-			t.Fatalf("shards=%d: live-context path diverged (state %v):\n got %+v\nwant %+v", shards, state, got, want)
-		}
+	want, _, err := SelfCorrectParkableCtx(context.Background(), idealFactory(4, 20), tr, cfg, 1, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, state, err := SelfCorrectParkableCtx(live, idealFactory(4, 20), tr, cfg, 1, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if state != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("live-context path diverged (state %v):\n got %+v\nwant %+v", state, got, want)
 	}
 }

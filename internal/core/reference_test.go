@@ -191,8 +191,7 @@ func refFinalizeResult(res *ReplayResult, tr *trace.Trace, net noc.Network) {
 }
 
 // plainNet hides every optional contract of a fabric — Resettable,
-// Checkpointer, ScheduleShardable — leaving the engine one fresh build per
-// run and K = 1.
+// Checkpointer — leaving the engine one fresh build per run.
 type plainNet struct{ noc.Network }
 
 // referenceTrace is one input of TestEngineAgainstReference.
@@ -304,15 +303,15 @@ func wideSchedule(tr *trace.Trace, zero []sim.Tick) []sim.Tick {
 }
 
 // TestEngineAgainstReference holds every configuration of the replay engine
-// — feed from memory or from a file, K replicas — to the reference engine
-// above: reflect.DeepEqual on
+// — feed from memory or from a file — to the reference engine above:
+// reflect.DeepEqual on
 // the whole ReplayResult, per-event vectors and statistics block included,
 // for each schedule of a correction-like sequence run through one replayer.
 func TestEngineAgainstReference(t *testing.T) {
 	const nodes = 16
-	presets, shardCounts := []string{"off", "light", "heavy"}, []int{1, 2, 3, 8}
+	presets := []string{"off", "light", "heavy"}
 	if testing.Short() {
-		presets, shardCounts = []string{"off", "heavy"}, []int{1, 3}
+		presets = []string{"off", "heavy"}
 	}
 	dir := t.TempDir()
 	for _, tc := range referenceTraces(nodes) {
@@ -339,28 +338,26 @@ func TestEngineAgainstReference(t *testing.T) {
 				}
 				if n > 1 { // one event short of "reverse", a file's window overflows
 					reverse := scheds[len(scheds)-1]
-					_, err := newReplayer(mk, file, 1, n-1).run(reverse)
+					_, err := newReplayer(mk, file, n-1).run(reverse)
 					if want := fmt.Sprintf("needs more than %d resident events", n-1); err == nil || !strings.Contains(err.Error(), want) {
 						t.Fatalf("%s/%s/%s: a window of %d for %d events: err = %v, want %q", tc.name, fabric, preset, n-1, n, err, want)
 					}
 				}
 				for srcName, src := range sources {
-					for _, k := range shardCounts {
-						label := fmt.Sprintf("%s/%s/%s %s K=%d", tc.name, fabric, preset, srcName, k)
-						// A file's window is the trace, which "reverse" fills.
-						r := newReplayer(mk, src, k, n)
-						for i, s := range scheds {
-							got, err := r.run(s)
-							if err != nil {
-								t.Fatalf("%s, schedule %d: %v", label, i, err)
-							}
-							if !reflect.DeepEqual(want[i], got) {
-								t.Fatalf("%s, schedule %d: result differs from the reference\n got %+v\nwant %+v", label, i, got, want[i])
-							}
+					label := fmt.Sprintf("%s/%s/%s %s", tc.name, fabric, preset, srcName)
+					// A file's window is the trace, which "reverse" fills.
+					r := newReplayer(mk, src, n)
+					for i, s := range scheds {
+						got, err := r.run(s)
+						if err != nil {
+							t.Fatalf("%s, schedule %d: %v", label, i, err)
 						}
-						if n >= 3 && !slices.ContainsFunc(r.slots, func(s slot) bool { return s.pending.Overflowed() }) {
-							t.Fatalf("%s: no shard used the overflow heap", label)
+						if !reflect.DeepEqual(want[i], got) {
+							t.Fatalf("%s, schedule %d: result differs from the reference\n got %+v\nwant %+v", label, i, got, want[i])
 						}
+					}
+					if n >= 3 && !r.slots[0].pending.Overflowed() {
+						t.Fatalf("%s: the replay never used the overflow heap", label)
 					}
 				}
 			}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"onocsim/internal/noc"
 	"onocsim/internal/sim"
@@ -133,38 +132,13 @@ func finalize(res *ReplayResult, refMakespan, maxRef sim.Tick) {
 //
 //   - the schedule feed (stream.go) decodes the source inside a bounded
 //     read-ahead window, a resident trace being the unbounded case; run
-//     replays a whole schedule through it, and with K > 1 on a
-//     noc.ScheduleShardable fabric splits the events over K slots
-//     (sharded.go), each drained to completion in its own goroutine;
+//     replays a whole schedule through it on slot 0;
 //   - the coupled feed releases an event once its dependencies have arrived
 //     on the fabric (CoupledReplay, and a correction's coupled seed);
 //   - the follower derives an overlapped round's schedule from the round
 //     before it as that round delivers (overlap.go).
 //
 // Results are byte-identical whichever parts are in play.
-//
-// Why K independent drains are exact: schedule-driven replay fixes every
-// injection time up front — deliveries never feed back into injections — so
-// the only coupling between messages is contention for fabric resources. On a
-// noc.ScheduleShardable fabric every resource a src→dst message touches is
-// owned by the single node ShardNode(src, dst): the MWSR crossbar arbitrates
-// per destination channel, SWMR serializes per source channel, the ideal
-// fabric caps bandwidth per source port. Partitioning nodes across K replica
-// fabrics and handing each replica only the messages of the nodes it owns
-// therefore evolves every owned resource exactly as the serial run does. The
-// partition has zero cross-shard channels, so no replica ever waits for
-// another: each runs to completion on its own, with no window and no
-// barrier.
-//
-// Per-message times then match the serial run by the skip-equivalence
-// invariant (every Tick strictly before NextWake is a no-op). Each replica
-// counts exactly what the serial run counts for its owned events, and a
-// noc.Stats block is a set of plain sums, so the replicas' blocks merged are
-// the serial block.
-//
-// Fabrics that do not implement noc.ScheduleShardable (the wormhole mesh,
-// whose flits contend for shared links every cycle, and the hybrid fabric
-// that embeds it) run serially whatever K says.
 //
 // A replayer is not safe for concurrent use. An overlapped correction round
 // replays on one of its slots from a goroutine of its own, never a slot a run
@@ -173,11 +147,9 @@ type replayer struct {
 	factory NetworkFactory
 	src     trace.Source
 	meta    trace.Meta
-	shards  int // requested K, clamped to [1, nodes] per run
 	window  int // cap on each drain's pending events; 0 = unbounded
 
 	slots []slot
-	part  *partition // K > 1 only; see sharded.go
 
 	// next is where a run derives the next schedule; nil derives none. The
 	// correction sets it, and the deriver's options.
@@ -205,7 +177,6 @@ type slot struct {
 	followed  bool
 	log       *deliveryLog
 	delivered int
-	err       error // the last drain's
 	pending   sim.Calendar[pendingMsg]
 	cur       [minBlock]sim.Tick
 }
@@ -229,8 +200,8 @@ func (sl *slot) armLog(n int) {
 	sl.followed = true
 }
 
-func newReplayer(factory NetworkFactory, src trace.Source, shards, window int) *replayer {
-	return &replayer{factory: factory, src: src, meta: src.Meta(), shards: shards, window: readAhead(src, window)}
+func newReplayer(factory NetworkFactory, src trace.Source, window int) *replayer {
+	return &replayer{factory: factory, src: src, meta: src.Meta(), window: readAhead(src, window)}
 }
 
 // fabric returns the long-lived instance of slot i, as it was left, adding
@@ -243,17 +214,6 @@ func (r *replayer) fabric(i int) noc.Network {
 	return r.slots[i].net
 }
 
-// lanes is how many fabrics a run splits over: K, clamped to the node count,
-// on a noc.ScheduleShardable fabric, and 1 on any other, and on one the lane
-// method will refuse for its node count.
-func (r *replayer) lanes() int {
-	net0 := r.fabric(0)
-	if _, ok := net0.(noc.ScheduleShardable); ok && net0.Nodes() == r.meta.Nodes {
-		return max(min(r.shards, net0.Nodes()), 1)
-	}
-	return 1
-}
-
 // deriveAll derives into next the schedule a finished run's latencies give
 // (ScheduleStream with r.derive.opts), in one more pass over the source.
 func (r *replayer) deriveAll(next []sim.Tick, res ReplayResult) error {
@@ -262,138 +222,86 @@ func (r *replayer) deriveAll(next []sim.Tick, res ReplayResult) error {
 }
 
 // replay is the lane method, the one way a replay with per-event vectors
-// runs: it takes slots lo, lo+1, … fresh, one per feed, installs on each the
-// only delivery callback — write Arrive, run the feed's delivery hook if it
-// has one, publish to the slot's log when a round follows it, count,
-// recycle — drains each on its feed, and assembles the result. Its Inject is
-// the inject passed in, and its Arrive slot lo's arrival vector, which every
-// lane writes at the indices of the events its feed owns. One lane drains in
-// the caller's goroutine; several (a K > 1 run's, each delivering the events
-// r.part gives it) drain in one goroutine each.
-func (r *replayer) replay(lo int, inject []sim.Tick, feeds ...feed) (ReplayResult, error) {
-	n, k := r.meta.NumEvents, len(feeds)
-	r.fabric(lo + k - 1) // every slot exists before a callback points into one
-	arrive := r.slots[lo].arrivals(n)
+// runs: it takes slot i fresh, installs on it the only delivery callback —
+// write Arrive, run the feed's delivery hook if it has one, publish to the
+// slot's log when a round follows it, count, recycle — drains it on f in the
+// caller's goroutine, and assembles the result. Its Inject is the inject
+// passed in, and its Arrive the slot's arrival vector.
+func (r *replayer) replay(i int, inject []sim.Tick, f feed) (ReplayResult, error) {
+	n := r.meta.NumEvents
+	r.fabric(i)
+	sl := &r.slots[i]
+	arrive := sl.arrivals(n)
 	clear(arrive)
-	for s, f := range feeds {
-		sl := &r.slots[lo+s]
-		// Take the slot fresh: reset its fabric, or build another.
-		if rs, ok := sl.net.(noc.Resettable); ok && sl.used {
-			rs.Reset()
-		} else if sl.used {
-			sl.net = r.factory()
-		}
-		if err := checkFabric(sl.net, r.meta.Nodes); err != nil {
-			return ReplayResult{}, err
-		}
-		sl.used, sl.delivered = true, 0
-		hook, _ := f.(deliveryHook)
-		var log *deliveryLog
-		if sl.followed {
-			log, sl.followed = sl.log, false
-		}
-		sl.net.SetDeliver(func(m *noc.Message) {
-			idx := int(m.ID) - 1
-			arrive[idx] = m.Arrive
-			if hook != nil {
-				hook.delivered(idx, m)
-			}
-			if log != nil {
-				log.publish(idx)
-			}
-			sl.delivered++
-			sl.pool.Put(m)
-		})
+	// Take the slot fresh: reset its fabric, or build another.
+	if rs, ok := sl.net.(noc.Resettable); ok && sl.used {
+		rs.Reset()
+	} else if sl.used {
+		sl.net = r.factory()
 	}
-	// The lane captures nothing, so a one-lane replay allocates no closure.
-	lane := func(sl *slot, f feed, want int) {
-		sl.err = drain(sl.net, f, &sl.pool, &sl.delivered, want)
+	if err := checkFabric(sl.net, r.meta.Nodes); err != nil {
+		return ReplayResult{}, err
 	}
-	if k == 1 {
-		lane(&r.slots[lo], feeds[0], n)
-	} else {
-		var wg sync.WaitGroup
-		for s, f := range feeds {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				lane(&r.slots[lo+s], f, r.part.want[s])
-			}()
+	sl.used, sl.delivered = true, 0
+	hook, _ := f.(deliveryHook)
+	var log *deliveryLog
+	if sl.followed {
+		log, sl.followed = sl.log, false
+	}
+	sl.net.SetDeliver(func(m *noc.Message) {
+		idx := int(m.ID) - 1
+		arrive[idx] = m.Arrive
+		if hook != nil {
+			hook.delivered(idx, m)
 		}
-		wg.Wait()
-	}
-
-	res := ReplayResult{Inject: inject, Arrive: arrive, NetStats: new(noc.Stats)}
-	var maxRef sim.Tick
-	for s := range feeds {
-		if err := r.slots[lo+s].err; err != nil {
-			if k > 1 {
-				return ReplayResult{}, fmt.Errorf("core: shard %d/%d: %w", s, k, err)
-			}
-			return ReplayResult{}, fmt.Errorf("core: %w", err)
+		if log != nil {
+			log.publish(idx)
 		}
-		// Each lane's drain exits on the Tick that delivers its last message,
-		// so the latest clock is the last arrival.
-		net := r.slots[lo+s].net
-		res.Cycles = max(res.Cycles, net.Now())
-		res.NetStats.Merge(net.Stats())
-		maxRef = max(maxRef, feeds[s].lastRef())
+		sl.delivered++
+		sl.pool.Put(m)
+	})
+	if err := drain(sl.net, f, &sl.pool, &sl.delivered, n); err != nil {
+		return ReplayResult{}, fmt.Errorf("core: %w", err)
 	}
-	finalize(&res, r.meta.RefMakespan, maxRef)
+	// The drain exits on the Tick that delivers the last message, so the
+	// clock is the last arrival.
+	res := ReplayResult{Inject: inject, Arrive: arrive, Cycles: sl.net.Now(), NetStats: statsOf(sl.net)}
+	finalize(&res, r.meta.RefMakespan, f.lastRef())
 	return res, nil
 }
 
 // run injects every event of the source at the given absolute times and runs
-// the fabric(s) until all are delivered. With r.next non-nil it also derives
-// into it the schedule the realized latencies give (ScheduleStream with
-// r.derive.opts): during the replay itself for K = 1, in one more pass over
-// the source for K > 1. The result is valid until the next run: its Inject is
-// the inject slice passed in, and its Arrive is slot 0's arrival vector,
-// which the next run overwrites.
+// slot 0's fabric until all are delivered. With r.next non-nil it also
+// derives into it, during the replay, the schedule the realized latencies
+// give (ScheduleStream with r.derive.opts). The result is valid until the
+// next run: its Inject is the inject slice passed in, and its Arrive is slot
+// 0's arrival vector, which the next run overwrites.
 func (r *replayer) run(inject []sim.Tick) (ReplayResult, error) {
 	n, next := r.meta.NumEvents, r.next
 	if len(inject) != n {
 		return ReplayResult{}, fmt.Errorf("core: %d injection times for %d events", len(inject), n)
 	}
-	k := r.lanes()
-	if k > 1 {
-		if err := r.split(r.fabric(0).(noc.ScheduleShardable), k); err != nil {
-			return ReplayResult{}, err
-		}
-	}
-	r.fabric(k - 1) // every slot exists before a decoder points into one
+	r.fabric(0) // the slot exists before the decoder points into it
 	r.bm = blockMins(r.bm, inject)
-	decs, feeds := make([]streamDecoder, k), make([]feed, k)
-	for s := range decs {
-		// Each lane opens its own pass: a lane keeps only the events it owns.
-		it, err := r.src.Pass()
-		if err != nil {
-			return ReplayResult{}, err
-		}
-		defer it.Close()
-		sl := &r.slots[s]
-		sl.pending.Reset()
-		decs[s] = streamDecoder{it: it, inject: inject, bm: r.bm, window: r.window, pending: &sl.pending, cur: &sl.cur}
-		if k > 1 {
-			decs[s].own = func(idx int) bool { return r.part.owner(idx) == s }
-		}
-		feeds[s] = &decs[s]
+	it, err := r.src.Pass()
+	if err != nil {
+		return ReplayResult{}, err
 	}
-	if next != nil && k == 1 {
-		r.derive.reset(next, r.slots[0].arrivals(n), inject, true)
-		decs[0].derive = &r.derive
+	defer it.Close()
+	sl := &r.slots[0]
+	sl.pending.Reset()
+	dec := &streamDecoder{it: it, inject: inject, bm: r.bm, window: r.window, pending: &sl.pending, cur: &sl.cur}
+	if next != nil {
+		r.derive.reset(next, sl.arrivals(n), inject, true)
+		dec.derive = &r.derive
 	}
-	res, err := r.replay(0, inject, feeds...)
+	res, err := r.replay(0, inject, dec)
 	if err != nil || next == nil {
 		return res, err
 	}
-	if k == 1 {
-		// Every event was decoded before it was injected, so the deriver has
-		// been offered them all; the last Tick's deliveries remain.
-		r.derive.advance()
-	} else if err := r.deriveAll(next, res); err != nil {
-		return ReplayResult{}, err
-	}
+	// Every event was decoded before it was injected, so the deriver has been
+	// offered them all; the last Tick's deliveries remain.
+	r.derive.advance()
 	return res, nil
 }
 
@@ -409,37 +317,39 @@ func ReplaySchedule(net noc.Network, tr *trace.Trace, inject []sim.Tick) (Replay
 // trace.DefaultWindow, trace.Unbounded lifts the cap; a resident source is
 // never capped).
 func ReplayScheduleStream(net noc.Network, src trace.Source, inject []sim.Tick, window int) (ReplayResult, error) {
-	return newReplayer(func() noc.Network { return net }, src, 1, window).run(inject)
+	return newReplayer(func() noc.Network { return net }, src, window).run(inject)
 }
 
-// ReplayScheduleSharded replays a schedule across the given number of shards;
-// the result is byte-identical to ReplaySchedule's for any count.
-func ReplayScheduleSharded(factory NetworkFactory, tr *trace.Trace, inject []sim.Tick, shards int) (ReplayResult, error) {
-	return newReplayer(factory, tr, shards, 0).run(inject)
+// ReplayScheduleSharded is ReplaySchedule on a fabric from factory. The shard
+// count is ignored: every replay runs on one fabric, and no count ever
+// changed a result.
+func ReplayScheduleSharded(factory NetworkFactory, tr *trace.Trace, inject []sim.Tick, _ int) (ReplayResult, error) {
+	return newReplayer(factory, tr, 0).run(inject)
 }
 
 // NaiveReplay replays the trace at its recorded capture-network timestamps —
 // the conventional trace-driven methodology the paper shows to be wrong on a
 // fabric with different timing.
 func NaiveReplay(net noc.Network, tr *trace.Trace) (ReplayResult, error) {
-	return NaiveReplayStream(func() noc.Network { return net }, tr, 1, 0)
+	return NaiveReplayStream(func() noc.Network { return net }, tr, 0)
 }
 
-// NaiveReplaySharded is NaiveReplay across the given number of shards.
-func NaiveReplaySharded(factory NetworkFactory, tr *trace.Trace, shards int) (ReplayResult, error) {
-	return NaiveReplayStream(factory, tr, shards, 0)
+// NaiveReplaySharded is NaiveReplay on a fabric from factory; the shard count
+// is ignored, as ReplayScheduleSharded's is.
+func NaiveReplaySharded(factory NetworkFactory, tr *trace.Trace, _ int) (ReplayResult, error) {
+	return NaiveReplayStream(factory, tr, 0)
 }
 
-// NaiveReplayStream is NaiveReplaySharded over a trace.Source: one pass
-// collects the recorded injection times, a second replays them, and the
+// NaiveReplayStream is NaiveReplay over a trace.Source and a factory: one
+// pass collects the recorded injection times, a second replays them, and the
 // collected times are the result's Inject. Window semantics match
 // ReplayScheduleStream.
-func NaiveReplayStream(factory NetworkFactory, src trace.Source, shards, window int) (ReplayResult, error) {
+func NaiveReplayStream(factory NetworkFactory, src trace.Source, window int) (ReplayResult, error) {
 	inject := make([]sim.Tick, src.Meta().NumEvents)
 	if err := EachEvent(src, func(i int, e *trace.Event) { inject[i] = e.RefInject }); err != nil {
 		return ReplayResult{}, err
 	}
-	return newReplayer(factory, src, shards, window).run(inject)
+	return newReplayer(factory, src, window).run(inject)
 }
 
 // CoupledReplay resolves dependencies *inside* the network simulation: an
@@ -452,7 +362,7 @@ func NaiveReplayStream(factory NetworkFactory, src trace.Source, shards, window 
 // source, in a handful of allocations whatever its length. It runs on a
 // one-slot replayer over net, which must be fresh.
 func CoupledReplay(net noc.Network, src trace.Source, opts ScheduleOptions) (ReplayResult, error) {
-	return newReplayer(func() noc.Network { return net }, src, 1, 0).coupled(opts)
+	return newReplayer(func() noc.Network { return net }, src, 0).coupled(opts)
 }
 
 // coupled runs a coupled replay on slot 0. Its Inject is a vector of its own,

@@ -23,25 +23,22 @@ func TestResumeCompletesIdenticalToUninterrupted(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		cfg       config.SCTM
-		shards    int
 		parkAfter int
 	}{
-		{"serial", base, 1, 3},
-		{"sharded", base, 2, 3},
-		{"incremental", func() config.SCTM { c := base; c.Incremental = true; return c }(), 1, 3},
-		{"incremental-sharded", func() config.SCTM { c := base; c.Incremental = true; return c }(), 2, 3},
+		{"serial", base, 3},
+		{"incremental", func() config.SCTM { c := base; c.Incremental = true; return c }(), 3},
 		// Parked after the coupled pass, before round 0: the resume state
 		// carries the pass's charge.
-		{"coupled", func() config.SCTM { c := base; c.Seed = "coupled"; return c }(), 1, 0},
+		{"coupled", func() config.SCTM { c := base; c.Seed = "coupled"; return c }(), 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			full, _, err := SelfCorrectParkableCtx(context.Background(), contendedIdeal, tr, tc.cfg, tc.shards, nil, nil)
+			full, _, err := SelfCorrectParkableCtx(context.Background(), contendedIdeal, tr, tc.cfg, 1, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			ctx := &countdownCtx{Context: context.Background(), remaining: tc.parkAfter}
-			parked, state, err := SelfCorrectParkableCtx(ctx, contendedIdeal, tr, tc.cfg, tc.shards, nil, nil)
+			parked, state, err := SelfCorrectParkableCtx(ctx, contendedIdeal, tr, tc.cfg, 1, nil, nil)
 			if !errors.Is(err, ErrParked) {
 				t.Fatalf("err = %v, want ErrParked", err)
 			}
@@ -55,7 +52,7 @@ func TestResumeCompletesIdenticalToUninterrupted(t *testing.T) {
 				t.Fatalf("parked after %d rounds, want %d", len(parked.Iterations), tc.parkAfter)
 			}
 
-			resumed, state2, err := SelfCorrectParkableCtx(context.Background(), contendedIdeal, tr, tc.cfg, tc.shards, nil, state)
+			resumed, state2, err := SelfCorrectParkableCtx(context.Background(), contendedIdeal, tr, tc.cfg, 1, nil, state)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -78,16 +75,14 @@ func TestParkedResultSurvivesResume(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		cfg       config.SCTM
-		shards    int
 		parkAfter int
 	}{
-		{"serial", base, 1, 3},
-		{"sharded", base, 2, 3},
-		{"coupled", func() config.SCTM { c := base; c.Seed = "coupled"; return c }(), 1, 0},
+		{"serial", base, 3},
+		{"coupled", func() config.SCTM { c := base; c.Seed = "coupled"; return c }(), 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx := &countdownCtx{Context: context.Background(), remaining: tc.parkAfter}
-			parked, state, err := SelfCorrectParkableCtx(ctx, contendedIdeal, tr, tc.cfg, tc.shards, nil, nil)
+			parked, state, err := SelfCorrectParkableCtx(ctx, contendedIdeal, tr, tc.cfg, 1, nil, nil)
 			if !errors.Is(err, ErrParked) || state == nil {
 				t.Fatalf("park: err=%v state=%v", err, state)
 			}
@@ -97,7 +92,7 @@ func TestParkedResultSurvivesResume(t *testing.T) {
 				st := *want.NetStats
 				want.NetStats = &st
 			}
-			if _, _, err := SelfCorrectParkableCtx(context.Background(), contendedIdeal, tr, tc.cfg, tc.shards, nil, state); err != nil {
+			if _, _, err := SelfCorrectParkableCtx(context.Background(), contendedIdeal, tr, tc.cfg, 1, nil, state); err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(parked.Final, want) {

@@ -137,9 +137,9 @@ func schedule(src trace.Source, latency []sim.Tick, opts ScheduleOptions, estima
 // events in ID order, a topological order, and derives them in that order.
 //
 // Three passes feed it. Two know every latency up front and have each event
-// derived as it is offered: ScheduleStream's (the seed's among them), and the
-// pass a K > 1 run makes once every lane has drained, since lanes cannot read
-// each other's arrivals. A K = 1 run feeds it from the replay's own decoder,
+// derived as it is offered: ScheduleStream's (the seed's among them), and
+// deriveAll's, which a correction makes after a round that derived nothing
+// (overlap.go). A run feeds it from the replay's own decoder,
 // while the replay is still delivering: an event whose dependency has not
 // been delivered waits in the backlog, and everything after it waits behind
 // it, until the dependency's arrival is recorded. The backlog

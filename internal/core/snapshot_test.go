@@ -52,6 +52,20 @@ func (f *snapshotFeed) injectDue(now sim.Tick, net noc.Network, pool *noc.MsgPoo
 	return err
 }
 
+// floorNet drops the injections of the events scheduled at or before floor,
+// which a restored fabric already holds.
+type floorNet struct {
+	noc.Network
+	inject []sim.Tick
+	floor  sim.Tick
+}
+
+func (n floorNet) Inject(m *noc.Message) {
+	if n.inject[m.ID-1] > n.floor {
+		n.Network.Inject(m)
+	}
+}
+
 // TestSnapshotRestoreRoundTrip: capturing a snapshot mid-replay and resuming
 // from it — on the same instance after it ran to completion, and on a fresh
 // instance that never saw the prefix — reproduces the uninterrupted replay
@@ -85,11 +99,8 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 					pool.Put(m)
 				})
 				pending := sim.NewCalendar[pendingMsg](ringTicks)
-				dec := &streamDecoder{
-					it: it, inject: inject, bm: blockMins(nil, inject), cur: new([minBlock]sim.Tick), pending: &pending,
-					own: func(idx int) bool { return inject[idx] > floor },
-				}
-				if err := drain(net, &snapshotFeed{streamDecoder: dec, at: snapAt, snap: snap}, &pool, &done, n); err != nil {
+				dec := &streamDecoder{it: it, inject: inject, bm: blockMins(nil, inject), cur: new([minBlock]sim.Tick), pending: &pending}
+				if err := drain(floorNet{net, inject, floor}, &snapshotFeed{streamDecoder: dec, at: snapAt, snap: snap}, &pool, &done, n); err != nil {
 					return err
 				}
 				finalize(res, tr.RefMakespan, dec.maxRef)

@@ -139,7 +139,8 @@ type pendingMsg struct {
 const ringTicks = 1 << 12
 
 // streamDecoder is the schedule feed: it advances an iterator in lockstep
-// with a suffix-min bound, pushing the events it keeps onto a pending queue.
+// with a suffix-min bound, pushing every event it decodes onto a pending
+// queue.
 type streamDecoder struct {
 	it     trace.Iterator
 	inject []sim.Tick
@@ -151,11 +152,6 @@ type streamDecoder struct {
 	end     int
 	pending *sim.Calendar[pendingMsg]
 	window  int // max pending entries; 0 = unbounded
-	// own filters which events this consumer keeps; nil keeps all. With a
-	// filter the suffix-min bound may belong to another consumer's event,
-	// which costs this one an idle Tick, never correctness: every Tick
-	// strictly before NextWake is a no-op.
-	own func(idx int) bool
 	// maxRef folds in every decoded event's RefArrive: the event is gone by
 	// finalize time, so the makespan tail term accumulates during decode.
 	maxRef sim.Tick
@@ -206,18 +202,16 @@ func (d *streamDecoder) decodeTo(t sim.Tick) error {
 		if d.derive != nil {
 			d.derive.offer(d.pos, &d.ev)
 		}
-		if d.own == nil || d.own(d.pos) {
-			d.pending.Push(d.inject[d.pos], pendingMsg{
-				at:    d.inject[d.pos],
-				idx:   d.pos,
-				src:   d.ev.Src,
-				dst:   d.ev.Dst,
-				bytes: d.ev.Bytes,
-				class: d.ev.Class,
-			})
-			if d.window > 0 && d.pending.Len() > d.window {
-				return fmt.Errorf("schedule needs more than %d resident events, the size of the streaming window; raise parallelism.window_events (-1 lifts the cap)", d.window)
-			}
+		d.pending.Push(d.inject[d.pos], pendingMsg{
+			at:    d.inject[d.pos],
+			idx:   d.pos,
+			src:   d.ev.Src,
+			dst:   d.ev.Dst,
+			bytes: d.ev.Bytes,
+			class: d.ev.Class,
+		})
+		if d.window > 0 && d.pending.Len() > d.window {
+			return fmt.Errorf("schedule needs more than %d resident events, the size of the streaming window; raise parallelism.window_events (-1 lifts the cap)", d.window)
 		}
 		d.pos++
 	}

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"onocsim/internal/config"
@@ -91,7 +90,7 @@ func TestCorrectionPassCount(t *testing.T) {
 		cfg := config.Default().SCTM
 		cfg.MakespanTolerance = 0
 		cfg.Seed = seed
-		res, _, err := Correct(context.Background(), func() noc.Network { return noc.NewIdeal(16, 15, 16) }, src, cfg, 1, 0, nil, nil, nil, nil)
+		res, _, err := Correct(context.Background(), func() noc.Network { return noc.NewIdeal(16, 15, 16) }, src, cfg, 0, nil, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +125,7 @@ func TestStreamRefusesRewrittenFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	optical := config.Default().Optical
-	_, err = NaiveReplayStream(func() noc.Network { return onoc.NewCrossbar(8, optical, config.Faults{}, 0) }, file, 1, 0)
+	_, err = NaiveReplayStream(func() noc.Network { return onoc.NewCrossbar(8, optical, config.Faults{}, 0) }, file, 0)
 	if err == nil || !strings.Contains(err.Error(), "changed since it was opened") {
 		t.Fatalf("replaying the rewritten file: %v, want the changed header refused", err)
 	}
@@ -172,7 +171,7 @@ func TestReplayAllocationsIndependentOfLength(t *testing.T) {
 			t.Fatal(err)
 		}
 		for name, src := range map[string]trace.Source{"mem": tr, "file": file} {
-			r := newReplayer(func() noc.Network { return noc.NewIdeal(nodes, 15, 16) }, src, 1, 0)
+			r := newReplayer(func() noc.Network { return noc.NewIdeal(nodes, 15, 16) }, src, 0)
 			counts[name] = append(counts[name], testing.AllocsPerRun(3, func() {
 				if _, err := r.run(inject); err != nil {
 					t.Fatal(err)
@@ -196,32 +195,22 @@ func TestReplayAllocationsIndependentOfLength(t *testing.T) {
 type injectSpy struct {
 	noc.Network
 	sched *[]sim.Tick
-	late  *atomic.Int64 // messages stamped off their scheduled cycle
+	late  *int // messages stamped off their scheduled cycle
 }
 
 func (s injectSpy) SetDeliver(fn noc.DeliverFunc) {
 	s.Network.SetDeliver(func(m *noc.Message) {
 		if m.Inject != (*s.sched)[m.ID-1] {
-			s.late.Add(1)
+			*s.late++
 		}
 		fn(m)
 	})
 }
 
-// shardSpy is injectSpy over a noc.ScheduleShardable fabric, which it stays.
-type shardSpy struct {
-	injectSpy
-	sh noc.ScheduleShardable
-}
-
-func (s shardSpy) ShardNode(src, dst int) int      { return s.sh.ShardNode(src, dst) }
-func (s shardSpy) SetShardObs(fn noc.ShardObsFunc) { s.sh.SetShardObs(fn) }
-func (s shardSpy) SeqOrder() noc.SeqOrder          { return s.sh.SeqOrder() }
-
 // TestScheduledReplayInjectsOnSchedule holds the rule that lets a replay's
 // result share the schedule as its Inject: every fabric stamps every message
 // with exactly its scheduled cycle. Three schedules run on every fabric kind,
-// from memory and from a file, at K = 1 and 2: capture order, the zero-load
+// from memory and from a file: capture order, the zero-load
 // schedule, and capture order with the last event of the second bound block
 // moved back among the first block's, so that the block's minimum is its
 // last event and the decoder must reach it from the block before. The file
@@ -260,29 +249,21 @@ func TestScheduledReplayInjectsOnSchedule(t *testing.T) {
 		}
 
 		var sched []sim.Tick
-		var late atomic.Int64
-		spied := func() noc.Network {
-			spy := injectSpy{Network: mk(), sched: &sched, late: &late}
-			if sh, ok := spy.Network.(noc.ScheduleShardable); ok {
-				return shardSpy{spy, sh}
-			}
-			return spy
-		}
+		var late int
+		spied := func() noc.Network { return injectSpy{Network: mk(), sched: &sched, late: &late} }
 		for _, sc := range scheds {
 			name, s := sc.name, sc.s
 			for srcName, src := range map[string]trace.Source{"mem": tr, "file": file} {
-				for _, k := range []int{1, 2} {
-					sched = s
-					res, err := newReplayer(spied, src, k, sc.window).run(s)
-					if err != nil {
-						t.Fatalf("%s %s %s K=%d: %v", fabric, name, srcName, k, err)
-					}
-					if got := late.Swap(0); got != 0 {
-						t.Fatalf("%s %s %s K=%d: %d of %d messages injected off their scheduled cycle", fabric, name, srcName, k, got, n)
-					}
-					if &res.Inject[0] != &s[0] {
-						t.Fatalf("%s %s %s K=%d: the result's Inject is not the schedule", fabric, name, srcName, k)
-					}
+				sched, late = s, 0
+				res, err := newReplayer(spied, src, sc.window).run(s)
+				if err != nil {
+					t.Fatalf("%s %s %s: %v", fabric, name, srcName, err)
+				}
+				if late != 0 {
+					t.Fatalf("%s %s %s: %d of %d messages injected off their scheduled cycle", fabric, name, srcName, late, n)
+				}
+				if &res.Inject[0] != &s[0] {
+					t.Fatalf("%s %s %s: the result's Inject is not the schedule", fabric, name, srcName)
 				}
 			}
 		}

@@ -8,8 +8,8 @@
 // each channel owns independent RNG streams (sim.NewStream) whose windows are
 // generated lazily but append-only, so queries are stateless binary searches.
 // That makes the timelines identical under full-cycle ticking, idle-cycle
-// skipping, fabric Reset between self-correction rounds, and per-channel
-// sharding — the property the byte-identical determinism contract rests on.
+// skipping, and fabric Reset between self-correction rounds — the property
+// the byte-identical determinism contract rests on.
 package fault
 
 import (

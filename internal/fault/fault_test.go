@@ -37,7 +37,7 @@ func TestNilInjectorSafe(t *testing.T) {
 
 // TestDeterministic checks two injectors over the same (nodes, faults, seed)
 // answer every query identically regardless of query order — the property
-// sharded replay and self-correction rounds rest on.
+// self-correction rounds, overlapped ones included, rest on.
 func TestDeterministic(t *testing.T) {
 	const nodes, horizon = 8, 200_000
 	a := New(nodes, heavy(), 42)

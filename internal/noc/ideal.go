@@ -154,16 +154,11 @@ func (n *Ideal) Restore(s Snapshot) {
 	n.inflight.Restore(&snap.inflight)
 }
 
-// ShardNode implements ScheduleShardable. The only stateful resource is the
-// per-source injection port (nextFree), so a message's whole lifetime is
-// owned by its source.
+// ShardNode returns the node that owns every resource a src→dst message
+// touches, the one the analytic estimator charges its wait to. The only
+// stateful resource is the per-source injection port (nextFree), so a
+// message's whole lifetime is owned by its source.
 func (n *Ideal) ShardNode(src, dst int) int { return src }
-
-// SetShardObs implements ScheduleShardable; the sink is ignored.
-func (n *Ideal) SetShardObs(ShardObsFunc) {}
-
-// SeqOrder implements ScheduleShardable; see ShardObsFunc.
-func (n *Ideal) SeqOrder() SeqOrder { return 0 }
 
 // ZeroLoadLatency implements Network.
 func (n *Ideal) ZeroLoadLatency(src, dst, bytes int) sim.Tick {

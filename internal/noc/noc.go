@@ -124,31 +124,20 @@ type Network interface {
 	SkipTo(t sim.Tick)
 }
 
-// ShardObsFunc and SeqOrder remain only because the benchmark harness
-// forwards them through ScheduleShardable. A sharded replay merges its
-// replicas' statistics by summing them (Stats.Merge), so it needs no
-// per-message observation and no knowledge of a fabric's same-cycle delivery
-// order: every fabric ignores the sink and reports the zero SeqOrder.
+// ShardObsFunc, SeqOrder and ScheduleShardable remain only because the
+// benchmark harness names them; no fabric implements ScheduleShardable. A
+// replay runs on one fabric: splitting it across replica fabrics, one per
+// group of nodes, never changed a result and was slower end to end
+// (DESIGN §6).
 type ShardObsFunc func(id uint64)
 
 // SeqOrder is not consulted; see ShardObsFunc.
 type SeqOrder int
 
-// ScheduleShardable is implemented by fabrics whose schedule-driven replay —
-// injections fixed up front, no delivery→injection feedback — factorizes into
-// independent per-node slices: every resource a message uses is owned by the
-// single node ShardNode(src, dst), so a replica fabric fed only the messages
-// of the nodes it owns evolves those nodes' state exactly as the serial run
-// does. The crossbars qualify (MWSR arbitrates per destination, SWMR
-// serializes per source), as does the ideal fabric (per-source bandwidth
-// cap). The mesh does not: wormhole flits from different sources contend for
-// shared links every cycle.
+// ScheduleShardable is implemented by no fabric; see ShardObsFunc.
 type ScheduleShardable interface {
 	Network
-	// ShardNode returns the node index that owns all fabric resources a
-	// src→dst message touches.
 	ShardNode(src, dst int) int
-	// SetShardObs and SeqOrder are no-ops; see ShardObsFunc.
 	SetShardObs(fn ShardObsFunc)
 	SeqOrder() SeqOrder
 }
@@ -257,8 +246,8 @@ func (p *MsgPool) Put(m *Message) {
 
 // Stats holds the counters every fabric keeps: plain sums, so a block does not
 // depend on the order its events arrived in, and Merge of two blocks equals
-// the block of both event streams. That is why a sharded replay's statistics
-// are its replicas' blocks merged. A fabric counts what it moves and nothing
+// the block of both event streams, which is how the hybrid sums its two
+// sub-fabrics. A fabric counts what it moves and nothing
 // more: a message's latency is Arrive − Inject, and whoever receives the
 // message summarises it.
 type Stats struct {
@@ -272,8 +261,7 @@ type Stats struct {
 }
 
 // FaultCounts tallies fault events by class. Each event is attributable to
-// exactly one channel, and every counter is a plain sum, so sharded replicas'
-// counts add up to the serial run's.
+// exactly one channel, and every counter is a plain sum.
 type FaultCounts struct {
 	// TokenLosses counts lost-token events (each stalls one MWSR home
 	// channel until its timeout-and-regenerate recovery fires).

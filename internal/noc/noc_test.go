@@ -37,8 +37,8 @@ func TestStatsCountDelivery(t *testing.T) {
 	}
 }
 
-// TestStatsMergeIsOrderFree is why shards cannot change a result: a random
-// event log, split into K disjoint subsequences (some empty) that are each
+// TestStatsMergeIsOrderFree is why a merged block (the hybrid's, its mesh's
+// and its crossbar's) is exact however the traffic splits: a random event log, split into K disjoint subsequences (some empty) that are each
 // shuffled and counted into a block of their own, merges in any order into
 // exactly the block of the whole log counted in sequence.
 func TestStatsMergeIsOrderFree(t *testing.T) {

@@ -450,9 +450,9 @@ func (n *Network) stepChannel(ch *channel) {
 	ch.flying = true
 }
 
-// ShardNode implements noc.ScheduleShardable. Every resource a src→dst
-// message touches — the destination's home channel, its token, its per-source
-// queues, its arrival stream — belongs to the destination.
+// ShardNode implements Crossbar. Every resource a src→dst message touches —
+// the destination's home channel, its token, its per-source queues, its
+// arrival stream — belongs to the destination.
 func (n *Network) ShardNode(src, dst int) int { return dst }
 
 // NextWake implements noc.Network. A channel with queued senders next acts

@@ -103,8 +103,8 @@ func (t *serTable) cycles(bytes int) sim.Tick {
 // newPhys resolves the photonic budget and the serialization, drift and droop
 // tables. The fault schedule derives from seed and the fault parameters only,
 // so two fabrics built with equal (nodes, cfg, faults, seed) observe identical
-// fault timelines — including sharded replicas, which each own a disjoint
-// subset of the channels.
+// fault timelines: an overlapped correction round's fabric sees the faults
+// the round before it saw.
 func newPhys(nodes int, cfg config.Optical, faults config.Faults, seed uint64) phys {
 	if nodes < 2 {
 		panic(fmt.Sprintf("onoc: need ≥2 nodes, got %d", nodes))
@@ -177,12 +177,6 @@ func (p *phys) SkipTo(t sim.Tick) {
 		p.now = t
 	}
 }
-
-// SetShardObs implements noc.ScheduleShardable; the sink is ignored.
-func (p *phys) SetShardObs(noc.ShardObsFunc) {}
-
-// SeqOrder implements noc.ScheduleShardable; see noc.ShardObsFunc.
-func (p *phys) SeqOrder() noc.SeqOrder { return 0 }
 
 // Budget exposes the resolved static photonic budget for reporting.
 func (p *phys) Budget() photonics.Budget { return p.budget }

@@ -77,7 +77,7 @@ func (n *swmr) Tick() {
 	}
 }
 
-// ShardNode implements noc.ScheduleShardable. A message's only stateful
+// ShardNode implements Crossbar. A message's only stateful
 // resources — the sender's broadcast channel and FIFO — belong to its source.
 func (n *swmr) ShardNode(src, dst int) int { return src }
 

@@ -69,7 +69,7 @@ type Iterator interface {
 // Source yields repeated sequential decode passes over a stored trace. The
 // replay engines take several passes per run (seeding, scheduling, replay),
 // so a Source must support any number of Pass calls; passes are independent
-// and may be open concurrently (the sharded engine opens one per shard). A
+// and may be open concurrently (jobs sharing a source each open their own). A
 // pass yields only events validateEvent accepts, or an error.
 type Source interface {
 	// Meta returns the trace header without decoding any events.
@@ -483,7 +483,7 @@ func (r *reader) nextBytewise(e *Event) (bool, error) {
 func (r *reader) Close() error { return nil }
 
 // FileSource streams passes over a binary trace file on disk. Each Pass
-// opens the file independently, so concurrent passes (one per shard) are
+// opens the file independently, so concurrent passes (one per job) are
 // safe. The header is decoded once at construction, and every consumer
 // sizes its state from it, so a pass refuses a file whose header has changed
 // since. A file rewritten under the same header is not detected: that takes

@@ -11,11 +11,11 @@ import (
 	"onocsim/internal/workload"
 )
 
-// TestReplayMetamorphicRelations checks two relations that PAPER.md's replay
-// rule, inject(e) = max(dependency arrivals) + gap, implies between runs of
-// one trace, each exactly. Every kernel's ideal capture is replayed on every
-// fixpoint variant, and for the time shift also on the torus and on the mesh
-// under west-first routing.
+// TestReplayMetamorphicRelations checks three relations that PAPER.md's
+// replay rule, inject(e) = max(dependency arrivals) + gap, implies between
+// runs of one trace, each exactly. Every kernel's ideal capture is replayed on
+// every fixpoint variant, and for the time shift also on the torus and on the
+// mesh under west-first routing.
 //
 //   - Time shift: adding C to the gap of every root event (one with no
 //     dependencies) moves every coupled-replay injection and arrival by
@@ -34,6 +34,13 @@ import (
 //     transitively arrives no later than the direct dependency it goes
 //     through, so neither the coupled replay nor a zero-load-seeded
 //     correction (makespan tolerance off) changes at all.
+//   - Symmetry: renaming every node by a permutation the fabric cannot tell
+//     apart from the identity leaves the coupled replay and every round of a
+//     zero-load correction exactly as they were. The ideal fabric treats all
+//     nodes alike, so any permutation qualifies (here i → 5i+3 mod nodes).
+//     The torus does not hold it under translation: a half-ring tie's
+//     direction and a packet's dateline VC both depend on where the
+//     wraparound links sit (ROADMAP item 22).
 func TestReplayMetamorphicRelations(t *testing.T) {
 	for _, kernel := range workload.KernelNames() {
 		cfg := smallConfig()
@@ -70,6 +77,9 @@ func TestReplayMetamorphicRelations(t *testing.T) {
 				}
 				checkShiftedRounds(t, cfg, v.kind, tr, revolution, tokenPhased)
 
+				if v.kind == IdealNet {
+					checkRelabelled(t, cfg, v.kind, tr, func(i int) int { return (5*i + 3) % cfg.System.Cores })
+				}
 				if got := coupled(redundant); !reflect.DeepEqual(got, base) {
 					t.Errorf("a redundant edge changed the coupled replay: makespan %d, was %d", got.Makespan, base.Makespan)
 				}
@@ -125,25 +135,63 @@ func checkShifted(t *testing.T, c Tick, base, shifted ReplayResult) {
 	}
 }
 
-// checkShiftedRounds fails t unless delaying tr's root events by C moves
-// every round of an overlapped zero-load correction by C: for C 1, 7 and one
-// token revolution, or only the revolution when the fabric is token-phased.
-func checkShiftedRounds(t *testing.T, cfg Config, kind NetworkKind, tr *Trace, revolution int, tokenPhased bool) {
+// overlappedCorrection returns a zero-load correction on kind whose every
+// round after the first overlaps the one before it.
+func overlappedCorrection(t *testing.T, cfg Config, kind NetworkKind) func(tr *Trace) CorrectionResult {
 	t.Helper()
 	factory, err := NetworkFactory(cfg, kind)
 	if err != nil {
 		t.Fatal(err)
 	}
-	correct := func(tr *Trace) CorrectionResult {
+	return func(tr *Trace) CorrectionResult {
 		t.Helper()
 		sp := &spareSlots{every: 1}
-		res, _, err := core.Correct(bg, factory, tr, cfg.SCTM, 1, 0, nil, nil, nil, sp.spare)
+		res, _, err := core.Correct(bg, factory, tr, cfg.SCTM, 0, nil, nil, nil, sp.spare)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sp.check(t)
 		return res
 	}
+}
+
+// checkRelabelled fails t unless renaming every node of tr by perm leaves the
+// coupled replay on kind and an overlapped zero-load correction's every
+// Iteration and Final exactly as they were, DeepEqual.
+func checkRelabelled(t *testing.T, cfg Config, kind NetworkKind, tr *Trace, perm func(int) int) {
+	t.Helper()
+	moved := copyTrace(tr)
+	for i := range moved.Events {
+		e := &moved.Events[i]
+		e.Src, e.Dst = perm(e.Src), perm(e.Dst)
+	}
+	if reflect.DeepEqual(moved.Events, tr.Events) {
+		t.Fatal("the permutation moved no event")
+	}
+	want, err := uncached.RunCoupledReplayContext(bg, cfg, tr, kind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := uncached.RunCoupledReplayContext(bg, cfg, moved, kind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("relabelled nodes changed the coupled replay: makespan %d, was %d", got.Makespan, want.Makespan)
+	}
+	correct := overlappedCorrection(t, cfg, kind)
+	wantSC, gotSC := correct(tr), correct(moved)
+	if !reflect.DeepEqual(gotSC.Iterations, wantSC.Iterations) || !reflect.DeepEqual(gotSC.Final, wantSC.Final) {
+		t.Errorf("relabelled nodes changed the correction:\n got %+v\nwant %+v", gotSC.Iterations, wantSC.Iterations)
+	}
+}
+
+// checkShiftedRounds fails t unless delaying tr's root events by C moves
+// every round of an overlapped zero-load correction by C: for C 1, 7 and one
+// token revolution, or only the revolution when the fabric is token-phased.
+func checkShiftedRounds(t *testing.T, cfg Config, kind NetworkKind, tr *Trace, revolution int, tokenPhased bool) {
+	t.Helper()
+	correct := overlappedCorrection(t, cfg, kind)
 	base := correct(tr)
 	for _, c := range []Tick{1, 7, Tick(revolution)} {
 		if tokenPhased && int(c)%revolution != 0 {

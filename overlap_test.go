@@ -112,13 +112,13 @@ func TestPipelinedCorrectionMatchesSerial(t *testing.T) {
 						t.Fatal(err)
 					}
 					name := fmt.Sprintf("%s/%s/%s/tol=%g", kernel, v.name, seed, tol)
-					want, _, err := core.Correct(bg, factory, tr, cfg.SCTM, 1, 0, nil, nil, nil, nil)
+					want, _, err := core.Correct(bg, factory, tr, cfg.SCTM, 0, nil, nil, nil, nil)
 					if err != nil {
 						t.Fatalf("%s: serial: %v", name, err)
 					}
 					for _, every := range []int{1, 2} {
 						sp := &spareSlots{every: every}
-						got, _, err := core.Correct(bg, factory, tr, cfg.SCTM, 1, 0, nil, nil, nil, sp.spare)
+						got, _, err := core.Correct(bg, factory, tr, cfg.SCTM, 0, nil, nil, nil, sp.spare)
 						if err != nil {
 							t.Fatalf("%s: overlapped: %v", name, err)
 						}
@@ -148,7 +148,7 @@ func TestPipelinedCorrectionMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		full, _, err := core.Correct(bg, factory, tr, cfg.SCTM, 1, 0, nil, nil, nil, nil)
+		full, _, err := core.Correct(bg, factory, tr, cfg.SCTM, 0, nil, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +161,7 @@ func TestPipelinedCorrectionMatchesSerial(t *testing.T) {
 				cancel()
 			}
 			rounds := 0
-			return core.Correct(ctx, factory, tr, cfg.SCTM, 1, 0, nil, nil, func() {
+			return core.Correct(ctx, factory, tr, cfg.SCTM, 0, nil, nil, func() {
 				if rounds++; rounds == b {
 					cancel()
 				}
@@ -181,7 +181,7 @@ func TestPipelinedCorrectionMatchesSerial(t *testing.T) {
 			if !reflect.DeepEqual(part, wantPart) {
 				t.Fatalf("%s: overlapped parked result differs from serial", name)
 			}
-			got, _, err := core.Correct(bg, factory, tr, cfg.SCTM, 1, 0, nil, state, nil, sp.spare)
+			got, _, err := core.Correct(bg, factory, tr, cfg.SCTM, 0, nil, state, nil, sp.spare)
 			if err != nil {
 				t.Fatalf("%s: resume: %v", name, err)
 			}

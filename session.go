@@ -168,10 +168,10 @@ func normalizeFor(cfg Config, kind NetworkKind, op simcache.Op) Config {
 	// Every cached operation receives its fabric kind explicitly; the
 	// config's own Network field only picks a default elsewhere.
 	n.Network = def.Network
-	// Parallelism cannot affect any result (the sharded engine is
-	// byte-identical to the serial one) and is already excluded at the
-	// Fingerprint level; normalizing it here as well keeps the invariant
-	// visible where the other masking rules live.
+	// Parallelism cannot affect any result (a shard count may only say one
+	// fabric, and the streaming window only bounds residency) and is already
+	// excluded at the Fingerprint level; normalizing it here as well keeps
+	// the invariant visible where the other masking rules live.
 	n.Parallelism = def.Parallelism
 	// SCTM parameters feed only the correction engine and the coupled
 	// replay's two dependency toggles.
@@ -374,9 +374,8 @@ func (s *Session) CaptureTraceContext(ctx context.Context, cfg Config, captureOn
 	}
 }
 
-// RunNaiveReplayContext replays the trace at recorded timestamps on fresh
-// fabrics of the given kind, split across cfg.Parallelism.Shards replicas
-// where the fabric allows it; results are byte-identical for any shard count.
+// RunNaiveReplayContext replays the trace at recorded timestamps on a fresh
+// fabric of the given kind.
 // A session's own capture is keyed by where it came from, any other trace by
 // its content (see traceKey): two clients posting byte-identical trace files,
 // under any paths, share one computation, and on a hit the file is not even

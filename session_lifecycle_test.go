@@ -207,36 +207,33 @@ func TestStreamedCorrectionParksAtRoundBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, src := range map[string]TraceSource{"captured": tr, "file": traceOnDisk(t, tr)} {
-		for _, shards := range []int{1, 4} {
-			cfg.Parallelism.Shards = shards
-			full, err := uncached.RunSelfCorrectionContext(bg, cfg, src, Optical)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if full.Converged || len(full.Iterations) != cfg.SCTM.MaxIterations {
-				t.Fatalf("%s shards=%d: reference run converged early: %+v", name, shards, full)
-			}
-			const rounds = 4
-			ctx := &resumePollCtx{Context: context.Background(), remaining: 1 + rounds}
-			parked, err := uncached.RunSelfCorrectionContext(ctx, cfg, src, Optical)
-			if !errors.Is(err, ErrParked) || parked.Converged || !reflect.DeepEqual(parked.Iterations, full.Iterations[:rounds]) ||
-				parked.ReplayedEvents != rounds*len(tr.Events) {
-				t.Fatalf("%s shards=%d: park (err %v, %d events replayed) is not the first %d rounds of the full run:\n got %+v\nwant %+v",
-					name, shards, err, parked.ReplayedEvents, rounds, parked.Iterations, full.Iterations[:rounds])
-			}
+		full, err := uncached.RunSelfCorrectionContext(bg, cfg, src, Optical)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full.Converged || len(full.Iterations) != cfg.SCTM.MaxIterations {
+			t.Fatalf("%s: reference run converged early: %+v", name, full)
+		}
+		const rounds = 4
+		ctx := &resumePollCtx{Context: context.Background(), remaining: 1 + rounds}
+		parked, err := uncached.RunSelfCorrectionContext(ctx, cfg, src, Optical)
+		if !errors.Is(err, ErrParked) || parked.Converged || !reflect.DeepEqual(parked.Iterations, full.Iterations[:rounds]) ||
+			parked.ReplayedEvents != rounds*len(tr.Events) {
+			t.Fatalf("%s: park (err %v, %d events replayed) is not the first %d rounds of the full run:\n got %+v\nwant %+v",
+				name, err, parked.ReplayedEvents, rounds, parked.Iterations, full.Iterations[:rounds])
+		}
 
-			// Through a session the partial trajectory still reaches the caller,
-			// and is not cached: the next, uncancelled request runs to the end.
-			s := NewSession("")
-			ctx = &resumePollCtx{Context: context.Background(), remaining: 1 + rounds}
-			viaSession, err := s.RunSelfCorrectionContext(ctx, cfg, src, Optical)
-			if !errors.Is(err, ErrParked) || !reflect.DeepEqual(viaSession.Iterations, parked.Iterations) {
-				t.Fatalf("%s shards=%d: session park: err = %v, %d rounds", name, shards, err, len(viaSession.Iterations))
-			}
-			again, err := s.RunSelfCorrectionContext(context.Background(), cfg, src, Optical)
-			if err != nil || !reflect.DeepEqual(again, full) {
-				t.Fatalf("%s shards=%d: run after a park: err = %v, %d rounds", name, shards, err, len(again.Iterations))
-			}
+		// Through a session the partial trajectory still reaches the caller,
+		// and is not cached: the next, uncancelled request runs to the end.
+		s := NewSession("")
+		ctx = &resumePollCtx{Context: context.Background(), remaining: 1 + rounds}
+		viaSession, err := s.RunSelfCorrectionContext(ctx, cfg, src, Optical)
+		if !errors.Is(err, ErrParked) || !reflect.DeepEqual(viaSession.Iterations, parked.Iterations) {
+			t.Fatalf("%s: session park: err = %v, %d rounds", name, err, len(viaSession.Iterations))
+		}
+		again, err := s.RunSelfCorrectionContext(context.Background(), cfg, src, Optical)
+		if err != nil || !reflect.DeepEqual(again, full) {
+			t.Fatalf("%s: run after a park: err = %v, %d rounds", name, err, len(again.Iterations))
 		}
 	}
 }

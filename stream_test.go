@@ -26,12 +26,33 @@ func traceOnDisk(t *testing.T, tr *Trace) TraceSource {
 	return src
 }
 
+// fabricCase is one fabric-family cell of the file-versus-resident tables.
+type fabricCase struct {
+	name string
+	cfg  Config
+	kind NetworkKind
+}
+
+// fabricCases covers every fabric family through the public API: both
+// optical crossbars, the ideal fabric, the mesh and the hybrid.
+func fabricCases() []fabricCase {
+	swmr := smallConfig()
+	swmr.Optical.Architecture = "swmr"
+	return []fabricCase{
+		{"ideal", smallConfig(), IdealNet},
+		{"optical-mwsr", smallConfig(), Optical},
+		{"optical-swmr", swmr, Optical},
+		{"electrical-fallback", smallConfig(), Electrical},
+		{"hybrid-fallback", smallConfig(), Hybrid},
+	}
+}
+
 // TestFileMatchesResident holds every operation that reads a trace to one
 // contract: handed the file a trace is stored in, it returns what it returns
 // for the resident trace, DeepEqual, on every fabric family. The correction
 // rows cover both seeds, the zero-load probe and the coupled replay.
 func TestFileMatchesResident(t *testing.T) {
-	cases := shardCases()
+	cases := fabricCases()
 	resident, files := make([]*Trace, len(cases)), make([]TraceSource, len(cases))
 	for i, tc := range cases {
 		tr, _, err := uncached.CaptureTraceContext(bg, tc.cfg, IdealNet)
@@ -88,12 +109,12 @@ func TestFileMatchesResident(t *testing.T) {
 // TestStreamInvarianceNaiveReplay locks in the file-versus-memory contract of
 // the naive replay for every fabric family: the constant-residency summary
 // pass decoded from disk reports the figures of the resident replay, whole
-// statistics block included. (The full replay of a file at K replicas has no
-// entry point of its own any more; core.TestEngineAgainstReference holds it —
-// "<trace>/<fabric>/<preset> file K={1,2,3,8}", schedule 0 being capture
-// order — to the serial reference with DeepEqual on the whole result.)
+// statistics block included. (The full replay of a file has no entry point of
+// its own; core.TestEngineAgainstReference holds it — "<trace>/<fabric>/<preset>
+// file", schedule 0 being capture order — to the serial reference with
+// DeepEqual on the whole result.)
 func TestStreamInvarianceNaiveReplay(t *testing.T) {
-	for _, tc := range shardCases() {
+	for _, tc := range fabricCases() {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
@@ -119,9 +140,9 @@ func TestStreamInvarianceNaiveReplay(t *testing.T) {
 
 // TestStreamInvarianceSelfCorrection asserts the whole correction trajectory
 // is identical whether the one correction door is handed the captured trace
-// or the file it was stored in, at any shard count.
+// or the file it was stored in.
 func TestStreamInvarianceSelfCorrection(t *testing.T) {
-	for _, tc := range shardCases() {
+	for _, tc := range fabricCases() {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
@@ -134,16 +155,12 @@ func TestStreamInvarianceSelfCorrection(t *testing.T) {
 				t.Fatalf("serial: %v", err)
 			}
 			for name, src := range map[string]TraceSource{"captured": tr, "file": traceOnDisk(t, tr)} {
-				for _, k := range []int{1, 8} {
-					cfg := tc.cfg
-					cfg.Parallelism.Shards = k
-					got, err := uncached.RunSelfCorrectionContext(bg, cfg, src, tc.kind)
-					if err != nil {
-						t.Fatalf("%s shards=%d: %v", name, k, err)
-					}
-					if !reflect.DeepEqual(got, serial) {
-						t.Errorf("%s shards=%d: correction diverges:\n got: %+v\n serial: %+v", name, k, got, serial)
-					}
+				got, err := uncached.RunSelfCorrectionContext(bg, tc.cfg, src, tc.kind)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if !reflect.DeepEqual(got, serial) {
+					t.Errorf("%s: correction diverges:\n got: %+v\n serial: %+v", name, got, serial)
 				}
 			}
 		})
@@ -231,11 +248,10 @@ func TestStreamWindowTooSmallErrors(t *testing.T) {
 }
 
 // TestStreamDegenerateTraces pins the edge cases: an empty trace and a
-// single-source chain replay identically at every shard count, and through
-// the summary tier and a correction, from memory and from a file. (Their full
-// replay from a file is held to the reference by
-// core.TestEngineAgainstReference's "empty", "one", "same-cycle" and "self"
-// traces, file K={1,2,3,8}.)
+// single-source chain replay identically through the summary tier and a
+// correction, from memory and from a file. (Their full replay from a file is
+// held to the reference by core.TestEngineAgainstReference's "empty", "one",
+// "same-cycle" and "self" traces.)
 func TestStreamDegenerateTraces(t *testing.T) {
 	cfg := smallConfig()
 	cfg.System.Cores = 4
@@ -257,19 +273,10 @@ func TestStreamDegenerateTraces(t *testing.T) {
 				t.Fatalf("in-memory correction: %v", err)
 			}
 			sources := map[string]TraceSource{"memory": tc.tr, "file": traceOnDisk(t, tc.tr)}
-			for _, k := range []int{1, 2, 8} {
-				c := cfg
-				c.Parallelism.Shards = k
-				got, err := uncached.RunNaiveReplayContext(bg, c, tc.tr, IdealNet)
-				if err != nil {
-					t.Fatalf("shards=%d: %v", k, err)
-				}
-				replaysEqual(t, tc.name, got, want)
-				for name, src := range sources {
-					gotSC, err := uncached.RunSelfCorrectionContext(bg, c, src, IdealNet)
-					if err != nil || !reflect.DeepEqual(gotSC, wantSC) {
-						t.Errorf("%s shards=%d: correction diverges (%v)\n got: %+v\nwant: %+v", name, k, err, gotSC, wantSC)
-					}
+			for name, src := range sources {
+				gotSC, err := uncached.RunSelfCorrectionContext(bg, cfg, src, IdealNet)
+				if err != nil || !reflect.DeepEqual(gotSC, wantSC) {
+					t.Errorf("%s: correction diverges (%v)\n got: %+v\nwant: %+v", name, err, gotSC, wantSC)
 				}
 			}
 			for name, src := range sources {

@@ -207,14 +207,17 @@ var (
 	benchOnly = map[string]string{
 		"analytic.Seed":               "bench/'s correction probe seeds from it, behind a seed Validate refuses",
 		"core.NaiveReplay":            "bench/'s naive-replay probe; the product replays through NaiveReplayStream",
-		"core.NaiveReplaySharded":     "bench/spy_test.go holds the fabric decorator to it at K = 2",
+		"core.NaiveReplaySharded":     "bench/spy_test.go holds the fabric decorator to it; the count is ignored",
 		"core.ReplaySchedule":         "bench/'s in-memory replay probe",
-		"core.ReplayScheduleSharded":  "bench/'s K = 2 shard probe",
+		"core.ReplayScheduleSharded":  "bench/'s K = 2 shard probe, a serial replay now that the count is ignored",
 		"core.ReplayScheduleStream":   "bench/'s streamed replay probe",
 		"core.Schedule":               "bench/'s schedule probe; a one-line adapter over ScheduleStream",
 		"core.SelfCorrect":            "bench/'s correction probes and spy_test.go; the product calls Correct",
 		"core.SelfCorrectParkableCtx": "bench/'s twin of a job's correction",
 		"core.SelfCorrectStream":      "bench/'s streamed-correction twin",
+		"noc.ScheduleShardable":       "bench/spy.go forwards it; no fabric implements it, a replay runs on one fabric",
+		"noc.SeqOrder":                "bench/spy.go forwards it through ScheduleShardable",
+		"noc.ShardObsFunc":            "bench/spy.go forwards it through ScheduleShardable",
 		"noc.SkipIdle":                "bench/'s tick probe",
 		"sim.NewEngine":               "bench/'s engine probe; no product code runs sim.Engine",
 		"sweep.Expand":                "bench/ times grid expansion apart from sweep.Run",
