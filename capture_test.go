@@ -85,6 +85,40 @@ func TestCaptureAllocationsIndependentOfLength(t *testing.T) {
 	}
 }
 
+// TestCaptureAllocationsIndependentOfCores is the capture's construction
+// gate: a chip's cores, L1s, banks and L2 banks are one slab per kind, its
+// directory entries and sharer sets come from chunks, and a kernel's
+// programs share one op slab, so a capture on 64 cores may allocate at most
+// perCore more objects per added core than the same capture on 16 (≈ 3.5–4.4
+// here: barrier edge lists, lock-step request queues and the recorder grow
+// with the chip). A structure that allocates once per core, bank or touched
+// line again costs several per added core; before the slabs it was 31–43.
+func TestCaptureAllocationsIndependentOfCores(t *testing.T) {
+	const perCore = 8.0
+	for _, kernel := range []string{"stencil", "lu"} {
+		for _, kind := range []NetworkKind{IdealNet, Electrical} {
+			var allocs [2]float64
+			coreCounts := [2]int{16, 64}
+			for i, cores := range coreCounts {
+				cfg := smallConfig()
+				cfg.Workload.Kernel = kernel
+				cfg.System.Cores = cores
+				allocs[i] = testing.AllocsPerRun(1, func() {
+					if _, _, err := uncached.CaptureTraceContext(bg, cfg, kind); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			name := fmt.Sprintf("%s/%s", kernel, kind)
+			per := (allocs[1] - allocs[0]) / float64(coreCounts[1]-coreCounts[0])
+			t.Logf("%s: %.0f allocations at %d cores, %.0f at %d: %.2f per added core", name, allocs[0], coreCounts[0], allocs[1], coreCounts[1], per)
+			if per > perCore {
+				t.Errorf("%s: %.2f allocations per added core, want at most %v", name, per, perCore)
+			}
+		}
+	}
+}
+
 // TestCoupledReplayAllocationsIndependentOfLength holds a coupled replay's
 // allocations to a handful per replay, not per event: its reverse-dependency
 // index is one flat array (the one overlapped correction rounds build), and

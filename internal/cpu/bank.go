@@ -11,7 +11,8 @@ import (
 // bitset is a sharer set over up to a few hundred cores.
 type bitset []uint64
 
-func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
+// bitsetWords is the length of a bitset over n cores.
+func bitsetWords(n int) int { return (n + 63) / 64 }
 
 func (b bitset) set(i int)   { b[i/64] |= 1 << (uint(i) % 64) }
 func (b bitset) clear(i int) { b[i/64] &^= 1 << (uint(i) % 64) }
@@ -56,7 +57,8 @@ type dirEntry struct {
 
 	// Transaction scratch: the request being serviced, outstanding ack
 	// count, and the dependency set accumulated for the final response
-	// (its backing array serves every transaction of the line).
+	// (an edge list from the System's free list, held only while the
+	// transaction is, so a line keeps no array of its own between them).
 	pendingReq  arrivedMsg
 	pendingAcks int
 	deps        []trace.Dep
@@ -73,6 +75,38 @@ type dirEntry struct {
 	ownerKeptCopy bool
 }
 
+// dirChunk is how many directory entries one chunk of a directory holds.
+const dirChunk = 256
+
+// directory holds the entries of every line any home has touched. An entry
+// is a value in a chunk of dirChunk entries, and its sharer set is cut from
+// a word chunk made beside it, so a newly touched line allocates nothing of
+// its own; chunks never move, so index keeps pointers into them. A line has
+// one home, so one index serves every bank of the System.
+type directory struct {
+	index map[uint64]*dirEntry
+	free  []dirEntry // unused tail of the newest entry chunk
+	words []uint64   // unused tail of the newest word chunk
+	width int        // words per sharer set
+}
+
+// entry returns line's entry, making it (uncached, no owner) on first touch.
+func (d *directory) entry(line uint64) *dirEntry {
+	if e, ok := d.index[line]; ok {
+		return e
+	}
+	if len(d.free) == 0 {
+		d.free = make([]dirEntry, dirChunk)
+		d.words = make([]uint64, dirChunk*d.width)
+	}
+	e := &d.free[0]
+	d.free = d.free[1:]
+	*e = dirEntry{sharers: d.words[:d.width:d.width], owner: -1, recallFrom: -1}
+	d.words = d.words[d.width:]
+	d.index[line] = e
+	return e
+}
+
 // l2Bank models the shared-L2 data array of one tile as a capacity-bounded
 // presence set with LRU: a miss costs the off-chip memory latency, and
 // evictions drop data only (directory state is untouched — the directory is
@@ -81,7 +115,9 @@ type dirEntry struct {
 type l2Bank struct {
 	sets int
 	ways int
-	tags [][]l2Line
+	// tags holds the tags set by set, ways entries per set: a window of
+	// the System's one L2 slab.
+	tags []l2Line
 	tick uint64
 
 	Hits, Misses uint64
@@ -93,23 +129,17 @@ type l2Line struct {
 	lru   uint64
 }
 
-func newL2Bank(sets, ways int) *l2Bank {
-	b := &l2Bank{sets: sets, ways: ways}
-	// One backing array for all sets: bank construction is on the capture
-	// hot path (every study run builds fresh systems), and per-set slices
-	// were a dominant allocation source.
-	b.tags = make([][]l2Line, sets)
-	backing := make([]l2Line, sets*ways)
-	for i := range b.tags {
-		b.tags[i] = backing[i*ways : (i+1)*ways : (i+1)*ways]
-	}
-	return b
+// newL2Bank builds a bank's data array over tags, which holds sets×ways
+// tags.
+func newL2Bank(sets, ways int, tags []l2Line) l2Bank {
+	return l2Bank{sets: sets, ways: ways, tags: tags[:sets*ways]}
 }
 
 // touch returns whether the line's data was present, installing it (with
 // LRU eviction) if not. The caller charges the memory latency on a miss.
 func (b *l2Bank) touch(line uint64) bool {
-	set := b.tags[int(line)%b.sets]
+	i := (int(line) % b.sets) * b.ways
+	set := b.tags[i : i+b.ways]
 	for i := range set {
 		if set[i].valid && set[i].tag == line {
 			b.tick++
@@ -153,41 +183,25 @@ type barrierState struct {
 	depTime sim.Tick
 }
 
-// bank is the per-tile home node: L2 data, directory, lock and barrier
-// managers. Banks are passive: they react to delivered messages and emit
-// responses through the system's delayed-send queue.
+// bank is the per-tile home node: L2 data, lock and barrier managers, and
+// the tile's share of the System's directory. Banks are passive: they react
+// to delivered messages and emit responses through the system's
+// delayed-send queue.
 type bank struct {
 	id  int
 	sys *System
 
-	l2       *l2Bank
-	dir      map[uint64]*dirEntry
-	locks    map[uint64]*lockState
-	barriers map[uint64]*barrierState
+	l2 l2Bank
+	// locks and barriers are made on the bank's first lock or barrier
+	// message. spareBarrier is the state of the last barrier generation
+	// released here, kept for the next one with its edge list's array.
+	locks        map[uint64]*lockState
+	barriers     map[uint64]*barrierState
+	spareBarrier *barrierState
 
 	// Stats.
 	Recalls   uint64
 	InvRounds uint64
-}
-
-func newBank(id int, sys *System) *bank {
-	return &bank{
-		id:       id,
-		sys:      sys,
-		l2:       newL2Bank(sys.cfg.System.L2SetsPerBank, sys.cfg.System.L2Ways),
-		dir:      make(map[uint64]*dirEntry),
-		locks:    make(map[uint64]*lockState),
-		barriers: make(map[uint64]*barrierState),
-	}
-}
-
-func (b *bank) entry(line uint64) *dirEntry {
-	e, ok := b.dir[line]
-	if !ok {
-		e = &dirEntry{sharers: newBitset(b.sys.nodes), owner: -1, recallFrom: -1}
-		b.dir[line] = e
-	}
-	return e
 }
 
 // serviceDelay returns the bank occupancy for a line access, charging the
@@ -228,7 +242,7 @@ func (b *bank) handle(am arrivedMsg) {
 
 // handleRequest services GetS/GetM, queueing behind a busy transaction.
 func (b *bank) handleRequest(am arrivedMsg) {
-	e := b.entry(am.msg.line)
+	e := b.sys.dir.entry(am.msg.line)
 	if e.busy {
 		e.waitq = append(e.waitq, am)
 		return
@@ -288,7 +302,7 @@ func (b *bank) startRequest(e *dirEntry, am arrivedMsg) {
 		e.busy = true
 		e.pendingReq = am
 		e.pendingAcks = others
-		e.deps = append(e.deps[:0], reqDep)
+		e.deps = append(b.sys.takeDeps(1), reqDep)
 		e.depTime = am.at
 		e.recallFrom = -1
 		b.InvRounds++
@@ -314,7 +328,7 @@ func (b *bank) startRequest(e *dirEntry, am arrivedMsg) {
 		e.busy = true
 		e.pendingReq = am
 		e.pendingAcks = 1
-		e.deps = append(e.deps[:0], reqDep)
+		e.deps = append(b.sys.takeDeps(1), reqDep)
 		e.depTime = am.at
 		e.recallFrom = e.owner
 		e.ownerKeptCopy = false
@@ -364,7 +378,7 @@ func (b *bank) handleMemReq(am arrivedMsg) {
 
 // handleMemResp completes the deferred grant at the home bank.
 func (b *bank) handleMemResp(am arrivedMsg) {
-	e := b.entry(am.msg.line)
+	e := b.sys.dir.entry(am.msg.line)
 	if !e.busy || !e.waitingMem || !e.pendingReq.set {
 		panic(fmt.Sprintf("cpu: bank %d stray MemResp for line %#x", b.id, am.msg.line))
 	}
@@ -390,7 +404,7 @@ func (b *bank) handleMemResp(am arrivedMsg) {
 
 // handleWB processes a spontaneous dirty eviction from the owner.
 func (b *bank) handleWB(am arrivedMsg) {
-	e := b.entry(am.msg.line)
+	e := b.sys.dir.entry(am.msg.line)
 	c := am.msg.core
 	b.l2.touch(am.msg.line) // writeback installs the data
 	if e.busy && e.pendingAcks > 0 && e.state == dirModified && e.owner == c {
@@ -414,7 +428,7 @@ func (b *bank) handleWB(am arrivedMsg) {
 
 // handleInvAck counts one invalidation acknowledgement.
 func (b *bank) handleInvAck(am arrivedMsg) {
-	e := b.entry(am.msg.line)
+	e := b.sys.dir.entry(am.msg.line)
 	if !e.busy || e.pendingAcks <= 0 || !e.pendingReq.set {
 		panic(fmt.Sprintf("cpu: bank %d stray InvAck for line %#x", b.id, am.msg.line))
 	}
@@ -431,7 +445,7 @@ func (b *bank) handleInvAck(am arrivedMsg) {
 
 // handleRecallResp completes a recall with or without data.
 func (b *bank) handleRecallResp(am arrivedMsg) {
-	e := b.entry(am.msg.line)
+	e := b.sys.dir.entry(am.msg.line)
 	if !e.busy || e.pendingAcks <= 0 || !e.pendingReq.set || e.recallFrom != am.msg.core {
 		// A recall response may trail a crossing WB that already
 		// completed the transaction; it is then a harmless straggler.
@@ -482,7 +496,8 @@ func (b *bank) finishRequest(e *dirEntry) {
 		b.sendData(line, c, grantS, delay, e.deps, e.depTime)
 	}
 	e.busy = false
-	e.deps = e.deps[:0]
+	b.sys.freeDeps = append(b.sys.freeDeps, e.deps[:0])
+	e.deps = nil
 	e.pendingReq = arrivedMsg{}
 	e.recallFrom = -1
 	e.ownerKeptCopy = false
@@ -508,6 +523,9 @@ func (b *bank) sendData(line uint64, c, grant int, delay sim.Tick, deps []trace.
 func (b *bank) lock(id uint64) *lockState {
 	l, ok := b.locks[id]
 	if !ok {
+		if b.locks == nil {
+			b.locks = make(map[uint64]*lockState)
+		}
 		l = &lockState{holder: -1}
 		b.locks[id] = l
 	}
@@ -567,7 +585,14 @@ func (b *bank) handleLockRel(am arrivedMsg) {
 func (b *bank) handleBarArrive(am arrivedMsg) {
 	bs, ok := b.barriers[am.msg.id]
 	if !ok {
-		bs = &barrierState{}
+		if b.barriers == nil {
+			b.barriers = make(map[uint64]*barrierState)
+		}
+		if bs = b.spareBarrier; bs != nil {
+			b.spareBarrier = nil
+		} else {
+			bs = &barrierState{}
+		}
 		b.barriers[am.msg.id] = bs
 	}
 	bs.arrived++
@@ -583,5 +608,7 @@ func (b *bank) handleBarArrive(am arrivedMsg) {
 				svc, bs.deps, bs.depTime)
 		}
 		delete(b.barriers, am.msg.id)
+		*bs = barrierState{deps: bs.deps[:0]}
+		b.spareBarrier = bs
 	}
 }

@@ -38,15 +38,18 @@ type l1Cache struct {
 	sets     int
 	ways     int
 	lineBits uint
-	lines    [][]l1Line
-	tick     uint64 // LRU clock
+	// lines holds the tags set by set, ways entries per set: a window of
+	// the System's one L1 slab.
+	lines []l1Line
+	tick  uint64 // LRU clock
 
 	// Stats.
 	Hits, Misses, Evictions, DirtyEvictions uint64
 }
 
-// newL1 builds an L1 with the given geometry (sets must be a power of two).
-func newL1(sets, ways, lineBytes int) *l1Cache {
+// newL1 builds an L1 with the given geometry (sets must be a power of two)
+// over lines, which holds sets×ways tags.
+func newL1(sets, ways, lineBytes int, lines []l1Line) l1Cache {
 	if sets <= 0 || sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cpu: l1 sets=%d must be a positive power of two", sets))
 	}
@@ -60,25 +63,21 @@ func newL1(sets, ways, lineBytes int) *l1Cache {
 	if 1<<lb != lineBytes {
 		panic(fmt.Sprintf("cpu: line bytes=%d must be a power of two", lineBytes))
 	}
-	c := &l1Cache{sets: sets, ways: ways, lineBits: lb}
-	// Single backing array, same trick as newL2Bank: cache construction
-	// recurs on every captured system, so per-set slices add up.
-	c.lines = make([][]l1Line, sets)
-	backing := make([]l1Line, sets*ways)
-	for i := range c.lines {
-		c.lines[i] = backing[i*ways : (i+1)*ways : (i+1)*ways]
-	}
-	return c
+	return l1Cache{sets: sets, ways: ways, lineBits: lb, lines: lines[:sets*ways]}
 }
 
 // lineOf maps a byte address to its line number.
 func (c *l1Cache) lineOf(addr uint64) uint64 { return addr >> c.lineBits }
 
-func (c *l1Cache) setOf(line uint64) int { return int(line) & (c.sets - 1) }
+// set returns the ways of line's set.
+func (c *l1Cache) set(line uint64) []l1Line {
+	i := (int(line) & (c.sets - 1)) * c.ways
+	return c.lines[i : i+c.ways]
+}
 
 // lookup returns the way holding line, or nil.
 func (c *l1Cache) lookup(line uint64) *l1Line {
-	set := c.lines[c.setOf(line)]
+	set := c.set(line)
 	for i := range set {
 		if set[i].state != stateI && set[i].tag == line {
 			c.tick++
@@ -105,7 +104,7 @@ func (c *l1Cache) Access(line uint64, write bool) bool {
 // number and whether it was dirty; ok=false means the set had a free way and
 // nothing was evicted.
 func (c *l1Cache) victim(line uint64) (evicted uint64, dirty, ok bool) {
-	set := c.lines[c.setOf(line)]
+	set := c.set(line)
 	vi, vlru := -1, ^uint64(0)
 	for i := range set {
 		if set[i].state == stateI {
@@ -131,7 +130,7 @@ func (c *l1Cache) Fill(line uint64, st lineState) {
 	if st == stateI {
 		panic("cpu: filling L1 with invalid state")
 	}
-	set := c.lines[c.setOf(line)]
+	set := c.set(line)
 	for i := range set {
 		if set[i].state == stateI {
 			c.tick++

@@ -5,8 +5,14 @@ import (
 	"testing/quick"
 )
 
+// testL1 is an L1 of the given geometry over its own tag array.
+func testL1(sets, ways, lineBytes int) *l1Cache {
+	c := newL1(sets, ways, lineBytes, make([]l1Line, sets*ways))
+	return &c
+}
+
 func TestL1HitMiss(t *testing.T) {
-	c := newL1(4, 2, 64)
+	c := testL1(4, 2, 64)
 	line := c.lineOf(0x1000)
 	if c.Access(line, false) {
 		t.Fatal("cold access hit")
@@ -29,7 +35,7 @@ func TestL1HitMiss(t *testing.T) {
 }
 
 func TestL1LineOf(t *testing.T) {
-	c := newL1(4, 2, 64)
+	c := testL1(4, 2, 64)
 	if c.lineOf(0) != 0 || c.lineOf(63) != 0 || c.lineOf(64) != 1 || c.lineOf(129) != 2 {
 		t.Fatal("lineOf mapping wrong")
 	}
@@ -37,7 +43,7 @@ func TestL1LineOf(t *testing.T) {
 
 func TestL1LRUEviction(t *testing.T) {
 	// Direct-mapped-ish: 1 set × 2 ways; three distinct lines collide.
-	c := newL1(1, 2, 64)
+	c := testL1(1, 2, 64)
 	c.Fill(1, stateS)
 	c.Fill(2, stateM)
 	// Touch line 1 so line 2 is LRU.
@@ -64,7 +70,7 @@ func TestL1LRUEviction(t *testing.T) {
 }
 
 func TestL1VictimFreeWay(t *testing.T) {
-	c := newL1(1, 2, 64)
+	c := testL1(1, 2, 64)
 	c.Fill(1, stateS)
 	if _, _, ok := c.victim(2); ok {
 		t.Fatal("victim evicted despite a free way")
@@ -72,7 +78,7 @@ func TestL1VictimFreeWay(t *testing.T) {
 }
 
 func TestL1InvalidateAndDowngrade(t *testing.T) {
-	c := newL1(2, 2, 64)
+	c := testL1(2, 2, 64)
 	c.Fill(4, stateM)
 	if !c.Downgrade(4) {
 		t.Fatal("downgrade of M line failed")
@@ -94,9 +100,9 @@ func TestL1InvalidateAndDowngrade(t *testing.T) {
 
 func TestL1GeometryPanics(t *testing.T) {
 	for _, f := range []func(){
-		func() { newL1(3, 2, 64) }, // sets not pow2
-		func() { newL1(4, 0, 64) }, // no ways
-		func() { newL1(4, 2, 48) }, // line not pow2
+		func() { testL1(3, 2, 64) }, // sets not pow2
+		func() { testL1(4, 0, 64) }, // no ways
+		func() { testL1(4, 2, 48) }, // line not pow2
 	} {
 		func() {
 			defer func() {
@@ -110,7 +116,7 @@ func TestL1GeometryPanics(t *testing.T) {
 }
 
 func TestL1FillInvalidPanics(t *testing.T) {
-	c := newL1(2, 1, 64)
+	c := testL1(2, 1, 64)
 	defer func() {
 		if recover() == nil {
 			t.Error("fill with stateI accepted")
@@ -121,7 +127,7 @@ func TestL1FillInvalidPanics(t *testing.T) {
 
 func TestL1PropertyFillThenHit(t *testing.T) {
 	// Property: immediately after filling a line, a read access hits.
-	c := newL1(16, 4, 64)
+	c := testL1(16, 4, 64)
 	if err := quick.Check(func(raw uint32) bool {
 		line := uint64(raw % 4096)
 		if c.State(line) == stateI {
@@ -138,7 +144,7 @@ func TestL1PropertyFillThenHit(t *testing.T) {
 }
 
 func TestL2BankTouch(t *testing.T) {
-	b := newL2Bank(2, 2)
+	b := newL2Bank(2, 2, make([]l2Line, 2*2))
 	if b.touch(10) {
 		t.Fatal("cold touch hit")
 	}
@@ -157,7 +163,7 @@ func TestL2BankTouch(t *testing.T) {
 }
 
 func TestBitset(t *testing.T) {
-	b := newBitset(130)
+	b := make(bitset, bitsetWords(130))
 	for _, i := range []int{0, 63, 64, 127, 129} {
 		b.set(i)
 	}

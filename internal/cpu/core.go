@@ -45,7 +45,7 @@ type core struct {
 
 	state     coreState
 	busyUntil sim.Tick
-	l1        *l1Cache
+	l1        l1Cache
 
 	// pendingLine is the line of the in-flight miss.
 	pendingLine uint64
@@ -66,15 +66,6 @@ type core struct {
 	ComputeCycles uint64
 	MemOps        uint64
 	SyncOps       uint64
-}
-
-func newCore(id int, sys *System, prog Program) *core {
-	return &core{
-		id:   id,
-		sys:  sys,
-		prog: prog,
-		l1:   newL1(sys.l1Sets, sys.l1Ways, L1LineBytes),
-	}
 }
 
 // setState transitions the core's blocking state, keeping the system's

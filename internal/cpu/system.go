@@ -45,12 +45,12 @@ type System struct {
 	net   noc.Network
 	nodes int
 	now   sim.Tick
-	// l1Sets and l1Ways size every core's L1: L1Sets and L1Ways, or the
-	// degenerate geometry a package test needs.
-	l1Sets, l1Ways int
 
-	cores []*core
-	banks []*bank
+	// cores and banks are one slab each; so are their L1 and L2 tag
+	// arrays, each cache a window of its kind's slab.
+	cores []core
+	banks []bank
+	dir   directory
 
 	// runningInRange[r] counts cores in state coreRunning within tile range
 	// r (ranges of 1<<coreRangeShift tiles), maintained by core.setState.
@@ -77,12 +77,14 @@ type System struct {
 	// pool recycles fabric messages and freeMsgs the protocol payloads they
 	// carry: both die in onDeliver as soon as their fields are copied into
 	// the inbox, so steady state re-injects the same handful of allocations.
+	// An empty free list refills msgBlock payloads from one block.
 	pool     noc.MsgPool
 	freeMsgs []*protoMsg
 	// delayed holds bank responses until their service delay (at most
 	// MemCycles + L2HitCycles, inside its 256-cycle ring) expires, in
 	// (cycle, send order); tick injects the ones due each cycle. freeDeps
-	// recycles the edge lists a capture copies into them.
+	// recycles the edge lists a capture copies into them and those the
+	// directory's transactions collect.
 	delayed  sim.Calendar[delayedSend]
 	freeDeps [][]trace.Dep
 
@@ -90,6 +92,9 @@ type System struct {
 	// and their summed latency; Run reports them.
 	delivered, latencySum [noc.NumClasses]uint64
 }
+
+// msgBlock is how many protocol payloads one refill of the free list makes.
+const msgBlock = 64
 
 // delayedSend is a bank response waiting out its service delay. deps is the
 // send's own copy of its edges, kept only while capturing: the caller's list
@@ -107,7 +112,8 @@ func NewSystem(cfg config.Config, programs []Program, net noc.Network, rec *trac
 	return newSystem(cfg, programs, net, rec, L1Sets, L1Ways)
 }
 
-// newSystem is NewSystem with the given L1 geometry.
+// newSystem is NewSystem with the given L1 geometry: L1Sets and L1Ways, or
+// the degenerate geometry a package test needs.
 func newSystem(cfg config.Config, programs []Program, net noc.Network, rec *trace.Recorder, l1Sets, l1Ways int) (*System, error) {
 	if len(programs) != cfg.System.Cores {
 		return nil, fmt.Errorf("cpu: %d programs for %d cores", len(programs), cfg.System.Cores)
@@ -119,17 +125,28 @@ func newSystem(cfg config.Config, programs []Program, net noc.Network, rec *trac
 	if err != nil {
 		return nil, err
 	}
-	s := &System{cfg: cfg, net: net, nodes: cfg.System.Cores, l1Sets: l1Sets, l1Ways: l1Ways, rec: rec, delayed: sim.NewCalendar[delayedSend](256), memTiles: memTiles}
-	s.runningInRange = make([]int, (cfg.System.Cores+coreRangeSize-1)>>coreRangeShift)
 	for i, p := range programs {
 		if err := p.Validate(); err != nil {
 			return nil, fmt.Errorf("cpu: core %d: %w", i, err)
 		}
-		s.cores = append(s.cores, newCore(i, s, p))
+	}
+	n := cfg.System.Cores
+	s := &System{cfg: cfg, net: net, nodes: n, rec: rec, delayed: sim.NewCalendar[delayedSend](256), memTiles: memTiles}
+	s.runningInRange = make([]int, (n+coreRangeSize-1)>>coreRangeShift)
+	s.dir = directory{index: make(map[uint64]*dirEntry), width: bitsetWords(n)}
+	s.cores = make([]core, n)
+	l1Size := l1Sets * l1Ways
+	l1 := make([]l1Line, n*l1Size)
+	for i, p := range programs {
+		s.cores[i] = core{id: i, sys: s, prog: p, l1: newL1(l1Sets, l1Ways, L1LineBytes, l1[i*l1Size:(i+1)*l1Size])}
 		s.runningInRange[i>>coreRangeShift]++ // cores start coreRunning
 	}
-	for i := 0; i < s.nodes; i++ {
-		s.banks = append(s.banks, newBank(i, s))
+	s.banks = make([]bank, n)
+	l2Sets, l2Ways := cfg.System.L2SetsPerBank, cfg.System.L2Ways
+	l2Size := l2Sets * l2Ways
+	l2 := make([]l2Line, n*l2Size)
+	for i := range s.banks {
+		s.banks[i] = bank{id: i, sys: s, l2: newL2Bank(l2Sets, l2Ways, l2[i*l2Size:(i+1)*l2Size])}
 	}
 	net.SetDeliver(s.onDeliver)
 	return s, nil
@@ -186,12 +203,15 @@ func (s *System) inject(src, dst int, pm protoMsg, deps []trace.Dep, depTime sim
 			Now:         s.now,
 		})
 	}
-	var p *protoMsg
-	if n := len(s.freeMsgs); n > 0 {
-		p, s.freeMsgs = s.freeMsgs[n-1], s.freeMsgs[:n-1]
-	} else {
-		p = new(protoMsg)
+	if len(s.freeMsgs) == 0 {
+		block := make([]protoMsg, msgBlock)
+		for i := range block {
+			s.freeMsgs = append(s.freeMsgs, &block[i])
+		}
 	}
+	n := len(s.freeMsgs)
+	p := s.freeMsgs[n-1]
+	s.freeMsgs = s.freeMsgs[:n-1]
 	*p = pm
 	s.msgID++
 	m := s.pool.Get()
@@ -213,12 +233,27 @@ func (s *System) send(src, dst int, pm protoMsg, delay sim.Tick, deps []trace.De
 	}
 	d := delayedSend{src: src, dst: dst, pm: pm, depTime: depTime}
 	if s.rec != nil {
-		if n := len(s.freeDeps); n > 0 {
-			d.deps, s.freeDeps = s.freeDeps[n-1], s.freeDeps[:n-1]
-		}
+		d.deps = s.takeDeps(len(deps))
 		d.deps = append(d.deps, deps...)
 	}
 	s.delayed.Push(s.now+delay, d)
+}
+
+// depsCap is the least capacity of an edge list the free list makes: room
+// for a request and the acknowledgements of a few sharers, so a typical
+// transaction's list never grows.
+const depsCap = 8
+
+// takeDeps returns an empty edge list from the free list, or a new one with
+// room for n edges.
+func (s *System) takeDeps(n int) []trace.Dep {
+	k := len(s.freeDeps)
+	if k == 0 {
+		return make([]trace.Dep, 0, max(n, depsCap))
+	}
+	d := s.freeDeps[k-1]
+	s.freeDeps = s.freeDeps[:k-1]
+	return d
 }
 
 // sendFromCore routes a core-originated message to its implicit home.
@@ -308,8 +343,8 @@ func (s *System) tick() {
 		if hi > len(s.cores) {
 			hi = len(s.cores)
 		}
-		for _, c := range s.cores[base:hi] {
-			c.step()
+		for i := base; i < hi; i++ {
+			s.cores[i].step()
 		}
 	}
 }
@@ -351,7 +386,8 @@ func (s *System) nextWake() sim.Tick {
 		if hi > len(s.cores) {
 			hi = len(s.cores)
 		}
-		for _, c := range s.cores[base:hi] {
+		for i := base; i < hi; i++ {
+			c := &s.cores[i]
 			if c.state != coreRunning {
 				continue
 			}
@@ -397,10 +433,8 @@ func (s *System) Run(maxCycles int64) (RunResult, error) {
 		}
 	}
 	var makespan sim.Tick
-	for _, c := range s.cores {
-		if c.doneAt > makespan {
-			makespan = c.doneAt
-		}
+	for i := range s.cores {
+		makespan = max(makespan, s.cores[i].doneAt)
 	}
 	return RunResult{
 		Makespan:   makespan,
@@ -413,8 +447,8 @@ func (s *System) Run(maxCycles int64) (RunResult, error) {
 
 // done reports whether all cores finished and nothing is in flight.
 func (s *System) done() bool {
-	for _, c := range s.cores {
-		if c.state != coreDone {
+	for i := range s.cores {
+		if s.cores[i].state != coreDone {
 			return false
 		}
 	}
@@ -424,8 +458,8 @@ func (s *System) done() bool {
 // coreStates summarizes core states for timeout diagnostics.
 func (s *System) coreStates() string {
 	counts := map[coreState]int{}
-	for _, c := range s.cores {
-		counts[c.state]++
+	for i := range s.cores {
+		counts[s.cores[i].state]++
 	}
 	return fmt.Sprintf("running=%d wait-mem=%d wait-lock=%d wait-barrier=%d done=%d",
 		counts[coreRunning], counts[coreWaitMem], counts[coreWaitLock], counts[coreWaitBarrier], counts[coreDone])
@@ -447,7 +481,8 @@ type CoreStats struct {
 // Stats sums core-side counters across the chip.
 func (s *System) Stats() CoreStats {
 	var t CoreStats
-	for _, c := range s.cores {
+	for i := range s.cores {
+		c := &s.cores[i]
 		t.ComputeCycles += c.ComputeCycles
 		t.MemOps += c.MemOps
 		t.SyncOps += c.SyncOps

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"fmt"
 	"testing"
 
 	"onocsim/internal/config"
@@ -80,8 +81,7 @@ func TestSeedsDecorrelate(t *testing.T) {
 func TestWindowInvariants(t *testing.T) {
 	f := heavy()
 	in := New(2, f, 7)
-	tl := in.token[1]
-	tl.extendPast(2_000_000)
+	tl := in.token.timeline(in.base, 1, 2_000_000)
 	if len(tl.wins) < 10 {
 		t.Fatalf("only %d windows in 2M cycles", len(tl.wins))
 	}
@@ -127,5 +127,75 @@ func TestChannelsIndependent(t *testing.T) {
 	}
 	if same {
 		t.Error("all channels share one token schedule")
+	}
+}
+
+// TestTimelinesIndependentOfFirstQuery holds every channel's windows to one
+// schedule however its timeline came to be made: channels first queried in
+// order, in reverse, or half of them first and then all of them again from
+// cycle zero, which is what a fabric Reset between correction rounds does
+// to the Injector it keeps. Each channel's windows are also the ones its
+// stream, labelled "drift/<ch>" or "token/<ch>", draws.
+func TestTimelinesIndependentOfFirstQuery(t *testing.T) {
+	const nodes, horizon, step = 16, 300_000, 997
+	f := heavy()
+	probe := func(in *Injector, ch int, to sim.Tick) {
+		for at := sim.Tick(0); at < to; at += step {
+			in.DriftAt(ch, at)
+			in.TokenOutage(ch, at)
+			in.NextTokenOutage(ch, at)
+		}
+	}
+	inOrder, reverse, reset := New(nodes, f, 42), New(nodes, f, 42), New(nodes, f, 42)
+	for ch := 0; ch < nodes; ch++ {
+		probe(inOrder, ch, horizon)
+		probe(reverse, nodes-1-ch, horizon)
+		if ch%2 == 1 {
+			probe(reset, ch, horizon/2)
+		}
+	}
+	for ch := nodes - 1; ch >= 0; ch-- {
+		probe(reset, ch, horizon)
+	}
+	// want draws channel ch's windows of one class from its labelled
+	// stream, up to the first window starting after horizon.
+	want := func(label string, ch int, mtbf int64, dur sim.Tick) []window {
+		rng := sim.NewStream(inOrder.base, fmt.Sprintf("%s/%d", label, ch))
+		var wins []window
+		var end sim.Tick
+		for len(wins) == 0 || wins[len(wins)-1].Start <= horizon {
+			start := end + sim.Tick(1+mtbf/2+int64(rng.Intn(int(mtbf))))
+			end = start + dur
+			wins = append(wins, window{start, end})
+		}
+		return wins
+	}
+	for name, in := range map[string]*Injector{"in order": inOrder, "reverse": reverse, "reset": reset} {
+		for ch := 0; ch < nodes; ch++ {
+			for _, c := range []struct {
+				got  *class
+				name string
+			}{{&in.drift, "drift"}, {&in.token, "token"}} {
+				w := want(c.name, ch, c.got.mtbf, c.got.dur)
+				got := c.got.timeline(in.base, ch, horizon).wins
+				if fmt.Sprint(got[:len(w)]) != fmt.Sprint(w) {
+					t.Fatalf("%s: %s channel %d windows %v, want %v", name, c.name, ch, got[:len(w)], w)
+				}
+			}
+		}
+	}
+}
+
+// TestNewAllocatesNothingPerChannel holds New to the Injector and its root
+// seed's label: a channel's timeline and stream are made on its first
+// query, so building a faulted fabric that is never asked about faults
+// costs no per-channel allocation.
+func TestNewAllocatesNothingPerChannel(t *testing.T) {
+	f := heavy()
+	small := testing.AllocsPerRun(20, func() { New(4, f, 42) })
+	large := testing.AllocsPerRun(20, func() { New(64, f, 42) })
+	t.Logf("New allocates %.0f objects at 4 nodes, %.0f at 64", small, large)
+	if large != small || large > 16 {
+		t.Errorf("New allocates %.0f objects at 64 nodes, %.0f at 4: want the same handful at both", large, small)
 	}
 }

@@ -21,7 +21,13 @@ func splitmix64(x *uint64) uint64 {
 // NewRNG returns a generator seeded from seed. Any seed, including zero, is
 // valid: SplitMix64 expansion guarantees a non-degenerate internal state.
 func NewRNG(seed uint64) *RNG {
-	r := &RNG{}
+	r := seeded(seed)
+	return &r
+}
+
+// seeded is the generator NewRNG points to, as a value.
+func seeded(seed uint64) RNG {
+	var r RNG
 	x := seed
 	for i := range r.s {
 		r.s[i] = splitmix64(&x)
@@ -30,14 +36,16 @@ func NewRNG(seed uint64) *RNG {
 }
 
 // NewStream derives an independent generator from a parent seed and a stream
-// label. Streams with distinct labels are statistically independent.
-func NewStream(seed uint64, label string) *RNG {
+// label. Streams with distinct labels are statistically independent. The
+// generator is a value, so a caller that keeps one per core or per channel
+// holds it inline and allocates nothing for it.
+func NewStream(seed uint64, label string) RNG {
 	h := seed ^ 0xcbf29ce484222325
 	for i := 0; i < len(label); i++ {
 		h ^= uint64(label[i])
 		h *= 0x100000001b3
 	}
-	return NewRNG(h)
+	return seeded(h)
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

@@ -74,7 +74,7 @@ func (s HugeSpec) workloadName() string {
 // clock. Nothing grows with the event count.
 type hugeState struct {
 	spec   HugeSpec
-	rng    *sim.RNG
+	rng    sim.RNG
 	lastID []trace.EventID // per source, 0 = none yet
 	nextAt []sim.Tick      // per source, earliest next injection
 	clock  sim.Tick        // global nondecreasing injection clock

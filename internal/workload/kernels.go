@@ -2,6 +2,8 @@ package workload
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 
 	"onocsim/internal/config"
 	"onocsim/internal/cpu"
@@ -29,6 +31,43 @@ func lineAddr(li uint64, lineBytes int) uint64 { return li * uint64(lineBytes) }
 // base (in lines) with span lines per core.
 func region(base uint64, core, span int) uint64 {
 	return base + uint64(core)*uint64(span)
+}
+
+// programSet builds every core's program in one op slab: a kernel adds core
+// c's ops after core c−1's and ends each core with cut. The first cut
+// reserves room for the other cores at the first core's length, so a chip's
+// programs cost a few slab growths, not an array per core grown op by op.
+type programSet struct {
+	ops  []cpu.Op
+	ends []int
+}
+
+func newProgramSet(cores int) *programSet {
+	return &programSet{ends: make([]int, 0, cores)}
+}
+
+// add appends ops to the current core's program.
+func (s *programSet) add(ops ...cpu.Op) { s.ops = append(s.ops, ops...) }
+
+// cut ends the current core's program.
+func (s *programSet) cut() {
+	if len(s.ends) == 0 {
+		s.ops = slices.Grow(s.ops, len(s.ops)*(cap(s.ends)-1))
+	}
+	s.ends = append(s.ends, len(s.ops))
+}
+
+// programs slices the finished slab into one program per core. Each
+// program's capacity ends where it does, so nothing appended to one can
+// reach the next.
+func (s *programSet) programs() []cpu.Program {
+	progs := make([]cpu.Program, len(s.ends))
+	start := 0
+	for c, end := range s.ends {
+		progs[c] = s.ops[start:end:end]
+		start = end
+	}
+	return progs
 }
 
 // scaleCompute applies the configured compute scaling with a floor of one
@@ -75,8 +114,12 @@ func applyJitter(progs []cpu.Program, seed uint64, j float64) {
 	if j <= 0 {
 		return
 	}
+	const prefix = "jitter-core-"
+	var buf [32]byte
+	copy(buf[:], prefix)
 	for c := range progs {
-		rng := sim.NewStream(seed, fmt.Sprintf("jitter-core-%d", c))
+		label := strconv.AppendInt(buf[:len(prefix)], int64(c), 10)
+		rng := sim.NewStream(seed, string(label))
 		for i := range progs[c] {
 			if progs[c][i].Kind != cpu.OpCompute {
 				continue
@@ -108,47 +151,47 @@ func genReduce(cfg config.Config) ([]cpu.Program, error) {
 	for 1<<levels < P {
 		levels++
 	}
-	progs := make([]cpu.Program, P)
+	set := newProgramSet(P)
 	for c := 0; c < P; c++ {
-		var p cpu.Program
 		myBase := region(base, c, span)
 		for it := 0; it < iters; it++ {
 			// Produce a local partial result.
-			p = append(p, cpu.Compute(scaleCompute(float64(span*8), cfg.Workload.ComputeScale)))
+			set.add(cpu.Compute(scaleCompute(float64(span*8), cfg.Workload.ComputeScale)))
 			for r := 0; r < span; r++ {
-				p = append(p, cpu.Store(lineAddr(myBase+uint64(r), lb)))
+				set.add(cpu.Store(lineAddr(myBase+uint64(r), lb)))
 			}
 			// Reduce up: at level l, cores with the low l+1 bits zero
 			// combine their child's block (child = c | 1<<l).
 			for l := 0; l < levels; l++ {
-				p = append(p, cpu.Barrier(0))
+				set.add(cpu.Barrier(0))
 				if c&((1<<(l+1))-1) == 0 {
 					child := c | 1<<l
 					chBase := region(base, child, span)
 					for r := 0; r < span; r++ {
-						p = append(p, cpu.Load(lineAddr(chBase+uint64(r), lb)))
+						set.add(cpu.Load(lineAddr(chBase+uint64(r), lb)))
 					}
-					p = append(p, cpu.Compute(scaleCompute(float64(span*4), cfg.Workload.ComputeScale)))
+					set.add(cpu.Compute(scaleCompute(float64(span*4), cfg.Workload.ComputeScale)))
 					for r := 0; r < span; r++ {
-						p = append(p, cpu.Store(lineAddr(myBase+uint64(r), lb)))
+						set.add(cpu.Store(lineAddr(myBase+uint64(r), lb)))
 					}
 				} else {
-					p = append(p, cpu.Compute(scaleCompute(2, cfg.Workload.ComputeScale)))
+					set.add(cpu.Compute(scaleCompute(2, cfg.Workload.ComputeScale)))
 				}
 			}
 			// Broadcast down: everyone reads the root's block.
-			p = append(p, cpu.Barrier(0))
+			set.add(cpu.Barrier(0))
 			rootBase := region(base, 0, span)
 			if c != 0 {
 				for r := 0; r < span; r++ {
-					p = append(p, cpu.Load(lineAddr(rootBase+uint64(r), lb)))
+					set.add(cpu.Load(lineAddr(rootBase+uint64(r), lb)))
 				}
 			}
-			p = append(p, cpu.Compute(scaleCompute(float64(span*2), cfg.Workload.ComputeScale)))
-			p = append(p, cpu.Barrier(0))
+			set.add(cpu.Compute(scaleCompute(float64(span*2), cfg.Workload.ComputeScale)))
+			set.add(cpu.Barrier(0))
 		}
-		progs[c] = p
+		set.cut()
 	}
+	progs := set.programs()
 	patchBarriers(progs, iters*(levels+2))
 	return progs, nil
 }
@@ -164,11 +207,11 @@ func genStencil(cfg config.Config) ([]cpu.Program, error) {
 	width := cfg.MeshWidth()
 	const base = 1 << 20
 
-	progs := make([]cpu.Program, P)
+	set := newProgramSet(P)
 	for c := 0; c < P; c++ {
-		var p cpu.Program
 		x, y := c%width, c/width
-		neighbors := []int{}
+		var nb [4]int
+		neighbors := nb[:0]
 		if y > 0 {
 			neighbors = append(neighbors, c-width)
 		}
@@ -187,22 +230,23 @@ func genStencil(cfg config.Config) ([]cpu.Program, error) {
 			// neighbor's block.
 			for _, nb := range neighbors {
 				nbBase := region(base, nb, span)
-				p = append(p,
+				set.add(
 					cpu.Load(lineAddr(nbBase, lb)),
 					cpu.Load(lineAddr(nbBase+uint64(span-1), lb)),
 				)
 			}
 			// Compute on the block: cost ∝ cells.
 			cells := float64(span * span)
-			p = append(p, cpu.Compute(scaleCompute(cells, cfg.Workload.ComputeScale)))
+			set.add(cpu.Compute(scaleCompute(cells, cfg.Workload.ComputeScale)))
 			// Write back the whole block.
 			for r := 0; r < span; r++ {
-				p = append(p, cpu.Store(lineAddr(myBase+uint64(r), lb)))
+				set.add(cpu.Store(lineAddr(myBase+uint64(r), lb)))
 			}
-			p = append(p, cpu.Barrier(0)) // id patched below
+			set.add(cpu.Barrier(0)) // id patched below
 		}
-		progs[c] = p
+		set.cut()
 	}
+	progs := set.programs()
 	patchBarriers(progs, iters)
 	return progs, nil
 }
@@ -221,30 +265,30 @@ func genFFT(cfg config.Config) ([]cpu.Program, error) {
 	for 1<<stages < P {
 		stages++
 	}
-	progs := make([]cpu.Program, P)
+	set := newProgramSet(P)
 	for c := 0; c < P; c++ {
-		var p cpu.Program
 		myBase := region(base, c, span)
 		// Initial local work: bit-reverse shuffle + first butterflies.
-		p = append(p, cpu.Compute(scaleCompute(float64(span*8), cfg.Workload.ComputeScale)))
+		set.add(cpu.Compute(scaleCompute(float64(span*8), cfg.Workload.ComputeScale)))
 		for r := 0; r < span; r++ {
-			p = append(p, cpu.Store(lineAddr(myBase+uint64(r), lb)))
+			set.add(cpu.Store(lineAddr(myBase+uint64(r), lb)))
 		}
-		p = append(p, cpu.Barrier(0))
+		set.add(cpu.Barrier(0))
 		for s := 0; s < stages; s++ {
 			partner := c ^ (1 << s)
 			pBase := region(base, partner, span)
 			for r := 0; r < span; r++ {
-				p = append(p, cpu.Load(lineAddr(pBase+uint64(r), lb)))
+				set.add(cpu.Load(lineAddr(pBase+uint64(r), lb)))
 			}
-			p = append(p, cpu.Compute(scaleCompute(float64(span*16), cfg.Workload.ComputeScale)))
+			set.add(cpu.Compute(scaleCompute(float64(span*16), cfg.Workload.ComputeScale)))
 			for r := 0; r < span; r++ {
-				p = append(p, cpu.Store(lineAddr(myBase+uint64(r), lb)))
+				set.add(cpu.Store(lineAddr(myBase+uint64(r), lb)))
 			}
-			p = append(p, cpu.Barrier(0))
+			set.add(cpu.Barrier(0))
 		}
-		progs[c] = p
+		set.cut()
 	}
+	progs := set.programs()
 	patchBarriers(progs, stages+1)
 	return progs, nil
 }
@@ -260,42 +304,42 @@ func genLU(cfg config.Config) ([]cpu.Program, error) {
 	lb := cpu.L1LineBytes
 	const base = 3 << 20
 	const pivotLines = 4
-	progs := make([]cpu.Program, P)
+	set := newProgramSet(P)
 	for c := 0; c < P; c++ {
-		var p cpu.Program
 		for k := 0; k < steps; k++ {
 			owner := k % P
 			pivBase := region(base, k, pivotLines)
 			if c == owner {
 				// Factor the pivot block.
-				p = append(p, cpu.Compute(scaleCompute(float64(pivotLines*pivotLines*16), cfg.Workload.ComputeScale)))
+				set.add(cpu.Compute(scaleCompute(float64(pivotLines*pivotLines*16), cfg.Workload.ComputeScale)))
 				for r := 0; r < pivotLines; r++ {
-					p = append(p, cpu.Store(lineAddr(pivBase+uint64(r), lb)))
+					set.add(cpu.Store(lineAddr(pivBase+uint64(r), lb)))
 				}
 			} else {
 				// Idle cores do a sliver of local work so the
 				// barrier arrival spread is realistic.
-				p = append(p, cpu.Compute(scaleCompute(4, cfg.Workload.ComputeScale)))
+				set.add(cpu.Compute(scaleCompute(4, cfg.Workload.ComputeScale)))
 			}
-			p = append(p, cpu.Barrier(0))
+			set.add(cpu.Barrier(0))
 			// Everyone still active reads the pivot and updates its
 			// trailing blocks; cores "retire" as elimination passes
 			// their panel.
 			active := c >= (k % P)
 			if active {
 				for r := 0; r < pivotLines; r++ {
-					p = append(p, cpu.Load(lineAddr(pivBase+uint64(r), lb)))
+					set.add(cpu.Load(lineAddr(pivBase+uint64(r), lb)))
 				}
 				myBase := region(base+uint64(steps*pivotLines), c, pivotLines)
-				p = append(p, cpu.Compute(scaleCompute(float64(pivotLines*pivotLines*8), cfg.Workload.ComputeScale)))
+				set.add(cpu.Compute(scaleCompute(float64(pivotLines*pivotLines*8), cfg.Workload.ComputeScale)))
 				for r := 0; r < pivotLines; r++ {
-					p = append(p, cpu.Store(lineAddr(myBase+uint64(r), lb)))
+					set.add(cpu.Store(lineAddr(myBase+uint64(r), lb)))
 				}
 			}
-			p = append(p, cpu.Barrier(0))
+			set.add(cpu.Barrier(0))
 		}
-		progs[c] = p
+		set.cut()
 	}
+	progs := set.programs()
 	patchBarriers(progs, 2*steps)
 	return progs, nil
 }
@@ -309,31 +353,31 @@ func genSort(cfg config.Config) ([]cpu.Program, error) {
 	lb := cpu.L1LineBytes
 	const base = 4 << 20
 	const bucketLines = 2
-	progs := make([]cpu.Program, P)
+	set := newProgramSet(P)
 	for c := 0; c < P; c++ {
-		var p cpu.Program
 		// Local sort: n log n.
 		n := float64(keysPerCore)
-		p = append(p, cpu.Compute(scaleCompute(n*4, cfg.Workload.ComputeScale)))
+		set.add(cpu.Compute(scaleCompute(n*4, cfg.Workload.ComputeScale)))
 		// Exchange: visit buckets starting at our own to stagger lock
 		// contention, as a real implementation would.
 		for i := 0; i < P; i++ {
 			b := (c + i) % P
 			bBase := region(base, b, bucketLines)
-			p = append(p, cpu.Lock(uint64(b+1)))
+			set.add(cpu.Lock(uint64(b + 1)))
 			for r := 0; r < bucketLines; r++ {
-				p = append(p,
+				set.add(
 					cpu.Load(lineAddr(bBase+uint64(r), lb)),
 					cpu.Store(lineAddr(bBase+uint64(r), lb)),
 				)
 			}
-			p = append(p, cpu.Unlock(uint64(b+1)))
+			set.add(cpu.Unlock(uint64(b + 1)))
 		}
-		p = append(p, cpu.Barrier(0))
+		set.add(cpu.Barrier(0))
 		// Final local merge of the received bucket.
-		p = append(p, cpu.Compute(scaleCompute(n*2, cfg.Workload.ComputeScale)))
-		progs[c] = p
+		set.add(cpu.Compute(scaleCompute(n*2, cfg.Workload.ComputeScale)))
+		set.cut()
 	}
+	progs := set.programs()
 	patchBarriers(progs, 1)
 	return progs, nil
 }

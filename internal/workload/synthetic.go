@@ -107,7 +107,7 @@ func RunSynthetic(net noc.Network, cfg config.Workload, seed uint64) (SyntheticR
 	if pktProb > 1 {
 		pktProb = 1
 	}
-	rngs := make([]*sim.RNG, nodes)
+	rngs := make([]sim.RNG, nodes)
 	for i := range rngs {
 		rngs[i] = sim.NewStream(seed, fmt.Sprintf("synthetic-%d", i))
 	}
@@ -142,7 +142,7 @@ func RunSynthetic(net noc.Network, cfg config.Workload, seed uint64) (SyntheticR
 			if remaining[n] == 0 || !rngs[n].Bernoulli(pktProb) {
 				continue
 			}
-			dst := pat(n, nodes, rngs[n])
+			dst := pat(n, nodes, &rngs[n])
 			remaining[n]--
 			left--
 			if dst == n {
