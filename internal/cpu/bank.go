@@ -138,8 +138,8 @@ func newL2Bank(sets, ways int, tags []l2Line) l2Bank {
 // touch returns whether the line's data was present, installing it (with
 // LRU eviction) if not. The caller charges the memory latency on a miss.
 func (b *l2Bank) touch(line uint64) bool {
-	i := (int(line) % b.sets) * b.ways
-	set := b.tags[i : i+b.ways]
+	base := (int(line) % b.sets) * b.ways
+	set := b.tags[base : base+b.ways]
 	for i := range set {
 		if set[i].valid && set[i].tag == line {
 			b.tick++

@@ -195,7 +195,9 @@ func TestNewAllocatesNothingPerChannel(t *testing.T) {
 	small := testing.AllocsPerRun(20, func() { New(4, f, 42) })
 	large := testing.AllocsPerRun(20, func() { New(64, f, 42) })
 	t.Logf("New allocates %.0f objects at 4 nodes, %.0f at 64", small, large)
-	if large != small || large > 16 {
+	// fmt's printer pool may drop a printer now and then (always possible
+	// under the race detector), so the counts may differ by a couple.
+	if large > small+2 || large > 16 {
 		t.Errorf("New allocates %.0f objects at 64 nodes, %.0f at 4: want the same handful at both", large, small)
 	}
 }
